@@ -258,6 +258,50 @@ let test_sweep_pct_policy () =
       | Explore.Failed _ as v -> Alcotest.failf "%s" (Explore.verdict_to_string v))
     [ "pop3"; "httpd"; "sshd" ]
 
+(* ---------- Pinned scenario digests ---------- *)
+
+(* Every scenario's exploration digest at seed 1 over 5 schedules,
+   pinned.  The determinism tests above only compare two runs of the
+   same code, so a refactor that changes behaviour deterministically
+   would pass them; this catches it.  A deliberate behaviour change
+   re-pins the whole table at once. *)
+let pinned_digests =
+  [
+    ("pop3", "ec71ad5365695003932cee7ca62aedd5");
+    ("httpd", "cff11785f028c05e75c526ea656fd1cb");
+    ("sshd", "8a3dc2e14f9fe3ea3ca9528c9b163459");
+    ("httpd_storm", "526d65dbba4556ce0de6eff296a0b09b");
+    ("pop3_storm", "4afe9bd2fd785623b3f23cea6d71414c");
+    ("sshd_storm", "ce18cb6d6649106a2bb2a99476088072");
+    ("httpd_reactor_storm", "6a1be41e98cc6ffe976b2a99b4bf2063");
+    ("httpd_pool_storm", "802fa9e22365f94fb2e87a70c8d94ec5");
+    ("pop3_pool_storm", "c65cabcad32daff18edd18f21f80b528");
+    ("sshd_pool_storm", "ec6ff20d9b77fde9f40b1e1b1cd8f413");
+    ("httpd_sharded", "fc4336863b9437acb741cdcbbc5b96d8");
+    ("pop3_sharded", "3d79ecac49f6978ef25ea6a07873692d");
+    ("sshd_sharded", "ee4a63d20f6150ae1e71c46fb60918c9");
+    ("httpd_synth", "8e415d37c85b53d74048fa73a7d5c08c");
+    ("pop3_synth", "a826a712aa6110de5ea827c120885ff5");
+    ("sshd_synth", "35f205f73ab0d0b436e0a8be08c3a130");
+  ]
+
+let test_pinned_digests () =
+  let explored = List.filter (fun n -> n <> "racy") (Scenarios.names ()) in
+  check
+    Alcotest.(list string)
+    "every scenario but racy is pinned" (List.map fst pinned_digests) explored;
+  List.iter
+    (fun (scenario, pinned) ->
+      match Explore.explore ~schedules:5 ~scenario ~seed:1 () with
+      | Explore.Failed _ as v -> Alcotest.failf "%s" (Explore.verdict_to_string v)
+      | Explore.Passed { p_digest; _ } ->
+          if p_digest <> pinned then
+            Alcotest.failf
+              "%s: digest %s, pinned %s; re-pin from `dune exec bin/wedge_cli.exe -- check \
+               --scenario all --schedules 5 --seed 1`"
+              scenario p_digest pinned)
+    pinned_digests
+
 (* ---------- Pinned regressions the oracles originally surfaced ---------- *)
 
 let test_regression_cow_break_no_double_charge () =
@@ -341,6 +385,7 @@ let () =
           Alcotest.test_case "httpd 35+5 schedules" `Slow test_sweep_httpd;
           Alcotest.test_case "sshd 35+5 schedules" `Slow test_sweep_sshd;
           Alcotest.test_case "pct policy" `Slow test_sweep_pct_policy;
+          Alcotest.test_case "pinned digests" `Slow test_pinned_digests;
         ] );
       ( "regressions",
         [
