@@ -29,6 +29,7 @@ module Chan = Wedge_net.Chan
 module Guard = Wedge_net.Guard
 module Watchdog = Wedge_net.Watchdog
 module Byzantine = Wedge_net.Byzantine
+module Service = Wedge_net.Service
 module W = Wedge_core.Wedge
 module Supervisor = Wedge_core.Supervisor
 
@@ -119,13 +120,14 @@ let measure ~pooled =
            ~window_ns:40_000 ~open_ns:5_000 ~probes:2 ~brownout:0.3 ())
       ~watchdog:w ~max_conns:4 ()
   in
-  let pool = if pooled then Some (Wedge_pop3.Pop3_wedge.worker_pool main_ctx) else None in
-  let tree = Wedge_pop3.Pop3_wedge.supervision_tree ?pool main_ctx in
+  let service = Wedge_pop3.Pop3_wedge.service in
+  let pool = if pooled then Some (Service.pool service main_ctx) else None in
+  let tree = Service.tree ?pool service main_ctx in
   let incidents = ref [] in
   let hang_tally = Byzantine.tally () in
   Fiber.run ~clock ~on_switch:(Watchdog.hook w) (fun () ->
       Fiber.spawn (fun () ->
-          Wedge_pop3.Pop3_wedge.serve_loop ~supervision:tree main_ctx guard l);
+          Service.serve_loop ~supervision:tree service main_ctx guard l);
       (* Settle: one clean request so the world is warm before incident 0. *)
       ignore (request l);
       for _ = 1 to n_incidents do

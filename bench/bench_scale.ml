@@ -40,6 +40,7 @@ module Clock = Wedge_sim.Clock
 module Fiber = Wedge_sim.Fiber
 module Chan = Wedge_net.Chan
 module Shard = Wedge_net.Shard
+module Service = Wedge_net.Service
 module Drbg = Wedge_crypto.Drbg
 module Rsa = Wedge_crypto.Rsa
 module Dsa = Wedge_crypto.Dsa
@@ -214,7 +215,7 @@ let pop3_section n_shards =
     Pop3_client.quit cl
   in
   drive ~fab ~front
-    ~serve:(fun () -> Wedge_pop3.Pop3_wedge.serve_sharded mains front)
+    ~serve:(fun () -> Service.serve_sharded Wedge_pop3.Pop3_wedge.service mains front)
     ~run_conn ~total:pop3_conns ~rotate:true
 
 let httpd_section n_shards =
@@ -246,7 +247,7 @@ let httpd_section n_shards =
   in
   drive ~fab ~front
     ~serve:(fun () ->
-      Wedge_httpd.Httpd_simple.serve_sharded ~max_request_bytes:4096 envs front)
+      Service.serve_sharded ~max_request_bytes:4096 Wedge_httpd.Httpd_simple.service envs front)
     ~run_conn ~total:httpd_conns ~rotate:false
 
 let sshd_section n_shards =
@@ -280,7 +281,7 @@ let sshd_section n_shards =
     | Error e -> failwith ("bench scale: ssh login failed: " ^ e)
   in
   drive ~fab ~front
-    ~serve:(fun () -> Wedge_sshd.Sshd_privsep.serve_sharded envs front)
+    ~serve:(fun () -> Service.serve_sharded Wedge_sshd.Sshd_privsep.service envs front)
     ~run_conn ~total:sshd_conns ~rotate:false
 
 (* ------------------------------------------------------------------ *)

@@ -124,7 +124,7 @@ let run_ssh partition auth attack =
                 ?exploit:(if attack then Some payload else None)
                 env server_ep
           | "privsep" ->
-              Wedge_sshd.Sshd_privsep.serve_connection
+              ignore @@ Wedge_sshd.Sshd_privsep.serve_connection
                 ?exploit:(if attack then Some (fun ctx _m -> payload ctx) else None)
                 env server_ep
           | _ ->
@@ -232,7 +232,8 @@ let run_chrome_trace demo out connections =
             ~trace:k.Kernel.trace ()
         in
         Chan.register_metrics m l;
-        Fiber.spawn (fun () -> Wedge_pop3.Pop3_wedge.serve_loop main guard l);
+        Fiber.spawn (fun () ->
+            Wedge_net.Service.serve_loop Wedge_pop3.Pop3_wedge.service main guard l);
         let resolved = ref 0 in
         for i = 1 to connections do
           Fiber.spawn (fun () ->

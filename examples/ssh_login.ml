@@ -64,7 +64,7 @@ let () =
       unknown
       (if known <> unknown then "   <- existence leaked!" else "   (indistinguishable)")
   in
-  probe "privsep (pre-fix behaviour):" (fun env ep -> Privsep.serve_connection env ep);
+  probe "privsep (pre-fix behaviour):" (fun env ep -> ignore (Privsep.serve_connection env ep));
   probe "wedge (dummy challenges):" wedge;
 
   print_endline "\n== lesson 2: PAM scratch memory across fork ==";
@@ -83,13 +83,14 @@ let () =
   in
   (* Connection 1 authenticates alice; connection 2 is exploited. *)
   ignore
-    (with_conn env (fun env ep -> Privsep.serve_connection env ep) (fun c ->
+    (with_conn env (fun env ep -> ignore (Privsep.serve_connection env ep)) (fun c ->
          Client.authenticate c ~user:"alice" (Client.Password "wonderland")));
   let stolen = ref false in
   ignore
     (with_conn env
        (fun env ep ->
-         Privsep.serve_connection ~exploit:(fun ctx _monitor -> stolen := hunt ctx) env ep)
+         ignore
+           (Privsep.serve_connection ~exploit:(fun ctx _monitor -> stolen := hunt ctx) env ep))
        (fun c -> Client.exec c "xploit"));
   Printf.printf "  privsep slave (forked): previous user's password in heap: %b\n" !stolen;
   let stolen_w = ref false in

@@ -1,4 +1,5 @@
-(* Checkable chaos scenarios for schedule exploration.
+(* Checkable chaos scenarios for schedule exploration, as a server ×
+   mode table.
 
    Each scenario builds a fresh simulated world (kernel, app, servers),
    runs a melee of Byzantine clients — optionally under an armed fault
@@ -9,6 +10,11 @@
    (tallies, guard stats, fault trace digest): two runs with the same
    seed and schedule policy must produce identical summaries, which is
    what [Explore] digests.
+
+   A [server] record holds everything scenario-side about one server —
+   its world, client mixes, requests, fault rates and guard sizes; one
+   runner per mode (melee, storm, pooled and reactor storms, sharded,
+   synth) drives any server through its [Service] skeleton.
 
    Failures are exceptions: [Oracle.Violation], [Refvm.Mismatch], a
    scenario's own end-state assertion, or anything a server let escape
@@ -23,7 +29,6 @@
    explorer actually catches schedule-dependent bugs. *)
 
 module Kernel = Wedge_kernel.Kernel
-module Rlimit = Wedge_kernel.Rlimit
 module Cost_model = Wedge_sim.Cost_model
 module Clock = Wedge_sim.Clock
 module Stats = Wedge_sim.Stats
@@ -31,6 +36,7 @@ module Fiber = Wedge_sim.Fiber
 module Fault_plan = Wedge_fault.Fault_plan
 module Chan = Wedge_net.Chan
 module Guard = Wedge_net.Guard
+module Service = Wedge_net.Service
 module Watchdog = Wedge_net.Watchdog
 module Reactor = Wedge_sim.Reactor
 module Byzantine = Wedge_net.Byzantine
@@ -41,6 +47,11 @@ module Supervisor = Wedge_core.Supervisor
 module Shard = Wedge_net.Shard
 module Prot = Wedge_kernel.Prot
 module Synth = Wedge_crowbar.Synth
+module Httpd_env = Wedge_httpd.Httpd_env
+module Https_client = Wedge_httpd.Https_client
+module Pop3_env = Wedge_pop3.Pop3_env
+module Sshd_env = Wedge_sshd.Sshd_env
+module Ssh_client = Wedge_sshd.Ssh_client
 
 type t = {
   s_name : string;
@@ -60,10 +71,10 @@ let contains hay needle =
    oracle's sampled check, so invariants like [Watchdog.self_check] hold
    at every inspected switch; [clock] is threaded to the fiber scheduler
    so induced ["fiber.stall"] faults charge simulated time. *)
-let checked ~kernel ?app ?sched_faults ?clock ?extra_hook ?on_idle ~policy ~diff main
+let checked ~kernel ~app ?sched_faults ?clock ?extra_hook ?on_idle ~policy ~diff main
     summarize =
   let oracle = Oracle.create kernel in
-  (match app with Some a -> Oracle.set_app oracle a | None -> ());
+  Oracle.set_app oracle app;
   let refvm = if diff then Some (Refvm.create kernel) else None in
   Oracle.install_syscall_hook oracle;
   (match refvm with Some rv -> Refvm.arm rv | None -> ());
@@ -99,7 +110,15 @@ let guard_to_string (s : Guard.stats) =
     s.Guard.s_admitted s.s_rejected_busy s.s_rejected_draining s.s_timed_out s.s_forced
     s.s_shed s.s_breaker_opened s.s_active
 
+(* Connections the guard turned away for capacity or drain (breaker
+   sheds are counted apart, in [s_shed]). *)
+let rejected (s : Guard.stats) = s.Guard.s_rejected_busy + s.s_rejected_draining
+
 let plan_digest plan = Digest.to_hex (Digest.string (Fault_plan.trace plan))
+
+let chan_faults plan prob =
+  Fault_plan.rule plan ~site:"chan.read" ~prob [ Fault_plan.Drop; Fault_plan.Reset ];
+  Fault_plan.rule plan ~site:"chan.write" ~prob [ Fault_plan.Reset ]
 
 (* Recovery epilogue for the storm scenarios: with the fault plan already
    disarmed, advance the clock past the breaker's cooling period and feed
@@ -128,171 +147,400 @@ let heal_breaker ~what guard clock probe =
   go 0
 
 (* ------------------------------------------------------------------ *)
-(* POP3: partitioned server under flood + faults + slow-loris          *)
+(* The server table                                                     *)
 
-let run_pop3 ~policy ~diff ~faults ~seed =
+(* Where a mode's clients connect: one listener on one kernel, or the
+   hashed front door over the shards. *)
+type 'env site = Single of 'env * Chan.listener * Clock.t | Sharded of 'env array * Shard.front
+
+let connect site ~key =
+  match site with
+  | Single (env, l, _) -> (env, Chan.connect l)
+  | Sharded (envs, front) ->
+      let sid, ep = Shard.front_connect front ~key in
+      (envs.(sid), ep)
+
+(* Mix client [i]'s listener: each sharded client hashes to its home
+   shard, as the front door would route it. *)
+let listener site i =
+  match site with
+  | Single (_, l, _) -> l
+  | Sharded (_, front) ->
+      Shard.front_listener front
+        (Shard.route (Shard.front_fabric front) ~key:(Printf.sprintf "conn-%d" i))
+
+(* Clients beyond the Byzantine mix: spawned after it, settled before the
+   drain, their fields printed right after the tally. *)
+type extra = { spawn : unit -> unit; settled : unit -> bool; fields : unit -> string }
+
+let no_extra = { spawn = ignore; settled = (fun () -> true); fields = (fun () -> "") }
+
+(* One synthesis workload run: did it succeed, and the summary fields
+   printed before and after the denial count. *)
+type synth_run = { ok : bool; before : string; after : string }
+
+type 'env server = {
+  service : 'env Service.t;
+  melee_doc : string;
+  image_pages : int;
+  world : seed:int -> Kernel.t -> 'env;  (* the installed server on a fresh kernel *)
+  chan_faults : float;  (* chan.read/write fault rate *)
+  alloc_faults : float option;  (* physmem.alloc rate, single-kernel melee only *)
+  backlog : int;
+  max_conns : int;
+  header_deadline_ns : int option;  (* of the melee and sharded guards *)
+  max_request_bytes : int option;
+  is_rejection : string -> bool;
+  request : string;  (* one-shot clients' request *)
+  half : string;  (* half-close clients' request *)
+  stall_prefix : string;  (* mid-header stallers' never-finished prefix *)
+  n_melee : int;
+  n_silent : int;  (* melee clients that only a drain cut resolves *)
+  mix : Byzantine.tally -> Chan.listener -> int -> unit;  (* melee client [i] *)
+  extra : seed:int -> 'env site -> extra;
+  reports_rejected : bool;  (* the melee summary prints guard rejections *)
+  cgates : bool;  (* storms roll callgate faults *)
+  n_storm : int;
+  storm_policy : Supervisor.policy option;  (* the storm tree's worker policy *)
+  heal_probe : (seed:int -> 'env -> Chan.listener -> unit -> unit) option;
+      (* default: a one-shot [request] *)
+  synth : seed:int -> 'env -> Synth.t option -> synth_run;
+}
+
+let name srv = srv.service.Service.name
+let app_of srv env = W.app_of (srv.service.Service.main env)
+
+(* ---------- httpd: TLS-terminating partitioned server ---------- *)
+
+(* Real TLS clients alongside the garbage: both must be served or fail
+   cleanly, never hang. *)
+let tls_clients ~seed site =
+  let served = ref 0 and errors = ref 0 in
+  let users = [| "alice"; "bob" |] in
+  {
+    spawn =
+      (fun () ->
+        Array.iteri
+          (fun i key ->
+            Fiber.spawn (fun () ->
+                let rng = Drbg.create ~seed:(seed + i + 1) in
+                match connect site ~key with
+                | exception _ -> incr errors
+                | env, ep -> (
+                    match
+                      Https_client.get ~rng ~pinned:env.Httpd_env.priv.Rsa.pub
+                        ~path:"/index.html" ep
+                    with
+                    | { Https_client.response = Some r; _ } when r.Wedge_httpd.Http.status = 200 ->
+                        incr served
+                    | _ -> incr errors
+                    | exception _ -> incr errors)))
+          users);
+    settled = (fun () -> !served + !errors >= Array.length users);
+    fields = (fun () -> Printf.sprintf " tls_ok=%d tls_err=%d" !served !errors);
+  }
+
+let accept_next l =
+  let got = ref None in
+  Fiber.wait_until ~what:"synth accept" (fun () ->
+      match Chan.accept l with
+      | Some ep ->
+          got := Some ep;
+          true
+      | None -> false);
+  Option.get !got
+
+(* Two TLS fetches, the second resuming the first's session, so all three
+   callgate operations (new session, premaster, resume) are recorded. *)
+let httpd_synth ~seed env synth =
+  let l = Chan.listener ~costs:Cost_model.free ~backlog:8 () in
+  let served = ref 0 and errors = ref 0 in
+  let session = ref None in
+  let fetch i resume =
+    let rng = Drbg.create ~seed:(seed + i) in
+    match Chan.connect l with
+    | exception _ -> incr errors
+    | ep -> (
+        match
+          Https_client.get ?resume ~rng ~pinned:env.Httpd_env.priv.Rsa.pub ~path:"/index.html" ep
+        with
+        | { Https_client.response = Some r; session = s; _ } when r.Wedge_httpd.Http.status = 200 ->
+            session := s;
+            incr served
+        | _ -> incr errors
+        | exception _ -> incr errors)
+  in
+  Fiber.spawn (fun () -> fetch 1 None);
+  ignore (Wedge_httpd.Httpd_simple.serve_connection ?synth env (accept_next l));
+  (* Let client 1 finish before client 2 starts: the session it stored is
+     what makes fetch 2 exercise the resumption path on every schedule. *)
+  Fiber.wait_until (fun () -> !served + !errors >= 1);
+  Fiber.spawn (fun () -> fetch 2 !session);
+  ignore (Wedge_httpd.Httpd_simple.serve_connection ?synth env (accept_next l));
+  Fiber.wait_until (fun () -> !served + !errors >= 2);
+  Chan.shutdown l;
+  { ok = !served = 2; before = Printf.sprintf "served=%d errors=%d" !served !errors; after = "" }
+
+let httpd =
+  let is_rejection s = contains s "503" in
+  let half = "GET / HTTP/1.0\r\n\r\n" and request = "GET /index.html HTTP/1.1\r\n\r\n" in
+  let image_pages = 60 in
+  {
+    service = Wedge_httpd.Httpd_simple.service;
+    melee_doc = "TLS httpd under garbage handshakes, faults and real clients";
+    image_pages;
+    world = (fun ~seed k -> Httpd_env.install ~image_pages ~seed k);
+    chan_faults = 0.02;
+    alloc_faults = Some 0.001;
+    backlog = 8;
+    max_conns = 4;
+    header_deadline_ns = None;
+    max_request_bytes = Some 4096;
+    is_rejection;
+    request;
+    half;
+    (* A truncated ClientHello frame (header claims 256 bytes, body never
+       arrives): the worker blocks mid-record, and only hang detection
+       can reclaim the slot. *)
+    stall_prefix = "h\001\000partial-hello";
+    n_melee = 8;
+    (* The silent holder (i = 5) only resolves when drain force-cuts it —
+       the melee guard has no header deadline — so the melee waits for
+       everyone else, drains, then for the straggler's cut to land. *)
+    n_silent = 1;
+    mix =
+      (fun t l i ->
+        if i mod 3 = 0 then Byzantine.half_close t l ~request:half ~is_rejection
+        else if i mod 5 = 0 then Byzantine.silent t l
+        else
+          (* Plaintext HTTP at a TLS endpoint: handshake garbage the
+             worker must contain. *)
+          Byzantine.oneshot t l ~request ~is_rejection);
+    extra = tls_clients;
+    reports_rejected = true;
+    cgates = true;
+    n_storm = 12;
+    storm_policy = Some (Supervisor.policy ~max_restarts:1 ());
+    heal_probe = None;
+    synth = httpd_synth;
+  }
+
+(* ---------- pop3: partitioned server under flood and slow-loris ---------- *)
+
+(* POP3's workload has no client RNG: the seed does not enter it. *)
+let pop3_synth ~seed:_ main synth =
+  let l = Chan.listener ~costs:Cost_model.free ~backlog:8 () in
+  let t = Byzantine.tally () in
+  let is_rejection s = contains s "-ERR busy" in
+  Fiber.spawn (fun () ->
+      Byzantine.oneshot t l
+        ~request:"USER alice\r\nPASS wonderland\r\nSTAT\r\nLIST\r\nRETR 1\r\nQUIT\r\n"
+        ~is_rejection);
+  ignore (Wedge_pop3.Pop3_wedge.serve_connection ?synth main (accept_next l));
+  Fiber.wait_until (fun () -> Byzantine.total t >= 1);
+  Fiber.spawn (fun () ->
+      Byzantine.oneshot t l ~request:"USER alice\r\nPASS wonderland\r\nSTAT\r\nQUIT\r\n"
+        ~is_rejection);
+  ignore (Wedge_pop3.Pop3_wedge.serve_connection ?synth main (accept_next l));
+  Fiber.wait_until (fun () -> Byzantine.total t >= 2);
+  Chan.shutdown l;
+  let k = W.kernel (W.app_of main) in
+  {
+    ok = t.Byzantine.completed = 2;
+    before = tally_to_string t;
+    after = Printf.sprintf " degraded=%d" (Stats.get k.Kernel.stats "pop3.degraded");
+  }
+
+let pop3 =
+  let is_rejection s = contains s "-ERR busy" in
+  let half = "USER alice\r\nQUIT\r\n"
+  and request = "USER alice\r\nPASS wonderland\r\nSTAT\r\nQUIT\r\n" in
+  let image_pages = 60 in
+  {
+    service = Wedge_pop3.Pop3_wedge.service;
+    melee_doc = "partitioned POP3 under flood, faults and slow-loris";
+    image_pages;
+    world =
+      (fun ~seed:_ k ->
+        Pop3_env.install k Pop3_env.default_users;
+        let app = W.create_app ~image_pages k in
+        W.boot app;
+        W.main_ctx app);
+    chan_faults = 0.03;
+    alloc_faults = Some 0.002;
+    backlog = 8;
+    max_conns = 4;
+    header_deadline_ns = Some 5_000;
+    max_request_bytes = None;
+    is_rejection;
+    request;
+    half;
+    stall_prefix = "USER ali";
+    n_melee = 16;
+    n_silent = 0;
+    mix =
+      (fun t l i ->
+        if i mod 4 = 0 then Byzantine.half_close t l ~request:half ~is_rejection
+        else if i mod 7 = 0 then
+          Byzantine.oversized t l ~size:2_000 ~is_rejection:(fun s -> contains s "too long")
+        else Byzantine.oneshot t l ~request ~is_rejection);
+    (* A slow-loris client against the single listener, cut by the
+       guard's header deadline. *)
+    extra =
+      (fun ~seed:_ -> function
+        | Sharded _ -> no_extra
+        | Single (_, l, clock) ->
+            let loris = Byzantine.tally () in
+            {
+              spawn =
+                (fun () ->
+                  Fiber.spawn (fun () ->
+                      Byzantine.slow_loris loris l ~clock ~step_ns:1_000 ~request:half
+                        ~is_rejection));
+              settled = (fun () -> Byzantine.total loris = 1);
+              fields = (fun () -> Printf.sprintf " loris_cut=%d" loris.Byzantine.cut);
+            });
+    reports_rejected = false;
+    cgates = true;
+    n_storm = 12;
+    storm_policy = None;
+    heal_probe = None;
+    synth = pop3_synth;
+  }
+
+(* ---------- sshd: fork-per-connection privsep baseline ---------- *)
+
+let ssh_login ~rng env ep =
+  Ssh_client.login ~rng ~pinned_rsa:env.Sshd_env.host_rsa.Rsa.pub
+    ~pinned_dsa:env.Sshd_env.host_dsa.Wedge_crypto.Dsa.pub ~user:"alice"
+    (Ssh_client.Password "wonderland") ep
+
+(* The healing probe is a real SSH login: garbage cannot prove the
+   backend healthy, a key exchange + authentication can. *)
+let ssh_login_probe ~seed env l =
+  let probe_n = ref 0 in
+  fun () ->
+    incr probe_n;
+    match Chan.connect l with
+    | exception _ -> ()
+    | ep -> (
+        match ssh_login ~rng:(Drbg.create ~seed:(seed + 0x5AFE + !probe_n)) env ep with
+        | Ok conn -> Ssh_client.close conn
+        | Error _ -> ( try Chan.close ep with _ -> ())
+        | exception _ -> ( try Chan.close ep with _ -> ()))
+
+(* The synthesized profile is for the Wedge partitioning (Figure 6), not
+   the privsep baseline the other modes drive. *)
+let sshd_synth ~seed env synth =
+  let l = Chan.listener ~costs:Cost_model.free ~backlog:4 () in
+  let ok = ref 0 and finished = ref 0 in
+  Fiber.spawn (fun () ->
+      Fun.protect
+        ~finally:(fun () -> incr finished)
+        (fun () ->
+          match Chan.connect l with
+          | exception _ -> ()
+          | ep -> (
+              match ssh_login ~rng:(Drbg.create ~seed:(seed + 11)) env ep with
+              | Ok conn ->
+                  incr ok;
+                  Ssh_client.close conn
+              | Error _ -> ())));
+  ignore (Wedge_sshd.Sshd_wedge.serve_connection ?synth env (accept_next l));
+  Fiber.wait_until (fun () -> !finished >= 1);
+  Chan.shutdown l;
+  { ok = !ok = 1; before = Printf.sprintf "ok=%d" !ok; after = "" }
+
+let sshd =
+  let is_rejection _ = false in
+  let half = "SSH-2.0-chaos\r\n\r\n" and request = "SSH-2.0-chaos\r\nnot-a-kexinit\r\n" in
+  let image_pages = 40 in
+  {
+    service = Wedge_sshd.Sshd_privsep.service;
+    melee_doc = "fork-per-connection sshd privsep under protocol garbage";
+    image_pages;
+    world = (fun ~seed k -> Sshd_env.install ~image_pages ~seed k);
+    chan_faults = 0.02;
+    alloc_faults = None;
+    backlog = 6;
+    max_conns = 3;
+    header_deadline_ns = None;
+    max_request_bytes = None;
+    is_rejection;
+    request;
+    half;
+    (* A truncated wire frame: the header claims a 256-byte payload, so
+       the slave blocks mid-message — only the watchdog can reclaim it.
+       (A bad leading byte like a raw "SSH-2.0-" banner fails fast
+       instead of hanging.) *)
+    stall_prefix = "D\001\000SSH-2.0-cha";
+    n_melee = 8;
+    n_silent = 0;
+    mix =
+      (fun t l i ->
+        if i mod 3 = 0 then Byzantine.half_close t l ~request:half ~is_rejection
+        else Byzantine.oneshot t l ~request ~is_rejection);
+    extra = (fun ~seed:_ _ -> no_extra);
+    reports_rejected = true;
+    (* No callgates on the privsep path: hangs come from fiber stalls. *)
+    cgates = false;
+    n_storm = 9;
+    storm_policy = None;
+    heal_probe = Some ssh_login_probe;
+    synth = sshd_synth;
+  }
+
+(* ------------------------------------------------------------------ *)
+(* Melee: one kernel, Byzantine clients, faults                         *)
+
+let spawn_mix srv t site =
+  for i = 1 to srv.n_melee do
+    Fiber.spawn (fun () -> srv.mix t (listener site i) i)
+  done
+
+let run_melee srv ~policy ~diff ~faults ~seed =
+  let name = name srv in
   let plan = Fault_plan.create ~seed () in
   if faults then begin
-    Fault_plan.rule plan ~site:"chan.read" ~prob:0.03 [ Fault_plan.Drop; Fault_plan.Reset ];
-    Fault_plan.rule plan ~site:"chan.write" ~prob:0.03 [ Fault_plan.Reset ];
-    Fault_plan.rule plan ~site:"physmem.alloc" ~prob:0.002 [ Fault_plan.Enomem ]
+    chan_faults plan srv.chan_faults;
+    Option.iter
+      (fun prob -> Fault_plan.rule plan ~site:"physmem.alloc" ~prob [ Fault_plan.Enomem ])
+      srv.alloc_faults
   end;
   Fault_plan.disarm plan;
   let k = Kernel.create ~costs:Cost_model.free ~faults:plan () in
-  Wedge_pop3.Pop3_env.install k Wedge_pop3.Pop3_env.default_users;
-  let app = W.create_app ~image_pages:60 k in
-  W.boot app;
-  let main_ctx = W.main_ctx app in
-  let l = Chan.listener ~costs:Cost_model.free ~faults:plan ~backlog:8 () in
+  let env = srv.world ~seed k in
+  let l = Chan.listener ~costs:Cost_model.free ~faults:plan ~backlog:srv.backlog () in
   let guard =
-    Guard.create ~clock:k.Kernel.clock ~header_deadline_ns:5_000 ~max_conns:4 ()
+    match srv.header_deadline_ns with
+    | Some header_deadline_ns ->
+        Guard.create ~clock:k.Kernel.clock ~header_deadline_ns ~max_conns:srv.max_conns ()
+    | None -> Guard.create ~max_conns:srv.max_conns ()
   in
   let t = Byzantine.tally () in
-  let loris = Byzantine.tally () in
-  let is_rejection s = contains s "-ERR busy" in
-  let n_clients = 16 in
-  checked ~kernel:k ~app ~policy ~diff
+  let site = Single (env, l, k.Kernel.clock) in
+  let extra = srv.extra ~seed site in
+  checked ~kernel:k ~app:(app_of srv env) ~policy ~diff
     (fun oracle ->
-      Oracle.add_guard oracle ~name:"pop3.guard" guard;
-      Fiber.spawn (fun () -> Wedge_pop3.Pop3_wedge.serve_loop main_ctx guard l);
-      Fault_plan.arm plan;
-      for i = 1 to n_clients do
-        Fiber.spawn (fun () ->
-            if i mod 4 = 0 then
-              Byzantine.half_close t l ~request:"USER alice\r\nQUIT\r\n" ~is_rejection
-            else if i mod 7 = 0 then
-              Byzantine.oversized t l ~size:2_000
-                ~is_rejection:(fun s -> contains s "too long")
-            else
-              Byzantine.oneshot t l ~request:"USER alice\r\nPASS wonderland\r\nSTAT\r\nQUIT\r\n"
-                ~is_rejection)
-      done;
+      Oracle.add_guard oracle ~name:(name ^ ".guard") guard;
       Fiber.spawn (fun () ->
-          Byzantine.slow_loris loris l ~clock:k.Kernel.clock ~step_ns:1_000
-            ~request:"USER alice\r\nQUIT\r\n" ~is_rejection);
-      Fiber.wait_until ~what:"pop3 melee resolved" (fun () ->
-          Byzantine.total t = n_clients && Byzantine.total loris = 1);
-      Fault_plan.disarm plan;
-      Guard.drain guard l)
-    (fun () ->
-      Printf.sprintf "pop3 %s loris_cut=%d %s degraded=%d plan=%s" (tally_to_string t)
-        loris.Byzantine.cut
-        (guard_to_string (Guard.stats guard))
-        (Stats.get k.Kernel.stats "pop3.degraded")
-        (plan_digest plan))
-
-(* ------------------------------------------------------------------ *)
-(* HTTPD: TLS-terminating partitioned server, garbage + real clients   *)
-
-let run_httpd ~policy ~diff ~faults ~seed =
-  let plan = Fault_plan.create ~seed () in
-  if faults then begin
-    Fault_plan.rule plan ~site:"chan.read" ~prob:0.02 [ Fault_plan.Drop; Fault_plan.Reset ];
-    Fault_plan.rule plan ~site:"chan.write" ~prob:0.02 [ Fault_plan.Reset ];
-    Fault_plan.rule plan ~site:"physmem.alloc" ~prob:0.001 [ Fault_plan.Enomem ]
-  end;
-  Fault_plan.disarm plan;
-  let k = Kernel.create ~costs:Cost_model.free ~faults:plan () in
-  let env = Wedge_httpd.Httpd_env.install ~image_pages:60 ~seed k in
-  let app = env.Wedge_httpd.Httpd_env.app in
-  let l = Chan.listener ~costs:Cost_model.free ~faults:plan ~backlog:8 () in
-  let guard = Guard.create ~max_conns:4 () in
-  let t = Byzantine.tally () in
-  let is_rejection s = contains s "503" in
-  let served_bodies = ref 0 and client_errors = ref 0 in
-  let n_garbage = 8 and n_tls = 2 in
-  checked ~kernel:k ~app ~policy ~diff
-    (fun oracle ->
-      Oracle.add_guard oracle ~name:"httpd.guard" guard;
-      Fiber.spawn (fun () ->
-          Wedge_httpd.Httpd_simple.serve_loop ~max_request_bytes:4096 env guard l);
+          Service.serve_loop ?max_request_bytes:srv.max_request_bytes srv.service env guard l);
       Fault_plan.arm plan;
-      for i = 1 to n_garbage do
-        Fiber.spawn (fun () ->
-            if i mod 3 = 0 then
-              Byzantine.half_close t l ~request:"GET / HTTP/1.0\r\n\r\n" ~is_rejection
-            else if i mod 5 = 0 then Byzantine.silent t l
-            else
-              (* Plaintext HTTP at a TLS endpoint: handshake garbage the
-                 worker must contain. *)
-              Byzantine.oneshot t l ~request:"GET /index.html HTTP/1.1\r\n\r\n" ~is_rejection)
-      done;
-      for i = 1 to n_tls do
-        Fiber.spawn (fun () ->
-            let rng = Drbg.create ~seed:(seed + i) in
-            match Chan.connect l with
-            | exception _ -> incr client_errors
-            | ep -> (
-                match
-                  Wedge_httpd.Https_client.get ~rng
-                    ~pinned:env.Wedge_httpd.Httpd_env.priv.Rsa.pub ~path:"/index.html" ep
-                with
-                | { Wedge_httpd.Https_client.response = Some r; _ }
-                  when r.Wedge_httpd.Http.status = 200 ->
-                    incr served_bodies
-                | _ -> incr client_errors
-                | exception _ -> incr client_errors))
-      done;
-      (* The silent holder (i = 5) only resolves when drain force-cuts
-         it — this guard has no header deadline — so wait for everyone
-         else, drain, then wait for the straggler's cut to land. *)
-      (* [>=]: an injected chan fault can cut the silent holder early,
+      spawn_mix srv t site;
+      extra.spawn ();
+      (* [>=]: an injected chan fault can cut a silent holder early,
          landing its tally before the drain below. *)
-      let n_silent = 1 in
-      Fiber.wait_until ~what:"httpd melee resolved" (fun () ->
-          Byzantine.total t >= n_garbage - n_silent
-          && !served_bodies + !client_errors >= n_tls);
+      Fiber.wait_until ~what:(name ^ " melee resolved") (fun () ->
+          Byzantine.total t >= srv.n_melee - srv.n_silent && extra.settled ());
       Fault_plan.disarm plan;
       Guard.drain guard l;
-      Fiber.wait_until ~what:"silent holders cut" (fun () ->
-          Byzantine.total t = n_garbage))
+      Fiber.wait_until ~what:"silent holders cut" (fun () -> Byzantine.total t = srv.n_melee))
     (fun () ->
-      Printf.sprintf "httpd %s tls_ok=%d tls_err=%d %s degraded=%d rejected=%d plan=%s"
-        (tally_to_string t) !served_bodies !client_errors
-        (guard_to_string (Guard.stats guard))
-        (Stats.get k.Kernel.stats "httpd.degraded")
-        (Stats.get k.Kernel.stats "httpd.rejected")
-        (plan_digest plan))
-
-(* ------------------------------------------------------------------ *)
-(* SSHD: fork-per-connection privsep baseline (COW churn) + garbage    *)
-
-let run_sshd ~policy ~diff ~faults ~seed =
-  let plan = Fault_plan.create ~seed () in
-  if faults then begin
-    Fault_plan.rule plan ~site:"chan.read" ~prob:0.02 [ Fault_plan.Drop; Fault_plan.Reset ];
-    Fault_plan.rule plan ~site:"chan.write" ~prob:0.02 [ Fault_plan.Reset ]
-  end;
-  Fault_plan.disarm plan;
-  let k = Kernel.create ~costs:Cost_model.free ~faults:plan () in
-  let env = Wedge_sshd.Sshd_env.install ~image_pages:40 ~seed k in
-  let app = env.Wedge_sshd.Sshd_env.app in
-  let l = Chan.listener ~costs:Cost_model.free ~faults:plan ~backlog:6 () in
-  let guard = Guard.create ~max_conns:3 () in
-  let t = Byzantine.tally () in
-  let is_rejection _ = false in
-  let n_clients = 8 in
-  checked ~kernel:k ~app ~policy ~diff
-    (fun oracle ->
-      Oracle.add_guard oracle ~name:"sshd.guard" guard;
-      Fiber.spawn (fun () -> Wedge_sshd.Sshd_privsep.serve_loop env guard l);
-      Fault_plan.arm plan;
-      for i = 1 to n_clients do
-        Fiber.spawn (fun () ->
-            if i mod 3 = 0 then
-              Byzantine.half_close t l ~request:"SSH-2.0-chaos\r\n\r\n" ~is_rejection
-            else
-              Byzantine.oneshot t l
-                ~request:"SSH-2.0-chaos\r\nnot-a-kexinit\r\n" ~is_rejection)
-      done;
-      Fiber.wait_until ~what:"sshd melee resolved" (fun () -> Byzantine.total t = n_clients);
-      Fault_plan.disarm plan;
-      Guard.drain guard l)
-    (fun () ->
-      Printf.sprintf "sshd %s %s degraded=%d rejected=%d plan=%s" (tally_to_string t)
-        (guard_to_string (Guard.stats guard))
-        (Stats.get k.Kernel.stats "sshd.degraded")
-        (Stats.get k.Kernel.stats "sshd.rejected")
+      let s = Guard.stats guard in
+      Printf.sprintf "%s %s%s %s degraded=%d%s plan=%s" name (tally_to_string t)
+        (extra.fields ()) (guard_to_string s)
+        (Stats.get k.Kernel.stats (name ^ ".degraded"))
+        (if srv.reports_rejected then Printf.sprintf " rejected=%d" (rejected s) else "")
         (plan_digest plan))
 
 (* ------------------------------------------------------------------ *)
@@ -353,18 +601,18 @@ let run_racy ~policy ~diff ~faults:_ ~seed:_ =
    plans roll ["fiber.stall"] (a fiber freezes for 20 µs of simulated
    time — far past the watchdog's deadline) and ["cgate.call"] (a
    callgate stalls or crashes mid-call).  The servers run their declared
-   supervision trees behind a guard armed with a circuit breaker and a
-   watchdog; the scenario asserts the full self-healing story: every
+   supervision trees (pooled or fresh) behind a guard armed with a
+   circuit breaker and a watchdog — on the event reactor for the
+   reactor storm; the scenario asserts the full self-healing story: every
    hung compartment is cut by the watchdog (oracle invariant), the
    listener survives, the breaker closes again once the storm passes
    (heal epilogue), and the oracle sweeps clean — no leaked frame or
    descriptor across any restart, cut, or quarantine. *)
 
-let storm_plan ?(pooled = false) ~seed ~faults ~cgates () =
+let storm_plan ~pooled ~seed ~faults ~cgates =
   let plan = Fault_plan.create ~seed () in
   if faults then begin
-    Fault_plan.rule plan ~site:"chan.read" ~prob:0.04 [ Fault_plan.Drop; Fault_plan.Reset ];
-    Fault_plan.rule plan ~site:"chan.write" ~prob:0.04 [ Fault_plan.Reset ];
+    chan_faults plan 0.04;
     Fault_plan.rule plan ~site:"physmem.alloc" ~prob:0.002 [ Fault_plan.Enomem ];
     Fault_plan.rule plan ~site:"fiber.stall" ~prob:0.003 [ Fault_plan.Delay 20_000 ];
     if cgates then
@@ -463,295 +711,98 @@ let storm_summary ~server ~k ~t ~heal ~guard ~w ~tree =
     (Guard.breaker_summary guard) (Watchdog.cuts w) (Watchdog.beats w)
     (Supervisor.tree_to_string tree)
     (Stats.get k.Kernel.stats (server ^ ".degraded"))
-    (Stats.get k.Kernel.stats (server ^ ".shed"))
+    (Guard.stats guard).Guard.s_shed
 
-let run_httpd_storm ?(pooled = false) ~policy ~diff ~faults ~seed () =
-  let advantage = if pooled then Some (spawn_advantage ~image_pages:60) else None in
-  let plan = storm_plan ~pooled ~seed ~faults ~cgates:true () in
+let run_storm ~pooled ~reactor srv ~policy ~diff ~faults ~seed =
+  let name = name srv in
+  let advantage = if pooled then Some (spawn_advantage ~image_pages:srv.image_pages) else None in
+  let plan = storm_plan ~pooled ~seed ~faults ~cgates:srv.cgates in
   let k = Kernel.create ~costs:Cost_model.free ~faults:plan () in
   let clock = k.Kernel.clock in
-  let env = Wedge_httpd.Httpd_env.install ~image_pages:60 ~seed k in
-  let app = env.Wedge_httpd.Httpd_env.app in
-  let l = Chan.listener ~costs:Cost_model.free ~faults:plan ~backlog:8 () in
+  let env = srv.world ~seed k in
+  let app = app_of srv env in
+  let l = Chan.listener ~costs:Cost_model.free ~faults:plan ~backlog:srv.backlog () in
+  let r = if reactor then Some (Reactor.create ~clock ()) else None in
   let w = Watchdog.create ~deadline_ns:6_000 clock in
   let guard =
-    Guard.create ~clock ~header_deadline_ns:8_000 ~breaker:(storm_breaker ())
-      ~watchdog:w ~max_conns:4 ()
+    Guard.create ~clock ~header_deadline_ns:8_000 ~breaker:(storm_breaker ()) ~watchdog:w
+      ?reactor:r ~max_conns:srv.max_conns ()
   in
   let t = Byzantine.tally () in
-  let is_rejection s = contains s "503" in
-  let n_clients = 12 in
-  let clean_request = "GET /index.html HTTP/1.1\r\n\r\n" in
-  let pool = if pooled then Some (Wedge_httpd.Httpd_simple.worker_pool env) else None in
-  let tree =
-    Wedge_httpd.Httpd_simple.supervision_tree
-      ~worker_policy:(Supervisor.policy ~max_restarts:1 ())
-      ?pool env
-  in
+  let is_rejection = srv.is_rejection in
+  let pool = if pooled then Some (Service.pool srv.service env) else None in
+  let tree = Service.tree ?worker_policy:srv.storm_policy ?pool srv.service env in
   let node, _, _ = tree in
   let heal = ref 0 in
   let probe_outcome = ref "-" in
-  checked ~kernel:k ~app ~sched_faults:plan ~clock ~extra_hook:(Watchdog.hook w)
-    ~policy ~diff
-    (fun oracle ->
-      Oracle.add_guard oracle ~name:"httpd.guard" guard;
-      storm_watchdog_invariant oracle w;
-      Fiber.spawn (fun () ->
-          Wedge_httpd.Httpd_simple.serve_loop ~max_request_bytes:4096 ~supervision:tree
-            env guard l);
-      Fault_plan.arm plan;
-      probe_outcome := freeze_probe ~pooled (W.main_ctx app);
-      for i = 1 to n_clients do
-        Fiber.spawn (fun () ->
-            if i mod 4 = 0 then
-              (* A truncated ClientHello frame (header claims 256 bytes,
-                 body never arrives): the worker blocks mid-record, and
-                 only hang detection can reclaim the slot. *)
-              Byzantine.mid_header_stall t l ~clock ~step_ns:1_000
-                ~prefix:"h\001\000partial-hello" ~is_rejection ()
-            else if i mod 5 = 0 then
-              Byzantine.half_close t l ~request:"GET / HTTP/1.0\r\n\r\n" ~is_rejection
-            else Byzantine.oneshot t l ~request:clean_request ~is_rejection)
-      done;
-      Fiber.wait_until ~what:"httpd storm resolved" (fun () ->
-          Byzantine.total t = n_clients);
-      Fault_plan.disarm plan;
-      let probes = Byzantine.tally () in
-      heal :=
-        heal_breaker ~what:"httpd" guard clock (fun () ->
-            Byzantine.oneshot probes l ~request:clean_request ~is_rejection);
-      Guard.drain guard l;
-      assert_pool_used ~pooled ~server:"httpd" app)
-    (fun () ->
-      storm_summary ~server:"httpd" ~k ~t ~heal:!heal ~guard ~w ~tree:node
-      ^ pool_summary ~pooled app
-      ^ (if pooled then Printf.sprintf " freeze2=%s" !probe_outcome else "")
-      ^
-      match advantage with
-      | None -> ""
-      | Some (f, s) -> Printf.sprintf " spawn_fresh=%dns spawn_stamp=%dns" f s)
-
-let run_pop3_storm ?(pooled = false) ~policy ~diff ~faults ~seed () =
-  let advantage = if pooled then Some (spawn_advantage ~image_pages:60) else None in
-  let plan = storm_plan ~pooled ~seed ~faults ~cgates:true () in
-  let k = Kernel.create ~costs:Cost_model.free ~faults:plan () in
-  let clock = k.Kernel.clock in
-  Wedge_pop3.Pop3_env.install k Wedge_pop3.Pop3_env.default_users;
-  let app = W.create_app ~image_pages:60 k in
-  W.boot app;
-  let main_ctx = W.main_ctx app in
-  let l = Chan.listener ~costs:Cost_model.free ~faults:plan ~backlog:8 () in
-  let w = Watchdog.create ~deadline_ns:6_000 clock in
-  let guard =
-    Guard.create ~clock ~header_deadline_ns:8_000 ~breaker:(storm_breaker ())
-      ~watchdog:w ~max_conns:4 ()
+  let probe =
+    match srv.heal_probe with
+    | Some p -> p ~seed env l
+    | None ->
+        let probes = Byzantine.tally () in
+        fun () -> Byzantine.oneshot probes l ~request:srv.request ~is_rejection
   in
-  let t = Byzantine.tally () in
-  let is_rejection s = contains s "-ERR busy" in
-  let n_clients = 12 in
-  let clean_request = "USER alice\r\nPASS wonderland\r\nSTAT\r\nQUIT\r\n" in
-  let pool = if pooled then Some (Wedge_pop3.Pop3_wedge.worker_pool main_ctx) else None in
-  let tree = Wedge_pop3.Pop3_wedge.supervision_tree ?pool main_ctx in
-  let node, _, _ = tree in
-  let heal = ref 0 in
-  let probe_outcome = ref "-" in
-  checked ~kernel:k ~app ~sched_faults:plan ~clock ~extra_hook:(Watchdog.hook w)
-    ~policy ~diff
-    (fun oracle ->
-      Oracle.add_guard oracle ~name:"pop3.guard" guard;
-      storm_watchdog_invariant oracle w;
-      Fiber.spawn (fun () ->
-          Wedge_pop3.Pop3_wedge.serve_loop ~supervision:tree main_ctx guard l);
-      Fault_plan.arm plan;
-      probe_outcome := freeze_probe ~pooled main_ctx;
-      for i = 1 to n_clients do
-        Fiber.spawn (fun () ->
-            if i mod 4 = 0 then
-              Byzantine.mid_header_stall t l ~clock ~step_ns:1_000 ~prefix:"USER ali"
-                ~is_rejection ()
-            else if i mod 5 = 0 then
-              Byzantine.half_close t l ~request:"USER alice\r\nQUIT\r\n" ~is_rejection
-            else Byzantine.oneshot t l ~request:clean_request ~is_rejection)
-      done;
-      Fiber.wait_until ~what:"pop3 storm resolved" (fun () ->
-          Byzantine.total t = n_clients);
-      Fault_plan.disarm plan;
-      let probes = Byzantine.tally () in
-      heal :=
-        heal_breaker ~what:"pop3" guard clock (fun () ->
-            Byzantine.oneshot probes l ~request:clean_request ~is_rejection);
-      Guard.drain guard l;
-      assert_pool_used ~pooled ~server:"pop3" app)
-    (fun () ->
-      storm_summary ~server:"pop3" ~k ~t ~heal:!heal ~guard ~w ~tree:node
-      ^ pool_summary ~pooled app
-      ^ (if pooled then Printf.sprintf " freeze2=%s" !probe_outcome else "")
-      ^
-      match advantage with
-      | None -> ""
-      | Some (f, s) -> Printf.sprintf " spawn_fresh=%dns spawn_stamp=%dns" f s)
-
-let run_sshd_storm ?(pooled = false) ~policy ~diff ~faults ~seed () =
-  let advantage = if pooled then Some (spawn_advantage ~image_pages:40) else None in
-  (* No callgates on the privsep path: hangs come from fiber stalls. *)
-  let plan = storm_plan ~pooled ~seed ~faults ~cgates:false () in
-  let k = Kernel.create ~costs:Cost_model.free ~faults:plan () in
-  let clock = k.Kernel.clock in
-  let env = Wedge_sshd.Sshd_env.install ~image_pages:40 ~seed k in
-  let app = env.Wedge_sshd.Sshd_env.app in
-  let l = Chan.listener ~costs:Cost_model.free ~faults:plan ~backlog:6 () in
-  let w = Watchdog.create ~deadline_ns:6_000 clock in
-  let guard =
-    Guard.create ~clock ~header_deadline_ns:8_000 ~breaker:(storm_breaker ())
-      ~watchdog:w ~max_conns:3 ()
-  in
-  let t = Byzantine.tally () in
-  let is_rejection _ = false in
-  let n_clients = 9 in
-  let pool = if pooled then Some (Wedge_sshd.Sshd_privsep.slave_pool env) else None in
-  let tree = Wedge_sshd.Sshd_privsep.supervision_tree ?pool env in
-  let node, _, _ = tree in
-  let heal = ref 0 in
-  let probe_outcome = ref "-" in
-  (* The healing probe is a real SSH login: garbage cannot prove the
-     backend healthy, a key exchange + authentication can. *)
-  let probe_n = ref 0 in
-  let probe () =
-    incr probe_n;
-    match Chan.connect l with
-    | exception _ -> ()
-    | ep -> (
-        let rng = Drbg.create ~seed:(seed + 0x5AFE + !probe_n) in
-        match
-          Wedge_sshd.Ssh_client.login ~rng
-            ~pinned_rsa:env.Wedge_sshd.Sshd_env.host_rsa.Rsa.pub
-            ~pinned_dsa:env.Wedge_sshd.Sshd_env.host_dsa.Wedge_crypto.Dsa.pub
-            ~user:"alice"
-            (Wedge_sshd.Ssh_client.Password "wonderland")
-            ep
-        with
-        | Ok conn -> Wedge_sshd.Ssh_client.close conn
-        | Error _ -> ( try Chan.close ep with _ -> ())
-        | exception _ -> ( try Chan.close ep with _ -> ()))
-  in
-  checked ~kernel:k ~app ~sched_faults:plan ~clock ~extra_hook:(Watchdog.hook w)
-    ~policy ~diff
-    (fun oracle ->
-      Oracle.add_guard oracle ~name:"sshd.guard" guard;
-      storm_watchdog_invariant oracle w;
-      Fiber.spawn (fun () ->
-          Wedge_sshd.Sshd_privsep.serve_loop ~supervision:tree env guard l);
-      Fault_plan.arm plan;
-      probe_outcome := freeze_probe ~pooled (W.main_ctx app);
-      for i = 1 to n_clients do
-        Fiber.spawn (fun () ->
-            if i mod 4 = 0 then
-              (* A truncated wire frame: the header claims a 256-byte
-                 payload, so the slave blocks mid-message — only the
-                 watchdog can reclaim it.  (A bad leading byte like a raw
-                 "SSH-2.0-" banner fails fast instead of hanging.) *)
-              Byzantine.mid_header_stall t l ~clock ~step_ns:1_000
-                ~prefix:"D\001\000SSH-2.0-cha" ~is_rejection ()
-            else if i mod 5 = 0 then
-              Byzantine.half_close t l ~request:"SSH-2.0-chaos\r\n\r\n" ~is_rejection
-            else
-              Byzantine.oneshot t l ~request:"SSH-2.0-chaos\r\nnot-a-kexinit\r\n"
-                ~is_rejection)
-      done;
-      Fiber.wait_until ~what:"sshd storm resolved" (fun () ->
-          Byzantine.total t = n_clients);
-      Fault_plan.disarm plan;
-      heal := heal_breaker ~what:"sshd" guard clock probe;
-      Guard.drain guard l;
-      assert_pool_used ~pooled ~server:"sshd" app)
-    (fun () ->
-      storm_summary ~server:"sshd" ~k ~t ~heal:!heal ~guard ~w ~tree:node
-      ^ pool_summary ~pooled app
-      ^ (if pooled then Printf.sprintf " freeze2=%s" !probe_outcome else "")
-      ^
-      match advantage with
-      | None -> ""
-      | Some (f, s) -> Printf.sprintf " spawn_fresh=%dns spawn_stamp=%dns" f s)
-
-(* ------------------------------------------------------------------ *)
-(* HTTPD reactor storm: the httpd storm with the serve path parked on
-   the reactor instead of spin-polling — deadlines on the timer wheel,
-   the watchdog pumped from the timer tick, accept bursts drained in one
-   wake.  Same melee, same self-healing assertions, plus the reactor's
-   own interest-set audit as an oracle invariant: no waiter whose
-   readiness already holds stays parked (lost wakeup), no registration
-   survives on a dead handle (ghost after Chan.abort / a watchdog cut),
-   no parked fiber lacks a registration. *)
-
-let run_httpd_reactor_storm ~policy ~diff ~faults ~seed =
-  let plan = storm_plan ~seed ~faults ~cgates:true () in
-  let k = Kernel.create ~costs:Cost_model.free ~faults:plan () in
-  let clock = k.Kernel.clock in
-  let env = Wedge_httpd.Httpd_env.install ~image_pages:60 ~seed k in
-  let app = env.Wedge_httpd.Httpd_env.app in
-  let l = Chan.listener ~costs:Cost_model.free ~faults:plan ~backlog:8 () in
-  let r = Reactor.create ~clock () in
-  let w = Watchdog.create ~deadline_ns:6_000 clock in
-  let guard =
-    Guard.create ~clock ~header_deadline_ns:8_000 ~breaker:(storm_breaker ())
-      ~watchdog:w ~reactor:r ~max_conns:4 ()
-  in
-  let t = Byzantine.tally () in
-  let is_rejection s = contains s "503" in
-  let n_clients = 12 in
-  let clean_request = "GET /index.html HTTP/1.1\r\n\r\n" in
-  let tree =
-    Wedge_httpd.Httpd_simple.supervision_tree
-      ~worker_policy:(Supervisor.policy ~max_restarts:1 ())
-      env
-  in
-  let node, _, _ = tree in
-  let heal = ref 0 in
-  (* The reactor ticks before the watchdog hook: a timer-driven cut lands
-     first, then the sweep, then the oracle's sampled check observes the
-     settled state. *)
+  (* On the reactor, the reactor ticks before the watchdog hook: a
+     timer-driven cut lands first, then the sweep, then the oracle's
+     sampled check observes the settled state. *)
   let extra_hook =
-    let rhook = Reactor.hook r and whook = Watchdog.hook w in
-    fun () ->
-      rhook ();
-      whook ()
+    match r with
+    | None -> Watchdog.hook w
+    | Some r ->
+        let rhook = Reactor.hook r and whook = Watchdog.hook w in
+        fun () ->
+          rhook ();
+          whook ()
   in
   checked ~kernel:k ~app ~sched_faults:plan ~clock ~extra_hook
-    ~on_idle:(Reactor.idle r) ~policy ~diff
+    ?on_idle:(Option.map Reactor.idle r) ~policy ~diff
     (fun oracle ->
-      Oracle.add_guard oracle ~name:"httpd.guard" guard;
+      Oracle.add_guard oracle ~name:(name ^ ".guard") guard;
       storm_watchdog_invariant oracle w;
-      Oracle.add_invariant oracle ~name:"reactor.interest-sets" (fun () ->
-          Reactor.self_check r);
+      Option.iter
+        (fun r ->
+          Oracle.add_invariant oracle ~name:"reactor.interest-sets" (fun () ->
+              Reactor.self_check r))
+        r;
       Fiber.spawn (fun () ->
-          Wedge_httpd.Httpd_simple.serve_loop ~max_request_bytes:4096 ~supervision:tree
-            env guard l);
+          Service.serve_loop ?max_request_bytes:srv.max_request_bytes ~supervision:tree
+            srv.service env guard l);
       Fault_plan.arm plan;
-      for i = 1 to n_clients do
+      probe_outcome := freeze_probe ~pooled (W.main_ctx app);
+      for i = 1 to srv.n_storm do
         Fiber.spawn (fun () ->
             if i mod 4 = 0 then
-              Byzantine.mid_header_stall t l ~clock ~step_ns:1_000
-                ~prefix:"h\001\000partial-hello" ~is_rejection ()
-            else if i mod 5 = 0 then
-              Byzantine.half_close t l ~request:"GET / HTTP/1.0\r\n\r\n" ~is_rejection
-            else Byzantine.oneshot t l ~request:clean_request ~is_rejection)
+              Byzantine.mid_header_stall t l ~clock ~step_ns:1_000 ~prefix:srv.stall_prefix
+                ~is_rejection ()
+            else if i mod 5 = 0 then Byzantine.half_close t l ~request:srv.half ~is_rejection
+            else Byzantine.oneshot t l ~request:srv.request ~is_rejection)
       done;
-      Fiber.wait_until ~what:"httpd reactor storm resolved" (fun () ->
-          Byzantine.total t = n_clients);
+      Fiber.wait_until ~what:(name ^ " storm resolved") (fun () ->
+          Byzantine.total t = srv.n_storm);
       Fault_plan.disarm plan;
-      let probes = Byzantine.tally () in
-      heal :=
-        heal_breaker ~what:"httpd" guard clock (fun () ->
-            Byzantine.oneshot probes l ~request:clean_request ~is_rejection);
+      heal := heal_breaker ~what:name guard clock probe;
       Guard.drain guard l;
-      match Reactor.self_check r with
-      | Some msg -> raise (Oracle.Violation ("httpd_reactor_storm: " ^ msg))
-      | None -> ())
+      assert_pool_used ~pooled ~server:name app;
+      Option.iter
+        (fun r ->
+          match Reactor.self_check r with
+          | Some msg -> raise (Oracle.Violation (name ^ "_reactor_storm: " ^ msg))
+          | None -> ())
+        r)
     (fun () ->
-      let rs = Reactor.stats r in
-      storm_summary ~server:"httpd" ~k ~t ~heal:!heal ~guard ~w ~tree:node
-      ^ Printf.sprintf " reactor_parks=%d reactor_wakes=%d reactor_timers=%d"
-          rs.Reactor.parks rs.Reactor.wakeups rs.Reactor.timer_fires)
+      storm_summary ~server:name ~k ~t ~heal:!heal ~guard ~w ~tree:node
+      ^ pool_summary ~pooled app
+      ^ (if pooled then Printf.sprintf " freeze2=%s" !probe_outcome else "")
+      ^ (match advantage with
+        | None -> ""
+        | Some (f, s) -> Printf.sprintf " spawn_fresh=%dns spawn_stamp=%dns" f s)
+      ^
+      match r with
+      | None -> ""
+      | Some r ->
+          let rs = Reactor.stats r in
+          Printf.sprintf " reactor_parks=%d reactor_wakes=%d reactor_timers=%d"
+            rs.Reactor.parks rs.Reactor.wakeups rs.Reactor.timer_fires)
 
 (* ------------------------------------------------------------------ *)
 (* Sharded scenarios: N kernels behind a hashed front door, with the
@@ -854,206 +905,54 @@ let shard_stats_summary ~prefix fab front =
          Printf.sprintf "s%d[%s deg=%d rej=%d]" i
            (guard_to_string (Guard.stats (Shard.front_guard front i)))
            (Stats.get s.Shard.kernel.Kernel.stats (prefix ^ ".degraded"))
-           (Stats.get s.Shard.kernel.Kernel.stats (prefix ^ ".rejected")))
+           (rejected (Guard.stats (Shard.front_guard front i))))
        (Array.to_list (Shard.shards fab)))
 
-let run_httpd_sharded ~policy ~diff ~faults ~seed =
+let run_sharded srv ~policy ~diff ~faults ~seed =
+  let name = name srv in
   let plan = Fault_plan.create ~seed () in
-  if faults then begin
-    Fault_plan.rule plan ~site:"chan.read" ~prob:0.02 [ Fault_plan.Drop; Fault_plan.Reset ];
-    Fault_plan.rule plan ~site:"chan.write" ~prob:0.02 [ Fault_plan.Reset ]
-  end;
+  if faults then chan_faults plan srv.chan_faults;
   Fault_plan.disarm plan;
   let envs =
     Array.init sharded_shards (fun i ->
-        let k = Kernel.create ~costs:Cost_model.free ~faults:plan ~shard:i () in
-        Wedge_httpd.Httpd_env.install ~image_pages:60 ~seed:(seed + i) k)
+        srv.world ~seed:(seed + i)
+          (Kernel.create ~costs:Cost_model.free ~faults:plan ~shard:i ()))
   in
   let fab =
     Shard.create
       (Array.map
-         (fun e -> (W.kernel e.Wedge_httpd.Httpd_env.app, e.Wedge_httpd.Httpd_env.app))
+         (fun env ->
+           let app = app_of srv env in
+           (W.kernel app, app))
          envs)
   in
-  let front = Shard.front ~costs:Cost_model.free ~faults:plan ~backlog:8 ~max_conns:4 fab in
-  let t = Byzantine.tally () in
-  let is_rejection s = contains s "503" in
-  let served_bodies = ref 0 and client_errors = ref 0 in
-  let n_garbage = 8 and n_tls = 2 in
-  let revocation = ref "" in
-  checked_sharded ~fab ~policy ~diff
-    (fun oracles ->
-      Array.iteri
-        (fun i o ->
-          Oracle.add_guard o
-            ~name:(Printf.sprintf "httpd.guard.%d" i)
-            (Shard.front_guard front i))
-        oracles;
-      Wedge_httpd.Httpd_simple.serve_sharded ~max_request_bytes:4096 envs front;
-      Fault_plan.arm plan;
-      for i = 1 to n_garbage do
-        Fiber.spawn (fun () ->
-            (* Each client hashes to its home shard, like the front door
-               would route it. *)
-            let l =
-              Shard.front_listener front
-                (Shard.route fab ~key:(Printf.sprintf "conn-%d" i))
-            in
-            if i mod 3 = 0 then
-              Byzantine.half_close t l ~request:"GET / HTTP/1.0\r\n\r\n" ~is_rejection
-            else if i mod 5 = 0 then Byzantine.silent t l
-            else
-              Byzantine.oneshot t l ~request:"GET /index.html HTTP/1.1\r\n\r\n"
-                ~is_rejection)
-      done;
-      let users = [| "alice"; "bob" |] in
-      for i = 1 to n_tls do
-        Fiber.spawn (fun () ->
-            let rng = Drbg.create ~seed:(seed + i) in
-            match Shard.front_connect front ~key:users.(i - 1) with
-            | exception _ -> incr client_errors
-            | sid, ep -> (
-                match
-                  Wedge_httpd.Https_client.get ~rng
-                    ~pinned:envs.(sid).Wedge_httpd.Httpd_env.priv.Rsa.pub
-                    ~path:"/index.html" ep
-                with
-                | { Wedge_httpd.Https_client.response = Some r; _ }
-                  when r.Wedge_httpd.Http.status = 200 ->
-                    incr served_bodies
-                | _ -> incr client_errors
-                | exception _ -> incr client_errors))
-      done;
-      (* As in [run_httpd]: the silent holder only resolves when drain
-         force-cuts it (>=: an injected fault can cut it early). *)
-      let n_silent = 1 in
-      Fiber.wait_until ~what:"httpd sharded melee resolved" (fun () ->
-          Byzantine.total t >= n_garbage - n_silent
-          && !served_bodies + !client_errors >= n_tls);
-      Fault_plan.disarm plan;
-      revocation := gtag_epilogue ~what:"httpd_sharded" fab;
-      Shard.front_drain front;
-      Fiber.wait_until ~what:"silent holders cut" (fun () ->
-          Byzantine.total t = n_garbage))
-    (fun () ->
-      Printf.sprintf "httpd_sharded %s tls_ok=%d tls_err=%d %s %s plan=%s"
-        (tally_to_string t) !served_bodies !client_errors
-        (shard_stats_summary ~prefix:"httpd" fab front)
-        !revocation (plan_digest plan))
-
-let run_pop3_sharded ~policy ~diff ~faults ~seed =
-  let plan = Fault_plan.create ~seed () in
-  if faults then begin
-    Fault_plan.rule plan ~site:"chan.read" ~prob:0.03 [ Fault_plan.Drop; Fault_plan.Reset ];
-    Fault_plan.rule plan ~site:"chan.write" ~prob:0.03 [ Fault_plan.Reset ]
-  end;
-  Fault_plan.disarm plan;
-  let worlds =
-    Array.init sharded_shards (fun i ->
-        let k = Kernel.create ~costs:Cost_model.free ~faults:plan ~shard:i () in
-        Wedge_pop3.Pop3_env.install k Wedge_pop3.Pop3_env.default_users;
-        let app = W.create_app ~image_pages:60 k in
-        W.boot app;
-        (k, app))
-  in
-  let fab = Shard.create worlds in
-  let mains = Array.map (fun (_, app) -> W.main_ctx app) worlds in
   let front =
-    Shard.front ~costs:Cost_model.free ~faults:plan ~backlog:8
-      ~header_deadline_ns:5_000 ~max_conns:4 fab
+    Shard.front ~costs:Cost_model.free ~faults:plan ~backlog:srv.backlog
+      ?header_deadline_ns:srv.header_deadline_ns ~max_conns:srv.max_conns fab
   in
   let t = Byzantine.tally () in
-  let is_rejection s = contains s "-ERR busy" in
-  let n_clients = 16 in
+  let site = Sharded (envs, front) in
+  let extra = srv.extra ~seed site in
   let revocation = ref "" in
   checked_sharded ~fab ~policy ~diff
     (fun oracles ->
       Array.iteri
         (fun i o ->
-          Oracle.add_guard o
-            ~name:(Printf.sprintf "pop3.guard.%d" i)
-            (Shard.front_guard front i))
+          Oracle.add_guard o ~name:(Printf.sprintf "%s.guard.%d" name i) (Shard.front_guard front i))
         oracles;
-      Wedge_pop3.Pop3_wedge.serve_sharded mains front;
+      Service.serve_sharded ?max_request_bytes:srv.max_request_bytes srv.service envs front;
       Fault_plan.arm plan;
-      for i = 1 to n_clients do
-        Fiber.spawn (fun () ->
-            let l =
-              Shard.front_listener front
-                (Shard.route fab ~key:(Printf.sprintf "conn-%d" i))
-            in
-            if i mod 4 = 0 then
-              Byzantine.half_close t l ~request:"USER alice\r\nQUIT\r\n" ~is_rejection
-            else if i mod 7 = 0 then
-              Byzantine.oversized t l ~size:2_000
-                ~is_rejection:(fun s -> contains s "too long")
-            else
-              Byzantine.oneshot t l
-                ~request:"USER alice\r\nPASS wonderland\r\nSTAT\r\nQUIT\r\n" ~is_rejection)
-      done;
-      Fiber.wait_until ~what:"pop3 sharded melee resolved" (fun () ->
-          Byzantine.total t = n_clients);
+      spawn_mix srv t site;
+      extra.spawn ();
+      Fiber.wait_until ~what:(name ^ " sharded melee resolved") (fun () ->
+          Byzantine.total t >= srv.n_melee - srv.n_silent && extra.settled ());
       Fault_plan.disarm plan;
-      revocation := gtag_epilogue ~what:"pop3_sharded" fab;
-      Shard.front_drain front)
+      revocation := gtag_epilogue ~what:(name ^ "_sharded") fab;
+      Shard.front_drain front;
+      Fiber.wait_until ~what:"silent holders cut" (fun () -> Byzantine.total t = srv.n_melee))
     (fun () ->
-      Printf.sprintf "pop3_sharded %s %s %s plan=%s" (tally_to_string t)
-        (shard_stats_summary ~prefix:"pop3" fab front)
-        !revocation (plan_digest plan))
-
-let run_sshd_sharded ~policy ~diff ~faults ~seed =
-  let plan = Fault_plan.create ~seed () in
-  if faults then begin
-    Fault_plan.rule plan ~site:"chan.read" ~prob:0.02 [ Fault_plan.Drop; Fault_plan.Reset ];
-    Fault_plan.rule plan ~site:"chan.write" ~prob:0.02 [ Fault_plan.Reset ]
-  end;
-  Fault_plan.disarm plan;
-  let envs =
-    Array.init sharded_shards (fun i ->
-        let k = Kernel.create ~costs:Cost_model.free ~faults:plan ~shard:i () in
-        Wedge_sshd.Sshd_env.install ~image_pages:40 ~seed:(seed + i) k)
-  in
-  let fab =
-    Shard.create
-      (Array.map
-         (fun e -> (W.kernel e.Wedge_sshd.Sshd_env.app, e.Wedge_sshd.Sshd_env.app))
-         envs)
-  in
-  let front = Shard.front ~costs:Cost_model.free ~faults:plan ~backlog:6 ~max_conns:3 fab in
-  let t = Byzantine.tally () in
-  let is_rejection _ = false in
-  let n_clients = 8 in
-  let revocation = ref "" in
-  checked_sharded ~fab ~policy ~diff
-    (fun oracles ->
-      Array.iteri
-        (fun i o ->
-          Oracle.add_guard o
-            ~name:(Printf.sprintf "sshd.guard.%d" i)
-            (Shard.front_guard front i))
-        oracles;
-      Wedge_sshd.Sshd_privsep.serve_sharded envs front;
-      Fault_plan.arm plan;
-      for i = 1 to n_clients do
-        Fiber.spawn (fun () ->
-            let l =
-              Shard.front_listener front
-                (Shard.route fab ~key:(Printf.sprintf "conn-%d" i))
-            in
-            if i mod 3 = 0 then
-              Byzantine.half_close t l ~request:"SSH-2.0-chaos\r\n\r\n" ~is_rejection
-            else
-              Byzantine.oneshot t l ~request:"SSH-2.0-chaos\r\nnot-a-kexinit\r\n"
-                ~is_rejection)
-      done;
-      Fiber.wait_until ~what:"sshd sharded melee resolved" (fun () ->
-          Byzantine.total t = n_clients);
-      Fault_plan.disarm plan;
-      revocation := gtag_epilogue ~what:"sshd_sharded" fab;
-      Shard.front_drain front)
-    (fun () ->
-      Printf.sprintf "sshd_sharded %s %s %s plan=%s" (tally_to_string t)
-        (shard_stats_summary ~prefix:"sshd" fab front)
+      Printf.sprintf "%s_sharded %s%s %s %s plan=%s" name (tally_to_string t) (extra.fields ())
+        (shard_stats_summary ~prefix:name fab front)
         !revocation (plan_digest plan))
 
 (* ------------------------------------------------------------------ *)
@@ -1071,338 +970,122 @@ let run_sshd_sharded ~policy ~diff ~faults ~seed =
    any single grant is the matching negative, exercised in
    test_synth.ml). *)
 
-let accept_next l =
-  let got = ref None in
-  Fiber.wait_until ~what:"synth accept" (fun () ->
-      match Chan.accept l with
-      | Some ep ->
-          got := Some ep;
-          true
-      | None -> false);
-  Option.get !got
-
-(* Two TLS fetches, the second resuming the first's session, so all three
-   callgate operations (new session, premaster, resume) are recorded. *)
-let httpd_synth_workload ~seed env synth served errors =
-  let l = Chan.listener ~costs:Cost_model.free ~backlog:8 () in
-  let session = ref None in
-  let fetch i resume =
-    let rng = Drbg.create ~seed:(seed + i) in
-    match Chan.connect l with
-    | exception _ -> incr errors
-    | ep -> (
-        match
-          Wedge_httpd.Https_client.get ?resume ~rng
-            ~pinned:env.Wedge_httpd.Httpd_env.priv.Rsa.pub ~path:"/index.html" ep
-        with
-        | { Wedge_httpd.Https_client.response = Some r; session = s; _ }
-          when r.Wedge_httpd.Http.status = 200 ->
-            session := s;
-            incr served
-        | _ -> incr errors
-        | exception _ -> incr errors)
-  in
-  Fiber.spawn (fun () -> fetch 1 None);
-  let d1 = Wedge_httpd.Httpd_simple.serve_connection ?synth env (accept_next l) in
-  (* Let client 1 finish before client 2 starts: the session it stored is
-     what makes fetch 2 exercise the resumption path on every schedule. *)
-  Fiber.wait_until (fun () -> !served + !errors >= 1);
-  Fiber.spawn (fun () -> fetch 2 !session);
-  let d2 = Wedge_httpd.Httpd_simple.serve_connection ?synth env (accept_next l) in
-  Fiber.wait_until (fun () -> !served + !errors >= 2);
-  Chan.shutdown l;
-  [ d1; d2 ]
-
-let pop3_synth_workload main synth t l =
-  let is_rejection s = contains s "-ERR busy" in
-  Fiber.spawn (fun () ->
-      Byzantine.oneshot t l
-        ~request:"USER alice\r\nPASS wonderland\r\nSTAT\r\nLIST\r\nRETR 1\r\nQUIT\r\n"
-        ~is_rejection);
-  ignore (Wedge_pop3.Pop3_wedge.serve_connection ?synth main (accept_next l));
-  Fiber.wait_until (fun () -> Byzantine.total t >= 1);
-  Fiber.spawn (fun () ->
-      Byzantine.oneshot t l ~request:"USER alice\r\nPASS wonderland\r\nSTAT\r\nQUIT\r\n"
-        ~is_rejection);
-  ignore (Wedge_pop3.Pop3_wedge.serve_connection ?synth main (accept_next l));
-  Fiber.wait_until (fun () -> Byzantine.total t >= 2);
-  Chan.shutdown l
-
-let sshd_synth_workload ~seed env synth ok l =
-  let finished = ref 0 in
-  Fiber.spawn (fun () ->
-      let note_done f =
-        Fun.protect ~finally:(fun () -> incr finished) f
-      in
-      note_done (fun () ->
-          let rng = Drbg.create ~seed:(seed + 11) in
-          match Chan.connect l with
-          | exception _ -> ()
-          | ep -> (
-              match
-                Wedge_sshd.Ssh_client.login ~rng
-                  ~pinned_rsa:env.Wedge_sshd.Sshd_env.host_rsa.Rsa.pub
-                  ~pinned_dsa:env.Wedge_sshd.Sshd_env.host_dsa.Wedge_crypto.Dsa.pub
-                  ~user:"alice"
-                  (Wedge_sshd.Ssh_client.Password "wonderland") ep
-              with
-              | Ok conn ->
-                  incr ok;
-                  Wedge_sshd.Ssh_client.close conn
-              | Error _ -> ())));
-  ignore (Wedge_sshd.Sshd_wedge.serve_connection ?synth env (accept_next l));
-  Fiber.wait_until (fun () -> !finished >= 1);
-  Chan.shutdown l
-
-(* One deterministic (round-robin) run of the named app's synthesis
-   workload with [synth] threaded through a fresh world; returns
-   (succeeded, summary).  Shared by the scenarios below and by
-   [wedge_cli synth]. *)
-let synth_apps = [ "httpd"; "pop3"; "sshd" ]
-
-let synth_oneshot ~app ~seed synth =
-  let k = Kernel.create ~costs:Cost_model.free () in
-  match app with
-  | "httpd" ->
-      let env = Wedge_httpd.Httpd_env.install ~image_pages:60 ~seed k in
-      let served = ref 0 and errors = ref 0 in
-      Fiber.run ~policy:Fiber.Round_robin (fun () ->
-          ignore (httpd_synth_workload ~seed env synth served errors));
-      (!served = 2, Printf.sprintf "served=%d errors=%d" !served !errors)
-  | "pop3" ->
-      Wedge_pop3.Pop3_env.install k Wedge_pop3.Pop3_env.default_users;
-      let app_ = W.create_app ~image_pages:60 k in
-      W.boot app_;
-      let t = Byzantine.tally () in
-      Fiber.run ~policy:Fiber.Round_robin (fun () ->
-          let l = Chan.listener ~costs:Cost_model.free ~backlog:8 () in
-          pop3_synth_workload (W.main_ctx app_) synth t l);
-      (t.Byzantine.completed = 2, tally_to_string t)
-  | "sshd" ->
-      let env = Wedge_sshd.Sshd_env.install ~image_pages:40 ~seed k in
-      let ok = ref 0 in
-      Fiber.run ~policy:Fiber.Round_robin (fun () ->
-          let l = Chan.listener ~costs:Cost_model.free ~backlog:4 () in
-          sshd_synth_workload ~seed env synth ok l);
-      (!ok = 1, Printf.sprintf "ok=%d" !ok)
-  | a -> invalid_arg ("synth_oneshot: unknown app " ^ a)
+(* One deterministic (round-robin) run of the server's synthesis
+   workload with [synth] threaded through a fresh world.  Shared by the
+   scenarios below and by [wedge_cli synth]. *)
+let synth_oneshot srv ~seed synth =
+  let env = srv.world ~seed (Kernel.create ~costs:Cost_model.free ()) in
+  let run = ref None in
+  Fiber.run ~policy:Fiber.Round_robin (fun () -> run := Some (srv.synth ~seed env synth));
+  Option.get !run
 
 (* Record phase: deterministic schedule, fresh world, assert the clean
    workload actually succeeded (a profile synthesized from a broken run
    would be vacuously tight). *)
-let synth_record ~app ~seed =
-  let synth = Synth.create ~name:app Synth.Record in
-  let ok, summary = synth_oneshot ~app ~seed (Some synth) in
-  if not ok then
-    failwith (Printf.sprintf "%s_synth: record run failed (%s)" app summary);
+let record srv ~seed =
+  let synth = Synth.create ~name:(name srv) Synth.Record in
+  let r = synth_oneshot srv ~seed (Some synth) in
+  if not r.ok then
+    failwith (Printf.sprintf "%s_synth: record run failed (%s)" (name srv) r.before);
   Synth.synthesize synth
-
-let synth_rerun ~app ~seed mode =
-  let synth = Synth.create ~name:app mode in
-  let ok, summary = synth_oneshot ~app ~seed (Some synth) in
-  (ok, summary, synth)
 
 let profile_digest ptext = Digest.to_hex (Digest.string ptext)
 
-let run_httpd_synth ~policy ~diff ~faults:_ ~seed =
-  let profile = synth_record ~app:"httpd" ~seed in
+let run_synth srv ~policy ~diff ~faults:_ ~seed =
+  let name = name srv in
+  let profile = record srv ~seed in
   let ptext = Synth.Profile.print profile in
   (match Synth.Profile.parse ptext with
   | Ok p when Synth.Profile.equal p profile -> ()
-  | _ -> failwith "httpd_synth: synthesized profile does not round-trip");
+  | _ -> failwith (name ^ "_synth: synthesized profile does not round-trip"));
   let k = Kernel.create ~costs:Cost_model.free () in
-  let env = Wedge_httpd.Httpd_env.install ~image_pages:60 ~seed k in
-  let synth = Synth.create ~name:"httpd" (Synth.Enforce profile) in
-  let served = ref 0 and errors = ref 0 in
-  checked ~kernel:k ~app:env.Wedge_httpd.Httpd_env.app ~policy ~diff
+  let env = srv.world ~seed k in
+  let synth = Synth.create ~name (Synth.Enforce profile) in
+  let run = ref { ok = false; before = ""; after = "" } in
+  checked ~kernel:k ~app:(app_of srv env) ~policy ~diff
     (fun oracle ->
-      Oracle.add_invariant oracle ~name:"synth.httpd.superset" (Synth.self_check synth);
-      let debugs = httpd_synth_workload ~seed env (Some synth) served errors in
-      if !served <> 2 then
+      Oracle.add_invariant oracle ~name:("synth." ^ name ^ ".superset") (Synth.self_check synth);
+      run := srv.synth ~seed env (Some synth);
+      if not !run.ok then
         raise
           (Oracle.Violation
-             (Printf.sprintf
-                "httpd_synth: enforced run served %d/2 (denials: %s) (status: %s)"
-                !served
-                (String.concat "; " (List.map fst (Synth.denials synth)))
-                (String.concat "; "
-                   (List.map
-                      (fun d ->
-                        match d.Wedge_httpd.Httpd_simple.worker_status with
-                        | Wedge_kernel.Process.Running -> "running"
-                        | Wedge_kernel.Process.Exited n ->
-                            Printf.sprintf "exited %d" n
-                        | Wedge_kernel.Process.Faulted m -> "faulted: " ^ m)
-                      debugs)))))
+             (Printf.sprintf "%s_synth: enforced run failed: %s (denials: %s)" name !run.before
+                (String.concat "; " (List.map fst (Synth.denials synth))))))
     (fun () ->
-      Printf.sprintf "httpd_synth served=%d errors=%d denials=%d profile=%s" !served
-        !errors
+      Printf.sprintf "%s_synth %s denials=%d%s profile=%s" name !run.before
         (List.length (Synth.denials synth))
-        (profile_digest ptext))
+        !run.after (profile_digest ptext))
 
-(* POP3's workload has no client RNG, so the seed only names the run. *)
-let run_pop3_synth ~policy ~diff ~faults:_ ~seed:_ =
-  let profile = synth_record ~app:"pop3" ~seed:0 in
-  let ptext = Synth.Profile.print profile in
-  (match Synth.Profile.parse ptext with
-  | Ok p when Synth.Profile.equal p profile -> ()
-  | _ -> failwith "pop3_synth: synthesized profile does not round-trip");
-  let k = Kernel.create ~costs:Cost_model.free () in
-  Wedge_pop3.Pop3_env.install k Wedge_pop3.Pop3_env.default_users;
-  let app = W.create_app ~image_pages:60 k in
-  W.boot app;
-  let synth = Synth.create ~name:"pop3" (Synth.Enforce profile) in
-  let t = Byzantine.tally () in
-  let l = Chan.listener ~costs:Cost_model.free ~backlog:8 () in
-  checked ~kernel:k ~app ~policy ~diff
-    (fun oracle ->
-      Oracle.add_invariant oracle ~name:"synth.pop3.superset" (Synth.self_check synth);
-      pop3_synth_workload (W.main_ctx app) (Some synth) t l;
-      if t.Byzantine.completed <> 2 then
-        raise
-          (Oracle.Violation
-             (Printf.sprintf "pop3_synth: enforced run completed %d/2"
-                t.Byzantine.completed)))
-    (fun () ->
-      Printf.sprintf "pop3_synth %s denials=%d degraded=%d profile=%s"
-        (tally_to_string t)
-        (List.length (Synth.denials synth))
-        (Stats.get k.Kernel.stats "pop3.degraded")
-        (profile_digest ptext))
+type any_server = Server : 'env server -> any_server
 
-let run_sshd_synth ~policy ~diff ~faults:_ ~seed =
-  let profile = synth_record ~app:"sshd" ~seed in
-  let ptext = Synth.Profile.print profile in
-  (match Synth.Profile.parse ptext with
-  | Ok p when Synth.Profile.equal p profile -> ()
-  | _ -> failwith "sshd_synth: synthesized profile does not round-trip");
-  let k = Kernel.create ~costs:Cost_model.free () in
-  let env = Wedge_sshd.Sshd_env.install ~image_pages:40 ~seed k in
-  let synth = Synth.create ~name:"sshd" (Synth.Enforce profile) in
-  let ok = ref 0 in
-  let l = Chan.listener ~costs:Cost_model.free ~backlog:4 () in
-  checked ~kernel:k ~app:env.Wedge_sshd.Sshd_env.app ~policy ~diff
-    (fun oracle ->
-      Oracle.add_invariant oracle ~name:"synth.sshd.superset" (Synth.self_check synth);
-      sshd_synth_workload ~seed env (Some synth) ok l;
-      if !ok <> 1 then raise (Oracle.Violation "sshd_synth: enforced login failed"))
-    (fun () ->
-      Printf.sprintf "sshd_synth ok=%d denials=%d profile=%s" !ok
-        (List.length (Synth.denials synth))
-        (profile_digest ptext))
+let synth_apps = [ "httpd"; "pop3"; "sshd" ]
+
+let synth_server = function
+  | "httpd" -> Server httpd
+  | "pop3" -> Server pop3
+  | "sshd" -> Server sshd
+  | a -> invalid_arg ("Scenarios.synth: unknown app " ^ a)
+
+let synth_record ~app ~seed =
+  let (Server srv) = synth_server app in
+  record srv ~seed
+
+let synth_rerun ~app ~seed mode =
+  let (Server srv) = synth_server app in
+  let synth = Synth.create ~name:app mode in
+  let r = synth_oneshot srv ~seed (Some synth) in
+  (r.ok, r.before, synth)
 
 (* ------------------------------------------------------------------ *)
 
+let scenario s_name s_doc s_run = { s_name; s_doc; s_run }
+
+let melee srv = scenario (name srv) srv.melee_doc (run_melee srv)
+
+let storm srv =
+  scenario (name srv ^ "_storm")
+    (name srv ^ " self-healing: fault storm + induced hangs, watchdog, breaker, tree")
+    (run_storm ~pooled:false ~reactor:false srv)
+
+let reactor_storm srv =
+  scenario (name srv ^ "_reactor_storm")
+    (name srv ^ " storm on the event reactor: parked fibers, timer deadlines, wake audit")
+    (run_storm ~pooled:false ~reactor:true srv)
+
+let pool_storm srv =
+  scenario (name srv ^ "_pool_storm")
+    (name srv ^ " storm with pooled O(1) restamps, stamp faults, frozen-frame sweep")
+    (run_storm ~pooled:true ~reactor:false srv)
+
+let sharded srv =
+  scenario (name srv ^ "_sharded")
+    ("2-shard " ^ name srv ^ " behind the hashed front door, cross-shard gtag revocation")
+    (run_sharded srv)
+
+let synth srv =
+  scenario (name srv ^ "_synth")
+    ("record → synthesize → enforce a least-privilege " ^ name srv ^ " profile")
+    (run_synth srv)
+
 let all =
   [
-    {
-      s_name = "pop3";
-      s_doc = "partitioned POP3 under flood, faults and slow-loris";
-      s_run = (fun ~policy ~diff ~faults ~seed -> run_pop3 ~policy ~diff ~faults ~seed);
-    };
-    {
-      s_name = "httpd";
-      s_doc = "TLS httpd under garbage handshakes, faults and real clients";
-      s_run = (fun ~policy ~diff ~faults ~seed -> run_httpd ~policy ~diff ~faults ~seed);
-    };
-    {
-      s_name = "sshd";
-      s_doc = "fork-per-connection sshd privsep under protocol garbage";
-      s_run = (fun ~policy ~diff ~faults ~seed -> run_sshd ~policy ~diff ~faults ~seed);
-    };
-    {
-      s_name = "httpd_storm";
-      s_doc = "httpd self-healing: fault storm + induced hangs, watchdog, breaker, tree";
-      s_run =
-        (fun ~policy ~diff ~faults ~seed ->
-          run_httpd_storm ~policy ~diff ~faults ~seed ());
-    };
-    {
-      s_name = "pop3_storm";
-      s_doc = "pop3 self-healing: fault storm + induced hangs, watchdog, breaker, tree";
-      s_run =
-        (fun ~policy ~diff ~faults ~seed ->
-          run_pop3_storm ~policy ~diff ~faults ~seed ());
-    };
-    {
-      s_name = "sshd_storm";
-      s_doc = "sshd self-healing: fault storm + induced hangs, watchdog, breaker, tree";
-      s_run =
-        (fun ~policy ~diff ~faults ~seed ->
-          run_sshd_storm ~policy ~diff ~faults ~seed ());
-    };
-    {
-      s_name = "httpd_reactor_storm";
-      s_doc = "httpd storm on the event reactor: parked fibers, timer deadlines, wake audit";
-      s_run =
-        (fun ~policy ~diff ~faults ~seed ->
-          run_httpd_reactor_storm ~policy ~diff ~faults ~seed);
-    };
-    {
-      s_name = "httpd_pool_storm";
-      s_doc = "httpd storm with pooled O(1) restamps, stamp faults, frozen-frame sweep";
-      s_run =
-        (fun ~policy ~diff ~faults ~seed ->
-          run_httpd_storm ~pooled:true ~policy ~diff ~faults ~seed ());
-    };
-    {
-      s_name = "pop3_pool_storm";
-      s_doc = "pop3 storm with pooled O(1) restamps, stamp faults, frozen-frame sweep";
-      s_run =
-        (fun ~policy ~diff ~faults ~seed ->
-          run_pop3_storm ~pooled:true ~policy ~diff ~faults ~seed ());
-    };
-    {
-      s_name = "sshd_pool_storm";
-      s_doc = "sshd storm with pooled O(1) restamps, stamp faults, frozen-frame sweep";
-      s_run =
-        (fun ~policy ~diff ~faults ~seed ->
-          run_sshd_storm ~pooled:true ~policy ~diff ~faults ~seed ());
-    };
-    {
-      s_name = "httpd_sharded";
-      s_doc = "2-shard httpd behind the hashed front door, cross-shard gtag revocation";
-      s_run =
-        (fun ~policy ~diff ~faults ~seed ->
-          run_httpd_sharded ~policy ~diff ~faults ~seed);
-    };
-    {
-      s_name = "pop3_sharded";
-      s_doc = "2-shard pop3 behind the hashed front door, cross-shard gtag revocation";
-      s_run =
-        (fun ~policy ~diff ~faults ~seed ->
-          run_pop3_sharded ~policy ~diff ~faults ~seed);
-    };
-    {
-      s_name = "sshd_sharded";
-      s_doc = "2-shard sshd behind the hashed front door, cross-shard gtag revocation";
-      s_run =
-        (fun ~policy ~diff ~faults ~seed ->
-          run_sshd_sharded ~policy ~diff ~faults ~seed);
-    };
-    {
-      s_name = "httpd_synth";
-      s_doc = "record → synthesize → enforce a least-privilege httpd profile";
-      s_run =
-        (fun ~policy ~diff ~faults ~seed -> run_httpd_synth ~policy ~diff ~faults ~seed);
-    };
-    {
-      s_name = "pop3_synth";
-      s_doc = "record → synthesize → enforce a least-privilege pop3 profile";
-      s_run =
-        (fun ~policy ~diff ~faults ~seed -> run_pop3_synth ~policy ~diff ~faults ~seed);
-    };
-    {
-      s_name = "sshd_synth";
-      s_doc = "record → synthesize → enforce a least-privilege sshd profile";
-      s_run =
-        (fun ~policy ~diff ~faults ~seed -> run_sshd_synth ~policy ~diff ~faults ~seed);
-    };
-    {
-      s_name = "racy";
-      s_doc = "deliberate lost-update race (the explorer must catch it)";
-      s_run = (fun ~policy ~diff ~faults ~seed -> run_racy ~policy ~diff ~faults ~seed);
-    };
+    melee pop3;
+    melee httpd;
+    melee sshd;
+    storm httpd;
+    storm pop3;
+    storm sshd;
+    reactor_storm httpd;
+    pool_storm httpd;
+    pool_storm pop3;
+    pool_storm sshd;
+    sharded httpd;
+    sharded pop3;
+    sharded sshd;
+    synth httpd;
+    synth pop3;
+    synth sshd;
+    scenario "racy" "deliberate lost-update race (the explorer must catch it)" run_racy;
   ]
 
 let find name = List.find_opt (fun s -> s.s_name = name) all

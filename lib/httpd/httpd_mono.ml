@@ -1,6 +1,5 @@
 module W = Wedge_core.Wedge
 module Chan = Wedge_net.Chan
-module Guard = Wedge_net.Guard
 module Fd_table = Wedge_kernel.Fd_table
 module Wire = Wedge_tls.Wire
 module Handshake = Wedge_tls.Handshake
@@ -32,12 +31,9 @@ let charged_ops ctx (ops : Handshake.server_ops) =
         ops.Handshake.send_finished ());
   }
 
-let serve_connection ?exploit ?guard ?max_request_bytes (env : Httpd_env.t) ep =
+let serve_connection ?exploit (env : Httpd_env.t) ep =
   let ctx = env.Httpd_env.main in
-  let raw_ep =
-    match guard with Some c -> Guard.endpoint c | None -> Chan.to_endpoint ep
-  in
-  let fd = W.add_endpoint ctx raw_ep Fd_table.perm_rw in
+  let fd = W.add_endpoint ctx (Chan.to_endpoint ep) Fd_table.perm_rw in
   (* No compartment boundary protects the monolithic server, so the fault
      class (injected channel resets, frame exhaustion) is contained here by
      hand: degrade this connection with a plaintext 500 and keep the
@@ -54,17 +50,9 @@ let serve_connection ?exploit ?guard ?max_request_bytes (env : Httpd_env.t) ep =
      match Handshake.server_handshake ~ops ~cert:(Httpd_env.cert env) io with
      | Error _ -> ()
      | Ok _sid -> (
-         (match guard with Some c -> Guard.established c | None -> ());
          let keys = Handshake.keys_of_plain_state state in
          match Handshake.recv_data io keys with
          | Error _ -> ()
-         | Ok req
-           when match max_request_bytes with
-                | Some m -> Bytes.length req > m
-                | None -> false ->
-             Httpd_env.charge ctx Httpd_env.Mac;
-             Handshake.send_data io keys
-               (Bytes.of_string (Http.format_response Http.too_large))
          | Ok req ->
              Httpd_env.charge ctx (Httpd_env.Cipher (Bytes.length req));
              let resp = Httpd_env.handle_request ctx ~exploit (Bytes.to_string req) in
@@ -77,13 +65,3 @@ let serve_connection ?exploit ?guard ?max_request_bytes (env : Httpd_env.t) ep =
      (try Chan.write_string ep (Http.format_response Http.internal_error) with _ -> ()));
   W.fd_close ctx fd;
   Chan.close ep
-
-(* Guarded accept loop — same admission front door as the partitioned
-   servers, so the mono/wedge comparison stays about privilege, not about
-   who survives hostile load. *)
-let serve_loop ?max_request_bytes (env : Httpd_env.t) guard listener =
-  Guard.accept_loop guard listener
-    ~reject:(fun _decision ep ->
-      W.stat env.Httpd_env.main "httpd.rejected";
-      Chan.write_string ep (Http.format_response Http.service_unavailable))
-    ~serve:(fun c -> serve_connection ~guard:c ?max_request_bytes env (Guard.ep c))

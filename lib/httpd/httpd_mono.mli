@@ -6,22 +6,6 @@
     filesystem. *)
 
 val serve_connection :
-  ?exploit:(Wedge_core.Wedge.ctx -> unit) ->
-  ?guard:Wedge_net.Guard.conn ->
-  ?max_request_bytes:int ->
-  Httpd_env.t ->
-  Wedge_net.Chan.ep ->
-  unit
+  ?exploit:(Wedge_core.Wedge.ctx -> unit) -> Httpd_env.t -> Wedge_net.Chan.ep -> unit
 (** Serve one SSL connection (one request) in the main privileged
-    context.  [guard] reads through the deadline-aware endpoint and marks
-    the connection established post-handshake; [max_request_bytes]
-    answers oversized requests with a sealed 413. *)
-
-val serve_loop :
-  ?max_request_bytes:int ->
-  Httpd_env.t ->
-  Wedge_net.Guard.t ->
-  Wedge_net.Chan.listener ->
-  unit
-(** Guarded accept loop (plaintext 503 on rejection); returns once the
-    listener shuts down. *)
+    context. *)

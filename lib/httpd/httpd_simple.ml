@@ -3,7 +3,6 @@ module Prot = Wedge_kernel.Prot
 module Fd_table = Wedge_kernel.Fd_table
 module Chan = Wedge_net.Chan
 module Guard = Wedge_net.Guard
-module Tag = Wedge_mem.Tag
 module Drbg = Wedge_crypto.Drbg
 module Wire = Wedge_tls.Wire
 module Record = Wedge_tls.Record
@@ -12,15 +11,7 @@ module Handshake = Wedge_tls.Handshake
 
 module Supervisor = Wedge_core.Supervisor
 module Synth = Wedge_crowbar.Synth
-
-type conn_debug = {
-  conn_tag : Tag.t option;
-  arg_tag : Tag.t option;
-  arg_block : int;
-  worker_status : Wedge_kernel.Process.status;
-  degraded : bool;
-  attempts : int;
-}
+module Service = Wedge_net.Service
 
 let io_of_fd ctx fd =
   Wire.io_of_fns
@@ -167,247 +158,112 @@ let send_degraded main ep =
   W.stat main "httpd.degraded";
   try Chan.write_string ep (Http.format_response Http.internal_error) with _ -> ()
 
-let serve_connection ?(recycled = false) ?(restart_policy = Supervisor.default_policy)
-    ?supervised ?exploit_handshake ?exploit_request ?guard ?max_request_bytes
-    ?worker_limits ?synth (env : Httpd_env.t) ep =
-  let main = env.Httpd_env.main in
-  (* Per-connection setup runs in the monitor, so a fault here (injected
-     frame exhaustion during tag_new, a reset connection) must be contained
-     by hand: release whatever was created and degrade this connection —
-     the accept loop above us never sees the fault. *)
-  let created = ref [] in
-  let fd_ref = ref None in
-  let cleanup () =
-    (match !fd_ref with
-    | Some fd -> ( try W.fd_close main fd with _ -> ())
-    | None -> ());
-    Chan.close ep;
-    List.iter (fun t -> try W.tag_delete main t with _ -> ()) !created
-  in
-  match
-    let conn_tag = W.tag_new ~name:"httpd.conn" ~pages:1 main in
-    created := conn_tag :: !created;
-    let arg_tag = W.tag_new ~name:"httpd.arg" ~pages:2 main in
-    created := arg_tag :: !created;
-    let conn_block = W.smalloc main Conn_state.size conn_tag in
-    Conn_state.init main conn_block;
-    let arg_block = W.smalloc main 4096 arg_tag in
-    (* With a guard attached, the worker reads through the deadline-aware
-       endpoint: a slow-loris client turns into EOF inside the worker
-       instead of a fiber pinned forever. *)
-    let raw_ep =
-      match guard with Some c -> Guard.endpoint c | None -> Chan.to_endpoint ep
-    in
-    let fd = W.add_endpoint main raw_ep Fd_table.perm_rw in
-    fd_ref := Some fd;
-    (* In enforce mode the synthesized profile supplies both security
-       contexts; the hand-written grants below are the fallback (and the
-       recording/complain baseline). *)
-    let conn_tags = [ conn_tag; arg_tag ] in
-    let conn_fds = [ ("conn", fd) ] in
-    let worker_sc =
-      match Synth.sthread_sc synth ~name:"httpd.worker" ~tags:conn_tags ~fds:conn_fds main with
-      | Some sc -> sc
-      | None ->
-          let sc = W.sc_create () in
-          W.sc_mem_add sc arg_tag Prot.RW;
-          W.sc_fd_add sc fd Fd_table.perm_rw;
-          W.sc_set_uid sc 33;
-          W.sc_set_root sc Httpd_env.docroot;
-          (match env.Httpd_env.worker_sid with
-          | Some sid -> W.sc_sel_context sc sid
-          | None -> ());
-          sc
-    in
-    (match worker_limits with Some l -> W.sc_set_rlimit worker_sc l | None -> ());
-    let cgsc =
-      match Synth.gate_sc synth ~name:"setup_session_key" ~tags:conn_tags main with
-      | Some sc -> sc
-      | None ->
-          let sc = W.sc_create () in
-          W.sc_mem_add sc env.Httpd_env.key_tag Prot.R;
-          W.sc_mem_add sc conn_tag Prot.RW;
-          W.sc_mem_add sc (Sess_store.tag env.Httpd_env.scache) Prot.RW;
-          sc
-    in
-    let gate =
-      W.sc_cgate_add ~recycled main worker_sc ~name:"setup_session_key"
-        ~entry:(Synth.wrap_gate synth ~name:"setup_session_key" (setup_session_key_entry env))
-        ~cgsc ~trusted:conn_block
-    in
-    (conn_tag, arg_tag, arg_block, fd, worker_sc, gate)
-  with
-  | exception e when W.fault_reason e <> None ->
-      let reason = Option.get (W.fault_reason e) in
-      send_degraded main ep;
-      cleanup ();
-      {
-        conn_tag = None;
-        arg_tag = None;
-        arg_block = 0;
-        worker_status = Wedge_kernel.Process.Faulted ("setup: " ^ reason);
-        degraded = true;
-        attempts = 0;
-      }
-  | conn_tag, arg_tag, arg_block, fd, worker_sc, gate ->
-      let worker_body ctx _ =
-            let io = io_of_fd ctx fd in
-            let master_ref = ref None
-            and keys_ref = ref None
-            and finished_ref = ref Bytes.empty in
-            let ops =
-              worker_ops ctx ~gate ~arg_tag ~arg_block ~master_ref ~keys_ref ~finished_ref
-            in
-            match Handshake.server_handshake ~ops ~cert:(Httpd_env.cert env) io with
-            | Error _ -> 1
-            | Ok _sid -> (
-                (match guard with Some c -> Guard.established c | None -> ());
-                (match exploit_handshake with Some payload -> payload ctx | None -> ());
-                match !keys_ref with
-                | None -> 1
-                | Some keys -> (
-                    match Handshake.recv_data io keys with
-                    | Error _ -> 1
-                    | Ok req
-                      when match max_request_bytes with
-                           | Some m -> Bytes.length req > m
-                           | None -> false ->
-                        (* Oversized request: answer inside the session (the
-                           keys are established) with 413 and stop. *)
-                        let resp = Http.format_response Http.too_large in
-                        Httpd_env.charge ctx Httpd_env.Mac;
-                        Handshake.send_data io keys (Bytes.of_string resp);
-                        0
-                    | Ok req ->
-                        Httpd_env.charge ctx (Httpd_env.Cipher (Bytes.length req));
-                        let resp =
-                          Httpd_env.handle_request ctx ~exploit:exploit_request
-                            (Bytes.to_string req)
-                        in
-                        Httpd_env.charge ctx (Httpd_env.Cipher (String.length resp));
-                        Httpd_env.charge ctx Httpd_env.Mac;
-                        Handshake.send_data io keys (Bytes.of_string resp);
-                        env.Httpd_env.served <- env.Httpd_env.served + 1;
-                        0))
-      in
-      let worker_main =
-        Synth.wrap_sthread synth ~name:"httpd.worker" ~fds:[ ("conn", fd) ] worker_body
-      in
-      let outcome =
-        (* A supervised worker runs under the tree's per-child policy and
-           intensity budget; unsupervised falls back to the flat layer.
-           Each retry re-arms the guard heart, so a restamped worker is
-           not killed for its predecessor's hang. *)
-        let on_restart = Option.map (fun c () -> Guard.rearm_heart c) guard in
-        match supervised with
-        | Some child ->
-            Supervisor.run_child_sthread ?on_restart child worker_sc worker_main 0
-        | None ->
-            Supervisor.supervise_sthread ~policy:restart_policy main worker_sc
-              worker_main 0
-      in
-      let worker_status, degraded, attempts =
-        match outcome with
-        | Supervisor.Done { value; attempts } ->
-            (Wedge_kernel.Process.Exited value, false, attempts)
-        | Supervisor.Gave_up { attempts; last_fault } ->
-            send_degraded main ep;
-            (Wedge_kernel.Process.Faulted last_fault, true, attempts)
-      in
-      cleanup ();
-      {
-        conn_tag = Some conn_tag;
-        arg_tag = Some arg_tag;
-        arg_block;
-        worker_status;
-        degraded;
-        attempts;
-      }
-
-(* Freeze the worker's boot once (identity dropped to uid 33 inside the
-   docroot chroot, heap warmed so demand-mapped pages join the image);
-   per-connection grants — the two tags, the connection descriptor, the
-   callgate — ride in at stamp time as the worker sc. *)
-let worker_pool ?(name = "httpd.worker") (env : Httpd_env.t) =
+(* The worker's identity: uid 33 inside the docroot chroot, under the
+   env's worker SELinux context when set.  Frozen into the pool image, and
+   the base of every connection's hand-written worker grants. *)
+let worker_identity (env : Httpd_env.t) =
   let sc = W.sc_create () in
   W.sc_set_uid sc 33;
   W.sc_set_root sc Httpd_env.docroot;
   (match env.Httpd_env.worker_sid with Some sid -> W.sc_sel_context sc sid | None -> ());
-  W.Pool.freeze ~name
-    ~warm:(fun ctx ->
-      let p = W.malloc ctx 64 in
-      W.free ctx p)
-    env.Httpd_env.main sc
+  sc
 
-(* The declared worker/listener topology: one node, the listener child
-   registered first (so a [Rest_for_one] escalation of the listener also
-   restarts the workers, never the reverse).  With [pool], every worker
-   attempt — first run and every restart — is an O(1) stamp from the
-   frozen image instead of a fork-priced boot. *)
-let supervision_tree ?strategy ?intensity ?window_ns ?healthy_after_ns ?quarantine_ns
-    ?listener_policy ?worker_policy ?pool (env : Httpd_env.t) =
-  let node =
-    Supervisor.node ?strategy ?intensity ?window_ns ?healthy_after_ns ?quarantine_ns
-      ~name:"httpd" env.Httpd_env.main
-  in
-  let listener =
-    Supervisor.child
-      ~policy:(Option.value listener_policy ~default:(Supervisor.policy ~max_restarts:2 ()))
-      node ~name:"listener"
-  in
-  let restart =
-    match pool with Some p -> Supervisor.From_pool p | None -> Supervisor.Fresh
-  in
-  let worker =
-    Supervisor.child
-      ?policy:worker_policy
-      ~restart node ~name:"worker"
-  in
-  (node, listener, worker)
-
-(* Guarded accept loop: admission control in front of per-connection
-   compartments.  Over-capacity (or breaker-shed) connections get a
-   plaintext 503 (the TLS session never started, so plaintext is all
-   there is) and are closed; admitted ones are served in their own fiber
-   with the slot auto-released and their outcome reported to the guard's
-   breaker.  With [supervision], workers run under the tree's "worker"
-   child and the accept loop itself under "listener" — a contained fault
-   leaking out of the serve path restarts the loop instead of killing the
-   server.  Returns when the listener shuts down (see [Guard.drain]). *)
-let serve_loop ?restart_policy ?max_request_bytes ?worker_limits ?supervision ?synth
-    (env : Httpd_env.t) guard listener =
+let serve_connection ?(recycled = false) ?supervised ?exploit_handshake ?exploit_request ?guard
+    ?max_request_bytes ?worker_limits ?synth (env : Httpd_env.t) ep =
   let main = env.Httpd_env.main in
-  let supervised = Option.map (fun (_, _, worker) -> worker) supervision in
-  let reject decision ep =
-    (match decision with
-    | Guard.Shed -> W.stat main "httpd.shed"
-    | _ -> W.stat main "httpd.rejected");
-    Chan.write_string ep (Http.format_response Http.service_unavailable)
+  Service.run_worker ?supervised ?guard ~policy:Supervisor.default_policy
+    ~degrade:(fun () -> send_degraded main ep)
+    main ep
+  @@ fun conn ->
+  let conn_tag = Service.tag conn ~name:"httpd.conn" ~pages:1 in
+  let arg_tag = Service.tag conn ~name:"httpd.arg" ~pages:2 in
+  let conn_block = W.smalloc main Conn_state.size conn_tag in
+  Conn_state.init main conn_block;
+  let arg_block = W.smalloc main 4096 arg_tag in
+  let fd = Service.fd conn in
+  (* In enforce mode the synthesized profile supplies both security
+     contexts; the hand-written grants below are the fallback (and the
+     recording/complain baseline). *)
+  let conn_tags = [ conn_tag; arg_tag ] in
+  let conn_fds = [ ("conn", fd) ] in
+  let worker_sc =
+    match Synth.sthread_sc synth ~name:"httpd.worker" ~tags:conn_tags ~fds:conn_fds main with
+    | Some sc -> sc
+    | None ->
+        let sc = worker_identity env in
+        W.sc_mem_add sc arg_tag Prot.RW;
+        W.sc_fd_add sc fd Fd_table.perm_rw;
+        sc
   in
-  let serve c =
-    let r =
-      serve_connection ?restart_policy ?supervised ~guard:c ?max_request_bytes
-        ?worker_limits ?synth env (Guard.ep c)
-    in
-    Guard.report c ~ok:(not r.degraded)
+  (match worker_limits with Some l -> W.sc_set_rlimit worker_sc l | None -> ());
+  let cgsc =
+    match Synth.gate_sc synth ~name:"setup_session_key" ~tags:conn_tags main with
+    | Some sc -> sc
+    | None ->
+        let sc = W.sc_create () in
+        W.sc_mem_add sc env.Httpd_env.key_tag Prot.R;
+        W.sc_mem_add sc conn_tag Prot.RW;
+        W.sc_mem_add sc (Sess_store.tag env.Httpd_env.scache) Prot.RW;
+        sc
   in
-  let accept () =
-    Guard.accept_loop guard listener ~reject ~serve;
-    0
+  let gate =
+    W.sc_cgate_add ~recycled main worker_sc ~name:"setup_session_key"
+      ~entry:(Synth.wrap_gate synth ~name:"setup_session_key" (setup_session_key_entry env))
+      ~cgsc ~trusted:conn_block
   in
-  match supervision with
-  | None -> ignore (accept ())
-  | Some (_, listener_child, _) ->
-      ignore (Supervisor.run_child_fn listener_child accept)
+  let worker_body ctx _ =
+    let io = io_of_fd ctx fd in
+    let master_ref = ref None and keys_ref = ref None and finished_ref = ref Bytes.empty in
+    let ops = worker_ops ctx ~gate ~arg_tag ~arg_block ~master_ref ~keys_ref ~finished_ref in
+    match Handshake.server_handshake ~ops ~cert:(Httpd_env.cert env) io with
+    | Error _ -> 1
+    | Ok _sid -> (
+        (match guard with Some c -> Guard.established c | None -> ());
+        (match exploit_handshake with Some payload -> payload ctx | None -> ());
+        match !keys_ref with
+        | None -> 1
+        | Some keys -> (
+            match Handshake.recv_data io keys with
+            | Error _ -> 1
+            | Ok req
+              when match max_request_bytes with
+                   | Some m -> Bytes.length req > m
+                   | None -> false ->
+                (* Oversized request: answer inside the session (the
+                   keys are established) with 413 and stop. *)
+                let resp = Http.format_response Http.too_large in
+                Httpd_env.charge ctx Httpd_env.Mac;
+                Handshake.send_data io keys (Bytes.of_string resp);
+                0
+            | Ok req ->
+                Httpd_env.charge ctx (Httpd_env.Cipher (Bytes.length req));
+                let resp =
+                  Httpd_env.handle_request ctx ~exploit:exploit_request (Bytes.to_string req)
+                in
+                Httpd_env.charge ctx (Httpd_env.Cipher (String.length resp));
+                Httpd_env.charge ctx Httpd_env.Mac;
+                Handshake.send_data io keys (Bytes.of_string resp);
+                env.Httpd_env.served <- env.Httpd_env.served + 1;
+                0))
+  in
+  (worker_sc, Synth.wrap_sthread synth ~name:"httpd.worker" ~fds:conn_fds worker_body)
 
-(* One accept loop per shard, each on its shard's guard and listener.
-   Workers, supervision and stats stay per-shard: shard [i]'s environment
-   only ever touches shard [i]'s kernel. *)
-let serve_sharded ?restart_policy ?max_request_bytes ?worker_limits envs front =
-  Array.iteri
-    (fun i env ->
-      Wedge_sim.Fiber.spawn (fun () ->
-          serve_loop ?restart_policy ?max_request_bytes ?worker_limits env
-            (Wedge_net.Shard.front_guard front i)
-            (Wedge_net.Shard.front_listener front i)))
-    envs
+(* A rejected connection gets a plaintext 503: the TLS session never
+   started, so plaintext is all there is. *)
+let service =
+  {
+    Service.name = "httpd";
+    main = (fun (env : Httpd_env.t) -> env.Httpd_env.main);
+    reject = Some (Http.format_response Http.service_unavailable);
+    identity = worker_identity;
+    worker = "worker";
+    worker_policy = None;
+    serve =
+      (fun ~max_request_bytes supervised env c ->
+        not
+          (serve_connection ?supervised ~guard:c ?max_request_bytes env (Guard.ep c))
+            .Service.degraded);
+  }
+
+let serve_sharded ?max_request_bytes envs front =
+  Service.serve_sharded ?max_request_bytes service envs front

@@ -11,18 +11,8 @@
     and record keys), which is exactly the residual weakness the
     man-in-the-middle partitioning ({!Httpd_mitm}) removes. *)
 
-type conn_debug = {
-  conn_tag : Wedge_mem.Tag.t option;  (** callgate-private session state *)
-  arg_tag : Wedge_mem.Tag.t option;   (** worker-visible argument buffer *)
-  arg_block : int;  (** 0 when per-connection setup itself faulted *)
-  worker_status : Wedge_kernel.Process.status;
-  degraded : bool;  (** this connection was answered with a plaintext 500 *)
-  attempts : int;   (** supervision attempts (0 when setup faulted) *)
-}
-
 val serve_connection :
   ?recycled:bool ->
-  ?restart_policy:Wedge_core.Supervisor.policy ->
   ?supervised:Wedge_core.Supervisor.child ->
   ?exploit_handshake:(Wedge_core.Wedge.ctx -> unit) ->
   ?exploit_request:(Wedge_core.Wedge.ctx -> unit) ->
@@ -32,21 +22,22 @@ val serve_connection :
   ?synth:Wedge_crowbar.Synth.t ->
   Httpd_env.t ->
   Wedge_net.Chan.ep ->
-  conn_debug
+  Wedge_net.Service.served
 (** Serve one connection.  [recycled] backs the callgate with a long-lived
     sthread (§3.3).  [exploit_handshake] runs inside the worker right after
     the handshake (when the session key sits in worker-readable memory);
-    [exploit_request] runs on a "/xploit" request.
+    [exploit_request] runs on a "/xploit" request.  The served record's
+    tags are the callgate-private session state and the worker-visible
+    argument buffer.
 
-    Fault containment: a crash anywhere in this connection — injected or
-    real, in the worker sthread or in the monitor's own per-connection
-    setup — degrades only this connection (plaintext 500, counters
-    [httpd.degraded] / [supervisor.*] bumped) and never propagates to the
-    caller, so an accept loop above survives any connection's death.
-    [restart_policy] retries faulted workers first (default: none — the
-    TLS stream is consumed by the failed attempt); [supervised] runs the
-    worker under a supervision-tree child instead (its policy and
-    intensity budget override [restart_policy]).
+    Fault containment ({!Wedge_net.Service.run_worker}): a crash anywhere
+    in this connection — injected or real, in the worker sthread or in the
+    monitor's own per-connection setup — degrades only this connection
+    (plaintext 500, counters [httpd.degraded] / [supervisor.*] bumped) and
+    never propagates to the caller, so an accept loop above survives any
+    connection's death.  A faulted worker is not retried (the TLS stream
+    is consumed by the failed attempt) unless [supervised] runs it under a
+    supervision-tree child.
 
     Resource governance: [guard] makes the worker read through the
     deadline-aware endpoint (slow-loris becomes EOF) and marks the
@@ -61,61 +52,12 @@ val serve_connection :
     complaining/enforcing an installed profile; in enforce mode the
     profile's entries replace the hand-written security contexts. *)
 
-val worker_pool : ?name:string -> Httpd_env.t -> Wedge_core.Pool.t
-(** Freeze the worker's boot into a snapshot pool (uid 33 inside the
-    docroot chroot, the env's worker SELinux context when set, heap
-    warmed).  Pass to {!supervision_tree} as [pool] for O(1) worker
-    spawn and crash recovery. *)
+val service : Httpd_env.t Wedge_net.Service.t
+(** The httpd skeleton: node ["httpd"], worker child ["worker"] (child
+    default policy), pool image ["httpd.worker"] booted as uid 33 inside
+    the docroot chroot (with the env's worker SELinux context when set),
+    plaintext 503 for rejected connections, {!serve_connection} per
+    admitted one. *)
 
-val supervision_tree :
-  ?strategy:Wedge_core.Supervisor.strategy ->
-  ?intensity:int ->
-  ?window_ns:int ->
-  ?healthy_after_ns:int ->
-  ?quarantine_ns:int ->
-  ?listener_policy:Wedge_core.Supervisor.policy ->
-  ?worker_policy:Wedge_core.Supervisor.policy ->
-  ?pool:Wedge_core.Pool.t ->
-  Httpd_env.t ->
-  Wedge_core.Supervisor.node
-  * Wedge_core.Supervisor.child
-  * Wedge_core.Supervisor.child
-(** The declared httpd topology: node ["httpd"] with children
-    ["listener"] (registered first; default policy retries the accept
-    loop twice) and ["worker"].  Returns [(node, listener, worker)] —
-    pass the triple to {!serve_loop} as [supervision]. *)
-
-val serve_loop :
-  ?restart_policy:Wedge_core.Supervisor.policy ->
-  ?max_request_bytes:int ->
-  ?worker_limits:Wedge_kernel.Rlimit.t ->
-  ?supervision:
-    Wedge_core.Supervisor.node
-    * Wedge_core.Supervisor.child
-    * Wedge_core.Supervisor.child ->
-  ?synth:Wedge_crowbar.Synth.t ->
-  Httpd_env.t ->
-  Wedge_net.Guard.t ->
-  Wedge_net.Chan.listener ->
-  unit
-(** Guarded accept loop: over-capacity or draining connections get a
-    plaintext 503 and close (counter [httpd.rejected]); breaker-shed ones
-    the same answer under [httpd.shed]; admitted ones run
-    {!serve_connection} in their own fiber, their outcome reported to the
-    guard's breaker ({!Wedge_net.Guard.report}).  With [supervision] (see
-    {!supervision_tree}) workers run under the "worker" child and the
-    accept loop under "listener".  Returns once the listener shuts down —
-    compose with {!Wedge_net.Guard.drain}. *)
-
-val serve_sharded :
-  ?restart_policy:Wedge_core.Supervisor.policy ->
-  ?max_request_bytes:int ->
-  ?worker_limits:Wedge_kernel.Rlimit.t ->
-  Httpd_env.t array ->
-  Wedge_net.Shard.front ->
-  unit
-(** Spawn one {!serve_loop} fiber per shard: shard [i] serves from its
-    own environment [envs.(i)] behind the front door's shard-[i] guard
-    and listener.  Connections reach a shard by key hash
-    ({!Wedge_net.Shard.front_connect}); nothing is shared across shards
-    except tags replicated through the fabric. *)
+val serve_sharded : ?max_request_bytes:int -> Httpd_env.t array -> Wedge_net.Shard.front -> unit
+(** [Wedge_net.Service.serve_sharded service]. *)

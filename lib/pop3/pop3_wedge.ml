@@ -6,19 +6,10 @@ module Kernel = Wedge_kernel.Kernel
 module Chan = Wedge_net.Chan
 module Guard = Wedge_net.Guard
 module Lineio = Wedge_net.Lineio
-module Tag = Wedge_mem.Tag
 
 module Supervisor = Wedge_core.Supervisor
 module Synth = Wedge_crowbar.Synth
-
-type conn_debug = {
-  uid_tag : Tag.t option;
-  arg_tag : Tag.t option;
-  mail_tag : Tag.t option;
-  worker_status : Wedge_kernel.Process.status;
-  degraded : bool;
-  attempts : int;
-}
+module Service = Wedge_net.Service
 
 (* uid block layout: u8 authed ++ u32 uid ++ u8 namelen ++ name *)
 let read_uid_block gctx uid_block =
@@ -35,10 +26,19 @@ let write_uid_block gctx uid_block ~uid ~name =
   W.write_u8 gctx (uid_block + 5) (String.length name);
   W.write_string gctx (uid_block + 6) name
 
-(* Length-prefixed string in the mail buffer: u32 len ++ data *)
+(* The mail buffer: one [mail_size]-byte smalloc block holding a
+   length-prefixed string, u32 len ++ data.  A string that does not fit
+   is refused (false) before anything is written — the bound is the
+   block's allocated size, so checking it costs no memory access. *)
+let mail_size = 16384
+
 let write_buf ctx addr s =
-  W.write_u32 ctx addr (String.length s);
-  W.write_string ctx (addr + 4) s
+  4 + String.length s <= mail_size
+  && begin
+       W.write_u32 ctx addr (String.length s);
+       W.write_string ctx (addr + 4) s;
+       true
+     end
 
 let read_buf ctx addr =
   let n = W.read_u32 ctx addr in
@@ -101,8 +101,7 @@ let mbox_entry ~mail_block gctx ~trusted:uid_block ~arg =
             (fun acc n -> match read_mail n with Ok b -> acc + String.length b | Error _ -> acc)
             0 entries
         in
-        write_buf gctx mail_block (Printf.sprintf "%d %d" (List.length entries) total);
-        1
+        Bool.to_int (write_buf gctx mail_block (Printf.sprintf "%d %d" (List.length entries) total))
       end
       else if op = op_list then begin
         let lines =
@@ -113,14 +112,11 @@ let mbox_entry ~mail_block gctx ~trusted:uid_block ~arg =
               | Error _ -> None)
             (listing ())
         in
-        write_buf gctx mail_block (String.concat "\n" lines);
-        1
+        Bool.to_int (write_buf gctx mail_block (String.concat "\n" lines))
       end
       else if op = op_retr then begin
         match read_mail msgno with
-        | Ok body ->
-            write_buf gctx mail_block body;
-            1
+        | Ok body -> Bool.to_int (write_buf gctx mail_block body)
         | Error _ -> 0
       end
       else if op = op_dele then
@@ -180,239 +176,116 @@ let send_degraded main ep =
   W.stat main "pop3.degraded";
   try Chan.write_string ep "-ERR internal server error, closing\r\n" with _ -> ()
 
-let serve_connection ?exploit ?(restart_policy = Supervisor.policy ~max_restarts:1 ())
-    ?supervised ?guard ?max_line ?worker_limits ?synth main ep =
-  (* Guard the master's own per-connection setup: an injected fault during
-     tag creation must degrade this connection, not kill the accept loop. *)
-  let created = ref [] in
-  let fd_ref = ref None in
-  let cleanup () =
-    (match !fd_ref with
-    | Some fd -> ( try W.fd_close main fd with _ -> ())
-    | None -> ());
-    Chan.close ep;
-    List.iter (fun t -> try W.tag_delete main t with _ -> ()) !created
-  in
-  match
-    (* Per-connection tagged memory. *)
-    let uid_tag = W.tag_new ~name:"pop3.uid" ~pages:1 main in
-    created := uid_tag :: !created;
-    let arg_tag = W.tag_new ~name:"pop3.arg" ~pages:1 main in
-    created := arg_tag :: !created;
-    let mail_tag = W.tag_new ~name:"pop3.mail" ~pages:8 main in
-    created := mail_tag :: !created;
-    let uid_block = W.smalloc main 64 uid_tag in
-    let arg_block = W.smalloc main 512 arg_tag in
-    let mail_block = W.smalloc main 16384 mail_tag in
-    W.write_u8 main uid_block 0;
-    (* The connection descriptor, created by the master.  With a guard
-       attached, reads go through the deadline-aware endpoint: a
-       slow-loris client becomes EOF inside the handler, never a pinned
-       fiber. *)
-    let raw_ep =
-      match guard with Some c -> Guard.endpoint c | None -> Chan.to_endpoint ep
-    in
-    let fd = W.add_endpoint main raw_ep Fd_table.perm_rw in
-    fd_ref := Some fd;
-    (* Callgates: login may write the uid block; mailbox may read it and fill
-       the mail buffer.  Both inherit the master's root identity.  Under an
-       enforced synthesized profile the contexts come from the profile
-       instead of the hand-written grants. *)
-    let conn_tags = [ uid_tag; arg_tag; mail_tag ] in
-    let conn_fds = [ ("conn", fd) ] in
-    let worker_sc =
-      match Synth.sthread_sc synth ~name:"pop3.worker" ~tags:conn_tags ~fds:conn_fds main with
-      | Some sc -> sc
-      | None ->
-          (* The client handler: default-deny plus exactly Figure 1's arrows. *)
-          let sc = W.sc_create () in
-          W.sc_mem_add sc arg_tag Prot.RW;
-          W.sc_mem_add sc mail_tag Prot.R;
-          W.sc_fd_add sc fd Fd_table.perm_rw;
-          W.sc_set_uid sc 99;
-          W.sc_set_root sc "/var/empty";
-          sc
-    in
-    let login_cgsc =
-      match Synth.gate_sc synth ~name:"pop3.login" ~tags:conn_tags main with
-      | Some sc -> sc
-      | None ->
-          let sc = W.sc_create () in
-          W.sc_mem_add sc uid_tag Prot.RW;
-          sc
-    in
-    let login_gate =
-      W.sc_cgate_add main worker_sc ~name:"pop3.login"
-        ~entry:(Synth.wrap_gate synth ~name:"pop3.login" login_entry)
-        ~cgsc:login_cgsc ~trusted:uid_block
-    in
-    let mbox_cgsc =
-      match Synth.gate_sc synth ~name:"pop3.mailbox" ~tags:conn_tags main with
-      | Some sc -> sc
-      | None ->
-          let sc = W.sc_create () in
-          W.sc_mem_add sc uid_tag Prot.R;
-          W.sc_mem_add sc mail_tag Prot.RW;
-          sc
-    in
-    let mbox_gate =
-      W.sc_cgate_add main worker_sc ~name:"pop3.mailbox"
-        ~entry:(Synth.wrap_gate synth ~name:"pop3.mailbox" (mbox_entry ~mail_block))
-        ~cgsc:mbox_cgsc ~trusted:uid_block
-    in
-    (match worker_limits with Some l -> W.sc_set_rlimit worker_sc l | None -> ());
-    (uid_tag, arg_tag, mail_tag, arg_block, mail_block, fd, worker_sc, login_gate, mbox_gate)
-  with
-  | exception e when W.fault_reason e <> None ->
-      let reason = Option.get (W.fault_reason e) in
-      send_degraded main ep;
-      cleanup ();
-      {
-        uid_tag = None;
-        arg_tag = None;
-        mail_tag = None;
-        worker_status = Wedge_kernel.Process.Faulted ("setup: " ^ reason);
-        degraded = true;
-        attempts = 0;
-      }
-  | uid_tag, arg_tag, mail_tag, arg_block, mail_block, fd, worker_sc, login_gate, mbox_gate ->
-      let worker_body ctx _ =
-            let io =
-              Lineio.create ?max_line
-                ~recv:(fun n -> W.fd_read ctx fd n)
-                ~send:(fun b -> W.fd_write ctx fd b) ()
-            in
-            let backend =
-              worker_backend ctx ~login_gate ~mbox_gate ~arg_tag ~arg_block ~mail_block
-            in
-            (* A successful login establishes the session: the guard's
-               header deadline stops applying and its idle clock restarts. *)
-            let backend =
-              match guard with
-              | None -> backend
-              | Some c ->
-                  {
-                    backend with
-                    Pop3_proto.login =
-                      (fun ~user ~password ->
-                        let ok = backend.Pop3_proto.login ~user ~password in
-                        if ok then Guard.established c;
-                        ok);
-                  }
-            in
-            let exploit = Option.map (fun payload () -> payload ctx) exploit in
-            Pop3_proto.serve io backend ~exploit;
-            0
-      in
-      let worker_main =
-        Synth.wrap_sthread synth ~name:"pop3.worker" ~fds:[ ("conn", fd) ] worker_body
-      in
-      let outcome =
-        (* A restamped worker must not inherit the hung heart a watchdog
-           cut left behind: each retry re-arms a fresh one. *)
-        let on_restart = Option.map (fun c () -> Guard.rearm_heart c) guard in
-        match supervised with
-        | Some child ->
-            Supervisor.run_child_sthread ?on_restart child worker_sc worker_main 0
-        | None ->
-            Supervisor.supervise_sthread ~policy:restart_policy main worker_sc
-              worker_main 0
-      in
-      let worker_status, degraded, attempts =
-        match outcome with
-        | Supervisor.Done { value; attempts } ->
-            (Wedge_kernel.Process.Exited value, false, attempts)
-        | Supervisor.Gave_up { attempts; last_fault } ->
-            send_degraded main ep;
-            (Wedge_kernel.Process.Faulted last_fault, true, attempts)
-      in
-      cleanup ();
-      {
-        uid_tag = Some uid_tag;
-        arg_tag = Some arg_tag;
-        mail_tag = Some mail_tag;
-        worker_status;
-        degraded;
-        attempts;
-      }
-
-(* Freeze the handler's boot once: identity dropped, pristine image
-   mapped, heap warmed (one allocation round-trip so the demand-mapped
-   heap pages — smalloc bookkeeping included — join the frozen image).
-   Per-connection grants (tags, the connection fd, the two gates) ride in
-   at stamp time as the worker sc. *)
-let worker_pool ?(name = "pop3.worker") main =
+(* The client handler's identity: uid 99 in an empty chroot.  Frozen into
+   the pool image, and the base of every connection's hand-written
+   handler grants. *)
+let worker_identity () =
   let sc = W.sc_create () in
   W.sc_set_uid sc 99;
   W.sc_set_root sc "/var/empty";
-  W.Pool.freeze ~name
-    ~warm:(fun ctx ->
-      let p = W.malloc ctx 64 in
-      W.free ctx p)
-    main sc
+  sc
 
-(* The declared topology: listener first, then the per-connection
-   handler workers (rest-for-one restarts workers when the listener
-   escalates, never the reverse).  With [pool], every worker attempt —
-   first run and every restart — is stamped from the frozen image at the
-   flat O(1) cost instead of a fork-priced boot. *)
-let supervision_tree ?strategy ?intensity ?window_ns ?healthy_after_ns ?quarantine_ns
-    ?listener_policy ?worker_policy ?pool main =
-  let node =
-    Supervisor.node ?strategy ?intensity ?window_ns ?healthy_after_ns ?quarantine_ns
-      ~name:"pop3" main
-  in
-  let listener =
-    Supervisor.child
-      ~policy:(Option.value listener_policy ~default:(Supervisor.policy ~max_restarts:2 ()))
-      node ~name:"listener"
-  in
-  let restart =
-    match pool with Some p -> Supervisor.From_pool p | None -> Supervisor.Fresh
-  in
-  let worker =
-    Supervisor.child
-      ~policy:(Option.value worker_policy ~default:(Supervisor.policy ~max_restarts:1 ()))
-      ~restart node ~name:"worker"
-  in
-  (node, listener, worker)
+(* One retry by default: POP3 is line-oriented, so a fresh handler can
+   greet the client again. *)
+let worker_policy = Supervisor.policy ~max_restarts:1 ()
 
-(* Guarded accept loop: the admission front door for the partitioned
-   POP3 server.  Over-capacity, draining, or breaker-shed connections get
-   "-ERR busy" and close; admitted ones are served in their own fiber and
-   their outcome reported to the guard's breaker. *)
-let serve_loop ?exploit ?restart_policy ?max_line ?worker_limits ?supervision main guard
-    listener =
-  let supervised = Option.map (fun (_, _, worker) -> worker) supervision in
-  let reject decision ep =
-    (match decision with
-    | Guard.Shed -> W.stat main "pop3.shed"
-    | _ -> W.stat main "pop3.rejected");
-    Chan.write_string ep "-ERR busy, try again later\r\n"
+let serve_connection ?exploit ?(restart_policy = worker_policy) ?supervised ?guard ?synth main
+    ep =
+  Service.run_worker ?supervised ?guard ~policy:restart_policy
+    ~degrade:(fun () -> send_degraded main ep)
+    main ep
+  @@ fun conn ->
+  (* Per-connection tagged memory. *)
+  let uid_tag = Service.tag conn ~name:"pop3.uid" ~pages:1 in
+  let arg_tag = Service.tag conn ~name:"pop3.arg" ~pages:1 in
+  let mail_tag = Service.tag conn ~name:"pop3.mail" ~pages:8 in
+  let uid_block = W.smalloc main 64 uid_tag in
+  let arg_block = W.smalloc main 512 arg_tag in
+  let mail_block = W.smalloc main mail_size mail_tag in
+  W.write_u8 main uid_block 0;
+  (* The connection descriptor, created by the master. *)
+  let fd = Service.fd conn in
+  (* Callgates: login may write the uid block; mailbox may read it and fill
+     the mail buffer.  Both inherit the master's root identity.  Under an
+     enforced synthesized profile the contexts come from the profile
+     instead of the hand-written grants. *)
+  let conn_tags = [ uid_tag; arg_tag; mail_tag ] in
+  let conn_fds = [ ("conn", fd) ] in
+  let worker_sc =
+    match Synth.sthread_sc synth ~name:"pop3.worker" ~tags:conn_tags ~fds:conn_fds main with
+    | Some sc -> sc
+    | None ->
+        (* The client handler: default-deny plus exactly Figure 1's arrows. *)
+        let sc = worker_identity () in
+        W.sc_mem_add sc arg_tag Prot.RW;
+        W.sc_mem_add sc mail_tag Prot.R;
+        W.sc_fd_add sc fd Fd_table.perm_rw;
+        sc
   in
-  let serve c =
-    let r =
-      serve_connection ?exploit ?restart_policy ?supervised ~guard:c ?max_line
-        ?worker_limits main (Guard.ep c)
+  let login_cgsc =
+    match Synth.gate_sc synth ~name:"pop3.login" ~tags:conn_tags main with
+    | Some sc -> sc
+    | None ->
+        let sc = W.sc_create () in
+        W.sc_mem_add sc uid_tag Prot.RW;
+        sc
+  in
+  let login_gate =
+    W.sc_cgate_add main worker_sc ~name:"pop3.login"
+      ~entry:(Synth.wrap_gate synth ~name:"pop3.login" login_entry)
+      ~cgsc:login_cgsc ~trusted:uid_block
+  in
+  let mbox_cgsc =
+    match Synth.gate_sc synth ~name:"pop3.mailbox" ~tags:conn_tags main with
+    | Some sc -> sc
+    | None ->
+        let sc = W.sc_create () in
+        W.sc_mem_add sc uid_tag Prot.R;
+        W.sc_mem_add sc mail_tag Prot.RW;
+        sc
+  in
+  let mbox_gate =
+    W.sc_cgate_add main worker_sc ~name:"pop3.mailbox"
+      ~entry:(Synth.wrap_gate synth ~name:"pop3.mailbox" (mbox_entry ~mail_block))
+      ~cgsc:mbox_cgsc ~trusted:uid_block
+  in
+  let worker_body ctx _ =
+    let io =
+      Lineio.create ~recv:(fun n -> W.fd_read ctx fd n) ~send:(fun b -> W.fd_write ctx fd b) ()
     in
-    Guard.report c ~ok:(not r.degraded)
-  in
-  let accept () =
-    Guard.accept_loop guard listener ~reject ~serve;
+    let backend = worker_backend ctx ~login_gate ~mbox_gate ~arg_tag ~arg_block ~mail_block in
+    (* A successful login establishes the session: the guard's header
+       deadline stops applying and its idle clock restarts. *)
+    let backend =
+      match guard with
+      | None -> backend
+      | Some c ->
+          {
+            backend with
+            Pop3_proto.login =
+              (fun ~user ~password ->
+                let ok = backend.Pop3_proto.login ~user ~password in
+                if ok then Guard.established c;
+                ok);
+          }
+    in
+    let exploit = Option.map (fun payload () -> payload ctx) exploit in
+    Pop3_proto.serve io backend ~exploit;
     0
   in
-  match supervision with
-  | None -> ignore (accept ())
-  | Some (_, listener_child, _) ->
-      ignore (Supervisor.run_child_fn listener_child accept)
+  (worker_sc, Synth.wrap_sthread synth ~name:"pop3.worker" ~fds:conn_fds worker_body)
 
-(* One accept loop per shard, each on its shard's guard and listener;
-   [mains.(i)] is shard [i]'s trusted context. *)
-let serve_sharded ?exploit ?restart_policy ?max_line ?worker_limits mains front =
-  Array.iteri
-    (fun i main ->
-      Wedge_sim.Fiber.spawn (fun () ->
-          serve_loop ?exploit ?restart_policy ?max_line ?worker_limits main
-            (Wedge_net.Shard.front_guard front i)
-            (Wedge_net.Shard.front_listener front i)))
-    mains
+let service =
+  {
+    Service.name = "pop3";
+    main = Fun.id;
+    reject = Some "-ERR busy, try again later\r\n";
+    identity = (fun _ -> worker_identity ());
+    worker = "worker";
+    worker_policy = Some worker_policy;
+    serve =
+      (fun ~max_request_bytes:_ supervised main c ->
+        not (serve_connection ?supervised ~guard:c main (Guard.ep c)).Service.degraded);
+  }
+
+let serve_sharded mains front = Service.serve_sharded service mains front

@@ -9,6 +9,7 @@ module Rsa = Wedge_crypto.Rsa
 module Dsa = Wedge_crypto.Dsa
 module Wire = Wedge_tls.Wire
 module Supervisor = Wedge_core.Supervisor
+module Service = Wedge_net.Service
 module P = Ssh_proto
 
 type monitor = {
@@ -112,8 +113,7 @@ let slave_ops (env : Sshd_env.t) monitor slave_ctx =
         ok);
   }
 
-let serve_connection ?exploit ?(restart_policy = Supervisor.default_policy) ?supervised
-    ?guard ?max_cmd_bytes ?max_upload_bytes (env : Sshd_env.t) ep =
+let serve_connection ?exploit ?supervised ?guard (env : Sshd_env.t) ep =
   let main = env.Sshd_env.main in
   let monitor = make_monitor env in
   (* Authentication success always goes through m_setuid — the natural
@@ -143,7 +143,7 @@ let serve_connection ?exploit ?(restart_policy = Supervisor.default_policy) ?sup
         let exploit =
           Option.map (fun payload ctx -> payload ctx monitor) exploit
         in
-        Sshd_session.run ?max_cmd_bytes ?max_upload_bytes ~ctx:slave ~io ~wrng
+        Sshd_session.run ~ctx:slave ~io ~wrng
           ~host_rsa_pub:(Rsa.pub_to_string env.Sshd_env.host_rsa.Rsa.pub)
           ~host_dsa_pub:(Dsa.pub_to_string env.Sshd_env.host_dsa.Dsa.pub)
           ~ops:(slave_ops env monitor slave) ~exploit ();
@@ -159,86 +159,35 @@ let serve_connection ?exploit ?(restart_policy = Supervisor.default_policy) ?sup
         let pool_extra = W.sc_create () in
         W.sc_fd_add pool_extra fd Fd_table.perm_rw;
         Supervisor.run_child_fork ?on_restart ~pool_extra child slave_main
-    | None -> Supervisor.supervise_fork ~policy:restart_policy main slave_main
+    | None -> Supervisor.supervise_fork main slave_main
   in
   (* An SSH session whose slave died mid-protocol cannot be resumed in
-     plaintext: the degraded answer is a disconnect, monitor intact.  The
-     outcome feeds the guard's breaker either way. *)
-  (match outcome with
-  | Supervisor.Done _ ->
-      (match guard with Some c -> Guard.report c ~ok:true | None -> ())
-  | Supervisor.Gave_up _ ->
-      W.stat main "sshd.degraded";
-      (match guard with Some c -> Guard.report c ~ok:false | None -> ()));
+     plaintext: the degraded answer is a disconnect, monitor intact. *)
+  let ok =
+    match outcome with
+    | Supervisor.Done _ -> true
+    | Supervisor.Gave_up _ ->
+        W.stat main "sshd.degraded";
+        false
+  in
   W.fd_close main fd;
-  Chan.close ep
+  Chan.close ep;
+  ok
 
-(* Freeze a privileged slave boot: the image inherits the monitor's
-   identity (the slave drops privileges itself, exactly as after a fork)
-   and a warmed heap.  Per-connection descriptors ride in at stamp time. *)
-let slave_pool ?(name = "sshd.slave") (env : Sshd_env.t) =
-  let sc = W.sc_create () in
-  W.Pool.freeze ~name
-    ~warm:(fun ctx ->
-      let p = W.malloc ctx 64 in
-      W.free ctx p)
-    env.Sshd_env.main sc
-
-(* The declared privsep topology: listener first, then the slave
-   compartments. *)
-let supervision_tree ?strategy ?intensity ?window_ns ?healthy_after_ns ?quarantine_ns
-    ?listener_policy ?slave_policy ?pool (env : Sshd_env.t) =
-  let node =
-    Supervisor.node ?strategy ?intensity ?window_ns ?healthy_after_ns ?quarantine_ns
-      ~name:"sshd" env.Sshd_env.main
-  in
-  let listener =
-    Supervisor.child
-      ~policy:(Option.value listener_policy ~default:(Supervisor.policy ~max_restarts:2 ()))
-      node ~name:"listener"
-  in
-  let slave =
-    Supervisor.child ?policy:slave_policy
-      ~restart:
-        (match pool with
-        | Some p -> Supervisor.From_pool p
-        | None -> Supervisor.Fresh)
-      node ~name:"slave"
-  in
-  (node, listener, slave)
-
-(* Guarded accept loop.  SSH has no pre-handshake plaintext channel to
-   apologise on: over-capacity (or breaker-shed) connections are simply
-   disconnected (the client sees EOF before any version string — the
-   classic sshd MaxStartups behaviour). *)
-let serve_loop ?restart_policy ?max_cmd_bytes ?max_upload_bytes ?supervision
-    (env : Sshd_env.t) guard listener =
-  let main = env.Sshd_env.main in
-  let supervised = Option.map (fun (_, _, slave) -> slave) supervision in
-  let reject decision _ep =
-    match decision with
-    | Guard.Shed -> W.stat main "sshd.shed"
-    | _ -> W.stat main "sshd.rejected"
-  in
-  let serve c =
-    serve_connection ?restart_policy ?supervised ~guard:c ?max_cmd_bytes
-      ?max_upload_bytes env (Guard.ep c)
-  in
-  let accept () =
-    Guard.accept_loop guard listener ~reject ~serve;
-    0
-  in
-  match supervision with
-  | None -> ignore (accept ())
-  | Some (_, listener_child, _) ->
-      ignore (Supervisor.run_child_fn listener_child accept)
-
-(* One accept loop per shard, each on its shard's guard and listener. *)
-let serve_sharded ?restart_policy ?max_cmd_bytes ?max_upload_bytes envs front =
-  Array.iteri
-    (fun i env ->
-      Wedge_sim.Fiber.spawn (fun () ->
-          serve_loop ?restart_policy ?max_cmd_bytes ?max_upload_bytes env
-            (Wedge_net.Shard.front_guard front i)
-            (Wedge_net.Shard.front_listener front i)))
-    envs
+(* The privsep skeleton.  The slave image keeps the monitor's identity
+   (the slave drops privileges itself, exactly as after a fork).  SSH has
+   no pre-handshake plaintext channel to apologise on: a rejected
+   connection is simply disconnected — the client sees EOF before any
+   version string, the classic sshd MaxStartups behaviour. *)
+let service =
+  {
+    Service.name = "sshd";
+    main = (fun (env : Sshd_env.t) -> env.Sshd_env.main);
+    reject = None;
+    identity = (fun _ -> W.sc_create ());
+    worker = "slave";
+    worker_policy = None;
+    serve =
+      (fun ~max_request_bytes:_ supervised env c ->
+        serve_connection ?supervised ~guard:c env (Guard.ep c));
+  }

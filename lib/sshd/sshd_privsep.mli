@@ -27,83 +27,30 @@ type monitor = {
 
 val serve_connection :
   ?exploit:(Wedge_core.Wedge.ctx -> monitor -> unit) ->
-  ?restart_policy:Wedge_core.Supervisor.policy ->
   ?supervised:Wedge_core.Supervisor.child ->
   ?guard:Wedge_net.Guard.conn ->
-  ?max_cmd_bytes:int ->
-  ?max_upload_bytes:int ->
   Sshd_env.t ->
   Wedge_net.Chan.ep ->
-  unit
+  bool
 (** Fork a slave for one connection; [exploit] runs inside the slave with
-    the monitor IPC available (the attacker controls the slave).
+    the monitor IPC available (the attacker controls the slave).  Returns
+    [false] when the connection was degraded.
 
     Fault containment: a slave crash (injected or real) never kills the
-    monitor — when [restart_policy] (default: no retries, the encrypted
-    stream died with the slave) gives up, the client is disconnected and
-    [sshd.degraded] is counted.  [supervised] runs the slave under a
-    supervision-tree child instead.  Either way the outcome is reported
-    to the guard's breaker when [guard] is present.
+    monitor — the slave is not retried (the encrypted stream died with
+    it), the client is disconnected and [sshd.degraded] is counted.
+    [supervised] runs the slave under a supervision-tree child instead;
+    when that child stamps from a snapshot pool, the connection
+    descriptor is granted at stamp time.
 
     Resource governance: [guard] makes the slave read through the
     deadline-aware endpoint and marks the session established on
     authentication success (any method — all go through the monitor's
-    setuid); [max_cmd_bytes]/[max_upload_bytes] are forwarded to
-    {!Sshd_session.run}. *)
+    setuid). *)
 
-val slave_pool : ?name:string -> Sshd_env.t -> Wedge_core.Pool.t
-(** Freeze the slave's boot into a snapshot pool.  The image keeps the
-    monitor's identity — a stamped slave drops privileges itself, exactly
-    as a forked one does — and a warmed heap; the per-connection
-    descriptor is granted at stamp time by {!serve_connection}.  Pass to
-    {!supervision_tree} as [pool] for O(1) slave spawn and crash
-    recovery. *)
-
-val supervision_tree :
-  ?strategy:Wedge_core.Supervisor.strategy ->
-  ?intensity:int ->
-  ?window_ns:int ->
-  ?healthy_after_ns:int ->
-  ?quarantine_ns:int ->
-  ?listener_policy:Wedge_core.Supervisor.policy ->
-  ?slave_policy:Wedge_core.Supervisor.policy ->
-  ?pool:Wedge_core.Pool.t ->
-  Sshd_env.t ->
-  Wedge_core.Supervisor.node
-  * Wedge_core.Supervisor.child
-  * Wedge_core.Supervisor.child
-(** The declared privsep topology: node ["sshd"] with children
-    ["listener"] (registered first, default two accept-loop retries) and
-    ["slave"].  Pass the triple to {!serve_loop} as [supervision].  With
-    [pool] (see {!slave_pool}) every slave attempt is stamped from the
-    frozen image instead of paying the full fork copy. *)
-
-val serve_loop :
-  ?restart_policy:Wedge_core.Supervisor.policy ->
-  ?max_cmd_bytes:int ->
-  ?max_upload_bytes:int ->
-  ?supervision:
-    Wedge_core.Supervisor.node
-    * Wedge_core.Supervisor.child
-    * Wedge_core.Supervisor.child ->
-  Sshd_env.t ->
-  Wedge_net.Guard.t ->
-  Wedge_net.Chan.listener ->
-  unit
-(** Guarded accept loop.  Rejected connections are disconnected without a
-    banner (counter [sshd.rejected]; breaker-shed ones [sshd.shed]) —
-    MaxStartups semantics.  With [supervision] (see {!supervision_tree})
-    slaves run under "slave" and the accept loop under "listener".
-    Returns once the listener shuts down — compose with
-    {!Wedge_net.Guard.drain}. *)
-
-val serve_sharded :
-  ?restart_policy:Wedge_core.Supervisor.policy ->
-  ?max_cmd_bytes:int ->
-  ?max_upload_bytes:int ->
-  Sshd_env.t array ->
-  Wedge_net.Shard.front ->
-  unit
-(** Spawn one {!serve_loop} fiber per shard: shard [i] serves from its
-    own environment [envs.(i)] behind the front door's shard-[i] guard
-    and listener. *)
+val service : Sshd_env.t Wedge_net.Service.t
+(** The privsep skeleton: node ["sshd"], worker child ["slave"] (child
+    default policy), pool image ["sshd.slave"] keeping the monitor's
+    identity (a stamped slave drops privileges itself, as a forked one
+    does), silent disconnect for rejected connections — MaxStartups
+    semantics. *)

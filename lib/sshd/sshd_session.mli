@@ -23,9 +23,16 @@ type priv_ops = {
   skey_verify : user:string -> response:string -> bool;
 }
 
+val max_cmd_bytes : int
+(** 4096: an Exec command longer than this answers ["command too long"]
+    and disconnects. *)
+
+val max_upload_bytes : int
+(** 16 MiB, room for the paper's 10 MB scp: an upload that grows the scp
+    staging buffer past it answers ["upload too large"] and disconnects
+    instead of buffering attacker-sized data. *)
+
 val run :
-  ?max_cmd_bytes:int ->
-  ?max_upload_bytes:int ->
   ctx:Wedge_core.Wedge.ctx ->
   io:Wedge_tls.Wire.io ->
   wrng:Wedge_crypto.Drbg.t ->
@@ -38,9 +45,5 @@ val run :
 (** Serve one session: version exchange, key exchange, one authentication
     dialogue, then Exec/Data commands until EOF.  [exploit] fires on an
     [Exec "xploit"] command (pre- or post-auth), modelling a parser
-    vulnerability in this compartment.
-
-    [max_cmd_bytes] (default 4096) caps Exec command length and
-    [max_upload_bytes] (default 1 MiB) caps the scp staging buffer; a
-    breach answers ["command too long"] / ["upload too large"] and
-    disconnects instead of buffering attacker-sized data. *)
+    vulnerability in this compartment.  Commands and uploads are capped
+    at {!max_cmd_bytes} and {!max_upload_bytes}. *)

@@ -27,6 +27,7 @@ module Client = Wedge_httpd.Https_client
 module Http = Wedge_httpd.Http
 module Pop3_env = Wedge_pop3.Pop3_env
 module Pop3_wedge = Wedge_pop3.Pop3_wedge
+module Service = Wedge_net.Service
 
 let check = Alcotest.check
 
@@ -325,9 +326,9 @@ let test_pop3_setup_fault_degrades () =
       farewell := Bytes.to_string (Chan.read client_ep 128));
   (match !debug with
   | Some d ->
-      check Alcotest.bool "degraded" true d.Pop3_wedge.degraded;
-      check Alcotest.bool "no tags created" true (d.Pop3_wedge.uid_tag = None);
-      (match d.Pop3_wedge.worker_status with
+      check Alcotest.bool "degraded" true d.Service.degraded;
+      check Alcotest.bool "no tags created" true (d.Service.tags = []);
+      (match d.Service.worker_status with
       | Process.Faulted reason ->
           check Alcotest.bool "setup fault named" true (contains reason "setup:")
       | _ -> Alcotest.fail "expected a setup fault")

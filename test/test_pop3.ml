@@ -15,6 +15,7 @@ module Pop3_env = Wedge_pop3.Pop3_env
 module Pop3_mono = Wedge_pop3.Pop3_mono
 module Pop3_wedge = Wedge_pop3.Pop3_wedge
 module Pop3_client = Wedge_pop3.Pop3_client
+module Oracle = Wedge_check.Oracle
 
 let check = Alcotest.check
 
@@ -114,6 +115,41 @@ let test_users_see_only_their_mail () =
   check (Alcotest.option Alcotest.string) "bob gets bob's mail"
     (Some (List.hd (List.nth Pop3_env.default_users 1).Pop3_env.mails))
     mail
+
+(* The mailbox callgate hands a mail to the handler through one
+   16,384-byte mail-buffer block, as a u32 length then the body: 16,380
+   bytes is the largest mail that fits.  A longer one must be refused
+   (the handler answers -ERR), not written past the block into the rest
+   of the pop3.mail tag — the oracle, armed at every syscall, checks the
+   smalloc headers and footers. *)
+let test_mail_buffer_bound () =
+  let fits = String.make 16_380 'f' and over = String.make 16_381 'o' in
+  let k = Kernel.create ~costs:Cost_model.free () in
+  Pop3_env.install k
+    [ { Pop3_env.name = "carol"; uid = 1003; password = "seashell"; mails = [ fits; over ] } ];
+  let app = W.create_app k in
+  W.boot app;
+  let oracle = Oracle.create k in
+  Oracle.set_app oracle app;
+  Oracle.install_syscall_hook oracle;
+  let got = ref (None, None) in
+  Fun.protect
+    ~finally:(fun () -> Oracle.remove_syscall_hook oracle)
+    (fun () ->
+      Fiber.run (fun () ->
+          let client_ep, server_ep = Chan.pair ~costs:Cost_model.free () in
+          Fiber.spawn (fun () ->
+              ignore (Pop3_wedge.serve_connection (W.main_ctx app) server_ep));
+          let c = Pop3_client.connect client_ep in
+          check Alcotest.bool "login" true
+            (Pop3_client.login c ~user:"carol" ~password:"seashell");
+          let first = Pop3_client.retr c 1 in
+          got := (first, Pop3_client.retr c 2);
+          Pop3_client.quit c;
+          Chan.close client_ep);
+      Oracle.check oracle);
+  check Alcotest.(option string) "16,380-byte mail byte-equal" (Some fits) (fst !got);
+  check Alcotest.(option string) "16,381-byte mail answered -ERR" None (snd !got)
 
 (* ---------- exploit containment ---------- *)
 
@@ -216,6 +252,7 @@ let () =
           Alcotest.test_case "retr requires auth" `Quick test_retr_requires_auth;
           Alcotest.test_case "dele" `Quick test_dele_works;
           Alcotest.test_case "per-user mailboxes" `Quick test_users_see_only_their_mail;
+          Alcotest.test_case "mail buffer bound" `Quick test_mail_buffer_bound;
         ] );
       ( "attacks",
         [

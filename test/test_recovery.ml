@@ -17,6 +17,7 @@ module Watchdog = Wedge_net.Watchdog
 module Byzantine = Wedge_net.Byzantine
 module W = Wedge_core.Wedge
 module Supervisor = Wedge_core.Supervisor
+module Service = Wedge_net.Service
 module Scenarios = Wedge_check.Scenarios
 
 let check = Alcotest.check
@@ -457,7 +458,7 @@ let test_staller_httpd () =
   let w = Watchdog.create ~deadline_ns:4_000 k.Kernel.clock in
   let guard = Guard.create ~clock:k.Kernel.clock ~watchdog:w ~max_conns:2 () in
   staller_then_clean
-    ~serve_loop:(fun () -> Wedge_httpd.Httpd_simple.serve_loop env guard l)
+    ~serve_loop:(fun () -> Service.serve_loop Wedge_httpd.Httpd_simple.service env guard l)
     ~prefix:"h\001\000partial-hello"
       (* plaintext at a TLS endpoint: the bad record type fails the
          handshake and closes the stream — a definite answer proves the
@@ -475,7 +476,7 @@ let test_staller_pop3 () =
   let w = Watchdog.create ~deadline_ns:4_000 k.Kernel.clock in
   let guard = Guard.create ~clock:k.Kernel.clock ~watchdog:w ~max_conns:2 () in
   staller_then_clean
-    ~serve_loop:(fun () -> Wedge_pop3.Pop3_wedge.serve_loop main_ctx guard l)
+    ~serve_loop:(fun () -> Service.serve_loop Wedge_pop3.Pop3_wedge.service main_ctx guard l)
     ~prefix:"USER ali"
     ~clean:
       (clean_exchange l ~request:"USER alice\r\nPASS wonderland\r\nSTAT\r\nQUIT\r\n"
@@ -514,7 +515,7 @@ let test_staller_sshd () =
             false)
   in
   staller_then_clean
-    ~serve_loop:(fun () -> Wedge_sshd.Sshd_privsep.serve_loop env guard l)
+    ~serve_loop:(fun () -> Service.serve_loop Wedge_sshd.Sshd_privsep.service env guard l)
       (* truncated wire frame: claims 256 payload bytes, delivers 11 *)
     ~prefix:"D\001\000SSH-2.0-cha" ~clean k l guard w
 
@@ -546,7 +547,7 @@ let test_cgate_call_site_faults_contained () =
             Wedge_pop3.Pop3_wedge.serve_connection
               ~restart_policy:Supervisor.default_policy main_ctx b
           in
-          degraded := r.Wedge_pop3.Pop3_wedge.degraded);
+          degraded := r.Service.degraded);
       (* Let the handler start, then make every callgate call crash. *)
       Chan.write_string a "USER alice\r\n";
       Fault_plan.arm plan;
@@ -600,9 +601,10 @@ let test_staller_pop3_pooled_restamp () =
   staller_then_clean
     ~serve_loop:(fun () ->
       (* freeze needs a running fiber, so the pool is built here *)
-      let pool = Wedge_pop3.Pop3_wedge.worker_pool main_ctx in
-      let tree = Wedge_pop3.Pop3_wedge.supervision_tree ~pool main_ctx in
-      Wedge_pop3.Pop3_wedge.serve_loop ~supervision:tree main_ctx guard l)
+      let service = Wedge_pop3.Pop3_wedge.service in
+      let pool = Service.pool service main_ctx in
+      let tree = Service.tree ~pool service main_ctx in
+      Service.serve_loop ~supervision:tree service main_ctx guard l)
     ~prefix:"USER ali"
     ~clean:
       (clean_exchange l ~request:"USER alice\r\nPASS wonderland\r\nSTAT\r\nQUIT\r\n"

@@ -39,7 +39,7 @@ let with_conn ?exploit_w ?exploit_p env variant f =
       Fiber.spawn (fun () ->
           match variant with
           | VMono -> Mono.serve_connection ?exploit:exploit_w env server_ep
-          | VPrivsep -> Privsep.serve_connection ?exploit:exploit_p env server_ep
+          | VPrivsep -> ignore (Privsep.serve_connection ?exploit:exploit_p env server_ep)
           | VWedge -> ignore (Wedge_d.serve_connection ?exploit:exploit_w env server_ep));
       let rng = Drbg.create ~seed:0xC0 in
       match
@@ -144,6 +144,42 @@ let test_scp_upload () =
   match Wedge_kernel.Vfs.read_file k.Kernel.vfs ~root:"/" ~uid:0 "/home/alice/upload.bin" with
   | Ok saved -> check Alcotest.bool "content intact" true (String.equal saved data)
   | Error _ -> Alcotest.fail "upload not found under alice's home"
+
+(* The scp staging buffer is capped at Sshd_session.max_upload_bytes: an
+   upload one byte over is refused ("upload too large", so scp reports no
+   "saved"), nothing reaches the filesystem, and the session ends with
+   the worker exiting normally — a contained refusal, not a fault. *)
+let test_scp_upload_too_large () =
+  let env = mk_env () in
+  let data = String.make (Wedge_sshd.Sshd_session.max_upload_bytes + 1) 'x' in
+  let served = ref None in
+  let saved =
+    let result = ref true in
+    Fiber.run (fun () ->
+        let client_ep, server_ep = Chan.pair ~costs:Cost_model.free () in
+        Fiber.spawn (fun () -> served := Some (Wedge_d.serve_connection env server_ep));
+        match
+          Client.login ~rng:(Drbg.create ~seed:0xC0) ~pinned_rsa:env.Env.host_rsa.Rsa.pub
+            ~pinned_dsa:env.Env.host_dsa.Wedge_crypto.Dsa.pub ~user:"alice"
+            (Client.Password "wonderland") client_ep
+        with
+        | Error e -> Alcotest.fail ("login failed: " ^ e)
+        | Ok c ->
+            result := Client.scp_upload c ~path:"big.bin" ~data;
+            Client.close c);
+    !result
+  in
+  check Alcotest.bool "upload refused" false saved;
+  (match !served with
+  | Some d -> (
+      match d.Wedge_d.worker_status with
+      | Wedge_kernel.Process.Exited _ -> ()
+      | _ -> Alcotest.fail "worker did not exit normally")
+  | None -> Alcotest.fail "serve_connection never returned");
+  let k = W.kernel env.Env.app in
+  match Wedge_kernel.Vfs.read_file k.Kernel.vfs ~root:"/" ~uid:0 "/home/alice/big.bin" with
+  | Ok _ -> Alcotest.fail "oversized upload reached the filesystem"
+  | Error _ -> ()
 
 let test_shell_runs_as_user () =
   let env = mk_env () in
@@ -413,6 +449,7 @@ let () =
         @ both "exec requires auth" test_exec_requires_auth
         @ [
             Alcotest.test_case "scp upload" `Quick test_scp_upload;
+            Alcotest.test_case "scp upload too large" `Slow test_scp_upload_too_large;
             Alcotest.test_case "shell as user" `Quick test_shell_runs_as_user;
             Alcotest.test_case "skey chain math" `Quick test_skey_chain_math;
           ] );
