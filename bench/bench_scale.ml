@@ -246,8 +246,7 @@ let httpd_section n_shards =
     | _ -> failwith "bench scale: https get failed"
   in
   drive ~fab ~front
-    ~serve:(fun () ->
-      Service.serve_sharded ~max_request_bytes:4096 Wedge_httpd.Httpd_simple.service envs front)
+    ~serve:(fun () -> Service.serve_sharded Wedge_httpd.Httpd_simple.service envs front)
     ~run_conn ~total:httpd_conns ~rotate:false
 
 let sshd_section n_shards =

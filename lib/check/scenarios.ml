@@ -189,7 +189,6 @@ type 'env server = {
   backlog : int;
   max_conns : int;
   header_deadline_ns : int option;  (* of the melee and sharded guards *)
-  max_request_bytes : int option;
   is_rejection : string -> bool;
   request : string;  (* one-shot clients' request *)
   half : string;  (* half-close clients' request *)
@@ -201,7 +200,6 @@ type 'env server = {
   reports_rejected : bool;  (* the melee summary prints guard rejections *)
   cgates : bool;  (* storms roll callgate faults *)
   n_storm : int;
-  storm_policy : Supervisor.policy option;  (* the storm tree's worker policy *)
   heal_probe : (seed:int -> 'env -> Chan.listener -> unit -> unit) option;
       (* default: a one-shot [request] *)
   synth : seed:int -> 'env -> Synth.t option -> synth_run;
@@ -295,7 +293,6 @@ let httpd =
     backlog = 8;
     max_conns = 4;
     header_deadline_ns = None;
-    max_request_bytes = Some 4096;
     is_rejection;
     request;
     half;
@@ -320,7 +317,6 @@ let httpd =
     reports_rejected = true;
     cgates = true;
     n_storm = 12;
-    storm_policy = Some (Supervisor.policy ~max_restarts:1 ());
     heal_probe = None;
     synth = httpd_synth;
   }
@@ -371,7 +367,6 @@ let pop3 =
     backlog = 8;
     max_conns = 4;
     header_deadline_ns = Some 5_000;
-    max_request_bytes = None;
     is_rejection;
     request;
     half;
@@ -403,7 +398,6 @@ let pop3 =
     reports_rejected = false;
     cgates = true;
     n_storm = 12;
-    storm_policy = None;
     heal_probe = None;
     synth = pop3_synth;
   }
@@ -465,7 +459,6 @@ let sshd =
     backlog = 6;
     max_conns = 3;
     header_deadline_ns = None;
-    max_request_bytes = None;
     is_rejection;
     request;
     half;
@@ -485,7 +478,6 @@ let sshd =
     (* No callgates on the privsep path: hangs come from fiber stalls. *)
     cgates = false;
     n_storm = 9;
-    storm_policy = None;
     heal_probe = Some ssh_login_probe;
     synth = sshd_synth;
   }
@@ -523,8 +515,7 @@ let run_melee srv ~policy ~diff ~faults ~seed =
   checked ~kernel:k ~app:(app_of srv env) ~policy ~diff
     (fun oracle ->
       Oracle.add_guard oracle ~name:(name ^ ".guard") guard;
-      Fiber.spawn (fun () ->
-          Service.serve_loop ?max_request_bytes:srv.max_request_bytes srv.service env guard l);
+      Fiber.spawn (fun () -> Service.serve_loop srv.service env guard l);
       Fault_plan.arm plan;
       spawn_mix srv t site;
       extra.spawn ();
@@ -731,7 +722,7 @@ let run_storm ~pooled ~reactor srv ~policy ~diff ~faults ~seed =
   let t = Byzantine.tally () in
   let is_rejection = srv.is_rejection in
   let pool = if pooled then Some (Service.pool srv.service env) else None in
-  let tree = Service.tree ?worker_policy:srv.storm_policy ?pool srv.service env in
+  let tree = Service.tree ?pool srv.service env in
   let node, _, _ = tree in
   let heal = ref 0 in
   let probe_outcome = ref "-" in
@@ -764,9 +755,7 @@ let run_storm ~pooled ~reactor srv ~policy ~diff ~faults ~seed =
           Oracle.add_invariant oracle ~name:"reactor.interest-sets" (fun () ->
               Reactor.self_check r))
         r;
-      Fiber.spawn (fun () ->
-          Service.serve_loop ?max_request_bytes:srv.max_request_bytes ~supervision:tree
-            srv.service env guard l);
+      Fiber.spawn (fun () -> Service.serve_loop ~supervision:tree srv.service env guard l);
       Fault_plan.arm plan;
       probe_outcome := freeze_probe ~pooled (W.main_ctx app);
       for i = 1 to srv.n_storm do
@@ -940,7 +929,7 @@ let run_sharded srv ~policy ~diff ~faults ~seed =
         (fun i o ->
           Oracle.add_guard o ~name:(Printf.sprintf "%s.guard.%d" name i) (Shard.front_guard front i))
         oracles;
-      Service.serve_sharded ?max_request_bytes:srv.max_request_bytes srv.service envs front;
+      Service.serve_sharded srv.service envs front;
       Fault_plan.arm plan;
       spawn_mix srv t site;
       extra.spawn ();

@@ -248,8 +248,15 @@ let serve_connection ?(recycled = false) ?supervised ?exploit_handshake ?exploit
   in
   (worker_sc, Synth.wrap_sthread synth ~name:"httpd.worker" ~fds:conn_fds worker_body)
 
+(* The served request-size cap: a decrypted request over 4 KiB gets 413. *)
+let max_request_bytes = 4096
+
+let serve max_request_bytes supervised env c =
+  not (serve_connection ?supervised ~guard:c ~max_request_bytes env (Guard.ep c)).Service.degraded
+
 (* A rejected connection gets a plaintext 503: the TLS session never
-   started, so plaintext is all there is. *)
+   started, so plaintext is all there is.  A supervised worker gets one
+   retry. *)
 let service =
   {
     Service.name = "httpd";
@@ -257,13 +264,9 @@ let service =
     reject = Some (Http.format_response Http.service_unavailable);
     identity = worker_identity;
     worker = "worker";
-    worker_policy = None;
-    serve =
-      (fun ~max_request_bytes supervised env c ->
-        not
-          (serve_connection ?supervised ~guard:c ?max_request_bytes env (Guard.ep c))
-            .Service.degraded);
+    worker_policy = Some (Supervisor.policy ~max_restarts:1 ());
+    serve = serve max_request_bytes;
   }
 
-let serve_sharded ?max_request_bytes envs front =
-  Service.serve_sharded ?max_request_bytes service envs front
+let serve_sharded ?(max_request_bytes = max_request_bytes) envs front =
+  Service.serve_sharded { service with serve = serve max_request_bytes } envs front

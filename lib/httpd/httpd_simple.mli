@@ -26,9 +26,7 @@ val serve_connection :
 (** Serve one connection.  [recycled] backs the callgate with a long-lived
     sthread (§3.3).  [exploit_handshake] runs inside the worker right after
     the handshake (when the session key sits in worker-readable memory);
-    [exploit_request] runs on a "/xploit" request.  The served record's
-    tags are the callgate-private session state and the worker-visible
-    argument buffer.
+    [exploit_request] runs on a "/xploit" request.
 
     Fault containment ({!Wedge_net.Service.run_worker}): a crash anywhere
     in this connection — injected or real, in the worker sthread or in the
@@ -53,11 +51,12 @@ val serve_connection :
     profile's entries replace the hand-written security contexts. *)
 
 val service : Httpd_env.t Wedge_net.Service.t
-(** The httpd skeleton: node ["httpd"], worker child ["worker"] (child
-    default policy), pool image ["httpd.worker"] booted as uid 33 inside
-    the docroot chroot (with the env's worker SELinux context when set),
-    plaintext 503 for rejected connections, {!serve_connection} per
-    admitted one. *)
+(** The httpd skeleton: node ["httpd"], worker child ["worker"] (one
+    retry), pool image ["httpd.worker"] booted as uid 33 inside the
+    docroot chroot (with the env's worker SELinux context when set),
+    plaintext 503 for rejected connections, {!serve_connection} with a
+    4096-byte [max_request_bytes] per admitted one. *)
 
 val serve_sharded : ?max_request_bytes:int -> Httpd_env.t array -> Wedge_net.Shard.front -> unit
-(** [Wedge_net.Service.serve_sharded service]. *)
+(** [Wedge_net.Service.serve_sharded service], its request-size cap
+    replaced by [max_request_bytes] when given. *)

@@ -10,7 +10,7 @@ type 'env t = {
   identity : 'env -> Wedge_core.Sc.t;
   worker : string;
   worker_policy : Supervisor.policy option;
-  serve : max_request_bytes:int option -> Supervisor.child option -> 'env -> Guard.conn -> bool;
+  serve : Supervisor.child option -> 'env -> Guard.conn -> bool;
 }
 
 type tree = Supervisor.node * Supervisor.child * Supervisor.child
@@ -24,20 +24,19 @@ let pool s env =
 
 let listener_policy = Supervisor.policy ~max_restarts:2 ()
 
-let tree ?worker_policy ?pool s env =
+let tree ?pool s env =
   let node = Supervisor.node ~name:s.name (s.main env) in
   let listener = Supervisor.child ~policy:listener_policy node ~name:"listener" in
   let restart =
     match pool with Some p -> Supervisor.From_pool p | None -> Supervisor.Fresh
   in
-  let policy = match worker_policy with Some _ -> worker_policy | None -> s.worker_policy in
-  let worker = Supervisor.child ?policy ~restart node ~name:s.worker in
+  let worker = Supervisor.child ?policy:s.worker_policy ~restart node ~name:s.worker in
   (node, listener, worker)
 
-let serve_loop ?max_request_bytes ?supervision s env guard listener =
+let serve_loop ?supervision s env guard listener =
   let supervised = Option.map (fun (_, _, worker) -> worker) supervision in
   let reject _ ep = Option.iter (Chan.write_string ep) s.reject in
-  let serve c = Guard.report c ~ok:(s.serve ~max_request_bytes supervised env c) in
+  let serve c = Guard.report c ~ok:(s.serve supervised env c) in
   let accept () =
     Guard.accept_loop guard listener ~reject ~serve;
     0
@@ -46,12 +45,11 @@ let serve_loop ?max_request_bytes ?supervision s env guard listener =
   | None -> ignore (accept ())
   | Some (_, listener_child, _) -> ignore (Supervisor.run_child_fn listener_child accept)
 
-let serve_sharded ?max_request_bytes s envs front =
+let serve_sharded s envs front =
   Array.iteri
     (fun i env ->
       Wedge_sim.Fiber.spawn (fun () ->
-          serve_loop ?max_request_bytes s env (Shard.front_guard front i)
-            (Shard.front_listener front i)))
+          serve_loop s env (Shard.front_guard front i) (Shard.front_listener front i)))
     envs
 
 type conn = {
@@ -75,12 +73,7 @@ let fd conn =
   conn.c_fd <- Some fd;
   fd
 
-type served = {
-  tags : Wedge_mem.Tag.t list;
-  worker_status : Process.status;
-  degraded : bool;
-  attempts : int;
-}
+type served = { worker_status : Process.status; degraded : bool }
 
 let run_worker ?supervised ?guard ~policy ~degrade main ep setup =
   let conn = { c_main = main; c_ep = ep; c_guard = guard; c_tags = []; c_fd = None } in
@@ -94,7 +87,7 @@ let run_worker ?supervised ?guard ~policy ~degrade main ep setup =
       let reason = Option.get (W.fault_reason e) in
       degrade ();
       cleanup ();
-      { tags = []; worker_status = Process.Faulted ("setup: " ^ reason); degraded = true; attempts = 0 }
+      { worker_status = Process.Faulted ("setup: " ^ reason); degraded = true }
   | sc, body ->
       let outcome =
         let on_restart = Option.map (fun c () -> Guard.rearm_heart c) guard in
@@ -102,12 +95,12 @@ let run_worker ?supervised ?guard ~policy ~degrade main ep setup =
         | Some child -> Supervisor.run_child_sthread ?on_restart child sc body 0
         | None -> Supervisor.supervise_sthread ~policy main sc body 0
       in
-      let worker_status, degraded, attempts =
+      let served =
         match outcome with
-        | Supervisor.Done { value; attempts } -> (Process.Exited value, false, attempts)
-        | Supervisor.Gave_up { attempts; last_fault } ->
+        | Supervisor.Done { value; _ } -> { worker_status = Process.Exited value; degraded = false }
+        | Supervisor.Gave_up { last_fault; _ } ->
             degrade ();
-            (Process.Faulted last_fault, true, attempts)
+            { worker_status = Process.Faulted last_fault; degraded = true }
       in
       cleanup ();
-      { tags = conn.c_tags; worker_status; degraded; attempts }
+      served

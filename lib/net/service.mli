@@ -29,12 +29,7 @@ type 'env t = {
   worker : string;  (** the worker child's name, e.g. ["worker"] *)
   worker_policy : Wedge_core.Supervisor.policy option;
       (** The worker child's restart policy ([None]: the child default). *)
-  serve :
-    max_request_bytes:int option ->
-    Wedge_core.Supervisor.child option ->
-    'env ->
-    Guard.conn ->
-    bool;
+  serve : Wedge_core.Supervisor.child option -> 'env -> Guard.conn -> bool;
       (** Serve one admitted connection, its worker under the given tree
           child when supervised; [true] when served, [false] when
           degraded. *)
@@ -49,38 +44,24 @@ val pool : 'env t -> 'env -> Wedge_core.Pool.t
     demand-mapped pages join the image.  The image is named
     [name ^ "." ^ worker]. *)
 
-val tree :
-  ?worker_policy:Wedge_core.Supervisor.policy ->
-  ?pool:Wedge_core.Pool.t ->
-  'env t ->
-  'env ->
-  tree
+val tree : ?pool:Wedge_core.Pool.t -> 'env t -> 'env -> tree
 (** The declared topology: node [name] with children ["listener"]
     (registered first, so a [Rest_for_one] escalation of the listener
     restarts the workers, never the reverse; two accept-loop retries) and
-    [worker] (policy [worker_policy], else the service's).  With [pool]
-    every worker attempt, first run and restarts alike, is stamped from
-    the frozen image at a flat cost instead of a fork-priced boot. *)
+    [worker] (policy [worker_policy]).  With [pool] every worker attempt,
+    first run and restarts alike, is stamped from the frozen image at a
+    flat cost instead of a fork-priced boot. *)
 
-val serve_loop :
-  ?max_request_bytes:int ->
-  ?supervision:tree ->
-  'env t ->
-  'env ->
-  Guard.t ->
-  Chan.listener ->
-  unit
+val serve_loop : ?supervision:tree -> 'env t -> 'env -> Guard.t -> Chan.listener -> unit
 (** Guarded accept loop: rejected connections (over capacity, draining or
     breaker-shed) get [reject] and close; admitted ones run [serve] in
     their own fiber, the outcome reported to the guard's breaker.  With
     [supervision] workers run under its worker child and the accept loop
     under ["listener"], so a contained fault leaking out of the serve path
-    restarts the loop instead of killing the server.  [max_request_bytes]
-    is handed to [serve].  Returns once the listener shuts down — compose
-    with {!Guard.drain}. *)
+    restarts the loop instead of killing the server.  Returns once the
+    listener shuts down — compose with {!Guard.drain}. *)
 
-val serve_sharded :
-  ?max_request_bytes:int -> 'env t -> 'env array -> Shard.front -> unit
+val serve_sharded : 'env t -> 'env array -> Shard.front -> unit
 (** Spawn one {!serve_loop} fiber per shard: shard [i] serves from
     [envs.(i)] behind the front door's shard-[i] guard and listener.
     Workers, supervision and stats stay per shard. *)
@@ -100,12 +81,10 @@ val fd : conn -> int
     the worker instead of a fiber pinned forever. *)
 
 type served = {
-  tags : Wedge_mem.Tag.t list;
-      (** the connection's tags, newest first; [[]] when setup itself
-          faulted *)
   worker_status : Wedge_kernel.Process.status;
+      (** the last attempt's exit, or [Faulted "setup: ..."] when setup
+          itself faulted *)
   degraded : bool;
-  attempts : int;  (** supervision attempts (0 when setup faulted) *)
 }
 
 val run_worker :

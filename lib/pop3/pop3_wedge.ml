@@ -284,7 +284,7 @@ let service =
     worker = "worker";
     worker_policy = Some worker_policy;
     serve =
-      (fun ~max_request_bytes:_ supervised main c ->
+      (fun supervised main c ->
         not (serve_connection ?supervised ~guard:c main (Guard.ep c)).Service.degraded);
   }
 

@@ -26,8 +26,7 @@ val serve_connection :
   Wedge_net.Service.served
 (** Serve one connection from the master context ([main]); blocks until the
     session ends.  [exploit] runs inside the {e worker} compartment when
-    triggered — the paper's attacker model.  The served record's tags are
-    the uid, argument and mail-buffer tags, for tests to probe.
+    triggered — the paper's attacker model.
 
     Fault containment ({!Wedge_net.Service.run_worker}): a crash anywhere
     in this connection degrades only this connection (best-effort [-ERR]

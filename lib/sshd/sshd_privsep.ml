@@ -187,7 +187,5 @@ let service =
     identity = (fun _ -> W.sc_create ());
     worker = "slave";
     worker_policy = None;
-    serve =
-      (fun ~max_request_bytes:_ supervised env c ->
-        serve_connection ?supervised ~guard:c env (Guard.ep c));
+    serve = (fun supervised env c -> serve_connection ?supervised ~guard:c env (Guard.ep c));
   }

@@ -327,7 +327,6 @@ let test_pop3_setup_fault_degrades () =
   (match !debug with
   | Some d ->
       check Alcotest.bool "degraded" true d.Service.degraded;
-      check Alcotest.bool "no tags created" true (d.Service.tags = []);
       (match d.Service.worker_status with
       | Process.Faulted reason ->
           check Alcotest.bool "setup fault named" true (contains reason "setup:")
