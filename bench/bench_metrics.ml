@@ -225,10 +225,10 @@ let tracing_overhead () =
 (* What an armed-but-idle reactor costs off the hot path: the scheduler
    hook when no simulated time passed (one clock comparison), the hook
    with the clock moving over an empty timer wheel, and the channel
-   fast path with and without a reactor attached (producers signal
+   fast path (producers signal the direction's interest set
    unconditionally; with no waiters the signal is one branch).  These
-   are the taxes every run pays for having the reactor compiled in —
-   they must stay in low single-digit nanoseconds. *)
+   are the taxes every run pays for the blocking model — they must stay
+   in low single-digit nanoseconds. *)
 let reactor_overhead () =
   let module Clock = Wedge_sim.Clock in
   let module Reactor = Wedge_sim.Reactor in
@@ -257,11 +257,8 @@ let reactor_overhead () =
       ignore (Chan.read b 1)
     done
   in
-  let a1, b1 = Chan.pair () in
-  let (), detached = Bench_util.wall_time (ping a1 b1) in
-  let a2, b2 = Chan.pair () in
-  Chan.attach_reactor r b2;
-  let (), attached = Bench_util.wall_time (ping a2 b2) in
+  let a, b = Chan.pair () in
+  let (), ping_time = Bench_util.wall_time (ping a b) in
   header "Reactor off-path overhead (wall clock, this host)";
   Printf.printf "%-44s %12s %12s\n" "" "time" "per op";
   Printf.printf "%-44s %9.1f ms %9.2f ns\n" "scheduler hook, clock unmoved (one compare)"
@@ -270,12 +267,9 @@ let reactor_overhead () =
   Printf.printf "%-44s %9.1f ms %9.2f ns\n" "scheduler hook, clock moving (empty wheel)"
     (moving *. 1e3)
     (moving *. 1e9 /. float_of_int iters);
-  Printf.printf "%-44s %9.1f ms %9.1f ns\n" "chan write+read ping, no reactor"
-    (detached *. 1e3)
-    (detached *. 1e9 /. float_of_int (2 * chan_iters));
-  Printf.printf "%-44s %9.1f ms %9.1f ns\n"
-    "chan write+read ping, attached (no waiters)" (attached *. 1e3)
-    (attached *. 1e9 /. float_of_int (2 * chan_iters));
+  Printf.printf "%-44s %9.1f ms %9.1f ns\n" "chan write+read ping (no waiters)"
+    (ping_time *. 1e3)
+    (ping_time *. 1e9 /. float_of_int (2 * chan_iters));
   print_newline ()
 
 (* What the correctness harness costs: a full invariant sweep (refcounts,

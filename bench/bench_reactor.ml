@@ -1,6 +1,6 @@
-(* Event reactor vs spin-yield blocking across the serve path — the
-   tentpole claim: at least 2x lower per-request cost at 10k
-   connections, on the simulated clock AND on this host's wall clock.
+(* Parked, batched serving vs a polling server across the serve path:
+   at least 2x lower per-request cost at 10k connections, on the
+   simulated clock AND on this host's wall clock.
 
    Per (mode, conns) a fresh world holds [conns] connections, each with
    a server fiber blocked awaiting a request; only [active] of them
@@ -17,17 +17,20 @@
    the bench asserts p99 > p50 (a non-degenerate tail) on top of the
    performance gates.
 
-     baseline  spin-yield Fiber.wait_until, then 8x fd_read
-               (one syscall trap per chunk)
-     reactor   parked on a channel interest set, then one fd_readv
+     baseline  a Fiber.wait_until poller per connection, then 8x
+               fd_read (one syscall trap per chunk)
+     reactor   parked on the channel's interest set, then one fd_readv
                (one trap plus batch-op pricing for the whole vector)
+
+   The channels park their own waits in both modes (the clients'
+   response reads); only the server loop differs.
 
    The read phase is timed per request on the simulated clock; the
    window contains no yield, so every sample is exact and unpolluted by
    other fibers.  The aggregate divides the run's whole simulated span
    by requests served — with idle connections charging zero fuel, it
    must not move between 1k and 10k connections (asserted below).  Wall
-   clock wraps each Fiber.run once: the baseline pays O(conns) spin
+   clock wraps each Fiber.run once: the baseline pays O(conns) poll
    steps per scheduler rotation while the reactor's parked fibers cost
    nothing, which is a host-time effect the cost model cannot see.
 
@@ -61,9 +64,9 @@ let max_req_bytes =
 
 let resp = Bytes.make 32 'r'
 
-type mode = Spin | Evented
+type mode = Polling | Evented
 
-let mode_label = function Spin -> "baseline" | Evented -> "reactor"
+let mode_label = function Polling -> "baseline" | Evented -> "reactor"
 
 type result = {
   r_read_p50 : int;  (* read-phase simulated ns per request *)
@@ -86,14 +89,11 @@ let measure mode conns =
      so only they need one — sized for the largest shape in the mix. *)
   let bufs = Array.init active (fun _ -> W.smalloc ctx max_req_bytes tag) in
   let r =
-    match mode with Evented -> Some (Reactor.create ~clock ()) | Spin -> None
+    match mode with Evented -> Some (Reactor.create ~clock ()) | Polling -> None
   in
   (* Channels themselves are free: every simulated charge in this bench
      comes from the kernel serve path under test, not from the wire. *)
   let eps = Array.init conns (fun _ -> Chan.pair ~clock ~costs:Cost_model.free ()) in
-  (match r with
-  | Some r -> Array.iter (fun (_, server_ep) -> Chan.attach_reactor r server_ep) eps
-  | None -> ());
   let samples = ref [] in
   let served = ref 0 in
   let serve idx (_, ep) =
@@ -102,14 +102,14 @@ let measure mode conns =
     let req_bytes = Bench_util.shape_bytes sh in
     let rec loop () =
       (match mode with
-      | Spin ->
+      | Polling ->
           Fiber.wait_until ~what:"request bytes" (fun () ->
               Chan.bytes_in_flight ep >= req_bytes || Chan.is_eof ep)
       | Evented -> Chan.wait_rx ~bytes:req_bytes ep);
       if Chan.bytes_in_flight ep >= req_bytes then begin
         let t0 = Clock.now clock in
         (match mode with
-        | Spin ->
+        | Polling ->
             for _ = 1 to sh.Bench_util.sh_chunks do
               ignore (W.fd_read ctx fd sh.Bench_util.sh_chunk_bytes)
             done
@@ -212,12 +212,12 @@ let conns_json (conns, (base : result), (ev : result)) =
 let run () =
   Bench_util.header
     (Printf.sprintf
-       "Event reactor vs spin-yield serve path: %d requests over %s connections"
+       "Parked vs polling serve path: %d requests over %s connections"
        (active * reqs)
        (String.concat "/" (List.map string_of_int conn_counts)));
   let rows =
     List.map
-      (fun conns -> (conns, measure Spin conns, measure Evented conns))
+      (fun conns -> (conns, measure Polling conns, measure Evented conns))
       conn_counts
   in
   Bench_util.row4 "metric" "baseline" "reactor" "ratio";
@@ -249,7 +249,7 @@ let run () =
   print_endline "   the byte-stable artifact below)";
   (* The gates.  Simulated ratios are deterministic, so they are hard
      failures; the wall gate applies at the largest scale, where the
-     O(conns)-per-rotation spin tax dwarfs host noise. *)
+     O(conns)-per-rotation poll tax dwarfs host noise. *)
   List.iter
     (fun (conns, (base : result), (ev : result)) ->
       if ratio_x100 base.r_read_p50 ev.r_read_p50 < 200 then

@@ -28,6 +28,7 @@ module Fault_plan = Wedge_fault.Fault_plan
 module Chan = Wedge_net.Chan
 module Guard = Wedge_net.Guard
 module Watchdog = Wedge_net.Watchdog
+module Reactor = Wedge_sim.Reactor
 module Byzantine = Wedge_net.Byzantine
 module Service = Wedge_net.Service
 module W = Wedge_core.Wedge
@@ -110,11 +111,12 @@ let measure ~pooled =
   let main_ctx = W.main_ctx app in
   let l = Chan.listener ~costs:Cost_model.free ~faults:plan ~backlog:8 () in
   let w = Watchdog.create ~deadline_ns:watchdog_deadline_ns clock in
+  let r = Reactor.create ~clock () in
   (* No header deadline: the watchdog must be the only thing reclaiming
      the hang phase's half-written headers — that is what its row
      measures (a guard deadline would race it and steal the cut). *)
   let guard =
-    Guard.create ~clock
+    Guard.create ~reactor:r
       ~breaker:
         (Guard.breaker_config ~consecutive:3 ~rate:0.5 ~min_samples:6
            ~window_ns:40_000 ~open_ns:5_000 ~probes:2 ~brownout:0.3 ())
@@ -125,7 +127,7 @@ let measure ~pooled =
   let tree = Service.tree ?pool service main_ctx in
   let incidents = ref [] in
   let hang_tally = Byzantine.tally () in
-  Fiber.run ~clock ~on_switch:(Watchdog.hook w) (fun () ->
+  Fiber.run ~clock ~on_switch:(Reactor.hook r) ~on_idle:(Reactor.idle r) (fun () ->
       Fiber.spawn (fun () ->
           Service.serve_loop ~supervision:tree service main_ctx guard l);
       (* Settle: one clean request so the world is warm before incident 0. *)

@@ -189,7 +189,7 @@ let run_chrome_trace demo out connections =
   let serve_httpd () =
     let env = Wedge_httpd.Httpd_env.install ~image_pages:80 k in
     W.register_metrics m env.Wedge_httpd.Httpd_env.app;
-    let guard = Guard.create ~clock:k.Kernel.clock ~max_conns:16 ~trace:k.Kernel.trace () in
+    let guard = Guard.create ~max_conns:16 ~trace:k.Kernel.trace () in
     Guard.register_metrics m guard;
     Fiber.run (fun () ->
         let l =
@@ -224,7 +224,7 @@ let run_chrome_trace demo out connections =
     W.boot app;
     let main = W.main_ctx app in
     W.register_metrics m app;
-    let guard = Guard.create ~clock:k.Kernel.clock ~max_conns:8 ~trace:k.Kernel.trace () in
+    let guard = Guard.create ~max_conns:8 ~trace:k.Kernel.trace () in
     Guard.register_metrics m guard;
     Fiber.run (fun () ->
         let l =

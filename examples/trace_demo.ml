@@ -37,7 +37,7 @@ let run () =
   let env = Env.install ~image_pages:80 k in
   let m = Metrics.create () in
   W.register_metrics m env.Env.app;
-  let guard = Guard.create ~clock:k.Kernel.clock ~max_conns:16 ~trace:k.Kernel.trace () in
+  let guard = Guard.create ~max_conns:16 ~trace:k.Kernel.trace () in
   Guard.register_metrics m guard;
   let served = ref 0 and other = ref 0 in
   Fiber.run (fun () ->

@@ -15,7 +15,10 @@
      - every smalloc segment (live tags, per-process heaps) has intact
        boundary tags and a sound free list;
      - every registered admission guard's O(1) counters agree with its
-       connection list.
+       connection list;
+     - the scheduler's interest sets agree with its parked table
+       ([Fiber.audit]: no lost wakeup, no waiter on a dead set, no parked
+       fiber without a registration).
 
    Everything here reads ground truth directly — page-table walks and
    raw frame bytes, never checked [Vm] accessors — so a check charges no
@@ -236,6 +239,11 @@ let check_guards t =
       | Some msg -> violation "oracle: %s: %s" name msg)
     t.guards
 
+let check_interest () =
+  match Wedge_sim.Fiber.audit () with
+  | None -> ()
+  | Some msg -> violation "oracle: %s" msg
+
 let check_custom t =
   List.iter
     (fun (name, f) ->
@@ -250,6 +258,7 @@ let check t =
   check_smalloc t;
   check_frozen t;
   check_guards t;
+  check_interest ();
   check_custom t
 
 (* The cluster-wide sweep for a sharded world: each kernel owns its own

@@ -18,7 +18,10 @@
       writable — a stamped child's write must break onto a private
       frame, never onto the checkpoint;
     - every registered {!Wedge_net.Guard}'s counters agree with its
-      connection list.
+      connection list;
+    - the scheduler's interest sets agree with its parked table
+      ({!Wedge_sim.Fiber.audit}): no lost wakeup, no waiter on a dead
+      set, no parked fiber without a registration.
 
     All reads go through raw page-table walks and frame bytes — no
     clock charges, no TLB pollution, no injected-fault rolls — so the

@@ -13,8 +13,10 @@
 
    A [server] record holds everything scenario-side about one server —
    its world, client mixes, requests, fault rates and guard sizes; one
-   runner per mode (melee, storm, pooled and reactor storms, sharded,
-   synth) drives any server through its [Service] skeleton.
+   runner per mode (melee, storm, pooled storm, sharded, synth) drives
+   any server through its [Service] skeleton.  Every mode runs on a
+   reactor: guard and heartbeat deadlines are its timers, and a stalled
+   world sleeps to its next timer.
 
    Failures are exceptions: [Oracle.Violation], [Refvm.Mismatch], a
    scenario's own end-state assertion, or anything a server let escape
@@ -66,34 +68,31 @@ let contains hay needle =
 
 (* Run [main] under [policy] with the oracle (and optionally the
    differential model) armed, then sweep.  [summarize] builds the
-   deterministic outcome line from whatever the scenario observed.
-   [extra_hook] (e.g. a watchdog sweep) is composed {e before} the
-   oracle's sampled check, so invariants like [Watchdog.self_check] hold
-   at every inspected switch; [clock] is threaded to the fiber scheduler
-   so induced ["fiber.stall"] faults charge simulated time. *)
-let checked ~kernel ~app ?sched_faults ?clock ?extra_hook ?on_idle ~policy ~diff main
-    summarize =
+   deterministic outcome line from whatever the scenario observed.  The
+   reactor ticks {e before} the oracle's sampled check — timer-driven
+   cuts land first, so invariants like [Watchdog.self_check] hold at
+   every inspected switch — and a stalled
+   world sleeps to its next timer.  [sched_faults] arms the scheduler's
+   ["fiber.stall"] site, charging the reactor's clock. *)
+let checked ~kernel ~app ~reactor ?sched_faults ~policy ~diff main summarize =
   let oracle = Oracle.create kernel in
   Oracle.set_app oracle app;
   let refvm = if diff then Some (Refvm.create kernel) else None in
   Oracle.install_syscall_hook oracle;
   (match refvm with Some rv -> Refvm.arm rv | None -> ());
   let on_switch =
-    let ohook = Oracle.hook oracle in
-    match extra_hook with
-    | None -> ohook
-    | Some h ->
-        fun () ->
-          h ();
-          ohook ()
+    let rhook = Reactor.hook reactor and ohook = Oracle.hook oracle in
+    fun () ->
+      rhook ();
+      ohook ()
   in
   Fun.protect
     ~finally:(fun () ->
       Oracle.remove_syscall_hook oracle;
       match refvm with Some rv -> Refvm.disarm rv | None -> ())
     (fun () ->
-      Fiber.run ?faults:sched_faults ?clock ?on_idle ~policy ~on_switch (fun () ->
-          main oracle);
+      Fiber.run ?faults:sched_faults ~clock:(Reactor.clock reactor)
+        ~on_idle:(Reactor.idle reactor) ~policy ~on_switch (fun () -> main oracle);
       Oracle.check oracle;
       (match refvm with Some rv -> Refvm.verify rv | None -> ());
       Printf.sprintf "%s checks=%d diff_events=%s" (summarize ())
@@ -160,14 +159,17 @@ let connect site ~key =
       let sid, ep = Shard.front_connect front ~key in
       (envs.(sid), ep)
 
-(* Mix client [i]'s listener: each sharded client hashes to its home
-   shard, as the front door would route it. *)
-let listener site i =
+(* Client [i]'s listener and the clock it is served on: each sharded
+   client hashes to its home shard, as the front door would route it. *)
+let home site i =
   match site with
-  | Single (_, l, _) -> l
+  | Single (_, l, clock) -> (l, clock)
   | Sharded (_, front) ->
-      Shard.front_listener front
-        (Shard.route (Shard.front_fabric front) ~key:(Printf.sprintf "conn-%d" i))
+      let fab = Shard.front_fabric front in
+      let sid = Shard.route fab ~key:(Printf.sprintf "conn-%d" i) in
+      (Shard.front_listener front sid, (Shard.shard fab sid).Shard.kernel.Kernel.clock)
+
+let listener site i = fst (home site i)
 
 (* Clients beyond the Byzantine mix: spawned after it, settled before the
    drain, their fields printed right after the tally. *)
@@ -197,7 +199,6 @@ type 'env server = {
   n_silent : int;  (* melee clients that only a drain cut resolves *)
   mix : Byzantine.tally -> Chan.listener -> int -> unit;  (* melee client [i] *)
   extra : seed:int -> 'env site -> extra;
-  reports_rejected : bool;  (* the melee summary prints guard rejections *)
   cgates : bool;  (* storms roll callgate faults *)
   n_storm : int;
   heal_probe : (seed:int -> 'env -> Chan.listener -> unit -> unit) option;
@@ -239,14 +240,9 @@ let tls_clients ~seed site =
   }
 
 let accept_next l =
-  let got = ref None in
-  Fiber.wait_until ~what:"synth accept" (fun () ->
-      match Chan.accept l with
-      | Some ep ->
-          got := Some ep;
-          true
-      | None -> false);
-  Option.get !got
+  match Chan.accept l with
+  | Some ep -> ep
+  | None -> failwith "synth: listener shut down before the client connected"
 
 (* Two TLS fetches, the second resuming the first's session, so all three
    callgate operations (new session, premaster, resume) are recorded. *)
@@ -314,7 +310,6 @@ let httpd =
              worker must contain. *)
           Byzantine.oneshot t l ~request ~is_rejection);
     extra = tls_clients;
-    reports_rejected = true;
     cgates = true;
     n_storm = 12;
     heal_probe = None;
@@ -379,23 +374,21 @@ let pop3 =
         else if i mod 7 = 0 then
           Byzantine.oversized t l ~size:2_000 ~is_rejection:(fun s -> contains s "too long")
         else Byzantine.oneshot t l ~request ~is_rejection);
-    (* A slow-loris client against the single listener, cut by the
-       guard's header deadline. *)
+    (* A slow-loris client behind its home listener (key 0, outside the
+       mix's 1..n_melee), cut by the guard's header deadline. *)
     extra =
-      (fun ~seed:_ -> function
-        | Sharded _ -> no_extra
-        | Single (_, l, clock) ->
-            let loris = Byzantine.tally () in
-            {
-              spawn =
-                (fun () ->
-                  Fiber.spawn (fun () ->
-                      Byzantine.slow_loris loris l ~clock ~step_ns:1_000 ~request:half
-                        ~is_rejection));
-              settled = (fun () -> Byzantine.total loris = 1);
-              fields = (fun () -> Printf.sprintf " loris_cut=%d" loris.Byzantine.cut);
-            });
-    reports_rejected = false;
+      (fun ~seed:_ site ->
+        let loris = Byzantine.tally () in
+        let l, clock = home site 0 in
+        {
+          spawn =
+            (fun () ->
+              Fiber.spawn (fun () ->
+                  Byzantine.slow_loris loris l ~clock ~step_ns:1_000 ~request:half
+                    ~is_rejection));
+          settled = (fun () -> Byzantine.total loris = 1);
+          fields = (fun () -> Printf.sprintf " loris_cut=%d" loris.Byzantine.cut);
+        });
     cgates = true;
     n_storm = 12;
     heal_probe = None;
@@ -474,7 +467,6 @@ let sshd =
         if i mod 3 = 0 then Byzantine.half_close t l ~request:half ~is_rejection
         else Byzantine.oneshot t l ~request ~is_rejection);
     extra = (fun ~seed:_ _ -> no_extra);
-    reports_rejected = true;
     (* No callgates on the privsep path: hangs come from fiber stalls. *)
     cgates = false;
     n_storm = 9;
@@ -503,16 +495,15 @@ let run_melee srv ~policy ~diff ~faults ~seed =
   let k = Kernel.create ~costs:Cost_model.free ~faults:plan () in
   let env = srv.world ~seed k in
   let l = Chan.listener ~costs:Cost_model.free ~faults:plan ~backlog:srv.backlog () in
+  let reactor = Reactor.create ~clock:k.Kernel.clock () in
   let guard =
-    match srv.header_deadline_ns with
-    | Some header_deadline_ns ->
-        Guard.create ~clock:k.Kernel.clock ~header_deadline_ns ~max_conns:srv.max_conns ()
-    | None -> Guard.create ~max_conns:srv.max_conns ()
+    Guard.create ~reactor ?header_deadline_ns:srv.header_deadline_ns
+      ~max_conns:srv.max_conns ()
   in
   let t = Byzantine.tally () in
   let site = Single (env, l, k.Kernel.clock) in
   let extra = srv.extra ~seed site in
-  checked ~kernel:k ~app:(app_of srv env) ~policy ~diff
+  checked ~kernel:k ~app:(app_of srv env) ~reactor ~policy ~diff
     (fun oracle ->
       Oracle.add_guard oracle ~name:(name ^ ".guard") guard;
       Fiber.spawn (fun () -> Service.serve_loop srv.service env guard l);
@@ -528,11 +519,10 @@ let run_melee srv ~policy ~diff ~faults ~seed =
       Fiber.wait_until ~what:"silent holders cut" (fun () -> Byzantine.total t = srv.n_melee))
     (fun () ->
       let s = Guard.stats guard in
-      Printf.sprintf "%s %s%s %s degraded=%d%s plan=%s" name (tally_to_string t)
+      Printf.sprintf "%s %s%s %s degraded=%d rejected=%d plan=%s" name (tally_to_string t)
         (extra.fields ()) (guard_to_string s)
         (Stats.get k.Kernel.stats (name ^ ".degraded"))
-        (if srv.reports_rejected then Printf.sprintf " rejected=%d" (rejected s) else "")
-        (plan_digest plan))
+        (rejected s) (plan_digest plan))
 
 (* ------------------------------------------------------------------ *)
 (* RACY: the deliberately schedule-dependent lost-update bug           *)
@@ -572,7 +562,7 @@ let run_racy ~policy ~diff ~faults:_ ~seed:_ =
         ignore (W.sthread_join main_ctx (W.sthread_create main_ctx sc (worker yields_mid) 0));
         incr done_n)
   in
-  checked ~kernel:k ~app ~policy ~diff
+  checked ~kernel:k ~app ~reactor:(Reactor.create ~clock:k.Kernel.clock ()) ~policy ~diff
     (fun _oracle ->
       spawn_worker false;
       spawn_worker true;
@@ -593,8 +583,8 @@ let run_racy ~policy ~diff ~faults:_ ~seed:_ =
    time — far past the watchdog's deadline) and ["cgate.call"] (a
    callgate stalls or crashes mid-call).  The servers run their declared
    supervision trees (pooled or fresh) behind a guard armed with a
-   circuit breaker and a watchdog — on the event reactor for the
-   reactor storm; the scenario asserts the full self-healing story: every
+   circuit breaker and a watchdog; the scenario asserts the full
+   self-healing story: every
    hung compartment is cut by the watchdog (oracle invariant), the
    listener survives, the breaker closes again once the storm passes
    (heal epilogue), and the oracle sweeps clean — no leaked frame or
@@ -686,11 +676,12 @@ let storm_breaker () =
   Guard.breaker_config ~consecutive:3 ~rate:0.5 ~min_samples:6 ~window_ns:40_000
     ~open_ns:5_000 ~probes:2 ~brownout:0.3 ()
 
-(* The watchdog sweep runs at every context switch ([checked]'s
-   [extra_hook]), so a hung heart is cut within one scheduling step of
-   its deadline.  The oracle re-checks between switches too (syscall
-   entries), where a single large clock charge (a 20 µs induced stall)
-   can land before the next sweep — the slack covers exactly that. *)
+(* A heart's deadline is its connection's timer, fired at the first
+   reactor tick past it, so a hung heart is cut within one scheduling
+   step of its deadline.  The oracle re-checks between switches too
+   (syscall entries), where a single large clock charge (a 20 µs induced
+   stall) can land before the next tick — the slack covers exactly
+   that. *)
 let storm_watchdog_invariant oracle w =
   Oracle.add_invariant oracle ~name:"watchdog.cut-by-deadline" (fun () ->
       Watchdog.self_check ~slack_ns:50_000 w)
@@ -704,7 +695,7 @@ let storm_summary ~server ~k ~t ~heal ~guard ~w ~tree =
     (Stats.get k.Kernel.stats (server ^ ".degraded"))
     (Guard.stats guard).Guard.s_shed
 
-let run_storm ~pooled ~reactor srv ~policy ~diff ~faults ~seed =
+let run_storm ~pooled srv ~policy ~diff ~faults ~seed =
   let name = name srv in
   let advantage = if pooled then Some (spawn_advantage ~image_pages:srv.image_pages) else None in
   let plan = storm_plan ~pooled ~seed ~faults ~cgates:srv.cgates in
@@ -713,11 +704,11 @@ let run_storm ~pooled ~reactor srv ~policy ~diff ~faults ~seed =
   let env = srv.world ~seed k in
   let app = app_of srv env in
   let l = Chan.listener ~costs:Cost_model.free ~faults:plan ~backlog:srv.backlog () in
-  let r = if reactor then Some (Reactor.create ~clock ()) else None in
+  let reactor = Reactor.create ~clock () in
   let w = Watchdog.create ~deadline_ns:6_000 clock in
   let guard =
-    Guard.create ~clock ~header_deadline_ns:8_000 ~breaker:(storm_breaker ()) ~watchdog:w
-      ?reactor:r ~max_conns:srv.max_conns ()
+    Guard.create ~reactor ~header_deadline_ns:8_000 ~breaker:(storm_breaker ()) ~watchdog:w
+      ~max_conns:srv.max_conns ()
   in
   let t = Byzantine.tally () in
   let is_rejection = srv.is_rejection in
@@ -733,28 +724,10 @@ let run_storm ~pooled ~reactor srv ~policy ~diff ~faults ~seed =
         let probes = Byzantine.tally () in
         fun () -> Byzantine.oneshot probes l ~request:srv.request ~is_rejection
   in
-  (* On the reactor, the reactor ticks before the watchdog hook: a
-     timer-driven cut lands first, then the sweep, then the oracle's
-     sampled check observes the settled state. *)
-  let extra_hook =
-    match r with
-    | None -> Watchdog.hook w
-    | Some r ->
-        let rhook = Reactor.hook r and whook = Watchdog.hook w in
-        fun () ->
-          rhook ();
-          whook ()
-  in
-  checked ~kernel:k ~app ~sched_faults:plan ~clock ~extra_hook
-    ?on_idle:(Option.map Reactor.idle r) ~policy ~diff
+  checked ~kernel:k ~app ~reactor ~sched_faults:plan ~policy ~diff
     (fun oracle ->
       Oracle.add_guard oracle ~name:(name ^ ".guard") guard;
       storm_watchdog_invariant oracle w;
-      Option.iter
-        (fun r ->
-          Oracle.add_invariant oracle ~name:"reactor.interest-sets" (fun () ->
-              Reactor.self_check r))
-        r;
       Fiber.spawn (fun () -> Service.serve_loop ~supervision:tree srv.service env guard l);
       Fault_plan.arm plan;
       probe_outcome := freeze_probe ~pooled (W.main_ctx app);
@@ -771,27 +744,17 @@ let run_storm ~pooled ~reactor srv ~policy ~diff ~faults ~seed =
       Fault_plan.disarm plan;
       heal := heal_breaker ~what:name guard clock probe;
       Guard.drain guard l;
-      assert_pool_used ~pooled ~server:name app;
-      Option.iter
-        (fun r ->
-          match Reactor.self_check r with
-          | Some msg -> raise (Oracle.Violation (name ^ "_reactor_storm: " ^ msg))
-          | None -> ())
-        r)
+      assert_pool_used ~pooled ~server:name app)
     (fun () ->
+      let rs = Reactor.stats reactor in
       storm_summary ~server:name ~k ~t ~heal:!heal ~guard ~w ~tree:node
       ^ pool_summary ~pooled app
       ^ (if pooled then Printf.sprintf " freeze2=%s" !probe_outcome else "")
       ^ (match advantage with
         | None -> ""
         | Some (f, s) -> Printf.sprintf " spawn_fresh=%dns spawn_stamp=%dns" f s)
-      ^
-      match r with
-      | None -> ""
-      | Some r ->
-          let rs = Reactor.stats r in
-          Printf.sprintf " reactor_parks=%d reactor_wakes=%d reactor_timers=%d"
-            rs.Reactor.parks rs.Reactor.wakeups rs.Reactor.timer_fires)
+      ^ Printf.sprintf " reactor_parks=%d reactor_wakes=%d reactor_timers=%d"
+          rs.Reactor.parks rs.Reactor.wakeups rs.Reactor.timer_fires)
 
 (* ------------------------------------------------------------------ *)
 (* Sharded scenarios: N kernels behind a hashed front door, with the
@@ -802,7 +765,7 @@ let run_storm ~pooled ~reactor srv ~policy ~diff ~faults ~seed =
    fabric's link handlers started before and drained after [main], and
    the end-of-run sweep replaced by {!Oracle.global_sweep} — every
    shard's full refcount/rlimit/TLB/smalloc sweep plus the fabric's
-   gtag audit — and a cross-reactor registration audit. *)
+   gtag audit. *)
 let checked_sharded ~fab ~policy ~diff main summarize =
   let shards = Shard.shards fab in
   let oracles =
@@ -838,9 +801,6 @@ let checked_sharded ~fab ~policy ~diff main summarize =
           Shard.stop fab);
       Oracle.global_sweep ~fabric:fab (Array.to_list oracles);
       List.iter Refvm.verify refvms;
-      (match Reactor.self_check_multi (Shard.reactors fab) with
-      | Some msg -> raise (Oracle.Violation ("sharded reactors: " ^ msg))
-      | None -> ());
       Printf.sprintf "%s checks=%d diff_events=%s" (summarize ())
         (Array.fold_left (fun acc o -> acc + Oracle.checks_run o) 0 oracles)
         (if diff then
@@ -991,7 +951,8 @@ let run_synth srv ~policy ~diff ~faults:_ ~seed =
   let env = srv.world ~seed k in
   let synth = Synth.create ~name (Synth.Enforce profile) in
   let run = ref { ok = false; before = ""; after = "" } in
-  checked ~kernel:k ~app:(app_of srv env) ~policy ~diff
+  checked ~kernel:k ~app:(app_of srv env) ~reactor:(Reactor.create ~clock:k.Kernel.clock ())
+    ~policy ~diff
     (fun oracle ->
       Oracle.add_invariant oracle ~name:("synth." ^ name ^ ".superset") (Synth.self_check synth);
       run := srv.synth ~seed env (Some synth);
@@ -1034,17 +995,12 @@ let melee srv = scenario (name srv) srv.melee_doc (run_melee srv)
 let storm srv =
   scenario (name srv ^ "_storm")
     (name srv ^ " self-healing: fault storm + induced hangs, watchdog, breaker, tree")
-    (run_storm ~pooled:false ~reactor:false srv)
-
-let reactor_storm srv =
-  scenario (name srv ^ "_reactor_storm")
-    (name srv ^ " storm on the event reactor: parked fibers, timer deadlines, wake audit")
-    (run_storm ~pooled:false ~reactor:true srv)
+    (run_storm ~pooled:false srv)
 
 let pool_storm srv =
   scenario (name srv ^ "_pool_storm")
     (name srv ^ " storm with pooled O(1) restamps, stamp faults, frozen-frame sweep")
-    (run_storm ~pooled:true ~reactor:false srv)
+    (run_storm ~pooled:true srv)
 
 let sharded srv =
   scenario (name srv ^ "_sharded")
@@ -1064,7 +1020,6 @@ let all =
     storm httpd;
     storm pop3;
     storm sshd;
-    reactor_storm httpd;
     pool_storm httpd;
     pool_storm pop3;
     pool_storm sshd;

@@ -1140,11 +1140,10 @@ let open_file ctx ?(write = false) path =
 let add_endpoint ctx ep perm = Fd_table.add ctx.proc.Process.fds (Fd_table.Endpoint ep) perm
 
 (* Block before the trap, not after: a descriptor with a readiness wait
-   (a reactor-attached channel) parks here until a read would progress,
-   so an idle connection charges zero syscall fuel and zero trap cost
-   while it waits.  Endpoints without one (or whose permissions will make
-   the read fail anyway) fall through to the historical charge-then-block
-   order byte-for-byte. *)
+   (a guarded connection) parks here until a read would progress, so an
+   idle connection charges zero syscall fuel and zero trap cost while it
+   waits.  Endpoints without one (or whose permissions will make the read
+   fail anyway) charge the trap first and block inside the read. *)
 let fd_pre_wait ctx fd =
   match Fd_table.find ctx.proc.Process.fds fd with
   | Some

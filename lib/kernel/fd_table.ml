@@ -17,8 +17,8 @@ type endpoint = {
   ep_eof : unit -> bool;
   ep_desc : string;
   ep_wait : (unit -> unit) option;
-      (* block (park, on a reactor-driven endpoint) until ep_read can
-         make progress — readable, EOF, or cut.  Called BEFORE the
+      (* park until ep_read can make progress — readable, EOF, or
+         cut.  Called BEFORE the
          syscall trap, so a blocked read charges no fuel while idle. *)
   ep_readv : (Vm.t -> (int * int) array -> int) option;
   ep_writev : (Vm.t -> (int * int) array -> int) option;

@@ -25,8 +25,8 @@ type endpoint = {
   ep_eof : unit -> bool;  (** no data buffered and peer closed *)
   ep_desc : string;
   ep_wait : (unit -> unit) option;
-      (** block — park, on a reactor-driven endpoint — until [ep_read]
-          can make progress (readable, EOF, or cut).  The engine calls
+      (** park until [ep_read] can make progress (readable, EOF, or
+          cut).  The engine calls
           it {e before} the syscall trap, so a blocked read charges no
           fuel while idle. *)
   ep_readv : (Vm.t -> (int * int) array -> int) option;

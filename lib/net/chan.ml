@@ -3,7 +3,7 @@ module Clock = Wedge_sim.Clock
 module Cost_model = Wedge_sim.Cost_model
 module Trace = Wedge_sim.Trace
 module Metrics = Wedge_sim.Metrics
-module Reactor = Wedge_sim.Reactor
+module Interest = Wedge_sim.Fiber.Interest
 module Fd_table = Wedge_kernel.Fd_table
 module Rlimit = Wedge_kernel.Rlimit
 module Fault_plan = Wedge_fault.Fault_plan
@@ -29,12 +29,9 @@ type dir = {
   mutable wpos : int;
   mutable closed : bool;
   mutable reset : bool;
-  mutable handle : Reactor.handle option;
-      (* readiness interest set for this direction when a reactor is
-         attached: its reader parks on it for data/EOF, its writer for
-         drained backpressure space.  [None] (the default) keeps the
-         historical spin-yield blocking byte-for-byte — every seeded
-         replay test depends on that. *)
+  ready : Interest.t;
+      (* this direction's interest set: its reader parks on it for
+         data/EOF, its writer for drained backpressure space *)
 }
 
 let dir_create () =
@@ -44,16 +41,15 @@ let dir_create () =
     wpos = 0;
     closed = false;
     reset = false;
-    handle = None;
+    ready = Interest.create ~name:"chan";
   }
 let dir_available d = d.wpos - d.rpos
 
 (* One readiness edge: data arrived, space drained, or the direction
    died.  Level-triggered waiters re-check their own condition, so
-   signalling coarsely (every push, every pop) is correct; the disarmed
-   cost is one option match. *)
-let dir_signal d =
-  match d.handle with Some h -> Reactor.signal h | None -> ()
+   signalling coarsely (every push, every pop) is correct; with no
+   waiter it is one match. *)
+let dir_signal d = Interest.signal d.ready
 
 let dir_push d b =
   let n = Bytes.length b in
@@ -116,7 +112,7 @@ let charge_rtt ep half =
   | None -> ()
 
 (* Tear one direction down as a fault: readers of it see EOF, writers get
-   [Injected].  Pending bytes are lost.  The reactor handle dies with the
+   [Injected].  Pending bytes are lost.  The interest set dies with the
    direction: every parked waiter wakes (to EOF or the write error) and
    no new registration can land on the carcass. *)
 let dir_kill d =
@@ -124,7 +120,7 @@ let dir_kill d =
   d.wpos <- 0;
   d.closed <- true;
   d.reset <- true;
-  match d.handle with Some h -> Reactor.kill h | None -> ()
+  Interest.kill d.ready
 
 (* Close as reset but let already-buffered bytes drain (truncation). *)
 let dir_kill_keep_data d =
@@ -137,26 +133,17 @@ let dir_kill_keep_data d =
    the whole cooperative scheduler down as a deadlock). *)
 let kill ep =
   dir_kill ep.rx;
-  dir_kill ep.tx;
-  Fiber.progress ()
+  dir_kill ep.tx
 
 let charge_delay ep ns =
   match ep.clock with Some c -> Clock.charge c ns | None -> ()
 
-(* Block until this endpoint is readable.  Reactor-attached directions
-   park — zero scheduler steps while blocked — everything else keeps the
-   historical spin-yield wait byte-for-byte. *)
+(* Park until this endpoint is readable: zero scheduler steps while
+   blocked. *)
 let wait_rx ?(bytes = 1) ep =
   let bytes = max 1 bytes in
-  let ready () = dir_available ep.rx >= bytes || ep.rx.closed in
-  match ep.rx.handle with
-  | Some h when Fiber.in_scheduler () ->
-      Reactor.wait h ~what:"channel data" ~ready
-  | _ -> Fiber.wait_until ~what:"channel data" ready
-
-let block_for_data ep = wait_rx ep
-
-let wait_readable = block_for_data
+  Interest.wait ep.rx.ready ~what:"channel data" ~ready:(fun () ->
+      dir_available ep.rx >= bytes || ep.rx.closed)
 
 let read ep n =
   if n <= 0 then invalid_arg "Chan.read: n <= 0";
@@ -165,27 +152,22 @@ let read ep n =
       kill ep
   | Some (Fault_plan.Drop | Fault_plan.Enomem | Fault_plan.Prot_fault) ->
       (* incoming bytes lost; the read side sees EOF from now on *)
-      dir_kill ep.rx;
-      Fiber.progress ()
+      dir_kill ep.rx
   | Some Fault_plan.Truncate ->
       (* deliver at most one pending byte, then the direction dies *)
       let keep = min 1 (dir_available ep.rx) in
       ep.rx.wpos <- ep.rx.rpos + keep;
       ep.rx.closed <- true;
       ep.rx.reset <- true;
-      dir_signal ep.rx;
-      Fiber.progress ()
+      dir_signal ep.rx
   | Some (Fault_plan.Delay ns) -> charge_delay ep ns
   | Some (Fault_plan.Crash as k) -> Fault_plan.fail ~site:"chan.read" k
   | None -> ());
   let blocked = dir_available ep.rx = 0 && not ep.rx.closed in
-  block_for_data ep;
+  wait_rx ep;
   if blocked then charge_rtt ep true;
   let b = dir_pop ep.rx n in
   Trace.count ep.trace ~name:"chan.read" ~pid:net_pid ~value:(Bytes.length b);
-  (* Draining counts as global progress: a writer blocked on the high
-     watermark must see its space appear as forward motion, not a stall. *)
-  if Bytes.length b > 0 then Fiber.progress ();
   b
 
 let read_exact ep n =
@@ -213,45 +195,28 @@ let read_exact ep n =
     go 0 0
   end
 
-(* Writer-side backpressure: above the high watermark, spin-yield until
-   the reader drains to the low watermark.  If the whole system stalls
-   while we wait (the peer will never read), tear the direction down and
-   raise a contained [Resource_exhausted] — the in-flight byte budget is
-   a resource like any other, and a stalled bounded write must become a
-   compartment fault, never a scheduler deadlock. *)
-let backpressure_spins = 2_000
-
-let spin_for_space ep ~low =
-  let rec loop last spins =
-    if dir_available ep.tx <= low || ep.tx.closed then ()
-    else if Fiber.stamp () = last && spins > backpressure_spins then begin
-      dir_kill ep.tx;
-      Fiber.progress ();
-      raise
-        (Rlimit.Resource_exhausted
-           (Printf.sprintf
-              "chan.write: bounded channel stalled (%d bytes in flight, peer not reading)"
-              (dir_available ep.tx)))
-    end
-    else begin
-      Fiber.yield ();
-      let s = Fiber.stamp () in
-      if s = last then loop last (spins + 1) else loop s 0
-    end
-  in
-  loop (Fiber.stamp ()) 0
-
+(* Writer-side backpressure: above the high watermark, park until the
+   reader drains to the low watermark.  If the whole system stalls while
+   we wait (the peer will never read), this write is the first wait the
+   scheduler resolves: tear the direction down and raise a contained
+   [Resource_exhausted] — the in-flight byte budget is a resource like
+   any other, and a stalled bounded write must become a compartment
+   fault, never a scheduler deadlock. *)
 let wait_for_space ep cap =
   let low = max 1 (cap / 2) in
-  (* A reactor-attached writer parks for the drain signal instead of
-     spinning; a peer that never reads is then the admission layer's
-     problem (deadline cut -> abort -> wake to a contained error), or —
-     with no guard armed — a reported deadlock naming this fiber. *)
-  match ep.tx.handle with
-  | Some h when Fiber.in_scheduler () ->
-      Reactor.wait h ~what:"channel space" ~ready:(fun () ->
-          dir_available ep.tx <= low || ep.tx.closed)
-  | _ -> spin_for_space ep ~low
+  if
+    not
+      (Interest.wait_or_stall ep.tx.ready Fiber.Shed_write ~what:"channel space"
+         ~ready:(fun () -> dir_available ep.tx <= low || ep.tx.closed))
+  then begin
+    let stuck = dir_available ep.tx in
+    dir_kill ep.tx;
+    raise
+      (Rlimit.Resource_exhausted
+         (Printf.sprintf
+            "chan.write: bounded channel stalled (%d bytes in flight, peer not reading)"
+            stuck))
+  end
 
 let write ep b =
   if ep.tx.closed then
@@ -271,18 +236,15 @@ let write ep b =
   | Some (Fault_plan.Drop | Fault_plan.Enomem | Fault_plan.Prot_fault) ->
       (* the bytes vanish in flight and the direction dies; the writer
          only finds out on its next write (like a TCP send after FIN) *)
-      dir_kill ep.tx;
-      Fiber.progress ()
+      dir_kill ep.tx
   | Some Fault_plan.Truncate ->
       if Bytes.length b > 0 then dir_push ep.tx (Bytes.sub b 0 1);
-      dir_kill_keep_data ep.tx;
-      Fiber.progress ()
+      dir_kill_keep_data ep.tx
   | Some (Fault_plan.Delay ns) ->
       charge_delay ep ns;
       dir_push ep.tx b
   | None -> dir_push ep.tx b);
   Trace.count ep.trace ~name:"chan.write" ~pid:net_pid ~value:(Bytes.length b);
-  Fiber.progress ();
   Fiber.yield ()
 
 let write_string ep s = write ep (Bytes.of_string s)
@@ -322,20 +284,18 @@ let readv ep vm iovs =
     (match Fault_plan.roll_opt ep.faults ~site:"chan.read" with
     | Some Fault_plan.Reset -> kill ep
     | Some (Fault_plan.Drop | Fault_plan.Enomem | Fault_plan.Prot_fault) ->
-        dir_kill ep.rx;
-        Fiber.progress ()
+        dir_kill ep.rx
     | Some Fault_plan.Truncate ->
         let keep = min 1 (dir_available ep.rx) in
         ep.rx.wpos <- ep.rx.rpos + keep;
         ep.rx.closed <- true;
         ep.rx.reset <- true;
-        dir_signal ep.rx;
-        Fiber.progress ()
+        dir_signal ep.rx
     | Some (Fault_plan.Delay ns) -> charge_delay ep ns
     | Some (Fault_plan.Crash as k) -> Fault_plan.fail ~site:"chan.read" k
     | None -> ());
     let blocked = dir_available ep.rx = 0 && not ep.rx.closed in
-    block_for_data ep;
+    wait_rx ep;
     if blocked then charge_rtt ep true;
     let total = ref 0 in
     (try
@@ -352,13 +312,9 @@ let readv ep vm iovs =
            end)
          iovs
      with e ->
-       if !total > 0 then begin
-         Trace.count ep.trace ~name:"chan.read" ~pid:net_pid ~value:!total;
-         Fiber.progress ()
-       end;
+       if !total > 0 then Trace.count ep.trace ~name:"chan.read" ~pid:net_pid ~value:!total;
        raise e);
     Trace.count ep.trace ~name:"chan.read" ~pid:net_pid ~value:!total;
-    if !total > 0 then Fiber.progress ();
     !total
   end
 
@@ -391,28 +347,24 @@ let writev ep vm iovs =
       kill ep;
       Fault_plan.fail ~site:"chan.write" k
   | Some (Fault_plan.Drop | Fault_plan.Enomem | Fault_plan.Prot_fault) ->
-      dir_kill ep.tx;
-      Fiber.progress ()
+      dir_kill ep.tx
   | Some Fault_plan.Truncate ->
       (match Array.find_opt (fun b -> Bytes.length b > 0) runs with
       | Some b -> dir_push ep.tx (Bytes.sub b 0 1)
       | None -> ());
-      dir_kill_keep_data ep.tx;
-      Fiber.progress ()
+      dir_kill_keep_data ep.tx
   | Some (Fault_plan.Delay ns) ->
       charge_delay ep ns;
       Array.iter (fun b -> if Bytes.length b > 0 then dir_push ep.tx b) runs
   | None -> Array.iter (fun b -> if Bytes.length b > 0 then dir_push ep.tx b) runs);
   Trace.count ep.trace ~name:"chan.write" ~pid:net_pid ~value:total;
-  Fiber.progress ();
   Fiber.yield ();
   total
 
 let close ep =
   ep.tx.closed <- true;
   (* The peer's parked reader must see its EOF. *)
-  dir_signal ep.tx;
-  Fiber.progress ()
+  dir_signal ep.tx
 
 (* Forced teardown (RST): both directions die immediately.  Readers see
    EOF, writers get a contained [Injected] — what the admission layer
@@ -425,18 +377,6 @@ let is_eof ep = dir_available ep.rx = 0 && ep.rx.closed
 let bytes_in_flight ep = dir_available ep.rx
 let capacity ep = ep.capacity
 
-(* Attach a reactor to this endpoint: both directions get interest-set
-   handles, so readers/writers of either side park instead of spinning.
-   Idempotent; the peer endpoint shares the same dirs and is attached by
-   the same call. *)
-let attach_reactor r ep =
-  (match ep.rx.handle with
-  | Some _ -> ()
-  | None -> ep.rx.handle <- Some (Reactor.handle r ~name:"chan.rx"));
-  match ep.tx.handle with
-  | Some _ -> ()
-  | None -> ep.tx.handle <- Some (Reactor.handle r ~name:"chan.tx")
-
 let to_endpoint ep =
   {
     Fd_table.ep_read = (fun n -> read ep n);
@@ -444,11 +384,10 @@ let to_endpoint ep =
     ep_close = (fun () -> close ep);
     ep_eof = (fun () -> is_eof ep);
     ep_desc = "chan";
-    (* Pre-trap wait only in reactor mode: the unattached path must keep
-       blocking inside [read] (after the trap, with its half-RTT charge)
-       byte-for-byte. *)
-    ep_wait =
-      Some (fun () -> if ep.rx.handle <> None then wait_readable ep);
+    (* A raw channel blocks inside [read], after the trap, and charges the
+       half round trip a blocked read costs; the guard's endpoint is the
+       one that parks before the trap. *)
+    ep_wait = None;
     ep_readv = Some (fun vm iovs -> readv ep vm iovs);
     ep_writev = Some (fun vm iovs -> writev ep vm iovs);
   }
@@ -465,12 +404,9 @@ type listener = {
   lfaults : Fault_plan.t option;
   ltrace : Trace.t;
   lcapacity : int option;
-  mutable l_h : Reactor.handle option;
+  l_ready : Interest.t;
       (* accept-queue interest set: the acceptor parks on it and a SYN
          burst wakes it once to drain the whole backlog *)
-  mutable l_reactor : Reactor.t option;
-      (* when set, every accepted connection pair is auto-attached, so
-         the serve path parks end to end without per-conn plumbing *)
 }
 
 let default_backlog = 128
@@ -488,22 +424,12 @@ let listener ?clock ?(costs = Cost_model.default) ?faults
     lfaults = faults;
     ltrace = trace;
     lcapacity = capacity;
-    l_h = None;
-    l_reactor = None;
+    l_ready = Interest.create ~name:"chan.listener";
   }
-
-(* Park acceptors on the queue instead of spinning, and attach every
-   connection this listener mints from now on.  Idempotent. *)
-let attach_listener r l =
-  (match l.l_h with
-  | Some _ -> ()
-  | None -> l.l_h <- Some (Reactor.handle r ~name:"chan.listener"));
-  l.l_reactor <- Some r
 
 let refuse l msg =
   l.refused <- l.refused + 1;
   Trace.instant l.ltrace ~name:"chan.refused" ~pid:net_pid;
-  Fiber.progress ();
   raise (Refused msg)
 
 let connect l =
@@ -532,23 +458,14 @@ let connect l =
         pair ~costs:l.lcosts ?faults:l.lfaults ~trace:l.ltrace
           ?capacity:l.lcapacity ()
   in
-  (match l.l_reactor with
-  | Some r ->
-      (* one call covers both: client and server share the same dirs *)
-      attach_reactor r client
-  | None -> ());
   Queue.push server l.queue;
-  (match l.l_h with Some h -> Reactor.signal h | None -> ());
+  Interest.signal l.l_ready;
   Trace.instant l.ltrace ~name:"chan.connect" ~pid:net_pid;
-  Fiber.progress ();
   client
 
 let accept l =
-  let ready () = not (Queue.is_empty l.queue) || l.down in
-  (match l.l_h with
-  | Some h when Fiber.in_scheduler () ->
-      Reactor.wait h ~what:"incoming connection" ~ready
-  | _ -> Fiber.wait_until ~what:"incoming connection" ready);
+  Interest.wait l.l_ready ~what:"incoming connection" ~ready:(fun () ->
+      not (Queue.is_empty l.queue) || l.down);
   let r = Queue.take_opt l.queue in
   if Option.is_some r then Trace.instant l.ltrace ~name:"chan.accept" ~pid:net_pid;
   r
@@ -560,8 +477,7 @@ let shutdown l =
   Queue.iter kill l.queue;
   Queue.clear l.queue;
   (* Parked acceptors wake to the [down] flag; no new registrations. *)
-  (match l.l_h with Some h -> Reactor.kill h | None -> ());
-  Fiber.progress ()
+  Interest.kill l.l_ready
 
 let pending l = Queue.length l.queue
 let refused l = l.refused

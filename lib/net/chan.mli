@@ -1,8 +1,10 @@
 (** Simulated duplex byte-stream channels (TCP-connection stand-ins).
 
-    Reads block the calling {!Wedge_sim.Fiber} until data arrives or the
-    peer closes; a blocking read charges half a network round trip to the
-    simulated clock when one is attached.  Endpoints convert to
+    Reads park the calling {!Wedge_sim.Fiber} on the direction's interest
+    set until data arrives or the peer closes; a blocking read charges
+    half a network round trip to the simulated clock when one is
+    attached.  Every direction and listener owns its interest set from
+    birth.  Endpoints convert to
     {!Wedge_kernel.Fd_table.endpoint}s so compartments reach the network
     only through descriptor permissions. *)
 
@@ -33,11 +35,12 @@ val pair :
     immediately.
 
     [capacity] bounds in-flight bytes per direction: a writer at the high
-    watermark blocks on the fiber scheduler and resumes once the reader
-    drains to half.  If the whole system stalls while a writer is blocked
-    (the peer will never read), the direction is torn down and the write
-    raises {!Wedge_kernel.Rlimit.Resource_exhausted} — contained by the
-    engine as a compartment fault, never a scheduler deadlock. *)
+    watermark parks and resumes once the reader drains to half.  If the
+    whole system stalls while a writer is parked (the peer will never
+    read), the write is the first wait the scheduler resolves
+    ({!Wedge_sim.Fiber.Shed_write}): the direction is torn down and the
+    write raises {!Wedge_kernel.Rlimit.Resource_exhausted} — contained by
+    the engine as a compartment fault, never a scheduler deadlock. *)
 
 val read : ep -> int -> bytes
 (** Up to [n] bytes; blocks until at least one byte or EOF; the empty result
@@ -79,23 +82,9 @@ val writev : ep -> Wedge_kernel.Vm.t -> (int * int) array -> int
     byte reaches the wire, so a protection fault mid-vector delivers
     nothing (no partial-write corruption).  Returns the byte total. *)
 
-val wait_readable : ep -> unit
-(** Block until a read would make progress (data buffered, or EOF).  On a
-    reactor-attached endpoint the fiber parks — zero scheduler steps and
-    zero syscall fuel while idle; otherwise this is the historical
-    spin-yield wait.  The engine calls it before the syscall trap. *)
-
 val wait_rx : ?bytes:int -> ep -> unit
-(** {!wait_readable} generalized to a minimum byte count (default 1):
-    returns once [bytes] are buffered or the direction closed. *)
-
-val attach_reactor : Wedge_sim.Reactor.t -> ep -> unit
-(** Drive this connection's blocking through a reactor: readers and
-    writers of both directions park on interest sets and are woken in
-    batches at sync points instead of spin-polling.  One call covers the
-    peer endpoint too (the two ends share their dirs).  Idempotent.
-    Unattached endpoints keep the historical spin-yield blocking
-    byte-for-byte. *)
+(** Park until [bytes] (default 1) are buffered or the direction closed
+    — zero scheduler steps while idle. *)
 
 val close : ep -> unit
 
@@ -112,7 +101,8 @@ val bytes_in_flight : ep -> int
 val capacity : ep -> int option
 
 val to_endpoint : ep -> Wedge_kernel.Fd_table.endpoint
-(** Wrap as a descriptor target. *)
+(** Wrap as a descriptor target.  Reads block inside the read, after the
+    syscall trap (no [ep_wait]). *)
 
 (** {2 Listeners} *)
 
@@ -143,15 +133,10 @@ val connect : listener -> ep
     listener is down ([refused] counts both). *)
 
 val accept : listener -> ep option
-(** Blocks until a connection arrives or the listener shuts down.  On a
-    reactor-attached listener the acceptor parks and a connect burst
-    wakes it once — the level-triggered re-check then drains the whole
-    backlog without re-parking between connections. *)
-
-val attach_listener : Wedge_sim.Reactor.t -> listener -> unit
-(** Park acceptors on the accept queue's interest set, and auto-attach
-    ({!attach_reactor}) every connection this listener mints from now
-    on.  Idempotent. *)
+(** Parks until a connection arrives or the listener shuts down.  A
+    connect burst wakes the acceptor once — the level-triggered re-check
+    then drains the whole backlog without re-parking between
+    connections. *)
 
 val shutdown : listener -> unit
 (** Stop accepting; still-queued (never-to-be-accepted) connections are

@@ -11,9 +11,14 @@
    EOF on read and a contained [Fault_plan.Injected] on write, both of
    which the engine maps to a compartment fault.  Never [Chan.close],
    whose [Invalid_argument] on a subsequent worker write would escape
-   containment and kill the listener. *)
+   containment and kill the listener.
+
+   Everything that needs a clock runs on the reactor: header, idle and
+   heartbeat deadlines share one timer per connection, and the drain
+   deadline is a timer too.  Nothing here polls. *)
 
 module Fiber = Wedge_sim.Fiber
+module Interest = Wedge_sim.Fiber.Interest
 module Clock = Wedge_sim.Clock
 module Trace = Wedge_sim.Trace
 module Metrics = Wedge_sim.Metrics
@@ -83,20 +88,17 @@ type t = {
   max_conns : int;
   header_deadline_ns : int option;
   idle_deadline_ns : int option;
-  clock : Clock.t option;
+  reactor : Reactor.t option;  (* the clock, its timers and tick *)
   trace : Trace.t;
   breaker : breaker option;
   watchdog : Watchdog.t option;
-  reactor : Reactor.t option;
-      (* reactor-driven mode: admitted connections are attached (their
-         readers park instead of spin-polling), deadlines live on the
-         timer wheel, and the watchdog is pumped from [on_tick].  [None]
-         keeps every historical spin/poll path byte-for-byte. *)
   mutable conns : conn list;
   mutable active_n : int;
       (* |conns|, maintained at admit/release so the admission check is
          O(1) — the list itself stays for drain/overdue iteration only *)
+  released : Interest.t;  (* signalled whenever [conns] shrinks: drain parks on it *)
   mutable draining : bool;
+  mutable drain_forced : bool;
   mutable admitted : int;
   mutable rejected_busy : int;
   mutable rejected_draining : int;
@@ -117,6 +119,8 @@ and conn = {
   mutable is_probe : bool;  (* admitted through a half-open breaker *)
   mutable is_reported : bool;  (* outcome already fed to the breaker *)
   mutable heart : Watchdog.heart option;
+  mutable deadline : Reactor.timer_id option;
+      (* the armed deadline timer, cancelled on release and cut *)
 }
 
 type decision = Admitted of conn | Busy | Draining | Shed
@@ -132,29 +136,18 @@ type stats = {
   s_breaker_opened : int;
 }
 
-(* Spin thresholds, ordered below the fiber scheduler's deadlock detector
-   (10_000): governance must always act first, converting a wedged
-   connection into a contained cut rather than a scheduler crash. *)
-let guard_spins = 2_000
-let drain_spins = 5_000
-
-let create ?clock ?header_deadline_ns ?idle_deadline_ns ?breaker ?watchdog
-    ?reactor ?(trace = Trace.null) ~max_conns () =
+let create ?reactor ?header_deadline_ns ?idle_deadline_ns ?breaker ?watchdog
+    ?(trace = Trace.null) ~max_conns () =
   if max_conns <= 0 then invalid_arg "Guard.create: max_conns <= 0";
-  (match (header_deadline_ns, idle_deadline_ns, clock) with
-  | (Some _, _, None | _, Some _, None) ->
-      invalid_arg "Guard.create: deadlines need a clock"
-  | _ -> ());
-  (match (reactor, clock) with
-  | Some r, Some c when Reactor.clock r != c ->
-      invalid_arg "Guard.create: reactor must share the guard's clock"
-  | Some _, None -> invalid_arg "Guard.create: a reactor needs a clock"
-  | _ -> ());
+  if
+    Option.is_none reactor
+    && (Option.is_some header_deadline_ns || Option.is_some idle_deadline_ns
+       || Option.is_some breaker || Option.is_some watchdog)
+  then invalid_arg "Guard.create: deadlines, a breaker and a watchdog need a reactor";
   let breaker =
-    match (breaker, clock) with
-    | None, _ -> None
-    | Some _, None -> invalid_arg "Guard.create: a breaker needs a clock"
-    | Some bcfg, Some _ ->
+    match breaker with
+    | None -> None
+    | Some bcfg ->
         Some
           {
             bcfg;
@@ -176,14 +169,15 @@ let create ?clock ?header_deadline_ns ?idle_deadline_ns ?breaker ?watchdog
       max_conns;
       header_deadline_ns;
       idle_deadline_ns;
-      clock;
+      reactor;
       trace;
       breaker;
       watchdog;
-      reactor;
       conns = [];
       active_n = 0;
+      released = Interest.create ~name:"guard.drain";
       draining = false;
+      drain_forced = false;
       admitted = 0;
       rejected_busy = 0;
       rejected_draining = 0;
@@ -191,14 +185,9 @@ let create ?clock ?header_deadline_ns ?idle_deadline_ns ?breaker ?watchdog
       forced = 0;
     }
   in
-  (* With everyone parked, no poll loop pumps the watchdog — the timer
-     sweep does it instead, exactly when simulated time moves. *)
-  (match (reactor, watchdog) with
-  | Some r, Some w -> Reactor.on_tick r (fun () -> Watchdog.sweep w)
-  | _ -> ());
   t
 
-let now t = match t.clock with Some c -> Clock.now c | None -> 0
+let now t = match t.reactor with Some r -> Clock.now (Reactor.clock r) | None -> 0
 
 (* Guard events carry pid 0: admission happens before any compartment
    exists for the connection. *)
@@ -261,62 +250,78 @@ let breaker_decision t =
           else `Admit false)
 
 let overdue c =
-  match c.g.clock with
-  | None -> false
-  | Some clk ->
-      let n = Clock.now clk in
-      let header_overdue =
-        match c.g.header_deadline_ns with
-        | Some d when not c.is_established -> n - c.opened_ns > d
-        | _ -> false
-      in
-      let idle_overdue =
-        match c.g.idle_deadline_ns with Some d -> n - c.last_read_ns > d | None -> false
-      in
-      header_overdue || idle_overdue
+  let n = now c.g in
+  (match c.g.header_deadline_ns with
+  | Some d when not c.is_established -> n - c.opened_ns > d
+  | _ -> false)
+  || match c.g.idle_deadline_ns with Some d -> n - c.last_read_ns > d | None -> false
 
-let cut c =
-  if not c.is_cut then begin
-    c.is_cut <- true;
-    c.g.timed_out <- c.g.timed_out + 1;
-    Trace.instant c.g.trace ~name:"guard.cut" ~pid:guard_pid;
-    Chan.abort c.ep
-  end
+let disarm_deadline c =
+  match (c.deadline, c.g.reactor) with
+  | Some tm, Some r ->
+      Reactor.cancel_timer r tm;
+      c.deadline <- None
+  | _ -> ()
 
-(* Earliest instant at which [overdue] could flip true (deadlines use
-   strict [>], hence the +1).  [None] once released/cut or when no
-   deadline applies any more. *)
+let earlier a b = match (a, b) with Some x, Some y -> Some (min x y) | None, x | x, None -> x
+
+(* Earliest instant at which a deadline of this connection passes: the
+   header and idle deadlines while it is neither released nor cut
+   ([overdue] is strict, hence the +1), and its heart's deadline until it
+   is released.  [None] when no deadline applies. *)
 let next_deadline c =
-  if c.is_released || c.is_cut then None
+  if c.is_released then None
   else
-    let hdr =
-      match c.g.header_deadline_ns with
-      | Some d when not c.is_established -> Some (c.opened_ns + d + 1)
-      | _ -> None
-    in
-    let idle =
-      match c.g.idle_deadline_ns with
-      | Some d -> Some (c.last_read_ns + d + 1)
-      | None -> None
-    in
-    match (hdr, idle) with
-    | Some a, Some b -> Some (min a b)
-    | (Some _ as x), None | None, x -> x
+    let heart = Option.bind c.heart Watchdog.next_deadline in
+    if c.is_cut then heart
+    else
+      let hdr =
+        match c.g.header_deadline_ns with
+        | Some d when not c.is_established -> Some (c.opened_ns + d + 1)
+        | _ -> None
+      in
+      let idle = Option.map (fun d -> c.last_read_ns + d + 1) c.g.idle_deadline_ns in
+      earlier heart (earlier hdr idle)
 
 (* Fire-and-re-check deadline: one timer per connection, armed at the
-   earliest candidate instant.  When it fires the deadline has either
-   truly passed (cut — the channel abort wakes the parked worker to EOF)
-   or moved (bytes arrived, connection established): arm a fresh timer at
-   the new instant.  O(1) per event; no cancellation on the hot read
-   path — timers on released/cut connections fire once into a no-op. *)
+   earliest candidate instant.  When it fires a deadline has either truly
+   passed (an overdue heart is cut — its worker cancelled, its channel
+   aborted; an overdue connection is cut — the abort wakes the parked
+   worker to EOF) or moved (bytes arrived, a beat, the connection
+   established): arm a fresh timer at the new instant.  O(1) per event and
+   no cancellation on the hot read path; release cancels the one timer a
+   connection holds, so a finished connection leaves nothing on the
+   wheel. *)
 let rec arm_deadline r c =
-  match next_deadline c with
-  | None -> ()
-  | Some at ->
-      ignore
-        (Reactor.at r ~ns:at (fun () ->
-             if not (c.is_released || c.is_cut) then
-               if overdue c then cut c else arm_deadline r c))
+  c.deadline <-
+    Option.map
+      (fun at ->
+        Reactor.at r ~ns:at (fun () ->
+            c.deadline <- None;
+            (match c.heart with Some h when Watchdog.overdue h -> Watchdog.cut h | _ -> ());
+            if (not c.is_cut) && overdue c then cut c else arm_deadline r c))
+      (next_deadline c)
+
+(* Re-arm anew when the deadlines themselves change: a fresh
+   heart may be due before the armed timer, and a cut leaves only the
+   heart's deadline. *)
+and rearm c =
+  disarm_deadline c;
+  Option.iter (fun r -> arm_deadline r c) c.g.reactor
+
+(* Abort the connection: the channel's interest sets die, so a worker
+   parked on it wakes to EOF.  Only its heart's deadline still applies. *)
+and sever c =
+  c.is_cut <- true;
+  Chan.abort c.ep;
+  rearm c
+
+and cut c =
+  if not c.is_cut then begin
+    c.g.timed_out <- c.g.timed_out + 1;
+    Trace.instant c.g.trace ~name:"guard.cut" ~pid:guard_pid;
+    sever c
+  end
 
 let admit t ep =
   if t.draining then begin
@@ -349,16 +354,13 @@ let admit t ep =
               is_probe;
               is_reported = false;
               heart = None;
+              deadline = None;
             }
           in
           t.conns <- c :: t.conns;
           t.active_n <- t.active_n + 1;
           t.admitted <- t.admitted + 1;
-          (match t.reactor with
-          | Some r ->
-              Chan.attach_reactor r ep;
-              arm_deadline r c
-          | None -> ());
+          Option.iter (fun r -> arm_deadline r c) t.reactor;
           Trace.instant t.trace ~name:"guard.admit" ~pid:guard_pid;
           Admitted c
         end
@@ -441,13 +443,12 @@ let release c =
      + drain force-clear) must be cheap no-ops, not O(n) list walks. *)
   if not c.is_released then begin
     c.is_released <- true;
+    disarm_deadline c;
     (match c.heart with Some h -> Watchdog.disarm h | None -> ());
     let g = c.g in
     g.conns <- List.filter (fun c' -> c' != c) g.conns;
     g.active_n <- g.active_n - 1;
-    (* Freeing a slot is global progress: an accept loop or drain waiting
-       on the connection count must not read this as a stall. *)
-    Fiber.progress ()
+    Interest.signal g.released
   end
 
 let established c =
@@ -470,72 +471,41 @@ let rearm_heart c =
       (match c.heart with Some h -> Watchdog.disarm h | None -> ());
       let h = Watchdog.arm ~name:"guard.conn" w in
       Watchdog.watch h c.ep;
-      c.heart <- Some h
+      c.heart <- Some h;
+      (* The fresh heart's deadline may come before the armed timer. *)
+      rearm c
 
 let ep c = c.ep
 
-(* Deadline-aware endpoint.  Reads poll rather than block: data ready or
-   EOF delegates to the channel (which then cannot block), a passed
-   deadline or a globally stalled system cuts the connection and returns
-   EOF to the worker.  The worker compartment thus never holds a slot
-   past its deadline, and a silent client (never writes, never advances
-   the clock) is detected by the stall check before the scheduler's
-   deadlock detector fires. *)
-let guarded_read c n =
-  if c.is_cut then Bytes.empty
-  else if overdue c then begin
-    cut c;
-    Bytes.empty
+(* Delivered bytes restart the idle clock and beat the heart. *)
+let delivered c n =
+  if n > 0 then begin
+    c.last_read_ns <- now c.g;
+    match c.heart with Some h -> Watchdog.beat h | None -> ()
   end
-  else if c.g.reactor <> None then begin
-    (* Reactor path: park for data/EOF — no polling.  The deadline lives
-       on the timer wheel; a cut aborts the channel, which kills its
-       interest sets and wakes this park to EOF. *)
-    Chan.wait_readable c.ep;
+
+(* A cut connection, or one found past its deadline (cut on the spot),
+   reads as EOF. *)
+let expired c =
+  c.is_cut
+  || overdue c
+     && begin
+          cut c;
+          true
+        end
+
+(* Deadline-aware reads: park for data or EOF.  The deadline lives on the
+   timer wheel; a cut aborts the channel, which kills its interest sets
+   and wakes the parked worker to EOF. *)
+let guarded_read c n =
+  if expired c then Bytes.empty
+  else begin
+    Chan.wait_rx c.ep;
     if c.is_cut then Bytes.empty
     else begin
       let b = Chan.read c.ep n in
-      if Bytes.length b > 0 then begin
-        c.last_read_ns <- now c.g;
-        match c.heart with Some h -> Watchdog.beat h | None -> ()
-      end;
+      delivered c (Bytes.length b);
       b
-    end
-  end
-  else begin
-    let has_deadline =
-      c.g.header_deadline_ns <> None || c.g.idle_deadline_ns <> None
-    in
-    if not has_deadline then Chan.read c.ep n
-    else begin
-      let rec wait last spins =
-        if Chan.bytes_in_flight c.ep > 0 || Chan.is_eof c.ep then `Ready
-        else if c.is_cut then `Cut
-        else if overdue c then `Timeout
-        else if Fiber.stamp () = last && spins > guard_spins then `Timeout
-        else begin
-          (* The worker's poll loop doubles as a watchdog pump: hearts of
-             other wedged connections are swept even when no scheduler
-             hook is armed. *)
-          (match c.g.watchdog with Some w -> Watchdog.sweep w | None -> ());
-          Fiber.yield ();
-          let s = Fiber.stamp () in
-          if s = last then wait last (spins + 1) else wait s 0
-        end
-      in
-      match wait (Fiber.stamp ()) 0 with
-      | `Cut -> Bytes.empty
-      | `Timeout ->
-          cut c;
-          Bytes.empty
-      | `Ready ->
-          let b = Chan.read c.ep n in
-          if Bytes.length b > 0 then begin
-            c.last_read_ns <- now c.g;
-            (* Progress: delivered bytes beat this connection's heart. *)
-            match c.heart with Some h -> Watchdog.beat h | None -> ()
-          end;
-          b
     end
   end
 
@@ -547,38 +517,21 @@ let endpoint c =
     ep_eof = (fun () -> c.is_cut || Chan.is_eof c.ep);
     ep_desc = "guarded-chan";
     (* The engine calls [ep_wait] before charging the syscall trap, so a
-       reactor-parked worker burns zero fuel while its client is silent.
-       Without a reactor it is a no-op — the historical polled read
-       (with its fuel charges) stays byte-for-byte. *)
-    ep_wait =
-      Some
-        (fun () ->
-          if c.g.reactor <> None && (not c.is_cut) && not (overdue c) then
-            Chan.wait_readable c.ep);
+       parked worker burns zero fuel while its client is silent. *)
+    ep_wait = Some (fun () -> if not (c.is_cut || overdue c) then Chan.wait_rx c.ep);
     ep_readv =
       Some
         (fun vm iovs ->
-          if c.is_cut then 0
-          else if overdue c then begin
-            cut c;
-            0
-          end
+          if expired c then 0
           else begin
             let n = Chan.readv c.ep vm iovs in
-            if n > 0 then begin
-              c.last_read_ns <- now c.g;
-              (match c.heart with Some h -> Watchdog.beat h | None -> ())
-            end;
+            delivered c n;
             n
           end);
     ep_writev = Some (fun vm iovs -> Chan.writev c.ep vm iovs);
   }
 
 let accept_loop t l ~reject ~serve =
-  (* Reactor mode: the acceptor parks on the accept queue and a connect
-     burst wakes it once — the level-triggered wait then drains the whole
-     backlog without re-parking between connections. *)
-  (match t.reactor with Some r -> Chan.attach_listener r l | None -> ());
   let rec loop () =
     match Chan.accept l with
     | None -> ()
@@ -591,12 +544,7 @@ let accept_loop t l ~reject ~serve =
                   (fun () ->
                     (* Arm the heartbeat from inside the serve fiber: the
                        watchdog cancels this fiber on a cut. *)
-                    (match t.watchdog with
-                    | Some w ->
-                        let h = Watchdog.arm ~name:"guard.conn" w in
-                        Watchdog.watch h c.ep;
-                        c.heart <- Some h
-                    | None -> ());
+                    rearm_heart c;
                     (* A contained fault escaping the serve path (e.g. a
                        watchdog cancellation delivered outside any
                        compartment) kills this connection, never the
@@ -612,63 +560,55 @@ let accept_loop t l ~reject ~serve =
   in
   loop ()
 
+(* Drain: every remaining connection aborted (idempotent). *)
+let force t =
+  if not t.drain_forced then begin
+    t.drain_forced <- true;
+    Trace.instant t.trace ~name:"guard.drain.forced" ~pid:guard_pid;
+    List.iter
+      (fun c ->
+        if not c.is_cut then begin
+          t.forced <- t.forced + 1;
+          sever c
+        end)
+      t.conns
+  end
+
+(* Already-forced stragglers whose workers never ran their finally: their
+   slots are forfeit — mark each released so a late [release] stays a
+   no-op and the active count agrees with the emptied list. *)
+let forfeit t =
+  List.iter
+    (fun c ->
+      c.is_released <- true;
+      disarm_deadline c)
+    t.conns;
+  t.conns <- [];
+  t.active_n <- 0;
+  Interest.signal t.released
+
 (* Drain state machine: accepting -> draining (listener down, in-flight
-   finishing) -> forced (deadline or global stall: every remaining
-   connection aborted) -> drained.  Termination is guaranteed: once
-   forced, a second full stall window clears the connection list — the
-   workers have already been cut, their slots are forfeit. *)
+   finishing) -> forced (deadline timer or a stall: every remaining
+   connection aborted) -> drained.  Termination is guaranteed: a stall
+   while draining resolves to the force, and a stall after the force
+   (workers that never ran their finally) forfeits the slots. *)
 let drain ?deadline_ns t l =
   t.draining <- true;
   Trace.span_begin t.trace ~name:"guard.drain" ~pid:guard_pid;
   Chan.shutdown l;
-  let deadline =
-    match (deadline_ns, t.clock) with
-    | Some d, Some clk -> Some (Clock.now clk + d)
-    | Some _, None -> invalid_arg "Guard.drain: deadline needs a clock"
+  let timer =
+    match (deadline_ns, t.reactor) with
+    | Some d, Some r -> Some (r, Reactor.after r ~ns:d (fun () -> force t))
+    | Some _, None -> invalid_arg "Guard.drain: a deadline needs a reactor"
     | None, _ -> None
   in
-  let forced = ref false in
-  let force () =
-    if not !forced then begin
-      forced := true;
-      Trace.instant t.trace ~name:"guard.drain.forced" ~pid:guard_pid;
-      List.iter
-        (fun c ->
-          if not c.is_cut then begin
-            c.is_cut <- true;
-            t.forced <- t.forced + 1;
-            Chan.abort c.ep
-          end)
-        t.conns
-    end
-  in
-  (* Already-forced stragglers whose workers never ran their finally:
-     their slots are forfeit — mark each released so a late [release]
-     stays a no-op and the active count agrees with the emptied list. *)
-  let forfeit () =
-    List.iter (fun c -> c.is_released <- true) t.conns;
-    t.conns <- [];
-    t.active_n <- 0
-  in
-  let rec loop last spins =
-    if t.conns <> [] then begin
-      (match (deadline, t.clock) with
-      | Some d, Some clk when Clock.now clk >= d -> force ()
-      | _ -> ());
-      if Fiber.stamp () = last && spins > drain_spins then
-        if !forced then forfeit ()
-        else begin
-          force ();
-          loop last 0
-        end
-      else begin
-        Fiber.yield ();
-        let s = Fiber.stamp () in
-        if s = last then loop last (spins + 1) else loop s 0
-      end
-    end
-  in
-  loop (Fiber.stamp ()) 0;
+  let settled () = t.conns = [] in
+  let wait stall what = Interest.wait_or_stall t.released stall ~what ~ready:settled in
+  if not (wait Fiber.Force_drain "guard drain") then begin
+    force t;
+    if not (wait Fiber.Forfeit_drain "guard drain (forced)") then forfeit t
+  end;
+  Option.iter (fun (r, tm) -> Reactor.cancel_timer r tm) timer;
   Trace.span_end t.trace ~name:"guard.drain" ~pid:guard_pid
 
 let active t = t.active_n

@@ -9,6 +9,10 @@
 
     Deadline cuts use {!Chan.abort}, so the worker compartment sees EOF
     on read and a {e contained} fault on write — the listener survives.
+    Everything that needs a clock runs on the guard's reactor: header,
+    idle, heartbeat and drain deadlines are timer entries — so
+    [Fiber.run] must be given [Reactor.hook] and [Reactor.idle] for them
+    to fire.
 
     Two self-healing attachments (both optional):
 
@@ -65,35 +69,28 @@ type stats = {
 }
 
 val create :
-  ?clock:Wedge_sim.Clock.t ->
+  ?reactor:Wedge_sim.Reactor.t ->
   ?header_deadline_ns:int ->
   ?idle_deadline_ns:int ->
   ?breaker:breaker_config ->
   ?watchdog:Watchdog.t ->
-  ?reactor:Wedge_sim.Reactor.t ->
   ?trace:Wedge_sim.Trace.t ->
   max_conns:int ->
   unit ->
   t
-(** [header_deadline_ns] bounds the time from admission to
-    {!established} (e.g. handshake + first request line);
-    [idle_deadline_ns] bounds the gap between reads thereafter.  Both —
-    and [breaker] — need [clock].  [trace] records admission decisions
+(** [reactor] carries the guard's clock.  [header_deadline_ns] bounds
+    the time from admission to {!established} (e.g. handshake + first
+    request line); [idle_deadline_ns] bounds the gap between reads
+    thereafter.  Each connection holds one fire-and-re-check timer for
+    them and its [watchdog] heart's deadline (O(1) per read or beat),
+    cancelled on {!release}; after a {!cut} only the heart's deadline
+    remains.  The deadlines, [breaker] and [watchdog] (whose clock must
+    be the reactor's) all need [reactor].  [trace] records admission decisions
     (["guard.admit"/"guard.reject.busy"/"guard.reject.draining"]), cuts
     (["guard.cut"]), drain spans, and breaker transitions
     (["guard.breaker.open"/"half_open"/"close"/"shed"]).
-
-    [reactor] (which must share [clock]) switches the guard to
-    event-driven blocking: admitted connections are
-    {!Chan.attach_reactor}ed so their readers park instead of
-    spin-polling, deadlines become timer-wheel entries (fire-and-re-check
-    — O(1) per read, no per-read cancellation), {!accept_loop} parks on
-    the accept queue and drains connect bursts in one wake, and the
-    watchdog (when also present) is swept from the reactor's timer tick
-    instead of worker poll loops.  Without it every historical spin/poll
-    path is preserved byte-for-byte.
-    @raise Invalid_argument on a deadline, breaker or reactor without a
-    clock, a reactor on a different clock, or [max_conns <= 0]. *)
+    @raise Invalid_argument on a deadline, breaker or watchdog without a
+    reactor, or [max_conns <= 0]. *)
 
 val admit : t -> Chan.ep -> decision
 (** Claim a slot.  [Busy] when at [max_conns], [Draining] once {!drain}
@@ -117,8 +114,9 @@ val breaker_summary : t -> string
     without a breaker. *)
 
 val release : conn -> unit
-(** Give the slot back; idempotent.  Always call (e.g. [Fun.protect
-    ~finally]) or {!drain} will wait on a ghost. *)
+(** Give the slot back and cancel the connection's deadline timer;
+    idempotent.  Always call (e.g. [Fun.protect ~finally]) or {!drain}
+    will wait on a ghost. *)
 
 val established : conn -> unit
 (** The connection passed its handshake/greeting: the header deadline no
@@ -140,13 +138,11 @@ val cut : conn -> unit
 
 val endpoint : conn -> Wedge_kernel.Fd_table.endpoint
 (** Deadline-aware descriptor target for the worker compartment: reads
-    poll instead of block, returning EOF once the connection is overdue
-    or the whole system stalls waiting on a silent client — always
-    before the fiber scheduler's deadlock detector fires.  Under a
-    reactor-driven guard, reads park instead of polling, the endpoint's
-    [ep_wait] parks {e before} the syscall trap (an idle connection
-    charges zero syscall fuel), and the vectored [ep_readv]/[ep_writev]
-    paths carry the same deadline/heartbeat bookkeeping as reads. *)
+    park for data and return EOF once the connection is cut or overdue.
+    The endpoint's [ep_wait] parks {e before} the syscall trap (an idle
+    connection charges zero syscall fuel), and the vectored
+    [ep_readv]/[ep_writev] paths carry the same deadline/heartbeat
+    bookkeeping as reads. *)
 
 val accept_loop :
   t ->
@@ -160,9 +156,13 @@ val accept_loop :
 
 val drain : ?deadline_ns:int -> t -> Chan.listener -> unit
 (** Stop accepting (shuts the listener down, resetting queued
-    connections), wait for in-flight connections to release, and
-    force-abort the remainder when [deadline_ns] of simulated time
-    passes or the system stalls.  Guaranteed to terminate. *)
+    connections), park until in-flight connections release, and
+    force-abort the remainder when the [deadline_ns] timer fires or the
+    system stalls ({!Wedge_sim.Fiber.Force_drain}); a stall after the
+    force forfeits the slots ({!Wedge_sim.Fiber.Forfeit_drain}).  The
+    deadline timer is cancelled when the drain finishes first.
+    Guaranteed to terminate.
+    @raise Invalid_argument on a deadline without a reactor. *)
 
 val active : t -> int
 (** Connections currently holding a slot — O(1), maintained at

@@ -17,8 +17,8 @@
      2. the fabric marks the gtag dead, charges one [tlb_shootdown] per
         peer (the IPI send), and posts a shootdown request on the link
         to every peer shard;
-     3. each peer's link handler — a fiber parked on that shard's
-        reactor — services the request: bumps [tlb.cross_shard_shootdown],
+     3. each peer's link handler — a fiber parked on its link —
+        services the request: bumps [tlb.cross_shard_shootdown],
         charges the IPI, deletes its local replica (a full local
         revocation on that kernel), and acks;
      4. the deleter parks until every ack is in, then returns — exactly
@@ -32,8 +32,8 @@
 
    One host runs the whole cluster: the single cooperative [Fiber]
    scheduler multiplexes every shard's fibers (it is a global singleton
-   by design), so "per-shard scheduler" here means per-shard reactor +
-   interest sets + clock, not N OS threads.  [hook]/[idle] wire the
+   by design), so "per-shard scheduler" here means per-shard reactor
+   (timers) + clock, not N OS threads.  [hook]/[idle] wire the
    whole fabric into one [Fiber.run]. *)
 
 module Kernel = Wedge_kernel.Kernel
@@ -41,6 +41,7 @@ module Clock = Wedge_sim.Clock
 module Cost_model = Wedge_sim.Cost_model
 module Stats = Wedge_sim.Stats
 module Fiber = Wedge_sim.Fiber
+module Interest = Wedge_sim.Fiber.Interest
 module Reactor = Wedge_sim.Reactor
 module Tag = Wedge_mem.Tag
 module Engine = Wedge_core.Engine
@@ -66,10 +67,8 @@ type t = {
   shards : shard array;
   links_out : Chan.ep option array array;
       (* links_out.(i).(j): shard i's send end of the directed i->j
-         link.  Links are directed because attaching a channel to a
-         reactor covers both endpoints, and a message for shard j must
-         wake shard j's reactor — so each ordered pair gets its own
-         channel, attached at the receiver. *)
+         link: each ordered pair gets its own channel, read only by
+         shard j's handler for shard i *)
   links_in : Chan.ep option array array;
       (* links_in.(j).(i): shard j's receive end of the i->j link *)
   mutable next_gid : int;
@@ -81,6 +80,8 @@ type t = {
          cooperative and the delete does not yield, so one flag is a
          sound re-entrancy guard) *)
   mutable handlers : int;  (* live link-handler fibers *)
+  acked : Interest.t;  (* signalled at every shootdown ack *)
+  retired : Interest.t;  (* signalled when a link handler retires *)
   mutable started : bool;
   mutable stopping : bool;
 }
@@ -139,7 +140,8 @@ let broadcast_delete t (s : shard) gid =
       done;
       (* The synchronous contract: the delete does not return until
          every peer has revoked and acked. *)
-      Fiber.wait_until ~what:"cross-shard shootdown acks" (fun () -> g.g_pending = 0)
+      Interest.wait t.acked ~what:"cross-shard shootdown acks" ~ready:(fun () ->
+          g.g_pending = 0)
     end
   end
 
@@ -164,7 +166,6 @@ let create worlds =
            cost model's [tlb_shootdown] explicitly on each side, so the
            price of a shootdown is one knob, not a sum of hidden RTTs. *)
         let a, b = Chan.pair () in
-        Chan.attach_reactor shards.(j).reactor b;
         links_out.(i).(j) <- Some a;
         links_in.(j).(i) <- Some b
       end
@@ -180,6 +181,8 @@ let create worlds =
       by_replica = Hashtbl.create 16;
       relaying = false;
       handlers = 0;
+      acked = Interest.create ~name:"shard.acks";
+      retired = Interest.create ~name:"shard.handlers";
       started = false;
       stopping = false;
     }
@@ -242,7 +245,9 @@ let handler t (s : shard) ~from_sid ep =
           | 'S' -> service_shootdown t s ~from_sid gid
           | 'A' -> (
               match Hashtbl.find_opt t.gtags gid with
-              | Some g -> g.g_pending <- g.g_pending - 1
+              | Some g ->
+                  g.g_pending <- g.g_pending - 1;
+                  Interest.signal t.acked
               | None -> ())
           | c ->
               invalid_arg
@@ -253,7 +258,8 @@ let handler t (s : shard) ~from_sid ep =
     (* EOF: the fabric is stopping; fall through and retire. *)
   in
   loop ();
-  t.handlers <- t.handlers - 1
+  t.handlers <- t.handlers - 1;
+  Interest.signal t.retired
 
 let start t =
   if t.started then invalid_arg "Shard.start: already started";
@@ -274,12 +280,13 @@ let stop t =
   if t.started && not t.stopping then begin
     t.stopping <- true;
     (* Closing every send end EOFs every receive end: handlers parked on
-       their shard's reactor wake, drain, and retire. *)
+       their links wake, drain, and retire. *)
     Array.iter
       (fun row ->
         Array.iter (fun ep -> match ep with Some ep -> Chan.close ep | None -> ()) row)
       t.links_out;
-    Fiber.wait_until ~what:"shard link handlers retired" (fun () -> t.handlers = 0)
+    Interest.wait t.retired ~what:"shard link handlers retired" ~ready:(fun () ->
+        t.handlers = 0)
   end
 
 (* ------------------------------------------------------------------ *)
@@ -401,8 +408,8 @@ let front ?costs ?faults ?backlog ?header_deadline_ns ?breaker ?watchdogs ~max_c
         let watchdog =
           match watchdogs with Some ws -> Some ws.(s.sid) | None -> None
         in
-        Guard.create ~clock:s.kernel.Kernel.clock ?header_deadline_ns ?breaker
-          ?watchdog ~reactor:s.reactor ~max_conns ())
+        Guard.create ~reactor:s.reactor ?header_deadline_ns ?breaker ?watchdog
+          ~max_conns ())
       t.shards
   in
   { f_fab = t; f_listeners = listeners; f_guards = guards }

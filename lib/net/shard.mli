@@ -10,13 +10,13 @@
     parallel simulated time — that is the scale-out win [bench -- scale]
     measures.  One cooperative {!Wedge_sim.Fiber} scheduler multiplexes
     the whole cluster (it is a global singleton); per-shard scheduling
-    means per-shard reactors, interest sets and clocks.
+    means per-shard reactors (timers) and clocks.
 
     {b Global tags.}  A {!gtag} is a tag replicated on every shard — the
     multikernel form of a shared memory grant.  Deleting {e any} replica
     (plain {!Wedge_core.Wedge.tag_delete}; the fabric rides the engine's
     post-delete hook) completes the local revocation, then posts a
-    shootdown request to every peer shard's reactor, where a link
+    shootdown request on the link to every peer shard, where a link
     handler revokes the local replica (bumping the receiving kernel's
     ["tlb.cross_shard_shootdown"] stat and charging one
     [tlb_shootdown]), and acks; the delete returns only after every ack
@@ -36,7 +36,7 @@ type t
 val create : (Wedge_kernel.Kernel.t * Wedge_core.Engine.app) array -> t
 (** Wrap caller-built worlds (index = shard id) into a fabric: builds a
     reactor per shard on that shard's clock, the directed link channels
-    (attached to the receiving shard's reactor), and arms each app's
+    (one per ordered shard pair), and arms each app's
     [on_tag_delete] hook with the shootdown broadcast.  Use this when
     shards carry server environments ({!Wedge_httpd.Httpd_env} etc.)
     that build their own apps.
@@ -52,8 +52,8 @@ val shard : t -> int -> shard
 val reactors : t -> Wedge_sim.Reactor.t list
 
 val start : t -> unit
-(** Spawn the link-handler fibers (one per directed link, parked on the
-    receiving shard's reactor).  Must run inside [Fiber.run]; required
+(** Spawn the link-handler fibers (one per directed link, parked on its
+    channel).  Must run inside [Fiber.run]; required
     before any gtag delete on a fabric with more than one shard. *)
 
 val stop : t -> unit
@@ -125,8 +125,8 @@ val front :
   max_conns:int ->
   t ->
   front
-(** Per-shard listener + event-driven {!Guard} (reactor mode on the
-    shard's reactor and clock); [max_conns] is per shard.  [costs] and
+(** Per-shard listener + {!Guard} on the shard's reactor (its clock and
+    timers); [max_conns] is per shard.  [costs] and
     [faults] apply to the listeners' channels; [watchdogs] supplies one
     per shard (index = shard id). *)
 

@@ -4,9 +4,9 @@
    A crash is contained by the engine the instant it happens; a *hang*
    (stalled fiber, silent channel peer, livelocked callgate) is invisible
    until something notices the missing heartbeat.  Each watched unit of
-   work arms a [heart]; progress beats it; [sweep] — typically composed
-   into the fiber scheduler's [on_switch] hook — cuts any heart whose
-   last beat is older than its deadline: the watched endpoints are
+   work arms a [heart]; progress beats it; a heart found overdue — by
+   the timer its guard arms at [next_deadline], or by [sweep] — is cut:
+   the watched endpoints are
    aborted ([Chan.abort]: reads become EOF, writes a contained fault) and
    the armed fiber is cancelled ([Fiber.cancel]), so the hung compartment
    dies as a contained [Fiber.Cancelled] fault the supervisor above can
@@ -93,6 +93,9 @@ let disarm h =
 let overdue h =
   h.h_state = `Alive && Clock.now h.w.clock - h.h_last_beat > h.h_deadline_ns
 
+let next_deadline h =
+  if h.h_state = `Alive then Some (h.h_last_beat + h.h_deadline_ns + 1) else None
+
 let cut h =
   if h.h_state = `Alive then begin
     h.h_state <- `Hung;
@@ -107,18 +110,12 @@ let cut h =
 
 let sweep w = List.iter (fun h -> if overdue h then cut h) w.hearts
 
-(* Composable scheduler hook: sweep at every context switch, so a heart
-   is cut at the first switch after its deadline passes — no hung
-   compartment outlives its deadline by more than one scheduling step. *)
-let hook w () = sweep w
-
 let cuts w = w.cuts
 let beats w = w.beats
 let armed w = List.length (List.filter (fun h -> h.h_state = `Alive) w.hearts)
 
-(* Invariant for the oracle: after a sweep, no live heart may be overdue.
-   Run the sweep first (the oracle hook composes [hook w] before its
-   checks), and this holds at every context switch. *)
+(* Invariant for the oracle: no live heart may be overdue once its timer
+   had its tick (the reactor hook ticks before the oracle's checks). *)
 let self_check ?(slack_ns = 0) w =
   let now = Clock.now w.clock in
   match

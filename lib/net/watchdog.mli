@@ -4,13 +4,14 @@
     A crash is contained the instant it happens; a {e hang} (stalled
     fiber, silent peer, livelocked callgate) is invisible until a missing
     heartbeat betrays it.  Work units {!arm} a {!heart}; progress
-    {!beat}s it; {!sweep} — composed into {!Wedge_sim.Fiber.run}'s
-    [on_switch] hook via {!hook} — cuts any heart whose last beat is
-    older than its deadline: watched endpoints are aborted
+    {!beat}s it; a heart whose last beat is older than its deadline is
+    {!cut} — by the timer a {!Guard} arms at its {!next_deadline} on the
+    guard's reactor, or by {!sweep}: watched endpoints are aborted
     ({!Chan.abort}) and the armed fiber cancelled
     ({!Wedge_sim.Fiber.cancel}), so the hung compartment dies as a
     contained fault its supervisor can restart.  No hung compartment
-    outlives its deadline by more than one scheduling step. *)
+    outlives its deadline by more than one scheduling step, and a stalled
+    world sleeps to the next heartbeat deadline instead of deadlocking. *)
 
 type t
 type heart
@@ -41,6 +42,11 @@ val disarm : heart -> unit
     accounting. *)
 
 val overdue : heart -> bool
+
+val next_deadline : heart -> int option
+(** The instant the heart runs overdue (absolute simulated ns, on the
+    watchdog's clock) while it is alive. *)
+
 val hung : heart -> bool
 
 val cut : heart -> unit
@@ -49,10 +55,6 @@ val cut : heart -> unit
 
 val sweep : t -> unit
 (** Cut every overdue heart. *)
-
-val hook : t -> unit -> unit
-(** [hook t] is [sweep] shaped for [Fiber.run ~on_switch] — compose it
-    before invariant checks so {!self_check} holds at every switch. *)
 
 val cuts : t -> int
 val beats : t -> int

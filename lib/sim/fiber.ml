@@ -6,18 +6,18 @@ module Rng = Wedge_fault.Rng
 type _ Effect.t += Yield : unit Effect.t
 type _ Effect.t += Spawn : (unit -> unit) -> unit Effect.t
 
-type _ Effect.t += Park : string -> unit Effect.t
+type _ Effect.t += Park : unit Effect.t
 (* Like [Yield], but the continuation is NOT re-enqueued: the fiber goes
    into the parked table and runs again only when [unpark] moves it back
-   to the run queue.  The readiness reactor is built on this — a blocked
-   fiber costs the scheduler nothing until the event it waits for
-   actually happens, instead of spin-polling through every rotation. *)
+   to the run queue.  Every blocking wait in the stack is built on this
+   — a blocked fiber costs the scheduler nothing until the event it
+   waits for actually happens. *)
 
 exception Deadlock of string
 
 exception Cancelled of string
 (* Delivered inside a fiber at its next yield (or stall step / wait-until
-   spin) after [cancel] marked it.  The watchdog uses this to tear down a
+   poll) after [cancel] marked it.  The watchdog uses this to tear down a
    hung compartment: the engine registers [Cancelled] as a contained
    fault class, so a cancelled worker dies like a crashed one — the
    listener and every other fiber keep running. *)
@@ -25,12 +25,11 @@ exception Cancelled of string
 (* ------------------------------------------------------------------ *)
 (* Scheduling policies                                                 *)
 
-(* Round_robin keeps the historical FIFO queue, byte-for-byte: every
-   seeded replay test in the suite depends on that order.  The other
-   policies schedule from an array-backed pool of runnable fibers and
-   record, per step, the pool index they picked — the decision trace.
-   Feeding a trace back through [Replay] reproduces the run exactly,
-   which is what exploration drivers use to shrink a failing schedule. *)
+(* Round_robin keeps the FIFO queue.  The other policies schedule from
+   an array-backed pool of runnable fibers and record, per step, the pool
+   index they picked — the decision trace.  Feeding a trace back through
+   [Replay] reproduces the run exactly, which is what schedule
+   exploration uses to shrink a failing schedule. *)
 type policy =
   | Round_robin
   | Random of int  (** uniformly random runnable fiber, from the seed *)
@@ -51,6 +50,46 @@ let policy_to_string = function
   | Pct { seed; change_prob } -> Printf.sprintf "pct:%d:%g" seed change_prob
   | Replay d -> Printf.sprintf "replay[%d]" (Array.length d)
 
+(* What a blocked wait does when the whole system stalls, in resolution
+   order: at a stall the scheduler resolves the wait of the first class
+   (lowest fiber id within it) and lets the world run again.  A wait
+   with no class is resolved last, by raising [Deadlock] in it. *)
+type stall = Shed_write | Force_drain | Forfeit_drain
+
+let stall_rank = function
+  | Some Shed_write -> 0
+  | Some Force_drain -> 1
+  | Some Forfeit_drain -> 2
+  | None -> 3
+
+(* ------------------------------------------------------------------ *)
+(* Interest sets                                                       *)
+
+(* One readiness edge source — a channel direction, a listener's accept
+   queue, a drain's connection list.  It needs fiber ids but no clock:
+   waiters park on it and [signal] puts every one of them back on the
+   run queue in one batch.  Waits are level-triggered (a woken waiter
+   re-checks its own [ready] and re-parks on a spurious wake), so
+   producers signal coarsely and a wake can never be lost to a race. *)
+type interest = {
+  i_name : string;
+  mutable i_dead : bool;
+  mutable i_waiters : int list;  (* parked fiber ids, newest first *)
+}
+
+type verdict = Stalled | Deadlocked of string
+
+(* The registry entry of one blocked fiber: what it waits for and how,
+   and the verdict a stall delivered to it.  A [wait_until] poller and a
+   bare [park] have no interest set. *)
+type wait = {
+  w_what : string;
+  w_on : interest option;
+  w_ready : unit -> bool;
+  w_stall : stall option;
+  mutable w_verdict : verdict option;
+}
+
 type task = {
   t_id : int;
   t_run : unit -> unit;
@@ -61,26 +100,28 @@ let dummy_task = { t_id = -1; t_run = (fun () -> ()) }
 type sched = {
   policy : policy;
   runq : (unit -> unit) Queue.t;  (* Round_robin *)
-  mutable pool : task array;  (* every other policy *)
+  mutable pool : task array;
+      (* every other policy: [0, pool_n - stale) may be picked, the tail
+         holds the pollers that already found their condition false *)
   mutable pool_n : int;
+  mutable stale : int;
+      (* queued [wait_until] pollers that found their condition false
+         since the last step of any other fiber: the system is stalled
+         exactly when every runnable fiber is one of them *)
+  mutable epoch : int;  (* bumped whenever a fiber step could change state *)
+  mutable polling : bool;  (* the running fiber is yielding from a failed poll *)
   rng : Rng.t;
   prio : (int, int) Hashtbl.t;  (* Pct: fiber id -> priority *)
   mutable demote_next : int;  (* strictly decreasing fresh minima *)
-  mutable last_pick : int;  (* Pct anti-starvation state *)
-  mutable picks_in_a_row : int;
-  mutable stamp_at_pick : int;
   mutable replay_pos : int;
   mutable decisions : int list;  (* newest first *)
   on_switch : (unit -> unit) option;
   on_idle : (unit -> bool) option;
-      (* called when nothing is runnable but fibers are parked; returns
-         true when it made progress (advanced the clock to a timer, fired
-         one) and the scheduler should look at the queue again *)
-  mutable stamp : int;  (* bumped by [progress] *)
-  mutable active : bool;
+      (* called at a stall; returns true when it moved the simulated
+         world (advanced the clock to a timer and fired it) *)
   mutable cur : int;  (* id of the running fiber *)
   mutable next_id : int;
-  blocked : (int, string) Hashtbl.t;  (* fiber id -> awaited condition *)
+  blocked : (int, wait) Hashtbl.t;  (* the single registry of blocked fibers *)
   parked : (int, unit -> unit) Hashtbl.t;
       (* fiber id -> resume thunk; parked fibers are OFF the run queue
          entirely — [unpark] is the only way back *)
@@ -91,9 +132,27 @@ type sched = {
 
 let current : sched option ref = ref None
 let in_scheduler () = !current <> None
-let progress () = match !current with Some s -> s.stamp <- s.stamp + 1 | None -> ()
-let stamp () = match !current with Some s -> s.stamp | None -> 0
 let fiber_id () = match !current with Some s -> s.cur | None -> 0
+
+(* Interest-set counters of the running scheduler, or of the last
+   finished run (reset when a run starts). *)
+type interest_stats = { signals : int; wakeups : int; parks : int; waiting : int }
+
+let c_signals = ref 0
+let c_wakeups = ref 0
+let c_parks = ref 0
+let c_waiting = ref 0
+
+let interest_stats () =
+  { signals = !c_signals; wakeups = !c_wakeups; parks = !c_parks; waiting = !c_waiting }
+
+(* A fiber step ended that could have changed shared state: every poller
+   must look at its condition again before the system counts as stalled.
+   For the pool policies the stale tail simply rejoins the pickable
+   range. *)
+let progress s =
+  s.epoch <- s.epoch + 1;
+  s.stale <- 0
 
 (* Deliver a pending cancellation exactly once: the flag is consumed on
    raise, so a supervisor restarting the cancelled worker does not see the
@@ -118,14 +177,7 @@ let stall s total =
   let rec go remaining =
     if remaining > 0 then begin
       check_cancel s;
-      (match s.clock with
-      | Some c ->
-          Clock.charge c (min chunk remaining);
-          (* Advancing the clock is global progress: deadline-based guards
-             must get to observe it rather than read the stall as a wedged
-             system. *)
-          progress ()
-      | None -> ());
+      (match s.clock with Some c -> Clock.charge c (min chunk remaining) | None -> ());
       perform Yield;
       go (remaining - chunk)
     end
@@ -155,69 +207,73 @@ let spawn f =
 (* "never (blocked: fiber 0 awaiting never, fiber 2 awaiting channel data)" *)
 let deadlock_message s what =
   let entries =
-    Hashtbl.fold (fun id w acc -> (id, w) :: acc) s.blocked []
+    Hashtbl.fold (fun id w acc -> (id, w.w_what) :: acc) s.blocked []
     |> List.sort compare
     |> List.map (fun (id, w) -> Printf.sprintf "fiber %d awaiting %s" id w)
   in
   Printf.sprintf "%s (blocked: %s)" what (String.concat ", " entries)
 
+let no_scheduler what = Deadlock (Printf.sprintf "%s (no scheduler running)" what)
+
+let check_verdict w =
+  match w.w_verdict with Some (Deadlocked msg) -> raise (Deadlock msg) | _ -> ()
+
 let wait_until ?(what = "condition") cond =
   match !current with
-  | None ->
-      if not (cond ()) then
-        raise (Deadlock (Printf.sprintf "%s (no scheduler running)" what))
+  | None -> if not (cond ()) then raise (no_scheduler what)
   | Some s ->
       if not (cond ()) then begin
         let id = s.cur in
-        Hashtbl.replace s.blocked id what;
-        let finish () = Hashtbl.remove s.blocked id in
-        let rec loop last_stamp spins =
-          if not (cond ()) then begin
-            check_cancel s;
-            (* If we have spun through the run queue many times with no
-               global progress, every other fiber is blocked too — but a
-               blocked world with an armed reactor timer is asleep, not
-               dead.  The queue never empties while this fiber spins, so
-               the scheduler's own idle path can't run: consult [on_idle]
-               here and only declare deadlock once it can't advance
-               simulated time either. *)
-            if s.stamp = last_stamp && spins > 10_000 then begin
-              let idled = match s.on_idle with Some f -> f () | None -> false in
-              if not idled then begin
-                let msg = deadlock_message s what in
-                finish ();
-                raise (Deadlock msg)
-              end
-            end;
-            perform Yield;
-            if s.stamp = last_stamp then loop last_stamp (spins + 1)
-            else loop s.stamp 0
-          end
+        let w =
+          { w_what = what; w_on = None; w_ready = cond; w_stall = None; w_verdict = None }
         in
-        (match loop s.stamp 0 with
-        | () -> finish ()
+        Hashtbl.replace s.blocked id w;
+        (* A failed poll changes nothing: its yield is flagged, so the
+           scheduler can tell a stalled system from a busy one exactly. *)
+        let rec loop () =
+          check_cancel s;
+          s.polling <- true;
+          perform Yield;
+          check_verdict w;
+          if not (cond ()) then loop ()
+        in
+        match loop () with
+        | () -> Hashtbl.remove s.blocked id
         | exception e ->
-            finish ();
-            raise e)
+            Hashtbl.remove s.blocked id;
+            raise e
       end
 
 (* ------------------------------------------------------------------ *)
-(* Pool scheduling (Random / Pct / Replay)                             *)
+(* Run queue                                                           *)
 
-let pool_push s task =
+let grow s =
   let n = Array.length s.pool in
   if s.pool_n = n then begin
     let bigger = Array.make (max 8 (2 * n)) dummy_task in
     Array.blit s.pool 0 bigger 0 n;
     s.pool <- bigger
-  end;
+  end
+
+(* Runnable tasks go in front of the stale tail, stale pollers behind it. *)
+let pool_push s task =
+  grow s;
+  let e = s.pool_n - s.stale in
+  s.pool.(s.pool_n) <- s.pool.(e);
+  s.pool.(e) <- task;
+  s.pool_n <- s.pool_n + 1
+
+let pool_push_stale s task =
+  grow s;
   s.pool.(s.pool_n) <- task;
   s.pool_n <- s.pool_n + 1
 
 let pool_take s i =
   let t = s.pool.(i) in
+  let e = s.pool_n - s.stale - 1 in
+  s.pool.(i) <- s.pool.(e);
   s.pool_n <- s.pool_n - 1;
-  s.pool.(i) <- s.pool.(s.pool_n);
+  s.pool.(e) <- s.pool.(s.pool_n);
   s.pool.(s.pool_n) <- dummy_task;
   t
 
@@ -225,6 +281,15 @@ let enqueue s ~id thunk =
   match s.policy with
   | Round_robin -> Queue.push thunk s.runq
   | _ -> pool_push s { t_id = id; t_run = thunk }
+
+let enqueue_stale s ~id thunk =
+  s.stale <- s.stale + 1;
+  match s.policy with
+  | Round_robin -> Queue.push thunk s.runq
+  | _ -> pool_push_stale s { t_id = id; t_run = thunk }
+
+let runnable s = match s.policy with Round_robin -> Queue.length s.runq | _ -> s.pool_n
+let eligible s = runnable s - s.stale
 
 (* ------------------------------------------------------------------ *)
 (* Park / unpark                                                       *)
@@ -241,38 +306,44 @@ let parked_ids () =
   | Some s ->
       Hashtbl.fold (fun id _ acc -> id :: acc) s.parked [] |> List.sort compare
 
-(* Move a parked fiber back to the run queue.  Waking someone is global
-   progress — a drain loop or deadlock detector spinning elsewhere must
-   see the wake as forward motion. *)
-let unpark id =
-  match !current with
+let unpark_in s id =
+  match Hashtbl.find_opt s.parked id with
   | None -> ()
-  | Some s -> (
-      match Hashtbl.find_opt s.parked id with
-      | None -> ()
-      | Some thunk ->
-          Hashtbl.remove s.parked id;
-          s.stamp <- s.stamp + 1;
-          enqueue s ~id thunk)
+  | Some thunk ->
+      Hashtbl.remove s.parked id;
+      enqueue s ~id thunk
 
-(* Park the calling fiber until [unpark].  Cancellation is delivered at
-   both edges: a pending mark raises before the fiber ever leaves the
-   queue, and a mark set while parked (the watchdog cutting a hung
-   worker — [cancel] unparks its victim) raises at resume. *)
+let unpark id = match !current with None -> () | Some s -> unpark_in s id
+
+(* Park the calling fiber, registered as [w], until [unpark].
+   Cancellation is delivered at both edges: a pending mark raises before
+   the fiber ever leaves the queue, and a mark set while parked (the
+   watchdog cutting a hung worker — [cancel] unparks its victim) raises
+   at resume. *)
+let suspend s w =
+  check_cancel s;
+  let id = s.cur in
+  Hashtbl.replace s.blocked id w;
+  (match perform Park with
+  | () -> Hashtbl.remove s.blocked id
+  | exception e ->
+      Hashtbl.remove s.blocked id;
+      raise e);
+  check_verdict w;
+  check_cancel s
+
 let park ~what =
   match !current with
-  | None -> raise (Deadlock (Printf.sprintf "%s (no scheduler running)" what))
+  | None -> raise (no_scheduler what)
   | Some s ->
-      check_cancel s;
-      let id = s.cur in
-      Hashtbl.replace s.blocked id what;
-      let finish () = Hashtbl.remove s.blocked id in
-      (match perform (Park what) with
-      | () -> finish ()
-      | exception e ->
-          finish ();
-          raise e);
-      check_cancel s
+      suspend s
+        {
+          w_what = what;
+          w_on = None;
+          w_ready = (fun () -> false);
+          w_stall = None;
+          w_verdict = None;
+        }
 
 let cancel ?(reason = "cancelled") id =
   match !current with
@@ -281,7 +352,115 @@ let cancel ?(reason = "cancelled") id =
       if not (Hashtbl.mem s.cancelled id) then Hashtbl.replace s.cancelled id reason;
       (* A parked victim would otherwise never observe the mark: wake it
          so [park]'s resume edge delivers [Cancelled] promptly. *)
-      unpark id
+      unpark_in s id
+
+(* ------------------------------------------------------------------ *)
+(* Interest-set waits                                                  *)
+
+module Interest = struct
+  type t = interest
+
+  let create ~name = { i_name = name; i_dead = false; i_waiters = [] }
+  let is_dead i = i.i_dead
+
+  let unregister i id =
+    if List.mem id i.i_waiters then begin
+      i.i_waiters <- List.filter (fun x -> x <> id) i.i_waiters;
+      decr c_waiting
+    end
+
+  (* Level-triggered: park until [ready], re-checking on every wake.  A
+     dead set never blocks — the caller's own state (closed flag, EOF)
+     carries the final answer.  A cancellation delivered while parked
+     removes the registration before propagating: no ghost waiters.
+     [false] means a stall resolved this wait instead. *)
+  let await i stall ~what ~ready =
+    if i.i_dead || ready () then true
+    else
+      match !current with
+      | None -> raise (no_scheduler what)
+      | Some s ->
+          let id = s.cur in
+          let w =
+            { w_what = what; w_on = Some i; w_ready = ready; w_stall = stall; w_verdict = None }
+          in
+          let rec loop () =
+            i.i_waiters <- id :: i.i_waiters;
+            incr c_waiting;
+            incr c_parks;
+            (match suspend s w with
+            | () -> unregister i id
+            | exception e ->
+                unregister i id;
+                raise e);
+            match w.w_verdict with
+            | Some Stalled -> false
+            | _ -> i.i_dead || ready () || loop ()
+          in
+          loop ()
+
+  let wait i ~what ~ready = ignore (await i None ~what ~ready)
+  let wait_or_stall i stall ~what ~ready = await i (Some stall) ~what ~ready
+
+  (* One wake batch: every waiter back on the run queue, in fiber-id
+     order so the wake order is a pure function of who waited. *)
+  let signal i =
+    match i.i_waiters with
+    | [] -> ()
+    | ws ->
+        incr c_signals;
+        i.i_waiters <- [];
+        c_waiting := !c_waiting - List.length ws;
+        List.iter
+          (fun id ->
+            incr c_wakeups;
+            unpark id)
+          (List.sort compare ws)
+
+  let kill i =
+    if not i.i_dead then begin
+      i.i_dead <- true;
+      signal i
+    end
+end
+
+(* The interest-set audit over the scheduler's registry, for the
+   invariant oracle:
+   - a registered, still-parked waiter whose [ready] already holds is a
+     lost wakeup (someone changed state without signalling);
+   - a waiter registered on a dead set is a ghost ([kill] wakes
+     everyone, and a dead set takes no registrations);
+   - a parked fiber with no registration can never be woken by a signal
+     (a registration leaked on some exception path, or a bare [park]).
+   A registered waiter that is NOT parked is fine — that is the window
+   between its wake and the fiber running its cleanup. *)
+let audit () =
+  match !current with
+  | None -> None
+  | Some s ->
+      let ghost id = function
+        | { w_on = Some i; _ } when i.i_dead && List.mem id i.i_waiters ->
+            Some (Printf.sprintf "interest: fiber %d waits on dead set %s" id i.i_name)
+        | _ -> None
+      in
+      let parked id =
+        match Hashtbl.find_opt s.blocked id with
+        | Some ({ w_on = Some i; _ } as w) when List.mem id i.i_waiters -> (
+            match ghost id w with
+            | Some _ as g -> g
+            | None when w.w_ready () ->
+                Some
+                  (Printf.sprintf "interest: lost wakeup — %s ready but fiber %d still parked"
+                     i.i_name id)
+            | None -> None)
+        | _ -> Some (Printf.sprintf "interest: fiber %d parked with no registration" id)
+      in
+      match List.find_map parked (parked_ids ()) with
+      | Some _ as p -> p
+      | None -> Hashtbl.fold (fun id w acc -> if acc = None then ghost id w else acc) s.blocked None
+
+(* ------------------------------------------------------------------ *)
+(* Pool scheduling (Random / Pct / Replay)                             *)
 
 (* Pct priorities are drawn at fiber creation; demotions assign fresh,
    strictly decreasing minima so the post-demotion order is total and
@@ -295,17 +474,11 @@ let pct_demote s id =
   Hashtbl.replace s.prio id s.demote_next;
   s.demote_next <- s.demote_next - 1
 
-(* Strict priority alone livelocks against the stack's spin-yield blocking
-   idiom: a top-priority fiber sitting in [wait_until] would be picked
-   forever while the fiber able to unblock it never runs, and after 10_000
-   fruitless spins the detector above would report a deadlock that is
-   really a scheduling artifact.  Demoting a fiber that has been picked
-   this many consecutive times without any global progress guarantees
-   rotation long before the detector fires. *)
-let starvation_limit = 64
-
+(* Only [0, eligible) may be picked: a poller that found its condition
+   false is not picked again until another fiber has run, so strict
+   priority can never livelock on a top-priority poller. *)
 let choose s =
-  let n = s.pool_n in
+  let n = eligible s in
   let i =
     match s.policy with
     | Round_robin -> assert false
@@ -330,24 +503,38 @@ let choose s =
             best_p := p
           end
         done;
-        let id = s.pool.(!best).t_id in
-        if change_prob > 0.0 && Rng.float s.rng < change_prob then pct_demote s id;
-        if id = s.last_pick && s.stamp = s.stamp_at_pick then begin
-          s.picks_in_a_row <- s.picks_in_a_row + 1;
-          if s.picks_in_a_row >= starvation_limit then begin
-            pct_demote s id;
-            s.picks_in_a_row <- 0
-          end
-        end
-        else begin
-          s.last_pick <- id;
-          s.picks_in_a_row <- 1;
-          s.stamp_at_pick <- s.stamp
-        end;
+        if change_prob > 0.0 && Rng.float s.rng < change_prob then
+          pct_demote s s.pool.(!best).t_id;
         !best
   in
   s.decisions <- i :: s.decisions;
   i
+
+(* ------------------------------------------------------------------ *)
+(* Stall resolution                                                    *)
+
+(* Nothing can run and no timer can fire: resolve the blocked wait of the
+   first stall class (lowest fiber id within it).  A stall-aware wait
+   wakes to [Stalled]; anyone else is told [Deadlock], raised inside that
+   fiber so a caller that expects a dead end can catch it. *)
+let resolve s =
+  let best = ref None in
+  Hashtbl.iter
+    (fun id w ->
+      let key = (stall_rank w.w_stall, id) in
+      match !best with
+      | Some (k, _, _) when k <= key -> ()
+      | _ -> best := Some (key, id, w))
+    s.blocked;
+  match !best with
+  | None -> raise (Deadlock "nothing runnable, nothing blocked")
+  | Some (_, id, w) ->
+      w.w_verdict <-
+        Some
+          (match w.w_stall with
+          | Some _ -> Stalled
+          | None -> Deadlocked (deadlock_message s w.w_what));
+      if Hashtbl.mem s.parked id then unpark_in s id else progress s
 
 (* The decision trace of the most recently finished run (normal or
    exceptional) — Round_robin records nothing, pool policies record one
@@ -365,18 +552,16 @@ let run ?faults ?clock ?(policy = Round_robin) ?on_switch ?on_idle main =
       runq = Queue.create ();
       pool = Array.make 8 dummy_task;
       pool_n = 0;
+      stale = 0;
+      epoch = 0;
+      polling = false;
       rng = Rng.create seed;
       prio = Hashtbl.create 16;
       demote_next = 0;
-      last_pick = -1;
-      picks_in_a_row = 0;
-      stamp_at_pick = -1;
       replay_pos = 0;
       decisions = [];
       on_switch;
       on_idle;
-      stamp = 0;
-      active = true;
       cur = 0;
       next_id = 1;
       blocked = Hashtbl.create 8;
@@ -387,12 +572,16 @@ let run ?faults ?clock ?(policy = Round_robin) ?on_switch ?on_idle main =
     }
   in
   current := Some s;
+  c_signals := 0;
+  c_wakeups := 0;
+  c_parks := 0;
+  c_waiting := 0;
   assign_prio s 0;
   let save_decisions () = last_run_decisions := Array.of_list (List.rev s.decisions) in
   let rec exec (f : unit -> unit) : unit =
     match_with f ()
       {
-        retc = (fun () -> ());
+        retc = (fun () -> progress s);
         exnc =
           (fun e ->
             save_decisions ();
@@ -405,9 +594,20 @@ let run ?faults ?clock ?(policy = Round_robin) ?on_switch ?on_idle main =
                 Some
                   (fun (k : (a, unit) continuation) ->
                     let id = s.cur in
-                    enqueue s ~id (fun () ->
-                        s.cur <- id;
-                        continue k ()))
+                    if s.polling then begin
+                      s.polling <- false;
+                      let epoch = s.epoch in
+                      enqueue_stale s ~id (fun () ->
+                          if s.epoch = epoch then s.stale <- s.stale - 1;
+                          s.cur <- id;
+                          continue k ())
+                    end
+                    else begin
+                      progress s;
+                      enqueue s ~id (fun () ->
+                          s.cur <- id;
+                          continue k ())
+                    end)
             | Spawn g ->
                 Some
                   (fun (k : (a, unit) continuation) ->
@@ -418,10 +618,11 @@ let run ?faults ?clock ?(policy = Round_robin) ?on_switch ?on_idle main =
                         s.cur <- id;
                         exec g);
                     continue k ())
-            | Park _ ->
+            | Park ->
                 Some
                   (fun (k : (a, unit) continuation) ->
                     let id = s.cur in
+                    progress s;
                     Hashtbl.replace s.parked id (fun () ->
                         s.cur <- id;
                         continue k ()))
@@ -429,45 +630,38 @@ let run ?faults ?clock ?(policy = Round_robin) ?on_switch ?on_idle main =
       }
   in
   let finish () =
-    s.active <- false;
     save_decisions ();
     current := None
   in
-  let runnable () =
-    match s.policy with Round_robin -> Queue.length s.runq | _ -> s.pool_n
-  in
+  let switch () = match s.on_switch with Some f -> f () | None -> () in
   let step () =
     match s.policy with
     | Round_robin -> (Queue.pop s.runq) ()
     | _ -> (pool_take s (choose s)).t_run ()
   in
-  (* Nothing runnable but fibers are parked: the reactor hook gets one
-     chance to fire due timers ([on_switch] — e.g. a just-signaled wake
-     that raced the queue emptying), then [on_idle] may advance the
-     simulated clock to the next armed timer and fire it (how a deadline
-     cut reaches a system where every fiber is parked on I/O).  If
-     neither wakes anyone, the parked fibers can never run again. *)
-  let idle () =
-    (match s.on_switch with Some f -> f () | None -> ());
-    if runnable () = 0 then begin
-      let progressed =
-        match s.on_idle with Some f -> f () | None -> false
-      in
-      if runnable () = 0 && not progressed then
-        raise (Deadlock (deadlock_message s "parked fibers, nothing runnable"))
-    end
+  (* A stall: every runnable fiber is a poller that already found its
+     condition false, and everyone else is parked.  The hooks get one
+     chance to fire due timers ([on_switch]), then [on_idle] may advance
+     the simulated clock to the next armed timer and fire it (how a
+     deadline cut reaches a system where every fiber waits on I/O).  If
+     neither moves the world, a blocked wait is resolved. *)
+  let stalled () =
+    switch ();
+    if eligible s = 0 then
+      let idled = match s.on_idle with Some f -> f () | None -> false in
+      if idled then progress s else if eligible s = 0 then resolve s
   in
   (try
      exec main;
      let rec drain () =
-       if runnable () > 0 then begin
-         (match s.on_switch with Some f -> f () | None -> ());
+       if eligible s > 0 then begin
+         switch ();
          (* The hook may have unparked or cancelled; re-check. *)
-         if runnable () > 0 then step ();
+         if eligible s > 0 then step ();
          drain ()
        end
-       else if Hashtbl.length s.parked > 0 then begin
-         idle ();
+       else if runnable s > 0 || Hashtbl.length s.parked > 0 then begin
+         stalled ();
          drain ()
        end
      in

@@ -1,60 +1,31 @@
-(* Readiness reactor: the epoll-style core of the event-driven serve
-   path.
+(* The reactor: everything in the blocking model that needs a clock.
 
-   Blocked fibers stop spin-polling ([Fiber.wait_until] burns one
-   scheduler step per blocked fiber per rotation — O(connections) per
-   delivered byte at 10k idle connections) and instead register a waiter
-   on a [handle] and [Fiber.park].  The producer side calls [signal] at
-   the moment the state changes (bytes pushed, space drained, direction
-   closed, connection queued) and every waiter of that handle wakes in
-   one batch.  Waits are level-triggered: a woken waiter re-checks its
-   [ready] closure and re-parks on a spurious wake, so a signal can
-   never be lost to a race and never needs to be precise.
-
-   Deadlines live on a timer wheel keyed by the simulated clock:
-   [tick] — wired into the scheduler as its [on_switch] hook — fires
-   every timer that has come due since the clock last moved.  When the
-   whole system is parked (every connection idle, nothing runnable), the
+   Fibers park on interest sets ([Fiber.Interest]), which need fiber ids
+   but no clock.  What does need one lives here: deadlines as entries on
+   a timer wheel keyed by the simulated clock.  [tick] — wired into the
+   scheduler as its [on_switch] hook — fires every timer that has come
+   due since the clock last moved.  When the system stalls, the
    scheduler's [on_idle] hook calls [idle], which advances the clock
    straight to the next armed timer — exactly how a real event loop
    sleeps in epoll_wait until its earliest timeout.
 
-   Everything is deterministic: waiters wake in fiber-id order, timers
-   fire in (deadline, creation) order, and the counters below are pure
-   functions of the schedule. *)
+   Everything is deterministic: timers fire in (deadline, creation)
+   order, and the counters below are pure functions of the schedule. *)
 
-type waiter = {
-  w_fiber : int;
-  w_ready : unit -> bool;
-}
-
-type handle = {
-  h_id : int;
-  h_name : string;
-  h_r : t;
-  mutable h_dead : bool;
-  mutable h_waiters : waiter list;  (* registration order, newest first *)
-}
-
-and timer = {
+type timer = {
   tm_id : int;
   tm_at : int;  (* absolute simulated ns *)
-  mutable tm_fire : (unit -> unit) option;  (* None = cancelled *)
+  mutable tm_fire : (unit -> unit) option;  (* None = cancelled or fired *)
 }
 
-and t = {
+type t = {
   r_clock : Clock.t;
   r_trace : Trace.t;
-  mutable next_handle : int;
   mutable next_timer : int;
   mutable timers : timer list;  (* sorted by (tm_at, tm_id) *)
-  mutable tick_hooks : (unit -> unit) list;  (* registration order *)
-  waiting : (int, handle) Hashtbl.t;  (* handles with live waiters *)
+  mutable armed : int;  (* timers in the list still holding a callback *)
   mutable last_now : int;  (* clock value at the last timer sweep *)
   mutable timers_dirty : bool;  (* a timer was armed since that sweep *)
-  mutable c_signals : int;  (* wake batches delivered *)
-  mutable c_wakeups : int;  (* fibers woken *)
-  mutable c_parks : int;  (* times a fiber parked on a handle *)
   mutable c_timer_fires : int;
   mutable c_idle_advances : int;  (* clock jumps to the next timer *)
 }
@@ -63,16 +34,11 @@ let create ?(trace = Trace.null) ~clock () =
   {
     r_clock = clock;
     r_trace = trace;
-    next_handle = 0;
     next_timer = 0;
     timers = [];
-    tick_hooks = [];
-    waiting = Hashtbl.create 64;
+    armed = 0;
     last_now = -1;
     timers_dirty = false;
-    c_signals = 0;
-    c_wakeups = 0;
-    c_parks = 0;
     c_timer_fires = 0;
     c_idle_advances = 0;
   }
@@ -83,73 +49,14 @@ let clock r = r.r_clock
    loop, not to any compartment. *)
 let reactor_pid = 0
 
-let handle r ~name =
-  let id = r.next_handle in
-  r.next_handle <- id + 1;
-  { h_id = id; h_name = name; h_r = r; h_dead = false; h_waiters = [] }
-
-let handle_name h = h.h_name
-
-let remove_waiter h w =
-  h.h_waiters <- List.filter (fun x -> x != w) h.h_waiters;
-  if h.h_waiters = [] then Hashtbl.remove h.h_r.waiting h.h_id
-
-(* One wake batch: every waiter of the handle back on the run queue, in
-   fiber-id order so the wake order is a pure function of who waited,
-   not of list-splicing history. *)
-let signal h =
-  match h.h_waiters with
-  | [] -> ()
-  | ws ->
-      let r = h.h_r in
-      r.c_signals <- r.c_signals + 1;
-      h.h_waiters <- [];
-      Hashtbl.remove r.waiting h.h_id;
-      if Trace.enabled r.r_trace then
-        Trace.count r.r_trace ~name:"reactor.wake" ~pid:reactor_pid
-          ~value:(List.length ws);
-      let ws = List.sort (fun a b -> compare a.w_fiber b.w_fiber) ws in
-      List.iter
-        (fun w ->
-          r.c_wakeups <- r.c_wakeups + 1;
-          Fiber.unpark w.w_fiber)
-        ws
-
-let kill h =
-  if not h.h_dead then begin
-    h.h_dead <- true;
-    signal h
-  end
-
-let is_dead h = h.h_dead
-
-(* Level-triggered wait: park until [ready], re-checking on every wake.
-   A dead handle never blocks — the caller's own state (closed flag, EOF)
-   carries the final answer.  A cancellation delivered while parked (the
-   watchdog cutting this fiber) must not leave a ghost registration
-   behind: the waiter entry is dropped on the exception path too. *)
-let wait h ~what ~ready =
-  let r = h.h_r in
-  while not (h.h_dead || ready ()) do
-    let w = { w_fiber = Fiber.fiber_id (); w_ready = ready } in
-    h.h_waiters <- w :: h.h_waiters;
-    if not (Hashtbl.mem r.waiting h.h_id) then Hashtbl.replace r.waiting h.h_id h;
-    r.c_parks <- r.c_parks + 1;
-    (try Fiber.park ~what
-     with e ->
-       remove_waiter h w;
-       raise e);
-    (* A signal already removed us; a stray unpark did not. *)
-    remove_waiter h w
-  done
-
 (* ------------------------------------------------------------------ *)
 (* Timer wheel (simulated clock)                                       *)
 
-type timer_id = int
+type timer_id = timer
 
 let insert_timer r tm =
   r.timers_dirty <- true;
+  r.armed <- r.armed + 1;
   let rec ins = function
     | [] -> [ tm ]
     | t :: rest as l ->
@@ -161,20 +68,22 @@ let insert_timer r tm =
 let at r ~ns fire =
   let id = r.next_timer in
   r.next_timer <- id + 1;
-  insert_timer r { tm_id = id; tm_at = ns; tm_fire = Some fire };
-  id
+  let tm = { tm_id = id; tm_at = ns; tm_fire = Some fire } in
+  insert_timer r tm;
+  tm
 
 let after r ~ns fire = at r ~ns:(Clock.now r.r_clock + ns) fire
 
-let cancel_timer r id =
-  List.iter (fun tm -> if tm.tm_id = id then tm.tm_fire <- None) r.timers
+(* Lazy removal: the entry stays on the wheel as a no-op until its
+   instant passes, so a cancel is O(1). *)
+let cancel_timer r tm =
+  match tm.tm_fire with
+  | Some _ ->
+      tm.tm_fire <- None;
+      r.armed <- r.armed - 1
+  | None -> ()
 
-let pending_timers r =
-  List.length
-    (List.filter (fun tm -> match tm.tm_fire with Some _ -> true | None -> false)
-       r.timers)
-
-let on_tick r f = r.tick_hooks <- r.tick_hooks @ [ f ]
+let pending_timers r = r.armed
 
 (* Fire everything due.  The sweep is gated on the clock having moved
    (or a timer having been armed) since the last one, so the hook's cost
@@ -191,6 +100,8 @@ let tick r =
           r.timers <- rest;
           (match tm.tm_fire with
           | Some f ->
+              tm.tm_fire <- None;
+              r.armed <- r.armed - 1;
               r.c_timer_fires <- r.c_timer_fires + 1;
               if Trace.enabled r.r_trace then
                 Trace.instant r.r_trace ~name:"reactor.timer" ~pid:reactor_pid;
@@ -199,25 +110,26 @@ let tick r =
           fire ()
       | _ -> ()
     in
-    fire ();
-    List.iter (fun f -> f ()) r.tick_hooks
+    fire ()
   end
 
 let hook r () = tick r
 
-(* Earliest armed timer, if any — the deadline [idle] would sleep to. *)
+(* Earliest armed timer, if any — the deadline [idle] would sleep to.
+   Cancelled entries at the head are dropped on the way. *)
 let next_deadline r =
   let rec earliest = function
+    | { tm_fire = None; _ } :: rest ->
+        r.timers <- rest;
+        earliest rest
+    | tm :: _ -> Some tm.tm_at
     | [] -> None
-    | tm :: rest -> (
-        match tm.tm_fire with Some _ -> Some tm.tm_at | None -> earliest rest)
   in
   earliest r.timers
 
-(* The scheduler is idle with parked fibers: sleep until the earliest
-   armed timer by advancing the simulated clock to it, then sweep.
-   Returns false when no timer is armed — the scheduler then reports the
-   parked fibers as deadlocked. *)
+(* The system stalled: sleep until the earliest armed timer by advancing
+   the simulated clock to it, then sweep.  Returns false when no timer is
+   armed — the scheduler then resolves a blocked wait. *)
 let idle r () =
   match next_deadline r with
   | None -> false
@@ -261,7 +173,7 @@ let idle_multi rs () =
       true
 
 (* ------------------------------------------------------------------ *)
-(* Audit and observability                                             *)
+(* Observability                                                       *)
 
 type stats = {
   signals : int;
@@ -273,97 +185,28 @@ type stats = {
   timers : int;
 }
 
-let waiter_count r =
-  Hashtbl.fold (fun _ h n -> n + List.length h.h_waiters) r.waiting 0
-
 let stats r =
+  let i = Fiber.interest_stats () in
   {
-    signals = r.c_signals;
-    wakeups = r.c_wakeups;
-    parks = r.c_parks;
+    signals = i.Fiber.signals;
+    wakeups = i.Fiber.wakeups;
+    parks = i.Fiber.parks;
     timer_fires = r.c_timer_fires;
     idle_advances = r.c_idle_advances;
-    parked = waiter_count r;
-    timers = pending_timers r;
+    parked = i.Fiber.waiting;
+    timers = r.armed;
   }
-
-(* Interest sets must agree with the scheduler's parked table at every
-   sync point:
-   - a waiter still registered and still parked whose [ready] is already
-     true is a lost wakeup (someone changed state without signalling);
-   - waiters on a dead handle are ghost registrations ([kill] wakes
-     everyone, and [wait] never registers on a dead handle);
-   - a parked fiber with no registration anywhere can never be woken by
-     the reactor (a registration leaked on some exception path).
-   A registered waiter that is NOT parked is fine — that is the window
-   between an unpark (signal or cancel) and the fiber running its
-   cleanup.
-
-   The parked-without-registration check is global over the scheduler's
-   parked table, so with several reactors armed (one per shard) it must
-   see the union of every reactor's interest sets — a fiber parked on
-   shard 2's reactor is not a leak just because shard 0's audit ran
-   first.  [self_check_multi] takes that union; [self_check] is the
-   single-reactor special case. *)
-let check_handles r report =
-  Hashtbl.iter
-    (fun _ h ->
-      if h.h_dead && h.h_waiters <> [] then
-        report
-          (Printf.sprintf "reactor: %d waiter(s) on dead handle %s"
-             (List.length h.h_waiters) h.h_name)
-      else
-        List.iter
-          (fun w ->
-            if Fiber.is_parked w.w_fiber && w.w_ready () then
-              report
-                (Printf.sprintf
-                   "reactor: lost wakeup — handle %s ready but fiber %d still \
-                    parked"
-                   h.h_name w.w_fiber))
-          h.h_waiters)
-    r.waiting
-
-let self_check_multi rs =
-  let problem = ref None in
-  let report msg = if !problem = None then problem := Some msg in
-  List.iter (fun r -> check_handles r report) rs;
-  (match !problem with
-  | Some _ -> ()
-  | None ->
-      let registered = Hashtbl.create 16 in
-      List.iter
-        (fun r ->
-          Hashtbl.iter
-            (fun _ h ->
-              List.iter
-                (fun w -> Hashtbl.replace registered w.w_fiber ())
-                h.h_waiters)
-            r.waiting)
-        rs;
-      List.iter
-        (fun id ->
-          if not (Hashtbl.mem registered id) then
-            report
-              (Printf.sprintf
-                 "reactor: fiber %d parked with no waiter registration" id))
-        (Fiber.parked_ids ()));
-  !problem
-
-let self_check r = self_check_multi [ r ]
 
 let register_metrics ?(name = "reactor") m r =
   Metrics.register m ~name ~kind:Metrics.Counter (fun () ->
+      let s = stats r in
       [
-        ("reactor.signals", r.c_signals);
-        ("reactor.wakeups", r.c_wakeups);
-        ("reactor.parks", r.c_parks);
-        ("reactor.timer_fires", r.c_timer_fires);
-        ("reactor.idle_advances", r.c_idle_advances);
+        ("reactor.signals", s.signals);
+        ("reactor.wakeups", s.wakeups);
+        ("reactor.parks", s.parks);
+        ("reactor.timer_fires", s.timer_fires);
+        ("reactor.idle_advances", s.idle_advances);
       ]);
   Metrics.register m ~name:(name ^ ".gauges") (fun () ->
-      [
-        ("reactor.parked", waiter_count r);
-        ("reactor.waiting_handles", Hashtbl.length r.waiting);
-        ("reactor.timers", pending_timers r);
-      ])
+      let s = stats r in
+      [ ("reactor.parked", s.parked); ("reactor.timers", s.timers) ])

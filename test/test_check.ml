@@ -267,22 +267,21 @@ let test_sweep_pct_policy () =
    re-pins the whole table at once. *)
 let pinned_digests =
   [
-    ("pop3", "ec71ad5365695003932cee7ca62aedd5");
-    ("httpd", "cff11785f028c05e75c526ea656fd1cb");
-    ("sshd", "8a3dc2e14f9fe3ea3ca9528c9b163459");
-    ("httpd_storm", "526d65dbba4556ce0de6eff296a0b09b");
-    ("pop3_storm", "4afe9bd2fd785623b3f23cea6d71414c");
-    ("sshd_storm", "ce18cb6d6649106a2bb2a99476088072");
-    ("httpd_reactor_storm", "6a1be41e98cc6ffe976b2a99b4bf2063");
-    ("httpd_pool_storm", "802fa9e22365f94fb2e87a70c8d94ec5");
-    ("pop3_pool_storm", "c65cabcad32daff18edd18f21f80b528");
-    ("sshd_pool_storm", "ec6ff20d9b77fde9f40b1e1b1cd8f413");
-    ("httpd_sharded", "fc4336863b9437acb741cdcbbc5b96d8");
-    ("pop3_sharded", "3d79ecac49f6978ef25ea6a07873692d");
-    ("sshd_sharded", "ee4a63d20f6150ae1e71c46fb60918c9");
-    ("httpd_synth", "8e415d37c85b53d74048fa73a7d5c08c");
-    ("pop3_synth", "a826a712aa6110de5ea827c120885ff5");
-    ("sshd_synth", "35f205f73ab0d0b436e0a8be08c3a130");
+    ("pop3", "9dce029c5c26a5bc5e4d6c1b55b62efd");
+    ("httpd", "84747b9c7ca04588ee92e3e0990ba5f6");
+    ("sshd", "8de2b32b0dbde9336816e71928ea2a2a");
+    ("httpd_storm", "99c67b1e5234e3ad73d0c7f50c6cd0bd");
+    ("pop3_storm", "434924997b268adbb42211576c193208");
+    ("sshd_storm", "09e484537b4f122a0c3dfd8aa6a4d02a");
+    ("httpd_pool_storm", "a4e51532aa34db7ad00a13579a162cea");
+    ("pop3_pool_storm", "80b5c3452d59753f0a696b6a64a1a253");
+    ("sshd_pool_storm", "db90939da17775890fbfb4f5ca9a3451");
+    ("httpd_sharded", "37d729171a4f66eab3f17ea5666cd661");
+    ("pop3_sharded", "59e99704b6422b668a8ec66856f442d6");
+    ("sshd_sharded", "d92627ac80fc8cd3e3df37269d0e0ac9");
+    ("httpd_synth", "02748382261ad0df1b8b5d45919e79e0");
+    ("pop3_synth", "8aea967624729f893947f675884472fd");
+    ("sshd_synth", "99944701a1f51226f65e74993ebe9c3a");
   ]
 
 let test_pinned_digests () =

@@ -227,12 +227,11 @@ let test_flood_replays_identically () =
 let test_slow_loris_cut_without_collateral () =
   let k, main = mk_pop3 () in
   let l = Chan.listener ~costs:Cost_model.free () in
-  let guard =
-    Guard.create ~clock:k.Kernel.clock ~header_deadline_ns:1_000 ~max_conns:4 ()
-  in
+  let r = Reactor.create ~clock:k.Kernel.clock () in
+  let guard = Guard.create ~reactor:r ~header_deadline_ns:1_000 ~max_conns:4 () in
   let slow = Byzantine.tally () and good = Byzantine.tally () in
   let is_rejection s = contains s "-ERR busy" in
-  Fiber.run (fun () ->
+  Fiber.run ~on_switch:(Reactor.hook r) ~on_idle:(Reactor.idle r) (fun () ->
       Fiber.spawn (fun () -> Service.serve_loop Pop3_wedge.service main guard l);
       Fiber.spawn (fun () ->
           Byzantine.slow_loris slow l ~clock:k.Kernel.clock ~step_ns:500
@@ -282,7 +281,9 @@ let test_http_oversized_request_gets_413 () =
 let test_drain_completes_in_flight () =
   let k, main = mk_pop3 () in
   let l = Chan.listener ~costs:Cost_model.free () in
-  let guard = Guard.create ~clock:k.Kernel.clock ~max_conns:4 () in
+  let guard =
+    Guard.create ~reactor:(Reactor.create ~clock:k.Kernel.clock ()) ~max_conns:4 ()
+  in
   let finished = ref false in
   Fiber.run (fun () ->
       Fiber.spawn (fun () -> Service.serve_loop Pop3_wedge.service main guard l);
@@ -326,6 +327,69 @@ let test_drain_forces_stragglers () =
   match Chan.connect l with
   | _ -> Alcotest.fail "connect succeeded after drain"
   | exception Chan.Refused _ -> ()
+
+(* The stall order, enforced by rule: a server writing into a bounded
+   channel whose client never reads, while the drain waits for it.  The
+   stall resolves the bounded writer first — it dies contained with
+   [Resource_exhausted], releasing its slot — so the drain finishes
+   without forcing anyone. *)
+let test_stall_sheds_writer_before_drain_forces () =
+  let guard = Guard.create ~max_conns:2 () in
+  let l = Chan.listener ~capacity:8 () in
+  let shed = ref None in
+  Fiber.run (fun () ->
+      Fiber.spawn (fun () ->
+          Guard.accept_loop guard l
+            ~reject:(fun _ _ -> ())
+            ~serve:(fun c ->
+              try
+                for _ = 1 to 10 do
+                  Chan.write_string (Guard.ep c) "xxxx"
+                done
+              with Rlimit.Resource_exhausted msg as e ->
+                shed := Some msg;
+                raise e));
+      let client = Chan.connect l in
+      Fiber.wait_until ~what:"writer admitted" (fun () -> Guard.active guard = 1);
+      Guard.drain guard l;
+      Chan.close client);
+  (match !shed with
+  | Some msg -> check Alcotest.bool "names the channel" true (contains msg "chan.write")
+  | None -> Alcotest.fail "the stalled writer was not shed");
+  check Alcotest.bool "Resource_exhausted is contained" true
+    (Wedge_core.Engine.fault_reason (Rlimit.Resource_exhausted "x") <> None);
+  check Alcotest.int "drain forced nobody" 0 (Guard.stats guard).Guard.s_forced;
+  check Alcotest.int "drained" 0 (Guard.active guard)
+
+(* A finished connection leaves nothing on the timer wheel: release and
+   cut cancel its deadline timer, and a drain that ends before its
+   deadline cancels that one — otherwise a stalled world would sleep to a
+   deadline nobody is subject to. *)
+let test_release_and_cut_cancel_deadline_timers () =
+  let clock = Clock.create () in
+  let r = Reactor.create ~clock () in
+  let guard = Guard.create ~reactor:r ~header_deadline_ns:8_000 ~max_conns:2 () in
+  let admit () =
+    let a, b = Chan.pair () in
+    match Guard.admit guard b with
+    | Guard.Admitted c -> (a, c)
+    | _ -> Alcotest.fail "expected admission"
+  in
+  let a, c = admit () in
+  Clock.charge clock 1_000;
+  Guard.established c;
+  Guard.release c;
+  check Alcotest.int "released: no timer armed" 0 (Reactor.pending_timers r);
+  check Alcotest.bool "idle has nothing to sleep to" false (Reactor.idle r ());
+  check Alcotest.int "idle step left the clock alone" 1_000 (Clock.now clock);
+  let a2, c2 = admit () in
+  Guard.cut c2;
+  Guard.release c2;
+  check Alcotest.int "cut: no timer armed" 0 (Reactor.pending_timers r);
+  let l = Chan.listener () in
+  Guard.drain ~deadline_ns:50_000 guard l;
+  check Alcotest.int "early drain: deadline cancelled" 0 (Reactor.pending_timers r);
+  List.iter Chan.close [ a; a2 ]
 
 let test_release_idempotent () =
   (* Regression: releasing a connection twice (worker finally + drain
@@ -404,7 +468,6 @@ let test_idle_reactor_conn_charges_no_fuel () =
   let buf = W.smalloc ctx 8 tag in
   let r = Reactor.create ~clock () in
   let a, b = Chan.pair ~clock ~costs:Cost_model.free () in
-  Chan.attach_reactor r b;
   let fd = W.add_endpoint ctx (Chan.to_endpoint b) Fd_table.perm_rw in
   let limits = (W.proc ctx).Process.limits in
   let idle_fuel = ref (-1) in
@@ -471,6 +534,10 @@ let () =
         [
           Alcotest.test_case "completes in-flight" `Quick test_drain_completes_in_flight;
           Alcotest.test_case "forces stragglers" `Quick test_drain_forces_stragglers;
+          Alcotest.test_case "stall sheds the writer before forcing" `Quick
+            test_stall_sheds_writer_before_drain_forces;
+          Alcotest.test_case "finished conns leave no timer" `Quick
+            test_release_and_cut_cancel_deadline_timers;
         ] );
       ( "admission",
         [

@@ -1,11 +1,12 @@
-(* The readiness reactor: park/unpark scheduler primitives, interest
-   sets with level-triggered wakes, the timer wheel on the simulated
-   clock, and the self-check the invariant oracle runs against the
-   parked table. *)
+(* The blocking model: park/unpark scheduler primitives, interest sets
+   with level-triggered wakes, the reactor's timer wheel on the simulated
+   clock, and the audit the invariant oracle runs against the parked
+   table. *)
 
 module Fiber = Wedge_sim.Fiber
 module Clock = Wedge_sim.Clock
 module Reactor = Wedge_sim.Reactor
+module Interest = Wedge_sim.Fiber.Interest
 module Metrics = Wedge_sim.Metrics
 
 let check = Alcotest.check
@@ -64,60 +65,59 @@ let test_cancel_unparks_victim () =
 
 let test_wait_returns_when_already_ready () =
   let _, r = mk () in
-  let h = Reactor.handle r ~name:"t" in
-  Fiber.run (fun () -> Reactor.wait h ~what:"ready now" ~ready:(fun () -> true));
+  let h = Interest.create ~name:"t" in
+  Fiber.run (fun () -> Interest.wait h ~what:"ready now" ~ready:(fun () -> true));
   check Alcotest.int "no park for an already-ready wait" 0
     (Reactor.stats r).Reactor.parks
 
 let test_signal_wakes_waiter () =
-  let _, r = mk () in
-  let h = Reactor.handle r ~name:"t" in
+  let h = Interest.create ~name:"t" in
   let flag = ref false in
   let woke = ref false in
   Fiber.run (fun () ->
       Fiber.spawn (fun () ->
-          Reactor.wait h ~what:"flag" ~ready:(fun () -> !flag);
+          Interest.wait h ~what:"flag" ~ready:(fun () -> !flag);
           woke := true);
       Fiber.yield ();
       check Alcotest.bool "waiter parked" false !woke;
       flag := true;
-      Reactor.signal h);
+      Interest.signal h);
   check Alcotest.bool "signal delivered the wake" true !woke
 
 let test_spurious_signal_reparks () =
   let _, r = mk () in
-  let h = Reactor.handle r ~name:"t" in
+  let h = Interest.create ~name:"t" in
   let flag = ref false in
   let woke = ref false in
   Fiber.run (fun () ->
       Fiber.spawn (fun () ->
-          Reactor.wait h ~what:"flag" ~ready:(fun () -> !flag);
+          Interest.wait h ~what:"flag" ~ready:(fun () -> !flag);
           woke := true);
       Fiber.yield ();
       (* Not ready: the wake is spurious and the waiter must re-park. *)
-      Reactor.signal h;
+      Interest.signal h;
       Fiber.yield ();
       check Alcotest.bool "level-triggered: re-parked on spurious wake" false !woke;
       check Alcotest.int "still registered" 1 (Reactor.stats r).Reactor.parked;
       flag := true;
-      Reactor.signal h);
+      Interest.signal h);
   check Alcotest.bool "real signal got through" true !woke;
   check Alcotest.int "two parks: initial + re-park" 2 (Reactor.stats r).Reactor.parks
 
 let test_signal_wakes_batch_in_fiber_order () =
   let _, r = mk () in
-  let h = Reactor.handle r ~name:"t" in
+  let h = Interest.create ~name:"t" in
   let flag = ref false in
   let order = ref [] in
   Fiber.run (fun () ->
       for i = 1 to 3 do
         Fiber.spawn (fun () ->
-            Reactor.wait h ~what:"flag" ~ready:(fun () -> !flag);
+            Interest.wait h ~what:"flag" ~ready:(fun () -> !flag);
             order := i :: !order)
       done;
       Fiber.yield ();
       flag := true;
-      Reactor.signal h);
+      Interest.signal h);
   check (Alcotest.list Alcotest.int) "one batch, fiber-id order" [ 1; 2; 3 ]
     (List.rev !order);
   let s = Reactor.stats r in
@@ -126,34 +126,33 @@ let test_signal_wakes_batch_in_fiber_order () =
 
 let test_kill_wakes_and_poisons () =
   let _, r = mk () in
-  let h = Reactor.handle r ~name:"t" in
+  let h = Interest.create ~name:"t" in
   let woke = ref false in
   Fiber.run (fun () ->
       Fiber.spawn (fun () ->
-          Reactor.wait h ~what:"doomed" ~ready:(fun () -> false);
+          Interest.wait h ~what:"doomed" ~ready:(fun () -> false);
           woke := true);
       Fiber.yield ();
-      Reactor.kill h;
+      Interest.kill h;
       Fiber.yield ();
       (* Dead handle: wait returns immediately, registering nothing. *)
-      Reactor.wait h ~what:"post-mortem" ~ready:(fun () -> false));
+      Interest.wait h ~what:"post-mortem" ~ready:(fun () -> false));
   check Alcotest.bool "killed handle released its waiter" true !woke;
-  check Alcotest.bool "handle marked dead" true (Reactor.is_dead h);
+  check Alcotest.bool "handle marked dead" true (Interest.is_dead h);
   check Alcotest.int "no ghost registrations" 0 (Reactor.stats r).Reactor.parked
 
 let test_cancel_removes_registration () =
-  let _, r = mk () in
-  let h = Reactor.handle r ~name:"t" in
+  let h = Interest.create ~name:"t" in
   let outcome = ref "" in
   Fiber.run (fun () ->
       Fiber.spawn (fun () ->
-          try Reactor.wait h ~what:"cut target" ~ready:(fun () -> false)
+          try Interest.wait h ~what:"cut target" ~ready:(fun () -> false)
           with Fiber.Cancelled _ -> outcome := "cancelled");
       Fiber.yield ();
       Fiber.cancel (List.hd (Fiber.parked_ids ()));
       Fiber.yield ();
       check (Alcotest.option Alcotest.string) "no ghost waiter left behind" None
-        (Reactor.self_check r));
+        (Fiber.audit ()));
   check Alcotest.string "cancellation propagated" "cancelled" !outcome
 
 (* ---------- timers ---------- *)
@@ -187,18 +186,18 @@ let test_cancel_timer () =
 
 let test_idle_advances_clock_to_next_timer () =
   let clock, r = mk () in
-  let h = Reactor.handle r ~name:"t" in
+  let h = Interest.create ~name:"t" in
   let flag = ref false in
   let woke_at = ref (-1) in
   ignore
     (Reactor.after r ~ns:1_000 (fun () ->
          flag := true;
-         Reactor.signal h));
+         Interest.signal h));
   Fiber.run
     ~on_switch:(Reactor.hook r)
     ~on_idle:(Reactor.idle r)
     (fun () ->
-      Reactor.wait h ~what:"timer" ~ready:(fun () -> !flag);
+      Interest.wait h ~what:"timer" ~ready:(fun () -> !flag);
       woke_at := Clock.now clock);
   check Alcotest.int "clock jumped straight to the deadline" 1_000 !woke_at;
   let s = Reactor.stats r in
@@ -207,11 +206,11 @@ let test_idle_advances_clock_to_next_timer () =
 
 let test_idle_without_timers_concedes_deadlock () =
   let _, r = mk () in
-  let h = Reactor.handle r ~name:"t" in
+  let h = Interest.create ~name:"t" in
   match
     Fiber.run ~on_idle:(Reactor.idle r) (fun () ->
         Fiber.spawn (fun () ->
-            Reactor.wait h ~what:"nothing will signal" ~ready:(fun () -> false)))
+            Interest.wait h ~what:"nothing will signal" ~ready:(fun () -> false)))
   with
   | () -> Alcotest.fail "expected deadlock"
   | exception Fiber.Deadlock msg ->
@@ -237,33 +236,32 @@ let test_timer_rearm_from_callback () =
 (* ---------- audit ---------- *)
 
 let test_self_check_clean_while_parked () =
-  let _, r = mk () in
-  let h = Reactor.handle r ~name:"t" in
+  let h = Interest.create ~name:"t" in
   let flag = ref false in
   Fiber.run (fun () ->
-      Fiber.spawn (fun () -> Reactor.wait h ~what:"flag" ~ready:(fun () -> !flag));
+      Fiber.spawn (fun () -> Interest.wait h ~what:"flag" ~ready:(fun () -> !flag));
       Fiber.yield ();
       check (Alcotest.option Alcotest.string) "waiter-not-ready is consistent" None
-        (Reactor.self_check r);
+        (Fiber.audit ());
       flag := true;
       (* Readiness now holds but no signal was sent: that is precisely a
          lost wakeup, and the audit must say so. *)
-      (match Reactor.self_check r with
+      (match Fiber.audit () with
       | Some msg ->
           check Alcotest.bool "audit names a lost wakeup" true
             (contains msg "lost wakeup")
       | None -> Alcotest.fail "self_check missed a lost wakeup");
-      Reactor.signal h)
+      Interest.signal h)
 
 let test_register_metrics () =
   let _, r = mk () in
-  let h = Reactor.handle r ~name:"t" in
+  let h = Interest.create ~name:"t" in
   let flag = ref false in
   Fiber.run (fun () ->
-      Fiber.spawn (fun () -> Reactor.wait h ~what:"flag" ~ready:(fun () -> !flag));
+      Fiber.spawn (fun () -> Interest.wait h ~what:"flag" ~ready:(fun () -> !flag));
       Fiber.yield ();
       flag := true;
-      Reactor.signal h);
+      Interest.signal h);
   let m = Metrics.create () in
   Reactor.register_metrics m r;
   check Alcotest.int "parks exported" 1 (Metrics.get m "reactor.parks");
@@ -298,25 +296,25 @@ let test_idle_multi_picks_smallest_relative_delay () =
   check Alcotest.int "r1's clock at its deadline" 1_500 (Clock.now c1);
   check Alcotest.bool "no timers left: concede" false (idle ())
 
-let test_self_check_multi_spans_reactors () =
-  let _, r1 = mk () in
-  let _, r2 = mk () in
-  let h = Reactor.handle r1 ~name:"t" in
+(* One registry covers every interest set: a fiber parked on the second
+   of two sets is audited exactly like one parked on the first. *)
+let test_audit_spans_every_set () =
+  let h1 = Interest.create ~name:"t1" in
+  let h2 = Interest.create ~name:"t2" in
   let flag = ref false in
   Fiber.run (fun () ->
-      Fiber.spawn (fun () -> Reactor.wait h ~what:"flag" ~ready:(fun () -> !flag));
+      Fiber.spawn (fun () -> Interest.wait h1 ~what:"never" ~ready:(fun () -> false));
+      Fiber.spawn (fun () -> Interest.wait h2 ~what:"flag" ~ready:(fun () -> !flag));
       Fiber.yield ();
-      (* The fiber is parked on r1; the union audit must account for it
-         even though r2 has never seen it. *)
-      check (Alcotest.option Alcotest.string) "clean across both reactors" None
-        (Reactor.self_check_multi [ r1; r2 ]);
+      check (Alcotest.option Alcotest.string) "clean across both sets" None (Fiber.audit ());
       flag := true;
-      (match Reactor.self_check_multi [ r1; r2 ] with
+      (match Fiber.audit () with
       | Some msg ->
-          check Alcotest.bool "union audit still catches lost wakeups" true
-            (contains msg "lost wakeup")
-      | None -> Alcotest.fail "self_check_multi missed a lost wakeup");
-      Reactor.signal h)
+          check Alcotest.bool "names the lost wakeup on the second set" true
+            (contains msg "lost wakeup — t2")
+      | None -> Alcotest.fail "audit missed a lost wakeup on the second set");
+      Interest.signal h2;
+      Interest.kill h1)
 
 let () =
   Alcotest.run "reactor"
@@ -360,7 +358,7 @@ let () =
         [
           Alcotest.test_case "idle_multi relative deadlines" `Quick
             test_idle_multi_picks_smallest_relative_delay;
-          Alcotest.test_case "self_check_multi union" `Quick
-            test_self_check_multi_spans_reactors;
+          Alcotest.test_case "audit spans every interest set" `Quick
+            test_audit_spans_every_set;
         ] );
     ]

@@ -237,7 +237,7 @@ let test_reactor_readv_beats_heart () =
   let clock = Clock.create () in
   let r = Reactor.create ~clock () in
   let w = Watchdog.create ~deadline_ns:1_000 clock in
-  let g = Guard.create ~clock ~watchdog:w ~reactor:r ~max_conns:2 () in
+  let g = Guard.create ~watchdog:w ~reactor:r ~max_conns:2 () in
   let got = Buffer.create 64 in
   Fiber.run ~clock ~on_switch:(Reactor.hook r) (fun () ->
       let a, b = Chan.pair () in
@@ -282,7 +282,7 @@ let test_reactor_cuts_parked_worker_within_deadline () =
   let clock = Clock.create () in
   let r = Reactor.create ~clock () in
   let w = Watchdog.create ~deadline_ns:1_000 clock in
-  let g = Guard.create ~clock ~watchdog:w ~reactor:r ~max_conns:2 () in
+  let g = Guard.create ~watchdog:w ~reactor:r ~max_conns:2 () in
   let woke_at = ref (-1) in
   let eof = ref false in
   Fiber.run ~clock ~on_switch:(Reactor.hook r) (fun () ->
@@ -321,7 +321,7 @@ let test_reactor_cuts_parked_worker_within_deadline () =
 (* ---------- circuit breaker ---------- *)
 
 let breaker_guard clock =
-  Guard.create ~clock
+  Guard.create ~reactor:(Reactor.create ~clock ())
     ~breaker:
       (Guard.breaker_config ~consecutive:3 ~rate:0.9 ~min_samples:100
          ~window_ns:1_000_000 ~open_ns:5_000 ~probes:2 ~brownout:0.99 ())
@@ -411,11 +411,11 @@ let test_breaker_failed_probe_reopens () =
    cut at the heartbeat deadline, the listener survives ([clean] — a
    terminating well-formed exchange — succeeds afterwards), and the
    tally accounts for the staller. *)
-let staller_then_clean ~serve_loop ~prefix ~clean k l guard w =
+let staller_then_clean ~serve_loop ~prefix ~clean k l guard r w =
   let clock = k.Kernel.clock in
   let t = Byzantine.tally () in
   let served_after = ref false in
-  Fiber.run ~clock ~on_switch:(Watchdog.hook w) (fun () ->
+  Fiber.run ~clock ~on_switch:(Reactor.hook r) (fun () ->
       Fiber.spawn serve_loop;
       Fiber.spawn (fun () ->
           Byzantine.mid_header_stall t l ~clock ~step_ns:1_000 ~prefix
@@ -456,7 +456,8 @@ let test_staller_httpd () =
   let env = Wedge_httpd.Httpd_env.install ~image_pages:60 ~seed:11 k in
   let l = Chan.listener ~costs:Cost_model.free ~backlog:4 () in
   let w = Watchdog.create ~deadline_ns:4_000 k.Kernel.clock in
-  let guard = Guard.create ~clock:k.Kernel.clock ~watchdog:w ~max_conns:2 () in
+  let r = Reactor.create ~clock:k.Kernel.clock () in
+  let guard = Guard.create ~reactor:r ~watchdog:w ~max_conns:2 () in
   staller_then_clean
     ~serve_loop:(fun () -> Service.serve_loop Wedge_httpd.Httpd_simple.service env guard l)
     ~prefix:"h\001\000partial-hello"
@@ -464,7 +465,7 @@ let test_staller_httpd () =
          handshake and closes the stream — a definite answer proves the
          listener is alive *)
     ~clean:(clean_exchange l ~request:"GET / HTTP/1.0\r\n\r\n" ~ok:(fun _ -> true))
-    k l guard w
+    k l guard r w
 
 let test_staller_pop3 () =
   let k = Kernel.create ~costs:Cost_model.free () in
@@ -474,21 +475,23 @@ let test_staller_pop3 () =
   let main_ctx = W.main_ctx app in
   let l = Chan.listener ~costs:Cost_model.free ~backlog:4 () in
   let w = Watchdog.create ~deadline_ns:4_000 k.Kernel.clock in
-  let guard = Guard.create ~clock:k.Kernel.clock ~watchdog:w ~max_conns:2 () in
+  let r = Reactor.create ~clock:k.Kernel.clock () in
+  let guard = Guard.create ~reactor:r ~watchdog:w ~max_conns:2 () in
   staller_then_clean
     ~serve_loop:(fun () -> Service.serve_loop Wedge_pop3.Pop3_wedge.service main_ctx guard l)
     ~prefix:"USER ali"
     ~clean:
       (clean_exchange l ~request:"USER alice\r\nPASS wonderland\r\nSTAT\r\nQUIT\r\n"
          ~ok:(fun resp -> contains resp "+OK"))
-    k l guard w
+    k l guard r w
 
 let test_staller_sshd () =
   let k = Kernel.create ~costs:Cost_model.free () in
   let env = Wedge_sshd.Sshd_env.install ~image_pages:40 ~seed:12 k in
   let l = Chan.listener ~costs:Cost_model.free ~backlog:4 () in
   let w = Watchdog.create ~deadline_ns:4_000 k.Kernel.clock in
-  let guard = Guard.create ~clock:k.Kernel.clock ~watchdog:w ~max_conns:2 () in
+  let r = Reactor.create ~clock:k.Kernel.clock () in
+  let guard = Guard.create ~reactor:r ~watchdog:w ~max_conns:2 () in
   (* The clean probe is a real SSH login: a garbage follow-up would hang
      the slave mid-packet (another watchdog cut, not a health proof). *)
   let clean () =
@@ -517,7 +520,7 @@ let test_staller_sshd () =
   staller_then_clean
     ~serve_loop:(fun () -> Service.serve_loop Wedge_sshd.Sshd_privsep.service env guard l)
       (* truncated wire frame: claims 256 payload bytes, delivers 11 *)
-    ~prefix:"D\001\000SSH-2.0-cha" ~clean k l guard w
+    ~prefix:"D\001\000SSH-2.0-cha" ~clean k l guard r w
 
 (* ---------- new engine fault sites ---------- *)
 
@@ -571,7 +574,7 @@ let test_rearm_heart_clears_stale_beat () =
   let clock = Clock.create () in
   let w = Watchdog.create ~deadline_ns:1_000 clock in
   Fiber.run ~clock (fun () ->
-      let g = Guard.create ~clock ~watchdog:w ~max_conns:2 () in
+      let g = Guard.create ~reactor:(Reactor.create ~clock ()) ~watchdog:w ~max_conns:2 () in
       let a, b = Chan.pair () in
       let c =
         match Guard.admit g b with
@@ -597,7 +600,8 @@ let test_staller_pop3_pooled_restamp () =
   let main_ctx = W.main_ctx app in
   let l = Chan.listener ~costs:Cost_model.free ~backlog:4 () in
   let w = Watchdog.create ~deadline_ns:4_000 k.Kernel.clock in
-  let guard = Guard.create ~clock:k.Kernel.clock ~watchdog:w ~max_conns:2 () in
+  let r = Reactor.create ~clock:k.Kernel.clock () in
+  let guard = Guard.create ~reactor:r ~watchdog:w ~max_conns:2 () in
   staller_then_clean
     ~serve_loop:(fun () ->
       (* freeze needs a running fiber, so the pool is built here *)
@@ -609,7 +613,7 @@ let test_staller_pop3_pooled_restamp () =
     ~clean:
       (clean_exchange l ~request:"USER alice\r\nPASS wonderland\r\nSTAT\r\nQUIT\r\n"
          ~ok:(fun resp -> contains resp "+OK"))
-    k l guard w;
+    k l guard r w;
   check Alcotest.bool "workers stamped from the pool" true
     (app.Wedge_core.Engine.pool_hits > 0)
 

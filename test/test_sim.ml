@@ -6,6 +6,8 @@ module Clock = Wedge_sim.Clock
 module Stats = Wedge_sim.Stats
 module Instr = Wedge_sim.Instr
 module Cost_model = Wedge_sim.Cost_model
+module Reactor = Wedge_sim.Reactor
+module Chan = Wedge_net.Chan
 
 let check = Alcotest.check
 
@@ -43,8 +45,7 @@ let test_fiber_wait_until () =
           Fiber.wait_until ~what:"flag" (fun () -> !flag);
           seen := true);
       Fiber.yield ();
-      flag := true;
-      Fiber.progress ());
+      flag := true);
   check Alcotest.bool "woke up" true !seen
 
 let test_fiber_deadlock_detection () =
@@ -105,19 +106,63 @@ let test_fiber_deadlock_message_lists_waiters () =
       check Alcotest.bool "lists second waiter" true (contains what "green flag");
       check Alcotest.bool "names a fiber id" true (contains what "fiber")
 
-let test_fiber_stamp_tracks_progress () =
-  let s0 = ref 0 and s1 = ref 0 and s2 = ref 0 in
-  check Alcotest.int "zero outside run" 0 (Fiber.stamp ());
-  Fiber.run (fun () ->
-      s0 := Fiber.stamp ();
-      Fiber.yield ();
-      (* A bare yield is not progress: the detector must see a stalled
-         system through any number of idle spins. *)
-      s1 := Fiber.stamp ();
-      Fiber.progress ();
-      s2 := Fiber.stamp ());
-  check Alcotest.int "yield alone does not advance the stamp" !s0 !s1;
-  check Alcotest.bool "progress advances the stamp" true (!s2 > !s1)
+(* The exact stall rule: two fibers each reading the other's silent
+   channel are deadlocked the moment both have parked.  The verdict names
+   both, within a handful of scheduler steps. *)
+let test_fiber_deadlock_is_exact () =
+  let steps = ref 0 in
+  match
+    Fiber.run
+      ~on_switch:(fun () -> incr steps)
+      (fun () ->
+        let mine, theirs = Chan.pair () and peer_out, peer_in = Chan.pair () in
+        Fiber.spawn (fun () ->
+            ignore peer_out;
+            ignore (Chan.read theirs 1));
+        ignore mine;
+        ignore (Chan.read peer_in 1))
+  with
+  | () -> Alcotest.fail "expected deadlock"
+  | exception Fiber.Deadlock what ->
+      check Alcotest.bool "names fiber 0" true
+        (contains what "fiber 0 awaiting channel data");
+      check Alcotest.bool "names fiber 1" true
+        (contains what "fiber 1 awaiting channel data");
+      check Alcotest.bool "within 20 scheduler steps" true (!steps <= 20)
+
+(* A stalled system with an armed timer is asleep, not dead: the
+   scheduler sleeps to the timer, and a poller whose condition only that
+   timer can make true completes. *)
+let test_fiber_wait_until_woken_by_timer () =
+  let clock = Clock.create () in
+  let r = Reactor.create ~clock () in
+  let flag = ref false in
+  ignore (Reactor.after r ~ns:5_000 (fun () -> flag := true));
+  Fiber.run ~on_switch:(Reactor.hook r) ~on_idle:(Reactor.idle r) (fun () ->
+      Fiber.wait_until ~what:"timer flag" (fun () -> !flag));
+  check Alcotest.bool "condition met" true !flag;
+  check Alcotest.int "clock slept to the timer" 5_000 (Clock.now clock)
+
+(* A pool policy never re-picks a poller that already found its condition
+   false until another fiber has run: under strict priority, a
+   top-priority poller waiting on a lower-priority fiber cannot livelock
+   (some seeds below rank the poller first). *)
+let test_pct_skips_failed_pollers () =
+  List.iter
+    (fun seed ->
+      let steps = ref 0 and flag = ref false in
+      Fiber.run
+        ~policy:(Fiber.Pct { seed; change_prob = 0.0 })
+        ~on_switch:(fun () ->
+          incr steps;
+          if !steps > 1_000 then failwith "strict priority livelocked on a poller")
+        (fun () ->
+          Fiber.spawn (fun () ->
+              Fiber.yield ();
+              flag := true);
+          Fiber.wait_until ~what:"flag" (fun () -> !flag));
+      check Alcotest.bool "poller saw the flag" true !flag)
+    [ 1; 2; 3; 4; 5; 6 ]
 
 let test_fiber_nested_spawn_ordering_policies () =
   (* Nested spawns must run exactly once under every policy; round-robin
@@ -278,7 +323,10 @@ let () =
           Alcotest.test_case "usable after crash" `Quick test_fiber_usable_after_crash;
           Alcotest.test_case "deadlock message lists waiters" `Quick
             test_fiber_deadlock_message_lists_waiters;
-          Alcotest.test_case "stamp tracks progress" `Quick test_fiber_stamp_tracks_progress;
+          Alcotest.test_case "deadlock is exact" `Quick test_fiber_deadlock_is_exact;
+          Alcotest.test_case "wait_until woken by a timer" `Quick
+            test_fiber_wait_until_woken_by_timer;
+          Alcotest.test_case "pct skips failed pollers" `Quick test_pct_skips_failed_pollers;
           Alcotest.test_case "nested spawn ordering per policy" `Quick
             test_fiber_nested_spawn_ordering_policies;
           Alcotest.test_case "last_decisions replay" `Quick test_fiber_last_decisions_replay;
