@@ -123,7 +123,7 @@ let measure ~pooled =
       ~watchdog:w ~max_conns:4 ()
   in
   let service = Wedge_pop3.Pop3_wedge.service in
-  let pool = if pooled then Some (Service.pool service main_ctx) else None in
+  let pool = if pooled then Some (service.Service.image main_ctx) else None in
   let tree = Service.tree ?pool service main_ctx in
   let incidents = ref [] in
   let hang_tally = Byzantine.tally () in

@@ -125,4 +125,16 @@ WEDGE_SYNTH_SMOKE=1 dune exec bin/wedge_cli.exe -- synth httpd -o "$synth_second
 cmp "$synth_first" "$synth_second"
 rm -f "$synth_first" "$synth_second"
 
+# Benchmark-correctness gate (WEDGE_PERFBENCH_SMOKE=1): the repository
+# benchmark exits nonzero on a failed connection, a leak after drain
+# (live processes, or frames outside the tag cache), a replay that
+# differs from its epoch, or a cost model that differs from its pins.
+# One host second per workload; --trace 0 writes no files.
+if [ "${WEDGE_PERFBENCH_SMOKE:-0}" = 1 ]; then
+  echo "== perfbench correctness (smoke) =="
+  for w in pop3_churn pop3_bulk https_mix; do
+    python3 perfbench/run.py --workload "$w" --seed 1 --seconds 1 --trace 0
+  done
+fi
+
 echo "check.sh: all green"

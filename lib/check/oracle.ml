@@ -113,8 +113,8 @@ let check_refcounts t =
          pins its frame with exactly one reference from freeze until
          discard, independent of how many stamped children map it. *)
       List.iter
-        (fun (_, pages) ->
-          List.iter (fun (fz : Engine.frozen_page) -> add fz.Engine.fz_frame) pages)
+        (fun (im : Engine.image) ->
+          List.iter (fun (fz : Engine.frozen_page) -> add fz.Engine.fz_frame) im.Engine.im_pages)
         app.Engine.frozen_images);
   Physmem.iter_live t.kernel.Kernel.pm (fun frame refs ->
       let want = match Hashtbl.find_opt expected frame with Some n -> n | None -> 0 in
@@ -207,27 +207,32 @@ let check_smalloc t =
    grant protection because tag memory is shared-mutable by design. *)
 let check_frozen t =
   match t.app with
-  | None -> ()
+  | None | Some { Engine.frozen_images = []; _ } -> ()
   | Some app ->
+      (* One pass over every mapping against the set of frozen COW
+         frames: images are frozen on first use by every server, so this
+         runs on every sweep. *)
+      let cow = Hashtbl.create 256 in
       List.iter
-        (fun (name, pages) ->
+        (fun (im : Engine.image) ->
           List.iter
             (fun (fz : Engine.frozen_page) ->
               if fz.Engine.fz_prot.Prot.pcow then
-                Kernel.iter_processes t.kernel (fun p ->
-                    Pagetable.iter
-                      (fun vpn (pte : Pagetable.pte) ->
-                        if
-                          pte.Pagetable.frame = fz.Engine.fz_frame
-                          && pte.Pagetable.prot.Prot.pw
-                        then
-                          violation
-                            "oracle: frozen image %s frame %d mapped writable at vpn \
-                             0x%x by pid %d (stamp broke the image's COW)"
-                            name fz.Engine.fz_frame vpn p.Process.pid)
-                      (Vm.page_table p.Process.vm)))
-            pages)
-        app.Engine.frozen_images
+                Hashtbl.replace cow fz.Engine.fz_frame im.Engine.im_name)
+            im.Engine.im_pages)
+        app.Engine.frozen_images;
+      Kernel.iter_processes t.kernel (fun p ->
+          Pagetable.iter
+            (fun vpn (pte : Pagetable.pte) ->
+              if pte.Pagetable.prot.Prot.pw then
+                match Hashtbl.find_opt cow pte.Pagetable.frame with
+                | Some name ->
+                    violation
+                      "oracle: frozen image %s frame %d mapped writable at vpn 0x%x by pid \
+                       %d (stamp broke the image's COW)"
+                      name pte.Pagetable.frame vpn p.Process.pid
+                | None -> ())
+            (Vm.page_table p.Process.vm))
 
 (* ------------------------------------------------------------------ *)
 

@@ -712,7 +712,7 @@ let run_storm ~pooled srv ~policy ~diff ~faults ~seed =
   in
   let t = Byzantine.tally () in
   let is_rejection = srv.is_rejection in
-  let pool = if pooled then Some (Service.pool srv.service env) else None in
+  let pool = if pooled then Some (srv.service.Service.image env) else None in
   let tree = Service.tree ?pool srv.service env in
   let node, _, _ = tree in
   let heal = ref 0 in

@@ -87,16 +87,39 @@ type boundary_section = {
 }
 
 (* One page of a frozen compartment snapshot (see [Pool]): the frame it
-   pins, the protection a stamped child maps it with, and its tag.  The
-   registry lives on the app — not in [Pool] — so the invariant oracles
-   can re-derive frame refcounts (frozen images are pristine-like
-   holders) without a dependency on the pool module. *)
-type frozen_page = {
+   pins, the protection a stamped child maps it with, and its tag. *)
+type frozen_page = Vm.frozen_page = {
   fz_vpn : int;
   fz_frame : int;
   fz_prot : Prot.page;
   fz_tag : int option;
 }
+
+(* A frozen compartment image (what [Pool.freeze] builds): its pages, the
+   descriptor-table, rlimit and identity shape a stamped sthread starts
+   from, and whether it carries a demand-mapped heap or stack.  The
+   registry lives on the app — not in [Pool] — so the invariant oracles
+   can re-derive frame refcounts (frozen images are pristine-like
+   holders) without a dependency on the pool module, and so a stamped
+   callgate can be installed from one here. *)
+type image = {
+  im_name : string;
+  im_pages : frozen_page list;  (* one frame reference each, sorted by vpn *)
+  im_fds : (int * Fd_table.target * Fd_table.perm) list;
+  im_limits : Rlimit.t;
+  im_uid : int;
+  im_root : string;
+  im_sid : string;
+  im_heap : bool;
+  im_stack : bool;
+  mutable im_live : bool;
+}
+
+(* How a callgate's invocations get their compartment: a fork-priced boot
+   of the pristine snapshot, the one long-lived sthread of a recycled
+   gate (§3.3), or a fresh compartment stamped from a frozen image for one
+   flat [pool_stamp] charge. *)
+type spawn = Boot | Recycle | Stamp of image
 
 type app = {
   kernel : Kernel.t;
@@ -114,7 +137,7 @@ type app = {
   recycled_pool : (string, pooled) Hashtbl.t;
       (* long-lived sthreads backing recycled callgates, keyed by gate
          name so they survive per-connection gate re-instantiation *)
-  mutable frozen_images : (string * frozen_page list) list;
+  mutable frozen_images : image list;
       (* frozen snapshot-pool images, newest first; each page holds one
          Physmem reference until the image is discarded *)
   mutable pool_freezes : int;
@@ -143,7 +166,7 @@ and gate = {
   g_uid : int;  (* identity inherited from the creator, not the caller *)
   g_root : string;
   g_sid : string;
-  g_recycled : bool;
+  g_spawn : spawn;
   g_fds : (int * Fd_table.target * Fd_table.perm) list;
       (* descriptor grants resolved against the creator at creation time,
          so a caller without network access cannot influence (and need not
@@ -419,6 +442,24 @@ let map_pristine app (vm : Vm.t) =
       Clock.charge app.kernel.Kernel.clock cm.Cost_model.pte_copy;
       Vm.map_frame vm ~addr:(vpn * page_size) ~frame ~prot:Prot.page_cow ~tag:None)
     app.pristine
+
+(* Install a frozen image into a new compartment's address space: the
+   whole image lands for one flat [pool_stamp] charge, however many pages
+   it holds — where [map_pristine] pays a [pte_copy] per page.  The one
+   restore routine behind [Pool.stamp] and stamped callgates. *)
+let install_image app (child : Process.t) im =
+  if not im.im_live then invalid_arg ("Engine: image " ^ im.im_name ^ " discarded");
+  Clock.charge app.kernel.Kernel.clock app.kernel.Kernel.costs.Cost_model.pool_stamp;
+  Vm.map_image child.Process.vm im.im_pages
+
+(* A stamped compartment's ctx: a warmed image already carries the
+   template's demand-mapped heap/stack (smalloc bookkeeping included), so
+   the first allocation must not try to map them again. *)
+let image_ctx app (child : Process.t) im sc instr =
+  let ctx = make_ctx app child sc instr in
+  ctx.heap_ready <- im.im_heap;
+  ctx.stack_ready <- im.im_stack;
+  ctx
 
 (* Map a policy's tag grants into a new sthread's address space. *)
 let map_tag_grants app (child : Process.t) (sc : Sc.t) =
@@ -744,11 +785,22 @@ let boundary_tag ctx ~id =
 (* ------------------------------------------------------------------ *)
 (* Callgates                                                           *)
 
-let sc_cgate_add ?(recycled = false) creator (sc : Sc.t) ~name ~entry ~cgsc ~trusted =
+let sc_cgate_add ?(spawn = Boot) creator (sc : Sc.t) ~name ~entry ~cgsc ~trusted =
   Kernel.syscall_check creator.app.kernel creator.proc "cgate_add";
   stat creator "cgate_add";
   (* A callgate's permissions must be a subset of its creator's (§3.3). *)
   validate_sc creator cgsc;
+  (* A stamped gate takes only address space from its image — identity,
+     limits, tags and descriptors stay the gate's own — so the image must
+     be this app's, and carry no tagged memory a grant would have to
+     justify. *)
+  (match spawn with
+  | Stamp im ->
+      if not (List.memq im creator.app.frozen_images) then
+        invalid_arg ("sc_cgate_add: image " ^ im.im_name ^ " not frozen in this app");
+      if List.exists (fun fz -> fz.fz_tag <> None) im.im_pages then
+        violation "cgate_add: image %s carries tagged pages" im.im_name
+  | Boot | Recycle -> ());
   let gid = creator.app.next_gate in
   creator.app.next_gate <- gid + 1;
   let resolved_fds =
@@ -770,7 +822,7 @@ let sc_cgate_add ?(recycled = false) creator (sc : Sc.t) ~name ~entry ~cgsc ~tru
       g_uid = Option.value cgsc.Sc.uid ~default:creator.proc.Process.uid;
       g_root = Option.value cgsc.Sc.root ~default:creator.proc.Process.root;
       g_sid = Option.value cgsc.Sc.sid ~default:creator.proc.Process.sid;
-      g_recycled = recycled;
+      g_spawn = spawn;
       g_fds = resolved_fds;
     }
   in
@@ -785,7 +837,9 @@ let gate_of ctx gid =
 
 (* Build the sthread that will execute one callgate invocation.  It carries
    the creator's identity and the permissions fixed at creation time, plus
-   the caller-supplied extra permissions for this invocation. *)
+   the caller-supplied extra permissions for this invocation.  Only its
+   address space depends on [g_spawn]: the pristine snapshot page by page,
+   or a frozen image for one flat charge. *)
 let build_gate_proc caller (g : gate) kind =
   (* Gate limits come from the gate's own sc (validated against the
      creator at creation); a silent sc leaves the gate unlimited, since
@@ -799,7 +853,11 @@ let build_gate_proc caller (g : gate) kind =
     Kernel.new_process caller.app.kernel ~limits ~kind ~uid:g.g_uid ~root:g.g_root
       ~sid:g.g_sid ()
   in
-  map_pristine caller.app child.Process.vm;
+  (match g.g_spawn with
+  | Stamp im ->
+      stat caller "cgate.stamped";
+      install_image caller.app child im
+  | Boot | Recycle -> map_pristine caller.app child.Process.vm);
   map_tag_grants caller.app child g.g_sc;
   (* Descriptor grants were resolved against the creator at creation time
      (kernel-held): the caller needs no access to them. *)
@@ -809,7 +867,9 @@ let build_gate_proc caller (g : gate) kind =
       Clock.charge caller.app.kernel.Kernel.clock cm.Cost_model.fd_dup;
       Fd_table.install child.Process.fds ~fd target perm)
     g.g_fds;
-  make_ctx caller.app child g.g_sc caller.instr
+  match g.g_spawn with
+  | Stamp im -> image_ctx caller.app child im g.g_sc caller.instr
+  | Boot | Recycle -> make_ctx caller.app child g.g_sc caller.instr
 
 let map_extra caller (gctx : ctx) (perms : Sc.t) =
   (* Per-invocation permissions (typically the tag holding the argument). *)
@@ -881,7 +941,7 @@ let cgate ?deadline_ns caller gid ~perms ~arg =
         -1
     | _ -> result
   in
-  if g.g_recycled then begin
+  if g.g_spawn = Recycle then begin
     stat caller "cgate.recycled";
     (* Reuse the long-lived sthread for this gate name if one exists —
        remapping its grants to the current gate instance (new connection
@@ -985,6 +1045,16 @@ let cgate ?deadline_ns caller gid ~perms ~arg =
   end
 
 let gate_name ctx gid = (gate_of ctx gid).g_name
+
+(* Retire a callgate: later invocations fail as an unknown gate, and the
+   app stops holding its entry point, grants and descriptors.  Only the
+   minter may — the per-connection gates of a server die with their
+   connection instead of accumulating in the master. *)
+let cgate_delete ctx gid =
+  let g = gate_of ctx gid in
+  if g.g_minter <> pid ctx then
+    violation "pid %d deletes callgate %s it did not mint" (pid ctx) g.g_name;
+  Hashtbl.remove ctx.app.gates gid
 
 (* ------------------------------------------------------------------ *)
 (* Identity changes (used by authentication callgates, §5.2)           *)
@@ -1146,12 +1216,7 @@ let add_endpoint ctx ep perm = Fd_table.add ctx.proc.Process.fds (Fd_table.Endpo
    fail anyway) charge the trap first and block inside the read. *)
 let fd_pre_wait ctx fd =
   match Fd_table.find ctx.proc.Process.fds fd with
-  | Some
-      {
-        Fd_table.target = Fd_table.Endpoint { Fd_table.ep_wait = Some w; _ };
-        perm;
-        closed = _;
-      }
+  | Some { Fd_table.target = Fd_table.Endpoint { Fd_table.ep_wait = Some w; _ }; perm }
     when perm.Fd_table.fr ->
       w ()
   | _ -> ()
@@ -1395,5 +1460,5 @@ let register_metrics m app =
       [
         ("pool.images", List.length app.frozen_images);
         ( "pool.frozen_frames",
-          List.fold_left (fun a (_, ps) -> a + List.length ps) 0 app.frozen_images );
+          List.fold_left (fun a im -> a + List.length im.im_pages) 0 app.frozen_images );
       ])

@@ -7,17 +7,20 @@
    checkpoints the template's entire address space: every frame gets one
    extra Physmem reference held by the image, private writable pages are
    recorded copy-on-write (the image must never change again), and the
-   template is reaped.  What survives is a list of
-   [Engine.frozen_page]s, the captured descriptor table, the rlimit
-   shape and the identity — no process, no address space.
+   template is reaped.  What survives is an [Engine.image]: the frozen
+   pages, built once here so no stamp rebuilds them, the captured
+   descriptor table, the rlimit shape and the identity — no process, no
+   address space.
 
    [stamp] is the paper's Figure 7/8 story taken further than recycled
    callgates: a new sthread whose address space is the frozen image
-   bulk-installed via [Vm.map_image] at one flat [pool_stamp] charge,
-   however many pages the image holds.  Per-connection grants ride in
-   through [extra] (validated against the stamping parent like any sc),
-   so the O(1) cost is in the image size, not in the constant-sized
-   per-request policy.
+   bulk-installed by [Engine.install_image] at one flat [pool_stamp]
+   charge, however many pages the image holds.  Per-connection grants
+   ride in through [extra] (validated against the stamping parent like
+   any sc), so the O(1) cost is in the image size, not in the
+   constant-sized per-request policy.  [sc_cgate_add] registers a
+   callgate whose every invocation is a fresh compartment installed by
+   the same routine.
 
    Both paths are attackable: fault sites ["pool.freeze"] and
    ["pool.stamp"] inject mid-operation, and the unwind must leave the
@@ -41,22 +44,14 @@ module Fault_plan = Wedge_fault.Fault_plan
 
 let page_size = Physmem.page_size
 
-type t = {
-  name : string;
-  app : Engine.app;
-  pages : Engine.frozen_page list;  (* the frozen image, one ref each *)
-  fds : (int * Fd_table.target * Fd_table.perm) list;
-      (* descriptor table shape captured at freeze time *)
-  limits : Rlimit.t;  (* caps shape stamped children inherit *)
-  uid : int;
-  root : string;
-  sid : string;
-  mutable live : bool;
-}
+type t = Engine.image
 
-let name t = t.name
-let frozen_pages t = List.length t.pages
-let is_live t = t.live
+let name (t : t) = t.Engine.im_name
+let frozen_pages (t : t) = List.length t.Engine.im_pages
+let is_live (t : t) = t.Engine.im_live
+
+let find app name =
+  List.find_opt (fun (im : t) -> im.Engine.im_name = name) app.Engine.frozen_images
 
 let roll_site app site =
   match Fault_plan.roll_opt app.Engine.kernel.Kernel.faults ~site with
@@ -70,7 +65,7 @@ let roll_site app site =
 let freeze ?(name = "pool") ?warm parent (sc : Sc.t) =
   let app = parent.Engine.app in
   if not (Engine.booted app) then invalid_arg "Pool.freeze: application not booted";
-  if List.mem_assoc name app.Engine.frozen_images then
+  if find app name <> None then
     invalid_arg (Printf.sprintf "Pool.freeze: image %S already frozen" name);
   Kernel.syscall_check app.Engine.kernel parent.Engine.proc "sthread_create";
   Engine.stat parent "pool.freeze";
@@ -110,10 +105,9 @@ let freeze ?(name = "pool") ?warm parent (sc : Sc.t) =
        pages keep their grant protection: tag memory is shared-mutable
        by design, and COW-ing it would silently unshare the very
        channels compartments communicate over. *)
+    let pt = Vm.page_table template.Process.vm in
     let entries =
-      Pagetable.fold
-        (fun vpn (pte : Pagetable.pte) acc -> (vpn, pte) :: acc)
-        (Vm.page_table template.Process.vm) []
+      Pagetable.fold (fun vpn (pte : Pagetable.pte) acc -> (vpn, pte) :: acc) pt []
       |> List.sort (fun (a, _) (b, _) -> compare a b)
     in
     let pm = app.Engine.kernel.Kernel.pm in
@@ -137,13 +131,23 @@ let freeze ?(name = "pool") ?warm parent (sc : Sc.t) =
     let fds =
       List.filter_map
         (fun fd ->
-          match Fd_table.find template.Process.fds fd with
-          | Some e when not e.Fd_table.closed ->
-              Some (fd, e.Fd_table.target, e.Fd_table.perm)
-          | _ -> None)
+          Option.map
+            (fun e -> (fd, e.Fd_table.target, e.Fd_table.perm))
+            (Fd_table.find template.Process.fds fd))
         (Fd_table.fds template.Process.fds)
     in
-    (pages, fds)
+    {
+      Engine.im_name = name;
+      im_pages = pages;
+      im_fds = fds;
+      im_limits = Option.value sc.Sc.limits ~default:parent.Engine.proc.Process.limits;
+      im_uid = uid;
+      im_root = root;
+      im_sid = sid;
+      im_heap = Pagetable.mem pt ~vpn:(Layout.heap_base / page_size);
+      im_stack = Pagetable.mem pt ~vpn:(Layout.stack_base / page_size);
+      im_live = true;
+    }
   with
   | exception e ->
       (* Unwind: the template's address space holds the only references
@@ -156,24 +160,13 @@ let freeze ?(name = "pool") ?warm parent (sc : Sc.t) =
       Engine.stat parent "pool.freeze.fault";
       ignore (finish ());
       raise e
-  | pages, fds ->
+  | image ->
       template.Process.status <- Process.Exited 0;
       Kernel.reap app.Engine.kernel template;
-      app.Engine.frozen_images <- (name, pages) :: app.Engine.frozen_images;
+      app.Engine.frozen_images <- image :: app.Engine.frozen_images;
       app.Engine.pool_freezes <- app.Engine.pool_freezes + 1;
       Engine.trace_instant parent "pool.frozen";
-      finish
-        {
-          name;
-          app;
-          pages;
-          fds;
-          limits = Option.value sc.Sc.limits ~default:parent.Engine.proc.Process.limits;
-          uid;
-          root;
-          sid;
-          live = true;
-        }
+      finish image
 
 (* ------------------------------------------------------------------ *)
 (* Stamp                                                               *)
@@ -211,10 +204,11 @@ let map_extra_grants parent (child : Process.t) (extra : Sc.t) =
       end)
     extra.Sc.fds
 
-let stamp ?instr ?extra parent pool fn arg =
-  if not pool.live then invalid_arg "Pool.stamp: image discarded";
-  let app = pool.app in
-  if parent.Engine.app != app then invalid_arg "Pool.stamp: parent from another app";
+let stamp ?instr ?extra parent (pool : t) fn arg =
+  if not pool.Engine.im_live then invalid_arg "Pool.stamp: image discarded";
+  let app = parent.Engine.app in
+  if not (List.memq pool app.Engine.frozen_images) then
+    invalid_arg "Pool.stamp: parent from another app";
   Kernel.syscall_check app.Engine.kernel parent.Engine.proc "sthread_create";
   app.Engine.pool_stamps <- app.Engine.pool_stamps + 1;
   Engine.stat parent "pool.stamp";
@@ -230,21 +224,16 @@ let stamp ?instr ?extra parent pool fn arg =
   in
   (* Identity and limits come from the frozen image unless the extras
      override them (already validated against the stamping parent). *)
-  let uid = Option.value extra.Sc.uid ~default:pool.uid in
-  let root = Option.value extra.Sc.root ~default:pool.root in
-  let sid = Option.value extra.Sc.sid ~default:pool.sid in
-  let limits = Rlimit.child_of (Option.value extra.Sc.limits ~default:pool.limits) in
+  let uid = Option.value extra.Sc.uid ~default:pool.Engine.im_uid in
+  let root = Option.value extra.Sc.root ~default:pool.Engine.im_root in
+  let sid = Option.value extra.Sc.sid ~default:pool.Engine.im_sid in
+  let limits = Rlimit.child_of (Option.value extra.Sc.limits ~default:pool.Engine.im_limits) in
   let kernel = app.Engine.kernel in
   let child = Kernel.new_process kernel ~limits ~kind:Process.Sthread ~uid ~root ~sid () in
   match
     (* The restore: the whole image lands for one flat charge — spawn
        cost independent of address-space size. *)
-    Clock.charge kernel.Kernel.clock kernel.Kernel.costs.Cost_model.pool_stamp;
-    Vm.map_image child.Process.vm
-      (List.map
-         (fun (fz : Engine.frozen_page) ->
-           (fz.Engine.fz_vpn, fz.Engine.fz_frame, fz.Engine.fz_prot, fz.Engine.fz_tag))
-         pool.pages);
+    Engine.install_image app child pool;
     (* Mid-stamp fault site: pages are mapped (references taken) but the
        descriptor table is not yet populated — the unwind must return
        every reference and leave the frozen image untouched. *)
@@ -253,7 +242,7 @@ let stamp ?instr ?extra parent pool fn arg =
       (fun (fd, target, perm) ->
         Clock.charge kernel.Kernel.clock kernel.Kernel.costs.Cost_model.fd_dup;
         Fd_table.install child.Process.fds ~fd target perm)
-      pool.fds;
+      pool.Engine.im_fds;
     map_extra_grants parent child extra
   with
   | exception e ->
@@ -271,38 +260,35 @@ let stamp ?instr ?extra parent pool fn arg =
   | () ->
       app.Engine.pool_hits <- app.Engine.pool_hits + 1;
       let cctx =
-        Engine.make_ctx app child extra (Option.value instr ~default:parent.Engine.instr)
+        Engine.image_ctx app child pool extra (Option.value instr ~default:parent.Engine.instr)
       in
-      (* A warmed image carries the template's demand-mapped heap/stack
-         (smalloc bookkeeping included); the stamped ctx must know, or
-         its first allocation would try to re-map pages the image
-         already provides. *)
-      let pt = Vm.page_table child.Process.vm in
-      if Pagetable.mem pt ~vpn:(Layout.heap_base / page_size) then
-        cctx.Engine.heap_ready <- true;
-      if Pagetable.mem pt ~vpn:(Layout.stack_base / page_size) then
-        cctx.Engine.stack_ready <- true;
       Engine.trace_instant cctx "pool.stamped";
       let handle = { Engine.h_proc = child; h_result = None } in
       handle.Engine.h_result <- Engine.run_compartment cctx fn arg;
       Kernel.reap kernel child;
       finish handle
 
+let sc_cgate_add pool creator sc ~name ~entry ~cgsc ~trusted =
+  Engine.sc_cgate_add ~spawn:(Engine.Stamp pool) creator sc ~name ~entry ~cgsc ~trusted
+
 (* ------------------------------------------------------------------ *)
 (* Discard                                                             *)
 
-let discard parent pool =
-  if pool.live then begin
-    pool.live <- false;
-    let app = pool.app in
+let discard parent (pool : t) =
+  if pool.Engine.im_live then begin
+    let app = parent.Engine.app in
+    if not (List.memq pool app.Engine.frozen_images) then
+      invalid_arg "Pool.discard: parent from another app";
+    pool.Engine.im_live <- false;
     Engine.stat parent "pool.discard";
     Engine.trace_instant parent "pool.discard";
-    app.Engine.frozen_images <-
-      List.filter (fun (_, ps) -> ps != pool.pages) app.Engine.frozen_images;
+    app.Engine.frozen_images <- List.filter (fun im -> im != pool) app.Engine.frozen_images;
     (* Dropping the image's references frees any frame no live address
        space still maps; frames shared with running stamped children
        survive on their references and die with their last unmap (which
        goes through the Vm teardown/shootdown path as usual). *)
     let pm = app.Engine.kernel.Kernel.pm in
-    List.iter (fun (fz : Engine.frozen_page) -> Physmem.decref pm fz.Engine.fz_frame) pool.pages
+    List.iter
+      (fun (fz : Engine.frozen_page) -> Physmem.decref pm fz.Engine.fz_frame)
+      pool.Engine.im_pages
   end

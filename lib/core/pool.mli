@@ -12,6 +12,8 @@
     flat [pool_stamp] charge, independent of how many pages it holds —
     per-connection grants ride in through [extra] at the usual per-page/
     per-fd price, keeping the O(1) in the image, where the bytes are.
+    {!sc_cgate_add} mints a callgate whose every invocation is a fresh
+    compartment installed from the image by the same routine.
 
     Stamped children never dirty the image: their writes to frozen pages
     break copy-on-write into private frames, and tagged grant pages keep
@@ -54,11 +56,35 @@ val stamp :
     propagate after the half-stamped child is reaped — refcounts clean,
     image untouched. *)
 
+val sc_cgate_add :
+  t ->
+  Engine.ctx ->
+  Sc.t ->
+  name:string ->
+  entry:(Engine.ctx -> trusted:int -> arg:int -> int) ->
+  cgsc:Sc.t ->
+  trusted:int ->
+  Engine.gate_id
+(** [sc_cgate_add pool creator sc ...] is {!Wedge.sc_cgate_add} with
+    every invocation stamped: a fresh compartment whose address space is
+    [pool]'s image, installed for one flat [pool_stamp] charge instead of
+    a [pte_copy] per pristine page, then given the gate's own identity,
+    limits, tag grants, creator-resolved descriptors and the caller's
+    extras exactly like a fork-priced gate.  Only the pages come from the
+    image, so it must carry no tagged memory.  Each invocation still
+    starts from the pristine image: no state survives from one caller to
+    the next, unlike a recycled gate.
+    @raise Invalid_argument if [pool] is not a live image of [creator]'s
+    app. *)
+
 val discard : Engine.ctx -> t -> unit
 (** Drop the image's frame references and unregister it.  Frames still
     mapped by running stamped children survive on their own references.
     Idempotent; stamping from a discarded pool raises
     [Invalid_argument]. *)
+
+val find : Engine.app -> string -> t option
+(** The app's live image called [name], if one is frozen. *)
 
 val name : t -> string
 val frozen_pages : t -> int

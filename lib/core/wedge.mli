@@ -176,6 +176,11 @@ val cgate : ?deadline_ns:int -> ctx -> gate_id -> perms:Sc.t -> arg:int -> int
 
 val gate_name : ctx -> gate_id -> string
 
+val cgate_delete : ctx -> gate_id -> unit
+(** Retire a callgate the caller minted: the app drops it, and later
+    invocations fail as an unknown gate.
+    @raise Privilege_violation if the caller did not mint it. *)
+
 (** {1 Comparison primitives (baselines)} *)
 
 val fork : ctx -> (ctx -> int) -> handle
@@ -324,6 +329,8 @@ val caller_pid : ctx -> int option
 
 module Pool : module type of Pool
 (** Checkpoint a fully-booted worker once ({!Pool.freeze}), then stamp
-    new sthreads from the frozen image at a flat cost independent of
-    address-space size ({!Pool.stamp}) — what {!Supervisor} uses for
-    [From_pool] restarts. *)
+    new sthreads ({!Pool.stamp}) and callgate invocations
+    ({!Pool.sc_cgate_add}) from the frozen image at a flat cost
+    independent of address-space size — what {!Supervisor} uses for
+    [From_pool] restarts and the servers for every per-connection
+    compartment. *)

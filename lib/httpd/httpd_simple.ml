@@ -159,8 +159,8 @@ let send_degraded main ep =
   try Chan.write_string ep (Http.format_response Http.internal_error) with _ -> ()
 
 (* The worker's identity: uid 33 inside the docroot chroot, under the
-   env's worker SELinux context when set.  Frozen into the pool image, and
-   the base of every connection's hand-written worker grants. *)
+   env's worker SELinux context when set.  Frozen into the worker image,
+   and the base of every connection's hand-written worker grants. *)
 let worker_identity (env : Httpd_env.t) =
   let sc = W.sc_create () in
   W.sc_set_uid sc 33;
@@ -168,10 +168,15 @@ let worker_identity (env : Httpd_env.t) =
   (match env.Httpd_env.worker_sid with Some sid -> W.sc_sel_context sc sid | None -> ());
   sc
 
+(* The image every worker and callgate of the env's app is stamped from:
+   one copy of the 2000-page Apache image, not one per compartment. *)
+let image (env : Httpd_env.t) =
+  Service.image ~name:"httpd.worker" env.Httpd_env.main (worker_identity env)
+
 let serve_connection ?(recycled = false) ?supervised ?exploit_handshake ?exploit_request ?guard
     ?max_request_bytes ?worker_limits ?synth (env : Httpd_env.t) ep =
   let main = env.Httpd_env.main in
-  Service.run_worker ?supervised ?guard ~policy:Supervisor.default_policy
+  Service.run_worker ?supervised ?guard ~image:(image env) ~policy:Supervisor.default_policy
     ~degrade:(fun () -> send_degraded main ep)
     main ep
   @@ fun conn ->
@@ -207,7 +212,7 @@ let serve_connection ?(recycled = false) ?supervised ?exploit_handshake ?exploit
         sc
   in
   let gate =
-    W.sc_cgate_add ~recycled main worker_sc ~name:"setup_session_key"
+    Service.gate ~recycled conn worker_sc ~name:"setup_session_key"
       ~entry:(Synth.wrap_gate synth ~name:"setup_session_key" (setup_session_key_entry env))
       ~cgsc ~trusted:conn_block
   in
@@ -262,7 +267,7 @@ let service =
     Service.name = "httpd";
     main = (fun (env : Httpd_env.t) -> env.Httpd_env.main);
     reject = Some (Http.format_response Http.service_unavailable);
-    identity = worker_identity;
+    image;
     worker = "worker";
     worker_policy = Some (Supervisor.policy ~max_restarts:1 ());
     serve = serve max_request_bytes;

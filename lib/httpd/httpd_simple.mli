@@ -9,7 +9,11 @@
 
     The worker {e does} receive the established session key (master secret
     and record keys), which is exactly the residual weakness the
-    man-in-the-middle partitioning ({!Httpd_mitm}) removes. *)
+    man-in-the-middle partitioning ({!Httpd_mitm}) removes.
+
+    The worker and every non-recycled callgate invocation are stamped
+    fresh from the app's frozen ["httpd.worker"] image for one flat
+    charge, so neither pays a page-table copy of the large Apache image. *)
 
 val serve_connection :
   ?recycled:bool ->
@@ -52,7 +56,7 @@ val serve_connection :
 
 val service : Httpd_env.t Wedge_net.Service.t
 (** The httpd skeleton: node ["httpd"], worker child ["worker"] (one
-    retry), pool image ["httpd.worker"] booted as uid 33 inside the
+    retry), worker image ["httpd.worker"] booted as uid 33 inside the
     docroot chroot (with the env's worker SELinux context when set),
     plaintext 503 for rejected connections, {!serve_connection} with a
     4096-byte [max_request_bytes] per admitted one. *)

@@ -41,7 +41,6 @@ and file_handle = {
 type entry = {
   target : target;
   perm : perm;
-  mutable closed : bool;
 }
 
 type t = {
@@ -61,23 +60,23 @@ let add t target perm =
   charge t;
   let fd = t.next in
   t.next <- t.next + 1;
-  Hashtbl.add t.tbl fd { target; perm; closed = false };
+  Hashtbl.add t.tbl fd { target; perm };
   fd
 
-let find t fd =
-  match Hashtbl.find_opt t.tbl fd with
-  | Some e when not e.closed -> Some e
-  | _ -> None
+let find t fd = Hashtbl.find_opt t.tbl fd
 
 (* Closing a descriptor drops this process's reference only; the underlying
    endpoint (a shared open-file description) stays open for other holders
-   and is shut down by its owner via the channel layer. *)
+   and is shut down by its owner via the channel layer.  The entry goes
+   with it, so a long-lived process (the master, one descriptor per
+   connection it ever served) keeps no closed endpoint — and no channel
+   buffer behind one — reachable.  Numbers are never reused:
+   [next] only grows. *)
 let close t fd =
-  match Hashtbl.find_opt t.tbl fd with
-  | Some e when not e.closed ->
-      e.closed <- true;
-      release t
-  | _ -> ()
+  if Hashtbl.mem t.tbl fd then begin
+    Hashtbl.remove t.tbl fd;
+    release t
+  end
 
 let dup_into ~src ~dst ~fd ~perm =
   match find src fd with
@@ -96,20 +95,15 @@ let dup_into ~src ~dst ~fd ~perm =
         | (Endpoint _ | Null) as x -> x
       in
       charge dst;
-      Hashtbl.add dst.tbl fd { target; perm; closed = false };
+      Hashtbl.add dst.tbl fd { target; perm };
       if fd >= dst.next then dst.next <- fd + 1
 
 let install t ~fd target perm =
-  (match Hashtbl.find_opt t.tbl fd with
-  | Some e when not e.closed ->
-      invalid_arg (Printf.sprintf "Fd_table.install: fd %d already present" fd)
-  | _ -> ());
+  if Hashtbl.mem t.tbl fd then
+    invalid_arg (Printf.sprintf "Fd_table.install: fd %d already present" fd);
   charge t;
-  Hashtbl.replace t.tbl fd { target; perm; closed = false };
+  Hashtbl.add t.tbl fd { target; perm };
   if fd >= t.next then t.next <- fd + 1
 
-let count t = Hashtbl.fold (fun _ e n -> if e.closed then n else n + 1) t.tbl 0
-
-let fds t =
-  Hashtbl.fold (fun fd e acc -> if e.closed then acc else fd :: acc) t.tbl []
-  |> List.sort compare
+let count t = Hashtbl.length t.tbl
+let fds t = Hashtbl.fold (fun fd _ acc -> fd :: acc) t.tbl [] |> List.sort compare

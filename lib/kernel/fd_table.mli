@@ -49,7 +49,6 @@ and file_handle = {
 type entry = {
   target : target;
   perm : perm;
-  mutable closed : bool;
 }
 
 type t
@@ -63,7 +62,11 @@ val add : t -> target -> perm -> int
 (** Install a target, returning the new descriptor number. *)
 
 val find : t -> int -> entry option
+
 val close : t -> int -> unit
+(** Drop the descriptor and its entry (the target itself stays open for
+    other holders).  Numbers are never reused: {!add} keeps counting up. *)
+
 val dup_into : src:t -> dst:t -> fd:int -> perm:perm -> unit
 (** Copy descriptor [fd] from [src] to [dst] under the same number with
     (possibly reduced) permission [perm].

@@ -247,6 +247,13 @@ let map_frame t ~addr ~frame ~prot ~tag =
            seed = Some (Bytes.copy (Physmem.get t.pm frame));
          })
 
+type frozen_page = {
+  fz_vpn : int;
+  fz_frame : int;
+  fz_prot : Prot.page;
+  fz_tag : int option;
+}
+
 (* Bulk-install a frozen snapshot image (compartment checkpoint/restore):
    each entry takes one frame reference and lands directly in the page
    table — the simulated analogue of pointing a child at a prepared
@@ -254,10 +261,12 @@ let map_frame t ~addr ~frame ~prot ~tag =
    accounts one flat stamp charge however many pages the image holds).
    Recorder events are emitted per page: a differential reference VM must
    see these mappings exactly like any other, or COW breaks inside a
-   stamped child would diverge. *)
-let map_image t entries =
+   stamped child would diverge.  [pages] are the image's own records,
+   built once at freeze, so a stamp allocates nothing per page beyond the
+   page-table entry. *)
+let map_image t pages =
   List.iter
-    (fun (vpn, frame, prot, tag) ->
+    (fun { fz_vpn = vpn; fz_frame = frame; fz_prot = prot; fz_tag = tag } ->
       Physmem.incref t.pm frame;
       Pagetable.map t.pt ~vpn ~frame ~prot ~tag;
       if recording t then
@@ -270,7 +279,7 @@ let map_image t entries =
                prot;
                seed = Some (Bytes.copy (Physmem.get t.pm frame));
              }))
-    entries
+    pages
 
 let share_range ~src ~dst ~addr ~pages ~prot =
   check_aligned addr;

@@ -125,9 +125,18 @@ val map_frame :
   t -> addr:int -> frame:int -> prot:Prot.page -> tag:int option -> unit
 (** Map an existing frame (takes a reference). *)
 
-val map_image : t -> (int * int * Prot.page * int option) list -> unit
-(** Bulk-install a frozen snapshot image: each [(vpn, frame, prot, tag)]
-    entry takes one frame reference and lands directly in the page table.
+(** One page of a frozen snapshot image: the frame it pins, the
+    protection a stamped address space maps it with, and its tag. *)
+type frozen_page = {
+  fz_vpn : int;
+  fz_frame : int;
+  fz_prot : Prot.page;
+  fz_tag : int option;
+}
+
+val map_image : t -> frozen_page list -> unit
+(** Bulk-install a frozen snapshot image: each page takes one frame
+    reference and lands directly in the page table.
     No per-page cost is charged — the caller accounts one flat stamp
     charge however many pages the image holds (the point of checkpoint/
     restore spawn).  Recorder events are emitted per page so differential

@@ -7,7 +7,7 @@ type 'env t = {
   name : string;
   main : 'env -> W.ctx;
   reject : string option;
-  identity : 'env -> Wedge_core.Sc.t;
+  image : 'env -> W.Pool.t;
   worker : string;
   worker_policy : Supervisor.policy option;
   serve : Supervisor.child option -> 'env -> Guard.conn -> bool;
@@ -15,12 +15,13 @@ type 'env t = {
 
 type tree = Supervisor.node * Supervisor.child * Supervisor.child
 
-let pool s env =
-  W.Pool.freeze ~name:(s.name ^ "." ^ s.worker)
-    ~warm:(fun ctx ->
-      let p = W.malloc ctx 64 in
-      W.free ctx p)
-    (s.main env) (s.identity env)
+(* Identity only, and no warm-up: a warmed image would carry the
+   template's whole private heap, which these workers never touch, into
+   every stamp's page table. *)
+let image ~name main identity =
+  match W.Pool.find (W.app_of main) name with
+  | Some p -> p
+  | None -> W.Pool.freeze ~name main identity
 
 let listener_policy = Supervisor.policy ~max_restarts:2 ()
 
@@ -54,9 +55,11 @@ let serve_sharded s envs front =
 
 type conn = {
   c_main : W.ctx;
+  c_image : W.Pool.t;
   c_ep : Chan.ep;
   c_guard : Guard.conn option;
   mutable c_tags : Wedge_mem.Tag.t list;  (* newest first *)
+  mutable c_gates : W.gate_id list;
   mutable c_fd : int option;
 }
 
@@ -64,6 +67,14 @@ let tag conn ~name ~pages =
   let t = W.tag_new ~name ~pages conn.c_main in
   conn.c_tags <- t :: conn.c_tags;
   t
+
+let gate ?(recycled = false) conn sc ~name ~entry ~cgsc ~trusted =
+  let g =
+    if recycled then W.sc_cgate_add ~recycled conn.c_main sc ~name ~entry ~cgsc ~trusted
+    else W.Pool.sc_cgate_add conn.c_image conn.c_main sc ~name ~entry ~cgsc ~trusted
+  in
+  conn.c_gates <- g :: conn.c_gates;
+  g
 
 let fd conn =
   let raw_ep =
@@ -75,9 +86,20 @@ let fd conn =
 
 type served = { worker_status : Process.status; degraded : bool }
 
-let run_worker ?supervised ?guard ~policy ~degrade main ep setup =
-  let conn = { c_main = main; c_ep = ep; c_guard = guard; c_tags = []; c_fd = None } in
+let run_worker ?supervised ?guard ~image ~policy ~degrade main ep setup =
+  let conn =
+    {
+      c_main = main;
+      c_image = image;
+      c_ep = ep;
+      c_guard = guard;
+      c_tags = [];
+      c_gates = [];
+      c_fd = None;
+    }
+  in
   let cleanup () =
+    List.iter (W.cgate_delete main) conn.c_gates;
     (match conn.c_fd with Some fd -> ( try W.fd_close main fd with _ -> ()) | None -> ());
     Chan.close ep;
     List.iter (fun t -> try W.tag_delete main t with _ -> ()) conn.c_tags
@@ -93,7 +115,9 @@ let run_worker ?supervised ?guard ~policy ~degrade main ep setup =
         let on_restart = Option.map (fun c () -> Guard.rearm_heart c) guard in
         match supervised with
         | Some child -> Supervisor.run_child_sthread ?on_restart child sc body 0
-        | None -> Supervisor.supervise_sthread ~policy main sc body 0
+        | None ->
+            Supervisor.supervise ~policy main (fun () ->
+                W.Pool.stamp ~extra:sc main image body 0)
       in
       let served =
         match outcome with

@@ -6,13 +6,14 @@
     split, OpenSSH).  A server's compartmentalization policy — its tags,
     callgates and grants — stays in its own module, inside its [serve]
     function; everything that runs those compartments lives here once:
-    the snapshot pool of the worker's boot, the declared supervision
+    the frozen image of the worker's boot, the declared supervision
     tree, the guarded accept loop and sharded serving.
 
     {!run_worker} is the per-connection half of the same machinery for
     servers whose worker is an sthread: contained setup, the worker run
-    under a tree child or the flat restart layer, and the outcome mapped
-    to a degraded-or-not answer. *)
+    under a tree child or stamped from the image under the flat restart
+    layer, the connection's callgates ({!gate}) stamped from the same
+    image, and the outcome mapped to a degraded-or-not answer. *)
 
 type 'env t = {
   name : string;
@@ -22,10 +23,10 @@ type 'env t = {
   reject : string option;
       (** Written to a connection the guard rejects before closing it;
           [None] disconnects silently. *)
-  identity : 'env -> Wedge_core.Sc.t;
-      (** The worker identity frozen into the pool image (uid, root,
-          SELinux context); per-connection grants ride in at stamp
-          time. *)
+  image : 'env -> Wedge_core.Pool.t;
+      (** The worker image of the env's app, frozen on first use by
+          {!image}: the worker identity (uid, root, SELinux context) and
+          nothing else; per-connection grants ride in at stamp time. *)
   worker : string;  (** the worker child's name, e.g. ["worker"] *)
   worker_policy : Wedge_core.Supervisor.policy option;
       (** The worker child's restart policy ([None]: the child default). *)
@@ -39,10 +40,13 @@ type tree =
   Wedge_core.Supervisor.node * Wedge_core.Supervisor.child * Wedge_core.Supervisor.child
 (** [(node, listener, worker)]. *)
 
-val pool : 'env t -> 'env -> Wedge_core.Pool.t
-(** Freeze the worker's boot once: [identity], heap warmed so the
-    demand-mapped pages join the image.  The image is named
-    [name ^ "." ^ worker]. *)
+val image : name:string -> Wedge_core.Wedge.ctx -> Wedge_core.Sc.t -> Wedge_core.Pool.t
+(** [image ~name main identity] is the app's frozen image [name], frozen
+    from [identity] the first time any caller asks for it, so the flat
+    path, every callgate and a pooled tree child of one app share it.
+    Identity only, with no heap warm-up: these workers never touch the
+    private heap, and a warmed image would put all of it into every
+    stamp's page table. *)
 
 val tree : ?pool:Wedge_core.Pool.t -> 'env t -> 'env -> tree
 (** The declared topology: node [name] with children ["listener"]
@@ -74,6 +78,21 @@ type conn
 val tag : conn -> name:string -> pages:int -> Wedge_mem.Tag.t
 (** A fresh tag in the master, deleted when the connection ends. *)
 
+val gate :
+  ?recycled:bool ->
+  conn ->
+  Wedge_core.Sc.t ->
+  name:string ->
+  entry:(Wedge_core.Wedge.ctx -> trusted:int -> arg:int -> int) ->
+  cgsc:Wedge_core.Sc.t ->
+  trusted:int ->
+  Wedge_core.Wedge.gate_id
+(** A per-connection callgate in the master, granted to [sc] and
+    retired when the connection ends.  Every invocation is a fresh
+    compartment stamped from the worker image
+    ({!Wedge_core.Pool.sc_cgate_add}); [recycled] backs it by the gate
+    name's long-lived sthread instead (§3.3). *)
+
 val fd : conn -> int
 (** Install the connection descriptor in the master, closed when the
     connection ends.  With a guard the worker reads through the
@@ -90,6 +109,7 @@ type served = {
 val run_worker :
   ?supervised:Wedge_core.Supervisor.child ->
   ?guard:Guard.conn ->
+  image:Wedge_core.Pool.t ->
   policy:Wedge_core.Supervisor.policy ->
   degrade:(unit -> unit) ->
   Wedge_core.Wedge.ctx ->
@@ -101,9 +121,11 @@ val run_worker :
     A contained fault during setup (injected frame exhaustion in
     [tag_new], a reset connection) releases what was created and
     degrades the connection.  The worker then runs under [supervised]
-    (its policy and intensity budget) or else the flat [policy]; each
-    retry re-arms the guard's watchdog heart, so a restarted worker is
-    not killed for its predecessor's hang.  [degrade] sends the server's
-    degraded answer when setup faulted or every attempt did.  The
-    connection's descriptor, channel and tags are released before
+    (its policy, intensity budget and [Fresh] or [From_pool] restarts)
+    or else the flat [policy], every attempt stamped from [image] with
+    the worker's grants as the stamp's extras; each retry re-arms the
+    guard's watchdog heart, so a restarted worker is not killed for its
+    predecessor's hang.  [degrade] sends the server's degraded answer
+    when setup faulted or every attempt did.  The connection's
+    callgates, descriptor, channel and tags are released before
     returning; no fault reaches the caller. *)

@@ -177,7 +177,7 @@ let send_degraded main ep =
   try Chan.write_string ep "-ERR internal server error, closing\r\n" with _ -> ()
 
 (* The client handler's identity: uid 99 in an empty chroot.  Frozen into
-   the pool image, and the base of every connection's hand-written
+   the worker image, and the base of every connection's hand-written
    handler grants. *)
 let worker_identity () =
   let sc = W.sc_create () in
@@ -185,13 +185,16 @@ let worker_identity () =
   W.sc_set_root sc "/var/empty";
   sc
 
+(* The image every handler and callgate of [main]'s app is stamped from. *)
+let image main = Service.image ~name:"pop3.worker" main (worker_identity ())
+
 (* One retry by default: POP3 is line-oriented, so a fresh handler can
    greet the client again. *)
 let worker_policy = Supervisor.policy ~max_restarts:1 ()
 
 let serve_connection ?exploit ?(restart_policy = worker_policy) ?supervised ?guard ?synth main
     ep =
-  Service.run_worker ?supervised ?guard ~policy:restart_policy
+  Service.run_worker ?supervised ?guard ~image:(image main) ~policy:restart_policy
     ~degrade:(fun () -> send_degraded main ep)
     main ep
   @@ fun conn ->
@@ -231,7 +234,7 @@ let serve_connection ?exploit ?(restart_policy = worker_policy) ?supervised ?gua
         sc
   in
   let login_gate =
-    W.sc_cgate_add main worker_sc ~name:"pop3.login"
+    Service.gate conn worker_sc ~name:"pop3.login"
       ~entry:(Synth.wrap_gate synth ~name:"pop3.login" login_entry)
       ~cgsc:login_cgsc ~trusted:uid_block
   in
@@ -245,7 +248,7 @@ let serve_connection ?exploit ?(restart_policy = worker_policy) ?supervised ?gua
         sc
   in
   let mbox_gate =
-    W.sc_cgate_add main worker_sc ~name:"pop3.mailbox"
+    Service.gate conn worker_sc ~name:"pop3.mailbox"
       ~entry:(Synth.wrap_gate synth ~name:"pop3.mailbox" (mbox_entry ~mail_block))
       ~cgsc:mbox_cgsc ~trusted:uid_block
   in
@@ -280,7 +283,7 @@ let service =
     Service.name = "pop3";
     main = Fun.id;
     reject = Some "-ERR busy, try again later\r\n";
-    identity = (fun _ -> worker_identity ());
+    image;
     worker = "worker";
     worker_policy = Some worker_policy;
     serve =

@@ -13,7 +13,12 @@
 
     Authentication cannot be bypassed: the mailbox callgate refuses until
     the login callgate has written the uid, and only the login callgate
-    holds write permission on that tag. *)
+    holds write permission on that tag.
+
+    Every one of these compartments — the handler and each callgate
+    invocation — is stamped fresh from the app's frozen ["pop3.worker"]
+    image for one flat charge, instead of mapping the pristine snapshot
+    page by page. *)
 
 val serve_connection :
   ?exploit:(Wedge_core.Wedge.ctx -> unit) ->
@@ -51,7 +56,7 @@ val serve_connection :
 
 val service : Wedge_core.Wedge.ctx Wedge_net.Service.t
 (** The POP3 skeleton over the master context: node ["pop3"], worker
-    child ["worker"] with one retry (matching {!serve_connection}), pool
+    child ["worker"] with one retry (matching {!serve_connection}), worker
     image ["pop3.worker"] booted as uid 99 in an empty chroot, ["-ERR
     busy, try again later"] for rejected connections. *)
 

@@ -184,7 +184,7 @@ let service =
     Service.name = "sshd";
     main = (fun (env : Sshd_env.t) -> env.Sshd_env.main);
     reject = None;
-    identity = (fun _ -> W.sc_create ());
+    image = (fun env -> Service.image ~name:"sshd.slave" env.Sshd_env.main (W.sc_create ()));
     worker = "slave";
     worker_policy = None;
     serve = (fun supervised env c -> serve_connection ?supervised ~guard:c env (Guard.ep c));

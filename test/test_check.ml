@@ -267,20 +267,20 @@ let test_sweep_pct_policy () =
    re-pins the whole table at once. *)
 let pinned_digests =
   [
-    ("pop3", "9dce029c5c26a5bc5e4d6c1b55b62efd");
-    ("httpd", "84747b9c7ca04588ee92e3e0990ba5f6");
+    ("pop3", "802894e9d594aebf80aeca88dc2f5b79");
+    ("httpd", "74b9b182ceb4c2e5101ea8edf6b06d05");
     ("sshd", "8de2b32b0dbde9336816e71928ea2a2a");
-    ("httpd_storm", "99c67b1e5234e3ad73d0c7f50c6cd0bd");
-    ("pop3_storm", "434924997b268adbb42211576c193208");
+    ("httpd_storm", "32ccb71a3c20931f6ff57148b864f4d6");
+    ("pop3_storm", "8fa1330607a1c236733d0801658012c0");
     ("sshd_storm", "09e484537b4f122a0c3dfd8aa6a4d02a");
     ("httpd_pool_storm", "a4e51532aa34db7ad00a13579a162cea");
     ("pop3_pool_storm", "80b5c3452d59753f0a696b6a64a1a253");
     ("sshd_pool_storm", "db90939da17775890fbfb4f5ca9a3451");
-    ("httpd_sharded", "37d729171a4f66eab3f17ea5666cd661");
-    ("pop3_sharded", "59e99704b6422b668a8ec66856f442d6");
+    ("httpd_sharded", "366494e5d738100f521b828cdcd1706a");
+    ("pop3_sharded", "4a770f80612cbb18687b3dad0c989381");
     ("sshd_sharded", "d92627ac80fc8cd3e3df37269d0e0ac9");
-    ("httpd_synth", "02748382261ad0df1b8b5d45919e79e0");
-    ("pop3_synth", "8aea967624729f893947f675884472fd");
+    ("httpd_synth", "68443f6502534fa9574c44224284ad76");
+    ("pop3_synth", "093484f31dda9ff1a0c4d69fbe35d9aa");
     ("sshd_synth", "99944701a1f51226f65e74993ebe9c3a");
   ]
 

@@ -7,6 +7,13 @@
    integration, and the pool counters in the metrics registry. *)
 
 module Kernel = Wedge_kernel.Kernel
+module Fd_table = Wedge_kernel.Fd_table
+module Layout = Wedge_kernel.Layout
+module Pagetable = Wedge_kernel.Pagetable
+module Process = Wedge_kernel.Process
+module Prot = Wedge_kernel.Prot
+module Vm = Wedge_kernel.Vm
+module Chan = Wedge_net.Chan
 module Clock = Wedge_sim.Clock
 module Cost_model = Wedge_sim.Cost_model
 module Stats = Wedge_sim.Stats
@@ -151,6 +158,208 @@ let test_stamp_identity_and_limits () =
       let h2 = W.Pool.stamp ~extra main pool (fun ctx _ -> W.getuid ctx) 0 in
       check Alcotest.int "extra overrides uid" 33 (W.sthread_join main h2));
   sweep k app
+
+(* ---------- stamped twins of fork-priced compartments ---------- *)
+
+(* Everything a compartment starts with, read from inside it: its page
+   table, its descriptor table, its identity and its rlimit caps. *)
+type capture = {
+  pages : (int * int * Prot.page * int option) list;
+  fds : (int * Fd_table.perm * Fd_table.target) list;
+  identity : int * string * string;
+  caps : string;
+}
+
+let capture ctx =
+  let p = W.proc ctx in
+  let fds = p.Process.fds in
+  {
+    pages =
+      Pagetable.fold
+        (fun vpn (pte : Pagetable.pte) acc ->
+          (vpn, pte.Pagetable.frame, pte.Pagetable.prot, pte.Pagetable.tag) :: acc)
+        (Vm.page_table p.Process.vm) []
+      |> List.sort compare;
+    fds =
+      List.map
+        (fun fd ->
+          let e = Option.get (Fd_table.find fds fd) in
+          (fd, e.Fd_table.perm, e.Fd_table.target))
+        (Fd_table.fds fds);
+    identity = (p.Process.uid, p.Process.root, p.Process.sid);
+    (* caps only: a fresh-usage copy prints 0 for every counter *)
+    caps = Rlimit.to_string (Rlimit.child_of p.Process.limits);
+  }
+
+(* Endpoints are shared open-file descriptions: the same one, not an
+   equal one. *)
+let same_target a b =
+  match (a, b) with
+  | Fd_table.Endpoint x, Fd_table.Endpoint y -> x == y
+  | Fd_table.File x, Fd_table.File y ->
+      x.Fd_table.fh_path = y.Fd_table.fh_path && x.Fd_table.fh_pos = y.Fd_table.fh_pos
+  | Fd_table.Null, Fd_table.Null -> true
+  | _ -> false
+
+let check_twins what (fork : capture) (stamped : capture) =
+  check Alcotest.bool (what ^ ": page tables equal") true (fork.pages = stamped.pages);
+  check Alcotest.bool (what ^ ": pages mapped") true (List.length fork.pages > 60);
+  check Alcotest.int (what ^ ": descriptor count") (List.length fork.fds)
+    (List.length stamped.fds);
+  List.iter2
+    (fun (fd, perm, target) (fd', perm', target') ->
+      check Alcotest.int (what ^ ": descriptor number") fd fd';
+      check Alcotest.bool (what ^ ": descriptor perm") true (perm = perm');
+      check Alcotest.bool (what ^ ": descriptor target") true (same_target target target'))
+    fork.fds stamped.fds;
+  check
+    Alcotest.(triple int string string)
+    (what ^ ": identity") fork.identity stamped.identity;
+  check Alcotest.string (what ^ ": rlimit caps") fork.caps stamped.caps
+
+(* A 60-page image, a worker identity frozen with rlimit caps, a tag the
+   worker may write, one the gate may read, and a master-held descriptor. *)
+let twin_world () =
+  let k, app, main = mk ~image_pages:60 () in
+  let identity = W.sc_create () in
+  W.sc_set_uid identity 99;
+  W.sc_set_root identity "/var/empty";
+  W.sc_set_rlimit identity (Rlimit.create ~max_frames:64 ~max_fds:8 ~max_fuel:10_000 ());
+  let work = W.tag_new ~name:"twin.work" ~pages:2 main in
+  let secret = W.tag_new ~name:"twin.secret" ~pages:1 main in
+  let _peer, ours = Chan.pair ~costs:Cost_model.free () in
+  let fd = W.add_endpoint main (Chan.to_endpoint ours) Fd_table.perm_rw in
+  (k, app, main, identity, work, secret, fd)
+
+let test_stamped_sthread_twin () =
+  let k, app, main, identity, work, _, fd = twin_world () in
+  Fiber.run (fun () ->
+      let pool = W.Pool.freeze ~name:"twin" main identity in
+      let sc = W.sc_create () in
+      W.sc_set_uid sc 99;
+      W.sc_set_root sc "/var/empty";
+      W.sc_set_rlimit sc (Rlimit.create ~max_frames:32 ~max_fds:4 ~max_fuel:5_000 ());
+      W.sc_mem_add sc work Prot.RW;
+      W.sc_fd_add sc fd Fd_table.perm_r;
+      let seen = ref None in
+      let body ctx _ =
+        seen := Some (capture ctx);
+        0
+      in
+      ignore (W.sthread_join main (W.sthread_create main sc body 0));
+      let fork = Option.get !seen in
+      ignore (W.sthread_join main (W.Pool.stamp ~extra:sc main pool body 0));
+      check_twins "sthread" fork (Option.get !seen));
+  sweep k app
+
+let test_stamped_gate_twin () =
+  let k, app, main, identity, work, secret, fd = twin_world () in
+  Fiber.run (fun () ->
+      let pool = W.Pool.freeze ~name:"twin" main identity in
+      let seen = ref None in
+      let entry gctx ~trusted:_ ~arg:_ =
+        seen := Some (capture gctx);
+        0
+      in
+      (* Tag grants, a creator-held descriptor, and no limits: the gate
+         runs unlimited, like its creator, whatever the image's caps. *)
+      let cgsc = W.sc_create () in
+      W.sc_mem_add cgsc secret Prot.R;
+      W.sc_mem_add cgsc work Prot.RW;
+      W.sc_fd_add cgsc fd Fd_table.perm_w;
+      let worker_sc = W.sc_create () in
+      W.sc_mem_add worker_sc work Prot.RW;
+      let forked = W.sc_cgate_add main worker_sc ~name:"twin.fork" ~entry ~cgsc ~trusted:0 in
+      let stamped =
+        W.Pool.sc_cgate_add pool main worker_sc ~name:"twin.stamp" ~entry ~cgsc ~trusted:0
+      in
+      let call gate =
+        seen := None;
+        ignore
+          (W.sthread_join main
+             (W.sthread_create main worker_sc
+                (fun ctx _ ->
+                  (* the caller's extras: its own work tag, read-only *)
+                  let perms = W.sc_create () in
+                  W.sc_mem_add perms work Prot.R;
+                  W.cgate ctx gate ~perms ~arg:0)
+                0));
+        Option.get !seen
+      in
+      let fork = call forked in
+      let stamp = call stamped in
+      check_twins "gate" fork stamp;
+      check Alcotest.bool "gate without limits stays unlimited" true
+        (stamp.caps = Rlimit.to_string (Rlimit.unlimited ()));
+      check Alcotest.int "one stamped invocation" 1
+        (Stats.get k.Kernel.stats "cgate.stamped"));
+  sweep k app
+
+let test_stamped_gate_keeps_no_residue () =
+  (* The recycled-residue test's buggy gate (test_engine_extra): it
+     echoes its private heap scratch before overwriting it with the
+     caller's argument.  Recycled, caller B reads caller A's secret;
+     stamped, every invocation starts from the image, warmed or not. *)
+  let run ~warm =
+    let k, app, main = mk () in
+    let leaked = ref "" in
+    Fiber.run (fun () ->
+        let argt = W.tag_new ~name:"args" main in
+        let arg_block = W.smalloc main 64 argt in
+        let warm = if warm then Some (fun ctx -> W.free ctx (W.malloc ctx 64)) else None in
+        let pool = W.Pool.freeze ~name:"gate" ?warm main (W.sc_create ()) in
+        let sc = W.sc_create () in
+        W.sc_mem_add sc argt Prot.RW;
+        let gate =
+          W.Pool.sc_cgate_add pool main sc ~name:"buggy-s"
+            ~entry:(fun g ~trusted:_ ~arg ->
+              let scratch =
+                if W.can_read g ~addr:(Layout.heap_base + 40) ~len:1 then Layout.heap_base + 40
+                else W.malloc g 32
+              in
+              let v = W.read_string g arg 16 in
+              let stale = W.read_string g scratch 16 in
+              W.write_string g scratch v;
+              W.write_string g arg stale;
+              1)
+            ~cgsc:(W.sc_create ()) ~trusted:0
+        in
+        let perms () =
+          let p = W.sc_create () in
+          W.sc_mem_add p argt Prot.RW;
+          p
+        in
+        let principal text =
+          W.sthread_join main
+            (W.sthread_create main sc
+               (fun ctx _ ->
+                 W.write_string ctx arg_block text;
+                 ignore (W.cgate ctx gate ~perms:(perms ()) ~arg:arg_block);
+                 leaked := W.read_string ctx arg_block 16;
+                 0)
+               0)
+        in
+        ignore (principal "SECRET-OF-ALICE!");
+        ignore (principal "bbbbbbbbbbbbbbbb"));
+    sweep k app;
+    !leaked
+  in
+  check Alcotest.bool "stamped gate has no residue" true (run ~warm:false <> "SECRET-OF-ALICE!");
+  check Alcotest.bool "nor from a warmed image" true (run ~warm:true <> "SECRET-OF-ALICE!")
+
+let test_stamped_gate_refuses_foreign_image () =
+  let _, _, main = mk () in
+  let _, _, other = mk () in
+  Fiber.run (fun () ->
+      let pool = W.Pool.freeze ~name:"elsewhere" other (W.sc_create ()) in
+      check Alcotest.bool "image of another app refused" true
+        (match
+           W.Pool.sc_cgate_add pool main (W.sc_create ()) ~name:"g"
+             ~entry:(fun _ ~trusted:_ ~arg:_ -> 0)
+             ~cgsc:(W.sc_create ()) ~trusted:0
+         with
+        | exception Invalid_argument _ -> true
+        | _ -> false))
 
 (* ---------- fault injection on the pool sites ---------- *)
 
@@ -299,6 +508,15 @@ let () =
         ] );
       ( "grants",
         [ Alcotest.test_case "identity + limits" `Quick test_stamp_identity_and_limits ] );
+      ( "twins",
+        [
+          Alcotest.test_case "stamped sthread = fork-priced" `Quick test_stamped_sthread_twin;
+          Alcotest.test_case "stamped gate = fork-priced" `Quick test_stamped_gate_twin;
+          Alcotest.test_case "stamped gate keeps no residue" `Quick
+            test_stamped_gate_keeps_no_residue;
+          Alcotest.test_case "foreign image refused" `Quick
+            test_stamped_gate_refuses_foreign_image;
+        ] );
       ( "faults",
         [
           Alcotest.test_case "freeze crash" `Quick test_fault_during_freeze_leaves_no_image;

@@ -16,6 +16,9 @@ module Pop3_mono = Wedge_pop3.Pop3_mono
 module Pop3_wedge = Wedge_pop3.Pop3_wedge
 module Pop3_client = Wedge_pop3.Pop3_client
 module Oracle = Wedge_check.Oracle
+module Guard = Wedge_net.Guard
+module Service = Wedge_net.Service
+module Engine = Wedge_core.Engine
 
 let check = Alcotest.check
 
@@ -240,6 +243,39 @@ let test_wedge_sessions_isolated () =
       Pop3_client.quit c2;
       Chan.close ep2)
 
+(* ---------- a long-lived master forgets what it served ---------- *)
+
+let test_master_forgets_served_connections () =
+  (* The master outlives every connection: its per-connection callgates
+     and closed descriptors (with the channel buffers behind them) must
+     go when the connection does, or its memory grows with every client
+     it ever served. *)
+  let _, app, main = mk_env () in
+  let l = Chan.listener ~costs:Cost_model.free ~backlog:4 () in
+  let guard = Guard.create ~max_conns:4 () in
+  let gates_before = Hashtbl.length app.Engine.gates in
+  let fds_words () = Obj.reachable_words (Obj.repr (W.proc main).Wedge_kernel.Process.fds) in
+  let at_100 = ref 0 and at_1000 = ref 0 in
+  Fiber.run (fun () ->
+      Fiber.spawn (fun () -> Service.serve_loop Pop3_wedge.service main guard l);
+      for i = 1 to 1000 do
+        let ep = Chan.connect l in
+        let c = Pop3_client.connect ep in
+        if not (Pop3_client.login c ~user:"alice" ~password:"wonderland") then
+          Alcotest.failf "connection %d: login refused" i;
+        Pop3_client.quit c;
+        Chan.close ep;
+        Fiber.wait_until ~what:"connection released" (fun () -> Guard.active guard = 0);
+        if i = 100 then at_100 := fds_words ();
+        if i = 1000 then at_1000 := fds_words ()
+      done;
+      Guard.drain guard l);
+  check Alcotest.int "callgates back to the pre-serve count" gates_before
+    (Hashtbl.length app.Engine.gates);
+  let growth_bytes = (!at_1000 - !at_100) * (Sys.word_size / 8) in
+  if growth_bytes >= 1024 then
+    Alcotest.failf "master fd table grew %d bytes from connection 100 to 1000" growth_bytes
+
 let () =
   Alcotest.run "wedge_pop3"
     [
@@ -264,5 +300,10 @@ let () =
           Alcotest.test_case "auth not bypassable" `Quick
             test_wedge_auth_not_bypassable_after_exploit;
           Alcotest.test_case "sessions isolated" `Quick test_wedge_sessions_isolated;
+        ] );
+      ( "resources",
+        [
+          Alcotest.test_case "master forgets served connections" `Quick
+            test_master_forgets_served_connections;
         ] );
     ]

@@ -606,7 +606,7 @@ let test_staller_pop3_pooled_restamp () =
     ~serve_loop:(fun () ->
       (* freeze needs a running fiber, so the pool is built here *)
       let service = Wedge_pop3.Pop3_wedge.service in
-      let pool = Service.pool service main_ctx in
+      let pool = service.Service.image main_ctx in
       let tree = Service.tree ~pool service main_ctx in
       Service.serve_loop ~supervision:tree service main_ctx guard l)
     ~prefix:"USER ali"
