@@ -46,7 +46,9 @@ val image : name:string -> Wedge_core.Wedge.ctx -> Wedge_core.Sc.t -> Wedge_core
     path, every callgate and a pooled tree child of one app share it.
     Identity only, with no heap warm-up: these workers never touch the
     private heap, and a warmed image would put all of it into every
-    stamp's page table. *)
+    stamp's page table.  The freeze maps no fresh frame, but an
+    injected ["pool.freeze"] fault in it reaches the caller: arm one only
+    after the image exists, as the pooled storms do. *)
 
 val tree : ?pool:Wedge_core.Pool.t -> 'env t -> 'env -> tree
 (** The declared topology: node [name] with children ["listener"]
