@@ -110,20 +110,23 @@ WEDGE_SCALE_SMOKE=1 dune exec bench/main.exe -- scale
 cmp BENCH_scale.json "$scale_first"
 rm -f "$scale_first"
 
-# Policy-synthesis gate: close the Crowbar loop.  Synthesize the httpd
-# least-privilege profile from a recorded run and re-run the same
-# workload enforced (wedge_cli synth exits nonzero on any denial, a
-# failed workload, or observed accesses beyond the installed profile);
-# the profile file must be byte-stable across two record runs.  (The
-# record->enforce scenarios are explored above.)
+# Policy-synthesis gate: close the Crowbar loop for every server.
+# Synthesize each least-privilege profile (httpd, pop3, sshd) from a
+# recorded run and re-run the same workload enforced (wedge_cli synth
+# exits nonzero on any denial, a failed workload, or observed accesses
+# beyond the installed profile); each profile file must be byte-stable
+# across two record runs.  (The record->enforce scenarios are explored
+# above.)
 echo "== policy synthesis (smoke) =="
-synth_first="$(mktemp /tmp/wedge-synth-XXXXXX.prof)"
-synth_second="$(mktemp /tmp/wedge-synth-XXXXXX.prof)"
-WEDGE_SYNTH_SMOKE=1 dune exec bin/wedge_cli.exe -- synth httpd -o "$synth_first"
-test -s "$synth_first"
-WEDGE_SYNTH_SMOKE=1 dune exec bin/wedge_cli.exe -- synth httpd -o "$synth_second" --mode record
-cmp "$synth_first" "$synth_second"
-rm -f "$synth_first" "$synth_second"
+for app in httpd pop3 sshd; do
+  synth_first="$(mktemp /tmp/wedge-synth-XXXXXX.prof)"
+  synth_second="$(mktemp /tmp/wedge-synth-XXXXXX.prof)"
+  WEDGE_SYNTH_SMOKE=1 dune exec bin/wedge_cli.exe -- synth "$app" -o "$synth_first"
+  test -s "$synth_first"
+  WEDGE_SYNTH_SMOKE=1 dune exec bin/wedge_cli.exe -- synth "$app" -o "$synth_second" --mode record
+  cmp "$synth_first" "$synth_second"
+  rm -f "$synth_first" "$synth_second"
+done
 
 # Benchmark-correctness gate (WEDGE_PERFBENCH_SMOKE=1): the repository
 # benchmark exits nonzero on a failed connection, a leak after drain

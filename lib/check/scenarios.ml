@@ -345,7 +345,7 @@ let pop3_synth ~seed:_ main synth =
 let pop3 =
   let is_rejection s = contains s "-ERR busy" in
   let half = "USER alice\r\nQUIT\r\n"
-  and request = "USER alice\r\nPASS wonderland\r\nSTAT\r\nQUIT\r\n" in
+  and request = "USER alice\r\nPASS wonderland\r\nSTAT\r\nLIST\r\nRETR 1\r\nQUIT\r\n" in
   let image_pages = 60 in
   {
     service = Wedge_pop3.Pop3_wedge.service;

@@ -9,11 +9,11 @@ let backend ctx =
   let authed = ref None in
   let mails () =
     match !authed with
-    | None -> None
+    | None -> Error Pop3_proto.Unauthenticated
     | Some (name, _uid) -> (
         match W.vfs_readdir ctx (Pop3_env.maildir name) with
         | Ok files ->
-            Some
+            Ok
               (List.filter_map
                  (fun f ->
                    match String.split_on_char '.' f with
@@ -22,7 +22,7 @@ let backend ctx =
                  files
               |> List.sort compare
               |> List.map (fun n -> (n, name)))
-        | Error _ -> Some [])
+        | Error _ -> Ok [])
   in
   let mail_path name n = Printf.sprintf "%s/%d.eml" (Pop3_env.maildir name) n in
   {
@@ -41,9 +41,8 @@ let backend ctx =
                 | None -> false)));
     stat =
       (fun () ->
-        match mails () with
-        | None -> None
-        | Some entries ->
+        Result.map
+          (fun entries ->
             let total =
               List.fold_left
                 (fun acc (n, name) ->
@@ -52,31 +51,31 @@ let backend ctx =
                   | Error _ -> acc)
                 0 entries
             in
-            Some (List.length entries, total));
+            (List.length entries, total))
+          (mails ()));
     list_mails =
       (fun () ->
-        match mails () with
-        | None -> None
-        | Some entries ->
-            Some
-              (List.filter_map
-                 (fun (n, name) ->
-                   match W.vfs_read ctx (mail_path name n) with
-                   | Ok body -> Some (n, String.length body)
-                   | Error _ -> None)
-                 entries));
+        Result.map
+          (List.filter_map (fun (n, name) ->
+               match W.vfs_read ctx (mail_path name n) with
+               | Ok body -> Some (n, String.length body)
+               | Error _ -> None))
+          (mails ()));
     retr =
       (fun n ->
         match !authed with
-        | None -> None
-        | Some (name, _) -> (
-            match W.vfs_read ctx (mail_path name n) with Ok b -> Some b | Error _ -> None));
+        | None -> Error Pop3_proto.Unauthenticated
+        | Some (name, _) ->
+            Result.map_error
+              (fun _ -> Pop3_proto.No_such_message)
+              (W.vfs_read ctx (mail_path name n)));
     dele =
       (fun n ->
         match !authed with
-        | None -> false
+        | None -> Error Pop3_proto.Unauthenticated
         | Some (name, _) ->
-            Result.is_ok
+            Result.map_error
+              (fun _ -> Pop3_proto.No_such_message)
               (Wedge_kernel.Vfs.unlink (W.kernel (W.app_of ctx)).Wedge_kernel.Kernel.vfs
                  ~root:"/" ~uid:0 (mail_path name n)));
   }

@@ -32,17 +32,39 @@ let parse line =
       | "DELE" -> ( match int_of_string_opt arg with Some n -> Dele n | None -> Unknown line)
       | _ -> Unknown line)
 
+type refusal = Unauthenticated | No_such_message | Too_large
+
 type backend = {
   login : user:string -> password:string -> bool;
-  stat : unit -> (int * int) option;
-  list_mails : unit -> (int * int) list option;
-  retr : int -> string option;
-  dele : int -> bool;
+  stat : unit -> (int * int, refusal) result;
+  list_mails : unit -> ((int * int) list, refusal) result;
+  retr : int -> (string, refusal) result;
+  dele : int -> (unit, refusal) result;
 }
 
+let refusal_text = function
+  | Unauthenticated -> "not authenticated"
+  | No_such_message -> "no such message"
+  | Too_large -> "reply too large"
+
+(* One reply, one write: the client that finds the channel empty
+   partway through a reply pays a half round trip to wait for the rest,
+   so a reply split over k writes can cost it k - 1 of them.  [parts]
+   are sized first, then blitted once into the outgoing buffer. *)
+let write_reply io parts =
+  let buf = Bytes.create (List.fold_left (fun n p -> n + String.length p) 0 parts) in
+  ignore
+    (List.fold_left
+       (fun off p ->
+         Bytes.blit_string p 0 buf off (String.length p);
+         off + String.length p)
+       0 parts);
+  Lineio.write io buf
+
 let serve io backend ~exploit =
-  let ok fmt = Printf.ksprintf (fun s -> Lineio.write_line io ("+OK " ^ s)) fmt in
-  let err fmt = Printf.ksprintf (fun s -> Lineio.write_line io ("-ERR " ^ s)) fmt in
+  let ok fmt = Printf.ksprintf (fun s -> write_reply io [ "+OK "; s; "\r\n" ]) fmt in
+  let err fmt = Printf.ksprintf (fun s -> write_reply io [ "-ERR "; s; "\r\n" ]) fmt in
+  let refused r = err "%s" (refusal_text r) in
   ok "wedge-pop3 ready";
   let pending_user = ref None in
   let rec loop () =
@@ -67,27 +89,28 @@ let serve io backend ~exploit =
             loop ()
         | Stat ->
             (match backend.stat () with
-            | Some (n, bytes) -> ok "%d %d" n bytes
-            | None -> err "not authenticated");
+            | Ok (n, bytes) -> ok "%d %d" n bytes
+            | Error r -> refused r);
             loop ()
         | List ->
             (match backend.list_mails () with
-            | Some entries ->
-                ok "%d messages" (Stdlib.List.length entries);
-                Stdlib.List.iter (fun (i, sz) -> Lineio.write_line io (Printf.sprintf "%d %d" i sz)) entries;
-                Lineio.write_line io "."
-            | None -> err "not authenticated");
+            | Ok entries ->
+                write_reply io
+                  (Printf.sprintf "+OK %d messages\r\n" (Stdlib.List.length entries)
+                  :: Stdlib.List.fold_right
+                       (fun (i, sz) rest -> Printf.sprintf "%d %d\r\n" i sz :: rest)
+                       entries [ ".\r\n" ])
+            | Error r -> refused r);
             loop ()
         | Retr n ->
             (match backend.retr n with
-            | Some body ->
-                ok "%d octets" (String.length body);
-                Lineio.write io (Bytes.of_string body);
-                Lineio.write io (Bytes.of_string "\r\n.\r\n")
-            | None -> err "no such message");
+            | Ok body ->
+                write_reply io
+                  [ Printf.sprintf "+OK %d octets\r\n" (String.length body); body; "\r\n.\r\n" ]
+            | Error r -> refused r);
             loop ()
         | Dele n ->
-            if backend.dele n then ok "deleted" else err "no such message";
+            (match backend.dele n with Ok () -> ok "deleted" | Error r -> refused r);
             loop ()
         | Xploit ->
             (* The modelled parser vulnerability: attacker code executes in

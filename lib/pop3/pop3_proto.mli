@@ -24,13 +24,21 @@ type command =
 
 val parse : string -> command
 
+(** Why the backend refused a mailbox command; each answers its own
+    [-ERR] text. *)
+type refusal =
+  | Unauthenticated  (** [-ERR not authenticated] *)
+  | No_such_message  (** [-ERR no such message] *)
+  | Too_large  (** [-ERR reply too large]: the reply does not fit the backend's buffer *)
+
 type backend = {
   login : user:string -> password:string -> bool;
-  stat : unit -> (int * int) option;  (** (count, total bytes), [None] if unauthenticated *)
-  list_mails : unit -> (int * int) list option;  (** (msgno, size) *)
-  retr : int -> string option;
-  dele : int -> bool;
+  stat : unit -> (int * int, refusal) result;  (** (count, total bytes) *)
+  list_mails : unit -> ((int * int) list, refusal) result;  (** (msgno, size) *)
+  retr : int -> (string, refusal) result;
+  dele : int -> (unit, refusal) result;
 }
 
 val serve : Wedge_net.Lineio.t -> backend -> exploit:(unit -> unit) option -> unit
-(** Run one POP3 session to QUIT or EOF. *)
+(** Run one POP3 session to QUIT or EOF.  Every reply, a multi-line
+    LIST or RETR included, leaves in exactly one {!Wedge_net.Lineio.write}. *)

@@ -26,19 +26,27 @@ let write_uid_block gctx uid_block ~uid ~name =
   W.write_u8 gctx (uid_block + 5) (String.length name);
   W.write_string gctx (uid_block + 6) name
 
+(* The mailbox gate's results: [r_done], [r_missing] (no such message),
+   [r_unauth] (not authenticated; also what a contained gate fault
+   returns) and [r_too_large] (the reply does not fit the mail buffer). *)
+let r_done = 1
+let r_missing = 0
+let r_unauth = -1
+let r_too_large = -2
+
 (* The mail buffer: one [mail_size]-byte smalloc block holding a
    length-prefixed string, u32 len ++ data.  A string that does not fit
-   is refused (false) before anything is written — the bound is the
-   block's allocated size, so checking it costs no memory access. *)
+   is refused ([r_too_large]) before anything is written — the bound is
+   the block's allocated size, so checking it costs no memory access. *)
 let mail_size = 16384
 
 let write_buf ctx addr s =
-  4 + String.length s <= mail_size
-  && begin
-       W.write_u32 ctx addr (String.length s);
-       W.write_string ctx (addr + 4) s;
-       true
-     end
+  if 4 + String.length s > mail_size then r_too_large
+  else begin
+    W.write_u32 ctx addr (String.length s);
+    W.write_string ctx (addr + 4) s;
+    r_done
+  end
 
 let read_buf ctx addr =
   let n = W.read_u32 ctx addr in
@@ -72,7 +80,7 @@ let op_dele = 4
 
 let mbox_entry ~mail_block gctx ~trusted:uid_block ~arg =
   match read_uid_block gctx uid_block with
-  | None -> -1 (* not authenticated: refuse *)
+  | None -> r_unauth
   | Some (uid, name) -> (
       let vfs = (W.kernel (W.app_of gctx)).Kernel.vfs in
       let dir = Pop3_env.maildir name in
@@ -101,7 +109,7 @@ let mbox_entry ~mail_block gctx ~trusted:uid_block ~arg =
             (fun acc n -> match read_mail n with Ok b -> acc + String.length b | Error _ -> acc)
             0 entries
         in
-        Bool.to_int (write_buf gctx mail_block (Printf.sprintf "%d %d" (List.length entries) total))
+        write_buf gctx mail_block (Printf.sprintf "%d %d" (List.length entries) total)
       end
       else if op = op_list then begin
         let lines =
@@ -112,16 +120,18 @@ let mbox_entry ~mail_block gctx ~trusted:uid_block ~arg =
               | Error _ -> None)
             (listing ())
         in
-        Bool.to_int (write_buf gctx mail_block (String.concat "\n" lines))
+        write_buf gctx mail_block (String.concat "\n" lines)
       end
       else if op = op_retr then begin
         match read_mail msgno with
-        | Ok body -> Bool.to_int (write_buf gctx mail_block body)
-        | Error _ -> 0
+        | Ok body -> write_buf gctx mail_block body
+        | Error _ -> r_missing
       end
       else if op = op_dele then
-        match Vfs.unlink vfs ~root:"/" ~uid (mail_path msgno) with Ok () -> 1 | Error _ -> 0
-      else -1)
+        match Vfs.unlink vfs ~root:"/" ~uid (mail_path msgno) with
+        | Ok () -> r_done
+        | Error _ -> r_missing
+      else r_unauth)
 
 (* ---------- the worker-side backend: everything through callgates ---------- *)
 
@@ -131,8 +141,13 @@ let worker_backend ctx ~login_gate ~mbox_gate ~arg_tag ~arg_block ~mail_block =
   let call_mbox op msgno =
     W.write_u8 ctx arg_block op;
     W.write_u32 ctx (arg_block + 1) msgno;
-    W.cgate ctx mbox_gate ~perms:arg_perms ~arg:arg_block
+    let r = W.cgate ctx mbox_gate ~perms:arg_perms ~arg:arg_block in
+    if r = r_done then Ok ()
+    else if r = r_missing then Error Pop3_proto.No_such_message
+    else if r = r_too_large then Error Pop3_proto.Too_large
+    else Error Pop3_proto.Unauthenticated
   in
+  let mail_buffer () = read_buf ctx mail_block in
   {
     Pop3_proto.login =
       (fun ~user ~password ->
@@ -146,16 +161,15 @@ let worker_backend ctx ~login_gate ~mbox_gate ~arg_tag ~arg_block ~mail_block =
         end);
     stat =
       (fun () ->
-        if call_mbox op_stat 0 = 1 then
-          match String.split_on_char ' ' (read_buf ctx mail_block) with
-          | [ n; total ] -> Some (int_of_string n, int_of_string total)
-          | _ -> None
-        else None);
+        Result.bind (call_mbox op_stat 0) (fun () ->
+            match String.split_on_char ' ' (mail_buffer ()) with
+            | [ n; total ] -> Ok (int_of_string n, int_of_string total)
+            | _ -> Error Pop3_proto.Unauthenticated));
     list_mails =
       (fun () ->
-        if call_mbox op_list 0 = 1 then
-          Some
-            (read_buf ctx mail_block |> String.split_on_char '\n'
+        Result.map
+          (fun () ->
+            mail_buffer () |> String.split_on_char '\n'
             |> List.filter_map (fun line ->
                    match String.split_on_char ' ' line with
                    | [ a; b ] -> (
@@ -163,9 +177,9 @@ let worker_backend ctx ~login_gate ~mbox_gate ~arg_tag ~arg_block ~mail_block =
                        | Some a, Some b -> Some (a, b)
                        | _ -> None)
                    | _ -> None))
-        else None);
-    retr = (fun n -> if call_mbox op_retr n = 1 then Some (read_buf ctx mail_block) else None);
-    dele = (fun n -> call_mbox op_dele n = 1);
+          (call_mbox op_list 0));
+    retr = (fun n -> Result.map mail_buffer (call_mbox op_retr n));
+    dele = (fun n -> call_mbox op_dele n);
   }
 
 (* ---------- master: assemble one connection's compartments ---------- *)

@@ -42,8 +42,8 @@ val serve_connection :
     intensity budget override [restart_policy]).
 
     A mailbox reply that does not fit the 16 KiB mail buffer (a STAT,
-    LIST or RETR result) is refused by the mailbox callgate, and the
-    handler answers [-ERR].
+    LIST or RETR result) is refused by the mailbox callgate with its own
+    result, and the handler answers [-ERR reply too large].
 
     Resource governance: [guard] makes the handler read through the
     deadline-aware endpoint and marks the session established on a

@@ -267,20 +267,20 @@ let test_sweep_pct_policy () =
    re-pins the whole table at once. *)
 let pinned_digests =
   [
-    ("pop3", "802894e9d594aebf80aeca88dc2f5b79");
+    ("pop3", "b7b6df86c4fac46c01f8d7d02ec37f04");
     ("httpd", "74b9b182ceb4c2e5101ea8edf6b06d05");
     ("sshd", "8de2b32b0dbde9336816e71928ea2a2a");
     ("httpd_storm", "32ccb71a3c20931f6ff57148b864f4d6");
-    ("pop3_storm", "8fa1330607a1c236733d0801658012c0");
+    ("pop3_storm", "c5dfde54986566e353c8e54fc317577d");
     ("sshd_storm", "09e484537b4f122a0c3dfd8aa6a4d02a");
     ("httpd_pool_storm", "a4e51532aa34db7ad00a13579a162cea");
-    ("pop3_pool_storm", "80b5c3452d59753f0a696b6a64a1a253");
+    ("pop3_pool_storm", "b96ab1de59e7ad9f7ab9426367fe5334");
     ("sshd_pool_storm", "db90939da17775890fbfb4f5ca9a3451");
     ("httpd_sharded", "366494e5d738100f521b828cdcd1706a");
-    ("pop3_sharded", "4a770f80612cbb18687b3dad0c989381");
+    ("pop3_sharded", "d5757e05fa13601f7e698d339dae488a");
     ("sshd_sharded", "d92627ac80fc8cd3e3df37269d0e0ac9");
     ("httpd_synth", "68443f6502534fa9574c44224284ad76");
-    ("pop3_synth", "093484f31dda9ff1a0c4d69fbe35d9aa");
+    ("pop3_synth", "ca935ca738a8f81975ea03f0d06f1421");
     ("sshd_synth", "99944701a1f51226f65e74993ebe9c3a");
   ]
 

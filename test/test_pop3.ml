@@ -19,6 +19,7 @@ module Oracle = Wedge_check.Oracle
 module Guard = Wedge_net.Guard
 module Service = Wedge_net.Service
 module Engine = Wedge_core.Engine
+module Stats = Wedge_sim.Stats
 
 let check = Alcotest.check
 
@@ -119,40 +120,107 @@ let test_users_see_only_their_mail () =
     (Some (List.hd (List.nth Pop3_env.default_users 1).Pop3_env.mails))
     mail
 
-(* The mailbox callgate hands a mail to the handler through one
-   16,384-byte mail-buffer block, as a u32 length then the body: 16,380
-   bytes is the largest mail that fits.  A longer one must be refused
-   (the handler answers -ERR), not written past the block into the rest
-   of the pop3.mail tag — the oracle, armed at every syscall, checks the
-   smalloc headers and footers. *)
-let test_mail_buffer_bound () =
-  let fits = String.make 16_380 'f' and over = String.make 16_381 'o' in
+(* One pipelined session on a fresh world holding [users]: [request]
+   goes out in one write, and everything the server sends back is read
+   to EOF.  Returns the server → client bytes and the kernel.  The
+   invariant oracle is armed at every syscall and checked at the end. *)
+let raw_session ?(users = Pop3_env.default_users) server request =
   let k = Kernel.create ~costs:Cost_model.free () in
-  Pop3_env.install k
-    [ { Pop3_env.name = "carol"; uid = 1003; password = "seashell"; mails = [ fits; over ] } ];
+  Pop3_env.install k users;
   let app = W.create_app k in
   W.boot app;
+  let main = W.main_ctx app in
   let oracle = Oracle.create k in
   Oracle.set_app oracle app;
   Oracle.install_syscall_hook oracle;
-  let got = ref (None, None) in
+  let out = Buffer.create 1024 in
   Fun.protect
     ~finally:(fun () -> Oracle.remove_syscall_hook oracle)
     (fun () ->
       Fiber.run (fun () ->
           let client_ep, server_ep = Chan.pair ~costs:Cost_model.free () in
           Fiber.spawn (fun () ->
-              ignore (Pop3_wedge.serve_connection (W.main_ctx app) server_ep));
-          let c = Pop3_client.connect client_ep in
-          check Alcotest.bool "login" true
-            (Pop3_client.login c ~user:"carol" ~password:"seashell");
-          let first = Pop3_client.retr c 1 in
-          got := (first, Pop3_client.retr c 2);
-          Pop3_client.quit c;
+              match server with
+              | Mono -> Pop3_mono.serve_connection main server_ep
+              | Wedge -> ignore (Pop3_wedge.serve_connection main server_ep));
+          Chan.write_string client_ep request;
+          let rec drain () =
+            let b = Chan.read client_ep 4096 in
+            if Bytes.length b > 0 then begin
+              Buffer.add_bytes out b;
+              drain ()
+            end
+          in
+          drain ();
           Chan.close client_ep);
       Oracle.check oracle);
-  check Alcotest.(option string) "16,380-byte mail byte-equal" (Some fits) (fst !got);
-  check Alcotest.(option string) "16,381-byte mail answered -ERR" None (snd !got)
+  (Buffer.contents out, k)
+
+(* The status lines of a transcript, in order: every line that starts
+   a reply. *)
+let statuses transcript =
+  String.split_on_char '\n' transcript
+  |> List.filter_map (fun l ->
+         if String.starts_with ~prefix:"+OK" l || String.starts_with ~prefix:"-ERR" l then
+           Some (String.trim l)
+         else None)
+
+let contains s sub =
+  let n = String.length sub in
+  let rec go i = i + n <= String.length s && (String.sub s i n = sub || go (i + 1)) in
+  go 0
+
+(* The mailbox callgate hands a reply to the handler through one
+   16,384-byte mail-buffer block, as a u32 length then the text: 16,380
+   bytes is the largest that fits.  A longer mail, or a listing of
+   3,000 more one-byte mails (about 21 KB), must be refused with its
+   own -ERR text — neither "no such message" nor "not authenticated" —
+   and not written past the block into the rest of the pop3.mail tag:
+   the oracle, armed at every syscall, checks the smalloc headers and
+   footers. *)
+let test_mail_buffer_bound () =
+  let fits = String.make 16_380 'f' and over = String.make 16_381 'o' in
+  let mails = fits :: over :: List.init 3_000 (fun _ -> "x") in
+  let transcript, _ =
+    raw_session
+      ~users:[ { Pop3_env.name = "carol"; uid = 1003; password = "seashell"; mails } ]
+      Wedge
+      "USER carol\r\nPASS seashell\r\nSTAT\r\nLIST\r\nRETR 1\r\nRETR 2\r\nRETR 9999\r\nQUIT\r\n"
+  in
+  check Alcotest.bool "16,380-byte mail byte-equal" true
+    (contains transcript ("+OK 16380 octets\r\n" ^ fits ^ "\r\n.\r\n"));
+  check
+    Alcotest.(list string)
+    "each refusal has its own text"
+    [
+      "+OK wedge-pop3 ready";
+      "+OK send PASS";
+      "+OK logged in";
+      "+OK 3002 35761";
+      "-ERR reply too large";
+      "+OK 16380 octets";
+      "-ERR reply too large";
+      "-ERR no such message";
+      "+OK bye";
+    ]
+    (statuses transcript)
+
+(* Every reply leaves the server in exactly one write — a multi-line
+   LIST or RETR too — so a client never waits out a half round trip
+   partway through one.  Coalescing must not change the bytes on the
+   wire: the digest pins the session's transcript. *)
+let test_one_write_per_reply () =
+  List.iter
+    (fun server ->
+      let transcript, k =
+        raw_session server
+          "USER alice\r\nPASS wonderland\r\nSTAT\r\nLIST\r\nRETR 1\r\nQUIT\r\n"
+      in
+      check Alcotest.int "one write trap per reply (greeting + 6 commands)" 7
+        (Stats.get k.Kernel.stats "trap.write");
+      check Alcotest.string "transcript digest" "0827817740bb7d9ba697eab357b57933"
+        (Digest.to_hex (Digest.string transcript)))
+    [ Mono; Wedge ]
 
 (* ---------- exploit containment ---------- *)
 
@@ -289,6 +357,7 @@ let () =
           Alcotest.test_case "dele" `Quick test_dele_works;
           Alcotest.test_case "per-user mailboxes" `Quick test_users_see_only_their_mail;
           Alcotest.test_case "mail buffer bound" `Quick test_mail_buffer_bound;
+          Alcotest.test_case "one write per reply" `Quick test_one_write_per_reply;
         ] );
       ( "attacks",
         [
