@@ -45,6 +45,17 @@ WEDGE_TRACE_SMOKE=1 dune exec bin/wedge_cli.exe -- trace httpd -n 25 -o "$trace_
 test -s "$trace_out"
 rm -f "$trace_out"
 
+# Paper-reproduction gate: the simulated figures of Figures 7 and 8,
+# Table 2 and the ablations are deterministic, so their output must
+# match the pinned digest byte for byte.  A change that moves a paper
+# price on purpose re-pins it here and says why.
+echo "== paper reproductions (fig7 fig8 table2 ablation) =="
+paper_md5="$(dune exec bench/main.exe -- fig7 fig8 table2 ablation 2>/dev/null | md5sum | cut -d' ' -f1)"
+if [ "$paper_md5" != 0d8c196039c93a4d1cd7c12a98be3f47 ]; then
+  echo "check.sh: paper reproductions changed (md5 $paper_md5)" >&2
+  exit 1
+fi
+
 # Correctness-harness gate: explore 25 seeded schedules of every
 # scenario (melees, fault storms with induced hangs, pooled storms,
 # sharded fabrics, synthesized profiles) under the invariant oracles,

@@ -72,6 +72,7 @@ let run_https partition attack recycled =
       (W.live_tags (W.app_of ctx))
   in
   let exploit = if attack then Some payload else None in
+  let spawn = if recycled then Some W.Recycle else None in
   Fiber.run (fun () ->
       let client_ep, server_ep = Chan.pair () in
       Fiber.spawn (fun () ->
@@ -79,11 +80,11 @@ let run_https partition attack recycled =
           | "mono" -> Wedge_httpd.Httpd_mono.serve_connection ?exploit env server_ep
           | "simple" ->
               ignore
-                (Wedge_httpd.Httpd_simple.serve_connection ~recycled ?exploit_handshake:exploit
-                   env server_ep)
+                (Wedge_httpd.Httpd_simple.serve_connection ?spawn ?exploit_handshake:exploit env
+                   server_ep)
           | _ ->
               ignore
-                (Wedge_httpd.Httpd_mitm.serve_connection ~recycled ?exploit_handshake:exploit env
+                (Wedge_httpd.Httpd_mitm.serve_connection ?spawn ?exploit_handshake:exploit env
                    server_ep));
       let r =
         Wedge_httpd.Https_client.get ~rng:(Drbg.create ~seed:1)

@@ -301,3 +301,25 @@ let hook ?(stride = 7) t =
     if !n mod stride = 0 then check t
 let install_syscall_hook t = t.kernel.Kernel.on_syscall <- Some (fun _name -> check t)
 let remove_syscall_hook t = t.kernel.Kernel.on_syscall <- None
+
+(* What a master holds for its connections.  Every per-connection
+   callgate, descriptor and tag is released when its connection ends, so
+   once a drain leaves no connection active the master must be back at
+   what it held before it served: the next leak fails exploration
+   instead of surfacing as heap growth under load. *)
+type holdings = { h_gates : int; h_fds : int; h_tags : int }
+
+let holdings (app : Engine.app) =
+  {
+    h_gates = Hashtbl.length app.Engine.gates;
+    h_fds = Fd_table.count (Engine.main_ctx app).Engine.proc.Process.fds;
+    h_tags = List.length (Engine.live_tags app);
+  }
+
+let check_returned ~what app before =
+  let h = holdings app in
+  if h <> before then
+    violation
+      "%s: master holds %d callgates, %d descriptors, %d tags after the drain; %d, %d, %d \
+       before serving"
+      what h.h_gates h.h_fds h.h_tags before.h_gates before.h_fds before.h_tags

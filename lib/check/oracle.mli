@@ -70,3 +70,18 @@ val install_syscall_hook : t -> unit
     [on_syscall]), before the trap charges anything. *)
 
 val remove_syscall_hook : t -> unit
+
+(** {1 Resource return} *)
+
+type holdings
+(** What a master holds for its connections: callgates, open descriptors
+    and live tags. *)
+
+val holdings : Wedge_core.Engine.app -> holdings
+(** The app's master holdings now; record them before serving. *)
+
+val check_returned : what:string -> Wedge_core.Engine.app -> holdings -> unit
+(** After a drain, with no connection active, the master must hold
+    exactly what it held before serving: every per-connection callgate,
+    descriptor and tag released.
+    @raise Violation on any difference. *)

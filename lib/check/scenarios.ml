@@ -203,7 +203,8 @@ type 'env server = {
   n_storm : int;
   heal_probe : (seed:int -> 'env -> Chan.listener -> unit -> unit) option;
       (* default: a one-shot [request] *)
-  synth : seed:int -> 'env -> Synth.t option -> synth_run;
+  synth : (seed:int -> 'env -> Synth.t option -> synth_run) option;
+      (* the profile-synthesis workload, for servers with synth hooks *)
 }
 
 let name srv = srv.service.Service.name
@@ -313,7 +314,19 @@ let httpd =
     cgates = true;
     n_storm = 12;
     heal_probe = None;
-    synth = httpd_synth;
+    synth = Some httpd_synth;
+  }
+
+(* ---------- httpd_mitm: Figures 3–5, the split §5.1.2 argues for ---------- *)
+
+(* Figure 2's clients, mix and faults against the man-in-the-middle
+   partitioning: two compartments and seven callgates per connection. *)
+let httpd_mitm =
+  {
+    httpd with
+    service = Wedge_httpd.Httpd_mitm.service;
+    melee_doc = "Figures 3-5 TLS httpd under garbage handshakes, faults and real clients";
+    synth = None;
   }
 
 (* ---------- pop3: partitioned server under flood and slow-loris ---------- *)
@@ -392,10 +405,10 @@ let pop3 =
     cgates = true;
     n_storm = 12;
     heal_probe = None;
-    synth = pop3_synth;
+    synth = Some pop3_synth;
   }
 
-(* ---------- sshd: fork-per-connection privsep baseline ---------- *)
+(* ---------- sshd: the Wedge-partitioned OpenSSH (Figure 6) ---------- *)
 
 let ssh_login ~rng env ep =
   Ssh_client.login ~rng ~pinned_rsa:env.Sshd_env.host_rsa.Rsa.pub
@@ -416,8 +429,6 @@ let ssh_login_probe ~seed env l =
         | Error _ -> ( try Chan.close ep with _ -> ())
         | exception _ -> ( try Chan.close ep with _ -> ()))
 
-(* The synthesized profile is for the Wedge partitioning (Figure 6), not
-   the privsep baseline the other modes drive. *)
 let sshd_synth ~seed env synth =
   let l = Chan.listener ~costs:Cost_model.free ~backlog:4 () in
   let ok = ref 0 and finished = ref 0 in
@@ -443,8 +454,8 @@ let sshd =
   let half = "SSH-2.0-chaos\r\n\r\n" and request = "SSH-2.0-chaos\r\nnot-a-kexinit\r\n" in
   let image_pages = 40 in
   {
-    service = Wedge_sshd.Sshd_privsep.service;
-    melee_doc = "fork-per-connection sshd privsep under protocol garbage";
+    service = Wedge_sshd.Sshd_wedge.service;
+    melee_doc = "Figure 6 sshd under protocol garbage";
     image_pages;
     world = (fun ~seed k -> Sshd_env.install ~image_pages ~seed k);
     chan_faults = 0.02;
@@ -456,7 +467,7 @@ let sshd =
     request;
     half;
     (* A truncated wire frame: the header claims a 256-byte payload, so
-       the slave blocks mid-message — only the watchdog can reclaim it.
+       the worker blocks mid-message — only the watchdog can reclaim it.
        (A bad leading byte like a raw "SSH-2.0-" banner fails fast
        instead of hanging.) *)
     stall_prefix = "D\001\000SSH-2.0-cha";
@@ -467,11 +478,10 @@ let sshd =
         if i mod 3 = 0 then Byzantine.half_close t l ~request:half ~is_rejection
         else Byzantine.oneshot t l ~request ~is_rejection);
     extra = (fun ~seed:_ _ -> no_extra);
-    (* No callgates on the privsep path: hangs come from fiber stalls. *)
-    cgates = false;
+    cgates = true;
     n_storm = 9;
     heal_probe = Some ssh_login_probe;
-    synth = sshd_synth;
+    synth = Some sshd_synth;
   }
 
 (* ------------------------------------------------------------------ *)
@@ -506,6 +516,7 @@ let run_melee srv ~policy ~diff ~faults ~seed =
   checked ~kernel:k ~app:(app_of srv env) ~reactor ~policy ~diff
     (fun oracle ->
       Oracle.add_guard oracle ~name:(name ^ ".guard") guard;
+      let before = Oracle.holdings (app_of srv env) in
       Fiber.spawn (fun () -> Service.serve_loop srv.service env guard l);
       Fault_plan.arm plan;
       spawn_mix srv t site;
@@ -516,7 +527,8 @@ let run_melee srv ~policy ~diff ~faults ~seed =
           Byzantine.total t >= srv.n_melee - srv.n_silent && extra.settled ());
       Fault_plan.disarm plan;
       Guard.drain guard l;
-      Fiber.wait_until ~what:"silent holders cut" (fun () -> Byzantine.total t = srv.n_melee))
+      Fiber.wait_until ~what:"silent holders cut" (fun () -> Byzantine.total t = srv.n_melee);
+      Oracle.check_returned ~what:name (app_of srv env) before)
     (fun () ->
       let s = Guard.stats guard in
       Printf.sprintf "%s %s%s %s degraded=%d rejected=%d plan=%s" name (tally_to_string t)
@@ -728,6 +740,7 @@ let run_storm ~pooled srv ~policy ~diff ~faults ~seed =
     (fun oracle ->
       Oracle.add_guard oracle ~name:(name ^ ".guard") guard;
       storm_watchdog_invariant oracle w;
+      let before = Oracle.holdings app in
       Fiber.spawn (fun () -> Service.serve_loop ~supervision:tree srv.service env guard l);
       Fault_plan.arm plan;
       probe_outcome := freeze_probe ~pooled (W.main_ctx app);
@@ -744,6 +757,7 @@ let run_storm ~pooled srv ~policy ~diff ~faults ~seed =
       Fault_plan.disarm plan;
       heal := heal_breaker ~what:name guard clock probe;
       Guard.drain guard l;
+      Oracle.check_returned ~what:name app before;
       assert_pool_used ~pooled ~server:name app)
     (fun () ->
       let rs = Reactor.stats reactor in
@@ -843,6 +857,7 @@ let gtag_epilogue ~what fab =
   if invoke () <> -1 then
     raise
       (Oracle.Violation (what ^ ": stale replica readable after global revocation"));
+  W.cgate_delete main1 gate;
   Printf.sprintf "gtag=revoked xshoot=%d" (Shard.cross_shard_shootdowns fab)
 
 let sharded_shards = 2
@@ -889,6 +904,7 @@ let run_sharded srv ~policy ~diff ~faults ~seed =
         (fun i o ->
           Oracle.add_guard o ~name:(Printf.sprintf "%s.guard.%d" name i) (Shard.front_guard front i))
         oracles;
+      let before = Array.map (fun env -> Oracle.holdings (app_of srv env)) envs in
       Service.serve_sharded srv.service envs front;
       Fault_plan.arm plan;
       spawn_mix srv t site;
@@ -898,7 +914,13 @@ let run_sharded srv ~policy ~diff ~faults ~seed =
       Fault_plan.disarm plan;
       revocation := gtag_epilogue ~what:(name ^ "_sharded") fab;
       Shard.front_drain front;
-      Fiber.wait_until ~what:"silent holders cut" (fun () -> Byzantine.total t = srv.n_melee))
+      Fiber.wait_until ~what:"silent holders cut" (fun () -> Byzantine.total t = srv.n_melee);
+      Array.iteri
+        (fun i env ->
+          Oracle.check_returned
+            ~what:(Printf.sprintf "%s_sharded shard %d" name i)
+            (app_of srv env) before.(i))
+        envs)
     (fun () ->
       Printf.sprintf "%s_sharded %s%s %s %s plan=%s" name (tally_to_string t) (extra.fields ())
         (shard_stats_summary ~prefix:name fab front)
@@ -919,13 +941,18 @@ let run_sharded srv ~policy ~diff ~faults ~seed =
    any single grant is the matching negative, exercised in
    test_synth.ml). *)
 
+let workload srv =
+  match srv.synth with
+  | Some w -> w
+  | None -> invalid_arg (name srv ^ ": no synthesis workload")
+
 (* One deterministic (round-robin) run of the server's synthesis
    workload with [synth] threaded through a fresh world.  Shared by the
    scenarios below and by [wedge_cli synth]. *)
 let synth_oneshot srv ~seed synth =
   let env = srv.world ~seed (Kernel.create ~costs:Cost_model.free ()) in
   let run = ref None in
-  Fiber.run ~policy:Fiber.Round_robin (fun () -> run := Some (srv.synth ~seed env synth));
+  Fiber.run ~policy:Fiber.Round_robin (fun () -> run := Some (workload srv ~seed env synth));
   Option.get !run
 
 (* Record phase: deterministic schedule, fresh world, assert the clean
@@ -955,7 +982,7 @@ let run_synth srv ~policy ~diff ~faults:_ ~seed =
     ~policy ~diff
     (fun oracle ->
       Oracle.add_invariant oracle ~name:("synth." ^ name ^ ".superset") (Synth.self_check synth);
-      run := srv.synth ~seed env (Some synth);
+      run := workload srv ~seed env (Some synth);
       if not !run.ok then
         raise
           (Oracle.Violation
@@ -1017,15 +1044,19 @@ let all =
     melee pop3;
     melee httpd;
     melee sshd;
+    melee httpd_mitm;
     storm httpd;
     storm pop3;
     storm sshd;
+    storm httpd_mitm;
     pool_storm httpd;
     pool_storm pop3;
     pool_storm sshd;
+    pool_storm httpd_mitm;
     sharded httpd;
     sharded pop3;
     sharded sshd;
+    sharded httpd_mitm;
     synth httpd;
     synth pop3;
     synth sshd;

@@ -653,7 +653,16 @@ let tag_new ?(name = "tag") ?(pages = default_tag_pages) ctx =
       charge ctx (cm.Cost_model.mmap_op + cm.Cost_model.smalloc_book_init);
       let base = Layout.alloc_tag_range app.layout ~pages in
       let tag = Tag.register app.tags ~name ~base ~pages in
-      Vm.map_fresh ctx.proc.Process.vm ~addr:base ~pages ~prot:Prot.page_rw ~tag:(Some tag.Tag.id);
+      (* A frame allocation failing part-way (ENOMEM, injected or real)
+         must leave no half-built tag behind: unmap the pages mapped so
+         far and drop the registration before the fault propagates. *)
+      (try
+         Vm.map_fresh ctx.proc.Process.vm ~addr:base ~pages ~prot:Prot.page_rw
+           ~tag:(Some tag.Tag.id)
+       with e ->
+         Vm.unmap_range ctx.proc.Process.vm ~addr:base ~pages;
+         Tag.delete app.tags tag;
+         raise e);
       let frames =
         Array.init pages (fun i ->
             match Pagetable.find (Vm.page_table ctx.proc.Process.vm) ~vpn:((base / page_size) + i) with

@@ -24,7 +24,8 @@
     invariant the [lib/check] refcount oracle re-derives independently
     (frozen images are pristine-like frame holders). *)
 
-type t
+type t = Engine.image
+(** A frozen image; the engine's [Stamp] spawn carries one. *)
 
 val freeze :
   ?name:string -> ?warm:(Engine.ctx -> unit) -> Engine.ctx -> Sc.t -> t

@@ -2,6 +2,7 @@ type app = Engine.app
 type ctx = Engine.ctx
 type handle = Engine.handle
 type gate_id = Engine.gate_id
+type spawn = Engine.spawn = Boot | Recycle | Stamp of Pool.t
 
 exception Privilege_violation = Engine.Privilege_violation
 exception Exit_sthread = Engine.Exit_sthread

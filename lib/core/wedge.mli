@@ -36,6 +36,12 @@ type ctx = Engine.ctx
 type handle = Engine.handle
 type gate_id = Engine.gate_id
 
+type spawn = Engine.spawn = Boot | Recycle | Stamp of Pool.t
+(** How a compartment gets its address space: [Boot] maps the pristine
+    snapshot page by page (fork-priced, {!sthread_create}), [Recycle]
+    reuses the one long-lived sthread of a recycled callgate (§3.3), and
+    [Stamp image] installs a frozen {!Pool} image for one flat charge. *)
+
 exception Privilege_violation of string
 (** A policy asked for more privilege than its grantor holds, or a
     compartment invoked a callgate it was not granted. *)

@@ -132,3 +132,7 @@ let handle_request ctx ~exploit line =
         end
   in
   Http.format_response resp
+
+let send_degraded ~server main ep =
+  W.stat main (server ^ ".degraded");
+  try Wedge_net.Chan.write_string ep (Http.format_response Http.internal_error) with _ -> ()

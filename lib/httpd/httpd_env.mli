@@ -66,3 +66,10 @@ val handle_request :
 (** Parse a request line, serve the file from the caller's filesystem view,
     charge the fixed application cost; "/xploit" triggers the exploit hook
     (the modelled parser vulnerability). *)
+
+val send_degraded : server:string -> Wedge_core.Wedge.ctx -> Wedge_net.Chan.ep -> unit
+(** The partitioned servers' degraded answer when a connection's
+    compartments are gone: the TLS keys died with them, so the master
+    bumps [server ^ ".degraded"] and sends a plaintext 500 — the client
+    sees a definite failure instead of a hang.  Best-effort: the channel
+    itself may already be reset. *)

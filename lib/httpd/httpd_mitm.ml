@@ -1,26 +1,23 @@
 module W = Wedge_core.Wedge
 module Prot = Wedge_kernel.Prot
 module Fd_table = Wedge_kernel.Fd_table
-module Chan = Wedge_net.Chan
-module Tag = Wedge_mem.Tag
+module Guard = Wedge_net.Guard
+module Service = Wedge_net.Service
+module Supervisor = Wedge_core.Supervisor
 module Drbg = Wedge_crypto.Drbg
 module Rsa = Wedge_crypto.Rsa
 module Wire = Wedge_tls.Wire
 module Record = Wedge_tls.Record
-module Session = Wedge_tls.Session
 module Handshake = Wedge_tls.Handshake
 
-type conn_debug = {
-  conn_tag : Tag.t;
-  fin_tag : Tag.t;
-  arg_tag : Tag.t;
-  data_tag : Tag.t;
-  conn_block : int;
-  arg_block : int;
-  data_block : int;
-  handshake_status : Wedge_kernel.Process.status;
-  handler_status : Wedge_kernel.Process.status option;
-}
+(* The handshake's argument block and the client handler's data block.
+   A field whose size the client picks is checked against its slot
+   before it is written — a length-prefixed string at [off] fits when
+   [off + 4 + len <= size] — and one that does not fit is refused with
+   the protocol's own failure, never written past the block. *)
+let arg_size = 4096
+let data_size = 20000
+let lv_fits ~size ~off len = off + 4 + len <= size
 
 let io_of_fd ctx fd =
   Wire.io_of_fns
@@ -128,7 +125,8 @@ let send_finished_entry gctx ~trusted ~arg =
 
 (* SSL_read: reads records from the network (it alone holds the read half
    of the descriptor), drops anything failing the MAC, and delivers
-   plaintext into the client handler's data buffer. *)
+   plaintext into the client handler's data buffer — or returns 0 when
+   the plaintext does not fit it. *)
 let ssl_read_entry ~fd ~data_block gctx ~trusted:conn_block ~arg:_ =
   match Conn_state.keys gctx conn_block with
   | None -> 0
@@ -140,10 +138,11 @@ let ssl_read_entry ~fd ~data_block gctx ~trusted:conn_block ~arg:_ =
             Httpd_env.charge gctx Httpd_env.Mac;
             Httpd_env.charge gctx (Httpd_env.Cipher (Bytes.length record));
             match Record.open_ keys record with
-            | Some pt ->
+            | Some pt when lv_fits ~size:data_size ~off:0 (Bytes.length pt) ->
                 Conn_state.store_keys gctx conn_block keys;
                 W.write_lv gctx data_block (Bytes.to_string pt);
                 Bytes.length pt
+            | Some _ -> 0
             | None ->
                 (* Forged or corrupted: drop and keep reading (§5.1.2). *)
                 next ())
@@ -189,13 +188,19 @@ let handshake_ops ctx ~g_new ~g_resume ~g_premaster ~g_recv_fin ~g_send_fin ~arg
         else None);
     set_premaster =
       (fun ~premaster_ct ->
-        W.write_lv ctx (arg_block + 1) (Bytes.to_string premaster_ct);
-        W.cgate ctx g_premaster ~perms ~arg:arg_block = 1);
+        lv_fits ~size:arg_size ~off:1 (Bytes.length premaster_ct)
+        && begin
+             W.write_lv ctx (arg_block + 1) (Bytes.to_string premaster_ct);
+             W.cgate ctx g_premaster ~perms ~arg:arg_block = 1
+           end);
     receive_finished =
       (fun ~transcript_hash ~record ->
-        W.write_bytes ctx (arg_block + 1) transcript_hash;
-        W.write_lv ctx (arg_block + 33) (Bytes.to_string record);
-        W.cgate ctx g_recv_fin ~perms ~arg:arg_block = 1);
+        lv_fits ~size:arg_size ~off:33 (Bytes.length record)
+        && begin
+             W.write_bytes ctx (arg_block + 1) transcript_hash;
+             W.write_lv ctx (arg_block + 33) (Bytes.to_string record);
+             W.cgate ctx g_recv_fin ~perms ~arg:arg_block = 1
+           end);
     send_finished =
       (fun () ->
         if W.cgate ctx g_send_fin ~perms ~arg:arg_block = 1 then
@@ -205,14 +210,44 @@ let handshake_ops ctx ~g_new ~g_resume ~g_premaster ~g_recv_fin ~g_send_fin ~arg
 
 (* ---------------- master: one connection ---------------- *)
 
-let serve_connection ?(recycled = false) ?exploit_handshake ?exploit_request
+(* Both compartments run as uid 33 under the env's worker SELinux context
+   when set, the handshake with an empty root.  Frozen into the image,
+   and the base of both compartments' grants. *)
+let worker_identity (env : Httpd_env.t) =
+  let sc = W.sc_create () in
+  W.sc_set_uid sc 33;
+  W.sc_set_root sc "/var/empty";
+  (match env.Httpd_env.worker_sid with Some sid -> W.sc_sel_context sc sid | None -> ());
+  sc
+
+(* The image both compartments and every callgate invocation of the env's
+   app are stamped from. *)
+let image (env : Httpd_env.t) =
+  Service.image ~name:"httpd_mitm.worker" env.Httpd_env.main (worker_identity env)
+
+(* Header and body go out as separate records, as Apache does — SSL_write
+   is one of the callgates "invoked more than once per request" (§6). *)
+let header_end resp =
+  let rec find i =
+    if i + 4 > String.length resp then String.length resp
+    else if String.sub resp i 4 = "\r\n\r\n" then i + 4
+    else find (i + 1)
+  in
+  find 0
+
+let serve_connection ?spawn ?supervised ?exploit_handshake ?exploit_request ?guard
     (env : Httpd_env.t) ep =
   let main = env.Httpd_env.main in
+  let spawn = match spawn with Some s -> s | None -> W.Stamp (image env) in
+  Service.run_worker ?supervised ?guard ~spawn ~policy:Supervisor.default_policy
+    ~degrade:(fun () -> Httpd_env.send_degraded ~server:"httpd_mitm" main ep)
+    main ep
+  @@ fun conn ->
   (* Per-connection tagged memory (tag-cache reuse applies, §4.1). *)
-  let conn_tag = W.tag_new ~name:"httpd.conn" ~pages:1 main in
-  let fin_tag = W.tag_new ~name:"httpd.fin" ~pages:1 main in
-  let arg_tag = W.tag_new ~name:"httpd.arg" ~pages:2 main in
-  let data_tag = W.tag_new ~name:"httpd.data" ~pages:8 main in
+  let conn_tag = Service.tag conn ~name:"httpd.conn" ~pages:1 in
+  let fin_tag = Service.tag conn ~name:"httpd.fin" ~pages:1 in
+  let arg_tag = Service.tag conn ~name:"httpd.arg" ~pages:2 in
+  let data_tag = Service.tag conn ~name:"httpd.data" ~pages:8 in
   let conn_block = W.smalloc main Conn_state.size conn_tag in
   Conn_state.init main conn_block;
   (* receive/send_finished address both the conn block and the finished
@@ -223,143 +258,107 @@ let serve_connection ?(recycled = false) ?exploit_handshake ?exploit_request
   W.write_u64 main ptr_pair conn_block;
   W.write_u64 main (ptr_pair + 8) fin_block;
   W.write_lv main fin_block "";
-  let arg_block = W.smalloc main 4096 arg_tag in
-  let data_block = W.smalloc main 20000 data_tag in
-  let fd = W.add_endpoint main (Chan.to_endpoint ep) Fd_table.perm_rw in
-  (* Policies. *)
-  let hs_sc = W.sc_create () in
-  let ch_sc = W.sc_create () in
-  let mint ?(into = hs_sc) name entry cgsc =
-    W.sc_cgate_add ~recycled main into ~name ~entry ~cgsc ~trusted:conn_block
-    |> fun g -> g
+  let arg_block = W.smalloc main arg_size arg_tag in
+  let data_block = W.smalloc main data_size data_tag in
+  let fd = Service.fd conn in
+  (* Policies: the handshake holds the descriptor and the argument
+     buffer; the client handler only its data buffer. *)
+  let hs_sc = worker_identity env in
+  let ch_sc = worker_identity env in
+  W.sc_set_root ch_sc Httpd_env.docroot;
+  let conn_rw () =
+    let sc = W.sc_create () in
+    W.sc_mem_add sc conn_tag Prot.RW;
+    sc
   in
-  let conn_rw = (fun sc -> W.sc_mem_add sc conn_tag Prot.RW; sc) in
-  let g_new = mint "ssl.new_session" (new_session_entry env) (conn_rw (W.sc_create ())) in
+  let mint sc name entry cgsc ~trusted = Service.gate conn sc ~name ~entry ~cgsc ~trusted in
+  let g_new =
+    mint hs_sc "ssl.new_session" (new_session_entry env) (conn_rw ()) ~trusted:conn_block
+  in
   let g_resume =
-    let cgsc = conn_rw (W.sc_create ()) in
+    let cgsc = conn_rw () in
     W.sc_mem_add cgsc (Sess_store.tag env.Httpd_env.scache) Prot.RW;
-    mint "ssl.resume" (resume_entry env) cgsc
+    mint hs_sc "ssl.resume" (resume_entry env) cgsc ~trusted:conn_block
   in
   let g_premaster =
-    let cgsc = conn_rw (W.sc_create ()) in
+    let cgsc = conn_rw () in
     W.sc_mem_add cgsc env.Httpd_env.key_tag Prot.R;
     W.sc_mem_add cgsc (Sess_store.tag env.Httpd_env.scache) Prot.RW;
-    mint "setup_session_key" (setup_session_key_entry env) cgsc
+    mint hs_sc "setup_session_key" (setup_session_key_entry env) cgsc ~trusted:conn_block
   in
   let g_recv_fin =
-    let cgsc = conn_rw (W.sc_create ()) in
+    let cgsc = conn_rw () in
     W.sc_mem_add cgsc fin_tag Prot.RW;
-    W.sc_cgate_add ~recycled main hs_sc ~name:"receive_finished" ~entry:receive_finished_entry
-      ~cgsc ~trusted:ptr_pair
+    mint hs_sc "receive_finished" receive_finished_entry cgsc ~trusted:ptr_pair
   in
   let g_send_fin =
-    let cgsc = conn_rw (W.sc_create ()) in
+    let cgsc = conn_rw () in
     W.sc_mem_add cgsc fin_tag Prot.R;
-    W.sc_cgate_add ~recycled main hs_sc ~name:"send_finished" ~entry:send_finished_entry ~cgsc
-      ~trusted:ptr_pair
+    mint hs_sc "send_finished" send_finished_entry cgsc ~trusted:ptr_pair
   in
   let g_ssl_read =
-    let cgsc = conn_rw (W.sc_create ()) in
+    let cgsc = conn_rw () in
     W.sc_mem_add cgsc data_tag Prot.RW;
     W.sc_fd_add cgsc fd Fd_table.perm_r;
-    W.sc_cgate_add ~recycled main ch_sc ~name:"ssl_read"
-      ~entry:(ssl_read_entry ~fd ~data_block) ~cgsc ~trusted:conn_block
+    mint ch_sc "ssl_read" (ssl_read_entry ~fd ~data_block) cgsc ~trusted:conn_block
   in
   let g_ssl_write =
-    let cgsc = conn_rw (W.sc_create ()) in
+    let cgsc = conn_rw () in
     W.sc_mem_add cgsc data_tag Prot.R;
     W.sc_fd_add cgsc fd Fd_table.perm_w;
-    W.sc_cgate_add ~recycled main ch_sc ~name:"ssl_write"
-      ~entry:(ssl_write_entry ~fd ~data_block) ~cgsc ~trusted:conn_block
+    mint ch_sc "ssl_write" (ssl_write_entry ~fd ~data_block) cgsc ~trusted:conn_block
   in
-  (* Phase 1: the SSL handshake sthread. *)
   W.sc_mem_add hs_sc arg_tag Prot.RW;
   W.sc_fd_add hs_sc fd Fd_table.perm_rw;
-  W.sc_set_uid hs_sc 33;
-  W.sc_set_root hs_sc "/var/empty";
-  (match env.Httpd_env.worker_sid with
-  | Some sid -> W.sc_sel_context hs_sc sid
-  | None -> ());
-  let hs_handle =
-    W.sthread_create main hs_sc
-      (fun ctx _ ->
-        let io = io_of_fd ctx fd in
-        let ops =
-          handshake_ops ctx ~g_new ~g_resume ~g_premaster ~g_recv_fin ~g_send_fin ~arg_tag
-            ~arg_block
-        in
-        let result =
-          match Handshake.server_handshake ~ops ~cert:(Httpd_env.cert env) io with
-          | Ok _sid -> 0
-          | Error _ -> 1
-        in
-        (match exploit_handshake with Some payload -> payload ctx | None -> ());
-        result)
-      0
+  W.sc_mem_add ch_sc data_tag Prot.RW;
+  (* Phase 1: the SSL handshake compartment. *)
+  let handshake ctx _ =
+    let io = io_of_fd ctx fd in
+    let ops =
+      handshake_ops ctx ~g_new ~g_resume ~g_premaster ~g_recv_fin ~g_send_fin ~arg_tag
+        ~arg_block
+    in
+    let result =
+      match Handshake.server_handshake ~ops ~cert:(Httpd_env.cert env) io with
+      | Ok _sid ->
+          (match guard with Some c -> Guard.established c | None -> ());
+          0
+      | Error _ -> 1
+    in
+    (match exploit_handshake with Some payload -> payload ctx | None -> ());
+    result
   in
-  let hs_result = W.sthread_join main hs_handle in
-  (* Phase 2: the master starts the client handler only after a clean
-     handshake exit (Figure 3). *)
-  let handler_handle =
-    if hs_result <> 0 then None
+  (* Phase 2: the client handler, started only after a clean handshake
+     exit (Figure 3). *)
+  let handler ctx _ =
+    let no_perms = W.sc_create () in
+    let n = W.cgate ctx g_ssl_read ~perms:no_perms ~arg:0 in
+    if n <= 0 then 1
     else begin
-      W.sc_mem_add ch_sc data_tag Prot.RW;
-      W.sc_set_uid ch_sc 33;
-      W.sc_set_root ch_sc Httpd_env.docroot;
-      (match env.Httpd_env.worker_sid with
-      | Some sid -> W.sc_sel_context ch_sc sid
-      | None -> ());
-      Some
-        (W.sthread_create main ch_sc
-           (fun ctx _ ->
-             let no_perms = W.sc_create () in
-             let n = W.cgate ctx g_ssl_read ~perms:no_perms ~arg:0 in
-             if n <= 0 then 1
-             else begin
-               let req = W.read_lv ctx data_block in
-               let resp = Httpd_env.handle_request ctx ~exploit:exploit_request req in
-               (* Header and body go out as separate records, as Apache
-                  does — SSL_write is one of the callgates "invoked more
-                  than once per request" (§6). *)
-               let split =
-                 let rec find i =
-                   if i + 4 > String.length resp then String.length resp
-                   else if String.sub resp i 4 = "\r\n\r\n" then i + 4
-                   else find (i + 1)
-                 in
-                 find 0
-               in
-               W.write_lv ctx data_block (String.sub resp 0 split);
-               ignore (W.cgate ctx g_ssl_write ~perms:no_perms ~arg:0);
-               if split < String.length resp then begin
-                 W.write_lv ctx data_block
-                   (String.sub resp split (String.length resp - split));
-                 ignore (W.cgate ctx g_ssl_write ~perms:no_perms ~arg:0)
-               end;
-               env.Httpd_env.served <- env.Httpd_env.served + 1;
-               0
-             end)
-           0)
+      let req = W.read_lv ctx data_block in
+      let resp = Httpd_env.handle_request ctx ~exploit:exploit_request req in
+      let split = header_end resp in
+      W.write_lv ctx data_block (String.sub resp 0 split);
+      ignore (W.cgate ctx g_ssl_write ~perms:no_perms ~arg:0);
+      if split < String.length resp then begin
+        W.write_lv ctx data_block (String.sub resp split (String.length resp - split));
+        ignore (W.cgate ctx g_ssl_write ~perms:no_perms ~arg:0)
+      end;
+      env.Httpd_env.served <- env.Httpd_env.served + 1;
+      0
     end
   in
-  (match handler_handle with Some h -> ignore (W.sthread_join main h) | None -> ());
-  W.fd_close main fd;
-  Chan.close ep;
-  let debug =
-    {
-      conn_tag;
-      fin_tag;
-      arg_tag;
-      data_tag;
-      conn_block;
-      arg_block;
-      data_block;
-      handshake_status = W.handle_status hs_handle;
-      handler_status = Option.map W.handle_status handler_handle;
-    }
-  in
-  W.tag_delete main conn_tag;
-  W.tag_delete main fin_tag;
-  W.tag_delete main arg_tag;
-  W.tag_delete main data_tag;
-  debug
+  [ (hs_sc, handshake); (ch_sc, handler) ]
+
+let service =
+  {
+    Service.name = "httpd_mitm";
+    main = (fun (env : Httpd_env.t) -> env.Httpd_env.main);
+    reject = Some (Http.format_response Http.service_unavailable);
+    image;
+    worker = "worker";
+    worker_policy = None;
+    serve =
+      (fun supervised env c ->
+        not (serve_connection ?supervised ~guard:c env (Guard.ep c)).Service.degraded);
+  }

@@ -21,26 +21,38 @@
       injected ciphertext dies inside SSL_read and a compromised SSL_read
       still cannot leak plaintext to the wire. *)
 
-type conn_debug = {
-  conn_tag : Wedge_mem.Tag.t;  (** session-key state — gates only *)
-  fin_tag : Wedge_mem.Tag.t;   (** finished state — the two Finished gates *)
-  arg_tag : Wedge_mem.Tag.t;   (** handshake argument buffer *)
-  data_tag : Wedge_mem.Tag.t;  (** client handler's user data *)
-  conn_block : int;
-  arg_block : int;
-  data_block : int;
-  handshake_status : Wedge_kernel.Process.status;
-  handler_status : Wedge_kernel.Process.status option;
-      (** [None] when the master refused to start the handler *)
-}
-
 val serve_connection :
-  ?recycled:bool ->
+  ?spawn:Wedge_core.Wedge.spawn ->
+  ?supervised:Wedge_core.Supervisor.child ->
   ?exploit_handshake:(Wedge_core.Wedge.ctx -> unit) ->
   ?exploit_request:(Wedge_core.Wedge.ctx -> unit) ->
+  ?guard:Wedge_net.Guard.conn ->
   Httpd_env.t ->
   Wedge_net.Chan.ep ->
-  conn_debug
-(** Serve one connection (one request).  [exploit_handshake] runs inside
-    the handshake sthread just before it exits; [exploit_request] inside
-    the client handler on a "/xploit" request. *)
+  Wedge_net.Service.served
+(** Serve one connection (one request) through
+    {!Wedge_net.Service.run_worker}: the handshake, then — only after it
+    exits 0 — the client handler.  [spawn] (default [Stamp] from the
+    ["httpd_mitm.worker"] image) decides how both compartments and the
+    seven callgates are spawned: [Boot] is Table 2's Wedge row, [Recycle]
+    its Recycled row.  [exploit_handshake] runs inside the handshake
+    sthread just before it exits; [exploit_request] inside the client
+    handler on a "/xploit" request.
+
+    A fault in either compartment or in the master's setup degrades only
+    this connection: a plaintext 500 and the [httpd_mitm.degraded]
+    counter.  [supervised] runs both compartments under a
+    supervision-tree child; [guard] makes the handshake read through the
+    deadline-aware endpoint and marks the connection established after a
+    clean handshake.
+
+    A ClientKeyExchange or client Finished too large for the 4096-byte
+    argument block fails the handshake, and a request too large for the
+    20,000-byte data block makes SSL_read return 0: neither is written
+    past its block. *)
+
+val service : Httpd_env.t Wedge_net.Service.t
+(** The Figures 3–5 skeleton: node ["httpd_mitm"], worker child
+    ["worker"] (no retry: the TLS stream is consumed by a failed
+    attempt), worker image ["httpd_mitm.worker"], plaintext 503 for
+    rejected connections, {!serve_connection} per admitted one. *)

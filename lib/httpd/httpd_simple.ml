@@ -1,7 +1,6 @@
 module W = Wedge_core.Wedge
 module Prot = Wedge_kernel.Prot
 module Fd_table = Wedge_kernel.Fd_table
-module Chan = Wedge_net.Chan
 module Guard = Wedge_net.Guard
 module Drbg = Wedge_crypto.Drbg
 module Wire = Wedge_tls.Wire
@@ -21,7 +20,9 @@ let io_of_fd ctx fd =
     ~send:(fun b -> W.fd_write ctx fd b)
 
 (* Argument-buffer protocol for the setup_session_key callgate.  The
-   worker writes a request, the gate overwrites it with the reply. *)
+   worker writes a request into the [arg_size]-byte block, the gate
+   overwrites it with the reply. *)
+let arg_size = 4096
 let op_new_session = 1
 let op_premaster = 2
 let op_resume = 3
@@ -115,14 +116,20 @@ let worker_ops ctx ~gate ~arg_tag ~arg_block ~master_ref ~keys_ref ~finished_ref
         else None);
     set_premaster =
       (fun ~premaster_ct ->
-        W.write_u8 ctx arg_block op_premaster;
-        W.write_lv ctx (arg_block + 1) (Bytes.to_string premaster_ct);
-        if W.cgate ctx gate ~perms ~arg:arg_block = 1 then begin
-          master_ref := Some (W.read_bytes ctx (arg_block + 2) 32);
-          keys_ref := Some (Record.of_bytes (Bytes.of_string (W.read_lv ctx (arg_block + 34))));
-          true
-        end
-        else false);
+        (* The client sizes the ciphertext: one that does not fit the
+           argument block fails the key exchange unwritten. *)
+        1 + 4 + Bytes.length premaster_ct <= arg_size
+        && begin
+             W.write_u8 ctx arg_block op_premaster;
+             W.write_lv ctx (arg_block + 1) (Bytes.to_string premaster_ct);
+             W.cgate ctx gate ~perms ~arg:arg_block = 1
+           end
+        && begin
+             master_ref := Some (W.read_bytes ctx (arg_block + 2) 32);
+             keys_ref :=
+               Some (Record.of_bytes (Bytes.of_string (W.read_lv ctx (arg_block + 34))));
+             true
+           end);
     receive_finished =
       (fun ~transcript_hash ~record ->
         match (!master_ref, !keys_ref) with
@@ -150,14 +157,6 @@ let worker_ops ctx ~gate ~arg_tag ~arg_block ~master_ref ~keys_ref ~finished_ref
         | None -> invalid_arg "send_finished before keys");
   }
 
-(* The degraded answer when the worker is gone: the TLS keys died with it,
-   so the monitor sends a plaintext 500 and closes — the client sees a
-   definite failure instead of a hang.  Best-effort: the channel itself
-   may already be reset. *)
-let send_degraded main ep =
-  W.stat main "httpd.degraded";
-  try Chan.write_string ep (Http.format_response Http.internal_error) with _ -> ()
-
 (* The worker's identity: uid 33 inside the docroot chroot, under the
    env's worker SELinux context when set.  Frozen into the worker image,
    and the base of every connection's hand-written worker grants. *)
@@ -173,18 +172,19 @@ let worker_identity (env : Httpd_env.t) =
 let image (env : Httpd_env.t) =
   Service.image ~name:"httpd.worker" env.Httpd_env.main (worker_identity env)
 
-let serve_connection ?(recycled = false) ?supervised ?exploit_handshake ?exploit_request ?guard
+let serve_connection ?spawn ?supervised ?exploit_handshake ?exploit_request ?guard
     ?max_request_bytes ?worker_limits ?synth (env : Httpd_env.t) ep =
   let main = env.Httpd_env.main in
-  Service.run_worker ?supervised ?guard ~image:(image env) ~policy:Supervisor.default_policy
-    ~degrade:(fun () -> send_degraded main ep)
+  let spawn = match spawn with Some s -> s | None -> W.Stamp (image env) in
+  Service.run_worker ?supervised ?guard ~spawn ~policy:Supervisor.default_policy
+    ~degrade:(fun () -> Httpd_env.send_degraded ~server:"httpd" main ep)
     main ep
   @@ fun conn ->
   let conn_tag = Service.tag conn ~name:"httpd.conn" ~pages:1 in
   let arg_tag = Service.tag conn ~name:"httpd.arg" ~pages:2 in
   let conn_block = W.smalloc main Conn_state.size conn_tag in
   Conn_state.init main conn_block;
-  let arg_block = W.smalloc main 4096 arg_tag in
+  let arg_block = W.smalloc main arg_size arg_tag in
   let fd = Service.fd conn in
   (* In enforce mode the synthesized profile supplies both security
      contexts; the hand-written grants below are the fallback (and the
@@ -212,7 +212,7 @@ let serve_connection ?(recycled = false) ?supervised ?exploit_handshake ?exploit
         sc
   in
   let gate =
-    Service.gate ~recycled conn worker_sc ~name:"setup_session_key"
+    Service.gate conn worker_sc ~name:"setup_session_key"
       ~entry:(Synth.wrap_gate synth ~name:"setup_session_key" (setup_session_key_entry env))
       ~cgsc ~trusted:conn_block
   in
@@ -251,7 +251,7 @@ let serve_connection ?(recycled = false) ?supervised ?exploit_handshake ?exploit
                 env.Httpd_env.served <- env.Httpd_env.served + 1;
                 0))
   in
-  (worker_sc, Synth.wrap_sthread synth ~name:"httpd.worker" ~fds:conn_fds worker_body)
+  [ (worker_sc, Synth.wrap_sthread synth ~name:"httpd.worker" ~fds:conn_fds worker_body) ]
 
 (* The served request-size cap: a decrypted request over 4 KiB gets 413. *)
 let max_request_bytes = 4096

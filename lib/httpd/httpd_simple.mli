@@ -11,12 +11,12 @@
     and record keys), which is exactly the residual weakness the
     man-in-the-middle partitioning ({!Httpd_mitm}) removes.
 
-    The worker and every non-recycled callgate invocation are stamped
+    By default the worker and every callgate invocation are stamped
     fresh from the app's frozen ["httpd.worker"] image for one flat
     charge, so neither pays a page-table copy of the large Apache image. *)
 
 val serve_connection :
-  ?recycled:bool ->
+  ?spawn:Wedge_core.Wedge.spawn ->
   ?supervised:Wedge_core.Supervisor.child ->
   ?exploit_handshake:(Wedge_core.Wedge.ctx -> unit) ->
   ?exploit_request:(Wedge_core.Wedge.ctx -> unit) ->
@@ -27,8 +27,11 @@ val serve_connection :
   Httpd_env.t ->
   Wedge_net.Chan.ep ->
   Wedge_net.Service.served
-(** Serve one connection.  [recycled] backs the callgate with a long-lived
-    sthread (§3.3).  [exploit_handshake] runs inside the worker right after
+(** Serve one connection.  [spawn] (default [Stamp] from the worker
+    image) decides how the worker and the callgate are spawned
+    ({!Wedge_net.Service.run_worker}): [Boot] boots both fork-priced,
+    [Recycle] backs the callgate with a long-lived sthread (§3.3).
+    [exploit_handshake] runs inside the worker right after
     the handshake (when the session key sits in worker-readable memory);
     [exploit_request] runs on a "/xploit" request.
 

@@ -55,7 +55,7 @@ let serve_sharded s envs front =
 
 type conn = {
   c_main : W.ctx;
-  c_image : W.Pool.t;
+  c_spawn : W.spawn;
   c_ep : Chan.ep;
   c_guard : Guard.conn option;
   mutable c_tags : Wedge_mem.Tag.t list;  (* newest first *)
@@ -68,10 +68,10 @@ let tag conn ~name ~pages =
   conn.c_tags <- t :: conn.c_tags;
   t
 
-let gate ?(recycled = false) conn sc ~name ~entry ~cgsc ~trusted =
+let gate conn sc ~name ~entry ~cgsc ~trusted =
   let g =
-    if recycled then W.sc_cgate_add ~recycled conn.c_main sc ~name ~entry ~cgsc ~trusted
-    else W.Pool.sc_cgate_add conn.c_image conn.c_main sc ~name ~entry ~cgsc ~trusted
+    Wedge_core.Engine.sc_cgate_add ~spawn:conn.c_spawn conn.c_main sc ~name ~entry ~cgsc
+      ~trusted
   in
   conn.c_gates <- g :: conn.c_gates;
   g
@@ -86,11 +86,37 @@ let fd conn =
 
 type served = { worker_status : Process.status; degraded : bool }
 
-let run_worker ?supervised ?guard ~image ~policy ~degrade main ep setup =
+let served_ok = { worker_status = Process.Exited 0; degraded = false }
+
+(* One compartment: under the tree child, or else flat under [policy],
+   its address space from [spawn]. *)
+let run_compartment ~supervised ~on_restart ~spawn ~policy main (sc, body) =
+  match supervised with
+  | Some child -> Supervisor.run_child_sthread ?on_restart child sc body 0
+  | None ->
+      Supervisor.supervise ~policy main (fun () ->
+          match spawn with
+          | W.Stamp image -> W.Pool.stamp ~extra:sc main image body 0
+          | W.Boot | W.Recycle -> W.sthread_create main sc body 0)
+
+(* The connection's compartments in order, each started only once its
+   predecessor exited 0. *)
+let rec run_compartments ~supervised ~on_restart ~spawn ~policy ~degrade main = function
+  | [] -> served_ok
+  | stage :: rest -> (
+      match run_compartment ~supervised ~on_restart ~spawn ~policy main stage with
+      | Supervisor.Done { value = 0; _ } ->
+          run_compartments ~supervised ~on_restart ~spawn ~policy ~degrade main rest
+      | Supervisor.Done { value; _ } -> { worker_status = Process.Exited value; degraded = false }
+      | Supervisor.Gave_up { last_fault; _ } ->
+          degrade ();
+          { worker_status = Process.Faulted last_fault; degraded = true })
+
+let run_worker ?supervised ?guard ~spawn ~policy ~degrade main ep setup =
   let conn =
     {
       c_main = main;
-      c_image = image;
+      c_spawn = spawn;
       c_ep = ep;
       c_guard = guard;
       c_tags = [];
@@ -104,27 +130,15 @@ let run_worker ?supervised ?guard ~image ~policy ~degrade main ep setup =
     Chan.close ep;
     List.iter (fun t -> try W.tag_delete main t with _ -> ()) conn.c_tags
   in
-  match setup conn with
-  | exception e when W.fault_reason e <> None ->
-      let reason = Option.get (W.fault_reason e) in
-      degrade ();
-      cleanup ();
-      { worker_status = Process.Faulted ("setup: " ^ reason); degraded = true }
-  | sc, body ->
-      let outcome =
+  let served =
+    match setup conn with
+    | exception e when W.fault_reason e <> None ->
+        let reason = Option.get (W.fault_reason e) in
+        degrade ();
+        { worker_status = Process.Faulted ("setup: " ^ reason); degraded = true }
+    | compartments ->
         let on_restart = Option.map (fun c () -> Guard.rearm_heart c) guard in
-        match supervised with
-        | Some child -> Supervisor.run_child_sthread ?on_restart child sc body 0
-        | None ->
-            Supervisor.supervise ~policy main (fun () ->
-                W.Pool.stamp ~extra:sc main image body 0)
-      in
-      let served =
-        match outcome with
-        | Supervisor.Done { value; _ } -> { worker_status = Process.Exited value; degraded = false }
-        | Supervisor.Gave_up { last_fault; _ } ->
-            degrade ();
-            { worker_status = Process.Faulted last_fault; degraded = true }
-      in
-      cleanup ();
-      served
+        run_compartments ~supervised ~on_restart ~spawn ~policy ~degrade main compartments
+  in
+  cleanup ();
+  served

@@ -3,17 +3,21 @@
     The paper's servers share one shape: a privileged master accepts
     every connection and runs it in default-deny compartments whose
     grants alone differ (Figure 1's POP3 server, Figure 2's Apache/OpenSSL
-    split, OpenSSH).  A server's compartmentalization policy — its tags,
-    callgates and grants — stays in its own module, inside its [serve]
-    function; everything that runs those compartments lives here once:
-    the frozen image of the worker's boot, the declared supervision
-    tree, the guarded accept loop and sharded serving.
+    split, Figures 3–5's man-in-the-middle split, Figure 6's OpenSSH, and
+    the fork-per-connection OpenSSH baseline).  A server's
+    compartmentalization policy — its tags, callgates and grants — stays
+    in its own module, inside its [serve] function; everything that runs
+    those compartments lives here once: the frozen image of the worker's
+    boot, the declared supervision tree, the guarded accept loop and
+    sharded serving.
 
-    {!run_worker} is the per-connection half of the same machinery for
-    servers whose worker is an sthread: contained setup, the worker run
-    under a tree child or stamped from the image under the flat restart
-    layer, the connection's callgates ({!gate}) stamped from the same
-    image, and the outcome mapped to a degraded-or-not answer. *)
+    {!run_worker} is the per-connection half of the same machinery, and
+    the only way a partitioned server whose compartments are sthreads
+    runs a connection: contained setup, the connection's compartments run
+    one after another under a tree child or the flat restart layer, its
+    callgates ({!gate}) spawned the same way, the outcome mapped to a
+    degraded-or-not answer, and everything the connection held released
+    before it returns. *)
 
 type 'env t = {
   name : string;
@@ -81,7 +85,6 @@ val tag : conn -> name:string -> pages:int -> Wedge_mem.Tag.t
 (** A fresh tag in the master, deleted when the connection ends. *)
 
 val gate :
-  ?recycled:bool ->
   conn ->
   Wedge_core.Sc.t ->
   name:string ->
@@ -90,10 +93,8 @@ val gate :
   trusted:int ->
   Wedge_core.Wedge.gate_id
 (** A per-connection callgate in the master, granted to [sc] and
-    retired when the connection ends.  Every invocation is a fresh
-    compartment stamped from the worker image
-    ({!Wedge_core.Pool.sc_cgate_add}); [recycled] backs it by the gate
-    name's long-lived sthread instead (§3.3). *)
+    retired when the connection ends.  Its invocations are spawned by the
+    connection's [spawn] variant (see {!run_worker}). *)
 
 val fd : conn -> int
 (** Install the connection descriptor in the master, closed when the
@@ -103,31 +104,43 @@ val fd : conn -> int
 
 type served = {
   worker_status : Wedge_kernel.Process.status;
-      (** the last attempt's exit, or [Faulted "setup: ..."] when setup
-          itself faulted *)
+      (** the last compartment's exit (the last attempt's), or
+          [Faulted "setup: ..."] when setup itself faulted *)
   degraded : bool;
 }
 
 val run_worker :
   ?supervised:Wedge_core.Supervisor.child ->
   ?guard:Guard.conn ->
-  image:Wedge_core.Pool.t ->
+  spawn:Wedge_core.Wedge.spawn ->
   policy:Wedge_core.Supervisor.policy ->
   degrade:(unit -> unit) ->
   Wedge_core.Wedge.ctx ->
   Chan.ep ->
-  (conn -> Wedge_core.Sc.t * (Wedge_core.Wedge.ctx -> int -> int)) ->
+  (conn -> (Wedge_core.Sc.t * (Wedge_core.Wedge.ctx -> int -> int)) list) ->
   served
 (** [run_worker main ep setup] runs [setup] in the master to build the
-    connection's compartments and returns the worker's grants and body.
-    A contained fault during setup (injected frame exhaustion in
-    [tag_new], a reset connection) releases what was created and
-    degrades the connection.  The worker then runs under [supervised]
-    (its policy, intensity budget and [Fresh] or [From_pool] restarts)
-    or else the flat [policy], every attempt stamped from [image] with
-    the worker's grants as the stamp's extras; each retry re-arms the
-    guard's watchdog heart, so a restarted worker is not killed for its
-    predecessor's hang.  [degrade] sends the server's degraded answer
-    when setup faulted or every attempt did.  The connection's
-    callgates, descriptor, channel and tags are released before
-    returning; no fault reaches the caller. *)
+    connection's tags, descriptor and callgates, and returns its
+    compartments in order, each as its grants and body.  A contained
+    fault during setup (injected frame exhaustion in [tag_new], a reset
+    connection) releases what was created and degrades the connection.
+
+    The compartments then run one at a time, each only after its
+    predecessor exited 0 (Figure 3's rule: the client handler starts
+    only after a clean handshake); a nonzero exit ends the connection
+    undegraded.  Each runs under [supervised] (its policy, intensity
+    budget and [Fresh] or [From_pool] restarts) or else the flat
+    [policy], and every retry re-arms the guard's watchdog heart, so a
+    restarted compartment is not killed for its predecessor's hang.
+
+    [spawn] decides how the flat path's compartments and every callgate
+    invocation get their address space: [Stamp image] stamps each
+    compartment from [image] with its grants as the stamp's extras, and
+    each gate invocation too; [Boot] boots both the fork-priced way;
+    [Recycle] boots the compartments and backs each gate by its name's
+    long-lived sthread (§3.3).
+
+    [degrade] sends the server's degraded answer when setup faulted or
+    every attempt of a compartment did.  The connection's callgates,
+    descriptor, channel and tags are released before returning; no fault
+    reaches the caller. *)

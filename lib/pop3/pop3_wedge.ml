@@ -208,7 +208,7 @@ let worker_policy = Supervisor.policy ~max_restarts:1 ()
 
 let serve_connection ?exploit ?(restart_policy = worker_policy) ?supervised ?guard ?synth main
     ep =
-  Service.run_worker ?supervised ?guard ~image:(image main) ~policy:restart_policy
+  Service.run_worker ?supervised ?guard ~spawn:(W.Stamp (image main)) ~policy:restart_policy
     ~degrade:(fun () -> send_degraded main ep)
     main ep
   @@ fun conn ->
@@ -290,7 +290,7 @@ let serve_connection ?exploit ?(restart_policy = worker_policy) ?supervised ?gua
     Pop3_proto.serve io backend ~exploit;
     0
   in
-  (worker_sc, Synth.wrap_sthread synth ~name:"pop3.worker" ~fds:conn_fds worker_body)
+  [ (worker_sc, Synth.wrap_sthread synth ~name:"pop3.worker" ~fds:conn_fds worker_body) ]
 
 let service =
   {

@@ -3,9 +3,9 @@ module Kernel = Wedge_kernel.Kernel
 module Cost_model = Wedge_sim.Cost_model
 module Prot = Wedge_kernel.Prot
 module Fd_table = Wedge_kernel.Fd_table
-module Vfs = Wedge_kernel.Vfs
-module Chan = Wedge_net.Chan
-module Tag = Wedge_mem.Tag
+module Guard = Wedge_net.Guard
+module Service = Wedge_net.Service
+module Supervisor = Wedge_core.Supervisor
 module Drbg = Wedge_crypto.Drbg
 module Rsa = Wedge_crypto.Rsa
 module Dsa = Wedge_crypto.Dsa
@@ -13,12 +13,6 @@ module Sha256 = Wedge_crypto.Sha256
 module Wire = Wedge_tls.Wire
 module P = Ssh_proto
 module Synth = Wedge_crowbar.Synth
-
-type conn_debug = {
-  arg_tag : Tag.t;
-  worker_status : Wedge_kernel.Process.status;
-  final_uid : int;
-}
 
 let io_of_fd ctx fd =
   Wire.io_of_fns
@@ -176,70 +170,119 @@ let skey_entry (env : Sshd_env.t) gctx ~trusted:_ ~arg =
 
 (* ---------------- the worker's view of the gates ---------------- *)
 
-let worker_ops ctx ~arg_tag ~arg_block ~g_sign ~g_kex ~g_pass ~g_pub ~g_skey =
+(* Each gate reads its fields at fixed offsets of the 6000-byte argument
+   block.  A length-prefixed field of [len] bytes at [off] fits when it
+   ends by [limit], where the gate's next field (or its reply) starts; a
+   field the client sized too large is refused before anything is
+   written, never run into the next field or past the block. *)
+let fits ~off ~limit len = off + 4 + len <= limit
+
+(* [established] runs after every successful authentication. *)
+let worker_ops ctx ~arg_tag ~arg_block ~g_sign ~g_kex ~g_pass ~g_pub ~g_skey ~established =
   let perms = W.sc_create () in
   W.sc_mem_add perms arg_tag Prot.RW;
   let call g = W.cgate ctx g ~perms ~arg:arg_block in
+  let authenticate g =
+    let ok = call g = 1 in
+    if ok then established ();
+    ok
+  in
   {
     Sshd_session.sign_kex =
       (fun ~client_nonce ~server_nonce ->
-        W.write_lv ctx (arg_block + 0) (Bytes.to_string client_nonce);
-        W.write_lv ctx (arg_block + 256) (Bytes.to_string server_nonce);
-        if call g_sign = 1 then W.read_lv ctx (arg_block + 512) else "");
+        if not (fits ~off:0 ~limit:256 (Bytes.length client_nonce)) then ""
+        else begin
+          W.write_lv ctx (arg_block + 0) (Bytes.to_string client_nonce);
+          W.write_lv ctx (arg_block + 256) (Bytes.to_string server_nonce);
+          if call g_sign = 1 then W.read_lv ctx (arg_block + 512) else ""
+        end);
     kex_decrypt =
       (fun ct ->
-        W.write_lv ctx (arg_block + 0) (Bytes.to_string ct);
-        if call g_kex = 1 then Some (Bytes.of_string (W.read_lv ctx (arg_block + 512)))
-        else None);
+        if not (fits ~off:0 ~limit:512 (Bytes.length ct)) then None
+        else begin
+          W.write_lv ctx (arg_block + 0) (Bytes.to_string ct);
+          if call g_kex = 1 then Some (Bytes.of_string (W.read_lv ctx (arg_block + 512)))
+          else None
+        end);
     auth_password =
       (fun ~user ~password ->
         if String.length user > 200 || String.length password > 200 then false
         else begin
           W.write_lv ctx (arg_block + 0) user;
           W.write_lv ctx (arg_block + 256) password;
-          call g_pass = 1
+          authenticate g_pass
         end);
     auth_pubkey =
       (fun ~user ~pub ~proof ~session_fp ->
-        W.write_lv ctx (arg_block + 0) user;
-        W.write_lv ctx (arg_block + 256) pub;
-        W.write_lv ctx (arg_block + 1024) proof;
-        W.write_lv ctx (arg_block + 1280) session_fp;
-        call g_pub = 1);
+        fits ~off:0 ~limit:256 (String.length user)
+        && fits ~off:256 ~limit:1024 (String.length pub)
+        && fits ~off:1024 ~limit:1280 (String.length proof)
+        && begin
+             W.write_lv ctx (arg_block + 0) user;
+             W.write_lv ctx (arg_block + 256) pub;
+             W.write_lv ctx (arg_block + 1024) proof;
+             W.write_lv ctx (arg_block + 1280) session_fp;
+             authenticate g_pub
+           end);
     skey_challenge =
       (fun ~user ->
-        W.write_u8 ctx arg_block 1;
-        W.write_lv ctx (arg_block + 8) user;
-        if call g_skey = 1 then
-          Some (W.read_u32 ctx (arg_block + 512), W.read_lv ctx (arg_block + 520))
-        else None);
+        if not (fits ~off:8 ~limit:256 (String.length user)) then None
+        else begin
+          W.write_u8 ctx arg_block 1;
+          W.write_lv ctx (arg_block + 8) user;
+          if call g_skey = 1 then
+            Some (W.read_u32 ctx (arg_block + 512), W.read_lv ctx (arg_block + 520))
+          else None
+        end);
     skey_verify =
       (fun ~user ~response ->
-        W.write_u8 ctx arg_block 2;
-        W.write_lv ctx (arg_block + 8) user;
-        W.write_lv ctx (arg_block + 256) response;
-        call g_skey = 1);
+        fits ~off:8 ~limit:256 (String.length user)
+        && fits ~off:256 ~limit:512 (String.length response)
+        && begin
+             W.write_u8 ctx arg_block 2;
+             W.write_lv ctx (arg_block + 8) user;
+             W.write_lv ctx (arg_block + 256) response;
+             authenticate g_skey
+           end);
   }
 
 (* ---------------- master: one connection ---------------- *)
 
-let serve_connection ?(recycled = false) ?exploit ?synth (env : Sshd_env.t) ep =
+(* The worker's identity: uid 99 with an empty filesystem root.  Frozen
+   into the worker image, and the base of its hand-written grants. *)
+let worker_identity () =
+  let sc = W.sc_create () in
+  W.sc_set_uid sc 99;
+  W.sc_set_root sc "/var/empty";
+  sc
+
+(* The image every worker and callgate invocation of the env's app is
+   stamped from. *)
+let image (env : Sshd_env.t) =
+  Service.image ~name:"sshd.worker" env.Sshd_env.main (worker_identity ())
+
+let serve_connection ?spawn ?supervised ?guard ?exploit ?synth (env : Sshd_env.t) ep =
   let main = env.Sshd_env.main in
-  let arg_tag = W.tag_new ~name:"sshd.arg" ~pages:2 main in
+  let spawn = match spawn with Some s -> s | None -> W.Stamp (image env) in
+  (* An SSH session whose worker died mid-protocol cannot be resumed in
+     plaintext: the degraded answer is a disconnect, master intact. *)
+  Service.run_worker ?supervised ?guard ~spawn ~policy:Supervisor.default_policy
+    ~degrade:(fun () -> W.stat main "sshd.degraded")
+    main ep
+  @@ fun conn ->
+  let arg_tag = Service.tag conn ~name:"sshd.arg" ~pages:2 in
   let arg_block = W.smalloc main 6000 arg_tag in
-  let fd = W.add_endpoint main (Chan.to_endpoint ep) Fd_table.perm_rw in
+  let fd = Service.fd conn in
   let conn_tags = [ arg_tag ] in
   let conn_fds = [ ("conn", fd) ] in
   let worker_sc =
     match Synth.sthread_sc synth ~name:"sshd.worker" ~tags:conn_tags ~fds:conn_fds main with
     | Some sc -> sc
     | None ->
-        let sc = W.sc_create () in
+        let sc = worker_identity () in
         W.sc_mem_add sc arg_tag Prot.RW;
         W.sc_mem_add sc env.Sshd_env.public_tag Prot.R;
         W.sc_fd_add sc fd Fd_table.perm_rw;
-        W.sc_set_uid sc 99;
-        W.sc_set_root sc "/var/empty";
         sc
   in
   let hostkey_sc name =
@@ -257,9 +300,7 @@ let serve_connection ?(recycled = false) ?exploit ?synth (env : Sshd_env.t) ep =
     | None -> W.sc_create ()
   in
   let mint name entry cgsc =
-    W.sc_cgate_add ~recycled main worker_sc ~name
-      ~entry:(Synth.wrap_gate synth ~name entry)
-      ~cgsc ~trusted:0
+    Service.gate conn worker_sc ~name ~entry:(Synth.wrap_gate synth ~name entry) ~cgsc ~trusted:0
   in
   let g_sign = mint "dsa_sign" (dsa_sign_entry env) (hostkey_sc "dsa_sign") in
   let g_kex = mint "rsa_kex" (rsa_kex_entry env) (hostkey_sc "rsa_kex") in
@@ -267,25 +308,34 @@ let serve_connection ?(recycled = false) ?exploit ?synth (env : Sshd_env.t) ep =
   let g_pub = mint "dsa_auth" (auth_pubkey_entry env) (auth_sc "dsa_auth") in
   let g_skey = mint "skey" (skey_entry env) (auth_sc "skey") in
   let wrng_seed = Drbg.next64 env.Sshd_env.rng in
-  let final_uid = ref 99 in
   let worker_body ctx _ =
     let io = io_of_fd ctx fd in
-    let ops = worker_ops ctx ~arg_tag ~arg_block ~g_sign ~g_kex ~g_pass ~g_pub ~g_skey in
+    (* A successful authentication establishes the session: the guard's
+       header deadline stops applying and its idle clock restarts. *)
+    let established () = Option.iter Guard.established guard in
+    let ops =
+      worker_ops ctx ~arg_tag ~arg_block ~g_sign ~g_kex ~g_pass ~g_pub ~g_skey ~established
+    in
     Sshd_session.run ~ctx ~io ~wrng:(Drbg.create ~seed:wrng_seed)
       ~host_rsa_pub:(W.read_lv ctx env.Sshd_env.pub_rsa_addr)
       ~host_dsa_pub:(W.read_lv ctx env.Sshd_env.pub_dsa_addr)
       ~ops ~exploit ();
-    final_uid := W.getuid ctx;
     0
   in
-  let handle =
-    W.sthread_create main worker_sc
-      (Synth.wrap_sthread synth ~name:"sshd.worker" ~fds:conn_fds worker_body)
-      0
-  in
-  ignore (W.sthread_join main handle);
-  W.fd_close main fd;
-  Chan.close ep;
-  let debug = { arg_tag; worker_status = W.handle_status handle; final_uid = !final_uid } in
-  W.tag_delete main arg_tag;
-  debug
+  [ (worker_sc, Synth.wrap_sthread synth ~name:"sshd.worker" ~fds:conn_fds worker_body) ]
+
+(* SSH has no pre-handshake plaintext channel to apologise on: a
+   rejected connection is simply disconnected, as the privsep baseline
+   does.  No retry: the SSH stream is consumed by a failed attempt. *)
+let service =
+  {
+    Service.name = "sshd";
+    main = (fun (env : Sshd_env.t) -> env.Sshd_env.main);
+    reject = None;
+    image;
+    worker = "worker";
+    worker_policy = None;
+    serve =
+      (fun supervised env c ->
+        not (serve_connection ?supervised ~guard:c env (Guard.ep c)).Service.degraded);
+  }

@@ -15,20 +15,37 @@
     and the S/Key gate issues dummy challenges, so neither is a username
     oracle (the two lessons of §5.2). *)
 
-type conn_debug = {
-  arg_tag : Wedge_mem.Tag.t;
-  worker_status : Wedge_kernel.Process.status;
-  final_uid : int;  (** the worker's uid when the session ended *)
-}
-
 val serve_connection :
-  ?recycled:bool ->
+  ?spawn:Wedge_core.Wedge.spawn ->
+  ?supervised:Wedge_core.Supervisor.child ->
+  ?guard:Wedge_net.Guard.conn ->
   ?exploit:(Wedge_core.Wedge.ctx -> unit) ->
   ?synth:Wedge_crowbar.Synth.t ->
   Sshd_env.t ->
   Wedge_net.Chan.ep ->
-  conn_debug
-(** [synth] threads a {!Wedge_crowbar.Synth} session through the
+  Wedge_net.Service.served
+(** Serve one connection through {!Wedge_net.Service.run_worker}.
+    [spawn] (default [Stamp] from the ["sshd.worker"] image) decides how
+    the worker and the five callgates are spawned; [Boot] is Table 2's
+    Wedge row.  A fault in the worker or in the master's setup degrades
+    only this connection: a disconnect and the [sshd.degraded] counter.
+    [supervised] runs the worker under a supervision-tree child; [guard]
+    makes it read through the deadline-aware endpoint and marks the
+    session established on a successful authentication.  [exploit] runs
+    inside the worker on an ["xploit"] command.
+
+    A client-sized field that does not fit its slot of the 6000-byte
+    argument block (a Kexinit nonce, a Kexsecret, a user name, a public
+    key, a proof or an S/Key response) is refused before it is written:
+    the key exchange or the authentication fails.
+
+    [synth] threads a {!Wedge_crowbar.Synth} session through the
     connection — compartments ["sshd.worker"] (fd role ["conn"]) and the
     five callgates by name; in enforce mode the profile's entries replace
     the hand-written security contexts. *)
+
+val service : Sshd_env.t Wedge_net.Service.t
+(** The Figure 6 skeleton: node ["sshd"], worker child ["worker"] (no
+    retry: the SSH stream is consumed by a failed attempt), worker image
+    ["sshd.worker"] booted as uid 99 in an empty chroot; a rejected
+    connection is disconnected silently. *)

@@ -269,19 +269,23 @@ let pinned_digests =
   [
     ("pop3", "b7b6df86c4fac46c01f8d7d02ec37f04");
     ("httpd", "74b9b182ceb4c2e5101ea8edf6b06d05");
-    ("sshd", "8de2b32b0dbde9336816e71928ea2a2a");
+    ("sshd", "0affe7671429528d69944c88ff1e9b23");
+    ("httpd_mitm", "29004a48bcae3322726a0289e0b4de43");
     ("httpd_storm", "32ccb71a3c20931f6ff57148b864f4d6");
     ("pop3_storm", "c5dfde54986566e353c8e54fc317577d");
-    ("sshd_storm", "09e484537b4f122a0c3dfd8aa6a4d02a");
+    ("sshd_storm", "42effaa78a9ba32526307fcc57aa00cc");
+    ("httpd_mitm_storm", "49db6895926fef42954ca5e398f7b6d8");
     ("httpd_pool_storm", "a4e51532aa34db7ad00a13579a162cea");
     ("pop3_pool_storm", "b96ab1de59e7ad9f7ab9426367fe5334");
-    ("sshd_pool_storm", "db90939da17775890fbfb4f5ca9a3451");
+    ("sshd_pool_storm", "a6a76931c864cd2bb799703b65f099fd");
+    ("httpd_mitm_pool_storm", "a99871da17e2a301e911ccfafd5ecb6a");
     ("httpd_sharded", "366494e5d738100f521b828cdcd1706a");
     ("pop3_sharded", "d5757e05fa13601f7e698d339dae488a");
-    ("sshd_sharded", "d92627ac80fc8cd3e3df37269d0e0ac9");
+    ("sshd_sharded", "93dda69acf6c960c3f0b403529dcec7e");
+    ("httpd_mitm_sharded", "fea5148aabd194c78f544bdb0a20d57e");
     ("httpd_synth", "68443f6502534fa9574c44224284ad76");
     ("pop3_synth", "ca935ca738a8f81975ea03f0d06f1421");
-    ("sshd_synth", "99944701a1f51226f65e74993ebe9c3a");
+    ("sshd_synth", "cc5d77da265451769ff0e746def8d92f");
   ]
 
 let test_pinned_digests () =

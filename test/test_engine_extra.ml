@@ -352,13 +352,14 @@ let test_exit_sthread_code () =
 
 (* ---------- per-request compartment structure (paper §6) ---------- *)
 
+(* Booted the fork-priced way, as the paper's Wedge row runs it. *)
 let test_mitm_request_structure () =
   let k = Kernel.create ~costs:Cost_model.free () in
   let env = Wedge_httpd.Httpd_env.install ~image_pages:80 k in
   Wedge_sim.Fiber.run (fun () ->
       let client_ep, server_ep = Wedge_net.Chan.pair ~costs:Cost_model.free () in
       Wedge_sim.Fiber.spawn (fun () ->
-          ignore (Wedge_httpd.Httpd_mitm.serve_connection env server_ep));
+          ignore (Wedge_httpd.Httpd_mitm.serve_connection ~spawn:W.Boot env server_ep));
       ignore
         (Wedge_httpd.Https_client.get ~rng:(Wedge_crypto.Drbg.create ~seed:1)
            ~pinned:env.Wedge_httpd.Httpd_env.priv.Wedge_crypto.Rsa.pub ~path:"/index.html"

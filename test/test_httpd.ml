@@ -24,6 +24,11 @@ module Simple = Wedge_httpd.Httpd_simple
 module Mitm_httpd = Wedge_httpd.Httpd_mitm
 module Client = Wedge_httpd.Https_client
 module Http = Wedge_httpd.Http
+module Service = Wedge_net.Service
+module Stats = Wedge_sim.Stats
+module Guard = Wedge_net.Guard
+module Oracle = Wedge_check.Oracle
+module Handshake = Wedge_tls.Handshake
 
 let check = Alcotest.check
 
@@ -34,25 +39,25 @@ let mk_env ?(session_cache = true) () =
 
 type variant = VMono | VSimple | VMitm
 
-let serve ?recycled ?exploit_handshake ?exploit_request variant env ep =
+let serve ?spawn ?exploit_handshake ?exploit_request variant env ep =
   match variant with
   | VMono ->
       (* the mono server's single exploit hook fires on /xploit *)
       Mono.serve_connection ?exploit:exploit_request env ep
   | VSimple ->
       ignore
-        (Simple.serve_connection ?recycled ?exploit_handshake ?exploit_request env ep)
+        (Simple.serve_connection ?spawn ?exploit_handshake ?exploit_request env ep)
   | VMitm ->
       ignore
-        (Mitm_httpd.serve_connection ?recycled ?exploit_handshake ?exploit_request env ep)
+        (Mitm_httpd.serve_connection ?spawn ?exploit_handshake ?exploit_request env ep)
 
-let fetch ?resume ?(seed = 7) ?(path = "/index.html") env variant ?recycled ?exploit_handshake
+let fetch ?resume ?(seed = 7) ?(path = "/index.html") env variant ?spawn ?exploit_handshake
     ?exploit_request () =
   let result = ref None in
   Fiber.run (fun () ->
       let client_ep, server_ep = Chan.pair ~costs:Cost_model.free () in
       Fiber.spawn (fun () ->
-          serve ?recycled ?exploit_handshake ?exploit_request variant env server_ep);
+          serve ?spawn ?exploit_handshake ?exploit_request variant env server_ep);
       let rng = Drbg.create ~seed in
       result :=
         Some (Client.get ?resume ~rng ~pinned:env.Env.priv.Rsa.pub ~path client_ep));
@@ -93,8 +98,8 @@ let test_cache_disabled variant () =
 
 let test_recycled_variant variant () =
   let env = mk_env () in
-  let r1 = fetch env variant ~recycled:true ~seed:1 () in
-  let r2 = fetch ?resume:r1.Client.session env variant ~recycled:true ~seed:2 () in
+  let r1 = fetch env variant ~spawn:W.Recycle ~seed:1 () in
+  let r2 = fetch ?resume:r1.Client.session env variant ~spawn:W.Recycle ~seed:2 () in
   check Alcotest.bool "recycled serves" true (body_of r1 <> None && body_of r2 <> None);
   check Alcotest.bool "recycled resumed" true r2.Client.resumed
 
@@ -278,19 +283,25 @@ let test_mitm_fails_on_fine_partition () =
         (label = "tag:httpd.arg" || label = "tag:pristine"))
     (Attacker.labels loot)
 
+(* Figure 3's rule: the master starts the client handler only after a
+   clean handshake exit.  The handshake's nonzero exit is the last status
+   the connection reports, and it is the only compartment stamped. *)
 let test_handler_not_started_after_bad_handshake () =
   let env = mk_env () in
-  let debug = ref None in
+  let served = ref None in
   Fiber.run (fun () ->
       let client_ep, server_ep = Chan.pair ~costs:Cost_model.free () in
-      Fiber.spawn (fun () -> debug := Some (Mitm_httpd.serve_connection env server_ep));
+      Fiber.spawn (fun () -> served := Some (Mitm_httpd.serve_connection env server_ep));
       (* Speak garbage instead of SSL. *)
       Chan.write_string client_ep "GET / HTTP/1.0\r\n\r\n";
       Chan.close client_ep);
-  match !debug with
-  | Some d ->
-      check Alcotest.bool "handler never started" true (d.Mitm_httpd.handler_status = None)
-  | None -> Alcotest.fail "no debug"
+  match !served with
+  | Some s ->
+      check Alcotest.bool "handshake exited 1, undegraded" true
+        (s.Service.worker_status = Process.Exited 1 && not s.Service.degraded);
+      check Alcotest.int "handler never started" 1
+        (Stats.get (W.kernel env.Env.app).Kernel.stats "pool.stamp")
+  | None -> Alcotest.fail "serve_connection never returned"
 
 let test_client_handler_has_no_network () =
   (* Exploit in the client handler: it cannot find any usable descriptor —
@@ -452,6 +463,156 @@ let test_strict_selinux_denies_offpolicy_syscalls () =
     !verdicts;
   check Alcotest.int "three probes ran" 3 (List.length !verdicts)
 
+(* ---------- client-sized fields against fixed blocks ---------- *)
+
+let wire ep =
+  Wire.io_of_fns
+    ~recv:(fun n ->
+      let b = Chan.read ep n in
+      if Bytes.length b = 0 then None else Some b)
+    ~send:(fun b -> Chan.write ep b)
+
+(* What the client saw once the server stopped answering: a hang-up, or
+   every record it sent, opened and concatenated. *)
+let rest io keys =
+  let buf = Buffer.create 256 in
+  let rec go () =
+    match Handshake.recv_data io keys with
+    | Ok b ->
+        Buffer.add_bytes buf b;
+        go ()
+    | Error _ -> ()
+  in
+  go ();
+  if Buffer.length buf = 0 then "closed"
+  else
+    match Http.parse_response (Buffer.contents buf) with
+    | Some { Http.status; body } -> Printf.sprintf "HTTP %d, %d bytes" status (String.length body)
+    | None -> "garbled"
+
+let hung_up io = match Wire.recv_msg io with _ -> "answered" | exception Wire.Closed -> "closed"
+
+(* A ClientHello without a session id; the server answers with its
+   hello and certificate. *)
+let hello io =
+  Wire.send_msg io Wire.Client_hello (Bytes.cat (Bytes.make 32 'r') (Bytes.make 1 '\000'));
+  ignore (Wire.recv_msg io);
+  ignore (Wire.recv_msg io)
+
+let key_exchange size _env ep =
+  let io = wire ep in
+  hello io;
+  Wire.send_msg io Wire.Client_key_exchange (Bytes.make size 'k');
+  hung_up io
+
+(* A valid key exchange, then a client Finished of [size] junk bytes. *)
+let finished size env ep =
+  let io = wire ep in
+  let rng = Drbg.create ~seed:5 in
+  hello io;
+  let premaster = Drbg.bytes rng Handshake.premaster_len in
+  Wire.send_msg io Wire.Client_key_exchange (Rsa.encrypt rng env.Env.priv.Rsa.pub premaster);
+  Wire.send_msg io Wire.Finished (Bytes.make size 'f');
+  hung_up io
+
+(* A full handshake, then a [size]-byte GET of the index page. *)
+let request size env ep =
+  let io = wire ep in
+  match Handshake.client_connect ~rng:(Drbg.create ~seed:6) ~pinned:env.Env.priv.Rsa.pub io with
+  | Error e -> "handshake failed: " ^ e
+  | Ok res ->
+      let keys = res.Handshake.cr_keys in
+      let line = "GET /index.html " in
+      Handshake.send_data io keys
+        (Bytes.of_string (line ^ String.make (size - String.length line) 'x'));
+      rest io keys
+
+(* Each field the client sizes is written into a fixed block only when it
+   fits: the ClientKeyExchange (length-prefixed at +1 of the 4096-byte
+   argument block), the client Finished (at +33) and the decrypted
+   request (at +0 of Figures 3-5's 20,000-byte data block).  Each row's
+   first size is the largest that fits and behaves as it always did;
+   larger ones are refused with the protocol's own failure — the
+   handshake or SSL_read fails — instead of corrupting the next smalloc
+   chunk, which the oracle, armed at every syscall, would catch. *)
+let field_rows =
+  [
+    ( "ClientKeyExchange",
+      [ VSimple; VMitm ],
+      key_exchange,
+      [ (4_091, 1, "closed"); (4_200, 1, "closed") ] );
+    ("client Finished", [ VMitm ], finished, [ (4_059, 1, "closed"); (4_100, 1, "closed") ]);
+    ( "request",
+      [ VMitm ],
+      request,
+      [ (19_996, 0, Printf.sprintf "HTTP 200, %d bytes" (String.length Env.index_body));
+        (20_100, 1, "closed");
+        (25_000, 1, "closed") ] );
+  ]
+
+let serve_partitioned variant env ep =
+  match variant with
+  | VSimple -> Simple.serve_connection env ep
+  | VMitm -> Mitm_httpd.serve_connection env ep
+  | VMono -> invalid_arg "serve_partitioned: monolithic"
+
+let test_client_sized_fields () =
+  List.iter
+    (fun (field, variants, client, sizes) ->
+      List.iter
+        (fun variant ->
+          List.iter
+            (fun (size, exit_code, seen) ->
+              let what =
+                Printf.sprintf "%s, %d bytes (%s)" field size
+                  (if variant = VSimple then "simple" else "mitm")
+              in
+              let env = mk_env () in
+              let oracle = Oracle.create (W.kernel env.Env.app) in
+              Oracle.set_app oracle env.Env.app;
+              Oracle.install_syscall_hook oracle;
+              let served = ref None and saw = ref "" in
+              Fun.protect
+                ~finally:(fun () -> Oracle.remove_syscall_hook oracle)
+                (fun () ->
+                  Fiber.run (fun () ->
+                      let client_ep, server_ep = Chan.pair ~costs:Cost_model.free () in
+                      Fiber.spawn (fun () ->
+                          served := Some (serve_partitioned variant env server_ep));
+                      saw := client size env client_ep;
+                      Chan.close client_ep);
+                  Oracle.check oracle);
+              check Alcotest.string (what ^ ": client saw") seen !saw;
+              match !served with
+              | Some s ->
+                  check Alcotest.bool (what ^ ": exit status, undegraded") true
+                    (s.Service.worker_status = Process.Exited exit_code && not s.Service.degraded)
+              | None -> Alcotest.failf "%s: serve_connection never returned" what)
+            sizes)
+        variants)
+    field_rows
+
+(* ---------- a long-lived master forgets what it served ---------- *)
+
+let test_master_forgets_served_connections () =
+  let env = mk_env () in
+  let l = Chan.listener ~costs:Cost_model.free ~backlog:4 () in
+  let guard = Guard.create ~max_conns:4 () in
+  let before = Oracle.holdings env.Env.app in
+  Fiber.run (fun () ->
+      Fiber.spawn (fun () -> Service.serve_loop Mitm_httpd.service env guard l);
+      for i = 1 to 100 do
+        let r =
+          Client.get ~rng:(Drbg.create ~seed:i) ~pinned:env.Env.priv.Rsa.pub ~path:"/index.html"
+            (Chan.connect l)
+        in
+        if body_of r = None then Alcotest.failf "connection %d not served" i;
+        Fiber.wait_until ~what:"connection released" (fun () -> Guard.active guard = 0)
+      done;
+      Guard.drain guard l);
+  (* Callgates, descriptors and live tags back at their pre-serve counts. *)
+  Oracle.check_returned ~what:"100 connections" env.Env.app before
+
 let v name variant f = Alcotest.test_case (name ^ " (" ^ (match variant with VMono -> "mono" | VSimple -> "simple" | VMitm -> "mitm") ^ ")") `Quick (f variant)
 
 let () =
@@ -502,5 +663,15 @@ let () =
           Alcotest.test_case "strict policy still serves" `Quick test_strict_selinux_still_serves;
           Alcotest.test_case "off-policy syscalls denied" `Quick
             test_strict_selinux_denies_offpolicy_syscalls;
+        ] );
+      ( "bounds",
+        [
+          Alcotest.test_case "client-sized fields fit their blocks" `Quick
+            test_client_sized_fields;
+        ] );
+      ( "resources",
+        [
+          Alcotest.test_case "master forgets served connections (mitm)" `Quick
+            test_master_forgets_served_connections;
         ] );
     ]

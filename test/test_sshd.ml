@@ -21,6 +21,12 @@ module Wedge_d = Wedge_sshd.Sshd_wedge
 module Client = Wedge_sshd.Ssh_client
 module Skey = Wedge_sshd.Skey
 module Pam = Wedge_sshd.Pam
+module Service = Wedge_net.Service
+module Guard = Wedge_net.Guard
+module Oracle = Wedge_check.Oracle
+module Process = Wedge_kernel.Process
+module Wire = Wedge_tls.Wire
+module P = Wedge_sshd.Ssh_proto
 
 let check = Alcotest.check
 
@@ -172,7 +178,7 @@ let test_scp_upload_too_large () =
   check Alcotest.bool "upload refused" false saved;
   (match !served with
   | Some d -> (
-      match d.Wedge_d.worker_status with
+      match d.Service.worker_status with
       | Wedge_kernel.Process.Exited _ -> ()
       | _ -> Alcotest.fail "worker did not exit normally")
   | None -> Alcotest.fail "serve_connection never returned");
@@ -245,22 +251,23 @@ let test_wedge_exploit_contained () =
 
 let test_wedge_exploit_cannot_selfpromote () =
   (* The worker cannot change its own uid: only the auth gates can, and
-     only on success. *)
+     only on success.  Every exploit run records the worker's uid; the
+     last one runs after the session's final command. *)
   let env = mk_env () in
   let outcome = ref `Untried in
-  let debug = ref None in
+  let uids = ref [] in
   Fiber.run (fun () ->
       let client_ep, server_ep = Chan.pair ~costs:Cost_model.free () in
       Fiber.spawn (fun () ->
-          debug :=
-            Some
-              (Wedge_d.serve_connection
-                 ~exploit:(fun ctx ->
-                   match W.set_identity ctx ~target_pid:(W.pid ctx) ~uid:0 () with
-                   | () -> outcome := `Promoted
-                   | exception W.Privilege_violation _ -> outcome := `Denied
-                   | exception Kernel.Eperm _ -> outcome := `Denied)
-                 env server_ep));
+          ignore
+            (Wedge_d.serve_connection
+               ~exploit:(fun ctx ->
+                 (match W.set_identity ctx ~target_pid:(W.pid ctx) ~uid:0 () with
+                 | () -> outcome := `Promoted
+                 | exception W.Privilege_violation _ -> outcome := `Denied
+                 | exception Kernel.Eperm _ -> outcome := `Denied);
+                 uids := W.getuid ctx :: !uids)
+               env server_ep));
       let rng = Drbg.create ~seed:0xC1 in
       (match
          Client.start ~rng ~pinned_rsa:env.Env.host_rsa.Rsa.pub
@@ -272,12 +279,13 @@ let test_wedge_exploit_cannot_selfpromote () =
           let reply = Client.exec conn "shell" in
           check (Alcotest.option Alcotest.string) "still locked out"
             (Some "permission denied") reply;
+          ignore (Client.exec conn "xploit");
           Client.close conn
       | Error e -> Alcotest.fail e));
   check Alcotest.bool "self-promotion denied" true (!outcome = `Denied);
-  match !debug with
-  | Some d -> check Alcotest.int "worker ended unprivileged" 99 d.Wedge_d.final_uid
-  | None -> Alcotest.fail "no debug"
+  match !uids with
+  | last :: _ -> check Alcotest.int "worker ended unprivileged" 99 last
+  | [] -> Alcotest.fail "exploit never ran"
 
 (* ---------- lesson 1: username probing ---------- *)
 
@@ -425,6 +433,127 @@ let prop_proto_roundtrip =
     (fun msg ->
       Wedge_sshd.Ssh_proto.unmarshal (Wedge_sshd.Ssh_proto.marshal msg) = Some msg)
 
+(* ---------- client-sized fields against the argument block ---------- *)
+
+let wire ep =
+  Wire.io_of_fns
+    ~recv:(fun n ->
+      let b = Chan.read ep n in
+      if Bytes.length b = 0 then None else Some b)
+    ~send:(fun b -> Chan.write ep b)
+
+(* Version exchange, then a Kexinit carrying [nonce]: the server's
+   Kexreply. *)
+let kexinit io nonce =
+  ignore (P.recv_plain io);
+  P.send_plain io (P.Version "WSSH-1.0-test");
+  P.send_plain io (P.Kexinit nonce);
+  match P.recv_plain io with
+  | P.Kexreply { signature; _ } -> signature
+  | _ -> Alcotest.fail "expected kexreply"
+
+let kex_nonce size _env ep =
+  if kexinit (wire ep) (Bytes.make size 'n') = "" then "unsigned" else "signed"
+
+let kex_secret size _env ep =
+  let io = wire ep in
+  ignore (kexinit io (Bytes.make 32 'n'));
+  P.send_plain io (P.Kexsecret (Bytes.make size 's'));
+  match P.recv_plain io with _ -> "answered" | exception Wire.Closed -> "closed"
+
+(* A clean key exchange, then [auth] as the client. *)
+let after_kex env ep auth =
+  match
+    Client.start ~rng:(Drbg.create ~seed:0xC2) ~pinned_rsa:env.Env.host_rsa.Rsa.pub
+      ~pinned_dsa:env.Env.host_dsa.Wedge_crypto.Dsa.pub ep
+  with
+  | Error e -> "kex failed: " ^ e
+  | Ok c ->
+      let seen = auth c in
+      Client.close c;
+      seen
+
+let pubkey_user size env ep =
+  after_kex env ep (fun c ->
+      let key = Env.user_key (List.hd env.Env.users) in
+      if Client.authenticate c ~user:(String.make size 'u') (Client.Pubkey key) then "accepted"
+      else "refused")
+
+let skey_user size env ep =
+  after_kex env ep (fun c ->
+      match Client.skey_challenge_for c ~user:(String.make size 'u') with
+      | Some _ -> "challenged"
+      | None -> "refused")
+
+(* Each gate reads length-prefixed fields at fixed offsets of the
+   6000-byte argument block, and every field the client sizes is written
+   only when it ends before the gate's next field: a Kexinit nonce (+0,
+   next at +256), a Kexsecret (+0, reply at +512), a user name on the
+   public-key path (+0, next at +256) or the S/Key path (+8, next at
+   +256).  Each row's first size is the largest that fits and behaves as
+   it always did; an oversized one is refused with the protocol's own
+   failure instead of running past the block, which the oracle, armed at
+   every syscall, would catch as a corrupted smalloc chunk. *)
+let field_rows =
+  [
+    ("Kexinit nonce", kex_nonce, [ (252, "signed"); (6_100, "unsigned") ]);
+    ("Kexsecret", kex_secret, [ (508, "closed"); (6_100, "closed") ]);
+    ("public-key user name", pubkey_user, [ (252, "refused"); (6_000, "refused") ]);
+    ("S/Key user name", skey_user, [ (244, "challenged"); (6_000, "refused") ]);
+  ]
+
+let test_client_sized_fields () =
+  List.iter
+    (fun (field, client, sizes) ->
+      List.iter
+        (fun (size, seen) ->
+          let what = Printf.sprintf "%s, %d bytes" field size in
+          let env = mk_env () in
+          let oracle = Oracle.create (W.kernel env.Env.app) in
+          Oracle.set_app oracle env.Env.app;
+          Oracle.install_syscall_hook oracle;
+          let served = ref None and saw = ref "" in
+          Fun.protect
+            ~finally:(fun () -> Oracle.remove_syscall_hook oracle)
+            (fun () ->
+              Fiber.run (fun () ->
+                  let client_ep, server_ep = Chan.pair ~costs:Cost_model.free () in
+                  Fiber.spawn (fun () -> served := Some (Wedge_d.serve_connection env server_ep));
+                  saw := client size env client_ep;
+                  Chan.close client_ep);
+              Oracle.check oracle);
+          check Alcotest.string (what ^ ": client saw") seen !saw;
+          match !served with
+          | Some s ->
+              check Alcotest.bool (what ^ ": worker exited, undegraded") true
+                (s.Service.worker_status = Process.Exited 0 && not s.Service.degraded)
+          | None -> Alcotest.failf "%s: serve_connection never returned" what)
+        sizes)
+    field_rows
+
+(* ---------- a long-lived master forgets what it served ---------- *)
+
+let test_master_forgets_served_connections () =
+  let env = mk_env () in
+  let l = Chan.listener ~costs:Cost_model.free ~backlog:4 () in
+  let guard = Guard.create ~max_conns:4 () in
+  let before = Oracle.holdings env.Env.app in
+  Fiber.run (fun () ->
+      Fiber.spawn (fun () -> Service.serve_loop Wedge_d.service env guard l);
+      for i = 1 to 100 do
+        (match
+           Client.login ~rng:(Drbg.create ~seed:i) ~pinned_rsa:env.Env.host_rsa.Rsa.pub
+             ~pinned_dsa:env.Env.host_dsa.Wedge_crypto.Dsa.pub ~user:"alice"
+             (Client.Password "wonderland") (Chan.connect l)
+         with
+        | Ok c -> Client.close c
+        | Error e -> Alcotest.failf "connection %d: %s" i e);
+        Fiber.wait_until ~what:"connection released" (fun () -> Guard.active guard = 0)
+      done;
+      Guard.drain guard l);
+  (* Callgates, descriptors and live tags back at their pre-serve counts. *)
+  Oracle.check_returned ~what:"100 connections" env.Env.app before
+
 let qcheck tests = List.map Test_rng.to_alcotest tests
 
 let both name f = [ Alcotest.test_case (name ^ " (mono)") `Quick (f VMono);
@@ -471,5 +600,15 @@ let () =
             test_privsep_pam_scratch_inherited;
           Alcotest.test_case "wedge PAM scratch unreachable" `Quick
             test_wedge_pam_scratch_unreachable;
+        ] );
+      ( "bounds",
+        [
+          Alcotest.test_case "client-sized fields fit their slots" `Quick
+            test_client_sized_fields;
+        ] );
+      ( "resources",
+        [
+          Alcotest.test_case "master forgets served connections (wedge)" `Quick
+            test_master_forgets_served_connections;
         ] );
     ]
