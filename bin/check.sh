@@ -60,12 +60,16 @@ fi
 # scenario (melees, fault storms with induced hangs, pooled storms,
 # sharded fabrics, synthesized profiles) under the invariant oracles,
 # once under the random policy and once under PCT — the stall rule and
-# PCT's pick rule are both exercised by every scenario.  wedge_cli check
-# exits nonzero — printing a shrunk repro command — if any schedule
-# violates an invariant.
+# PCT's pick rule are both exercised by every scenario.  A third pass
+# runs the differential reference VM (--diff): a flat model of every
+# address space, fed the memory-event stream, must agree with each page
+# table's count, entries and frame contents, and with every access's
+# outcome.  wedge_cli check exits nonzero — printing a shrunk repro
+# command — if any schedule violates an invariant.
 echo "== schedule exploration (smoke) =="
 WEDGE_CHECK_SMOKE=1 dune exec bin/wedge_cli.exe -- check --scenario all --schedules 25 --seed 1 --policy random
 WEDGE_CHECK_SMOKE=1 dune exec bin/wedge_cli.exe -- check --scenario all --schedules 25 --seed 1 --policy pct
+WEDGE_CHECK_SMOKE=1 dune exec bin/wedge_cli.exe -- check --scenario all --schedules 25 --seed 1 --diff
 
 # Self-healing gate: the MTTR benchmark must produce its artifact
 # (shrunk incident count under the smoke flag); the storms themselves

@@ -12,6 +12,8 @@
        private frames and open descriptors, and every charged vpn is
        actually mapped;
      - every servable TLB entry agrees with the page table it caches;
+     - the pristine snapshot's and every frozen image's shared page
+       table still hold the records they were built from;
      - every smalloc segment (live tags, per-process heaps) has intact
        boundary tags and a sound free list;
      - every registered admission guard's O(1) counters agree with its
@@ -102,7 +104,10 @@ let check_refcounts t =
   (match t.app with
   | None -> ()
   | Some app ->
-      List.iter (fun (_, frame) -> add frame) app.Engine.pristine;
+      let add_image im =
+        List.iter (fun (fz : Engine.frozen_page) -> add fz.Engine.fz_frame) (Vm.image_pages im)
+      in
+      add_image app.Engine.pristine;
       List.iter
         (fun (tag : Tag.t) -> Array.iter add tag.Tag.frames)
         (Tag.live_tags app.Engine.tags);
@@ -112,10 +117,7 @@ let check_refcounts t =
       (* Frozen snapshot-pool images are pristine-like holders: each page
          pins its frame with exactly one reference from freeze until
          discard, independent of how many stamped children map it. *)
-      List.iter
-        (fun (im : Engine.image) ->
-          List.iter (fun (fz : Engine.frozen_page) -> add fz.Engine.fz_frame) im.Engine.im_pages)
-        app.Engine.frozen_images);
+      List.iter (fun (im : Engine.image) -> add_image im.Engine.im_pages) app.Engine.frozen_images);
   Physmem.iter_live t.kernel.Kernel.pm (fun frame refs ->
       let want = match Hashtbl.find_opt expected frame with Some n -> n | None -> 0 in
       if refs <> want then
@@ -199,13 +201,53 @@ let check_smalloc t =
 (* ------------------------------------------------------------------ *)
 (* Frozen snapshot images stay immutable                               *)
 
+(* A snapshot's shared page table is never written after it is built:
+   every address space restored from it must see exactly the records it
+   was built from.  An entry that drifted — a write's COW break, a
+   protection change or a retag that reached the shared table instead of
+   a private copy — would leak into every sibling and every later
+   spawn. *)
+let check_table what im =
+  let table = Vm.image_table im and pages = Vm.image_pages im in
+  if Pagetable.base_count table <> List.length pages then
+    violation "oracle: %s page table holds %d entries, built from %d" what
+      (Pagetable.base_count table) (List.length pages);
+  List.iter
+    (fun (fz : Engine.frozen_page) ->
+      match Pagetable.base_find table ~vpn:fz.Engine.fz_vpn with
+      | None -> violation "oracle: %s page table lost vpn 0x%x" what fz.Engine.fz_vpn
+      | Some pte ->
+          if
+            pte.Pagetable.frame <> fz.Engine.fz_frame
+            || pte.Pagetable.prot <> fz.Engine.fz_prot
+            || pte.Pagetable.tag <> fz.Engine.fz_tag
+          then
+            violation "oracle: %s page table maps vpn 0x%x to frame %d (%s), built as %d (%s)"
+              what fz.Engine.fz_vpn pte.Pagetable.frame
+              (Prot.page_to_string pte.Pagetable.prot)
+              fz.Engine.fz_frame
+              (Prot.page_to_string fz.Engine.fz_prot))
+    pages
+
+let check_tables t =
+  match t.app with
+  | None -> ()
+  | Some app ->
+      check_table "pristine snapshot" app.Engine.pristine;
+      List.iter
+        (fun (im : Engine.image) ->
+          check_table ("frozen image " ^ im.Engine.im_name) im.Engine.im_pages)
+        app.Engine.frozen_images
+
 (* A frozen page recorded copy-on-write must never be writable in any
    address space: a stamped child's write is required to COW-break onto
    a private frame, so finding the image's frame behind a [pw] pte means
    a stamp (or a break) scribbled on the checkpoint every future stamp
    restores from.  Tagged pages are exempt — they freeze with their
-   grant protection because tag memory is shared-mutable by design. *)
+   grant protection because tag memory is shared-mutable by design.
+   First, every shared table must still match its records. *)
 let check_frozen t =
+  check_tables t;
   match t.app with
   | None | Some { Engine.frozen_images = []; _ } -> ()
   | Some app ->
@@ -219,7 +261,7 @@ let check_frozen t =
             (fun (fz : Engine.frozen_page) ->
               if fz.Engine.fz_prot.Prot.pcow then
                 Hashtbl.replace cow fz.Engine.fz_frame im.Engine.im_name)
-            im.Engine.im_pages)
+            (Vm.image_pages im.Engine.im_pages))
         app.Engine.frozen_images;
       Kernel.iter_processes t.kernel (fun p ->
           Pagetable.iter

@@ -17,6 +17,10 @@
       holder above), and no address space maps a COW-frozen frame
       writable — a stamped child's write must break onto a private
       frame, never onto the checkpoint;
+    - the shared page table of the pristine snapshot and of every live
+      frozen image still holds exactly the records it was built from
+      (same vpns, frames, protection and tags): no compartment's write,
+      protection change or retag reached a table its siblings map;
     - every registered {!Wedge_net.Guard}'s counters agree with its
       connection list;
     - the scheduler's interest sets agree with its parked table

@@ -95,16 +95,17 @@ type frozen_page = Vm.frozen_page = {
   fz_tag : int option;
 }
 
-(* A frozen compartment image (what [Pool.freeze] builds): its pages, the
-   descriptor-table, rlimit and identity shape a stamped sthread starts
-   from, and whether it carries a demand-mapped heap or stack.  The
-   registry lives on the app — not in [Pool] — so the invariant oracles
-   can re-derive frame refcounts (frozen images are pristine-like
-   holders) without a dependency on the pool module, and so a stamped
-   callgate can be installed from one here. *)
+(* A frozen compartment image (what [Pool.freeze] builds): its pages and
+   their shared page table, the descriptor-table, rlimit and identity
+   shape a stamped sthread starts from, and whether it carries a
+   demand-mapped heap or stack.  The registry lives on the app — not in
+   [Pool] — so the invariant oracles can re-derive frame refcounts
+   (frozen images are pristine-like holders) without a dependency on the
+   pool module, and so a stamped callgate can be installed from one
+   here. *)
 type image = {
   im_name : string;
-  im_pages : frozen_page list;  (* one frame reference each, sorted by vpn *)
+  im_pages : Vm.image;  (* one frame reference each, sorted by vpn *)
   im_fds : (int * Fd_table.target * Fd_table.perm) list;
   im_limits : Rlimit.t;
   im_uid : int;
@@ -132,7 +133,7 @@ type app = {
   mutable data_pages : int;  (* image pages + boundary pages *)
   image_pages : int;
   mutable booted : bool;
-  mutable pristine : (int * int) list;  (* (vpn, frame) of the snapshot *)
+  mutable pristine : Vm.image;  (* one frame reference each, sorted by vpn *)
   mutable main : ctx option;
   recycled_pool : (string, pooled) Hashtbl.t;
       (* long-lived sthreads backing recycled callgates, keyed by gate
@@ -275,7 +276,7 @@ let create_app ?(image_pages = default_image_pages) kernel =
       data_pages = image_pages;
       image_pages;
       booted = false;
-      pristine = [];
+      pristine = Vm.image [];
       main = None;
       recycled_pool = Hashtbl.create 8;
       frozen_images = [];
@@ -319,7 +320,9 @@ let find_boundary app id =
 (* Snapshot of the program image just before main() runs (§4.1): record the
    frames, take a snapshot reference on each, and mark the owner's pages
    copy-on-write so later writes never alter the snapshot.  Boundary
-   sections are excluded, so sthreads do not receive them by default. *)
+   sections are excluded, so sthreads do not receive them by default.
+   The snapshot's shared page table is built here, once; every sthread
+   maps through it. *)
 let boot app =
   if app.booted then invalid_arg "Engine.boot: already booted";
   let main = main_ctx app in
@@ -339,14 +342,16 @@ let boot app =
       match Pagetable.find (Vm.page_table vm) ~vpn with
       | Some pte ->
           Physmem.incref pm pte.Pagetable.frame;
-          snapshot := (vpn, pte.Pagetable.frame) :: !snapshot;
+          snapshot :=
+            { fz_vpn = vpn; fz_frame = pte.Pagetable.frame; fz_prot = Prot.page_cow; fz_tag = None }
+            :: !snapshot;
           (* Through Vm so the owner's cached translations are shot down:
              a warm write entry surviving this downgrade would let post-boot
              writes land on the snapshot's shared frames. *)
           Vm.set_page_prot vm ~addr:(vpn * page_size) ~prot:Prot.page_cow
       | None -> ()
   done;
-  app.pristine <- List.rev !snapshot;
+  app.pristine <- Vm.image (List.rev !snapshot);
   app.booted <- true
 
 (* ------------------------------------------------------------------ *)
@@ -434,23 +439,25 @@ let resolve_identity parent (sc : Sc.t) =
 let resolve_limits parent (sc : Sc.t) =
   Rlimit.child_of (Option.value sc.Sc.limits ~default:parent.proc.Process.limits)
 
-(* Map the pristine snapshot copy-on-write into a new sthread. *)
-let map_pristine app (vm : Vm.t) =
-  let cm = app.kernel.Kernel.costs in
-  List.iter
-    (fun (vpn, frame) ->
-      Clock.charge app.kernel.Kernel.clock cm.Cost_model.pte_copy;
-      Vm.map_frame vm ~addr:(vpn * page_size) ~frame ~prot:Prot.page_cow ~tag:None)
-    app.pristine
+(* Install a snapshot into a new compartment's address space through its
+   one shared page table: the single install behind every spawn variant.
+   They differ only in [ns], what they charge for it. *)
+let install app (vm : Vm.t) im ~ns =
+  Vm.map_image vm im;
+  Clock.charge app.kernel.Kernel.clock ns
 
-(* Install a frozen image into a new compartment's address space: the
-   whole image lands for one flat [pool_stamp] charge, however many pages
-   it holds — where [map_pristine] pays a [pte_copy] per page.  The one
-   restore routine behind [Pool.stamp] and stamped callgates. *)
+(* Map the pristine snapshot copy-on-write into a new sthread, at the
+   fork-like price of a [pte_copy] per page (§4.1, Figure 7). *)
+let map_pristine app (vm : Vm.t) =
+  install app vm app.pristine
+    ~ns:(Vm.image_size app.pristine * app.kernel.Kernel.costs.Cost_model.pte_copy)
+
+(* Install a frozen image for one flat [pool_stamp] charge, however many
+   pages it holds.  The restore behind [Pool.stamp] and stamped
+   callgates. *)
 let install_image app (child : Process.t) im =
   if not im.im_live then invalid_arg ("Engine: image " ^ im.im_name ^ " discarded");
-  Clock.charge app.kernel.Kernel.clock app.kernel.Kernel.costs.Cost_model.pool_stamp;
-  Vm.map_image child.Process.vm im.im_pages
+  install app child.Process.vm im.im_pages ~ns:app.kernel.Kernel.costs.Cost_model.pool_stamp
 
 (* A stamped compartment's ctx: a warmed image already carries the
    template's demand-mapped heap/stack (smalloc bookkeeping included), so
@@ -807,7 +814,7 @@ let sc_cgate_add ?(spawn = Boot) creator (sc : Sc.t) ~name ~entry ~cgsc ~trusted
   | Stamp im ->
       if not (List.memq im creator.app.frozen_images) then
         invalid_arg ("sc_cgate_add: image " ^ im.im_name ^ " not frozen in this app");
-      if List.exists (fun fz -> fz.fz_tag <> None) im.im_pages then
+      if List.exists (fun fz -> fz.fz_tag <> None) (Vm.image_pages im.im_pages) then
         violation "cgate_add: image %s carries tagged pages" im.im_name
   | Boot | Recycle -> ());
   let gid = creator.app.next_gate in
@@ -1469,5 +1476,5 @@ let register_metrics m app =
       [
         ("pool.images", List.length app.frozen_images);
         ( "pool.frozen_frames",
-          List.fold_left (fun a im -> a + List.length im.im_pages) 0 app.frozen_images );
+          List.fold_left (fun a im -> a + Vm.image_size im.im_pages) 0 app.frozen_images );
       ])

@@ -8,19 +8,20 @@
    extra Physmem reference held by the image, private writable pages are
    recorded copy-on-write (the image must never change again), and the
    template is reaped.  What survives is an [Engine.image]: the frozen
-   pages, built once here so no stamp rebuilds them, the captured
-   descriptor table, the rlimit shape and the identity — no process, no
-   address space.
+   pages and the one read-only page table built from them here, the
+   captured descriptor table, the rlimit shape and the identity — no
+   process, no address space.
 
    [stamp] is the paper's Figure 7/8 story taken further than recycled
-   callgates: a new sthread whose address space is the frozen image
-   bulk-installed by [Engine.install_image] at one flat [pool_stamp]
-   charge, however many pages the image holds.  Per-connection grants
-   ride in through [extra] (validated against the stamping parent like
-   any sc), so the O(1) cost is in the image size, not in the
-   constant-sized per-request policy.  [sc_cgate_add] registers a
-   callgate whose every invocation is a fresh compartment installed by
-   the same routine.
+   callgates: a new sthread whose address space maps the frozen image
+   through that shared table, installed by [Engine.install_image] at one
+   flat [pool_stamp] charge, however many pages the image holds.  The
+   host cost is flat too: a stamp allocates nothing per page.
+   Per-connection grants ride in through [extra] (validated against the
+   stamping parent like any sc), so the O(1) cost is in the image size,
+   not in the constant-sized per-request policy.  [sc_cgate_add]
+   registers a callgate whose every invocation is a fresh compartment
+   installed by the same routine.
 
    Both paths are attackable: fault sites ["pool.freeze"] and
    ["pool.stamp"] inject mid-operation, and the unwind must leave the
@@ -47,7 +48,7 @@ let page_size = Physmem.page_size
 type t = Engine.image
 
 let name (t : t) = t.Engine.im_name
-let frozen_pages (t : t) = List.length t.Engine.im_pages
+let frozen_pages (t : t) = Vm.image_size t.Engine.im_pages
 let is_live (t : t) = t.Engine.im_live
 
 let find app name =
@@ -138,7 +139,7 @@ let freeze ?(name = "pool") ?warm parent (sc : Sc.t) =
     in
     {
       Engine.im_name = name;
-      im_pages = pages;
+      im_pages = Vm.image pages;
       im_fds = fds;
       im_limits = Option.value sc.Sc.limits ~default:parent.Engine.proc.Process.limits;
       im_uid = uid;
@@ -286,9 +287,11 @@ let discard parent (pool : t) =
     (* Dropping the image's references frees any frame no live address
        space still maps; frames shared with running stamped children
        survive on their references and die with their last unmap (which
-       goes through the Vm teardown/shootdown path as usual). *)
+       goes through the Vm teardown/shootdown path as usual).  Those
+       children keep mapping through the image's table, which nothing
+       writes. *)
     let pm = app.Engine.kernel.Kernel.pm in
     List.iter
       (fun (fz : Engine.frozen_page) -> Physmem.decref pm fz.Engine.fz_frame)
-      pool.Engine.im_pages
+      (Vm.image_pages pool.Engine.im_pages)
   end

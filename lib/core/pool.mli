@@ -15,8 +15,16 @@
     {!sc_cgate_add} mints a callgate whose every invocation is a fresh
     compartment installed from the image by the same routine.
 
+    The O(1) holds on the host clock too.  {!freeze} builds the image's
+    page table once ({!Wedge_kernel.Vm.image}); a stamp points the
+    child's address space at that one shared, read-only table instead
+    of copying it, taking only a frame reference per page, so a stamp
+    and its reap allocate the same few words whatever the image size.
+
     Stamped children never dirty the image: their writes to frozen pages
-    break copy-on-write into private frames, and tagged grant pages keep
+    break copy-on-write into private frames, a write, protection change
+    or retag of a page seen through the shared table first copies its
+    entry into the child's own table, and tagged grant pages keep
     their grant protection (tag memory is shared-mutable by design).
     Fault sites ["pool.freeze"] and ["pool.stamp"] inject mid-operation;
     the unwind reaps the half-built process, which returns every frame

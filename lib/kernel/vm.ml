@@ -222,11 +222,20 @@ let alloc_charged t vpn =
       if charged then release_owned t vpn;
       raise e
 
+(* A refused mapping changes nothing: every mapping call lets the page
+   table refuse an already-mapped vpn before it allocates a frame, takes
+   a reference or charges.  [map_fresh] must allocate before it can map,
+   so it asks first. *)
+let refuse_mapped t vpn =
+  if Pagetable.mem t.pt ~vpn then
+    invalid_arg (Printf.sprintf "Vm: vpn 0x%x already mapped in pid %d" vpn t.pid)
+
 let map_fresh t ~addr ~pages ~prot ~tag =
   check_aligned addr;
   for i = 0 to pages - 1 do
-    Clock.charge t.clock t.costs.Cost_model.page_alloc;
     let vpn = vpn_of addr + i in
+    refuse_mapped t vpn;
+    Clock.charge t.clock t.costs.Cost_model.page_alloc;
     let frame = alloc_charged t vpn in
     Pagetable.map t.pt ~vpn ~frame ~prot ~tag;
     if recording t then emit t (Ev_map { pid = t.pid; vpn; frame; prot; seed = None })
@@ -234,8 +243,8 @@ let map_fresh t ~addr ~pages ~prot ~tag =
 
 let map_frame t ~addr ~frame ~prot ~tag =
   check_aligned addr;
-  Physmem.incref t.pm frame;
   Pagetable.map t.pt ~vpn:(vpn_of addr) ~frame ~prot ~tag;
+  Physmem.incref t.pm frame;
   if recording t then
     emit t
       (Ev_map
@@ -254,21 +263,45 @@ type frozen_page = {
   fz_tag : int option;
 }
 
-(* Bulk-install a frozen snapshot image (compartment checkpoint/restore):
-   each entry takes one frame reference and lands directly in the page
+(* A snapshot: its page records, and the read-only page table built from
+   them once, which every address space restored from it maps through
+   (see [Pagetable.base]).  The records stay as the ground truth the
+   table is checked against. *)
+type image = {
+  pages : frozen_page list;
+  table : Pagetable.base;
+}
+
+let image pages =
+  {
+    pages;
+    table =
+      Pagetable.base
+        (List.map
+           (fun fz ->
+             ( fz.fz_vpn,
+               { Pagetable.frame = fz.fz_frame; prot = fz.fz_prot; tag = fz.fz_tag } ))
+           pages);
+  }
+
+let image_pages im = im.pages
+let image_table im = im.table
+let image_size im = Pagetable.base_count im.table
+
+(* Install a snapshot: the address space points at the image's one shared
    table — the simulated analogue of pointing a child at a prepared
-   pagetable subtree, so no per-page cost is charged here (the caller
-   accounts one flat stamp charge however many pages the image holds).
-   Recorder events are emitted per page: a differential reference VM must
-   see these mappings exactly like any other, or COW breaks inside a
-   stamped child would diverge.  [pages] are the image's own records,
-   built once at freeze, so a stamp allocates nothing per page beyond the
-   page-table entry. *)
-let map_image t pages =
+   pagetable subtree — so nothing is copied or allocated per page, and no
+   cost is charged here (each caller charges what its spawn variant
+   costs).  Each page still takes one frame reference, so refcounts,
+   COW breaks ([refcount > 1]) and an image's discard behave exactly as
+   if the entries had been copied.  Recorder events are emitted per page:
+   a differential reference VM must see these mappings exactly like any
+   other, or COW breaks inside a stamped child would diverge. *)
+let map_image t im =
+  Pagetable.set_base t.pt im.table;
   List.iter
-    (fun { fz_vpn = vpn; fz_frame = frame; fz_prot = prot; fz_tag = tag } ->
+    (fun { fz_vpn = vpn; fz_frame = frame; fz_prot = prot; _ } ->
       Physmem.incref t.pm frame;
-      Pagetable.map t.pt ~vpn ~frame ~prot ~tag;
       if recording t then
         emit t
           (Ev_map
@@ -279,7 +312,7 @@ let map_image t pages =
                prot;
                seed = Some (Bytes.copy (Physmem.get t.pm frame));
              }))
-    pages
+    im.pages
 
 let share_range ~src ~dst ~addr ~pages ~prot =
   check_aligned addr;
@@ -290,9 +323,9 @@ let share_range ~src ~dst ~addr ~pages ~prot =
         invalid_arg
           (Printf.sprintf "Vm.share_range: source page 0x%x unmapped" (vpn * page_size))
     | Some pte ->
+        Pagetable.map dst.pt ~vpn ~frame:pte.Pagetable.frame ~prot ~tag:pte.Pagetable.tag;
         Clock.charge dst.clock dst.costs.Cost_model.pte_copy;
         Physmem.incref dst.pm pte.Pagetable.frame;
-        Pagetable.map dst.pt ~vpn ~frame:pte.Pagetable.frame ~prot ~tag:pte.Pagetable.tag;
         if recording dst then
           emit dst
             (Ev_map
@@ -320,6 +353,11 @@ let unmap_range t ~addr ~pages =
     | None -> ()
   done
 
+(* Every in-place rewrite below takes its pte through
+   [Pagetable.find_private]: an entry seen through a shared image table
+   is copied into this address space's own table first, so the rewrite
+   never reaches the image or the siblings restored from it. *)
+
 (* Permission changes mutate ptes in place — no epoch movement — so the
    explicit per-page shootdown here is what keeps revocation sound: a TLB
    entry surviving this loop would let a compartment keep writing through
@@ -329,7 +367,7 @@ let unmap_range t ~addr ~pages =
 let protect_range t ~addr ~pages ~prot =
   check_aligned addr;
   for i = 0 to pages - 1 do
-    match Pagetable.find t.pt ~vpn:(vpn_of addr + i) with
+    match Pagetable.find_private t.pt ~vpn:(vpn_of addr + i) with
     | Some pte ->
         Clock.charge t.clock t.costs.Cost_model.pte_copy;
         pte.Pagetable.prot <- prot;
@@ -344,7 +382,7 @@ let protect_range t ~addr ~pages ~prot =
    these are exactly the "behind the VM's back" mutations that used to
    touch the page table directly. *)
 let set_page_prot t ~addr ~prot =
-  match Pagetable.find t.pt ~vpn:(vpn_of addr) with
+  match Pagetable.find_private t.pt ~vpn:(vpn_of addr) with
   | Some pte ->
       pte.Pagetable.prot <- prot;
       tlb_invalidate t ~vpn:(vpn_of addr);
@@ -352,21 +390,22 @@ let set_page_prot t ~addr ~prot =
   | None -> invalid_arg (Printf.sprintf "Vm.set_page_prot: 0x%x unmapped" addr)
 
 let set_page_tag t ~addr ~tag =
-  match Pagetable.find t.pt ~vpn:(vpn_of addr) with
+  match Pagetable.find_private t.pt ~vpn:(vpn_of addr) with
   | Some pte ->
       pte.Pagetable.tag <- tag;
       tlb_invalidate t ~vpn:(vpn_of addr)
   | None -> invalid_arg (Printf.sprintf "Vm.set_page_tag: 0x%x unmapped" addr)
 
+(* Every owned vpn is mapped, so the teardown releases the whole quota
+   charge at once. *)
 let destroy t =
   tlb_flush t;
-  let frames = Pagetable.fold (fun vpn pte acc -> (vpn, pte.Pagetable.frame) :: acc) t.pt [] in
-  List.iter
-    (fun (vpn, frame) ->
-      ignore (Pagetable.unmap t.pt ~vpn);
-      release_owned t vpn;
-      Physmem.decref t.pm frame)
-    frames;
+  Pagetable.iter (fun _ pte -> Physmem.decref t.pm pte.Pagetable.frame) t.pt;
+  Pagetable.clear t.pt;
+  (match t.limits with
+  | Some l -> Rlimit.release_frames l (Hashtbl.length t.owned)
+  | None -> ());
+  Hashtbl.clear t.owned;
   if recording t then emit t (Ev_destroy { pid = t.pid })
 
 let mapped_pages t = Pagetable.count t.pt
@@ -376,8 +415,10 @@ let mapped_pages t = Pagetable.count t.pt
    ballooning the shared pristine image pays for every page it dirties).
    The frame swap happens in place — no epoch movement — so the explicit
    shootdown below is what stops a cached read entry from serving the old
-   shared frame's bytes after the break. *)
-let cow_break t ~vpn (pte : Pagetable.pte) =
+   shared frame's bytes after the break.  Returns the page's (now
+   private) pte. *)
+let cow_break t ~vpn =
+  let pte = Option.get (Pagetable.find_private t.pt ~vpn) in
   Clock.charge t.clock t.costs.Cost_model.page_copy;
   if Physmem.refcount t.pm pte.frame > 1 then begin
     let fresh = alloc_charged t vpn in
@@ -388,32 +429,34 @@ let cow_break t ~vpn (pte : Pagetable.pte) =
   pte.prot <- { pr = true; pw = true; pcow = false };
   tlb_invalidate t ~vpn;
   if recording t then
-    emit t (Ev_cow { pid = t.pid; vpn; frame = pte.frame; prot = pte.prot })
+    emit t (Ev_cow { pid = t.pid; vpn; frame = pte.frame; prot = pte.prot });
+  pte
 
 (* The slow path: one page-table walk.  Injected faults are rolled by the
    callers, once per access (see [roll_access]), not here — a bulk read
    is one access however many pages it crosses. *)
 let pte_for t addr access check =
-  match Pagetable.find t.pt ~vpn:(vpn_of addr) with
+  let vpn = vpn_of addr in
+  match Pagetable.find t.pt ~vpn with
   | None -> fault t addr access "unmapped page"
-  | Some pte ->
+  | Some pte -> (
       let p = pte.Pagetable.prot in
-      (match access with
-      | Read -> if check && not p.Prot.pr then fault t addr Read "no read permission"
+      match access with
+      | Read ->
+          if check && not p.Prot.pr then fault t addr Read "no read permission";
+          pte
       | Write ->
-          if p.Prot.pw then ()
-          else if p.Prot.pcow then cow_break t ~vpn:(vpn_of addr) pte
+          if p.Prot.pw then pte
+          else if p.Prot.pcow then cow_break t ~vpn
           else if check then fault t addr Write "no write permission"
-          else if not p.Prot.pw then
+          else if Physmem.refcount t.pm pte.Pagetable.frame > 1 then begin
             (* Kernel writes still must not corrupt shared frames. *)
-            if Physmem.refcount t.pm pte.Pagetable.frame > 1 then begin
-              let prot = p in
-              cow_break t ~vpn:(vpn_of addr) pte;
-              pte.Pagetable.prot <- prot;
-              if recording t then
-                emit t (Ev_prot { pid = t.pid; vpn = vpn_of addr; prot })
-            end);
-      pte
+            let pte = cow_break t ~vpn in
+            pte.Pagetable.prot <- p;
+            if recording t then emit t (Ev_prot { pid = t.pid; vpn; prot = p });
+            pte
+          end
+          else pte)
 
 (* Can a cached entry serve this access?  Reads need pr (kernel reads are
    exempt, as in the slow path); writes need pw exactly — a COW page must

@@ -115,7 +115,11 @@ val create :
 val pid : t -> int
 val page_table : t -> Pagetable.t
 
-(** {2 Mapping} *)
+(** {2 Mapping}
+
+    Every mapping call refuses a vpn that is already mapped with
+    [Invalid_argument] before it allocates a frame, takes a reference or
+    charges anything: a refused mapping changes nothing. *)
 
 val map_fresh :
   t -> addr:int -> pages:int -> prot:Prot.page -> tag:int option -> unit
@@ -134,13 +138,37 @@ type frozen_page = {
   fz_tag : int option;
 }
 
-val map_image : t -> frozen_page list -> unit
-(** Bulk-install a frozen snapshot image: each page takes one frame
-    reference and lands directly in the page table.
-    No per-page cost is charged — the caller accounts one flat stamp
-    charge however many pages the image holds (the point of checkpoint/
-    restore spawn).  Recorder events are emitted per page so differential
-    reference VMs track the mappings. *)
+type image
+(** A snapshot of an address space: its page records, and the read-only
+    page table ({!Pagetable.base}) built from them once.  Every address
+    space restored from the snapshot maps through that one table. *)
+
+val image : frozen_page list -> image
+(** Builds the snapshot's table.  The caller holds the frame references
+    the records stand for. *)
+
+val image_pages : image -> frozen_page list
+(** The records the table was built from, in the order given. *)
+
+val image_table : image -> Pagetable.base
+(** The shared table, for checking it against {!image_pages}.
+    Read-only. *)
+
+val image_size : image -> int
+(** Number of pages. *)
+
+val map_image : t -> image -> unit
+(** Install a snapshot under an empty address space by pointing it at the
+    image's shared table: nothing is copied and nothing is allocated per
+    page, so a spawn's host cost does not grow with the image.  Each
+    page still takes one frame reference, so refcounts, COW breaks and
+    the image's discard behave as if the entries had been copied; writes,
+    protection changes and retags copy an entry into the address space's
+    own table first, so they never reach the image or its other users.
+    No cost is charged — each caller charges its own spawn price.
+    Recorder events are emitted per page so differential reference VMs
+    track the mappings.  Raises [Invalid_argument], before taking any
+    reference, if the address space already maps a page. *)
 
 val share_range :
   src:t -> dst:t -> addr:int -> pages:int -> prot:Prot.page -> unit
@@ -165,7 +193,8 @@ val set_page_tag : t -> addr:int -> tag:int option -> unit
     Raises [Invalid_argument] if unmapped. *)
 
 val destroy : t -> unit
-(** Unmap everything, releasing frame references (flushes the TLB first). *)
+(** Unmap everything, releasing frame references and the frame-quota
+    charge (flushes the TLB first).  Allocates nothing per page. *)
 
 val mapped_pages : t -> int
 

@@ -249,6 +249,129 @@ let test_pagetable_unmap () =
   check Alcotest.bool "gone" false (Pagetable.mem pt ~vpn:5);
   check Alcotest.bool "unmap missing is None" true (Pagetable.unmap pt ~vpn:5 = None)
 
+(* Two tables over one base: each sees the base through its own overlay,
+   and nothing one does — a private rewrite, an unmap, a remap — reaches
+   the base or the other table. *)
+let test_pagetable_shared_base () =
+  let entry frame = { Pagetable.frame; prot = Prot.page_cow; tag = None } in
+  let base = Pagetable.base [ (1, entry 10); (2, entry 20); (3, entry 30) ] in
+  let a = Pagetable.create () and b = Pagetable.create () in
+  Pagetable.set_base a base;
+  Pagetable.set_base b base;
+  let seen pt =
+    Pagetable.fold (fun vpn pte acc -> (vpn, pte.Pagetable.frame, pte.Pagetable.prot) :: acc) pt []
+    |> List.sort compare
+  in
+  let original = seen b in
+  check Alcotest.int "base visible" 3 (Pagetable.count a);
+  (match Pagetable.find_private a ~vpn:1 with
+  | Some pte ->
+      pte.Pagetable.frame <- 11;
+      pte.Pagetable.prot <- Prot.page_rw
+  | None -> Alcotest.fail "base entry not found");
+  check Alcotest.bool "private rewrite visible to its table" true
+    (match Pagetable.find a ~vpn:1 with Some pte -> pte.Pagetable.frame = 11 | None -> false);
+  check Alcotest.int "a copy is not a second mapping" 3 (Pagetable.count a);
+  check Alcotest.bool "unmap through the base" true (Pagetable.unmap a ~vpn:2 <> None);
+  check Alcotest.bool "unmapped vpn gone" false (Pagetable.mem a ~vpn:2);
+  check Alcotest.bool "unmap of a private copy" true (Pagetable.unmap a ~vpn:1 <> None);
+  check Alcotest.bool "copied vpn does not reappear" true (Pagetable.find a ~vpn:1 = None);
+  Pagetable.map a ~vpn:2 ~frame:22 ~prot:Prot.page_r ~tag:None;
+  check Alcotest.int "count after unmaps and a remap" 2 (Pagetable.count a);
+  check Alcotest.bool "visible set" true
+    (List.map (fun (v, f, _) -> (v, f)) (seen a) = [ (2, 22); (3, 30) ]);
+  check Alcotest.bool "the other table sees the base unchanged" true (seen b = original);
+  (match Pagetable.base_find base ~vpn:1 with
+  | Some pte -> check Alcotest.int "base entry never written" 10 pte.Pagetable.frame
+  | None -> Alcotest.fail "base lost an entry");
+  check Alcotest.bool "second base refused" true
+    (match Pagetable.set_base a base with
+    | () -> false
+    | exception Invalid_argument _ -> true);
+  Pagetable.clear a;
+  check Alcotest.int "clear drops overlay and base" 0 (Pagetable.count a);
+  check Alcotest.int "base still whole" 3 (Pagetable.base_count base)
+
+(* A refused mapping changes nothing: no frame reference, no frame, no
+   charge. *)
+let test_vm_refused_mapping_takes_nothing () =
+  let pm = Physmem.create () in
+  let clock = Clock.create () in
+  let vm1 = Vm.create ~pid:1 pm clock Cost_model.default in
+  let vm2 = Vm.create ~pid:2 pm clock Cost_model.default in
+  Vm.map_fresh vm1 ~addr:0x1000 ~pages:1 ~prot:Prot.page_rw ~tag:None;
+  Vm.share_range ~src:vm1 ~dst:vm2 ~addr:0x1000 ~pages:1 ~prot:Prot.page_r;
+  let frame =
+    match Pagetable.find (Vm.page_table vm1) ~vpn:1 with
+    | Some pte -> pte.Pagetable.frame
+    | None -> Alcotest.fail "unmapped"
+  in
+  let refused what f =
+    let t0 = Clock.now clock and frames = Physmem.frames_in_use pm in
+    (match f () with
+    | () -> Alcotest.fail (what ^ ": expected Invalid_argument")
+    | exception Invalid_argument _ -> ());
+    check Alcotest.int (what ^ ": refcount unchanged") 2 (Physmem.refcount pm frame);
+    check Alcotest.int (what ^ ": no frame allocated") frames (Physmem.frames_in_use pm);
+    check Alcotest.int (what ^ ": nothing charged") t0 (Clock.now clock)
+  in
+  refused "map_frame" (fun () ->
+      Vm.map_frame vm2 ~addr:0x1000 ~frame ~prot:Prot.page_r ~tag:None);
+  refused "share_range" (fun () ->
+      Vm.share_range ~src:vm1 ~dst:vm2 ~addr:0x1000 ~pages:1 ~prot:Prot.page_r);
+  refused "map_fresh" (fun () ->
+      Vm.map_fresh vm2 ~addr:0x1000 ~pages:1 ~prot:Prot.page_rw ~tag:None);
+  Vm.destroy vm1;
+  Vm.destroy vm2;
+  check Alcotest.int "every frame released" 0 (Physmem.frames_in_use pm)
+
+(* Two address spaces restored from one image share its table: each
+   takes a reference per page, writes break onto private frames, and a
+   protection change or an unmap in one is invisible to the other. *)
+let test_vm_map_image_shares_one_table () =
+  let pm, vm0 = mk_vm () in
+  Vm.map_fresh vm0 ~addr:0x1000 ~pages:2 ~prot:Prot.page_rw ~tag:None;
+  Vm.write_bytes vm0 0x1000 (Bytes.of_string "image");
+  let pages =
+    List.map
+      (fun vpn ->
+        let pte = Option.get (Pagetable.find (Vm.page_table vm0) ~vpn) in
+        Physmem.incref pm pte.Pagetable.frame;
+        { Vm.fz_vpn = vpn; fz_frame = pte.Pagetable.frame; fz_prot = Prot.page_cow; fz_tag = None })
+      [ 1; 2 ]
+  in
+  Vm.destroy vm0;
+  let image = Vm.image pages in
+  let clock = Clock.create () in
+  let a = Vm.create ~pid:2 pm clock Cost_model.free in
+  let b = Vm.create ~pid:3 pm clock Cost_model.free in
+  Vm.map_image a image;
+  Vm.map_image b image;
+  let f1 = (List.hd pages).Vm.fz_frame in
+  check Alcotest.int "one reference per space" 3 (Physmem.refcount pm f1);
+  Vm.write_bytes a 0x1000 (Bytes.of_string "mine!");
+  Vm.protect_range a ~addr:0x2000 ~pages:1 ~prot:Prot.page_none;
+  check Alcotest.string "writer sees its write" "mine!" (Bytes.to_string (Vm.read_bytes a 0x1000 5));
+  check Alcotest.string "sibling reads the image" "image" (Bytes.to_string (Vm.read_bytes b 0x1000 5));
+  expect_fault (fun () -> Vm.read_u8 a 0x2000);
+  check Alcotest.bool "protect stays private" true (Vm.can_read b ~addr:0x2000 ~len:1);
+  Vm.unmap_range b ~addr:0x2000 ~pages:1;
+  expect_fault (fun () -> Vm.read_u8 b 0x2000);
+  check Alcotest.int "unmap stays private" 2 (Vm.mapped_pages a);
+  (match Pagetable.base_find (Vm.image_table image) ~vpn:1 with
+  | Some pte ->
+      check Alcotest.int "image entry keeps its frame" f1 pte.Pagetable.frame;
+      check Alcotest.bool "and its protection" true (pte.Pagetable.prot = Prot.page_cow)
+  | None -> Alcotest.fail "image lost a page");
+  check Alcotest.bool "a second install is refused" true
+    (match Vm.map_image a image with () -> false | exception Invalid_argument _ -> true);
+  check Alcotest.int "and takes no reference" 2 (Physmem.refcount pm f1);
+  Vm.destroy a;
+  Vm.destroy b;
+  check Alcotest.int "image references remain" 1 (Physmem.refcount pm f1);
+  List.iter (fun fz -> Physmem.decref pm fz.Vm.fz_frame) pages;
+  check Alcotest.int "every frame released" 0 (Physmem.frames_in_use pm)
+
 (* ---------- Prot ---------- *)
 
 let test_prot_subsumption () =
@@ -634,6 +757,10 @@ let () =
           Alcotest.test_case "shared read-only write faults" `Quick test_vm_share_readonly_then_write_faults;
           Alcotest.test_case "unmap releases frames" `Quick test_vm_unmap_releases_frames;
           Alcotest.test_case "destroy" `Quick test_vm_destroy;
+          Alcotest.test_case "refused mapping takes nothing" `Quick
+            test_vm_refused_mapping_takes_nothing;
+          Alcotest.test_case "map_image shares one table" `Quick
+            test_vm_map_image_shares_one_table;
           Alcotest.test_case "kernel write preserves shared frame" `Quick
             test_vm_kernel_write_preserves_shared_frame;
           Alcotest.test_case "probes" `Quick test_vm_can_read_write_probes;
@@ -643,6 +770,7 @@ let () =
         [
           Alcotest.test_case "double map rejected" `Quick test_pagetable_double_map_rejected;
           Alcotest.test_case "unmap" `Quick test_pagetable_unmap;
+          Alcotest.test_case "shared base" `Quick test_pagetable_shared_base;
           Alcotest.test_case "epoch on structural change" `Quick
             test_pagetable_epoch_moves_on_structural_change;
         ] );

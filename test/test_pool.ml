@@ -10,6 +10,7 @@ module Kernel = Wedge_kernel.Kernel
 module Fd_table = Wedge_kernel.Fd_table
 module Layout = Wedge_kernel.Layout
 module Pagetable = Wedge_kernel.Pagetable
+module Physmem = Wedge_kernel.Physmem
 module Process = Wedge_kernel.Process
 module Prot = Wedge_kernel.Prot
 module Vm = Wedge_kernel.Vm
@@ -27,6 +28,7 @@ module Engine = Wedge_core.Engine
 module Pool = Wedge_core.Pool
 module Supervisor = Wedge_core.Supervisor
 module Oracle = Wedge_check.Oracle
+module Tag = Wedge_mem.Tag
 
 let check = Alcotest.check
 
@@ -79,6 +81,60 @@ let test_stamp_flat_vs_fresh_scaling () =
   check Alcotest.bool "fresh scales with pages" true (f2 > f1);
   check Alcotest.int "stamp flat across 10x image" s1 s2;
   check Alcotest.bool "stamp beats fresh" true (s1 < f1 && s2 < f2)
+
+(* A spawn's cost on both clocks, for images of 60, 300 and 2,000 pages:
+   a stamp plus its reap and a stamped callgate invocation charge the
+   same simulated ns whatever the image size, and so does their host
+   allocation (minor words plus words allocated directly in the major
+   heap, as the repository benchmark counts them) to within one word per
+   page.  A fork-priced [Boot] keeps its per-page simulated price — the
+   Figure 7 shape — while its host allocation stays flat too. *)
+let test_spawn_flat_on_both_clocks () =
+  let host_words () =
+    let _, promoted, major = Gc.counters () in
+    Gc.minor_words () +. (major -. promoted)
+  in
+  let measure pages =
+    let k, _, main = mk ~costs:Cost_model.default ~image_pages:pages () in
+    let clock = k.Kernel.clock in
+    let costs = ref None in
+    Fiber.run ~clock (fun () ->
+        let pool = W.Pool.freeze ~name:"w" main (W.sc_create ()) in
+        let gate =
+          W.Pool.sc_cgate_add pool main (W.sc_create ()) ~name:"g"
+            ~entry:(fun _ ~trusted:_ ~arg:_ -> 0)
+            ~cgsc:(W.sc_create ()) ~trusted:0
+        in
+        (* The second run is measured: the first grows the kernel's own
+           tables (process table, counters) to their steady size. *)
+        let cost f =
+          f ();
+          let w0 = host_words () and t0 = Clock.now clock in
+          f ();
+          (Clock.now clock - t0, host_words () -. w0)
+        in
+        costs :=
+          Some
+            ( cost (fun () -> ignore (W.Pool.stamp main pool noop 0)),
+              cost (fun () -> ignore (W.cgate main gate ~perms:(W.sc_create ()) ~arg:0)),
+              cost (fun () -> ignore (W.sthread_create main (W.sc_create ()) noop 0)) ));
+    Option.get !costs
+  in
+  let s1, g1, b1 = measure 60 and s2, g2, _ = measure 300 and s3, g3, b3 = measure 2_000 in
+  List.iter
+    (fun (what, (ns1, _), (ns2, _), (ns3, _)) ->
+      check Alcotest.int (what ^ ": simulated ns flat, 60 -> 300 pages") ns1 ns2;
+      check Alcotest.int (what ^ ": simulated ns flat, 60 -> 2,000 pages") ns1 ns3)
+    [ ("stamp", s1, s2, s3); ("stamped gate", g1, g2, g3) ];
+  check Alcotest.int "boot pays a pte_copy per page"
+    (fst b1 + (1_940 * Cost_model.default.Cost_model.pte_copy))
+    (fst b3);
+  List.iter
+    (fun (what, (_, words1), (_, words3)) ->
+      if words3 -. words1 >= 1_940. then
+        Alcotest.failf "%s: host words grow by %.0f from 60 to 2,000 pages (%.0f -> %.0f)" what
+          (words3 -. words1) words1 words3)
+    [ ("stamp", s1, s3); ("stamped gate", g1, g3); ("boot", b1, b3) ]
 
 let test_stamp_cow_preserves_frozen_image () =
   let k, app, main = mk () in
@@ -361,6 +417,147 @@ let test_stamped_gate_refuses_foreign_image () =
         | exception Invalid_argument _ -> true
         | _ -> false))
 
+(* ---------- isolation through the shared image table ---------- *)
+
+(* Every compartment stamped from an image maps it through one shared
+   page table.  Whatever one of them does to a page it sees through that
+   table — a write, a protection change, a retag, an unmap, a fork's COW
+   downgrade — must stay in its own address space: its siblings and
+   every later stamp still map and read the image as frozen.  The oracle
+   runs at every system call, and checks the table against the image's
+   records. *)
+
+(* What a compartment maps and reads: every pte, with a digest of the
+   bytes behind it, taken from ground truth (no TLB, no clock). *)
+let view k ctx =
+  let pm = k.Kernel.pm in
+  Pagetable.fold
+    (fun vpn (pte : Pagetable.pte) acc ->
+      ( vpn,
+        pte.Pagetable.frame,
+        pte.Pagetable.prot,
+        pte.Pagetable.tag,
+        Digest.bytes (Physmem.get pm pte.Pagetable.frame) )
+      :: acc)
+    (Vm.page_table (W.proc ctx).Process.vm) []
+  |> List.sort compare
+
+(* A 60-page world whose oracle runs at every system call while [f]
+   does, and once more after. *)
+let with_oracle f =
+  let k, app, main = mk ~image_pages:60 () in
+  let oracle = Oracle.create k in
+  Oracle.set_app oracle app;
+  Oracle.install_syscall_hook oracle;
+  Fun.protect
+    ~finally:(fun () -> Oracle.remove_syscall_hook oracle)
+    (fun () ->
+      Fiber.run (fun () -> f k main oracle);
+      Oracle.check oracle)
+
+(* An image warmed with one heap word, 0xBEEF, and carrying a two-page
+   tag granted read-write. *)
+let freeze_shared main =
+  let shared = W.tag_new ~name:"shared" ~pages:2 main in
+  let sc = W.sc_create () in
+  W.sc_mem_add sc shared Prot.RW;
+  let heap = ref 0 in
+  let warm ctx =
+    heap := W.malloc ctx 64;
+    W.write_u64 ctx !heap 0xBEEF
+  in
+  let pool = W.Pool.freeze ~name:"shared" ~warm main sc in
+  (pool, shared, !heap)
+
+(* Run [body] in a compartment stamped from [pool]; it must finish. *)
+let in_stamp main pool body =
+  check Alcotest.int "stamped compartment finished" 0
+    (W.sthread_join main (W.Pool.stamp main pool (fun ctx _ -> body ctx; 0) 0))
+
+let stamped_view k main pool =
+  let seen = ref [] in
+  in_stamp main pool (fun ctx -> seen := view k ctx);
+  !seen
+
+let test_siblings_isolated_through_shared_table () =
+  with_oracle (fun k main oracle ->
+      let pool, shared, heap = freeze_shared main in
+      let image = stamped_view k main pool in
+      let data = Layout.data_base and ps = Physmem.page_size in
+      in_stamp main pool (fun sibling ->
+          in_stamp main pool (fun child ->
+              let vm = (W.proc child).Process.vm in
+              let unchanged what =
+                check Alcotest.bool (what ^ ": sibling maps and reads as before") true
+                  (view k sibling = image);
+                check Alcotest.bool (what ^ ": the image stamps as before") true
+                  (stamped_view k main pool = image);
+                Oracle.check oracle
+              in
+              W.write_u64 child heap 111;
+              W.write_u64 child data 7;
+              check Alcotest.int "child reads its write" 111 (W.read_u64 child heap);
+              check Alcotest.int "sibling reads the image" 0xBEEF (W.read_u64 sibling heap);
+              unchanged "write";
+              Vm.protect_range vm ~addr:(data + ps) ~pages:1 ~prot:Prot.page_none;
+              check Alcotest.bool "child lost the page" false
+                (W.can_read child ~addr:(data + ps) ~len:1);
+              check Alcotest.bool "sibling keeps it" true
+                (W.can_read sibling ~addr:(data + ps) ~len:1);
+              unchanged "protect_range";
+              Vm.set_page_tag vm ~addr:(data + (2 * ps)) ~tag:(Some 4242);
+              unchanged "retag";
+              (* The unmap a tag deletion performs in each address space. *)
+              Vm.unmap_range vm ~addr:shared.Tag.base ~pages:shared.Tag.pages;
+              check Alcotest.bool "child lost the tag" false
+                (W.can_read child ~addr:shared.Tag.base ~len:1);
+              unchanged "unmap";
+              (* The deletion itself reaches pages seen only through the
+                 table, and nothing else. *)
+              W.tag_delete sibling shared;
+              check Alcotest.bool "tag_delete: sibling keeps every other page" true
+                (view k sibling
+                = List.filter (fun (_, _, _, tag, _) -> tag <> Some shared.Tag.id) image);
+              Oracle.check oracle)))
+
+let test_discard_under_a_live_stamp () =
+  with_oracle (fun k main oracle ->
+      let before = Physmem.frames_in_use k.Kernel.pm in
+      let heap = ref 0 in
+      let warm ctx =
+        heap := W.malloc ctx 64;
+        W.write_u64 ctx !heap 0xBEEF
+      in
+      let pool = W.Pool.freeze ~name:"w" ~warm main (W.sc_create ()) in
+      in_stamp main pool (fun child ->
+          W.Pool.discard main pool;
+          Oracle.check oracle;
+          check Alcotest.int "child still reads the image" 0xBEEF (W.read_u64 child !heap);
+          W.write_u64 child !heap 5;
+          check Alcotest.int "and writes its own page" 5 (W.read_u64 child !heap));
+      check Alcotest.int "the image's frames die with its last user" before
+        (Physmem.frames_in_use k.Kernel.pm))
+
+let test_fork_of_a_stamp () =
+  with_oracle (fun k main _ ->
+      let pool, shared, heap = freeze_shared main in
+      let image = stamped_view k main pool in
+      let word = shared.Tag.base + 2048 in
+      in_stamp main pool (fun child ->
+          let tagged = W.read_u64 child word in
+          (* fork downgrades the stamp's writable pages — the tag's, seen
+             through the table — to copy-on-write on both sides. *)
+          let h =
+            W.fork child (fun forked ->
+                W.write_u64 forked heap 5;
+                W.write_u64 forked word (tagged + 1);
+                W.read_u64 forked heap)
+          in
+          check Alcotest.int "fork reads its write" 5 (W.sthread_join child h);
+          check Alcotest.int "stamp keeps the image's word" 0xBEEF (W.read_u64 child heap);
+          check Alcotest.int "fork's tag write stayed in the fork" tagged (W.read_u64 child word);
+          check Alcotest.bool "the image stamps as before" true (stamped_view k main pool = image)))
+
 (* ---------- fault injection on the pool sites ---------- *)
 
 let test_fault_during_freeze_leaves_no_image () =
@@ -502,6 +699,7 @@ let () =
         [
           Alcotest.test_case "freeze + stamp" `Quick test_freeze_stamp_basic;
           Alcotest.test_case "flat vs fresh scaling" `Quick test_stamp_flat_vs_fresh_scaling;
+          Alcotest.test_case "spawn flat on both clocks" `Quick test_spawn_flat_on_both_clocks;
           Alcotest.test_case "COW preserves image" `Quick test_stamp_cow_preserves_frozen_image;
           Alcotest.test_case "discard" `Quick test_discard_releases_image;
           Alcotest.test_case "duplicate name" `Quick test_duplicate_freeze_name_refused;
@@ -516,6 +714,12 @@ let () =
             test_stamped_gate_keeps_no_residue;
           Alcotest.test_case "foreign image refused" `Quick
             test_stamped_gate_refuses_foreign_image;
+        ] );
+      ( "shared table",
+        [
+          Alcotest.test_case "siblings isolated" `Quick test_siblings_isolated_through_shared_table;
+          Alcotest.test_case "discard under a live stamp" `Quick test_discard_under_a_live_stamp;
+          Alcotest.test_case "fork of a stamp" `Quick test_fork_of_a_stamp;
         ] );
       ( "faults",
         [
