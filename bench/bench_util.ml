@@ -33,9 +33,8 @@ let wall_time f =
   (v, min t1 (min t2 t3))
 
 (* Percentile by rank on an already-sorted sample list: index
-   ceil(p * (n-1)), clamped.  Hoisted here because bench_reactor and
-   bench_recovery had drifted their own copies of the same formula; the
-   unit tests in test_bench pin the rank arithmetic at the boundaries. *)
+   ceil(p * (n-1)), clamped.  test_bench pins the rank arithmetic at the
+   boundaries. *)
 let percentile sorted p =
   match sorted with
   | [] -> 0
@@ -47,8 +46,8 @@ let percentile sorted p =
 
 (* A skewed request mix.  A uniform request shape makes every sample
    identical, so p50 == p99 and a latency regression in the tail is
-   invisible — the measurement bug the reactor bench shipped with.  Real
-   traffic is long-tailed; this is the smallest honest model of it:
+   invisible.  Real traffic is long-tailed; this is the smallest honest
+   model of it:
    90% small requests, 9% medium, 1% large (rounded up so every class
    is represented even in tiny populations). *)
 type shape = { sh_chunks : int; sh_chunk_bytes : int }
@@ -66,8 +65,8 @@ let shape_label s =
 (* Stratified assignment: exact class counts (no sampling noise), then a
    Fisher-Yates shuffle under a local LCG so placement is still varied.
    No [Random]: the stream must be identical across hosts and OCaml
-   versions, because the shapes feed simulated costs that land in
-   byte-stable artifacts. *)
+   versions, because the shapes feed simulated costs that must replay
+   exactly. *)
 let skewed_classes ~seed ~n =
   if n <= 0 then [||]
   else begin

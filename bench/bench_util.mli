@@ -1,11 +1,8 @@
 (** Table formatting and measurement helpers shared by the benchmark
     harness. *)
 
-val hr : unit -> unit
-(** Print a horizontal rule. *)
-
 val header : string -> unit
-(** Experiment banner. *)
+(** Experiment banner between horizontal rules. *)
 
 val row3 : string -> string -> string -> unit
 (** Aligned three-column row. *)

@@ -202,13 +202,13 @@ let create worlds =
     shards;
   t
 
-(* Convenience: [n] bare booted worlds sharing one cost model. *)
-let make ?image_pages ?(costs = Cost_model.default) ~n () =
+(* Convenience: [n] bare booted worlds on the default cost model. *)
+let make ~n () =
   if n <= 0 then invalid_arg "Shard.make: n <= 0";
   create
     (Array.init n (fun sid ->
-         let kernel = Kernel.create ~costs ~shard:sid () in
-         let app = W.create_app ?image_pages kernel in
+         let kernel = Kernel.create ~shard:sid () in
+         let app = W.create_app kernel in
          W.boot app;
          (kernel, app)))
 
@@ -218,7 +218,7 @@ let make ?image_pages ?(costs = Cost_model.default) ~n () =
 let service_shootdown t (s : shard) ~from_sid gid =
   let costs = s.kernel.Kernel.costs in
   (* The IPI itself: serviced on the receiving shard's clock, counted on
-     its kernel — [bench -- scale] and the oracles read this stat. *)
+     its kernel — [cross_shard_shootdowns] and the oracles read this stat. *)
   Stats.bump s.kernel.Kernel.stats "tlb.cross_shard_shootdown";
   Clock.charge s.kernel.Kernel.clock costs.Cost_model.tlb_shootdown;
   (match Hashtbl.find_opt t.gtags gid with
@@ -396,7 +396,7 @@ type front = {
   f_guards : Guard.t array;
 }
 
-let front ?costs ?faults ?backlog ?header_deadline_ns ?breaker ?watchdogs ~max_conns t =
+let front ?costs ?faults ?backlog ?header_deadline_ns ~max_conns t =
   let listeners =
     Array.map
       (fun s -> Chan.listener ~clock:s.kernel.Kernel.clock ?costs ?faults ?backlog ())
@@ -404,12 +404,7 @@ let front ?costs ?faults ?backlog ?header_deadline_ns ?breaker ?watchdogs ~max_c
   in
   let guards =
     Array.map
-      (fun s ->
-        let watchdog =
-          match watchdogs with Some ws -> Some ws.(s.sid) | None -> None
-        in
-        Guard.create ~reactor:s.reactor ?header_deadline_ns ?breaker ?watchdog
-          ~max_conns ())
+      (fun s -> Guard.create ~reactor:s.reactor ?header_deadline_ns ~max_conns ())
       t.shards
   in
   { f_fab = t; f_listeners = listeners; f_guards = guards }

@@ -7,10 +7,11 @@
 
     Shards are parallel machines: each shard's simulated clock advances
     independently, so an N-shard cluster serves N connection streams in
-    parallel simulated time — that is the scale-out win [bench -- scale]
-    measures.  One cooperative {!Wedge_sim.Fiber} scheduler multiplexes
-    the whole cluster (it is a global singleton); per-shard scheduling
-    means per-shard reactors (timers) and clocks.
+    parallel simulated time (a speedup that holds by construction:
+    shards share nothing but shootdowns).  One cooperative
+    {!Wedge_sim.Fiber} scheduler multiplexes the whole cluster (it is a
+    global singleton); per-shard scheduling means per-shard reactors
+    (timers) and clocks.
 
     {b Global tags.}  A {!gtag} is a tag replicated on every shard — the
     multikernel form of a shared memory grant.  Deleting {e any} replica
@@ -42,9 +43,8 @@ val create : (Wedge_kernel.Kernel.t * Wedge_core.Engine.app) array -> t
     that build their own apps.
     @raise Invalid_argument on an empty array. *)
 
-val make :
-  ?image_pages:int -> ?costs:Wedge_sim.Cost_model.t -> n:int -> unit -> t
-(** Convenience: [n] bare booted worlds sharing one cost model. *)
+val make : n:int -> unit -> t
+(** Convenience: [n] bare booted worlds on the default cost model. *)
 
 val n : t -> int
 val shards : t -> shard array
@@ -120,15 +120,12 @@ val front :
   ?faults:Wedge_fault.Fault_plan.t ->
   ?backlog:int ->
   ?header_deadline_ns:int ->
-  ?breaker:Guard.breaker_config ->
-  ?watchdogs:Watchdog.t array ->
   max_conns:int ->
   t ->
   front
 (** Per-shard listener + {!Guard} on the shard's reactor (its clock and
-    timers); [max_conns] is per shard.  [costs] and
-    [faults] apply to the listeners' channels; [watchdogs] supplies one
-    per shard (index = shard id). *)
+    timers); [max_conns] is per shard.  [costs] and [faults] apply to
+    the listeners' channels. *)
 
 val front_fabric : front -> t
 val front_listener : front -> int -> Chan.listener

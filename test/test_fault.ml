@@ -27,6 +27,7 @@ module Client = Wedge_httpd.Https_client
 module Http = Wedge_httpd.Http
 module Pop3_env = Wedge_pop3.Pop3_env
 module Pop3_wedge = Wedge_pop3.Pop3_wedge
+module Pop3_client = Wedge_pop3.Pop3_client
 module Service = Wedge_net.Service
 
 let check = Alcotest.check
@@ -80,6 +81,55 @@ let test_disarmed_plan_is_inert () =
     (Fault_plan.site_ops p ~site:"chan.read");
   Fault_plan.arm p;
   check Alcotest.bool "fires once armed" true (Fault_plan.roll p ~site:"chan.read" <> None)
+
+(* Five pop3 sessions (login, RETR 1, QUIT) on paper-shaped prices,
+   with [faults] attached to the kernel, the channels and the scheduler.
+   Returns the clock, the kernel stats and what the client saw. *)
+let pop3_sessions ?faults () =
+  let k = Kernel.create ~costs:Cost_model.default ?faults () in
+  let clock = k.Kernel.clock in
+  Pop3_env.install k Pop3_env.default_users;
+  let app = W.create_app k in
+  W.boot app;
+  let main = W.main_ctx app in
+  let transcript = Buffer.create 1024 in
+  Fiber.run ~clock ?faults (fun () ->
+      for _ = 1 to 5 do
+        let client_ep, server_ep = Chan.pair ~clock ?faults () in
+        Fiber.spawn (fun () -> ignore (Pop3_wedge.serve_connection main server_ep));
+        let c = Pop3_client.connect client_ep in
+        let logged = Pop3_client.login c ~user:"alice" ~password:"wonderland" in
+        Printf.bprintf transcript "login=%b retr=%s\n" logged
+          (Option.value (Pop3_client.retr c 1) ~default:"-");
+        Pop3_client.quit c;
+        Chan.close client_ep
+      done);
+  (Clock.now clock, Stats.to_list k.Kernel.stats, Buffer.contents transcript)
+
+(* An armed plan whose every rule has probability 0 rolls at each of the
+   ten hook sites but never fires, so the run is indistinguishable from
+   one with no plan at all. *)
+let test_zero_rate_plan_is_trace_neutral () =
+  let plan = Fault_plan.create ~seed:1 () in
+  List.iter
+    (fun site -> Fault_plan.rule plan ~site ~prob:0. [ Fault_plan.Reset ])
+    [
+      "cgate.call"; "chan.connect"; "chan.read"; "chan.write"; "fiber.stall";
+      "fiber.yield"; "physmem.alloc"; "pool.freeze"; "pool.stamp"; "vm.access";
+    ];
+  let clock0, stats0, transcript0 = pop3_sessions () in
+  let clock, stats, transcript = pop3_sessions ~faults:plan () in
+  let mail = List.hd (List.hd Pop3_env.default_users).Pop3_env.mails in
+  check Alcotest.string "every session served"
+    (String.concat "" (List.init 5 (fun _ -> "login=true retr=" ^ mail ^ "\n")))
+    transcript0;
+  check Alcotest.int "simulated clock without a plan" 592_656 clock0;
+  check Alcotest.int "same simulated clock" clock0 clock;
+  check Alcotest.(list (pair string int)) "same kernel stats" stats0 stats;
+  check Alcotest.string "same transcript" transcript0 transcript;
+  check Alcotest.int "nothing injected" 0 (Fault_plan.injections plan);
+  check Alcotest.int "chan.read rolled" 45 (Fault_plan.site_ops plan ~site:"chan.read");
+  check Alcotest.int "vm.access rolled" 461 (Fault_plan.site_ops plan ~site:"vm.access")
 
 (* ---------- frame exhaustion ---------- *)
 
@@ -587,6 +637,8 @@ let () =
         [
           Alcotest.test_case "same seed same trace" `Quick test_same_seed_same_trace;
           Alcotest.test_case "disarmed plan inert" `Quick test_disarmed_plan_is_inert;
+          Alcotest.test_case "zero-rate plan trace-neutral" `Quick
+            test_zero_rate_plan_is_trace_neutral;
         ] );
       ( "frames",
         [

@@ -457,44 +457,65 @@ let test_refused_contained_under_supervision () =
    trap), so the pin below proves the parked server never polls the
    kernel during the silence — the reactor wakes it only when the
    interest set turns ready.  The request after the silence still
-   lands, proving the connection stayed live rather than merely quiet. *)
-let test_idle_reactor_conn_charges_no_fuel () =
+   lands, proving the connection stayed live rather than merely quiet.
+   [herd] more connections parked in [Chan.wait_rx] beside the active
+   one must change nothing: returns the stretch's simulated span. *)
+let idle_stretch ~herd =
   let k = Kernel.create ~costs:Cost_model.default () in
   let clock = k.Kernel.clock in
   let app = W.create_app k in
   W.boot app;
   let ctx = W.main_ctx app in
   let tag = W.tag_new ~name:"idle.fuel" ~pages:1 ctx in
-  let buf = W.smalloc ctx 8 tag in
+  let buf = W.smalloc ctx 64 tag in
   let r = Reactor.create ~clock () in
   let a, b = Chan.pair ~clock ~costs:Cost_model.free () in
+  let idle = Array.init herd (fun _ -> Chan.pair ~clock ~costs:Cost_model.free ()) in
   let fd = W.add_endpoint ctx (Chan.to_endpoint b) Fd_table.perm_rw in
   let limits = (W.proc ctx).Process.limits in
-  let idle_fuel = ref (-1) in
-  let got = ref 0 in
+  let fuel () = Rlimit.fuel_used limits in
+  let reads () = Stats.get k.Kernel.stats "trap.read" in
+  let got = ref 0 and readv = ref (0, 0, 0) in
+  let idle_fuel = ref (-1) and parked = ref 0 and span = ref 0 in
   Fiber.run ~on_switch:(Reactor.hook r) ~on_idle:(Reactor.idle r) (fun () ->
+      Array.iter (fun (_, ep) -> Fiber.spawn (fun () -> Chan.wait_rx ~bytes:8 ep)) idle;
       Fiber.spawn (fun () ->
           let rec loop () =
-            Chan.wait_rx ~bytes:8 b;
-            if Chan.bytes_in_flight b >= 8 then begin
-              got := W.fd_readv ctx fd [| (buf, 8) |];
+            Chan.wait_rx ~bytes:64 b;
+            if Chan.bytes_in_flight b >= 64 then begin
+              let t0 = Clock.now clock and f0 = fuel () and r0 = reads () in
+              got := W.fd_readv ctx fd (Array.init 8 (fun i -> (buf + (8 * i), 8)));
+              readv := (Clock.now clock - t0, fuel () - f0, reads () - r0);
               loop ()
             end
           in
           loop ());
-      (* Let the server reach its park before the silence starts. *)
+      (* Let the server and the herd reach their parks before the silence starts. *)
       Fiber.yield ();
-      let fuel0 = Rlimit.fuel_used limits in
+      let t0 = Clock.now clock and fuel0 = fuel () in
       for _ = 1 to 1_000 do
         Clock.charge clock 1_000;
         Fiber.yield ()
       done;
-      idle_fuel := Rlimit.fuel_used limits - fuel0;
-      Chan.write_string a "request!";
-      Fiber.wait_until ~what:"request served" (fun () -> !got = 8);
+      idle_fuel := fuel () - fuel0;
+      parked := Fiber.parked_count ();
+      Chan.write_string a (String.make 64 'r');
+      Fiber.wait_until ~what:"request served" (fun () -> !got = 64);
+      span := Clock.now clock - t0;
+      Array.iter (fun (ep, _) -> Chan.close ep) idle;
       Chan.close a);
-  check Alcotest.int "idle stretch charged zero syscall fuel" 0 !idle_fuel;
-  check Alcotest.int "request after the silence still served" 8 !got
+  let label what = Printf.sprintf "%s (%d idle beside)" what herd in
+  check Alcotest.int (label "idle stretch charged zero syscall fuel") 0 !idle_fuel;
+  check Alcotest.int (label "server and herd parked, not polling") (herd + 1) !parked;
+  check Alcotest.int (label "request after the silence still served") 64 !got;
+  check
+    Alcotest.(triple int int int)
+    (label "8-run readv: simulated ns, fuel, trap.read") (1_434, 1, 1) !readv;
+  !span
+
+let test_idle_reactor_conn_charges_no_fuel () =
+  let alone = idle_stretch ~herd:0 in
+  check Alcotest.int "idle connections add no simulated ns" alone (idle_stretch ~herd:1_000)
 
 let () =
   Alcotest.run "guard"

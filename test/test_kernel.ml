@@ -536,13 +536,29 @@ let mk_vm_costed ?limits () =
 
 let test_tlb_counters () =
   let _, vm = mk_vm () in
-  Vm.map_fresh vm ~addr:0x1000 ~pages:1 ~prot:Prot.page_rw ~tag:None;
+  Vm.map_fresh vm ~addr:0x1000 ~pages:2 ~prot:Prot.page_rw ~tag:None;
   ignore (Vm.read_u8 vm 0x1000);
   check Alcotest.int "first access misses" 1 (Vm.tlb_misses vm);
   ignore (Vm.read_u8 vm 0x1004);
   ignore (Vm.read_u8 vm 0x1008);
   check Alcotest.int "subsequent accesses hit" 2 (Vm.tlb_hits vm);
-  check Alcotest.int "no further misses" 1 (Vm.tlb_misses vm)
+  check Alcotest.int "no further misses" 1 (Vm.tlb_misses vm);
+  (* Bulk accesses on a warm TLB translate once per page touched; a
+     multi-page write probes every page, then copies. *)
+  ignore (Vm.read_u8 vm 0x2000);
+  List.iter
+    (fun (what, want, access) ->
+      let h0 = Vm.tlb_hits vm in
+      access ();
+      check Alcotest.int (what ^ ": hits") want (Vm.tlb_hits vm - h0))
+    [
+      ("read_u64", 1, fun () -> ignore (Vm.read_u64 vm 0x1010));
+      ("write_u64", 1, fun () -> Vm.write_u64 vm 0x1010 7);
+      ("aligned 4 KiB read_bytes", 1, fun () -> ignore (Vm.read_bytes vm 0x1000 4096));
+      ("straddling 4 KiB read_bytes", 2, fun () -> ignore (Vm.read_bytes vm 0x1800 4096));
+      ("straddling 4 KiB write_bytes", 4, fun () -> Vm.write_bytes vm 0x1800 (Bytes.create 4096));
+    ];
+  check Alcotest.int "bulk accesses never miss a warm TLB" 2 (Vm.tlb_misses vm)
 
 let test_tlb_protect_revokes_immediately () =
   (* The security invariant of the whole cache: a permissions downgrade

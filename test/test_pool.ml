@@ -601,32 +601,52 @@ let test_fault_during_stamp_image_pristine () =
 
 (* ---------- supervisor integration ---------- *)
 
+(* A faulted pooled child restarts by restamping: on paper-shaped prices
+   at 300 pages its recovery, from the fault to the next attempt's first
+   instruction, is a stamp, where a [Fresh] child pays a fork-priced boot
+   of the whole image. *)
 let test_from_pool_child_restamps () =
-  let k, app, main = mk () in
-  Fiber.run (fun () ->
-      let pool = W.Pool.freeze ~name:"w" main (W.sc_create ()) in
-      let node = Supervisor.node ~name:"t" main in
-      let c =
-        Supervisor.child
-          ~policy:(Supervisor.policy ~max_restarts:2 ())
-          ~restart:(Supervisor.From_pool pool) node ~name:"w"
-      in
-      let attempts = ref 0 in
-      let outcome =
-        Supervisor.run_child_sthread c (W.sc_create ())
-          (fun _ _ ->
-            incr attempts;
-            if !attempts = 1 then raise (Fault_plan.Injected "first attempt dies");
-            7)
-          0
-      in
-      (match outcome with
-      | Supervisor.Done { value; _ } ->
-          check Alcotest.int "restamped attempt served" 7 value
-      | Supervisor.Gave_up _ -> Alcotest.fail "pooled child gave up");
-      check Alcotest.int "two attempts" 2 !attempts;
-      check Alcotest.int "both attempts stamped from pool" 2 app.Engine.pool_stamps);
-  sweep k app
+  let run ~pooled =
+    let k, app, main = mk ~costs:Cost_model.default ~image_pages:300 () in
+    let clock = k.Kernel.clock in
+    let gap = ref 0 in
+    Fiber.run ~clock (fun () ->
+        let pool = W.Pool.freeze ~name:"w" main (W.sc_create ()) in
+        let node = Supervisor.node ~name:"t" main in
+        let c =
+          Supervisor.child
+            ~policy:(Supervisor.policy ~max_restarts:2 ())
+            ~restart:(if pooled then Supervisor.From_pool pool else Supervisor.Fresh)
+            node ~name:"w"
+        in
+        let attempts = ref 0 and fault_at = ref 0 in
+        let outcome =
+          Supervisor.run_child_sthread c (W.sc_create ())
+            (fun _ _ ->
+              incr attempts;
+              if !attempts = 1 then begin
+                fault_at := Clock.now clock;
+                raise (Fault_plan.Injected "first attempt dies")
+              end;
+              gap := Clock.now clock - !fault_at;
+              7)
+            0
+        in
+        (match outcome with
+        | Supervisor.Done { value; _ } ->
+            check Alcotest.int "restarted attempt served" 7 value
+        | Supervisor.Gave_up _ -> Alcotest.fail "supervised child gave up");
+        check Alcotest.int "two attempts" 2 !attempts;
+        check Alcotest.int "attempts stamped from pool" (if pooled then 2 else 0)
+          app.Engine.pool_stamps);
+    sweep k app;
+    !gap
+  in
+  let pooled = run ~pooled:true in
+  check
+    Alcotest.(pair int int)
+    "fault to next attempt, pooled vs fresh (simulated ns)" (8_550, 64_600)
+    (pooled, run ~pooled:false)
 
 let test_from_pool_quarantine_is_shorter () =
   (* Quarantine length is priced against restart cost: a pooled child is

@@ -141,7 +141,40 @@ let test_shootdown_fan_out_n4 () =
         (xshoot_stat fab sid))
     [ (0, 1); (1, 2); (2, 1); (3, 2) ];
   check (Alcotest.option Alcotest.string) "fabric self_check clean" None
-    (Shard.self_check fab)
+    (Shard.self_check fab);
+  (* Under churn too: 4 fibers per shard create, grant and delete local
+     tags around sthreads while 8 gtags rotate out of shards i mod 4.
+     Only the gtag deletes broadcast. *)
+  let churned =
+    with_fabric 4 (fun fab ->
+        let busy = ref 0 in
+        Array.iter
+          (fun s ->
+            let main = W.main_ctx s.Shard.app in
+            for _ = 1 to 4 do
+              incr busy;
+              Fiber.spawn (fun () ->
+                  for _ = 1 to 50 do
+                    let tag = W.tag_new ~name:"local" ~pages:1 main and sc = W.sc_create () in
+                    W.sc_mem_add sc tag Prot.R;
+                    ignore (W.sthread_join main (W.sthread_create main sc (fun _ _ -> 0) 0));
+                    Fiber.yield ();
+                    W.tag_delete main tag
+                  done;
+                  decr busy)
+            done)
+          (Shard.shards fab);
+        for i = 0 to 7 do
+          let g = Shard.gtag_new ~name:(Printf.sprintf "sess-%d" i) ~pages:1 fab in
+          Fiber.yield ();
+          Shard.gtag_delete fab ~sid:(i mod 4) g
+        done;
+        Fiber.wait_until ~what:"churn done" (fun () -> !busy = 0))
+  in
+  check Alcotest.int "eight rotations x three peers under churn" 24
+    (Shard.cross_shard_shootdowns churned);
+  check (Alcotest.option Alcotest.string) "fabric self_check clean under churn" None
+    (Shard.self_check churned)
 
 (* ---------- cluster-wide oracle sweep ---------- *)
 
