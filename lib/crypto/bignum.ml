@@ -36,12 +36,17 @@ let to_int (a : t) =
   done;
   !v
 
+(* [cmp_limbs a b lo hi] compares limbs [lo..hi] of [a] and [b]. *)
+let cmp_limbs (a : int array) (b : int array) lo hi =
+  let i = ref hi in
+  while !i >= lo && a.(!i) = b.(!i) do
+    decr i
+  done;
+  if !i < lo then 0 else if a.(!i) > b.(!i) then 1 else -1
+
 let compare (a : t) (b : t) =
   let la = Array.length a and lb = Array.length b in
-  if la <> lb then Stdlib.compare la lb
-  else
-    let rec go i = if i < 0 then 0 else if a.(i) <> b.(i) then Stdlib.compare a.(i) b.(i) else go (i - 1) in
-    go (la - 1)
+  if la <> lb then Stdlib.compare la lb else cmp_limbs a b 0 (la - 1)
 
 let equal a b = compare a b = 0
 
@@ -144,63 +149,143 @@ let shift_right (a : t) bits : t =
     end
   end
 
-(* Binary long division: O(bits(a) * limbs).  Adequate for the <= 1024-bit
-   operands the simulation uses. *)
+(* [a := a - b] over limbs [lo..hi], dropping the final borrow. *)
+let sub_in_place (a : int array) (b : int array) lo hi =
+  let borrow = ref 0 in
+  for i = lo to hi do
+    let d = a.(i) - b.(i) - !borrow in
+    a.(i) <- d land mask;
+    borrow := if d < 0 then 1 else 0
+  done
+
+(* OR [v] (at most [limb_bits] bits) into [r] at bit [pos]. *)
+let put (r : int array) pos v =
+  let i = pos / limb_bits and v = v lsl (pos mod limb_bits) in
+  r.(i) <- r.(i) lor (v land mask);
+  if v lsr limb_bits <> 0 then r.(i + 1) <- r.(i + 1) lor (v lsr limb_bits)
+
+(* The [w] (at most [limb_bits]) bits of [a] from bit [pos]. *)
+let get (a : t) pos w =
+  let i = pos / limb_bits and off = pos mod limb_bits in
+  let la = Array.length a in
+  let lo = if i < la then a.(i) lsr off else 0 in
+  let hi = if i + 1 < la then a.(i + 1) lsl (limb_bits - off) else 0 in
+  (lo lor hi) land ((1 lsl w) - 1)
+
+(* Binary long division in place: one remainder, one quotient and one
+   divisor that shifts right a bit per quotient bit.  At bit [i] the
+   divisor b * 2^i spans limbs [lo..hi] and the remainder, below twice
+   that, fits in them too, so each step touches only those limbs. *)
 let divmod (a : t) (b : t) =
   if is_zero b then raise Division_by_zero;
   if compare a b < 0 then (zero, a)
   else begin
-    let shift = num_bits a - num_bits b in
+    let la = Array.length a and nb = num_bits b in
+    let shift = num_bits a - nb in
     let q = Array.make ((shift / limb_bits) + 1) 0 in
-    let r = ref a in
-    let d = ref (shift_left b shift) in
+    let r = Array.copy a in
+    let d = Array.make la 0 in
+    Array.iteri (fun j l -> put d ((j * limb_bits) + shift) l) b;
     for i = shift downto 0 do
-      if compare !r !d >= 0 then begin
-        r := sub !r !d;
-        q.(i / limb_bits) <- q.(i / limb_bits) lor (1 lsl (i mod limb_bits))
+      let lo = i / limb_bits and hi = min (la - 1) ((i + nb) / limb_bits) in
+      if cmp_limbs r d lo hi >= 0 then begin
+        sub_in_place r d lo hi;
+        q.(lo) <- q.(lo) lor (1 lsl (i mod limb_bits))
       end;
-      d := shift_right !d 1
+      for j = max 0 (lo - 1) to hi do
+        let top = if j < hi then (d.(j + 1) land 1) lsl (limb_bits - 1) else 0 in
+        d.(j) <- (d.(j) lsr 1) lor top
+      done
     done;
-    (normalize q, !r)
+    (normalize q, normalize r)
   end
 
 let rem a b = snd (divmod a b)
 
-(* Barrett reduction: for a fixed modulus m of k limbs, precompute
-   mu = floor(base^(2k) / m); then x mod m for x < base^(2k) costs two
-   multiplications instead of a bit-by-bit division.  This is what makes
-   512-bit modexp fast enough to run hundreds of simulated SSL handshakes
-   in the benchmarks. *)
-let barrett m =
-  if is_zero m then raise Division_by_zero;
+(* Montgomery multiplication (CIOS) modulo an odd [m] of [k] limbs, with
+   R = base^k and [m' = -m^-1 mod base]: [r := a*b/R mod m] for [a], [b]
+   below [m].  [t] is a work buffer of [k + 2] limbs; [r] may alias [a] or
+   [b]. *)
+let mont_mul (m : int array) m' (t : int array) (a : int array) (b : int array) (r : int array) =
   let k = Array.length m in
-  let b2k = shift_left one (2 * k * limb_bits) in
-  let mu = fst (divmod b2k m) in
-  fun x ->
-    if compare x m < 0 then x
-    else begin
-      let q1 = shift_right x ((k - 1) * limb_bits) in
-      let q2 = mul q1 mu in
-      let q3 = shift_right q2 ((k + 1) * limb_bits) in
-      let qm = mul q3 m in
-      let r = ref (if compare x qm >= 0 then sub x qm else x) in
-      while compare !r m >= 0 do
-        r := sub !r m
-      done;
-      !r
-    end
+  Array.fill t 0 (k + 2) 0;
+  for i = 0 to k - 1 do
+    let bi = b.(i) in
+    let c = ref 0 in
+    for j = 0 to k - 1 do
+      let v = t.(j) + (a.(j) * bi) + !c in
+      t.(j) <- v land mask;
+      c := v lsr limb_bits
+    done;
+    let v = t.(k) + !c in
+    t.(k) <- v land mask;
+    t.(k + 1) <- v lsr limb_bits;
+    let u = (t.(0) * m') land mask in
+    let c = ref ((t.(0) + (u * m.(0))) lsr limb_bits) in
+    for j = 1 to k - 1 do
+      let v = t.(j) + (u * m.(j)) + !c in
+      t.(j - 1) <- v land mask;
+      c := v lsr limb_bits
+    done;
+    let v = t.(k) + !c in
+    t.(k - 1) <- v land mask;
+    t.(k) <- t.(k + 1) + (v lsr limb_bits)
+  done;
+  if t.(k) <> 0 || cmp_limbs t m 0 (k - 1) >= 0 then sub_in_place t m 0 (k - 1);
+  Array.blit t 0 r 0 k
+
+(* Left-to-right square-and-multiply in Montgomery form.  The k-limb
+   buffers are allocated once per call; R^2 mod m comes from doubling
+   2^(bits m - 1) in place. *)
+let modexp_odd (a : t) ~exp (m : t) =
+  let k = Array.length m in
+  let m' =
+    (* Newton's iteration doubles the correct low bits of m0^-1: 3, 6, ... 48. *)
+    let inv = ref m.(0) in
+    for _ = 1 to 4 do
+      inv := !inv * (2 - (m.(0) * !inv)) land mask
+    done;
+    (base - !inv) land mask
+  in
+  let t = Array.make (k + 2) 0 in
+  let r2 = Array.make k 0 in
+  let top = num_bits m - 1 in
+  put r2 top 1;
+  for _ = top + 1 to 2 * k * limb_bits do
+    let c = ref 0 in
+    for j = 0 to k - 1 do
+      let v = (r2.(j) lsl 1) lor !c in
+      r2.(j) <- v land mask;
+      c := v lsr limb_bits
+    done;
+    if !c <> 0 || cmp_limbs r2 m 0 (k - 1) >= 0 then sub_in_place r2 m 0 (k - 1)
+  done;
+  let b = Array.make k 0 in
+  let a = rem a m in
+  Array.blit a 0 b 0 (Array.length a);
+  mont_mul m m' t b r2 b;
+  let x = Array.copy b in
+  for i = num_bits exp - 2 downto 0 do
+    mont_mul m m' t x x x;
+    if bit exp i then mont_mul m m' t x b x
+  done;
+  Array.fill b 0 k 0;
+  b.(0) <- 1;
+  mont_mul m m' t x b x;
+  normalize x
 
 let modexp ~base:b ~exp ~m =
   if is_zero m then raise Division_by_zero;
   if equal m one then zero
+  else if is_zero exp then one
+  else if not (is_even m) then modexp_odd b ~exp m
   else begin
-    let reduce = barrett m in
     let result = ref one in
     let b = ref (rem b m) in
     let nbits = num_bits exp in
     for i = 0 to nbits - 1 do
-      if bit exp i then result := reduce (mul !result !b);
-      if i < nbits - 1 then b := reduce (mul !b !b)
+      if bit exp i then result := rem (mul !result !b) m;
+      if i < nbits - 1 then b := rem (mul !b !b) m
     done;
     !result
   end
@@ -233,9 +318,12 @@ let modinv a ~m =
   go m false zero a false one
 
 let of_bytes_be b =
-  let r = ref zero in
-  Bytes.iter (fun c -> r := add (shift_left !r 8) (of_int (Char.code c))) b;
-  !r
+  let n = Bytes.length b in
+  let r = Array.make (((8 * n) + limb_bits - 1) / limb_bits) 0 in
+  for i = 0 to n - 1 do
+    put r (8 * i) (Char.code (Bytes.get b (n - 1 - i)))
+  done;
+  normalize r
 
 let to_bytes_be ?len (a : t) =
   let nbytes = (num_bits a + 7) / 8 in
@@ -243,43 +331,37 @@ let to_bytes_be ?len (a : t) =
   let out_len = match len with Some l -> l | None -> nbytes in
   if nbytes > out_len then invalid_arg "Bignum.to_bytes_be: value too large for len";
   let b = Bytes.make out_len '\000' in
-  let v = ref a in
-  for i = out_len - 1 downto out_len - nbytes do
-    (match !v with
-    | [||] -> ()
-    | limbs -> Bytes.set b i (Char.chr (limbs.(0) land 0xff)));
-    v := shift_right !v 8
+  for i = 0 to nbytes - 1 do
+    Bytes.set b (out_len - 1 - i) (Char.chr (get a (8 * i) 8))
   done;
   b
 
 let of_hex s =
-  let r = ref zero in
-  String.iter
-    (fun c ->
-      let d =
-        match c with
-        | '0' .. '9' -> Char.code c - Char.code '0'
-        | 'a' .. 'f' -> Char.code c - Char.code 'a' + 10
-        | 'A' .. 'F' -> Char.code c - Char.code 'A' + 10
-        | '_' | ' ' -> -1
-        | _ -> invalid_arg "Bignum.of_hex"
-      in
-      if d >= 0 then r := add (shift_left !r 4) (of_int d))
-    s;
-  !r
+  let digit c =
+    match c with
+    | '0' .. '9' -> Char.code c - Char.code '0'
+    | 'a' .. 'f' -> Char.code c - Char.code 'a' + 10
+    | 'A' .. 'F' -> Char.code c - Char.code 'A' + 10
+    | '_' | ' ' -> -1
+    | _ -> invalid_arg "Bignum.of_hex"
+  in
+  let ndigits = String.fold_left (fun n c -> if digit c >= 0 then n + 1 else n) 0 s in
+  let r = Array.make (((4 * ndigits) + limb_bits - 1) / limb_bits) 0 in
+  let pos = ref 0 in
+  for i = String.length s - 1 downto 0 do
+    let d = digit s.[i] in
+    if d >= 0 then begin
+      put r !pos d;
+      pos := !pos + 4
+    end
+  done;
+  normalize r
 
 let to_hex (a : t) =
   if is_zero a then "0"
-  else begin
-    let buf = Buffer.create 32 in
-    let v = ref a in
-    while not (is_zero !v) do
-      let digit = (match !v with [||] -> 0 | l -> l.(0)) land 0xf in
-      Buffer.add_char buf "0123456789abcdef".[digit];
-      v := shift_right !v 4
-    done;
-    String.init (Buffer.length buf) (fun i -> Buffer.nth buf (Buffer.length buf - 1 - i))
-  end
+  else
+    let n = (num_bits a + 3) / 4 in
+    String.init n (fun i -> "0123456789abcdef".[get a (4 * (n - 1 - i)) 4])
 
 let random_bits rng ~bits =
   if bits <= 0 then invalid_arg "Bignum.random_bits";

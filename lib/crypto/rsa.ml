@@ -55,12 +55,25 @@ let encrypt rng pub msg =
   let m = B.of_bytes_be buf in
   B.to_bytes_be ~len:k (B.modexp ~base:m ~exp:pub.e ~m:pub.n)
 
+(* x^d mod n by Garner's CRT over the key's own primes, as OpenSSL's
+   RSA_eay_mod_exp does: two half-width exponentiations, then
+   m = mq + q * (q^-1 * (mp - mq) mod p), with p added to keep the
+   difference non-negative.  q^-1 mod p is q^(p-2) by Fermat, since p is
+   prime. *)
+let private_op priv x =
+  let { p; q; d; _ } = priv in
+  let mp = B.modexp ~base:x ~exp:(B.rem d (B.sub p B.one)) ~m:p in
+  let mq = B.modexp ~base:x ~exp:(B.rem d (B.sub q B.one)) ~m:q in
+  let qinv = B.modexp ~base:q ~exp:(B.sub p B.two) ~m:p in
+  let diff = B.sub (B.add mp p) (B.rem mq p) in
+  B.add mq (B.mul q (B.rem (B.mul qinv diff) p))
+
 let decrypt priv ct =
   let k = modulus_bytes priv.pub in
   let c = B.of_bytes_be ct in
   if B.compare c priv.pub.n >= 0 then None
   else begin
-    let m = B.modexp ~base:c ~exp:priv.d ~m:priv.pub.n in
+    let m = private_op priv c in
     if B.num_bits m > 8 * (k - 1) then None
     else
     let buf = B.to_bytes_be ~len:(k - 1) m in
@@ -82,7 +95,7 @@ let sign priv msg =
   let h = Sha256.digest msg in
   let m = B.of_bytes_be h in
   let m = B.rem m priv.pub.n in
-  B.to_bytes_be ~len:(modulus_bytes priv.pub) (B.modexp ~base:m ~exp:priv.d ~m:priv.pub.n)
+  B.to_bytes_be ~len:(modulus_bytes priv.pub) (private_op priv m)
 
 let verify pub msg ~signature =
   let h = B.rem (B.of_bytes_be (Sha256.digest msg)) pub.n in
@@ -108,7 +121,9 @@ let priv_of_string s =
   match String.split_on_char ':' s with
   | [ "rsapriv"; e; n; d; p; q ] -> (
       match (B.of_hex e, B.of_hex n, B.of_hex d, B.of_hex p, B.of_hex q) with
-      | e, n, d, p, q when not (B.is_zero n) -> Some { pub = { n; e }; d; p; q }
+      | e, n, d, p, q when B.compare p B.two > 0 && B.compare q B.two > 0 && B.equal (B.mul p q) n
+        ->
+          Some { pub = { n; e }; d; p; q }
       | _ -> None
       | exception Invalid_argument _ -> None)
   | _ -> None

@@ -30,7 +30,8 @@ val encrypt : Drbg.t -> pub -> bytes -> bytes
 (** Random-padded encryption; output is [modulus_bytes] long. *)
 
 val decrypt : priv -> bytes -> bytes option
-(** [None] on malformed padding or out-of-range ciphertext. *)
+(** [None] on malformed padding or out-of-range ciphertext.  Like [sign],
+    computes x{^d} mod n by CRT over the key's [p] and [q]. *)
 
 val sign : priv -> bytes -> bytes
 (** Sign the SHA-256 hash of the message. *)
@@ -44,7 +45,9 @@ val pub_of_string : string -> pub option
 val priv_to_string : priv -> string
 val priv_of_string : string -> priv option
 (** Flat encoding of the whole private key, so partitioned servers can keep
-    it in tagged memory and deserialise it inside a callgate. *)
+    it in tagged memory and deserialise it inside a callgate.  [None]
+    unless [p > 2], [q > 2] and [p * q = n]: the private operation runs by
+    CRT over [p] and [q]. *)
 
 val demo_key : unit -> priv
 (** A process-wide 512-bit key generated once from a fixed seed (keygen is

@@ -15,28 +15,32 @@ let k =
   |]
 
 type ctx = {
-  mutable h : int array;
-  buf : Buffer.t;  (* pending partial block *)
+  h : int array;
+  block : bytes;  (* pending partial block *)
+  mutable fill : int;  (* bytes pending in [block] *)
   mutable total : int;  (* bytes processed *)
+  w : int array;  (* message schedule *)
 }
 
 let init () =
   {
     h = [| 0x6a09e667; 0xbb67ae85; 0x3c6ef372; 0xa54ff53a; 0x510e527f; 0x9b05688c; 0x1f83d9ab; 0x5be0cd19 |];
-    buf = Buffer.create 64;
+    block = Bytes.create 64;
+    fill = 0;
     total = 0;
+    w = Array.make 64 0;
   }
 
 let rotr x n = ((x lsr n) lor (x lsl (32 - n))) land m32
 
-let compress h (block : string) off =
-  let w = Array.make 64 0 in
+let compress t (block : bytes) off =
+  let h = t.h and w = t.w in
   for i = 0 to 15 do
     w.(i) <-
-      (Char.code block.[off + (4 * i)] lsl 24)
-      lor (Char.code block.[off + (4 * i) + 1] lsl 16)
-      lor (Char.code block.[off + (4 * i) + 2] lsl 8)
-      lor Char.code block.[off + (4 * i) + 3]
+      (Char.code (Bytes.get block (off + (4 * i))) lsl 24)
+      lor (Char.code (Bytes.get block (off + (4 * i) + 1)) lsl 16)
+      lor (Char.code (Bytes.get block (off + (4 * i) + 2)) lsl 8)
+      lor Char.code (Bytes.get block (off + (4 * i) + 3))
   done;
   for i = 16 to 63 do
     let s0 = rotr w.(i - 15) 7 lxor rotr w.(i - 15) 18 lxor (w.(i - 15) lsr 3) in
@@ -70,32 +74,44 @@ let compress h (block : string) off =
   h.(6) <- (h.(6) + !g) land m32;
   h.(7) <- (h.(7) + !hh) land m32
 
-let update_string t s =
-  t.total <- t.total + String.length s;
-  Buffer.add_string t.buf s;
-  let data = Buffer.contents t.buf in
-  let nblocks = String.length data / 64 in
-  for i = 0 to nblocks - 1 do
-    compress t.h data (i * 64)
-  done;
-  Buffer.clear t.buf;
-  Buffer.add_string t.buf (String.sub data (nblocks * 64) (String.length data - (nblocks * 64)))
+(* Whole blocks compress straight from [src]; only a partial block is
+   copied into the context. *)
+let update t src =
+  let len = Bytes.length src in
+  t.total <- t.total + len;
+  let off = ref 0 in
+  while !off < len do
+    if t.fill = 0 && len - !off >= 64 then begin
+      compress t src !off;
+      off := !off + 64
+    end
+    else begin
+      let n = min (len - !off) (64 - t.fill) in
+      Bytes.blit src !off t.block t.fill n;
+      t.fill <- t.fill + n;
+      off := !off + n;
+      if t.fill = 64 then begin
+        compress t t.block 0;
+        t.fill <- 0
+      end
+    end
+  done
 
-let update t b = update_string t (Bytes.to_string b)
+(* [update] only reads its argument. *)
+let update_string t s = update t (Bytes.unsafe_of_string s)
 
 let final t =
   let bitlen = t.total * 8 in
-  let pad_len =
-    let r = (t.total + 1) mod 64 in
-    if r <= 56 then 56 - r else 120 - r
-  in
-  let pad = Bytes.make (1 + pad_len + 8) '\000' in
-  Bytes.set pad 0 '\x80';
+  Bytes.set t.block t.fill '\x80';
+  Bytes.fill t.block (t.fill + 1) (63 - t.fill) '\000';
+  if t.fill >= 56 then begin
+    compress t t.block 0;
+    Bytes.fill t.block 0 56 '\000'
+  end;
   for i = 0 to 7 do
-    Bytes.set pad (1 + pad_len + i) (Char.chr ((bitlen lsr (8 * (7 - i))) land 0xff))
+    Bytes.set t.block (56 + i) (Char.chr ((bitlen lsr (8 * (7 - i))) land 0xff))
   done;
-  update t pad;
-  assert (Buffer.length t.buf = 0);
+  compress t t.block 0;
   let out = Bytes.create 32 in
   for i = 0 to 7 do
     Bytes.set out (4 * i) (Char.chr ((t.h.(i) lsr 24) land 0xff));
@@ -110,7 +126,9 @@ let digest b =
   update t b;
   final t
 
-let digest_string s = digest (Bytes.of_string s)
+let digest_string s = digest (Bytes.unsafe_of_string s)
 
 let hex b =
-  String.concat "" (List.map (fun c -> Printf.sprintf "%02x" (Char.code c)) (List.of_seq (Bytes.to_seq b)))
+  String.init (2 * Bytes.length b) (fun i ->
+      let c = Char.code (Bytes.get b (i / 2)) in
+      "0123456789abcdef".[if i land 1 = 0 then c lsr 4 else c land 0xf])

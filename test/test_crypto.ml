@@ -24,7 +24,13 @@ let test_bignum_int_roundtrip () =
 let test_bignum_hex () =
   check Alcotest.string "hex" "deadbeef" (B.to_hex (B.of_hex "DEADBEEF"));
   check Alcotest.string "zero" "0" (B.to_hex B.zero);
-  check Alcotest.int "hex value" 0xdeadbeef (B.to_int (B.of_hex "deadbeef"))
+  check Alcotest.int "hex value" 0xdeadbeef (B.to_int (B.of_hex "deadbeef"));
+  check Alcotest.string "separators skipped" "deadbeef01" (B.to_hex (B.of_hex "dead_BEEF 01"));
+  check Alcotest.string "leading zeros dropped" "1" (B.to_hex (B.of_hex "0000_0001"));
+  check Alcotest.bool "empty is zero" true (B.is_zero (B.of_hex ""));
+  match B.of_hex "12g4" with
+  | _ -> Alcotest.fail "expected Invalid_argument"
+  | exception Invalid_argument _ -> ()
 
 let test_bignum_bytes_be () =
   let b = Bytes.of_string "\x01\x02\x03" in
@@ -116,11 +122,85 @@ let prop_bytes_roundtrip =
       let v = B.random_bits r ~bits:(1 + Drbg.int_below r 300) in
       B.equal v (B.of_bytes_be (B.to_bytes_be v)))
 
+(* A value of exactly [w] bits, or zero when [w] is 0. *)
+let random_width r w = if w = 0 then B.zero else B.random_bits r ~bits:w
+
+(* Right-to-left square-and-multiply over [mul] and [rem]: the reference
+   every [modexp] path must agree with. *)
+let reference_modexp ~base ~exp ~m =
+  let result = ref (B.rem B.one m) and b = ref (B.rem base m) in
+  for i = 0 to B.num_bits exp - 1 do
+    if B.bit exp i then result := B.rem (B.mul !result !b) m;
+    b := B.rem (B.mul !b !b) m
+  done;
+  !result
+
+let prop_modexp_matches_reference =
+  QCheck.Test.make ~name:"modexp matches mul/rem reference, odd and even moduli" ~count:60
+    (QCheck.pair (QCheck.int_range 1 1_000_000) QCheck.bool)
+    (fun (seed, odd) ->
+      let r = Drbg.create ~seed in
+      let mbits = 2 + Drbg.int_below r 599 in
+      let m = B.random_bits r ~bits:mbits in
+      let m =
+        match (odd, B.is_even m) with
+        | true, true -> B.add m B.one
+        | false, false -> B.sub m B.one
+        | _ -> m
+      in
+      let base = random_width r (Drbg.int_below r ((2 * mbits) + 1)) in
+      let exp = random_width r (Drbg.int_below r 601) in
+      B.is_even m <> odd && B.equal (B.modexp ~base ~exp ~m) (reference_modexp ~base ~exp ~m))
+
+let prop_divmod_shapes =
+  (* Dividends narrower than, as wide as, and far wider than the divisor. *)
+  QCheck.Test.make ~name:"divmod: a = q*b + r, r < b, at every width" ~count:150
+    (QCheck.pair (QCheck.int_range 1 1_000_000) (QCheck.int_range 0 2))
+    (fun (seed, shape) ->
+      let r = Drbg.create ~seed in
+      let bbits = 8 + Drbg.int_below r 513 in
+      let abits =
+        match shape with 0 -> Drbg.int_below r bbits | 1 -> bbits | _ -> 1_040
+      in
+      let a = random_width r abits and b = B.random_bits r ~bits:bbits in
+      let q, rm = B.divmod a b in
+      B.equal a (B.add (B.mul q b) rm) && B.compare rm b < 0)
+
+let prop_conversions_roundtrip =
+  QCheck.Test.make ~name:"hex and left-padded bytes roundtrip to 1,100 bits" ~count:150
+    (QCheck.int_range 1 1_000_000)
+    (fun seed ->
+      let r = Drbg.create ~seed in
+      let v = B.random_bits r ~bits:(1 + Drbg.int_below r 1_100) in
+      let bare = B.to_bytes_be v in
+      let pad = Drbg.int_below r 9 in
+      let padded = B.to_bytes_be ~len:(Bytes.length bare + pad) v in
+      B.equal v (B.of_hex (B.to_hex v))
+      && Bytes.equal padded (Bytes.cat (Bytes.make pad '\000') bare)
+      && B.equal v (B.of_bytes_be padded))
+
 let test_bignum_modexp_edges () =
   let m = B.of_int 97 in
   check Alcotest.int "x^0 = 1" 1 (B.to_int (B.modexp ~base:(B.of_int 5) ~exp:B.zero ~m));
   check Alcotest.int "0^x = 0" 0 (B.to_int (B.modexp ~base:B.zero ~exp:(B.of_int 5) ~m));
   check Alcotest.int "mod 1 = 0" 0 (B.to_int (B.modexp ~base:(B.of_int 5) ~exp:(B.of_int 5) ~m:B.one));
+  (* Every residue of odd moduli with square factors, where powers reach
+     0 mod m: a result must come out reduced (0, not m). *)
+  let wrong =
+    List.concat_map
+      (fun m ->
+        List.concat_map
+          (fun b ->
+            List.filter_map
+              (fun e ->
+                let rec naive acc i = if i = 0 then acc else naive (acc * b mod m) (i - 1) in
+                let got = B.to_int (B.modexp ~base:(B.of_int b) ~exp:(B.of_int e) ~m:(B.of_int m)) in
+                if got = naive 1 e then None else Some (Printf.sprintf "%d^%d mod %d = %d" b e m got))
+              (List.init 7 Fun.id))
+          (List.init (2 * m) Fun.id))
+      [ 9; 45; 63; 75; 125 ]
+  in
+  check Alcotest.(list string) "small odd moduli, every base below 2m" [] wrong;
   match B.modexp ~base:B.one ~exp:B.one ~m:B.zero with
   | _ -> Alcotest.fail "expected Division_by_zero"
   | exception Division_by_zero -> ()
@@ -307,6 +387,104 @@ let prop_rsa_roundtrip_random =
       let r = Drbg.create ~seed:(Hashtbl.hash s) in
       Rsa.decrypt k (Rsa.encrypt r k.Rsa.pub (Bytes.of_string s)) = Some (Bytes.of_string s))
 
+(* The CRT private operation must agree with the plain x^d mod n. *)
+let test_rsa_crt_matches_modexp () =
+  let r = rng () in
+  let fresh = Rsa.keygen ~bits:256 (Drbg.create ~seed:0x256) in
+  (* Garner's recombination must not assume balanced primes: here
+     mq is usually far above p. *)
+  let unbalanced =
+    let r = Drbg.create ~seed:0x64 in
+    let p = Prime.gen_prime r ~bits:64 and q = Prime.gen_prime r ~bits:192 in
+    let e = B.of_int 65537 in
+    let d = B.modinv e ~m:(B.mul (B.sub p B.one) (B.sub q B.one)) in
+    { Rsa.pub = { Rsa.n = B.mul p q; e }; d; p; q }
+  in
+  List.iter
+    (fun (name, k) ->
+      let { Rsa.n; _ } = k.Rsa.pub in
+      let len = (B.num_bits n + 7) / 8 in
+      let plain x = B.to_bytes_be ~len (B.modexp ~base:x ~exp:k.Rsa.d ~m:n) in
+      for i = 1 to 8 do
+        let msg = Drbg.bytes r (1 + Drbg.int_below r 64) in
+        let h = B.rem (B.of_bytes_be (Sha256.digest msg)) n in
+        check Alcotest.string (Printf.sprintf "%s: sign %d" name i)
+          (Bytes.to_string (plain h)) (Bytes.to_string (Rsa.sign k msg));
+        let payload = Drbg.bytes r (1 + Drbg.int_below r (Rsa.max_payload k.Rsa.pub)) in
+        let ct = Rsa.encrypt r k.Rsa.pub payload in
+        let block = plain (B.of_bytes_be ct) in
+        let plen = Bytes.length payload in
+        check Alcotest.string (Printf.sprintf "%s: x^d ends in the payload %d" name i)
+          (Bytes.to_string payload)
+          (Bytes.sub_string block (len - plen) plen);
+        check Alcotest.bool (Printf.sprintf "%s: decrypt %d" name i) true
+          (Rsa.decrypt k ct = Some payload)
+      done)
+    [
+      ("demo_key", Rsa.demo_key ());
+      ("demo_key2", Rsa.demo_key2 ());
+      ("keygen 256", fresh);
+      ("64-bit p, 192-bit q", unbalanced);
+    ]
+
+let test_rsa_sign_known_answer () =
+  (* Captured before the private operation moved to CRT. *)
+  check Alcotest.string "demo_key signs \"wedge\""
+    "295d7f3e26865cac3be7a38c75b11a9902eecd833cb14fc313f39dcd85322e9a\
+     0ad45dfafd4af12a72c134afc1bc52d94acdd1ee9875e64123d4dd7a6d044ce0"
+    (Sha256.hex (Rsa.sign (Rsa.demo_key ()) (Bytes.of_string "wedge")))
+
+let test_rsa_priv_serialization () =
+  List.iter
+    (fun k ->
+      match Rsa.priv_of_string (Rsa.priv_to_string k) with
+      | Some k' -> check Alcotest.string "roundtrip" (Rsa.priv_to_string k) (Rsa.priv_to_string k')
+      | None -> Alcotest.fail "roundtrip rejected")
+    [ Rsa.demo_key (); Rsa.demo_key2 () ];
+  (* p and q are load-bearing under CRT: a block whose primes do not
+     multiply to n is corrupt. *)
+  let k = Rsa.demo_key () in
+  let with_p p = Rsa.priv_to_string { k with Rsa.p } in
+  check Alcotest.bool "another key's p" true (Rsa.priv_of_string (with_p (Rsa.demo_key2 ()).Rsa.p) = None);
+  check Alcotest.bool "p = 1" true (Rsa.priv_of_string (with_p B.one) = None);
+  check Alcotest.bool "p = 1, q = n" true
+    (Rsa.priv_of_string (Rsa.priv_to_string { k with Rsa.p = B.one; q = k.Rsa.pub.Rsa.n }) = None)
+
+(* ---------- Host allocation ---------- *)
+
+(* Host words one warm call allocates: minor words plus words allocated
+   directly in the major heap, as the repository benchmark counts them.
+   Each bound is at least 5x below the words the same call allocated
+   before the arithmetic worked in place. *)
+let test_host_words_pinned () =
+  let host_words () =
+    let _, promoted, major = Gc.counters () in
+    Gc.minor_words () +. (major -. promoted)
+  in
+  let words f =
+    f ();
+    let w0 = host_words () in
+    f ();
+    host_words () -. w0
+  in
+  let k = Rsa.demo_key () in
+  let r = rng () in
+  let payload = Bytes.make 48 'p' in
+  let ct = Rsa.encrypt r k.Rsa.pub payload in
+  let block = Rsa.priv_to_string k in
+  let kib = Bytes.make 1024 'x' and digest = Sha256.digest_string "wedge" in
+  List.iter
+    (fun (what, bound, f) ->
+      let w = words f in
+      if w > bound then Alcotest.failf "%s: %.0f host words (bound %.0f)" what w bound)
+    [
+      ("Rsa.decrypt", 5_000., fun () -> ignore (Sys.opaque_identity (Rsa.decrypt k ct)));
+      ("Rsa.encrypt", 2_000., fun () -> ignore (Sys.opaque_identity (Rsa.encrypt r k.Rsa.pub payload)));
+      ("Rsa.priv_of_string", 2_000., fun () -> ignore (Sys.opaque_identity (Rsa.priv_of_string block)));
+      ("Sha256.digest, 1 KiB", 300., fun () -> ignore (Sys.opaque_identity (Sha256.digest kib)));
+      ("Sha256.hex, 32 bytes", 100., fun () -> ignore (Sys.opaque_identity (Sha256.hex digest)));
+    ]
+
 (* ---------- DSA ---------- *)
 
 let test_dsa_sign_verify () =
@@ -378,6 +556,9 @@ let () =
             prop_big_divmod_identity;
             prop_modexp_matches_naive;
             prop_bytes_roundtrip;
+            prop_modexp_matches_reference;
+            prop_divmod_shapes;
+            prop_conversions_roundtrip;
           ] );
       ( "sha256",
         [
@@ -410,6 +591,9 @@ let () =
           Alcotest.test_case "sign/verify" `Quick test_rsa_sign_verify;
           Alcotest.test_case "pub serialization" `Quick test_rsa_pub_serialization;
           Alcotest.test_case "max payload" `Quick test_rsa_max_payload_enforced;
+          Alcotest.test_case "CRT matches x^d mod n" `Quick test_rsa_crt_matches_modexp;
+          Alcotest.test_case "sign known answer" `Quick test_rsa_sign_known_answer;
+          Alcotest.test_case "priv serialization" `Quick test_rsa_priv_serialization;
         ]
         @ qcheck [ prop_rsa_roundtrip_random ] );
       ( "dsa",
@@ -419,6 +603,7 @@ let () =
           Alcotest.test_case "randomized" `Quick test_dsa_signature_randomized;
           Alcotest.test_case "parameters sound" `Quick test_dsa_params_are_sound;
         ] );
+      ("host-words", [ Alcotest.test_case "one warm call, pinned" `Quick test_host_words_pinned ]);
       ( "drbg",
         [
           Alcotest.test_case "deterministic" `Quick test_drbg_deterministic;
