@@ -27,7 +27,7 @@ let measure () =
       ~cgsc:(W.sc_create ()) ~trusted:0
   in
   let recycled_gate =
-    W.sc_cgate_add ~recycled:true main sc ~name:"bench.noop.recycled"
+    W.sc_cgate_add ~spawn:W.Recycle main sc ~name:"bench.noop.recycled"
       ~entry:(fun _ ~trusted:_ ~arg -> arg) ~cgsc:(W.sc_create ()) ~trusted:0
   in
   let h =

@@ -360,8 +360,11 @@ let pool_registry () =
           ~warm:(fun ctx -> ignore (W.malloc ctx 64))
           main (W.sc_create ())
       in
-      ignore (W.sthread_join main (W.Pool.stamp main pool (fun _ x -> x) 0));
-      ignore (W.sthread_join main (W.Pool.stamp main pool (fun _ x -> x) 0));
+      let stamp () =
+        W.sthread_create ~spawn:(W.Stamp pool) main (W.sc_create ()) (fun _ x -> x) 0
+      in
+      ignore (W.sthread_join main (stamp ()));
+      ignore (W.sthread_join main (stamp ()));
       let keep = W.Pool.freeze ~name:"metrics.kept" main (W.sc_create ()) in
       ignore keep;
       W.Pool.discard main pool);

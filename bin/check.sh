@@ -17,6 +17,20 @@ for f in test/test_*.ml; do
   fi
 done
 
+# Builder guard: lib/core/engine.ml builds every compartment in one
+# routine (snapshot install, grant mapper, creation-fault unwind) — a
+# process created anywhere else in lib/ would skip all three.
+echo "== compartment builder guard =="
+for f in $(grep -rl 'Kernel\.new_process' lib); do
+  case "$f" in
+    lib/kernel/kernel.ml | lib/core/engine.ml) ;;
+    *)
+      echo "check.sh: $f calls Kernel.new_process outside lib/core/engine.ml" >&2
+      exit 1
+      ;;
+  esac
+done
+
 echo "== dune build @default =="
 dune build @default
 

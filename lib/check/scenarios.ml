@@ -650,7 +650,7 @@ let spawn_advantage ~image_pages =
       W.sc_set_uid pool_sc 99;
       let pool = W.Pool.freeze ~name:"storm.pool" main pool_sc in
       let t1 = Clock.now clock in
-      ignore (W.Pool.stamp main pool worker 0);
+      ignore (W.sthread_create ~spawn:(W.Stamp pool) main (W.sc_create ()) worker 0);
       stamp_ns := Clock.now clock - t1);
   if !stamp_ns >= !fresh_ns then
     raise
@@ -724,8 +724,8 @@ let run_storm ~pooled srv ~policy ~diff ~faults ~seed =
   in
   let t = Byzantine.tally () in
   let is_rejection = srv.is_rejection in
-  let pool = if pooled then Some (srv.service.Service.image env) else None in
-  let tree = Service.tree ?pool srv.service env in
+  let spawn = if pooled then Some (W.Stamp (srv.service.Service.image env)) else None in
+  let tree = Service.tree ?spawn srv.service env in
   let node, _, _ = tree in
   let heal = ref 0 in
   let probe_outcome = ref "-" in
@@ -839,7 +839,7 @@ let gtag_epilogue ~what fab =
   let cgsc = W.sc_create () in
   W.sc_mem_add cgsc r1 Prot.R;
   let gate =
-    W.sc_cgate_add ~recycled:true main1 sc ~name:"peek"
+    W.sc_cgate_add ~spawn:W.Recycle main1 sc ~name:"peek"
       ~entry:(fun gctx ~trusted:_ ~arg:_ -> W.read_u8 gctx addr)
       ~cgsc ~trusted:0
   in
@@ -1029,6 +1029,19 @@ let pool_storm srv =
     (name srv ^ " storm with pooled O(1) restamps, stamp faults, frozen-frame sweep")
     (run_storm ~pooled:true srv)
 
+(* Figures 3–5's melee with every connection's compartments and
+   callgates spawned under [Recycle]: connections in flight each take
+   their own member of a gate name. *)
+let httpd_mitm_recycle =
+  let serve supervised env c =
+    not
+      (Wedge_httpd.Httpd_mitm.serve_connection ~spawn:W.Recycle ?supervised ~guard:c env
+         (Guard.ep c))
+        .Service.degraded
+  in
+  scenario "httpd_mitm_recycle" "Figures 3-5 melee, compartments and callgates under Recycle"
+    (run_melee { httpd_mitm with service = { httpd_mitm.service with Service.serve } })
+
 let sharded srv =
   scenario (name srv ^ "_sharded")
     ("2-shard " ^ name srv ^ " behind the hashed front door, cross-shard gtag revocation")
@@ -1045,6 +1058,7 @@ let all =
     melee httpd;
     melee sshd;
     melee httpd_mitm;
+    httpd_mitm_recycle;
     storm httpd;
     storm pop3;
     storm sshd;

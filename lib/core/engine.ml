@@ -116,10 +116,10 @@ type image = {
   mutable im_live : bool;
 }
 
-(* How a callgate's invocations get their compartment: a fork-priced boot
-   of the pristine snapshot, the one long-lived sthread of a recycled
-   gate (§3.3), or a fresh compartment stamped from a frozen image for one
-   flat [pool_stamp] charge. *)
+(* How a compartment gets its address space: a fork-priced boot of the
+   pristine snapshot, a recycled gate's long-lived member (§3.3; an
+   sthread boots), or a stamp of a frozen image for one flat
+   [pool_stamp] charge. *)
 type spawn = Boot | Recycle | Stamp of image
 
 type app = {
@@ -135,9 +135,10 @@ type app = {
   mutable booted : bool;
   mutable pristine : Vm.image;  (* one frame reference each, sorted by vpn *)
   mutable main : ctx option;
-  recycled_pool : (string, pooled) Hashtbl.t;
-      (* long-lived sthreads backing recycled callgates, keyed by gate
-         name so they survive per-connection gate re-instantiation *)
+  recycled_pool : (string, member list) Hashtbl.t;
+      (* idle long-lived sthreads backing recycled callgates, keyed by
+         gate name so they survive per-connection gate re-instantiation;
+         a member serving a call is out of its list until the call ends *)
   mutable frozen_images : image list;
       (* frozen snapshot-pool images, newest first; each page holds one
          Physmem reference until the image is discarded *)
@@ -152,9 +153,9 @@ type app = {
          yield/park while it waits for remote acks. *)
 }
 
-and pooled = {
-  mutable p_ctx : ctx;
-  mutable p_sc : Sc.t;  (* grants currently mapped into the pooled sthread *)
+and member = {
+  m_ctx : ctx;
+  mutable m_sc : Sc.t;  (* the gate grants currently mapped into it *)
 }
 
 and gate = {
@@ -425,7 +426,7 @@ let validate_sc parent (sc : Sc.t) =
   | _ -> ()
 
 (* ------------------------------------------------------------------ *)
-(* Sthread construction                                                *)
+(* Building compartments                                              *)
 
 let resolve_identity parent (sc : Sc.t) =
   ( Option.value sc.Sc.uid ~default:parent.proc.Process.uid,
@@ -439,60 +440,112 @@ let resolve_identity parent (sc : Sc.t) =
 let resolve_limits parent (sc : Sc.t) =
   Rlimit.child_of (Option.value sc.Sc.limits ~default:parent.proc.Process.limits)
 
-(* Install a snapshot into a new compartment's address space through its
-   one shared page table: the single install behind every spawn variant.
-   They differ only in [ns], what they charge for it. *)
-let install app (vm : Vm.t) im ~ns =
-  Vm.map_image vm im;
-  Clock.charge app.kernel.Kernel.clock ns
+let roll_site app site =
+  match Fault_plan.roll_opt app.kernel.Kernel.faults ~site with
+  | Some (Fault_plan.Delay ns) -> Clock.charge app.kernel.Kernel.clock ns
+  | Some k -> Fault_plan.fail ~site k
+  | None -> ()
 
-(* Map the pristine snapshot copy-on-write into a new sthread, at the
-   fork-like price of a [pte_copy] per page (§4.1, Figure 7). *)
-let map_pristine app (vm : Vm.t) =
-  install app vm app.pristine
-    ~ns:(Vm.image_size app.pristine * app.kernel.Kernel.costs.Cost_model.pte_copy)
+(* A stamp's image must be one of this app's live images; a discarded
+   image has left the registry. *)
+let check_image app im ~what =
+  if not (List.memq im app.frozen_images) then
+    invalid_arg (what ^ ": image " ^ im.im_name ^ " not frozen in this app")
 
-(* Install a frozen image for one flat [pool_stamp] charge, however many
-   pages it holds.  The restore behind [Pool.stamp] and stamped
-   callgates. *)
-let install_image app (child : Process.t) im =
-  if not im.im_live then invalid_arg ("Engine: image " ^ im.im_name ^ " discarded");
-  install app child.Process.vm im.im_pages ~ns:app.kernel.Kernel.costs.Cost_model.pool_stamp
+(* Install a new compartment's snapshot through its one shared page
+   table: the pristine snapshot at the fork-like price of a [pte_copy]
+   per page (§4.1, Figure 7), or a frozen image for one flat
+   [pool_stamp] charge, however many pages it holds. *)
+let install app (vm : Vm.t) spawn =
+  let clock = app.kernel.Kernel.clock and cm = app.kernel.Kernel.costs in
+  match spawn with
+  | Stamp im ->
+      if not im.im_live then invalid_arg ("Engine: image " ^ im.im_name ^ " discarded");
+      Vm.map_image vm im.im_pages;
+      Clock.charge clock cm.Cost_model.pool_stamp
+  | Boot | Recycle ->
+      Vm.map_image vm app.pristine;
+      Clock.charge clock (Vm.image_size app.pristine * cm.Cost_model.pte_copy)
 
-(* A stamped compartment's ctx: a warmed image already carries the
-   template's demand-mapped heap/stack (smalloc bookkeeping included), so
-   the first allocation must not try to map them again. *)
-let image_ctx app (child : Process.t) im sc instr =
-  let ctx = make_ctx app child sc instr in
-  ctx.heap_ready <- im.im_heap;
-  ctx.stack_ready <- im.im_stack;
-  ctx
+let maps (p : Process.t) (tag : Tag.t) =
+  Pagetable.mem (Vm.page_table p.Process.vm) ~vpn:(tag.Tag.base / page_size)
 
-(* Map a policy's tag grants into a new sthread's address space. *)
-let map_tag_grants app (child : Process.t) (sc : Sc.t) =
-  let cm = app.kernel.Kernel.costs in
+(* The one grant mapper.  Each tag page maps at a [pte_copy] and each
+   descriptor is duplicated from [src] at an [fd_dup]; what the
+   compartment already maps or holds — its image's pages and
+   descriptors, a gate's own grants — is skipped at no charge. *)
+let map_tags app (child : Process.t) mems =
+  let clock = app.kernel.Kernel.clock and cm = app.kernel.Kernel.costs in
   List.iter
     (fun { Sc.tag; grant } ->
-      let prot = Prot.page_of_grant grant in
-      Array.iteri
-        (fun i frame ->
-          Clock.charge app.kernel.Kernel.clock cm.Cost_model.pte_copy;
-          Vm.map_frame child.Process.vm ~addr:(tag.Tag.base + (i * page_size)) ~frame ~prot
-            ~tag:(Some tag.Tag.id))
-        tag.Tag.frames)
-    sc.Sc.mems
+      if not (maps child tag) then begin
+        let prot = Prot.page_of_grant grant in
+        Array.iteri
+          (fun i frame ->
+            Clock.charge clock cm.Cost_model.pte_copy;
+            Vm.map_frame child.Process.vm ~addr:(tag.Tag.base + (i * page_size)) ~frame ~prot
+              ~tag:(Some tag.Tag.id))
+          tag.Tag.frames
+      end)
+    mems
 
-(* Map a policy's grants into a new sthread's address space and fd table
-   (descriptors duplicated from the parent: sthread creation). *)
-let map_grants parent (child : Process.t) (sc : Sc.t) =
-  let app = parent.app in
-  let cm = app.kernel.Kernel.costs in
-  map_tag_grants app child sc;
+let map_grants app (child : Process.t) ~src (sc : Sc.t) =
+  map_tags app child sc.Sc.mems;
   List.iter
     (fun { Sc.fd; perm } ->
-      Clock.charge app.kernel.Kernel.clock cm.Cost_model.fd_dup;
-      Fd_table.dup_into ~src:parent.proc.Process.fds ~dst:child.Process.fds ~fd ~perm)
+      if Fd_table.find child.Process.fds fd = None then begin
+        Clock.charge app.kernel.Kernel.clock app.kernel.Kernel.costs.Cost_model.fd_dup;
+        Fd_table.dup_into ~src ~dst:child.Process.fds ~fd ~perm
+      end)
     sc.Sc.fds
+
+(* A process whose creation faulted part-way: marked faulted and reaped,
+   which returns every frame reference and quota charge it took. *)
+let unwind app (child : Process.t) e =
+  child.Process.status <-
+    Process.Faulted (Option.value (fault_reason e) ~default:"creation failed");
+  Kernel.reap app.kernel child
+
+(* The one compartment builder, behind every sthread, callgate
+   invocation and frozen template.  A new process with the given
+   identity and limits gets its snapshot from [spawn] — a stamped
+   sthread then rolls fault site ["pool.stamp"] — then what was resolved
+   for it before this call: [fds], an image's or a gate's descriptors,
+   at an [fd_dup] each, and [tags], a gate's own tag grants.  Last come
+   the grants of [sc], its descriptors duplicated from [src].  A fault
+   part-way unwinds the half-built process before it reaches the
+   caller. *)
+let build app ~kind ~limits ~uid ~root ~sid ~spawn ~fds ~tags ~src sc =
+  let child = Kernel.new_process app.kernel ~limits ~kind ~uid ~root ~sid () in
+  match
+    install app child.Process.vm spawn;
+    (match (spawn, kind) with
+    | Stamp _, Process.Sthread -> roll_site app "pool.stamp"
+    | _ -> ());
+    List.iter
+      (fun (fd, target, perm) ->
+        Clock.charge app.kernel.Kernel.clock app.kernel.Kernel.costs.Cost_model.fd_dup;
+        Fd_table.install child.Process.fds ~fd target perm)
+      fds;
+    map_tags app child tags;
+    map_grants app child ~src sc
+  with
+  | () -> child
+  | exception e ->
+      unwind app child e;
+      raise e
+
+(* A new compartment's ctx.  A stamped one already carries its
+   template's demand-mapped heap and stack (smalloc bookkeeping
+   included), so its first allocation must not map them again. *)
+let compartment_ctx app child spawn sc instr =
+  let ctx = make_ctx app child sc instr in
+  (match spawn with
+  | Stamp im ->
+      ctx.heap_ready <- im.im_heap;
+      ctx.stack_ready <- im.im_stack
+  | Boot | Recycle -> ());
+  ctx
 
 let run_compartment ctx fn arg =
   let cm = costs ctx in
@@ -534,24 +587,69 @@ let run_compartment ctx fn arg =
   charge ctx cm.Cost_model.context_switch;
   result
 
-let sthread_create ?instr parent (sc : Sc.t) fn arg =
-  if not parent.app.booted then invalid_arg "sthread_create: application not booted";
-  Kernel.syscall_check parent.app.kernel parent.proc "sthread_create";
-  stat parent "sthread_create";
-  validate_sc parent sc;
-  let uid, root, sid = resolve_identity parent sc in
-  let limits = resolve_limits parent sc in
-  let child =
-    Kernel.new_process parent.app.kernel ~limits ~kind:Process.Sthread ~uid ~root ~sid ()
-  in
-  map_pristine parent.app child.Process.vm;
-  map_grants parent child sc;
-  let cctx = make_ctx parent.app child sc (Option.value instr ~default:parent.instr) in
-  trace_instant cctx "sthread.create";
-  let handle = { h_proc = child; h_result = None } in
+let run_sthread app cctx fn arg =
+  let handle = { h_proc = cctx.proc; h_result = None } in
   handle.h_result <- run_compartment cctx fn arg;
-  Kernel.reap parent.app.kernel child;
+  Kernel.reap app.kernel cctx.proc;
   handle
+
+(* [Boot], and [Recycle] (only gates recycle), boot the pristine
+   snapshot.  [Stamp im] restores [im] — its identity and limits
+   standing unless [sc] sets them, [sc]'s grants on top of its pages and
+   descriptors — under the pool's own stat, span, fault site and
+   counters. *)
+let sthread_create ?instr ?(spawn = Boot) parent (sc : Sc.t) fn arg =
+  let app = parent.app in
+  if not app.booted then invalid_arg "sthread_create: application not booted";
+  (match spawn with
+  | Stamp im -> check_image app im ~what:"sthread_create"
+  | Boot | Recycle -> ());
+  Kernel.syscall_check app.kernel parent.proc "sthread_create";
+  let instr = Option.value instr ~default:parent.instr in
+  let src = parent.proc.Process.fds in
+  match spawn with
+  | Boot | Recycle ->
+      stat parent "sthread_create";
+      validate_sc parent sc;
+      let uid, root, sid = resolve_identity parent sc in
+      let child =
+        build app ~kind:Process.Sthread ~limits:(resolve_limits parent sc) ~uid ~root ~sid
+          ~spawn ~fds:[] ~tags:[] ~src sc
+      in
+      let cctx = make_ctx app child sc instr in
+      trace_instant cctx "sthread.create";
+      run_sthread app cctx fn arg
+  | Stamp im -> (
+      app.pool_stamps <- app.pool_stamps + 1;
+      stat parent "pool.stamp";
+      validate_sc parent sc;
+      let tr = ktrace parent in
+      if Trace.enabled tr then Trace.span_begin tr ~name:"pool.stamp" ~pid:(pid parent);
+      let finish () =
+        if Trace.enabled tr then Trace.span_end tr ~name:"pool.stamp" ~pid:(pid parent)
+      in
+      match
+        build app ~kind:Process.Sthread
+          ~limits:(Rlimit.child_of (Option.value sc.Sc.limits ~default:im.im_limits))
+          ~uid:(Option.value sc.Sc.uid ~default:im.im_uid)
+          ~root:(Option.value sc.Sc.root ~default:im.im_root)
+          ~sid:(Option.value sc.Sc.sid ~default:im.im_sid)
+          ~spawn ~fds:im.im_fds ~tags:[] ~src sc
+      with
+      | exception e ->
+          if fault_reason e <> None then begin
+            stat parent "pool.stamp.fault";
+            trace_instant parent "pool.stamp.fault"
+          end;
+          finish ();
+          raise e
+      | child ->
+          app.pool_hits <- app.pool_hits + 1;
+          let cctx = compartment_ctx app child spawn sc instr in
+          trace_instant cctx "pool.stamped";
+          let handle = run_sthread app cctx fn arg in
+          finish ();
+          handle)
 
 let sthread_join parent handle =
   Kernel.syscall_check parent.app.kernel parent.proc "sthread_join";
@@ -812,8 +910,7 @@ let sc_cgate_add ?(spawn = Boot) creator (sc : Sc.t) ~name ~entry ~cgsc ~trusted
      justify. *)
   (match spawn with
   | Stamp im ->
-      if not (List.memq im creator.app.frozen_images) then
-        invalid_arg ("sc_cgate_add: image " ^ im.im_name ^ " not frozen in this app");
+      check_image creator.app im ~what:"sc_cgate_add";
       if List.exists (fun fz -> fz.fz_tag <> None) (Vm.image_pages im.im_pages) then
         violation "cgate_add: image %s carries tagged pages" im.im_name
   | Boot | Recycle -> ());
@@ -851,12 +948,14 @@ let gate_of ctx gid =
   | Some g -> g
   | None -> violation "cgate: no such callgate %d" gid
 
-(* Build the sthread that will execute one callgate invocation.  It carries
-   the creator's identity and the permissions fixed at creation time, plus
-   the caller-supplied extra permissions for this invocation.  Only its
-   address space depends on [g_spawn]: the pristine snapshot page by page,
-   or a frozen image for one flat charge. *)
-let build_gate_proc caller (g : gate) kind =
+(* The compartment behind one callgate invocation, or a recycled gate's
+   member: the creator's identity and the grants fixed at creation —
+   descriptors resolved against the creator then (kernel-held: the
+   caller needs no access to them) — plus the caller's extra [perms] for
+   this invocation.  Only its snapshot depends on [g_spawn]. *)
+let gate_compartment caller (g : gate) ~kind perms =
+  let app = caller.app in
+  (match g.g_spawn with Stamp _ -> stat caller "cgate.stamped" | Boot | Recycle -> ());
   (* Gate limits come from the gate's own sc (validated against the
      creator at creation); a silent sc leaves the gate unlimited, since
      gates run with creator — typically monitor — privileges. *)
@@ -866,49 +965,32 @@ let build_gate_proc caller (g : gate) kind =
     | None -> Rlimit.unlimited ()
   in
   let child =
-    Kernel.new_process caller.app.kernel ~limits ~kind ~uid:g.g_uid ~root:g.g_root
-      ~sid:g.g_sid ()
+    build app ~kind ~limits ~uid:g.g_uid ~root:g.g_root ~sid:g.g_sid ~spawn:g.g_spawn
+      ~fds:g.g_fds ~tags:g.g_sc.Sc.mems ~src:caller.proc.Process.fds perms
   in
-  (match g.g_spawn with
-  | Stamp im ->
-      stat caller "cgate.stamped";
-      install_image caller.app child im
-  | Boot | Recycle -> map_pristine caller.app child.Process.vm);
-  map_tag_grants caller.app child g.g_sc;
-  (* Descriptor grants were resolved against the creator at creation time
-     (kernel-held): the caller needs no access to them. *)
-  let cm = caller.app.kernel.Kernel.costs in
+  compartment_ctx app child g.g_spawn g.g_sc caller.instr
+
+(* Point a recycled member at gate [g]'s grants: its previous gate's tags
+   and descriptors go, [g]'s come in — the tags at a [pte_copy] per
+   page, the descriptors (resolved at [g]'s creation) reinstalled
+   without an [fd_dup]. *)
+let remap app (g : gate) m =
+  let p = m.m_ctx.proc in
+  List.iter
+    (fun { Sc.tag; _ } ->
+      if maps p tag then Vm.unmap_range p.Process.vm ~addr:tag.Tag.base ~pages:tag.Tag.pages)
+    m.m_sc.Sc.mems;
+  List.iter (fun { Sc.fd; _ } -> Fd_table.close p.Process.fds fd) m.m_sc.Sc.fds;
+  map_tags app p g.g_sc.Sc.mems;
   List.iter
     (fun (fd, target, perm) ->
-      Clock.charge caller.app.kernel.Kernel.clock cm.Cost_model.fd_dup;
-      Fd_table.install child.Process.fds ~fd target perm)
+      Fd_table.close p.Process.fds fd;
+      Fd_table.install p.Process.fds ~fd target perm)
     g.g_fds;
-  match g.g_spawn with
-  | Stamp im -> image_ctx caller.app child im g.g_sc caller.instr
-  | Boot | Recycle -> make_ctx caller.app child g.g_sc caller.instr
-
-let map_extra caller (gctx : ctx) (perms : Sc.t) =
-  (* Per-invocation permissions (typically the tag holding the argument). *)
-  let mapped = ref [] in
-  List.iter
-    (fun { Sc.tag; grant } ->
-      if priv_for_tag gctx.proc tag = None then begin
-        let prot = Prot.page_of_grant grant in
-        Array.iteri
-          (fun i frame ->
-            Clock.charge caller.app.kernel.Kernel.clock (costs caller).Cost_model.pte_copy;
-            Vm.map_frame gctx.proc.Process.vm ~addr:(tag.Tag.base + (i * page_size)) ~frame
-              ~prot ~tag:(Some tag.Tag.id))
-          tag.Tag.frames;
-        mapped := tag :: !mapped
-      end)
-    perms.Sc.mems;
-  List.iter
-    (fun { Sc.fd; perm } ->
-      if Fd_table.find gctx.proc.Process.fds fd = None then
-        Fd_table.dup_into ~src:caller.proc.Process.fds ~dst:gctx.proc.Process.fds ~fd ~perm)
-    perms.Sc.fds;
-  !mapped
+  p.Process.uid <- g.g_uid;
+  p.Process.root <- g.g_root;
+  p.Process.sid <- g.g_sid;
+  m.m_sc <- g.g_sc
 
 let cgate ?deadline_ns caller gid ~perms ~arg =
   Kernel.syscall_check caller.app.kernel caller.proc "cgate";
@@ -957,108 +1039,103 @@ let cgate ?deadline_ns caller gid ~perms ~arg =
         -1
     | _ -> result
   in
-  if g.g_spawn = Recycle then begin
-    stat caller "cgate.recycled";
-    (* Reuse the long-lived sthread for this gate name if one exists —
-       remapping its grants to the current gate instance (new connection
-       descriptors, fresh per-connection tags) without paying sthread
-       creation.  Its private heap and stack survive, which is exactly the
-       isolation-for-performance trade §3.3 warns about. *)
-    let remap (pooled : pooled) =
-      let gctx = pooled.p_ctx in
-      List.iter
-        (fun { Sc.tag; _ } ->
-          if Pagetable.mem (Vm.page_table gctx.proc.Process.vm) ~vpn:(tag.Tag.base / page_size)
-          then Vm.unmap_range gctx.proc.Process.vm ~addr:tag.Tag.base ~pages:tag.Tag.pages)
-        pooled.p_sc.Sc.mems;
-      List.iter (fun { Sc.fd; _ } -> Fd_table.close gctx.proc.Process.fds fd) pooled.p_sc.Sc.fds;
-      map_tag_grants caller.app gctx.proc g.g_sc;
-      List.iter
-        (fun (fd, target, perm) ->
-          Fd_table.close gctx.proc.Process.fds fd;
-          Fd_table.install gctx.proc.Process.fds ~fd target perm)
-        g.g_fds;
-      gctx.proc.Process.uid <- g.g_uid;
-      gctx.proc.Process.root <- g.g_root;
-      gctx.proc.Process.sid <- g.g_sid;
-      pooled.p_sc <- g.g_sc;
-      gctx
-    in
-    let pooled =
-      match Hashtbl.find_opt caller.app.recycled_pool g.g_name with
-      | Some p when Process.is_alive p.p_ctx.proc ->
-          if p.p_sc != g.g_sc then ignore (remap p);
-          p
-      | _ ->
-          let c = build_gate_proc caller g Process.Recycled in
-          let p = { p_ctx = c; p_sc = g.g_sc } in
-          Hashtbl.replace caller.app.recycled_pool g.g_name p;
-          p
-    in
-    let gctx = pooled.p_ctx in
-    (* Wake the long-lived sthread through a futex, run, wait for the
-       completion futex (§4.1). *)
-    charge caller (2 * cm.Cost_model.futex_op);
-    charge caller (2 * cm.Cost_model.context_switch);
-    gctx.caller_pid <- Some (pid caller);
-    let extra = map_extra caller gctx perms in
-    let cleanup_extra () =
+  match g.g_spawn with
+  | Recycle ->
+      stat caller "cgate.recycled";
+      let app = caller.app in
+      (* The gate name's idle members, the most recently returned first.
+         A call takes one for itself — two callers are never inside one
+         member — and gives it back alive when it ends; with every member
+         busy it builds another. *)
+      let idle () = Option.value (Hashtbl.find_opt app.recycled_pool g.g_name) ~default:[] in
+      let give m = Hashtbl.replace app.recycled_pool g.g_name (m :: idle ()) in
+      let fresh () =
+        { m_ctx = gate_compartment caller g ~kind:Process.Recycled (Sc.create ()); m_sc = g.g_sc }
+      in
+      (* A reused member is remapped to the current gate instance (new
+         connection descriptors, fresh per-connection tags) without
+         paying sthread creation.  Its private heap and stack survive,
+         which is exactly the isolation-for-performance trade §3.3
+         warns about. *)
+      let m =
+        match idle () with
+        | m :: rest ->
+            Hashtbl.replace app.recycled_pool g.g_name rest;
+            if m.m_sc != g.g_sc then remap app g m;
+            m
+        | [] -> fresh ()
+      in
+      let gctx = m.m_ctx in
+      (* Wake the long-lived sthread through a futex, run, wait for the
+         completion futex (§4.1). *)
+      charge caller (2 * cm.Cost_model.futex_op);
+      charge caller (2 * cm.Cost_model.context_switch);
+      gctx.caller_pid <- Some (pid caller);
+      (* The caller's extras are this invocation's alone. *)
+      let extra =
+        List.fold_left
+          (fun acc { Sc.tag; _ } -> if maps gctx.proc tag then acc else tag :: acc)
+          [] perms.Sc.mems
+      in
+      (match map_grants app gctx.proc ~src:caller.proc.Process.fds perms with
+      | () -> ()
+      | exception e ->
+          give m;
+          raise e);
+      (* One bad invocation must not poison the pool: the faulted (or
+         hung) member is reaped and a fresh one joins the idle members
+         eagerly, so the next caller finds a healthy sthread instead of
+         paying a cold start. *)
+      let discard_and_respawn reason =
+        gctx.proc.Process.status <- Process.Faulted reason;
+        if Kernel.find_process app.kernel gctx.proc.Process.pid <> None then
+          Kernel.reap app.kernel gctx.proc;
+        give (fresh ());
+        stat caller "cgate.recycled.respawn"
+      in
+      let result =
+        match g.g_entry gctx ~trusted:g.g_trusted ~arg with
+        | v -> v
+        | exception Exit_sthread code -> code
+        | exception Privilege_violation msg when gctx.policy <> None ->
+            (* Same containment as [run_compartment]: a profiled member
+               exceeding its profile is discarded, not propagated. *)
+            stat caller "fault.cgate";
+            discard_and_respawn ("policy: " ^ msg);
+            -1
+        | exception e -> (
+            match fault_reason e with
+            | Some reason ->
+                stat caller "fault.cgate";
+                discard_and_respawn reason;
+                -1
+            | None ->
+                give m;
+                raise e)
+      in
       if Process.is_alive gctx.proc then
         List.iter
           (fun (tag : Tag.t) ->
             Vm.unmap_range gctx.proc.Process.vm ~addr:tag.Tag.base ~pages:tag.Tag.pages)
-          extra
-    in
-    (* One bad invocation must not poison the pool: the faulted (or hung)
-       member is reaped and a fresh one is built eagerly, so the next
-       caller finds a healthy sthread instead of paying a cold start. *)
-    let discard_and_respawn reason =
-      gctx.proc.Process.status <- Process.Faulted reason;
-      if Kernel.find_process caller.app.kernel (gctx.proc.Process.pid) <> None then
-        Kernel.reap caller.app.kernel gctx.proc;
-      let fresh = build_gate_proc caller g Process.Recycled in
-      Hashtbl.replace caller.app.recycled_pool g.g_name { p_ctx = fresh; p_sc = g.g_sc };
-      stat caller "cgate.recycled.respawn"
-    in
-    let result =
-      match g.g_entry gctx ~trusted:g.g_trusted ~arg with
-      | v -> v
-      | exception Exit_sthread code -> code
-      | exception Privilege_violation msg when gctx.policy <> None ->
-          (* Same containment as [run_compartment]: a profiled pooled
-             member exceeding its profile is discarded, not propagated. *)
-          stat caller "fault.cgate";
-          discard_and_respawn ("policy: " ^ msg);
-          -1
-      | exception e -> (
-          match fault_reason e with
-          | Some reason ->
-              stat caller "fault.cgate";
-              discard_and_respawn reason;
-              -1
-          | None -> raise e)
-    in
-    cleanup_extra ();
-    let final = apply_deadline result in
-    if final = -1 && result <> -1 then
-      (* Deadline overrun with the member still alive: treat it as hung. *)
-      discard_and_respawn "callgate deadline exceeded";
-    finish final
-  end
-  else begin
-    let gctx = build_gate_proc caller g Process.Cgate in
-    gctx.caller_pid <- Some (pid caller);
-    ignore (map_extra caller gctx perms);
-    let result =
-      match run_compartment gctx (fun c a -> g.g_entry c ~trusted:g.g_trusted ~arg:a) arg with
-      | Some v -> v
-      | None ->
-          stat caller "fault.cgate";
-          -1
-    in
-    Kernel.reap caller.app.kernel gctx.proc;
-    finish (apply_deadline result)
-  end
+          extra;
+      let final = apply_deadline result in
+      if final = -1 && result <> -1 then
+        (* Deadline overrun with the member still alive: treat it as hung. *)
+        discard_and_respawn "callgate deadline exceeded"
+      else if Process.is_alive gctx.proc then give m;
+      finish final
+  | Boot | Stamp _ ->
+      let gctx = gate_compartment caller g ~kind:Process.Cgate perms in
+      gctx.caller_pid <- Some (pid caller);
+      let result =
+        match run_compartment gctx (fun c a -> g.g_entry c ~trusted:g.g_trusted ~arg:a) arg with
+        | Some v -> v
+        | None ->
+            stat caller "fault.cgate";
+            -1
+      in
+      Kernel.reap caller.app.kernel gctx.proc;
+      finish (apply_deadline result)
 
 let gate_name ctx gid = (gate_of ctx gid).g_name
 

@@ -1,27 +1,24 @@
 (* Compartment checkpoint/restore: freeze a fully-booted worker image
-   once, stamp new sthreads out of it in O(1).
+   once, stamp new compartments out of it in O(1).
 
-   [freeze] builds a template worker the expensive way — pristine
-   snapshot mapped page by page, grants resolved, optionally a [warm]
-   body run so lazily-mapped private pages (heap, stack) exist — then
-   checkpoints the template's entire address space: every frame gets one
-   extra Physmem reference held by the image, private writable pages are
-   recorded copy-on-write (the image must never change again), and the
-   template is reaped.  What survives is an [Engine.image]: the frozen
-   pages and the one read-only page table built from them here, the
-   captured descriptor table, the rlimit shape and the identity — no
-   process, no address space.
+   [freeze] builds a template worker the expensive way — a [Boot]
+   sthread from [Engine.build], pristine snapshot mapped page by page,
+   grants resolved, optionally a [warm] body run so lazily-mapped
+   private pages (heap, stack) exist — then checkpoints the template's
+   entire address space: every frame gets one extra Physmem reference
+   held by the image, private writable pages are recorded copy-on-write
+   (the image must never change again), and the template is reaped.
+   What survives is an [Engine.image]: the frozen pages and the one
+   read-only page table built from them here, the captured descriptor
+   table, the rlimit shape and the identity — no process, no address
+   space.
 
-   [stamp] is the paper's Figure 7/8 story taken further than recycled
-   callgates: a new sthread whose address space maps the frozen image
-   through that shared table, installed by [Engine.install_image] at one
-   flat [pool_stamp] charge, however many pages the image holds.  The
-   host cost is flat too: a stamp allocates nothing per page.
-   Per-connection grants ride in through [extra] (validated against the
-   stamping parent like any sc), so the O(1) cost is in the image size,
-   not in the constant-sized per-request policy.  [sc_cgate_add]
-   registers a callgate whose every invocation is a fresh compartment
-   installed by the same routine.
+   [Engine.Stamp image] is the paper's Figure 7/8 story taken further
+   than recycled callgates: an sthread or callgate invocation whose
+   address space maps the frozen image through that shared table,
+   installed by the engine's one builder at one flat [pool_stamp]
+   charge, however many pages the image holds.  The host cost is flat
+   too: a stamp allocates nothing per page.
 
    Both paths are attackable: fault sites ["pool.freeze"] and
    ["pool.stamp"] inject mid-operation, and the unwind must leave the
@@ -29,8 +26,6 @@
    [lib/check] refcount oracle re-derives (frozen images count as
    pristine-like owners) across explored schedules. *)
 
-module Clock = Wedge_sim.Clock
-module Cost_model = Wedge_sim.Cost_model
 module Trace = Wedge_sim.Trace
 module Kernel = Wedge_kernel.Kernel
 module Vm = Wedge_kernel.Vm
@@ -40,8 +35,6 @@ module Fd_table = Wedge_kernel.Fd_table
 module Pagetable = Wedge_kernel.Pagetable
 module Physmem = Wedge_kernel.Physmem
 module Layout = Wedge_kernel.Layout
-module Rlimit = Wedge_kernel.Rlimit
-module Fault_plan = Wedge_fault.Fault_plan
 
 let page_size = Physmem.page_size
 
@@ -53,12 +46,6 @@ let is_live (t : t) = t.Engine.im_live
 
 let find app name =
   List.find_opt (fun (im : t) -> im.Engine.im_name = name) app.Engine.frozen_images
-
-let roll_site app site =
-  match Fault_plan.roll_opt app.Engine.kernel.Kernel.faults ~site with
-  | Some (Fault_plan.Delay ns) -> Clock.charge app.Engine.kernel.Kernel.clock ns
-  | Some k -> Fault_plan.fail ~site k
-  | None -> ()
 
 (* ------------------------------------------------------------------ *)
 (* Freeze                                                              *)
@@ -79,19 +66,26 @@ let freeze ?(name = "pool") ?warm parent (sc : Sc.t) =
       Trace.span_end tr ~name:"pool.freeze" ~pid:(Engine.pid parent);
     v
   in
+  let fail e =
+    Engine.stat parent "pool.freeze.fault";
+    ignore (finish ());
+    raise e
+  in
   let uid, root, sid = Engine.resolve_identity parent sc in
-  let limits = Engine.resolve_limits parent sc in
   (* The template pays the full fork-priced boot exactly once — that is
      the checkpoint's whole bargain. *)
   let template =
-    Kernel.new_process app.Engine.kernel ~limits ~kind:Process.Sthread ~uid ~root ~sid ()
+    match
+      Engine.build app ~kind:Process.Sthread ~limits:(Engine.resolve_limits parent sc) ~uid
+        ~root ~sid ~spawn:Engine.Boot ~fds:[] ~tags:[] ~src:parent.Engine.proc.Process.fds sc
+    with
+    | template -> template
+    | exception e -> fail e
   in
   match
-    Engine.map_pristine app template.Process.vm;
-    Engine.map_grants parent template sc;
     (* Mid-freeze fault site: the template exists and holds references,
        so the unwind below must release every one of them. *)
-    roll_site app "pool.freeze";
+    Engine.roll_site app "pool.freeze";
     (match warm with
     | None -> ()
     | Some body ->
@@ -154,13 +148,8 @@ let freeze ?(name = "pool") ?warm parent (sc : Sc.t) =
       (* Unwind: the template's address space holds the only references
          taken so far; reaping it releases them all and the world is as
          if freeze was never called. *)
-      template.Process.status <-
-        Process.Faulted
-          (match Engine.fault_reason e with Some r -> r | None -> "freeze failed");
-      Kernel.reap app.Engine.kernel template;
-      Engine.stat parent "pool.freeze.fault";
-      ignore (finish ());
-      raise e
+      Engine.unwind app template e;
+      fail e
   | image ->
       template.Process.status <- Process.Exited 0;
       Kernel.reap app.Engine.kernel template;
@@ -168,109 +157,6 @@ let freeze ?(name = "pool") ?warm parent (sc : Sc.t) =
       app.Engine.pool_freezes <- app.Engine.pool_freezes + 1;
       Engine.trace_instant parent "pool.frozen";
       finish image
-
-(* ------------------------------------------------------------------ *)
-(* Stamp                                                               *)
-
-(* Map the per-invocation extras on top of the image, skipping anything
-   the image already provides (same dedup rule as callgate extras). *)
-let map_extra_grants parent (child : Process.t) (extra : Sc.t) =
-  let app = parent.Engine.app in
-  let cm = app.Engine.kernel.Kernel.costs in
-  let clock = app.Engine.kernel.Kernel.clock in
-  List.iter
-    (fun { Sc.tag; grant } ->
-      if
-        not
-          (Pagetable.mem
-             (Vm.page_table child.Process.vm)
-             ~vpn:(tag.Wedge_mem.Tag.base / page_size))
-      then begin
-        let prot = Prot.page_of_grant grant in
-        Array.iteri
-          (fun i frame ->
-            Clock.charge clock cm.Cost_model.pte_copy;
-            Vm.map_frame child.Process.vm
-              ~addr:(tag.Wedge_mem.Tag.base + (i * page_size))
-              ~frame ~prot ~tag:(Some tag.Wedge_mem.Tag.id))
-          tag.Wedge_mem.Tag.frames
-      end)
-    extra.Sc.mems;
-  List.iter
-    (fun { Sc.fd; perm } ->
-      if Fd_table.find child.Process.fds fd = None then begin
-        Clock.charge clock cm.Cost_model.fd_dup;
-        Fd_table.dup_into ~src:parent.Engine.proc.Process.fds ~dst:child.Process.fds
-          ~fd ~perm
-      end)
-    extra.Sc.fds
-
-let stamp ?instr ?extra parent (pool : t) fn arg =
-  if not pool.Engine.im_live then invalid_arg "Pool.stamp: image discarded";
-  let app = parent.Engine.app in
-  if not (List.memq pool app.Engine.frozen_images) then
-    invalid_arg "Pool.stamp: parent from another app";
-  Kernel.syscall_check app.Engine.kernel parent.Engine.proc "sthread_create";
-  app.Engine.pool_stamps <- app.Engine.pool_stamps + 1;
-  Engine.stat parent "pool.stamp";
-  let extra = match extra with Some e -> e | None -> Sc.create () in
-  Engine.validate_sc parent extra;
-  let tr = Engine.ktrace parent in
-  if Trace.enabled tr then
-    Trace.span_begin tr ~name:"pool.stamp" ~pid:(Engine.pid parent);
-  let finish v =
-    if Trace.enabled tr then
-      Trace.span_end tr ~name:"pool.stamp" ~pid:(Engine.pid parent);
-    v
-  in
-  (* Identity and limits come from the frozen image unless the extras
-     override them (already validated against the stamping parent). *)
-  let uid = Option.value extra.Sc.uid ~default:pool.Engine.im_uid in
-  let root = Option.value extra.Sc.root ~default:pool.Engine.im_root in
-  let sid = Option.value extra.Sc.sid ~default:pool.Engine.im_sid in
-  let limits = Rlimit.child_of (Option.value extra.Sc.limits ~default:pool.Engine.im_limits) in
-  let kernel = app.Engine.kernel in
-  let child = Kernel.new_process kernel ~limits ~kind:Process.Sthread ~uid ~root ~sid () in
-  match
-    (* The restore: the whole image lands for one flat charge — spawn
-       cost independent of address-space size. *)
-    Engine.install_image app child pool;
-    (* Mid-stamp fault site: pages are mapped (references taken) but the
-       descriptor table is not yet populated — the unwind must return
-       every reference and leave the frozen image untouched. *)
-    roll_site app "pool.stamp";
-    List.iter
-      (fun (fd, target, perm) ->
-        Clock.charge kernel.Kernel.clock kernel.Kernel.costs.Cost_model.fd_dup;
-        Fd_table.install child.Process.fds ~fd target perm)
-      pool.Engine.im_fds;
-    map_extra_grants parent child extra
-  with
-  | exception e ->
-      (match Engine.fault_reason e with
-      | Some reason ->
-          child.Process.status <- Process.Faulted reason;
-          Engine.stat parent "pool.stamp.fault";
-          Engine.trace_instant parent "pool.stamp.fault"
-      | None -> child.Process.status <- Process.Faulted "stamp failed");
-      (* Reap releases the child's quota charges and its per-page frame
-         references; the image's own references are untouched. *)
-      Kernel.reap kernel child;
-      ignore (finish ());
-      raise e
-  | () ->
-      app.Engine.pool_hits <- app.Engine.pool_hits + 1;
-      let cctx =
-        Engine.image_ctx app child pool extra (Option.value instr ~default:parent.Engine.instr)
-      in
-      Engine.trace_instant cctx "pool.stamped";
-      let handle = { Engine.h_proc = child; h_result = None } in
-      handle.Engine.h_result <- Engine.run_compartment cctx fn arg;
-      Kernel.reap kernel child;
-      finish handle
-
-let sc_cgate_add pool creator sc ~name ~entry ~cgsc ~trusted =
-  Engine.sc_cgate_add ~spawn:(Engine.Stamp pool) creator sc ~name ~entry ~cgsc ~trusted
 
 (* ------------------------------------------------------------------ *)
 (* Discard                                                             *)

@@ -1,4 +1,4 @@
-(** Frozen compartment snapshot pools: O(1) crash recovery.
+(** Frozen compartment snapshot pools: O(1) spawn and crash recovery.
 
     Sthread creation is fork-priced — a [pte_copy] per pristine page and
     an [fd_dup] per granted descriptor — so spawn (and therefore crash
@@ -7,13 +7,13 @@
     an optional warm-up body so demand-mapped heap and stack pages join
     the image), pins every frame of its address space with an extra
     reference, records private writable pages copy-on-write, captures
-    the descriptor-table and rlimit shape, and reaps the template.
-    {!stamp} then restores the whole image into a fresh sthread for one
-    flat [pool_stamp] charge, independent of how many pages it holds —
-    per-connection grants ride in through [extra] at the usual per-page/
-    per-fd price, keeping the O(1) in the image, where the bytes are.
-    {!sc_cgate_add} mints a callgate whose every invocation is a fresh
-    compartment installed from the image by the same routine.
+    the descriptor-table and rlimit shape, and reaps the template.  The
+    spawn [Engine.Stamp image] then restores the whole image into a
+    fresh sthread ({!Engine.sthread_create}) or callgate invocation
+    ({!Engine.sc_cgate_add}) for one flat [pool_stamp] charge,
+    independent of how many pages it holds — per-connection grants ride
+    in at the usual per-page/per-fd price, keeping the O(1) in the image,
+    where the bytes are.
 
     The O(1) holds on the host clock too.  {!freeze} builds the image's
     page table once ({!Wedge_kernel.Vm.image}); a stamp points the
@@ -46,46 +46,6 @@ val freeze :
     not booted or an image named [name] already exists; injected faults
     at site ["pool.freeze"] propagate after a clean unwind. *)
 
-val stamp :
-  ?instr:Wedge_sim.Instr.t ->
-  ?extra:Sc.t ->
-  Engine.ctx ->
-  t ->
-  (Engine.ctx -> int -> int) ->
-  int ->
-  Engine.handle
-(** [stamp parent pool fn arg] creates a new sthread whose address space
-    is the frozen image, bulk-installed for one flat [pool_stamp] charge,
-    then runs [fn] in it like {!Engine.sthread_create} (same containment,
-    same handle).  [extra] carries per-invocation grants — tags, fds,
-    identity and limit overrides — validated against [parent] and mapped
-    at the usual per-page/per-fd cost on top of the image (entries the
-    image already provides are skipped).  Identity and limits default to
-    the frozen template's.  Injected faults at site ["pool.stamp"]
-    propagate after the half-stamped child is reaped — refcounts clean,
-    image untouched. *)
-
-val sc_cgate_add :
-  t ->
-  Engine.ctx ->
-  Sc.t ->
-  name:string ->
-  entry:(Engine.ctx -> trusted:int -> arg:int -> int) ->
-  cgsc:Sc.t ->
-  trusted:int ->
-  Engine.gate_id
-(** [sc_cgate_add pool creator sc ...] is {!Wedge.sc_cgate_add} with
-    every invocation stamped: a fresh compartment whose address space is
-    [pool]'s image, installed for one flat [pool_stamp] charge instead of
-    a [pte_copy] per pristine page, then given the gate's own identity,
-    limits, tag grants, creator-resolved descriptors and the caller's
-    extras exactly like a fork-priced gate.  Only the pages come from the
-    image, so it must carry no tagged memory.  Each invocation still
-    starts from the pristine image: no state survives from one caller to
-    the next, unlike a recycled gate.
-    @raise Invalid_argument if [pool] is not a live image of [creator]'s
-    app. *)
-
 val discard : Engine.ctx -> t -> unit
 (** Drop the image's frame references and unregister it.  Frames still
     mapped by running stamped children survive on their own references.
@@ -97,7 +57,7 @@ val find : Engine.app -> string -> t option
 
 val name : t -> string
 val frozen_pages : t -> int
-(** Pages in the frozen image (what one {!stamp} maps for its flat
+(** Pages in the frozen image (what one stamp maps for its flat
     charge). *)
 
 val is_live : t -> bool

@@ -130,13 +130,6 @@ let supervise_fork ?policy ctx fn = supervise ?policy ctx (fun () -> Engine.fork
 type health = Healthy | Degraded | Restarting | Quarantined
 type strategy = One_for_one | Rest_for_one
 
-(* Where a child's compartments come from: fresh fork-priced boots, or
-   O(1) stamps from a frozen snapshot pool.  [From_pool] applies to every
-   attempt, so a restart after a quarantine escalation, a watchdog cut or
-   a [Rest_for_one] sweep pays the flat stamp cost instead of a boot that
-   scales with the image — the recovery path this module exists for. *)
-type restart = Fresh | From_pool of Pool.t
-
 let health_to_string = function
   | Healthy -> "healthy"
   | Degraded -> "degraded"
@@ -162,7 +155,11 @@ and child = {
   c_name : string;
   c_node : node;
   c_policy : policy;
-  c_restart : restart;
+  c_spawn : Engine.spawn;
+      (* every attempt's, so under [Stamp] a restart after a quarantine
+         escalation, a watchdog cut or a [Rest_for_one] sweep pays the
+         flat stamp cost instead of a boot that scales with the image —
+         the recovery path this module exists for *)
   mutable c_health : health;
   mutable c_faults : int list;  (* fault timestamps inside the window, newest first *)
   mutable c_last_fault_ns : int;
@@ -187,7 +184,7 @@ let node ?(strategy = One_for_one) ?(intensity = 5) ?(window_ns = 10_000)
     n_children = [];
   }
 
-let child ?(policy = default_policy) ?(restart = Fresh) node ~name =
+let child ?(policy = default_policy) ?(spawn = Engine.Boot) node ~name =
   if List.exists (fun c -> c.c_name = name) node.n_children then
     invalid_arg ("Supervisor.child: duplicate child " ^ name);
   let c =
@@ -195,7 +192,7 @@ let child ?(policy = default_policy) ?(restart = Fresh) node ~name =
       c_name = name;
       c_node = node;
       c_policy = policy;
-      c_restart = restart;
+      c_spawn = spawn;
       c_health = Healthy;
       c_faults = [];
       c_last_fault_ns = 0;
@@ -247,14 +244,14 @@ let quarantine c now reason =
   let n = c.c_node in
   c.c_health <- Quarantined;
   (* Quarantine throttles crash loops, and its length is priced against
-     what a futile restart costs.  A [From_pool] child restarts as a
+     what a futile restart costs.  A [Stamp] child restarts as a
      flat-cost stamp instead of an O(pages) reboot, so the same thrash
      budget re-admits it 4x sooner — this is what makes recovery time
      independent of image size, not just the spawn itself. *)
   let span =
-    match c.c_restart with
-    | From_pool _ -> max 1 (n.n_quarantine_ns / 4)
-    | Fresh -> n.n_quarantine_ns
+    match c.c_spawn with
+    | Engine.Stamp _ -> max 1 (n.n_quarantine_ns / 4)
+    | Engine.Boot | Engine.Recycle -> n.n_quarantine_ns
   in
   c.c_quarantined_until <- now + span;
   c.c_last_fault <- reason;
@@ -325,27 +322,11 @@ let run_child ?on_restart c run =
   run_child_gen ?on_restart c (fun () -> run_attempt c.c_node.n_ctx run)
 
 let run_child_sthread ?on_restart ?instr c sc fn arg =
-  match c.c_restart with
-  | Fresh ->
-      run_child ?on_restart c (fun () ->
-          Engine.sthread_create ?instr c.c_node.n_ctx sc fn arg)
-  | From_pool pool ->
-      (* Every attempt is stamped from the frozen image at the flat
-         [pool_stamp] cost; [sc] rides along as the per-invocation extra
-         (the usual per-page/per-fd price on the small per-connection
-         grants, not on the image). *)
-      run_child ?on_restart c (fun () ->
-          Pool.stamp ?instr ~extra:sc c.c_node.n_ctx pool fn arg)
+  run_child ?on_restart c (fun () ->
+      Engine.sthread_create ?instr ~spawn:c.c_spawn c.c_node.n_ctx sc fn arg)
 
-let run_child_fork ?on_restart ?pool_extra c fn =
-  match c.c_restart with
-  | Fresh -> run_child ?on_restart c (fun () -> Engine.fork c.c_node.n_ctx fn)
-  | From_pool pool ->
-      (* The privsep slave's pooled form: a stamped sthread standing in
-         for the fork, with [pool_extra] carrying what the fork would
-         have inherited for free (the connection descriptor). *)
-      run_child ?on_restart c (fun () ->
-          Pool.stamp ?extra:pool_extra c.c_node.n_ctx pool (fun c _ -> fn c) 0)
+let run_child_fork ?on_restart c fn =
+  run_child ?on_restart c (fun () -> Engine.fork c.c_node.n_ctx fn)
 
 (* Supervise a plain function in the caller's process — the shape of an
    accept loop, which is not a compartment but must survive contained

@@ -100,21 +100,6 @@ type strategy = One_for_one | Rest_for_one
 
 val strategy_to_string : strategy -> string
 
-type restart = Fresh | From_pool of Pool.t
-(** Where a child's compartments come from.  [Fresh] boots every attempt
-    the fork-priced way ({!Engine.sthread_create} / {!Engine.fork}).
-    [From_pool] stamps every attempt from a frozen snapshot image
-    ({!Pool.stamp}) at a flat cost independent of image size — so
-    recovery after a quarantine escalation, a watchdog cut or a
-    [Rest_for_one] sweep is O(1), the [sc] passed to {!run_child_sthread}
-    riding along as the stamp's per-invocation extra grants.
-
-    Quarantine throttles crash loops, and its length is priced against
-    what a futile restart costs: a [From_pool] child serves a quarter of
-    the node's [quarantine_ns], because re-admitting it wastes a flat
-    stamp rather than an O(pages) reboot.  Restart-intensity budgets
-    thereby stop depending on image size. *)
-
 type node
 type child
 
@@ -133,10 +118,20 @@ val node :
     @raise Invalid_argument on a negative intensity or non-positive
     window. *)
 
-val child : ?policy:policy -> ?restart:restart -> node -> name:string -> child
+val child : ?policy:policy -> ?spawn:Engine.spawn -> node -> name:string -> child
 (** Register a named child (registration order is the [Rest_for_one]
-    dependency order).  [policy] governs each {!run_child}'s retries;
-    [restart] (default [Fresh]) selects fresh boots or pooled stamps.
+    dependency order).  [policy] governs each {!run_child}'s retries.
+    [spawn] (default [Boot]) is how every {!run_child_sthread} attempt
+    gets its address space: under [Stamp image] the first run and every
+    restart alike — after a quarantine escalation, a watchdog cut or a
+    [Rest_for_one] sweep — is stamped from the frozen image at a flat
+    cost independent of image size.
+
+    Quarantine throttles crash loops, and its length is priced against
+    what a futile restart costs: a [Stamp] child serves a quarter of the
+    node's [quarantine_ns], because re-admitting it wastes a flat stamp
+    rather than an O(pages) reboot.  Restart-intensity budgets thereby
+    stop depending on image size.
     @raise Invalid_argument on a duplicate name within the node. *)
 
 val run_child :
@@ -159,15 +154,13 @@ val run_child_sthread :
   (Engine.ctx -> int -> int) ->
   int ->
   outcome
-(** Under [From_pool], each attempt is {!Pool.stamp} with [sc] as the
-    extra grants; under [Fresh], {!Engine.sthread_create} as before. *)
+(** {!run_child} over {!Engine.sthread_create} with grants [sc] and the
+    child's [spawn]. *)
 
-val run_child_fork :
-  ?on_restart:(unit -> unit) -> ?pool_extra:Sc.t -> child -> (Engine.ctx -> int) -> outcome
-(** Under [From_pool], each attempt is a stamped sthread standing in for
-    the fork, with [pool_extra] carrying the grants the fork would have
-    inherited (typically the connection descriptor); [pool_extra] is
-    ignored under [Fresh]. *)
+val run_child_fork : ?on_restart:(unit -> unit) -> child -> (Engine.ctx -> int) -> outcome
+(** {!run_child} over {!Engine.fork} (the privsep baseline's slave): the
+    fork inherits the whole address space, whatever the child's
+    [spawn]. *)
 
 val run_child_fn : ?on_restart:(unit -> unit) -> child -> (unit -> int) -> outcome
 (** {!run_child} over a plain function in the caller's process — the

@@ -47,9 +47,7 @@ let sc_set_uid = Sc.set_uid
 let sc_set_root = Sc.set_root
 let sc_gate_grant = Sc.gate_grant
 let sc_set_rlimit = Sc.set_rlimit
-let sc_cgate_add ?(recycled = false) =
-  Engine.sc_cgate_add ~spawn:(if recycled then Engine.Recycle else Engine.Boot)
-
+let sc_cgate_add = Engine.sc_cgate_add
 let cgate = Engine.cgate
 let gate_name = Engine.gate_name
 let cgate_delete = Engine.cgate_delete

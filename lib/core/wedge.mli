@@ -37,10 +37,12 @@ type handle = Engine.handle
 type gate_id = Engine.gate_id
 
 type spawn = Engine.spawn = Boot | Recycle | Stamp of Pool.t
-(** How a compartment gets its address space: [Boot] maps the pristine
-    snapshot page by page (fork-priced, {!sthread_create}), [Recycle]
-    reuses the one long-lived sthread of a recycled callgate (§3.3), and
-    [Stamp image] installs a frozen {!Pool} image for one flat charge. *)
+(** How a compartment gets its address space — the one choice behind
+    {!sthread_create}, {!sc_cgate_add}, supervision-tree children and
+    the servers' [run_worker]: [Boot] maps the pristine snapshot page by
+    page (fork-priced), [Stamp image] installs a frozen {!Pool} image for
+    one flat charge, and [Recycle] backs a callgate by long-lived members
+    (§3.3) — an sthread under [Recycle] boots. *)
 
 exception Privilege_violation of string
 (** A policy asked for more privilege than its grantor holds, or a
@@ -86,12 +88,22 @@ val proc : ctx -> Wedge_kernel.Process.t
 (** {1 Sthread-related calls} *)
 
 val sthread_create :
-  ?instr:Wedge_sim.Instr.t -> ctx -> Sc.t -> (ctx -> int -> int) -> int -> handle
+  ?instr:Wedge_sim.Instr.t -> ?spawn:spawn -> ctx -> Sc.t -> (ctx -> int -> int) -> int -> handle
 (** [sthread_create parent sc body arg] spawns a default-deny compartment
     holding exactly the privileges in [sc] (plus the pristine snapshot,
     copy-on-write) and runs [body] to completion.  A protection fault or
-    SELinux denial terminates the sthread without propagating.
-    @raise Privilege_violation if [sc] exceeds the parent's privileges. *)
+    SELinux denial terminates the sthread without propagating; a fault
+    while building it (a quota hit duplicating a granted descriptor)
+    reaps the half-built process and reaches the caller.
+
+    [spawn] (default [Boot]) [Stamp image] restores [image] instead, for
+    one flat charge: identity and limits come from the image unless
+    [sc] sets them, and [sc]'s grants map on top of the image's pages
+    and descriptors, skipping what the image already provides.  It
+    counts as a ["pool.stamp"] (stat, span, fault site), not an
+    ["sthread_create"].
+    @raise Privilege_violation if [sc] exceeds the parent's privileges.
+    @raise Invalid_argument if [image] is not a live image of the app. *)
 
 val sthread_join : ctx -> handle -> int
 (** The sthread's return value, or -1 if it was killed by a fault. *)
@@ -156,7 +168,7 @@ val sc_set_rlimit : Sc.t -> Wedge_kernel.Rlimit.t -> unit
 (** {1 Callgate-related calls} *)
 
 val sc_cgate_add :
-  ?recycled:bool ->
+  ?spawn:spawn ->
   ctx ->
   Sc.t ->
   name:string ->
@@ -167,8 +179,14 @@ val sc_cgate_add :
 (** Mint a callgate and add permission to invoke it to [sc].  The entry
     point, permissions [cgsc] and [trusted] argument are stored kernel-side
     and cannot be altered by any caller; [cgsc] must be a subset of the
-    creator's privileges.  [recycled] gates reuse one long-lived sthread
-    across invocations (§3.3, §4.1). *)
+    creator's privileges.  [spawn] (default [Boot]) builds each
+    invocation: [Boot] a fork-priced fresh compartment; [Stamp image] a
+    fresh one from [image] (which must carry no tagged memory) for one
+    flat charge, no state surviving from one caller to the next; and
+    [Recycle] a long-lived member of the gate's name (§3.3, §4.1).  A
+    member serves one invocation at a time — with every member busy, the
+    invocation builds another — and keeps its heap and stack between
+    invocations. *)
 
 val cgate : ?deadline_ns:int -> ctx -> gate_id -> perms:Sc.t -> arg:int -> int
 (** Invoke a callgate with additional (subset-checked) permissions [perms]
@@ -334,9 +352,8 @@ val caller_pid : ctx -> int option
 (** {1 Frozen snapshot pools (O(1) spawn and crash recovery)} *)
 
 module Pool : module type of Pool
-(** Checkpoint a fully-booted worker once ({!Pool.freeze}), then stamp
-    new sthreads ({!Pool.stamp}) and callgate invocations
-    ({!Pool.sc_cgate_add}) from the frozen image at a flat cost
-    independent of address-space size — what {!Supervisor} uses for
-    [From_pool] restarts and the servers for every per-connection
-    compartment. *)
+(** Checkpoint a fully-booted worker once ({!Pool.freeze}); [Stamp image]
+    then spawns sthreads and callgate invocations from the frozen image
+    at a flat cost independent of address-space size — what a
+    {!Supervisor} child under [~spawn:(Stamp image)] restarts with, and
+    the servers' default for every per-connection compartment. *)

@@ -25,13 +25,10 @@ let image ~name main identity =
 
 let listener_policy = Supervisor.policy ~max_restarts:2 ()
 
-let tree ?pool s env =
+let tree ?spawn s env =
   let node = Supervisor.node ~name:s.name (s.main env) in
   let listener = Supervisor.child ~policy:listener_policy node ~name:"listener" in
-  let restart =
-    match pool with Some p -> Supervisor.From_pool p | None -> Supervisor.Fresh
-  in
-  let worker = Supervisor.child ?policy:s.worker_policy ~restart node ~name:s.worker in
+  let worker = Supervisor.child ?policy:s.worker_policy ?spawn node ~name:s.worker in
   (node, listener, worker)
 
 let serve_loop ?supervision s env guard listener =
@@ -69,10 +66,7 @@ let tag conn ~name ~pages =
   t
 
 let gate conn sc ~name ~entry ~cgsc ~trusted =
-  let g =
-    Wedge_core.Engine.sc_cgate_add ~spawn:conn.c_spawn conn.c_main sc ~name ~entry ~cgsc
-      ~trusted
-  in
+  let g = W.sc_cgate_add ~spawn:conn.c_spawn conn.c_main sc ~name ~entry ~cgsc ~trusted in
   conn.c_gates <- g :: conn.c_gates;
   g
 
@@ -93,11 +87,7 @@ let served_ok = { worker_status = Process.Exited 0; degraded = false }
 let run_compartment ~supervised ~on_restart ~spawn ~policy main (sc, body) =
   match supervised with
   | Some child -> Supervisor.run_child_sthread ?on_restart child sc body 0
-  | None ->
-      Supervisor.supervise ~policy main (fun () ->
-          match spawn with
-          | W.Stamp image -> W.Pool.stamp ~extra:sc main image body 0
-          | W.Boot | W.Recycle -> W.sthread_create main sc body 0)
+  | None -> Supervisor.supervise ~policy main (fun () -> W.sthread_create ~spawn main sc body 0)
 
 (* The connection's compartments in order, each started only once its
    predecessor exited 0. *)

@@ -54,13 +54,14 @@ val image : name:string -> Wedge_core.Wedge.ctx -> Wedge_core.Sc.t -> Wedge_core
     injected ["pool.freeze"] fault in it reaches the caller: arm one only
     after the image exists, as the pooled storms do. *)
 
-val tree : ?pool:Wedge_core.Pool.t -> 'env t -> 'env -> tree
+val tree : ?spawn:Wedge_core.Wedge.spawn -> 'env t -> 'env -> tree
 (** The declared topology: node [name] with children ["listener"]
     (registered first, so a [Rest_for_one] escalation of the listener
     restarts the workers, never the reverse; two accept-loop retries) and
-    [worker] (policy [worker_policy]).  With [pool] every worker attempt,
-    first run and restarts alike, is stamped from the frozen image at a
-    flat cost instead of a fork-priced boot. *)
+    [worker] (policy [worker_policy], spawn [spawn], default [Boot]).
+    With [Stamp image] every worker attempt, first run and restarts
+    alike, is stamped from the frozen image at a flat cost instead of a
+    fork-priced boot. *)
 
 val serve_loop : ?supervision:tree -> 'env t -> 'env -> Guard.t -> Chan.listener -> unit
 (** Guarded accept loop: rejected connections (over capacity, draining or
@@ -129,16 +130,16 @@ val run_worker :
     predecessor exited 0 (Figure 3's rule: the client handler starts
     only after a clean handshake); a nonzero exit ends the connection
     undegraded.  Each runs under [supervised] (its policy, intensity
-    budget and [Fresh] or [From_pool] restarts) or else the flat
-    [policy], and every retry re-arms the guard's watchdog heart, so a
-    restarted compartment is not killed for its predecessor's hang.
+    budget and spawn) or else the flat [policy], and every retry re-arms
+    the guard's watchdog heart, so a restarted compartment is not killed
+    for its predecessor's hang.
 
     [spawn] decides how the flat path's compartments and every callgate
     invocation get their address space: [Stamp image] stamps each
-    compartment from [image] with its grants as the stamp's extras, and
-    each gate invocation too; [Boot] boots both the fork-priced way;
-    [Recycle] boots the compartments and backs each gate by its name's
-    long-lived sthread (§3.3).
+    compartment from [image] with its grants on top, and each gate
+    invocation too; [Boot] boots both the fork-priced way; [Recycle]
+    boots the compartments and backs each gate by long-lived members of
+    its name, one per invocation in flight (§3.3).
 
     [degrade] sends the server's degraded answer when setup faulted or
     every attempt of a compartment did.  The connection's callgates,

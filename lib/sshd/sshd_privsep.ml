@@ -152,13 +152,7 @@ let serve_connection ?exploit ?supervised ?guard (env : Sshd_env.t) ep =
   let outcome =
     let on_restart = Option.map (fun c () -> Guard.rearm_heart c) guard in
     match supervised with
-    | Some child ->
-        (* When the child stamps from a snapshot pool, the per-connection
-           descriptor must ride in at stamp time — a frozen image cannot
-           know this connection's fd. *)
-        let pool_extra = W.sc_create () in
-        W.sc_fd_add pool_extra fd Fd_table.perm_rw;
-        Supervisor.run_child_fork ?on_restart ~pool_extra child slave_main
+    | Some child -> Supervisor.run_child_fork ?on_restart child slave_main
     | None -> Supervisor.supervise_fork main slave_main
   in
   (* An SSH session whose slave died mid-protocol cannot be resumed in

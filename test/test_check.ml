@@ -271,6 +271,7 @@ let pinned_digests =
     ("httpd", "74b9b182ceb4c2e5101ea8edf6b06d05");
     ("sshd", "0affe7671429528d69944c88ff1e9b23");
     ("httpd_mitm", "29004a48bcae3322726a0289e0b4de43");
+    ("httpd_mitm_recycle", "d6fd94272e35736432e6cc471812cdd0");
     ("httpd_storm", "32ccb71a3c20931f6ff57148b864f4d6");
     ("pop3_storm", "c5dfde54986566e353c8e54fc317577d");
     ("sshd_storm", "42effaa78a9ba32526307fcc57aa00cc");

@@ -478,7 +478,7 @@ let test_recycled_callgate_state_persists () =
   W.boot app;
   let sc = W.sc_create () in
   let gate =
-    W.sc_cgate_add ~recycled:true main sc ~name:"counter"
+    W.sc_cgate_add ~spawn:W.Recycle main sc ~name:"counter"
       ~entry:(fun gctx ~trusted:_ ~arg:_ ->
         (* Recycled gates keep their private heap across invocations: a
            counter stored there increments per call. *)
@@ -530,7 +530,8 @@ let test_recycled_callgate_cheaper () =
   let k = W.kernel app in
   let sc = W.sc_create () in
   let mk recycled name =
-    W.sc_cgate_add ~recycled main sc ~name ~entry:(fun _ ~trusted:_ ~arg -> arg)
+    W.sc_cgate_add ~spawn:(if recycled then W.Recycle else W.Boot) main sc ~name
+      ~entry:(fun _ ~trusted:_ ~arg -> arg)
       ~cgsc:(W.sc_create ()) ~trusted:0
   in
   let fresh = mk false "fresh" and recy = mk true "recycled" in
@@ -550,6 +551,37 @@ let test_recycled_callgate_cheaper () =
   in
   check Alcotest.int "recycled much cheaper than fresh" 1 (W.sthread_join main h)
 
+(* A descriptor the caller passes in [perms] is duplicated into the gate
+   like every other descriptor grant, at one [fd_dup], whichever spawn
+   builds the invocation. *)
+let test_gate_extra_descriptor_priced () =
+  let k, app, main = mk_app ~costs:Cost_model.default () in
+  W.boot app;
+  let fd = Fd_table.add (W.proc main).Process.fds Fd_table.Null Fd_table.perm_rw in
+  let with_fd = W.sc_create () in
+  W.sc_fd_add with_fd fd Fd_table.perm_r;
+  Wedge_sim.Fiber.run (fun () ->
+      let image = W.Pool.freeze ~name:"gate" main (W.sc_create ()) in
+      List.iter
+        (fun (what, spawn) ->
+          let gate =
+            W.sc_cgate_add ~spawn main (W.sc_create ()) ~name:what
+              ~entry:(fun _ ~trusted:_ ~arg:_ -> 0)
+              ~cgsc:(W.sc_create ()) ~trusted:0
+          in
+          let cost perms =
+            let t0 = Clock.now k.Kernel.clock in
+            ignore (W.cgate main gate ~perms ~arg:0);
+            Clock.now k.Kernel.clock - t0
+          in
+          (* the first call builds a recycled gate's member *)
+          ignore (cost (W.sc_create ()));
+          let bare = cost (W.sc_create ()) in
+          check Alcotest.int (what ^ ": one fd_dup more")
+            (bare + Cost_model.default.Cost_model.fd_dup)
+            (cost with_fd))
+        [ ("boot", W.Boot); ("recycle", W.Recycle); ("stamp", W.Stamp image) ])
+
 let test_tag_delete_revokes_from_pooled_sthreads () =
   (* tag_delete is a global revocation: the pooled sthread behind a
      recycled callgate keeps its address space across invocations, so if
@@ -565,7 +597,7 @@ let test_tag_delete_revokes_from_pooled_sthreads () =
   let cgsc = W.sc_create () in
   W.sc_mem_add cgsc tag Prot.R;
   let gate =
-    W.sc_cgate_add ~recycled:true main sc ~name:"peek"
+    W.sc_cgate_add ~spawn:W.Recycle main sc ~name:"peek"
       ~entry:(fun gctx ~trusted:_ ~arg:_ -> W.read_u8 gctx addr)
       ~cgsc ~trusted:0
   in
@@ -776,6 +808,7 @@ let () =
           Alcotest.test_case "fresh state does not persist" `Quick
             test_fresh_callgate_state_does_not_persist;
           Alcotest.test_case "recycled cheaper" `Quick test_recycled_callgate_cheaper;
+          Alcotest.test_case "extra descriptor priced" `Quick test_gate_extra_descriptor_priced;
           Alcotest.test_case "tag delete revokes from pool" `Quick
             test_tag_delete_revokes_from_pooled_sthreads;
         ] );

@@ -188,7 +188,8 @@ let test_recycled_gate_leaks_across_principals () =
     let sc = W.sc_create () in
     W.sc_mem_add sc argt Prot.RW;
     let gate =
-      W.sc_cgate_add ~recycled main sc ~name:(if recycled then "buggy-r" else "buggy-f")
+      W.sc_cgate_add ~spawn:(if recycled then W.Recycle else W.Boot) main sc
+        ~name:(if recycled then "buggy-r" else "buggy-f")
         ~entry:(fun g ~trusted:_ ~arg ->
           (* copies the argument into private heap scratch... *)
           let scratch =

@@ -283,7 +283,7 @@ let test_recycled_gate_fault_respawns () =
   let sc = W.sc_create () in
   let first = ref true in
   let gate =
-    W.sc_cgate_add ~recycled:true main sc ~name:"fragile"
+    W.sc_cgate_add ~spawn:W.Recycle main sc ~name:"fragile"
       ~entry:(fun _ ~trusted:_ ~arg ->
         if !first then begin
           first := false;
@@ -459,7 +459,7 @@ let test_fuel_quota_burns_out_hostile_loop () =
   | Supervisor.Done _ -> Alcotest.fail "3 units of fuel survived 1000 syscalls"
 
 let test_fd_quota_fault_during_creation_is_supervised () =
-  let _k, app, main = mk_app () in
+  let k, app, main = mk_app () in
   W.boot app;
   Fiber.run (fun () ->
       let ep, peer = Chan.pair ~costs:Cost_model.free () in
@@ -470,6 +470,7 @@ let test_fd_quota_fault_during_creation_is_supervised () =
          monitor duplicates grants, before the worker body ever runs —
          the supervisor must treat it like any other compartment fault. *)
       W.sc_set_rlimit sc (Rlimit.create ~max_fds:0 ());
+      let live = Kernel.live_processes k in
       let outcome = Supervisor.supervise_sthread main sc (fun _ _ -> 0) 0 in
       (match outcome with
       | Supervisor.Gave_up { attempts; last_fault } ->
@@ -477,6 +478,41 @@ let test_fd_quota_fault_during_creation_is_supervised () =
           check Alcotest.bool "creation fault marked" true (contains last_fault "create:");
           check Alcotest.bool "names the fd quota" true (contains last_fault "fd quota")
       | Supervisor.Done _ -> Alcotest.fail "fd quota 0 accepted a descriptor grant");
+      check Alcotest.int "half-built sthread reaped" live (Kernel.live_processes k);
+      W.fd_close main fd;
+      Chan.close ep;
+      Chan.close peer)
+
+(* The gate twin: a gate whose own grants hold one descriptor under a
+   zero-descriptor limit faults while its invocation is built.  The fault
+   reaches the invoking worker, which dies contained, and the half-built
+   gate process is reaped. *)
+let test_fd_quota_fault_building_gate () =
+  let k, app, main = mk_app () in
+  W.boot app;
+  Fiber.run (fun () ->
+      let ep, peer = Chan.pair ~costs:Cost_model.free () in
+      let fd = W.add_endpoint main (Chan.to_endpoint ep) Fd_table.perm_rw in
+      let cgsc = W.sc_create () in
+      W.sc_fd_add cgsc fd Fd_table.perm_r;
+      W.sc_set_rlimit cgsc (Rlimit.create ~max_fds:0 ());
+      let sc = W.sc_create () in
+      let gate =
+        W.sc_cgate_add main sc ~name:"overdrawn" ~entry:(fun _ ~trusted:_ ~arg:_ -> 0) ~cgsc
+          ~trusted:0
+      in
+      let live = Kernel.live_processes k in
+      let outcome =
+        Supervisor.supervise_sthread main sc
+          (fun ctx _ -> W.cgate ctx gate ~perms:(W.sc_create ()) ~arg:0)
+          0
+      in
+      (match outcome with
+      | Supervisor.Gave_up { last_fault; _ } ->
+          check Alcotest.bool "names the fd quota" true (contains last_fault "fd quota")
+      | Supervisor.Done _ -> Alcotest.fail "fd quota 0 accepted a gate descriptor");
+      check Alcotest.int "half-built gate reaped" live (Kernel.live_processes k);
+      W.cgate_delete main gate;
       W.fd_close main fd;
       Chan.close ep;
       Chan.close peer)
@@ -683,6 +719,7 @@ let () =
             test_fuel_quota_burns_out_hostile_loop;
           Alcotest.test_case "fd quota at creation" `Quick
             test_fd_quota_fault_during_creation_is_supervised;
+          Alcotest.test_case "fd quota building a gate" `Quick test_fd_quota_fault_building_gate;
           Alcotest.test_case "escalation refused" `Quick test_quota_escalation_refused;
         ] );
       ( "chaos",

@@ -29,6 +29,7 @@ module Stats = Wedge_sim.Stats
 module Guard = Wedge_net.Guard
 module Oracle = Wedge_check.Oracle
 module Handshake = Wedge_tls.Handshake
+module Engine = Wedge_core.Engine
 
 let check = Alcotest.check
 
@@ -102,6 +103,39 @@ let test_recycled_variant variant () =
   let r2 = fetch ?resume:r1.Client.session env variant ~spawn:W.Recycle ~seed:2 () in
   check Alcotest.bool "recycled serves" true (body_of r1 <> None && body_of r2 <> None);
   check Alcotest.bool "recycled resumed" true r2.Client.resumed
+
+(* Four connections in flight under [Recycle], on Table 2's prices:
+   SSL_read parks in [fd_read] inside its member, so another
+   connection's SSL_read must take a member of its own, never remap the
+   parked one.  Over 60 random schedules every client fetches the
+   index, nothing escapes the run, and no gate name ends with more
+   members than calls it ever had in flight. *)
+let test_recycled_members_concurrent () =
+  for s = 1 to 60 do
+    let env = Env.install ~image_pages:80 (Kernel.create ~costs:Cost_model.default ()) in
+    let served = ref 0 in
+    (match
+       Fiber.run ~policy:(Fiber.Random s) (fun () ->
+           for i = 1 to 4 do
+             let client_ep, server_ep = Chan.pair ~costs:Cost_model.default () in
+             Fiber.spawn (fun () ->
+                 ignore (Mitm_httpd.serve_connection ~spawn:W.Recycle env server_ep));
+             Fiber.spawn (fun () ->
+                 let rng = Drbg.create ~seed:i in
+                 let pinned = env.Env.priv.Rsa.pub in
+                 let r = Client.get ~rng ~pinned ~path:"/index.html" client_ep in
+                 if body_of r = Some Env.index_body then incr served)
+           done)
+     with
+    | () -> ()
+    | exception e -> Alcotest.failf "schedule %d: %s escaped the run" s (Printexc.to_string e));
+    check Alcotest.int (Printf.sprintf "schedule %d: every client served" s) 4 !served;
+    Hashtbl.iter
+      (fun name members ->
+        if List.length members > 4 then
+          Alcotest.failf "schedule %d: gate %s ends with %d members" s name (List.length members))
+      env.Env.app.Engine.recycled_pool
+  done
 
 (* ---------- attack: private-key disclosure ---------- *)
 
@@ -633,6 +667,8 @@ let () =
           v "cache off" VMitm test_cache_disabled;
           v "recycled" VSimple test_recycled_variant;
           v "recycled" VMitm test_recycled_variant;
+          Alcotest.test_case "recycled members, four connections in flight" `Quick
+            test_recycled_members_concurrent;
         ] );
       ( "attacks",
         [

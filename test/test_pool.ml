@@ -3,8 +3,8 @@
    the O(1) cost claim against fork-priced boot, COW preservation of the
    frozen frames, rlimit and identity capture, fault injection on both
    pool sites (a fault mid-stamp must leave the image pristine and the
-   refcounts clean — swept by the oracle), supervisor [From_pool]
-   integration, and the pool counters in the metrics registry. *)
+   refcounts clean — swept by the oracle), supervision-tree children
+   under [Stamp], and the pool counters in the metrics registry. *)
 
 module Kernel = Wedge_kernel.Kernel
 module Fd_table = Wedge_kernel.Fd_table
@@ -45,6 +45,10 @@ let sweep k app =
 
 let noop _ _ = 0
 
+(* A compartment stamped from [pool], [sc]'s grants on top. *)
+let stamp ?(sc = W.sc_create ()) main pool fn arg =
+  W.sthread_create ~spawn:(W.Stamp pool) main sc fn arg
+
 (* ---------- lifecycle ---------- *)
 
 let test_freeze_stamp_basic () =
@@ -53,7 +57,7 @@ let test_freeze_stamp_basic () =
       let pool = W.Pool.freeze ~name:"w" main (W.sc_create ()) in
       check Alcotest.bool "live" true (Pool.is_live pool);
       check Alcotest.bool "pages captured" true (Pool.frozen_pages pool > 0);
-      let h = W.Pool.stamp main pool (fun _ x -> x + 41) 1 in
+      let h = stamp main pool (fun _ x -> x + 41) 1 in
       check Alcotest.int "stamped worker ran" 42 (W.sthread_join main h);
       check Alcotest.int "freeze counted" 1 app.Engine.pool_freezes;
       check Alcotest.int "stamp counted" 1 app.Engine.pool_stamps;
@@ -66,16 +70,16 @@ let test_stamp_flat_vs_fresh_scaling () =
   let measure pages =
     let k, _, main = mk ~costs:Cost_model.default ~image_pages:pages () in
     let clock = k.Kernel.clock in
-    let fresh = ref 0 and stamp = ref 0 in
+    let fresh_ns = ref 0 and stamp_ns = ref 0 in
     Fiber.run ~clock (fun () ->
         let t0 = Clock.now clock in
         ignore (W.sthread_create main (W.sc_create ()) noop 0);
-        fresh := Clock.now clock - t0;
+        fresh_ns := Clock.now clock - t0;
         let pool = W.Pool.freeze ~name:"w" main (W.sc_create ()) in
         let t1 = Clock.now clock in
-        ignore (W.Pool.stamp main pool noop 0);
-        stamp := Clock.now clock - t1);
-    (!fresh, !stamp)
+        ignore (stamp main pool noop 0);
+        stamp_ns := Clock.now clock - t1);
+    (!fresh_ns, !stamp_ns)
   in
   let f1, s1 = measure 40 and f2, s2 = measure 400 in
   check Alcotest.bool "fresh scales with pages" true (f2 > f1);
@@ -101,7 +105,7 @@ let test_spawn_flat_on_both_clocks () =
     Fiber.run ~clock (fun () ->
         let pool = W.Pool.freeze ~name:"w" main (W.sc_create ()) in
         let gate =
-          W.Pool.sc_cgate_add pool main (W.sc_create ()) ~name:"g"
+          W.sc_cgate_add ~spawn:(W.Stamp pool) main (W.sc_create ()) ~name:"g"
             ~entry:(fun _ ~trusted:_ ~arg:_ -> 0)
             ~cgsc:(W.sc_create ()) ~trusted:0
         in
@@ -115,7 +119,7 @@ let test_spawn_flat_on_both_clocks () =
         in
         costs :=
           Some
-            ( cost (fun () -> ignore (W.Pool.stamp main pool noop 0)),
+            ( cost (fun () -> ignore (stamp main pool noop 0)),
               cost (fun () -> ignore (W.cgate main gate ~perms:(W.sc_create ()) ~arg:0)),
               cost (fun () -> ignore (W.sthread_create main (W.sc_create ()) noop 0)) ));
     Option.get !costs
@@ -152,7 +156,7 @@ let test_stamp_cow_preserves_frozen_image () =
       (* Two stamped workers write the same heap address: each must COW
          onto a private frame and see its own value. *)
       let h1 =
-        W.Pool.stamp main pool
+        stamp main pool
           (fun ctx _ ->
             W.write_u64 ctx !addr 111;
             W.read_u64 ctx !addr)
@@ -160,7 +164,7 @@ let test_stamp_cow_preserves_frozen_image () =
       in
       check Alcotest.int "worker 1 private write" 111 (W.sthread_join main h1);
       let h2 =
-        W.Pool.stamp main pool
+        stamp main pool
           (fun ctx _ -> W.read_u64 ctx !addr)
           0
       in
@@ -174,17 +178,17 @@ let test_discard_releases_image () =
   let k, app, main = mk () in
   Fiber.run (fun () ->
       let pool = W.Pool.freeze ~name:"w" main (W.sc_create ()) in
-      ignore (W.sthread_join main (W.Pool.stamp main pool noop 0));
+      ignore (W.sthread_join main (stamp main pool noop 0));
       W.Pool.discard main pool;
       check Alcotest.bool "dead after discard" false (Pool.is_live pool);
       check Alcotest.bool "stamp after discard refused" true
-        (match W.Pool.stamp main pool noop 0 with
+        (match stamp main pool noop 0 with
         | exception Invalid_argument _ -> true
         | _ -> false);
       (* Double discard is a no-op, and a fresh freeze can reuse the name. *)
       W.Pool.discard main pool;
       let pool2 = W.Pool.freeze ~name:"w" main (W.sc_create ()) in
-      ignore (W.sthread_join main (W.Pool.stamp main pool2 noop 0)));
+      ignore (W.sthread_join main (stamp main pool2 noop 0)));
   sweep k app
 
 let test_duplicate_freeze_name_refused () =
@@ -206,12 +210,12 @@ let test_stamp_identity_and_limits () =
       W.sc_set_rlimit sc (Rlimit.create ~max_frames:64 ~max_fds:4 ~max_fuel:100_000 ());
       let pool = W.Pool.freeze ~name:"w" main sc in
       (* Identity captured at freeze rides into every stamp. *)
-      let h = W.Pool.stamp main pool (fun ctx _ -> W.getuid ctx) 0 in
+      let h = stamp main pool (fun ctx _ -> W.getuid ctx) 0 in
       check Alcotest.int "stamped uid from pool" 99 (W.sthread_join main h);
       (* A stamp-time extra can override identity per invocation. *)
       let extra = W.sc_create () in
       W.sc_set_uid extra 33;
-      let h2 = W.Pool.stamp ~extra main pool (fun ctx _ -> W.getuid ctx) 0 in
+      let h2 = stamp ~sc:extra main pool (fun ctx _ -> W.getuid ctx) 0 in
       check Alcotest.int "extra overrides uid" 33 (W.sthread_join main h2));
   sweep k app
 
@@ -304,7 +308,7 @@ let test_stamped_sthread_twin () =
       in
       ignore (W.sthread_join main (W.sthread_create main sc body 0));
       let fork = Option.get !seen in
-      ignore (W.sthread_join main (W.Pool.stamp ~extra:sc main pool body 0));
+      ignore (W.sthread_join main (stamp ~sc main pool body 0));
       check_twins "sthread" fork (Option.get !seen));
   sweep k app
 
@@ -327,7 +331,8 @@ let test_stamped_gate_twin () =
       W.sc_mem_add worker_sc work Prot.RW;
       let forked = W.sc_cgate_add main worker_sc ~name:"twin.fork" ~entry ~cgsc ~trusted:0 in
       let stamped =
-        W.Pool.sc_cgate_add pool main worker_sc ~name:"twin.stamp" ~entry ~cgsc ~trusted:0
+        W.sc_cgate_add ~spawn:(W.Stamp pool) main worker_sc ~name:"twin.stamp" ~entry ~cgsc
+          ~trusted:0
       in
       let call gate =
         seen := None;
@@ -367,7 +372,7 @@ let test_stamped_gate_keeps_no_residue () =
         let sc = W.sc_create () in
         W.sc_mem_add sc argt Prot.RW;
         let gate =
-          W.Pool.sc_cgate_add pool main sc ~name:"buggy-s"
+          W.sc_cgate_add ~spawn:(W.Stamp pool) main sc ~name:"buggy-s"
             ~entry:(fun g ~trusted:_ ~arg ->
               let scratch =
                 if W.can_read g ~addr:(Layout.heap_base + 40) ~len:1 then Layout.heap_base + 40
@@ -410,7 +415,7 @@ let test_stamped_gate_refuses_foreign_image () =
       let pool = W.Pool.freeze ~name:"elsewhere" other (W.sc_create ()) in
       check Alcotest.bool "image of another app refused" true
         (match
-           W.Pool.sc_cgate_add pool main (W.sc_create ()) ~name:"g"
+           W.sc_cgate_add ~spawn:(W.Stamp pool) main (W.sc_create ()) ~name:"g"
              ~entry:(fun _ ~trusted:_ ~arg:_ -> 0)
              ~cgsc:(W.sc_create ()) ~trusted:0
          with
@@ -472,7 +477,7 @@ let freeze_shared main =
 (* Run [body] in a compartment stamped from [pool]; it must finish. *)
 let in_stamp main pool body =
   check Alcotest.int "stamped compartment finished" 0
-    (W.sthread_join main (W.Pool.stamp main pool (fun ctx _ -> body ctx; 0) 0))
+    (W.sthread_join main (stamp main pool (fun ctx _ -> body ctx; 0) 0))
 
 let stamped_view k main pool =
   let seen = ref [] in
@@ -575,7 +580,7 @@ let test_fault_during_freeze_leaves_no_image () =
       check Alcotest.int "no image registered" 0 (List.length app.Engine.frozen_images);
       (* The name is free again and a clean retry works. *)
       let pool = W.Pool.freeze ~name:"w" main (W.sc_create ()) in
-      ignore (W.sthread_join main (W.Pool.stamp main pool noop 0)));
+      ignore (W.sthread_join main (stamp main pool noop 0)));
   sweep k app
 
 let test_fault_during_stamp_image_pristine () =
@@ -587,7 +592,7 @@ let test_fault_during_stamp_image_pristine () =
       let pool = W.Pool.freeze ~name:"w" main (W.sc_create ()) in
       Fault_plan.arm plan;
       check Alcotest.bool "stamp crashed" true
-        (match W.Pool.stamp main pool noop 0 with exception _ -> true | _ -> false);
+        (match stamp main pool noop 0 with exception _ -> true | _ -> false);
       Fault_plan.disarm plan;
       (* The frozen image survived the failed stamp pristine: still live,
          still registered, and a clean stamp serves. *)
@@ -595,17 +600,17 @@ let test_fault_during_stamp_image_pristine () =
       check Alcotest.int "image still registered" 1 (List.length app.Engine.frozen_images);
       check Alcotest.bool "faulted attempt counted, no hit" true
         (app.Engine.pool_stamps >= 1 && app.Engine.pool_hits = 0);
-      ignore (W.sthread_join main (W.Pool.stamp main pool noop 0)));
+      ignore (W.sthread_join main (stamp main pool noop 0)));
   (* Refcounts and COW re-derive clean after the mid-stamp crash. *)
   sweep k app
 
 (* ---------- supervisor integration ---------- *)
 
-(* A faulted pooled child restarts by restamping: on paper-shaped prices
+(* A faulted [Stamp] child restarts by restamping: on paper-shaped prices
    at 300 pages its recovery, from the fault to the next attempt's first
-   instruction, is a stamp, where a [Fresh] child pays a fork-priced boot
+   instruction, is a stamp, where a [Boot] child pays a fork-priced boot
    of the whole image. *)
-let test_from_pool_child_restamps () =
+let test_stamp_child_restamps () =
   let run ~pooled =
     let k, app, main = mk ~costs:Cost_model.default ~image_pages:300 () in
     let clock = k.Kernel.clock in
@@ -616,7 +621,7 @@ let test_from_pool_child_restamps () =
         let c =
           Supervisor.child
             ~policy:(Supervisor.policy ~max_restarts:2 ())
-            ~restart:(if pooled then Supervisor.From_pool pool else Supervisor.Fresh)
+            ~spawn:(if pooled then W.Stamp pool else W.Boot)
             node ~name:"w"
         in
         let attempts = ref 0 and fault_at = ref 0 in
@@ -648,7 +653,7 @@ let test_from_pool_child_restamps () =
     "fault to next attempt, pooled vs fresh (simulated ns)" (8_550, 64_600)
     (pooled, run ~pooled:false)
 
-let test_from_pool_quarantine_is_shorter () =
+let test_stamp_quarantine_is_shorter () =
   (* Quarantine length is priced against restart cost: a pooled child is
      re-admitted at a quarter of the node's quarantine_ns. *)
   let run_variant restart =
@@ -667,8 +672,7 @@ let test_from_pool_quarantine_is_shorter () =
         let c =
           Supervisor.child
             ~policy:(Supervisor.policy ~max_restarts:5 ())
-            ~restart:
-              (match pool with Some p -> Supervisor.From_pool p | None -> Supervisor.Fresh)
+            ?spawn:(Option.map (fun p -> W.Stamp p) pool)
             node ~name:"w"
         in
         ignore (Supervisor.run_child_fn c (fun () -> raise (Fault_plan.Injected "boom")));
@@ -693,7 +697,7 @@ let test_pool_metrics_and_trace () =
   Trace.arm k.Kernel.trace;
   Fiber.run (fun () ->
       let pool = W.Pool.freeze ~name:"w" main (W.sc_create ()) in
-      ignore (W.sthread_join main (W.Pool.stamp main pool noop 0));
+      ignore (W.sthread_join main (stamp main pool noop 0));
       W.Pool.discard main pool);
   check Alcotest.bool "freeze stat" true (Stats.get k.Kernel.stats "pool.freeze" >= 1);
   check Alcotest.bool "stamp stat" true (Stats.get k.Kernel.stats "pool.stamp" >= 1);
@@ -748,9 +752,8 @@ let () =
         ] );
       ( "supervisor",
         [
-          Alcotest.test_case "From_pool restamps" `Quick test_from_pool_child_restamps;
-          Alcotest.test_case "pooled quarantine shorter" `Quick
-            test_from_pool_quarantine_is_shorter;
+          Alcotest.test_case "Stamp child restamps" `Quick test_stamp_child_restamps;
+          Alcotest.test_case "pooled quarantine shorter" `Quick test_stamp_quarantine_is_shorter;
         ] );
       ( "observability",
         [ Alcotest.test_case "metrics + trace" `Quick test_pool_metrics_and_trace ] );

@@ -608,7 +608,7 @@ let test_staller_pop3_pooled_restamp () =
       (* freeze needs a running fiber, so the pool is built here *)
       let service = Wedge_pop3.Pop3_wedge.service in
       let pool = service.Service.image main_ctx in
-      let tree = Service.tree ~pool service main_ctx in
+      let tree = Service.tree ~spawn:(W.Stamp pool) service main_ctx in
       Service.serve_loop ~supervision:tree service main_ctx guard l)
     ~prefix:"USER ali"
     ~clean:

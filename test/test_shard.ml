@@ -98,7 +98,7 @@ let test_cross_shard_revocation () =
         let cgsc = W.sc_create () in
         W.sc_mem_add cgsc r1 Prot.R;
         let gate =
-          W.sc_cgate_add ~recycled:true main1 sc ~name:"peek"
+          W.sc_cgate_add ~spawn:W.Recycle main1 sc ~name:"peek"
             ~entry:(fun gctx ~trusted:_ ~arg:_ -> W.read_u8 gctx addr)
             ~cgsc ~trusted:0
         in
