@@ -31,6 +31,21 @@ for f in $(grep -rl 'Kernel\.new_process' lib); do
   esac
 done
 
+# Frame guard: lib/kernel/physmem.ml decides which frames have host
+# bytes (a frame is demand-zero until its first write), and only the MMU
+# (lib/kernel/vm.ml) writes frames — a write view taken anywhere else in
+# lib/ would bypass the MMU's protection and COW checks.
+echo "== frame write-view guard =="
+for f in $(grep -rl 'Physmem\.get_mut' lib); do
+  case "$f" in
+    lib/kernel/physmem.ml | lib/kernel/vm.ml) ;;
+    *)
+      echo "check.sh: $f takes Physmem.get_mut outside lib/kernel/vm.ml" >&2
+      exit 1
+      ;;
+  esac
+done
+
 echo "== dune build @default =="
 dune build @default
 

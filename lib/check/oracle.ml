@@ -12,6 +12,8 @@
        private frames and open descriptors, and every charged vpn is
        actually mapped;
      - every servable TLB entry agrees with the page table it caches;
+     - the kernel's shared zero page, which backs every frame never
+       written, still reads all zeros;
      - the pristine snapshot's and every frozen image's shared page
        table still hold the records they were built from;
      - every smalloc segment (live tags, per-process heaps) has intact
@@ -169,6 +171,16 @@ let check_tlbs t =
       | msg :: _ -> violation "oracle: %s" msg)
 
 (* ------------------------------------------------------------------ *)
+(* The shared zero page stays zero                                     *)
+
+(* Every unwritten frame reads through the one zero page, so a single
+   write through [Physmem.get] (the read view) to an unwritten frame
+   would show up in all of them at once. *)
+let check_zero_page t =
+  if not (Physmem.zero_page_clean t.kernel.Kernel.pm) then
+    violation "oracle: the zero page is dirty (a write went through Physmem.get)"
+
+(* ------------------------------------------------------------------ *)
 (* Smalloc segment integrity (tags and private heaps)                  *)
 
 let check_smalloc t =
@@ -302,6 +314,7 @@ let check t =
   check_refcounts t;
   check_rlimits t;
   check_tlbs t;
+  check_zero_page t;
   check_smalloc t;
   check_frozen t;
   check_guards t;

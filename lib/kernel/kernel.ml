@@ -159,6 +159,11 @@ let register_metrics m t =
       [ ("tlb.hit", !hit); ("tlb.miss", !miss); ("tlb.shootdown", !shoot) ]);
   Metrics.register m ~name:"kernel.procs" (fun () ->
       [ ("kernel.live_processes", live_processes t) ]);
+  Metrics.register m ~name:"kernel.physmem" (fun () ->
+      [
+        ("physmem.frames", Physmem.frames_in_use t.pm);
+        ("physmem.host_frames", Physmem.host_frames t.pm);
+      ]);
   match t.faults with
   | Some plan -> Metrics.register_fault_plan m plan
   | None -> ()

@@ -96,5 +96,7 @@ val live_processes : t -> int
 val register_metrics : Wedge_sim.Metrics.t -> t -> unit
 (** Register this kernel's counters with a metrics registry: the stats
     table, live per-process TLB counters (summed with the reaped totals
-    under the same keys), a live-process gauge, and — when a fault plan
-    is attached — its injection and per-site op counts. *)
+    under the same keys), a live-process gauge, two physical-memory
+    gauges — ["physmem.frames"] (live frames) and ["physmem.host_frames"]
+    (those written at least once, see {!Physmem.host_frames}) — and, when a
+    fault plan is attached, its injection and per-site op counts. *)

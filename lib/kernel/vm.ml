@@ -64,10 +64,16 @@ type recorder = (mem_event -> unit) option ref
 (* ------------------------------------------------------------------ *)
 (* Software TLB                                                        *)
 
-(* Direct-mapped, per-address-space translation cache: vpn -> frame bytes
-   + effective protection + tag.  The fast path costs one array index,
-   three compares and a byte access — no hashtable walk, no fault roll
-   per byte.  Safety comes from two mechanisms:
+(* Direct-mapped, per-address-space translation cache: vpn -> frame
+   number + effective protection + tag.  The fast path costs one array
+   index, three compares, one [Physmem] lookup and a byte access — no
+   hashtable walk, no fault roll per byte.  An entry caches the frame,
+   never its bytes: every access resolves the bytes through [Physmem]
+   (the read view for reads, the write view for writes), so a frame's
+   first write — which moves it off the shared zero page onto private
+   bytes — is seen at once through every other address space's warm
+   entry for that frame, with no sharer list and no extra shootdown.
+   Safety comes from two mechanisms:
      - every entry is stamped with the page table's epoch at fill time,
        so any map/unmap invalidates the whole cache with one compare;
      - in-place pte mutations (protect_range, COW breaks, tag retags) do
@@ -81,7 +87,6 @@ let tlb_mask = tlb_slots - 1
 type tlb_entry = {
   mutable e_vpn : int;  (* -1 = invalid *)
   mutable e_epoch : int;  (* Pagetable.epoch at fill time *)
-  mutable e_bytes : Bytes.t;  (* the frame's backing store *)
   mutable e_prot : Prot.page;  (* effective protection at fill time *)
   mutable e_tag : int option;
   mutable e_frame : int;
@@ -127,7 +132,6 @@ let create ?faults ?limits ?(trace = Wedge_sim.Trace.null) ?recorder ~pid pm clo
           {
             e_vpn = -1;
             e_epoch = 0;
-            e_bytes = Bytes.empty;
             e_prot = Prot.page_none;
             e_tag = None;
             e_frame = -1;
@@ -179,7 +183,6 @@ let tlb_fill t vpn (pte : Pagetable.pte) =
   let e = Array.unsafe_get t.tlb (vpn land tlb_mask) in
   e.e_vpn <- vpn;
   e.e_epoch <- Pagetable.epoch t.pt;
-  e.e_bytes <- Physmem.get t.pm pte.Pagetable.frame;
   e.e_prot <- pte.Pagetable.prot;
   e.e_tag <- pte.Pagetable.tag;
   e.e_frame <- pte.Pagetable.frame
@@ -422,7 +425,7 @@ let cow_break t ~vpn =
   Clock.charge t.clock t.costs.Cost_model.page_copy;
   if Physmem.refcount t.pm pte.frame > 1 then begin
     let fresh = alloc_charged t vpn in
-    Bytes.blit (Physmem.get t.pm pte.frame) 0 (Physmem.get t.pm fresh) 0 page_size;
+    Bytes.blit (Physmem.get t.pm pte.frame) 0 (Physmem.get_mut t.pm fresh) 0 page_size;
     Physmem.decref t.pm pte.frame;
     pte.frame <- fresh
   end;
@@ -466,8 +469,16 @@ let perm_hit access check (p : Prot.page) =
   | Read -> p.Prot.pr || not check
   | Write -> p.Prot.pw
 
+(* The bytes an access of this kind sees: the write view gives an
+   unwritten frame its private bytes, the read view never does. *)
+let frame_bytes t access frame =
+  match access with
+  | Read -> Physmem.get t.pm frame
+  | Write -> Physmem.get_mut t.pm frame
+
 (* One translation: TLB fast path, page walk + fill on miss.  Returns the
-   frame's backing bytes; offsets within the page are the caller's. *)
+   frame's bytes for this access; offsets within the page are the
+   caller's. *)
 let page_for t addr access check =
   let vpn = addr lsr 12 in
   let e = Array.unsafe_get t.tlb (vpn land tlb_mask) in
@@ -475,7 +486,7 @@ let page_for t addr access check =
   then begin
     t.tlb_hit_n <- t.tlb_hit_n + 1;
     Clock.charge t.clock t.costs.Cost_model.tlb_hit;
-    e.e_bytes
+    frame_bytes t access e.e_frame
   end
   else begin
     t.tlb_miss_n <- t.tlb_miss_n + 1;
@@ -483,7 +494,7 @@ let page_for t addr access check =
     Wedge_sim.Trace.instant t.trace ~name:"tlb.miss" ~pid:t.pid;
     let pte = pte_for t addr access check in
     tlb_fill t vpn pte;
-    Physmem.get t.pm pte.Pagetable.frame
+    frame_bytes t access pte.Pagetable.frame
   end
 
 (* Checked (compartment) accesses roll the injected-fault plan once per
@@ -781,10 +792,11 @@ let owned_vpns t = List.sort compare (Hashtbl.fold (fun v () acc -> v :: acc) t.
 let quota_tracked t = t.limits <> None
 
 (* Validate every *servable* TLB entry (valid vpn, current epoch — stale
-   epochs can never be served) against the page table: same frame, the
-   cached byte store physically identical to the frame's, protection and
-   tag as filled.  Any disagreement is a revocation that failed to shoot
-   an entry down — a default-deny bypass. *)
+   epochs can never be served) against the page table: same frame,
+   protection and tag as filled.  (An entry holds no bytes to check:
+   every access resolves them through [Physmem].)  Any disagreement is a
+   revocation that failed to shoot an entry down — a default-deny
+   bypass. *)
 let tlb_check t =
   let epoch = Pagetable.epoch t.pt in
   let bad = ref [] in
@@ -800,9 +812,6 @@ let tlb_check t =
             if pte.Pagetable.frame <> e.e_frame then
               report "pid %d: TLB vpn 0x%x caches frame %d but pte has %d" t.pid e.e_vpn
                 e.e_frame pte.Pagetable.frame
-            else if not (Physmem.get t.pm pte.Pagetable.frame == e.e_bytes) then
-              report "pid %d: TLB vpn 0x%x byte store is not frame %d's backing" t.pid
-                e.e_vpn pte.Pagetable.frame
             else begin
               if pte.Pagetable.prot <> e.e_prot then
                 report "pid %d: TLB vpn 0x%x caches stale protection" t.pid e.e_vpn;

@@ -8,8 +8,12 @@
 
     Translations are served through a per-address-space direct-mapped
     software TLB: the first access to a page walks the page table
-    ([tlb_miss] cost) and caches frame bytes + effective protection;
-    subsequent accesses hit the cache ([tlb_hit] cost).  Every path that
+    ([tlb_miss] cost) and caches the frame number + effective protection;
+    subsequent accesses hit the cache ([tlb_hit] cost).  Every access
+    resolves the frame's bytes through {!Physmem} — the read view for
+    reads, the write view for writes — so a frame's first write (which
+    gives a demand-zero frame its own host bytes) is seen at once through
+    every address space's cached entry for it.  Every path that
     revokes or downgrades a translation — {!unmap_range},
     {!protect_range}, COW breaks, {!set_page_prot}, {!set_page_tag},
     {!destroy} — shoots the affected entries down, so a revocation is
@@ -272,8 +276,9 @@ val quota_tracked : t -> bool
 
 val tlb_check : t -> string list
 (** Validate every servable TLB entry (valid vpn, current epoch) against
-    the page table: same frame, physically identical byte store, same
-    protection and tag.  Returns one message per disagreement — any entry
+    the page table: same frame, same protection and tag.  (An entry holds
+    no bytes: every access resolves them through {!Physmem}.)  Returns one
+    message per disagreement — any entry
     here is a revocation that failed to shoot down, i.e. a default-deny
     bypass.  Empty means consistent. *)
 

@@ -55,7 +55,7 @@ let take t ~pages =
         if t.scrub then
           List.iter
             (fun f ->
-              Bytes.fill (Physmem.get t.pm f) 0 Physmem.page_size '\000';
+              Physmem.scrub t.pm f;
               t.scrubbed <- t.scrubbed + 1)
             entry.frames;
         Some entry

@@ -27,7 +27,9 @@ val put : t -> entry -> unit
 
 val take : t -> pages:int -> entry option
 (** Pop a cached range with exactly [pages] pages, scrubbing its frames
-    (unless scrubbing is off). *)
+    (unless scrubbing is off) through {!Wedge_kernel.Physmem.scrub}: a
+    written frame is zero-filled in place, an unwritten one costs
+    nothing. *)
 
 val entries : t -> entry list
 (** Every cached entry, in no particular order.  The refcount invariant

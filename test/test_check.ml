@@ -49,6 +49,26 @@ let test_oracle_catches_refcount_drift () =
   | exception Oracle.Violation msg ->
       check Alcotest.bool "names refcounts" true (contains msg "refcount")
 
+(* Every unwritten frame reads through the kernel's one zero page, so a
+   write through the read view ([Physmem.get]) to an unwritten frame
+   lands in all of them: the oracle must flag it. *)
+let test_oracle_catches_dirty_zero_page () =
+  let k = Kernel.create ~costs:Cost_model.free () in
+  let p = Kernel.new_process k ~kind:Wedge_kernel.Process.Main ~uid:0 ~root:"/" ~sid:"sys" () in
+  let vm = p.Wedge_kernel.Process.vm in
+  Vm.map_fresh vm ~addr:0x10000 ~pages:2 ~prot:Prot.page_rw ~tag:None;
+  let o = Oracle.create k in
+  Oracle.check o;
+  (match Pagetable.find (Vm.page_table vm) ~vpn:(0x10000 / ps) with
+  | Some pte -> Bytes.set (Physmem.get k.Kernel.pm pte.Pagetable.frame) 0 'x'
+  | None -> Alcotest.fail "page vanished");
+  check Alcotest.int "the other unwritten page sees the stray write" (Char.code 'x')
+    (Vm.read_u8 vm 0x11000);
+  match Oracle.check o with
+  | () -> Alcotest.fail "oracle missed a write through the read view"
+  | exception Oracle.Violation msg ->
+      check Alcotest.bool "names the zero page" true (contains msg "zero page")
+
 let test_oracle_catches_quota_drift () =
   let k = Kernel.create ~costs:Cost_model.free () in
   let p =
@@ -120,7 +140,7 @@ let test_refvm_catches_silent_corruption () =
   (* Corrupt the frame behind the recorder's back — a model of a store
      that bypassed the MMU. *)
   (match Pagetable.find (Vm.page_table vm) ~vpn:(0x10000 / ps) with
-  | Some pte -> Bytes.set (Physmem.get k.Kernel.pm pte.Pagetable.frame) 0 '\xff'
+  | Some pte -> Bytes.set (Physmem.get_mut k.Kernel.pm pte.Pagetable.frame) 0 '\xff'
   | None -> Alcotest.fail "page vanished");
   match Vm.read_u64 vm 0x10000 with
   | _ -> Alcotest.fail "model agreed with corrupted bytes"
@@ -136,7 +156,7 @@ let test_refvm_verify_catches_drift () =
   Fun.protect ~finally:(fun () -> Refvm.disarm r) @@ fun () ->
   Vm.map_fresh vm ~addr:0x10000 ~pages:1 ~prot:Prot.page_rw ~tag:None;
   (match Pagetable.find (Vm.page_table vm) ~vpn:(0x10000 / ps) with
-  | Some pte -> Bytes.set (Physmem.get k.Kernel.pm pte.Pagetable.frame) 7 'z'
+  | Some pte -> Bytes.set (Physmem.get_mut k.Kernel.pm pte.Pagetable.frame) 7 'z'
   | None -> Alcotest.fail "page vanished");
   match Refvm.verify r with
   | () -> Alcotest.fail "verify missed divergent content"
@@ -365,6 +385,8 @@ let () =
           Alcotest.test_case "clean on fresh kernel" `Quick test_oracle_clean_on_fresh_kernel;
           Alcotest.test_case "catches refcount drift" `Quick test_oracle_catches_refcount_drift;
           Alcotest.test_case "catches quota drift" `Quick test_oracle_catches_quota_drift;
+          Alcotest.test_case "catches a dirty zero page" `Quick
+            test_oracle_catches_dirty_zero_page;
           Alcotest.test_case "custom invariant" `Quick test_oracle_custom_invariant;
           Alcotest.test_case "hook stride" `Quick test_oracle_hook_stride;
         ] );

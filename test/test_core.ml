@@ -4,6 +4,8 @@
    baseline, smalloc_on/off and boundary variables. *)
 
 module Kernel = Wedge_kernel.Kernel
+module Physmem = Wedge_kernel.Physmem
+module Vm = Wedge_kernel.Vm
 module Prot = Wedge_kernel.Prot
 module Process = Wedge_kernel.Process
 module Fd_table = Wedge_kernel.Fd_table
@@ -14,6 +16,7 @@ module Cost_model = Wedge_sim.Cost_model
 module Stats = Wedge_sim.Stats
 module Tag = Wedge_mem.Tag
 module W = Wedge_core.Wedge
+module Engine = Wedge_core.Engine
 
 let check = Alcotest.check
 
@@ -762,6 +765,45 @@ let test_sthread_cost_similar_to_fork () =
     (sthread_t < fork_t * 2 && fork_t < sthread_t * 2);
   check Alcotest.bool "sthread much dearer than pthread" true (sthread_t > 4 * pthread_t)
 
+(* ---------- host footprint ---------- *)
+
+(* Building and booting an image costs host memory for its page tables
+   and snapshot records, not for its pages: a frame gets host bytes on
+   its first write, and boot writes none of the image.  Host words are
+   counted as the repository benchmark counts them, exactly: minor words
+   plus words allocated directly in the major heap.  The build's
+   page-table entries and frame bookkeeping cost ~19 words a page, and
+   boot's snapshot records ~34 more; a 4 KiB buffer per frame would add
+   513. *)
+let test_image_boot_demand_zero () =
+  let host_words () =
+    let _, promoted, major = Gc.counters () in
+    Gc.minor_words () +. (major -. promoted)
+  in
+  let build pages =
+    let k = Kernel.create () in
+    let w0 = host_words () in
+    let app = W.create_app ~image_pages:pages k in
+    let w1 = host_words () in
+    W.boot app;
+    let w2 = host_words () in
+    let image = Vm.image_pages app.Engine.pristine in
+    check Alcotest.int (Printf.sprintf "%d-page image snapshotted" pages) pages
+      (List.length image);
+    check Alcotest.int (Printf.sprintf "%d-page image: no frame host-backed after boot" pages)
+      0 (Physmem.host_frames k.Kernel.pm);
+    (w1 -. w0, w2 -. w0)
+  in
+  let (build1, total1) = build 60 and (build2, total2) = build 2_000 in
+  let per_page what bound w1 w2 =
+    let slope = (w2 -. w1) /. 1_940. in
+    if slope >= bound then
+      Alcotest.failf "%s: host words grow by %.1f per page from 60 to 2,000 pages (%.0f -> %.0f)"
+        what slope w1 w2
+  in
+  per_page "build" 20. build1 build2;
+  per_page "build and boot" 64. total1 total2
+
 let () =
   Alcotest.run "wedge_core"
     [
@@ -832,4 +874,6 @@ let () =
         ] );
       ( "costs",
         [ Alcotest.test_case "sthread ~ fork >> pthread" `Quick test_sthread_cost_similar_to_fork ] );
+      ( "host footprint",
+        [ Alcotest.test_case "image boot is demand-zero" `Quick test_image_boot_demand_zero ] );
     ]

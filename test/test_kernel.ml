@@ -46,7 +46,7 @@ let test_physmem_refcount () =
 let test_physmem_reuse () =
   let pm = Physmem.create () in
   let f = Physmem.alloc pm in
-  Bytes.set (Physmem.get pm f) 0 'x';
+  Bytes.set (Physmem.get_mut pm f) 0 'x';
   Physmem.decref pm f;
   let g = Physmem.alloc pm in
   check Alcotest.int "frame number reused" f g;
@@ -67,6 +67,63 @@ let test_physmem_growth () =
   check Alcotest.int "300 in use" 300 (Physmem.frames_in_use pm);
   List.iter (fun f -> Physmem.decref pm f) frames;
   check Alcotest.int "all freed" 0 (Physmem.frames_in_use pm)
+
+(* Demand-zero frames: a frame has host bytes only once written. *)
+let test_physmem_demand_zero () =
+  let pm = Physmem.create () in
+  let f = Physmem.alloc pm in
+  let g = Physmem.alloc pm in
+  check Alcotest.bool "a fresh frame reads zero" true
+    (Bytes.for_all (fun c -> c = '\000') (Physmem.get pm f));
+  check Alcotest.int "and is not host-backed" 0 (Physmem.host_frames pm);
+  let b = Physmem.get_mut pm f in
+  Bytes.set b 0 'x';
+  check Alcotest.int "the first write backs one frame" 1 (Physmem.host_frames pm);
+  check Alcotest.char "that frame: the read view sees the write" 'x'
+    (Bytes.get (Physmem.get pm f) 0);
+  check Alcotest.bool "a later write view is the same bytes" true (Physmem.get_mut pm f == b);
+  check Alcotest.char "the other frame still reads zero" '\000' (Bytes.get (Physmem.get pm g) 0);
+  check Alcotest.int "still one frame host-backed" 1 (Physmem.host_frames pm);
+  check Alcotest.int "both frames in use" 2 (Physmem.frames_in_use pm);
+  Physmem.decref pm f;
+  check Alcotest.int "freeing the frame drops its bytes" 0 (Physmem.host_frames pm);
+  let f' = Physmem.alloc pm in
+  check Alcotest.int "frame number reused" f f';
+  check Alcotest.char "the reused frame reads zero" '\000' (Bytes.get (Physmem.get pm f') 0);
+  check Alcotest.int "and is not host-backed" 0 (Physmem.host_frames pm);
+  check Alcotest.bool "the zero page stayed zero" true (Physmem.zero_page_clean pm)
+
+(* The budget counts frames, written or not. *)
+let test_physmem_budget_counts_unwritten () =
+  let pm = Physmem.create ~max_frames:2 () in
+  let f1 = Physmem.alloc pm in
+  let f2 = Physmem.alloc pm in
+  ignore (Physmem.get_mut pm f1);
+  (match Physmem.alloc pm with
+  | _ -> Alcotest.fail "expected Enomem"
+  | exception Physmem.Enomem -> ());
+  check Alcotest.int "two frames in use, one written" 2 (Physmem.frames_in_use pm);
+  Physmem.decref pm f2;
+  let f3 = Physmem.alloc pm in
+  check Alcotest.int "freeing an unwritten frame makes room" f2 f3;
+  check Alcotest.int "host bytes untouched" 1 (Physmem.host_frames pm);
+  Physmem.decref pm f1;
+  check Alcotest.int "freeing the written frame drops its bytes" 0 (Physmem.host_frames pm);
+  check Alcotest.int "one frame left" 1 (Physmem.frames_in_use pm)
+
+let test_physmem_scrub () =
+  let pm = Physmem.create () in
+  let f = Physmem.alloc pm in
+  Physmem.scrub pm f;
+  check Alcotest.int "scrubbing an unwritten frame backs nothing" 0
+    (Physmem.host_frames pm);
+  let b = Physmem.get_mut pm f in
+  Bytes.blit_string "SECRET" 0 b 0 6;
+  Physmem.scrub pm f;
+  check Alcotest.bool "a written frame is zero-filled" true
+    (Bytes.for_all (fun c -> c = '\000') b);
+  check Alcotest.bool "in its own bytes" true (Physmem.get pm f == b);
+  check Alcotest.bool "the zero page stayed zero" true (Physmem.zero_page_clean pm)
 
 (* ---------- Vm: mapping, protection, COW ---------- *)
 
@@ -119,6 +176,43 @@ let test_vm_cow_break_isolates () =
     (Bytes.to_string (Vm.read_bytes vm2 0x1000 6));
   check Alcotest.string "vm1 unaffected" "shared"
     (Bytes.to_string (Vm.read_bytes vm1 0x1000 6))
+
+let test_vm_cow_break_from_unwritten_frame () =
+  let pm = Physmem.create () in
+  let clock = Clock.create () in
+  let vm1 = Vm.create ~pid:1 pm clock Cost_model.free in
+  let vm2 = Vm.create ~pid:2 pm clock Cost_model.free in
+  Vm.map_fresh vm1 ~addr:0x1000 ~pages:1 ~prot:Prot.page_rw ~tag:None;
+  Vm.share_range ~src:vm1 ~dst:vm2 ~addr:0x1000 ~pages:1 ~prot:Prot.page_cow;
+  check Alcotest.int "nothing written yet" 0 (Physmem.host_frames pm);
+  Vm.write_bytes vm2 0x1000 (Bytes.of_string "child!");
+  check Alcotest.string "vm2 sees its write" "child!"
+    (Bytes.to_string (Vm.read_bytes vm2 0x1000 6));
+  check Alcotest.string "vm1 still reads zeros" (String.make 6 '\000')
+    (Bytes.to_string (Vm.read_bytes vm1 0x1000 6));
+  let frame vm = (Option.get (Pagetable.find (Vm.page_table vm) ~vpn:1)).Pagetable.frame in
+  check Alcotest.bool "vm2 broke onto its own frame" true (frame vm1 <> frame vm2);
+  check Alcotest.int "only the copy is host-backed" 1 (Physmem.host_frames pm);
+  check Alcotest.bool "the zero page stayed zero" true (Physmem.zero_page_clean pm)
+
+(* A TLB entry caches the frame, not its bytes: a frame first written
+   through one address space is seen at once through another's warm
+   entry, although that entry was filled while the frame still read
+   through the zero page. *)
+let test_vm_first_write_seen_through_warm_entry () =
+  let pm = Physmem.create () in
+  let clock = Clock.create () in
+  let a = Vm.create ~pid:1 pm clock Cost_model.free in
+  let b = Vm.create ~pid:2 pm clock Cost_model.free in
+  Vm.map_fresh a ~addr:0x1000 ~pages:1 ~prot:Prot.page_rw ~tag:None;
+  let frame = (Option.get (Pagetable.find (Vm.page_table a) ~vpn:1)).Pagetable.frame in
+  Vm.map_frame b ~addr:0x1000 ~frame ~prot:Prot.page_r ~tag:None;
+  check Alcotest.int "B reads the unwritten frame" 0 (Vm.read_u64 b 0x1000);
+  let hits = Vm.tlb_hits b in
+  Vm.write_u64 a 0x1000 42;
+  check Alcotest.int "B's next read sees A's first write" 42 (Vm.read_u64 b 0x1000);
+  check Alcotest.int "through its warm entry" (hits + 1) (Vm.tlb_hits b);
+  check Alcotest.(list string) "B's TLB agrees with its page table" [] (Vm.tlb_check b)
 
 let test_vm_cow_sole_owner_claims_in_place () =
   let pm, vm = mk_vm () in
@@ -759,6 +853,10 @@ let () =
           Alcotest.test_case "frame reuse" `Quick test_physmem_reuse;
           Alcotest.test_case "dead frame access" `Quick test_physmem_dead_access;
           Alcotest.test_case "growth" `Quick test_physmem_growth;
+          Alcotest.test_case "demand-zero" `Quick test_physmem_demand_zero;
+          Alcotest.test_case "budget counts unwritten frames" `Quick
+            test_physmem_budget_counts_unwritten;
+          Alcotest.test_case "scrub" `Quick test_physmem_scrub;
         ] );
       ( "vm",
         [
@@ -768,6 +866,10 @@ let () =
           Alcotest.test_case "no-read faults" `Quick test_vm_noread_faults;
           Alcotest.test_case "partial read faults" `Quick test_vm_fault_is_partial_read_safe;
           Alcotest.test_case "COW break isolates" `Quick test_vm_cow_break_isolates;
+          Alcotest.test_case "COW break from an unwritten frame" `Quick
+            test_vm_cow_break_from_unwritten_frame;
+          Alcotest.test_case "first write seen through a warm entry" `Quick
+            test_vm_first_write_seen_through_warm_entry;
           Alcotest.test_case "COW sole owner in place" `Quick test_vm_cow_sole_owner_claims_in_place;
           Alcotest.test_case "COW charges cost" `Quick test_vm_cow_charges_cost;
           Alcotest.test_case "shared read-only write faults" `Quick test_vm_share_readonly_then_write_faults;

@@ -283,7 +283,7 @@ let test_tag_cache_hit_and_scrub () =
   let pm = Physmem.create () in
   let cache = Tag_cache.create pm in
   let f = Physmem.alloc pm in
-  Bytes.blit_string "SECRET" 0 (Physmem.get pm f) 0 6;
+  Bytes.blit_string "SECRET" 0 (Physmem.get_mut pm f) 0 6;
   Tag_cache.put cache { Tag_cache.base = 0x5000; pages = 1; frames = [ f ] };
   Physmem.decref pm f;
   (* the cache keeps it alive *)
@@ -303,7 +303,7 @@ let test_tag_cache_no_scrub_leaks () =
   let pm = Physmem.create () in
   let cache = Tag_cache.create ~scrub:false pm in
   let f = Physmem.alloc pm in
-  Bytes.blit_string "SECRET" 0 (Physmem.get pm f) 0 6;
+  Bytes.blit_string "SECRET" 0 (Physmem.get_mut pm f) 0 6;
   Tag_cache.put cache { Tag_cache.base = 0x5000; pages = 1; frames = [ f ] };
   Physmem.decref pm f;
   match Tag_cache.take cache ~pages:1 with
