@@ -46,6 +46,21 @@ for f in $(grep -rl 'Physmem\.get_mut' lib); do
   esac
 done
 
+# Sweep guard: a revocation lists only the processes that map what it
+# revokes (Kernel.processes_where), so tearing down a tag costs the
+# host what that tag is mapped into, not one visit per live process.
+# The full sweep (Kernel.iter_processes) is for the invariant oracles.
+echo "== process sweep guard =="
+for f in $(grep -rl 'Kernel\.iter_processes' lib); do
+  case "$f" in
+    lib/kernel/kernel.ml | lib/check/*) ;;
+    *)
+      echo "check.sh: $f calls Kernel.iter_processes outside lib/check/" >&2
+      exit 1
+      ;;
+  esac
+done
+
 echo "== dune build @default =="
 dune build @default
 

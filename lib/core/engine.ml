@@ -727,6 +727,12 @@ let pthread parent fn =
 
 let default_tag_pages = 16
 
+(* The allocation hook's [Tagged] argument is built only when a hook is
+   armed: uninstrumented, a tag allocation allocates nothing for it. *)
+let on_alloc_tagged ctx base len (tag : Tag.t) =
+  if not (Instr.is_null ctx.instr) then
+    ctx.instr.Instr.on_alloc base len (Instr.Tagged (tag.Tag.id, tag.Tag.name))
+
 let tag_new ?(name = "tag") ?(pages = default_tag_pages) ctx =
   let app = ctx.app in
   let cm = costs ctx in
@@ -743,14 +749,11 @@ let tag_new ?(name = "tag") ?(pages = default_tag_pages) ctx =
           Vm.map_frame ctx.proc.Process.vm ~addr:(tag.Tag.base + (i * page_size)) ~frame
             ~prot:Prot.page_rw ~tag:(Some tag.Tag.id))
         tag.Tag.frames;
-      (* The cache's reference transfers to the registry. *)
-      List.iter (fun f -> Physmem.decref app.kernel.Kernel.pm f) entry.Tag_cache.frames;
-      List.iter (fun f -> Physmem.incref app.kernel.Kernel.pm f) entry.Tag_cache.frames;
+      (* The cache's reference transfers to the registry as it is. *)
       List.iter
         (fun (addr, w) -> Vm.write_u64 ctx.proc.Process.vm addr w)
         (Smalloc.prefill_image ~base:tag.Tag.base ~size:(pages * page_size));
-      ctx.instr.Instr.on_alloc tag.Tag.base (pages * page_size)
-        (Instr.Tagged (tag.Tag.id, tag.Tag.name));
+      on_alloc_tagged ctx tag.Tag.base (pages * page_size) tag;
       tag
   | None ->
       Kernel.syscall_check app.kernel ctx.proc "tag_new";
@@ -777,7 +780,7 @@ let tag_new ?(name = "tag") ?(pages = default_tag_pages) ctx =
       tag.Tag.frames <- frames;
       Array.iter (fun f -> Physmem.incref app.kernel.Kernel.pm f) frames;
       Smalloc.init ctx.proc.Process.vm ~base ~size:(pages * page_size);
-      ctx.instr.Instr.on_alloc base (pages * page_size) (Instr.Tagged (tag.Tag.id, tag.Tag.name));
+      on_alloc_tagged ctx base (pages * page_size) tag;
       tag
 
 let tag_delete ctx (tag : Tag.t) =
@@ -798,12 +801,11 @@ let tag_delete ctx (tag : Tag.t) =
      someone else).  Each remote unmap releases the reference that
      address space took when the grant was shared in. *)
   let caller_pid = pid ctx in
-  Kernel.iter_processes ctx.app.kernel (fun p ->
-      let vm = p.Process.vm in
-      if Pagetable.mem (Vm.page_table vm) ~vpn:(tag.Tag.base / page_size) then begin
-        Vm.unmap_range vm ~addr:tag.Tag.base ~pages:tag.Tag.pages;
-        if p.Process.pid <> caller_pid then stat ctx "tlb.remote_shootdown"
-      end);
+  List.iter
+    (fun p ->
+      Vm.unmap_range p.Process.vm ~addr:tag.Tag.base ~pages:tag.Tag.pages;
+      if p.Process.pid <> caller_pid then stat ctx "tlb.remote_shootdown")
+    (Kernel.processes_where ctx.app.kernel (fun p -> maps p tag));
   Array.iter (fun f -> Physmem.decref ctx.app.kernel.Kernel.pm f) tag.Tag.frames;
   Tag.delete ctx.app.tags tag;
   (* The local revocation is complete and every local invariant holds;
@@ -817,7 +819,7 @@ let smalloc ctx size (tag : Tag.t) =
   charge ctx (costs ctx).Cost_model.malloc_op;
   stat ctx "smalloc";
   let ptr = Smalloc.alloc ctx.proc.Process.vm ~base:tag.Tag.base size in
-  ctx.instr.Instr.on_alloc ptr size (Instr.Tagged (tag.Tag.id, tag.Tag.name));
+  on_alloc_tagged ctx ptr size tag;
   ptr
 
 (* The private, untagged per-sthread heap (mapped lazily so that unused

@@ -148,7 +148,7 @@ let ssl_read_entry ~fd ~data_block gctx ~trusted:conn_block ~arg:_ =
                 next ())
         | Wire.Alert, _ -> 0
         | _, _ -> next ()
-        | exception Wire.Closed -> 0
+        | exception (Wire.Closed | Wire.Malformed _) -> 0
       in
       next ())
 

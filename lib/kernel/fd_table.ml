@@ -78,6 +78,15 @@ let close t fd =
     release t
   end
 
+(* Closing is per-descriptor bookkeeping only, so the order does not
+   matter: release one quota unit per entry and empty the table in
+   place. *)
+let close_all t =
+  for _ = 1 to Hashtbl.length t.tbl do
+    release t
+  done;
+  Hashtbl.clear t.tbl
+
 let dup_into ~src ~dst ~fd ~perm =
   match find src fd with
   | None -> invalid_arg (Printf.sprintf "Fd_table.dup_into: fd %d not open" fd)

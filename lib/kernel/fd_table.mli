@@ -67,6 +67,11 @@ val close : t -> int -> unit
 (** Drop the descriptor and its entry (the target itself stays open for
     other holders).  Numbers are never reused: {!add} keeps counting up. *)
 
+val close_all : t -> unit
+(** {!close} every descriptor, in no particular order (closing one never
+    affects another), without listing them first: a reaped process's
+    table. *)
+
 val dup_into : src:t -> dst:t -> fd:int -> perm:perm -> unit
 (** Copy descriptor [fd] from [src] to [dst] under the same number with
     (possibly reduced) permission [perm].

@@ -48,9 +48,22 @@ let create ?(costs = Cost_model.default) ?faults ?max_frames ?(shard = 0) () =
 
 let charge t ns = Clock.charge t.clock ns
 
+(* The stats key of each system call, built on its first trap: a kernel
+   entry allocates nothing.  Syscall names are a fixed vocabulary, so
+   the table stays small. *)
+let trap_keys : (string, string) Hashtbl.t = Hashtbl.create 64
+
+let trap_key name =
+  match Hashtbl.find trap_keys name with
+  | key -> key
+  | exception Not_found ->
+      let key = "trap." ^ name in
+      Hashtbl.add trap_keys name key;
+      key
+
 let trap t name =
   charge t t.costs.Cost_model.syscall_trap;
-  Stats.bump t.stats ("trap." ^ name)
+  Stats.bump t.stats (trap_key name)
 
 let new_process t ?limits ~kind ~uid ~root ~sid () =
   let pid = t.next_pid in
@@ -78,13 +91,18 @@ let new_process t ?limits ~kind ~uid ~root ~sid () =
 
 let find_process t pid = Hashtbl.find_opt t.procs pid
 
-(* Global revocations (tag deletion's shootdown sweep) and the invariant
-   oracles both walk the whole process table; [Hashtbl.iter]'s order
-   depends on insertion/resize history, which made shootdown traces —
-   and therefore exploration digests — differ between otherwise
+(* Walks of the process table go in ascending pid order: [Hashtbl]'s
+   own order depends on insertion/resize history, which made shootdown
+   traces — and therefore exploration digests — differ between otherwise
    identical runs.  Sorted-pid order is a pure function of the table's
-   contents.  The pid list is snapshotted first so [f] may remove
-   entries (reap) without invalidating the walk. *)
+   contents.  A global revocation (tag deletion's shootdown sweep) lists
+   only the processes it selects, not every pid. *)
+let processes_where t pred =
+  Hashtbl.fold (fun _ p acc -> if pred p then p :: acc else acc) t.procs []
+  |> List.sort (fun (a : Process.t) b -> compare a.Process.pid b.Process.pid)
+
+(* The invariant oracles' full sweep.  The pid list is snapshotted first
+   so [f] may remove entries (reap) without invalidating the walk. *)
 let iter_processes t f =
   let pids = Hashtbl.fold (fun pid _ acc -> pid :: acc) t.procs [] in
   List.iter
@@ -103,7 +121,7 @@ let fold_tlb_stats t (p : Process.t) =
 let reap t (p : Process.t) =
   fold_tlb_stats t p;
   Vm.destroy p.Process.vm;
-  List.iter (fun fd -> Fd_table.close p.Process.fds fd) (Fd_table.fds p.Process.fds);
+  Fd_table.close_all p.Process.fds;
   Hashtbl.remove t.procs p.Process.pid
 
 (* Batched dispatch: one kernel entry amortized over a burst of [ops]

@@ -63,14 +63,21 @@ val new_process :
 
 val find_process : t -> int -> Process.t option
 
+val processes_where : t -> (Process.t -> bool) -> Process.t list
+(** The processes in the table (any status) for which [pred] holds, in
+    ascending pid order — a pure function of the table's contents, so
+    shootdown traces and exploration digests never depend on hash-table
+    history.  [pred] must not change the table.  Used by global
+    revocations — e.g. tag deletion — that must unmap a range from, and
+    shoot down cached translations in, {e every} address space that maps
+    it, not just the caller's: they list only those spaces. *)
+
 val iter_processes : t -> (Process.t -> unit) -> unit
 (** Visit every process in the table (any status), in ascending pid
-    order — a pure function of the table's contents, so shootdown traces
-    and exploration digests never depend on hash-table history.  [f] may
-    reap processes mid-walk.  Used by global revocations — e.g. tag
-    deletion — that must unmap a range from, and shoot down cached
-    translations in, {e every} address space that maps it, not just the
-    caller's. *)
+    order; [f] may reap processes mid-walk.  This full sweep is for the
+    invariant oracles and the kernel's own metrics: a revocation selects
+    the spaces it touches with {!processes_where} ([bin/check.sh] fails
+    on a call elsewhere in [lib/]). *)
 
 val reap : t -> Process.t -> unit
 (** Tear down a terminated process's address space and descriptors.

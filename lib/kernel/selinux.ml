@@ -6,15 +6,31 @@ type t = {
   default_allow : bool;
   domains : (string, domain_policy) Hashtbl.t;
   transitions : (string * string, unit) Hashtbl.t;
+  sid_domains : (string, string) Hashtbl.t;
+      (* [domain_of_sid] of every sid checked so far: a policy check on
+         the kernel-entry path allocates nothing *)
 }
 
 let create ?(default_allow = true) () =
-  { default_allow; domains = Hashtbl.create 8; transitions = Hashtbl.create 8 }
+  {
+    default_allow;
+    domains = Hashtbl.create 8;
+    transitions = Hashtbl.create 8;
+    sid_domains = Hashtbl.create 8;
+  }
 
 let domain_of_sid sid =
   match String.rindex_opt sid ':' with
   | Some i -> String.sub sid (i + 1) (String.length sid - i - 1)
   | None -> sid
+
+let domain t sid =
+  match Hashtbl.find t.sid_domains sid with
+  | d -> d
+  | exception Not_found ->
+      let d = domain_of_sid sid in
+      Hashtbl.add t.sid_domains sid d;
+      d
 
 let allow t ~domain ~syscall =
   match Hashtbl.find_opt t.domains domain with
@@ -28,11 +44,10 @@ let allow t ~domain ~syscall =
 let allow_all_syscalls t ~domain = Hashtbl.replace t.domains domain All
 
 let check t ~sid ~syscall =
-  let domain = domain_of_sid sid in
-  match Hashtbl.find_opt t.domains domain with
-  | Some All -> true
-  | Some (Some_calls h) -> Hashtbl.mem h syscall
-  | None -> t.default_allow
+  match Hashtbl.find t.domains (domain t sid) with
+  | All -> true
+  | Some_calls h -> Hashtbl.mem h syscall
+  | exception Not_found -> t.default_allow
 
 let allow_transition t ~from_ ~to_ =
   Hashtbl.replace t.transitions (domain_of_sid from_, domain_of_sid to_) ()

@@ -79,18 +79,25 @@ type recorder = (mem_event -> unit) option ref
      - in-place pte mutations (protect_range, COW breaks, tag retags) do
        not move the epoch and MUST call [tlb_invalidate] — a stale entry
        surviving a revocation would be a default-deny bypass, so those
-       call sites are load-bearing and covered by the shootdown tests. *)
+       call sites are load-bearing and covered by the shootdown tests.
+   An entry is a value: a fill stores a fresh one in its slot, and an
+   invalidation or a flush stores [tlb_invalid].  So a new address space
+   costs one 64-slot array, every slot the one shared invalid entry, and
+   nothing a slot holds is ever written through — one space's fill can
+   never become another's translation. *)
 
 let tlb_slots = 64
 let tlb_mask = tlb_slots - 1
 
 type tlb_entry = {
-  mutable e_vpn : int;  (* -1 = invalid *)
-  mutable e_epoch : int;  (* Pagetable.epoch at fill time *)
-  mutable e_prot : Prot.page;  (* effective protection at fill time *)
-  mutable e_tag : int option;
-  mutable e_frame : int;
+  e_vpn : int;  (* -1 = invalid *)
+  e_epoch : int;  (* Pagetable.epoch at fill time *)
+  e_prot : Prot.page;  (* effective protection at fill time *)
+  e_tag : int option;
+  e_frame : int;
 }
+
+let tlb_invalid = { e_vpn = -1; e_epoch = 0; e_prot = Prot.page_none; e_tag = None; e_frame = -1 }
 
 type t = {
   pid : int;
@@ -106,7 +113,9 @@ type t = {
   owned : (int, unit) Hashtbl.t;
       (* vpns whose frames were charged to [limits]: fresh mappings and
          private COW copies.  Shared mappings (pristine snapshot, tag
-         grants) are never charged — the quota bounds private frames. *)
+         grants) are never charged — the quota bounds private frames.
+         It starts at 8 buckets: a compartment owns only the pages it
+         writes, and the table grows with them. *)
   recorder : recorder;
   tlb : tlb_entry array;
   mutable tlb_hit_n : int;
@@ -125,17 +134,9 @@ let create ?faults ?limits ?(trace = Wedge_sim.Trace.null) ?recorder ~pid pm clo
     faults;
     limits;
     trace;
-    owned = Hashtbl.create 64;
+    owned = Hashtbl.create 8;
     recorder = (match recorder with Some r -> r | None -> ref None);
-    tlb =
-      Array.init tlb_slots (fun _ ->
-          {
-            e_vpn = -1;
-            e_epoch = 0;
-            e_prot = Prot.page_none;
-            e_tag = None;
-            e_frame = -1;
-          });
+    tlb = Array.make tlb_slots tlb_invalid;
     tlb_hit_n = 0;
     tlb_miss_n = 0;
     tlb_shootdown_n = 0;
@@ -156,9 +157,9 @@ let check_aligned addr =
    only when an entry actually dies: an invalidation of nothing models a
    filtered IPI that never needed sending. *)
 let tlb_invalidate t ~vpn =
-  let e = Array.unsafe_get t.tlb (vpn land tlb_mask) in
-  if e.e_vpn = vpn then begin
-    e.e_vpn <- -1;
+  let slot = vpn land tlb_mask in
+  if (Array.unsafe_get t.tlb slot).e_vpn = vpn then begin
+    Array.unsafe_set t.tlb slot tlb_invalid;
     t.tlb_shootdown_n <- t.tlb_shootdown_n + 1;
     Clock.charge t.clock t.costs.Cost_model.tlb_shootdown;
     Wedge_sim.Trace.instant t.trace ~name:"tlb.shootdown" ~pid:t.pid
@@ -166,13 +167,12 @@ let tlb_invalidate t ~vpn =
 
 let tlb_flush t =
   let any = ref false in
-  Array.iter
-    (fun e ->
-      if e.e_vpn >= 0 then begin
-        e.e_vpn <- -1;
-        any := true
-      end)
-    t.tlb;
+  for slot = 0 to tlb_slots - 1 do
+    if t.tlb.(slot).e_vpn >= 0 then begin
+      t.tlb.(slot) <- tlb_invalid;
+      any := true
+    end
+  done;
   if !any then t.tlb_shootdown_n <- t.tlb_shootdown_n + 1
 
 let tlb_hits t = t.tlb_hit_n
@@ -180,12 +180,14 @@ let tlb_misses t = t.tlb_miss_n
 let tlb_shootdowns t = t.tlb_shootdown_n
 
 let tlb_fill t vpn (pte : Pagetable.pte) =
-  let e = Array.unsafe_get t.tlb (vpn land tlb_mask) in
-  e.e_vpn <- vpn;
-  e.e_epoch <- Pagetable.epoch t.pt;
-  e.e_prot <- pte.Pagetable.prot;
-  e.e_tag <- pte.Pagetable.tag;
-  e.e_frame <- pte.Pagetable.frame
+  Array.unsafe_set t.tlb (vpn land tlb_mask)
+    {
+      e_vpn = vpn;
+      e_epoch = Pagetable.epoch t.pt;
+      e_prot = pte.Pagetable.prot;
+      e_tag = pte.Pagetable.tag;
+      e_frame = pte.Pagetable.frame;
+    }
 
 let emit t ev = match !(t.recorder) with Some f -> f ev | None -> ()
 let recording t = !(t.recorder) <> None

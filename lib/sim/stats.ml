@@ -2,10 +2,12 @@ type t = (string, int ref) Hashtbl.t
 
 let create () : t = Hashtbl.create 32
 
+(* [Hashtbl.find], not [find_opt]: a counter bump on the kernel-entry
+   path allocates nothing. *)
 let add t name n =
-  match Hashtbl.find_opt t name with
-  | Some r -> r := !r + n
-  | None -> Hashtbl.add t name (ref n)
+  match Hashtbl.find t name with
+  | r -> r := !r + n
+  | exception Not_found -> Hashtbl.add t name (ref n)
 
 let bump t name = add t name 1
 let get t name = match Hashtbl.find_opt t name with Some r -> !r | None -> 0

@@ -56,7 +56,7 @@ let start ~rng ~pinned_rsa ~pinned_dsa ep =
     | _ -> Error "expected kexreply"
   with
   | Wire.Closed -> Error "connection closed"
-  | Failure m -> Error m
+  | Wire.Malformed m | Failure m -> Error m
 
 let rpc conn msg =
   P.send_sealed conn.io conn.keys msg;

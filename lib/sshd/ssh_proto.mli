@@ -53,7 +53,8 @@ val session_fingerprint : secret:bytes -> client_nonce:bytes -> server_nonce:byt
 
 val send_plain : Wedge_tls.Wire.io -> msg -> unit
 val recv_plain : Wedge_tls.Wire.io -> msg
-(** @raise Wedge_tls.Wire.Closed / [Failure] on EOF or garbage. *)
+(** @raise Wedge_tls.Wire.Closed on EOF, {!Wedge_tls.Wire.Malformed} on an
+    unknown frame type, [Failure] on any other garbage. *)
 
 val send_sealed : Wedge_tls.Wire.io -> Wedge_tls.Record.keys -> msg -> unit
 val recv_sealed : Wedge_tls.Wire.io -> Wedge_tls.Record.keys -> (msg, [ `Mac_fail | `Eof ]) result

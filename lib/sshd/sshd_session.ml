@@ -146,4 +146,4 @@ let run ~ctx ~io ~wrng ~host_rsa_pub ~host_dsa_pub ~ops ~exploit () =
         loop ()
   with
   | Wire.Closed -> ()
-  | Failure _ -> ()
+  | Wire.Malformed _ | Failure _ -> ()

@@ -134,7 +134,7 @@ let client_connect ?resume ~rng ~pinned io =
                 }
   with
   | Wire.Closed -> Error "connection closed during handshake"
-  | Failure m -> Error m
+  | Wire.Malformed m | Failure m -> Error m
 
 (* ------------------------------------------------------------------ *)
 (* Server                                                              *)
@@ -201,7 +201,7 @@ let server_handshake ~ops ~cert io =
       end
   with
   | Wire.Closed -> Error "connection closed during handshake"
-  | Failure m -> Error m
+  | Wire.Malformed m | Failure m -> Error m
 
 (* ------------------------------------------------------------------ *)
 (* In-process ops: the monolithic layout                               *)
@@ -304,4 +304,5 @@ let recv_data io keys =
       match Record.open_ keys record with Some pt -> Ok pt | None -> Error `Mac_fail)
   | Wire.Alert, _ -> Error `Alert
   | _ -> Error `Mac_fail
+  | exception Wire.Malformed _ -> Error `Mac_fail
   | exception Wire.Closed -> Error `Eof

@@ -124,3 +124,6 @@ val keys_of_plain_state : plain_state -> Record.keys
 
 val send_data : Wire.io -> Record.keys -> bytes -> unit
 val recv_data : Wire.io -> Record.keys -> (bytes, [ `Mac_fail | `Eof | `Alert ]) result
+(** The next application-data record, opened.  A record failing its MAC,
+    a frame of another type and a frame of no known type
+    ({!Wire.Malformed}) are all [`Mac_fail]: a tampered stream. *)

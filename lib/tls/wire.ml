@@ -1,4 +1,5 @@
 exception Closed
+exception Malformed of string
 
 type io = {
   recv : int -> bytes;
@@ -66,7 +67,7 @@ let recv_msg io =
   let mtype =
     match mtype_of_char (Bytes.get hdr 0) with
     | Some t -> t
-    | None -> failwith (Printf.sprintf "wssl: bad message type %C" (Bytes.get hdr 0))
+    | None -> raise (Malformed (Printf.sprintf "wssl: bad message type %C" (Bytes.get hdr 0)))
   in
   let n = (Char.code (Bytes.get hdr 1) lsl 8) lor Char.code (Bytes.get hdr 2) in
   (mtype, io.recv n)

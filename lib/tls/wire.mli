@@ -8,6 +8,10 @@
 exception Closed
 (** The peer closed mid-message. *)
 
+exception Malformed of string
+(** A frame whose type byte names no message.  Framing is lost with it,
+    so like {!Closed} it ends the connection — and only that one. *)
+
 type io = {
   recv : int -> bytes;  (** exactly n bytes. @raise Closed on EOF *)
   send : bytes -> unit;
@@ -31,7 +35,7 @@ val mtype_of_char : char -> mtype option
 
 val send_msg : io -> mtype -> bytes -> unit
 val recv_msg : io -> mtype * bytes
-(** @raise Closed on EOF, [Failure] on garbage. *)
+(** @raise Closed on EOF, {!Malformed} on an unknown message type. *)
 
 val frame : mtype -> bytes -> bytes
 (** The exact bytes [send_msg] would transmit (for transcript hashing and

@@ -15,6 +15,7 @@ module Clock = Wedge_sim.Clock
 module Cost_model = Wedge_sim.Cost_model
 module Stats = Wedge_sim.Stats
 module Tag = Wedge_mem.Tag
+module Fiber = Wedge_sim.Fiber
 module W = Wedge_core.Wedge
 module Engine = Wedge_core.Engine
 
@@ -767,19 +768,19 @@ let test_sthread_cost_similar_to_fork () =
 
 (* ---------- host footprint ---------- *)
 
+(* Host words as the repository benchmark counts them, exactly: minor
+   words plus words allocated directly in the major heap. *)
+let host_words () =
+  let _, promoted, major = Gc.counters () in
+  Gc.minor_words () +. (major -. promoted)
+
 (* Building and booting an image costs host memory for its page tables
    and snapshot records, not for its pages: a frame gets host bytes on
-   its first write, and boot writes none of the image.  Host words are
-   counted as the repository benchmark counts them, exactly: minor words
-   plus words allocated directly in the major heap.  The build's
+   its first write, and boot writes none of the image.  The build's
    page-table entries and frame bookkeeping cost ~19 words a page, and
    boot's snapshot records ~34 more; a 4 KiB buffer per frame would add
    513. *)
 let test_image_boot_demand_zero () =
-  let host_words () =
-    let _, promoted, major = Gc.counters () in
-    Gc.minor_words () +. (major -. promoted)
-  in
   let build pages =
     let k = Kernel.create () in
     let w0 = host_words () in
@@ -803,6 +804,55 @@ let test_image_boot_demand_zero () =
   in
   per_page "build" 20. build1 build2;
   per_page "build and boot" 64. total1 total2
+
+(* A compartment costs the host what it maps, plus a fixed part: its
+   process record, an empty address space — a 64-slot TLB whose slots
+   all hold one shared invalid entry, an 8-bucket quota table and the
+   page table's 512-bucket overlay, 513 words of the total — and its
+   descriptor table.  Each operation is measured on its second run,
+   after the first has grown the kernel's own tables (process table,
+   counters, memo tables) to their steady size.  A warm system call
+   allocates nothing: its stats key, its sid's domain and its counter
+   are all found without building a string or an option. *)
+let test_compartment_footprint () =
+  let k, app, main = mk_app ~costs:Cost_model.default ~image_pages:60 () in
+  W.boot app;
+  let over = ref [] in
+  let under what bound words =
+    if words >= bound then over := Printf.sprintf "%s: %.2f (bound %.0f)" what words bound :: !over
+  in
+  let cost f =
+    f ();
+    let w0 = host_words () in
+    f ();
+    host_words () -. w0
+  in
+  Fiber.run ~clock:k.Kernel.clock (fun () ->
+      let pool = W.Pool.freeze ~name:"w" main (W.sc_create ()) in
+      let gate =
+        W.sc_cgate_add ~spawn:(W.Stamp pool) main (W.sc_create ()) ~name:"g"
+          ~entry:(fun _ ~trusted:_ ~arg:_ -> 0)
+          ~cgsc:(W.sc_create ()) ~trusted:0
+      in
+      under "stamped sthread spawn + reap" 900.
+        (cost (fun () ->
+             ignore (W.sthread_create ~spawn:(W.Stamp pool) main (W.sc_create ()) (fun _ _ -> 0) 0)));
+      under "stamped callgate call" 900.
+        (cost (fun () -> ignore (W.cgate main gate ~perms:(W.sc_create ()) ~arg:0))));
+  under "new_process + reap" 900.
+    (cost (fun () ->
+         Kernel.reap k
+           (Kernel.new_process k ~kind:Process.Sthread ~uid:33 ~root:"/" ~sid:"u:r:worker_t" ())));
+  let p = main.Engine.proc in
+  let per_call =
+    cost (fun () ->
+        for _ = 1 to 1_000 do
+          Kernel.syscall_check k p "read"
+        done)
+    /. 1_000.
+  in
+  under "warm syscall_check, per call" 1. per_call;
+  if !over <> [] then Alcotest.failf "host words over bound: %s" (String.concat "; " (List.rev !over))
 
 let () =
   Alcotest.run "wedge_core"
@@ -875,5 +925,8 @@ let () =
       ( "costs",
         [ Alcotest.test_case "sthread ~ fork >> pthread" `Quick test_sthread_cost_similar_to_fork ] );
       ( "host footprint",
-        [ Alcotest.test_case "image boot is demand-zero" `Quick test_image_boot_demand_zero ] );
+        [
+          Alcotest.test_case "image boot is demand-zero" `Quick test_image_boot_demand_zero;
+          Alcotest.test_case "a compartment costs what it maps" `Quick test_compartment_footprint;
+        ] );
     ]

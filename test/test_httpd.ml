@@ -626,6 +626,45 @@ let test_client_sized_fields () =
         variants)
     field_rows
 
+(* ---------- a malformed frame ends only its own connection ---------- *)
+
+(* After a completed handshake the client sends a frame whose type byte
+   names no message.  Its connection ends as a tampered stream's does;
+   nothing escapes the run, the next connection is served, and the
+   oracle, armed at every syscall, sweeps clean. *)
+let test_malformed_frame_contained variant () =
+  let env = mk_env () in
+  let oracle = Oracle.create (W.kernel env.Env.app) in
+  Oracle.set_app oracle env.Env.app;
+  Oracle.install_syscall_hook oracle;
+  let pinned = env.Env.priv.Rsa.pub in
+  let first = ref None and saw = ref "" and second = ref None in
+  Fun.protect
+    ~finally:(fun () -> Oracle.remove_syscall_hook oracle)
+    (fun () ->
+      (match
+         Fiber.run (fun () ->
+             let client_ep, server_ep = Chan.pair ~costs:Cost_model.free () in
+             Fiber.spawn (fun () -> first := Some (serve_partitioned variant env server_ep));
+             let io = wire client_ep in
+             (saw :=
+                match Handshake.client_connect ~rng:(Drbg.create ~seed:8) ~pinned io with
+                | Error e -> "handshake failed: " ^ e
+                | Ok _ ->
+                    Chan.write client_ep (Bytes.of_string "Q\000\001x");
+                    hung_up io);
+             Chan.close client_ep;
+             let client_ep, server_ep = Chan.pair ~costs:Cost_model.free () in
+             Fiber.spawn (fun () -> ignore (serve_partitioned variant env server_ep));
+             second := body_of (Client.get ~rng:(Drbg.create ~seed:9) ~pinned ~path:"/index.html" client_ep))
+       with
+      | () -> ()
+      | exception e -> Alcotest.failf "%s escaped the run" (Printexc.to_string e));
+      Oracle.check oracle);
+  check Alcotest.string "the malformed connection hung up" "closed" !saw;
+  check Alcotest.bool "its serve_connection returned" true (!first <> None);
+  check (Alcotest.option Alcotest.string) "the next connection served" (Some Env.index_body) !second
+
 (* ---------- a long-lived master forgets what it served ---------- *)
 
 let test_master_forgets_served_connections () =
@@ -687,6 +726,8 @@ let () =
             test_client_handler_has_no_network;
           Alcotest.test_case "data-phase injection dropped" `Quick
             test_injection_during_data_phase_dropped;
+          v "malformed frame contained" VSimple test_malformed_frame_contained;
+          v "malformed frame contained" VMitm test_malformed_frame_contained;
         ] );
       ( "session-cache",
         [

@@ -675,6 +675,30 @@ let test_tlb_unmap_revokes_immediately () =
   Vm.unmap_range vm ~addr:0x1000 ~pages:1;
   expect_fault (fun () -> Vm.read_u8 vm 0x1000)
 
+(* Every slot of a new address space starts at one shared invalid
+   entry, so a fill must store a fresh entry in its slot and never write
+   through what the slot holds.  A fills slot [x land 63] with a frame
+   holding 42; B maps only [x + 64], which lands in the same slot, and
+   its page-table epoch is then the one A filled at.  B still has no
+   translation for [x]. *)
+let test_tlb_fresh_space_serves_no_other () =
+  let pm = Physmem.create () in
+  let clock = Clock.create () in
+  let a = Vm.create ~pid:1 pm clock Cost_model.free in
+  let b = Vm.create ~pid:2 pm clock Cost_model.free in
+  let x = 0x10 in
+  Vm.map_fresh a ~addr:(x * ps) ~pages:1 ~prot:Prot.page_rw ~tag:None;
+  Vm.write_u8 a (x * ps) 42;
+  check Alcotest.int "A reads its byte" 42 (Vm.read_u8 a (x * ps));
+  Vm.map_fresh b ~addr:((x + 64) * ps) ~pages:1 ~prot:Prot.page_rw ~tag:None;
+  check Alcotest.int "B's epoch is A's at fill time" (Pagetable.epoch (Vm.page_table a))
+    (Pagetable.epoch (Vm.page_table b));
+  (match Vm.read_u8 b (x * ps) with
+  | v -> Alcotest.failf "B read %d through a translation it never had" v
+  | exception Vm.Fault f -> check Alcotest.string "B's read of x faults" "unmapped page" f.Vm.reason);
+  check Alcotest.int "B reads its own zeroed page" 0 (Vm.read_u8 b ((x + 64) * ps));
+  check Alcotest.int "A still reads its byte" 42 (Vm.read_u8 a (x * ps))
+
 let test_tlb_destroy_flushes () =
   let pm, vm = mk_vm () in
   Vm.map_fresh vm ~addr:0x1000 ~pages:2 ~prot:Prot.page_rw ~tag:None;
@@ -900,6 +924,8 @@ let () =
           Alcotest.test_case "unmap revokes immediately" `Quick
             test_tlb_unmap_revokes_immediately;
           Alcotest.test_case "destroy flushes" `Quick test_tlb_destroy_flushes;
+          Alcotest.test_case "a fresh address space never serves another's translation" `Quick
+            test_tlb_fresh_space_serves_no_other;
           Alcotest.test_case "stale entry cannot corrupt snapshot" `Quick
             test_tlb_stale_entry_cannot_corrupt_snapshot;
           Alcotest.test_case "COW breaks exactly once" `Quick test_tlb_cow_breaks_exactly_once;
