@@ -61,6 +61,33 @@ for f in $(grep -rl 'Kernel\.iter_processes' lib); do
   esac
 done
 
+# Descriptor I/O guard: a compartment moves descriptor bytes only
+# through Engine.fd_read and Engine.fd_write, which trap, check the
+# descriptor's permission and run the installed profile's check on
+# every byte.  Only lib/core/engine.ml invokes an endpoint's ep_read,
+# ep_write or ep_wait (lib/net/chan.ml and lib/net/guard.ml build the
+# records), and no vectored path (readv, writev) exists beside them.
+echo "== descriptor I/O guard =="
+io_bad=0
+for f in $(grep -rlE --exclude=check.sh 'readv|writev' lib bin bench examples | sort); do
+  echo "check.sh: $f mentions readv/writev: descriptor bytes move only through Engine.fd_read and Engine.fd_write" >&2
+  io_bad=1
+done
+for f in $(grep -rlE '\.ep_(read|write|wait)\b' lib | sort); do
+  case "$f" in
+    lib/core/engine.ml) ;;
+    *)
+      if grep -E '\.ep_(read|write|wait)\b' "$f" | grep -qvE '\.ep_(read|write|wait) = '; then
+        echo "check.sh: $f invokes an endpoint outside lib/core/engine.ml" >&2
+        io_bad=1
+      fi
+      ;;
+  esac
+done
+if [ "$io_bad" != 0 ]; then
+  exit 1
+fi
+
 echo "== dune build @default =="
 dune build @default
 

@@ -185,12 +185,13 @@ let run_chrome_trace demo out connections =
   let module Guard = Wedge_net.Guard in
   let module Cost_model = Wedge_sim.Cost_model in
   let k = Kernel.create ~costs:Cost_model.default () in
+  let reactor = Wedge_sim.Reactor.create ~clock:k.Kernel.clock () in
   Trace.arm ~capacity:(1 lsl 18) k.Kernel.trace;
   let m = Metrics.create () in
   let serve_httpd () =
     let env = Wedge_httpd.Httpd_env.install ~image_pages:80 k in
     W.register_metrics m env.Wedge_httpd.Httpd_env.app;
-    let guard = Guard.create ~max_conns:16 ~trace:k.Kernel.trace () in
+    let guard = Guard.create ~reactor ~max_conns:16 ~trace:k.Kernel.trace () in
     Guard.register_metrics m guard;
     Fiber.run (fun () ->
         let l =
@@ -225,7 +226,7 @@ let run_chrome_trace demo out connections =
     W.boot app;
     let main = W.main_ctx app in
     W.register_metrics m app;
-    let guard = Guard.create ~max_conns:8 ~trace:k.Kernel.trace () in
+    let guard = Guard.create ~reactor ~max_conns:8 ~trace:k.Kernel.trace () in
     Guard.register_metrics m guard;
     Fiber.run (fun () ->
         let l =

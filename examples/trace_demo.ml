@@ -17,6 +17,7 @@ module Cost_model = Wedge_sim.Cost_model
 module Fiber = Wedge_sim.Fiber
 module Trace = Wedge_sim.Trace
 module Metrics = Wedge_sim.Metrics
+module Reactor = Wedge_sim.Reactor
 module Chan = Wedge_net.Chan
 module Guard = Wedge_net.Guard
 module Drbg = Wedge_crypto.Drbg
@@ -37,7 +38,10 @@ let run () =
   let env = Env.install ~image_pages:80 k in
   let m = Metrics.create () in
   W.register_metrics m env.Env.app;
-  let guard = Guard.create ~max_conns:16 ~trace:k.Kernel.trace () in
+  let guard =
+    Guard.create ~reactor:(Reactor.create ~clock:k.Kernel.clock ()) ~max_conns:16
+      ~trace:k.Kernel.trace ()
+  in
   Guard.register_metrics m guard;
   let served = ref 0 and other = ref 0 in
   Fiber.run (fun () ->

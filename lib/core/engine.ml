@@ -1304,16 +1304,15 @@ let open_file ctx ?(write = false) path =
 
 let add_endpoint ctx ep perm = Fd_table.add ctx.proc.Process.fds (Fd_table.Endpoint ep) perm
 
-(* Block before the trap, not after: a descriptor with a readiness wait
-   (a guarded connection) parks here until a read would progress, so an
-   idle connection charges zero syscall fuel and zero trap cost while it
-   waits.  Endpoints without one (or whose permissions will make the read
-   fail anyway) charge the trap first and block inside the read. *)
+(* Block before the trap, not after: a guarded connection's [ep_wait]
+   parks here until a read would progress, so an idle connection charges
+   zero syscall fuel and zero trap cost while it waits.  A raw channel's
+   returns at once and its read blocks after the trap; a descriptor the
+   read will refuse never waits. *)
 let fd_pre_wait ctx fd =
   match Fd_table.find ctx.proc.Process.fds fd with
-  | Some { Fd_table.target = Fd_table.Endpoint { Fd_table.ep_wait = Some w; _ }; perm }
-    when perm.Fd_table.fr ->
-      w ()
+  | Some { Fd_table.target = Fd_table.Endpoint ep; perm } when perm.Fd_table.fr ->
+      ep.Fd_table.ep_wait ()
   | _ -> ()
 
 let fd_read ctx fd n =
@@ -1374,118 +1373,6 @@ let fd_write ctx fd b =
       match Vfs.write_file vfs ~root:"/" ~uid:0 fh.Fd_table.fh_path data with
       | Ok () -> ()
       | Error err -> raise (Fd_error (Vfs.error_to_string err)))
-
-(* Zero-intermediate-step I/O: the kernel moves bytes between the
-   descriptor and the caller's pages directly.  The memory side goes
-   through the checked Vm bulk path — one fault roll, one translation per
-   page (warm pages hit the TLB), atomic multi-page writes — so a
-   mid-transfer protection fault never leaves a torn buffer. *)
-let fd_read_into ctx fd ~addr n =
-  let b = fd_read ctx fd n in
-  let len = Bytes.length b in
-  if len > 0 then begin
-    on_access ctx addr len Instr.Write;
-    Vm.write_bytes ctx.proc.Process.vm addr b
-  end;
-  len
-
-let fd_write_from ctx fd ~addr ~len =
-  on_access ctx addr len Instr.Read;
-  let b = Vm.read_bytes ctx.proc.Process.vm addr len in
-  fd_write ctx fd b
-
-(* Vectored descriptor I/O: a whole burst of (addr, len) runs through ONE
-   kernel entry — one trap, one fuel unit, one trace instant, with each
-   run past the first priced at [Cost_model.syscall_batch_op].  On
-   endpoints with a native vectored path (channels) the bytes move
-   directly between the channel buffer and the caller's pages; otherwise
-   the engine scatters/gathers over the byte-level ops with the same
-   no-partial-write semantics. *)
-let iov_check name iovs =
-  Array.iter
-    (fun (_, len) ->
-      if len < 0 then
-        raise (Fd_error (Printf.sprintf "%s: negative iov length" name)))
-    iovs;
-  Array.fold_left (fun a (_, len) -> a + len) 0 iovs
-
-let fd_readv ctx fd iovs =
-  let want = iov_check "readv" iovs in
-  let ops = max 1 (Array.length iovs) in
-  fd_pre_wait ctx fd;
-  Kernel.syscall_check_batch ctx.app.kernel ctx.proc "read" ~ops;
-  check_policy_fd ctx fd ~write:false;
-  let e = fd_entry ctx fd in
-  if not e.Fd_table.perm.Fd_table.fr then
-    raise (Fd_error (Printf.sprintf "pid %d: fd %d not readable" (pid ctx) fd));
-  if want = 0 then 0
-  else
-    match e.Fd_table.target with
-    | Fd_table.Null -> 0
-    | Fd_table.File _ ->
-        raise (Fd_error (Printf.sprintf "pid %d: fd %d: readv needs a stream" (pid ctx) fd))
-    | Fd_table.Endpoint ep ->
-        Array.iter
-          (fun (addr, len) -> if len > 0 then on_access ctx addr len Instr.Write)
-          iovs;
-        let total =
-          match ep.Fd_table.ep_readv with
-          | Some rv -> rv ctx.proc.Process.vm iovs
-          | None ->
-              (* Scatter fallback: fill runs in order until the stream
-                 runs short.  Each chunk lands atomically through the
-                 checked bulk path, like [fd_read_into]. *)
-              let filled = ref 0 in
-              (try
-                 Array.iter
-                   (fun (addr, len) ->
-                     if len > 0 then begin
-                       let b = ep.Fd_table.ep_read len in
-                       let got = Bytes.length b in
-                       if got > 0 then begin
-                         Vm.write_bytes ctx.proc.Process.vm addr b;
-                         filled := !filled + got
-                       end;
-                       if got < len then raise Exit
-                     end)
-                   iovs
-               with Exit -> ());
-              !filled
-        in
-        charge ctx ((costs ctx).Cost_model.net_per_byte * total);
-        total
-
-let fd_writev ctx fd iovs =
-  let want = iov_check "writev" iovs in
-  let ops = max 1 (Array.length iovs) in
-  Kernel.syscall_check_batch ctx.app.kernel ctx.proc "write" ~ops;
-  check_policy_fd ctx fd ~write:true;
-  let e = fd_entry ctx fd in
-  if not e.Fd_table.perm.Fd_table.fw then
-    raise (Fd_error (Printf.sprintf "pid %d: fd %d not writable" (pid ctx) fd));
-  if want = 0 then 0
-  else
-    match e.Fd_table.target with
-    | Fd_table.Null -> want
-    | Fd_table.File _ ->
-        raise (Fd_error (Printf.sprintf "pid %d: fd %d: writev needs a stream" (pid ctx) fd))
-    | Fd_table.Endpoint ep ->
-        Array.iter
-          (fun (addr, len) -> if len > 0 then on_access ctx addr len Instr.Read)
-          iovs;
-        charge ctx ((costs ctx).Cost_model.net_per_byte * want);
-        (match ep.Fd_table.ep_writev with
-        | Some wv -> ignore (wv ctx.proc.Process.vm iovs)
-        | None ->
-            (* Gather fallback: read every run out of the address space
-               BEFORE any byte is sent, so a protection fault mid-vector
-               delivers nothing — same atomicity as the native path. *)
-            let vm = ctx.proc.Process.vm in
-            let runs = Array.map (fun (addr, len) -> Vm.read_bytes vm addr len) iovs in
-            Array.iter
-              (fun b -> if Bytes.length b > 0 then ep.Fd_table.ep_write b)
-              runs);
-        want
 
 let fd_close ctx fd = Fd_table.close ctx.proc.Process.fds fd
 

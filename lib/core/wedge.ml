@@ -101,10 +101,6 @@ let open_file = Engine.open_file
 let add_endpoint = Engine.add_endpoint
 let fd_read = Engine.fd_read
 let fd_write = Engine.fd_write
-let fd_read_into = Engine.fd_read_into
-let fd_write_from = Engine.fd_write_from
-let fd_readv = Engine.fd_readv
-let fd_writev = Engine.fd_writev
 let fd_close = Engine.fd_close
 let vfs_read = Engine.vfs_read
 let vfs_write = Engine.vfs_write

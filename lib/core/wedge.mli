@@ -311,32 +311,20 @@ exception Fd_error of string
 val open_file : ctx -> ?write:bool -> string -> (int, Wedge_kernel.Vfs.error) result
 val add_endpoint : ctx -> Wedge_kernel.Fd_table.endpoint -> Wedge_kernel.Fd_table.perm -> int
 val fd_read : ctx -> int -> int -> bytes
+(** [fd_read ctx fd n] reads up to [n] bytes from [fd]; the empty result
+    means EOF.  One kernel entry: one trap, one unit of fuel, the SELinux
+    policy, the descriptor's read permission and the installed profile's
+    check.  A permitted read of a guarded connection parks in the
+    endpoint's [ep_wait] {e before} the trap, so an idle connection costs
+    no fuel; a descriptor without read permission raises at once and
+    never parks.
+    @raise Fd_error on a bad or unreadable descriptor. *)
+
 val fd_write : ctx -> int -> bytes -> unit
-
-val fd_read_into : ctx -> int -> addr:int -> int -> int
-(** [fd_read_into ctx fd ~addr n] reads up to [n] bytes from [fd] straight
-    into the caller's memory at [addr] (checked bulk write: one
-    translation per page, atomic across pages).  Returns the byte count. *)
-
-val fd_write_from : ctx -> int -> addr:int -> len:int -> unit
-(** [fd_write_from ctx fd ~addr ~len] writes [len] bytes read straight
-    from the caller's memory at [addr] to [fd]. *)
-
-val fd_readv : ctx -> int -> (int * int) array -> int
-(** [fd_readv ctx fd iovs] scatters the stream into the [(addr, len)]
-    runs in order, through ONE kernel entry — one trap/fuel/trace charge
-    with each run past the first priced at
-    {!Wedge_sim.Cost_model.t.syscall_batch_op}.  On endpoints with a
-    native vectored path the bytes move directly between the channel and
-    the caller's pages; others are scattered over byte reads.  Returns
-    the byte total; [0] means EOF.  A protection fault on run [k] leaves
-    runs [< k] delivered (a short readv) — never a torn run. *)
-
-val fd_writev : ctx -> int -> (int * int) array -> int
-(** [fd_writev ctx fd iovs] gathers the [(addr, len)] runs and sends them
-    as one burst (one kernel entry, batch-priced).  All runs are read out
-    of the caller's memory {e before} any byte is sent, so a protection
-    fault mid-vector delivers nothing.  Returns the byte total. *)
+(** [fd_write ctx fd b] sends all of [b]: one kernel entry, checked like
+    {!fd_read}.  [fd_read] and [fd_write] are the only way a compartment
+    moves descriptor bytes.
+    @raise Fd_error on a bad or unwritable descriptor. *)
 
 val fd_close : ctx -> int -> unit
 val vfs_read : ctx -> string -> (string, Wedge_kernel.Vfs.error) result

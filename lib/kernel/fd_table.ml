@@ -13,19 +13,11 @@ let perm_subsumes ~parent ~child =
 type endpoint = {
   ep_read : int -> bytes;
   ep_write : bytes -> unit;
-  ep_close : unit -> unit;
-  ep_eof : unit -> bool;
-  ep_desc : string;
-  ep_wait : (unit -> unit) option;
-      (* park until ep_read can make progress — readable, EOF, or
-         cut.  Called BEFORE the
-         syscall trap, so a blocked read charges no fuel while idle. *)
-  ep_readv : (Vm.t -> (int * int) array -> int) option;
-  ep_writev : (Vm.t -> (int * int) array -> int) option;
-      (* vectored kernel-copy paths: (addr, len) runs moved directly
-         between the channel and the given address space in one batched
-         call.  Absent on endpoints without a zero-copy path; the engine
-         falls back to scatter/gather over ep_read/ep_write. *)
+  ep_wait : unit -> unit;
+      (* park until ep_read can make progress — readable, EOF, or cut.
+         Called BEFORE the syscall trap, so a read that parks here charges
+         no fuel while idle; returns at once on an endpoint that blocks
+         inside ep_read. *)
 }
 
 type target =

@@ -17,23 +17,19 @@ val perm_rw : perm
 
 val perm_subsumes : parent:perm -> child:perm -> bool
 
-(** A duplex byte-stream endpoint (socket-like). *)
+(** A duplex byte-stream endpoint (socket-like).  A compartment moves its
+    bytes only through [Engine.fd_read] and [Engine.fd_write], which trap,
+    check the descriptor's permission and the installed policy, then call
+    these. *)
 type endpoint = {
   ep_read : int -> bytes;  (** read up to n bytes; may block the fiber *)
   ep_write : bytes -> unit;
-  ep_close : unit -> unit;
-  ep_eof : unit -> bool;  (** no data buffered and peer closed *)
-  ep_desc : string;
-  ep_wait : (unit -> unit) option;
-      (** park until [ep_read] can make progress (readable, EOF, or
-          cut).  The engine calls
-          it {e before} the syscall trap, so a blocked read charges no
-          fuel while idle. *)
-  ep_readv : (Vm.t -> (int * int) array -> int) option;
-  ep_writev : (Vm.t -> (int * int) array -> int) option;
-      (** vectored kernel-copy paths over [(addr, len)] runs in the given
-          address space; [None] makes the engine scatter/gather over
-          [ep_read]/[ep_write] instead *)
+  ep_wait : unit -> unit;
+      (** park until [ep_read] can make progress (readable, EOF, or cut).
+          The engine calls it {e before} the syscall trap of a read the
+          descriptor permits, so a read that parks here charges no fuel
+          while idle.  An endpoint that blocks inside [ep_read] instead
+          returns at once. *)
 }
 
 type target =

@@ -124,37 +124,23 @@ let reap t (p : Process.t) =
   Fd_table.close_all p.Process.fds;
   Hashtbl.remove t.procs p.Process.pid
 
-(* Batched dispatch: one kernel entry amortized over a burst of [ops]
-   vectored operations.  One oracle-hook call, one trap charge, one
-   trace instant, one unit of fuel, one policy check — plus a per-op
-   batch price for everything past the first.  [ops = 1] is byte-for-byte
-   the historical [syscall_check], so every existing cost shape
-   (fig7/fig8) is untouched. *)
-let syscall_check_batch t (p : Process.t) name ~ops =
+let syscall_check t (p : Process.t) name =
   (* The oracle hook runs first: it checks the state the syscall found,
      before the trap charges fuel or anything else moves. *)
   (match t.on_syscall with Some f -> f name | None -> ());
   trap t name;
-  if ops > 1 then begin
-    charge t ((ops - 1) * t.costs.Cost_model.syscall_batch_op);
-    Stats.add t.stats "trap.batched_ops" (ops - 1)
-  end;
   (* The [enabled] guard keeps the disabled path free of the string
      concatenation below. *)
   if Trace.enabled t.trace then
     Trace.instant t.trace ~name:("sys." ^ name) ~pid:p.Process.pid;
-  (* One unit of syscall fuel per trap — for a batch too: the fuel quota
-     bounds kernel entries, and a batch enters once.  A compartment in a
-     hostile loop burns out deterministically instead of spinning
-     forever. *)
+  (* One unit of syscall fuel per trap: a compartment in a hostile loop
+     burns out deterministically instead of spinning forever. *)
   Rlimit.charge_fuel p.Process.limits 1;
   if not (Selinux.check t.selinux ~sid:p.Process.sid ~syscall:name) then
     raise
       (Eperm
          (Printf.sprintf "pid %d (sid %s): syscall %s denied by SELinux policy"
             p.Process.pid p.Process.sid name))
-
-let syscall_check t p name = syscall_check_batch t p name ~ops:1
 
 let live_processes t =
   Hashtbl.fold (fun _ p n -> if Process.is_alive p then n + 1 else n) t.procs 0

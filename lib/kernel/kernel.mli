@@ -86,17 +86,11 @@ val reap : t -> Process.t -> unit
     before destroying it. *)
 
 val syscall_check : t -> Process.t -> string -> unit
-(** Enforce the caller's SELinux policy for a named system call.  With
-    {!field-trace} armed, records a ["sys.<name>"] instant attributed to
-    the calling pid.
+(** One kernel entry: charge one trap (stat ["trap.<name>"]) and one
+    unit of the caller's syscall fuel, then enforce its SELinux policy
+    for the named system call.  With {!field-trace} armed, records a
+    ["sys.<name>"] instant attributed to the calling pid.
     @raise Eperm when denied. *)
-
-val syscall_check_batch : t -> Process.t -> string -> ops:int -> unit
-(** {!syscall_check} for a vectored burst: one trap charge, one trace
-    instant, one unit of fuel and one policy check amortize over [ops]
-    operations, each past the first charging
-    {!Wedge_sim.Cost_model.t.syscall_batch_op} (and counted under stat
-    ["trap.batched_ops"]).  [ops = 1] is exactly {!syscall_check}. *)
 
 val live_processes : t -> int
 

@@ -249,118 +249,6 @@ let write ep b =
 
 let write_string ep s = write ep (Bytes.of_string s)
 
-(* Kernel-copy endpoints: move bytes between the channel and a process's
-   pages in one step.  The memory side uses the Vm bulk path — checked,
-   one translation per page, atomic multi-page writes — so a connection's
-   payload landing on a revoked or read-only page faults cleanly without
-   leaving a torn buffer behind. *)
-let read_into ep vm ~addr n =
-  let b = read ep n in
-  let len = Bytes.length b in
-  if len > 0 then Wedge_kernel.Vm.write_bytes vm addr b;
-  len
-
-let write_from ep vm ~addr ~len =
-  write ep (Wedge_kernel.Vm.read_bytes vm addr len)
-
-(* ------------------------------------------------------------------ *)
-(* Vectored kernel-copy I/O                                            *)
-
-(* [readv ep vm iovs] fills the (addr, len) runs in order with whatever
-   is buffered, through the same checked Vm bulk path as [read_into] —
-   one blocking wait, ONE fault roll and one trace count for the whole
-   vector, no intermediate per-chunk reads.  Returns the byte total; 0
-   means EOF.  Atomicity per run: bytes are consumed from the channel
-   only after they landed, so a protection fault on run k leaves runs
-   < k delivered (a short readv, as on real hardware) and the rest of
-   the payload still buffered — never a torn run, never lost bytes. *)
-let readv ep vm iovs =
-  Array.iter
-    (fun (_, len) -> if len < 0 then invalid_arg "Chan.readv: negative length")
-    iovs;
-  let want = Array.fold_left (fun a (_, len) -> a + len) 0 iovs in
-  if want = 0 then 0
-  else begin
-    (match Fault_plan.roll_opt ep.faults ~site:"chan.read" with
-    | Some Fault_plan.Reset -> kill ep
-    | Some (Fault_plan.Drop | Fault_plan.Enomem | Fault_plan.Prot_fault) ->
-        dir_kill ep.rx
-    | Some Fault_plan.Truncate ->
-        let keep = min 1 (dir_available ep.rx) in
-        ep.rx.wpos <- ep.rx.rpos + keep;
-        ep.rx.closed <- true;
-        ep.rx.reset <- true;
-        dir_signal ep.rx
-    | Some (Fault_plan.Delay ns) -> charge_delay ep ns
-    | Some (Fault_plan.Crash as k) -> Fault_plan.fail ~site:"chan.read" k
-    | None -> ());
-    let blocked = dir_available ep.rx = 0 && not ep.rx.closed in
-    wait_rx ep;
-    if blocked then charge_rtt ep true;
-    let total = ref 0 in
-    (try
-       Array.iter
-         (fun (addr, len) ->
-           let take = min len (dir_available ep.rx) in
-           if take > 0 then begin
-             (* Land first, consume after: a Vm fault must leave the
-                unread bytes in the channel, not drop them. *)
-             let b = Bytes.sub ep.rx.data ep.rx.rpos take in
-             Wedge_kernel.Vm.write_bytes vm addr b;
-             ignore (dir_pop ep.rx take);
-             total := !total + take
-           end)
-         iovs
-     with e ->
-       if !total > 0 then Trace.count ep.trace ~name:"chan.read" ~pid:net_pid ~value:!total;
-       raise e);
-    Trace.count ep.trace ~name:"chan.read" ~pid:net_pid ~value:!total;
-    !total
-  end
-
-(* [writev ep vm iovs] gathers the (addr, len) runs and sends them as one
-   burst: ONE backpressure wait, one fault roll, one trace count.  Every
-   run is read out of the address space (each a checked bulk read) BEFORE
-   any byte reaches the wire, so a protection fault mid-vector delivers
-   nothing — no partial-write corruption.  Returns the byte total. *)
-let writev ep vm iovs =
-  Array.iter
-    (fun (_, len) -> if len < 0 then invalid_arg "Chan.writev: negative length")
-    iovs;
-  if ep.tx.closed then
-    if ep.tx.reset then
-      raise (Fault_plan.Injected "chan.write: peer reset (injected)")
-    else invalid_arg "Chan.writev: endpoint closed";
-  (* Validate + gather before anything is committed. *)
-  let runs =
-    Array.map (fun (addr, len) -> Wedge_kernel.Vm.read_bytes vm addr len) iovs
-  in
-  let total = Array.fold_left (fun a b -> a + Bytes.length b) 0 runs in
-  (match ep.capacity with
-  | Some cap when dir_available ep.tx >= cap -> wait_for_space ep cap
-  | _ -> ());
-  if ep.tx.closed then
-    raise
-      (Fault_plan.Injected "chan.write: peer reset while blocked on backpressure");
-  (match Fault_plan.roll_opt ep.faults ~site:"chan.write" with
-  | Some ((Fault_plan.Reset | Fault_plan.Crash) as k) ->
-      kill ep;
-      Fault_plan.fail ~site:"chan.write" k
-  | Some (Fault_plan.Drop | Fault_plan.Enomem | Fault_plan.Prot_fault) ->
-      dir_kill ep.tx
-  | Some Fault_plan.Truncate ->
-      (match Array.find_opt (fun b -> Bytes.length b > 0) runs with
-      | Some b -> dir_push ep.tx (Bytes.sub b 0 1)
-      | None -> ());
-      dir_kill_keep_data ep.tx
-  | Some (Fault_plan.Delay ns) ->
-      charge_delay ep ns;
-      Array.iter (fun b -> if Bytes.length b > 0 then dir_push ep.tx b) runs
-  | None -> Array.iter (fun b -> if Bytes.length b > 0 then dir_push ep.tx b) runs);
-  Trace.count ep.trace ~name:"chan.write" ~pid:net_pid ~value:total;
-  Fiber.yield ();
-  total
-
 let close ep =
   ep.tx.closed <- true;
   (* The peer's parked reader must see its EOF. *)
@@ -381,15 +269,10 @@ let to_endpoint ep =
   {
     Fd_table.ep_read = (fun n -> read ep n);
     ep_write = (fun b -> write ep b);
-    ep_close = (fun () -> close ep);
-    ep_eof = (fun () -> is_eof ep);
-    ep_desc = "chan";
     (* A raw channel blocks inside [read], after the trap, and charges the
        half round trip a blocked read costs; the guard's endpoint is the
        one that parks before the trap. *)
-    ep_wait = None;
-    ep_readv = Some (fun vm iovs -> readv ep vm iovs);
-    ep_writev = Some (fun vm iovs -> writev ep vm iovs);
+    ep_wait = ignore;
   }
 
 (* ------------------------------------------------------------------ *)

@@ -54,34 +54,6 @@ val read_exact : ep -> int -> bytes option
 val write : ep -> bytes -> unit
 val write_string : ep -> string -> unit
 
-val read_into : ep -> Wedge_kernel.Vm.t -> addr:int -> int -> int
-(** [read_into ep vm ~addr n] reads up to [n] bytes from the channel and
-    lands them directly at [addr] in [vm] through the checked bulk-write
-    path (one translation per page, atomic across pages).  Returns the
-    byte count; 0 means the peer closed.  A protection fault on the
-    destination raises {!Wedge_kernel.Vm.Fault} with no partial write. *)
-
-val write_from : ep -> Wedge_kernel.Vm.t -> addr:int -> len:int -> unit
-(** [write_from ep vm ~addr ~len] sends [len] bytes read directly from
-    [addr] in [vm] (checked, one translation per page). *)
-
-val readv : ep -> Wedge_kernel.Vm.t -> (int * int) array -> int
-(** [readv ep vm iovs] scatters buffered bytes into the [(addr, len)]
-    runs in order through the checked kernel-copy path — one blocking
-    wait, one fault-plan roll and one trace count for the whole vector,
-    no intermediate buffers.  Returns the byte total; [0] means EOF.
-    Bytes are consumed from the channel only after they land, so a
-    protection fault on run [k] leaves runs [< k] delivered (a short
-    readv) and the rest still buffered — never a torn run, never lost
-    bytes. *)
-
-val writev : ep -> Wedge_kernel.Vm.t -> (int * int) array -> int
-(** [writev ep vm iovs] gathers the [(addr, len)] runs and sends them as
-    one burst — one backpressure wait, one fault-plan roll, one trace
-    count.  All runs are read out of the address space {e before} any
-    byte reaches the wire, so a protection fault mid-vector delivers
-    nothing (no partial-write corruption).  Returns the byte total. *)
-
 val wait_rx : ?bytes:int -> ep -> unit
 (** Park until [bytes] (default 1) are buffered or the direction closed
     — zero scheduler steps while idle. *)
@@ -101,8 +73,9 @@ val bytes_in_flight : ep -> int
 val capacity : ep -> int option
 
 val to_endpoint : ep -> Wedge_kernel.Fd_table.endpoint
-(** Wrap as a descriptor target.  Reads block inside the read, after the
-    syscall trap (no [ep_wait]). *)
+(** Wrap as a descriptor target.  Its [ep_wait] returns at once: a read
+    blocks inside {!read}, after the syscall trap, and a blocked read
+    charges the half round trip. *)
 
 (** {2 Listeners} *)
 

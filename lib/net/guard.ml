@@ -88,7 +88,7 @@ type t = {
   max_conns : int;
   header_deadline_ns : int option;
   idle_deadline_ns : int option;
-  reactor : Reactor.t option;  (* the clock, its timers and tick *)
+  reactor : Reactor.t;  (* the clock, its timers and tick *)
   trace : Trace.t;
   breaker : breaker option;
   watchdog : Watchdog.t option;
@@ -136,14 +136,9 @@ type stats = {
   s_breaker_opened : int;
 }
 
-let create ?reactor ?header_deadline_ns ?idle_deadline_ns ?breaker ?watchdog
+let create ~reactor ?header_deadline_ns ?idle_deadline_ns ?breaker ?watchdog
     ?(trace = Trace.null) ~max_conns () =
   if max_conns <= 0 then invalid_arg "Guard.create: max_conns <= 0";
-  if
-    Option.is_none reactor
-    && (Option.is_some header_deadline_ns || Option.is_some idle_deadline_ns
-       || Option.is_some breaker || Option.is_some watchdog)
-  then invalid_arg "Guard.create: deadlines, a breaker and a watchdog need a reactor";
   let breaker =
     match breaker with
     | None -> None
@@ -187,7 +182,7 @@ let create ?reactor ?header_deadline_ns ?idle_deadline_ns ?breaker ?watchdog
   in
   t
 
-let now t = match t.reactor with Some r -> Clock.now (Reactor.clock r) | None -> 0
+let now t = Clock.now (Reactor.clock t.reactor)
 
 (* Guard events carry pid 0: admission happens before any compartment
    exists for the connection. *)
@@ -257,11 +252,11 @@ let overdue c =
   || match c.g.idle_deadline_ns with Some d -> n - c.last_read_ns > d | None -> false
 
 let disarm_deadline c =
-  match (c.deadline, c.g.reactor) with
-  | Some tm, Some r ->
-      Reactor.cancel_timer r tm;
+  match c.deadline with
+  | Some tm ->
+      Reactor.cancel_timer c.g.reactor tm;
       c.deadline <- None
-  | _ -> ()
+  | None -> ()
 
 let earlier a b = match (a, b) with Some x, Some y -> Some (min x y) | None, x | x, None -> x
 
@@ -292,14 +287,14 @@ let next_deadline c =
    no cancellation on the hot read path; release cancels the one timer a
    connection holds, so a finished connection leaves nothing on the
    wheel. *)
-let rec arm_deadline r c =
+let rec arm_deadline c =
   c.deadline <-
     Option.map
       (fun at ->
-        Reactor.at r ~ns:at (fun () ->
+        Reactor.at c.g.reactor ~ns:at (fun () ->
             c.deadline <- None;
             (match c.heart with Some h when Watchdog.overdue h -> Watchdog.cut h | _ -> ());
-            if (not c.is_cut) && overdue c then cut c else arm_deadline r c))
+            if (not c.is_cut) && overdue c then cut c else arm_deadline c))
       (next_deadline c)
 
 (* Re-arm anew when the deadlines themselves change: a fresh
@@ -307,7 +302,7 @@ let rec arm_deadline r c =
    heart's deadline. *)
 and rearm c =
   disarm_deadline c;
-  Option.iter (fun r -> arm_deadline r c) c.g.reactor
+  arm_deadline c
 
 (* Abort the connection: the channel's interest sets die, so a worker
    parked on it wakes to EOF.  Only its heart's deadline still applies. *)
@@ -360,7 +355,7 @@ let admit t ep =
           t.conns <- c :: t.conns;
           t.active_n <- t.active_n + 1;
           t.admitted <- t.admitted + 1;
-          Option.iter (fun r -> arm_deadline r c) t.reactor;
+          arm_deadline c;
           Trace.instant t.trace ~name:"guard.admit" ~pid:guard_pid;
           Admitted c
         end
@@ -477,34 +472,26 @@ let rearm_heart c =
 
 let ep c = c.ep
 
-(* Delivered bytes restart the idle clock and beat the heart. *)
-let delivered c n =
-  if n > 0 then begin
-    c.last_read_ns <- now c.g;
-    match c.heart with Some h -> Watchdog.beat h | None -> ()
-  end
-
-(* A cut connection, or one found past its deadline (cut on the spot),
-   reads as EOF. *)
-let expired c =
-  c.is_cut
-  || overdue c
-     && begin
-          cut c;
-          true
-        end
-
-(* Deadline-aware reads: park for data or EOF.  The deadline lives on the
-   timer wheel; a cut aborts the channel, which kills its interest sets
-   and wakes the parked worker to EOF. *)
+(* Deadline-aware reads: park for data or EOF.  A cut connection, or one
+   found past its deadline (cut on the spot), reads as EOF.  The deadline
+   lives on the timer wheel; a cut aborts the channel, which kills its
+   interest sets and wakes the parked worker to EOF.  Delivered bytes
+   restart the idle clock and beat the heart. *)
 let guarded_read c n =
-  if expired c then Bytes.empty
+  if c.is_cut then Bytes.empty
+  else if overdue c then begin
+    cut c;
+    Bytes.empty
+  end
   else begin
     Chan.wait_rx c.ep;
     if c.is_cut then Bytes.empty
     else begin
       let b = Chan.read c.ep n in
-      delivered c (Bytes.length b);
+      if Bytes.length b > 0 then begin
+        c.last_read_ns <- now c.g;
+        Option.iter Watchdog.beat c.heart
+      end;
       b
     end
   end
@@ -513,22 +500,9 @@ let endpoint c =
   {
     Wedge_kernel.Fd_table.ep_read = (fun n -> guarded_read c n);
     ep_write = (fun b -> Chan.write c.ep b);
-    ep_close = (fun () -> Chan.close c.ep);
-    ep_eof = (fun () -> c.is_cut || Chan.is_eof c.ep);
-    ep_desc = "guarded-chan";
     (* The engine calls [ep_wait] before charging the syscall trap, so a
        parked worker burns zero fuel while its client is silent. *)
-    ep_wait = Some (fun () -> if not (c.is_cut || overdue c) then Chan.wait_rx c.ep);
-    ep_readv =
-      Some
-        (fun vm iovs ->
-          if expired c then 0
-          else begin
-            let n = Chan.readv c.ep vm iovs in
-            delivered c n;
-            n
-          end);
-    ep_writev = Some (fun vm iovs -> Chan.writev c.ep vm iovs);
+    ep_wait = (fun () -> if not (c.is_cut || overdue c) then Chan.wait_rx c.ep);
   }
 
 let accept_loop t l ~reject ~serve =
@@ -597,10 +571,7 @@ let drain ?deadline_ns t l =
   Trace.span_begin t.trace ~name:"guard.drain" ~pid:guard_pid;
   Chan.shutdown l;
   let timer =
-    match (deadline_ns, t.reactor) with
-    | Some d, Some r -> Some (r, Reactor.after r ~ns:d (fun () -> force t))
-    | Some _, None -> invalid_arg "Guard.drain: a deadline needs a reactor"
-    | None, _ -> None
+    Option.map (fun d -> Reactor.after t.reactor ~ns:d (fun () -> force t)) deadline_ns
   in
   let settled () = t.conns = [] in
   let wait stall what = Interest.wait_or_stall t.released stall ~what ~ready:settled in
@@ -608,7 +579,7 @@ let drain ?deadline_ns t l =
     force t;
     if not (wait Fiber.Forfeit_drain "guard drain (forced)") then forfeit t
   end;
-  Option.iter (fun (r, tm) -> Reactor.cancel_timer r tm) timer;
+  Option.iter (Reactor.cancel_timer t.reactor) timer;
   Trace.span_end t.trace ~name:"guard.drain" ~pid:guard_pid
 
 let active t = t.active_n

@@ -69,7 +69,7 @@ type stats = {
 }
 
 val create :
-  ?reactor:Wedge_sim.Reactor.t ->
+  reactor:Wedge_sim.Reactor.t ->
   ?header_deadline_ns:int ->
   ?idle_deadline_ns:int ->
   ?breaker:breaker_config ->
@@ -78,19 +78,19 @@ val create :
   max_conns:int ->
   unit ->
   t
-(** [reactor] carries the guard's clock.  [header_deadline_ns] bounds
+(** [reactor] carries the guard's clock and its timers; a guard with no
+    deadline, breaker or watchdog arms none.  [header_deadline_ns] bounds
     the time from admission to {!established} (e.g. handshake + first
     request line); [idle_deadline_ns] bounds the gap between reads
     thereafter.  Each connection holds one fire-and-re-check timer for
     them and its [watchdog] heart's deadline (O(1) per read or beat),
     cancelled on {!release}; after a {!cut} only the heart's deadline
-    remains.  The deadlines, [breaker] and [watchdog] (whose clock must
-    be the reactor's) all need [reactor].  [trace] records admission decisions
+    remains.  The [watchdog]'s clock must be the reactor's.  [trace]
+    records admission decisions
     (["guard.admit"/"guard.reject.busy"/"guard.reject.draining"]), cuts
     (["guard.cut"]), drain spans, and breaker transitions
     (["guard.breaker.open"/"half_open"/"close"/"shed"]).
-    @raise Invalid_argument on a deadline, breaker or watchdog without a
-    reactor, or [max_conns <= 0]. *)
+    @raise Invalid_argument when [max_conns <= 0]. *)
 
 val admit : t -> Chan.ep -> decision
 (** Claim a slot.  [Busy] when at [max_conns], [Draining] once {!drain}
@@ -138,11 +138,12 @@ val cut : conn -> unit
 
 val endpoint : conn -> Wedge_kernel.Fd_table.endpoint
 (** Deadline-aware descriptor target for the worker compartment: reads
-    park for data and return EOF once the connection is cut or overdue.
-    The endpoint's [ep_wait] parks {e before} the syscall trap (an idle
-    connection charges zero syscall fuel), and the vectored
-    [ep_readv]/[ep_writev] paths carry the same deadline/heartbeat
-    bookkeeping as reads. *)
+    park for data and return EOF once the connection is cut or overdue,
+    and delivered bytes restart the idle clock and beat the heart.  The
+    endpoint's [ep_wait] parks {e before} the syscall trap, so an idle
+    connection charges zero syscall fuel and a read that wakes to data
+    never blocks inside the trap (unlike {!Chan.to_endpoint}'s, it pays
+    no half round trip). *)
 
 val accept_loop :
   t ->
@@ -161,8 +162,7 @@ val drain : ?deadline_ns:int -> t -> Chan.listener -> unit
     system stalls ({!Wedge_sim.Fiber.Force_drain}); a stall after the
     force forfeits the slots ({!Wedge_sim.Fiber.Forfeit_drain}).  The
     deadline timer is cancelled when the drain finishes first.
-    Guaranteed to terminate.
-    @raise Invalid_argument on a deadline without a reactor. *)
+    Guaranteed to terminate. *)
 
 val active : t -> int
 (** Connections currently holding a slot — O(1), maintained at

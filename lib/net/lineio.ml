@@ -42,21 +42,6 @@ let create ?(max_line = default_max_line) ~recv ~send () =
 let of_chan ?max_line ep =
   create ?max_line ~recv:(fun n -> Chan.read ep n) ~send:(fun b -> Chan.write ep b) ()
 
-(* Fill-from-readv mode: every refill lands in a staging run of the
-   worker's own address space through the vectored kernel-copy path
-   ([Chan.readv] — one blocking wait, one fault roll, no intermediate
-   channel-side buffer), then lifts into the line buffer.  The Vm checks
-   each landing, so a revoked or read-only staging page faults the refill
-   cleanly instead of tearing it. *)
-let of_chan_readv ?max_line ep vm ~addr ~len =
-  if len <= 0 then invalid_arg "Lineio.of_chan_readv: len <= 0";
-  let recv n =
-    let n = min n len in
-    let got = Chan.readv ep vm [| (addr, n) |] in
-    if got = 0 then Bytes.empty else Wedge_kernel.Vm.read_bytes vm addr got
-  in
-  create ?max_line ~recv ~send:(fun b -> Chan.write ep b) ()
-
 let available t = t.wpos - t.rpos
 let overflowed t = t.overflow
 

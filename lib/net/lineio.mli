@@ -20,15 +20,6 @@ val create : ?max_line:int -> recv:(int -> bytes) -> send:(bytes -> unit) -> uni
 
 val of_chan : ?max_line:int -> Chan.ep -> t
 
-val of_chan_readv :
-  ?max_line:int -> Chan.ep -> Wedge_kernel.Vm.t -> addr:int -> len:int -> t
-(** Fill-from-readv mode: refills land in the staging run [addr, addr+len)
-    of [vm] through the vectored kernel-copy path ({!Chan.readv} — one
-    blocking wait, one fault roll, no intermediate channel-side buffer)
-    before lifting into the line buffer.  A revoked staging page faults
-    the refill cleanly.
-    @raise Invalid_argument when [len <= 0]. *)
-
 val read_line : t -> string option
 (** Next line without its terminator (accepts LF and CRLF); [None] at
     EOF or once the stream overflowed its line cap.  A final

@@ -44,11 +44,9 @@ type t = {
      ~ a hardware page-table walk; tlb_shootdown ~ the cost of killing one
      cached translation on a permissions change or unmap (the IPI-and-wait
      a real multiprocessor pays, scaled to one entry).
-   - syscall_batch_op: each operation past the first in one vectored
-     batch (readv/writev) — per-op argument validation and iov walk with
-     the kernel entry/exit already paid, ~10% of a full trap (the
-     readv-vs-n-reads gap on commodity hardware).  Single-op syscalls
-     never charge it, so every fig7/fig8 number is untouched. *)
+   - syscall_batch_op: nothing charges it (every descriptor read or
+     write is one kernel entry at syscall_trap); it stays because the
+     benchmark's cost-model pins name every field. *)
 let default =
   {
     syscall_trap = 500;

@@ -12,10 +12,10 @@
 type t = {
   syscall_trap : int;  (** kernel entry/exit for one system call *)
   syscall_batch_op : int;
-      (** each operation past the first in one vectored batch
-          (readv/writev): per-op validation with the trap already paid.
-          Single-op syscalls never charge it, preserving every fig7/fig8
-          shape. *)
+      (** the price of each operation past the first in one vectored
+          batch.  Nothing charges it: every descriptor read or write is
+          one kernel entry priced at [syscall_trap].  It stays only
+          because the benchmark's cost-model pins name every field. *)
   context_switch : int;  (** scheduler switch between two processes *)
   tlb_flush : int;  (** address-space switch penalty *)
   tlb_hit : int;  (** one translation served from the software TLB *)

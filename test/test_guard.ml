@@ -167,9 +167,11 @@ let run_flood ~seed =
   Fault_plan.rule plan ~site:"chan.read" ~prob:0.03 [ Fault_plan.Drop; Fault_plan.Reset ];
   Fault_plan.rule plan ~site:"chan.write" ~prob:0.03 [ Fault_plan.Reset ];
   Fault_plan.disarm plan;
-  let _k, main = mk_pop3 ~faults:plan () in
+  let k, main = mk_pop3 ~faults:plan () in
   let l = Chan.listener ~costs:Cost_model.free ~faults:plan ~backlog:16 () in
-  let guard = Guard.create ~max_conns:8 () in
+  let guard =
+    Guard.create ~reactor:(Reactor.create ~clock:k.Kernel.clock ()) ~max_conns:8 ()
+  in
   let t = Byzantine.tally () in
   let is_rejection s = contains s "-ERR busy" in
   Fiber.run (fun () ->
@@ -248,9 +250,11 @@ let test_slow_loris_cut_without_collateral () =
 (* ---------- oversized requests ---------- *)
 
 let test_pop3_oversized_command_rejected () =
-  let _k, main = mk_pop3 () in
+  let k, main = mk_pop3 () in
   let l = Chan.listener ~costs:Cost_model.free () in
-  let guard = Guard.create ~max_conns:4 () in
+  let guard =
+    Guard.create ~reactor:(Reactor.create ~clock:k.Kernel.clock ()) ~max_conns:4 ()
+  in
   let t = Byzantine.tally () in
   Fiber.run (fun () ->
       Fiber.spawn (fun () -> Service.serve_loop Pop3_wedge.service main guard l);
@@ -307,9 +311,11 @@ let test_drain_completes_in_flight () =
   check Alcotest.bool "draining flag set" true (Guard.draining guard)
 
 let test_drain_forces_stragglers () =
-  let _k, main = mk_pop3 () in
+  let k, main = mk_pop3 () in
   let l = Chan.listener ~costs:Cost_model.free () in
-  let guard = Guard.create ~max_conns:4 () in
+  let guard =
+    Guard.create ~reactor:(Reactor.create ~clock:k.Kernel.clock ()) ~max_conns:4 ()
+  in
   let t = Byzantine.tally () in
   Fiber.run (fun () ->
       Fiber.spawn (fun () -> Service.serve_loop Pop3_wedge.service main guard l);
@@ -334,7 +340,9 @@ let test_drain_forces_stragglers () =
    [Resource_exhausted], releasing its slot — so the drain finishes
    without forcing anyone. *)
 let test_stall_sheds_writer_before_drain_forces () =
-  let guard = Guard.create ~max_conns:2 () in
+  let guard =
+    Guard.create ~reactor:(Reactor.create ~clock:(Clock.create ()) ()) ~max_conns:2 ()
+  in
   let l = Chan.listener ~capacity:8 () in
   let shed = ref None in
   Fiber.run (fun () ->
@@ -396,7 +404,9 @@ let test_release_idempotent () =
      forfeit racing) must not drive the O(1) active counter negative or
      free another connection's slot. *)
   Fiber.run (fun () ->
-      let guard = Guard.create ~max_conns:2 () in
+      let guard =
+        Guard.create ~reactor:(Reactor.create ~clock:(Clock.create ()) ()) ~max_conns:2 ()
+      in
       let a, b = Chan.pair () in
       match (Guard.admit guard a, Guard.admit guard b) with
       | Guard.Admitted ca, Guard.Admitted cb ->
@@ -459,15 +469,15 @@ let test_refused_contained_under_supervision () =
    interest set turns ready.  The request after the silence still
    lands, proving the connection stayed live rather than merely quiet.
    [herd] more connections parked in [Chan.wait_rx] beside the active
-   one must change nothing: returns the stretch's simulated span. *)
+   one must change nothing: returns the stretch's simulated span.  The
+   64-byte [fd_read] that serves the request is pinned too: one trap,
+   one unit of fuel, the per-byte network charge and nothing else. *)
 let idle_stretch ~herd =
   let k = Kernel.create ~costs:Cost_model.default () in
   let clock = k.Kernel.clock in
   let app = W.create_app k in
   W.boot app;
   let ctx = W.main_ctx app in
-  let tag = W.tag_new ~name:"idle.fuel" ~pages:1 ctx in
-  let buf = W.smalloc ctx 64 tag in
   let r = Reactor.create ~clock () in
   let a, b = Chan.pair ~clock ~costs:Cost_model.free () in
   let idle = Array.init herd (fun _ -> Chan.pair ~clock ~costs:Cost_model.free ()) in
@@ -475,7 +485,7 @@ let idle_stretch ~herd =
   let limits = (W.proc ctx).Process.limits in
   let fuel () = Rlimit.fuel_used limits in
   let reads () = Stats.get k.Kernel.stats "trap.read" in
-  let got = ref 0 and readv = ref (0, 0, 0) in
+  let got = ref 0 and read = ref (0, 0, 0) in
   let idle_fuel = ref (-1) and parked = ref 0 and span = ref 0 in
   Fiber.run ~on_switch:(Reactor.hook r) ~on_idle:(Reactor.idle r) (fun () ->
       Array.iter (fun (_, ep) -> Fiber.spawn (fun () -> Chan.wait_rx ~bytes:8 ep)) idle;
@@ -484,8 +494,8 @@ let idle_stretch ~herd =
             Chan.wait_rx ~bytes:64 b;
             if Chan.bytes_in_flight b >= 64 then begin
               let t0 = Clock.now clock and f0 = fuel () and r0 = reads () in
-              got := W.fd_readv ctx fd (Array.init 8 (fun i -> (buf + (8 * i), 8)));
-              readv := (Clock.now clock - t0, fuel () - f0, reads () - r0);
+              got := Bytes.length (W.fd_read ctx fd 64);
+              read := (Clock.now clock - t0, fuel () - f0, reads () - r0);
               loop ()
             end
           in
@@ -510,12 +520,58 @@ let idle_stretch ~herd =
   check Alcotest.int (label "request after the silence still served") 64 !got;
   check
     Alcotest.(triple int int int)
-    (label "8-run readv: simulated ns, fuel, trap.read") (1_434, 1, 1) !readv;
+    (label "64-byte fd_read: simulated ns, fuel, trap.read")
+    (* 500 + 64 x 9 = 1,076 ns at the default costs *)
+    (Cost_model.(default.syscall_trap + (64 * default.net_per_byte)), 1, 1)
+    !read;
   !span
 
 let test_idle_reactor_conn_charges_no_fuel () =
   let alone = idle_stretch ~herd:0 in
   check Alcotest.int "idle connections add no simulated ns" alone (idle_stretch ~herd:1_000)
+
+(* A read the descriptor refuses never parks: the readiness wait comes
+   before the trap only for a descriptor that may read.  A compartment
+   holding a write-only descriptor for a silent guarded connection gets
+   [Fd_error "... not readable"] at once; were it to wait first, it would
+   park on a client that never speaks and the run would end in
+   [Fiber.Deadlock]. *)
+let test_refused_read_never_parks () =
+  let k = Kernel.create ~costs:Cost_model.free () in
+  let app = W.create_app k in
+  W.boot app;
+  let main = W.main_ctx app in
+  let guard =
+    Guard.create ~reactor:(Reactor.create ~clock:k.Kernel.clock ()) ~max_conns:1 ()
+  in
+  let refused = ref None and ret = ref None in
+  Fiber.run (fun () ->
+      let client, server = Chan.pair () in
+      let c =
+        match Guard.admit guard server with
+        | Guard.Admitted c -> c
+        | _ -> Alcotest.fail "expected admission"
+      in
+      let fd = W.add_endpoint main (Guard.endpoint c) Fd_table.perm_rw in
+      let sc = W.sc_create () in
+      W.sc_fd_add sc fd Fd_table.perm_w;
+      let h =
+        W.sthread_create main sc
+          (fun ctx _ ->
+            match W.fd_read ctx fd 16 with
+            | _ -> 1
+            | exception W.Fd_error msg ->
+                refused := Some msg;
+                0)
+          0
+      in
+      ret := Some (W.sthread_join main h);
+      Guard.release c;
+      Chan.close client);
+  check (Alcotest.option Alcotest.int) "the compartment returned" (Some 0) !ret;
+  match !refused with
+  | Some msg -> check Alcotest.bool "refused as not readable" true (contains msg "not readable")
+  | None -> Alcotest.fail "the write-only descriptor was read"
 
 let () =
   Alcotest.run "guard"
@@ -570,5 +626,6 @@ let () =
         [
           Alcotest.test_case "reactor-parked conn charges none" `Quick
             test_idle_reactor_conn_charges_no_fuel;
+          Alcotest.test_case "refused read never parks" `Quick test_refused_read_never_parks;
         ] );
     ]

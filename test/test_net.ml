@@ -101,6 +101,47 @@ let test_listener_queueing () =
       check Alcotest.string "fifo order" "1" (Bytes.to_string (Chan.read s1 1));
       check Alcotest.string "fifo order 2" "2" (Bytes.to_string (Chan.read s2 1)))
 
+(* A writer dribbling [step]-byte writes into a [cap]-byte channel
+   blocks at the high watermark mid-payload: the first read sees a
+   partial payload, and reading on to EOF must lose nothing.  Capacity,
+   payload size and write size come from the suite's seeded PRNG
+   (WEDGE_TEST_SEED). *)
+let prop_read_through_capacity_watermark =
+  Test_rng.to_alcotest
+    (QCheck.Test.make ~name:"read through a capacity watermark loses nothing"
+       ~count:60
+       QCheck.(triple (int_range 8 64) (int_range 1 300) (int_range 1 8))
+       (fun (cap, extra, step) ->
+         let plen = cap + extra in
+         let payload = String.init plen (fun i -> Char.chr (Char.code 'a' + (i mod 26))) in
+         let ok = ref false in
+         Fiber.run (fun () ->
+             let a, b = Chan.pair ~capacity:cap () in
+             Fiber.spawn (fun () ->
+                 let off = ref 0 in
+                 while !off < plen do
+                   let n = min step (plen - !off) in
+                   Chan.write_string b (String.sub payload !off n);
+                   off := !off + n
+                 done;
+                 Chan.close b);
+             Fiber.wait_until ~what:"writer at watermark" (fun () ->
+                 Chan.bytes_in_flight a >= cap);
+             (* The writer is wedged at the watermark: the first read is
+                bounded by cap plus the final sub-watermark push. *)
+             let first = Chan.read a plen in
+             let got = Buffer.create 64 in
+             let rec go b =
+               if Bytes.length b > 0 then begin
+                 Buffer.add_bytes got b;
+                 go (Chan.read a plen)
+               end
+             in
+             go first;
+             let n = Bytes.length first in
+             ok := n > 0 && n < cap + step && Buffer.contents got = payload);
+         !ok))
+
 (* ---------- lineio ---------- *)
 
 let mk_lineio input =
@@ -213,254 +254,6 @@ let test_mitm_captures_both_directions () =
   check Alcotest.string "c2s" "question" (Mitm.captured mitm Mitm.Client_to_server);
   check Alcotest.string "s2c" "answer" (Mitm.captured mitm Mitm.Server_to_client)
 
-(* ---------- kernel-copy endpoints (channel <-> Vm memory) ---------- *)
-
-module Physmem = Wedge_kernel.Physmem
-module Vm = Wedge_kernel.Vm
-module Prot = Wedge_kernel.Prot
-
-let mk_vm () =
-  let pm = Physmem.create () in
-  let vm = Vm.create ~pid:1 pm (Clock.create ()) Cost_model.free in
-  Vm.map_fresh vm ~addr:0x1000 ~pages:2 ~prot:Prot.page_rw ~tag:None;
-  vm
-
-let test_chan_vm_roundtrip () =
-  Fiber.run (fun () ->
-      let a, b = Chan.pair () in
-      let vm = mk_vm () in
-      Vm.write_bytes vm 0x1000 (Bytes.of_string "payload via pages");
-      Chan.write_from b vm ~addr:0x1000 ~len:17;
-      let n = Chan.read_into a vm ~addr:0x1800 100 in
-      check Alcotest.int "all bytes landed" 17 n;
-      check Alcotest.string "roundtrip through Vm memory" "payload via pages"
-        (Bytes.to_string (Vm.read_bytes vm 0x1800 17)))
-
-let test_chan_read_into_faults_cleanly () =
-  (* Payload directed at a read-only page: the checked atomic write
-     faults with nothing written, and the fault surfaces to the caller
-     rather than corrupting memory. *)
-  Fiber.run (fun () ->
-      let a, b = Chan.pair () in
-      let vm = mk_vm () in
-      Vm.protect_range vm ~addr:0x1000 ~pages:1 ~prot:Prot.page_r;
-      Chan.write_string b "attack";
-      (match Chan.read_into a vm ~addr:0x1000 6 with
-      | _ -> Alcotest.fail "expected Vm.Fault"
-      | exception Vm.Fault _ -> ());
-      check Alcotest.int "read-only page untouched" 0 (Vm.read_u8 vm 0x1000))
-
-(* ---------- vectored kernel-copy (readv/writev) properties ----------
-
-   Differential properties against the scalar path: a vectored call must
-   scatter/gather exactly the bytes the plain read/write calls would
-   move, across page boundaries, through capacity watermarks, and a
-   protection fault mid-vector must never tear a run or lose a byte.
-   All draws come from the suite's seeded PRNG (WEDGE_TEST_SEED). *)
-
-let mk_vm4 () =
-  let pm = Physmem.create () in
-  let vm = Vm.create ~pid:1 pm (Clock.create ()) Cost_model.free in
-  Vm.map_fresh vm ~addr:0x1000 ~pages:4 ~prot:Prot.page_rw ~tag:None;
-  vm
-
-(* Runs as (length, preceding gap); laid out in order from [base] so the
-   random gaps make runs straddle page boundaries at arbitrary offsets. *)
-let iov_gen =
-  QCheck.(list_of_size (Gen.int_range 1 8) (pair (int_range 0 50) (int_range 0 24)))
-
-let layout ~base runs =
-  let addr = ref base in
-  Array.of_list
-    (List.map
-       (fun (len, gap) ->
-         addr := !addr + gap;
-         let a = !addr in
-         addr := !addr + len;
-         (a, len))
-       runs)
-
-let payload_of n = String.init n (fun i -> Char.chr (Char.code 'a' + (i mod 26)))
-
-let drain_to_eof ep =
-  let buf = Buffer.create 64 in
-  let rec go () =
-    let b = Chan.read ep 4096 in
-    if Bytes.length b > 0 then begin
-      Buffer.add_bytes buf b;
-      go ()
-    end
-  in
-  go ();
-  Buffer.contents buf
-
-let prop_readv_scatter_equivalence =
-  Test_rng.to_alcotest
-    (QCheck.Test.make ~name:"readv == scatter of plain reads" ~count:100
-       QCheck.(pair (int_range 1 600) iov_gen)
-       (fun (plen, runs) ->
-         let payload = payload_of plen in
-         let ok = ref false in
-         Fiber.run (fun () ->
-             let a, b = Chan.pair () in
-             let vm = mk_vm4 () in
-             Chan.write_string b payload;
-             Chan.close b;
-             let iovs = layout ~base:0x1000 runs in
-             let want = Array.fold_left (fun acc (_, l) -> acc + l) 0 iovs in
-             let n = Chan.readv a vm iovs in
-             (* Exactly what the scalar path would deliver from a closed
-                peer: min(buffered, want), filled in run order. *)
-             let expected = min plen want in
-             let delivered = Buffer.create 64 in
-             let left = ref n in
-             Array.iter
-               (fun (addr, len) ->
-                 let take = min len !left in
-                 if take > 0 then
-                   Buffer.add_bytes delivered (Vm.read_bytes vm addr take);
-                 left := !left - take)
-               iovs;
-             let rest = drain_to_eof a in
-             ok :=
-               n = expected
-               && Buffer.contents delivered = String.sub payload 0 expected
-               && rest = String.sub payload expected (plen - expected));
-         !ok))
-
-let prop_writev_gather_equivalence =
-  Test_rng.to_alcotest
-    (QCheck.Test.make ~name:"writev == gather of plain writes" ~count:100 iov_gen
-       (fun runs ->
-         let ok = ref false in
-         Fiber.run (fun () ->
-             let a, b = Chan.pair () in
-             let vm = mk_vm4 () in
-             let iovs = layout ~base:0x1000 runs in
-             let total = Array.fold_left (fun acc (_, l) -> acc + l) 0 iovs in
-             (* Distinct content per run so a gather that reorders or
-                duplicates runs cannot pass. *)
-             let expected = Buffer.create 64 in
-             Array.iteri
-               (fun i (addr, len) ->
-                 let s =
-                   String.init len (fun j ->
-                       Char.chr (Char.code 'A' + ((i + j) mod 26)))
-                 in
-                 Buffer.add_string expected s;
-                 Vm.write_bytes vm addr (Bytes.of_string s))
-               iovs;
-             let n = Chan.writev b vm iovs in
-             Chan.close b;
-             let got = drain_to_eof a in
-             ok := n = total && got = Buffer.contents expected);
-         !ok))
-
-let prop_readv_fault_mid_vector =
-  Test_rng.to_alcotest
-    (QCheck.Test.make
-       ~name:"readv fault mid-vector: prior runs land, no byte lost" ~count:100
-       QCheck.(triple iov_gen (int_range 1 50) (int_range 1 100))
-       (fun (runs, bad_len, extra) ->
-         (* Good runs stay inside the first two pages; the final run
-            targets the read-only page at 0x3000.  The payload is long
-            enough to reach it, so the vector must fault there — after
-            the good runs were delivered and consumed, with the rest
-            still buffered. *)
-         let ok = ref false in
-         Fiber.run (fun () ->
-             let a, b = Chan.pair () in
-             let vm = mk_vm4 () in
-             Vm.protect_range vm ~addr:0x3000 ~pages:1 ~prot:Prot.page_r;
-             let good = layout ~base:0x1000 runs in
-             let good_want = Array.fold_left (fun acc (_, l) -> acc + l) 0 good in
-             let iovs = Array.append good [| (0x3000, bad_len) |] in
-             let plen = good_want + extra in
-             let payload = payload_of plen in
-             Chan.write_string b payload;
-             Chan.close b;
-             match Chan.readv a vm iovs with
-             | _ -> ()
-             | exception Vm.Fault f ->
-                 let delivered = Buffer.create 64 in
-                 Array.iter
-                   (fun (addr, len) ->
-                     if len > 0 then
-                       Buffer.add_bytes delivered (Vm.read_bytes vm addr len))
-                   good;
-                 let rest = drain_to_eof a in
-                 ok :=
-                   Buffer.contents delivered = String.sub payload 0 good_want
-                   && rest = String.sub payload good_want extra
-                   && Wedge_core.Wedge.fault_reason (Vm.Fault f) <> None);
-         !ok))
-
-let prop_writev_fault_no_partial_write =
-  Test_rng.to_alcotest
-    (QCheck.Test.make ~name:"writev fault mid-vector: nothing reaches the wire"
-       ~count:100
-       QCheck.(pair iov_gen (int_range 1 50))
-       (fun (runs, bad_len) ->
-         let ok = ref false in
-         Fiber.run (fun () ->
-             let a, b = Chan.pair () in
-             let vm = mk_vm4 () in
-             let good = layout ~base:0x1000 runs in
-             Array.iter
-               (fun (addr, len) -> Vm.write_bytes vm addr (Bytes.make len 'g'))
-               good;
-             Vm.protect_range vm ~addr:0x3000 ~pages:1 ~prot:Prot.page_none;
-             let iovs = Array.append good [| (0x3000, bad_len) |] in
-             match Chan.writev b vm iovs with
-             | _ -> ()
-             | exception Vm.Fault f ->
-                 ok :=
-                   Chan.bytes_in_flight a = 0
-                   && Wedge_core.Wedge.fault_reason (Vm.Fault f) <> None);
-         !ok))
-
-let prop_readv_partial_at_capacity_watermark =
-  Test_rng.to_alcotest
-    (QCheck.Test.make ~name:"readv through a capacity watermark loses nothing"
-       ~count:60
-       QCheck.(triple (int_range 8 64) (int_range 1 300) (int_range 1 8))
-       (fun (cap, extra, step) ->
-         let plen = cap + extra in
-         let payload = payload_of plen in
-         let ok = ref false in
-         Fiber.run (fun () ->
-             let a, b = Chan.pair ~capacity:cap () in
-             let vm = mk_vm4 () in
-             (* Dribble in [step]-byte writes so the writer actually hits
-                the high watermark and blocks mid-payload. *)
-             Fiber.spawn (fun () ->
-                 let off = ref 0 in
-                 while !off < plen do
-                   let n = min step (plen - !off) in
-                   Chan.write_string b (String.sub payload !off n);
-                   off := !off + n
-                 done;
-                 Chan.close b);
-             Fiber.wait_until ~what:"writer at watermark" (fun () ->
-                 Chan.bytes_in_flight a >= cap);
-             (* The writer is wedged at the watermark: the first vectored
-                read sees a partial request, bounded by cap plus the
-                final sub-watermark push. *)
-             let iovs = [| (0x1000, plen) |] in
-             let first = Chan.readv a vm iovs in
-             let got = Buffer.create 64 in
-             Buffer.add_bytes got (Vm.read_bytes vm 0x1000 first);
-             let rec go () =
-               let n = Chan.readv a vm iovs in
-               if n > 0 then begin
-                 Buffer.add_bytes got (Vm.read_bytes vm 0x1000 n);
-                 go ()
-               end
-             in
-             go ();
-             ok := first > 0 && first < cap + step && Buffer.contents got = payload);
-         !ok))
-
 let () =
   Alcotest.run "wedge_net"
     [
@@ -474,16 +267,7 @@ let () =
           Alcotest.test_case "bytes in flight" `Quick test_bytes_in_flight;
           Alcotest.test_case "listener shutdown" `Quick test_listener_shutdown;
           Alcotest.test_case "listener queueing" `Quick test_listener_queueing;
-          Alcotest.test_case "vm kernel-copy roundtrip" `Quick test_chan_vm_roundtrip;
-          Alcotest.test_case "read_into faults cleanly" `Quick test_chan_read_into_faults_cleanly;
-        ] );
-      ( "vectored",
-        [
-          prop_readv_scatter_equivalence;
-          prop_writev_gather_equivalence;
-          prop_readv_fault_mid_vector;
-          prop_writev_fault_no_partial_write;
-          prop_readv_partial_at_capacity_watermark;
+          prop_read_through_capacity_watermark;
         ] );
       ( "lineio",
         [

@@ -318,9 +318,11 @@ let test_master_forgets_served_connections () =
      and closed descriptors (with the channel buffers behind them) must
      go when the connection does, or its memory grows with every client
      it ever served. *)
-  let _, app, main = mk_env () in
+  let k, app, main = mk_env () in
   let l = Chan.listener ~costs:Cost_model.free ~backlog:4 () in
-  let guard = Guard.create ~max_conns:4 () in
+  let guard =
+    Guard.create ~reactor:(Wedge_sim.Reactor.create ~clock:k.Kernel.clock ()) ~max_conns:4 ()
+  in
   let gates_before = Hashtbl.length app.Engine.gates in
   let fds_words () = Obj.reachable_words (Obj.repr (W.proc main).Wedge_kernel.Process.fds) in
   let at_100 = ref 0 and at_1000 = ref 0 in

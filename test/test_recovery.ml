@@ -222,18 +222,11 @@ let test_watchdog_beat_after_cut_raises_hang () =
 module Reactor = Wedge_sim.Reactor
 module Fd_table = Wedge_kernel.Fd_table
 
-let mk_readv_vm () =
-  let pm = Wedge_kernel.Physmem.create () in
-  let vm = Wedge_kernel.Vm.create ~pid:1 pm (Clock.create ()) Cost_model.free in
-  Wedge_kernel.Vm.map_fresh vm ~addr:0x1000 ~pages:1
-    ~prot:Wedge_kernel.Prot.page_rw ~tag:None;
-  vm
-
-(* A worker draining its connection through batched vectored reads keeps
-   its heart beaten: the watchdog — pumped from the reactor's timer
+(* A worker draining its connection through the guarded endpoint's reads
+   keeps its heart beaten: the watchdog — pumped from the reactor's timer
    sweeps, no polling fiber anywhere — must never cut it, even though
    the session spans several deadlines end to end. *)
-let test_reactor_readv_beats_heart () =
+let test_reactor_reads_beat_heart () =
   let clock = Clock.create () in
   let r = Reactor.create ~clock () in
   let w = Watchdog.create ~deadline_ns:1_000 clock in
@@ -247,31 +240,29 @@ let test_reactor_readv_beats_heart () =
         | _ -> Alcotest.fail "expected admission"
       in
       let e = Guard.endpoint c in
-      let readv = Option.get e.Fd_table.ep_readv in
-      let vm = mk_readv_vm () in
       Fiber.spawn (fun () ->
           (* Arm the heart from inside the serve fiber, as accept_loop
              does — a cut cancels precisely this fiber. *)
           Guard.rearm_heart c;
           let rec go () =
-            let n = readv vm [| (0x1000, 4); (0x1004, 4) |] in
-            if n > 0 then begin
-              Buffer.add_bytes got (Wedge_kernel.Vm.read_bytes vm 0x1000 n);
+            let b = e.Fd_table.ep_read 8 in
+            if Bytes.length b > 0 then begin
+              Buffer.add_bytes got b;
               go ()
             end
           in
           go ();
           Guard.release c);
       (* Five bursts, each 0.6 deadlines apart: the whole session lasts
-         3x the heartbeat deadline, but every vectored delivery beats
-         the heart in passing. *)
+         3x the heartbeat deadline, but every delivered read beats the
+         heart in passing. *)
       for i = 1 to 5 do
         Clock.charge clock 600;
         Chan.write_string a (Printf.sprintf "burst%03d" i)
       done;
       Chan.close a);
   check Alcotest.int "heart stayed beaten: no cut" 0 (Watchdog.cuts w);
-  check Alcotest.int "every burst landed through readv" 40 (Buffer.length got);
+  check Alcotest.int "every burst landed through ep_read" 40 (Buffer.length got);
   check Alcotest.bool "no heart left overdue" true (Watchdog.self_check w = None)
 
 (* A parked worker whose client goes silent: the heart runs overdue and
@@ -293,11 +284,9 @@ let test_reactor_cuts_parked_worker_within_deadline () =
         | _ -> Alcotest.fail "expected admission"
       in
       let e = Guard.endpoint c in
-      let readv = Option.get e.Fd_table.ep_readv in
-      let vm = mk_readv_vm () in
       Fiber.spawn (fun () ->
           Guard.rearm_heart c;
-          (try eof := readv vm [| (0x1000, 8) |] = 0
+          (try eof := Bytes.length (e.Fd_table.ep_read 8) = 0
            with Fiber.Cancelled _ -> eof := true);
           woke_at := Clock.now clock;
           Guard.release c);
@@ -656,8 +645,8 @@ let () =
         ] );
       ( "reactor",
         [
-          Alcotest.test_case "batched readv beats heart" `Quick
-            test_reactor_readv_beats_heart;
+          Alcotest.test_case "guarded reads beat heart" `Quick
+            test_reactor_reads_beat_heart;
           Alcotest.test_case "parked worker cut within deadline" `Quick
             test_reactor_cuts_parked_worker_within_deadline;
         ] );

@@ -536,7 +536,11 @@ let test_client_sized_fields () =
 let test_master_forgets_served_connections () =
   let env = mk_env () in
   let l = Chan.listener ~costs:Cost_model.free ~backlog:4 () in
-  let guard = Guard.create ~max_conns:4 () in
+  let guard =
+    Guard.create
+      ~reactor:(Wedge_sim.Reactor.create ~clock:(W.kernel env.Env.app).Kernel.clock ())
+      ~max_conns:4 ()
+  in
   let before = Oracle.holdings env.Env.app in
   Fiber.run (fun () ->
       Fiber.spawn (fun () -> Service.serve_loop Wedge_d.service env guard l);

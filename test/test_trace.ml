@@ -212,7 +212,9 @@ let test_metrics_subsume_scattered_counters () =
   let main = W.main_ctx app in
   let m = Metrics.create () in
   W.register_metrics m app;
-  let guard = Guard.create ~max_conns:2 () in
+  let guard =
+    Guard.create ~reactor:(Wedge_sim.Reactor.create ~clock:k.Kernel.clock ()) ~max_conns:2 ()
+  in
   Guard.register_metrics m guard;
   Fiber.run (fun () ->
       W.stat main "demo.requests";
