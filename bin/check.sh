@@ -121,6 +121,21 @@ if [ "$paper_md5" != 0d8c196039c93a4d1cd7c12a98be3f47 ]; then
   exit 1
 fi
 
+# Example gate: examples/https_mitm drives Figures 3-5's Httpd_mitm,
+# whose SSL_read and SSL_write gates load and store the record state
+# image once per record, and examples/ssh_login drives Figure 6's
+# Sshd_wedge, which frames with the same Wire layer.  No benchmark runs
+# either server, so their deterministic stdout is pinned byte for byte.
+echo "== example outputs (https_mitm ssh_login) =="
+for pin in https_mitm:71711664569460920a37640afcdf629e ssh_login:0a5cfd3a0f0e6484acd68985e1271fa6; do
+  example="${pin%%:*}"
+  example_md5="$(dune exec "examples/$example.exe" 2>/dev/null | md5sum | cut -d' ' -f1)"
+  if [ "$example_md5" != "${pin#*:}" ]; then
+    echo "check.sh: examples/$example.exe output changed (md5 $example_md5)" >&2
+    exit 1
+  fi
+done
+
 # Correctness-harness gate: explore 25 seeded schedules of every
 # scenario (melees, fault storms with induced hangs, pooled storms,
 # sharded fabrics, synthesized profiles) under the invariant oracles,

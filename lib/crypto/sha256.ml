@@ -22,14 +22,25 @@ type ctx = {
   w : int array;  (* message schedule *)
 }
 
+(* Back to the initial hash value, so one context can hash one message
+   after another. *)
+let reset t =
+  let h = t.h in
+  h.(0) <- 0x6a09e667;
+  h.(1) <- 0xbb67ae85;
+  h.(2) <- 0x3c6ef372;
+  h.(3) <- 0xa54ff53a;
+  h.(4) <- 0x510e527f;
+  h.(5) <- 0x9b05688c;
+  h.(6) <- 0x1f83d9ab;
+  h.(7) <- 0x5be0cd19;
+  t.fill <- 0;
+  t.total <- 0
+
 let init () =
-  {
-    h = [| 0x6a09e667; 0xbb67ae85; 0x3c6ef372; 0xa54ff53a; 0x510e527f; 0x9b05688c; 0x1f83d9ab; 0x5be0cd19 |];
-    block = Bytes.create 64;
-    fill = 0;
-    total = 0;
-    w = Array.make 64 0;
-  }
+  let t = { h = Array.make 8 0; block = Bytes.create 64; fill = 0; total = 0; w = Array.make 64 0 } in
+  reset t;
+  t
 
 let rotr x n = ((x lsr n) lor (x lsl (32 - n))) land m32
 

@@ -11,7 +11,12 @@ val init : unit -> ctx
 val update : ctx -> bytes -> unit
 val update_string : ctx -> string -> unit
 val final : ctx -> bytes
-(** 32-byte digest; the ctx must not be reused afterwards. *)
+(** 32-byte digest; the ctx must not be reused afterwards, except through
+    {!reset}. *)
+
+val reset : ctx -> unit
+(** Start a new message on the same context, allocating nothing: HMAC's
+    outer hash and the record layer's key expansions reuse one context. *)
 
 val digest : bytes -> bytes
 val digest_string : string -> bytes

@@ -24,7 +24,7 @@ let derive_master ~premaster =
 
 let finished_payload ~master ~side ~transcript_hash =
   let label = match side with `Client -> "client finished" | `Server -> "server finished" in
-  Hmac.mac ~key:master (Bytes.cat (Bytes.of_string label) transcript_hash)
+  Hmac.mac ~key:master ~prefix:(Bytes.unsafe_of_string label) transcript_hash
 
 (* The server's Finished binds the pre-Finished transcript hash together
    with the client's Finished cleartext; receive_finished hashes them (the

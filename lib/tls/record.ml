@@ -6,15 +6,16 @@ type keys = {
   mac_tx : bytes;
   mac_rx : bytes;
   enc_tx : Rc4.t;
-  enc_rx : Rc4.t;
+  mutable enc_rx : Rc4.t;
   mutable seq_tx : int;
   mutable seq_rx : int;
 }
 
 let tag_len = 32
 
-let expand master cr sr label =
-  let ctx = Sha256.init () in
+(* One context serves all four expansions. *)
+let expand ctx master cr sr label =
+  Sha256.reset ctx;
   Sha256.update_string ctx label;
   Sha256.update ctx master;
   Sha256.update ctx cr;
@@ -22,10 +23,11 @@ let expand master cr sr label =
   Sha256.final ctx
 
 let derive ~master ~client_random ~server_random ~side =
-  let mac_c2s = expand master client_random server_random "mac c2s" in
-  let mac_s2c = expand master client_random server_random "mac s2c" in
-  let key_c2s = expand master client_random server_random "key c2s" in
-  let key_s2c = expand master client_random server_random "key s2c" in
+  let ctx = Sha256.init () and m = master and cr = client_random and sr = server_random in
+  let mac_c2s = expand ctx m cr sr "mac c2s" in
+  let mac_s2c = expand ctx m cr sr "mac s2c" in
+  let key_c2s = expand ctx m cr sr "key c2s" in
+  let key_s2c = expand ctx m cr sr "key s2c" in
   match side with
   | `Client ->
       {
@@ -46,66 +48,79 @@ let derive ~master ~client_random ~server_random ~side =
         seq_rx = 0;
       }
 
+(* Sequence numbers travel as 8 big-endian bytes, in the MAC and in the
+   state image. *)
+let put_seq b off seq =
+  for i = 0 to 7 do
+    Bytes.set_uint8 b (off + i) ((seq lsr (8 * (7 - i))) land 0xff)
+  done
+
+let get_seq b off =
+  let seq = ref 0 in
+  for i = 0 to 7 do
+    seq := (!seq lsl 8) lor Bytes.get_uint8 b (off + i)
+  done;
+  !seq
+
 let seq_bytes seq =
   let b = Bytes.create 8 in
-  for i = 0 to 7 do
-    Bytes.set b i (Char.chr ((seq lsr (8 * (7 - i))) land 0xff))
-  done;
+  put_seq b 0 seq;
   b
 
 let seal k plaintext =
-  let tag =
-    Hmac.mac ~key:k.mac_tx (Bytes.cat (seq_bytes k.seq_tx) plaintext)
-  in
+  let n = Bytes.length plaintext in
+  let tag = Hmac.mac ~key:k.mac_tx ~prefix:(seq_bytes k.seq_tx) plaintext in
   k.seq_tx <- k.seq_tx + 1;
-  Rc4.crypt k.enc_tx (Bytes.cat plaintext tag)
+  let record = Bytes.create (n + tag_len) in
+  Rc4.crypt_into k.enc_tx plaintext 0 record 0 n;
+  Rc4.crypt_into k.enc_tx tag 0 record n tag_len;
+  record
 
 let open_ k record =
-  if Bytes.length record < tag_len then None
+  let n = Bytes.length record - tag_len in
+  if n < 0 then None
   else begin
-    (* Decrypt speculatively on a copy of the cipher state: a forged record
-       must not desynchronise the stream cipher. *)
+    (* Decrypt on a copy of the cipher state, and keep the copy only if
+       the MAC holds: a forged record must not desynchronise the stream
+       cipher. *)
     let rc4 = Rc4.copy k.enc_rx in
-    let pt_tag = Rc4.crypt rc4 record in
-    let n = Bytes.length pt_tag - tag_len in
-    let pt = Bytes.sub pt_tag 0 n in
-    let tag = Bytes.sub pt_tag n tag_len in
-    if Hmac.verify ~key:k.mac_rx (Bytes.cat (seq_bytes k.seq_rx) pt) ~tag then begin
+    let pt = Bytes.create n and tag = Bytes.create tag_len in
+    Rc4.crypt_into rc4 record 0 pt 0 n;
+    Rc4.crypt_into rc4 record n tag 0 tag_len;
+    if Hmac.verify ~key:k.mac_rx ~prefix:(seq_bytes k.seq_rx) pt ~tag then begin
       k.seq_rx <- k.seq_rx + 1;
-      (* Commit the cipher state advance. *)
-      ignore (Rc4.crypt k.enc_rx record);
+      k.enc_rx <- rc4;
       Some pt
     end
     else None
   end
 
-let state_size = 32 + 32 + Rc4.state_size + Rc4.state_size + 8 + 8
+(* The image: the two 32-byte MAC keys, the two cipher states, the two
+   sequence numbers. *)
+let off_mac_rx = 32
+let off_enc_tx = 64
+let off_enc_rx = off_enc_tx + Rc4.state_size
+let off_seq_tx = off_enc_rx + Rc4.state_size
+let off_seq_rx = off_seq_tx + 8
+let state_size = off_seq_rx + 8
 
 let to_bytes k =
-  let b = Buffer.create state_size in
-  Buffer.add_bytes b k.mac_tx;
-  Buffer.add_bytes b k.mac_rx;
-  Buffer.add_bytes b (Rc4.serialize k.enc_tx);
-  Buffer.add_bytes b (Rc4.serialize k.enc_rx);
-  Buffer.add_bytes b (seq_bytes k.seq_tx);
-  Buffer.add_bytes b (seq_bytes k.seq_rx);
-  Buffer.to_bytes b
+  let b = Bytes.create state_size in
+  Bytes.blit k.mac_tx 0 b 0 32;
+  Bytes.blit k.mac_rx 0 b off_mac_rx 32;
+  Rc4.serialize k.enc_tx b off_enc_tx;
+  Rc4.serialize k.enc_rx b off_enc_rx;
+  put_seq b off_seq_tx k.seq_tx;
+  put_seq b off_seq_rx k.seq_rx;
+  b
 
 let of_bytes b =
   if Bytes.length b <> state_size then invalid_arg "Record.of_bytes";
-  let off = ref 0 in
-  let take n =
-    let s = Bytes.sub b !off n in
-    off := !off + n;
-    s
-  in
-  let mac_tx = take 32 in
-  let mac_rx = take 32 in
-  let enc_tx = Rc4.deserialize (take Rc4.state_size) in
-  let enc_rx = Rc4.deserialize (take Rc4.state_size) in
-  let seq_of s = Bytes.fold_left (fun acc c -> (acc lsl 8) lor Char.code c) 0 s in
-  let seq_tx = seq_of (take 8) in
-  let seq_rx = seq_of (take 8) in
-  { mac_tx; mac_rx; enc_tx; enc_rx; seq_tx; seq_rx }
-
-let mac_key_tx k = k.mac_tx
+  {
+    mac_tx = Bytes.sub b 0 32;
+    mac_rx = Bytes.sub b off_mac_rx 32;
+    enc_tx = Rc4.deserialize b off_enc_tx;
+    enc_rx = Rc4.deserialize b off_enc_rx;
+    seq_tx = get_seq b off_seq_tx;
+    seq_rx = get_seq b off_seq_rx;
+  }

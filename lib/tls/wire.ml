@@ -6,19 +6,27 @@ type io = {
   send : bytes -> unit;
 }
 
+(* [recv k] returns at most [k] bytes, so nothing is ever left over for
+   the next read: a read that arrives whole is returned as it is, a split
+   one is filled in place, and an empty one asks for nothing. *)
 let io_of_fns ~recv ~send =
-  let buf = Buffer.create 256 in
+  let more k = match recv k with Some b when Bytes.length b > 0 -> b | Some _ | None -> raise Closed in
   let recv_exact n =
-    while Buffer.length buf < n do
-      match recv (n - Buffer.length buf) with
-      | Some b when Bytes.length b > 0 -> Buffer.add_bytes buf b
-      | Some _ | None -> raise Closed
-    done;
-    let all = Buffer.to_bytes buf in
-    let out = Bytes.sub all 0 n in
-    Buffer.clear buf;
-    Buffer.add_subbytes buf all n (Bytes.length all - n);
-    out
+    if n = 0 then Bytes.empty
+    else
+      let first = more n in
+      if Bytes.length first = n then first
+      else begin
+        let out = Bytes.create n in
+        let got = ref (Bytes.length first) in
+        Bytes.blit first 0 out 0 !got;
+        while !got < n do
+          let b = more (n - !got) in
+          Bytes.blit b 0 out !got (Bytes.length b);
+          got := !got + Bytes.length b
+        done;
+        out
+      end
   in
   { recv = recv_exact; send }
 

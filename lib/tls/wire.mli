@@ -18,7 +18,11 @@ type io = {
 }
 
 val io_of_fns : recv:(int -> bytes option) -> send:(bytes -> unit) -> io
-(** Adapt read-up-to-n functions ([None] = EOF) into an exact-read [io]. *)
+(** Adapt read-up-to-n functions ([None] or an empty read = EOF) into an
+    exact-read [io].  [recv k] must return at most [k] bytes.  An exact
+    read of [n] bytes calls [recv n]; if that falls short it allocates one
+    [n]-byte buffer and calls [recv] for the rest until it is full, and a
+    read of 0 bytes does not call [recv] at all. *)
 
 (** Message types of the protocol. *)
 type mtype =

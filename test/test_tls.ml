@@ -50,6 +50,64 @@ let test_wire_roundtrip () =
   check Alcotest.int "partial frame ignored" 2
     (List.length (Wire.parse_frames (Buffer.contents buf ^ "D\x00\x10abc")))
 
+(* An exact-read [io] over [stream], whose [recv k] answers with at most
+   [k] bytes and never crosses the next of [cuts] (stream offsets); like
+   [Chan.read], it refuses a request for no bytes. *)
+let split_io ?(cuts = []) stream =
+  let pos = ref 0 and cuts = ref cuts and calls = ref 0 in
+  let recv k =
+    if k <= 0 then Alcotest.failf "recv %d: a read asked for no bytes" k;
+    incr calls;
+    cuts := List.filter (fun c -> c > !pos) !cuts;
+    let stop = match !cuts with c :: _ -> c | [] -> String.length stream in
+    let n = min k (stop - !pos) in
+    let b = Bytes.of_string (String.sub stream !pos n) in
+    pos := !pos + n;
+    if n = 0 then None else Some b
+  in
+  (Wire.io_of_fns ~recv ~send:ignore, calls)
+
+let frames_of io count = List.init count (fun _ -> Wire.recv_msg io)
+
+let msg = Alcotest.(pair string string)
+let show = List.map (fun (t, b) -> (String.make 1 (Wire.mtype_to_char t), Bytes.to_string b))
+
+let two_frames =
+  Bytes.to_string (Wire.frame Wire.Client_hello (Bytes.of_string "hello, server"))
+  ^ Bytes.to_string (Wire.frame Wire.App_data (Bytes.make 300 'd'))
+
+let two_msgs = [ ("h", "hello, server"); ("D", String.make 300 'd') ]
+
+let test_wire_recv_byte_at_a_time () =
+  let cuts = List.init (String.length two_frames) Fun.id in
+  let io, calls = split_io ~cuts two_frames in
+  check (Alcotest.list msg) "same frames" two_msgs (show (frames_of io 2));
+  check Alcotest.int "one recv per byte" (String.length two_frames) !calls
+
+let test_wire_recv_split_everywhere () =
+  for cut = 0 to String.length two_frames do
+    let io, _ = split_io ~cuts:[ cut ] two_frames in
+    check (Alcotest.list msg) (Printf.sprintf "split at %d" cut) two_msgs (show (frames_of io 2))
+  done
+
+let test_wire_recv_closed_mid_frame () =
+  let frame = Bytes.to_string (Wire.frame Wire.App_data (Bytes.make 40 'x')) in
+  List.iter
+    (fun len ->
+      let io, _ = split_io ~cuts:[ len / 2 ] (String.sub frame 0 len) in
+      match Wire.recv_msg io with
+      | _ -> Alcotest.failf "%d of %d bytes: a frame came back" len (String.length frame)
+      | exception Wire.Closed -> ())
+    [ 0; 1; 2; 3; 4; 20; String.length frame - 1 ]
+
+let test_wire_recv_empty_payload () =
+  let stream =
+    Bytes.to_string (Wire.frame Wire.Alert Bytes.empty) ^ Bytes.to_string (Wire.frame Wire.App_data (Bytes.of_string "x"))
+  in
+  let io, calls = split_io stream in
+  check (Alcotest.list msg) "empty, then one byte" [ ("A", ""); ("D", "x") ] (show (frames_of io 2));
+  check Alcotest.int "header, header, payload" 3 !calls
+
 (* ---------- Record layer ---------- *)
 
 let test_record_roundtrip () =
@@ -100,6 +158,39 @@ let test_record_state_serialization () =
   let r = Record.seal c' (Bytes.of_string "after reload") in
   check Alcotest.bool "reloaded state decrypts" true
     (Record.open_ s' r = Some (Bytes.of_string "after reload"))
+
+(* The image [Conn_state] and [Httpd_mitm] keep in tagged memory, after
+   three records each way from fixed secrets, is pinned byte for byte; a
+   reload carries both streams on. *)
+let test_record_state_image_pinned () =
+  let master = Wedge_crypto.Sha256.digest_string "image master" in
+  let cr = Wedge_crypto.Sha256.digest_string "image client random" in
+  let sr = Wedge_crypto.Sha256.digest_string "image server random" in
+  let c = Record.derive ~master ~client_random:cr ~server_random:sr ~side:`Client in
+  let s = Record.derive ~master ~client_random:cr ~server_random:sr ~side:`Server in
+  let exchange c s i =
+    let up = Bytes.of_string (Printf.sprintf "c2s record %d" i) in
+    let down = Bytes.of_string (Printf.sprintf "s2c record %d: %s" i (String.make (100 * i) 'x')) in
+    check Alcotest.bool (Printf.sprintf "c2s %d opens" i) true (Record.open_ s (Record.seal c up) = Some up);
+    check Alcotest.bool (Printf.sprintf "s2c %d opens" i) true (Record.open_ c (Record.seal s down) = Some down)
+  in
+  List.iter (exchange c s) [ 1; 2; 3 ];
+  let md5 k = Digest.to_hex (Digest.bytes (Record.to_bytes k)) in
+  check Alcotest.int "image size" 596 Record.state_size;
+  check Alcotest.string "client image" "f8b93ef428a7037f8ed9b5957abbf3a3" (md5 c);
+  check Alcotest.string "server image" "46b5a8aac823b82fbe44a520c0d17661" (md5 s);
+  let c' = Record.of_bytes (Record.to_bytes c) and s' = Record.of_bytes (Record.to_bytes s) in
+  check Alcotest.string "client image reloads" (md5 c) (md5 c');
+  check Alcotest.string "server image reloads" (md5 s) (md5 s');
+  (* A fourth record each way: the reloaded state seals what the original
+     would have, and opens what the original sealed. *)
+  let up = Bytes.of_string "c2s record 4" and down = Bytes.of_string "s2c record 4" in
+  let up_rec = Record.seal c up and down_rec = Record.seal s' down in
+  check Alcotest.bool "reloaded client seals the same record" true (Bytes.equal (Record.seal c' up) up_rec);
+  check Alcotest.bool "reloaded server opens it" true (Record.open_ s' up_rec = Some up);
+  check Alcotest.bool "original client opens the reloaded server's" true (Record.open_ c down_rec = Some down);
+  check Alcotest.bool "reloaded client opens it" true (Record.open_ c' down_rec = Some down);
+  exchange c' s' 5
 
 (* ---------- Chan ---------- *)
 
@@ -457,7 +548,14 @@ let qcheck tests = List.map Test_rng.to_alcotest tests
 let () =
   Alcotest.run "wedge_tls"
     [
-      ("wire", [ Alcotest.test_case "framing roundtrip" `Quick test_wire_roundtrip ]);
+      ( "wire",
+        [
+          Alcotest.test_case "framing roundtrip" `Quick test_wire_roundtrip;
+          Alcotest.test_case "recv one byte at a time" `Quick test_wire_recv_byte_at_a_time;
+          Alcotest.test_case "recv split at every offset" `Quick test_wire_recv_split_everywhere;
+          Alcotest.test_case "stream ends mid-frame" `Quick test_wire_recv_closed_mid_frame;
+          Alcotest.test_case "empty payload reads nothing" `Quick test_wire_recv_empty_payload;
+        ] );
       ( "record",
         [
           Alcotest.test_case "roundtrip" `Quick test_record_roundtrip;
@@ -466,6 +564,7 @@ let () =
           Alcotest.test_case "forgery rejected" `Quick test_record_rejects_forgery_without_key;
           Alcotest.test_case "forgery does not desync" `Quick test_record_forged_record_does_not_desync;
           Alcotest.test_case "state serialization" `Quick test_record_state_serialization;
+          Alcotest.test_case "state image pinned" `Quick test_record_state_image_pinned;
         ] );
       ( "chan",
         [
