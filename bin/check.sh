@@ -88,6 +88,72 @@ if [ "$io_bad" != 0 ]; then
   exit 1
 fi
 
+# Takeover guard: an attacker reaches a compartment only through the
+# engine's takeover point (Wedge.takeover), which can compromise any
+# compartment at any kernel entry.  No server takes an exploit hook as
+# an argument or parameter, and no protocol parser knows a trigger
+# command or path.  Prose about exploited compartments is fine.
+echo "== takeover guard =="
+takeover_re='[?~]exploit|exploit[a-z_]*:|XPLOIT|"xploit"|/xploit'
+takeover_hits="$(grep -rnE "$takeover_re" lib || true)"
+if [ -n "$takeover_hits" ]; then
+  echo "$takeover_hits" | sed 's/^/check.sh: exploit hook or trigger: /' >&2
+  exit 1
+fi
+
+# Kernel-entry guard: every system call enters the kernel through
+# Engine.enter, which runs the trap, fuel and SELinux checks and then
+# the takeover point.  A direct Kernel.syscall_check anywhere else in
+# lib/ would be a system call no takeover can land on.
+echo "== kernel entry guard =="
+entry_hits="$(awk '
+  FNR == 1 { fn = "" }
+  /^let / { fn = $2 }
+  /syscall_check/ && !(FILENAME == "lib/core/engine.ml" && fn == "enter") {
+    print FILENAME ":" FNR ": " $0
+  }' $(find lib -name '*.ml' ! -path lib/kernel/kernel.ml | sort))"
+if [ -n "$entry_hits" ]; then
+  echo "$entry_hits" | sed 's/^/check.sh: kernel entry outside Engine.enter: /' >&2
+  exit 1
+fi
+
+# Export guard: every val in a lib/ interface is named, outside comments,
+# in some source file other than its own .ml and .mli — an export that
+# nothing outside its module names is dead code or an internal detail.
+echo "== export guard =="
+strip_comments='{
+  out = ""; n = length($0); i = 1
+  while (i <= n) {
+    two = substr($0, i, 2)
+    if (two == "(*") { depth++; i += 2 }
+    else if (depth > 0 && two == "*)") { depth--; i += 2 }
+    else { if (depth == 0) out = out substr($0, i, 1); i++ }
+  }
+  print out
+}'
+export_vals="$(mktemp)"
+export_words="$(mktemp)"
+for mli in $(find lib -name '*.mli' | sort); do
+  sed -n "s/^ *val \([a-z_][A-Za-z0-9_']*\) *:.*/\1/p" "$mli" | sed "s|^|$mli |"
+done > "$export_vals"
+for f in $(find lib bin bench examples perfbench test -name '*.ml' -o -name '*.mli' | sort); do
+  awk "$strip_comments" "$f" | grep -ow "[A-Za-z_][A-Za-z0-9_']*" | sort -u | sed "s|^|$f |"
+done > "$export_words"
+export_hits="$(awk '
+  NR == FNR { n[$2]++; if (n[$2] <= 3) at[$2] = at[$2] " " $1; next }
+  {
+    ml = $1; sub(/\.mli$/, ".ml", ml)
+    used = n[$2] > 3
+    k = split(at[$2], fs, " ")
+    for (i = 1; i <= k; i++) if (fs[i] != $1 && fs[i] != ml) used = 1
+    if (!used) print $1 ": val " $2
+  }' "$export_words" "$export_vals")"
+rm -f "$export_vals" "$export_words"
+if [ -n "$export_hits" ]; then
+  echo "$export_hits" | sed 's/^/check.sh: export named nowhere outside its module: /' >&2
+  exit 1
+fi
+
 echo "== dune build @default =="
 dune build @default
 

@@ -19,6 +19,13 @@ module W = Wedge_core.Wedge
 
 let ok b = if b then "ok" else "FAILED"
 
+(* --attack takes over the server's network-facing compartment at its
+   [at]-th kernel entry, its first read of client input: the monolithic
+   server's one process, or else the connection's first child — the
+   worker, the Figures 3-5 handshake sthread or privsep's forked slave. *)
+let arm_attack app partition ~at payload =
+  W.takeover app ~where:(if partition = "mono" then W.Master else W.Child 1) ~at payload
+
 (* ---------------- pop3 ---------------- *)
 
 let run_pop3 partition attack =
@@ -36,22 +43,20 @@ let run_pop3 partition attack =
     | Ok d -> Attacker.grab loot ~label:"bob-mail" d
     | Error _ -> ()
   in
+  if attack then arm_attack app partition ~at:2 payload;
   Fiber.run (fun () ->
       let client_ep, server_ep = Chan.pair () in
       Fiber.spawn (fun () ->
           match partition with
-          | "mono" -> Wedge_pop3.Pop3_mono.serve_connection ~exploit:payload main server_ep
-          | _ -> ignore (Wedge_pop3.Pop3_wedge.serve_connection ~exploit:payload main server_ep));
+          | "mono" -> Wedge_pop3.Pop3_mono.serve_connection main server_ep
+          | _ -> ignore (Wedge_pop3.Pop3_wedge.serve_connection main server_ep));
       let c = Wedge_pop3.Pop3_client.connect client_ep in
       Printf.printf "login alice: %s\n"
         (ok (Wedge_pop3.Pop3_client.login c ~user:"alice" ~password:"wonderland"));
       (match Wedge_pop3.Pop3_client.stat c with
       | Some (n, bytes) -> Printf.printf "STAT: %d messages, %d bytes\n" n bytes
       | None -> print_endline "STAT failed");
-      if attack then begin
-        print_endline "sending exploit trigger...";
-        Wedge_pop3.Pop3_client.xploit c
-      end;
+      if attack then print_endline "attacker takes over the command parser...";
       Wedge_pop3.Pop3_client.quit c;
       Chan.close client_ep);
   if attack then
@@ -71,21 +76,15 @@ let run_https partition attack recycled =
         ignore (Attacker.steal_tag ctx loot ~label:tag.Wedge_mem.Tag.name tag))
       (W.live_tags (W.app_of ctx))
   in
-  let exploit = if attack then Some payload else None in
   let spawn = if recycled then Some W.Recycle else None in
+  if attack then arm_attack env.Wedge_httpd.Httpd_env.app partition ~at:1 payload;
   Fiber.run (fun () ->
       let client_ep, server_ep = Chan.pair () in
       Fiber.spawn (fun () ->
           match partition with
-          | "mono" -> Wedge_httpd.Httpd_mono.serve_connection ?exploit env server_ep
-          | "simple" ->
-              ignore
-                (Wedge_httpd.Httpd_simple.serve_connection ?spawn ?exploit_handshake:exploit env
-                   server_ep)
-          | _ ->
-              ignore
-                (Wedge_httpd.Httpd_mitm.serve_connection ?spawn ?exploit_handshake:exploit env
-                   server_ep));
+          | "mono" -> Wedge_httpd.Httpd_mono.serve_connection env server_ep
+          | "simple" -> ignore (Wedge_httpd.Httpd_simple.serve_connection ?spawn env server_ep)
+          | _ -> ignore (Wedge_httpd.Httpd_mitm.serve_connection ?spawn env server_ep));
       let r =
         Wedge_httpd.Https_client.get ~rng:(Drbg.create ~seed:1)
           ~pinned:env.Wedge_httpd.Httpd_env.priv.Rsa.pub ~path:"/index.html" client_ep
@@ -116,23 +115,19 @@ let run_ssh partition auth attack =
     | Ok d -> Attacker.grab loot ~label:"host-key" d
     | Error _ -> ()
   in
+  (* privsep's slave enters the kernel once, for its own setuid, before
+     its version banner and first read. *)
+  if attack then
+    arm_attack env.Wedge_sshd.Sshd_env.app partition
+      ~at:(if partition = "privsep" then 3 else 2)
+      payload;
   Fiber.run (fun () ->
       let client_ep, server_ep = Chan.pair () in
       Fiber.spawn (fun () ->
           match partition with
-          | "mono" ->
-              Wedge_sshd.Sshd_mono.serve_connection
-                ?exploit:(if attack then Some payload else None)
-                env server_ep
-          | "privsep" ->
-              ignore @@ Wedge_sshd.Sshd_privsep.serve_connection
-                ?exploit:(if attack then Some (fun ctx _m -> payload ctx) else None)
-                env server_ep
-          | _ ->
-              ignore
-                (Wedge_sshd.Sshd_wedge.serve_connection
-                   ?exploit:(if attack then Some payload else None)
-                   env server_ep));
+          | "mono" -> Wedge_sshd.Sshd_mono.serve_connection env server_ep
+          | "privsep" -> ignore (Wedge_sshd.Sshd_privsep.serve_connection env server_ep)
+          | _ -> ignore (Wedge_sshd.Sshd_wedge.serve_connection env server_ep));
       let alice = List.hd env.Wedge_sshd.Sshd_env.users in
       let method_ =
         match auth with
@@ -151,7 +146,6 @@ let run_ssh partition auth attack =
           (match Wedge_sshd.Ssh_client.exec conn "shell" with
           | Some reply -> Printf.printf "shell: %s\n" reply
           | None -> ());
-          if attack then ignore (Wedge_sshd.Ssh_client.exec conn "xploit");
           Wedge_sshd.Ssh_client.close conn);
   if attack then
     Printf.printf "exploited compartment could read: %s\n"
@@ -398,7 +392,11 @@ let partition_arg choices =
   Arg.(value & opt (enum (List.map (fun c -> (c, c)) choices)) (List.hd choices)
        & info [ "partition"; "p" ] ~doc:(Printf.sprintf "Partitioning: %s" (String.concat ", " choices)))
 
-let attack_arg = Arg.(value & flag & info [ "attack" ] ~doc:"Run the exploit payload")
+let attack_arg =
+  Arg.(
+    value & flag
+    & info [ "attack" ]
+        ~doc:"Take over the network-facing compartment and run the attack payload in it")
 let recycled_arg = Arg.(value & flag & info [ "recycled" ] ~doc:"Use recycled callgates")
 
 let auth_arg =

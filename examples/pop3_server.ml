@@ -22,7 +22,11 @@ let payload loot ctx =
   | Ok data -> Attacker.grab loot ~label:"bob's mail" data
   | Error _ -> ()
 
-let session name serve =
+(* The attacker takes over the compartment that parses commands
+   ([where]: the monolithic server's one process, or Figure 1's client
+   handler, the connection's first child) at its 10th kernel entry: the
+   read of the command that follows alice's RETR. *)
+let session name where serve =
   Printf.printf "== %s ==\n" name;
   let k = Kernel.create () in
   Env.install k Env.default_users;
@@ -30,16 +34,16 @@ let session name serve =
   W.boot app;
   let main = W.main_ctx app in
   let loot = Attacker.loot_create () in
+  W.takeover app ~where ~at:10 (payload loot);
   Fiber.run (fun () ->
       let client_ep, server_ep = Chan.pair () in
-      Fiber.spawn (fun () -> serve main loot server_ep);
+      Fiber.spawn (fun () -> serve main server_ep);
       let c = Client.connect client_ep in
       Printf.printf "  alice logs in: %b\n" (Client.login c ~user:"alice" ~password:"wonderland");
       (match Client.retr c 1 with
       | Some mail -> Printf.printf "  alice reads her mail (%d bytes)\n" (String.length mail)
       | None -> print_endline "  RETR failed");
-      print_endline "  attacker sends the exploit trigger...";
-      Client.xploit c;
+      print_endline "  attacker takes over the command parser...";
       Client.quit c;
       Chan.close client_ep);
   (match Attacker.labels loot with
@@ -48,8 +52,7 @@ let session name serve =
   print_newline ()
 
 let () =
-  session "monolithic POP3 server" (fun main loot ep ->
-      Mono.serve_connection ~exploit:(payload loot) main ep);
-  session "Wedge-partitioned POP3 server (Figure 1)" (fun main loot ep ->
-      ignore (Wedge_pop.serve_connection ~exploit:(payload loot) main ep));
+  session "monolithic POP3 server" W.Master (fun main ep -> Mono.serve_connection main ep);
+  session "Wedge-partitioned POP3 server (Figure 1)" (W.Child 1) (fun main ep ->
+      ignore (Wedge_pop.serve_connection main ep));
   print_endline "Same exploit, same parser: the partitioned server leaks nothing."

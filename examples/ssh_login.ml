@@ -81,26 +81,26 @@ let () =
     done;
     !found
   in
-  (* Connection 1 authenticates alice; connection 2 is exploited. *)
+  (* Connection 1 authenticates alice; connection 2 is exploited: its
+     network-facing compartment, the connection's first child, is taken
+     over at its first read of client input — the forked slave's 3rd
+     kernel entry (after its own setuid and its version banner), the
+     Wedge worker's 2nd (after its banner). *)
   ignore
     (with_conn env (fun env ep -> ignore (Privsep.serve_connection env ep)) (fun c ->
          Client.authenticate c ~user:"alice" (Client.Password "wonderland")));
   let stolen = ref false in
+  W.takeover env.Env.app ~where:(W.Child 1) ~at:3 (fun ctx -> stolen := hunt ctx);
   ignore
     (with_conn env
-       (fun env ep ->
-         ignore
-           (Privsep.serve_connection ~exploit:(fun ctx _monitor -> stolen := hunt ctx) env ep))
-       (fun c -> Client.exec c "xploit"));
+       (fun env ep -> ignore (Privsep.serve_connection env ep))
+       (fun c -> Client.exec c "shell"));
   Printf.printf "  privsep slave (forked): previous user's password in heap: %b\n" !stolen;
   let stolen_w = ref false in
   ignore
     (with_conn env (fun env ep -> wedge env ep) (fun c ->
          Client.authenticate c ~user:"alice" (Client.Password "wonderland")));
-  ignore
-    (with_conn env
-       (fun env ep ->
-         ignore (Wedge_d.serve_connection ~exploit:(fun ctx -> stolen_w := hunt ctx) env ep))
-       (fun c -> Client.exec c "xploit"));
+  W.takeover env.Env.app ~where:(W.Child 1) ~at:2 (fun ctx -> stolen_w := hunt ctx);
+  ignore (with_conn env (fun env ep -> wedge env ep) (fun c -> Client.exec c "shell"));
   Printf.printf "  wedge worker (no inheritance): previous user's password in heap: %b\n" !stolen_w;
   print_endline "\nSthreads inherit no memory, so there is nothing to scrub (paper, 5.2)."

@@ -48,9 +48,4 @@ val replay :
 (** Run one schedule under [Fiber.Replay trace] (e.g. a shrunk trace);
     returns the scenario summary, or raises whatever the bug raises. *)
 
-val seed_for : seed:int -> int -> int
-(** The per-schedule seed: [seed_for ~seed 0 = seed],
-    [seed_for ~seed i = Rng.derive ~seed i] otherwise. *)
-
-val trace_to_csv : int array -> string
 val verdict_to_string : verdict -> string

@@ -12,22 +12,14 @@ type t
 
 val create : Wedge_kernel.Kernel.t -> t
 
-val sync : t -> unit
-(** Re-prime the model from page-table and frame ground truth (called by
-    {!arm}; exposed for tests). *)
-
 val arm : t -> unit
-(** {!sync}, then install the model as the kernel's memory-event
-    recorder: from here every access is checked in lockstep.
+(** Prime the model from page-table and frame ground truth, then install
+    it as the kernel's memory-event recorder: from here every access is
+    checked in lockstep.
     @raise Invalid_argument if already armed. *)
 
 val disarm : t -> unit
 (** Remove the recorder; idempotent. *)
-
-val apply : t -> Wedge_kernel.Vm.mem_event -> unit
-(** Feed one event (what arming wires up; exposed for replaying recorded
-    traces).
-    @raise Mismatch when the event disagrees with the model. *)
 
 val verify : t -> unit
 (** End-of-run sweep: every live process's page table must agree with

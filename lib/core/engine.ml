@@ -122,6 +122,10 @@ type image = {
    [pool_stamp] charge. *)
 type spawn = Boot | Recycle | Stamp of image
 
+(* Where a takeover lands: the app's original process, or the n-th
+   sthread or forked child the app starts after arming. *)
+type where = Master | Child of int
+
 type app = {
   kernel : Kernel.t;
   layout : Layout.t;
@@ -151,6 +155,17 @@ type app = {
          dead).  The shard fabric hangs its cross-shard TLB-shootdown
          broadcast here; the hook runs in the deleter's fiber and may
          yield/park while it waits for remote acks. *)
+  mutable armed : takeover list;  (* armed takeovers, in arming order *)
+}
+
+(* One armed payload (see [takeover]).  Its target is known once
+   [tk_children] more children have started, and it fires once
+   [tk_entries] more of the target's kernel entries have passed. *)
+and takeover = {
+  tk_payload : ctx -> unit;
+  mutable tk_proc : Process.t option;
+  mutable tk_children : int;
+  mutable tk_entries : int;
 }
 
 and member = {
@@ -246,6 +261,49 @@ let check_policy_gate ctx name =
       | Some msg -> policy_deny ctx msg)
 
 (* ------------------------------------------------------------------ *)
+(* Kernel entry and the takeover point                                 *)
+
+(* The armed takeovers that target [ctx]'s process count this entry; one
+   whose count has run out is disarmed, then runs its payload.  One whose
+   target has exited short of its entry is disarmed too. *)
+let fire ctx armed =
+  let disarm tk = ctx.app.armed <- List.filter (fun t -> t != tk) ctx.app.armed in
+  List.iter
+    (fun tk ->
+      match tk.tk_proc with
+      | Some p when p == ctx.proc ->
+          if tk.tk_entries > 0 then tk.tk_entries <- tk.tk_entries - 1
+          else begin
+            disarm tk;
+            tk.tk_payload ctx
+          end
+      | Some p when not (Process.is_alive p) -> disarm tk
+      | _ -> ())
+    armed
+
+(* Every system call of every compartment enters here: the kernel's
+   trap, fuel and SELinux checks, then the takeover point, then the
+   call's own work.  Unarmed, the point is one branch and allocates
+   nothing. *)
+let enter ctx name =
+  Kernel.syscall_check ctx.app.kernel ctx.proc name;
+  match ctx.app.armed with [] -> () | armed -> fire ctx armed
+
+(* A new sthread or forked child: the takeovers still waiting for their
+   target count it. *)
+let started app (child : Process.t) =
+  match app.armed with
+  | [] -> ()
+  | armed ->
+      List.iter
+        (fun tk ->
+          match tk.tk_proc with
+          | Some _ -> ()
+          | None when tk.tk_children > 0 -> tk.tk_children <- tk.tk_children - 1
+          | None -> tk.tk_proc <- Some child)
+        armed
+
+(* ------------------------------------------------------------------ *)
 (* Application setup                                                   *)
 
 let default_image_pages = 300  (* a minimal process: libc + loader + globals *)
@@ -285,6 +343,7 @@ let create_app ?(image_pages = default_image_pages) kernel =
       pool_stamps = 0;
       pool_hits = 0;
       on_tag_delete = None;
+      armed = [];
     }
   in
   let proc = Kernel.new_process kernel ~kind:Process.Main ~uid:0 ~root:"/" ~sid:"system_u:system_r:init_t" () in
@@ -298,6 +357,13 @@ let main_ctx app =
   match app.main with
   | Some c -> c
   | None -> invalid_arg "Engine.main_ctx: application torn down"
+
+let takeover app ~where ~at payload =
+  let tk_proc, tk_children =
+    match where with Master -> (Some (main_ctx app).proc, 0) | Child n -> (None, n - 1)
+  in
+  if at < 1 || tk_children < 0 then invalid_arg "Engine.takeover: at and n count from 1";
+  app.armed <- app.armed @ [ { tk_payload = payload; tk_proc; tk_children; tk_entries = at - 1 } ]
 
 (* Declare a tagged global section (BOUNDARY_VAR, §4.1): page-aligned pages
    appended to the data segment, excluded from the pristine snapshot. *)
@@ -588,6 +654,7 @@ let run_compartment ctx fn arg =
   result
 
 let run_sthread app cctx fn arg =
+  started app cctx.proc;
   let handle = { h_proc = cctx.proc; h_result = None } in
   handle.h_result <- run_compartment cctx fn arg;
   Kernel.reap app.kernel cctx.proc;
@@ -604,7 +671,7 @@ let sthread_create ?instr ?(spawn = Boot) parent (sc : Sc.t) fn arg =
   (match spawn with
   | Stamp im -> check_image app im ~what:"sthread_create"
   | Boot | Recycle -> ());
-  Kernel.syscall_check app.kernel parent.proc "sthread_create";
+  enter parent "sthread_create";
   let instr = Option.value instr ~default:parent.instr in
   let src = parent.proc.Process.fds in
   match spawn with
@@ -652,7 +719,7 @@ let sthread_create ?instr ?(spawn = Boot) parent (sc : Sc.t) fn arg =
           handle)
 
 let sthread_join parent handle =
-  Kernel.syscall_check parent.app.kernel parent.proc "sthread_join";
+  enter parent "sthread_join";
   trace_instant parent "sthread.join";
   match (handle.h_result, handle.h_proc.Process.status) with
   | Some v, _ -> v
@@ -670,7 +737,7 @@ let exit_sthread code = raise (Exit_sthread code)
    including any sensitive data the parent holds — and all descriptors.
    Used by the privilege-separation baseline (§5.2) and Figure 7. *)
 let fork parent fn =
-  Kernel.syscall_check parent.app.kernel parent.proc "fork";
+  enter parent "fork";
   stat parent "fork";
   let p = parent.proc in
   let child =
@@ -706,6 +773,7 @@ let fork parent fn =
   let cctx = make_ctx parent.app child parent.sc parent.instr in
   cctx.heap_ready <- parent.heap_ready;
   cctx.stack_ready <- parent.stack_ready;
+  started parent.app child;
   let handle = { h_proc = child; h_result = None } in
   handle.h_result <- run_compartment cctx (fun c _ -> fn c) 0;
   Kernel.reap parent.app.kernel child;
@@ -714,7 +782,7 @@ let fork parent fn =
 (* A pthread shares everything with its creator: no new address space, no
    new descriptors — just thread bookkeeping and two context switches. *)
 let pthread parent fn =
-  Kernel.syscall_check parent.app.kernel parent.proc "clone";
+  enter parent "clone";
   stat parent "pthread_create";
   let cm = costs parent in
   charge parent (cm.Cost_model.thread_struct + cm.Cost_model.context_switch);
@@ -756,7 +824,7 @@ let tag_new ?(name = "tag") ?(pages = default_tag_pages) ctx =
       on_alloc_tagged ctx tag.Tag.base (pages * page_size) tag;
       tag
   | None ->
-      Kernel.syscall_check app.kernel ctx.proc "tag_new";
+      enter ctx "tag_new";
       stat ctx "tag_new.fresh";
       charge ctx (cm.Cost_model.mmap_op + cm.Cost_model.smalloc_book_init);
       let base = Layout.alloc_tag_range app.layout ~pages in
@@ -902,7 +970,7 @@ let boundary_tag ctx ~id =
 (* Callgates                                                           *)
 
 let sc_cgate_add ?(spawn = Boot) creator (sc : Sc.t) ~name ~entry ~cgsc ~trusted =
-  Kernel.syscall_check creator.app.kernel creator.proc "cgate_add";
+  enter creator "cgate_add";
   stat creator "cgate_add";
   (* A callgate's permissions must be a subset of its creator's (§3.3). *)
   validate_sc creator cgsc;
@@ -995,7 +1063,7 @@ let remap app (g : gate) m =
   m.m_sc <- g.g_sc
 
 let cgate ?deadline_ns caller gid ~perms ~arg =
-  Kernel.syscall_check caller.app.kernel caller.proc "cgate";
+  enter caller "cgate";
   stat caller "cgate";
   let g = gate_of caller gid in
   if not (List.mem gid caller.sc.Sc.gates || g.g_minter = pid caller) then
@@ -1139,8 +1207,6 @@ let cgate ?deadline_ns caller gid ~perms ~arg =
       Kernel.reap caller.app.kernel gctx.proc;
       finish (apply_deadline result)
 
-let gate_name ctx gid = (gate_of ctx gid).g_name
-
 (* Retire a callgate: later invocations fail as an unknown gate, and the
    app stops holding its entry point, grants and descriptors.  Only the
    minter may — the per-connection gates of a server die with their
@@ -1155,7 +1221,7 @@ let cgate_delete ctx gid =
 (* Identity changes (used by authentication callgates, §5.2)           *)
 
 let set_identity ctx ~target_pid ?uid ?root () =
-  Kernel.syscall_check ctx.app.kernel ctx.proc "setuid";
+  enter ctx "setuid";
   if getuid ctx <> 0 then violation "set_identity: pid %d is not root" (pid ctx);
   match Kernel.find_process ctx.app.kernel target_pid with
   | None -> violation "set_identity: no process %d" target_pid
@@ -1284,7 +1350,7 @@ let fd_entry ctx fd =
   | None -> raise (Fd_error (Printf.sprintf "pid %d: bad fd %d" (pid ctx) fd))
 
 let open_file ctx ?(write = false) path =
-  Kernel.syscall_check ctx.app.kernel ctx.proc "open";
+  enter ctx "open";
   let k = ctx.app.kernel in
   let p = ctx.proc in
   let check =
@@ -1317,7 +1383,7 @@ let fd_pre_wait ctx fd =
 
 let fd_read ctx fd n =
   fd_pre_wait ctx fd;
-  Kernel.syscall_check ctx.app.kernel ctx.proc "read";
+  enter ctx "read";
   check_policy_fd ctx fd ~write:false;
   let e = fd_entry ctx fd in
   if not e.Fd_table.perm.Fd_table.fr then
@@ -1340,7 +1406,7 @@ let fd_read ctx fd n =
           b)
 
 let fd_write ctx fd b =
-  Kernel.syscall_check ctx.app.kernel ctx.proc "write";
+  enter ctx "write";
   check_policy_fd ctx fd ~write:true;
   let e = fd_entry ctx fd in
   if not e.Fd_table.perm.Fd_table.fw then
@@ -1378,23 +1444,20 @@ let fd_close ctx fd = Fd_table.close ctx.proc.Process.fds fd
 
 (* Convenience path-level file access under the caller's identity. *)
 let vfs_read ctx path =
-  Kernel.syscall_check ctx.app.kernel ctx.proc "open";
-  let n = String.length path in
-  ignore n;
+  enter ctx "open";
   Vfs.read_file ctx.app.kernel.Kernel.vfs ~root:ctx.proc.Process.root ~uid:ctx.proc.Process.uid path
 
 let vfs_write ctx path data =
-  Kernel.syscall_check ctx.app.kernel ctx.proc "open";
+  enter ctx "open";
   Vfs.write_file ctx.app.kernel.Kernel.vfs ~root:ctx.proc.Process.root ~uid:ctx.proc.Process.uid path data
 
 let vfs_readdir ctx path =
-  Kernel.syscall_check ctx.app.kernel ctx.proc "getdents";
+  enter ctx "getdents";
   Vfs.readdir ctx.app.kernel.Kernel.vfs ~root:ctx.proc.Process.root ~uid:ctx.proc.Process.uid path
 
 let set_instr ctx instr = ctx.instr <- instr
 let instr_of ctx = ctx.instr
 let set_policy ctx p = ctx.policy <- p
-let policy_of ctx = ctx.policy
 let caller_pid ctx = ctx.caller_pid
 
 (* Length-value blocks: the idiom for passing variable-size arguments and

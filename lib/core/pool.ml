@@ -55,7 +55,7 @@ let freeze ?(name = "pool") ?warm parent (sc : Sc.t) =
   if not (Engine.booted app) then invalid_arg "Pool.freeze: application not booted";
   if find app name <> None then
     invalid_arg (Printf.sprintf "Pool.freeze: image %S already frozen" name);
-  Kernel.syscall_check app.Engine.kernel parent.Engine.proc "sthread_create";
+  Engine.enter parent "sthread_create";
   Engine.stat parent "pool.freeze";
   Engine.validate_sc parent sc;
   let tr = Engine.ktrace parent in

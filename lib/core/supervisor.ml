@@ -58,11 +58,6 @@ type outcome =
   | Done of { value : int; attempts : int }
   | Gave_up of { attempts : int; last_fault : string }
 
-let outcome_to_string = function
-  | Done { value; attempts } -> Printf.sprintf "done value=%d attempts=%d" value attempts
-  | Gave_up { attempts; last_fault } ->
-      Printf.sprintf "gave up after %d attempts: %s" attempts last_fault
-
 (* ------------------------------------------------------------------ *)
 (* Attempts                                                            *)
 
@@ -204,9 +199,7 @@ let child ?(policy = default_policy) ?(spawn = Engine.Boot) node ~name =
   node.n_children <- node.n_children @ [ c ];
   c
 
-let child_name c = c.c_name
 let child_health c = c.c_health
-let child_restarts c = c.c_restarts
 let children n = List.map (fun c -> (c.c_name, c.c_health)) n.n_children
 
 (* A node is as sick as its sickest child. *)

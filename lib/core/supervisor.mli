@@ -10,7 +10,7 @@
     {!Gave_up} and degrades the one affected connection (HTTP 500, POP3
     [-ERR], SSH disconnect) while the listener lives on.
 
-    The {e tree} layer ({!node} / {!child} / {!run_child}) adds named
+    The {e tree} layer ({!node} / {!child} / {!run_child_sthread}) adds named
     children with per-child {!health} state and a restart-intensity budget
     (at most [intensity] faulted attempts per [window_ns] of simulated
     time).  Exceeding the budget escalates to the node: the child is
@@ -57,8 +57,6 @@ type outcome =
           retries short, ["quarantined: "] when the run was refused
           without an attempt ([attempts = 0]). *)
 
-val outcome_to_string : outcome -> string
-
 val supervise :
   ?policy:policy -> Engine.ctx -> (unit -> Engine.handle) -> outcome
 (** [supervise ctx run] runs attempts produced by [run] until one exits or
@@ -91,14 +89,10 @@ type health = Healthy | Degraded | Restarting | Quarantined
     intensity budget exceeded; runs are refused until the quarantine
     expires. *)
 
-val health_to_string : health -> string
-
 type strategy = One_for_one | Rest_for_one
 (** What an escalation does to siblings: nothing ([One_for_one]), or mark
     every {e later-registered} child [Restarting] with cleared fault
     history ([Rest_for_one] — registration order is dependency order). *)
-
-val strategy_to_string : strategy -> string
 
 type node
 type child
@@ -120,7 +114,7 @@ val node :
 
 val child : ?policy:policy -> ?spawn:Engine.spawn -> node -> name:string -> child
 (** Register a named child (registration order is the [Rest_for_one]
-    dependency order).  [policy] governs each {!run_child}'s retries.
+    dependency order).  [policy] governs each run's retries.
     [spawn] (default [Boot]) is how every {!run_child_sthread} attempt
     gets its address space: under [Stamp image] the first run and every
     restart alike — after a quarantine escalation, a watchdog cut or a
@@ -134,17 +128,17 @@ val child : ?policy:policy -> ?spawn:Engine.spawn -> node -> name:string -> chil
     stop depending on image size.
     @raise Invalid_argument on a duplicate name within the node. *)
 
-val run_child :
-  ?on_restart:(unit -> unit) -> child -> (unit -> Engine.handle) -> outcome
-(** {!supervise} under the child's policy, plus tree accounting: every
-    faulted attempt lands in the intensity window; exceeding the budget
-    escalates (see module doc) and returns [Gave_up] with reason
-    ["escalated: ..."].  While quarantined, returns [Gave_up { attempts =
-    0; last_fault = "quarantined: ..." }] without running anything.
-    [on_restart] fires once per retry, after the backoff charge and
-    before the next attempt — the hook for per-attempt repair work such
-    as re-arming a watchdog heart the previous attempt's cut left hung
-    ({!Wedge_net.Guard.rearm_heart}). *)
+(** {2 Running a child}
+
+    Each runner below is {!supervise} under the child's policy, plus tree
+    accounting: every faulted attempt lands in the intensity window;
+    exceeding the budget escalates (see module doc) and returns [Gave_up]
+    with reason ["escalated: ..."].  While quarantined, a runner returns
+    [Gave_up { attempts = 0; last_fault = "quarantined: ..." }] without
+    running anything.  [on_restart] fires once per retry, after the
+    backoff charge and before the next attempt — the hook for per-attempt
+    repair work such as re-arming a watchdog heart the previous attempt's
+    cut left hung ({!Wedge_net.Guard.rearm_heart}). *)
 
 val run_child_sthread :
   ?on_restart:(unit -> unit) ->
@@ -154,32 +148,26 @@ val run_child_sthread :
   (Engine.ctx -> int -> int) ->
   int ->
   outcome
-(** {!run_child} over {!Engine.sthread_create} with grants [sc] and the
+(** A runner over {!Engine.sthread_create} with grants [sc] and the
     child's [spawn]. *)
 
 val run_child_fork : ?on_restart:(unit -> unit) -> child -> (Engine.ctx -> int) -> outcome
-(** {!run_child} over {!Engine.fork} (the privsep baseline's slave): the
+(** A runner over {!Engine.fork} (the privsep baseline's slave): the
     fork inherits the whole address space, whatever the child's
     [spawn]. *)
 
 val run_child_fn : ?on_restart:(unit -> unit) -> child -> (unit -> int) -> outcome
-(** {!run_child} over a plain function in the caller's process — the
+(** A runner over a plain function in the caller's process — the
     shape of an accept loop: not a compartment, but restartable under the
     same budget when a contained fault leaks out of the serve path. *)
 
-val child_name : child -> string
 val child_health : child -> health
-val child_restarts : child -> int
-(** Lifetime restarts (including rest-for-one sweeps), for summaries. *)
 
 val quarantined_until : child -> int option
 (** Simulated-clock instant the quarantine lifts, while quarantined. *)
 
 val children : node -> (string * health) list
 (** Child names and health, in registration order. *)
-
-val node_health : node -> health
-(** The worst child health (a node is as sick as its sickest child). *)
 
 val tree_to_string : node -> string
 (** Deterministic one-line rendering, e.g.

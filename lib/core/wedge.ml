@@ -3,6 +3,7 @@ type ctx = Engine.ctx
 type handle = Engine.handle
 type gate_id = Engine.gate_id
 type spawn = Engine.spawn = Boot | Recycle | Stamp of Pool.t
+type where = Engine.where = Master | Child of int
 
 exception Privilege_violation = Engine.Privilege_violation
 exception Exit_sthread = Engine.Exit_sthread
@@ -49,7 +50,6 @@ let sc_gate_grant = Sc.gate_grant
 let sc_set_rlimit = Sc.set_rlimit
 let sc_cgate_add = Engine.sc_cgate_add
 let cgate = Engine.cgate
-let gate_name = Engine.gate_name
 let cgate_delete = Engine.cgate_delete
 let fork = Engine.fork
 let pthread = Engine.pthread
@@ -94,7 +94,6 @@ type policy_check = Engine.policy_check = {
 }
 
 let set_policy = Engine.set_policy
-let policy_of = Engine.policy_of
 let in_function = Engine.in_function
 let stack_frame = Engine.stack_frame
 let open_file = Engine.open_file
@@ -106,5 +105,6 @@ let vfs_read = Engine.vfs_read
 let vfs_write = Engine.vfs_write
 let vfs_readdir = Engine.vfs_readdir
 let caller_pid = Engine.caller_pid
+let takeover = Engine.takeover
 
 module Pool = Pool

@@ -198,8 +198,6 @@ val cgate : ?deadline_ns:int -> ctx -> gate_id -> perms:Sc.t -> arg:int -> int
     overruns is reaped and eagerly respawned rather than poisoning the
     pool. *)
 
-val gate_name : ctx -> gate_id -> string
-
 val cgate_delete : ctx -> gate_id -> unit
 (** Retire a callgate the caller minted: the app drops it, and later
     invocations fail as an unknown gate.
@@ -300,7 +298,6 @@ type policy_check = Engine.policy_check = {
 }
 
 val set_policy : ctx -> policy_check option -> unit
-val policy_of : ctx -> policy_check option
 val in_function : ctx -> name:string -> ?file:string -> ?line:int -> (unit -> 'a) -> 'a
 val stack_frame : ctx -> name:string -> locals:int -> (int -> 'a) -> 'a
 
@@ -336,6 +333,41 @@ val vfs_readdir : ctx -> string -> (string list, Wedge_kernel.Vfs.error) result
     what an authentication callgate passes to {!set_identity} to log the
     caller in (§5.2). *)
 val caller_pid : ctx -> int option
+
+(** {1 Compromise (the attacker model)} *)
+
+type where = Engine.where =
+  | Master  (** the app's original process: the monolithic servers *)
+  | Child of int
+      (** the n-th sthread or forked child the app starts after arming,
+          counted from 1.  A callgate invocation, a recycled member and a
+          frozen {!Pool} template are not children. *)
+
+val takeover : app -> where:where -> at:int -> (ctx -> unit) -> unit
+(** [takeover app ~where ~at payload] arms a one-shot compromise: at the
+    [at]-th kernel entry of the compartment [where] names, [payload]
+    runs with that compartment's own [ctx], so it holds exactly that
+    compartment's grants — the paper's attacker, who owns the code of an
+    exploited compartment.  [at] counts from 1: a [Child n] target's
+    entries from its creation, the [Master]'s from arming.  Every system
+    call is a kernel entry ({!fd_read}, {!fd_write}, {!cgate},
+    {!sthread_create}, {!vfs_read}, {!set_identity}, ...); a
+    {!tag_new} served from the tag cache is not.
+
+    The payload runs after the entry's trap, fuel and SELinux checks and
+    before the call's own work.  The point disarms before the payload
+    runs, so the payload's own system calls never re-enter it, and it
+    fires at most once.  A target that exits short of its [at]-th entry,
+    or a child that never starts, leaves the run unchanged (the former
+    disarms the point at the next kernel entry).  Several takeovers may
+    be armed at once, each counting on its own.  An exception the payload
+    raises is the compartment's own: a contained fault class kills the
+    compartment, anything else propagates as it would from the
+    compartment's code.
+
+    Unarmed, the point costs every kernel entry one branch and no
+    allocation.
+    @raise Invalid_argument if [at] or a [Child] index is below 1. *)
 
 (** {1 Frozen snapshot pools (O(1) spawn and crash recovery)} *)
 

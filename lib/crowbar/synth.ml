@@ -380,8 +380,6 @@ let create ~name mode =
     s_denials = Hashtbl.create 8;
   }
 
-let mode_of t = t.s_mode
-
 let obs_for t kind name =
   match Hashtbl.find_opt t.s_obs (kind, name) with
   | Some o -> o

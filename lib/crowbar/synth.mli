@@ -126,8 +126,6 @@ val create : name:string -> mode -> t
 (** A synthesis/verification session.  [name] becomes [p_app] of the
     synthesized profile. *)
 
-val mode_of : t -> mode
-
 (** {2 Server-side hooks}
 
     All take [t option] so servers thread an optional [?synth] parameter:

@@ -18,7 +18,6 @@ type priv = {
   x : Bignum.t;
 }
 
-val gen_params : ?pbits:int -> ?qbits:int -> Drbg.t -> params
 val keygen : Drbg.t -> params -> priv
 val sign : Drbg.t -> priv -> bytes -> Bignum.t * Bignum.t
 val verify : pub -> bytes -> signature:Bignum.t * Bignum.t -> bool

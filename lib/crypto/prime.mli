@@ -4,6 +4,3 @@
 val is_prime : ?rounds:int -> Drbg.t -> Bignum.t -> bool
 val gen_prime : ?rounds:int -> Drbg.t -> bits:int -> Bignum.t
 (** A random prime with exactly [bits] bits. *)
-
-val small_primes : int list
-(** Primes below 1000, used for trial division. *)

@@ -75,6 +75,3 @@ val trace : t -> string
 
 val next64 : t -> int64
 (** Draw from the plan's PRNG (advances deterministic state). *)
-
-val u01 : t -> float
-(** Uniform draw in [0,1). *)

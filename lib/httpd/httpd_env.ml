@@ -106,7 +106,7 @@ let charge ctx op =
   in
   W.charge_app ctx ns
 
-let handle_request ctx ~exploit line =
+let handle_request ctx line =
   let cm = (W.kernel (W.app_of ctx)).Kernel.costs in
   W.charge_app ctx cm.Cost_model.http_app_fixed;
   let resp =
@@ -114,10 +114,6 @@ let handle_request ctx ~exploit line =
     | None -> Http.forbidden
     | Some { Http.meth; path } ->
         if meth <> "GET" then Http.forbidden
-        else if path = "/xploit" then begin
-          (match exploit with Some payload -> payload ctx | None -> ());
-          Http.not_found
-        end
         else begin
           (* The caller's filesystem view decides what is reachable: the
              monolithic server (root "/") finds pages under the docroot

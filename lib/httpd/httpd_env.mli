@@ -22,11 +22,6 @@ type t = {
           setup (§5) *)
 }
 
-val apache_image_pages : int
-(** Address-space size of the Apache stand-in (~14 MB): sthread creation
-    cost is proportional to this, which is what separates Table 2 from the
-    minimal-process microbenchmarks of Figure 7. *)
-
 val docroot : string
 val index_body : string
 
@@ -58,14 +53,9 @@ val charge : Wedge_core.Wedge.ctx -> crypto_op -> unit
 
 (** {2 Request handling shared by all variants} *)
 
-val handle_request :
-  Wedge_core.Wedge.ctx ->
-  exploit:(Wedge_core.Wedge.ctx -> unit) option ->
-  string ->
-  string
+val handle_request : Wedge_core.Wedge.ctx -> string -> string
 (** Parse a request line, serve the file from the caller's filesystem view,
-    charge the fixed application cost; "/xploit" triggers the exploit hook
-    (the modelled parser vulnerability). *)
+    charge the fixed application cost. *)
 
 val send_degraded : server:string -> Wedge_core.Wedge.ctx -> Wedge_net.Chan.ep -> unit
 (** The partitioned servers' degraded answer when a connection's

@@ -235,8 +235,7 @@ let header_end resp =
   in
   find 0
 
-let serve_connection ?spawn ?supervised ?exploit_handshake ?exploit_request ?guard
-    (env : Httpd_env.t) ep =
+let serve_connection ?spawn ?supervised ?guard (env : Httpd_env.t) ep =
   let main = env.Httpd_env.main in
   let spawn = match spawn with Some s -> s | None -> W.Stamp (image env) in
   Service.run_worker ?supervised ?guard ~spawn ~policy:Supervisor.default_policy
@@ -318,15 +317,11 @@ let serve_connection ?spawn ?supervised ?exploit_handshake ?exploit_request ?gua
       handshake_ops ctx ~g_new ~g_resume ~g_premaster ~g_recv_fin ~g_send_fin ~arg_tag
         ~arg_block
     in
-    let result =
-      match Handshake.server_handshake ~ops ~cert:(Httpd_env.cert env) io with
-      | Ok _sid ->
-          (match guard with Some c -> Guard.established c | None -> ());
-          0
-      | Error _ -> 1
-    in
-    (match exploit_handshake with Some payload -> payload ctx | None -> ());
-    result
+    match Handshake.server_handshake ~ops ~cert:(Httpd_env.cert env) io with
+    | Ok _sid ->
+        (match guard with Some c -> Guard.established c | None -> ());
+        0
+    | Error _ -> 1
   in
   (* Phase 2: the client handler, started only after a clean handshake
      exit (Figure 3). *)
@@ -336,7 +331,7 @@ let serve_connection ?spawn ?supervised ?exploit_handshake ?exploit_request ?gua
     if n <= 0 then 1
     else begin
       let req = W.read_lv ctx data_block in
-      let resp = Httpd_env.handle_request ctx ~exploit:exploit_request req in
+      let resp = Httpd_env.handle_request ctx req in
       let split = header_end resp in
       W.write_lv ctx data_block (String.sub resp 0 split);
       ignore (W.cgate ctx g_ssl_write ~perms:no_perms ~arg:0);

@@ -24,8 +24,6 @@
 val serve_connection :
   ?spawn:Wedge_core.Wedge.spawn ->
   ?supervised:Wedge_core.Supervisor.child ->
-  ?exploit_handshake:(Wedge_core.Wedge.ctx -> unit) ->
-  ?exploit_request:(Wedge_core.Wedge.ctx -> unit) ->
   ?guard:Wedge_net.Guard.conn ->
   Httpd_env.t ->
   Wedge_net.Chan.ep ->
@@ -35,9 +33,7 @@ val serve_connection :
     exits 0 — the client handler.  [spawn] (default [Stamp] from the
     ["httpd_mitm.worker"] image) decides how both compartments and the
     seven callgates are spawned: [Boot] is Table 2's Wedge row, [Recycle]
-    its Recycled row.  [exploit_handshake] runs inside the handshake
-    sthread just before it exits; [exploit_request] inside the client
-    handler on a "/xploit" request.
+    its Recycled row.
 
     A fault in either compartment or in the master's setup degrades only
     this connection: a plaintext 500 and the [httpd_mitm.degraded]

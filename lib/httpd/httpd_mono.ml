@@ -31,7 +31,7 @@ let charged_ops ctx (ops : Handshake.server_ops) =
         ops.Handshake.send_finished ());
   }
 
-let serve_connection ?exploit (env : Httpd_env.t) ep =
+let serve_connection (env : Httpd_env.t) ep =
   let ctx = env.Httpd_env.main in
   let fd = W.add_endpoint ctx (Chan.to_endpoint ep) Fd_table.perm_rw in
   (* No compartment boundary protects the monolithic server, so the fault
@@ -55,7 +55,7 @@ let serve_connection ?exploit (env : Httpd_env.t) ep =
          | Error _ -> ()
          | Ok req ->
              Httpd_env.charge ctx (Httpd_env.Cipher (Bytes.length req));
-             let resp = Httpd_env.handle_request ctx ~exploit (Bytes.to_string req) in
+             let resp = Httpd_env.handle_request ctx (Bytes.to_string req) in
              Httpd_env.charge ctx (Httpd_env.Cipher (String.length resp));
              Httpd_env.charge ctx Httpd_env.Mac;
              Handshake.send_data io keys (Bytes.of_string resp);

@@ -5,7 +5,6 @@
     request parser yields the private key, every session key, and the whole
     filesystem. *)
 
-val serve_connection :
-  ?exploit:(Wedge_core.Wedge.ctx -> unit) -> Httpd_env.t -> Wedge_net.Chan.ep -> unit
+val serve_connection : Httpd_env.t -> Wedge_net.Chan.ep -> unit
 (** Serve one SSL connection (one request) in the main privileged
     context. *)

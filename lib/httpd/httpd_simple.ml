@@ -172,8 +172,8 @@ let worker_identity (env : Httpd_env.t) =
 let image (env : Httpd_env.t) =
   Service.image ~name:"httpd.worker" env.Httpd_env.main (worker_identity env)
 
-let serve_connection ?spawn ?supervised ?exploit_handshake ?exploit_request ?guard
-    ?max_request_bytes ?worker_limits ?synth (env : Httpd_env.t) ep =
+let serve_connection ?spawn ?supervised ?guard ?max_request_bytes ?worker_limits ?synth
+    (env : Httpd_env.t) ep =
   let main = env.Httpd_env.main in
   let spawn = match spawn with Some s -> s | None -> W.Stamp (image env) in
   Service.run_worker ?supervised ?guard ~spawn ~policy:Supervisor.default_policy
@@ -224,7 +224,6 @@ let serve_connection ?spawn ?supervised ?exploit_handshake ?exploit_request ?gua
     | Error _ -> 1
     | Ok _sid -> (
         (match guard with Some c -> Guard.established c | None -> ());
-        (match exploit_handshake with Some payload -> payload ctx | None -> ());
         match !keys_ref with
         | None -> 1
         | Some keys -> (
@@ -242,9 +241,7 @@ let serve_connection ?spawn ?supervised ?exploit_handshake ?exploit_request ?gua
                 0
             | Ok req ->
                 Httpd_env.charge ctx (Httpd_env.Cipher (Bytes.length req));
-                let resp =
-                  Httpd_env.handle_request ctx ~exploit:exploit_request (Bytes.to_string req)
-                in
+                let resp = Httpd_env.handle_request ctx (Bytes.to_string req) in
                 Httpd_env.charge ctx (Httpd_env.Cipher (String.length resp));
                 Httpd_env.charge ctx Httpd_env.Mac;
                 Handshake.send_data io keys (Bytes.of_string resp);

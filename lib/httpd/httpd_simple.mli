@@ -18,8 +18,6 @@
 val serve_connection :
   ?spawn:Wedge_core.Wedge.spawn ->
   ?supervised:Wedge_core.Supervisor.child ->
-  ?exploit_handshake:(Wedge_core.Wedge.ctx -> unit) ->
-  ?exploit_request:(Wedge_core.Wedge.ctx -> unit) ->
   ?guard:Wedge_net.Guard.conn ->
   ?max_request_bytes:int ->
   ?worker_limits:Wedge_kernel.Rlimit.t ->
@@ -31,9 +29,6 @@ val serve_connection :
     image) decides how the worker and the callgate are spawned
     ({!Wedge_net.Service.run_worker}): [Boot] boots both fork-priced,
     [Recycle] backs the callgate with a long-lived sthread (§3.3).
-    [exploit_handshake] runs inside the worker right after
-    the handshake (when the session key sits in worker-readable memory);
-    [exploit_request] runs on a "/xploit" request.
 
     Fault containment ({!Wedge_net.Service.run_worker}): a crash anywhere
     in this connection — injected or real, in the worker sthread or in the

@@ -12,10 +12,6 @@ val create : ?default_allow:bool -> unit -> t
     applications explicitly grant all system calls (§5), so the permissive
     default mirrors that setup while tests exercise restrictive domains. *)
 
-val domain_of_sid : string -> string
-(** The [type] component of [user:role:type] (the whole string if it has no
-    colons). *)
-
 val allow : t -> domain:string -> syscall:string -> unit
 val allow_all_syscalls : t -> domain:string -> unit
 val check : t -> sid:string -> syscall:string -> bool

@@ -181,11 +181,6 @@ let readdir t ~root ~uid path =
 
 let exists t ~root path = match resolve t ~root path with Ok _ -> true | Error _ -> false
 
-let file_size t ~root ~uid path =
-  match read_file t ~root ~uid path with
-  | Ok data -> Ok (String.length data)
-  | Error e -> Error e
-
 let chown t path ~uid =
   match resolve t ~root:"/" path with
   | Ok n -> (meta_of n).uid <- uid

@@ -582,11 +582,6 @@ let write_bytes_raw t addr src =
     blit_write_atomic t addr src 0 len true
   end
 
-let read_bytes_kernel_raw t addr len =
-  let buf = Bytes.create len in
-  blit_read_pages t addr buf 0 len false;
-  buf
-
 let write_bytes_kernel_raw t addr src = blit_write_atomic t addr src 0 (Bytes.length src) false
 
 (* Multi-byte accessors: translate once when the value sits inside a page
@@ -770,12 +765,6 @@ let write_bytes t addr src =
       armed_write t r addr ~kernel:false
         (fun () -> Bytes.copy src)
         (fun () -> write_bytes_raw t addr src)
-
-let read_bytes_kernel t addr len =
-  match !(t.recorder) with
-  | None -> read_bytes_kernel_raw t addr len
-  | Some r ->
-      armed_read t r addr ~kernel:true ~u64:false Bytes.copy (fun () -> read_bytes_kernel_raw t addr len)
 
 let write_bytes_kernel t addr src =
   match !(t.recorder) with

@@ -204,10 +204,6 @@ val mapped_pages : t -> int
 
 (** {2 Software TLB} *)
 
-val tlb_invalidate : t -> vpn:int -> unit
-(** Shoot down the cached translation for [vpn], if present.  Charges
-    [tlb_shootdown] only when an entry actually dies. *)
-
 val tlb_flush : t -> unit
 (** Drop every cached translation (address-space teardown / switch). *)
 
@@ -283,9 +279,6 @@ val tlb_check : t -> string list
     bypass.  Empty means consistent. *)
 
 (** {2 Unchecked access (kernel use only)} *)
-
-val read_bytes_kernel : t -> int -> int -> bytes
-(** Bypasses protection checks (still faults on unmapped pages). *)
 
 val write_bytes_kernel : t -> int -> bytes -> unit
 (** Bypasses protection checks but still performs COW breaks, so kernel

@@ -16,9 +16,6 @@ exception Out_of_tag_memory of { base : int; requested : int }
 val overhead : int
 (** Bytes of segment header. *)
 
-val min_alloc : int
-(** Smallest usable allocation granule. *)
-
 val init : Wedge_kernel.Vm.t -> base:int -> size:int -> unit
 (** Format a fresh segment of [size] bytes starting at [base]. *)
 

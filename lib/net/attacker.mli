@@ -1,10 +1,11 @@
 (** The attacker model, made executable.
 
     The paper's attacker "exploits" a compartment — injected code runs with
-    that compartment's privileges.  Here an exploit payload is an OCaml
-    function receiving the compartment's capability handle ({!Wedge.ctx});
-    these helpers probe what the payload can actually reach, and collect
-    loot for the test assertions. *)
+    that compartment's privileges.  Here a payload is an OCaml function
+    that {!Wedge_core.Wedge.takeover} runs with the compromised
+    compartment's capability handle ({!Wedge_core.Wedge.ctx}); these
+    helpers probe what the payload can actually reach, and collect loot
+    for the test assertions. *)
 
 type loot
 
@@ -18,12 +19,7 @@ val try_read : Wedge_core.Wedge.ctx -> addr:int -> len:int -> (string, string) r
 (** Attempt a read with the compartment's privileges; [Error reason] if the
     MMU stops it. *)
 
-val try_write : Wedge_core.Wedge.ctx -> addr:int -> string -> (unit, string) result
-
 val steal_tag :
   Wedge_core.Wedge.ctx -> loot -> label:string -> Wedge_mem.Tag.t -> bool
 (** Dump a whole tag segment into the loot if readable; [false] when the
     compartment is (correctly) denied. *)
-
-val probe_tags : Wedge_core.Wedge.ctx -> Wedge_mem.Tag.t list -> (string * bool) list
-(** Which of the given tags the compartment can read (tag name, readable). *)

@@ -33,8 +33,6 @@ type conn
 
 type breaker_state = Closed | Open | Half_open
 
-val breaker_state_to_string : breaker_state -> string
-
 type breaker_config
 
 val breaker_config :

@@ -319,7 +319,6 @@ let gtag_new ?(name = "gtag") ?pages t =
     replicas;
   g
 
-let gtag_id g = g.g_gid
 let gtag_live g = g.g_live
 let replica g ~sid = g.g_replicas.(sid)
 

@@ -49,7 +49,6 @@ val make : n:int -> unit -> t
 val n : t -> int
 val shards : t -> shard array
 val shard : t -> int -> shard
-val reactors : t -> Wedge_sim.Reactor.t list
 
 val start : t -> unit
 (** Spawn the link-handler fibers (one per directed link, parked on its
@@ -78,7 +77,6 @@ val gtag_new : ?name:string -> ?pages:int -> t -> gtag
 (** Replicate a fresh tag on every shard (via each shard's main
     context). *)
 
-val gtag_id : gtag -> int
 val gtag_live : gtag -> bool
 
 val replica : gtag -> sid:int -> Wedge_mem.Tag.t

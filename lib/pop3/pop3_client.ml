@@ -73,5 +73,3 @@ let retr t n =
 let dele t n = cmd t (Printf.sprintf "DELE %d" n) <> None
 
 let quit t = ignore (cmd t "QUIT")
-
-let xploit t = ignore (cmd t "XPLOIT")

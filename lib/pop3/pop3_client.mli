@@ -12,5 +12,3 @@ val list_mails : t -> (int * int) list option
 val retr : t -> int -> string option
 val dele : t -> int -> bool
 val quit : t -> unit
-val xploit : t -> unit
-(** Send the exploit trigger (the server replies -ERR either way). *)

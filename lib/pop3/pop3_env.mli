@@ -20,9 +20,6 @@ val passwd_path : string
 val maildir : string -> string
 (** Mail directory for a user name. *)
 
-val hash_password : salt:string -> string -> string
-(** Hex SHA-256 of salt ++ password — the stored verifier. *)
-
 val check_password : passwd_line:string -> user:string -> password:string -> int option
 (** Verify against one passwd line; [Some uid] on success. *)
 

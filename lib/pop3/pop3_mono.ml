@@ -80,12 +80,11 @@ let backend ctx =
                  ~root:"/" ~uid:0 (mail_path name n)));
   }
 
-let serve_connection ?exploit ctx ep =
+let serve_connection ctx ep =
   let fd = W.add_endpoint ctx (Chan.to_endpoint ep) Fd_table.perm_rw in
   let io =
     Lineio.create ~recv:(fun n -> W.fd_read ctx fd n) ~send:(fun b -> W.fd_write ctx fd b) ()
   in
-  let exploit = Option.map (fun payload () -> payload ctx) exploit in
-  Pop3_proto.serve io (backend ctx) ~exploit;
+  Pop3_proto.serve io (backend ctx);
   W.fd_close ctx fd;
   Chan.close ep

@@ -3,11 +3,5 @@
     therefore owns the password database and every user's mail — the
     baseline §2 argues against. *)
 
-val serve_connection :
-  ?exploit:(Wedge_core.Wedge.ctx -> unit) ->
-  Wedge_core.Wedge.ctx ->
-  Wedge_net.Chan.ep ->
-  unit
-(** Handle one client connection in the given (privileged) context.  The
-    optional [exploit] payload runs with this same context when the client
-    sends the XPLOIT trigger. *)
+val serve_connection : Wedge_core.Wedge.ctx -> Wedge_net.Chan.ep -> unit
+(** Handle one client connection in the given (privileged) context. *)

@@ -8,7 +8,6 @@ type command =
   | Retr of int
   | Dele of int
   | Quit
-  | Xploit
   | Unknown of string
 
 let parse line =
@@ -20,7 +19,6 @@ let parse line =
       | "STAT" -> Stat
       | "LIST" -> List
       | "QUIT" -> Quit
-      | "XPLOIT" -> Xploit
       | _ -> Unknown line)
   | Some i -> (
       let cmd = upper (String.sub line 0 i) in
@@ -61,7 +59,7 @@ let write_reply io parts =
        0 parts);
   Lineio.write io buf
 
-let serve io backend ~exploit =
+let serve io backend =
   let ok fmt = Printf.ksprintf (fun s -> write_reply io [ "+OK "; s; "\r\n" ]) fmt in
   let err fmt = Printf.ksprintf (fun s -> write_reply io [ "-ERR "; s; "\r\n" ]) fmt in
   let refused r = err "%s" (refusal_text r) in
@@ -111,12 +109,6 @@ let serve io backend ~exploit =
             loop ()
         | Dele n ->
             (match backend.dele n with Ok () -> ok "deleted" | Error r -> refused r);
-            loop ()
-        | Xploit ->
-            (* The modelled parser vulnerability: attacker code executes in
-               this compartment, then the session continues. *)
-            (match exploit with Some payload -> payload () | None -> ());
-            err "syntax error";
             loop ()
         | Unknown _ ->
             err "unknown command";

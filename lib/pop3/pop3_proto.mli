@@ -4,12 +4,7 @@
     The loop is parameterised over a {!backend} — the monolithic server
     implements it with direct filesystem access, the partitioned server in
     terms of callgate invocations — so protocol behaviour is identical by
-    construction and tests can assert equivalence.
-
-    The [XPLOIT] pseudo-command models a vulnerability in the
-    network-facing parser: when the server was built with an exploit hook,
-    the attacker's payload runs {e in the compartment that parses client
-    input}, which is the paper's attacker model. *)
+    construction and tests can assert equivalence. *)
 
 type command =
   | User of string
@@ -19,7 +14,6 @@ type command =
   | Retr of int
   | Dele of int
   | Quit
-  | Xploit
   | Unknown of string
 
 val parse : string -> command
@@ -39,6 +33,6 @@ type backend = {
   dele : int -> (unit, refusal) result;
 }
 
-val serve : Wedge_net.Lineio.t -> backend -> exploit:(unit -> unit) option -> unit
+val serve : Wedge_net.Lineio.t -> backend -> unit
 (** Run one POP3 session to QUIT or EOF.  Every reply, a multi-line
     LIST or RETR included, leaves in exactly one {!Wedge_net.Lineio.write}. *)

@@ -206,7 +206,7 @@ let image main = Service.image ~name:"pop3.worker" main (worker_identity ())
    greet the client again. *)
 let worker_policy = Supervisor.policy ~max_restarts:1 ()
 
-let serve_connection ?exploit ?(restart_policy = worker_policy) ?supervised ?guard ?synth main
+let serve_connection ?(restart_policy = worker_policy) ?supervised ?guard ?synth main
     ep =
   Service.run_worker ?supervised ?guard ~spawn:(W.Stamp (image main)) ~policy:restart_policy
     ~degrade:(fun () -> send_degraded main ep)
@@ -286,8 +286,7 @@ let serve_connection ?exploit ?(restart_policy = worker_policy) ?supervised ?gua
                 ok);
           }
     in
-    let exploit = Option.map (fun payload () -> payload ctx) exploit in
-    Pop3_proto.serve io backend ~exploit;
+    Pop3_proto.serve io backend;
     0
   in
   [ (worker_sc, Synth.wrap_sthread synth ~name:"pop3.worker" ~fds:conn_fds worker_body) ]

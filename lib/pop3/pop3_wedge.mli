@@ -21,7 +21,6 @@
     page by page. *)
 
 val serve_connection :
-  ?exploit:(Wedge_core.Wedge.ctx -> unit) ->
   ?restart_policy:Wedge_core.Supervisor.policy ->
   ?supervised:Wedge_core.Supervisor.child ->
   ?guard:Wedge_net.Guard.conn ->
@@ -30,8 +29,7 @@ val serve_connection :
   Wedge_net.Chan.ep ->
   Wedge_net.Service.served
 (** Serve one connection from the master context ([main]); blocks until the
-    session ends.  [exploit] runs inside the {e worker} compartment when
-    triggered — the paper's attacker model.
+    session ends.
 
     Fault containment ({!Wedge_net.Service.run_worker}): a crash anywhere
     in this connection degrades only this connection (best-effort [-ERR]

@@ -44,12 +44,6 @@ type policy =
       (** replay recorded pool indices; out of range / exhausted entries
           fall back to index 0, so truncated traces still run *)
 
-let policy_to_string = function
-  | Round_robin -> "round-robin"
-  | Random seed -> Printf.sprintf "random:%d" seed
-  | Pct { seed; change_prob } -> Printf.sprintf "pct:%d:%g" seed change_prob
-  | Replay d -> Printf.sprintf "replay[%d]" (Array.length d)
-
 (* What a blocked wait does when the whole system stalls, in resolution
    order: at a stall the scheduler resolves the wait of the first class
    (lowest fiber id within it) and lets the world run again.  A wait
@@ -163,9 +157,6 @@ let check_cancel s =
       Hashtbl.remove s.cancelled s.cur;
       raise (Cancelled reason)
   | None -> ()
-
-let cancel_pending id =
-  match !current with None -> false | Some s -> Hashtbl.mem s.cancelled id
 
 (* An induced hang (site "fiber.stall", kind [Delay ns]): burn [ns] of
    simulated time across several yields.  Each resume checks for

@@ -54,8 +54,6 @@ type policy =
       (** replay recorded pool indices; exhausted or out-of-range entries
           fall back to index 0, so truncated traces still run *)
 
-val policy_to_string : policy -> string
-
 (** What a stall-aware wait stands for, in the order a stall resolves
     them: a bounded writer whose reader is gone ({!Shed_write}), a drain
     waiting for in-flight connections ({!Force_drain}), then the same
@@ -109,9 +107,6 @@ val wait_until : ?what:string -> (unit -> bool) -> unit
     progress.  [what] names the awaited condition in deadlock messages.
     @raise Deadlock when a stall resolves this wait. *)
 
-val in_scheduler : unit -> bool
-(** True when called from inside {!run}. *)
-
 val park : what:string -> unit
 (** Take the calling fiber off the run queue until {!unpark} — the
     primitive every wait is built on.  A pending cancellation raises
@@ -140,9 +135,6 @@ val cancel : ?reason:string -> int -> unit
     to call from the {!run} [on_switch] hook (scheduler context) — the
     watchdog's cut path.  No-op outside {!run}; marking an already-marked
     fiber keeps the first reason. *)
-
-val cancel_pending : int -> bool
-(** True while fiber [id] has an undelivered cancellation mark. *)
 
 val fiber_id : unit -> int
 (** The id of the running fiber (main is 0); 0 outside {!run}. *)

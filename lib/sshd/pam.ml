@@ -5,11 +5,6 @@ module Sha256 = Wedge_crypto.Sha256
    area; the password copy sits past them, so it survives the free. *)
 let scratch_offset = 16
 
-let uid_of_shadow_line line =
-  match String.split_on_char ':' line with
-  | _ :: uid :: _ -> int_of_string_opt uid
-  | _ -> None
-
 let authenticate ctx ~shadow_line ~user ~password =
   (* The bug: working copy of the secret in malloc'd scratch... *)
   let scratch = W.malloc ctx (scratch_offset + 128) in

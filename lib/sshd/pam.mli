@@ -16,9 +16,4 @@ val authenticate :
 (** Verify [password] against a shadow entry ([user:uid:salt:sha256hex]).
     Leaves the password in freed heap scratch (the bug). *)
 
-val scratch_offset : int
-(** Byte offset of the password copy within the scratch allocation (the
-    allocator's free-list links clobber the first bytes, as with dlmalloc;
-    the copy survives beyond them). *)
 
-val uid_of_shadow_line : string -> int option

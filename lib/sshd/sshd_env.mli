@@ -34,9 +34,6 @@ val install :
 (** Build the VFS world (shadow, authorized_keys, S/Key db, upload dir,
     empty chroot), boot the app, place host keys in tagged memory. *)
 
-val sshd_image_pages : int
-(** OpenSSH's address-space size (much smaller than Apache's). *)
-
 val user_key : user -> Wedge_crypto.Dsa.priv
 (** The user's DSA key pair (derived from [key_seed]). *)
 

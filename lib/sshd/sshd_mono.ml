@@ -93,7 +93,7 @@ let ops (env : Sshd_env.t) ctx =
         !updated);
   }
 
-let serve_connection ?exploit (env : Sshd_env.t) ep =
+let serve_connection (env : Sshd_env.t) ep =
   let ctx = env.Sshd_env.main in
   let fd = W.add_endpoint ctx (Chan.to_endpoint ep) Fd_table.perm_rw in
   let io = io_of_fd ctx fd in
@@ -101,6 +101,6 @@ let serve_connection ?exploit (env : Sshd_env.t) ep =
   Sshd_session.run ~ctx ~io ~wrng
     ~host_rsa_pub:(Rsa.pub_to_string env.Sshd_env.host_rsa.Rsa.pub)
     ~host_dsa_pub:(Dsa.pub_to_string env.Sshd_env.host_dsa.Dsa.pub)
-    ~ops:(ops env ctx) ~exploit ();
+    ~ops:(ops env ctx) ();
   W.fd_close ctx fd;
   Chan.close ep

@@ -31,7 +31,7 @@ let io_of_fd ctx fd =
 
 (* The monitor: closures executing in the privileged main process.  The
    IPC marshalling cost is charged per call. *)
-let make_monitor (env : Sshd_env.t) =
+let monitor (env : Sshd_env.t) =
   let main = env.Sshd_env.main in
   let charge_ipc () =
     let cm = (W.kernel env.Sshd_env.app).Kernel.costs in
@@ -113,9 +113,9 @@ let slave_ops (env : Sshd_env.t) monitor slave_ctx =
         ok);
   }
 
-let serve_connection ?exploit ?supervised ?guard (env : Sshd_env.t) ep =
+let serve_connection ?supervised ?guard (env : Sshd_env.t) ep =
   let main = env.Sshd_env.main in
-  let monitor = make_monitor env in
+  let monitor = monitor env in
   (* Authentication success always goes through m_setuid — the natural
      place to tell the guard the session is established. *)
   let monitor =
@@ -140,13 +140,10 @@ let serve_connection ?exploit ?supervised ?guard (env : Sshd_env.t) ep =
            space is already a copy of the monitor's. *)
         W.set_identity slave ~target_pid:(W.pid slave) ~uid:99 ~root:"/var/empty" ();
         let io = io_of_fd slave fd in
-        let exploit =
-          Option.map (fun payload ctx -> payload ctx monitor) exploit
-        in
         Sshd_session.run ~ctx:slave ~io ~wrng
           ~host_rsa_pub:(Rsa.pub_to_string env.Sshd_env.host_rsa.Rsa.pub)
           ~host_dsa_pub:(Dsa.pub_to_string env.Sshd_env.host_dsa.Dsa.pub)
-          ~ops:(slave_ops env monitor slave) ~exploit ();
+          ~ops:(slave_ops env monitor slave) ();
         0
   in
   let outcome =

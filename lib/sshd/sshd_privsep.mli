@@ -25,16 +25,20 @@ type monitor = {
   m_setuid : slave_pid:int -> uid:int -> unit;
 }
 
+val monitor : Sshd_env.t -> monitor
+(** The monitor's IPC surface over [env]'s privileged main process, as
+    every connection's slave gets it: each call runs in the monitor and
+    charges the IPC round trip.  A payload taken over in a slave
+    ({!Wedge_core.Wedge.takeover}) calls the monitor through this. *)
+
 val serve_connection :
-  ?exploit:(Wedge_core.Wedge.ctx -> monitor -> unit) ->
   ?supervised:Wedge_core.Supervisor.child ->
   ?guard:Wedge_net.Guard.conn ->
   Sshd_env.t ->
   Wedge_net.Chan.ep ->
   bool
-(** Fork a slave for one connection; [exploit] runs inside the slave with
-    the monitor IPC available (the attacker controls the slave).  Returns
-    [false] when the connection was degraded.
+(** Fork a slave for one connection.  Returns [false] when the
+    connection was degraded.
 
     Fault containment: a slave crash (injected or real) never kills the
     monitor — the slave is not retried (the encrypted stream died with

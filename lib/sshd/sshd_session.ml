@@ -21,7 +21,7 @@ let charge_cipher ctx n =
 let max_cmd_bytes = 4096
 let max_upload_bytes = 16 lsl 20
 
-let run ~ctx ~io ~wrng ~host_rsa_pub ~host_dsa_pub ~ops ~exploit () =
+let run ~ctx ~io ~wrng ~host_rsa_pub ~host_dsa_pub ~ops () =
   try
     (* Version exchange. *)
     P.send_plain io (P.Version "WSSH-1.0-wedge-sshd");
@@ -97,12 +97,7 @@ let run ~ctx ~io ~wrng ~host_rsa_pub ~host_dsa_pub ~ops ~exploit () =
                      session must not buffer an attacker-sized string. *)
                   send (P.Data (Bytes.of_string "command too long"))
               | P.Exec cmd ->
-                  (if cmd = "xploit" then begin
-                     (* the modelled parser vulnerability *)
-                     (match exploit with Some payload -> payload ctx | None -> ());
-                     send (P.Data (Bytes.of_string "unknown command"))
-                   end
-                   else if not !authed then send (P.Data (Bytes.of_string "permission denied"))
+                  (if not !authed then send (P.Data (Bytes.of_string "permission denied"))
                    else
                      match String.split_on_char ' ' cmd with
                      | [ "shell" ] ->

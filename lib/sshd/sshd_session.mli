@@ -23,10 +23,6 @@ type priv_ops = {
   skey_verify : user:string -> response:string -> bool;
 }
 
-val max_cmd_bytes : int
-(** 4096: an Exec command longer than this answers ["command too long"]
-    and disconnects. *)
-
 val max_upload_bytes : int
 (** 16 MiB, room for the paper's 10 MB scp: an upload that grows the scp
     staging buffer past it answers ["upload too large"] and disconnects
@@ -39,11 +35,9 @@ val run :
   host_rsa_pub:string ->
   host_dsa_pub:string ->
   ops:priv_ops ->
-  exploit:(Wedge_core.Wedge.ctx -> unit) option ->
   unit ->
   unit
 (** Serve one session: version exchange, key exchange, one authentication
-    dialogue, then Exec/Data commands until EOF.  [exploit] fires on an
-    [Exec "xploit"] command (pre- or post-auth), modelling a parser
-    vulnerability in this compartment.  Commands and uploads are capped
-    at {!max_cmd_bytes} and {!max_upload_bytes}. *)
+    dialogue, then Exec/Data commands until EOF.  An Exec command over
+    4096 bytes answers ["command too long"] and disconnects; uploads are
+    capped at {!max_upload_bytes}. *)

@@ -261,7 +261,7 @@ let worker_identity () =
 let image (env : Sshd_env.t) =
   Service.image ~name:"sshd.worker" env.Sshd_env.main (worker_identity ())
 
-let serve_connection ?spawn ?supervised ?guard ?exploit ?synth (env : Sshd_env.t) ep =
+let serve_connection ?spawn ?supervised ?guard ?synth (env : Sshd_env.t) ep =
   let main = env.Sshd_env.main in
   let spawn = match spawn with Some s -> s | None -> W.Stamp (image env) in
   (* An SSH session whose worker died mid-protocol cannot be resumed in
@@ -319,7 +319,7 @@ let serve_connection ?spawn ?supervised ?guard ?exploit ?synth (env : Sshd_env.t
     Sshd_session.run ~ctx ~io ~wrng:(Drbg.create ~seed:wrng_seed)
       ~host_rsa_pub:(W.read_lv ctx env.Sshd_env.pub_rsa_addr)
       ~host_dsa_pub:(W.read_lv ctx env.Sshd_env.pub_dsa_addr)
-      ~ops ~exploit ();
+      ~ops ();
     0
   in
   [ (worker_sc, Synth.wrap_sthread synth ~name:"sshd.worker" ~fds:conn_fds worker_body) ]

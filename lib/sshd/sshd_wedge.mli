@@ -19,7 +19,6 @@ val serve_connection :
   ?spawn:Wedge_core.Wedge.spawn ->
   ?supervised:Wedge_core.Supervisor.child ->
   ?guard:Wedge_net.Guard.conn ->
-  ?exploit:(Wedge_core.Wedge.ctx -> unit) ->
   ?synth:Wedge_crowbar.Synth.t ->
   Sshd_env.t ->
   Wedge_net.Chan.ep ->
@@ -31,8 +30,7 @@ val serve_connection :
     only this connection: a disconnect and the [sshd.degraded] counter.
     [supervised] runs the worker under a supervision-tree child; [guard]
     makes it read through the deadline-aware endpoint and marks the
-    session established on a successful authentication.  [exploit] runs
-    inside the worker on an ["xploit"] command.
+    session established on a successful authentication.
 
     A client-sized field that does not fit its slot of the 6000-byte
     argument block (a Kexinit nonce, a Kexsecret, a user name, a public

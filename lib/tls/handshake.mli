@@ -27,13 +27,10 @@
 type transcript
 (** Running hash of all handshake messages framed on the wire. *)
 
-val transcript_create : unit -> transcript
-val transcript_add : transcript -> Wire.mtype -> bytes -> unit
 val transcript_hash : transcript -> bytes
 (** Hash of everything added so far (the transcript keeps accepting
     messages afterwards). *)
 
-val random_len : int
 val premaster_len : int
 val sid_len : int
 

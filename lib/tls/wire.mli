@@ -35,7 +35,6 @@ type mtype =
   | Alert
 
 val mtype_to_char : mtype -> char
-val mtype_of_char : char -> mtype option
 
 val send_msg : io -> mtype -> bytes -> unit
 val recv_msg : io -> mtype * bytes

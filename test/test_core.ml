@@ -813,7 +813,8 @@ let test_image_boot_demand_zero () =
    after the first has grown the kernel's own tables (process table,
    counters, memo tables) to their steady size.  A warm system call
    allocates nothing: its stats key, its sid's domain and its counter
-   are all found without building a string or an option. *)
+   are all found without building a string or an option, and the
+   takeover point, unarmed, adds one branch to it. *)
 let test_compartment_footprint () =
   let k, app, main = mk_app ~costs:Cost_model.default ~image_pages:60 () in
   W.boot app;
@@ -852,6 +853,14 @@ let test_compartment_footprint () =
     /. 1_000.
   in
   under "warm syscall_check, per call" 1. per_call;
+  let per_enter =
+    cost (fun () ->
+        for _ = 1 to 1_000 do
+          Engine.enter main "read"
+        done)
+    /. 1_000.
+  in
+  under "warm Engine.enter, unarmed, per call" 1. per_enter;
   if !over <> [] then Alcotest.failf "host words over bound: %s" (String.concat "; " (List.rev !over))
 
 let () =

@@ -134,41 +134,45 @@ let prop_sshd_gates_survive_hostile_argbuf =
       let k = Kernel.create ~costs:Cost_model.free () in
       let env = Wedge_sshd.Sshd_env.install ~image_pages:80 k in
       let authed_shell = ref None in
+      let ran = ref false in
+      (* Entry 11 of the worker: its 10th is the rsa_kex callgate, so the
+         11th, the read of the first message after the key exchange, is
+         the last entry before an authentication gate reads the argument
+         block. *)
+      Sweep.arm ~where:(W.Child 1) ~at:11 ran
+        (fun ctx ->
+          (* Overwrite the worker's whole argument area with junk and
+             fabricated huge length fields, then poke every address that
+             might be a length-value block. *)
+          let rng2 = Drbg.create ~seed in
+          let tags = W.live_tags (W.app_of ctx) in
+          List.iter
+            (fun (tag : Wedge_mem.Tag.t) ->
+              if tag.Wedge_mem.Tag.name = "sshd.arg" then begin
+                let base = tag.Wedge_mem.Tag.base in
+                try
+                  W.write_string ctx (base + 40) junk;
+                  (* plant absurd lv lengths at the protocol offsets the
+                     gates will read *)
+                  List.iter
+                    (fun off -> W.write_u32 ctx (base + 40 + off) 0xFFFFFFF)
+                    [ 0; 256; 512; 1024; 1280 ];
+                  ignore (Drbg.next64 rng2)
+                with Wedge_kernel.Vm.Fault _ -> ()
+              end)
+            tags)
+        env.Wedge_sshd.Sshd_env.app;
       Fiber.run (fun () ->
           let client_ep, server_ep = Chan.pair ~costs:Cost_model.free () in
           Fiber.spawn (fun () ->
-              ignore
-                (Wedge_sshd.Sshd_wedge.serve_connection
-                   ~exploit:(fun ctx ->
-                     (* Overwrite the worker's whole argument area with junk
-                        and fabricated huge length fields, then poke every
-                        address that might be a length-value block. *)
-                     let rng2 = Drbg.create ~seed in
-                     let tags = W.live_tags (W.app_of ctx) in
-                     List.iter
-                       (fun (tag : Wedge_mem.Tag.t) ->
-                         if tag.Wedge_mem.Tag.name = "sshd.arg" then begin
-                           let base = tag.Wedge_mem.Tag.base in
-                           (try
-                              W.write_string ctx (base + 40) junk;
-                              (* plant absurd lv lengths at the protocol
-                                 offsets the gates will read *)
-                              List.iter
-                                (fun off -> W.write_u32 ctx (base + 40 + off) 0xFFFFFFF)
-                                [ 0; 256; 512; 1024; 1280 ];
-                              ignore (Drbg.next64 rng2)
-                            with Wedge_kernel.Vm.Fault _ -> ())
-                         end)
-                       tags)
-                   env server_ep));
+              ignore (Wedge_sshd.Sshd_wedge.serve_connection env server_ep));
           (match
              Wedge_sshd.Ssh_client.start ~rng:(Drbg.create ~seed:9)
                ~pinned_rsa:env.Wedge_sshd.Sshd_env.host_rsa.Rsa.pub
                ~pinned_dsa:env.Wedge_sshd.Sshd_env.host_dsa.Dsa.pub client_ep
            with
           | Ok conn ->
-              (* trigger the exploit, then try the auth methods with junk *)
-              ignore (Wedge_sshd.Ssh_client.exec conn "xploit");
+              (* the worker is taken over; try the auth methods with junk *)
               ignore
                 (Wedge_sshd.Ssh_client.authenticate conn ~user:junk
                    (Wedge_sshd.Ssh_client.Password junk));
@@ -176,8 +180,10 @@ let prop_sshd_gates_survive_hostile_argbuf =
               Wedge_sshd.Ssh_client.close conn
           | Error _ -> ());
           Chan.close client_ep);
-      (* never authenticated, master alive for a real login *)
-      !authed_shell = Some "permission denied"
+      (* the payload ran; never authenticated, master alive for a real
+         login *)
+      !ran
+      && (!authed_shell = Some "permission denied"
       || !authed_shell = None
          &&
          let ok = ref false in
@@ -195,7 +201,7 @@ let prop_sshd_gates_survive_hostile_argbuf =
                  ok := true;
                  Wedge_sshd.Ssh_client.close conn
              | Error _ -> ()));
-         !ok)
+         !ok))
 
 let test_oversized_lv_faults_not_allocates () =
   (* Directly: a fabricated huge length must raise Vm.Fault quickly. *)

@@ -40,25 +40,17 @@ let mk_env ?(session_cache = true) () =
 
 type variant = VMono | VSimple | VMitm
 
-let serve ?spawn ?exploit_handshake ?exploit_request variant env ep =
+let serve ?spawn variant env ep =
   match variant with
-  | VMono ->
-      (* the mono server's single exploit hook fires on /xploit *)
-      Mono.serve_connection ?exploit:exploit_request env ep
-  | VSimple ->
-      ignore
-        (Simple.serve_connection ?spawn ?exploit_handshake ?exploit_request env ep)
-  | VMitm ->
-      ignore
-        (Mitm_httpd.serve_connection ?spawn ?exploit_handshake ?exploit_request env ep)
+  | VMono -> Mono.serve_connection env ep
+  | VSimple -> ignore (Simple.serve_connection ?spawn env ep)
+  | VMitm -> ignore (Mitm_httpd.serve_connection ?spawn env ep)
 
-let fetch ?resume ?(seed = 7) ?(path = "/index.html") env variant ?spawn ?exploit_handshake
-    ?exploit_request () =
+let fetch ?resume ?(seed = 7) ?(path = "/index.html") env variant ?spawn () =
   let result = ref None in
   Fiber.run (fun () ->
       let client_ep, server_ep = Chan.pair ~costs:Cost_model.free () in
-      Fiber.spawn (fun () ->
-          serve ?spawn ?exploit_handshake ?exploit_request variant env server_ep);
+      Fiber.spawn (fun () -> serve ?spawn variant env server_ep);
       let rng = Drbg.create ~seed in
       result :=
         Some (Client.get ?resume ~rng ~pinned:env.Env.priv.Rsa.pub ~path client_ep));
@@ -149,23 +141,39 @@ let key_thief env loot ctx =
   | Ok data -> Attacker.grab loot ~label:"shadow" data
   | Error _ -> ()
 
+(* The master holds the key from its first kernel entry, the read of
+   the ClientHello, so the payload takes over there. *)
 let test_mono_exploit_discloses_key () =
   let env = mk_env () in
   let loot = Attacker.loot_create () in
-  ignore (fetch env VMono ~path:"/xploit" ~exploit_request:(key_thief env loot) ());
+  let ran = ref false in
+  Sweep.arm ~where:W.Master ~at:1 ran (key_thief env loot) env.Env.app;
+  ignore (fetch env VMono ());
+  check Alcotest.bool "payload ran" true !ran;
   check Alcotest.bool "private key read" true (Attacker.stolen loot ~label:"privkey" <> None);
   check Alcotest.bool "shadow read" true (Attacker.stolen loot ~label:"shadow" <> None)
 
+(* Swept over every kernel entry of each network-facing compartment: the
+   Figure 2 worker, and the Figures 3-5 handshake sthread (the
+   connection's first child) and client handler (its second). *)
 let test_partitioned_exploit_cannot_reach_key variant () =
-  let env = mk_env () in
-  let loot = Attacker.loot_create () in
-  let r =
-    fetch env variant ~path:"/xploit"
-      ~exploit_handshake:(key_thief env loot)
-      ~exploit_request:(key_thief env loot) ()
-  in
-  ignore r;
-  check Alcotest.int "nothing reachable" 0 (Attacker.count loot)
+  let children = match variant with VMitm -> [ 1; 2 ] | VMono | VSimple -> [ 1 ] in
+  List.iter
+    (fun n ->
+      let fired =
+        Sweep.entries (fun at ->
+            let env = mk_env () in
+            let loot = Attacker.loot_create () in
+            let ran = ref false in
+            Sweep.arm ~where:(W.Child n) ~at ran (key_thief env loot) env.Env.app;
+            ignore (fetch env variant ());
+            check Alcotest.int
+              (Printf.sprintf "child %d, entry %d: nothing reachable" n at)
+              0 (Attacker.count loot);
+            !ran)
+      in
+      check Alcotest.bool (Printf.sprintf "child %d: payload ran" n) true (fired > 0))
+    children
 
 (* ---------- attack: session-key influence (§5.1.1) ---------- *)
 
@@ -198,21 +206,24 @@ let test_server_random_not_caller_controlled () =
    exploit leaks it and the attacker decrypts the captured traffic.  On the
    fine-grained partitioning the handshake sthread holds nothing. *)
 
-let mitm_attack variant ~leak_probe =
+(* The payload takes over the network-facing compartment, the
+   connection's first child, at its [at]-th kernel entry. *)
+let mitm_attack variant ~at ~leak_probe =
   let env = mk_env () in
   let mitm = Mitm.create () in
   let loot = Attacker.loot_create () in
+  let ran = ref false in
+  Sweep.arm ~where:(W.Child 1) ~at ran (leak_probe env loot) env.Env.app;
   let response = ref None in
   Fiber.run (fun () ->
       let client_ep, mitm_client = Chan.pair ~costs:Cost_model.free () in
       let mitm_server, server_ep = Chan.pair ~costs:Cost_model.free () in
       Mitm.splice mitm ~client_side:mitm_client ~server_side:mitm_server;
-      Fiber.spawn (fun () ->
-          serve variant env server_ep ~exploit_handshake:(leak_probe env loot));
+      Fiber.spawn (fun () -> serve variant env server_ep);
       let rng = Drbg.create ~seed:9 in
       let r = Client.get ~rng ~pinned:env.Env.priv.Rsa.pub ~path:"/index.html" client_ep in
       response := Some r);
-  (loot, Mitm.captured mitm Mitm.Server_to_client, Option.get !response)
+  (!ran, loot, Mitm.captured mitm Mitm.Server_to_client, Option.get !response)
 
 (* On the simple partition the worker can read the argument buffer where
    setup_session_key returned master+keys; Figure 2's residual weakness. *)
@@ -278,8 +289,13 @@ let find_keys_in_loot loot =
     (Attacker.labels loot);
   !candidates
 
+(* Entry 9: the Figure 2 worker's 8th entry is the setup_session_key
+   callgate that returns the session key into its argument block, so the
+   9th (the read of the client Finished) is the first at which the key
+   is there to leak. *)
 let test_mitm_succeeds_on_simple_partition () =
-  let loot, capture, response = mitm_attack VSimple ~leak_probe:simple_leak in
+  let ran, loot, capture, response = mitm_attack VSimple ~at:9 ~leak_probe:simple_leak in
+  check Alcotest.bool "payload ran" true ran;
   (* The legitimate client completed (the MITM was passive)... *)
   check Alcotest.bool "client completed" true (response.Client.response <> None);
   (* ...but the exploited worker leaked tag memory containing the record
@@ -296,26 +312,35 @@ let test_mitm_succeeds_on_simple_partition () =
          String.length s >= 8 && String.sub s 0 8 = "HTTP/1.0")
        plaintexts)
 
+(* Swept over every kernel entry of the handshake sthread. *)
 let test_mitm_fails_on_fine_partition () =
-  let loot, capture, response = mitm_attack VMitm ~leak_probe:simple_leak in
-  check Alcotest.bool "client completed despite exploit" true (response.Client.response <> None);
-  (match response.Client.response with
-  | Some { Http.status = 200; body } -> check Alcotest.string "body intact" Env.index_body body
-  | _ -> Alcotest.fail "expected 200");
-  (* The handshake sthread could only leak what it can read: no key state
-     anywhere in it. *)
-  let candidates = find_keys_in_loot loot in
-  let plaintexts =
-    List.concat_map (fun ks -> decrypt_capture ~keys_state:ks capture) candidates
+  let fired =
+    Sweep.entries (fun at ->
+        let ran, loot, capture, response = mitm_attack VMitm ~at ~leak_probe:simple_leak in
+        let at_entry what = Printf.sprintf "entry %d: %s" at what in
+        check Alcotest.bool (at_entry "client completed despite exploit") true
+          (response.Client.response <> None);
+        (match response.Client.response with
+        | Some { Http.status = 200; body } ->
+            check Alcotest.string (at_entry "body intact") Env.index_body body
+        | _ -> Alcotest.fail (at_entry "expected 200"));
+        (* The handshake sthread could only leak what it can read: no key
+           state anywhere in it. *)
+        let candidates = find_keys_in_loot loot in
+        let plaintexts =
+          List.concat_map (fun ks -> decrypt_capture ~keys_state:ks capture) candidates
+        in
+        check Alcotest.bool (at_entry "capture not decryptable") true (plaintexts = []);
+        (* And the session-key / finished-state / key tags were all
+           unreadable: the loot only ever contains the argument buffer. *)
+        List.iter
+          (fun label ->
+            check Alcotest.bool (at_entry ("leaked " ^ label ^ " allowed")) true
+              (label = "tag:httpd.arg" || label = "tag:pristine"))
+          (Attacker.labels loot);
+        ran)
   in
-  check Alcotest.bool "capture not decryptable" true (plaintexts = []);
-  (* And the session-key / finished-state / key tags were all unreadable:
-     the loot only ever contains the argument buffer. *)
-  List.iter
-    (fun label ->
-      check Alcotest.bool ("leaked " ^ label ^ " allowed") true
-        (label = "tag:httpd.arg" || label = "tag:pristine"))
-    (Attacker.labels loot)
+  check Alcotest.bool "payload ran" true (fired > 0)
 
 (* Figure 3's rule: the master starts the client handler only after a
    clean handshake exit.  The handshake's nonzero exit is the last status
@@ -338,25 +363,35 @@ let test_handler_not_started_after_bad_handshake () =
   | None -> Alcotest.fail "serve_connection never returned"
 
 let test_client_handler_has_no_network () =
-  (* Exploit in the client handler: it cannot find any usable descriptor —
+  (* Exploit in the client handler, the connection's second child, at
+     each of its kernel entries: it cannot find any usable descriptor —
      its only paths to the network are the SSL callgates. *)
-  let env = mk_env () in
-  let outcome = ref `Untried in
-  ignore
-    (fetch env VMitm ~path:"/xploit"
-       ~exploit_request:(fun ctx ->
-         let probes =
-           List.map
-             (fun fd ->
-               match W.fd_read ctx fd 1 with
-               | _ -> true
-               | exception W.Fd_error _ -> false
-               | exception _ -> false)
-             [ 3; 4; 5; 6 ]
-         in
-         outcome := if List.exists Fun.id probes then `Has_fd else `No_fd)
-       ());
-  check Alcotest.bool "no readable descriptors" true (!outcome = `No_fd)
+  let fired =
+    Sweep.entries (fun at ->
+        let env = mk_env () in
+        let outcome = ref `Untried in
+        let ran = ref false in
+        Sweep.arm ~where:(W.Child 2) ~at ran
+          (fun ctx ->
+            let probes =
+              List.map
+                (fun fd ->
+                  match W.fd_read ctx fd 1 with
+                  | _ -> true
+                  | exception W.Fd_error _ -> false
+                  | exception _ -> false)
+                [ 3; 4; 5; 6 ]
+            in
+            outcome := if List.exists Fun.id probes then `Has_fd else `No_fd)
+          env.Env.app;
+        ignore (fetch env VMitm ());
+        if !ran then
+          check Alcotest.bool
+            (Printf.sprintf "entry %d: no readable descriptors" at)
+            true (!outcome = `No_fd);
+        !ran)
+  in
+  check Alcotest.bool "payload ran" true (fired > 0)
 
 let test_injection_during_data_phase_dropped () =
   let env = mk_env () in
@@ -433,10 +468,11 @@ let test_sess_store_semantics () =
 
 let test_session_cache_tag_unreadable_by_compartments () =
   (* The cached master secrets live in tagged memory granted only to the
-     session callgates: both network-facing sthreads are denied. *)
+     session callgates: both network-facing sthreads are denied.  One
+     resumed connection arms both of them, each at every one of its
+     kernel entries in turn. *)
   let env = mk_env () in
   let r1 = fetch env VMitm ~seed:1 () in
-  let verdict_hs = ref `Untried and verdict_ch = ref `Untried in
   let probe target = fun ctx ->
     let tag = Wedge_httpd.Sess_store.tag env.Env.scache in
     target :=
@@ -444,13 +480,27 @@ let test_session_cache_tag_unreadable_by_compartments () =
       | Ok _ -> `Read
       | Error _ -> `Denied)
   in
-  let r2 =
-    fetch ?resume:r1.Client.session env VMitm ~seed:2 ~path:"/xploit"
-      ~exploit_handshake:(probe verdict_hs) ~exploit_request:(probe verdict_ch) ()
-  in
-  check Alcotest.bool "resumed through the tagged cache" true r2.Client.resumed;
-  check Alcotest.bool "handshake sthread denied" true (!verdict_hs = `Denied);
-  check Alcotest.bool "client handler denied" true (!verdict_ch = `Denied)
+  let hs_fired = ref 0 and ch_fired = ref 0 in
+  ignore
+    (Sweep.entries (fun at ->
+        let verdict_hs = ref `Untried and verdict_ch = ref `Untried in
+        let ran_hs = ref false and ran_ch = ref false in
+        Sweep.arm ~where:(W.Child 1) ~at ran_hs (probe verdict_hs) env.Env.app;
+        Sweep.arm ~where:(W.Child 2) ~at ran_ch (probe verdict_ch) env.Env.app;
+        let r2 = fetch ?resume:r1.Client.session env VMitm ~seed:2 () in
+        let at_entry what = Printf.sprintf "entry %d: %s" at what in
+        check Alcotest.bool (at_entry "resumed through the tagged cache") true r2.Client.resumed;
+        if !ran_hs then begin
+          incr hs_fired;
+          check Alcotest.bool (at_entry "handshake sthread denied") true (!verdict_hs = `Denied)
+        end;
+        if !ran_ch then begin
+          incr ch_fired;
+          check Alcotest.bool (at_entry "client handler denied") true (!verdict_ch = `Denied)
+        end;
+        !ran_hs || !ran_ch));
+  check Alcotest.bool "handshake payload ran" true (!hs_fired > 0);
+  check Alcotest.bool "client handler payload ran" true (!ch_fired > 0)
 
 (* ---------- strict SELinux (extension of §3.1's syscall policies) ---------- *)
 
@@ -469,33 +519,43 @@ let test_strict_selinux_still_serves () =
 
 let test_strict_selinux_denies_offpolicy_syscalls () =
   (* Under the strict policy an exploited worker cannot even create tags or
-     spawn sthreads: the SELinux domain only grants read/write/open/cgate. *)
-  let k = Kernel.create ~costs:Cost_model.free () in
-  let env = Env.install ~image_pages:80 ~strict_selinux:true k in
-  let verdicts = ref [] in
-  Fiber.run (fun () ->
-      let client_ep, server_ep = Chan.pair ~costs:Cost_model.free () in
-      Fiber.spawn (fun () ->
-          ignore
-            (Mitm_httpd.serve_connection
-               ~exploit_handshake:(fun ctx ->
-                 let try_ name f =
-                   verdicts :=
-                     (name, match f () with _ -> `Allowed | exception Wedge_kernel.Kernel.Eperm _ -> `Denied)
-                     :: !verdicts
-                 in
-                 try_ "tag_new" (fun () -> ignore (W.tag_new ctx));
-                 try_ "fork" (fun () -> ignore (W.fork ctx (fun _ -> 0)));
-                 try_ "sthread_create" (fun () ->
-                     ignore (W.sthread_create ctx (W.sc_create ()) (fun _ _ -> 0) 0)))
-               env server_ep));
-      let rng = Drbg.create ~seed:22 in
-      ignore (Client.get ~rng ~pinned:env.Env.priv.Rsa.pub ~path:"/index.html" client_ep));
-  List.iter
-    (fun (name, verdict) ->
-      check Alcotest.bool (name ^ " denied by SELinux") true (verdict = `Denied))
-    !verdicts;
-  check Alcotest.int "three probes ran" 3 (List.length !verdicts)
+     spawn sthreads: the SELinux domain only grants read/write/open/cgate.
+     The handshake sthread is taken over at each of its kernel entries. *)
+  let fired =
+    Sweep.entries (fun at ->
+        let k = Kernel.create ~costs:Cost_model.free () in
+        let env = Env.install ~image_pages:80 ~strict_selinux:true k in
+        let verdicts = ref [] in
+        let ran = ref false in
+        Sweep.arm ~where:(W.Child 1) ~at ran
+          (fun ctx ->
+            let try_ name f =
+              verdicts :=
+                (name, match f () with _ -> `Allowed | exception Wedge_kernel.Kernel.Eperm _ -> `Denied)
+                :: !verdicts
+            in
+            try_ "tag_new" (fun () -> ignore (W.tag_new ctx));
+            try_ "fork" (fun () -> ignore (W.fork ctx (fun _ -> 0)));
+            try_ "sthread_create" (fun () ->
+                ignore (W.sthread_create ctx (W.sc_create ()) (fun _ _ -> 0) 0)))
+          env.Env.app;
+        Fiber.run (fun () ->
+            let client_ep, server_ep = Chan.pair ~costs:Cost_model.free () in
+            Fiber.spawn (fun () -> ignore (Mitm_httpd.serve_connection env server_ep));
+            let rng = Drbg.create ~seed:22 in
+            ignore (Client.get ~rng ~pinned:env.Env.priv.Rsa.pub ~path:"/index.html" client_ep));
+        List.iter
+          (fun (name, verdict) ->
+            check Alcotest.bool
+              (Printf.sprintf "entry %d: %s denied by SELinux" at name)
+              true (verdict = `Denied))
+          !verdicts;
+        if !ran then
+          check Alcotest.int (Printf.sprintf "entry %d: three probes ran" at) 3
+            (List.length !verdicts);
+        !ran)
+  in
+  check Alcotest.bool "payload ran" true (fired > 0)
 
 (* ---------- client-sized fields against fixed blocks ---------- *)
 

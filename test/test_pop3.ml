@@ -32,15 +32,17 @@ let mk_env () =
 
 type server = Mono | Wedge
 
-let with_session ?exploit server client_script =
-  let _, _, main = mk_env () in
+(* [arm] runs on the fresh app before the session, to arm a takeover. *)
+let with_session ?(arm = ignore) server client_script =
+  let _, app, main = mk_env () in
+  arm app;
   let result = ref None in
   Fiber.run (fun () ->
       let client_ep, server_ep = Chan.pair ~costs:Cost_model.free () in
       Fiber.spawn (fun () ->
           match server with
-          | Mono -> Pop3_mono.serve_connection ?exploit main server_ep
-          | Wedge -> ignore (Pop3_wedge.serve_connection ?exploit main server_ep));
+          | Mono -> Pop3_mono.serve_connection main server_ep
+          | Wedge -> ignore (Pop3_wedge.serve_connection main server_ep));
       let c = Pop3_client.connect client_ep in
       result := Some (client_script c);
       Pop3_client.quit c;
@@ -234,63 +236,85 @@ let payload loot ctx =
   | Ok data -> Attacker.grab loot ~label:"bob-mail" data
   | Error _ -> ()
 
+(* The master holds every privilege from its first kernel entry, the
+   greeting write, so the payload takes over there. *)
 let test_mono_exploit_loses_everything () =
   let loot = Attacker.loot_create () in
+  let ran = ref false in
   ignore
-    (with_session Mono ~exploit:(payload loot) (fun c ->
-         Pop3_client.xploit c;
-         ()));
+    (with_session Mono ~arm:(Sweep.arm ~where:W.Master ~at:1 ran (payload loot)) (fun _ -> ()));
+  check Alcotest.bool "payload ran" true !ran;
   check Alcotest.bool "passwd stolen" true (Attacker.stolen loot ~label:"passwd" <> None);
   check Alcotest.bool "bob's mail stolen" true (Attacker.stolen loot ~label:"bob-mail" <> None)
 
+(* The client handler is the connection's first child; each blocked
+   claim below is swept over every one of its kernel entries. *)
 let test_wedge_exploit_contained () =
-  let loot = Attacker.loot_create () in
-  ignore
-    (with_session Wedge ~exploit:(payload loot) (fun c ->
-         Pop3_client.xploit c;
-         ()));
-  check Alcotest.int "nothing stolen" 0 (Attacker.count loot)
+  let fired =
+    Sweep.entries (fun at ->
+        let loot = Attacker.loot_create () in
+        let ran = ref false in
+        ignore
+          (with_session Wedge
+             ~arm:(Sweep.arm ~where:(W.Child 1) ~at ran (payload loot))
+             functional_script);
+        check Alcotest.int (Printf.sprintf "entry %d: nothing stolen" at) 0 (Attacker.count loot);
+        !ran)
+  in
+  check Alcotest.bool "payload ran" true (fired > 0)
 
 let test_wedge_exploit_cannot_read_uid_or_escalate () =
   (* The uid tag is the first tag allocated for the connection, so its
      segment starts at the base of the tag region; the exploited worker
      attempts to read it directly. *)
-  let _, _, main = mk_env () in
-  let stolen_uid = ref `Untried in
-  Fiber.run (fun () ->
-      let client_ep, server_ep = Chan.pair ~costs:Cost_model.free () in
-      Fiber.spawn (fun () ->
-          ignore
-            (Pop3_wedge.serve_connection
-               ~exploit:(fun ctx ->
-                 (* The worker knows tag addresses are in the tag region;
-                    attempt to read the uid block region directly. *)
-                 let base = Wedge_kernel.Layout.tag_base in
-                 (match Attacker.try_read ctx ~addr:base ~len:8 with
-                 | Ok _ -> stolen_uid := `Read
-                 | Error _ -> stolen_uid := `Denied);
-                 (* Attempt privilege escalation: spawn a child with a
-                    write grant on a tag we don't hold. *)
-                 ())
-               main server_ep));
-      let c = Pop3_client.connect client_ep in
-      Pop3_client.xploit c;
-      Pop3_client.quit c;
-      Chan.close client_ep);
-  check Alcotest.bool "uid tag unreadable from worker" true (!stolen_uid = `Denied)
+  let fired =
+    Sweep.entries (fun at ->
+        let stolen_uid = ref `Untried and target = ref None in
+        let ran = ref false in
+        ignore
+          (with_session Wedge
+             ~arm:
+               (Sweep.arm ~where:(W.Child 1) ~at ran (fun ctx ->
+                    (* The worker knows tag addresses are in the tag
+                       region; attempt to read the uid block region
+                       directly. *)
+                    let base = Wedge_kernel.Layout.tag_base in
+                    target :=
+                      Option.map
+                        (fun (t : Wedge_mem.Tag.t) -> t.Wedge_mem.Tag.name)
+                        (W.find_tag_by_addr (W.app_of ctx) base);
+                    match Attacker.try_read ctx ~addr:base ~len:8 with
+                    | Ok _ -> stolen_uid := `Read
+                    | Error _ -> stolen_uid := `Denied))
+             functional_script);
+        if !ran then begin
+          check (Alcotest.option Alcotest.string)
+            (Printf.sprintf "entry %d: the probed address is the uid tag" at)
+            (Some "pop3.uid") !target;
+          check Alcotest.bool
+            (Printf.sprintf "entry %d: uid tag unreadable from worker" at)
+            true (!stolen_uid = `Denied)
+        end;
+        !ran)
+  in
+  check Alcotest.bool "payload ran" true (fired > 0)
 
 let test_wedge_auth_not_bypassable_after_exploit () =
   (* Even with attacker code running in the worker, RETR before login still
      fails: the mailbox gate trusts only the uid tag, which the worker
      cannot write. *)
-  let mail =
-    with_session Wedge
-      ~exploit:(fun _ctx -> ())
-      (fun c ->
-        Pop3_client.xploit c;
-        Pop3_client.retr c 1)
+  let fired =
+    Sweep.entries (fun at ->
+        let ran = ref false in
+        let mail =
+          with_session Wedge
+            ~arm:(Sweep.arm ~where:(W.Child 1) ~at ran (fun _ctx -> ()))
+            (fun c -> Pop3_client.retr c 1)
+        in
+        check Alcotest.bool (Printf.sprintf "entry %d: still unauthenticated" at) true (mail = None);
+        !ran)
   in
-  check Alcotest.bool "still unauthenticated" true (mail = None)
+  check Alcotest.bool "payload ran" true (fired > 0)
 
 let test_wedge_sessions_isolated () =
   (* Two sequential connections: the second starts unauthenticated and the

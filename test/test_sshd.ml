@@ -38,15 +38,15 @@ type variant = VMono | VPrivsep | VWedge
 
 let vname = function VMono -> "mono" | VPrivsep -> "privsep" | VWedge -> "wedge"
 
-let with_conn ?exploit_w ?exploit_p env variant f =
+let with_conn env variant f =
   let result = ref None in
   Fiber.run (fun () ->
       let client_ep, server_ep = Chan.pair ~costs:Cost_model.free () in
       Fiber.spawn (fun () ->
           match variant with
-          | VMono -> Mono.serve_connection ?exploit:exploit_w env server_ep
-          | VPrivsep -> ignore (Privsep.serve_connection ?exploit:exploit_p env server_ep)
-          | VWedge -> ignore (Wedge_d.serve_connection ?exploit:exploit_w env server_ep));
+          | VMono -> Mono.serve_connection env server_ep
+          | VPrivsep -> ignore (Privsep.serve_connection env server_ep)
+          | VWedge -> ignore (Wedge_d.serve_connection env server_ep));
       let rng = Drbg.create ~seed:0xC0 in
       match
         Client.start ~rng ~pinned_rsa:env.Env.host_rsa.Rsa.pub
@@ -215,79 +215,106 @@ let test_skey_chain_math () =
 
 (* ---------- attacks ---------- *)
 
+(* The master holds the host keys and root's filesystem from its first
+   kernel entry, the version banner, so the payload takes over there. *)
 let test_mono_exploit_gets_hostkey_and_shadow () =
   let env = mk_env () in
   let loot = Attacker.loot_create () in
-  ignore
-    (with_conn env VMono
-       ~exploit_w:(fun ctx ->
-         (match Attacker.try_read ctx ~addr:env.Env.rsa_addr ~len:32 with
-         | Ok d -> Attacker.grab loot ~label:"hostkey" d
-         | Error _ -> ());
-         match W.vfs_read ctx Env.shadow_path with
-         | Ok d -> Attacker.grab loot ~label:"shadow" d
-         | Error _ -> ())
-       (fun c -> Client.exec c "xploit"));
+  let ran = ref false in
+  Sweep.arm ~where:W.Master ~at:1 ran
+    (fun ctx ->
+      (match Attacker.try_read ctx ~addr:env.Env.rsa_addr ~len:32 with
+      | Ok d -> Attacker.grab loot ~label:"hostkey" d
+      | Error _ -> ());
+      match W.vfs_read ctx Env.shadow_path with
+      | Ok d -> Attacker.grab loot ~label:"shadow" d
+      | Error _ -> ())
+    env.Env.app;
+  ignore (with_conn env VMono (fun c -> Client.exec c "shell"));
+  check Alcotest.bool "payload ran" true !ran;
   check Alcotest.bool "hostkey read" true (Attacker.stolen loot ~label:"hostkey" <> None);
   check Alcotest.bool "shadow read" true (Attacker.stolen loot ~label:"shadow" <> None)
 
+(* The Figure 6 worker is the connection's first child; each blocked
+   claim below is swept over every one of its kernel entries. *)
 let test_wedge_exploit_contained () =
-  let env = mk_env () in
-  let loot = Attacker.loot_create () in
-  ignore
-    (with_conn env VWedge
-       ~exploit_w:(fun ctx ->
-         (match Attacker.try_read ctx ~addr:env.Env.rsa_addr ~len:32 with
-         | Ok d -> Attacker.grab loot ~label:"hostkey" d
-         | Error _ -> ());
-         (match W.vfs_read ctx Env.shadow_path with
-         | Ok d -> Attacker.grab loot ~label:"shadow" d
-         | Error _ -> ());
-         match W.vfs_read ctx Env.skey_path with
-         | Ok d -> Attacker.grab loot ~label:"skey" d
-         | Error _ -> ())
-       (fun c -> Client.exec c "xploit"));
-  check Alcotest.int "nothing reachable" 0 (Attacker.count loot)
+  let fired =
+    Sweep.entries (fun at ->
+        let env = mk_env () in
+        let loot = Attacker.loot_create () in
+        let ran = ref false in
+        Sweep.arm ~where:(W.Child 1) ~at ran
+          (fun ctx ->
+            (match Attacker.try_read ctx ~addr:env.Env.rsa_addr ~len:32 with
+            | Ok d -> Attacker.grab loot ~label:"hostkey" d
+            | Error _ -> ());
+            (match W.vfs_read ctx Env.shadow_path with
+            | Ok d -> Attacker.grab loot ~label:"shadow" d
+            | Error _ -> ());
+            match W.vfs_read ctx Env.skey_path with
+            | Ok d -> Attacker.grab loot ~label:"skey" d
+            | Error _ -> ())
+          env.Env.app;
+        ignore (with_conn env VWedge (fun c -> Client.exec c "shell"));
+        check Alcotest.int (Printf.sprintf "entry %d: nothing reachable" at) 0 (Attacker.count loot);
+        !ran)
+  in
+  check Alcotest.bool "payload ran" true (fired > 0)
 
 let test_wedge_exploit_cannot_selfpromote () =
   (* The worker cannot change its own uid: only the auth gates can, and
-     only on success.  Every exploit run records the worker's uid; the
-     last one runs after the session's final command. *)
-  let env = mk_env () in
-  let outcome = ref `Untried in
-  let uids = ref [] in
-  Fiber.run (fun () ->
-      let client_ep, server_ep = Chan.pair ~costs:Cost_model.free () in
-      Fiber.spawn (fun () ->
-          ignore
-            (Wedge_d.serve_connection
-               ~exploit:(fun ctx ->
-                 (match W.set_identity ctx ~target_pid:(W.pid ctx) ~uid:0 () with
-                 | () -> outcome := `Promoted
-                 | exception W.Privilege_violation _ -> outcome := `Denied
-                 | exception Kernel.Eperm _ -> outcome := `Denied);
-                 uids := W.getuid ctx :: !uids)
-               env server_ep));
-      let rng = Drbg.create ~seed:0xC1 in
-      (match
-         Client.start ~rng ~pinned_rsa:env.Env.host_rsa.Rsa.pub
-           ~pinned_dsa:env.Env.host_dsa.Wedge_crypto.Dsa.pub client_ep
-       with
-      | Ok conn ->
-          ignore (Client.exec conn "xploit");
-          (* still unauthenticated afterwards *)
-          let reply = Client.exec conn "shell" in
-          check (Alcotest.option Alcotest.string) "still locked out"
-            (Some "permission denied") reply;
-          ignore (Client.exec conn "xploit");
-          Client.close conn
-      | Error e -> Alcotest.fail e));
-  check Alcotest.bool "self-promotion denied" true (!outcome = `Denied);
-  match !uids with
-  | last :: _ -> check Alcotest.int "worker ended unprivileged" 99 last
-  | [] -> Alcotest.fail "exploit never ran"
+     only on success.  Each run takes the worker over at one of its
+     kernel entries and records its uid after the attempt. *)
+  let fired =
+    Sweep.entries (fun at ->
+        let env = mk_env () in
+        let outcome = ref `Untried in
+        let uids = ref [] in
+        let ran = ref false in
+        Sweep.arm ~where:(W.Child 1) ~at ran
+          (fun ctx ->
+            (match W.set_identity ctx ~target_pid:(W.pid ctx) ~uid:0 () with
+            | () -> outcome := `Promoted
+            | exception W.Privilege_violation _ -> outcome := `Denied
+            | exception Kernel.Eperm _ -> outcome := `Denied);
+            uids := W.getuid ctx :: !uids)
+          env.Env.app;
+        Fiber.run (fun () ->
+            let client_ep, server_ep = Chan.pair ~costs:Cost_model.free () in
+            Fiber.spawn (fun () -> ignore (Wedge_d.serve_connection env server_ep));
+            let rng = Drbg.create ~seed:0xC1 in
+            match
+              Client.start ~rng ~pinned_rsa:env.Env.host_rsa.Rsa.pub
+                ~pinned_dsa:env.Env.host_dsa.Wedge_crypto.Dsa.pub client_ep
+            with
+            | Ok conn ->
+                ignore (Client.exec conn "shell");
+                (* still unauthenticated afterwards *)
+                let reply = Client.exec conn "shell" in
+                check (Alcotest.option Alcotest.string)
+                  (Printf.sprintf "entry %d: still locked out" at)
+                  (Some "permission denied") reply;
+                ignore (Client.exec conn "shell");
+                Client.close conn
+            | Error e -> Alcotest.fail e);
+        if !ran then begin
+          check Alcotest.bool (Printf.sprintf "entry %d: self-promotion denied" at) true
+            (!outcome = `Denied);
+          match !uids with
+          | last :: _ ->
+              check Alcotest.int (Printf.sprintf "entry %d: worker ended unprivileged" at) 99 last
+          | [] -> Alcotest.fail "exploit never ran"
+        end;
+        !ran)
+  in
+  check Alcotest.bool "payload ran" true (fired > 0)
 
 (* ---------- lesson 1: username probing ---------- *)
+
+(* Entry 3 of the forked slave: its 1st is its own setuid and its 2nd
+   its version banner, so the 3rd, its first read of client input, is
+   the earliest point a network exploit takes it over. *)
+let privsep_slave_entry = 3
 
 let test_privsep_username_oracle () =
   (* An exploited privsep slave asks the monitor's getpwnam at will: the
@@ -295,14 +322,17 @@ let test_privsep_username_oracle () =
      OpenSSH 4.7 behaviour). *)
   let env = mk_env () in
   let verdicts = ref [] in
-  ignore
-    (with_conn env VPrivsep
-       ~exploit_p:(fun _ctx monitor ->
-         verdicts :=
-           List.map
-             (fun u -> (u, monitor.Privsep.m_getpw u <> None))
-             [ "alice"; "bob"; "mallory"; "eve" ])
-       (fun c -> Client.exec c "xploit"));
+  let ran = ref false in
+  Sweep.arm ~where:(W.Child 1) ~at:privsep_slave_entry ran
+    (fun _ctx ->
+      let monitor = Privsep.monitor env in
+      verdicts :=
+        List.map
+          (fun u -> (u, monitor.Privsep.m_getpw u <> None))
+          [ "alice"; "bob"; "mallory"; "eve" ])
+    env.Env.app;
+  ignore (with_conn env VPrivsep (fun c -> Client.exec c "shell"));
+  check Alcotest.bool "payload ran" true !ran;
   check
     (Alcotest.list (Alcotest.pair Alcotest.string Alcotest.bool))
     "existence leaked"
@@ -366,23 +396,32 @@ let test_privsep_pam_scratch_inherited () =
   (* Connection 2: the slave forked for it inherits that heap; an exploit
      finds alice's cleartext password. *)
   let stolen = ref false in
-  ignore
-    (with_conn env VPrivsep
-       ~exploit_p:(fun ctx _monitor -> stolen := heap_hunt ctx "wonderland")
-       (fun c -> Client.exec c "xploit"));
+  let ran = ref false in
+  Sweep.arm ~where:(W.Child 1) ~at:privsep_slave_entry ran
+    (fun ctx -> stolen := heap_hunt ctx "wonderland")
+    env.Env.app;
+  ignore (with_conn env VPrivsep (fun c -> Client.exec c "shell"));
+  check Alcotest.bool "payload ran" true !ran;
   check Alcotest.bool "previous user's password recovered from heap" true !stolen
 
 let test_wedge_pam_scratch_unreachable () =
-  let env = mk_env () in
-  ignore
-    (with_conn env VWedge (fun c ->
-         Client.authenticate c ~user:"alice" (Client.Password "wonderland")));
-  let stolen = ref false in
-  ignore
-    (with_conn env VWedge
-       ~exploit_w:(fun ctx -> stolen := heap_hunt ctx "wonderland")
-       (fun c -> Client.exec c "xploit"));
-  check Alcotest.bool "no password remnant reachable" false !stolen
+  let fired =
+    Sweep.entries (fun at ->
+        let env = mk_env () in
+        ignore
+          (with_conn env VWedge (fun c ->
+               Client.authenticate c ~user:"alice" (Client.Password "wonderland")));
+        let stolen = ref false in
+        let ran = ref false in
+        Sweep.arm ~where:(W.Child 1) ~at ran
+          (fun ctx -> stolen := heap_hunt ctx "wonderland")
+          env.Env.app;
+        ignore (with_conn env VWedge (fun c -> Client.exec c "shell"));
+        check Alcotest.bool (Printf.sprintf "entry %d: no password remnant reachable" at) false
+          !stolen;
+        !ran)
+  in
+  check Alcotest.bool "payload ran" true (fired > 0)
 
 (* ---------- property tests ---------- *)
 
