@@ -1281,8 +1281,13 @@ let write_bytes ctx addr b =
   on_access ctx addr (Bytes.length b) Instr.Write;
   Vm.write_bytes ctx.proc.Process.vm addr b
 
-let read_string ctx addr len = Bytes.to_string (read_bytes ctx addr len)
-let write_string ctx addr s = write_bytes ctx addr (Bytes.of_string s)
+(* One host copy per simulated copy.  [Vm.read_bytes] returns a fresh
+   buffer that nothing else holds, so it becomes the string as is; and
+   [Vm.write_bytes] only blits from its source, never keeping or
+   mutating it, so the caller's string is passed without a copy.  An
+   armed memory-event recorder takes its own [Bytes.copy] either way. *)
+let read_string ctx addr len = Bytes.unsafe_to_string (read_bytes ctx addr len)
+let write_string ctx addr s = write_bytes ctx addr (Bytes.unsafe_of_string s)
 
 let can_read ctx ~addr ~len = Vm.can_read ctx.proc.Process.vm ~addr ~len
 let can_write ctx ~addr ~len = Vm.can_write ctx.proc.Process.vm ~addr ~len

@@ -19,7 +19,7 @@ type ctx = {
   block : bytes;  (* pending partial block *)
   mutable fill : int;  (* bytes pending in [block] *)
   mutable total : int;  (* bytes processed *)
-  w : int array;  (* message schedule *)
+  w : int array;  (* message schedule: the last 16 words, rolling *)
 }
 
 (* Back to the initial hash value, so one context can hash one message
@@ -38,7 +38,7 @@ let reset t =
   t.total <- 0
 
 let init () =
-  let t = { h = Array.make 8 0; block = Bytes.create 64; fill = 0; total = 0; w = Array.make 64 0 } in
+  let t = { h = Array.make 8 0; block = Bytes.create 64; fill = 0; total = 0; w = Array.make 16 0 } in
   reset t;
   t
 
@@ -53,17 +53,20 @@ let compress t (block : bytes) off =
       lor (Char.code (Bytes.get block (off + (4 * i) + 2)) lsl 8)
       lor Char.code (Bytes.get block (off + (4 * i) + 3))
   done;
-  for i = 16 to 63 do
-    let s0 = rotr w.(i - 15) 7 lxor rotr w.(i - 15) 18 lxor (w.(i - 15) lsr 3) in
-    let s1 = rotr w.(i - 2) 17 lxor rotr w.(i - 2) 19 lxor (w.(i - 2) lsr 10) in
-    w.(i) <- (w.(i - 16) + s0 + w.(i - 7) + s1) land m32
-  done;
   let a = ref h.(0) and b = ref h.(1) and c = ref h.(2) and d = ref h.(3) in
   let e = ref h.(4) and f = ref h.(5) and g = ref h.(6) and hh = ref h.(7) in
   for i = 0 to 63 do
+    (* Word i of the schedule takes the slot of word i - 16, which only
+       word i still reads; every index is taken mod 16. *)
+    if i >= 16 then begin
+      let w15 = w.((i - 15) land 15) and w2 = w.((i - 2) land 15) in
+      let s0 = rotr w15 7 lxor rotr w15 18 lxor (w15 lsr 3) in
+      let s1 = rotr w2 17 lxor rotr w2 19 lxor (w2 lsr 10) in
+      w.(i land 15) <- (w.(i land 15) + s0 + w.((i - 7) land 15) + s1) land m32
+    end;
     let s1 = rotr !e 6 lxor rotr !e 11 lxor rotr !e 25 in
     let ch = (!e land !f) lxor (lnot !e land !g) land m32 in
-    let t1 = (!hh + s1 + ch + k.(i) + w.(i)) land m32 in
+    let t1 = (!hh + s1 + ch + k.(i) + w.(i land 15)) land m32 in
     let s0 = rotr !a 2 lxor rotr !a 13 lxor rotr !a 22 in
     let maj = (!a land !b) lxor (!a land !c) lxor (!b land !c) in
     let t2 = (s0 + maj) land m32 in

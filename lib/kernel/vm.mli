@@ -222,12 +222,15 @@ val read_bytes : t -> int -> int -> bytes
 (** Bulk read.  Negative or absurd lengths (> 64 MiB, beyond any simulated
     region) fault immediately — so attacker-fabricated length fields hit
     the MMU, not the host allocator.  Translates once per page crossed,
-    not once per byte. *)
+    not once per byte.  The result is a fresh buffer that nothing else
+    holds ([Engine.read_string] hands it out as a string). *)
 
 val write_bytes : t -> int -> bytes -> unit
 (** Bulk write; atomic across pages: every page is translated (and any
     COW break taken) before the first byte lands, so a fault on a later
-    page never leaves a partial write on an earlier one. *)
+    page never leaves a partial write on an earlier one.  The source is
+    only read: it is neither kept nor mutated ([Engine.write_string]
+    passes a string's bytes without copying them). *)
 
 val read_u16 : t -> int -> int
 val write_u16 : t -> int -> int -> unit

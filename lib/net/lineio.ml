@@ -4,7 +4,9 @@
    line advances [rpos] instead of copying the whole remainder (the old
    Buffer-based version re-copied every buffered byte per line, O(n²)
    over a pipelined session).  [scanned] remembers how far newline
-   scanning has progressed so repeated refills never rescan bytes.
+   scanning has progressed so repeated refills never rescan bytes.  A
+   line is copied out once; an exact read fills its own result, so a body
+   is copied once on its way out and never grows the buffer.
 
    Lines are capped at [max_line] bytes: one hostile client dribbling an
    endless header must not balloon this buffer without bound.  Overflow
@@ -90,16 +92,23 @@ let find_newline t =
   in
   go (max t.rpos t.scanned)
 
-let consume t n =
-  let s = Bytes.sub_string t.data t.rpos n in
+(* Advance the read cursor past [n] buffered bytes. *)
+let drop t n =
   t.rpos <- t.rpos + n;
   if t.rpos = t.wpos then begin
     t.rpos <- 0;
     t.wpos <- 0;
     t.scanned <- 0
   end
-  else if t.scanned < t.rpos then t.scanned <- t.rpos;
-  s
+  else if t.scanned < t.rpos then t.scanned <- t.rpos
+
+(* The next [len] buffered bytes as a line, less one trailing '\r',
+   copied once; then [skip] more bytes (the '\n', if any) are dropped. *)
+let take_line t len skip =
+  let keep = if len > 0 && Bytes.get t.data (t.rpos + len - 1) = '\r' then len - 1 else len in
+  let line = Bytes.sub_string t.data t.rpos keep in
+  drop t (len + skip);
+  line
 
 (* A line past [max_line] poisons the stream: the buffered bytes are
    dropped and the connection is treated as at EOF — the server layer
@@ -123,33 +132,17 @@ let read_line t =
             poison t;
             None
           end
-          else begin
-            let line = consume t (len + 1) in
-            let line = String.sub line 0 len in
-            let line =
-              if String.length line > 0 && line.[String.length line - 1] = '\r' then
-                String.sub line 0 (String.length line - 1)
-              else line
-            in
-            Some line
-          end
+          else Some (take_line t len 1)
       | None ->
           if available t > t.max_line then begin
             poison t;
             None
           end
           else if t.eof then
-            if available t = 0 then None
-            else begin
-              (* Final unterminated line: strip a trailing '\r' exactly
-                 like the newline path, so "QUIT\r" without a final '\n'
-                 parses as "QUIT", not as an unknown command. *)
-              let line = consume t (available t) in
-              let n = String.length line in
-              if n > 0 && line.[n - 1] = '\r' then
-                Some (String.sub line 0 (n - 1))
-              else Some line
-            end
+            (* Final unterminated line: a trailing '\r' is stripped exactly
+               like on the newline path, so "QUIT\r" without a final '\n'
+               parses as "QUIT", not as an unknown command. *)
+            if available t = 0 then None else Some (take_line t (available t) 0)
           else begin
             refill t;
             go ()
@@ -157,18 +150,37 @@ let read_line t =
     in
     go ()
 
+(* One n-byte result, filled in place: the buffered bytes first, then
+   [recv] asked for exactly what is still missing, so a body never
+   passes through the line buffer. *)
 let read_exact t n =
-  if t.overflow then None
-  else
-    let rec go () =
-      if available t >= n then Some (Bytes.of_string (consume t n))
+  if t.overflow || n < 0 || n > t.max_line then None
+  else begin
+    let out = Bytes.create n in
+    let have = min n (available t) in
+    Bytes.blit t.data t.rpos out 0 have;
+    drop t have;
+    let rec fill filled =
+      if filled = n then Some out
       else if t.eof then None
       else begin
-        refill t;
-        go ()
+        let chunk = t.recv (n - filled) in
+        let len = Bytes.length chunk in
+        if len = 0 then begin
+          t.eof <- true;
+          None
+        end
+        else begin
+          Bytes.blit chunk 0 out filled len;
+          fill (filled + len)
+        end
       end
     in
-    go ()
+    fill have
+  end
 
 let write t b = t.send b
-let write_line t s = t.send (Bytes.of_string (s ^ "\r\n"))
+
+(* The concatenation is fresh and held by no one else: handing it over
+   as bytes copies nothing more. *)
+let write_line t s = t.send (Bytes.unsafe_of_string (s ^ "\r\n"))

@@ -26,6 +26,14 @@ val read_line : t -> string option
     unterminated line is returned as-is. *)
 
 val read_exact : t -> int -> bytes option
+(** The next [n] bytes, in a fresh buffer the caller owns: the bytes
+    already buffered first, then [recv] asked for exactly what is still
+    missing, so the line buffer never grows to hold a body.  Buffered
+    bytes past [n] stay for the next {!read_line}.  [None] at EOF before
+    [n] bytes (what arrived of them is dropped), once the stream
+    overflowed, and for an [n] below zero or past [max_line], which is
+    refused before anything is allocated. *)
+
 val write : t -> bytes -> unit
 val write_line : t -> string -> unit
 (** Appends CRLF. *)

@@ -60,12 +60,14 @@ let retr t n =
       | octets :: _ -> (
           match int_of_string_opt octets with
           | Some len -> (
+              (* A length below zero or past the line cap is refused. *)
               match Lineio.read_exact t.io len with
               | Some body ->
                   (* consume the "\r\n.\r\n" terminator *)
                   ignore (Lineio.read_line t.io);
                   ignore (Lineio.read_line t.io);
-                  Some (Bytes.to_string body)
+                  (* [read_exact]'s buffer is fresh and held by no one else. *)
+                  Some (Bytes.unsafe_to_string body)
               | None -> None)
           | None -> None)
       | [] -> None)

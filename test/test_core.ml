@@ -774,6 +774,14 @@ let host_words () =
   let _, promoted, major = Gc.counters () in
   Gc.minor_words () +. (major -. promoted)
 
+(* Host words [f] allocates on its second run, after the first has grown
+   whatever tables it warms. *)
+let cost f =
+  f ();
+  let w0 = host_words () in
+  f ();
+  host_words () -. w0
+
 (* Building and booting an image costs host memory for its page tables
    and snapshot records, not for its pages: a frame gets host bytes on
    its first write, and boot writes none of the image.  The build's
@@ -822,12 +830,6 @@ let test_compartment_footprint () =
   let under what bound words =
     if words >= bound then over := Printf.sprintf "%s: %.2f (bound %.0f)" what words bound :: !over
   in
-  let cost f =
-    f ();
-    let w0 = host_words () in
-    f ();
-    host_words () -. w0
-  in
   Fiber.run ~clock:k.Kernel.clock (fun () ->
       let pool = W.Pool.freeze ~name:"w" main (W.sc_create ()) in
       let gate =
@@ -861,6 +863,30 @@ let test_compartment_footprint () =
     /. 1_000.
   in
   under "warm Engine.enter, unarmed, per call" 1. per_enter;
+  if !over <> [] then Alcotest.failf "host words over bound: %s" (String.concat "; " (List.rev !over))
+
+(* One host copy per simulated copy.  An 8 KiB [read_string] allocates
+   its result, which is the MMU read's own buffer, and a few words; an
+   8 KiB [write_string] hands the caller's string to the MMU and
+   allocates a few words.  Each once paid one more 8 KiB copy (1,026
+   words, header included): ~2,060 and ~1,040 words before. *)
+let test_string_accessors_one_copy () =
+  let _, app, main = mk_app ~costs:Cost_model.default () in
+  let tag = W.tag_new ~pages:4 main in
+  let len = 8192 in
+  let addr = W.smalloc main len tag in
+  let s = String.init len (fun i -> Char.chr (i land 0xff)) in
+  W.boot app;
+  let copy = float ((len / 8) + 2) in
+  let write_w = cost (fun () -> W.write_string main addr s) in
+  let read_w = cost (fun () -> ignore (Sys.opaque_identity (W.read_string main addr len))) in
+  check Alcotest.string "round trip" s (W.read_string main addr len);
+  let over = ref [] in
+  let under what bound words =
+    if words > bound then over := Printf.sprintf "%s: %.0f (bound %.0f)" what words bound :: !over
+  in
+  under "write_string, 8 KiB" 64. write_w;
+  under "read_string, 8 KiB" (copy +. 64.) read_w;
   if !over <> [] then Alcotest.failf "host words over bound: %s" (String.concat "; " (List.rev !over))
 
 let () =
@@ -937,5 +963,6 @@ let () =
         [
           Alcotest.test_case "image boot is demand-zero" `Quick test_image_boot_demand_zero;
           Alcotest.test_case "a compartment costs what it maps" `Quick test_compartment_footprint;
+          Alcotest.test_case "string accessors copy once" `Quick test_string_accessors_one_copy;
         ] );
     ]

@@ -144,16 +144,24 @@ let prop_read_through_capacity_watermark =
 
 (* ---------- lineio ---------- *)
 
-let mk_lineio input =
-  let pos = ref 0 in
+(* A Lineio over [input], delivered at most [chunk] bytes per [recv],
+   each copied out of [input] as a channel copies out of its buffer;
+   with the sent bytes and a count of [recv] calls. *)
+let dribble ?max_line ?(chunk = max_int) input =
+  let pos = ref 0 and calls = ref 0 in
   let recv n =
-    let len = min n (String.length input - !pos) in
-    let b = Bytes.of_string (String.sub input !pos len) in
+    incr calls;
+    let len = min (min n chunk) (String.length input - !pos) in
+    let b = Bytes.sub (Bytes.unsafe_of_string input) !pos len in
     pos := !pos + len;
     b
   in
   let out = Buffer.create 32 in
-  (Lineio.create ~recv ~send:(Buffer.add_bytes out) (), out)
+  (Lineio.create ?max_line ~recv ~send:(Buffer.add_bytes out) (), out, calls)
+
+let mk_lineio input =
+  let io, out, _ = dribble input in
+  (io, out)
 
 let test_lineio_lines () =
   let io, _ = mk_lineio "one\r\ntwo\nthree" in
@@ -192,6 +200,86 @@ let test_lineio_write_line () =
   let io, out = mk_lineio "" in
   Lineio.write_line io "hello";
   check Alcotest.string "crlf appended" "hello\r\n" (Buffer.contents out)
+
+let exact io n = Option.map Bytes.to_string (Lineio.read_exact io n)
+
+let test_lineio_read_exact_one_byte_chunks () =
+  let body = String.init 300 (fun i -> Char.chr (32 + (i mod 90))) in
+  let io, _, calls = dribble ~chunk:1 ("+OK\r\n" ^ body ^ ".\r\n") in
+  check (Alcotest.option Alcotest.string) "status" (Some "+OK") (Lineio.read_line io);
+  let before = !calls in
+  check (Alcotest.option Alcotest.string) "body" (Some body) (exact io 300);
+  check Alcotest.int "one recv per byte, none past the body" 300 (!calls - before);
+  check (Alcotest.option Alcotest.string) "next line" (Some ".") (Lineio.read_line io)
+
+let test_lineio_read_exact_leaves_next_line () =
+  let io, _, calls = dribble "+OK 5 octets\r\nhello\r\n.\r\n+OK bye\r\n" in
+  check (Alcotest.option Alcotest.string) "status" (Some "+OK 5 octets") (Lineio.read_line io);
+  check (Alcotest.option Alcotest.string) "body" (Some "hello") (exact io 5);
+  check (Alcotest.option Alcotest.string) "terminator" (Some "") (Lineio.read_line io);
+  check (Alcotest.option Alcotest.string) "dot" (Some ".") (Lineio.read_line io);
+  check (Alcotest.option Alcotest.string) "next reply" (Some "+OK bye") (Lineio.read_line io);
+  check Alcotest.int "everything arrived in one recv" 1 !calls
+
+let test_lineio_read_exact_eof_and_edges () =
+  let io, _, _ = dribble ~chunk:3 "HDR\r\nshort" in
+  ignore (Lineio.read_line io);
+  check (Alcotest.option Alcotest.string) "n = 0" (Some "") (exact io 0);
+  check (Alcotest.option Alcotest.string) "EOF partway" None (exact io 9);
+  check (Alcotest.option Alcotest.string) "n = 0 at EOF" (Some "") (exact io 0);
+  check (Alcotest.option Alcotest.string) "stays at EOF" None (Lineio.read_line io);
+  (* Hostile lengths are refused, never raised on and never allocated. *)
+  let io, _, calls = dribble ~max_line:64 "+OK\r\nbody" in
+  ignore (Lineio.read_line io);
+  check (Alcotest.option Alcotest.string) "n < 0" None (exact io (-5));
+  check (Alcotest.option Alcotest.string) "n = min_int" None (exact io min_int);
+  check (Alcotest.option Alcotest.string) "n past max_line" None (exact io 65);
+  check (Alcotest.option Alcotest.string) "n = max_int" None (exact io max_int);
+  check Alcotest.int "no recv for a refused length" 1 !calls;
+  check (Alcotest.option Alcotest.string) "stream intact" (Some "body") (exact io 4)
+
+(* Host words as the repository benchmark counts them: minor words plus
+   words allocated directly in the major heap. *)
+let host_words () =
+  let _, promoted, major = Gc.counters () in
+  Gc.minor_words () +. (major -. promoted)
+
+(* Words one [Bytes] of [n] bytes takes, header included. *)
+let bytes_words n = float ((n / 8) + 2)
+
+(* A body is copied once on its way out: the status line is read through
+   the line buffer, then the body is filled in place from what is
+   buffered and one [recv] of the rest.  The recv copies out of one whole
+   reply, as a channel does, and its copies count.  Before, the buffer
+   grew to hold the body and the body was copied out twice (~7,280
+   words). *)
+let test_lineio_host_words () =
+  let reply = "+OK 8192 octets\r\n" ^ String.make 8192 'b' ^ "\r\n.\r\n" in
+  let retr () =
+    let io, _, _ = dribble reply in
+    ignore (Sys.opaque_identity (Lineio.read_line io));
+    ignore (Sys.opaque_identity (Lineio.read_exact io 8192))
+  in
+  retr ();
+  let w0 = host_words () in
+  retr ();
+  let w = host_words () -. w0 in
+  (* The body's result, the rest of the body as received, the first
+     512-byte recv, the line buffer and a few words (~2,240 in all). *)
+  let bound = (2. *. bytes_words 8192) +. 300. in
+  if w > bound then Alcotest.failf "read_exact, 8 KiB body: %.0f host words (bound %.0f)" w bound;
+  (* A buffered CRLF line costs one string and a few words (~51 for a
+     200-byte line, 27 of them the string): no copy with its terminator,
+     no second copy without its '\r' (~105 before). *)
+  let line = String.make 200 'l' in
+  let io, _, _ = dribble (String.concat "\r\n" [ line; line; line ]) in
+  ignore (Lineio.read_line io);
+  let w0 = host_words () in
+  let got = Sys.opaque_identity (Lineio.read_line io) in
+  let w = host_words () -. w0 in
+  check (Alcotest.option Alcotest.string) "line" (Some line) got;
+  let bound = bytes_words 200 +. 32. in
+  if w > bound then Alcotest.failf "read_line, 200-byte CRLF line: %.0f host words (bound %.0f)" w bound
 
 (* ---------- mitm actions ---------- *)
 
@@ -276,6 +364,12 @@ let () =
           Alcotest.test_case "eof right after cr" `Quick test_lineio_eof_cr_tail;
           Alcotest.test_case "lines + exact reads" `Quick test_lineio_read_exact_mixes_with_lines;
           Alcotest.test_case "write_line" `Quick test_lineio_write_line;
+          Alcotest.test_case "exact read, 1 byte per recv" `Quick test_lineio_read_exact_one_byte_chunks;
+          Alcotest.test_case "exact read leaves the next line" `Quick
+            test_lineio_read_exact_leaves_next_line;
+          Alcotest.test_case "exact read at EOF, n = 0, hostile n" `Quick
+            test_lineio_read_exact_eof_and_edges;
+          Alcotest.test_case "one host copy per line and body" `Quick test_lineio_host_words;
         ] );
       ( "mitm",
         [

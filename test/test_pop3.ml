@@ -224,6 +224,32 @@ let test_one_write_per_reply () =
         (Digest.to_hex (Digest.string transcript)))
     [ Mono; Wedge ]
 
+(* Minor words plus words allocated directly in the major heap. *)
+let host_words () =
+  let _, promoted, major = Gc.counters () in
+  Gc.minor_words () +. (major -. promoted)
+
+(* A server that announces a hostile body length gets a refused read,
+   not an exception: [retr] returns [None] for a length below zero or
+   past the client's line cap, and never allocates it up front.  Each
+   reply comes from a scripted server line. *)
+let test_client_refuses_hostile_length () =
+  List.iter
+    (fun octets ->
+      let got = ref (Some "unset") and words = ref 0. in
+      Fiber.run (fun () ->
+          let client_ep, server_ep = Chan.pair ~costs:Cost_model.free () in
+          Chan.write_string server_ep
+            (Printf.sprintf "+OK ready\r\n+OK %s octets\r\nbody\r\n.\r\n" octets);
+          Chan.close server_ep;
+          let c = Pop3_client.connect client_ep in
+          let w0 = host_words () in
+          got := Pop3_client.retr c 1;
+          words := host_words () -. w0);
+      check (Alcotest.option Alcotest.string) (octets ^ " octets") None !got;
+      check Alcotest.bool (octets ^ " octets: nothing allocated for it") true (!words < 1_000.))
+    [ "-5"; "-4611686018427387904"; "2000000"; "4611686018427387903" ]
+
 (* ---------- exploit containment ---------- *)
 
 (* The attacker's wishlist when code runs inside the network-facing
@@ -384,6 +410,8 @@ let () =
           Alcotest.test_case "per-user mailboxes" `Quick test_users_see_only_their_mail;
           Alcotest.test_case "mail buffer bound" `Quick test_mail_buffer_bound;
           Alcotest.test_case "one write per reply" `Quick test_one_write_per_reply;
+          Alcotest.test_case "client refuses a hostile length" `Quick
+            test_client_refuses_hostile_length;
         ] );
       ( "attacks",
         [
