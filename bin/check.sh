@@ -154,6 +154,46 @@ if [ -n "$export_hits" ]; then
   exit 1
 fi
 
+# Optional-argument guard: every ?label: of a val in a lib/ interface is
+# passed, as ~label or ?label outside comments, in some source file
+# other than its own .ml and .mli — an optional argument no caller
+# passes is a constant.
+echo "== optional argument guard =="
+opt_labels="$(mktemp)"
+opt_passed="$(mktemp)"
+for mli in $(find lib -name '*.mli' | sort); do
+  awk "$strip_comments" "$mli" | awk -v mli="$mli" '
+    /^ *val / { fn = $2; sub(/:.*/, "", fn) }
+    /^ *(type|module|exception|external|class|include|open|end)( |$)/ { fn = "" }
+    fn != "" {
+      s = $0
+      while (match(s, /\?[a-z_][A-Za-z0-9_]*:/)) {
+        print mli, fn, substr(s, RSTART + 1, RLENGTH - 2)
+        s = substr(s, RSTART + RLENGTH)
+      }
+    }'
+done > "$opt_labels"
+for f in $(find lib bin bench examples perfbench test -name '*.ml' -o -name '*.mli' | sort); do
+  awk "$strip_comments" "$f" | grep -o "[~?][a-z_][A-Za-z0-9_']*" | cut -c2- | sort -u | sed "s|^|$f |"
+done > "$opt_passed"
+opt_hits="$(awk '
+  NR == FNR { at[$2] = at[$2] " " $1; next }
+  {
+    ml = $1; sub(/\.mli$/, ".ml", ml)
+    used = 0
+    k = split(at[$3], fs, " ")
+    for (i = 1; i <= k; i++) if (fs[i] != $1 && fs[i] != ml) used = 1
+    if (!used) {
+      m = $1; sub(/.*\//, "", m); sub(/\.mli$/, "", m)
+      print toupper(substr(m, 1, 1)) substr(m, 2) "." $2 " ?" $3 " (" $1 ")"
+    }
+  }' "$opt_passed" "$opt_labels")"
+rm -f "$opt_labels" "$opt_passed"
+if [ -n "$opt_hits" ]; then
+  echo "$opt_hits" | sed 's/^/check.sh: optional argument no other file passes: /' >&2
+  exit 1
+fi
+
 echo "== dune build @default =="
 dune build @default
 

@@ -94,8 +94,11 @@ let replay ?(diff = false) ?(faults = true) ~scenario ~seed ~trace () =
   let s = lookup scenario in
   s.Scenarios.s_run ~policy:(Fiber.Replay trace) ~diff ~faults ~seed
 
+(* Replays a failing trace may spend on shrinking. *)
+let shrink_budget = 200
+
 let explore ?(schedules = 100) ?(policy = `Random) ?(diff = false) ?(faults = true)
-    ?(shrink_budget = 200) ?(log = fun _ -> ()) ~scenario ~seed () =
+    ?(log = fun _ -> ()) ~scenario ~seed () =
   let s = lookup scenario in
   let digest = ref (Digest.string s.Scenarios.s_name) in
   let result = ref None in

@@ -8,7 +8,7 @@
 
     On the first failure the recorded scheduler decision trace is
     replay-confirmed, shrunk (shortest failing prefix, then a zeroing
-    pass, at most [shrink_budget] replays), and packaged with an exact
+    pass, at most 200 replays), and packaged with an exact
     copy-paste repro command. *)
 
 type verdict =
@@ -29,7 +29,6 @@ val explore :
   ?policy:[ `Random | `Pct ] ->
   ?diff:bool ->
   ?faults:bool ->
-  ?shrink_budget:int ->
   ?log:(string -> unit) ->
   scenario:string ->
   seed:int ->

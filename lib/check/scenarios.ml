@@ -39,7 +39,6 @@ module Fault_plan = Wedge_fault.Fault_plan
 module Chan = Wedge_net.Chan
 module Guard = Wedge_net.Guard
 module Service = Wedge_net.Service
-module Watchdog = Wedge_net.Watchdog
 module Reactor = Wedge_sim.Reactor
 module Byzantine = Wedge_net.Byzantine
 module Drbg = Wedge_crypto.Drbg
@@ -70,7 +69,7 @@ let contains hay needle =
    differential model) armed, then sweep.  [summarize] builds the
    deterministic outcome line from whatever the scenario observed.  The
    reactor ticks {e before} the oracle's sampled check — timer-driven
-   cuts land first, so invariants like [Watchdog.self_check] hold at
+   cuts land first, so invariants like [Guard.heart_check] hold at
    every inspected switch — and a stalled
    world sleeps to its next timer.  [sched_faults] arms the scheduler's
    ["fiber.stall"] site, charging the reactor's clock. *)
@@ -467,7 +466,7 @@ let sshd =
     request;
     half;
     (* A truncated wire frame: the header claims a 256-byte payload, so
-       the worker blocks mid-message — only the watchdog can reclaim it.
+       the worker blocks mid-message — only a heart cut can reclaim it.
        (A bad leading byte like a raw "SSH-2.0-" banner fails fast
        instead of hanging.) *)
     stall_prefix = "D\001\000SSH-2.0-cha";
@@ -592,15 +591,15 @@ let run_racy ~policy ~diff ~faults:_ ~seed:_ =
 
    On top of the channel/memory faults of the base scenarios, the storm
    plans roll ["fiber.stall"] (a fiber freezes for 20 µs of simulated
-   time — far past the watchdog's deadline) and ["cgate.call"] (a
-   callgate stalls or crashes mid-call).  The servers run their declared
+   time — far past the hang deadline) and ["cgate.call"] (a callgate
+   stalls or crashes mid-call).  The servers run their declared
    supervision trees (pooled or fresh) behind a guard armed with a
-   circuit breaker and a watchdog; the scenario asserts the full
-   self-healing story: every
-   hung compartment is cut by the watchdog (oracle invariant), the
-   listener survives, the breaker closes again once the storm passes
-   (heal epilogue), and the oracle sweeps clean — no leaked frame or
-   descriptor across any restart, cut, or quarantine. *)
+   circuit breaker and a hang deadline; the scenario asserts the full
+   self-healing story: every hung compartment is cut at its heart's
+   deadline (oracle invariant), the listener survives, the breaker
+   closes again once the storm passes (heal epilogue), and the oracle
+   sweeps clean — no leaked frame or descriptor across any restart, cut,
+   or quarantine. *)
 
 let storm_plan ~pooled ~seed ~faults ~cgates =
   let plan = Fault_plan.create ~seed () in
@@ -694,18 +693,18 @@ let storm_breaker () =
    (syscall entries), where a single large clock charge (a 20 µs induced
    stall) can land before the next tick — the slack covers exactly
    that. *)
-let storm_watchdog_invariant oracle w =
+let storm_heart_invariant oracle guard =
   Oracle.add_invariant oracle ~name:"watchdog.cut-by-deadline" (fun () ->
-      Watchdog.self_check ~slack_ns:50_000 w)
+      Guard.heart_check ~slack_ns:50_000 guard)
 
-let storm_summary ~server ~k ~t ~heal ~guard ~w ~tree =
+let storm_summary ~server ~k ~t ~heal ~guard ~tree =
+  let s = Guard.stats guard in
   Printf.sprintf "%s %s heal=%d %s breaker=%s wd_cuts=%d wd_beats=%d %s degraded=%d shed=%d plan_armed"
-    server (tally_to_string t) heal
-    (guard_to_string (Guard.stats guard))
-    (Guard.breaker_summary guard) (Watchdog.cuts w) (Watchdog.beats w)
+    server (tally_to_string t) heal (guard_to_string s) (Guard.breaker_summary guard)
+    s.Guard.s_hang_cuts s.s_beats
     (Supervisor.tree_to_string tree)
     (Stats.get k.Kernel.stats (server ^ ".degraded"))
-    (Guard.stats guard).Guard.s_shed
+    s.s_shed
 
 let run_storm ~pooled srv ~policy ~diff ~faults ~seed =
   let name = name srv in
@@ -717,10 +716,9 @@ let run_storm ~pooled srv ~policy ~diff ~faults ~seed =
   let app = app_of srv env in
   let l = Chan.listener ~costs:Cost_model.free ~faults:plan ~backlog:srv.backlog () in
   let reactor = Reactor.create ~clock () in
-  let w = Watchdog.create ~deadline_ns:6_000 clock in
   let guard =
-    Guard.create ~reactor ~header_deadline_ns:8_000 ~breaker:(storm_breaker ()) ~watchdog:w
-      ~max_conns:srv.max_conns ()
+    Guard.create ~reactor ~header_deadline_ns:8_000 ~hang_deadline_ns:6_000
+      ~breaker:(storm_breaker ()) ~max_conns:srv.max_conns ()
   in
   let t = Byzantine.tally () in
   let is_rejection = srv.is_rejection in
@@ -739,7 +737,7 @@ let run_storm ~pooled srv ~policy ~diff ~faults ~seed =
   checked ~kernel:k ~app ~reactor ~sched_faults:plan ~policy ~diff
     (fun oracle ->
       Oracle.add_guard oracle ~name:(name ^ ".guard") guard;
-      storm_watchdog_invariant oracle w;
+      storm_heart_invariant oracle guard;
       let before = Oracle.holdings app in
       Fiber.spawn (fun () -> Service.serve_loop ~supervision:tree srv.service env guard l);
       Fault_plan.arm plan;
@@ -761,7 +759,7 @@ let run_storm ~pooled srv ~policy ~diff ~faults ~seed =
       assert_pool_used ~pooled ~server:name app)
     (fun () ->
       let rs = Reactor.stats reactor in
-      storm_summary ~server:name ~k ~t ~heal:!heal ~guard ~w ~tree:node
+      storm_summary ~server:name ~k ~t ~heal:!heal ~guard ~tree:node
       ^ pool_summary ~pooled app
       ^ (if pooled then Printf.sprintf " freeze2=%s" !probe_outcome else "")
       ^ (match advantage with

@@ -15,7 +15,7 @@
     self-healing machinery: on top of channel/memory faults they induce
     {e hangs} (["fiber.stall"] and ["cgate.call"] fault sites) against a
     server running its declared supervision tree behind a guard armed
-    with a circuit breaker and a {!Wedge_net.Watchdog}.  They assert
+    with a circuit breaker and a hang deadline.  They assert
     that every hung compartment is cut within its heartbeat deadline
     (oracle invariant), the listener survives, the breaker closes again
     once the storm passes, and the oracle sweeps clean — no leaked frame

@@ -28,7 +28,10 @@ let trial_division n =
   in
   go small_primes
 
-let miller_rabin rng ~rounds n =
+(* Miller–Rabin witnesses tried per candidate. *)
+let rounds = 20
+
+let miller_rabin rng n =
   (* n odd, > 3.  Write n-1 = d * 2^s. *)
   let n1 = B.sub n B.one in
   let rec split d s = if B.is_even d then split (B.shift_right d 1) (s + 1) else (d, s) in
@@ -54,18 +57,18 @@ let miller_rabin rng ~rounds n =
   in
   rounds_loop 0
 
-let is_prime ?(rounds = 20) rng n =
+let is_prime rng n =
   if B.compare n B.two < 0 then false
   else if B.equal n B.two then true
   else if B.is_even n then false
-  else match trial_division n with Some r -> r | None -> miller_rabin rng ~rounds n
+  else match trial_division n with Some r -> r | None -> miller_rabin rng n
 
-let gen_prime ?(rounds = 20) rng ~bits =
+let gen_prime rng ~bits =
   if bits < 3 then invalid_arg "Prime.gen_prime: bits < 3";
   let rec go () =
     let c = B.random_bits rng ~bits in
     (* Force odd. *)
     let c = if B.is_even c then B.add c B.one else c in
-    if B.num_bits c = bits && is_prime ~rounds rng c then c else go ()
+    if B.num_bits c = bits && is_prime rng c then c else go ()
   in
   go ()

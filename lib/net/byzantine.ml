@@ -116,12 +116,13 @@ let oversized t l ~size ~is_rejection =
 (* Mid-header staller: send a plausible prefix of the request, then go
    silent forever — a half-written header that never finishes.  Unlike
    slow-loris it makes no further progress at all, so only hang detection
-   (a watchdog heartbeat deadline, or the guard's header deadline) can
-   reclaim the slot: the worker is blocked mid-read with bytes already
-   consumed.  The clock is charged in steps while waiting so deadlines
-   actually expire.  Always tallied as cut (the session never completed)
-   unless the server improbably answers the half request. *)
-let mid_header_stall t l ~clock ~step_ns ?(max_steps = 64) ~prefix ~is_rejection () =
+   (the guard's hang or header deadline) can reclaim the slot: the worker
+   is blocked mid-read with bytes already consumed.  The clock is charged
+   in steps while waiting so deadlines actually expire.  Always tallied as
+   cut (the session never completed) unless the server improbably answers
+   the half request. *)
+let mid_header_stall t l ~clock ~step_ns ~prefix ~is_rejection () =
+  let max_steps = 64 in
   with_conn t l (fun ep ->
       Chan.write_string ep prefix;
       let rec wait steps =

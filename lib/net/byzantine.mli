@@ -48,17 +48,15 @@ val mid_header_stall :
   Chan.listener ->
   clock:Wedge_sim.Clock.t ->
   step_ns:int ->
-  ?max_steps:int ->
   prefix:string ->
   is_rejection:(string -> bool) ->
   unit ->
   unit
 (** Send [prefix] (a half-written header) then go silent, charging
-    [step_ns] of simulated time per scheduler step for up to [max_steps]
-    (default 64) steps or until the server cuts us.  Only hang detection
-    reclaims the slot: the worker is blocked mid-read with bytes already
-    consumed.  Tallied as cut unless the server answered with a
-    rejection. *)
+    [step_ns] of simulated time per scheduler step for up to 64 steps or
+    until the server cuts us.  Only hang detection reclaims the slot: the
+    worker is blocked mid-read with bytes already consumed.  Tallied as
+    cut unless the server answered with a rejection. *)
 
 val silent : tally -> Chan.listener -> unit
 (** Connect and never write; holds a slot until cut. *)

@@ -1,11 +1,13 @@
-(* Admission control and connection deadlines shared by every server.
+(* Admission control, connection deadlines and hang detection shared by
+   every server.
 
    A guard sits between a listener and the per-connection compartments:
    it caps concurrent connections (overflow gets a protocol-specific
-   rejection and an immediate close), enforces header/idle deadlines on
-   the simulated clock so a slow-loris client is cut instead of pinning a
-   worker forever, and offers [drain] — stop accepting, let in-flight
-   connections finish under a deadline, then force-close stragglers.
+   rejection and an immediate close), enforces a header deadline on the
+   simulated clock so a slow-loris client is cut instead of pinning a
+   worker forever, cuts a connection whose heart stops beating, and
+   offers [drain] — stop accepting, let in-flight connections finish
+   under a deadline, then force-close stragglers.
 
    Cutting always goes through [Chan.abort]: the worker compartment sees
    EOF on read and a contained [Fault_plan.Injected] on write, both of
@@ -13,8 +15,8 @@
    whose [Invalid_argument] on a subsequent worker write would escape
    containment and kill the listener.
 
-   Everything that needs a clock runs on the reactor: header, idle and
-   heartbeat deadlines share one timer per connection, and the drain
+   Everything that needs a clock runs on the reactor: the header and
+   heart deadlines share one timer per connection, and the drain
    deadline is a timer too.  Nothing here polls. *)
 
 module Fiber = Wedge_sim.Fiber
@@ -84,14 +86,19 @@ type breaker = {
   mutable b_reactions : int list;  (* first-failure -> open latency, newest first *)
 }
 
+(* A connection's heart (hang detection): armed in the serve fiber
+   ([rearm_heart]), beaten by delivered bytes and [established], and cut
+   by the connection's timer once its last beat is older than the hang
+   deadline. *)
+type heart = Unarmed | Alive | Hung | Disarmed
+
 type t = {
   max_conns : int;
   header_deadline_ns : int option;
-  idle_deadline_ns : int option;
+  hang_deadline_ns : int;  (* 0: no heart is ever armed *)
   reactor : Reactor.t;  (* the clock, its timers and tick *)
   trace : Trace.t;
   breaker : breaker option;
-  watchdog : Watchdog.t option;
   mutable conns : conn list;
   mutable active_n : int;
       (* |conns|, maintained at admit/release so the admission check is
@@ -104,6 +111,8 @@ type t = {
   mutable rejected_draining : int;
   mutable timed_out : int;
   mutable forced : int;
+  mutable hang_cuts : int;
+  mutable beats : int;
 }
 
 and conn = {
@@ -111,14 +120,15 @@ and conn = {
   ep : Chan.ep;
   opened_ns : int;
   mutable is_established : bool;
-  mutable last_read_ns : int;
   mutable is_cut : bool;
   mutable is_released : bool;
       (* makes [release] idempotent without scanning the list to find
          out whether this conn was still in it *)
   mutable is_probe : bool;  (* admitted through a half-open breaker *)
   mutable is_reported : bool;  (* outcome already fed to the breaker *)
-  mutable heart : Watchdog.heart option;
+  mutable heart : heart;
+  mutable serve_fiber : int;  (* cancelled on a heart cut; captured at arm time *)
+  mutable last_beat_ns : int;
   mutable deadline : Reactor.timer_id option;
       (* the armed deadline timer, cancelled on release and cut *)
 }
@@ -134,11 +144,23 @@ type stats = {
   s_forced : int;
   s_shed : int;
   s_breaker_opened : int;
+  s_hang_cuts : int;
+  s_beats : int;
 }
 
-let create ~reactor ?header_deadline_ns ?idle_deadline_ns ?breaker ?watchdog
-    ?(trace = Trace.null) ~max_conns () =
+(* A beat on a cut heart: the worker woke up after teardown and must die
+   contained, not resume half-torn-down. *)
+exception Hang of string
+
+let () =
+  Wedge_core.Engine.register_fault_class (function Hang msg -> Some msg | _ -> None)
+
+let create ~reactor ?header_deadline_ns ?hang_deadline_ns ?breaker ?(trace = Trace.null)
+    ~max_conns () =
   if max_conns <= 0 then invalid_arg "Guard.create: max_conns <= 0";
+  (match hang_deadline_ns with
+  | Some d when d <= 0 -> invalid_arg "Guard.create: hang_deadline_ns <= 0"
+  | _ -> ());
   let breaker =
     match breaker with
     | None -> None
@@ -163,11 +185,10 @@ let create ~reactor ?header_deadline_ns ?idle_deadline_ns ?breaker ?watchdog
     {
       max_conns;
       header_deadline_ns;
-      idle_deadline_ns;
+      hang_deadline_ns = Option.value hang_deadline_ns ~default:0;
       reactor;
       trace;
       breaker;
-      watchdog;
       conns = [];
       active_n = 0;
       released = Interest.create ~name:"guard.drain";
@@ -178,6 +199,8 @@ let create ~reactor ?header_deadline_ns ?idle_deadline_ns ?breaker ?watchdog
       rejected_draining = 0;
       timed_out = 0;
       forced = 0;
+      hang_cuts = 0;
+      beats = 0;
     }
   in
   t
@@ -245,11 +268,35 @@ let breaker_decision t =
           else `Admit false)
 
 let overdue c =
-  let n = now c.g in
-  (match c.g.header_deadline_ns with
-  | Some d when not c.is_established -> n - c.opened_ns > d
-  | _ -> false)
-  || match c.g.idle_deadline_ns with Some d -> n - c.last_read_ns > d | None -> false
+  match c.g.header_deadline_ns with
+  | Some d when not c.is_established -> now c.g - c.opened_ns > d
+  | _ -> false
+
+let heart_overdue c = c.heart = Alive && now c.g - c.last_beat_ns > c.g.hang_deadline_ns
+
+(* Cut an overdue heart: abort the channel, then cancel the serve fiber.
+   Not a guard [cut]: the connection is not marked cut and [s_timed_out]
+   does not move, so its header deadline still applies. *)
+let cut_heart c =
+  c.heart <- Hung;
+  c.g.hang_cuts <- c.g.hang_cuts + 1;
+  Trace.instant c.g.trace ~name:"watchdog.cut" ~pid:guard_pid;
+  Chan.abort c.ep;
+  Fiber.cancel
+    ~reason:(Printf.sprintf "watchdog: guard.conn hung (deadline %d ns)" c.g.hang_deadline_ns)
+    c.serve_fiber
+
+let beat c =
+  match c.heart with
+  | Alive ->
+      c.last_beat_ns <- now c.g;
+      c.g.beats <- c.g.beats + 1
+  | Hung ->
+      raise
+        (Hang
+           (Printf.sprintf "watchdog: guard.conn beat after cut (deadline %d ns)"
+              c.g.hang_deadline_ns))
+  | Unarmed | Disarmed -> ()
 
 let disarm_deadline c =
   match c.deadline with
@@ -261,13 +308,15 @@ let disarm_deadline c =
 let earlier a b = match (a, b) with Some x, Some y -> Some (min x y) | None, x | x, None -> x
 
 (* Earliest instant at which a deadline of this connection passes: the
-   header and idle deadlines while it is neither released nor cut
-   ([overdue] is strict, hence the +1), and its heart's deadline until it
-   is released.  [None] when no deadline applies. *)
+   header deadline while it is neither released nor cut, and its alive
+   heart's deadline until it is released ([overdue] and [heart_overdue]
+   are strict, hence the +1).  [None] when no deadline applies. *)
 let next_deadline c =
   if c.is_released then None
   else
-    let heart = Option.bind c.heart Watchdog.next_deadline in
+    let heart =
+      if c.heart = Alive then Some (c.last_beat_ns + c.g.hang_deadline_ns + 1) else None
+    in
     if c.is_cut then heart
     else
       let hdr =
@@ -275,8 +324,7 @@ let next_deadline c =
         | Some d when not c.is_established -> Some (c.opened_ns + d + 1)
         | _ -> None
       in
-      let idle = Option.map (fun d -> c.last_read_ns + d + 1) c.g.idle_deadline_ns in
-      earlier heart (earlier hdr idle)
+      earlier heart hdr
 
 (* Fire-and-re-check deadline: one timer per connection, armed at the
    earliest candidate instant.  When it fires a deadline has either truly
@@ -293,7 +341,7 @@ let rec arm_deadline c =
       (fun at ->
         Reactor.at c.g.reactor ~ns:at (fun () ->
             c.deadline <- None;
-            (match c.heart with Some h when Watchdog.overdue h -> Watchdog.cut h | _ -> ());
+            if heart_overdue c then cut_heart c;
             if (not c.is_cut) && overdue c then cut c else arm_deadline c))
       (next_deadline c)
 
@@ -343,12 +391,13 @@ let admit t ep =
               ep;
               opened_ns = n;
               is_established = false;
-              last_read_ns = n;
               is_cut = false;
               is_released = false;
               is_probe;
               is_reported = false;
-              heart = None;
+              heart = Unarmed;
+              serve_fiber = -1;
+              last_beat_ns = n;
               deadline = None;
             }
           in
@@ -439,7 +488,7 @@ let release c =
   if not c.is_released then begin
     c.is_released <- true;
     disarm_deadline c;
-    (match c.heart with Some h -> Watchdog.disarm h | None -> ());
+    if c.heart = Alive then c.heart <- Disarmed;
     let g = c.g in
     g.conns <- List.filter (fun c' -> c' != c) g.conns;
     g.active_n <- g.active_n - 1;
@@ -448,27 +497,24 @@ let release c =
 
 let established c =
   c.is_established <- true;
-  c.last_read_ns <- now c.g;
-  match c.heart with Some h -> Watchdog.beat h | None -> ()
+  beat c
 
-(* Replace this connection's heart with a freshly armed one.  A watchdog
-   cut leaves the heart [`Hung] — deliberately, so the stalled worker's
-   own late beat dies as a contained [Hang] — but a supervisor retrying
-   the worker in the same serve fiber (a pooled restamp) must not inherit
+(* Arm this connection's heart afresh in the calling fiber.  A heart cut
+   leaves the heart [Hung] — deliberately, so the stalled worker's own
+   late beat dies as a contained [Hang] — but a supervisor retrying the
+   worker in the same serve fiber (a pooled restamp) must not inherit
    that state: the new attempt's first delivered byte would beat the dead
    heart and be killed for its predecessor's hang.  Passed as the
    supervisor's [on_restart] hook, so every retry starts with a clean
    beat history. *)
 let rearm_heart c =
-  match c.g.watchdog with
-  | None -> ()
-  | Some w ->
-      (match c.heart with Some h -> Watchdog.disarm h | None -> ());
-      let h = Watchdog.arm ~name:"guard.conn" w in
-      Watchdog.watch h c.ep;
-      c.heart <- Some h;
-      (* The fresh heart's deadline may come before the armed timer. *)
-      rearm c
+  if c.g.hang_deadline_ns > 0 then begin
+    c.heart <- Alive;
+    c.serve_fiber <- Fiber.fiber_id ();
+    c.last_beat_ns <- now c.g;
+    (* The fresh heart's deadline may come before the armed timer. *)
+    rearm c
+  end
 
 let ep c = c.ep
 
@@ -476,7 +522,7 @@ let ep c = c.ep
    found past its deadline (cut on the spot), reads as EOF.  The deadline
    lives on the timer wheel; a cut aborts the channel, which kills its
    interest sets and wakes the parked worker to EOF.  Delivered bytes
-   restart the idle clock and beat the heart. *)
+   beat the heart. *)
 let guarded_read c n =
   if c.is_cut then Bytes.empty
   else if overdue c then begin
@@ -488,10 +534,7 @@ let guarded_read c n =
     if c.is_cut then Bytes.empty
     else begin
       let b = Chan.read c.ep n in
-      if Bytes.length b > 0 then begin
-        c.last_read_ns <- now c.g;
-        Option.iter Watchdog.beat c.heart
-      end;
+      if Bytes.length b > 0 then beat c;
       b
     end
   end
@@ -516,11 +559,11 @@ let accept_loop t l ~reject ~serve =
                 Fun.protect
                   ~finally:(fun () -> release c)
                   (fun () ->
-                    (* Arm the heartbeat from inside the serve fiber: the
-                       watchdog cancels this fiber on a cut. *)
+                    (* Arm the heart from inside the serve fiber: a heart
+                       cut cancels this fiber. *)
                     rearm_heart c;
                     (* A contained fault escaping the serve path (e.g. a
-                       watchdog cancellation delivered outside any
+                       heart cut's cancellation delivered outside any
                        compartment) kills this connection, never the
                        accept loop. *)
                     try serve c
@@ -605,6 +648,23 @@ let self_check t =
                t.active_n t.max_conns)
         else None
 
+(* Invariant for the oracle: no live connection's heart may be overdue
+   once its timer had its tick (the reactor hook ticks before the
+   oracle's checks). *)
+let heart_check ?(slack_ns = 0) t =
+  let n = now t in
+  match
+    List.find_opt
+      (fun c -> c.heart = Alive && n - c.last_beat_ns > t.hang_deadline_ns + slack_ns)
+      t.conns
+  with
+  | Some c ->
+      Some
+        (Printf.sprintf "watchdog: guard.conn overdue %d ns past its %d ns deadline, uncut"
+           (n - c.last_beat_ns - t.hang_deadline_ns)
+           t.hang_deadline_ns)
+  | None -> None
+
 let stats t =
   {
     s_active = t.active_n;
@@ -615,6 +675,8 @@ let stats t =
     s_forced = t.forced;
     s_shed = (match t.breaker with Some b -> b.b_shed | None -> 0);
     s_breaker_opened = (match t.breaker with Some b -> b.b_opened | None -> 0);
+    s_hang_cuts = t.hang_cuts;
+    s_beats = t.beats;
   }
 
 let register_metrics ?(name = "guard") m t =

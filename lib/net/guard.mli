@@ -1,18 +1,18 @@
-(** Admission control, connection deadlines, and graceful drain — the
-    resource-governance front door shared by every partitioned server.
+(** Admission control, connection deadlines, hang detection and graceful
+    drain — the resource-governance front door shared by every
+    partitioned server.
 
     A guard caps concurrent connections (overflow is rejected with a
-    protocol-specific answer and closed), enforces header and idle
-    deadlines on the simulated clock (slow-loris defense), and drains:
-    stop accepting, finish in-flight connections under a deadline, then
-    force-close stragglers.
+    protocol-specific answer and closed), enforces a header deadline on
+    the simulated clock (slow-loris defense), and drains: stop accepting,
+    finish in-flight connections under a deadline, then force-close
+    stragglers.
 
     Deadline cuts use {!Chan.abort}, so the worker compartment sees EOF
     on read and a {e contained} fault on write — the listener survives.
     Everything that needs a clock runs on the guard's reactor: header,
-    idle, heartbeat and drain deadlines are timer entries — so
-    [Fiber.run] must be given [Reactor.hook] and [Reactor.idle] for them
-    to fire.
+    heart and drain deadlines are timer entries — so [Fiber.run] must be
+    given [Reactor.hook] and [Reactor.idle] for them to fire.
 
     Two self-healing attachments (both optional):
 
@@ -24,9 +24,10 @@
       failure rate at the brownout threshold sheds every second admission
       (partial load shedding while the backend flaps);
 
-    - a {!Watchdog}: every admitted connection gets a heart armed in its
-      serve fiber, beaten by delivered bytes and {!established}, so a
-      hung worker is cut and cancelled within its heartbeat deadline. *)
+    - a hang deadline: each connection's heart, armed in its serve fiber
+      and beaten by delivered bytes and {!established}, is cut when it
+      misses the deadline — channel aborted, serve fiber cancelled — so a
+      hung worker dies as a contained fault its supervisor can restart. *)
 
 type t
 type conn
@@ -64,31 +65,36 @@ type stats = {
   s_forced : int;  (** connections force-closed by {!drain} *)
   s_shed : int;  (** admissions shed by the breaker or brownout *)
   s_breaker_opened : int;  (** times the breaker tripped *)
+  s_hang_cuts : int;  (** hearts cut by the hang deadline *)
+  s_beats : int;  (** beats on alive hearts *)
 }
+
+exception Hang of string
+(** Raised by a beat on a heart that was already cut — the worker woke up
+    after teardown and must die contained (registered as an engine fault
+    class at link time, like [Chan.Refused]). *)
 
 val create :
   reactor:Wedge_sim.Reactor.t ->
   ?header_deadline_ns:int ->
-  ?idle_deadline_ns:int ->
+  ?hang_deadline_ns:int ->
   ?breaker:breaker_config ->
-  ?watchdog:Watchdog.t ->
   ?trace:Wedge_sim.Trace.t ->
   max_conns:int ->
   unit ->
   t
 (** [reactor] carries the guard's clock and its timers; a guard with no
-    deadline, breaker or watchdog arms none.  [header_deadline_ns] bounds
-    the time from admission to {!established} (e.g. handshake + first
-    request line); [idle_deadline_ns] bounds the gap between reads
-    thereafter.  Each connection holds one fire-and-re-check timer for
-    them and its [watchdog] heart's deadline (O(1) per read or beat),
-    cancelled on {!release}; after a {!cut} only the heart's deadline
-    remains.  The [watchdog]'s clock must be the reactor's.  [trace]
-    records admission decisions
+    deadline arms none.  [header_deadline_ns] bounds the time from
+    admission to {!established} (e.g. handshake + first request line);
+    [hang_deadline_ns] bounds the gap between beats of an armed heart.
+    Each connection holds one fire-and-re-check timer for both (O(1) per
+    read or beat), cancelled on {!release}; after a {!cut} only the
+    heart's deadline remains.  [trace] records admission decisions
     (["guard.admit"/"guard.reject.busy"/"guard.reject.draining"]), cuts
-    (["guard.cut"]), drain spans, and breaker transitions
-    (["guard.breaker.open"/"half_open"/"close"/"shed"]).
-    @raise Invalid_argument when [max_conns <= 0]. *)
+    (["guard.cut"], and ["watchdog.cut"] for a heart), drain spans, and
+    breaker transitions (["guard.breaker.open"/"half_open"/"close"/"shed"]).
+    @raise Invalid_argument when [max_conns <= 0] or
+    [hang_deadline_ns <= 0]. *)
 
 val admit : t -> Chan.ep -> decision
 (** Claim a slot.  [Busy] when at [max_conns], [Draining] once {!drain}
@@ -112,36 +118,38 @@ val breaker_summary : t -> string
     without a breaker. *)
 
 val release : conn -> unit
-(** Give the slot back and cancel the connection's deadline timer;
-    idempotent.  Always call (e.g. [Fun.protect ~finally]) or {!drain}
-    will wait on a ghost. *)
+(** Give the slot back, cancel the connection's deadline timer and disarm
+    its alive heart (a hung one stays hung); idempotent.  Always call
+    (e.g. [Fun.protect ~finally]) or {!drain} will wait on a ghost. *)
 
 val established : conn -> unit
 (** The connection passed its handshake/greeting: the header deadline no
-    longer applies and the idle clock restarts. *)
+    longer applies, and the heart beats.
+    @raise Hang when the heart was already cut. *)
 
 val rearm_heart : conn -> unit
-(** Replace the connection's watchdog heart with a freshly armed one
-    (watching the same endpoint).  A cut leaves the old heart hung so the
+(** Arm the connection's heart afresh in the calling fiber, which a cut
+    cancels, with its last beat now.  A cut leaves the heart hung so the
     stalled worker's late beat dies contained; a supervisor retrying the
     worker in the same serve fiber passes this as its [on_restart] hook,
     so the new attempt starts with a clean beat history instead of being
-    killed for its predecessor's hang.  No-op without a watchdog. *)
+    killed for its predecessor's hang.  No-op without a hang deadline. *)
 
 val ep : conn -> Chan.ep
 
 val overdue : conn -> bool
+(** Past the header deadline before {!established}. *)
+
 val cut : conn -> unit
 (** Abort the connection (counted in [s_timed_out]); idempotent. *)
 
 val endpoint : conn -> Wedge_kernel.Fd_table.endpoint
 (** Deadline-aware descriptor target for the worker compartment: reads
     park for data and return EOF once the connection is cut or overdue,
-    and delivered bytes restart the idle clock and beat the heart.  The
-    endpoint's [ep_wait] parks {e before} the syscall trap, so an idle
-    connection charges zero syscall fuel and a read that wakes to data
-    never blocks inside the trap (unlike {!Chan.to_endpoint}'s, it pays
-    no half round trip). *)
+    and delivered bytes beat the heart.  The endpoint's [ep_wait] parks
+    {e before} the syscall trap, so an idle connection charges zero
+    syscall fuel and a read that wakes to data never blocks inside the
+    trap (unlike {!Chan.to_endpoint}'s, it pays no half round trip). *)
 
 val accept_loop :
   t ->
@@ -174,6 +182,11 @@ val self_check : t -> string option
     O(1) active counter equals the live-connection list length, no
     released connection lingers on the list, and the counter respects
     [max_conns]; otherwise [Some description] of the drift. *)
+
+val heart_check : ?slack_ns:int -> t -> string option
+(** Oracle invariant: [Some description] when a live connection's alive
+    heart is overdue by more than [slack_ns] (default 0) beyond the hang
+    deadline without having been cut — i.e. its timer failed to act. *)
 
 val register_metrics : ?name:string -> Wedge_sim.Metrics.t -> t -> unit
 (** Expose the admission counters (["guard.admitted"],

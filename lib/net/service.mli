@@ -55,10 +55,10 @@ val image : name:string -> Wedge_core.Wedge.ctx -> Wedge_core.Sc.t -> Wedge_core
     after the image exists, as the pooled storms do. *)
 
 val tree : ?spawn:Wedge_core.Wedge.spawn -> 'env t -> 'env -> tree
-(** The declared topology: node [name] with children ["listener"]
-    (registered first, so a [Rest_for_one] escalation of the listener
-    restarts the workers, never the reverse; two accept-loop retries) and
-    [worker] (policy [worker_policy], spawn [spawn], default [Boot]).
+(** The declared topology: a [One_for_one] node [name] with children
+    ["listener"] (two accept-loop retries) and [worker] (policy
+    [worker_policy], spawn [spawn], default [Boot]); an escalation
+    quarantines only the child that escalated.
     With [Stamp image] every worker attempt, first run and restarts
     alike, is stamped from the frozen image at a flat cost instead of a
     fork-priced boot. *)
@@ -131,8 +131,8 @@ val run_worker :
     only after a clean handshake); a nonzero exit ends the connection
     undegraded.  Each runs under [supervised] (its policy, intensity
     budget and spawn) or else the flat [policy], and every retry re-arms
-    the guard's watchdog heart, so a restarted compartment is not killed
-    for its predecessor's hang.
+    the guard connection's heart, so a restarted compartment is not
+    killed for its predecessor's hang.
 
     [spawn] decides how the flat path's compartments and every callgate
     invocation get their address space: [Stamp image] stamps each

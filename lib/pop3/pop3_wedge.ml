@@ -139,13 +139,18 @@ let worker_backend ctx ~login_gate ~mbox_gate ~arg_tag ~arg_block ~mail_block =
   let arg_perms = W.sc_create () in
   W.sc_mem_add arg_perms arg_tag Prot.R;
   let call_mbox op msgno =
-    W.write_u8 ctx arg_block op;
-    W.write_u32 ctx (arg_block + 1) msgno;
-    let r = W.cgate ctx mbox_gate ~perms:arg_perms ~arg:arg_block in
-    if r = r_done then Ok ()
-    else if r = r_missing then Error Pop3_proto.No_such_message
-    else if r = r_too_large then Error Pop3_proto.Too_large
-    else Error Pop3_proto.Unauthenticated
+    (* The argument block holds a u32: a number outside it names no
+       message, and must not wrap onto one that exists. *)
+    if msgno < 0 || msgno > 0xFFFF_FFFF then Error Pop3_proto.No_such_message
+    else begin
+      W.write_u8 ctx arg_block op;
+      W.write_u32 ctx (arg_block + 1) msgno;
+      let r = W.cgate ctx mbox_gate ~perms:arg_perms ~arg:arg_block in
+      if r = r_done then Ok ()
+      else if r = r_missing then Error Pop3_proto.No_such_message
+      else if r = r_too_large then Error Pop3_proto.Too_large
+      else Error Pop3_proto.Unauthenticated
+    end
   in
   let mail_buffer () = read_buf ctx mail_block in
   {
@@ -272,7 +277,7 @@ let serve_connection ?(restart_policy = worker_policy) ?supervised ?guard ?synth
     in
     let backend = worker_backend ctx ~login_gate ~mbox_gate ~arg_tag ~arg_block ~mail_block in
     (* A successful login establishes the session: the guard's header
-       deadline stops applying and its idle clock restarts. *)
+       deadline stops applying and the connection's heart beats. *)
     let backend =
       match guard with
       | None -> backend

@@ -311,7 +311,7 @@ let serve_connection ?spawn ?supervised ?guard ?synth (env : Sshd_env.t) ep =
   let worker_body ctx _ =
     let io = io_of_fd ctx fd in
     (* A successful authentication establishes the session: the guard's
-       header deadline stops applying and its idle clock restarts. *)
+       header deadline stops applying and the connection's heart beats. *)
     let established () = Option.iter Guard.established guard in
     let ops =
       worker_ops ctx ~arg_tag ~arg_block ~g_sign ~g_kex ~g_pass ~g_pub ~g_skey ~established

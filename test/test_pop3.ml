@@ -224,6 +224,34 @@ let test_one_write_per_reply () =
         (Digest.to_hex (Digest.string transcript)))
     [ Mono; Wedge ]
 
+(* A message number travels to the mailbox callgate as a u32: one
+   outside [0, 2^32) must be refused as no such message, never wrapped
+   onto mail 1.  Both servers answer the monolithic transcript, and
+   alice keeps both mails. *)
+let test_message_number_out_of_range () =
+  List.iter
+    (fun server ->
+      let transcript, _ =
+        raw_session server
+          "USER alice\r\nPASS wonderland\r\nRETR 4294967297\r\nRETR -4294967295\r\n\
+           DELE 4294967297\r\nSTAT\r\nQUIT\r\n"
+      in
+      check
+        Alcotest.(list string)
+        "out-of-range numbers refused"
+        [
+          "+OK wedge-pop3 ready";
+          "+OK send PASS";
+          "+OK logged in";
+          "-ERR no such message";
+          "-ERR no such message";
+          "-ERR no such message";
+          "+OK 2 106";
+          "+OK bye";
+        ]
+        (statuses transcript))
+    [ Mono; Wedge ]
+
 (* Minor words plus words allocated directly in the major heap. *)
 let host_words () =
   let _, promoted, major = Gc.counters () in
@@ -410,6 +438,8 @@ let () =
           Alcotest.test_case "per-user mailboxes" `Quick test_users_see_only_their_mail;
           Alcotest.test_case "mail buffer bound" `Quick test_mail_buffer_bound;
           Alcotest.test_case "one write per reply" `Quick test_one_write_per_reply;
+          Alcotest.test_case "message number out of range" `Quick
+            test_message_number_out_of_range;
           Alcotest.test_case "client refuses a hostile length" `Quick
             test_client_refuses_hostile_length;
         ] );

@@ -1,9 +1,10 @@
 (* Self-healing tests: overflow-safe supervision backoff, fault-history
    reset for long-lived workers, supervision-tree escalation / quarantine
-   / rest-for-one, watchdog hang detection (unit and against all three
-   servers via a mid-header staller), circuit-breaker transitions, fiber
-   cancellation delivery, the new engine fault sites, and byte-identical
-   replay of a full fault-storm scenario. *)
+   / rest-for-one, hang detection by the guard's connection hearts (unit
+   and against all three servers via a mid-header staller),
+   circuit-breaker transitions, fiber cancellation delivery, the new
+   engine fault sites, and byte-identical replay of a full fault-storm
+   scenario. *)
 
 module Fault_plan = Wedge_fault.Fault_plan
 module Kernel = Wedge_kernel.Kernel
@@ -13,7 +14,7 @@ module Cost_model = Wedge_sim.Cost_model
 module Stats = Wedge_sim.Stats
 module Chan = Wedge_net.Chan
 module Guard = Wedge_net.Guard
-module Watchdog = Wedge_net.Watchdog
+module Reactor = Wedge_sim.Reactor
 module Byzantine = Wedge_net.Byzantine
 module W = Wedge_core.Wedge
 module Supervisor = Wedge_core.Supervisor
@@ -178,17 +179,28 @@ let test_fiber_cancel_delivered_once () =
   check Alcotest.int "cancelled once" 1 !cancelled;
   check Alcotest.int "fiber continued after handling" 1 !resumed
 
-(* ---------- watchdog ---------- *)
+(* ---------- connection hearts ---------- *)
 
+let admit_one g =
+  let a, b = Chan.pair () in
+  match Guard.admit g b with
+  | Guard.Admitted c -> (a, c)
+  | _ -> Alcotest.fail "expected admission"
+
+(* An armed heart that stops beating is cut once, by its connection's
+   own timer at the first reactor tick past the deadline, and the fiber
+   that armed it is cancelled. *)
 let test_watchdog_cuts_hung_heart () =
   let clock = Clock.create () in
-  let w = Watchdog.create ~deadline_ns:1_000 clock in
+  let r = Reactor.create ~clock () in
+  let g = Guard.create ~reactor:r ~hang_deadline_ns:1_000 ~max_conns:2 () in
   let cancelled = ref false in
   Fiber.run ~clock (fun () ->
+      let _, c = admit_one g in
       Fiber.spawn (fun () ->
-          let h = Watchdog.arm ~name:"victim" w in
+          Guard.rearm_heart c;
           try
-            Watchdog.beat h;
+            Guard.established c;
             Clock.charge clock 5_000;
             (* hung: no beat while the clock runs past the deadline *)
             while true do
@@ -196,41 +208,40 @@ let test_watchdog_cuts_hung_heart () =
             done
           with Fiber.Cancelled _ -> cancelled := true);
       Fiber.yield ();
-      Watchdog.sweep w;
+      Reactor.tick r;
       Fiber.yield ());
   check Alcotest.bool "fiber cancelled" true !cancelled;
-  check Alcotest.int "one cut" 1 (Watchdog.cuts w);
-  check Alcotest.bool "sweep satisfied the invariant" true
-    (Watchdog.self_check w = None)
+  check Alcotest.int "one cut" 1 (Guard.stats g).Guard.s_hang_cuts;
+  check Alcotest.bool "tick satisfied the invariant" true (Guard.heart_check g = None)
 
 let test_watchdog_beat_after_cut_raises_hang () =
   let clock = Clock.create () in
-  let w = Watchdog.create ~deadline_ns:1_000 clock in
+  let r = Reactor.create ~clock () in
+  let g = Guard.create ~reactor:r ~hang_deadline_ns:1_000 ~max_conns:2 () in
   let raised = ref false in
   Fiber.run ~clock (fun () ->
-      let h = Watchdog.arm ~name:"zombie" w in
+      let _, c = admit_one g in
+      Guard.rearm_heart c;
       Clock.charge clock 2_000;
-      Watchdog.sweep w;
-      check Alcotest.bool "hung" true (Watchdog.hung h);
-      (try Watchdog.beat h with Watchdog.Hang _ -> raised := true));
+      Reactor.tick r;
+      check Alcotest.int "hung: cut once" 1 (Guard.stats g).Guard.s_hang_cuts;
+      (try Guard.established c with Guard.Hang _ -> raised := true));
   check Alcotest.bool "beat after cut raises Hang" true !raised;
   check Alcotest.bool "Hang is a contained engine fault" true
-    (Wedge_core.Engine.fault_reason (Watchdog.Hang "x") <> None)
+    (Wedge_core.Engine.fault_reason (Guard.Hang "x") <> None)
 
-(* ---------- reactor / watchdog interplay ---------- *)
+(* ---------- reactor / heart interplay ---------- *)
 
-module Reactor = Wedge_sim.Reactor
 module Fd_table = Wedge_kernel.Fd_table
 
 (* A worker draining its connection through the guarded endpoint's reads
-   keeps its heart beaten: the watchdog — pumped from the reactor's timer
-   sweeps, no polling fiber anywhere — must never cut it, even though
-   the session spans several deadlines end to end. *)
+   keeps its heart beaten: the connection's timer on the reactor — no
+   polling fiber anywhere — must never cut it, even though the session
+   spans several deadlines end to end. *)
 let test_reactor_reads_beat_heart () =
   let clock = Clock.create () in
   let r = Reactor.create ~clock () in
-  let w = Watchdog.create ~deadline_ns:1_000 clock in
-  let g = Guard.create ~watchdog:w ~reactor:r ~max_conns:2 () in
+  let g = Guard.create ~hang_deadline_ns:1_000 ~reactor:r ~max_conns:2 () in
   let got = Buffer.create 64 in
   Fiber.run ~clock ~on_switch:(Reactor.hook r) (fun () ->
       let a, b = Chan.pair () in
@@ -261,19 +272,18 @@ let test_reactor_reads_beat_heart () =
         Chan.write_string a (Printf.sprintf "burst%03d" i)
       done;
       Chan.close a);
-  check Alcotest.int "heart stayed beaten: no cut" 0 (Watchdog.cuts w);
+  check Alcotest.int "heart stayed beaten: no cut" 0 (Guard.stats g).Guard.s_hang_cuts;
   check Alcotest.int "every burst landed through ep_read" 40 (Buffer.length got);
-  check Alcotest.bool "no heart left overdue" true (Watchdog.self_check w = None)
+  check Alcotest.bool "no heart left overdue" true (Guard.heart_check g = None)
 
 (* A parked worker whose client goes silent: the heart runs overdue and
-   the reactor-pumped watchdog must cut it promptly — parking must not
-   delay the cut past the deadline plus one sweep step, and the cut must
-   wake the parked fiber to a clean EOF. *)
+   its timer must cut it promptly — parking must not delay the cut past
+   the deadline plus one tick, and the cut must wake the parked fiber to
+   a clean EOF. *)
 let test_reactor_cuts_parked_worker_within_deadline () =
   let clock = Clock.create () in
   let r = Reactor.create ~clock () in
-  let w = Watchdog.create ~deadline_ns:1_000 clock in
-  let g = Guard.create ~watchdog:w ~reactor:r ~max_conns:2 () in
+  let g = Guard.create ~hang_deadline_ns:1_000 ~reactor:r ~max_conns:2 () in
   let woke_at = ref (-1) in
   let eof = ref false in
   Fiber.run ~clock ~on_switch:(Reactor.hook r) (fun () ->
@@ -292,19 +302,19 @@ let test_reactor_cuts_parked_worker_within_deadline () =
           Guard.release c);
       (* Let the worker arm its heart and park before the silence. *)
       Fiber.yield ();
-      (* Silence: advance the clock in sweep-sized steps; every yield
-         runs the reactor hook, which sweeps the watchdog. *)
+      (* Silence: advance the clock in tick-sized steps; every yield
+         runs the reactor hook, which fires the connection's timer. *)
       for _ = 1 to 10 do
         Clock.charge clock 300;
         Fiber.yield ()
       done;
       Chan.close a);
-  check Alcotest.int "watchdog cut the parked worker" 1 (Watchdog.cuts w);
+  check Alcotest.int "heart cut the parked worker" 1 (Guard.stats g).Guard.s_hang_cuts;
   check Alcotest.bool "cut surfaced as EOF in the parked read" true !eof;
-  (* The sweep at t=1200 cuts the heart, but the cancelled worker lands
+  (* The tick at t=1200 cuts the heart, but the cancelled worker lands
      behind the already-enqueued main fiber, so it resumes one scheduler
-     rotation (one more 300 ns charge) later: deadline + sweep + rotation. *)
-  check Alcotest.bool "cut landed within deadline + sweep + one rotation" true
+     rotation (one more 300 ns charge) later: deadline + tick + rotation. *)
+  check Alcotest.bool "cut landed within deadline + tick + one rotation" true
     (!woke_at >= 0 && !woke_at <= 1_600)
 
 (* ---------- circuit breaker ---------- *)
@@ -397,11 +407,11 @@ let test_breaker_failed_probe_reopens () =
 
 (* ---------- satellite 3: mid-header staller vs all three servers ------- *)
 
-(* One hanging client against a watchdog-armed server: the hung worker is
-   cut at the heartbeat deadline, the listener survives ([clean] — a
-   terminating well-formed exchange — succeeds afterwards), and the
-   tally accounts for the staller. *)
-let staller_then_clean ~serve_loop ~prefix ~clean k l guard r w =
+(* One hanging client against a server whose guard has a hang deadline:
+   the hung worker is cut at its heart's deadline, the listener survives
+   ([clean] — a terminating well-formed exchange — succeeds afterwards),
+   and the tally accounts for the staller. *)
+let staller_then_clean ~serve_loop ~prefix ~clean k l guard r =
   let clock = k.Kernel.clock in
   let t = Byzantine.tally () in
   let served_after = ref false in
@@ -415,9 +425,10 @@ let staller_then_clean ~serve_loop ~prefix ~clean k l guard r w =
       served_after := clean ();
       Guard.drain guard l);
   check Alcotest.int "staller cut" 1 t.Byzantine.cut;
-  check Alcotest.bool "watchdog cut the hung worker" true (Watchdog.cuts w >= 1);
+  check Alcotest.bool "heart cut the hung worker" true
+    ((Guard.stats guard).Guard.s_hang_cuts >= 1);
   check Alcotest.bool "listener survived and served" true !served_after;
-  check Alcotest.bool "no heart left overdue" true (Watchdog.self_check w = None)
+  check Alcotest.bool "no heart left overdue" true (Guard.heart_check guard = None)
 
 (* A clean request/response exchange that is guaranteed to terminate:
    send [request], read to EOF (the request must drive the server to
@@ -445,9 +456,8 @@ let test_staller_httpd () =
   let k = Kernel.create ~costs:Cost_model.free () in
   let env = Wedge_httpd.Httpd_env.install ~image_pages:60 ~seed:11 k in
   let l = Chan.listener ~costs:Cost_model.free ~backlog:4 () in
-  let w = Watchdog.create ~deadline_ns:4_000 k.Kernel.clock in
   let r = Reactor.create ~clock:k.Kernel.clock () in
-  let guard = Guard.create ~reactor:r ~watchdog:w ~max_conns:2 () in
+  let guard = Guard.create ~reactor:r ~hang_deadline_ns:4_000 ~max_conns:2 () in
   staller_then_clean
     ~serve_loop:(fun () -> Service.serve_loop Wedge_httpd.Httpd_simple.service env guard l)
     ~prefix:"h\001\000partial-hello"
@@ -455,7 +465,7 @@ let test_staller_httpd () =
          handshake and closes the stream — a definite answer proves the
          listener is alive *)
     ~clean:(clean_exchange l ~request:"GET / HTTP/1.0\r\n\r\n" ~ok:(fun _ -> true))
-    k l guard r w
+    k l guard r
 
 let test_staller_pop3 () =
   let k = Kernel.create ~costs:Cost_model.free () in
@@ -464,26 +474,24 @@ let test_staller_pop3 () =
   W.boot app;
   let main_ctx = W.main_ctx app in
   let l = Chan.listener ~costs:Cost_model.free ~backlog:4 () in
-  let w = Watchdog.create ~deadline_ns:4_000 k.Kernel.clock in
   let r = Reactor.create ~clock:k.Kernel.clock () in
-  let guard = Guard.create ~reactor:r ~watchdog:w ~max_conns:2 () in
+  let guard = Guard.create ~reactor:r ~hang_deadline_ns:4_000 ~max_conns:2 () in
   staller_then_clean
     ~serve_loop:(fun () -> Service.serve_loop Wedge_pop3.Pop3_wedge.service main_ctx guard l)
     ~prefix:"USER ali"
     ~clean:
       (clean_exchange l ~request:"USER alice\r\nPASS wonderland\r\nSTAT\r\nQUIT\r\n"
          ~ok:(fun resp -> contains resp "+OK"))
-    k l guard r w
+    k l guard r
 
 let test_staller_sshd () =
   let k = Kernel.create ~costs:Cost_model.free () in
   let env = Wedge_sshd.Sshd_env.install ~image_pages:40 ~seed:12 k in
   let l = Chan.listener ~costs:Cost_model.free ~backlog:4 () in
-  let w = Watchdog.create ~deadline_ns:4_000 k.Kernel.clock in
   let r = Reactor.create ~clock:k.Kernel.clock () in
-  let guard = Guard.create ~reactor:r ~watchdog:w ~max_conns:2 () in
+  let guard = Guard.create ~reactor:r ~hang_deadline_ns:4_000 ~max_conns:2 () in
   (* The clean probe is a real SSH login: a garbage follow-up would hang
-     the slave mid-packet (another watchdog cut, not a health proof). *)
+     the slave mid-packet (another heart cut, not a health proof). *)
   let clean () =
     match Chan.connect l with
     | exception _ -> false
@@ -510,7 +518,7 @@ let test_staller_sshd () =
   staller_then_clean
     ~serve_loop:(fun () -> Service.serve_loop Wedge_sshd.Sshd_privsep.service env guard l)
       (* truncated wire frame: claims 256 payload bytes, delivers 11 *)
-    ~prefix:"D\001\000SSH-2.0-cha" ~clean k l guard r w
+    ~prefix:"D\001\000SSH-2.0-cha" ~clean k l guard r
 
 (* ---------- new engine fault sites ---------- *)
 
@@ -560,28 +568,24 @@ let test_rearm_heart_clears_stale_beat () =
   (* A supervised retry resumes in the same serve fiber after a backoff
      charge.  The heart armed at admission is then already past its
      deadline through no fault of the fresh attempt — without a rearm the
-     next sweep cuts the retry for its predecessor's silence. *)
+     next tick cuts the retry for its predecessor's silence. *)
   let clock = Clock.create () in
-  let w = Watchdog.create ~deadline_ns:1_000 clock in
+  let r = Reactor.create ~clock () in
+  let g = Guard.create ~reactor:r ~hang_deadline_ns:1_000 ~max_conns:2 () in
   Fiber.run ~clock (fun () ->
-      let g = Guard.create ~reactor:(Reactor.create ~clock ()) ~watchdog:w ~max_conns:2 () in
-      let a, b = Chan.pair () in
-      let c =
-        match Guard.admit g b with
-        | Guard.Admitted c -> c
-        | _ -> Alcotest.fail "expected admission"
-      in
+      let a, c = admit_one g in
+      Guard.rearm_heart c;
       Clock.charge clock 2_000;
       Guard.rearm_heart c;
-      Watchdog.sweep w;
-      check Alcotest.int "no spurious cut after rearm" 0 (Watchdog.cuts w);
+      Reactor.tick r;
+      check Alcotest.int "no spurious cut after rearm" 0 (Guard.stats g).Guard.s_hang_cuts;
       Guard.release c;
       Chan.close a);
-  check Alcotest.bool "no heart left overdue" true (Watchdog.self_check w = None)
+  check Alcotest.bool "no heart left overdue" true (Guard.heart_check g = None)
 
 let test_staller_pop3_pooled_restamp () =
-  (* The integration shape: a pooled supervised worker is cut by the
-     watchdog mid-header; the supervisor restamps from the frozen image
+  (* The integration shape: a pooled supervised worker's heart is cut
+     mid-header; the supervisor restamps from the frozen image
      (re-arming the heart on the way) and the listener keeps serving. *)
   let k = Kernel.create ~costs:Cost_model.free () in
   Wedge_pop3.Pop3_env.install k Wedge_pop3.Pop3_env.default_users;
@@ -589,9 +593,8 @@ let test_staller_pop3_pooled_restamp () =
   W.boot app;
   let main_ctx = W.main_ctx app in
   let l = Chan.listener ~costs:Cost_model.free ~backlog:4 () in
-  let w = Watchdog.create ~deadline_ns:4_000 k.Kernel.clock in
   let r = Reactor.create ~clock:k.Kernel.clock () in
-  let guard = Guard.create ~reactor:r ~watchdog:w ~max_conns:2 () in
+  let guard = Guard.create ~reactor:r ~hang_deadline_ns:4_000 ~max_conns:2 () in
   staller_then_clean
     ~serve_loop:(fun () ->
       (* freeze needs a running fiber, so the pool is built here *)
@@ -603,7 +606,7 @@ let test_staller_pop3_pooled_restamp () =
     ~clean:
       (clean_exchange l ~request:"USER alice\r\nPASS wonderland\r\nSTAT\r\nQUIT\r\n"
          ~ok:(fun resp -> contains resp "+OK"))
-    k l guard r w;
+    k l guard r;
   check Alcotest.bool "workers stamped from the pool" true
     (app.Wedge_core.Engine.pool_hits > 0)
 
