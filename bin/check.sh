@@ -117,17 +117,27 @@ if [ -n "$entry_hits" ]; then
   exit 1
 fi
 
-# Export guard: every val in a lib/ interface is named, outside comments,
-# in some source file other than its own .ml and .mli — an export that
-# nothing outside its module names is dead code or an internal detail.
+# Export guard: every val in a lib/ interface is named, outside comments
+# and string literals, in some source file other than its own .ml and
+# .mli — an export that nothing outside its module names is dead code or
+# an internal detail.  A word in a message ("no heart left overdue") is
+# not a use.  [code_only] keeps the code of each line: nested comments,
+# "strings" (escapes included) and {|quoted strings|} are dropped, with
+# their state carried across lines, and '"' is a character, not a quote.
 echo "== export guard =="
-strip_comments='{
+code_only='{
   out = ""; n = length($0); i = 1
   while (i <= n) {
-    two = substr($0, i, 2)
-    if (two == "(*") { depth++; i += 2 }
-    else if (depth > 0 && two == "*)") { depth--; i += 2 }
-    else { if (depth == 0) out = out substr($0, i, 1); i++ }
+    c = substr($0, i, 1); two = substr($0, i, 2)
+    if (str) { if (c == "\\") i += 2; else { if (c == "\"") str = 0; i++ } }
+    else if (quoted) { if (two == "|}") { quoted = 0; i += 2 } else i++ }
+    else if (two == "(*") { depth++; i += 2 }
+    else if (depth > 0) { if (two == "*)") { depth--; i += 2 } else i++ }
+    else if (c == "\"") { str = 1; i++ }
+    else if (two == "{|") { quoted = 1; i += 2 }
+    else if (substr($0, i, 3) == "\047\"\047") i += 3
+    else if (substr($0, i, 4) == "\047\\\"\047") i += 4
+    else { out = out c; i++ }
   }
   print out
 }'
@@ -137,7 +147,7 @@ for mli in $(find lib -name '*.mli' | sort); do
   sed -n "s/^ *val \([a-z_][A-Za-z0-9_']*\) *:.*/\1/p" "$mli" | sed "s|^|$mli |"
 done > "$export_vals"
 for f in $(find lib bin bench examples perfbench test -name '*.ml' -o -name '*.mli' | sort); do
-  awk "$strip_comments" "$f" | grep -ow "[A-Za-z_][A-Za-z0-9_']*" | sort -u | sed "s|^|$f |"
+  awk "$code_only" "$f" | grep -ow "[A-Za-z_][A-Za-z0-9_']*" | sort -u | sed "s|^|$f |"
 done > "$export_words"
 export_hits="$(awk '
   NR == FNR { n[$2]++; if (n[$2] <= 3) at[$2] = at[$2] " " $1; next }
@@ -155,14 +165,14 @@ if [ -n "$export_hits" ]; then
 fi
 
 # Optional-argument guard: every ?label: of a val in a lib/ interface is
-# passed, as ~label or ?label outside comments, in some source file
+# passed, as ~label or ?label outside comments and strings, in some source file
 # other than its own .ml and .mli — an optional argument no caller
 # passes is a constant.
 echo "== optional argument guard =="
 opt_labels="$(mktemp)"
 opt_passed="$(mktemp)"
 for mli in $(find lib -name '*.mli' | sort); do
-  awk "$strip_comments" "$mli" | awk -v mli="$mli" '
+  awk "$code_only" "$mli" | awk -v mli="$mli" '
     /^ *val / { fn = $2; sub(/:.*/, "", fn) }
     /^ *(type|module|exception|external|class|include|open|end)( |$)/ { fn = "" }
     fn != "" {
@@ -174,7 +184,7 @@ for mli in $(find lib -name '*.mli' | sort); do
     }'
 done > "$opt_labels"
 for f in $(find lib bin bench examples perfbench test -name '*.ml' -o -name '*.mli' | sort); do
-  awk "$strip_comments" "$f" | grep -o "[~?][a-z_][A-Za-z0-9_']*" | cut -c2- | sort -u | sed "s|^|$f |"
+  awk "$code_only" "$f" | grep -o "[~?][a-z_][A-Za-z0-9_']*" | cut -c2- | sort -u | sed "s|^|$f |"
 done > "$opt_passed"
 opt_hits="$(awk '
   NR == FNR { at[$2] = at[$2] " " $1; next }

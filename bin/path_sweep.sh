@@ -13,10 +13,19 @@
 #
 # and prints one row per L: heap_peak_mb and alloc_words_per_conn for
 # each executable, in the order given.  The directories live under
-# ${TMPDIR:-/tmp} and are removed on exit.  Exits nonzero if any run is
-# not correct (perfbench exits nonzero or prints no result).
+# ${TMPDIR:-/tmp} and are removed on exit.
 #
-# Example, comparing two checkouts:
+# Then the verdict: every executable after the first is compared with
+# the first at each L, on both metrics, against the metric's "bound" in
+# BENCHMARK.json (a fraction; both metrics are lower-is-better).  Each
+# breach prints one line
+#
+#   breach: L=<L> exe <i> <metric> <value> vs <first> (+<pct>%, bound <pct>%)
+#
+# Exit status: 1 if any run is not correct (perfbench exits nonzero or
+# prints no result), else 3 if any breach, else 0.
+#
+# Example, comparing a parent checkout (first) with a change:
 #   bin/path_sweep.sh pop3_bulk a/_build/default/perfbench/main.exe \
 #     b/_build/default/perfbench/main.exe
 set -eu
@@ -34,9 +43,18 @@ for exe in "$@"; do
   fi
 done
 
+bounds="$(python3 -c '
+import json, sys
+b = {m["name"]: m["bound"] for m in json.load(open(sys.argv[1]))["end_to_end"]}
+print(b["heap_peak_mb"], b["alloc_words_per_conn"])
+' "$(dirname "$0")/../BENCHMARK.json")"
+
 root="$(mktemp -d "${TMPDIR:-/tmp}/ps.XXXXXX")"
 trap 'rm -rf "$root"' EXIT INT TERM
 out="$root/out"
+# One line per run: L, executable index, heap_peak_mb, alloc_words_per_conn.
+runs="$root/runs"
+: >"$runs"
 
 header="L"
 i=1
@@ -64,12 +82,18 @@ for len in 60 80 100 120 140 160 180 200 220 240; do
     if (cd "$dir" && ./main.exe --workload "$workload" --seed "${SEED:-1}" --seconds 1 --trace 0) \
       >"$out" 2>/dev/null; then
       json="$(tail -n 1 "$out")"
-      cell="$(printf '%s\n' "$json" | python3 -c '
+      vals="$(printf '%s\n' "$json" | python3 -c '
 import json, sys
 m = json.load(sys.stdin)["metrics"]
-print("%.2f\t%.1f" % (m["heap_peak_mb"]["value"], m["alloc_words_per_conn"]["value"]))
-' 2>/dev/null)" || cell="-	-"
-      [ "$cell" = "-	-" ] && status=1
+print(repr(m["heap_peak_mb"]["value"]), repr(m["alloc_words_per_conn"]["value"]))
+' 2>/dev/null)" || vals=""
+      if [ -n "$vals" ]; then
+        echo "$len $i $vals" >>"$runs"
+        cell="$(echo "$vals" | awk '{ printf "%.2f\t%.1f", $1, $2 }')"
+      else
+        cell="-	-"
+        status=1
+      fi
     else
       cell="FAIL	FAIL"
       status=1
@@ -80,4 +104,22 @@ print("%.2f\t%.1f" % (m["heap_peak_mb"]["value"], m["alloc_words_per_conn"]["val
   done
   echo "$row"
 done
+
+breaches="$(echo "$bounds" | awk '
+  BEGIN { name[1] = "heap_peak_mb"; name[2] = "alloc_words_per_conn" }
+  NR == 1 { bound[1] = $1; bound[2] = $2; next }
+  $2 == 1 { first[$1, 1] = $3; first[$1, 2] = $4; next }
+  {
+    for (k = 1; k <= 2; k++) {
+      if (!(($1, k) in first)) continue
+      base = first[$1, k]; v = $(k + 2)
+      if (v > base * (1 + bound[k]))
+        printf "breach: L=%s exe %s %s %.6g vs %.6g (%+.1f%%, bound %.0f%%)\n", \
+          $1, $2, name[k], v, base, 100 * (v - base) / base, 100 * bound[k]
+    }
+  }' - "$runs")"
+if [ -n "$breaches" ]; then
+  echo "$breaches"
+  [ "$status" = 0 ] && status=3
+fi
 exit "$status"

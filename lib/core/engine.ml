@@ -1273,6 +1273,10 @@ let write_u64 ctx addr v =
   on_access ctx addr 8 Instr.Write;
   Vm.write_u64 ctx.proc.Process.vm addr v
 
+let read_into ctx addr buf pos len =
+  on_access ctx addr len Instr.Read;
+  Vm.read_into ctx.proc.Process.vm addr buf pos len
+
 let read_bytes ctx addr len =
   on_access ctx addr len Instr.Read;
   Vm.read_bytes ctx.proc.Process.vm addr len

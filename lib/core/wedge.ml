@@ -62,6 +62,7 @@ let read_u32 = Engine.read_u32
 let write_u32 = Engine.write_u32
 let read_u64 = Engine.read_u64
 let write_u64 = Engine.write_u64
+let read_into = Engine.read_into
 let read_bytes = Engine.read_bytes
 let write_bytes = Engine.write_bytes
 let read_string = Engine.read_string

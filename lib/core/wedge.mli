@@ -225,6 +225,11 @@ val read_u32 : ctx -> int -> int
 val write_u32 : ctx -> int -> int -> unit
 val read_u64 : ctx -> int -> int
 val write_u64 : ctx -> int -> int -> unit
+val read_into : ctx -> int -> bytes -> int -> int -> unit
+(** [read_into ctx addr buf pos len] reads [len] bytes of tagged memory
+    into [buf] at [pos], as {!read_bytes} reads them into a fresh buffer:
+    the same checks, charges and events, with no host allocation. *)
+
 val read_bytes : ctx -> int -> int -> bytes
 val write_bytes : ctx -> int -> bytes -> unit
 val read_string : ctx -> int -> int -> string

@@ -565,15 +565,19 @@ let blit_write_atomic t addr src pos len check =
    any simulated address-space region. *)
 let max_read = 64 * 1024 * 1024
 
-let read_bytes_raw t addr len =
-  if len < 0 || len > max_read then
+let read_len_ok len = len >= 0 && len <= max_read
+
+(* Every argument is checked before the fault roll or any translation:
+   a bad length faults as the MMU would, a range outside [buf] is the
+   caller's bug. *)
+let read_into_raw t addr buf pos len =
+  if not (read_len_ok len) then
     fault t addr Read (Printf.sprintf "oversized read of %d bytes" len);
-  let buf = Bytes.create len in
+  if pos < 0 || pos > Bytes.length buf - len then invalid_arg "Vm.read_into";
   if len > 0 then begin
     roll_access t addr Read;
-    blit_read_pages t addr buf 0 len true
-  end;
-  buf
+    blit_read_pages t addr buf pos len true
+  end
 
 let write_bytes_raw t addr src =
   let len = Bytes.length src in
@@ -753,10 +757,20 @@ let write_u64 t addr v =
   | Some r ->
       armed_write t r addr ~kernel:false (fun () -> enc8 v) (fun () -> write_u64_raw t addr v)
 
-let read_bytes t addr len =
+let read_into t addr buf pos len =
   match !(t.recorder) with
-  | None -> read_bytes_raw t addr len
-  | Some r -> armed_read t r addr ~kernel:false ~u64:false Bytes.copy (fun () -> read_bytes_raw t addr len)
+  | None -> read_into_raw t addr buf pos len
+  | Some r ->
+      armed_read t r addr ~kernel:false ~u64:false
+        (fun () -> Bytes.sub buf pos len)
+        (fun () -> read_into_raw t addr buf pos len)
+
+(* The buffer is sized only once the length is known to be in range: a
+   bad one faults inside [read_into] with nothing allocated for it. *)
+let read_bytes t addr len =
+  let buf = Bytes.create (if read_len_ok len then len else 0) in
+  read_into t addr buf 0 len;
+  buf
 
 let write_bytes t addr src =
   match !(t.recorder) with

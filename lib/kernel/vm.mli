@@ -218,12 +218,25 @@ val tlb_shootdowns : t -> int
 val read_u8 : t -> int -> int
 val write_u8 : t -> int -> int -> unit
 
+val max_read : int
+(** 64 MiB: the longest checked bulk read, far beyond any simulated
+    address-space region. *)
+
+val read_into : t -> int -> bytes -> int -> int -> unit
+(** [read_into t addr buf pos len] is the checked bulk read: [len] bytes
+    from [addr] into [buf] at [\[pos, pos + len)].  Negative or absurd
+    lengths (> [max_read], beyond any simulated region) fault, and a
+    range outside [buf] raises [Invalid_argument], both before any
+    translation, fault roll or byte lands — so attacker-fabricated length
+    fields hit the MMU, not the host allocator.  One fault roll per call
+    (none for [len = 0]); translates once per page crossed, not once per
+    byte.  An armed
+    recorder sees the same [Ev_read] as a {!read_bytes} of the range. *)
+
 val read_bytes : t -> int -> int -> bytes
-(** Bulk read.  Negative or absurd lengths (> 64 MiB, beyond any simulated
-    region) fault immediately — so attacker-fabricated length fields hit
-    the MMU, not the host allocator.  Translates once per page crossed,
-    not once per byte.  The result is a fresh buffer that nothing else
-    holds ([Engine.read_string] hands it out as a string). *)
+(** {!read_into} a fresh buffer, allocated only once the length is in
+    range.  Nothing else holds the result ([Engine.read_string] hands it
+    out as a string). *)
 
 val write_bytes : t -> int -> bytes -> unit
 (** Bulk write; atomic across pages: every page is translated (and any

@@ -334,7 +334,8 @@ let next_deadline c =
    established): arm a fresh timer at the new instant.  O(1) per event and
    no cancellation on the hot read path; release cancels the one timer a
    connection holds, so a finished connection leaves nothing on the
-   wheel. *)
+   wheel.  After the cuts no deadline can still be due; one that is would
+   re-fire at every tick forever, so it fails loudly instead. *)
 let rec arm_deadline c =
   c.deadline <-
     Option.map
@@ -342,7 +343,12 @@ let rec arm_deadline c =
         Reactor.at c.g.reactor ~ns:at (fun () ->
             c.deadline <- None;
             if heart_overdue c then cut_heart c;
-            if (not c.is_cut) && overdue c then cut c else arm_deadline c))
+            if (not c.is_cut) && overdue c then cut c
+            else
+              match next_deadline c with
+              | Some at when at <= now c.g ->
+                  invalid_arg "Guard: a deadline is still due after its timer fired"
+              | _ -> arm_deadline c))
       (next_deadline c)
 
 (* Re-arm anew when the deadlines themselves change: a fresh

@@ -137,9 +137,6 @@ val rearm_heart : conn -> unit
 
 val ep : conn -> Chan.ep
 
-val overdue : conn -> bool
-(** Past the header deadline before {!established}. *)
-
 val cut : conn -> unit
 (** Abort the connection (counted in [s_timed_out]); idempotent. *)
 

@@ -68,7 +68,13 @@ let backend ctx =
         | Some (name, _) ->
             Result.map_error
               (fun _ -> Pop3_proto.No_such_message)
-              (W.vfs_read ctx (mail_path name n)));
+              (Result.map
+                 (fun body ->
+                   {
+                     Pop3_proto.len = String.length body;
+                     fill = (fun buf pos -> Bytes.blit_string body 0 buf pos (String.length body));
+                   })
+                 (W.vfs_read ctx (mail_path name n))));
     dele =
       (fun n ->
         match !authed with

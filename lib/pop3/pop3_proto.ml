@@ -32,11 +32,13 @@ let parse line =
 
 type refusal = Unauthenticated | No_such_message | Too_large
 
+type body = { len : int; fill : bytes -> int -> unit }
+
 type backend = {
   login : user:string -> password:string -> bool;
   stat : unit -> (int * int, refusal) result;
   list_mails : unit -> ((int * int) list, refusal) result;
-  retr : int -> (string, refusal) result;
+  retr : int -> (body, refusal) result;
   dele : int -> (unit, refusal) result;
 }
 
@@ -57,6 +59,18 @@ let write_reply io parts =
          Bytes.blit_string p 0 buf off (String.length p);
          off + String.length p)
        0 parts);
+  Lineio.write io buf
+
+(* A RETR reply, sized once: the status line, then the body, which the
+   backend fills in place — one host copy of the mail — then the
+   terminator, all in one write. *)
+let write_retr io { len; fill } =
+  let head = "+OK " ^ string_of_int len ^ " octets\r\n" in
+  let off = String.length head in
+  let buf = Bytes.create (off + len + 5) in
+  Bytes.blit_string head 0 buf 0 off;
+  fill buf off;
+  Bytes.blit_string "\r\n.\r\n" 0 buf (off + len) 5;
   Lineio.write io buf
 
 let serve io backend =
@@ -101,11 +115,7 @@ let serve io backend =
             | Error r -> refused r);
             loop ()
         | Retr n ->
-            (match backend.retr n with
-            | Ok body ->
-                write_reply io
-                  [ Printf.sprintf "+OK %d octets\r\n" (String.length body); body; "\r\n.\r\n" ]
-            | Error r -> refused r);
+            (match backend.retr n with Ok body -> write_retr io body | Error r -> refused r);
             loop ()
         | Dele n ->
             (match backend.dele n with Ok () -> ok "deleted" | Error r -> refused r);

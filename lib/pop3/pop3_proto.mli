@@ -25,11 +25,16 @@ type refusal =
   | No_such_message  (** [-ERR no such message] *)
   | Too_large  (** [-ERR reply too large]: the reply does not fit the backend's buffer *)
 
+(** A mail body the backend writes straight into the reply: [fill buf
+    pos] puts exactly [len] bytes at [buf.\[pos\]], so the server copies
+    the mail once on its way out. *)
+type body = { len : int; fill : bytes -> int -> unit }
+
 type backend = {
   login : user:string -> password:string -> bool;
   stat : unit -> (int * int, refusal) result;  (** (count, total bytes) *)
   list_mails : unit -> ((int * int) list, refusal) result;  (** (msgno, size) *)
-  retr : int -> (string, refusal) result;
+  retr : int -> (body, refusal) result;
   dele : int -> (unit, refusal) result;
 }
 

@@ -48,9 +48,14 @@ let write_buf ctx addr s =
     r_done
   end
 
-let read_buf ctx addr =
+(* The length prefix, refused ([Too_large]) past the block's capacity
+   before anything is sized from it: the handler allocates host memory
+   only for a length the buffer can hold. *)
+let buf_len ctx addr =
   let n = W.read_u32 ctx addr in
-  W.read_string ctx (addr + 4) n
+  if n > mail_size - 4 then Error Pop3_proto.Too_large else Ok n
+
+let read_buf ctx addr = Result.map (W.read_string ctx (addr + 4)) (buf_len ctx addr)
 
 (* ---------- login callgate (privileged: reads the password db) ---------- *)
 
@@ -84,7 +89,7 @@ let mbox_entry ~mail_block gctx ~trusted:uid_block ~arg =
   | Some (uid, name) -> (
       let vfs = (W.kernel (W.app_of gctx)).Kernel.vfs in
       let dir = Pop3_env.maildir name in
-      let mail_path n = Printf.sprintf "%s/%d.eml" dir n in
+      let mail_path n = String.concat "" [ dir; "/"; string_of_int n; ".eml" ] in
       (* All file access under the mailbox owner's uid, not root: the gate
          cannot be talked into reading another user's spool. *)
       let read_mail n = Vfs.read_file vfs ~root:"/" ~uid (mail_path n) in
@@ -153,6 +158,10 @@ let worker_backend ctx ~login_gate ~mbox_gate ~arg_tag ~arg_block ~mail_block =
     end
   in
   let mail_buffer () = read_buf ctx mail_block in
+  (* RETR's body goes from the mail buffer straight into the reply. *)
+  let mail_body len =
+    { Pop3_proto.len; fill = (fun buf pos -> W.read_into ctx (mail_block + 4) buf pos len) }
+  in
   {
     Pop3_proto.login =
       (fun ~user ~password ->
@@ -166,15 +175,15 @@ let worker_backend ctx ~login_gate ~mbox_gate ~arg_tag ~arg_block ~mail_block =
         end);
     stat =
       (fun () ->
-        Result.bind (call_mbox op_stat 0) (fun () ->
-            match String.split_on_char ' ' (mail_buffer ()) with
+        Result.bind (Result.bind (call_mbox op_stat 0) mail_buffer) (fun s ->
+            match String.split_on_char ' ' s with
             | [ n; total ] -> Ok (int_of_string n, int_of_string total)
             | _ -> Error Pop3_proto.Unauthenticated));
     list_mails =
       (fun () ->
         Result.map
-          (fun () ->
-            mail_buffer () |> String.split_on_char '\n'
+          (fun s ->
+            String.split_on_char '\n' s
             |> List.filter_map (fun line ->
                    match String.split_on_char ' ' line with
                    | [ a; b ] -> (
@@ -182,8 +191,11 @@ let worker_backend ctx ~login_gate ~mbox_gate ~arg_tag ~arg_block ~mail_block =
                        | Some a, Some b -> Some (a, b)
                        | _ -> None)
                    | _ -> None))
-          (call_mbox op_list 0));
-    retr = (fun n -> Result.map mail_buffer (call_mbox op_retr n));
+          (Result.bind (call_mbox op_list 0) mail_buffer));
+    retr =
+      (fun n ->
+        Result.bind (call_mbox op_retr n) (fun () ->
+            Result.map mail_body (buf_len ctx mail_block)));
     dele = (fun n -> call_mbox op_dele n);
   }
 

@@ -11,6 +11,7 @@ module Selinux = Wedge_kernel.Selinux
 module Kernel = Wedge_kernel.Kernel
 module Clock = Wedge_sim.Clock
 module Cost_model = Wedge_sim.Cost_model
+module Fault_plan = Wedge_fault.Fault_plan
 
 let check = Alcotest.check
 let ps = Physmem.page_size
@@ -159,6 +160,75 @@ let test_vm_fault_is_partial_read_safe () =
   Vm.map_fresh vm ~addr:0x1000 ~pages:1 ~prot:Prot.page_rw ~tag:None;
   Vm.map_fresh vm ~addr:0x2000 ~pages:1 ~prot:Prot.page_none ~tag:None;
   expect_fault (fun () -> Vm.read_bytes vm 0x1ff0 32)
+
+(* [read_into] is [read_bytes] into the caller's buffer: the same bytes,
+   one fault roll per call, the same recorded events; and a bad length or
+   a range outside the buffer is refused before any translation, roll or
+   byte lands. *)
+let test_vm_read_into () =
+  let pm = Physmem.create () in
+  let plan = Fault_plan.create () in
+  Fault_plan.rule plan ~site:"vm.access" ~prob:0. [ Fault_plan.Prot_fault ];
+  let recorder = ref None in
+  let vm = Vm.create ~faults:plan ~recorder ~pid:1 pm (Clock.create ()) Cost_model.free in
+  Vm.map_fresh vm ~addr:0x1000 ~pages:2 ~prot:Prot.page_rw ~tag:None;
+  Vm.map_fresh vm ~addr:0x3000 ~pages:1 ~prot:Prot.page_none ~tag:None;
+  Vm.write_bytes vm 0x1000 (Bytes.init (2 * ps) (fun i -> Char.chr ((i * 7) land 0xff)));
+  let touched () =
+    (Fault_plan.site_ops plan ~site:"vm.access", Vm.tlb_hits vm + Vm.tlb_misses vm)
+  in
+  List.iter
+    (fun pos ->
+      for addr = 0x2000 - 12 to 0x2000 + 4 do
+        let what = Printf.sprintf "0x%x into pos %d" addr pos in
+        let buf = Bytes.make (pos + 8 + 2) '.' in
+        let rolls, _ = touched () in
+        Vm.read_into vm addr buf pos 8;
+        check Alcotest.int (what ^ ": one roll") (rolls + 1) (fst (touched ()));
+        check Alcotest.string what
+          (String.make pos '.' ^ Bytes.to_string (Vm.read_bytes vm addr 8) ^ "..")
+          (Bytes.to_string buf)
+      done)
+    [ 0; 3 ];
+  let refused what exn f =
+    let buf = Bytes.make 8 '.' in
+    let before = touched () in
+    (match f buf with
+    | () -> Alcotest.failf "%s: not refused" what
+    | exception e when exn e -> ()
+    | exception e -> Alcotest.failf "%s: raised %s" what (Printexc.to_string e));
+    check Alcotest.string (what ^ ": buffer untouched") "........" (Bytes.to_string buf);
+    check Alcotest.bool (what ^ ": no roll, no translation") true (touched () = before)
+  in
+  let is_fault = function Vm.Fault _ -> true | _ -> false in
+  let is_invalid = function Invalid_argument _ -> true | _ -> false in
+  refused "len < 0" is_fault (fun buf -> Vm.read_into vm 0x1000 buf 0 (-1));
+  refused "len > max_read" is_fault (fun buf -> Vm.read_into vm 0x1000 buf 0 (Vm.max_read + 1));
+  refused "pos < 0" is_invalid (fun buf -> Vm.read_into vm 0x1000 buf (-1) 4);
+  refused "pos + len past the buffer" is_invalid (fun buf -> Vm.read_into vm 0x1000 buf 5 4);
+  let buf = Bytes.make 8 '.' in
+  let before = touched () in
+  Vm.read_into vm 0x5000 buf 8 0;
+  check Alcotest.bool "len 0 touches nothing, even unmapped" true (touched () = before);
+  check Alcotest.string "len 0 writes nothing" "........" (Bytes.to_string buf);
+  expect_fault (fun () -> Vm.read_into vm 0x5000 buf 0 4);
+  expect_fault (fun () -> Vm.read_into vm 0x3000 buf 0 4);
+  expect_fault (fun () -> Vm.read_into vm 0x2ffc buf 0 8);
+  let events f =
+    let got = ref [] in
+    recorder := Some (fun e -> got := e :: !got);
+    (try f () with Vm.Fault _ -> ());
+    recorder := None;
+    List.rev !got
+  in
+  List.iter
+    (fun (addr, len) ->
+      check Alcotest.bool
+        (Printf.sprintf "0x%x, %d bytes: read_bytes' events" addr len)
+        true
+        (events (fun () -> ignore (Vm.read_bytes vm addr len))
+        = events (fun () -> Vm.read_into vm addr (Bytes.create (max len 0 + 2)) 2 len)))
+    [ (0x1ffc, 8); (0x1000, 0); (0x2ffc, 8); (0x5000, 4); (0x1000, -1) ]
 
 let test_vm_cow_break_isolates () =
   let pm = Physmem.create () in
@@ -889,6 +959,7 @@ let () =
           Alcotest.test_case "read-only write faults" `Quick test_vm_readonly_faults_on_write;
           Alcotest.test_case "no-read faults" `Quick test_vm_noread_faults;
           Alcotest.test_case "partial read faults" `Quick test_vm_fault_is_partial_read_safe;
+          Alcotest.test_case "read_into" `Quick test_vm_read_into;
           Alcotest.test_case "COW break isolates" `Quick test_vm_cow_break_isolates;
           Alcotest.test_case "COW break from an unwritten frame" `Quick
             test_vm_cow_break_from_unwritten_frame;

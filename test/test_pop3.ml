@@ -23,9 +23,9 @@ module Stats = Wedge_sim.Stats
 
 let check = Alcotest.check
 
-let mk_env () =
+let mk_env ?(users = Pop3_env.default_users) () =
   let k = Kernel.create ~costs:Cost_model.free () in
-  Pop3_env.install k Pop3_env.default_users;
+  Pop3_env.install k users;
   let app = W.create_app k in
   W.boot app;
   (k, app, W.main_ctx app)
@@ -33,8 +33,8 @@ let mk_env () =
 type server = Mono | Wedge
 
 (* [arm] runs on the fresh app before the session, to arm a takeover. *)
-let with_session ?(arm = ignore) server client_script =
-  let _, app, main = mk_env () in
+let with_session ?users ?(arm = ignore) server client_script =
+  let _, app, main = mk_env ?users () in
   arm app;
   let result = ref None in
   Fiber.run (fun () ->
@@ -278,6 +278,44 @@ let test_client_refuses_hostile_length () =
       check Alcotest.bool (octets ^ " octets: nothing allocated for it") true (!words < 1_000.))
     [ "-5"; "-4611686018427387904"; "2000000"; "4611686018427387903" ]
 
+(* A RETR of the smallest and of the largest mail the mail buffer holds
+   (16,380 bytes) reads the same on the wire from both servers. *)
+let test_retr_edge_sizes_identical () =
+  let biggest = String.init 16_380 (fun i -> Char.chr (32 + (i mod 95))) in
+  let users =
+    [ { Pop3_env.name = "erin"; uid = 1005; password = "edges"; mails = [ ""; biggest ] } ]
+  in
+  let request = "USER erin\r\nPASS edges\r\nRETR 1\r\nRETR 2\r\nQUIT\r\n" in
+  let mono, _ = raw_session ~users Mono request in
+  let wedge, _ = raw_session ~users Wedge request in
+  check Alcotest.bool "empty mail" true (contains mono "+OK 0 octets\r\n\r\n.\r\n");
+  check Alcotest.bool "16,380-byte mail" true
+    (contains mono ("+OK 16380 octets\r\n" ^ biggest ^ "\r\n.\r\n"));
+  check Alcotest.string "wedge transcript = mono transcript" mono wedge
+
+(* Host words of one warm RETR of an 8 KiB mail from the partitioned
+   server, client included: the handler copies the mail once, from the
+   mail buffer straight into its reply (4,376 words now).  One more copy
+   of the mail — the handler reading it into a string first — adds
+   1,026 words and fails the bound (5,472 with it). *)
+let test_one_host_copy_per_retr () =
+  let mail = String.init 8192 (fun i -> Char.chr (i land 0xff)) in
+  let users = [ { Pop3_env.name = "dave"; uid = 1004; password = "diver"; mails = [ mail ] } ] in
+  let words =
+    with_session ~users Wedge (fun c ->
+        if not (Pop3_client.login c ~user:"dave" ~password:"diver") then Alcotest.fail "login";
+        let retr () =
+          match Pop3_client.retr c 1 with
+          | Some m when m = mail -> ()
+          | _ -> Alcotest.fail "RETR 1 did not return the mail"
+        in
+        retr ();
+        let w0 = host_words () in
+        retr ();
+        host_words () -. w0)
+  in
+  if words > 4_440. then Alcotest.failf "warm 8 KiB RETR: %.0f host words (bound 4,440)" words
+
 (* ---------- exploit containment ---------- *)
 
 (* The attacker's wishlist when code runs inside the network-facing
@@ -442,6 +480,9 @@ let () =
             test_message_number_out_of_range;
           Alcotest.test_case "client refuses a hostile length" `Quick
             test_client_refuses_hostile_length;
+          Alcotest.test_case "empty and largest RETR identical" `Quick
+            test_retr_edge_sizes_identical;
+          Alcotest.test_case "one host copy per RETR" `Quick test_one_host_copy_per_retr;
         ] );
       ( "attacks",
         [

@@ -202,8 +202,10 @@ let test_watchdog_cuts_hung_heart () =
           try
             Guard.established c;
             Clock.charge clock 5_000;
-            (* hung: no beat while the clock runs past the deadline *)
-            while true do
+            (* hung: no beat while the clock runs past the deadline.  The
+               cut lands at the first yield after the tick; a bounded spin
+               lets a missing cut fail the test instead of hanging it. *)
+            for _ = 1 to 16 do
               Fiber.yield ()
             done
           with Fiber.Cancelled _ -> cancelled := true);
