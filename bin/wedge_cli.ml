@@ -126,7 +126,7 @@ let run_ssh partition auth attack =
       Fiber.spawn (fun () ->
           match partition with
           | "mono" -> Wedge_sshd.Sshd_mono.serve_connection env server_ep
-          | "privsep" -> ignore (Wedge_sshd.Sshd_privsep.serve_connection env server_ep)
+          | "privsep" -> Wedge_sshd.Sshd_privsep.serve_connection env server_ep
           | _ -> ignore (Wedge_sshd.Sshd_wedge.serve_connection env server_ep));
       let alice = List.hd env.Wedge_sshd.Sshd_env.users in
       let method_ =

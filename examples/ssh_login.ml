@@ -64,7 +64,7 @@ let () =
       unknown
       (if known <> unknown then "   <- existence leaked!" else "   (indistinguishable)")
   in
-  probe "privsep (pre-fix behaviour):" (fun env ep -> ignore (Privsep.serve_connection env ep));
+  probe "privsep (pre-fix behaviour):" (fun env ep -> Privsep.serve_connection env ep);
   probe "wedge (dummy challenges):" wedge;
 
   print_endline "\n== lesson 2: PAM scratch memory across fork ==";
@@ -87,13 +87,13 @@ let () =
      kernel entry (after its own setuid and its version banner), the
      Wedge worker's 2nd (after its banner). *)
   ignore
-    (with_conn env (fun env ep -> ignore (Privsep.serve_connection env ep)) (fun c ->
+    (with_conn env (fun env ep -> Privsep.serve_connection env ep) (fun c ->
          Client.authenticate c ~user:"alice" (Client.Password "wonderland")));
   let stolen = ref false in
   W.takeover env.Env.app ~where:(W.Child 1) ~at:3 (fun ctx -> stolen := hunt ctx);
   ignore
     (with_conn env
-       (fun env ep -> ignore (Privsep.serve_connection env ep))
+       (fun env ep -> Privsep.serve_connection env ep)
        (fun c -> Client.exec c "shell"));
   Printf.printf "  privsep slave (forked): previous user's password in heap: %b\n" !stolen;
   let stolen_w = ref false in

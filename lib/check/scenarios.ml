@@ -103,13 +103,12 @@ let tally_to_string (t : Byzantine.tally) =
     t.refused t.rejected t.cut t.errors
 
 let guard_to_string (s : Guard.stats) =
-  Printf.sprintf
-    "admitted=%d busy=%d draining=%d timed_out=%d forced=%d shed=%d bopen=%d active=%d"
+  Printf.sprintf "admitted=%d busy=%d draining=%d timed_out=%d forced=%d active=%d"
     s.Guard.s_admitted s.s_rejected_busy s.s_rejected_draining s.s_timed_out s.s_forced
-    s.s_shed s.s_breaker_opened s.s_active
+    s.s_active
 
-(* Connections the guard turned away for capacity or drain (breaker
-   sheds are counted apart, in [s_shed]). *)
+(* Connections the guard turned away: for capacity or drain, the only
+   two reasons it has. *)
 let rejected (s : Guard.stats) = s.Guard.s_rejected_busy + s.s_rejected_draining
 
 let plan_digest plan = Digest.to_hex (Digest.string (Fault_plan.trace plan))
@@ -119,30 +118,28 @@ let chan_faults plan prob =
   Fault_plan.rule plan ~site:"chan.write" ~prob [ Fault_plan.Reset ]
 
 (* Recovery epilogue for the storm scenarios: with the fault plan already
-   disarmed, advance the clock past the breaker's cooling period and feed
-   clean probe connections until the breaker closes — the scenario's own
-   "system healed" assertion.  A worker quarantined by the storm makes
-   the first probes fail and re-open the breaker; the clock advances each
-   round, so the quarantine lifts and the loop converges.  The bound only
-   trips when recovery is genuinely broken. *)
-let heal_breaker ~what guard clock probe =
-  let rec go tries =
-    match Guard.breaker_state guard with
-    | None | Some Guard.Closed -> tries
-    | Some _ ->
-        if tries >= 60 then
-          raise (Oracle.Violation (what ^ ": breaker stuck open after the storm ended"))
-        else begin
-          Clock.charge clock 6_000;
-          probe ();
-          (* Outcomes reach the breaker when the serve fiber finishes. *)
-          Fiber.wait_until
-            ~what:(what ^ " probe settled")
-            (fun () -> Guard.active guard = 0);
-          go (tries + 1)
-        end
+   disarmed, feed clean probe connections, 6 µs apart, until two in a row
+   leave the server's own [<what>.degraded] counter unchanged — the
+   scenario's "system healed" assertion.  A worker quarantined by the
+   storm degrades the first probes; the clock advances each round, so the
+   quarantine lifts and the loop converges.  Returns the rounds it took.
+   The bound only trips when recovery is genuinely broken. *)
+let heal ~what stats guard clock probe =
+  let degraded () = Stats.get stats (what ^ ".degraded") in
+  let rec go rounds clean =
+    if clean >= 2 then rounds
+    else if rounds >= 60 then
+      raise (Oracle.Violation (what ^ ": still degrading after the storm ended"))
+    else begin
+      let before = degraded () in
+      Clock.charge clock 6_000;
+      probe ();
+      (* The probe has settled once its serve fiber released the slot. *)
+      Fiber.wait_until ~what:(what ^ " probe settled") (fun () -> Guard.active guard = 0);
+      go (rounds + 1) (if degraded () = before then clean + 1 else 0)
+    end
   in
-  go 0
+  go 0 0
 
 (* ------------------------------------------------------------------ *)
 (* The server table                                                     *)
@@ -593,13 +590,12 @@ let run_racy ~policy ~diff ~faults:_ ~seed:_ =
    plans roll ["fiber.stall"] (a fiber freezes for 20 µs of simulated
    time — far past the hang deadline) and ["cgate.call"] (a callgate
    stalls or crashes mid-call).  The servers run their declared
-   supervision trees (pooled or fresh) behind a guard armed with a
-   circuit breaker and a hang deadline; the scenario asserts the full
-   self-healing story: every hung compartment is cut at its heart's
-   deadline (oracle invariant), the listener survives, the breaker
-   closes again once the storm passes (heal epilogue), and the oracle
-   sweeps clean — no leaked frame or descriptor across any restart, cut,
-   or quarantine. *)
+   supervision trees (pooled or fresh) behind a guard with a hang
+   deadline; the scenario asserts the full self-healing story: every
+   hung compartment is cut at its heart's deadline (oracle invariant),
+   the listener survives, clean probes stop degrading once the storm
+   passes (heal epilogue), and the oracle sweeps clean — no leaked frame
+   or descriptor across any restart, cut, or quarantine. *)
 
 let storm_plan ~pooled ~seed ~faults ~cgates =
   let plan = Fault_plan.create ~seed () in
@@ -683,10 +679,6 @@ let assert_pool_used ~pooled ~server app =
   if pooled && app.Wedge_core.Engine.pool_hits = 0 then
     raise (Oracle.Violation (server ^ ": pooled storm never stamped a worker"))
 
-let storm_breaker () =
-  Guard.breaker_config ~consecutive:3 ~rate:0.5 ~min_samples:6 ~window_ns:40_000
-    ~open_ns:5_000 ~probes:2 ~brownout:0.3 ()
-
 (* A heart's deadline is its connection's timer, fired at the first
    reactor tick past it, so a hung heart is cut within one scheduling
    step of its deadline.  The oracle re-checks between switches too
@@ -699,12 +691,10 @@ let storm_heart_invariant oracle guard =
 
 let storm_summary ~server ~k ~t ~heal ~guard ~tree =
   let s = Guard.stats guard in
-  Printf.sprintf "%s %s heal=%d %s breaker=%s wd_cuts=%d wd_beats=%d %s degraded=%d shed=%d plan_armed"
-    server (tally_to_string t) heal (guard_to_string s) (Guard.breaker_summary guard)
-    s.Guard.s_hang_cuts s.s_beats
+  Printf.sprintf "%s %s heal=%d %s wd_cuts=%d wd_beats=%d %s degraded=%d plan_armed" server
+    (tally_to_string t) heal (guard_to_string s) s.Guard.s_hang_cuts s.s_beats
     (Supervisor.tree_to_string tree)
     (Stats.get k.Kernel.stats (server ^ ".degraded"))
-    s.s_shed
 
 let run_storm ~pooled srv ~policy ~diff ~faults ~seed =
   let name = name srv in
@@ -718,14 +708,14 @@ let run_storm ~pooled srv ~policy ~diff ~faults ~seed =
   let reactor = Reactor.create ~clock () in
   let guard =
     Guard.create ~reactor ~header_deadline_ns:8_000 ~hang_deadline_ns:6_000
-      ~breaker:(storm_breaker ()) ~max_conns:srv.max_conns ()
+      ~max_conns:srv.max_conns ()
   in
   let t = Byzantine.tally () in
   let is_rejection = srv.is_rejection in
   let spawn = if pooled then Some (W.Stamp (srv.service.Service.image env)) else None in
   let tree = Service.tree ?spawn srv.service env in
   let node, _, _ = tree in
-  let heal = ref 0 in
+  let heal_rounds = ref 0 in
   let probe_outcome = ref "-" in
   let probe =
     match srv.heal_probe with
@@ -753,13 +743,13 @@ let run_storm ~pooled srv ~policy ~diff ~faults ~seed =
       Fiber.wait_until ~what:(name ^ " storm resolved") (fun () ->
           Byzantine.total t = srv.n_storm);
       Fault_plan.disarm plan;
-      heal := heal_breaker ~what:name guard clock probe;
+      heal_rounds := heal ~what:name k.Kernel.stats guard clock probe;
       Guard.drain guard l;
       Oracle.check_returned ~what:name app before;
       assert_pool_used ~pooled ~server:name app)
     (fun () ->
       let rs = Reactor.stats reactor in
-      storm_summary ~server:name ~k ~t ~heal:!heal ~guard ~tree:node
+      storm_summary ~server:name ~k ~t ~heal:!heal_rounds ~guard ~tree:node
       ^ pool_summary ~pooled app
       ^ (if pooled then Printf.sprintf " freeze2=%s" !probe_outcome else "")
       ^ (match advantage with
@@ -1019,7 +1009,7 @@ let melee srv = scenario (name srv) srv.melee_doc (run_melee srv)
 
 let storm srv =
   scenario (name srv ^ "_storm")
-    (name srv ^ " self-healing: fault storm + induced hangs, watchdog, breaker, tree")
+    (name srv ^ " self-healing: fault storm + induced hangs, watchdog, tree")
     (run_storm ~pooled:false srv)
 
 let pool_storm srv =
@@ -1032,10 +1022,9 @@ let pool_storm srv =
    their own member of a gate name. *)
 let httpd_mitm_recycle =
   let serve supervised env c =
-    not
+    ignore
       (Wedge_httpd.Httpd_mitm.serve_connection ~spawn:W.Recycle ?supervised ~guard:c env
          (Guard.ep c))
-        .Service.degraded
   in
   scenario "httpd_mitm_recycle" "Figures 3-5 melee, compartments and callgates under Recycle"
     (run_melee { httpd_mitm with service = { httpd_mitm.service with Service.serve } })

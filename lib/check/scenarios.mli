@@ -11,15 +11,16 @@
     ({!Oracle.Violation}, {!Refvm.Mismatch}, a scenario's end-state
     assertion) which {!Explore} catches and shrinks.
 
-    The ["httpd_storm"/"pop3_storm"/"sshd_storm"] scenarios drive the
-    self-healing machinery: on top of channel/memory faults they induce
-    {e hangs} (["fiber.stall"] and ["cgate.call"] fault sites) against a
-    server running its declared supervision tree behind a guard armed
-    with a circuit breaker and a hang deadline.  They assert
-    that every hung compartment is cut within its heartbeat deadline
-    (oracle invariant), the listener survives, the breaker closes again
-    once the storm passes, and the oracle sweeps clean — no leaked frame
-    or descriptor across any restart, cut, or quarantine.
+    The [*_storm] and [*_pool_storm] scenarios drive the self-healing
+    machinery: on top of channel/memory faults they induce {e hangs}
+    (["fiber.stall"] and ["cgate.call"] fault sites) against a server
+    running its declared supervision tree behind a guard with a hang
+    deadline.  They assert that every hung compartment is cut within its
+    heartbeat deadline (oracle invariant), the listener survives, clean
+    probes stop degrading once the storm passes (two in a row leave the
+    server's [<server>.degraded] counter unchanged), and the oracle
+    sweeps clean — no leaked frame or descriptor across any restart,
+    cut, or quarantine.
 
     The ["racy"] scenario is the deliberately buggy control: a lost
     update that only manifests under schedules that interleave a

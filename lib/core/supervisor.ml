@@ -14,12 +14,10 @@
      on the simulated clock.  A child whose faults exceed the budget
      inside the window escalates to its node — it is quarantined (runs
      are refused outright until the quarantine expires, the caller's
-     degraded path fires without burning a doomed spawn) and, under
-     [Rest_for_one], every child registered after it is marked
-     [Restarting] with its fault history cleared.  A child that stays
-     healthy for the node's healthy window gets its fault history reset,
-     so one early crash does not inflate a long-lived worker's intensity
-     forever. *)
+     degraded path fires without burning a doomed spawn); its siblings
+     are untouched.  A child that stays healthy for the node's healthy
+     window gets its fault history reset, so one early crash does not
+     inflate a long-lived worker's intensity forever. *)
 
 module Clock = Wedge_sim.Clock
 module Process = Wedge_kernel.Process
@@ -123,7 +121,6 @@ let supervise_fork ?policy ctx fn = supervise ?policy ctx (fun () -> Engine.fork
 (* Supervision tree                                                    *)
 
 type health = Healthy | Degraded | Restarting | Quarantined
-type strategy = One_for_one | Rest_for_one
 
 let health_to_string = function
   | Healthy -> "healthy"
@@ -131,13 +128,8 @@ let health_to_string = function
   | Restarting -> "restarting"
   | Quarantined -> "quarantined"
 
-let strategy_to_string = function
-  | One_for_one -> "one-for-one"
-  | Rest_for_one -> "rest-for-one"
-
 type node = {
   n_name : string;
-  n_strategy : strategy;
   n_intensity : int;  (* faulted attempts tolerated inside the window *)
   n_window_ns : int;
   n_healthy_after_ns : int;  (* fault history forgotten after this *)
@@ -152,9 +144,9 @@ and child = {
   c_policy : policy;
   c_spawn : Engine.spawn;
       (* every attempt's, so under [Stamp] a restart after a quarantine
-         escalation, a watchdog cut or a [Rest_for_one] sweep pays the
-         flat stamp cost instead of a boot that scales with the image —
-         the recovery path this module exists for *)
+         escalation or a watchdog cut pays the flat stamp cost instead of
+         a boot that scales with the image — the recovery path this
+         module exists for *)
   mutable c_health : health;
   mutable c_faults : int list;  (* fault timestamps inside the window, newest first *)
   mutable c_last_fault_ns : int;
@@ -163,14 +155,13 @@ and child = {
   mutable c_restarts : int;  (* lifetime restart count, for summaries *)
 }
 
-let node ?(strategy = One_for_one) ?(intensity = 5) ?(window_ns = 10_000)
-    ?(healthy_after_ns = 10_000) ?(quarantine_ns = 20_000) ~name ctx =
+let node ?(intensity = 5) ?(window_ns = 10_000) ?(healthy_after_ns = 10_000)
+    ?(quarantine_ns = 20_000) ~name ctx =
   if intensity < 0 then invalid_arg "Supervisor.node: intensity < 0";
   if window_ns <= 0 || healthy_after_ns <= 0 || quarantine_ns <= 0 then
     invalid_arg "Supervisor.node: windows must be positive";
   {
     n_name = name;
-    n_strategy = strategy;
     n_intensity = intensity;
     n_window_ns = window_ns;
     n_healthy_after_ns = healthy_after_ns;
@@ -249,27 +240,7 @@ let quarantine c now reason =
   c.c_quarantined_until <- now + span;
   c.c_last_fault <- reason;
   Engine.stat n.n_ctx "supervisor.escalated";
-  Engine.trace_instant n.n_ctx "supervisor.escalated";
-  match n.n_strategy with
-  | One_for_one -> ()
-  | Rest_for_one ->
-      (* Children registered after the escalating one restart with it:
-         their state may depend on the failed sibling, so their fault
-         history no longer means anything. *)
-      let rec later = function
-        | [] -> []
-        | c' :: rest when c' == c -> rest
-        | _ :: rest -> later rest
-      in
-      List.iter
-        (fun c' ->
-          if c'.c_health <> Quarantined then begin
-            c'.c_health <- Restarting;
-            c'.c_faults <- [];
-            c'.c_restarts <- c'.c_restarts + 1;
-            Engine.stat n.n_ctx "supervisor.rest_for_one"
-          end)
-        (later n.n_children)
+  Engine.trace_instant n.n_ctx "supervisor.escalated"
 
 (* Record one faulted attempt against the child's intensity window.
    Returns [false] — stop retrying — when the budget is exceeded. *)
@@ -332,8 +303,7 @@ let run_child_fn ?on_restart c fn =
           Error (Option.get (Engine.fault_reason e)))
 
 let tree_to_string n =
-  Printf.sprintf "%s[%s %s]: %s" n.n_name
-    (strategy_to_string n.n_strategy)
+  Printf.sprintf "%s[%s]: %s" n.n_name
     (health_to_string (node_health n))
     (String.concat ", "
        (List.map

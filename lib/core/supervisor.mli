@@ -16,17 +16,14 @@
     time).  Exceeding the budget escalates to the node: the child is
     {!Quarantined} — further runs are refused outright for
     [quarantine_ns], so the caller degrades immediately instead of burning
-    a doomed spawn — and under {!Rest_for_one} every child registered
-    after it is marked {!Restarting} with its fault history cleared.  A
-    child that stays clean for [healthy_after_ns] has its fault history
-    forgotten, so an early crash cannot inflate a long-lived worker's
-    intensity forever.
+    a doomed spawn — and its siblings are left alone.  A child that stays
+    clean for [healthy_after_ns] has its fault history forgotten, so an
+    early crash cannot inflate a long-lived worker's intensity forever.
 
     Kernel stats bumped: [supervisor.restart], [supervisor.gave_up],
-    [supervisor.escalated], [supervisor.rest_for_one],
-    [supervisor.quarantine.refused], [supervisor.quarantine.lift],
-    [supervisor.healthy_reset] — with matching trace instants for the
-    state transitions. *)
+    [supervisor.escalated], [supervisor.quarantine.refused],
+    [supervisor.quarantine.lift], [supervisor.healthy_reset] — with
+    matching trace instants for the state transitions. *)
 
 type policy = {
   max_restarts : int;  (** retries after the first attempt *)
@@ -85,20 +82,13 @@ val supervise_fork :
 type health = Healthy | Degraded | Restarting | Quarantined
 (** [Healthy]: no faults in the window.  [Degraded]: gave up (or still
     carrying window faults) but runnable.  [Restarting]: mid-retry, or
-    swept up by a sibling's rest-for-one escalation.  [Quarantined]:
-    intensity budget exceeded; runs are refused until the quarantine
-    expires. *)
-
-type strategy = One_for_one | Rest_for_one
-(** What an escalation does to siblings: nothing ([One_for_one]), or mark
-    every {e later-registered} child [Restarting] with cleared fault
-    history ([Rest_for_one] — registration order is dependency order). *)
+    just out of quarantine.  [Quarantined]: intensity budget exceeded;
+    runs are refused until the quarantine expires. *)
 
 type node
 type child
 
 val node :
-  ?strategy:strategy ->
   ?intensity:int ->
   ?window_ns:int ->
   ?healthy_after_ns:int ->
@@ -106,20 +96,19 @@ val node :
   name:string ->
   Engine.ctx ->
   node
-(** A supervision node.  Defaults: [One_for_one], [intensity] 5 faulted
-    attempts per [window_ns] 10_000 ns, history reset after
+(** A supervision node.  Defaults: [intensity] 5 faulted attempts per
+    [window_ns] 10_000 ns, history reset after
     [healthy_after_ns] 10_000 ns clean, [quarantine_ns] 20_000 ns.
     @raise Invalid_argument on a negative intensity or non-positive
     window. *)
 
 val child : ?policy:policy -> ?spawn:Engine.spawn -> node -> name:string -> child
-(** Register a named child (registration order is the [Rest_for_one]
-    dependency order).  [policy] governs each run's retries.
+(** Register a named child.  [policy] governs each run's retries.
     [spawn] (default [Boot]) is how every {!run_child_sthread} attempt
     gets its address space: under [Stamp image] the first run and every
-    restart alike — after a quarantine escalation, a watchdog cut or a
-    [Rest_for_one] sweep — is stamped from the frozen image at a flat
-    cost independent of image size.
+    restart alike — after a quarantine escalation or a watchdog cut — is
+    stamped from the frozen image at a flat cost independent of image
+    size.
 
     Quarantine throttles crash loops, and its length is priced against
     what a futile restart costs: a [Stamp] child serves a quarter of the
@@ -171,4 +160,4 @@ val children : node -> (string * health) list
 
 val tree_to_string : node -> string
 (** Deterministic one-line rendering, e.g.
-    ["httpd[one-for-one healthy]: listener=healthy/0, worker=degraded/3"]. *)
+    ["httpd[degraded]: listener=healthy/0, worker=degraded/3"]. *)

@@ -354,6 +354,5 @@ let service =
     worker = "worker";
     worker_policy = None;
     serve =
-      (fun supervised env c ->
-        not (serve_connection ?supervised ~guard:c env (Guard.ep c)).Service.degraded);
+      (fun supervised env c -> ignore (serve_connection ?supervised ~guard:c env (Guard.ep c)));
   }

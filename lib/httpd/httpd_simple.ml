@@ -254,7 +254,7 @@ let serve_connection ?spawn ?supervised ?guard ?max_request_bytes ?worker_limits
 let max_request_bytes = 4096
 
 let serve max_request_bytes supervised env c =
-  not (serve_connection ?supervised ~guard:c ~max_request_bytes env (Guard.ep c)).Service.degraded
+  ignore (serve_connection ?supervised ~guard:c ~max_request_bytes env (Guard.ep c))
 
 (* A rejected connection gets a plaintext 503: the TLS session never
    started, so plaintext is all there is.  A supervised worker gets one

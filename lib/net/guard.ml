@@ -26,66 +26,6 @@ module Trace = Wedge_sim.Trace
 module Metrics = Wedge_sim.Metrics
 module Reactor = Wedge_sim.Reactor
 
-(* ------------------------------------------------------------------ *)
-(* Circuit breaker                                                     *)
-
-(* Per-backend breaker over worker outcomes ([report]).  Closed → Open on
-   either [bc_consecutive] straight failures or a failure rate of at
-   least [bc_rate] over [bc_min_samples]+ outcomes inside [bc_window_ns];
-   Open sheds every admission for [bc_open_ns]; Half_open lets
-   [bc_probes] probe connections through — all succeeding closes the
-   breaker, any failing reopens it.  While still Closed but with the
-   window failure rate at [bc_brownout] or above, every second admission
-   is shed (brownout): partial load shedding before the full trip. *)
-
-type breaker_state = Closed | Open | Half_open
-
-let breaker_state_to_string = function
-  | Closed -> "closed"
-  | Open -> "open"
-  | Half_open -> "half-open"
-
-type breaker_config = {
-  bc_consecutive : int;
-  bc_rate : float;
-  bc_min_samples : int;
-  bc_window_ns : int;
-  bc_open_ns : int;
-  bc_probes : int;
-  bc_brownout : float;
-}
-
-let breaker_config ?(consecutive = 3) ?(rate = 0.5) ?(min_samples = 8)
-    ?(window_ns = 20_000) ?(open_ns = 10_000) ?(probes = 2) ?(brownout = 0.25) () =
-  if consecutive <= 0 || min_samples <= 0 || probes <= 0 then
-    invalid_arg "Guard.breaker_config: thresholds must be positive";
-  if window_ns <= 0 || open_ns <= 0 then
-    invalid_arg "Guard.breaker_config: windows must be positive";
-  {
-    bc_consecutive = consecutive;
-    bc_rate = rate;
-    bc_min_samples = min_samples;
-    bc_window_ns = window_ns;
-    bc_open_ns = open_ns;
-    bc_probes = probes;
-    bc_brownout = brownout;
-  }
-
-type breaker = {
-  bcfg : breaker_config;
-  mutable b_state : breaker_state;
-  mutable b_events : (int * bool) list;  (* (ns, ok) outcomes, newest first *)
-  mutable b_consecutive : int;  (* current failure streak *)
-  mutable b_first_failure_ns : int;  (* streak start, -1 outside one *)
-  mutable b_opened_at : int;
-  mutable b_probes_admitted : int;
-  mutable b_probe_successes : int;
-  mutable b_brownout_tick : int;  (* alternator: shed every 2nd admit *)
-  mutable b_opened : int;  (* times tripped, lifetime *)
-  mutable b_shed : int;
-  mutable b_reactions : int list;  (* first-failure -> open latency, newest first *)
-}
-
 (* A connection's heart (hang detection): armed in the serve fiber
    ([rearm_heart]), beaten by delivered bytes and [established], and cut
    by the connection's timer once its last beat is older than the hang
@@ -98,7 +38,6 @@ type t = {
   hang_deadline_ns : int;  (* 0: no heart is ever armed *)
   reactor : Reactor.t;  (* the clock, its timers and tick *)
   trace : Trace.t;
-  breaker : breaker option;
   mutable conns : conn list;
   mutable active_n : int;
       (* |conns|, maintained at admit/release so the admission check is
@@ -124,8 +63,6 @@ and conn = {
   mutable is_released : bool;
       (* makes [release] idempotent without scanning the list to find
          out whether this conn was still in it *)
-  mutable is_probe : bool;  (* admitted through a half-open breaker *)
-  mutable is_reported : bool;  (* outcome already fed to the breaker *)
   mutable heart : heart;
   mutable serve_fiber : int;  (* cancelled on a heart cut; captured at arm time *)
   mutable last_beat_ns : int;
@@ -133,7 +70,7 @@ and conn = {
       (* the armed deadline timer, cancelled on release and cut *)
 }
 
-type decision = Admitted of conn | Busy | Draining | Shed
+type decision = Admitted of conn | Busy | Draining
 
 type stats = {
   s_active : int;
@@ -143,7 +80,6 @@ type stats = {
   s_timed_out : int;
   s_forced : int;
   s_shed : int;
-  s_breaker_opened : int;
   s_hang_cuts : int;
   s_beats : int;
 }
@@ -155,117 +91,36 @@ exception Hang of string
 let () =
   Wedge_core.Engine.register_fault_class (function Hang msg -> Some msg | _ -> None)
 
-let create ~reactor ?header_deadline_ns ?hang_deadline_ns ?breaker ?(trace = Trace.null)
-    ~max_conns () =
+let create ~reactor ?header_deadline_ns ?hang_deadline_ns ?(trace = Trace.null) ~max_conns () =
   if max_conns <= 0 then invalid_arg "Guard.create: max_conns <= 0";
   (match hang_deadline_ns with
   | Some d when d <= 0 -> invalid_arg "Guard.create: hang_deadline_ns <= 0"
   | _ -> ());
-  let breaker =
-    match breaker with
-    | None -> None
-    | Some bcfg ->
-        Some
-          {
-            bcfg;
-            b_state = Closed;
-            b_events = [];
-            b_consecutive = 0;
-            b_first_failure_ns = -1;
-            b_opened_at = 0;
-            b_probes_admitted = 0;
-            b_probe_successes = 0;
-            b_brownout_tick = 0;
-            b_opened = 0;
-            b_shed = 0;
-            b_reactions = [];
-          }
-  in
-  let t =
-    {
-      max_conns;
-      header_deadline_ns;
-      hang_deadline_ns = Option.value hang_deadline_ns ~default:0;
-      reactor;
-      trace;
-      breaker;
-      conns = [];
-      active_n = 0;
-      released = Interest.create ~name:"guard.drain";
-      draining = false;
-      drain_forced = false;
-      admitted = 0;
-      rejected_busy = 0;
-      rejected_draining = 0;
-      timed_out = 0;
-      forced = 0;
-      hang_cuts = 0;
-      beats = 0;
-    }
-  in
-  t
+  {
+    max_conns;
+    header_deadline_ns;
+    hang_deadline_ns = Option.value hang_deadline_ns ~default:0;
+    reactor;
+    trace;
+    conns = [];
+    active_n = 0;
+    released = Interest.create ~name:"guard.drain";
+    draining = false;
+    drain_forced = false;
+    admitted = 0;
+    rejected_busy = 0;
+    rejected_draining = 0;
+    timed_out = 0;
+    forced = 0;
+    hang_cuts = 0;
+    beats = 0;
+  }
 
 let now t = Clock.now (Reactor.clock t.reactor)
 
 (* Guard events carry pid 0: admission happens before any compartment
    exists for the connection. *)
 let guard_pid = 0
-
-(* Clock-driven breaker transition: an open breaker ages into half-open
-   once [bc_open_ns] has passed — checked lazily at every admission and
-   report, so no timer fiber is needed. *)
-let breaker_tick t b =
-  if b.b_state = Open && now t - b.b_opened_at >= b.bcfg.bc_open_ns then begin
-    b.b_state <- Half_open;
-    b.b_probes_admitted <- 0;
-    b.b_probe_successes <- 0;
-    Trace.instant t.trace ~name:"guard.breaker.half_open" ~pid:guard_pid
-  end
-
-let prune_events t b =
-  let n = now t in
-  b.b_events <- List.filter (fun (ts, _) -> n - ts <= b.bcfg.bc_window_ns) b.b_events
-
-(* Window failure rate; NaN-free: no samples means rate 0. *)
-let failure_rate b =
-  let total = List.length b.b_events in
-  if total = 0 then 0.
-  else
-    float_of_int (List.length (List.filter (fun (_, ok) -> not ok) b.b_events))
-    /. float_of_int total
-
-let shed t b =
-  b.b_shed <- b.b_shed + 1;
-  Trace.instant t.trace ~name:"guard.breaker.shed" ~pid:guard_pid;
-  Shed
-
-(* What the breaker says about admitting one more connection:
-   [`Admit is_probe] or [`Shed]. *)
-let breaker_decision t =
-  match t.breaker with
-  | None -> `Admit false
-  | Some b -> (
-      breaker_tick t b;
-      match b.b_state with
-      | Open -> `Shed
-      | Half_open ->
-          if b.b_probes_admitted >= b.bcfg.bc_probes then `Shed
-          else begin
-            b.b_probes_admitted <- b.b_probes_admitted + 1;
-            `Admit true
-          end
-      | Closed ->
-          prune_events t b;
-          if
-            List.length b.b_events >= b.bcfg.bc_min_samples
-            && failure_rate b >= b.bcfg.bc_brownout
-          then begin
-            (* Brownout: deterministic alternation, not a coin flip —
-               every second admission is shed while the backend flaps. *)
-            b.b_brownout_tick <- b.b_brownout_tick + 1;
-            if b.b_brownout_tick mod 2 = 0 then `Shed else `Admit false
-          end
-          else `Admit false)
 
 let overdue c =
   match c.g.header_deadline_ns with
@@ -378,115 +233,34 @@ let admit t ep =
     Trace.instant t.trace ~name:"guard.reject.draining" ~pid:guard_pid;
     Draining
   end
-  else
-    (* Breaker before capacity: shedding exists precisely to refuse work
-       without burning a slot or a doomed compartment spawn. *)
-    match breaker_decision t with
-    | `Shed -> shed t (Option.get t.breaker)
-    | `Admit is_probe ->
-        if t.active_n >= t.max_conns then begin
-          t.rejected_busy <- t.rejected_busy + 1;
-          Trace.instant t.trace ~name:"guard.reject.busy" ~pid:guard_pid;
-          Busy
-        end
-        else begin
-          let n = now t in
-          let c =
-            {
-              g = t;
-              ep;
-              opened_ns = n;
-              is_established = false;
-              is_cut = false;
-              is_released = false;
-              is_probe;
-              is_reported = false;
-              heart = Unarmed;
-              serve_fiber = -1;
-              last_beat_ns = n;
-              deadline = None;
-            }
-          in
-          t.conns <- c :: t.conns;
-          t.active_n <- t.active_n + 1;
-          t.admitted <- t.admitted + 1;
-          arm_deadline c;
-          Trace.instant t.trace ~name:"guard.admit" ~pid:guard_pid;
-          Admitted c
-        end
-
-(* Feed one connection's outcome to the breaker (idempotent per conn).
-   Servers call this where they decide degraded-vs-served; unreported
-   connections simply don't move the breaker. *)
-let report c ~ok =
-  match c.g.breaker with
-  | None -> ()
-  | Some b ->
-      if not c.is_reported then begin
-        c.is_reported <- true;
-        let t = c.g in
-        let n = now t in
-        breaker_tick t b;
-        b.b_events <- (n, ok) :: b.b_events;
-        prune_events t b;
-        if ok then begin
-          b.b_consecutive <- 0;
-          b.b_first_failure_ns <- -1;
-          if b.b_state = Half_open && c.is_probe then begin
-            b.b_probe_successes <- b.b_probe_successes + 1;
-            if b.b_probe_successes >= b.bcfg.bc_probes then begin
-              b.b_state <- Closed;
-              b.b_events <- [];
-              b.b_brownout_tick <- 0;
-              Trace.instant t.trace ~name:"guard.breaker.close" ~pid:guard_pid
-            end
-          end
-        end
-        else begin
-          b.b_consecutive <- b.b_consecutive + 1;
-          if b.b_first_failure_ns < 0 then b.b_first_failure_ns <- n;
-          let trip ~fresh_detection =
-            b.b_state <- Open;
-            b.b_opened_at <- n;
-            b.b_opened <- b.b_opened + 1;
-            (* Reaction time: first failure of this streak to the trip —
-               the MTTR benchmark's breaker row.  Only a trip from
-               [Closed] is a detection: a failed half-open probe reopens
-               at the very instant its failure is recorded, so the
-               zero-length "reaction" it used to push dragged the
-               benchmark's p50 to 0 while the max stayed honest. *)
-            if fresh_detection then
-              b.b_reactions <- (n - b.b_first_failure_ns) :: b.b_reactions;
-            b.b_consecutive <- 0;
-            b.b_first_failure_ns <- -1;
-            Trace.instant t.trace ~name:"guard.breaker.open" ~pid:guard_pid
-          in
-          match b.b_state with
-          | Half_open ->
-              (* A failed probe reopens immediately. *)
-              trip ~fresh_detection:false
-          | Closed ->
-              if
-                b.b_consecutive >= b.bcfg.bc_consecutive
-                || List.length b.b_events >= b.bcfg.bc_min_samples
-                   && failure_rate b >= b.bcfg.bc_rate
-              then trip ~fresh_detection:true
-          | Open -> ()
-        end
-      end
-
-let breaker_state t = Option.map (fun b -> b.b_state) t.breaker
-
-let breaker_reactions t =
-  match t.breaker with None -> [] | Some b -> List.rev b.b_reactions
-
-let breaker_summary t =
-  match t.breaker with
-  | None -> "-"
-  | Some b ->
-      Printf.sprintf "%s opened=%d shed=%d"
-        (breaker_state_to_string b.b_state)
-        b.b_opened b.b_shed
+  else if t.active_n >= t.max_conns then begin
+    t.rejected_busy <- t.rejected_busy + 1;
+    Trace.instant t.trace ~name:"guard.reject.busy" ~pid:guard_pid;
+    Busy
+  end
+  else begin
+    let n = now t in
+    let c =
+      {
+        g = t;
+        ep;
+        opened_ns = n;
+        is_established = false;
+        is_cut = false;
+        is_released = false;
+        heart = Unarmed;
+        serve_fiber = -1;
+        last_beat_ns = n;
+        deadline = None;
+      }
+    in
+    t.conns <- c :: t.conns;
+    t.active_n <- t.active_n + 1;
+    t.admitted <- t.admitted + 1;
+    arm_deadline c;
+    Trace.instant t.trace ~name:"guard.admit" ~pid:guard_pid;
+    Admitted c
+  end
 
 let release c =
   (* Idempotent by flag, not by scanning: double releases (worker finally
@@ -574,7 +348,7 @@ let accept_loop t l ~reject ~serve =
                        accept loop. *)
                     try serve c
                     with e when Wedge_core.Engine.fault_reason e <> None -> ()))
-        | (Busy | Draining | Shed) as d ->
+        | (Busy | Draining) as d ->
             (* Rejection is best-effort: a client that vanished before we
                answer must not take the accept loop down. *)
             (try reject d ep with _ -> ());
@@ -679,8 +453,7 @@ let stats t =
     s_rejected_draining = t.rejected_draining;
     s_timed_out = t.timed_out;
     s_forced = t.forced;
-    s_shed = (match t.breaker with Some b -> b.b_shed | None -> 0);
-    s_breaker_opened = (match t.breaker with Some b -> b.b_opened | None -> 0);
+    s_shed = 0;
     s_hang_cuts = t.hang_cuts;
     s_beats = t.beats;
   }
@@ -693,22 +466,5 @@ let register_metrics ?(name = "guard") m t =
         ("guard.rejected_draining", t.rejected_draining);
         ("guard.timed_out", t.timed_out);
         ("guard.forced", t.forced);
-      ]
-      @
-      match t.breaker with
-      | None -> []
-      | Some b ->
-          [
-            ("guard.breaker.opened", b.b_opened);
-            ("guard.breaker.shed", b.b_shed);
-          ]);
-  Metrics.register m ~name:(name ^ ".gauges") (fun () ->
-      ("guard.active", t.active_n)
-      ::
-      (match t.breaker with
-      | None -> []
-      | Some b ->
-          [
-            ( "guard.breaker.state",
-              match b.b_state with Closed -> 0 | Half_open -> 1 | Open -> 2 );
-          ]))
+      ]);
+  Metrics.register m ~name:(name ^ ".gauges") (fun () -> [ ("guard.active", t.active_n) ])

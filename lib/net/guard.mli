@@ -2,11 +2,13 @@
     drain — the resource-governance front door shared by every
     partitioned server.
 
-    A guard caps concurrent connections (overflow is rejected with a
-    protocol-specific answer and closed), enforces a header deadline on
-    the simulated clock (slow-loris defense), and drains: stop accepting,
-    finish in-flight connections under a deadline, then force-close
-    stragglers.
+    A guard admits on drain and capacity alone: it turns a connection
+    away once {!drain} has started or while [max_conns] are in flight
+    (the client gets a protocol-specific answer, then a close).  It
+    enforces a header deadline on the simulated clock (slow-loris
+    defense), cuts a connection whose heart stops beating, and drains:
+    stop accepting, finish in-flight connections under a deadline, then
+    force-close stragglers.
 
     Deadline cuts use {!Chan.abort}, so the worker compartment sees EOF
     on read and a {e contained} fault on write — the listener survives.
@@ -14,47 +16,16 @@
     heart and drain deadlines are timer entries — so [Fiber.run] must be
     given [Reactor.hook] and [Reactor.idle] for them to fire.
 
-    Two self-healing attachments (both optional):
-
-    - a per-backend {e circuit breaker} over reported worker outcomes:
-      closed → open on a consecutive-failure streak or a window failure
-      rate, open sheds every admission ({!decision} [Shed]) for a cooling
-      period, then half-open lets a few probes through — all succeeding
-      closes it, any failing reopens it.  Below the trip point, a window
-      failure rate at the brownout threshold sheds every second admission
-      (partial load shedding while the backend flaps);
-
-    - a hang deadline: each connection's heart, armed in its serve fiber
-      and beaten by delivered bytes and {!established}, is cut when it
-      misses the deadline — channel aborted, serve fiber cancelled — so a
-      hung worker dies as a contained fault its supervisor can restart. *)
+    Hang detection is optional: with a hang deadline, each connection's
+    heart, armed in its serve fiber and beaten by delivered bytes and
+    {!established}, is cut when it misses the deadline — channel aborted,
+    serve fiber cancelled — so a hung worker dies as a contained fault
+    its supervisor can restart. *)
 
 type t
 type conn
 
-type breaker_state = Closed | Open | Half_open
-
-type breaker_config
-
-val breaker_config :
-  ?consecutive:int ->
-  ?rate:float ->
-  ?min_samples:int ->
-  ?window_ns:int ->
-  ?open_ns:int ->
-  ?probes:int ->
-  ?brownout:float ->
-  unit ->
-  breaker_config
-(** Trip on [consecutive] (default 3) straight failures, or a failure
-    rate of [rate] (default 0.5) over at least [min_samples] (default 8)
-    outcomes within [window_ns] (default 20_000) of simulated time.  Stay
-    open for [open_ns] (default 10_000), then admit [probes] (default 2)
-    half-open probes.  Brownout-shed every second admission while the
-    window failure rate is at least [brownout] (default 0.25).
-    @raise Invalid_argument on non-positive thresholds or windows. *)
-
-type decision = Admitted of conn | Busy | Draining | Shed
+type decision = Admitted of conn | Busy | Draining
 
 type stats = {
   s_active : int;
@@ -63,8 +34,9 @@ type stats = {
   s_rejected_draining : int;
   s_timed_out : int;  (** connections cut by a deadline or stall *)
   s_forced : int;  (** connections force-closed by {!drain} *)
-  s_shed : int;  (** admissions shed by the breaker or brownout *)
-  s_breaker_opened : int;  (** times the breaker tripped *)
+  s_shed : int;
+      (** always 0: nothing is shed beyond [Busy] and [Draining]; kept for
+          readers that add it to the rejections *)
   s_hang_cuts : int;  (** hearts cut by the hang deadline *)
   s_beats : int;  (** beats on alive hearts *)
 }
@@ -78,7 +50,6 @@ val create :
   reactor:Wedge_sim.Reactor.t ->
   ?header_deadline_ns:int ->
   ?hang_deadline_ns:int ->
-  ?breaker:breaker_config ->
   ?trace:Wedge_sim.Trace.t ->
   max_conns:int ->
   unit ->
@@ -91,31 +62,13 @@ val create :
     read or beat), cancelled on {!release}; after a {!cut} only the
     heart's deadline remains.  [trace] records admission decisions
     (["guard.admit"/"guard.reject.busy"/"guard.reject.draining"]), cuts
-    (["guard.cut"], and ["watchdog.cut"] for a heart), drain spans, and
-    breaker transitions (["guard.breaker.open"/"half_open"/"close"/"shed"]).
+    (["guard.cut"], and ["watchdog.cut"] for a heart) and drain spans.
     @raise Invalid_argument when [max_conns <= 0] or
     [hang_deadline_ns <= 0]. *)
 
 val admit : t -> Chan.ep -> decision
-(** Claim a slot.  [Busy] when at [max_conns], [Draining] once {!drain}
-    started, [Shed] when the breaker is open (or half-open beyond its
-    probe budget, or brownout alternation fires); all are counted and the
-    caller must reject + close.  The breaker is consulted {e before}
-    capacity: shedding refuses work without burning a slot. *)
-
-val report : conn -> ok:bool -> unit
-(** Feed this connection's outcome to the breaker (idempotent per
-    connection; no-op without a breaker).  Servers call it where they
-    decide served-vs-degraded. *)
-
-val breaker_state : t -> breaker_state option
-val breaker_reactions : t -> int list
-(** Trip latencies (first failure of a streak → open), oldest first —
-    the MTTR benchmark's breaker reaction rows. *)
-
-val breaker_summary : t -> string
-(** Deterministic one-liner, e.g. ["closed opened=2 shed=5"]; ["-"]
-    without a breaker. *)
+(** Claim a slot.  [Draining] once {!drain} started, else [Busy] when at
+    [max_conns]; both are counted and the caller must reject + close. *)
 
 val release : conn -> unit
 (** Give the slot back, cancel the connection's deadline timer and disarm

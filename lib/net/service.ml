@@ -10,7 +10,7 @@ type 'env t = {
   image : 'env -> W.Pool.t;
   worker : string;
   worker_policy : Supervisor.policy option;
-  serve : Supervisor.child option -> 'env -> Guard.conn -> bool;
+  serve : Supervisor.child option -> 'env -> Guard.conn -> unit;
 }
 
 type tree = Supervisor.node * Supervisor.child * Supervisor.child
@@ -34,9 +34,8 @@ let tree ?spawn s env =
 let serve_loop ?supervision s env guard listener =
   let supervised = Option.map (fun (_, _, worker) -> worker) supervision in
   let reject _ ep = Option.iter (Chan.write_string ep) s.reject in
-  let serve c = Guard.report c ~ok:(s.serve supervised env c) in
   let accept () =
-    Guard.accept_loop guard listener ~reject ~serve;
+    Guard.accept_loop guard listener ~reject ~serve:(s.serve supervised env);
     0
   in
   match supervision with

@@ -34,10 +34,10 @@ type 'env t = {
   worker : string;  (** the worker child's name, e.g. ["worker"] *)
   worker_policy : Wedge_core.Supervisor.policy option;
       (** The worker child's restart policy ([None]: the child default). *)
-  serve : Wedge_core.Supervisor.child option -> 'env -> Guard.conn -> bool;
+  serve : Wedge_core.Supervisor.child option -> 'env -> Guard.conn -> unit;
       (** Serve one admitted connection, its worker under the given tree
-          child when supervised; [true] when served, [false] when
-          degraded. *)
+          child when supervised.  A degraded connection is answered and
+          counted by the server itself ([<name>.degraded]). *)
 }
 
 type tree =
@@ -55,7 +55,7 @@ val image : name:string -> Wedge_core.Wedge.ctx -> Wedge_core.Sc.t -> Wedge_core
     after the image exists, as the pooled storms do. *)
 
 val tree : ?spawn:Wedge_core.Wedge.spawn -> 'env t -> 'env -> tree
-(** The declared topology: a [One_for_one] node [name] with children
+(** The declared topology: a node [name] with children
     ["listener"] (two accept-loop retries) and [worker] (policy
     [worker_policy], spawn [spawn], default [Boot]); an escalation
     quarantines only the child that escalated.
@@ -64,9 +64,9 @@ val tree : ?spawn:Wedge_core.Wedge.spawn -> 'env t -> 'env -> tree
     fork-priced boot. *)
 
 val serve_loop : ?supervision:tree -> 'env t -> 'env -> Guard.t -> Chan.listener -> unit
-(** Guarded accept loop: rejected connections (over capacity, draining or
-    breaker-shed) get [reject] and close; admitted ones run [serve] in
-    their own fiber, the outcome reported to the guard's breaker.  With
+(** Guarded accept loop: rejected connections (over capacity or
+    draining) get [reject] and close; admitted ones run [serve] in their
+    own fiber.  With
     [supervision] workers run under its worker child and the accept loop
     under ["listener"], so a contained fault leaking out of the serve path
     restarts the loop instead of killing the server.  Returns once the

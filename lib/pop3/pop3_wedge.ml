@@ -317,8 +317,7 @@ let service =
     worker = "worker";
     worker_policy = Some worker_policy;
     serve =
-      (fun supervised main c ->
-        not (serve_connection ?supervised ~guard:c main (Guard.ep c)).Service.degraded);
+      (fun supervised main c -> ignore (serve_connection ?supervised ~guard:c main (Guard.ep c)));
   }
 
 let serve_sharded mains front = Service.serve_sharded service mains front

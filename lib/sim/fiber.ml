@@ -17,10 +17,10 @@ exception Deadlock of string
 
 exception Cancelled of string
 (* Delivered inside a fiber at its next yield (or stall step / wait-until
-   poll) after [cancel] marked it.  The watchdog uses this to tear down a
-   hung compartment: the engine registers [Cancelled] as a contained
-   fault class, so a cancelled worker dies like a crashed one — the
-   listener and every other fiber keep running. *)
+   poll) after [cancel] marked it.  A guard's heart cut uses this to tear
+   down a hung compartment: [Engine.fault_reason] counts [Cancelled] among
+   its built-in contained faults, so a cancelled worker dies like a
+   crashed one — the listener and every other fiber keep running. *)
 
 (* ------------------------------------------------------------------ *)
 (* Scheduling policies                                                 *)

@@ -154,16 +154,11 @@ let serve_connection ?supervised ?guard (env : Sshd_env.t) ep =
   in
   (* An SSH session whose slave died mid-protocol cannot be resumed in
      plaintext: the degraded answer is a disconnect, monitor intact. *)
-  let ok =
-    match outcome with
-    | Supervisor.Done _ -> true
-    | Supervisor.Gave_up _ ->
-        W.stat main "sshd.degraded";
-        false
-  in
+  (match outcome with
+  | Supervisor.Done _ -> ()
+  | Supervisor.Gave_up _ -> W.stat main "sshd.degraded");
   W.fd_close main fd;
-  Chan.close ep;
-  ok
+  Chan.close ep
 
 (* The privsep skeleton.  The slave image keeps the monitor's identity
    (the slave drops privileges itself, exactly as after a fork).  SSH has

@@ -36,9 +36,8 @@ val serve_connection :
   ?guard:Wedge_net.Guard.conn ->
   Sshd_env.t ->
   Wedge_net.Chan.ep ->
-  bool
-(** Fork a slave for one connection.  Returns [false] when the
-    connection was degraded.
+  unit
+(** Fork a slave for one connection.
 
     Fault containment: a slave crash (injected or real) never kills the
     monitor — the slave is not retried (the encrypted stream died with

@@ -287,23 +287,23 @@ let test_sweep_pct_policy () =
    re-pins the whole table at once. *)
 let pinned_digests =
   [
-    ("pop3", "b7b6df86c4fac46c01f8d7d02ec37f04");
-    ("httpd", "74b9b182ceb4c2e5101ea8edf6b06d05");
-    ("sshd", "0affe7671429528d69944c88ff1e9b23");
-    ("httpd_mitm", "29004a48bcae3322726a0289e0b4de43");
-    ("httpd_mitm_recycle", "d6fd94272e35736432e6cc471812cdd0");
-    ("httpd_storm", "32ccb71a3c20931f6ff57148b864f4d6");
-    ("pop3_storm", "c5dfde54986566e353c8e54fc317577d");
-    ("sshd_storm", "42effaa78a9ba32526307fcc57aa00cc");
-    ("httpd_mitm_storm", "49db6895926fef42954ca5e398f7b6d8");
-    ("httpd_pool_storm", "a4e51532aa34db7ad00a13579a162cea");
-    ("pop3_pool_storm", "b96ab1de59e7ad9f7ab9426367fe5334");
-    ("sshd_pool_storm", "a6a76931c864cd2bb799703b65f099fd");
-    ("httpd_mitm_pool_storm", "a99871da17e2a301e911ccfafd5ecb6a");
-    ("httpd_sharded", "366494e5d738100f521b828cdcd1706a");
-    ("pop3_sharded", "d5757e05fa13601f7e698d339dae488a");
-    ("sshd_sharded", "93dda69acf6c960c3f0b403529dcec7e");
-    ("httpd_mitm_sharded", "fea5148aabd194c78f544bdb0a20d57e");
+    ("pop3", "e30e0d870b6f893ae12b690243b3411d");
+    ("httpd", "bc8a970cbfb9e328380de3ba1ea2e41e");
+    ("sshd", "4cc6a75def9b7216b7c200bbe9e89d08");
+    ("httpd_mitm", "057e5138d8b11a473f5417952963c941");
+    ("httpd_mitm_recycle", "67a334420d72a91f4eb1eecf838409fa");
+    ("httpd_storm", "240b3328b76b1e50189c7bf5d16448d2");
+    ("pop3_storm", "5a4e459cd0a3e4c394e017e170af3343");
+    ("sshd_storm", "1032fc7a484812539e6042607d1fdf71");
+    ("httpd_mitm_storm", "f34226039810863c29c95d43d31e6105");
+    ("httpd_pool_storm", "6fa6de35faa5cc5a1ef3e90bbda48cfe");
+    ("pop3_pool_storm", "8c2e803e1b33fc2d8d2b658545d99279");
+    ("sshd_pool_storm", "39c6db202c4332cad87782a7daa3435f");
+    ("httpd_mitm_pool_storm", "b59c2e2c15da8face291b8509ab89ea7");
+    ("httpd_sharded", "ef78c03ec41cc1f6bf7860e41753972b");
+    ("pop3_sharded", "6436f649b3f640a759faeda5b341deb4");
+    ("sshd_sharded", "54f78077f042faca01a281508896bbbe");
+    ("httpd_mitm_sharded", "286e2f1f5d73e54d2d547d0336f128ae");
     ("httpd_synth", "68443f6502534fa9574c44224284ad76");
     ("pop3_synth", "ca935ca738a8f81975ea03f0d06f1421");
     ("sshd_synth", "cc5d77da265451769ff0e746def8d92f");

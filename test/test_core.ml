@@ -215,6 +215,25 @@ let test_uid_change_requires_root () =
   in
   check Alcotest.int "setuid 0 denied to non-root" 2 (W.sthread_join main h)
 
+(* The chroot counterpart: only uid 0 may give a child another root.  The
+   refusal is caught inside the child, which reports it. *)
+let test_chroot_requires_root () =
+  let _, app, main = mk_app () in
+  W.boot app;
+  let sc = W.sc_create () in
+  W.sc_set_uid sc 99;
+  let h =
+    W.sthread_create main sc
+      (fun ctx _ ->
+        let sc_jail = W.sc_create () in
+        W.sc_set_root sc_jail "/var/empty";
+        match W.sthread_create ctx sc_jail (fun _ _ -> 0) 0 with
+        | _ -> 1
+        | exception W.Privilege_violation _ -> 2)
+      0
+  in
+  check Alcotest.int "chroot denied to non-root" 2 (W.sthread_join main h)
+
 let test_fd_grant_subset () =
   let k, app, main = mk_app () in
   Vfs.install k.Kernel.vfs "/data" "hello";
@@ -586,6 +605,80 @@ let test_gate_extra_descriptor_priced () =
             (cost with_fd))
         [ ("boot", W.Boot); ("recycle", W.Recycle); ("stamp", W.Stamp image) ])
 
+(* A recycled member keeps its address space between calls, but a
+   caller's extra grants are that call's alone: the next call, made
+   without them, finds the tag unmapped.  The entry catches its own
+   fault, so one member serves both calls. *)
+let test_recycled_extras_unmapped_after_call () =
+  let _, app, main = mk_app () in
+  W.boot app;
+  let tag = W.tag_new ~name:"extra" ~pages:1 main in
+  let addr = W.smalloc main 8 tag in
+  W.write_u8 main addr 42;
+  let pids = ref [] in
+  let gate =
+    W.sc_cgate_add ~spawn:W.Recycle main (W.sc_create ()) ~name:"peek"
+      ~entry:(fun gctx ~trusted:_ ~arg:_ ->
+        pids := W.pid gctx :: !pids;
+        match W.read_u8 gctx addr with v -> v | exception Vm.Fault _ -> -2)
+      ~cgsc:(W.sc_create ()) ~trusted:0
+  in
+  let extra = W.sc_create () in
+  W.sc_mem_add extra tag Prot.R;
+  check Alcotest.int "extra grant mapped for its call" 42 (W.cgate main gate ~perms:extra ~arg:0);
+  check Alcotest.int "extra grant gone on the next call" (-2)
+    (W.cgate main gate ~perms:(W.sc_create ()) ~arg:0);
+  check Alcotest.int "one member served both calls" 1
+    (List.length (List.sort_uniq compare !pids))
+
+(* Two instances of one gate name share their recycled members (a
+   per-connection gate is minted anew for every connection).  Instance 1
+   grants a tag and a descriptor; after the member is remapped to
+   instance 2, which grants neither, its entry probes both.  Checks that
+   both instances ran on one member, and returns (tag readable,
+   descriptor held) as instance 2 saw them. *)
+let remapped_member_probe () =
+  let _, app, main = mk_app () in
+  W.boot app;
+  let tag = W.tag_new ~name:"conn1" ~pages:1 main in
+  let addr = W.smalloc main 8 tag in
+  W.write_u8 main addr 7;
+  let fd = Fd_table.add (W.proc main).Process.fds Fd_table.Null Fd_table.perm_rw in
+  let first_pid = ref None and seen = ref None in
+  let instance cgsc entry =
+    W.sc_cgate_add ~spawn:W.Recycle main (W.sc_create ()) ~name:"conn" ~entry ~cgsc ~trusted:0
+  in
+  let first =
+    let cgsc = W.sc_create () in
+    W.sc_mem_add cgsc tag Prot.R;
+    W.sc_fd_add cgsc fd Fd_table.perm_r;
+    instance cgsc (fun gctx ~trusted:_ ~arg:_ ->
+        first_pid := Some (W.pid gctx);
+        W.read_u8 gctx addr)
+  in
+  check Alcotest.int "first instance reads its tag" 7
+    (W.cgate main first ~perms:(W.sc_create ()) ~arg:0);
+  W.cgate_delete main first;
+  let second =
+    instance (W.sc_create ()) (fun gctx ~trusted:_ ~arg:_ ->
+        let readable = match W.read_u8 gctx addr with _ -> true | exception Vm.Fault _ -> false in
+        let held = match W.fd_read gctx fd 0 with _ -> true | exception W.Fd_error _ -> false in
+        seen := Some (W.pid gctx, readable, held);
+        0)
+  in
+  check Alcotest.int "second instance ran" 0 (W.cgate main second ~perms:(W.sc_create ()) ~arg:0);
+  match !seen with
+  | Some (pid, readable, held) ->
+      check Alcotest.(option int) "one member served both instances" !first_pid (Some pid);
+      (readable, held)
+  | None -> Alcotest.fail "second instance's entry never ran"
+
+let test_remap_drops_old_tags () =
+  check Alcotest.bool "first instance's tag unmapped" false (fst (remapped_member_probe ()))
+
+let test_remap_drops_old_fds () =
+  check Alcotest.bool "first instance's descriptor closed" false (snd (remapped_member_probe ()))
+
 let test_tag_delete_revokes_from_pooled_sthreads () =
   (* tag_delete is a global revocation: the pooled sthread behind a
      recycled callgate keeps its address space across invocations, so if
@@ -913,6 +1006,7 @@ let () =
             test_child_cannot_be_granted_what_parent_lacks;
           Alcotest.test_case "unheld tag rejected" `Quick test_grant_of_unheld_tag_rejected;
           Alcotest.test_case "uid change requires root" `Quick test_uid_change_requires_root;
+          Alcotest.test_case "chroot requires root" `Quick test_chroot_requires_root;
           Alcotest.test_case "fd grant subset" `Quick test_fd_grant_subset;
           Alcotest.test_case "ungranted fd invisible" `Quick test_ungranted_fd_invisible;
           Alcotest.test_case "selinux syscall policy" `Quick test_selinux_policy_on_sthread;
@@ -938,6 +1032,10 @@ let () =
           Alcotest.test_case "extra descriptor priced" `Quick test_gate_extra_descriptor_priced;
           Alcotest.test_case "tag delete revokes from pool" `Quick
             test_tag_delete_revokes_from_pooled_sthreads;
+          Alcotest.test_case "recycled extras unmapped" `Quick
+            test_recycled_extras_unmapped_after_call;
+          Alcotest.test_case "remap drops old tags" `Quick test_remap_drops_old_tags;
+          Alcotest.test_case "remap drops old fds" `Quick test_remap_drops_old_fds;
         ] );
       ( "fork-baseline",
         [

@@ -327,6 +327,18 @@ let test_readonly_fd_write_rejected () =
       | () -> Alcotest.fail "expected Fd_error"
       | exception W.Fd_error _ -> ())
 
+(* The mirror: a write-only descriptor refuses a read, though its
+   endpoint has bytes to give. *)
+let test_writeonly_fd_read_rejected () =
+  let _, _, main = mk_app () in
+  let ep =
+    { Fd_table.ep_read = (fun _ -> Bytes.of_string "x"); ep_write = ignore; ep_wait = ignore }
+  in
+  let fd = W.add_endpoint main ep Fd_table.perm_w in
+  match W.fd_read main fd 1 with
+  | _ -> Alcotest.fail "expected Fd_error"
+  | exception W.Fd_error _ -> ()
+
 (* ---------- pthread sharing semantics ---------- *)
 
 let test_pthread_shares_everything () =
@@ -454,6 +466,7 @@ let () =
           Alcotest.test_case "file fd overwrite" `Quick test_file_fd_overwrite_mid_file;
           Alcotest.test_case "open respects perms" `Quick test_open_file_respects_vfs_perms;
           Alcotest.test_case "read-only fd write rejected" `Quick test_readonly_fd_write_rejected;
+          Alcotest.test_case "write-only fd read rejected" `Quick test_writeonly_fd_read_rejected;
           Alcotest.test_case "pthread shares everything" `Quick test_pthread_shares_everything;
           Alcotest.test_case "exit codes" `Quick test_exit_sthread_code;
           Alcotest.test_case "per-request structure" `Quick test_mitm_request_structure;

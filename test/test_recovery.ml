@@ -1,10 +1,9 @@
 (* Self-healing tests: overflow-safe supervision backoff, fault-history
-   reset for long-lived workers, supervision-tree escalation / quarantine
-   / rest-for-one, hang detection by the guard's connection hearts (unit
-   and against all three servers via a mid-header staller),
-   circuit-breaker transitions, fiber cancellation delivery, the new
-   engine fault sites, and byte-identical replay of a full fault-storm
-   scenario. *)
+   reset for long-lived workers, supervision-tree escalation and
+   quarantine, hang detection by the guard's connection hearts (unit and
+   against all three servers via a mid-header staller), fiber
+   cancellation delivery, the new engine fault sites, and byte-identical
+   replay of a full fault-storm scenario. *)
 
 module Fault_plan = Wedge_fault.Fault_plan
 module Kernel = Wedge_kernel.Kernel
@@ -65,7 +64,7 @@ let test_backoff_cap_pins_schedule () =
   in
   check Alcotest.int "pinned 700 ns schedule" 700 total
 
-(* ---------- tree: escalation, quarantine, rest-for-one ---------- *)
+(* ---------- tree: escalation, quarantine ---------- *)
 
 let failing_fn () = raise (Fault_plan.Injected "boom")
 
@@ -101,31 +100,6 @@ let test_tree_escalates_and_quarantines () =
   | Supervisor.Gave_up _ -> Alcotest.fail "quarantine must lift");
   check Alcotest.int "lift counted" 1
     (Stats.get k.Kernel.stats "supervisor.quarantine.lift")
-
-let test_rest_for_one_restarts_later_siblings () =
-  let k, ctx = mk_ctx () in
-  let node =
-    Supervisor.node ~strategy:Supervisor.Rest_for_one ~intensity:1 ~window_ns:10_000
-      ~name:"t" ctx
-  in
-  let first = Supervisor.child node ~name:"first" in
-  let middle = Supervisor.child ~policy:(Supervisor.policy ~max_restarts:3 ()) node ~name:"middle" in
-  let last = Supervisor.child node ~name:"last" in
-  ignore (Supervisor.run_child_fn first (fun () -> 0));
-  ignore (Supervisor.run_child_fn last (fun () -> 0));
-  ignore (Supervisor.run_child_fn middle failing_fn);
-  check Alcotest.bool "middle quarantined" true
-    (Supervisor.child_health middle = Supervisor.Quarantined);
-  (* Registration order is dependency order: only the later sibling is
-     swept into Restarting. *)
-  check Alcotest.bool "later sibling restarting" true
-    (Supervisor.child_health last = Supervisor.Restarting);
-  check Alcotest.bool "earlier sibling untouched" true
-    (Supervisor.child_health first <> Supervisor.Restarting);
-  check Alcotest.int "rest_for_one counted" 1
-    (Stats.get k.Kernel.stats "supervisor.rest_for_one");
-  check Alcotest.bool "tree renders" true
-    (contains (Supervisor.tree_to_string node) "rest-for-one")
 
 (* ---------- satellite 2: healthy period clears fault history ---------- *)
 
@@ -318,94 +292,6 @@ let test_reactor_cuts_parked_worker_within_deadline () =
      rotation (one more 300 ns charge) later: deadline + tick + rotation. *)
   check Alcotest.bool "cut landed within deadline + tick + one rotation" true
     (!woke_at >= 0 && !woke_at <= 1_600)
-
-(* ---------- circuit breaker ---------- *)
-
-let breaker_guard clock =
-  Guard.create ~reactor:(Reactor.create ~clock ())
-    ~breaker:
-      (Guard.breaker_config ~consecutive:3 ~rate:0.9 ~min_samples:100
-         ~window_ns:1_000_000 ~open_ns:5_000 ~probes:2 ~brownout:0.99 ())
-    ~max_conns:8 ()
-
-let test_breaker_opens_sheds_and_recovers () =
-  let clock = Clock.create () in
-  Fiber.run ~clock (fun () ->
-      let g = breaker_guard clock in
-      let admit () =
-        let a, b = Chan.pair () in
-        match Guard.admit g b with
-        | Guard.Admitted c -> (a, c)
-        | _ -> Alcotest.fail "expected admission"
-      in
-      check Alcotest.bool "starts closed" true
-        (Guard.breaker_state g = Some Guard.Closed);
-      (* Three consecutive failures trip it. *)
-      for i = 1 to 3 do
-        let a, c = admit () in
-        Clock.charge clock 100;
-        Guard.report c ~ok:false;
-        Guard.release c;
-        Chan.close a;
-        if i < 3 then
-          check Alcotest.bool "still closed before streak" true
-            (Guard.breaker_state g = Some Guard.Closed)
-      done;
-      check Alcotest.bool "open after streak" true
-        (Guard.breaker_state g = Some Guard.Open);
-      (* First failure at 100 ns, trip on the third at 300 ns. *)
-      check (Alcotest.list Alcotest.int) "reaction recorded" [ 200 ]
-        (Guard.breaker_reactions g);
-      (* Open sheds without burning capacity. *)
-      let a, b = Chan.pair () in
-      (match Guard.admit g b with
-      | Guard.Shed -> ()
-      | _ -> Alcotest.fail "open breaker must shed");
-      Chan.close a;
-      check Alcotest.int "no slot burned" 0 (Guard.active g);
-      (* After the cooling period: half-open probes; two successes close. *)
-      Clock.charge clock 6_000;
-      let a1, c1 = admit () in
-      check Alcotest.bool "half-open on first probe" true
-        (Guard.breaker_state g = Some Guard.Half_open);
-      Guard.report c1 ~ok:true;
-      Guard.release c1;
-      Chan.close a1;
-      let a2, c2 = admit () in
-      Guard.report c2 ~ok:true;
-      Guard.release c2;
-      Chan.close a2;
-      check Alcotest.bool "closed after probes" true
-        (Guard.breaker_state g = Some Guard.Closed);
-      check Alcotest.bool "summary mentions closed" true
-        (contains (Guard.breaker_summary g) "closed"))
-
-let test_breaker_failed_probe_reopens () =
-  let clock = Clock.create () in
-  Fiber.run ~clock (fun () ->
-      let g = breaker_guard clock in
-      let admit () =
-        let a, b = Chan.pair () in
-        match Guard.admit g b with
-        | Guard.Admitted c -> (a, c)
-        | _ -> Alcotest.fail "expected admission"
-      in
-      for _ = 1 to 3 do
-        let a, c = admit () in
-        Clock.charge clock 100;
-        Guard.report c ~ok:false;
-        Guard.release c;
-        Chan.close a
-      done;
-      Clock.charge clock 6_000;
-      let a, c = admit () in
-      Guard.report c ~ok:false;
-      Guard.release c;
-      Chan.close a;
-      check Alcotest.bool "failed probe reopens" true
-        (Guard.breaker_state g = Some Guard.Open);
-      check Alcotest.int "two trips recorded" 2
-        (Guard.stats g).Guard.s_breaker_opened)
 
 (* ---------- satellite 3: mid-header staller vs all three servers ------- *)
 
@@ -638,7 +524,6 @@ let () =
         [
           Alcotest.test_case "escalate + quarantine" `Quick
             test_tree_escalates_and_quarantines;
-          Alcotest.test_case "rest-for-one" `Quick test_rest_for_one_restarts_later_siblings;
           Alcotest.test_case "healthy reset" `Quick test_healthy_reset_clears_history;
         ] );
       ( "cancel",
@@ -654,11 +539,6 @@ let () =
             test_reactor_reads_beat_heart;
           Alcotest.test_case "parked worker cut within deadline" `Quick
             test_reactor_cuts_parked_worker_within_deadline;
-        ] );
-      ( "breaker",
-        [
-          Alcotest.test_case "open/shed/recover" `Quick test_breaker_opens_sheds_and_recovers;
-          Alcotest.test_case "failed probe reopens" `Quick test_breaker_failed_probe_reopens;
         ] );
       ( "staller",
         [

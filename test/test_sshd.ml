@@ -45,7 +45,7 @@ let with_conn env variant f =
       Fiber.spawn (fun () ->
           match variant with
           | VMono -> Mono.serve_connection env server_ep
-          | VPrivsep -> ignore (Privsep.serve_connection env server_ep)
+          | VPrivsep -> Privsep.serve_connection env server_ep
           | VWedge -> ignore (Wedge_d.serve_connection env server_ep));
       let rng = Drbg.create ~seed:0xC0 in
       match
