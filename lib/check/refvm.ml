@@ -235,12 +235,12 @@ let arm t =
   if t.armed then invalid_arg "Refvm.arm: already armed";
   sync t;
   t.armed <- true;
-  t.kernel.Kernel.mem_rec := Some (apply t)
+  t.kernel.Kernel.mem_rec.Vm.sink <- Some (apply t)
 
 let disarm t =
   if t.armed then begin
     t.armed <- false;
-    t.kernel.Kernel.mem_rec := None
+    t.kernel.Kernel.mem_rec.Vm.sink <- None
   end
 
 (* End-of-run sweep: every model mapping must exist in the real page

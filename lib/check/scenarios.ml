@@ -19,9 +19,11 @@
    world sleeps to its next timer.
 
    Failures are exceptions: [Oracle.Violation], [Refvm.Mismatch], a
-   scenario's own end-state assertion, or anything a server let escape
-   containment.  [Explore] catches them, captures the scheduler decision
-   trace and shrinks it.
+   scenario's own end-state assertion, anything the master's own code
+   raised, or a compartment that died of a class outside
+   [Engine.fault_reason] ([fault.unexpected]: contained, but no honest
+   server raises one).  [Explore] catches them, captures the scheduler
+   decision trace and shrinks it.
 
    The [racy] scenario is the deliberately buggy control: two sthreads
    increment a shared tagged counter, one of them yielding between its
@@ -44,7 +46,6 @@ module Byzantine = Wedge_net.Byzantine
 module Drbg = Wedge_crypto.Drbg
 module Rsa = Wedge_crypto.Rsa
 module W = Wedge_core.Wedge
-module Supervisor = Wedge_core.Supervisor
 module Shard = Wedge_net.Shard
 module Prot = Wedge_kernel.Prot
 module Synth = Wedge_crowbar.Synth
@@ -64,6 +65,18 @@ let contains hay needle =
   let nl = String.length needle and hl = String.length hay in
   let rec go i = i + nl <= hl && (String.sub hay i nl = needle || go (i + 1)) in
   go 0
+
+(* Every compartment dies contained, whatever it raised; one that died
+   of a class outside [Engine.fault_reason] fails the row, so a server
+   bug inside a worker stays loud under exploration. *)
+let no_unexpected_faults (k : Kernel.t) =
+  match Stats.get k.Kernel.stats "fault.unexpected" with
+  | 0 -> ()
+  | n ->
+      raise
+        (Oracle.Violation
+           (Printf.sprintf "shard %d: %d compartment(s) died of an unexpected exception"
+              k.Kernel.shard n))
 
 (* Run [main] under [policy] with the oracle (and optionally the
    differential model) armed, then sweep.  [summarize] builds the
@@ -93,6 +106,7 @@ let checked ~kernel ~app ~reactor ?sched_faults ~policy ~diff main summarize =
       Fiber.run ?faults:sched_faults ~clock:(Reactor.clock reactor)
         ~on_idle:(Reactor.idle reactor) ~policy ~on_switch (fun () -> main oracle);
       Oracle.check oracle;
+      no_unexpected_faults kernel;
       (match refvm with Some rv -> Refvm.verify rv | None -> ());
       Printf.sprintf "%s checks=%d diff_events=%s" (summarize ())
         (Oracle.checks_run oracle)
@@ -120,9 +134,7 @@ let chan_faults plan prob =
 (* Recovery epilogue for the storm scenarios: with the fault plan already
    disarmed, feed clean probe connections, 6 µs apart, until two in a row
    leave the server's own [<what>.degraded] counter unchanged — the
-   scenario's "system healed" assertion.  A worker quarantined by the
-   storm degrades the first probes; the clock advances each round, so the
-   quarantine lifts and the loop converges.  Returns the rounds it took.
+   scenario's "system healed" assertion.  Returns the rounds it took.
    The bound only trips when recovery is genuinely broken. *)
 let heal ~what stats guard clock probe =
   let degraded () = Stats.get stats (what ^ ".degraded") in
@@ -589,13 +601,15 @@ let run_racy ~policy ~diff ~faults:_ ~seed:_ =
    On top of the channel/memory faults of the base scenarios, the storm
    plans roll ["fiber.stall"] (a fiber freezes for 20 µs of simulated
    time — far past the hang deadline) and ["cgate.call"] (a callgate
-   stalls or crashes mid-call).  The servers run their declared
-   supervision trees (pooled or fresh) behind a guard with a hang
-   deadline; the scenario asserts the full self-healing story: every
+   stalls or crashes mid-call).  The servers run their production
+   serve path — flat restart policy, every retry re-arming the
+   connection's heart — behind a guard with a hang deadline, their
+   compartments stamped from the frozen image (pooled) or booted
+   (fresh); the scenario asserts the full self-healing story: every
    hung compartment is cut at its heart's deadline (oracle invariant),
    the listener survives, clean probes stop degrading once the storm
    passes (heal epilogue), and the oracle sweeps clean — no leaked frame
-   or descriptor across any restart, cut, or quarantine. *)
+   or descriptor across any restart or cut. *)
 
 let storm_plan ~pooled ~seed ~faults ~cgates =
   let plan = Fault_plan.create ~seed () in
@@ -689,11 +703,10 @@ let storm_heart_invariant oracle guard =
   Oracle.add_invariant oracle ~name:"watchdog.cut-by-deadline" (fun () ->
       Guard.heart_check ~slack_ns:50_000 guard)
 
-let storm_summary ~server ~k ~t ~heal ~guard ~tree =
+let storm_summary ~server ~k ~t ~heal ~guard =
   let s = Guard.stats guard in
-  Printf.sprintf "%s %s heal=%d %s wd_cuts=%d wd_beats=%d %s degraded=%d plan_armed" server
+  Printf.sprintf "%s %s heal=%d %s wd_cuts=%d wd_beats=%d degraded=%d plan_armed" server
     (tally_to_string t) heal (guard_to_string s) s.Guard.s_hang_cuts s.s_beats
-    (Supervisor.tree_to_string tree)
     (Stats.get k.Kernel.stats (server ^ ".degraded"))
 
 let run_storm ~pooled srv ~policy ~diff ~faults ~seed =
@@ -712,9 +725,9 @@ let run_storm ~pooled srv ~policy ~diff ~faults ~seed =
   in
   let t = Byzantine.tally () in
   let is_rejection = srv.is_rejection in
-  let spawn = if pooled then Some (W.Stamp (srv.service.Service.image env)) else None in
-  let tree = Service.tree ?spawn srv.service env in
-  let node, _, _ = tree in
+  (* A pooled storm stamps from the image, frozen here before the plan
+     arms: the freeze must not roll ["pool.freeze"]. *)
+  if pooled then ignore (srv.service.Service.image env);
   let heal_rounds = ref 0 in
   let probe_outcome = ref "-" in
   let probe =
@@ -729,7 +742,7 @@ let run_storm ~pooled srv ~policy ~diff ~faults ~seed =
       Oracle.add_guard oracle ~name:(name ^ ".guard") guard;
       storm_heart_invariant oracle guard;
       let before = Oracle.holdings app in
-      Fiber.spawn (fun () -> Service.serve_loop ~supervision:tree srv.service env guard l);
+      Fiber.spawn (fun () -> Service.serve_loop srv.service env guard l);
       Fault_plan.arm plan;
       probe_outcome := freeze_probe ~pooled (W.main_ctx app);
       for i = 1 to srv.n_storm do
@@ -749,7 +762,7 @@ let run_storm ~pooled srv ~policy ~diff ~faults ~seed =
       assert_pool_used ~pooled ~server:name app)
     (fun () ->
       let rs = Reactor.stats reactor in
-      storm_summary ~server:name ~k ~t ~heal:!heal_rounds ~guard ~tree:node
+      storm_summary ~server:name ~k ~t ~heal:!heal_rounds ~guard
       ^ pool_summary ~pooled app
       ^ (if pooled then Printf.sprintf " freeze2=%s" !probe_outcome else "")
       ^ (match advantage with
@@ -802,6 +815,7 @@ let checked_sharded ~fab ~policy ~diff main summarize =
           main oracles;
           Shard.stop fab);
       Oracle.global_sweep ~fabric:fab (Array.to_list oracles);
+      Array.iter (fun (s : Shard.shard) -> no_unexpected_faults s.Shard.kernel) shards;
       List.iter Refvm.verify refvms;
       Printf.sprintf "%s checks=%d diff_events=%s" (summarize ())
         (Array.fold_left (fun acc o -> acc + Oracle.checks_run o) 0 oracles)
@@ -1007,10 +1021,13 @@ let scenario s_name s_doc s_run = { s_name; s_doc; s_run }
 
 let melee srv = scenario (name srv) srv.melee_doc (run_melee srv)
 
-let storm srv =
+(* A fresh storm serves through [serve]: the service's own serve path
+   with every compartment and callgate booted fork-priced, as
+   [httpd_mitm_recycle] runs them recycled. *)
+let storm srv serve =
   scenario (name srv ^ "_storm")
-    (name srv ^ " self-healing: fault storm + induced hangs, watchdog, tree")
-    (run_storm ~pooled:false srv)
+    (name srv ^ " self-healing: fault storm + induced hangs, watchdog, booted restarts")
+    (run_storm ~pooled:false { srv with service = { srv.service with Service.serve } })
 
 let pool_storm srv =
   scenario (name srv ^ "_pool_storm")
@@ -1021,10 +1038,8 @@ let pool_storm srv =
    callgates spawned under [Recycle]: connections in flight each take
    their own member of a gate name. *)
 let httpd_mitm_recycle =
-  let serve supervised env c =
-    ignore
-      (Wedge_httpd.Httpd_mitm.serve_connection ~spawn:W.Recycle ?supervised ~guard:c env
-         (Guard.ep c))
+  let serve env c =
+    ignore (Wedge_httpd.Httpd_mitm.serve_connection ~spawn:W.Recycle ~guard:c env (Guard.ep c))
   in
   scenario "httpd_mitm_recycle" "Figures 3-5 melee, compartments and callgates under Recycle"
     (run_melee { httpd_mitm with service = { httpd_mitm.service with Service.serve } })
@@ -1046,10 +1061,16 @@ let all =
     melee sshd;
     melee httpd_mitm;
     httpd_mitm_recycle;
-    storm httpd;
-    storm pop3;
-    storm sshd;
-    storm httpd_mitm;
+    (* No storm client completes a TLS handshake, so httpd's request-size
+       cap never applies. *)
+    storm httpd (fun env c ->
+        ignore (Wedge_httpd.Httpd_simple.serve_connection ~spawn:W.Boot ~guard:c env (Guard.ep c)));
+    storm pop3 (fun main c ->
+        ignore (Wedge_pop3.Pop3_wedge.serve_connection ~spawn:W.Boot ~guard:c main (Guard.ep c)));
+    storm sshd (fun env c ->
+        ignore (Wedge_sshd.Sshd_wedge.serve_connection ~spawn:W.Boot ~guard:c env (Guard.ep c)));
+    storm httpd_mitm (fun env c ->
+        ignore (Wedge_httpd.Httpd_mitm.serve_connection ~spawn:W.Boot ~guard:c env (Guard.ep c)));
     pool_storm httpd;
     pool_storm pop3;
     pool_storm sshd;

@@ -9,18 +9,21 @@
     A run returns a deterministic summary string (same seed + policy ⇒
     byte-identical summary); failures are exceptions
     ({!Oracle.Violation}, {!Refvm.Mismatch}, a scenario's end-state
-    assertion) which {!Explore} catches and shrinks.
+    assertion, a compartment that died of a class outside
+    {!Wedge_core.Engine.fault_reason}) which {!Explore} catches and
+    shrinks.
 
     The [*_storm] and [*_pool_storm] scenarios drive the self-healing
     machinery: on top of channel/memory faults they induce {e hangs}
     (["fiber.stall"] and ["cgate.call"] fault sites) against a server
-    running its declared supervision tree behind a guard with a hang
-    deadline.  They assert that every hung compartment is cut within its
-    heartbeat deadline (oracle invariant), the listener survives, clean
-    probes stop degrading once the storm passes (two in a row leave the
-    server's [<server>.degraded] counter unchanged), and the oracle
-    sweeps clean — no leaked frame or descriptor across any restart,
-    cut, or quarantine.
+    running its production serve path (the flat restart policy, booted
+    in [*_storm], stamped from its frozen image in [*_pool_storm])
+    behind a guard with a hang deadline.  They assert that every hung
+    compartment is cut within its heartbeat deadline (oracle
+    invariant), the listener survives, clean probes stop degrading once
+    the storm passes (two in a row leave the server's
+    [<server>.degraded] counter unchanged), and the oracle sweeps clean
+    — no leaked frame or descriptor across any restart or cut.
 
     The ["racy"] scenario is the deliberately buggy control: a lost
     update that only manifests under schedules that interleave a

@@ -37,13 +37,15 @@ exception Heap_corruption of string
    detecting the damage at free time must die contained (SIGABRT), not
    crash the application as a programming error. *)
 
-(* The exception classes that kill a compartment without propagating —
-   the simulated SIGSEGV/SIGKILL family.  Everything else (including
-   [Privilege_violation], a policy bug in the caller) propagates.
-   Layers above this one (wedge_net, invisible from here) register their
-   own contained classes at module initialisation: a refused connection,
-   for instance, is an environmental condition a supervised compartment
-   must die from cleanly, not a programming error. *)
+(* The named fault classes — the simulated SIGSEGV/SIGKILL family: an
+   environmental condition, not a programming error.  A compartment dies
+   contained of any exception ([run_compartment]); this class names the
+   reason, and outside it a death is counted as [fault.unexpected].  The
+   master's own calls guard their setup with it, so there everything
+   else (including [Privilege_violation], a policy bug in the caller)
+   propagates.  Layers above this one (wedge_net, invisible from here)
+   register their own classes at module initialisation: a refused
+   connection, for instance, or a cut heart read in the master. *)
 let extra_fault_classes : (exn -> string option) list ref = ref []
 let register_fault_class f = extra_fault_classes := f :: !extra_fault_classes
 
@@ -69,9 +71,9 @@ type gate_id = int
    the engine consults it on every data access, descriptor operation and
    callgate invocation.  A hook returns [Some msg] when the operation
    exceeds the installed profile; the engine then raises
-   [Privilege_violation msg], which dies CONTAINED for a profiled
-   compartment (the sandbox working, not a monitor bug).  Complain-mode
-   hooks log and return [None], so nothing is denied. *)
+   [Privilege_violation msg], which kills the compartment contained
+   (the sandbox working, not a monitor bug).  Complain-mode hooks log
+   and return [None], so nothing is denied. *)
 type policy_check = {
   pol_mem : addr:int -> len:int -> write:bool -> string option;
   pol_fd : fd:int -> write:bool -> string option;
@@ -237,8 +239,8 @@ let booted app = app.booted
 let violation fmt = Printf.ksprintf (fun s -> raise (Privilege_violation s)) fmt
 
 (* An installed profile said no: counted, visible in the kernel trace,
-   then the standard policy exception — contained by [run_compartment]
-   (and the recycled-gate path) because the dying ctx carries a policy. *)
+   then the standard policy exception, which kills the compartment
+   contained like any other. *)
 let policy_deny ctx msg =
   stat ctx "policy.deny";
   trace_instant ctx "policy.violation";
@@ -613,6 +615,23 @@ let compartment_ctx app child spawn sc instr =
   | Boot | Recycle -> ());
   ctx
 
+(* What compartment code raises but must not contain: a scheduler
+   deadlock (the run is stuck, not the compartment), and an exception a
+   harness hook raised — the oracle's syscall hook, the memory
+   recorder's consumer — which must end the run that found it. *)
+let escapes app e =
+  match e with Fiber.Deadlock _ -> true | e -> Kernel.hook_raised app.kernel e
+
+(* Why a compartment died of [e].  A class outside [fault_reason] is
+   counted as [fault.unexpected]: an honest server raises none, so a
+   nonzero count is a server bug or a compromised compartment. *)
+let death_reason ctx e =
+  match fault_reason e with
+  | Some reason -> reason
+  | None -> (
+      stat ctx "fault.unexpected";
+      match e with Privilege_violation msg -> "policy: " ^ msg | e -> Printexc.to_string e)
+
 let run_compartment ctx fn arg =
   let cm = costs ctx in
   charge ctx (cm.Cost_model.context_switch + cm.Cost_model.tlb_flush);
@@ -631,22 +650,15 @@ let run_compartment ctx fn arg =
     | exception Exit_sthread code ->
         ctx.proc.Process.status <- Process.Exited code;
         Some code
-    | exception Privilege_violation msg when ctx.policy <> None ->
-        (* A compartment under an installed profile exceeding its grants
-           is the sandbox working as intended: die contained, like a
-           protection fault, never up through the monitor. *)
-        ctx.proc.Process.status <- Process.Faulted ("policy: " ^ msg);
+    | exception e when escapes ctx.app e -> raise e
+    | exception e ->
+        (* Whatever the compartment's code raised — a protection fault,
+           a profile denial, a hostile payload's bad descriptor or
+           callgate — it dies alone, never up through the monitor. *)
+        ctx.proc.Process.status <- Process.Faulted (death_reason ctx e);
         stat ctx "fault.compartment";
         trace_instant ctx "compartment.fault";
         None
-    | exception e -> (
-        match fault_reason e with
-        | Some reason ->
-            ctx.proc.Process.status <- Process.Faulted reason;
-            stat ctx "fault.compartment";
-            trace_instant ctx "compartment.fault";
-            None
-        | None -> raise e)
   in
   if Trace.enabled tr then
     Trace.span_end tr ~name:span ~pid:ctx.proc.Process.pid;
@@ -1167,21 +1179,15 @@ let cgate ?deadline_ns caller gid ~perms ~arg =
         match g.g_entry gctx ~trusted:g.g_trusted ~arg with
         | v -> v
         | exception Exit_sthread code -> code
-        | exception Privilege_violation msg when gctx.policy <> None ->
-            (* Same containment as [run_compartment]: a profiled member
-               exceeding its profile is discarded, not propagated. *)
+        | exception e when escapes app e ->
+            give m;
+            raise e
+        | exception e ->
+            (* Same containment as [run_compartment]: the member is
+               discarded, never propagated. *)
             stat caller "fault.cgate";
-            discard_and_respawn ("policy: " ^ msg);
+            discard_and_respawn (death_reason gctx e);
             -1
-        | exception e -> (
-            match fault_reason e with
-            | Some reason ->
-                stat caller "fault.cgate";
-                discard_and_respawn reason;
-                -1
-            | None ->
-                give m;
-                raise e)
       in
       if Process.is_alive gctx.proc then
         List.iter

@@ -38,11 +38,11 @@ type gate_id = Engine.gate_id
 
 type spawn = Engine.spawn = Boot | Recycle | Stamp of Pool.t
 (** How a compartment gets its address space — the one choice behind
-    {!sthread_create}, {!sc_cgate_add}, supervision-tree children and
-    the servers' [run_worker]: [Boot] maps the pristine snapshot page by
-    page (fork-priced), [Stamp image] installs a frozen {!Pool} image for
-    one flat charge, and [Recycle] backs a callgate by long-lived members
-    (§3.3) — an sthread under [Recycle] boots. *)
+    {!sthread_create}, {!sc_cgate_add} and the servers' [run_worker]:
+    [Boot] maps the pristine snapshot page by page (fork-priced), [Stamp
+    image] installs a frozen {!Pool} image for one flat charge, and
+    [Recycle] backs a callgate by long-lived members (§3.3) — an sthread
+    under [Recycle] boots. *)
 
 exception Privilege_violation of string
 (** A policy asked for more privilege than its grantor holds, or a
@@ -91,10 +91,15 @@ val sthread_create :
   ?instr:Wedge_sim.Instr.t -> ?spawn:spawn -> ctx -> Sc.t -> (ctx -> int -> int) -> int -> handle
 (** [sthread_create parent sc body arg] spawns a default-deny compartment
     holding exactly the privileges in [sc] (plus the pristine snapshot,
-    copy-on-write) and runs [body] to completion.  A protection fault or
-    SELinux denial terminates the sthread without propagating; a fault
-    while building it (a quota hit duplicating a granted descriptor)
-    reaps the half-built process and reaches the caller.
+    copy-on-write) and runs [body] to completion.  Any exception [body]
+    raises — a protection fault, an SELinux denial, a bad descriptor, a
+    callgate it was not granted, a plain [Failure] — terminates the
+    sthread without propagating; one outside {!fault_reason} is counted
+    as ["fault.unexpected"].  Two kinds still propagate: a scheduler
+    deadlock, and an exception a harness hook raised
+    ({!Wedge_kernel.Kernel.hook_raised}).  A fault while building the
+    sthread (a quota hit duplicating a granted descriptor) reaps the
+    half-built process and reaches the caller.
 
     [spawn] (default [Boot]) [Stamp image] restores [image] instead, for
     one flat charge: identity and limits come from the image unless
@@ -260,15 +265,20 @@ val register_metrics : Wedge_sim.Metrics.t -> app -> unit
     {!Wedge_sim.Metrics.snapshot} then reads the whole system. *)
 
 val fault_reason : exn -> string option
-(** [Some reason] iff the exception is in the fault class that terminates
-    a compartment (protection fault, SELinux denial, frame exhaustion,
-    quota exhaustion, injected fault) rather than a programming error.
-    What monitors use to guard their own per-connection setup work. *)
+(** [Some reason] iff the exception is in the named fault class
+    (protection fault, SELinux denial, frame exhaustion, quota
+    exhaustion, injected fault, and the registered classes): an
+    environmental condition rather than a programming error.  A
+    compartment dies contained of any exception; this class names its
+    reason, and outside it the death counts as ["fault.unexpected"].
+    Monitors guard their own per-connection setup work with it, so there
+    anything else still propagates. *)
 
 val register_fault_class : (exn -> string option) -> unit
-(** Extend the contained-fault class with a layer-specific exception
-    (e.g. a refused connection): the callback returns [Some reason] for
-    exceptions that should terminate a compartment cleanly. *)
+(** Extend the named fault class with a layer-specific exception (e.g. a
+    refused connection, a cut heart's [Hang] read in a monitor): the
+    callback returns [Some reason] for exceptions a monitor's own code
+    may die of cleanly. *)
 
 val can_read : ctx -> addr:int -> len:int -> bool
 val can_write : ctx -> addr:int -> len:int -> bool
@@ -293,8 +303,8 @@ val instr_of : ctx -> Wedge_sim.Instr.t
     synthesis loader ({!Wedge_crowbar.Synth}): consulted on every data
     access, descriptor operation and callgate invocation of that
     compartment.  [Some msg] denies — the engine raises
-    {!Privilege_violation}[ msg], which dies {e contained} for a
-    profiled compartment (stat ["policy.deny"], trace instant
+    {!Privilege_violation}[ msg], which kills the compartment contained,
+    its reason ["policy: " ^ msg] (stat ["policy.deny"], trace instant
     ["policy.violation"]). Complain-mode hooks count and return [None]. *)
 type policy_check = Engine.policy_check = {
   pol_mem : addr:int -> len:int -> write:bool -> string option;
@@ -366,9 +376,8 @@ val takeover : app -> where:where -> at:int -> (ctx -> unit) -> unit
     or a child that never starts, leaves the run unchanged (the former
     disarms the point at the next kernel entry).  Several takeovers may
     be armed at once, each counting on its own.  An exception the payload
-    raises is the compartment's own: a contained fault class kills the
-    compartment, anything else propagates as it would from the
-    compartment's code.
+    raises is the compartment's own: it kills the compartment, as any
+    exception its code raises does.
 
     Unarmed, the point costs every kernel entry one branch and no
     allocation.
@@ -379,6 +388,5 @@ val takeover : app -> where:where -> at:int -> (ctx -> unit) -> unit
 module Pool : module type of Pool
 (** Checkpoint a fully-booted worker once ({!Pool.freeze}); [Stamp image]
     then spawns sthreads and callgate invocations from the frozen image
-    at a flat cost independent of address-space size — what a
-    {!Supervisor} child under [~spawn:(Stamp image)] restarts with, and
-    the servers' default for every per-connection compartment. *)
+    at a flat cost independent of address-space size — the servers'
+    default for every per-connection compartment, restarts included. *)

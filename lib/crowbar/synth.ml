@@ -588,20 +588,7 @@ let run_wrapped t kind name ~fds ctx body =
     | Complain p -> install_profile t kind name ~fds ctx p ~enforce:false
     | Enforce p -> install_profile t kind name ~fds ctx p ~enforce:true
   in
-  match body () with
-  | v ->
-      uninstall ();
-      v
-  | exception (W.Privilege_violation _ as e) ->
-      (* A denial unwinding out of the body: leave the hooks installed so
-         the engine's containment check (which reads [ctx.policy]) still
-         sees a profiled compartment and faults it contained.  The ctx
-         dies with the compartment (recycled gate members are discarded
-         and respawned), so the skipped uninstall leaks nothing. *)
-      raise e
-  | exception e ->
-      uninstall ();
-      raise e
+  Fun.protect ~finally:uninstall body
 
 let wrap_sthread t ~name ~fds body ctx arg =
   match t with

@@ -235,10 +235,10 @@ let header_end resp =
   in
   find 0
 
-let serve_connection ?spawn ?supervised ?guard (env : Httpd_env.t) ep =
+let serve_connection ?spawn ?guard (env : Httpd_env.t) ep =
   let main = env.Httpd_env.main in
   let spawn = match spawn with Some s -> s | None -> W.Stamp (image env) in
-  Service.run_worker ?supervised ?guard ~spawn ~policy:Supervisor.default_policy
+  Service.run_worker ?guard ~spawn ~policy:Supervisor.default_policy
     ~degrade:(fun () -> Httpd_env.send_degraded ~server:"httpd_mitm" main ep)
     main ep
   @@ fun conn ->
@@ -351,8 +351,5 @@ let service =
     main = (fun (env : Httpd_env.t) -> env.Httpd_env.main);
     reject = Some (Http.format_response Http.service_unavailable);
     image;
-    worker = "worker";
-    worker_policy = None;
-    serve =
-      (fun supervised env c -> ignore (serve_connection ?supervised ~guard:c env (Guard.ep c)));
+    serve = (fun env c -> ignore (serve_connection ~guard:c env (Guard.ep c)));
   }

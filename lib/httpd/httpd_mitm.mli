@@ -23,7 +23,6 @@
 
 val serve_connection :
   ?spawn:Wedge_core.Wedge.spawn ->
-  ?supervised:Wedge_core.Supervisor.child ->
   ?guard:Wedge_net.Guard.conn ->
   Httpd_env.t ->
   Wedge_net.Chan.ep ->
@@ -37,8 +36,8 @@ val serve_connection :
 
     A fault in either compartment or in the master's setup degrades only
     this connection: a plaintext 500 and the [httpd_mitm.degraded]
-    counter.  [supervised] runs both compartments under a
-    supervision-tree child; [guard] makes the handshake read through the
+    counter.  Neither is retried: the TLS stream is consumed by a failed
+    attempt.  [guard] makes the handshake read through the
     deadline-aware endpoint and marks the connection established after a
     clean handshake.
 
@@ -48,7 +47,6 @@ val serve_connection :
     past its block. *)
 
 val service : Httpd_env.t Wedge_net.Service.t
-(** The Figures 3–5 skeleton: node ["httpd_mitm"], worker child
-    ["worker"] (no retry: the TLS stream is consumed by a failed
-    attempt), worker image ["httpd_mitm.worker"], plaintext 503 for
-    rejected connections, {!serve_connection} per admitted one. *)
+(** The Figures 3–5 skeleton: name ["httpd_mitm"], worker image
+    ["httpd_mitm.worker"], plaintext 503 for rejected connections,
+    {!serve_connection} per admitted one. *)

@@ -172,11 +172,11 @@ let worker_identity (env : Httpd_env.t) =
 let image (env : Httpd_env.t) =
   Service.image ~name:"httpd.worker" env.Httpd_env.main (worker_identity env)
 
-let serve_connection ?spawn ?supervised ?guard ?max_request_bytes ?worker_limits ?synth
-    (env : Httpd_env.t) ep =
+let serve_connection ?spawn ?guard ?max_request_bytes ?worker_limits ?synth (env : Httpd_env.t)
+    ep =
   let main = env.Httpd_env.main in
   let spawn = match spawn with Some s -> s | None -> W.Stamp (image env) in
-  Service.run_worker ?supervised ?guard ~spawn ~policy:Supervisor.default_policy
+  Service.run_worker ?guard ~spawn ~policy:Supervisor.default_policy
     ~degrade:(fun () -> Httpd_env.send_degraded ~server:"httpd" main ep)
     main ep
   @@ fun conn ->
@@ -253,20 +253,17 @@ let serve_connection ?spawn ?supervised ?guard ?max_request_bytes ?worker_limits
 (* The served request-size cap: a decrypted request over 4 KiB gets 413. *)
 let max_request_bytes = 4096
 
-let serve max_request_bytes supervised env c =
-  ignore (serve_connection ?supervised ~guard:c ~max_request_bytes env (Guard.ep c))
+let serve max_request_bytes env c =
+  ignore (serve_connection ~guard:c ~max_request_bytes env (Guard.ep c))
 
 (* A rejected connection gets a plaintext 503: the TLS session never
-   started, so plaintext is all there is.  A supervised worker gets one
-   retry. *)
+   started, so plaintext is all there is. *)
 let service =
   {
     Service.name = "httpd";
     main = (fun (env : Httpd_env.t) -> env.Httpd_env.main);
     reject = Some (Http.format_response Http.service_unavailable);
     image;
-    worker = "worker";
-    worker_policy = Some (Supervisor.policy ~max_restarts:1 ());
     serve = serve max_request_bytes;
   }
 

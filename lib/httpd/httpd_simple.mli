@@ -17,7 +17,6 @@
 
 val serve_connection :
   ?spawn:Wedge_core.Wedge.spawn ->
-  ?supervised:Wedge_core.Supervisor.child ->
   ?guard:Wedge_net.Guard.conn ->
   ?max_request_bytes:int ->
   ?worker_limits:Wedge_kernel.Rlimit.t ->
@@ -36,8 +35,7 @@ val serve_connection :
     (plaintext 500, counters [httpd.degraded] / [supervisor.*] bumped) and
     never propagates to the caller, so an accept loop above survives any
     connection's death.  A faulted worker is not retried (the TLS stream
-    is consumed by the failed attempt) unless [supervised] runs it under a
-    supervision-tree child.
+    is consumed by the failed attempt).
 
     Resource governance: [guard] makes the worker read through the
     deadline-aware endpoint (slow-loris becomes EOF) and marks the
@@ -53,8 +51,8 @@ val serve_connection :
     profile's entries replace the hand-written security contexts. *)
 
 val service : Httpd_env.t Wedge_net.Service.t
-(** The httpd skeleton: node ["httpd"], worker child ["worker"] (one
-    retry), worker image ["httpd.worker"] booted as uid 33 inside the
+(** The httpd skeleton: name ["httpd"], worker image ["httpd.worker"]
+    booted as uid 33 inside the
     docroot chroot (with the env's worker SELinux context when set),
     plaintext 503 for rejected connections, {!serve_connection} with a
     4096-byte [max_request_bytes] per admitted one. *)

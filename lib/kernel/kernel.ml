@@ -26,6 +26,9 @@ type t = {
          cross-process memory-event stream *)
   mutable on_syscall : (string -> unit) option;
       (* invariant-oracle hook, called on entry to [syscall_check] *)
+  mutable syscall_raised : exn option;
+      (* the last exception [on_syscall] raised, latched as [mem_rec]
+         latches its consumer's *)
 }
 
 let create ?(costs = Cost_model.default) ?faults ?max_frames ?(shard = 0) () =
@@ -42,8 +45,9 @@ let create ?(costs = Cost_model.default) ?faults ?max_frames ?(shard = 0) () =
     shard;
     next_pid = 1;
     procs = Hashtbl.create 32;
-    mem_rec = ref None;
+    mem_rec = { Vm.sink = None; raised = None };
     on_syscall = None;
+    syscall_raised = None;
   }
 
 let charge t ns = Clock.charge t.clock ns
@@ -127,7 +131,13 @@ let reap t (p : Process.t) =
 let syscall_check t (p : Process.t) name =
   (* The oracle hook runs first: it checks the state the syscall found,
      before the trap charges fuel or anything else moves. *)
-  (match t.on_syscall with Some f -> f name | None -> ());
+  (match t.on_syscall with
+  | Some f -> (
+      try f name
+      with e ->
+        t.syscall_raised <- Some e;
+        raise e)
+  | None -> ());
   trap t name;
   (* The [enabled] guard keeps the disabled path free of the string
      concatenation below. *)
@@ -141,6 +151,13 @@ let syscall_check t (p : Process.t) name =
       (Eperm
          (Printf.sprintf "pid %d (sid %s): syscall %s denied by SELinux policy"
             p.Process.pid p.Process.sid name))
+
+(* Raised by a harness hook: the oracle's syscall hook or the memory
+   recorder's consumer.  Such an exception unwinds through compartment
+   code, and must end the run that found it, not the compartment. *)
+let hook_raised t e =
+  let is = function Some x -> x == e | None -> false in
+  is t.syscall_raised || is t.mem_rec.Vm.raised
 
 let live_processes t =
   Hashtbl.fold (fun _ p n -> if Process.is_alive p then n + 1 else n) t.procs 0

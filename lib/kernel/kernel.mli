@@ -22,12 +22,15 @@ type t = {
   procs : (int, Process.t) Hashtbl.t;
   mem_rec : Vm.recorder;
       (** one {!Vm.recorder} cell shared by every address space this
-          kernel creates — arm it ([:= Some f]) to stream the globally
-          ordered memory events of all processes to a differential
-          checker, disarm with [:= None] *)
+          kernel creates — arm it ([sink <- Some f]) to stream the
+          globally ordered memory events of all processes to a
+          differential checker, disarm with [sink <- None] *)
   mutable on_syscall : (string -> unit) option;
       (** invariant-oracle hook, called with the syscall name on entry to
           {!syscall_check}, before any charge or policy check runs *)
+  mutable syscall_raised : exn option;
+      (** the last exception [on_syscall] raised, latched before it
+          unwinds *)
 }
 
 val create :
@@ -91,6 +94,13 @@ val syscall_check : t -> Process.t -> string -> unit
     for the named system call.  With {!field-trace} armed, records a
     ["sys.<name>"] instant attributed to the calling pid.
     @raise Eperm when denied. *)
+
+val hook_raised : t -> exn -> bool
+(** Whether [e] is the exception a harness hook — [on_syscall] or the
+    [mem_rec] consumer — last raised (physical equality).  It unwinds
+    through compartment code; the engine lets it escape instead of
+    containing it, so an oracle violation or a model mismatch still
+    ends the run. *)
 
 val live_processes : t -> int
 

@@ -59,7 +59,14 @@ type mem_event =
       kernel : bool;
     }
 
-type recorder = (mem_event -> unit) option ref
+type recorder = {
+  mutable sink : (mem_event -> unit) option;
+  mutable raised : exn option;
+      (* the last exception [sink] raised, latched before it unwinds
+         through the code that made the access: a compartment boundary
+         reads it to let a checker's failure end the run instead of
+         containing it as the compartment's own fault *)
+}
 
 (* ------------------------------------------------------------------ *)
 (* Software TLB                                                        *)
@@ -135,7 +142,7 @@ let create ?faults ?limits ?(trace = Wedge_sim.Trace.null) ?recorder ~pid pm clo
     limits;
     trace;
     owned = Hashtbl.create 8;
-    recorder = (match recorder with Some r -> r | None -> ref None);
+    recorder = (match recorder with Some r -> r | None -> { sink = None; raised = None });
     tlb = Array.make tlb_slots tlb_invalid;
     tlb_hit_n = 0;
     tlb_miss_n = 0;
@@ -189,8 +196,16 @@ let tlb_fill t vpn (pte : Pagetable.pte) =
       e_frame = pte.Pagetable.frame;
     }
 
-let emit t ev = match !(t.recorder) with Some f -> f ev | None -> ()
-let recording t = !(t.recorder) <> None
+(* Hand [ev] to the armed consumer, latching what it raises. *)
+let record rc f ev =
+  match f ev with
+  | () -> ()
+  | exception e ->
+      rc.raised <- Some e;
+      raise e
+
+let emit t ev = match t.recorder.sink with Some f -> record t.recorder f ev | None -> ()
+let recording t = t.recorder.sink <> None
 
 (* Quota accounting for private frames.  The charge happens before the
    allocation so exhaustion is deterministic and leaves physical memory
@@ -700,65 +715,67 @@ let enc8 v =
 let armed_read t r addr ~kernel ~u64 enc f =
   match f () with
   | v ->
-      r (Ev_read { pid = t.pid; addr; value = enc v; kernel; u64 });
+      record t.recorder r (Ev_read { pid = t.pid; addr; value = enc v; kernel; u64 });
       v
   | exception Fault ft ->
-      r (Ev_fault { pid = t.pid; addr = ft.addr; access = Read; reason = ft.reason; kernel });
+      record t.recorder r
+        (Ev_fault { pid = t.pid; addr = ft.addr; access = Read; reason = ft.reason; kernel });
       raise (Fault ft)
 
 let armed_write t r addr ~kernel enc f =
   match f () with
-  | () -> r (Ev_write { pid = t.pid; addr; value = enc (); kernel })
+  | () -> record t.recorder r (Ev_write { pid = t.pid; addr; value = enc (); kernel })
   | exception Fault ft ->
-      r (Ev_fault { pid = t.pid; addr = ft.addr; access = Write; reason = ft.reason; kernel });
+      record t.recorder r
+        (Ev_fault { pid = t.pid; addr = ft.addr; access = Write; reason = ft.reason; kernel });
       raise (Fault ft)
 
 let read_u8 t addr =
-  match !(t.recorder) with
+  match t.recorder.sink with
   | None -> read_u8_raw t addr
   | Some r -> armed_read t r addr ~kernel:false ~u64:false enc1 (fun () -> read_u8_raw t addr)
 
 let write_u8 t addr v =
-  match !(t.recorder) with
+  match t.recorder.sink with
   | None -> write_u8_raw t addr v
   | Some r ->
       armed_write t r addr ~kernel:false (fun () -> enc1 v) (fun () -> write_u8_raw t addr v)
 
 let read_u16 t addr =
-  match !(t.recorder) with
+  match t.recorder.sink with
   | None -> read_u16_raw t addr
   | Some r -> armed_read t r addr ~kernel:false ~u64:false enc2 (fun () -> read_u16_raw t addr)
 
 let write_u16 t addr v =
-  match !(t.recorder) with
+  match t.recorder.sink with
   | None -> write_u16_raw t addr v
   | Some r ->
       armed_write t r addr ~kernel:false (fun () -> enc2 v) (fun () -> write_u16_raw t addr v)
 
 let read_u32 t addr =
-  match !(t.recorder) with
+  match t.recorder.sink with
   | None -> read_u32_raw t addr
   | Some r -> armed_read t r addr ~kernel:false ~u64:false enc4 (fun () -> read_u32_raw t addr)
 
 let write_u32 t addr v =
-  match !(t.recorder) with
+  match t.recorder.sink with
   | None -> write_u32_raw t addr v
   | Some r ->
       armed_write t r addr ~kernel:false (fun () -> enc4 v) (fun () -> write_u32_raw t addr v)
 
 let read_u64 t addr =
-  match !(t.recorder) with
+  match t.recorder.sink with
   | None -> read_u64_raw t addr
   | Some r -> armed_read t r addr ~kernel:false ~u64:true enc8 (fun () -> read_u64_raw t addr)
 
 let write_u64 t addr v =
-  match !(t.recorder) with
+  match t.recorder.sink with
   | None -> write_u64_raw t addr v
   | Some r ->
       armed_write t r addr ~kernel:false (fun () -> enc8 v) (fun () -> write_u64_raw t addr v)
 
 let read_into t addr buf pos len =
-  match !(t.recorder) with
+  match t.recorder.sink with
   | None -> read_into_raw t addr buf pos len
   | Some r ->
       armed_read t r addr ~kernel:false ~u64:false
@@ -773,7 +790,7 @@ let read_bytes t addr len =
   buf
 
 let write_bytes t addr src =
-  match !(t.recorder) with
+  match t.recorder.sink with
   | None -> write_bytes_raw t addr src
   | Some r ->
       armed_write t r addr ~kernel:false
@@ -781,7 +798,7 @@ let write_bytes t addr src =
         (fun () -> write_bytes_raw t addr src)
 
 let write_bytes_kernel t addr src =
-  match !(t.recorder) with
+  match t.recorder.sink with
   | None -> write_bytes_kernel_raw t addr src
   | Some r ->
       armed_write t r addr ~kernel:true

@@ -88,10 +88,18 @@ type mem_event =
       kernel : bool;
     }
 
-type recorder = (mem_event -> unit) option ref
+type recorder = {
+  mutable sink : (mem_event -> unit) option;
+      (** the consumer: arm with [Some f], disarm with [None] *)
+  mutable raised : exn option;
+      (** the last exception [sink] raised, latched before it unwinds
+          through the code that made the access *)
+}
 (** Shared by every address space of a kernel ({!Kernel.create} makes
-    one); arm by setting the cell to [Some f], disarm with [None].  The
-    disarmed cost is one load and compare per access. *)
+    one).  The disarmed cost is one load and compare per access.  A
+    checker's exception unwinds through compartment code; the latch
+    lets the engine tell it from the compartment's own faults and let
+    it end the run ({!Kernel.hook_raised}). *)
 
 type t
 

@@ -8,12 +8,8 @@ type 'env t = {
   main : 'env -> W.ctx;
   reject : string option;
   image : 'env -> W.Pool.t;
-  worker : string;
-  worker_policy : Supervisor.policy option;
-  serve : Supervisor.child option -> 'env -> Guard.conn -> unit;
+  serve : 'env -> Guard.conn -> unit;
 }
-
-type tree = Supervisor.node * Supervisor.child * Supervisor.child
 
 (* Identity only, and no warm-up: a warmed image would carry the
    template's whole private heap, which these workers never touch, into
@@ -23,24 +19,9 @@ let image ~name main identity =
   | Some p -> p
   | None -> W.Pool.freeze ~name main identity
 
-let listener_policy = Supervisor.policy ~max_restarts:2 ()
-
-let tree ?spawn s env =
-  let node = Supervisor.node ~name:s.name (s.main env) in
-  let listener = Supervisor.child ~policy:listener_policy node ~name:"listener" in
-  let worker = Supervisor.child ?policy:s.worker_policy ?spawn node ~name:s.worker in
-  (node, listener, worker)
-
-let serve_loop ?supervision s env guard listener =
-  let supervised = Option.map (fun (_, _, worker) -> worker) supervision in
+let serve_loop s env guard listener =
   let reject _ ep = Option.iter (Chan.write_string ep) s.reject in
-  let accept () =
-    Guard.accept_loop guard listener ~reject ~serve:(s.serve supervised env);
-    0
-  in
-  match supervision with
-  | None -> ignore (accept ())
-  | Some (_, listener_child, _) -> ignore (Supervisor.run_child_fn listener_child accept)
+  Guard.accept_loop guard listener ~reject ~serve:(s.serve env)
 
 let serve_sharded s envs front =
   Array.iteri
@@ -81,27 +62,25 @@ type served = { worker_status : Process.status; degraded : bool }
 
 let served_ok = { worker_status = Process.Exited 0; degraded = false }
 
-(* One compartment: under the tree child, or else flat under [policy],
-   its address space from [spawn]. *)
-let run_compartment ~supervised ~on_restart ~spawn ~policy main (sc, body) =
-  match supervised with
-  | Some child -> Supervisor.run_child_sthread ?on_restart child sc body 0
-  | None -> Supervisor.supervise ~policy main (fun () -> W.sthread_create ~spawn main sc body 0)
+(* One compartment under [policy], its address space from [spawn]. *)
+let run_compartment ~on_restart ~spawn ~policy main (sc, body) =
+  Supervisor.supervise ~policy ~on_restart main (fun () ->
+      W.sthread_create ~spawn main sc body 0)
 
 (* The connection's compartments in order, each started only once its
    predecessor exited 0. *)
-let rec run_compartments ~supervised ~on_restart ~spawn ~policy ~degrade main = function
+let rec run_compartments ~on_restart ~spawn ~policy ~degrade main = function
   | [] -> served_ok
   | stage :: rest -> (
-      match run_compartment ~supervised ~on_restart ~spawn ~policy main stage with
+      match run_compartment ~on_restart ~spawn ~policy main stage with
       | Supervisor.Done { value = 0; _ } ->
-          run_compartments ~supervised ~on_restart ~spawn ~policy ~degrade main rest
+          run_compartments ~on_restart ~spawn ~policy ~degrade main rest
       | Supervisor.Done { value; _ } -> { worker_status = Process.Exited value; degraded = false }
       | Supervisor.Gave_up { last_fault; _ } ->
           degrade ();
           { worker_status = Process.Faulted last_fault; degraded = true })
 
-let run_worker ?supervised ?guard ~spawn ~policy ~degrade main ep setup =
+let run_worker ?guard ~spawn ~policy ~degrade main ep setup =
   let conn =
     {
       c_main = main;
@@ -126,8 +105,10 @@ let run_worker ?supervised ?guard ~spawn ~policy ~degrade main ep setup =
         degrade ();
         { worker_status = Process.Faulted ("setup: " ^ reason); degraded = true }
     | compartments ->
-        let on_restart = Option.map (fun c () -> Guard.rearm_heart c) guard in
-        run_compartments ~supervised ~on_restart ~spawn ~policy ~degrade main compartments
+        (* A retry starts with a fresh heart: the cut that killed the
+           previous attempt left it hung. *)
+        let on_restart () = Option.iter Guard.rearm_heart guard in
+        run_compartments ~on_restart ~spawn ~policy ~degrade main compartments
   in
   cleanup ();
   served

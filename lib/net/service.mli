@@ -8,21 +8,20 @@
     compartmentalization policy — its tags, callgates and grants — stays
     in its own module, inside its [serve] function; everything that runs
     those compartments lives here once: the frozen image of the worker's
-    boot, the declared supervision tree, the guarded accept loop and
-    sharded serving.
+    boot, the guarded accept loop and sharded serving.
 
     {!run_worker} is the per-connection half of the same machinery, and
     the only way a partitioned server whose compartments are sthreads
     runs a connection: contained setup, the connection's compartments run
-    one after another under a tree child or the flat restart layer, its
-    callgates ({!gate}) spawned the same way, the outcome mapped to a
-    degraded-or-not answer, and everything the connection held released
-    before it returns. *)
+    one after another under the flat restart policy
+    ({!Wedge_core.Supervisor.supervise}), its callgates ({!gate}) spawned
+    the same way, the outcome mapped to a degraded-or-not answer, and
+    everything the connection held released before it returns. *)
 
 type 'env t = {
   name : string;
-      (** Supervision node name, and prefix of the pool image's name:
-          ["httpd"], ["pop3"], ["sshd"]. *)
+      (** The server's name, prefix of its counters and of the pool
+          image's name: ["httpd"], ["pop3"], ["sshd"]. *)
   main : 'env -> Wedge_core.Wedge.ctx;  (** the master's trusted context *)
   reject : string option;
       (** Written to a connection the guard rejects before closing it;
@@ -31,51 +30,31 @@ type 'env t = {
       (** The worker image of the env's app, frozen on first use by
           {!image}: the worker identity (uid, root, SELinux context) and
           nothing else; per-connection grants ride in at stamp time. *)
-  worker : string;  (** the worker child's name, e.g. ["worker"] *)
-  worker_policy : Wedge_core.Supervisor.policy option;
-      (** The worker child's restart policy ([None]: the child default). *)
-  serve : Wedge_core.Supervisor.child option -> 'env -> Guard.conn -> unit;
-      (** Serve one admitted connection, its worker under the given tree
-          child when supervised.  A degraded connection is answered and
-          counted by the server itself ([<name>.degraded]). *)
+  serve : 'env -> Guard.conn -> unit;
+      (** Serve one admitted connection.  A degraded connection is
+          answered and counted by the server itself ([<name>.degraded]). *)
 }
-
-type tree =
-  Wedge_core.Supervisor.node * Wedge_core.Supervisor.child * Wedge_core.Supervisor.child
-(** [(node, listener, worker)]. *)
 
 val image : name:string -> Wedge_core.Wedge.ctx -> Wedge_core.Sc.t -> Wedge_core.Pool.t
 (** [image ~name main identity] is the app's frozen image [name], frozen
-    from [identity] the first time any caller asks for it, so the flat
-    path, every callgate and a pooled tree child of one app share it.
+    from [identity] the first time any caller asks for it, so every
+    compartment and callgate of one app stamps from the same image.
     Identity only, with no heap warm-up: these workers never touch the
     private heap, and a warmed image would put all of it into every
     stamp's page table.  The freeze maps no fresh frame, but an
     injected ["pool.freeze"] fault in it reaches the caller: arm one only
     after the image exists, as the pooled storms do. *)
 
-val tree : ?spawn:Wedge_core.Wedge.spawn -> 'env t -> 'env -> tree
-(** The declared topology: a node [name] with children
-    ["listener"] (two accept-loop retries) and [worker] (policy
-    [worker_policy], spawn [spawn], default [Boot]); an escalation
-    quarantines only the child that escalated.
-    With [Stamp image] every worker attempt, first run and restarts
-    alike, is stamped from the frozen image at a flat cost instead of a
-    fork-priced boot. *)
-
-val serve_loop : ?supervision:tree -> 'env t -> 'env -> Guard.t -> Chan.listener -> unit
+val serve_loop : 'env t -> 'env -> Guard.t -> Chan.listener -> unit
 (** Guarded accept loop: rejected connections (over capacity or
     draining) get [reject] and close; admitted ones run [serve] in their
-    own fiber.  With
-    [supervision] workers run under its worker child and the accept loop
-    under ["listener"], so a contained fault leaking out of the serve path
-    restarts the loop instead of killing the server.  Returns once the
-    listener shuts down — compose with {!Guard.drain}. *)
+    own fiber.  Returns once the listener shuts down — compose with
+    {!Guard.drain}. *)
 
 val serve_sharded : 'env t -> 'env array -> Shard.front -> unit
 (** Spawn one {!serve_loop} fiber per shard: shard [i] serves from
     [envs.(i)] behind the front door's shard-[i] guard and listener.
-    Workers, supervision and stats stay per shard. *)
+    Workers and stats stay per shard. *)
 
 (** {1 Per-connection worker} *)
 
@@ -111,7 +90,6 @@ type served = {
 }
 
 val run_worker :
-  ?supervised:Wedge_core.Supervisor.child ->
   ?guard:Guard.conn ->
   spawn:Wedge_core.Wedge.spawn ->
   policy:Wedge_core.Supervisor.policy ->
@@ -129,13 +107,12 @@ val run_worker :
     The compartments then run one at a time, each only after its
     predecessor exited 0 (Figure 3's rule: the client handler starts
     only after a clean handshake); a nonzero exit ends the connection
-    undegraded.  Each runs under [supervised] (its policy, intensity
-    budget and spawn) or else the flat [policy], and every retry re-arms
-    the guard connection's heart, so a restarted compartment is not
-    killed for its predecessor's hang.
+    undegraded.  Each runs under [policy], and every retry re-arms the
+    guard connection's heart, so a restarted compartment is not killed
+    for its predecessor's hang.
 
-    [spawn] decides how the flat path's compartments and every callgate
-    invocation get their address space: [Stamp image] stamps each
+    [spawn] decides how the compartments, their restarts and every
+    callgate invocation get their address space: [Stamp image] stamps each
     compartment from [image] with its grants on top, and each gate
     invocation too; [Boot] boots both the fork-priced way; [Recycle]
     boots the compartments and backs each gate by long-lived members of

@@ -223,9 +223,9 @@ let image main = Service.image ~name:"pop3.worker" main (worker_identity ())
    greet the client again. *)
 let worker_policy = Supervisor.policy ~max_restarts:1 ()
 
-let serve_connection ?(restart_policy = worker_policy) ?supervised ?guard ?synth main
-    ep =
-  Service.run_worker ?supervised ?guard ~spawn:(W.Stamp (image main)) ~policy:restart_policy
+let serve_connection ?spawn ?(restart_policy = worker_policy) ?guard ?synth main ep =
+  let spawn = match spawn with Some s -> s | None -> W.Stamp (image main) in
+  Service.run_worker ?guard ~spawn ~policy:restart_policy
     ~degrade:(fun () -> send_degraded main ep)
     main ep
   @@ fun conn ->
@@ -314,10 +314,7 @@ let service =
     main = Fun.id;
     reject = Some "-ERR busy, try again later\r\n";
     image;
-    worker = "worker";
-    worker_policy = Some worker_policy;
-    serve =
-      (fun supervised main c -> ignore (serve_connection ?supervised ~guard:c main (Guard.ep c)));
+    serve = (fun main c -> ignore (serve_connection ~guard:c main (Guard.ep c)));
   }
 
 let serve_sharded mains front = Service.serve_sharded service mains front

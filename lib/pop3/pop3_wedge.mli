@@ -21,8 +21,8 @@
     page by page. *)
 
 val serve_connection :
+  ?spawn:Wedge_core.Wedge.spawn ->
   ?restart_policy:Wedge_core.Supervisor.policy ->
-  ?supervised:Wedge_core.Supervisor.child ->
   ?guard:Wedge_net.Guard.conn ->
   ?synth:Wedge_crowbar.Synth.t ->
   Wedge_core.Wedge.ctx ->
@@ -31,13 +31,15 @@ val serve_connection :
 (** Serve one connection from the master context ([main]); blocks until the
     session ends.
 
+    [spawn] (default [Stamp] from the ["pop3.worker"] image) decides how
+    the handler, its restarts and both callgates are spawned; [Boot]
+    boots them fork-priced.
+
     Fault containment ({!Wedge_net.Service.run_worker}): a crash anywhere
     in this connection degrades only this connection (best-effort [-ERR]
     farewell, [pop3.degraded] counter) and never reaches the caller.
     [restart_policy] defaults to one retry — POP3 is line-oriented, so a
-    fresh handler can greet the client again.  [supervised] runs the
-    handler under a supervision-tree child instead (its policy and
-    intensity budget override [restart_policy]).
+    fresh handler can greet the client again.
 
     A mailbox reply that does not fit the 16 KiB mail buffer (a STAT,
     LIST or RETR result) is refused by the mailbox callgate with its own
@@ -53,10 +55,11 @@ val serve_connection :
     profile's entries replace the hand-written security contexts. *)
 
 val service : Wedge_core.Wedge.ctx Wedge_net.Service.t
-(** The POP3 skeleton over the master context: node ["pop3"], worker
-    child ["worker"] with one retry (matching {!serve_connection}), worker
-    image ["pop3.worker"] booted as uid 99 in an empty chroot, ["-ERR
-    busy, try again later"] for rejected connections. *)
+(** The POP3 skeleton over the master context: name ["pop3"],
+    {!serve_connection} with its defaults (one retry) per admitted
+    connection, worker image ["pop3.worker"] booted as uid 99 in an
+    empty chroot, ["-ERR busy, try again later"] for rejected
+    connections. *)
 
 val serve_sharded : Wedge_core.Wedge.ctx array -> Wedge_net.Shard.front -> unit
 (** [Wedge_net.Service.serve_sharded service]. *)

@@ -113,7 +113,7 @@ let slave_ops (env : Sshd_env.t) monitor slave_ctx =
         ok);
   }
 
-let serve_connection ?supervised ?guard (env : Sshd_env.t) ep =
+let serve_connection ?guard (env : Sshd_env.t) ep =
   let main = env.Sshd_env.main in
   let monitor = monitor env in
   (* Authentication success always goes through m_setuid — the natural
@@ -147,10 +147,10 @@ let serve_connection ?supervised ?guard (env : Sshd_env.t) ep =
         0
   in
   let outcome =
-    let on_restart = Option.map (fun c () -> Guard.rearm_heart c) guard in
-    match supervised with
-    | Some child -> Supervisor.run_child_fork ?on_restart child slave_main
-    | None -> Supervisor.supervise_fork main slave_main
+    Supervisor.supervise
+      ~on_restart:(fun () -> Option.iter Guard.rearm_heart guard)
+      main
+      (fun () -> W.fork main slave_main)
   in
   (* An SSH session whose slave died mid-protocol cannot be resumed in
      plaintext: the degraded answer is a disconnect, monitor intact. *)
@@ -171,7 +171,5 @@ let service =
     main = (fun (env : Sshd_env.t) -> env.Sshd_env.main);
     reject = None;
     image = (fun env -> Service.image ~name:"sshd.slave" env.Sshd_env.main (W.sc_create ()));
-    worker = "slave";
-    worker_policy = None;
-    serve = (fun supervised env c -> serve_connection ?supervised ~guard:c env (Guard.ep c));
+    serve = (fun env c -> serve_connection ~guard:c env (Guard.ep c));
   }

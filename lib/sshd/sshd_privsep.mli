@@ -32,7 +32,6 @@ val monitor : Sshd_env.t -> monitor
     ({!Wedge_core.Wedge.takeover}) calls the monitor through this. *)
 
 val serve_connection :
-  ?supervised:Wedge_core.Supervisor.child ->
   ?guard:Wedge_net.Guard.conn ->
   Sshd_env.t ->
   Wedge_net.Chan.ep ->
@@ -42,9 +41,6 @@ val serve_connection :
     Fault containment: a slave crash (injected or real) never kills the
     monitor — the slave is not retried (the encrypted stream died with
     it), the client is disconnected and [sshd.degraded] is counted.
-    [supervised] runs the slave under a supervision-tree child instead;
-    when that child stamps from a snapshot pool, the connection
-    descriptor is granted at stamp time.
 
     Resource governance: [guard] makes the slave read through the
     deadline-aware endpoint and marks the session established on
@@ -52,8 +48,7 @@ val serve_connection :
     setuid). *)
 
 val service : Sshd_env.t Wedge_net.Service.t
-(** The privsep skeleton: node ["sshd"], worker child ["slave"] (child
-    default policy), pool image ["sshd.slave"] keeping the monitor's
-    identity (a stamped slave drops privileges itself, as a forked one
-    does), silent disconnect for rejected connections — MaxStartups
+(** The privsep skeleton: name ["sshd"], pool image ["sshd.slave"]
+    keeping the monitor's identity (the slave itself always forks),
+    silent disconnect for rejected connections — MaxStartups
     semantics. *)

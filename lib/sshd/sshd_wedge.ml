@@ -261,12 +261,12 @@ let worker_identity () =
 let image (env : Sshd_env.t) =
   Service.image ~name:"sshd.worker" env.Sshd_env.main (worker_identity ())
 
-let serve_connection ?spawn ?supervised ?guard ?synth (env : Sshd_env.t) ep =
+let serve_connection ?spawn ?guard ?synth (env : Sshd_env.t) ep =
   let main = env.Sshd_env.main in
   let spawn = match spawn with Some s -> s | None -> W.Stamp (image env) in
   (* An SSH session whose worker died mid-protocol cannot be resumed in
      plaintext: the degraded answer is a disconnect, master intact. *)
-  Service.run_worker ?supervised ?guard ~spawn ~policy:Supervisor.default_policy
+  Service.run_worker ?guard ~spawn ~policy:Supervisor.default_policy
     ~degrade:(fun () -> W.stat main "sshd.degraded")
     main ep
   @@ fun conn ->
@@ -333,8 +333,5 @@ let service =
     main = (fun (env : Sshd_env.t) -> env.Sshd_env.main);
     reject = None;
     image;
-    worker = "worker";
-    worker_policy = None;
-    serve =
-      (fun supervised env c -> ignore (serve_connection ?supervised ~guard:c env (Guard.ep c)));
+    serve = (fun env c -> ignore (serve_connection ~guard:c env (Guard.ep c)));
   }

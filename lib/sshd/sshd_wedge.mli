@@ -17,7 +17,6 @@
 
 val serve_connection :
   ?spawn:Wedge_core.Wedge.spawn ->
-  ?supervised:Wedge_core.Supervisor.child ->
   ?guard:Wedge_net.Guard.conn ->
   ?synth:Wedge_crowbar.Synth.t ->
   Sshd_env.t ->
@@ -27,10 +26,10 @@ val serve_connection :
     [spawn] (default [Stamp] from the ["sshd.worker"] image) decides how
     the worker and the five callgates are spawned; [Boot] is Table 2's
     Wedge row.  A fault in the worker or in the master's setup degrades
-    only this connection: a disconnect and the [sshd.degraded] counter.
-    [supervised] runs the worker under a supervision-tree child; [guard]
-    makes it read through the deadline-aware endpoint and marks the
-    session established on a successful authentication.
+    only this connection: a disconnect and the [sshd.degraded] counter;
+    the worker is not retried (the SSH stream is consumed by a failed
+    attempt).  [guard] makes it read through the deadline-aware endpoint
+    and marks the session established on a successful authentication.
 
     A client-sized field that does not fit its slot of the 6000-byte
     argument block (a Kexinit nonce, a Kexsecret, a user name, a public
@@ -43,7 +42,6 @@ val serve_connection :
     the hand-written security contexts. *)
 
 val service : Sshd_env.t Wedge_net.Service.t
-(** The Figure 6 skeleton: node ["sshd"], worker child ["worker"] (no
-    retry: the SSH stream is consumed by a failed attempt), worker image
-    ["sshd.worker"] booted as uid 99 in an empty chroot; a rejected
-    connection is disconnected silently. *)
+(** The Figure 6 skeleton: name ["sshd"], worker image ["sshd.worker"]
+    booted as uid 99 in an empty chroot; a rejected connection is
+    disconnected silently. *)

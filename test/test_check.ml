@@ -292,14 +292,14 @@ let pinned_digests =
     ("sshd", "4cc6a75def9b7216b7c200bbe9e89d08");
     ("httpd_mitm", "057e5138d8b11a473f5417952963c941");
     ("httpd_mitm_recycle", "67a334420d72a91f4eb1eecf838409fa");
-    ("httpd_storm", "240b3328b76b1e50189c7bf5d16448d2");
-    ("pop3_storm", "5a4e459cd0a3e4c394e017e170af3343");
-    ("sshd_storm", "1032fc7a484812539e6042607d1fdf71");
-    ("httpd_mitm_storm", "f34226039810863c29c95d43d31e6105");
-    ("httpd_pool_storm", "6fa6de35faa5cc5a1ef3e90bbda48cfe");
-    ("pop3_pool_storm", "8c2e803e1b33fc2d8d2b658545d99279");
-    ("sshd_pool_storm", "39c6db202c4332cad87782a7daa3435f");
-    ("httpd_mitm_pool_storm", "b59c2e2c15da8face291b8509ab89ea7");
+    ("httpd_storm", "4109adb5f7b2d0f63a45e87aee68f81f");
+    ("pop3_storm", "434ac61be4b1f74bc7e1fd26445a7e42");
+    ("sshd_storm", "70efdcd6638e9cc5eef6ac35d00e1c73");
+    ("httpd_mitm_storm", "d66f303f942e6312e0b27cb33781184a");
+    ("httpd_pool_storm", "341bd60b2eee76b159c7a55eeab239e0");
+    ("pop3_pool_storm", "40488ec7fc1a43793e3485d054ab141b");
+    ("sshd_pool_storm", "1e1bb536a2d87101fa4a2a40ba661501");
+    ("httpd_mitm_pool_storm", "788d490e82f9e623bbce0b8d11633a19");
     ("httpd_sharded", "ef78c03ec41cc1f6bf7860e41753972b");
     ("pop3_sharded", "6436f649b3f640a759faeda5b341deb4");
     ("sshd_sharded", "54f78077f042faca01a281508896bbbe");

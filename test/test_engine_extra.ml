@@ -431,6 +431,94 @@ let prop_default_deny_total =
       in
       W.sthread_join main h = 1)
 
+(* ---------- containment by construction ---------- *)
+
+(* A recycled member whose entry raises anything — here a plain
+   [Failure], a class the engine does not name — is discarded and
+   respawned like a faulted one: the call returns -1 and the next call
+   is served by the fresh member. *)
+let test_recycled_failure_respawns () =
+  let k, _, main = mk_app () in
+  let calls = ref 0 in
+  let sc = W.sc_create () in
+  let gate =
+    W.sc_cgate_add ~spawn:W.Recycle main sc ~name:"flaky"
+      ~entry:(fun _ ~trusted:_ ~arg:_ ->
+        incr calls;
+        if !calls = 1 then failwith "member bug";
+        7)
+      ~cgsc:(W.sc_create ()) ~trusted:0
+  in
+  let call () =
+    W.sthread_join main
+      (W.sthread_create main sc (fun ctx _ -> W.cgate ctx gate ~perms:(W.sc_create ()) ~arg:0) 0)
+  in
+  check Alcotest.int "the failed call returns -1" (-1) (call ());
+  check Alcotest.int "the member was respawned" 1
+    (Stats.get k.Kernel.stats "cgate.recycled.respawn");
+  check Alcotest.int "counted as unexpected" 1 (Stats.get k.Kernel.stats "fault.unexpected");
+  check Alcotest.int "the next call is served" 7 (call ());
+  check Alcotest.int "by the respawned member" 2 !calls
+
+exception Checker_verdict
+
+(* What compartment code raises but must not contain.  An exception from
+   a harness hook — the syscall hook the oracle uses, the memory
+   recorder's consumer — is a checker's verdict, not the compartment's
+   fault, and a deadlock means the run is stuck: each must escape
+   [Fiber.run]. *)
+let test_harness_exceptions_escape () =
+  let escapes what arm expect =
+    let k, _, main = mk_app () in
+    let sc, body = arm k main in
+    match
+      Wedge_sim.Fiber.run (fun () ->
+          ignore (W.sthread_join main (W.sthread_create main sc body 0)))
+    with
+    | () -> Alcotest.failf "%s: contained by the compartment" what
+    | exception e when expect e -> ()
+    | exception e -> Alcotest.failf "%s: raised %s" what (Printexc.to_string e)
+  in
+  let verdict = function Checker_verdict -> true | _ -> false in
+  (* One verdict only: a hook still raising in the master after the
+     compartment died would escape whatever the compartment did. *)
+  let once () =
+    let fired = ref false in
+    fun _ ->
+      if not !fired then begin
+        fired := true;
+        raise Checker_verdict
+      end
+  in
+  escapes "syscall hook"
+    (fun k _ ->
+      ( W.sc_create (),
+        fun ctx _ ->
+          k.Kernel.on_syscall <- Some (once ());
+          ignore (W.vfs_read ctx "/nope");
+          0 ))
+    verdict;
+  escapes "memory recorder"
+    (fun k _ ->
+      ( W.sc_create (),
+        fun ctx _ ->
+          k.Kernel.mem_rec.Vm.sink <- Some (once ());
+          ignore (W.read_u8 ctx Layout.heap_base);
+          0 ))
+    verdict;
+  escapes "deadlock"
+    (fun _ main ->
+      (* A read from a channel nobody will ever write or close. *)
+      let _peer, ep = Wedge_net.Chan.pair ~costs:Cost_model.free () in
+      let fd = W.add_endpoint main (Wedge_net.Chan.to_endpoint ep) Fd_table.perm_rw in
+      let sc = W.sc_create () in
+      W.sc_fd_add sc fd Fd_table.perm_rw;
+      ( sc,
+        fun ctx _ ->
+          ignore (W.fd_read ctx fd 1);
+          0 ))
+    (function Wedge_sim.Fiber.Deadlock _ -> true | _ -> false)
+
 let qcheck tests = List.map Test_rng.to_alcotest tests
 
 let () =
@@ -456,6 +544,11 @@ let () =
         [
           Alcotest.test_case "cross-principal leak (the §3.3 warning)" `Quick
             test_recycled_gate_leaks_across_principals;
+        ] );
+      ( "containment",
+        [
+          Alcotest.test_case "recycled failure respawns" `Quick test_recycled_failure_respawns;
+          Alcotest.test_case "harness exceptions escape" `Quick test_harness_exceptions_escape;
         ] );
       ( "misc",
         [

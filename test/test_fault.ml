@@ -154,9 +154,11 @@ let test_supervisor_recovers_from_injected_enomem () =
   W.boot app;
   let attempt = ref 0 in
   let outcome =
-    Supervisor.supervise_sthread
+    Supervisor.supervise
       ~policy:(Supervisor.policy ~max_restarts:1 ())
-      main (W.sc_create ())
+      main
+    @@ fun () ->
+    W.sthread_create main (W.sc_create ())
       (fun ctx _ ->
         incr attempt;
         if !attempt = 1 then begin
@@ -235,9 +237,11 @@ let test_supervisor_backoff_schedule () =
   W.boot app;
   let t0 = Clock.now k.Kernel.clock in
   let outcome =
-    Supervisor.supervise_sthread
+    Supervisor.supervise
       ~policy:(Supervisor.policy ~max_restarts:3 ~backoff_ns:100 ())
-      main (W.sc_create ())
+      main
+    @@ fun () ->
+    W.sthread_create main (W.sc_create ())
       (fun _ _ -> raise (Fault_plan.Injected "always crashes"))
       0
   in
@@ -317,7 +321,8 @@ let test_fiber_crash_contained_in_sthread () =
       let _, app, main = mk_app () in
       W.boot app;
       let outcome =
-        Supervisor.supervise_sthread main (W.sc_create ())
+        Supervisor.supervise main @@ fun () ->
+        W.sthread_create main (W.sc_create ())
           (fun _ _ ->
             Fault_plan.rule plan ~site:"fiber.yield"
               ~nth:(Fault_plan.site_ops plan ~site:"fiber.yield" + 1)
@@ -397,9 +402,11 @@ let test_frame_quota_contained_and_supervised () =
      malloc must hit the quota inside the contained region. *)
   W.sc_set_rlimit sc (Rlimit.create ~max_frames:64 ());
   let outcome =
-    Supervisor.supervise_sthread
+    Supervisor.supervise
       ~policy:(Supervisor.policy ~max_restarts:2 ~backoff_ns:100 ())
-      main sc
+      main
+    @@ fun () ->
+    W.sthread_create main sc
       (fun ctx _ ->
         let b = W.malloc ctx 4096 in
         W.write_u8 ctx b 1;
@@ -423,7 +430,8 @@ let test_generous_quota_runs_clean () =
   let sc = W.sc_create () in
   W.sc_set_rlimit sc (Rlimit.create ~max_frames:400 ~max_fds:16 ~max_fuel:10_000 ());
   let outcome =
-    Supervisor.supervise_sthread main sc
+    Supervisor.supervise main @@ fun () ->
+    W.sthread_create main sc
       (fun ctx _ ->
         let b = W.malloc ctx 4096 in
         W.write_u8 ctx b 7;
@@ -443,7 +451,8 @@ let test_fuel_quota_burns_out_hostile_loop () =
   let sc = W.sc_create () in
   W.sc_set_rlimit sc (Rlimit.create ~max_fuel:3 ());
   let outcome =
-    Supervisor.supervise_sthread main sc
+    Supervisor.supervise main @@ fun () ->
+    W.sthread_create main sc
       (fun ctx _ ->
         (* A hostile syscall loop: every trap burns fuel whether or not
            SELinux lets it through, so the loop terminates by quota. *)
@@ -471,7 +480,9 @@ let test_fd_quota_fault_during_creation_is_supervised () =
          the supervisor must treat it like any other compartment fault. *)
       W.sc_set_rlimit sc (Rlimit.create ~max_fds:0 ());
       let live = Kernel.live_processes k in
-      let outcome = Supervisor.supervise_sthread main sc (fun _ _ -> 0) 0 in
+      let outcome =
+        Supervisor.supervise main (fun () -> W.sthread_create main sc (fun _ _ -> 0) 0)
+      in
       (match outcome with
       | Supervisor.Gave_up { attempts; last_fault } ->
           check Alcotest.int "one attempt" 1 attempts;
@@ -503,9 +514,10 @@ let test_fd_quota_fault_building_gate () =
       in
       let live = Kernel.live_processes k in
       let outcome =
-        Supervisor.supervise_sthread main sc
-          (fun ctx _ -> W.cgate ctx gate ~perms:(W.sc_create ()) ~arg:0)
-          0
+        Supervisor.supervise main (fun () ->
+            W.sthread_create main sc
+              (fun ctx _ -> W.cgate ctx gate ~perms:(W.sc_create ()) ~arg:0)
+              0)
       in
       (match outcome with
       | Supervisor.Gave_up { last_fault; _ } ->
@@ -518,26 +530,31 @@ let test_fd_quota_fault_building_gate () =
       Chan.close peer)
 
 let test_quota_escalation_refused () =
-  let _k, app, main = mk_app () in
+  let k, app, main = mk_app () in
   W.boot app;
   let sc = W.sc_create () in
   W.sc_set_rlimit sc (Rlimit.create ~max_frames:500 ~max_fuel:10_000 ());
-  match
-    Supervisor.supervise_sthread main sc
+  let outcome =
+    Supervisor.supervise main @@ fun () ->
+    W.sthread_create main sc
       (fun ctx _ ->
         (* A child sc that doesn't mention limits inherits a subset of the
            parent's — allowed.  Asking for more than the parent holds is a
-           privilege escalation, refused before anything is created. *)
+           privilege escalation, refused before anything is created; the
+           refusal kills the asking child, contained. *)
         let looser = W.sc_create () in
         W.sc_set_rlimit looser (Rlimit.create ~max_frames:1_000_000 ());
         let h = W.sthread_create ctx looser (fun _ _ -> 0) 0 in
         W.sthread_join ctx h)
       0
-  with
-  | _ -> Alcotest.fail "quota escalation was not refused"
-  | exception W.Privilege_violation msg ->
+  in
+  match outcome with
+  | Supervisor.Gave_up { attempts; last_fault } ->
+      check Alcotest.int "one attempt" 1 attempts;
       check Alcotest.bool "names the escalation" true
-        (contains msg "escalates resource limits")
+        (contains last_fault "escalates resource limits");
+      check Alcotest.int "counted as unexpected" 1 (Stats.get k.Kernel.stats "fault.unexpected")
+  | Supervisor.Done _ -> Alcotest.fail "quota escalation was not refused"
 
 (* ---------- chaos soak ---------- *)
 

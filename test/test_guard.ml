@@ -442,13 +442,15 @@ let test_refused_contained_under_supervision () =
       Chan.shutdown l;
       outcome :=
         Some
-          (Wedge_core.Supervisor.supervise_sthread
+          (Wedge_core.Supervisor.supervise
              ~policy:(Wedge_core.Supervisor.policy ~max_restarts:1 ())
-             main (W.sc_create ())
-             (fun _ctx _ ->
-               ignore (Chan.connect l);
-               0)
-             0));
+             main
+             (fun () ->
+               W.sthread_create main (W.sc_create ())
+                 (fun _ctx _ ->
+                   ignore (Chan.connect l);
+                   0)
+                 0)));
   (match !outcome with
   | Some (Wedge_core.Supervisor.Gave_up { attempts; last_fault }) ->
       check Alcotest.int "both attempts refused" 2 attempts;

@@ -169,7 +169,7 @@ let test_vm_read_into () =
   let pm = Physmem.create () in
   let plan = Fault_plan.create () in
   Fault_plan.rule plan ~site:"vm.access" ~prob:0. [ Fault_plan.Prot_fault ];
-  let recorder = ref None in
+  let recorder = { Vm.sink = None; raised = None } in
   let vm = Vm.create ~faults:plan ~recorder ~pid:1 pm (Clock.create ()) Cost_model.free in
   Vm.map_fresh vm ~addr:0x1000 ~pages:2 ~prot:Prot.page_rw ~tag:None;
   Vm.map_fresh vm ~addr:0x3000 ~pages:1 ~prot:Prot.page_none ~tag:None;
@@ -216,9 +216,9 @@ let test_vm_read_into () =
   expect_fault (fun () -> Vm.read_into vm 0x2ffc buf 0 8);
   let events f =
     let got = ref [] in
-    recorder := Some (fun e -> got := e :: !got);
+    recorder.Vm.sink <- Some (fun e -> got := e :: !got);
     (try f () with Vm.Fault _ -> ());
-    recorder := None;
+    recorder.Vm.sink <- None;
     List.rev !got
   in
   List.iter

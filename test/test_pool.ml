@@ -3,8 +3,8 @@
    the O(1) cost claim against fork-priced boot, COW preservation of the
    frozen frames, rlimit and identity capture, fault injection on both
    pool sites (a fault mid-stamp must leave the image pristine and the
-   refcounts clean — swept by the oracle), supervision-tree children
-   under [Stamp], and the pool counters in the metrics registry. *)
+   refcounts clean — swept by the oracle), supervised restarts under
+   [Stamp], and the pool counters in the metrics registry. *)
 
 module Kernel = Wedge_kernel.Kernel
 module Fd_table = Wedge_kernel.Fd_table
@@ -606,10 +606,10 @@ let test_fault_during_stamp_image_pristine () =
 
 (* ---------- supervisor integration ---------- *)
 
-(* A faulted [Stamp] child restarts by restamping: on paper-shaped prices
-   at 300 pages its recovery, from the fault to the next attempt's first
-   instruction, is a stamp, where a [Boot] child pays a fork-priced boot
-   of the whole image. *)
+(* A faulted [Stamp] compartment restarts by restamping: on paper-shaped
+   prices at 300 pages its recovery, from the fault to the next attempt's
+   first instruction, is a stamp, where a [Boot] one pays a fork-priced
+   boot of the whole image. *)
 let test_stamp_child_restamps () =
   let run ~pooled =
     let k, app, main = mk ~costs:Cost_model.default ~image_pages:300 () in
@@ -617,16 +617,11 @@ let test_stamp_child_restamps () =
     let gap = ref 0 in
     Fiber.run ~clock (fun () ->
         let pool = W.Pool.freeze ~name:"w" main (W.sc_create ()) in
-        let node = Supervisor.node ~name:"t" main in
-        let c =
-          Supervisor.child
-            ~policy:(Supervisor.policy ~max_restarts:2 ())
-            ~spawn:(if pooled then W.Stamp pool else W.Boot)
-            node ~name:"w"
-        in
+        let spawn = if pooled then W.Stamp pool else W.Boot in
         let attempts = ref 0 and fault_at = ref 0 in
         let outcome =
-          Supervisor.run_child_sthread c (W.sc_create ())
+          Supervisor.supervise ~policy:(Supervisor.policy ~max_restarts:2 ()) main @@ fun () ->
+          W.sthread_create ~spawn main (W.sc_create ())
             (fun _ _ ->
               incr attempts;
               if !attempts = 1 then begin
@@ -640,7 +635,7 @@ let test_stamp_child_restamps () =
         (match outcome with
         | Supervisor.Done { value; _ } ->
             check Alcotest.int "restarted attempt served" 7 value
-        | Supervisor.Gave_up _ -> Alcotest.fail "supervised child gave up");
+        | Supervisor.Gave_up _ -> Alcotest.fail "supervised compartment gave up");
         check Alcotest.int "two attempts" 2 !attempts;
         check Alcotest.int "attempts stamped from pool" (if pooled then 2 else 0)
           app.Engine.pool_stamps);
@@ -652,38 +647,6 @@ let test_stamp_child_restamps () =
     Alcotest.(pair int int)
     "fault to next attempt, pooled vs fresh (simulated ns)" (8_550, 64_600)
     (pooled, run ~pooled:false)
-
-let test_stamp_quarantine_is_shorter () =
-  (* Quarantine length is priced against restart cost: a pooled child is
-     re-admitted at a quarter of the node's quarantine_ns. *)
-  let run_variant restart =
-    let _, _, main = mk () in
-    let lifted = ref (-1) in
-    Fiber.run (fun () ->
-        let pool =
-          match restart with
-          | true -> Some (W.Pool.freeze ~name:"w" main (W.sc_create ()))
-          | false -> None
-        in
-        let node =
-          Supervisor.node ~intensity:1 ~window_ns:10_000 ~quarantine_ns:20_000
-            ~name:"t" main
-        in
-        let c =
-          Supervisor.child
-            ~policy:(Supervisor.policy ~max_restarts:5 ())
-            ?spawn:(Option.map (fun p -> W.Stamp p) pool)
-            node ~name:"w"
-        in
-        ignore (Supervisor.run_child_fn c (fun () -> raise (Fault_plan.Injected "boom")));
-        match Supervisor.quarantined_until c with
-        | Some t -> lifted := t
-        | None -> Alcotest.fail "expected quarantine");
-    !lifted
-  in
-  let fresh_until = run_variant false and pooled_until = run_variant true in
-  check Alcotest.bool "pooled quarantine lifts sooner" true
-    (pooled_until < fresh_until)
 
 (* ---------- observability ---------- *)
 
@@ -753,7 +716,6 @@ let () =
       ( "supervisor",
         [
           Alcotest.test_case "Stamp child restamps" `Quick test_stamp_child_restamps;
-          Alcotest.test_case "pooled quarantine shorter" `Quick test_stamp_quarantine_is_shorter;
         ] );
       ( "observability",
         [ Alcotest.test_case "metrics + trace" `Quick test_pool_metrics_and_trace ] );

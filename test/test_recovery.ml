@@ -1,7 +1,6 @@
-(* Self-healing tests: overflow-safe supervision backoff, fault-history
-   reset for long-lived workers, supervision-tree escalation and
-   quarantine, hang detection by the guard's connection hearts (unit and
-   against all three servers via a mid-header staller), fiber
+(* Self-healing tests: overflow-safe supervision backoff, hang detection
+   by the guard's connection hearts (unit and against all three servers
+   via a mid-header staller), the heart re-armed on every restart, fiber
    cancellation delivery, the new engine fault sites, and byte-identical
    replay of a full fault-storm scenario. *)
 
@@ -63,75 +62,6 @@ let test_backoff_cap_pins_schedule () =
     + Supervisor.backoff_for d ~attempt:3
   in
   check Alcotest.int "pinned 700 ns schedule" 700 total
-
-(* ---------- tree: escalation, quarantine ---------- *)
-
-let failing_fn () = raise (Fault_plan.Injected "boom")
-
-let test_tree_escalates_and_quarantines () =
-  let k, ctx = mk_ctx () in
-  let node =
-    Supervisor.node ~intensity:2 ~window_ns:10_000 ~quarantine_ns:20_000
-      ~name:"t" ctx
-  in
-  let c = Supervisor.child ~policy:(Supervisor.policy ~max_restarts:5 ()) node ~name:"w" in
-  (* Attempt stream: faults 1 and 2 fit the budget, the third escalates
-     mid-retry. *)
-  (match Supervisor.run_child_fn c failing_fn with
-  | Supervisor.Gave_up { last_fault; _ } ->
-      check Alcotest.bool "escalated" true (contains last_fault "escalated")
-  | Supervisor.Done _ -> Alcotest.fail "expected Gave_up");
-  check Alcotest.bool "quarantined" true
-    (Supervisor.child_health c = Supervisor.Quarantined);
-  check Alcotest.int "escalation counted" 1 (Stats.get k.Kernel.stats "supervisor.escalated");
-  (* While quarantined: refused without burning an attempt — even a
-     healthy function is not run. *)
-  (match Supervisor.run_child_fn c (fun () -> 7) with
-  | Supervisor.Gave_up { attempts; last_fault } ->
-      check Alcotest.int "no attempt burned" 0 attempts;
-      check Alcotest.bool "quarantined reason" true (contains last_fault "quarantined")
-  | Supervisor.Done _ -> Alcotest.fail "quarantine must refuse");
-  check Alcotest.int "refusal counted" 1
-    (Stats.get k.Kernel.stats "supervisor.quarantine.refused");
-  (* After the quarantine window the child runs again and recovers. *)
-  Clock.charge k.Kernel.clock 25_000;
-  (match Supervisor.run_child_fn c (fun () -> 7) with
-  | Supervisor.Done { value; _ } -> check Alcotest.int "served after lift" 7 value
-  | Supervisor.Gave_up _ -> Alcotest.fail "quarantine must lift");
-  check Alcotest.int "lift counted" 1
-    (Stats.get k.Kernel.stats "supervisor.quarantine.lift")
-
-(* ---------- satellite 2: healthy period clears fault history ---------- *)
-
-let test_healthy_reset_clears_history () =
-  let k, ctx = mk_ctx () in
-  let node =
-    Supervisor.node ~intensity:2 ~window_ns:1_000_000 ~healthy_after_ns:5_000
-      ~name:"t" ctx
-  in
-  let c = Supervisor.child ~policy:(Supervisor.policy ~max_restarts:1 ()) node ~name:"w" in
-  (* One faulted run puts a fault in the (huge) window. *)
-  ignore (Supervisor.run_child_fn c failing_fn);
-  check Alcotest.bool "degraded after fault" true
-    (Supervisor.child_health c = Supervisor.Degraded);
-  (* A long clean stretch forgets the early crash: the worker is Healthy
-     again and the old fault cannot contribute to a later escalation. *)
-  Clock.charge k.Kernel.clock 10_000;
-  (match Supervisor.run_child_fn c (fun () -> 1) with
-  | Supervisor.Done _ -> ()
-  | Supervisor.Gave_up _ -> Alcotest.fail "clean run");
-  check Alcotest.bool "healthy after quiet period" true
-    (Supervisor.child_health c = Supervisor.Healthy);
-  check Alcotest.bool "reset counted" true
-    (Stats.get k.Kernel.stats "supervisor.healthy_reset" >= 1);
-  (* The forgotten fault must not count toward the budget: one fresh
-     fault is within intensity 2 again (no escalation). *)
-  (match Supervisor.run_child_fn c failing_fn with
-  | Supervisor.Gave_up { last_fault; _ } ->
-      check Alcotest.bool "plain gave-up, not escalation" false
-        (contains last_fault "escalated")
-  | Supervisor.Done _ -> Alcotest.fail "expected Gave_up");
-  check Alcotest.int "no escalation" 0 (Stats.get k.Kernel.stats "supervisor.escalated")
 
 (* ---------- fiber cancellation ---------- *)
 
@@ -471,10 +401,53 @@ let test_rearm_heart_clears_stale_beat () =
       Chan.close a);
   check Alcotest.bool "no heart left overdue" true (Guard.heart_check g = None)
 
+(* The flat path's retry re-arms the connection's heart.  A cut leaves
+   the heart hung, and the retry runs in the same serve fiber: without
+   the re-arm its first beat raises [Guard.Hang] and kills it for its
+   predecessor's silence, degrading a connection the retry could serve. *)
+let test_flat_retry_rearms_heart () =
+  let k, main = mk_ctx () in
+  let clock = k.Kernel.clock in
+  let r = Reactor.create ~clock () in
+  let g = Guard.create ~reactor:r ~hang_deadline_ns:1_000 ~max_conns:2 () in
+  let attempts = ref 0 and served = ref None in
+  Fiber.run ~clock ~on_switch:(Reactor.hook r) (fun () ->
+      let a, c = admit_one g in
+      Guard.rearm_heart c;
+      let body _ _ =
+        incr attempts;
+        if !attempts = 1 then begin
+          (* Hung: no beat while the clock runs past the deadline; the
+             cut lands at a yield. *)
+          Clock.charge clock 5_000;
+          for _ = 1 to 16 do
+            Fiber.yield ()
+          done
+        end
+        else Guard.established c;
+        0
+      in
+      served :=
+        Some
+          (Service.run_worker ~guard:c ~spawn:W.Boot
+             ~policy:(Supervisor.policy ~max_restarts:1 ())
+             ~degrade:ignore main (Guard.ep c)
+             (fun _ -> [ (W.sc_create (), body) ]));
+      Guard.release c;
+      Chan.close a);
+  check Alcotest.int "hung attempt, then the retry" 2 !attempts;
+  check Alcotest.int "one cut" 1 (Guard.stats g).Guard.s_hang_cuts;
+  match !served with
+  | Some s ->
+      check Alcotest.bool "retry served, connection not degraded" true
+        ((not s.Service.degraded) && s.Service.worker_status = Wedge_kernel.Process.Exited 0)
+  | None -> Alcotest.fail "run_worker never returned"
+
 let test_staller_pop3_pooled_restamp () =
-  (* The integration shape: a pooled supervised worker's heart is cut
-     mid-header; the supervisor restamps from the frozen image
-     (re-arming the heart on the way) and the listener keeps serving. *)
+  (* The integration shape: the production pop3 worker, stamped from the
+     frozen image, has its heart cut mid-header; the flat retry restamps
+     it (re-arming the heart on the way) and the listener keeps
+     serving. *)
   let k = Kernel.create ~costs:Cost_model.free () in
   Wedge_pop3.Pop3_env.install k Wedge_pop3.Pop3_env.default_users;
   let app = W.create_app ~image_pages:60 k in
@@ -484,19 +457,16 @@ let test_staller_pop3_pooled_restamp () =
   let r = Reactor.create ~clock:k.Kernel.clock () in
   let guard = Guard.create ~reactor:r ~hang_deadline_ns:4_000 ~max_conns:2 () in
   staller_then_clean
-    ~serve_loop:(fun () ->
-      (* freeze needs a running fiber, so the pool is built here *)
-      let service = Wedge_pop3.Pop3_wedge.service in
-      let pool = service.Service.image main_ctx in
-      let tree = Service.tree ~spawn:(W.Stamp pool) service main_ctx in
-      Service.serve_loop ~supervision:tree service main_ctx guard l)
+    ~serve_loop:(fun () -> Service.serve_loop Wedge_pop3.Pop3_wedge.service main_ctx guard l)
     ~prefix:"USER ali"
     ~clean:
       (clean_exchange l ~request:"USER alice\r\nPASS wonderland\r\nSTAT\r\nQUIT\r\n"
          ~ok:(fun resp -> contains resp "+OK"))
     k l guard r;
   check Alcotest.bool "workers stamped from the pool" true
-    (app.Wedge_core.Engine.pool_hits > 0)
+    (app.Wedge_core.Engine.pool_hits > 0);
+  check Alcotest.bool "the cut worker was restarted" true
+    (Stats.get k.Kernel.stats "supervisor.restart" >= 1)
 
 (* ---------- storm determinism ---------- *)
 
@@ -519,12 +489,6 @@ let () =
         [
           Alcotest.test_case "no overflow" `Quick test_backoff_no_overflow;
           Alcotest.test_case "cap pins schedule" `Quick test_backoff_cap_pins_schedule;
-        ] );
-      ( "tree",
-        [
-          Alcotest.test_case "escalate + quarantine" `Quick
-            test_tree_escalates_and_quarantines;
-          Alcotest.test_case "healthy reset" `Quick test_healthy_reset_clears_history;
         ] );
       ( "cancel",
         [ Alcotest.test_case "delivered once" `Quick test_fiber_cancel_delivered_once ] );
@@ -550,6 +514,7 @@ let () =
         [
           Alcotest.test_case "stale heart survives rearm" `Quick
             test_rearm_heart_clears_stale_beat;
+          Alcotest.test_case "flat retry re-arms heart" `Quick test_flat_retry_rearms_heart;
           Alcotest.test_case "pooled staller restamp" `Quick
             test_staller_pop3_pooled_restamp;
         ] );

@@ -331,6 +331,68 @@ let test_miss_changes_nothing () =
       check Alcotest.int (what "Clock.now") now0 now)
     [ pop3; simple; mitm; sshd ]
 
+(* ---------- containment ---------- *)
+
+(* A compromised compartment's code may raise anything.  Two
+   [Pop3_wedge] connections in one [Fiber.run], the first one's worker
+   taken over at its second kernel entry (its first read of client
+   input): each payload ends only that connection — degraded, its worker
+   [Faulted] and counted as [fault.unexpected] — and the second
+   connection logs in. *)
+let test_hostile_payloads_end_one_connection () =
+  let payloads =
+    [
+      ("failwith", fun _ -> failwith "boom");
+      ("read of a bad fd", fun ctx -> ignore (W.fd_read ctx 77 1));
+      ("unknown callgate", fun ctx -> ignore (W.cgate ctx 12345 ~perms:(W.sc_create ()) ~arg:0));
+      ("write to a bad fd", fun ctx -> ignore (W.fd_write ctx 77 (Bytes.of_string "x")));
+      ( "non-root set_identity",
+        fun ctx -> W.set_identity ctx ~target_pid:(W.pid ctx) ~uid:0 ~root:"/" () );
+    ]
+  in
+  List.iter
+    (fun (name, payload) ->
+      let what s = name ^ ": " ^ s in
+      let k = Kernel.create ~costs:Cost_model.free () in
+      Pop3_env.install k Pop3_env.default_users;
+      let app = W.create_app k in
+      W.boot app;
+      let main = W.main_ctx app in
+      let ran = ref false in
+      W.takeover app ~where:(W.Child 1) ~at:2 (fun ctx ->
+          ran := true;
+          payload ctx);
+      let served = ref [] and logged_in = ref [] in
+      Fiber.run (fun () ->
+          for _ = 1 to 2 do
+            let client_ep, server_ep = Chan.pair ~costs:Cost_model.free () in
+            Fiber.spawn (fun () ->
+                (* No retry: the taken-over attempt is the connection's
+                   only one. *)
+                let s =
+                  Wedge_pop3.Pop3_wedge.serve_connection
+                    ~restart_policy:Wedge_core.Supervisor.default_policy main server_ep
+                in
+                served := s :: !served);
+            let c = Pop3_client.connect client_ep in
+            logged_in := Pop3_client.login c ~user:"alice" ~password:"wonderland" :: !logged_in;
+            Chan.close client_ep
+          done);
+      check Alcotest.bool (what "the payload ran") true !ran;
+      (match List.rev !served with
+      | [ first; second ] ->
+          check Alcotest.bool (what "first connection degraded") true
+            (first.Wedge_net.Service.degraded
+            && match first.Wedge_net.Service.worker_status with Process.Faulted _ -> true | _ -> false);
+          check Alcotest.bool (what "second connection served") false
+            second.Wedge_net.Service.degraded
+      | l -> Alcotest.failf "%s" (what (Printf.sprintf "%d connections served" (List.length l))));
+      check (Alcotest.list Alcotest.bool) (what "only the second logs in") [ false; true ]
+        (List.rev !logged_in);
+      check Alcotest.int (what "one unexpected fault") 1
+        (Stats.get k.Kernel.stats "fault.unexpected"))
+    payloads
+
 let () =
   Alcotest.run "wedge_takeover"
     [
@@ -345,5 +407,10 @@ let () =
           Alcotest.test_case "one shot, right place" `Quick test_one_shot_right_place;
           Alcotest.test_case "matrix" `Quick test_matrix;
           Alcotest.test_case "a miss changes nothing" `Quick test_miss_changes_nothing;
+        ] );
+      ( "containment",
+        [
+          Alcotest.test_case "hostile payloads end one connection" `Quick
+            test_hostile_payloads_end_one_connection;
         ] );
     ]
