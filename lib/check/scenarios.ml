@@ -748,8 +748,7 @@ let run_storm ~pooled srv ~policy ~diff ~faults ~seed =
       for i = 1 to srv.n_storm do
         Fiber.spawn (fun () ->
             if i mod 4 = 0 then
-              Byzantine.mid_header_stall t l ~clock ~step_ns:1_000 ~prefix:srv.stall_prefix
-                ~is_rejection ()
+              Byzantine.mid_header_stall t l ~prefix:srv.stall_prefix ~is_rejection
             else if i mod 5 = 0 then Byzantine.half_close t l ~request:srv.half ~is_rejection
             else Byzantine.oneshot t l ~request:srv.request ~is_rejection)
       done;

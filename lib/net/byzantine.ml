@@ -117,21 +117,13 @@ let oversized t l ~size ~is_rejection =
    silent forever — a half-written header that never finishes.  Unlike
    slow-loris it makes no further progress at all, so only hang detection
    (the guard's hang or header deadline) can reclaim the slot: the worker
-   is blocked mid-read with bytes already consumed.  The clock is charged
-   in steps while waiting so deadlines actually expire.  Always tallied as
-   cut (the session never completed) unless the server improbably answers
-   the half request. *)
-let mid_header_stall t l ~clock ~step_ns ~prefix ~is_rejection () =
-  let max_steps = 64 in
+   is blocked mid-read with bytes already consumed.  The staller parks in
+   its read until the cut; the reactor's idle hook sleeps the clock to
+   the deadline meanwhile.  Always tallied as cut (the session never
+   completed) unless the server improbably answers the half request. *)
+let mid_header_stall t l ~prefix ~is_rejection =
   with_conn t l (fun ep ->
       Chan.write_string ep prefix;
-      let rec wait steps =
-        Clock.charge clock step_ns;
-        Fiber.yield ();
-        if Chan.is_eof ep then ()
-        else if steps < max_steps then wait (steps + 1)
-      in
-      wait 0;
       let resp = read_until_eof ep in
       if resp <> "" && is_rejection resp then t.rejected <- t.rejected + 1
       else t.cut <- t.cut + 1)

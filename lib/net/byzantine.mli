@@ -44,19 +44,13 @@ val oversized : tally -> Chan.listener -> size:int -> is_rejection:(string -> bo
     parser. *)
 
 val mid_header_stall :
-  tally ->
-  Chan.listener ->
-  clock:Wedge_sim.Clock.t ->
-  step_ns:int ->
-  prefix:string ->
-  is_rejection:(string -> bool) ->
-  unit ->
-  unit
-(** Send [prefix] (a half-written header) then go silent, charging
-    [step_ns] of simulated time per scheduler step for up to 64 steps or
-    until the server cuts us.  Only hang detection reclaims the slot: the
-    worker is blocked mid-read with bytes already consumed.  Tallied as
-    cut unless the server answered with a rejection. *)
+  tally -> Chan.listener -> prefix:string -> is_rejection:(string -> bool) -> unit
+(** Send [prefix] (a half-written header), then go silent and read until
+    the server closes or cuts us.  Only hang detection reclaims the slot:
+    the worker is blocked mid-read with bytes already consumed, and the
+    run's [on_idle] hook ({!Wedge_sim.Reactor.idle}) must advance the
+    clock to the guard's deadline.  Tallied as cut unless the server
+    answered with a rejection. *)
 
 val silent : tally -> Chan.listener -> unit
 (** Connect and never write; holds a slot until cut. *)

@@ -261,7 +261,6 @@ let abort ep =
   Trace.instant ep.trace ~name:"chan.abort" ~pid:net_pid;
   kill ep
 
-let is_eof ep = dir_available ep.rx = 0 && ep.rx.closed
 let bytes_in_flight ep = dir_available ep.rx
 let capacity ep = ep.capacity
 

@@ -66,7 +66,6 @@ val abort : ep -> unit
     {!Wedge_fault.Fault_plan.Injected}.  What deadline enforcement and
     drain force-close use. *)
 
-val is_eof : ep -> bool
 val bytes_in_flight : ep -> int
 (** Bytes buffered toward this endpoint. *)
 

@@ -16,9 +16,9 @@ type _ Effect.t += Park : unit Effect.t
 exception Deadlock of string
 
 exception Cancelled of string
-(* Delivered inside a fiber at its next yield (or stall step / wait-until
-   poll) after [cancel] marked it.  A guard's heart cut uses this to tear
-   down a hung compartment: [Engine.fault_reason] counts [Cancelled] among
+(* Delivered inside a fiber at its next yield, stall step or park after
+   [cancel] marked it.  A guard's heart cut uses this to tear down a
+   hung compartment: [Engine.fault_reason] counts [Cancelled] among
    its built-in contained faults, so a cancelled worker dies like a
    crashed one — the listener and every other fiber keep running. *)
 
@@ -74,15 +74,19 @@ type interest = {
 type verdict = Stalled | Deadlocked of string
 
 (* The registry entry of one blocked fiber: what it waits for and how,
-   and the verdict a stall delivered to it.  A [wait_until] poller and a
-   bare [park] have no interest set. *)
+   and the verdict a stall delivered to it. *)
 type wait = {
   w_what : string;
-  w_on : interest option;
+  w_on : source;
   w_ready : unit -> bool;
   w_stall : stall option;
   mutable w_verdict : verdict option;
 }
+
+(* What wakes a parked fiber: a signal on its interest set, the
+   scheduler finding its [wait_until] condition true, or only an
+   explicit [unpark] (a bare [park]). *)
+and source = Set of interest | Poller | Bare
 
 type task = {
   t_id : int;
@@ -94,16 +98,9 @@ let dummy_task = { t_id = -1; t_run = (fun () -> ()) }
 type sched = {
   policy : policy;
   runq : (unit -> unit) Queue.t;  (* Round_robin *)
-  mutable pool : task array;
-      (* every other policy: [0, pool_n - stale) may be picked, the tail
-         holds the pollers that already found their condition false *)
+  mutable pool : task array;  (* every other policy: [0, pool_n) *)
   mutable pool_n : int;
-  mutable stale : int;
-      (* queued [wait_until] pollers that found their condition false
-         since the last step of any other fiber: the system is stalled
-         exactly when every runnable fiber is one of them *)
-  mutable epoch : int;  (* bumped whenever a fiber step could change state *)
-  mutable polling : bool;  (* the running fiber is yielding from a failed poll *)
+  mutable pollers : int list;  (* fibers parked in [wait_until], newest first *)
   rng : Rng.t;
   prio : (int, int) Hashtbl.t;  (* Pct: fiber id -> priority *)
   mutable demote_next : int;  (* strictly decreasing fresh minima *)
@@ -139,14 +136,6 @@ let c_waiting = ref 0
 
 let interest_stats () =
   { signals = !c_signals; wakeups = !c_wakeups; parks = !c_parks; waiting = !c_waiting }
-
-(* A fiber step ended that could have changed shared state: every poller
-   must look at its condition again before the system counts as stalled.
-   For the pool policies the stale tail simply rejoins the pickable
-   range. *)
-let progress s =
-  s.epoch <- s.epoch + 1;
-  s.stale <- 0
 
 (* Deliver a pending cancellation exactly once: the flag is consumed on
    raise, so a supervisor restarting the cancelled worker does not see the
@@ -209,32 +198,6 @@ let no_scheduler what = Deadlock (Printf.sprintf "%s (no scheduler running)" wha
 let check_verdict w =
   match w.w_verdict with Some (Deadlocked msg) -> raise (Deadlock msg) | _ -> ()
 
-let wait_until ?(what = "condition") cond =
-  match !current with
-  | None -> if not (cond ()) then raise (no_scheduler what)
-  | Some s ->
-      if not (cond ()) then begin
-        let id = s.cur in
-        let w =
-          { w_what = what; w_on = None; w_ready = cond; w_stall = None; w_verdict = None }
-        in
-        Hashtbl.replace s.blocked id w;
-        (* A failed poll changes nothing: its yield is flagged, so the
-           scheduler can tell a stalled system from a busy one exactly. *)
-        let rec loop () =
-          check_cancel s;
-          s.polling <- true;
-          perform Yield;
-          check_verdict w;
-          if not (cond ()) then loop ()
-        in
-        match loop () with
-        | () -> Hashtbl.remove s.blocked id
-        | exception e ->
-            Hashtbl.remove s.blocked id;
-            raise e
-      end
-
 (* ------------------------------------------------------------------ *)
 (* Run queue                                                           *)
 
@@ -246,25 +209,15 @@ let grow s =
     s.pool <- bigger
   end
 
-(* Runnable tasks go in front of the stale tail, stale pollers behind it. *)
 let pool_push s task =
-  grow s;
-  let e = s.pool_n - s.stale in
-  s.pool.(s.pool_n) <- s.pool.(e);
-  s.pool.(e) <- task;
-  s.pool_n <- s.pool_n + 1
-
-let pool_push_stale s task =
   grow s;
   s.pool.(s.pool_n) <- task;
   s.pool_n <- s.pool_n + 1
 
 let pool_take s i =
   let t = s.pool.(i) in
-  let e = s.pool_n - s.stale - 1 in
-  s.pool.(i) <- s.pool.(e);
   s.pool_n <- s.pool_n - 1;
-  s.pool.(e) <- s.pool.(s.pool_n);
+  s.pool.(i) <- s.pool.(s.pool_n);
   s.pool.(s.pool_n) <- dummy_task;
   t
 
@@ -273,23 +226,10 @@ let enqueue s ~id thunk =
   | Round_robin -> Queue.push thunk s.runq
   | _ -> pool_push s { t_id = id; t_run = thunk }
 
-let enqueue_stale s ~id thunk =
-  s.stale <- s.stale + 1;
-  match s.policy with
-  | Round_robin -> Queue.push thunk s.runq
-  | _ -> pool_push_stale s { t_id = id; t_run = thunk }
-
 let runnable s = match s.policy with Round_robin -> Queue.length s.runq | _ -> s.pool_n
-let eligible s = runnable s - s.stale
 
 (* ------------------------------------------------------------------ *)
 (* Park / unpark                                                       *)
-
-let is_parked id =
-  match !current with Some s -> Hashtbl.mem s.parked id | None -> false
-
-let parked_count () =
-  match !current with Some s -> Hashtbl.length s.parked | None -> 0
 
 let parked_ids () =
   match !current with
@@ -330,11 +270,56 @@ let park ~what =
       suspend s
         {
           w_what = what;
-          w_on = None;
+          w_on = Bare;
           w_ready = (fun () -> false);
           w_stall = None;
           w_verdict = None;
         }
+
+(* A poller parks like any other wait; the scheduler checks its
+   condition ([poll]) and unparks it once the condition holds.  The
+   woken poller re-checks in its own fiber, level-triggered like
+   [Interest.wait]: a fiber that ran before it may have made the
+   condition false again. *)
+let wait_until ?(what = "condition") cond =
+  match !current with
+  | None -> if not (cond ()) then raise (no_scheduler what)
+  | Some s ->
+      if not (cond ()) then begin
+        let id = s.cur in
+        let w =
+          { w_what = what; w_on = Poller; w_ready = cond; w_stall = None; w_verdict = None }
+        in
+        let rec wait () =
+          s.pollers <- id :: s.pollers;
+          match suspend s w with
+          | () -> if not (cond ()) then wait ()
+          | exception e ->
+              s.pollers <- List.filter (( <> ) id) s.pollers;
+              raise e
+        in
+        wait ()
+      end
+
+(* Wake every parked poller whose condition holds, in fiber-id order.
+   An id whose fiber is no longer parked as a poller (woken by [cancel]
+   or a stall) leaves the list. *)
+let poll s =
+  match s.pollers with
+  | [] -> ()
+  | ids ->
+      let ready = ref [] in
+      s.pollers <-
+        List.filter
+          (fun id ->
+            match Hashtbl.find_opt s.blocked id with
+            | Some { w_on = Poller; w_ready; _ } when Hashtbl.mem s.parked id ->
+                let holds = w_ready () in
+                if holds then ready := id :: !ready;
+                not holds
+            | _ -> false)
+          ids;
+      List.iter (unpark_in s) (List.sort compare !ready)
 
 let cancel ?(reason = "cancelled") id =
   match !current with
@@ -373,7 +358,7 @@ module Interest = struct
       | Some s ->
           let id = s.cur in
           let w =
-            { w_what = what; w_on = Some i; w_ready = ready; w_stall = stall; w_verdict = None }
+            { w_what = what; w_on = Set i; w_ready = ready; w_stall = stall; w_verdict = None }
           in
           let rec loop () =
             i.i_waiters <- id :: i.i_waiters;
@@ -424,19 +409,22 @@ end
    - a parked fiber with no registration can never be woken by a signal
      (a registration leaked on some exception path, or a bare [park]).
    A registered waiter that is NOT parked is fine — that is the window
-   between its wake and the fiber running its cleanup. *)
+   between its wake and the fiber running its cleanup.  So is a parked
+   poller, even one whose condition holds: the scheduler checks it at the
+   end of the current pass. *)
 let audit () =
   match !current with
   | None -> None
   | Some s ->
       let ghost id = function
-        | { w_on = Some i; _ } when i.i_dead && List.mem id i.i_waiters ->
+        | { w_on = Set i; _ } when i.i_dead && List.mem id i.i_waiters ->
             Some (Printf.sprintf "interest: fiber %d waits on dead set %s" id i.i_name)
         | _ -> None
       in
       let parked id =
         match Hashtbl.find_opt s.blocked id with
-        | Some ({ w_on = Some i; _ } as w) when List.mem id i.i_waiters -> (
+        | Some { w_on = Poller; _ } -> None
+        | Some ({ w_on = Set i; _ } as w) when List.mem id i.i_waiters -> (
             match ghost id w with
             | Some _ as g -> g
             | None when w.w_ready () ->
@@ -465,11 +453,8 @@ let pct_demote s id =
   Hashtbl.replace s.prio id s.demote_next;
   s.demote_next <- s.demote_next - 1
 
-(* Only [0, eligible) may be picked: a poller that found its condition
-   false is not picked again until another fiber has run, so strict
-   priority can never livelock on a top-priority poller. *)
 let choose s =
-  let n = eligible s in
+  let n = runnable s in
   let i =
     match s.policy with
     | Round_robin -> assert false
@@ -525,7 +510,7 @@ let resolve s =
           (match w.w_stall with
           | Some _ -> Stalled
           | None -> Deadlocked (deadlock_message s w.w_what));
-      if Hashtbl.mem s.parked id then unpark_in s id else progress s
+      unpark_in s id
 
 (* The decision trace of the most recently finished run (normal or
    exceptional) — Round_robin records nothing, pool policies record one
@@ -543,9 +528,7 @@ let run ?faults ?clock ?(policy = Round_robin) ?on_switch ?on_idle main =
       runq = Queue.create ();
       pool = Array.make 8 dummy_task;
       pool_n = 0;
-      stale = 0;
-      epoch = 0;
-      polling = false;
+      pollers = [];
       rng = Rng.create seed;
       prio = Hashtbl.create 16;
       demote_next = 0;
@@ -572,7 +555,7 @@ let run ?faults ?clock ?(policy = Round_robin) ?on_switch ?on_idle main =
   let rec exec (f : unit -> unit) : unit =
     match_with f ()
       {
-        retc = (fun () -> progress s);
+        retc = (fun () -> ());
         exnc =
           (fun e ->
             save_decisions ();
@@ -585,20 +568,9 @@ let run ?faults ?clock ?(policy = Round_robin) ?on_switch ?on_idle main =
                 Some
                   (fun (k : (a, unit) continuation) ->
                     let id = s.cur in
-                    if s.polling then begin
-                      s.polling <- false;
-                      let epoch = s.epoch in
-                      enqueue_stale s ~id (fun () ->
-                          if s.epoch = epoch then s.stale <- s.stale - 1;
-                          s.cur <- id;
-                          continue k ())
-                    end
-                    else begin
-                      progress s;
-                      enqueue s ~id (fun () ->
-                          s.cur <- id;
-                          continue k ())
-                    end)
+                    enqueue s ~id (fun () ->
+                        s.cur <- id;
+                        continue k ()))
             | Spawn g ->
                 Some
                   (fun (k : (a, unit) continuation) ->
@@ -613,7 +585,6 @@ let run ?faults ?clock ?(policy = Round_robin) ?on_switch ?on_idle main =
                 Some
                   (fun (k : (a, unit) continuation) ->
                     let id = s.cur in
-                    progress s;
                     Hashtbl.replace s.parked id (fun () ->
                         s.cur <- id;
                         continue k ()))
@@ -630,33 +601,39 @@ let run ?faults ?clock ?(policy = Round_robin) ?on_switch ?on_idle main =
     | Round_robin -> (Queue.pop s.runq) ()
     | _ -> (pool_take s (choose s)).t_run ()
   in
-  (* A stall: every runnable fiber is a poller that already found its
-     condition false, and everyone else is parked.  The hooks get one
-     chance to fire due timers ([on_switch]), then [on_idle] may advance
-     the simulated clock to the next armed timer and fire it (how a
-     deadline cut reaches a system where every fiber waits on I/O).  If
-     neither moves the world, a blocked wait is resolved. *)
+  (* Nothing is runnable, no poller is ready, and some fiber is parked.
+     The hooks get one chance to fire due timers ([on_switch]), which
+     may ready a poller; then [on_idle] may advance the simulated clock
+     to the next armed timer and fire it (how a deadline cut reaches a
+     system where every fiber waits on I/O).  If nothing moved the
+     world, a blocked wait is resolved. *)
   let stalled () =
     switch ();
-    if eligible s = 0 then
+    if runnable s = 0 then poll s;
+    if runnable s = 0 then
       let idled = match s.on_idle with Some f -> f () | None -> false in
-      if idled then progress s else if eligible s = 0 then resolve s
+      if (not idled) && runnable s = 0 then resolve s
   in
   (try
      exec main;
-     let rec drain () =
-       if eligible s > 0 then begin
+     (* [left] steps remain in the current pass over the run queue; the
+        pollers are checked whenever a pass ends. *)
+     let rec drain left =
+       if left > 0 && runnable s > 0 then begin
          switch ();
-         (* The hook may have unparked or cancelled; re-check. *)
-         if eligible s > 0 then step ();
-         drain ()
+         step ();
+         drain (left - 1)
        end
-       else if runnable s > 0 || Hashtbl.length s.parked > 0 then begin
-         stalled ();
-         drain ()
+       else begin
+         poll s;
+         if runnable s > 0 then drain (runnable s)
+         else if Hashtbl.length s.parked > 0 then begin
+           stalled ();
+           drain 0
+         end
        end
      in
-     drain ()
+     drain 0
    with e ->
      finish ();
      raise e);

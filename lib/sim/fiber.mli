@@ -11,12 +11,12 @@
     terminates).
 
     {b Stalls are exact.}  The system is stalled when nothing is
-    runnable except {!wait_until} pollers that have all found their
-    condition false since another fiber last ran, and {!run}'s [on_idle]
-    cannot fire a timer.  At a stall the scheduler resolves one blocked
-    wait, in {!stall} order — a bounded channel writer first, then a
-    drain's force, then its forfeit — and anything else is told
-    {!Deadlock}, raised inside the blocked fiber with the lowest id. *)
+    runnable, no parked {!wait_until} poller's condition holds, and
+    {!run}'s [on_idle] cannot fire a timer.  At a stall the scheduler
+    resolves one blocked wait, in {!stall} order — a bounded channel
+    writer first, then a drain's force, then its forfeit — and anything
+    else is told {!Deadlock}, raised inside the blocked fiber with the
+    lowest id. *)
 
 exception Deadlock of string
 (** Raised inside a blocked fiber when the system stalls and no
@@ -26,9 +26,9 @@ exception Deadlock of string
     awaiting channel data, fiber 2 awaiting incoming connection)"]. *)
 
 exception Cancelled of string
-(** Delivered inside a fiber at its next {!yield} (or stall step, park,
-    or {!wait_until} poll) after {!cancel} marked it.  The engine
-    registers this as a {e contained} fault class, so cancelling the
+(** Delivered inside a fiber at its next {!yield}, stall step or park
+    after {!cancel} marked it.  The engine registers this as a
+    {e contained} fault class, so cancelling the
     fiber running a compartment kills only that compartment — the
     mechanism a watchdog uses to tear down a hung worker.  The mark is
     consumed on delivery: a supervisor restarting the victim does not see
@@ -38,9 +38,7 @@ exception Cancelled of string
     FIFO order every seeded replay test depends on.  The other policies
     schedule from a pool and record the pool index picked at each step
     (the {e decision trace}, {!last_decisions}); [Replay] feeds such a
-    trace back, reproducing or shrinking a run exactly.  A pool policy
-    never picks a poller that already found its condition false until
-    another fiber has run, so strict priority cannot livelock on it. *)
+    trace back, reproducing or shrinking a run exactly. *)
 type policy =
   | Round_robin
   | Random of int  (** uniformly random runnable fiber, from the seed *)
@@ -101,10 +99,13 @@ val yield : unit -> unit
     yield unconditionally). *)
 
 val wait_until : ?what:string -> (unit -> bool) -> unit
-(** [wait_until cond] polls [cond] once per scheduler rotation until it
-    holds — for conditions no interest set signals (a scenario waiting
-    on its own counters).  A failed poll is O(1) and does not count as
-    progress.  [what] names the awaited condition in deadlock messages.
+(** [wait_until cond] parks the calling fiber until [cond] holds — for
+    conditions no interest set signals (a scenario waiting on its own
+    counters).  The scheduler runs [cond] once per pass over the run
+    queue and at every would-be stall, and unparks the fiber when it
+    holds, so [cond] must not yield, spawn or raise.  The woken fiber
+    re-checks [cond] and parks again if another fiber made it false.
+    [what] names the awaited condition in deadlock messages.
     @raise Deadlock when a stall resolves this wait. *)
 
 val park : what:string -> unit
@@ -121,19 +122,15 @@ val unpark : int -> unit
     Safe from any fiber and from the {!run} [on_switch]/[on_idle]
     hooks. *)
 
-val is_parked : int -> bool
-(** True while fiber [id] sits in the parked table. *)
-
-val parked_count : unit -> int
 val parked_ids : unit -> int list
 (** Currently parked fiber ids, ascending. *)
 
 val cancel : ?reason:string -> int -> unit
-(** Mark fiber [id] for cancellation: its next {!yield}, stall step, park
-    or {!wait_until} poll raises {!Cancelled} [reason] inside it.  A
-    {!park}ed victim is unparked so the mark is delivered at resume.  Safe
-    to call from the {!run} [on_switch] hook (scheduler context) — the
-    watchdog's cut path.  No-op outside {!run}; marking an already-marked
+(** Mark fiber [id] for cancellation: its next {!yield}, stall step or
+    park raises {!Cancelled} [reason] inside it.  A parked victim is
+    unparked so the mark is delivered at resume.  Safe to call from the
+    {!run} [on_switch] hook (scheduler context) — the watchdog's cut
+    path.  No-op outside {!run}; marking an already-marked
     fiber keeps the first reason. *)
 
 val fiber_id : unit -> int
@@ -195,5 +192,7 @@ val audit : unit -> string option
 (** The interest-set audit over the scheduler's registry of blocked
     fibers, for the invariant oracle: no registered, still-parked waiter
     whose readiness already holds (lost wakeup), no waiter registered on a
-    dead set, no parked fiber without a registration.  [None] when
-    consistent or outside {!run}. *)
+    dead set, no parked fiber without a registration.  A parked
+    {!wait_until} poller is registered, and its condition may hold until
+    the scheduler's next check.  [None] when consistent or outside
+    {!run}. *)

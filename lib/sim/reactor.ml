@@ -2,7 +2,7 @@
 
    Fibers park on interest sets ([Fiber.Interest]), which need fiber ids
    but no clock.  What does need one lives here: deadlines as entries on
-   a timer wheel keyed by the simulated clock.  [tick] — wired into the
+   a timer wheel keyed by the simulated clock.  [hook] — wired into the
    scheduler as its [on_switch] hook — fires every timer that has come
    due since the clock last moved.  When the system stalls, the
    scheduler's [on_idle] hook calls [idle], which advances the clock
@@ -89,7 +89,7 @@ let pending_timers r = r.armed
    (or a timer having been armed) since the last one, so the hook's cost
    on a switch where nothing happened is one comparison — the off-path
    price of an armed reactor stays O(1), never O(timers). *)
-let tick r =
+let hook r () =
   let now = Clock.now r.r_clock in
   if now <> r.last_now || r.timers_dirty then begin
     r.last_now <- now;
@@ -113,8 +113,6 @@ let tick r =
     fire ()
   end
 
-let hook r () = tick r
-
 (* Earliest armed timer, if any — the deadline [idle] would sleep to.
    Cancelled entries at the head are dropped on the way. *)
 let next_deadline r =
@@ -128,28 +126,15 @@ let next_deadline r =
   earliest r.timers
 
 (* The system stalled: sleep until the earliest armed timer by advancing
-   the simulated clock to it, then sweep.  Returns false when no timer is
-   armed — the scheduler then resolves a blocked wait. *)
-let idle r () =
-  match next_deadline r with
-  | None -> false
-  | Some at ->
-      let now = Clock.now r.r_clock in
-      if at > now then begin
-        Clock.charge r.r_clock (at - now);
-        r.c_idle_advances <- r.c_idle_advances + 1
-      end;
-      tick r;
-      true
+   its reactor's clock to it, then sweep that reactor.  Returns false
+   when no timer is armed — the scheduler then resolves a blocked wait.
 
-(* Multi-reactor idle, for shards: each reactor runs on its own clock
-   (shards are parallel machines), so absolute deadlines are not
-   comparable across reactors.  The reactor whose earliest timer is the
-   *smallest relative delay* from its own now is the one a real cluster
-   would wake first; ties break on list order, so the choice is a pure
-   function of the reactor states.  Advance only that shard's clock and
-   sweep only it — the other shards' clocks must not move for a timer
-   that is not theirs. *)
+   Each reactor runs on its own clock (shards are parallel machines), so
+   absolute deadlines are not comparable across reactors.  The reactor
+   whose earliest timer is the *smallest relative delay* from its own now
+   is the one a real cluster would wake first; ties break on list order,
+   so the choice is a pure function of the reactor states.  The other
+   shards' clocks must not move for a timer that is not theirs. *)
 let idle_multi rs () =
   let best = ref None in
   List.iter
@@ -169,8 +154,10 @@ let idle_multi rs () =
         Clock.charge r.r_clock delay;
         r.c_idle_advances <- r.c_idle_advances + 1
       end;
-      tick r;
+      hook r ();
       true
+
+let idle r = idle_multi [ r ]
 
 (* ------------------------------------------------------------------ *)
 (* Observability                                                       *)

@@ -2,11 +2,11 @@
     simulated clock.
 
     Fibers block by parking on {!Fiber.Interest} sets, which need no
-    clock.  Deadlines are timers fired by {!tick} at scheduler sync
-    points (wire {!hook} into {!Fiber.run}'s [on_switch]); when the
-    system stalls, {!idle} (wired into [on_idle]) advances the simulated
-    clock straight to the earliest armed timer — the
-    epoll_wait-with-timeout analogue.
+    clock.  Deadlines are timers fired at scheduler sync points (wire
+    {!hook} into {!Fiber.run}'s [on_switch]); when the system stalls,
+    {!idle} (wired into [on_idle]) advances the simulated clock straight
+    to the earliest armed timer — the epoll_wait-with-timeout
+    analogue.
 
     Timer order ((deadline, creation)) and every counter are
     deterministic functions of the schedule. *)
@@ -25,9 +25,10 @@ type timer_id
 
 val at : t -> ns:int -> (unit -> unit) -> timer_id
 (** Fire [f] once the simulated clock reaches absolute time [ns] (at the
-    next {!tick} at or after it).  The callback runs in scheduler-hook
-    context: it must not yield or park, but may signal or kill interest
-    sets, [Fiber.unpark], cancel fibers, or arm further timers. *)
+    next {!hook} call at or after it).  The callback runs in
+    scheduler-hook context: it must not yield or park, but may signal or
+    kill interest sets, [Fiber.unpark], cancel fibers, or arm further
+    timers. *)
 
 val after : t -> ns:int -> (unit -> unit) -> timer_id
 (** Relative form of {!at}. *)
@@ -38,20 +39,19 @@ val cancel_timer : t -> timer_id -> unit
 val pending_timers : t -> int
 (** Timers armed and neither fired nor cancelled. *)
 
-val tick : t -> unit
-(** Fire every timer due at the current simulated time.  Gated on the
-    clock having moved (or a timer having been armed) since the last
-    sweep, so an armed-but-quiet reactor costs one comparison per call. *)
-
 val hook : t -> unit -> unit
-(** [Fiber.run ~on_switch:(Reactor.hook r)] — {!tick} at every
+(** [Fiber.run ~on_switch:(Reactor.hook r)]: [hook r ()] fires every
+    timer due at the current simulated time.  The sweep is gated on the
+    clock having moved (or a timer having been armed) since the last
+    one, so an armed-but-quiet reactor costs one comparison per
     scheduling step.  Compose manually when an oracle hook is also
     armed. *)
 
 val idle : t -> unit -> bool
-(** [Fiber.run ~on_idle:(Reactor.idle r)] — advance the clock to the
-    earliest armed timer and {!tick}; [false] when no timer is armed
-    (the scheduler then resolves a blocked wait). *)
+(** [Fiber.run ~on_idle:(Reactor.idle r)] — {!idle_multi} [[r]]: advance
+    the clock to the earliest armed timer and fire what is due; [false]
+    when no timer is armed (the scheduler then resolves a blocked
+    wait). *)
 
 val next_deadline : t -> int option
 (** Earliest armed timer (absolute simulated ns on this reactor's
@@ -61,8 +61,8 @@ val idle_multi : t list -> unit -> bool
 (** Multi-shard [on_idle]: each reactor runs on its own clock, so the
     one whose earliest timer is the smallest {e relative} delay from its
     own now wakes first (ties break on list order).  Advances only that
-    reactor's clock and {!tick}s only it; [false] when no reactor has an
-    armed timer. *)
+    reactor's clock and fires only its due timers; [false] when no
+    reactor has an armed timer. *)
 
 (** {2 Observability} *)
 

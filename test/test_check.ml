@@ -287,23 +287,23 @@ let test_sweep_pct_policy () =
    re-pins the whole table at once. *)
 let pinned_digests =
   [
-    ("pop3", "e30e0d870b6f893ae12b690243b3411d");
-    ("httpd", "bc8a970cbfb9e328380de3ba1ea2e41e");
-    ("sshd", "4cc6a75def9b7216b7c200bbe9e89d08");
-    ("httpd_mitm", "057e5138d8b11a473f5417952963c941");
-    ("httpd_mitm_recycle", "67a334420d72a91f4eb1eecf838409fa");
-    ("httpd_storm", "4109adb5f7b2d0f63a45e87aee68f81f");
-    ("pop3_storm", "434ac61be4b1f74bc7e1fd26445a7e42");
-    ("sshd_storm", "70efdcd6638e9cc5eef6ac35d00e1c73");
-    ("httpd_mitm_storm", "d66f303f942e6312e0b27cb33781184a");
-    ("httpd_pool_storm", "341bd60b2eee76b159c7a55eeab239e0");
-    ("pop3_pool_storm", "40488ec7fc1a43793e3485d054ab141b");
-    ("sshd_pool_storm", "1e1bb536a2d87101fa4a2a40ba661501");
-    ("httpd_mitm_pool_storm", "788d490e82f9e623bbce0b8d11633a19");
-    ("httpd_sharded", "ef78c03ec41cc1f6bf7860e41753972b");
-    ("pop3_sharded", "6436f649b3f640a759faeda5b341deb4");
-    ("sshd_sharded", "54f78077f042faca01a281508896bbbe");
-    ("httpd_mitm_sharded", "286e2f1f5d73e54d2d547d0336f128ae");
+    ("pop3", "559ab59a9891a93331df66a5b2a5012a");
+    ("httpd", "9404dd29e816ab15acedb711fe899a66");
+    ("sshd", "96d04d1499a2ed3bc857190ac6781159");
+    ("httpd_mitm", "fdc59709b14c4d3630824930352b6a69");
+    ("httpd_mitm_recycle", "3742f95755088fa9c425fda2e70d2fb9");
+    ("httpd_storm", "d8258ae28fae1a2765277b23b6aab31e");
+    ("pop3_storm", "02c7bca2ce129878413abe7ccdfde7b1");
+    ("sshd_storm", "600674b1e4bddc01802fe66162624178");
+    ("httpd_mitm_storm", "6094392b45f67cc6fbff68e4d1f1c442");
+    ("httpd_pool_storm", "91f589e63eac0ed8b6358ee7535b6e6c");
+    ("pop3_pool_storm", "1021d67df99883b3095389dc7072f15c");
+    ("sshd_pool_storm", "1f1e41334f35606ee64951184daa5e02");
+    ("httpd_mitm_pool_storm", "5f3de9befdc2f3e2b94912ecb0bda4ac");
+    ("httpd_sharded", "2359f2c6842af3460ad645439e9901f7");
+    ("pop3_sharded", "ba5a738b7f5409e872bf4b72b933d21f");
+    ("sshd_sharded", "acb8008288376169b0856ac3ca23752c");
+    ("httpd_mitm_sharded", "cb6e4951ef9b6b75dc36ae3c653d26f3");
     ("httpd_synth", "68443f6502534fa9574c44224284ad76");
     ("pop3_synth", "ca935ca738a8f81975ea03f0d06f1421");
     ("sshd_synth", "cc5d77da265451769ff0e746def8d92f");

@@ -510,7 +510,7 @@ let idle_stretch ~herd =
         Fiber.yield ()
       done;
       idle_fuel := fuel () - fuel0;
-      parked := Fiber.parked_count ();
+      parked := List.length (Fiber.parked_ids ());
       Chan.write_string a (String.make 64 'r');
       Fiber.wait_until ~what:"request served" (fun () -> !got = 64);
       span := Clock.now clock - t0;

@@ -114,7 +114,7 @@ let test_watchdog_cuts_hung_heart () =
             done
           with Fiber.Cancelled _ -> cancelled := true);
       Fiber.yield ();
-      Reactor.tick r;
+      Reactor.hook r ();
       Fiber.yield ());
   check Alcotest.bool "fiber cancelled" true !cancelled;
   check Alcotest.int "one cut" 1 (Guard.stats g).Guard.s_hang_cuts;
@@ -129,7 +129,7 @@ let test_watchdog_beat_after_cut_raises_hang () =
       let _, c = admit_one g in
       Guard.rearm_heart c;
       Clock.charge clock 2_000;
-      Reactor.tick r;
+      Reactor.hook r ();
       check Alcotest.int "hung: cut once" 1 (Guard.stats g).Guard.s_hang_cuts;
       (try Guard.established c with Guard.Hang _ -> raised := true));
   check Alcotest.bool "beat after cut raises Hang" true !raised;
@@ -233,11 +233,10 @@ let staller_then_clean ~serve_loop ~prefix ~clean k l guard r =
   let clock = k.Kernel.clock in
   let t = Byzantine.tally () in
   let served_after = ref false in
-  Fiber.run ~clock ~on_switch:(Reactor.hook r) (fun () ->
+  Fiber.run ~clock ~on_switch:(Reactor.hook r) ~on_idle:(Reactor.idle r) (fun () ->
       Fiber.spawn serve_loop;
       Fiber.spawn (fun () ->
-          Byzantine.mid_header_stall t l ~clock ~step_ns:1_000 ~prefix
-            ~is_rejection:(fun _ -> false) ());
+          Byzantine.mid_header_stall t l ~prefix ~is_rejection:(fun _ -> false));
       Fiber.wait_until ~what:"staller resolved" (fun () -> Byzantine.total t = 1);
       (* The staller is gone; the listener must still serve. *)
       served_after := clean ();
@@ -395,7 +394,7 @@ let test_rearm_heart_clears_stale_beat () =
       Guard.rearm_heart c;
       Clock.charge clock 2_000;
       Guard.rearm_heart c;
-      Reactor.tick r;
+      Reactor.hook r ();
       check Alcotest.int "no spurious cut after rearm" 0 (Guard.stats g).Guard.s_hang_cuts;
       Guard.release c;
       Chan.close a);

@@ -143,8 +143,7 @@ let test_fiber_wait_until_woken_by_timer () =
   check Alcotest.bool "condition met" true !flag;
   check Alcotest.int "clock slept to the timer" 5_000 (Clock.now clock)
 
-(* A pool policy never re-picks a poller that already found its condition
-   false until another fiber has run: under strict priority, a
+(* A poller waits parked, off the pool: under strict priority, a
    top-priority poller waiting on a lower-priority fiber cannot livelock
    (some seeds below rank the poller first). *)
 let test_pct_skips_failed_pollers () =
@@ -163,6 +162,77 @@ let test_pct_skips_failed_pollers () =
           Fiber.wait_until ~what:"flag" (fun () -> !flag));
       check Alcotest.bool "poller saw the flag" true !flag)
     [ 1; 2; 3; 4; 5; 6 ]
+
+(* A parked poller takes no scheduling steps while its condition is
+   false: each of 100 pollers steps once to park and once to return,
+   whatever the policy, beside the setter's 11 steps. *)
+let test_pollers_take_no_steps () =
+  List.iter
+    (fun (label, policy) ->
+      let steps = ref 0 and flag = ref false and returned = ref 0 in
+      Fiber.run ~policy
+        ~on_switch:(fun () -> incr steps)
+        (fun () ->
+          for _ = 1 to 100 do
+            Fiber.spawn (fun () ->
+                Fiber.wait_until ~what:"flag" (fun () -> !flag);
+                incr returned)
+          done;
+          Fiber.spawn (fun () ->
+              for _ = 1 to 10 do
+                Fiber.yield ()
+              done;
+              flag := true));
+      check Alcotest.int (label ^ ": every poller returned") 100 !returned;
+      if !steps > 250 then
+        Alcotest.failf "%s: %d scheduling steps, at most 250" label !steps)
+    [
+      ("round-robin", Fiber.Round_robin);
+      ("random", Fiber.Random 1);
+      ("pct", Fiber.Pct { seed = 1; change_prob = 0.1 });
+    ]
+
+(* The scheduler wakes a poller when its condition holds, but fibers
+   that run before the poller may make it false again: the woken poller
+   must re-check and park again, so it returns only on a [true]. *)
+let test_woken_poller_rechecks () =
+  let flag = ref false and seen = ref None in
+  Fiber.run (fun () ->
+      Fiber.spawn (fun () ->
+          Fiber.wait_until ~what:"flag" (fun () -> !flag);
+          seen := Some !flag);
+      Fiber.yield ();
+      (* The poller is parked.  The end of this pass finds the flag set
+         and wakes it behind this fiber, which clears the flag first. *)
+      flag := true;
+      Fiber.yield ();
+      flag := false;
+      Fiber.yield ();
+      flag := true);
+  check (Alcotest.option Alcotest.bool) "poller returned having seen true" (Some true) !seen
+
+(* The audit run from [on_switch] accepts a parked poller, also in the
+   window where its condition holds but the pass that will wake it has
+   not ended. *)
+let test_parked_poller_passes_audit () =
+  let flag = ref false and audited_parked = ref 0 and verdict = ref None in
+  Fiber.run
+    ~on_switch:(fun () ->
+      if Fiber.parked_ids () <> [] then incr audited_parked;
+      if !verdict = None then verdict := Fiber.audit ())
+    (fun () ->
+      Fiber.spawn (fun () -> Fiber.wait_until ~what:"flag" (fun () -> !flag));
+      Fiber.spawn (fun () ->
+          for _ = 1 to 6 do
+            Fiber.yield ()
+          done);
+      for _ = 1 to 3 do
+        Fiber.yield ()
+      done;
+      flag := true;
+      Fiber.yield ());
+  check Alcotest.bool "the audit ran with the poller parked" true (!audited_parked > 0);
+  check (Alcotest.option Alcotest.string) "audit clean" None !verdict
 
 let test_fiber_nested_spawn_ordering_policies () =
   (* Nested spawns must run exactly once under every policy; round-robin
@@ -327,6 +397,10 @@ let () =
           Alcotest.test_case "wait_until woken by a timer" `Quick
             test_fiber_wait_until_woken_by_timer;
           Alcotest.test_case "pct skips failed pollers" `Quick test_pct_skips_failed_pollers;
+          Alcotest.test_case "pollers take no steps" `Quick test_pollers_take_no_steps;
+          Alcotest.test_case "woken poller re-checks" `Quick test_woken_poller_rechecks;
+          Alcotest.test_case "parked poller passes the audit" `Quick
+            test_parked_poller_passes_audit;
           Alcotest.test_case "nested spawn ordering per policy" `Quick
             test_fiber_nested_spawn_ordering_policies;
           Alcotest.test_case "last_decisions replay" `Quick test_fiber_last_decisions_replay;
