@@ -62,7 +62,7 @@ for f in $(grep -rl 'Kernel\.iter_processes' lib); do
 done
 
 # Descriptor I/O guard: a compartment moves descriptor bytes only
-# through Engine.fd_read and Engine.fd_write, which trap, check the
+# through Engine.fd_read and Engine.fd_write_sub, which trap, check the
 # descriptor's permission and run the installed profile's check on
 # every byte.  Only lib/core/engine.ml invokes an endpoint's ep_read,
 # ep_write or ep_wait (lib/net/chan.ml and lib/net/guard.ml build the
@@ -70,7 +70,7 @@ done
 echo "== descriptor I/O guard =="
 io_bad=0
 for f in $(grep -rlE --exclude=check.sh 'readv|writev' lib bin bench examples | sort); do
-  echo "check.sh: $f mentions readv/writev: descriptor bytes move only through Engine.fd_read and Engine.fd_write" >&2
+  echo "check.sh: $f mentions readv/writev: descriptor bytes move only through Engine.fd_read and Engine.fd_write_sub" >&2
   io_bad=1
 done
 for f in $(grep -rlE '\.ep_(read|write|wait)\b' lib | sort); do

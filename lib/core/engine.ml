@@ -1420,7 +1420,10 @@ let fd_read ctx fd n =
           charge ctx ((costs ctx).Cost_model.disk_per_byte * len);
           b)
 
-let fd_write ctx fd b =
+(* A range outside [b] is the caller's bug, refused before the kernel
+   entry: no trap, no fuel, no charge, no byte moved. *)
+let fd_write_sub ctx fd b off len =
+  if off < 0 || len < 0 || off > Bytes.length b - len then invalid_arg "Engine.fd_write_sub";
   enter ctx "write";
   check_policy_fd ctx fd ~write:true;
   let e = fd_entry ctx fd in
@@ -1429,8 +1432,8 @@ let fd_write ctx fd b =
   match e.Fd_table.target with
   | Fd_table.Null -> ()
   | Fd_table.Endpoint ep ->
-      charge ctx ((costs ctx).Cost_model.net_per_byte * Bytes.length b);
-      ep.Fd_table.ep_write b
+      charge ctx ((costs ctx).Cost_model.net_per_byte * len);
+      ep.Fd_table.ep_write b off len
   | Fd_table.File fh -> (
       let vfs = ctx.app.kernel.Kernel.vfs in
       let data =
@@ -1439,21 +1442,24 @@ let fd_write ctx fd b =
         | Error _ -> ""
       in
       let pos = fh.Fd_table.fh_pos in
+      let chunk = Bytes.sub_string b off len in
       let data =
-        if pos >= String.length data then data ^ Bytes.to_string b
+        if pos >= String.length data then data ^ chunk
         else
           String.sub data 0 pos
-          ^ Bytes.to_string b
+          ^ chunk
           ^
-          let tail = pos + Bytes.length b in
+          let tail = pos + len in
           if tail < String.length data then String.sub data tail (String.length data - tail)
           else ""
       in
-      charge ctx ((costs ctx).Cost_model.disk_per_byte * Bytes.length b);
-      fh.Fd_table.fh_pos <- pos + Bytes.length b;
+      charge ctx ((costs ctx).Cost_model.disk_per_byte * len);
+      fh.Fd_table.fh_pos <- pos + len;
       match Vfs.write_file vfs ~root:"/" ~uid:0 fh.Fd_table.fh_path data with
       | Ok () -> ()
       | Error err -> raise (Fd_error (Vfs.error_to_string err)))
+
+let fd_write ctx fd b = fd_write_sub ctx fd b 0 (Bytes.length b)
 
 let fd_close ctx fd = Fd_table.close ctx.proc.Process.fds fd
 

@@ -100,6 +100,7 @@ let stack_frame = Engine.stack_frame
 let open_file = Engine.open_file
 let add_endpoint = Engine.add_endpoint
 let fd_read = Engine.fd_read
+let fd_write_sub = Engine.fd_write_sub
 let fd_write = Engine.fd_write
 let fd_close = Engine.fd_close
 let vfs_read = Engine.vfs_read

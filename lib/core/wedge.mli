@@ -332,11 +332,17 @@ val fd_read : ctx -> int -> int -> bytes
     never parks.
     @raise Fd_error on a bad or unreadable descriptor. *)
 
-val fd_write : ctx -> int -> bytes -> unit
-(** [fd_write ctx fd b] sends all of [b]: one kernel entry, checked like
-    {!fd_read}.  [fd_read] and [fd_write] are the only way a compartment
-    moves descriptor bytes.
+val fd_write_sub : ctx -> int -> bytes -> int -> int -> unit
+(** [fd_write_sub ctx fd b off len] sends the [len] bytes of [b] from
+    [off]: one kernel entry, checked like {!fd_read}, charged for [len]
+    bytes.  [fd_read] and [fd_write_sub] are the only way a compartment
+    moves descriptor bytes, and the endpoint keeps no reference to [b].
+    @raise Invalid_argument if the range is not within [b], before the
+    kernel entry: no trap, no fuel, no charge.
     @raise Fd_error on a bad or unwritable descriptor. *)
+
+val fd_write : ctx -> int -> bytes -> unit
+(** [fd_write_sub] of all of [b]. *)
 
 val fd_close : ctx -> int -> unit
 val vfs_read : ctx -> string -> (string, Wedge_kernel.Vfs.error) result

@@ -12,7 +12,7 @@ let perm_subsumes ~parent ~child =
 
 type endpoint = {
   ep_read : int -> bytes;
-  ep_write : bytes -> unit;
+  ep_write : bytes -> int -> int -> unit;
   ep_wait : unit -> unit;
       (* park until ep_read can make progress — readable, EOF, or cut.
          Called BEFORE the syscall trap, so a read that parks here charges

@@ -18,12 +18,14 @@ val perm_rw : perm
 val perm_subsumes : parent:perm -> child:perm -> bool
 
 (** A duplex byte-stream endpoint (socket-like).  A compartment moves its
-    bytes only through [Engine.fd_read] and [Engine.fd_write], which trap,
-    check the descriptor's permission and the installed policy, then call
-    these. *)
+    bytes only through [Engine.fd_read] and [Engine.fd_write_sub], which
+    trap, check the descriptor's permission and the installed policy, then
+    call these. *)
 type endpoint = {
   ep_read : int -> bytes;  (** read up to n bytes; may block the fiber *)
-  ep_write : bytes -> unit;
+  ep_write : bytes -> int -> int -> unit;
+      (** [ep_write b off len] sends the [len] bytes of [b] from [off] and
+          keeps no reference to [b]; the engine has checked the range *)
   ep_wait : unit -> unit;
       (** park until [ep_read] can make progress (readable, EOF, or cut).
           The engine calls it {e before} the syscall trap of a read the

@@ -52,24 +52,32 @@ let permits meta ~uid ~want_read ~want_write =
   in
   (not want_read || r) && (not want_write || w)
 
-let resolve_from node parts =
-  let rec go node = function
-    | [] -> Ok node
-    | p :: rest -> (
-        match node with
-        | File _ -> Error Enotdir
-        | Dir d -> (
-            match Hashtbl.find_opt d.entries p with
-            | Some n -> go n rest
-            | None -> Error Enoent))
-  in
-  go node parts
+let rec next_slash s j stop = if j < stop && s.[j] <> '/' then next_slash s (j + 1) stop else j
+
+(* Walk the components of [s] in [i, stop) from [node], as [split_path]
+   splits them: "" and "." are skipped, and any other component — ".."
+   too — names an entry of the directory reached so far.  Only a looked-up
+   component is copied. *)
+let rec walk node s i stop =
+  if i >= stop then Ok node
+  else
+    let j = next_slash s i stop in
+    if j = i || (j = i + 1 && s.[i] = '.') then walk node s (j + 1) stop
+    else
+      match node with
+      | File _ -> Error Enotdir
+      | Dir d -> (
+          match Hashtbl.find_opt d.entries (String.sub s i (j - i)) with
+          | Some n -> walk n s (j + 1) stop
+          | None -> Error Enoent)
 
 (* Resolve [path] under [root] (the chroot): the effective path is
-   root/path; ".." is not supported so a chroot can never be escaped. *)
+   root/path, walked root first; ".." is not supported so a chroot can
+   never be escaped. *)
 let resolve t ~root path =
-  let parts = split_path root @ split_path path in
-  resolve_from t.root parts
+  match walk t.root root 0 (String.length root) with
+  | Ok node -> walk node path 0 (String.length path)
+  | Error e -> Error e
 
 let rec mkdir_p_node node parts ~uid ~mode =
   match parts with
@@ -114,15 +122,29 @@ let read_file t ~root ~uid path =
       if permits f.fmeta ~uid ~want_read:true ~want_write:false then Ok f.data
       else Error Eacces
 
+(* The last component of [s] that names an entry, as [(start, stop)]. *)
+let last_name s =
+  let rec start i = if i > 0 && s.[i - 1] <> '/' then start (i - 1) else i in
+  let rec back j =
+    if j = 0 then None
+    else if s.[j - 1] = '/' then back (j - 1)
+    else
+      let i = start (j - 1) in
+      if j = i + 1 && s.[i] = '.' then back i else Some (i, j)
+  in
+  back (String.length s)
+
+(* The directory holding the effective path's last named component,
+   and that component. *)
 let find_parent t ~root path =
-  let parts = split_path root @ split_path path in
-  match List.rev parts with
-  | [] -> Error Eisdir
-  | name :: rev_dir -> (
-      match resolve_from t.root (List.rev rev_dir) with
+  let s = root ^ "/" ^ path in
+  match last_name s with
+  | None -> Error Eisdir
+  | Some (i, j) -> (
+      match walk t.root s 0 i with
       | Error e -> Error e
       | Ok (File _) -> Error Enotdir
-      | Ok (Dir d) -> Ok (d, name))
+      | Ok (Dir d) -> Ok (d, String.sub s i (j - i)))
 
 let write_file t ~root ~uid path contents =
   match resolve t ~root path with

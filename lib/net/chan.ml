@@ -51,20 +51,21 @@ let dir_available d = d.wpos - d.rpos
    waiter it is one match. *)
 let dir_signal d = Interest.signal d.ready
 
-let dir_push d b =
-  let n = Bytes.length b in
+(* Append [b]'s [n] bytes from [off].  A full ring grows to what it must
+   hold, at least doubling: a reply the reader drains before the next one
+   reuses the ring, so each direction grows to fit the longest burst it
+   buffers and no further. *)
+let dir_push d b off n =
   let cap = Bytes.length d.data in
   if d.wpos + n > cap then begin
     let live = dir_available d in
-    let need = live + n in
-    let newcap = max (cap * 2) (need * 2) in
-    let fresh = Bytes.create newcap in
+    let fresh = Bytes.create (max (cap * 2) (live + n)) in
     Bytes.blit d.data d.rpos fresh 0 live;
     d.data <- fresh;
     d.rpos <- 0;
     d.wpos <- live
   end;
-  Bytes.blit b 0 d.data d.wpos n;
+  Bytes.blit b off d.data d.wpos n;
   d.wpos <- d.wpos + n;
   dir_signal d
 
@@ -218,7 +219,8 @@ let wait_for_space ep cap =
             stuck))
   end
 
-let write ep b =
+let write_sub ep b off len =
+  if off < 0 || len < 0 || off > Bytes.length b - len then invalid_arg "Chan.write_sub";
   if ep.tx.closed then
     if ep.tx.reset then
       raise (Fault_plan.Injected "chan.write: peer reset (injected)")
@@ -238,15 +240,16 @@ let write ep b =
          only finds out on its next write (like a TCP send after FIN) *)
       dir_kill ep.tx
   | Some Fault_plan.Truncate ->
-      if Bytes.length b > 0 then dir_push ep.tx (Bytes.sub b 0 1);
+      if len > 0 then dir_push ep.tx b off 1;
       dir_kill_keep_data ep.tx
   | Some (Fault_plan.Delay ns) ->
       charge_delay ep ns;
-      dir_push ep.tx b
-  | None -> dir_push ep.tx b);
-  Trace.count ep.trace ~name:"chan.write" ~pid:net_pid ~value:(Bytes.length b);
+      dir_push ep.tx b off len
+  | None -> dir_push ep.tx b off len);
+  Trace.count ep.trace ~name:"chan.write" ~pid:net_pid ~value:len;
   Fiber.yield ()
 
+let write ep b = write_sub ep b 0 (Bytes.length b)
 let write_string ep s = write ep (Bytes.of_string s)
 
 let close ep =
@@ -267,7 +270,7 @@ let capacity ep = ep.capacity
 let to_endpoint ep =
   {
     Fd_table.ep_read = (fun n -> read ep n);
-    ep_write = (fun b -> write ep b);
+    ep_write = (fun b off len -> write_sub ep b off len);
     (* A raw channel blocks inside [read], after the trap, and charges the
        half round trip a blocked read costs; the guard's endpoint is the
        one that parks before the trap. *)

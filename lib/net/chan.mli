@@ -51,7 +51,17 @@ val read_exact : ep -> int -> bytes option
     closes first or a faulted direction stops making progress (two
     consecutive empty reads without EOF terminate the loop). *)
 
+val write_sub : ep -> bytes -> int -> int -> unit
+(** [write_sub ep b off len] sends the [len] bytes of [b] from [off]: the
+    channel's one write.  The bytes are copied into the direction's
+    buffer, so [b] may be reused as soon as it returns.  With [faults], a
+    [Truncate] delivers [b.[off]] alone.
+    @raise Invalid_argument if the range is not within [b], before any
+    fault roll or byte moves. *)
+
 val write : ep -> bytes -> unit
+(** [write_sub] of all of [b]. *)
+
 val write_string : ep -> string -> unit
 
 val wait_rx : ?bytes:int -> ep -> unit

@@ -179,8 +179,6 @@ let read_exact t n =
     fill have
   end
 
-let write t b = t.send b
-
 (* The concatenation is fresh and held by no one else: handing it over
    as bytes copies nothing more. *)
 let write_line t s = t.send (Bytes.unsafe_of_string (s ^ "\r\n"))

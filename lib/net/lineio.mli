@@ -34,7 +34,6 @@ val read_exact : t -> int -> bytes option
     overflowed, and for an [n] below zero or past [max_line], which is
     refused before anything is allocated. *)
 
-val write : t -> bytes -> unit
 val write_line : t -> string -> unit
 (** Appends CRLF. *)
 

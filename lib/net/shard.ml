@@ -84,6 +84,9 @@ type t = {
   retired : Interest.t;  (* signalled when a link handler retires *)
   mutable started : bool;
   mutable stopping : bool;
+  tick : unit -> unit;
+      (* [hook]: every shard's reactor tick, composed once here because
+         a run calls it at every scheduling switch *)
 }
 
 let n t = Array.length t.shards
@@ -185,6 +188,9 @@ let create worlds =
       retired = Interest.create ~name:"shard.handlers";
       started = false;
       stopping = false;
+      tick =
+        (let hooks = Array.map (fun s -> Reactor.hook s.reactor) shards in
+         fun () -> Array.iter (fun h -> h ()) hooks);
     }
   in
   (* The deleter's broadcast rides the engine's post-delete hook, so a
@@ -292,9 +298,7 @@ let stop t =
 (* ------------------------------------------------------------------ *)
 (* Scheduler wiring                                                    *)
 
-let hook t =
-  let hooks = Array.map (fun s -> Reactor.hook s.reactor) t.shards in
-  fun () -> Array.iter (fun h -> h ()) hooks
+let hook t = t.tick
 
 let idle t = Reactor.idle_multi (reactors t)
 

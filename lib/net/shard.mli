@@ -61,8 +61,9 @@ val stop : t -> unit
     deadlock.  Idempotent. *)
 
 val hook : t -> unit -> unit
-(** [on_switch] for [Fiber.run]: tick every shard's reactor.  Compose
-    manually when oracle hooks are also armed. *)
+(** [on_switch] for [Fiber.run]: tick every shard's reactor.  Composed
+    once by {!create}, so [hook t ()] at every switch allocates nothing.
+    Compose manually when oracle hooks are also armed. *)
 
 val idle : t -> unit -> bool
 (** [on_idle] for [Fiber.run]: {!Wedge_sim.Reactor.idle_multi} over the

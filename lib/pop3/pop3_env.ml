@@ -56,12 +56,21 @@ let install k users =
         u.mails)
     users
 
-let lookup_line ~passwd_file ~user =
-  String.split_on_char '\n' passwd_file
-  |> List.find_opt (fun line ->
-         match String.index_opt line ':' with
-         | Some i -> String.sub line 0 i = user
-         | None -> false)
+(* The first line whose name field — everything before its first ':' —
+   is [user], found by scanning line starts for [user ^ ":"] in place:
+   only the matching line is copied.  A name holding ':' or '\n' names
+   no field. *)
+let lookup_line ~passwd_file:s ~user =
+  let n = String.length s and k = String.length user in
+  let rec eol i = if i < n && s.[i] <> '\n' then eol (i + 1) else i in
+  let rec named i j = j = k || (s.[i + j] = user.[j] && named i (j + 1)) in
+  let rec line i =
+    if i + k < n && s.[i + k] = ':' && named i 0 then Some (String.sub s i (eol i - i))
+    else
+      let e = eol i in
+      if e < n then line (e + 1) else None
+  in
+  if String.contains user ':' || String.contains user '\n' then None else line 0
 
 let check_password ~passwd_line ~user ~password =
   match String.split_on_char ':' passwd_line with

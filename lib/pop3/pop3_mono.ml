@@ -1,6 +1,5 @@
 module W = Wedge_core.Wedge
 module Chan = Wedge_net.Chan
-module Lineio = Wedge_net.Lineio
 module Fd_table = Wedge_kernel.Fd_table
 
 (* Direct-access backend: everything runs with the caller's (full)
@@ -88,9 +87,6 @@ let backend ctx =
 
 let serve_connection ctx ep =
   let fd = W.add_endpoint ctx (Chan.to_endpoint ep) Fd_table.perm_rw in
-  let io =
-    Lineio.create ~recv:(fun n -> W.fd_read ctx fd n) ~send:(fun b -> W.fd_write ctx fd b) ()
-  in
-  Pop3_proto.serve io (backend ctx);
+  Pop3_proto.serve ~recv:(fun n -> W.fd_read ctx fd n) ~send:(W.fd_write_sub ctx fd) (backend ctx);
   W.fd_close ctx fd;
   Chan.close ep

@@ -47,35 +47,54 @@ let refusal_text = function
   | No_such_message -> "no such message"
   | Too_large -> "reply too large"
 
-(* One reply, one write: the client that finds the channel empty
-   partway through a reply pays a half round trip to wait for the rest,
-   so a reply split over k writes can cost it k - 1 of them.  [parts]
-   are sized first, then blitted once into the outgoing buffer. *)
-let write_reply io parts =
-  let buf = Bytes.create (List.fold_left (fun n p -> n + String.length p) 0 parts) in
+(* The connection's reply buffer and its writer.  Every reply is
+   composed in [buf] and only its used prefix is sent, one write per
+   reply: the client that finds the channel empty partway through a
+   reply pays a half round trip to wait for the rest, so a reply split
+   over k writes can cost it k - 1 of them.  [buf] grows only to fit a
+   reply longer than any before it, so a connection allocates for its
+   longest reply, not for every reply. *)
+type out = {
+  send : bytes -> int -> int -> unit;
+  mutable buf : Bytes.t;
+}
+
+(* [buf], at least [n] bytes long. *)
+let room o n =
+  if Bytes.length o.buf < n then o.buf <- Bytes.create n;
+  o.buf
+
+(* [parts] are sized first, then blitted once into the reply buffer. *)
+let write_reply o parts =
+  let n = List.fold_left (fun n p -> n + String.length p) 0 parts in
+  let buf = room o n in
   ignore
     (List.fold_left
        (fun off p ->
          Bytes.blit_string p 0 buf off (String.length p);
          off + String.length p)
        0 parts);
-  Lineio.write io buf
+  o.send buf 0 n
 
 (* A RETR reply, sized once: the status line, then the body, which the
    backend fills in place — one host copy of the mail — then the
    terminator, all in one write. *)
-let write_retr io { len; fill } =
+let write_retr o { len; fill } =
   let head = "+OK " ^ string_of_int len ^ " octets\r\n" in
   let off = String.length head in
-  let buf = Bytes.create (off + len + 5) in
+  let n = off + len + 5 in
+  let buf = room o n in
   Bytes.blit_string head 0 buf 0 off;
   fill buf off;
   Bytes.blit_string "\r\n.\r\n" 0 buf (off + len) 5;
-  Lineio.write io buf
+  o.send buf 0 n
 
-let serve io backend =
-  let ok fmt = Printf.ksprintf (fun s -> write_reply io [ "+OK "; s; "\r\n" ]) fmt in
-  let err fmt = Printf.ksprintf (fun s -> write_reply io [ "-ERR "; s; "\r\n" ]) fmt in
+let serve ~recv ~send backend =
+  (* Commands come in through the line reader; replies leave through [o]. *)
+  let io = Lineio.create ~recv ~send:(fun b -> send b 0 (Bytes.length b)) () in
+  let o = { send; buf = Bytes.empty } in
+  let ok fmt = Printf.ksprintf (fun s -> write_reply o [ "+OK "; s; "\r\n" ]) fmt in
+  let err fmt = Printf.ksprintf (fun s -> write_reply o [ "-ERR "; s; "\r\n" ]) fmt in
   let refused r = err "%s" (refusal_text r) in
   ok "wedge-pop3 ready";
   let pending_user = ref None in
@@ -107,7 +126,7 @@ let serve io backend =
         | List ->
             (match backend.list_mails () with
             | Ok entries ->
-                write_reply io
+                write_reply o
                   (Printf.sprintf "+OK %d messages\r\n" (Stdlib.List.length entries)
                   :: Stdlib.List.fold_right
                        (fun (i, sz) rest -> Printf.sprintf "%d %d\r\n" i sz :: rest)
@@ -115,7 +134,7 @@ let serve io backend =
             | Error r -> refused r);
             loop ()
         | Retr n ->
-            (match backend.retr n with Ok body -> write_retr io body | Error r -> refused r);
+            (match backend.retr n with Ok body -> write_retr o body | Error r -> refused r);
             loop ()
         | Dele n ->
             (match backend.dele n with Ok () -> ok "deleted" | Error r -> refused r);

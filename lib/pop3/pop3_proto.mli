@@ -38,6 +38,9 @@ type backend = {
   dele : int -> (unit, refusal) result;
 }
 
-val serve : Wedge_net.Lineio.t -> backend -> unit
-(** Run one POP3 session to QUIT or EOF.  Every reply, a multi-line
-    LIST or RETR included, leaves in exactly one {!Wedge_net.Lineio.write}. *)
+val serve : recv:(int -> bytes) -> send:(bytes -> int -> int -> unit) -> backend -> unit
+(** Run one POP3 session to QUIT or EOF, reading commands through a
+    {!Wedge_net.Lineio} over [recv].  Every reply, a multi-line LIST or
+    RETR included, leaves in exactly one [send buf off len], from one
+    reply buffer the session owns and grows to fit its longest reply:
+    [send] must not keep [buf]. *)

@@ -5,7 +5,6 @@ module Vfs = Wedge_kernel.Vfs
 module Kernel = Wedge_kernel.Kernel
 module Chan = Wedge_net.Chan
 module Guard = Wedge_net.Guard
-module Lineio = Wedge_net.Lineio
 
 module Supervisor = Wedge_core.Supervisor
 module Synth = Wedge_crowbar.Synth
@@ -284,9 +283,6 @@ let serve_connection ?spawn ?(restart_policy = worker_policy) ?guard ?synth main
       ~cgsc:mbox_cgsc ~trusted:uid_block
   in
   let worker_body ctx _ =
-    let io =
-      Lineio.create ~recv:(fun n -> W.fd_read ctx fd n) ~send:(fun b -> W.fd_write ctx fd b) ()
-    in
     let backend = worker_backend ctx ~login_gate ~mbox_gate ~arg_tag ~arg_block ~mail_block in
     (* A successful login establishes the session: the guard's header
        deadline stops applying and the connection's heart beats. *)
@@ -303,7 +299,7 @@ let serve_connection ?spawn ?(restart_policy = worker_policy) ?guard ?synth main
                 ok);
           }
     in
-    Pop3_proto.serve io backend;
+    Pop3_proto.serve ~recv:(fun n -> W.fd_read ctx fd n) ~send:(W.fd_write_sub ctx fd) backend;
     0
   in
   [ (worker_sc, Synth.wrap_sthread synth ~name:"pop3.worker" ~fds:conn_fds worker_body) ]

@@ -332,12 +332,49 @@ let test_readonly_fd_write_rejected () =
 let test_writeonly_fd_read_rejected () =
   let _, _, main = mk_app () in
   let ep =
-    { Fd_table.ep_read = (fun _ -> Bytes.of_string "x"); ep_write = ignore; ep_wait = ignore }
+    {
+      Fd_table.ep_read = (fun _ -> Bytes.of_string "x");
+      ep_write = (fun _ _ _ -> ());
+      ep_wait = ignore;
+    }
   in
   let fd = W.add_endpoint main ep Fd_table.perm_w in
   match W.fd_read main fd 1 with
   | _ -> Alcotest.fail "expected Fd_error"
   | exception W.Fd_error _ -> ()
+
+(* A sub-range write outside its buffer is refused before the kernel
+   entry: no write trap counted, nothing charged to the clock, no byte
+   sent.  An in-range write sends exactly its range under one trap. *)
+let test_fd_write_sub_bad_range () =
+  let k = Kernel.create ~costs:Cost_model.default () in
+  let app = W.create_app k in
+  W.boot app;
+  let main = W.main_ctx app in
+  let sent = Buffer.create 8 in
+  let ep =
+    {
+      Fd_table.ep_read = (fun _ -> Bytes.empty);
+      ep_write = (fun b off len -> Buffer.add_subbytes sent b off len);
+      ep_wait = ignore;
+    }
+  in
+  let fd = W.add_endpoint main ep Fd_table.perm_rw in
+  let b = Bytes.of_string "0123456789" in
+  let traps () = Stats.get k.Kernel.stats "trap.write" in
+  let t0 = traps () and c0 = Wedge_sim.Clock.now k.Kernel.clock in
+  List.iter
+    (fun (off, len) ->
+      match W.fd_write_sub main fd b off len with
+      | () -> Alcotest.failf "range (%d, %d) accepted" off len
+      | exception Invalid_argument _ -> ())
+    [ (-1, 1); (0, -1); (0, 11); (10, 1); (11, 0); (5, max_int) ];
+  check Alcotest.int "no write trap" t0 (traps ());
+  check Alcotest.int "nothing charged" c0 (Wedge_sim.Clock.now k.Kernel.clock);
+  check Alcotest.string "nothing sent" "" (Buffer.contents sent);
+  W.fd_write_sub main fd b 2 5;
+  check Alcotest.string "exactly [2, 7) sent" "23456" (Buffer.contents sent);
+  check Alcotest.int "one write trap" (t0 + 1) (traps ())
 
 (* ---------- pthread sharing semantics ---------- *)
 
@@ -560,6 +597,7 @@ let () =
           Alcotest.test_case "open respects perms" `Quick test_open_file_respects_vfs_perms;
           Alcotest.test_case "read-only fd write rejected" `Quick test_readonly_fd_write_rejected;
           Alcotest.test_case "write-only fd read rejected" `Quick test_writeonly_fd_read_rejected;
+          Alcotest.test_case "bad fd_write_sub range" `Quick test_fd_write_sub_bad_range;
           Alcotest.test_case "pthread shares everything" `Quick test_pthread_shares_everything;
           Alcotest.test_case "exit codes" `Quick test_exit_sthread_code;
           Alcotest.test_case "per-request structure" `Quick test_mitm_request_structure;

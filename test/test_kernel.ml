@@ -610,6 +610,96 @@ let test_vfs_chmod_chown () =
   Vfs.chown v "/etc/shadow" ~uid:1000;
   check Alcotest.bool "stat uid" true (Vfs.stat_uid v "/etc/shadow" = Ok 1000)
 
+(* [resolve] walks the root, then the path, a component at a time; it
+   must agree with splitting both at '/' (dropping "" and "."), joining
+   the lists and walking that from the top: "//", "./", a trailing '/',
+   "" and "/" name what their canonical forms name, a chroot root is
+   walked first whatever its spelling, and ".." is an entry name like
+   any other — here a directory installed under /jail, never /jail's
+   parent.  Read through [read_file] against a model of the tree. *)
+let test_vfs_resolve_agrees_with_split () =
+  let v = mk_vfs () in
+  Vfs.install v "/jail/etc/motd" "jailed";
+  Vfs.install v "/jail/../loot" "dotdot";
+  Vfs.mkdir_p v "/jail/bin";
+  Vfs.mkdir_p v "/var/empty";
+  let split p = String.split_on_char '/' p |> List.filter (fun c -> c <> "" && c <> ".") in
+  let files =
+    List.map
+      (fun (p, d) -> (split p, d))
+      [
+        ("/etc/shadow", "root:hash");
+        ("/etc/motd", "welcome");
+        ("/home/alice/secret", "alice-data");
+        ("/jail/etc/motd", "jailed");
+        ("/jail/../loot", "dotdot");
+      ]
+  in
+  let rec is_prefix a b =
+    match (a, b) with
+    | [], _ -> true
+    | x :: a, y :: b -> x = y && is_prefix a b
+    | _ :: _, [] -> false
+  in
+  let is_dir parts =
+    List.exists (fun (f, _) -> is_prefix parts f && parts <> f) files
+    || List.exists (is_prefix parts) [ split "/jail/bin"; split "/var/empty" ]
+  in
+  (* The split-based walk: the longest existing prefix decides. *)
+  let reference root path =
+    let rec go seen = function
+      | [] -> (
+          match List.assoc_opt (List.rev seen) files with
+          | Some d -> Ok d
+          | None -> Error Vfs.Eisdir)
+      | c :: rest ->
+          let here = List.rev (c :: seen) in
+          if List.mem_assoc here files && rest <> [] then Error Vfs.Enotdir
+          else if List.mem_assoc here files || is_dir here then go (c :: seen) rest
+          else Error Vfs.Enoent
+    in
+    go [] (split root @ split path)
+  in
+  let roots =
+    [ "/"; ""; "//"; "/jail"; "/jail/"; "//jail//"; "./jail/."; "/jail/.."; "/var/empty";
+      "/etc/motd"; "/nope" ]
+  in
+  let paths =
+    [
+      ""; "/"; "//"; "."; "./"; "/etc/motd"; "etc/motd"; "//etc//motd"; "/./etc/./motd";
+      "/etc/motd/"; "/etc/"; "/etc"; "/etc/motd/x"; ".."; "../loot"; "/../loot";
+      "/jail/../loot"; "../etc/shadow"; "/home//alice/./secret/"; "/nope/x"; "/etc/nope";
+    ]
+  in
+  let res r = Result.map_error Vfs.error_to_string r in
+  List.iter
+    (fun root ->
+      List.iter
+        (fun path ->
+          check
+            Alcotest.(result string string)
+            (Printf.sprintf "root %S, path %S" root path)
+            (res (reference root path))
+            (res (Vfs.read_file v ~root ~uid:0 path)))
+        paths)
+    roots;
+  (* Creating and unlinking find the last named component's directory
+     the same way. *)
+  let expect name want got = check Alcotest.(result unit string) name want (res got) in
+  expect "create under a spelled-out chroot" (Ok ())
+    (Vfs.write_file v ~root:"//jail/" ~uid:0 "./etc/./new/" "n");
+  check Alcotest.bool "created where its canonical path names" true
+    (Vfs.read_file v ~root:"/" ~uid:0 "/jail/etc/new" = Ok "n");
+  expect "create in the \"..\" entry" (Ok ()) (Vfs.write_file v ~root:"/jail" ~uid:0 "../new" "m");
+  check Alcotest.bool "beside loot" true (Vfs.read_file v ~root:"/jail/.." ~uid:0 "new" = Ok "m");
+  expect "no parent" (Error "no such file or directory")
+    (Vfs.write_file v ~root:"/" ~uid:0 "/nope/new" "x");
+  expect "file as parent" (Error "not a directory")
+    (Vfs.write_file v ~root:"/etc/motd" ~uid:0 "new" "x");
+  expect "unlink, spelled out" (Ok ()) (Vfs.unlink v ~root:"/jail/." ~uid:0 "./etc//motd/");
+  check Alcotest.bool "unlinked" false (Vfs.exists v ~root:"/" "/jail/etc/motd");
+  expect "unlink nothing" (Error "is a directory") (Vfs.unlink v ~root:"/" ~uid:0 "/")
+
 (* ---------- Fd_table ---------- *)
 
 let test_fd_perm_subsumption () =
@@ -1017,6 +1107,7 @@ let () =
           Alcotest.test_case "write and append" `Quick test_vfs_write_and_append;
           Alcotest.test_case "readdir and unlink" `Quick test_vfs_readdir_and_unlink;
           Alcotest.test_case "chmod chown" `Quick test_vfs_chmod_chown;
+          Alcotest.test_case "resolve agrees with split" `Quick test_vfs_resolve_agrees_with_split;
         ] );
       ( "fd_table",
         [

@@ -8,6 +8,7 @@ module Cost_model = Wedge_sim.Cost_model
 module Chan = Wedge_net.Chan
 module Lineio = Wedge_net.Lineio
 module Mitm = Wedge_net.Mitm
+module Fault_plan = Wedge_fault.Fault_plan
 
 let check = Alcotest.check
 
@@ -247,6 +248,41 @@ let host_words () =
 (* Words one [Bytes] of [n] bytes takes, header included. *)
 let bytes_words n = float ((n / 8) + 2)
 
+(* [write_sub] sends exactly [b]'s bytes in [off, off + len), and a
+   range outside [b] is refused before the fault roll: nothing pushed,
+   the site's op count unmoved. *)
+let test_write_sub_range () =
+  let faults = Fault_plan.create () in
+  (* A rule that never fires (no [prob], no [nth]) counts the site's rolls. *)
+  Fault_plan.rule faults ~site:"chan.write" [ Fault_plan.Drop ];
+  Fiber.run (fun () ->
+      let a, b = Chan.pair ~faults () in
+      let src = Bytes.of_string "0123456789" in
+      Chan.write_sub b src 2 5;
+      Chan.write_sub b src 10 0;
+      check Alcotest.string "exactly [2, 7)" "23456" (Bytes.to_string (Chan.read a 100));
+      let rolls = Fault_plan.site_ops faults ~site:"chan.write" in
+      check Alcotest.int "one roll per write" 2 rolls;
+      List.iter
+        (fun (off, len) ->
+          match Chan.write_sub b src off len with
+          | () -> Alcotest.failf "range (%d, %d) accepted" off len
+          | exception Invalid_argument _ -> ())
+        [ (-1, 1); (0, -1); (0, 11); (10, 1); (11, 0); (5, max_int) ];
+      check Alcotest.int "nothing pushed" 0 (Chan.bytes_in_flight a);
+      check Alcotest.int "no fault roll" rolls (Fault_plan.site_ops faults ~site:"chan.write"))
+
+(* A truncated write delivers the first byte of its range, [b.[off]],
+   then the direction dies. *)
+let test_write_sub_truncate () =
+  let faults = Fault_plan.create () in
+  Fault_plan.rule faults ~site:"chan.write" ~nth:1 [ Fault_plan.Truncate ];
+  Fiber.run (fun () ->
+      let a, b = Chan.pair ~faults () in
+      Chan.write_sub b (Bytes.of_string "0123456789") 3 4;
+      check Alcotest.string "b.[off] alone" "3" (Bytes.to_string (Chan.read a 100));
+      check Alcotest.string "then EOF" "" (Bytes.to_string (Chan.read a 100)))
+
 (* A body is copied once on its way out: the status line is read through
    the line buffer, then the body is filled in place from what is
    buffered and one [recv] of the rest.  The recv copies out of one whole
@@ -280,6 +316,26 @@ let test_lineio_host_words () =
   check (Alcotest.option Alcotest.string) "line" (Some line) got;
   let bound = bytes_words 200 +. 32. in
   if w > bound then Alcotest.failf "read_line, 200-byte CRLF line: %.0f host words (bound %.0f)" w bound
+
+(* A direction's ring grows to fit what it must hold: one 8 KiB write
+   into a fresh pair allocates one 8 KiB ring, not twice that, and once
+   the reader has drained it a second equal write allocates no ring. *)
+let test_ring_grows_to_fit () =
+  let msg = Bytes.make 8192 'r' in
+  let first = ref 0. and second = ref 0. in
+  Fiber.run (fun () ->
+      let a, b = Chan.pair () in
+      let w0 = host_words () in
+      Chan.write b msg;
+      first := host_words () -. w0;
+      ignore (Sys.opaque_identity (Chan.read a 8192));
+      let w0 = host_words () in
+      Chan.write b msg;
+      second := host_words () -. w0);
+  let bound = bytes_words 8192 +. 64. in
+  if !first > bound then
+    Alcotest.failf "first 8 KiB write: %.0f host words (bound %.0f)" !first bound;
+  if !second > 64. then Alcotest.failf "second 8 KiB write: %.0f host words (bound 64)" !second
 
 (* ---------- mitm actions ---------- *)
 
@@ -355,6 +411,9 @@ let () =
           Alcotest.test_case "bytes in flight" `Quick test_bytes_in_flight;
           Alcotest.test_case "listener shutdown" `Quick test_listener_shutdown;
           Alcotest.test_case "listener queueing" `Quick test_listener_queueing;
+          Alcotest.test_case "write_sub sends its range" `Quick test_write_sub_range;
+          Alcotest.test_case "write_sub truncated" `Quick test_write_sub_truncate;
+          Alcotest.test_case "ring grows to fit" `Quick test_ring_grows_to_fit;
           prop_read_through_capacity_watermark;
         ] );
       ( "lineio",
