@@ -24,7 +24,7 @@ let apache_cached_throughput ~tag_cache ~n =
   Fiber.run (fun () ->
       let request ?resume seed =
         let client_ep, server_ep = Chan.pair () in
-        Fiber.spawn (fun () -> ignore (Mitm.serve_connection ~spawn:W.Recycle env server_ep));
+        Fiber.spawn (fun () -> Mitm.serve_connection ~spawn:W.Recycle env server_ep);
         Client.get ?resume ~rng:(Drbg.create ~seed) ~pinned:env.Henv.priv.Rsa.pub
           ~path:"/index.html" client_ep
       in

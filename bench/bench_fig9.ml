@@ -62,7 +62,7 @@ let ssh_session instr =
   W.set_instr env.Wedge_sshd.Sshd_env.main instr;
   Fiber.run (fun () ->
       let client_ep, server_ep = Chan.pair ~costs:Cost_model.free () in
-      Fiber.spawn (fun () -> ignore (Wedge_sshd.Sshd_wedge.serve_connection env server_ep));
+      Fiber.spawn (fun () -> Wedge_sshd.Sshd_wedge.serve_connection env server_ep);
       match
         Wedge_sshd.Ssh_client.login ~rng:(Drbg.create ~seed:3)
           ~pinned_rsa:env.Wedge_sshd.Sshd_env.host_rsa.Rsa.pub
@@ -81,7 +81,7 @@ let apache_session instr =
   W.set_instr env.Wedge_httpd.Httpd_env.main instr;
   Fiber.run (fun () ->
       let client_ep, server_ep = Chan.pair ~costs:Cost_model.free () in
-      Fiber.spawn (fun () -> ignore (Wedge_httpd.Httpd_mitm.serve_connection env server_ep));
+      Fiber.spawn (fun () -> Wedge_httpd.Httpd_mitm.serve_connection env server_ep);
       let r =
         Wedge_httpd.Https_client.get ~rng:(Drbg.create ~seed:4)
           ~pinned:env.Wedge_httpd.Httpd_env.priv.Rsa.pub ~path:"/index.html" client_ep

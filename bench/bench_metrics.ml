@@ -273,7 +273,7 @@ let reactor_overhead () =
   print_newline ()
 
 (* What the correctness harness costs: a full invariant sweep (refcounts,
-   rlimits, TLBs, smalloc walks, guards) measured directly against a
+   TLBs, smalloc walks, guards) measured directly against a
    booted application, the differential reference model's lockstep tax on
    the engine r/w loop, and end-to-end exploration throughput. *)
 let oracle_overhead () =

@@ -36,8 +36,8 @@ let apache_throughput ?(n = 40) variant ~cached () =
   let serve ep =
     match variant with
     | Vanilla -> Mono.serve_connection env ep
-    | Wedge_part -> ignore (Mitm.serve_connection ~spawn:W.Boot env ep)
-    | Recycled -> ignore (Mitm.serve_connection ~spawn:W.Recycle env ep)
+    | Wedge_part -> Mitm.serve_connection ~spawn:W.Boot env ep
+    | Recycled -> Mitm.serve_connection ~spawn:W.Recycle env ep
   in
   let throughput = ref 0.0 in
   Fiber.run (fun () ->
@@ -76,7 +76,7 @@ let ssh_latency variant =
   let serve ep =
     match variant with
     | Vanilla -> Sshd_mono.serve_connection env ep
-    | _ -> ignore (Sshd_wedge.serve_connection ~spawn:W.Boot env ep)
+    | _ -> Sshd_wedge.serve_connection ~spawn:W.Boot env ep
   in
   let login_ns = ref 0 and scp_ns = ref 0 in
   Fiber.run (fun () ->

@@ -102,7 +102,7 @@ if [ -n "$takeover_hits" ]; then
 fi
 
 # Kernel-entry guard: every system call enters the kernel through
-# Engine.enter, which runs the trap, fuel and SELinux checks and then
+# Engine.enter, which runs the trap and SELinux checks and then
 # the takeover point.  A direct Kernel.syscall_check anywhere else in
 # lib/ would be a system call no takeover can land on.
 echo "== kernel entry guard =="

@@ -49,7 +49,7 @@ let run_pop3 partition attack =
       Fiber.spawn (fun () ->
           match partition with
           | "mono" -> Wedge_pop3.Pop3_mono.serve_connection main server_ep
-          | _ -> ignore (Wedge_pop3.Pop3_wedge.serve_connection main server_ep));
+          | _ -> Wedge_pop3.Pop3_wedge.serve_connection main server_ep);
       let c = Wedge_pop3.Pop3_client.connect client_ep in
       Printf.printf "login alice: %s\n"
         (ok (Wedge_pop3.Pop3_client.login c ~user:"alice" ~password:"wonderland"));
@@ -83,8 +83,8 @@ let run_https partition attack recycled =
       Fiber.spawn (fun () ->
           match partition with
           | "mono" -> Wedge_httpd.Httpd_mono.serve_connection env server_ep
-          | "simple" -> ignore (Wedge_httpd.Httpd_simple.serve_connection ?spawn env server_ep)
-          | _ -> ignore (Wedge_httpd.Httpd_mitm.serve_connection ?spawn env server_ep));
+          | "simple" -> Wedge_httpd.Httpd_simple.serve_connection ?spawn env server_ep
+          | _ -> Wedge_httpd.Httpd_mitm.serve_connection ?spawn env server_ep);
       let r =
         Wedge_httpd.Https_client.get ~rng:(Drbg.create ~seed:1)
           ~pinned:env.Wedge_httpd.Httpd_env.priv.Rsa.pub ~path:"/index.html" client_ep
@@ -127,7 +127,7 @@ let run_ssh partition auth attack =
           match partition with
           | "mono" -> Wedge_sshd.Sshd_mono.serve_connection env server_ep
           | "privsep" -> Wedge_sshd.Sshd_privsep.serve_connection env server_ep
-          | _ -> ignore (Wedge_sshd.Sshd_wedge.serve_connection env server_ep));
+          | _ -> Wedge_sshd.Sshd_wedge.serve_connection env server_ep);
       let alice = List.hd env.Wedge_sshd.Sshd_env.users in
       let method_ =
         match auth with
@@ -162,8 +162,8 @@ let run_stats partition =
       Fiber.spawn (fun () ->
           match partition with
           | "mono" -> Wedge_httpd.Httpd_mono.serve_connection env server_ep
-          | "simple" -> ignore (Wedge_httpd.Httpd_simple.serve_connection env server_ep)
-          | _ -> ignore (Wedge_httpd.Httpd_mitm.serve_connection env server_ep));
+          | "simple" -> Wedge_httpd.Httpd_simple.serve_connection env server_ep
+          | _ -> Wedge_httpd.Httpd_mitm.serve_connection env server_ep);
       ignore
         (Wedge_httpd.Https_client.get ~rng:(Drbg.create ~seed:1)
            ~pinned:env.Wedge_httpd.Httpd_env.priv.Rsa.pub ~path:"/index.html" client_ep));
@@ -197,7 +197,7 @@ let run_chrome_trace demo out connections =
             Guard.accept_loop guard l
               ~reject:(fun _ ep -> Chan.close ep)
               ~serve:(fun conn ->
-                ignore (Wedge_httpd.Httpd_simple.serve_connection env (Guard.ep conn))));
+                Wedge_httpd.Httpd_simple.serve_connection env (Guard.ep conn)));
         let resolved = ref 0 in
         for i = 1 to connections do
           Fiber.spawn (fun () ->
@@ -279,7 +279,7 @@ let run_cblog out query fn =
   W.set_instr env.Wedge_httpd.Httpd_env.main (Cb_log.instr log);
   Fiber.run (fun () ->
       let client_ep, server_ep = Chan.pair () in
-      Fiber.spawn (fun () -> ignore (Wedge_httpd.Httpd_mitm.serve_connection env server_ep));
+      Fiber.spawn (fun () -> Wedge_httpd.Httpd_mitm.serve_connection env server_ep);
       ignore
         (Wedge_httpd.Https_client.get ~rng:(Drbg.create ~seed:2)
            ~pinned:env.Wedge_httpd.Httpd_env.priv.Rsa.pub ~path:"/index.html" client_ep));

@@ -45,7 +45,7 @@ let () =
             match Chan.accept l with
             | None -> ()
             | Some ep ->
-                ignore (Simple.serve_connection env ep);
+                Simple.serve_connection env ep;
                 loop ()
           in
           loop ());

@@ -113,9 +113,9 @@ let attack name serve =
 
 let () =
   attack "the simple partitioning (Figure 2)" (fun env ep ->
-      ignore (Simple.serve_connection env ep));
+      Simple.serve_connection env ep);
   attack "the MITM partitioning (Figures 3-5)" (fun env ep ->
-      ignore (Mitm_httpd.serve_connection env ep));
+      Mitm_httpd.serve_connection env ep);
   print_endline
     "The finer partitioning denies the network-facing compartment both the session\n\
      key and any encryption/decryption oracle for it - the attacker ends up outside\n\

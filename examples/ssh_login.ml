@@ -34,7 +34,7 @@ let with_conn env serve f =
           Client.close conn);
   Option.get !out
 
-let wedge env ep = ignore (Wedge_d.serve_connection env ep)
+let wedge env ep = Wedge_d.serve_connection env ep
 
 let () =
   let k = Kernel.create () in

@@ -53,7 +53,7 @@ let run () =
       Fiber.spawn (fun () ->
           Guard.accept_loop guard l
             ~reject:(fun _ ep -> Chan.close ep)
-            ~serve:(fun conn -> ignore (Simple.serve_connection env (Guard.ep conn))));
+            ~serve:(fun conn -> Simple.serve_connection env (Guard.ep conn)));
       let resolved = ref 0 in
       for i = 1 to connections do
         Fiber.spawn (fun () ->

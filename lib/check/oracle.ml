@@ -8,9 +8,6 @@
      - every physical frame's refcount equals the number of independent
        holders (page-table mappings across all address spaces, the
        pristine snapshot, live tag registries, the tag cache);
-     - every quota-tracked process's rlimit charges equal its live
-       private frames and open descriptors, and every charged vpn is
-       actually mapped;
      - every servable TLB entry agrees with the page table it caches;
      - the kernel's shared zero page, which backs every frame never
        written, still reads all zeros;
@@ -34,7 +31,6 @@ module Physmem = Wedge_kernel.Physmem
 module Pagetable = Wedge_kernel.Pagetable
 module Prot = Wedge_kernel.Prot
 module Process = Wedge_kernel.Process
-module Rlimit = Wedge_kernel.Rlimit
 module Fd_table = Wedge_kernel.Fd_table
 module Layout = Wedge_kernel.Layout
 module Vm = Wedge_kernel.Vm
@@ -132,34 +128,6 @@ let check_refcounts t =
   Hashtbl.iter
     (fun frame n -> violation "oracle: %d holders reference dead frame %d" n frame)
     expected
-
-(* ------------------------------------------------------------------ *)
-(* Rlimit charges == live private frames and descriptors               *)
-
-let check_rlimits t =
-  Kernel.iter_processes t.kernel (fun p ->
-      let vm = p.Process.vm in
-      let pt = Vm.page_table vm in
-      (* Every charged vpn must be mapped, quota or not: [owned] is the
-         release ledger, and an unmapped entry is a unit that can never
-         be released. *)
-      List.iter
-        (fun vpn ->
-          if not (Pagetable.mem pt ~vpn) then
-            violation "oracle: pid %d owns unmapped vpn 0x%x" p.Process.pid vpn)
-        (Vm.owned_vpns vm);
-      if Vm.quota_tracked vm && not (Rlimit.is_unlimited p.Process.limits) then begin
-        let charged = Rlimit.frames_used p.Process.limits in
-        let live = Vm.owned_count vm in
-        if charged <> live then
-          violation "oracle: pid %d charged %d frame units but owns %d private frames"
-            p.Process.pid charged live;
-        let fds_charged = Rlimit.fds_used p.Process.limits in
-        let fds_live = Fd_table.count p.Process.fds in
-        if fds_charged <> fds_live then
-          violation "oracle: pid %d charged %d fd units but holds %d descriptors"
-            p.Process.pid fds_charged fds_live
-      end)
 
 (* ------------------------------------------------------------------ *)
 (* TLB entries agree with page-table ground truth                      *)
@@ -312,7 +280,6 @@ let check_custom t =
 let check t =
   t.checks <- t.checks + 1;
   check_refcounts t;
-  check_rlimits t;
   check_tlbs t;
   check_zero_page t;
   check_smalloc t;

@@ -7,8 +7,6 @@
 
     - frame refcounts == page-table mappings across all address spaces
       + pristine snapshot + live tag registries + tag-cache entries;
-    - rlimit charges == live private frames and open descriptors, every
-      charged vpn mapped;
     - every servable TLB entry agrees with the page table;
     - every smalloc segment (live tags, per-process heaps) has intact
       boundary tags and a sound free list;
@@ -41,7 +39,7 @@ val set_app : t -> Wedge_core.Engine.app -> unit
 (** Attach the engine application so the refcount oracle can account for
     the pristine snapshot, tag registry and tag cache, and the smalloc
     oracle can find tag segments.  Without an app only kernel-level
-    invariants (refcounts from mappings alone, rlimits, TLBs) run. *)
+    invariants (refcounts from mappings alone, TLBs) run. *)
 
 val add_guard : t -> ?name:string -> Wedge_net.Guard.t -> unit
 val add_invariant : t -> name:string -> (unit -> string option) -> unit

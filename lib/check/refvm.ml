@@ -1,7 +1,7 @@
 (* Differential checking of the memory subsystem.
 
    The real Vm is an optimising implementation: software TLB, COW breaks,
-   quota accounting, atomic multi-page blits.  This module is the naive
+   atomic multi-page blits.  This module is the naive
    one — flat model frames, a per-pid vpn->mapping table, no caching, no
    sharing tricks — consuming the kernel-wide [Vm.mem_event] stream in
    lockstep and recomputing what every access should have observed.  Any

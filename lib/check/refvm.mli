@@ -1,9 +1,8 @@
 (** Differential checking of the memory subsystem.
 
     A naive flat reference model of {!Wedge_kernel.Vm} — no TLB, no COW
-    tricks, no quota coupling — consumes a kernel's {!Wedge_kernel.Vm.mem_event}
-    stream in lockstep and recomputes what every access should have
-    observed.  Any disagreement (different bytes, a success where the
+    tricks — consumes a kernel's {!Wedge_kernel.Vm.mem_event} stream in
+    lockstep and recomputes what every access should have observed.  Any disagreement (different bytes, a success where the
     model faults, an unjustifiable fault) raises {!Mismatch}. *)
 
 exception Mismatch of string

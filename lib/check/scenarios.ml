@@ -274,12 +274,12 @@ let httpd_synth ~seed env synth =
         | exception _ -> incr errors)
   in
   Fiber.spawn (fun () -> fetch 1 None);
-  ignore (Wedge_httpd.Httpd_simple.serve_connection ?synth env (accept_next l));
+  Wedge_httpd.Httpd_simple.serve_connection ?synth env (accept_next l);
   (* Let client 1 finish before client 2 starts: the session it stored is
      what makes fetch 2 exercise the resumption path on every schedule. *)
   Fiber.wait_until (fun () -> !served + !errors >= 1);
   Fiber.spawn (fun () -> fetch 2 !session);
-  ignore (Wedge_httpd.Httpd_simple.serve_connection ?synth env (accept_next l));
+  Wedge_httpd.Httpd_simple.serve_connection ?synth env (accept_next l);
   Fiber.wait_until (fun () -> !served + !errors >= 2);
   Chan.shutdown l;
   { ok = !served = 2; before = Printf.sprintf "served=%d errors=%d" !served !errors; after = "" }
@@ -348,12 +348,12 @@ let pop3_synth ~seed:_ main synth =
       Byzantine.oneshot t l
         ~request:"USER alice\r\nPASS wonderland\r\nSTAT\r\nLIST\r\nRETR 1\r\nQUIT\r\n"
         ~is_rejection);
-  ignore (Wedge_pop3.Pop3_wedge.serve_connection ?synth main (accept_next l));
+  Wedge_pop3.Pop3_wedge.serve_connection ?synth main (accept_next l);
   Fiber.wait_until (fun () -> Byzantine.total t >= 1);
   Fiber.spawn (fun () ->
       Byzantine.oneshot t l ~request:"USER alice\r\nPASS wonderland\r\nSTAT\r\nQUIT\r\n"
         ~is_rejection);
-  ignore (Wedge_pop3.Pop3_wedge.serve_connection ?synth main (accept_next l));
+  Wedge_pop3.Pop3_wedge.serve_connection ?synth main (accept_next l);
   Fiber.wait_until (fun () -> Byzantine.total t >= 2);
   Chan.shutdown l;
   let k = W.kernel (W.app_of main) in
@@ -452,7 +452,7 @@ let sshd_synth ~seed env synth =
                   incr ok;
                   Ssh_client.close conn
               | Error _ -> ())));
-  ignore (Wedge_sshd.Sshd_wedge.serve_connection ?synth env (accept_next l));
+  Wedge_sshd.Sshd_wedge.serve_connection ?synth env (accept_next l);
   Fiber.wait_until (fun () -> !finished >= 1);
   Chan.shutdown l;
   { ok = !ok = 1; before = Printf.sprintf "ok=%d" !ok; after = "" }
@@ -778,7 +778,7 @@ let run_storm ~pooled srv ~policy ~diff ~faults ~seed =
    its kernel's syscalls and fed a sampled stream of switches), the
    fabric's link handlers started before and drained after [main], and
    the end-of-run sweep replaced by {!Oracle.global_sweep} — every
-   shard's full refcount/rlimit/TLB/smalloc sweep plus the fabric's
+   shard's full refcount/TLB/smalloc sweep plus the fabric's
    gtag audit. *)
 let checked_sharded ~fab ~policy ~diff main summarize =
   let shards = Shard.shards fab in
@@ -1038,7 +1038,7 @@ let pool_storm srv =
    their own member of a gate name. *)
 let httpd_mitm_recycle =
   let serve env c =
-    ignore (Wedge_httpd.Httpd_mitm.serve_connection ~spawn:W.Recycle ~guard:c env (Guard.ep c))
+    Wedge_httpd.Httpd_mitm.serve_connection ~spawn:W.Recycle ~guard:c env (Guard.ep c)
   in
   scenario "httpd_mitm_recycle" "Figures 3-5 melee, compartments and callgates under Recycle"
     (run_melee { httpd_mitm with service = { httpd_mitm.service with Service.serve } })
@@ -1063,13 +1063,13 @@ let all =
     (* No storm client completes a TLS handshake, so httpd's request-size
        cap never applies. *)
     storm httpd (fun env c ->
-        ignore (Wedge_httpd.Httpd_simple.serve_connection ~spawn:W.Boot ~guard:c env (Guard.ep c)));
+        Wedge_httpd.Httpd_simple.serve_connection ~spawn:W.Boot ~guard:c env (Guard.ep c));
     storm pop3 (fun main c ->
-        ignore (Wedge_pop3.Pop3_wedge.serve_connection ~spawn:W.Boot ~guard:c main (Guard.ep c)));
+        Wedge_pop3.Pop3_wedge.serve_connection ~spawn:W.Boot ~guard:c main (Guard.ep c));
     storm sshd (fun env c ->
-        ignore (Wedge_sshd.Sshd_wedge.serve_connection ~spawn:W.Boot ~guard:c env (Guard.ep c)));
+        Wedge_sshd.Sshd_wedge.serve_connection ~spawn:W.Boot ~guard:c env (Guard.ep c));
     storm httpd_mitm (fun env c ->
-        ignore (Wedge_httpd.Httpd_mitm.serve_connection ~spawn:W.Boot ~guard:c env (Guard.ep c)));
+        Wedge_httpd.Httpd_mitm.serve_connection ~spawn:W.Boot ~guard:c env (Guard.ep c));
     pool_storm httpd;
     pool_storm pop3;
     pool_storm sshd;

@@ -24,7 +24,6 @@ module Tag = Wedge_mem.Tag
 module Smalloc = Wedge_mem.Smalloc
 module Tag_cache = Wedge_mem.Tag_cache
 module Fault_plan = Wedge_fault.Fault_plan
-module Rlimit = Wedge_kernel.Rlimit
 module Fiber = Wedge_sim.Fiber
 
 exception Privilege_violation of string
@@ -55,7 +54,6 @@ let fault_reason e =
   | Kernel.Eperm msg -> Some msg
   | Physmem.Enomem -> Some "out of memory"
   | Fault_plan.Injected msg -> Some msg
-  | Rlimit.Resource_exhausted msg -> Some msg
   | Heap_corruption msg -> Some msg
   (* A watchdog-cancelled fiber dies contained, like a SIGKILLed hung
      worker: the hang was detected and cut, not a programming error. *)
@@ -98,9 +96,9 @@ type frozen_page = Vm.frozen_page = {
 }
 
 (* A frozen compartment image (what [Pool.freeze] builds): its pages and
-   their shared page table, the descriptor-table, rlimit and identity
-   shape a stamped sthread starts from, and whether it carries a
-   demand-mapped heap or stack.  The registry lives on the app — not in
+   their shared page table, the descriptor-table and identity shape a
+   stamped sthread starts from, and whether it carries a demand-mapped
+   heap or stack.  The registry lives on the app — not in
    [Pool] — so the invariant oracles can re-derive frame refcounts
    (frozen images are pristine-like holders) without a dependency on the
    pool module, and so a stamped callgate can be installed from one
@@ -109,7 +107,6 @@ type image = {
   im_name : string;
   im_pages : Vm.image;  (* one frame reference each, sorted by vpn *)
   im_fds : (int * Fd_table.target * Fd_table.perm) list;
-  im_limits : Rlimit.t;
   im_uid : int;
   im_root : string;
   im_sid : string;
@@ -284,7 +281,7 @@ let fire ctx armed =
     armed
 
 (* Every system call of every compartment enters here: the kernel's
-   trap, fuel and SELinux checks, then the takeover point, then the
+   trap and SELinux checks, then the takeover point, then the
    call's own work.  Unarmed, the point is one branch and allocates
    nothing. *)
 let enter ctx name =
@@ -471,12 +468,6 @@ let validate_sc parent (sc : Sc.t) =
       if not (holds_gate parent gid) then
         violation "pid %d grants callgate %d it does not hold" (pid parent) gid)
     sc.Sc.gates;
-  (match sc.Sc.limits with
-  | Some child when not (Rlimit.subsumes ~parent:parent.proc.Process.limits ~child) ->
-      violation "pid %d escalates resource limits (parent %s, child %s)" (pid parent)
-        (Rlimit.to_string parent.proc.Process.limits)
-        (Rlimit.to_string child)
-  | _ -> ());
   (match sc.Sc.uid with
   | Some u when u <> parent.proc.Process.uid && parent.proc.Process.uid <> 0 ->
       violation "pid %d (uid %d) cannot set uid %d" (pid parent) parent.proc.Process.uid u
@@ -500,13 +491,6 @@ let resolve_identity parent (sc : Sc.t) =
   ( Option.value sc.Sc.uid ~default:parent.proc.Process.uid,
     Option.value sc.Sc.root ~default:parent.proc.Process.root,
     Option.value sc.Sc.sid ~default:parent.proc.Process.sid )
-
-(* Like identity, limits inherit from the parent when the sc is silent:
-   the child gets the parent's caps with fresh usage, so an unlimited
-   parent mints unlimited children and a quota-bound parent can never be
-   escaped by omitting the field. *)
-let resolve_limits parent (sc : Sc.t) =
-  Rlimit.child_of (Option.value sc.Sc.limits ~default:parent.proc.Process.limits)
 
 let roll_site app site =
   match Fault_plan.roll_opt app.kernel.Kernel.faults ~site with
@@ -568,7 +552,7 @@ let map_grants app (child : Process.t) ~src (sc : Sc.t) =
     sc.Sc.fds
 
 (* A process whose creation faulted part-way: marked faulted and reaped,
-   which returns every frame reference and quota charge it took. *)
+   which returns every frame reference and descriptor it took. *)
 let unwind app (child : Process.t) e =
   child.Process.status <-
     Process.Faulted (Option.value (fault_reason e) ~default:"creation failed");
@@ -576,15 +560,15 @@ let unwind app (child : Process.t) e =
 
 (* The one compartment builder, behind every sthread, callgate
    invocation and frozen template.  A new process with the given
-   identity and limits gets its snapshot from [spawn] — a stamped
-   sthread then rolls fault site ["pool.stamp"] — then what was resolved
-   for it before this call: [fds], an image's or a gate's descriptors,
-   at an [fd_dup] each, and [tags], a gate's own tag grants.  Last come
-   the grants of [sc], its descriptors duplicated from [src].  A fault
+   identity gets its snapshot from [spawn] — a stamped sthread then
+   rolls fault site ["pool.stamp"] — then what was resolved for it
+   before this call: [fds], an image's or a gate's descriptors, at an
+   [fd_dup] each, and [tags], a gate's own tag grants.  Last come the
+   grants of [sc], its descriptors duplicated from [src].  A fault
    part-way unwinds the half-built process before it reaches the
    caller. *)
-let build app ~kind ~limits ~uid ~root ~sid ~spawn ~fds ~tags ~src sc =
-  let child = Kernel.new_process app.kernel ~limits ~kind ~uid ~root ~sid () in
+let build app ~kind ~uid ~root ~sid ~spawn ~fds ~tags ~src sc =
+  let child = Kernel.new_process app.kernel ~kind ~uid ~root ~sid () in
   match
     install app child.Process.vm spawn;
     (match (spawn, kind) with
@@ -673,10 +657,9 @@ let run_sthread app cctx fn arg =
   handle
 
 (* [Boot], and [Recycle] (only gates recycle), boot the pristine
-   snapshot.  [Stamp im] restores [im] — its identity and limits
-   standing unless [sc] sets them, [sc]'s grants on top of its pages and
-   descriptors — under the pool's own stat, span, fault site and
-   counters. *)
+   snapshot.  [Stamp im] restores [im] — its identity standing unless
+   [sc] sets it, [sc]'s grants on top of its pages and descriptors —
+   under the pool's own stat, span, fault site and counters. *)
 let sthread_create ?instr ?(spawn = Boot) parent (sc : Sc.t) fn arg =
   let app = parent.app in
   if not app.booted then invalid_arg "sthread_create: application not booted";
@@ -692,8 +675,7 @@ let sthread_create ?instr ?(spawn = Boot) parent (sc : Sc.t) fn arg =
       validate_sc parent sc;
       let uid, root, sid = resolve_identity parent sc in
       let child =
-        build app ~kind:Process.Sthread ~limits:(resolve_limits parent sc) ~uid ~root ~sid
-          ~spawn ~fds:[] ~tags:[] ~src sc
+        build app ~kind:Process.Sthread ~uid ~root ~sid ~spawn ~fds:[] ~tags:[] ~src sc
       in
       let cctx = make_ctx app child sc instr in
       trace_instant cctx "sthread.create";
@@ -709,7 +691,6 @@ let sthread_create ?instr ?(spawn = Boot) parent (sc : Sc.t) fn arg =
       in
       match
         build app ~kind:Process.Sthread
-          ~limits:(Rlimit.child_of (Option.value sc.Sc.limits ~default:im.im_limits))
           ~uid:(Option.value sc.Sc.uid ~default:im.im_uid)
           ~root:(Option.value sc.Sc.root ~default:im.im_root)
           ~sid:(Option.value sc.Sc.sid ~default:im.im_sid)
@@ -753,9 +734,8 @@ let fork parent fn =
   stat parent "fork";
   let p = parent.proc in
   let child =
-    Kernel.new_process parent.app.kernel
-      ~limits:(Rlimit.child_of p.Process.limits)
-      ~kind:Process.Forked ~uid:p.Process.uid ~root:p.Process.root ~sid:p.Process.sid ()
+    Kernel.new_process parent.app.kernel ~kind:Process.Forked ~uid:p.Process.uid
+      ~root:p.Process.root ~sid:p.Process.sid ()
   in
   let cm = costs parent in
   let entries = Pagetable.fold (fun vpn pte acc -> (vpn, pte) :: acc) (Vm.page_table p.Process.vm) [] in
@@ -987,7 +967,7 @@ let sc_cgate_add ?(spawn = Boot) creator (sc : Sc.t) ~name ~entry ~cgsc ~trusted
   (* A callgate's permissions must be a subset of its creator's (§3.3). *)
   validate_sc creator cgsc;
   (* A stamped gate takes only address space from its image — identity,
-     limits, tags and descriptors stay the gate's own — so the image must
+     tags and descriptors stay the gate's own — so the image must
      be this app's, and carry no tagged memory a grant would have to
      justify. *)
   (match spawn with
@@ -1038,16 +1018,8 @@ let gate_of ctx gid =
 let gate_compartment caller (g : gate) ~kind perms =
   let app = caller.app in
   (match g.g_spawn with Stamp _ -> stat caller "cgate.stamped" | Boot | Recycle -> ());
-  (* Gate limits come from the gate's own sc (validated against the
-     creator at creation); a silent sc leaves the gate unlimited, since
-     gates run with creator — typically monitor — privileges. *)
-  let limits =
-    match g.g_sc.Sc.limits with
-    | Some l -> Rlimit.child_of l
-    | None -> Rlimit.unlimited ()
-  in
   let child =
-    build app ~kind ~limits ~uid:g.g_uid ~root:g.g_root ~sid:g.g_sid ~spawn:g.g_spawn
+    build app ~kind ~uid:g.g_uid ~root:g.g_root ~sid:g.g_sid ~spawn:g.g_spawn
       ~fds:g.g_fds ~tags:g.g_sc.Sc.mems ~src:caller.proc.Process.fds perms
   in
   compartment_ctx app child g.g_spawn g.g_sc caller.instr
@@ -1386,10 +1358,10 @@ let open_file ctx ?(write = false) path =
 let add_endpoint ctx ep perm = Fd_table.add ctx.proc.Process.fds (Fd_table.Endpoint ep) perm
 
 (* Block before the trap, not after: a guarded connection's [ep_wait]
-   parks here until a read would progress, so an idle connection charges
-   zero syscall fuel and zero trap cost while it waits.  A raw channel's
-   returns at once and its read blocks after the trap; a descriptor the
-   read will refuse never waits. *)
+   parks here until a read would progress, so an idle connection makes
+   no kernel entry and charges no trap cost while it waits.  A raw
+   channel's returns at once and its read blocks after the trap; a
+   descriptor the read will refuse never waits. *)
 let fd_pre_wait ctx fd =
   match Fd_table.find ctx.proc.Process.fds fd with
   | Some { Fd_table.target = Fd_table.Endpoint ep; perm } when perm.Fd_table.fr ->
@@ -1421,7 +1393,7 @@ let fd_read ctx fd n =
           b)
 
 (* A range outside [b] is the caller's bug, refused before the kernel
-   entry: no trap, no fuel, no charge, no byte moved. *)
+   entry: no trap, no charge, no byte moved. *)
 let fd_write_sub ctx fd b off len =
   if off < 0 || len < 0 || off > Bytes.length b - len then invalid_arg "Engine.fd_write_sub";
   enter ctx "write";

@@ -10,8 +10,7 @@
    (the image must never change again), and the template is reaped.
    What survives is an [Engine.image]: the frozen pages and the one
    read-only page table built from them here, the captured descriptor
-   table, the rlimit shape and the identity — no process, no address
-   space.
+   table and the identity — no process, no address space.
 
    [Engine.Stamp image] is the paper's Figure 7/8 story taken further
    than recycled callgates: an sthread or callgate invocation whose
@@ -76,8 +75,8 @@ let freeze ?(name = "pool") ?warm parent (sc : Sc.t) =
      the checkpoint's whole bargain. *)
   let template =
     match
-      Engine.build app ~kind:Process.Sthread ~limits:(Engine.resolve_limits parent sc) ~uid
-        ~root ~sid ~spawn:Engine.Boot ~fds:[] ~tags:[] ~src:parent.Engine.proc.Process.fds sc
+      Engine.build app ~kind:Process.Sthread ~uid ~root ~sid ~spawn:Engine.Boot ~fds:[]
+        ~tags:[] ~src:parent.Engine.proc.Process.fds sc
     with
     | template -> template
     | exception e -> fail e
@@ -135,7 +134,6 @@ let freeze ?(name = "pool") ?warm parent (sc : Sc.t) =
       Engine.im_name = name;
       im_pages = Vm.image pages;
       im_fds = fds;
-      im_limits = Option.value sc.Sc.limits ~default:parent.Engine.proc.Process.limits;
       im_uid = uid;
       im_root = root;
       im_sid = sid;

@@ -7,7 +7,7 @@
     an optional warm-up body so demand-mapped heap and stack pages join
     the image), pins every frame of its address space with an extra
     reference, records private writable pages copy-on-write, captures
-    the descriptor-table and rlimit shape, and reaps the template.  The
+    the descriptor table and identity, and reaps the template.  The
     spawn [Engine.Stamp image] then restores the whole image into a
     fresh sthread ({!Engine.sthread_create}) or callgate invocation
     ({!Engine.sc_cgate_add}) for one flat [pool_stamp] charge,
@@ -39,8 +39,8 @@ val freeze :
   ?name:string -> ?warm:(Engine.ctx -> unit) -> Engine.ctx -> Sc.t -> t
 (** [freeze parent sc] builds a worker from [sc] (validated against
     [parent] like any sthread policy), runs [warm] in it if given, and
-    checkpoints its entire address space plus descriptor table, rlimit
-    shape and identity into a frozen image registered on the app.  The
+    checkpoints its entire address space plus descriptor table and
+    identity into a frozen image registered on the app.  The
     template pays the full fork-priced boot exactly once and is reaped
     before [freeze] returns.  Raises [Invalid_argument] if the app is
     not booted or an image named [name] already exists; injected faults

@@ -15,11 +15,9 @@ type t = {
   mutable uid : int option;
   mutable root : string option;
   mutable sid : string option;
-  mutable limits : Wedge_kernel.Rlimit.t option;
 }
 
-let create () =
-  { mems = []; fds = []; gates = []; uid = None; root = None; sid = None; limits = None }
+let create () = { mems = []; fds = []; gates = []; uid = None; root = None; sid = None }
 
 let mem_add t tag grant =
   t.mems <- { tag; grant } :: List.filter (fun g -> g.tag.Wedge_mem.Tag.id <> tag.Wedge_mem.Tag.id) t.mems
@@ -29,7 +27,6 @@ let sel_context t sid = t.sid <- Some sid
 let set_uid t uid = t.uid <- Some uid
 let set_root t root = t.root <- Some root
 let gate_grant t gid = if not (List.mem gid t.gates) then t.gates <- gid :: t.gates
-let set_rlimit t limits = t.limits <- Some limits
 
 let mem_grant_of t tag_id =
   List.find_opt (fun g -> g.tag.Wedge_mem.Tag.id = tag_id) t.mems

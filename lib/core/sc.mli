@@ -24,9 +24,6 @@ type t = {
   mutable uid : int option;   (** [None] inherits the parent's *)
   mutable root : string option;
   mutable sid : string option;
-  mutable limits : Wedge_kernel.Rlimit.t option;
-      (** resource quotas for the child ([None] inherits the parent's
-          caps with fresh usage) *)
 }
 
 val create : unit -> t
@@ -48,11 +45,6 @@ val gate_grant : t -> int -> unit
 (** Grant an existing capability (normally done by
     [Engine.sc_cgate_add]; exposed for passing a held capability on to a
     child). *)
-
-val set_rlimit : t -> Wedge_kernel.Rlimit.t -> unit
-(** [sc_set_rlimit]: bound the child's resources.  Validated at sthread
-    creation like every other grant — the child's caps must be no looser
-    than the parent's ({!Wedge_kernel.Rlimit.subsumes}). *)
 
 val mem_grant_of : t -> int -> Wedge_kernel.Prot.grant option
 (** The grant this sc holds for a tag id, if any. *)

@@ -8,45 +8,32 @@
 
 module Process = Wedge_kernel.Process
 
-type policy = {
-  max_restarts : int;  (* retries after the first attempt *)
-  backoff_ns : int;  (* charged before retry k as backoff_ns * 2^(k-1) *)
-  max_backoff_ns : int;  (* cap on any single backoff charge *)
-}
+type policy = { max_restarts : int (* retries after the first attempt *) }
 
-let default_max_backoff_ns = 1_000_000_000
+let default_policy = { max_restarts = 0 }
+let policy ?(max_restarts = 0) () = { max_restarts }
 
-let default_policy =
-  { max_restarts = 0; backoff_ns = 100; max_backoff_ns = default_max_backoff_ns }
+(* The backoff charged after faulted attempt [attempt], in simulated ns:
+   100 doubled [attempt - 1] times, saturating at 1 s.  Doubling stops
+   at the cap, so no attempt count overflows it: a plain
+   [100 * (1 lsl (attempt - 1))] goes negative past a 62-step shift,
+   which would *credit* simulated time back to the clock. *)
+let max_backoff_ns = 1_000_000_000
 
-let policy ?(max_restarts = 0) ?(backoff_ns = 100)
-    ?(max_backoff_ns = default_max_backoff_ns) () =
-  { max_restarts; backoff_ns; max_backoff_ns }
-
-(* Overflow-safe exponential backoff: double attempt-1 times, saturating
-   at the cap.  The former [backoff_ns * (1 lsl (attempt - 1))] went
-   negative past a 62-step shift (and far earlier for large [backoff_ns]),
-   which *credited* simulated time back to the clock. *)
-let backoff_for p ~attempt =
-  if p.backoff_ns <= 0 then 0
-  else begin
-    let cap = max p.max_backoff_ns 0 in
-    let rec go k v =
-      if k <= 0 || v >= cap then min v cap
-      else go (k - 1) (if v > max_int / 2 then max_int else v * 2)
-    in
-    go (attempt - 1) p.backoff_ns
-  end
+let backoff ~attempt =
+  let rec go k v =
+    if k <= 0 || v >= max_backoff_ns then min v max_backoff_ns else go (k - 1) (2 * v)
+  in
+  go (attempt - 1) 100
 
 type outcome =
   | Done of { value : int; attempts : int }
   | Gave_up of { attempts : int; last_fault : string }
 
 (* One attempt, with every contained fault folded into [Error reason] —
-   both a fault during creation itself (resource quota hit while
-   duplicating granted descriptors, frame exhaustion mapping the image)
-   and a crash inside the compartment.  Neither may ever propagate past
-   the supervisor. *)
+   both a fault during creation itself (an injected ["pool.stamp"]
+   fault while stamping the image) and a crash inside the compartment.
+   Neither may ever propagate past the supervisor. *)
 let run_attempt ctx run =
   match run () with
   | handle -> (
@@ -68,9 +55,7 @@ let supervise ?(policy = default_policy) ?(on_restart = ignore) ctx run =
         if n <= policy.max_restarts then begin
           Engine.stat ctx "supervisor.restart";
           Engine.trace_instant ctx "supervisor.restart";
-          (* Exponential backoff, charged to the simulated clock: 1x, 2x,
-             4x ... of [backoff_ns], saturating at [max_backoff_ns]. *)
-          Engine.charge_app ctx (backoff_for policy ~attempt:n);
+          Engine.charge_app ctx (backoff ~attempt:n);
           on_restart ();
           go (n + 1)
         end

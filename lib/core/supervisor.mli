@@ -7,31 +7,22 @@
 
     One flat policy: {!supervise} retries each faulted attempt up to
     [max_restarts] times with exponential backoff charged to the
-    simulated clock; when the policy is exhausted the caller receives
-    {!Gave_up} and degrades the one affected connection (HTTP 500, POP3
-    [-ERR], SSH disconnect) while the listener lives on.
+    simulated clock (100 ns before the first retry, doubled before each
+    later one, saturating at 1 s); when the policy is exhausted the
+    caller receives {!Gave_up} and degrades the one affected connection
+    (HTTP 500, POP3 [-ERR], SSH disconnect) while the listener lives
+    on.
 
     Kernel stats bumped: [supervisor.restart] and [supervisor.gave_up],
     with matching trace instants. *)
 
-type policy = {
-  max_restarts : int;  (** retries after the first attempt *)
-  backoff_ns : int;  (** retry [k] charges [backoff_ns * 2^(k-1)] ns *)
-  max_backoff_ns : int;  (** saturation cap on any single backoff charge *)
-}
+type policy = { max_restarts : int  (** retries after the first attempt *) }
 
 val default_policy : policy
 (** No restarts: fail straight to degraded (right for workers whose input
     stream is consumed by the failed attempt). *)
 
-val policy :
-  ?max_restarts:int -> ?backoff_ns:int -> ?max_backoff_ns:int -> unit -> policy
-(** [max_backoff_ns] defaults to 1s of simulated time. *)
-
-val backoff_for : policy -> attempt:int -> int
-(** The backoff charged after faulted attempt [attempt]: [backoff_ns]
-    doubled [attempt - 1] times, saturating (overflow-safely) at
-    [max_backoff_ns]. *)
+val policy : ?max_restarts:int -> unit -> policy
 
 type outcome =
   | Done of { value : int; attempts : int }
@@ -48,9 +39,9 @@ val supervise :
   outcome
 (** [supervise ctx run] runs attempts produced by [run] until one exits or
     the policy gives up.  A contained fault raised by [run] itself (e.g.
-    a resource quota hit while creating the compartment) counts as a
-    faulted attempt with reason prefix ["create: "] — it never propagates
-    to the caller.  [on_restart] fires once per retry, after the backoff
-    charge and before the next attempt: the hook for per-attempt repair
-    work such as re-arming a connection heart the previous attempt's cut
-    left hung ({!Wedge_net.Guard.rearm_heart}). *)
+    an injected ["pool.stamp"] fault while creating the compartment)
+    counts as a faulted attempt with reason prefix ["create: "] — it
+    never propagates to the caller.  [on_restart] fires once per retry,
+    after the backoff charge and before the next attempt: the hook for
+    per-attempt repair work such as re-arming a connection heart the
+    previous attempt's cut left hung ({!Wedge_net.Guard.rearm_heart}). *)

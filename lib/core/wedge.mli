@@ -98,12 +98,12 @@ val sthread_create :
     as ["fault.unexpected"].  Two kinds still propagate: a scheduler
     deadlock, and an exception a harness hook raised
     ({!Wedge_kernel.Kernel.hook_raised}).  A fault while building the
-    sthread (a quota hit duplicating a granted descriptor) reaps the
-    half-built process and reaches the caller.
+    sthread (an injected ["pool.stamp"] fault) reaps the half-built
+    process and reaches the caller.
 
     [spawn] (default [Boot]) [Stamp image] restores [image] instead, for
-    one flat charge: identity and limits come from the image unless
-    [sc] sets them, and [sc]'s grants map on top of the image's pages
+    one flat charge: identity comes from the image unless [sc] sets
+    it, and [sc]'s grants map on top of the image's pages
     and descriptors, skipping what the image already provides.  It
     counts as a ["pool.stamp"] (stat, span, fault site), not an
     ["sthread_create"].
@@ -163,12 +163,6 @@ val sc_set_uid : Sc.t -> int -> unit
 val sc_set_root : Sc.t -> string -> unit
 val sc_gate_grant : Sc.t -> gate_id -> unit
 (** Pass on a capability the grantor already holds. *)
-
-val sc_set_rlimit : Sc.t -> Wedge_kernel.Rlimit.t -> unit
-(** Bound the child's resources (private frames, descriptors, syscall
-    fuel).  Validated at creation like every other grant: the child's
-    caps must be no looser than the parent's.  Omitted, the child
-    inherits the parent's caps with fresh usage. *)
 
 (** {1 Callgate-related calls} *)
 
@@ -266,8 +260,8 @@ val register_metrics : Wedge_sim.Metrics.t -> app -> unit
 
 val fault_reason : exn -> string option
 (** [Some reason] iff the exception is in the named fault class
-    (protection fault, SELinux denial, frame exhaustion, quota
-    exhaustion, injected fault, and the registered classes): an
+    (protection fault, SELinux denial, frame exhaustion, injected
+    fault, and the registered classes): an
     environmental condition rather than a programming error.  A
     compartment dies contained of any exception; this class names its
     reason, and outside it the death counts as ["fault.unexpected"].
@@ -324,11 +318,11 @@ val open_file : ctx -> ?write:bool -> string -> (int, Wedge_kernel.Vfs.error) re
 val add_endpoint : ctx -> Wedge_kernel.Fd_table.endpoint -> Wedge_kernel.Fd_table.perm -> int
 val fd_read : ctx -> int -> int -> bytes
 (** [fd_read ctx fd n] reads up to [n] bytes from [fd]; the empty result
-    means EOF.  One kernel entry: one trap, one unit of fuel, the SELinux
-    policy, the descriptor's read permission and the installed profile's
-    check.  A permitted read of a guarded connection parks in the
-    endpoint's [ep_wait] {e before} the trap, so an idle connection costs
-    no fuel; a descriptor without read permission raises at once and
+    means EOF.  One kernel entry: one trap, the SELinux policy, the
+    descriptor's read permission and the installed profile's check.  A
+    permitted read of a guarded connection parks in the endpoint's
+    [ep_wait] {e before} the trap, so an idle connection enters no
+    kernel; a descriptor without read permission raises at once and
     never parks.
     @raise Fd_error on a bad or unreadable descriptor. *)
 
@@ -338,7 +332,7 @@ val fd_write_sub : ctx -> int -> bytes -> int -> int -> unit
     bytes.  [fd_read] and [fd_write_sub] are the only way a compartment
     moves descriptor bytes, and the endpoint keeps no reference to [b].
     @raise Invalid_argument if the range is not within [b], before the
-    kernel entry: no trap, no fuel, no charge.
+    kernel entry: no trap, no charge.
     @raise Fd_error on a bad or unwritable descriptor. *)
 
 val fd_write : ctx -> int -> bytes -> unit
@@ -375,7 +369,7 @@ val takeover : app -> where:where -> at:int -> (ctx -> unit) -> unit
     {!sthread_create}, {!vfs_read}, {!set_identity}, ...); a
     {!tag_new} served from the tag cache is not.
 
-    The payload runs after the entry's trap, fuel and SELinux checks and
+    The payload runs after the entry's trap and SELinux checks and
     before the call's own work.  The point disarms before the payload
     runs, so the payload's own system calls never re-enter it, and it
     fires at most once.  A target that exits short of its [at]-th entry,

@@ -18,8 +18,6 @@ type violation = {
    the sc's grants (copy-on-write cannot be emulated with pthreads, §4.2,
    so COW counts as write-allowed). *)
 let allowed app (sc : Sc.t) addr kind =
-  let data_end = Layout.data_base + (0x4000 * 4096) in
-  ignore data_end;
   let in_range base pages = addr >= base && addr < base + (pages * 4096) in
   if in_range Layout.heap_base Layout.heap_pages then true
   else if in_range Layout.stack_base Layout.stack_pages then true

@@ -351,5 +351,5 @@ let service =
     main = (fun (env : Httpd_env.t) -> env.Httpd_env.main);
     reject = Some (Http.format_response Http.service_unavailable);
     image;
-    serve = (fun env c -> ignore (serve_connection ~guard:c env (Guard.ep c)));
+    serve = (fun env c -> serve_connection ~guard:c env (Guard.ep c));
   }

@@ -26,7 +26,7 @@ val serve_connection :
   ?guard:Wedge_net.Guard.conn ->
   Httpd_env.t ->
   Wedge_net.Chan.ep ->
-  Wedge_net.Service.served
+  unit
 (** Serve one connection (one request) through
     {!Wedge_net.Service.run_worker}: the handshake, then — only after it
     exits 0 — the client handler.  [spawn] (default [Stamp] from the

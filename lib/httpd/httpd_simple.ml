@@ -172,8 +172,7 @@ let worker_identity (env : Httpd_env.t) =
 let image (env : Httpd_env.t) =
   Service.image ~name:"httpd.worker" env.Httpd_env.main (worker_identity env)
 
-let serve_connection ?spawn ?guard ?max_request_bytes ?worker_limits ?synth (env : Httpd_env.t)
-    ep =
+let serve_connection ?spawn ?guard ?max_request_bytes ?synth (env : Httpd_env.t) ep =
   let main = env.Httpd_env.main in
   let spawn = match spawn with Some s -> s | None -> W.Stamp (image env) in
   Service.run_worker ?guard ~spawn ~policy:Supervisor.default_policy
@@ -200,7 +199,6 @@ let serve_connection ?spawn ?guard ?max_request_bytes ?worker_limits ?synth (env
         W.sc_fd_add sc fd Fd_table.perm_rw;
         sc
   in
-  (match worker_limits with Some l -> W.sc_set_rlimit worker_sc l | None -> ());
   let cgsc =
     match Synth.gate_sc synth ~name:"setup_session_key" ~tags:conn_tags main with
     | Some sc -> sc
@@ -254,7 +252,7 @@ let serve_connection ?spawn ?guard ?max_request_bytes ?worker_limits ?synth (env
 let max_request_bytes = 4096
 
 let serve max_request_bytes env c =
-  ignore (serve_connection ~guard:c ~max_request_bytes env (Guard.ep c))
+  serve_connection ~guard:c ~max_request_bytes env (Guard.ep c)
 
 (* A rejected connection gets a plaintext 503: the TLS session never
    started, so plaintext is all there is. *)

@@ -19,11 +19,10 @@ val serve_connection :
   ?spawn:Wedge_core.Wedge.spawn ->
   ?guard:Wedge_net.Guard.conn ->
   ?max_request_bytes:int ->
-  ?worker_limits:Wedge_kernel.Rlimit.t ->
   ?synth:Wedge_crowbar.Synth.t ->
   Httpd_env.t ->
   Wedge_net.Chan.ep ->
-  Wedge_net.Service.served
+  unit
 (** Serve one connection.  [spawn] (default [Stamp] from the worker
     image) decides how the worker and the callgate are spawned
     ({!Wedge_net.Service.run_worker}): [Boot] boots both fork-priced,
@@ -40,9 +39,7 @@ val serve_connection :
     Resource governance: [guard] makes the worker read through the
     deadline-aware endpoint (slow-loris becomes EOF) and marks the
     connection established after the handshake; [max_request_bytes]
-    answers oversized decrypted requests with a sealed 413;
-    [worker_limits] arms per-sthread resource quotas (frames / fds /
-    syscall fuel) on the worker compartment.
+    answers oversized decrypted requests with a sealed 413.
 
     Profile synthesis: [synth] threads a {!Wedge_crowbar.Synth} session
     through the connection — recording the worker (["httpd.worker"], fd

@@ -15,8 +15,8 @@ type endpoint = {
   ep_write : bytes -> int -> int -> unit;
   ep_wait : unit -> unit;
       (* park until ep_read can make progress — readable, EOF, or cut.
-         Called BEFORE the syscall trap, so a read that parks here charges
-         no fuel while idle; returns at once on an endpoint that blocks
+         Called BEFORE the syscall trap, so a read that parks here enters
+         no kernel while idle; returns at once on an endpoint that blocks
          inside ep_read. *)
 }
 
@@ -38,18 +38,11 @@ type entry = {
 type t = {
   tbl : (int, entry) Hashtbl.t;
   mutable next : int;
-  limits : Rlimit.t option;
-      (* the owning process's quota: one unit per open descriptor,
-         charged when installed, released when closed *)
 }
 
-let create ?limits () = { tbl = Hashtbl.create 8; next = 3; limits }
-
-let charge t = match t.limits with Some l -> Rlimit.charge_fd l | None -> ()
-let release t = match t.limits with Some l -> Rlimit.release_fd l | None -> ()
+let create () = { tbl = Hashtbl.create 8; next = 3 }
 
 let add t target perm =
-  charge t;
   let fd = t.next in
   t.next <- t.next + 1;
   Hashtbl.add t.tbl fd { target; perm };
@@ -64,20 +57,9 @@ let find t fd = Hashtbl.find_opt t.tbl fd
    connection it ever served) keeps no closed endpoint — and no channel
    buffer behind one — reachable.  Numbers are never reused:
    [next] only grows. *)
-let close t fd =
-  if Hashtbl.mem t.tbl fd then begin
-    Hashtbl.remove t.tbl fd;
-    release t
-  end
+let close t fd = Hashtbl.remove t.tbl fd
 
-(* Closing is per-descriptor bookkeeping only, so the order does not
-   matter: release one quota unit per entry and empty the table in
-   place. *)
-let close_all t =
-  for _ = 1 to Hashtbl.length t.tbl do
-    release t
-  done;
-  Hashtbl.clear t.tbl
+let close_all t = Hashtbl.clear t.tbl
 
 let dup_into ~src ~dst ~fd ~perm =
   match find src fd with
@@ -95,14 +77,12 @@ let dup_into ~src ~dst ~fd ~perm =
         | File fh -> File { fh_path = fh.fh_path; fh_pos = fh.fh_pos }
         | (Endpoint _ | Null) as x -> x
       in
-      charge dst;
       Hashtbl.add dst.tbl fd { target; perm };
       if fd >= dst.next then dst.next <- fd + 1
 
 let install t ~fd target perm =
   if Hashtbl.mem t.tbl fd then
     invalid_arg (Printf.sprintf "Fd_table.install: fd %d already present" fd);
-  charge t;
   Hashtbl.add t.tbl fd { target; perm };
   if fd >= t.next then t.next <- fd + 1
 

@@ -29,7 +29,7 @@ type endpoint = {
   ep_wait : unit -> unit;
       (** park until [ep_read] can make progress (readable, EOF, or cut).
           The engine calls it {e before} the syscall trap of a read the
-          descriptor permits, so a read that parks here charges no fuel
+          descriptor permits, so a read that parks here enters no kernel
           while idle.  An endpoint that blocks inside [ep_read] instead
           returns at once. *)
 }
@@ -51,10 +51,7 @@ type entry = {
 
 type t
 
-val create : ?limits:Rlimit.t -> unit -> t
-(** [limits] charges one fd-quota unit per open descriptor (released on
-    {!close}); installing past the cap raises
-    {!Rlimit.Resource_exhausted}. *)
+val create : unit -> t
 
 val add : t -> target -> perm -> int
 (** Install a target, returning the new descriptor number. *)

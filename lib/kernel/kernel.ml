@@ -69,12 +69,10 @@ let trap t name =
   charge t t.costs.Cost_model.syscall_trap;
   Stats.bump t.stats (trap_key name)
 
-let new_process t ?limits ~kind ~uid ~root ~sid () =
+let new_process t ~kind ~uid ~root ~sid () =
   let pid = t.next_pid in
   t.next_pid <- t.next_pid + 1;
   charge t t.costs.Cost_model.proc_struct;
-  let limits = match limits with Some l -> l | None -> Rlimit.unlimited () in
-  let vm_limits = if Rlimit.is_unlimited limits then None else Some limits in
   let p =
     {
       Process.pid;
@@ -83,10 +81,9 @@ let new_process t ?limits ~kind ~uid ~root ~sid () =
       root;
       sid;
       vm =
-        Vm.create ?faults:t.faults ?limits:vm_limits ~trace:t.trace
-          ~recorder:t.mem_rec ~pid t.pm t.clock t.costs;
-      fds = Fd_table.create ?limits:vm_limits ();
-      limits;
+        Vm.create ?faults:t.faults ~trace:t.trace ~recorder:t.mem_rec ~pid t.pm t.clock
+          t.costs;
+      fds = Fd_table.create ();
       status = Process.Running;
     }
   in
@@ -130,7 +127,7 @@ let reap t (p : Process.t) =
 
 let syscall_check t (p : Process.t) name =
   (* The oracle hook runs first: it checks the state the syscall found,
-     before the trap charges fuel or anything else moves. *)
+     before the trap is charged or anything else moves. *)
   (match t.on_syscall with
   | Some f -> (
       try f name
@@ -143,9 +140,6 @@ let syscall_check t (p : Process.t) name =
      concatenation below. *)
   if Trace.enabled t.trace then
     Trace.instant t.trace ~name:("sys." ^ name) ~pid:p.Process.pid;
-  (* One unit of syscall fuel per trap: a compartment in a hostile loop
-     burns out deterministically instead of spinning forever. *)
-  Rlimit.charge_fuel p.Process.limits 1;
   if not (Selinux.check t.selinux ~sid:p.Process.sid ~syscall:name) then
     raise
       (Eperm

@@ -52,17 +52,13 @@ val trap : t -> string -> unit
 
 val new_process :
   t ->
-  ?limits:Rlimit.t ->
   kind:Process.kind ->
   uid:int ->
   root:string ->
   sid:string ->
   unit ->
   Process.t
-(** Allocate a PCB with an empty address space and fd table.  [limits]
-    (default unlimited) bounds the process's private frames, open
-    descriptors and syscall fuel; it should be a fresh-usage
-    {!Rlimit.child_of} copy, never shared with another process. *)
+(** Allocate a PCB with an empty address space and fd table. *)
 
 val find_process : t -> int -> Process.t option
 
@@ -89,10 +85,10 @@ val reap : t -> Process.t -> unit
     before destroying it. *)
 
 val syscall_check : t -> Process.t -> string -> unit
-(** One kernel entry: charge one trap (stat ["trap.<name>"]) and one
-    unit of the caller's syscall fuel, then enforce its SELinux policy
-    for the named system call.  With {!field-trace} armed, records a
-    ["sys.<name>"] instant attributed to the calling pid.
+(** One kernel entry: charge one trap (stat ["trap.<name>"]), then
+    enforce the caller's SELinux policy for the named system call.
+    With {!field-trace} armed, records a ["sys.<name>"] instant
+    attributed to the calling pid.
     @raise Eperm when denied. *)
 
 val hook_raised : t -> exn -> bool

@@ -18,7 +18,6 @@ type t = {
   mutable sid : string;
   vm : Vm.t;
   fds : Fd_table.t;
-  limits : Rlimit.t;
   mutable status : status;
 }
 

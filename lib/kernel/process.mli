@@ -22,7 +22,6 @@ type t = {
   mutable sid : string;   (** SELinux security identifier *)
   vm : Vm.t;
   fds : Fd_table.t;
-  limits : Rlimit.t;  (** resource quotas (frames / fds / syscall fuel) *)
   mutable status : status;
 }
 

@@ -113,16 +113,9 @@ type t = {
   clock : Clock.t;
   costs : Cost_model.t;
   faults : Wedge_fault.Fault_plan.t option;
-  limits : Rlimit.t option;
   trace : Wedge_sim.Trace.t;
       (* instrumented off the fast path only: misses and shootdowns, not
          hits — an armed trace never slows the hit path *)
-  owned : (int, unit) Hashtbl.t;
-      (* vpns whose frames were charged to [limits]: fresh mappings and
-         private COW copies.  Shared mappings (pristine snapshot, tag
-         grants) are never charged — the quota bounds private frames.
-         It starts at 8 buckets: a compartment owns only the pages it
-         writes, and the table grows with them. *)
   recorder : recorder;
   tlb : tlb_entry array;
   mutable tlb_hit_n : int;
@@ -130,8 +123,7 @@ type t = {
   mutable tlb_shootdown_n : int;
 }
 
-let create ?faults ?limits ?(trace = Wedge_sim.Trace.null) ?recorder ~pid pm clock
-    costs =
+let create ?faults ?(trace = Wedge_sim.Trace.null) ?recorder ~pid pm clock costs =
   {
     pid;
     pm;
@@ -139,9 +131,7 @@ let create ?faults ?limits ?(trace = Wedge_sim.Trace.null) ?recorder ~pid pm clo
     clock;
     costs;
     faults;
-    limits;
     trace;
-    owned = Hashtbl.create 8;
     recorder = (match recorder with Some r -> r | None -> { sink = None; raised = None });
     tlb = Array.make tlb_slots tlb_invalid;
     tlb_hit_n = 0;
@@ -207,41 +197,6 @@ let record rc f ev =
 let emit t ev = match t.recorder.sink with Some f -> record t.recorder f ev | None -> ()
 let recording t = t.recorder.sink <> None
 
-(* Quota accounting for private frames.  The charge happens before the
-   allocation so exhaustion is deterministic and leaves physical memory
-   untouched; [Rlimit.Resource_exhausted] is contained by the engine the
-   same way Enomem is.  Returns whether a fresh charge was made: a vpn
-   already owned (a COW break of a page this space itself allocated, e.g.
-   after a fork downgraded it) must not be charged twice — the quota
-   counts live private frames, and unmap releases exactly one unit per
-   owned vpn. *)
-let charge_owned t vpn =
-  if Hashtbl.mem t.owned vpn then false
-  else begin
-    (match t.limits with Some l -> Rlimit.charge_frames l 1 | None -> ());
-    Hashtbl.replace t.owned vpn ();
-    true
-  end
-
-let release_owned t vpn =
-  if Hashtbl.mem t.owned vpn then begin
-    Hashtbl.remove t.owned vpn;
-    match t.limits with Some l -> Rlimit.release_frames l 1 | None -> ()
-  end
-
-(* Charge-then-allocate, with the charge rolled back if the allocation
-   itself fails (budget exhaustion or an injected ENOMEM): otherwise the
-   quota would keep counting a private frame that never existed — a drift
-   the invariant oracles flag — and, for a never-mapped vpn, the unit
-   could never be released at all. *)
-let alloc_charged t vpn =
-  let charged = charge_owned t vpn in
-  match Physmem.alloc t.pm with
-  | frame -> frame
-  | exception e ->
-      if charged then release_owned t vpn;
-      raise e
-
 (* A refused mapping changes nothing: every mapping call lets the page
    table refuse an already-mapped vpn before it allocates a frame, takes
    a reference or charges.  [map_fresh] must allocate before it can map,
@@ -256,7 +211,7 @@ let map_fresh t ~addr ~pages ~prot ~tag =
     let vpn = vpn_of addr + i in
     refuse_mapped t vpn;
     Clock.charge t.clock t.costs.Cost_model.page_alloc;
-    let frame = alloc_charged t vpn in
+    let frame = Physmem.alloc t.pm in
     Pagetable.map t.pt ~vpn ~frame ~prot ~tag;
     if recording t then emit t (Ev_map { pid = t.pid; vpn; frame; prot; seed = None })
   done
@@ -367,7 +322,6 @@ let unmap_range t ~addr ~pages =
     tlb_invalidate t ~vpn:(vpn_of addr + i);
     match Pagetable.unmap t.pt ~vpn:(vpn_of addr + i) with
     | Some pte ->
-        release_owned t (vpn_of addr + i);
         Physmem.decref t.pm pte.Pagetable.frame;
         if recording t then emit t (Ev_unmap { pid = t.pid; vpn = vpn_of addr + i })
     | None -> ()
@@ -416,32 +370,24 @@ let set_page_tag t ~addr ~tag =
       tlb_invalidate t ~vpn:(vpn_of addr)
   | None -> invalid_arg (Printf.sprintf "Vm.set_page_tag: 0x%x unmapped" addr)
 
-(* Every owned vpn is mapped, so the teardown releases the whole quota
-   charge at once. *)
 let destroy t =
   tlb_flush t;
   Pagetable.iter (fun _ pte -> Physmem.decref t.pm pte.Pagetable.frame) t.pt;
   Pagetable.clear t.pt;
-  (match t.limits with
-  | Some l -> Rlimit.release_frames l (Hashtbl.length t.owned)
-  | None -> ());
-  Hashtbl.clear t.owned;
   if recording t then emit t (Ev_destroy { pid = t.pid })
 
 let mapped_pages t = Pagetable.count t.pt
 
-(* Take a private copy of a COW page so it can be written.  The copy is a
-   private frame, so it counts against the frame quota (a compartment
-   ballooning the shared pristine image pays for every page it dirties).
-   The frame swap happens in place — no epoch movement — so the explicit
-   shootdown below is what stops a cached read entry from serving the old
-   shared frame's bytes after the break.  Returns the page's (now
-   private) pte. *)
+(* Take a private copy of a COW page so it can be written.  The frame
+   swap happens in place — no epoch movement — so the explicit shootdown
+   below is what stops a cached read entry from serving the old shared
+   frame's bytes after the break.  Returns the page's (now private)
+   pte. *)
 let cow_break t ~vpn =
   let pte = Option.get (Pagetable.find_private t.pt ~vpn) in
   Clock.charge t.clock t.costs.Cost_model.page_copy;
   if Physmem.refcount t.pm pte.frame > 1 then begin
-    let fresh = alloc_charged t vpn in
+    let fresh = Physmem.alloc t.pm in
     Bytes.blit (Physmem.get t.pm pte.frame) 0 (Physmem.get_mut t.pm fresh) 0 page_size;
     Physmem.decref t.pm pte.frame;
     pte.frame <- fresh
@@ -808,10 +754,6 @@ let write_bytes_kernel t addr src =
 (* ------------------------------------------------------------------ *)
 (* Oracle accessors: pure reads of ground truth for invariant checking.
    Nothing here charges the clock, touches the TLB, or rolls faults. *)
-
-let owned_count t = Hashtbl.length t.owned
-let owned_vpns t = List.sort compare (Hashtbl.fold (fun v () acc -> v :: acc) t.owned [])
-let quota_tracked t = t.limits <> None
 
 (* Validate every *servable* TLB entry (valid vpn, current epoch — stale
    epochs can never be served) against the page table: same frame,

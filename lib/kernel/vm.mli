@@ -105,7 +105,6 @@ type t
 
 val create :
   ?faults:Wedge_fault.Fault_plan.t ->
-  ?limits:Rlimit.t ->
   ?trace:Wedge_sim.Trace.t ->
   ?recorder:recorder ->
   pid:int ->
@@ -116,10 +115,7 @@ val create :
 (** [faults] makes checked compartment accesses roll site ["vm.access"]
     once per access (a u64 or a bulk blit is one roll, not one per byte);
     a fired fault raises {!Fault} as a spurious protection fault.
-    [limits] charges a frame-quota unit for every private frame this
-    address space allocates ({!map_fresh} pages and COW copies; shared
-    mappings are free), released again on unmap/destroy.  Exhaustion
-    raises {!Rlimit.Resource_exhausted}.  [trace] (default
+    [trace] (default
     {!Wedge_sim.Trace.null}) records ["tlb.miss"]/["tlb.shootdown"]
     instants attributed to [pid] — off the TLB-hit fast path, which is
     never instrumented. *)
@@ -205,8 +201,8 @@ val set_page_tag : t -> addr:int -> tag:int option -> unit
     Raises [Invalid_argument] if unmapped. *)
 
 val destroy : t -> unit
-(** Unmap everything, releasing frame references and the frame-quota
-    charge (flushes the TLB first).  Allocates nothing per page. *)
+(** Unmap everything, releasing frame references (flushes the TLB
+    first).  Allocates nothing per page. *)
 
 val mapped_pages : t -> int
 
@@ -282,17 +278,6 @@ val can_write : t -> addr:int -> len:int -> bool
     Pure reads of ground truth: nothing here charges the clock, touches
     the TLB, or rolls injected faults, so an oracle running at every
     context switch cannot perturb the schedule it is checking. *)
-
-val owned_count : t -> int
-(** Number of vpns currently charged against the frame quota (fresh
-    mappings and COW copies).  When {!quota_tracked}, this must equal
-    [Rlimit.frames_used] of the attached limits at every sync point. *)
-
-val owned_vpns : t -> int list
-(** The charged vpns, sorted.  Every one must be currently mapped. *)
-
-val quota_tracked : t -> bool
-(** Whether a frame quota is attached (bounded [limits] at creation). *)
 
 val tlb_check : t -> string list
 (** Validate every servable TLB entry (valid vpn, current epoch) against

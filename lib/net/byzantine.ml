@@ -11,7 +11,6 @@
 module Fiber = Wedge_sim.Fiber
 module Clock = Wedge_sim.Clock
 module Fault_plan = Wedge_fault.Fault_plan
-module Rlimit = Wedge_kernel.Rlimit
 
 type tally = {
   mutable completed : int;  (* full script ran; got a non-rejection answer *)
@@ -47,7 +46,7 @@ let classify t ~is_rejection resp =
 
 (* Connect, run [f], and fold every way the connection can die into the
    tally.  A reset surfaces as [Injected] (abort/fault) or
-   [Resource_exhausted] (stalled bounded write) — both count as cut. *)
+   [Chan.Stalled] (stalled bounded write) — both count as cut. *)
 let with_conn t l f =
   match Chan.connect l with
   | exception Chan.Refused _ ->
@@ -59,7 +58,7 @@ let with_conn t l f =
   | exception _ -> t.errors <- t.errors + 1
   | ep ->
       (try f ep with
-      | Fault_plan.Injected _ | Rlimit.Resource_exhausted _ -> t.cut <- t.cut + 1
+      | Fault_plan.Injected _ | Chan.Stalled _ -> t.cut <- t.cut + 1
       | _ -> t.errors <- t.errors + 1);
       (try Chan.close ep with _ -> ())
 

@@ -5,18 +5,20 @@ module Trace = Wedge_sim.Trace
 module Metrics = Wedge_sim.Metrics
 module Interest = Wedge_sim.Fiber.Interest
 module Fd_table = Wedge_kernel.Fd_table
-module Rlimit = Wedge_kernel.Rlimit
 module Fault_plan = Wedge_fault.Fault_plan
 
 exception Refused of string
+exception Stalled of string
 
-(* A refused connection is an environmental condition, not a programming
-   error: a supervised compartment that reconnects during/after a drain
-   must die contained (and restartable), exactly like a reset.  Register
-   [Refused] with the engine's contained-fault class at link time. *)
+(* A refused connection and a stalled bounded write are environmental
+   conditions, not programming errors: a supervised compartment that
+   reconnects during/after a drain, or writes to a peer that never
+   reads, must die contained (and restartable), exactly like a reset.
+   Register both with the engine's contained-fault class at link
+   time. *)
 let () =
   Wedge_core.Engine.register_fault_class (function
-    | Refused msg -> Some msg
+    | Refused msg | Stalled msg -> Some msg
     | _ -> None)
 
 (* One direction of flow: a byte FIFO with a close flag.  [reset] marks a
@@ -200,9 +202,8 @@ let read_exact ep n =
    reader drains to the low watermark.  If the whole system stalls while
    we wait (the peer will never read), this write is the first wait the
    scheduler resolves: tear the direction down and raise a contained
-   [Resource_exhausted] — the in-flight byte budget is a resource like
-   any other, and a stalled bounded write must become a compartment
-   fault, never a scheduler deadlock. *)
+   [Stalled] — a stalled bounded write must become a compartment fault,
+   never a scheduler deadlock. *)
 let wait_for_space ep cap =
   let low = max 1 (cap / 2) in
   if
@@ -213,7 +214,7 @@ let wait_for_space ep cap =
     let stuck = dir_available ep.tx in
     dir_kill ep.tx;
     raise
-      (Rlimit.Resource_exhausted
+      (Stalled
          (Printf.sprintf
             "chan.write: bounded channel stalled (%d bytes in flight, peer not reading)"
             stuck))

@@ -15,6 +15,12 @@ exception Refused of string
     supervised compartment that reconnects after a drain dies contained —
     and restartable — rather than as a programming error. *)
 
+exception Stalled of string
+(** A bounded write parked at the high watermark when the whole system
+    stalled: its peer will never read.  The direction is torn down first.
+    Part of the engine's contained-fault class like {!Refused}, so the
+    writing compartment dies contained, never in a scheduler deadlock. *)
+
 type ep
 (** One end of a duplex channel. *)
 
@@ -38,9 +44,7 @@ val pair :
     watermark parks and resumes once the reader drains to half.  If the
     whole system stalls while a writer is parked (the peer will never
     read), the write is the first wait the scheduler resolves
-    ({!Wedge_sim.Fiber.Shed_write}): the direction is torn down and the
-    write raises {!Wedge_kernel.Rlimit.Resource_exhausted} — contained by
-    the engine as a compartment fault, never a scheduler deadlock. *)
+    ({!Wedge_sim.Fiber.Shed_write}) and the write raises {!Stalled}. *)
 
 val read : ep -> int -> bytes
 (** Up to [n] bytes; blocks until at least one byte or EOF; the empty result

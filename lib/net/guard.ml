@@ -324,7 +324,7 @@ let endpoint c =
     Wedge_kernel.Fd_table.ep_read = (fun n -> guarded_read c n);
     ep_write = (fun b off len -> Chan.write_sub c.ep b off len);
     (* The engine calls [ep_wait] before charging the syscall trap, so a
-       parked worker burns zero fuel while its client is silent. *)
+       parked worker enters no kernel while its client is silent. *)
     ep_wait = (fun () -> if not (c.is_cut || overdue c) then Chan.wait_rx c.ep);
   }
 

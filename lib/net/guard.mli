@@ -97,8 +97,8 @@ val endpoint : conn -> Wedge_kernel.Fd_table.endpoint
 (** Deadline-aware descriptor target for the worker compartment: reads
     park for data and return EOF once the connection is cut or overdue,
     and delivered bytes beat the heart.  The endpoint's [ep_wait] parks
-    {e before} the syscall trap, so an idle connection charges zero
-    syscall fuel and a read that wakes to data never blocks inside the
+    {e before} the syscall trap, so an idle connection makes no kernel
+    entry and a read that wakes to data never blocks inside the
     trap (unlike {!Chan.to_endpoint}'s, it pays no half round trip). *)
 
 val accept_loop :

@@ -1,6 +1,5 @@
 module W = Wedge_core.Wedge
 module Supervisor = Wedge_core.Supervisor
-module Process = Wedge_kernel.Process
 module Fd_table = Wedge_kernel.Fd_table
 
 type 'env t = {
@@ -58,10 +57,6 @@ let fd conn =
   conn.c_fd <- Some fd;
   fd
 
-type served = { worker_status : Process.status; degraded : bool }
-
-let served_ok = { worker_status = Process.Exited 0; degraded = false }
-
 (* One compartment under [policy], its address space from [spawn]. *)
 let run_compartment ~on_restart ~spawn ~policy main (sc, body) =
   Supervisor.supervise ~policy ~on_restart main (fun () ->
@@ -70,15 +65,13 @@ let run_compartment ~on_restart ~spawn ~policy main (sc, body) =
 (* The connection's compartments in order, each started only once its
    predecessor exited 0. *)
 let rec run_compartments ~on_restart ~spawn ~policy ~degrade main = function
-  | [] -> served_ok
+  | [] -> ()
   | stage :: rest -> (
       match run_compartment ~on_restart ~spawn ~policy main stage with
       | Supervisor.Done { value = 0; _ } ->
           run_compartments ~on_restart ~spawn ~policy ~degrade main rest
-      | Supervisor.Done { value; _ } -> { worker_status = Process.Exited value; degraded = false }
-      | Supervisor.Gave_up { last_fault; _ } ->
-          degrade ();
-          { worker_status = Process.Faulted last_fault; degraded = true })
+      | Supervisor.Done _ -> ()
+      | Supervisor.Gave_up _ -> degrade ())
 
 let run_worker ?guard ~spawn ~policy ~degrade main ep setup =
   let conn =
@@ -98,17 +91,11 @@ let run_worker ?guard ~spawn ~policy ~degrade main ep setup =
     Chan.close ep;
     List.iter (fun t -> try W.tag_delete main t with _ -> ()) conn.c_tags
   in
-  let served =
-    match setup conn with
-    | exception e when W.fault_reason e <> None ->
-        let reason = Option.get (W.fault_reason e) in
-        degrade ();
-        { worker_status = Process.Faulted ("setup: " ^ reason); degraded = true }
-    | compartments ->
-        (* A retry starts with a fresh heart: the cut that killed the
-           previous attempt left it hung. *)
-        let on_restart () = Option.iter Guard.rearm_heart guard in
-        run_compartments ~on_restart ~spawn ~policy ~degrade main compartments
-  in
-  cleanup ();
-  served
+  (match setup conn with
+  | exception e when W.fault_reason e <> None -> degrade ()
+  | compartments ->
+      (* A retry starts with a fresh heart: the cut that killed the
+         previous attempt left it hung. *)
+      let on_restart () = Option.iter Guard.rearm_heart guard in
+      run_compartments ~on_restart ~spawn ~policy ~degrade main compartments);
+  cleanup ()

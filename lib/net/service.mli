@@ -82,13 +82,6 @@ val fd : conn -> int
     deadline-aware endpoint, so a slow-loris client turns into EOF inside
     the worker instead of a fiber pinned forever. *)
 
-type served = {
-  worker_status : Wedge_kernel.Process.status;
-      (** the last compartment's exit (the last attempt's), or
-          [Faulted "setup: ..."] when setup itself faulted *)
-  degraded : bool;
-}
-
 val run_worker :
   ?guard:Guard.conn ->
   spawn:Wedge_core.Wedge.spawn ->
@@ -97,7 +90,7 @@ val run_worker :
   Wedge_core.Wedge.ctx ->
   Chan.ep ->
   (conn -> (Wedge_core.Sc.t * (Wedge_core.Wedge.ctx -> int -> int)) list) ->
-  served
+  unit
 (** [run_worker main ep setup] runs [setup] in the master to build the
     connection's tags, descriptor and callgates, and returns its
     compartments in order, each as its grants and body.  A contained

@@ -310,7 +310,7 @@ let service =
     main = Fun.id;
     reject = Some "-ERR busy, try again later\r\n";
     image;
-    serve = (fun main c -> ignore (serve_connection ~guard:c main (Guard.ep c)));
+    serve = (fun main c -> serve_connection ~guard:c main (Guard.ep c));
   }
 
 let serve_sharded mains front = Service.serve_sharded service mains front

@@ -27,7 +27,7 @@ val serve_connection :
   ?synth:Wedge_crowbar.Synth.t ->
   Wedge_core.Wedge.ctx ->
   Wedge_net.Chan.ep ->
-  Wedge_net.Service.served
+  unit
 (** Serve one connection from the master context ([main]); blocks until the
     session ends.
 

@@ -9,7 +9,6 @@ module Rsa = Wedge_crypto.Rsa
 module Dsa = Wedge_crypto.Dsa
 module Wire = Wedge_tls.Wire
 module Supervisor = Wedge_core.Supervisor
-module Service = Wedge_net.Service
 module P = Ssh_proto
 
 type monitor = {
@@ -159,17 +158,3 @@ let serve_connection ?guard (env : Sshd_env.t) ep =
   | Supervisor.Gave_up _ -> W.stat main "sshd.degraded");
   W.fd_close main fd;
   Chan.close ep
-
-(* The privsep skeleton.  The slave image keeps the monitor's identity
-   (the slave drops privileges itself, exactly as after a fork).  SSH has
-   no pre-handshake plaintext channel to apologise on: a rejected
-   connection is simply disconnected — the client sees EOF before any
-   version string, the classic sshd MaxStartups behaviour. *)
-let service =
-  {
-    Service.name = "sshd";
-    main = (fun (env : Sshd_env.t) -> env.Sshd_env.main);
-    reject = None;
-    image = (fun env -> Service.image ~name:"sshd.slave" env.Sshd_env.main (W.sc_create ()));
-    serve = (fun env c -> serve_connection ~guard:c env (Guard.ep c));
-  }

@@ -46,9 +46,3 @@ val serve_connection :
     deadline-aware endpoint and marks the session established on
     authentication success (any method — all go through the monitor's
     setuid). *)
-
-val service : Sshd_env.t Wedge_net.Service.t
-(** The privsep skeleton: name ["sshd"], pool image ["sshd.slave"]
-    keeping the monitor's identity (the slave itself always forks),
-    silent disconnect for rejected connections — MaxStartups
-    semantics. *)

@@ -333,5 +333,5 @@ let service =
     main = (fun (env : Sshd_env.t) -> env.Sshd_env.main);
     reject = None;
     image;
-    serve = (fun env c -> ignore (serve_connection ~guard:c env (Guard.ep c)));
+    serve = (fun env c -> serve_connection ~guard:c env (Guard.ep c));
   }

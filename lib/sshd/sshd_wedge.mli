@@ -21,7 +21,7 @@ val serve_connection :
   ?synth:Wedge_crowbar.Synth.t ->
   Sshd_env.t ->
   Wedge_net.Chan.ep ->
-  Wedge_net.Service.served
+  unit
 (** Serve one connection through {!Wedge_net.Service.run_worker}.
     [spawn] (default [Stamp] from the ["sshd.worker"] image) decides how
     the worker and the five callgates are spawned; [Boot] is Table 2's

@@ -1,12 +1,10 @@
 (* Tests for the correctness harness itself: the invariant oracles, the
-   differential reference model, schedule exploration + shrinking, and
-   pinned regressions for bugs the oracles originally surfaced. *)
+   differential reference model, and schedule exploration + shrinking. *)
 
 module Physmem = Wedge_kernel.Physmem
 module Pagetable = Wedge_kernel.Pagetable
 module Vm = Wedge_kernel.Vm
 module Prot = Wedge_kernel.Prot
-module Rlimit = Wedge_kernel.Rlimit
 module Kernel = Wedge_kernel.Kernel
 module Clock = Wedge_sim.Clock
 module Cost_model = Wedge_sim.Cost_model
@@ -68,25 +66,6 @@ let test_oracle_catches_dirty_zero_page () =
   | () -> Alcotest.fail "oracle missed a write through the read view"
   | exception Oracle.Violation msg ->
       check Alcotest.bool "names the zero page" true (contains msg "zero page")
-
-let test_oracle_catches_quota_drift () =
-  let k = Kernel.create ~costs:Cost_model.free () in
-  let p =
-    Kernel.new_process k ~limits:(Rlimit.create ~max_frames:8 ())
-      ~kind:Wedge_kernel.Process.Main ~uid:0 ~root:"/" ~sid:"sys" ()
-  in
-  let vm = p.Wedge_kernel.Process.vm in
-  Vm.map_fresh vm ~addr:0x10000 ~pages:2 ~prot:Prot.page_rw ~tag:None;
-  let o = Oracle.create k in
-  Oracle.check o;
-  (* Charge a unit for a frame that was never allocated. *)
-  Rlimit.charge_frames p.Wedge_kernel.Process.limits 1;
-  (match Oracle.check o with
-  | () -> Alcotest.fail "oracle missed the phantom charge"
-  | exception Oracle.Violation msg ->
-      check Alcotest.bool "names the charge" true (contains msg "charged"));
-  Rlimit.release_frames p.Wedge_kernel.Process.limits 1;
-  Oracle.check o
 
 let test_oracle_custom_invariant () =
   let k = Kernel.create ~costs:Cost_model.free () in
@@ -326,55 +305,6 @@ let test_pinned_digests () =
               scenario p_digest pinned)
     pinned_digests
 
-(* ---------- Pinned regressions the oracles originally surfaced ---------- *)
-
-let test_regression_cow_break_no_double_charge () =
-  (* A COW break of a page this address space itself allocated (fork
-     downgraded it, then the owner wrote) used to charge a second quota
-     unit for the same vpn; the unmap then released only one, leaving
-     the rlimit permanently inflated. *)
-  let k = Kernel.create ~costs:Cost_model.free () in
-  let p1 =
-    Kernel.new_process k ~limits:(Rlimit.create ~max_frames:4 ())
-      ~kind:Wedge_kernel.Process.Main ~uid:0 ~root:"/" ~sid:"sys" ()
-  in
-  let p2 = Kernel.new_process k ~kind:Wedge_kernel.Process.Sthread ~uid:0 ~root:"/" ~sid:"sys" () in
-  let v1 = p1.Wedge_kernel.Process.vm in
-  Vm.map_fresh v1 ~addr:0x10000 ~pages:1 ~prot:Prot.page_rw ~tag:None;
-  check Alcotest.int "one unit charged" 1
-    (Rlimit.frames_used p1.Wedge_kernel.Process.limits);
-  Vm.share_range ~src:v1 ~dst:p2.Wedge_kernel.Process.vm ~addr:0x10000 ~pages:1
-    ~prot:Prot.page_cow;
-  Vm.protect_range v1 ~addr:0x10000 ~pages:1 ~prot:Prot.page_cow;
-  (* Owner writes: COW break copies the shared frame — same vpn, still
-     one private frame, still one unit. *)
-  Vm.write_u64 v1 0x10000 1;
-  check Alcotest.int "still one unit after self-COW break" 1
-    (Rlimit.frames_used p1.Wedge_kernel.Process.limits);
-  check Alcotest.int "one owned vpn" 1 (Vm.owned_count v1);
-  Vm.unmap_range v1 ~addr:0x10000 ~pages:1;
-  check Alcotest.int "released down to zero" 0
-    (Rlimit.frames_used p1.Wedge_kernel.Process.limits);
-  let o = Oracle.create k in
-  Oracle.check o
-
-let test_regression_failed_alloc_rolls_back_charge () =
-  (* The quota charge happens before the physical allocation; when the
-     allocation itself fails the charge must be rolled back, or the
-     rlimit counts a frame that never existed and the unit can never be
-     released (the vpn was never mapped). *)
-  let pm = Physmem.create ~max_frames:2 () in
-  let lim = Rlimit.create ~max_frames:100 () in
-  let vm = Vm.create ~limits:lim ~pid:1 pm (Clock.create ()) Cost_model.free in
-  Vm.map_fresh vm ~addr:0x10000 ~pages:2 ~prot:Prot.page_rw ~tag:None;
-  check Alcotest.int "two units" 2 (Rlimit.frames_used lim);
-  (match Vm.map_fresh vm ~addr:0x12000 ~pages:1 ~prot:Prot.page_rw ~tag:None with
-  | () -> Alcotest.fail "expected allocation failure"
-  | exception _ -> ());
-  check Alcotest.int "failed alloc left no phantom charge" 2
-    (Rlimit.frames_used lim);
-  check Alcotest.int "owned matches mapped" 2 (Vm.owned_count vm)
-
 (* ---------- Suite ---------- *)
 
 let () =
@@ -384,7 +314,6 @@ let () =
         [
           Alcotest.test_case "clean on fresh kernel" `Quick test_oracle_clean_on_fresh_kernel;
           Alcotest.test_case "catches refcount drift" `Quick test_oracle_catches_refcount_drift;
-          Alcotest.test_case "catches quota drift" `Quick test_oracle_catches_quota_drift;
           Alcotest.test_case "catches a dirty zero page" `Quick
             test_oracle_catches_dirty_zero_page;
           Alcotest.test_case "custom invariant" `Quick test_oracle_custom_invariant;
@@ -412,12 +341,5 @@ let () =
           Alcotest.test_case "sshd 35+5 schedules" `Slow test_sweep_sshd;
           Alcotest.test_case "pct policy" `Slow test_sweep_pct_policy;
           Alcotest.test_case "pinned digests" `Slow test_pinned_digests;
-        ] );
-      ( "regressions",
-        [
-          Alcotest.test_case "cow break no double charge" `Quick
-            test_regression_cow_break_no_double_charge;
-          Alcotest.test_case "failed alloc rolls back charge" `Quick
-            test_regression_failed_alloc_rolls_back_charge;
         ] );
     ]

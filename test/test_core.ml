@@ -908,9 +908,8 @@ let test_image_boot_demand_zero () =
 
 (* A compartment costs the host what it maps, plus a fixed part: its
    process record, an empty address space — a 64-slot TLB whose slots
-   all hold one shared invalid entry, an 8-bucket quota table and the
-   page table's 512-bucket overlay, 513 words of the total — and its
-   descriptor table.  Each operation is measured on its second run,
+   all hold one shared invalid entry and the page table's 512-bucket
+   overlay, 513 words of the total — and its descriptor table.  Each operation is measured on its second run,
    after the first has grown the kernel's own tables (process table,
    counters, memo tables) to their steady size.  A warm system call
    allocates nothing: its stats key, its sid's domain and its counter

@@ -409,7 +409,7 @@ let test_mitm_request_structure () =
   Wedge_sim.Fiber.run (fun () ->
       let client_ep, server_ep = Wedge_net.Chan.pair ~costs:Cost_model.free () in
       Wedge_sim.Fiber.spawn (fun () ->
-          ignore (Wedge_httpd.Httpd_mitm.serve_connection ~spawn:W.Boot env server_ep));
+          Wedge_httpd.Httpd_mitm.serve_connection ~spawn:W.Boot env server_ep);
       ignore
         (Wedge_httpd.Https_client.get ~rng:(Wedge_crypto.Drbg.create ~seed:1)
            ~pinned:env.Wedge_httpd.Httpd_env.priv.Wedge_crypto.Rsa.pub ~path:"/index.html"

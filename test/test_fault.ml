@@ -9,9 +9,6 @@
 module Fault_plan = Wedge_fault.Fault_plan
 module Kernel = Wedge_kernel.Kernel
 module Physmem = Wedge_kernel.Physmem
-module Process = Wedge_kernel.Process
-module Rlimit = Wedge_kernel.Rlimit
-module Fd_table = Wedge_kernel.Fd_table
 module Fiber = Wedge_sim.Fiber
 module Clock = Wedge_sim.Clock
 module Cost_model = Wedge_sim.Cost_model
@@ -28,7 +25,6 @@ module Http = Wedge_httpd.Http
 module Pop3_env = Wedge_pop3.Pop3_env
 module Pop3_wedge = Wedge_pop3.Pop3_wedge
 module Pop3_client = Wedge_pop3.Pop3_client
-module Service = Wedge_net.Service
 
 let check = Alcotest.check
 
@@ -96,7 +92,7 @@ let pop3_sessions ?faults () =
   Fiber.run ~clock ?faults (fun () ->
       for _ = 1 to 5 do
         let client_ep, server_ep = Chan.pair ~clock ?faults () in
-        Fiber.spawn (fun () -> ignore (Pop3_wedge.serve_connection main server_ep));
+        Fiber.spawn (fun () -> Pop3_wedge.serve_connection main server_ep);
         let c = Pop3_client.connect client_ep in
         let logged = Pop3_client.login c ~user:"alice" ~password:"wonderland" in
         Printf.bprintf transcript "login=%b retr=%s\n" logged
@@ -198,7 +194,7 @@ let test_channel_reset_mid_request () =
   let first = ref (Some "sentinel") in
   Fiber.run (fun () ->
       let client_ep, server_ep = Chan.pair ~costs:Cost_model.free ~faults:plan () in
-      Fiber.spawn (fun () -> ignore (Simple.serve_connection env server_ep));
+      Fiber.spawn (fun () -> Simple.serve_connection env server_ep);
       let rng = Drbg.create ~seed:7 in
       match Client.get ~rng ~pinned:env.Env.priv.Rsa.pub ~path:"/index.html" client_ep with
       | r -> first := body_of r
@@ -210,7 +206,7 @@ let test_channel_reset_mid_request () =
   let second = ref None in
   Fiber.run (fun () ->
       let client_ep, server_ep = Chan.pair ~costs:Cost_model.free () in
-      Fiber.spawn (fun () -> ignore (Simple.serve_connection env server_ep));
+      Fiber.spawn (fun () -> Simple.serve_connection env server_ep);
       let rng = Drbg.create ~seed:8 in
       second := body_of (Client.get ~rng ~pinned:env.Env.priv.Rsa.pub ~path:"/index.html" client_ep));
   check (Alcotest.option Alcotest.string) "clean connection serves" (Some Env.index_body)
@@ -237,10 +233,7 @@ let test_supervisor_backoff_schedule () =
   W.boot app;
   let t0 = Clock.now k.Kernel.clock in
   let outcome =
-    Supervisor.supervise
-      ~policy:(Supervisor.policy ~max_restarts:3 ~backoff_ns:100 ())
-      main
-    @@ fun () ->
+    Supervisor.supervise ~policy:(Supervisor.policy ~max_restarts:3 ()) main @@ fun () ->
     W.sthread_create main (W.sc_create ())
       (fun _ _ -> raise (Fault_plan.Injected "always crashes"))
       0
@@ -254,6 +247,42 @@ let test_supervisor_backoff_schedule () =
   check Alcotest.int "backoff schedule" 700 (Clock.now k.Kernel.clock - t0);
   check Alcotest.int "restarts counted" 3 (Stats.get k.Kernel.stats "supervisor.restart");
   check Alcotest.int "give-up counted" 1 (Stats.get k.Kernel.stats "supervisor.gave_up")
+
+(* A fault while the compartment is being built — here an injected
+   crash at the ["pool.stamp"] site, after the child process exists —
+   is an attempt that faulted: the supervisor marks it ["create: "] and
+   retries, and the engine reaps each half-built process before the
+   fault reaches it, so no process outlives its failed creation. *)
+let test_creation_fault_unwinds () =
+  let plan = Fault_plan.create ~seed:5 () in
+  Fault_plan.rule plan ~site:"pool.stamp" ~prob:1.0 [ Fault_plan.Crash ];
+  Fault_plan.disarm plan;
+  let k = Kernel.create ~costs:Cost_model.free ~faults:plan () in
+  let app = W.create_app k in
+  W.boot app;
+  let main = W.main_ctx app in
+  let pool = W.Pool.freeze ~name:"w" main (W.sc_create ()) in
+  let live = Kernel.live_processes k in
+  let ran = ref false in
+  Fault_plan.arm plan;
+  let outcome =
+    Supervisor.supervise ~policy:(Supervisor.policy ~max_restarts:1 ()) main @@ fun () ->
+    W.sthread_create ~spawn:(W.Stamp pool) main (W.sc_create ())
+      (fun _ _ ->
+        ran := true;
+        0)
+      0
+  in
+  Fault_plan.disarm plan;
+  (match outcome with
+  | Supervisor.Gave_up { attempts; last_fault } ->
+      check Alcotest.int "initial try + 1 retry" 2 attempts;
+      check Alcotest.bool "creation fault marked" true (contains last_fault "create:");
+      check Alcotest.bool "names the stamp site" true (contains last_fault "pool.stamp")
+  | Supervisor.Done _ -> Alcotest.fail "a crashing stamp created a compartment");
+  check Alcotest.bool "the body never ran" false !ran;
+  check Alcotest.int "half-built sthreads reaped" live (Kernel.live_processes k);
+  check Alcotest.int "both faults counted" 2 (Stats.get k.Kernel.stats "fault.compartment")
 
 (* ---------- callgate deadlines and recycled respawn ---------- *)
 
@@ -365,7 +394,7 @@ let test_pop3_setup_fault_degrades () =
   W.boot app;
   let main = W.main_ctx app in
   let farewell = ref "" in
-  let debug = ref None in
+  let returned = ref false in
   Fiber.run (fun () ->
       let client_ep, server_ep = Chan.pair ~costs:Cost_model.free () in
       Fiber.spawn (fun () ->
@@ -375,186 +404,17 @@ let test_pop3_setup_fault_degrades () =
             ~nth:(Fault_plan.site_ops plan ~site:"physmem.alloc" + 1)
             [ Fault_plan.Enomem ];
           Fault_plan.arm plan;
-          let d = Pop3_wedge.serve_connection main server_ep in
+          Pop3_wedge.serve_connection main server_ep;
           Fault_plan.disarm plan;
-          debug := Some d);
+          returned := true);
       farewell := Bytes.to_string (Chan.read client_ep 128));
-  (match !debug with
-  | Some d ->
-      check Alcotest.bool "degraded" true d.Service.degraded;
-      (match d.Service.worker_status with
-      | Process.Faulted reason ->
-          check Alcotest.bool "setup fault named" true (contains reason "setup:")
-      | _ -> Alcotest.fail "expected a setup fault")
-  | None -> Alcotest.fail "serve_connection never returned");
+  check Alcotest.bool "serve_connection returned" true !returned;
   check Alcotest.bool "-ERR farewell sent" true (contains !farewell "-ERR");
-  check Alcotest.int "pop3.degraded counted" 1 (Stats.get k.Kernel.stats "pop3.degraded")
-
-(* ---------- resource quotas under supervision ---------- *)
-
-let test_frame_quota_contained_and_supervised () =
-  let k, app, main = mk_app () in
-  W.boot app;
-  let frames_before = Physmem.frames_in_use k.Kernel.pm in
-  let t0 = Clock.now k.Kernel.clock in
-  let sc = W.sc_create () in
-  (* The worker's lazy heap mapping alone needs 256 frames: the first
-     malloc must hit the quota inside the contained region. *)
-  W.sc_set_rlimit sc (Rlimit.create ~max_frames:64 ());
-  let outcome =
-    Supervisor.supervise
-      ~policy:(Supervisor.policy ~max_restarts:2 ~backoff_ns:100 ())
-      main
-    @@ fun () ->
-    W.sthread_create main sc
-      (fun ctx _ ->
-        let b = W.malloc ctx 4096 in
-        W.write_u8 ctx b 1;
-        W.read_u8 ctx b)
-      0
-  in
-  (match outcome with
-  | Supervisor.Gave_up { attempts; last_fault } ->
-      check Alcotest.int "initial try + 2 restarts" 3 attempts;
-      check Alcotest.bool "names the frame quota" true (contains last_fault "frame quota")
-  | Supervisor.Done _ -> Alcotest.fail "64-frame quota allowed a 256-frame heap");
-  (* Backoff charged between attempts: 100 + 200. *)
-  check Alcotest.int "backoff schedule" 300 (Clock.now k.Kernel.clock - t0);
-  check Alcotest.int "restarts counted" 2 (Stats.get k.Kernel.stats "supervisor.restart");
-  check Alcotest.int "parent frames unaffected" frames_before
-    (Physmem.frames_in_use k.Kernel.pm)
-
-let test_generous_quota_runs_clean () =
-  let _k, app, main = mk_app () in
-  W.boot app;
-  let sc = W.sc_create () in
-  W.sc_set_rlimit sc (Rlimit.create ~max_frames:400 ~max_fds:16 ~max_fuel:10_000 ());
-  let outcome =
-    Supervisor.supervise main @@ fun () ->
-    W.sthread_create main sc
-      (fun ctx _ ->
-        let b = W.malloc ctx 4096 in
-        W.write_u8 ctx b 7;
-        W.read_u8 ctx b)
-      0
-  in
-  match outcome with
-  | Supervisor.Done { value; attempts } ->
-      check Alcotest.int "worker ran to completion" 7 value;
-      check Alcotest.int "first attempt" 1 attempts
-  | Supervisor.Gave_up { last_fault; _ } ->
-      Alcotest.fail ("generous quota still faulted: " ^ last_fault)
-
-let test_fuel_quota_burns_out_hostile_loop () =
-  let _k, app, main = mk_app () in
-  W.boot app;
-  let sc = W.sc_create () in
-  W.sc_set_rlimit sc (Rlimit.create ~max_fuel:3 ());
-  let outcome =
-    Supervisor.supervise main @@ fun () ->
-    W.sthread_create main sc
-      (fun ctx _ ->
-        (* A hostile syscall loop: every trap burns fuel whether or not
-           SELinux lets it through, so the loop terminates by quota. *)
-        for _ = 1 to 1_000 do
-          try ignore (W.vfs_read ctx "/index.html") with Kernel.Eperm _ -> ()
-        done;
-        0)
-      0
-  in
-  match outcome with
-  | Supervisor.Gave_up { last_fault; _ } ->
-      check Alcotest.bool "names the fuel quota" true (contains last_fault "fuel quota")
-  | Supervisor.Done _ -> Alcotest.fail "3 units of fuel survived 1000 syscalls"
-
-let test_fd_quota_fault_during_creation_is_supervised () =
-  let k, app, main = mk_app () in
-  W.boot app;
-  Fiber.run (fun () ->
-      let ep, peer = Chan.pair ~costs:Cost_model.free () in
-      let fd = W.add_endpoint main (Chan.to_endpoint ep) Fd_table.perm_rw in
-      let sc = W.sc_create () in
-      W.sc_fd_add sc fd Fd_table.perm_r;
-      (* Zero descriptors allowed, one granted: the quota fires while the
-         monitor duplicates grants, before the worker body ever runs —
-         the supervisor must treat it like any other compartment fault. *)
-      W.sc_set_rlimit sc (Rlimit.create ~max_fds:0 ());
-      let live = Kernel.live_processes k in
-      let outcome =
-        Supervisor.supervise main (fun () -> W.sthread_create main sc (fun _ _ -> 0) 0)
-      in
-      (match outcome with
-      | Supervisor.Gave_up { attempts; last_fault } ->
-          check Alcotest.int "one attempt" 1 attempts;
-          check Alcotest.bool "creation fault marked" true (contains last_fault "create:");
-          check Alcotest.bool "names the fd quota" true (contains last_fault "fd quota")
-      | Supervisor.Done _ -> Alcotest.fail "fd quota 0 accepted a descriptor grant");
-      check Alcotest.int "half-built sthread reaped" live (Kernel.live_processes k);
-      W.fd_close main fd;
-      Chan.close ep;
-      Chan.close peer)
-
-(* The gate twin: a gate whose own grants hold one descriptor under a
-   zero-descriptor limit faults while its invocation is built.  The fault
-   reaches the invoking worker, which dies contained, and the half-built
-   gate process is reaped. *)
-let test_fd_quota_fault_building_gate () =
-  let k, app, main = mk_app () in
-  W.boot app;
-  Fiber.run (fun () ->
-      let ep, peer = Chan.pair ~costs:Cost_model.free () in
-      let fd = W.add_endpoint main (Chan.to_endpoint ep) Fd_table.perm_rw in
-      let cgsc = W.sc_create () in
-      W.sc_fd_add cgsc fd Fd_table.perm_r;
-      W.sc_set_rlimit cgsc (Rlimit.create ~max_fds:0 ());
-      let sc = W.sc_create () in
-      let gate =
-        W.sc_cgate_add main sc ~name:"overdrawn" ~entry:(fun _ ~trusted:_ ~arg:_ -> 0) ~cgsc
-          ~trusted:0
-      in
-      let live = Kernel.live_processes k in
-      let outcome =
-        Supervisor.supervise main (fun () ->
-            W.sthread_create main sc
-              (fun ctx _ -> W.cgate ctx gate ~perms:(W.sc_create ()) ~arg:0)
-              0)
-      in
-      (match outcome with
-      | Supervisor.Gave_up { last_fault; _ } ->
-          check Alcotest.bool "names the fd quota" true (contains last_fault "fd quota")
-      | Supervisor.Done _ -> Alcotest.fail "fd quota 0 accepted a gate descriptor");
-      check Alcotest.int "half-built gate reaped" live (Kernel.live_processes k);
-      W.cgate_delete main gate;
-      W.fd_close main fd;
-      Chan.close ep;
-      Chan.close peer)
-
-let test_quota_escalation_refused () =
-  let k, app, main = mk_app () in
-  W.boot app;
-  let sc = W.sc_create () in
-  W.sc_set_rlimit sc (Rlimit.create ~max_frames:500 ~max_fuel:10_000 ());
-  let outcome =
-    Supervisor.supervise main @@ fun () ->
-    W.sthread_create main sc
-      (fun ctx _ ->
-        (* A child sc that doesn't mention limits inherits a subset of the
-           parent's — allowed.  Asking for more than the parent holds is a
-           privilege escalation, refused before anything is created; the
-           refusal kills the asking child, contained. *)
-        let looser = W.sc_create () in
-        W.sc_set_rlimit looser (Rlimit.create ~max_frames:1_000_000 ());
-        let h = W.sthread_create ctx looser (fun _ _ -> 0) 0 in
-        W.sthread_join ctx h)
-      0
-  in
-  match outcome with
-  | Supervisor.Gave_up { attempts; last_fault } ->
-      check Alcotest.int "one attempt" 1 attempts;
-      check Alcotest.bool "names the escalation" true
-        (contains last_fault "escalates resource limits");
-      check Alcotest.int "counted as unexpected" 1 (Stats.get k.Kernel.stats "fault.unexpected")
-  | Supervisor.Done _ -> Alcotest.fail "quota escalation was not refused"
+  check Alcotest.int "pop3.degraded counted" 1 (Stats.get k.Kernel.stats "pop3.degraded");
+  (* The fault hit the master's setup: no worker was stamped, so none
+     faulted. *)
+  check Alcotest.int "no worker stamped" 0 (Stats.get k.Kernel.stats "pool.stamp");
+  check Alcotest.int "no compartment fault" 0 (Stats.get k.Kernel.stats "fault.compartment")
 
 (* ---------- chaos soak ---------- *)
 
@@ -568,13 +428,7 @@ type soak = {
   s_degraded : int;
 }
 
-let run_soak ?(quotas = false) ~seed ~n () =
-  (* Generous per-worker quotas: arming the accounting must not change
-     behaviour — or the fault trace — of a healthy (if unlucky) worker. *)
-  let worker_limits =
-    if quotas then Some (Rlimit.create ~max_frames:2048 ~max_fds:64 ~max_fuel:1_000_000 ())
-    else None
-  in
+let run_soak ~seed ~n () =
   let plan = Fault_plan.create ~seed () in
   let chan_kinds =
     [ Fault_plan.Drop; Fault_plan.Truncate; Fault_plan.Reset; Fault_plan.Delay 50 ]
@@ -596,7 +450,7 @@ let run_soak ?(quotas = false) ~seed ~n () =
             | Some ep ->
                 (* Every connection's fate — served, degraded, or torn
                    down — is contained inside serve_connection. *)
-                ignore (Simple.serve_connection ?worker_limits env ep);
+                Simple.serve_connection env ep;
                 loop ()
           in
           loop ());
@@ -662,27 +516,6 @@ let test_chaos_soak_replays_identically () =
   check Alcotest.int "identical failures" a.s_failed b.s_failed;
   check Alcotest.int "identical degradations" a.s_degraded b.s_degraded
 
-let test_quota_armed_soak_replays_identically () =
-  let n = 200 in
-  let a = run_soak ~quotas:true ~seed:321 ~n () in
-  let b = run_soak ~quotas:true ~seed:321 ~n () in
-  check Alcotest.string "byte-identical fault trace" a.s_trace b.s_trace;
-  check Alcotest.bool "trace nonempty" true (String.length a.s_trace > 0);
-  check Alcotest.int "every connection resolved" n (a.s_ok + a.s_failed + a.s_refused);
-  check Alcotest.int "identical outcomes" a.s_ok b.s_ok;
-  check Alcotest.int "identical failures" a.s_failed b.s_failed;
-  check Alcotest.bool "listener survived with quotas armed" true
-    (a.s_final_ok && b.s_final_ok)
-
-let test_quotas_do_not_perturb_the_trace () =
-  (* Same seed, quotas on vs off: the accounting layer adds no fault-site
-     rolls, so even the injected-fault trace is unchanged. *)
-  let a = run_soak ~quotas:true ~seed:123 ~n:60 () in
-  let b = run_soak ~quotas:false ~seed:123 ~n:60 () in
-  check Alcotest.string "same trace with and without quotas" a.s_trace b.s_trace;
-  check Alcotest.int "same outcomes" a.s_ok b.s_ok;
-  check Alcotest.int "same failures" a.s_failed b.s_failed
-
 let () =
   Alcotest.run "fault"
     [
@@ -709,6 +542,7 @@ let () =
       ( "supervisor",
         [
           Alcotest.test_case "backoff schedule" `Quick test_supervisor_backoff_schedule;
+          Alcotest.test_case "creation fault unwinds" `Quick test_creation_fault_unwinds;
         ] );
       ( "cgate",
         [
@@ -727,25 +561,9 @@ let () =
         [
           Alcotest.test_case "pop3 setup fault" `Quick test_pop3_setup_fault_degrades;
         ] );
-      ( "quotas",
-        [
-          Alcotest.test_case "frame quota supervised" `Quick
-            test_frame_quota_contained_and_supervised;
-          Alcotest.test_case "generous quota clean" `Quick test_generous_quota_runs_clean;
-          Alcotest.test_case "fuel burns out" `Quick
-            test_fuel_quota_burns_out_hostile_loop;
-          Alcotest.test_case "fd quota at creation" `Quick
-            test_fd_quota_fault_during_creation_is_supervised;
-          Alcotest.test_case "fd quota building a gate" `Quick test_fd_quota_fault_building_gate;
-          Alcotest.test_case "escalation refused" `Quick test_quota_escalation_refused;
-        ] );
       ( "chaos",
         [
           Alcotest.test_case "soak" `Quick test_chaos_soak;
           Alcotest.test_case "soak replay" `Quick test_chaos_soak_replays_identically;
-          Alcotest.test_case "quota-armed soak replay" `Quick
-            test_quota_armed_soak_replays_identically;
-          Alcotest.test_case "quotas trace-neutral" `Quick
-            test_quotas_do_not_perturb_the_trace;
         ] );
     ]

@@ -37,13 +37,13 @@ let prop_httpd_survives_garbage =
       let k = Kernel.create ~costs:Cost_model.free () in
       let env = Wedge_httpd.Httpd_env.install ~image_pages:80 k in
       throw_garbage
-        (fun ep -> ignore (Wedge_httpd.Httpd_mitm.serve_connection env ep))
+        (fun ep -> Wedge_httpd.Httpd_mitm.serve_connection env ep)
         garbage;
       (* The master survived: a legitimate request still works. *)
       let ok = ref false in
       Fiber.run (fun () ->
           let client_ep, server_ep = Chan.pair ~costs:Cost_model.free () in
-          Fiber.spawn (fun () -> ignore (Wedge_httpd.Httpd_mitm.serve_connection env server_ep));
+          Fiber.spawn (fun () -> Wedge_httpd.Httpd_mitm.serve_connection env server_ep);
           let r =
             Wedge_httpd.Https_client.get ~rng:(Drbg.create ~seed:5)
               ~pinned:env.Wedge_httpd.Httpd_env.priv.Rsa.pub ~path:"/index.html" client_ep
@@ -68,7 +68,7 @@ let prop_httpd_survives_framed_garbage =
           (String.sub payload 0 n)
       in
       throw_garbage
-        (fun ep -> ignore (Wedge_httpd.Httpd_mitm.serve_connection env ep))
+        (fun ep -> Wedge_httpd.Httpd_mitm.serve_connection env ep)
         frame;
       true)
 
@@ -80,12 +80,12 @@ let prop_sshd_survives_garbage =
       let k = Kernel.create ~costs:Cost_model.free () in
       let env = Wedge_sshd.Sshd_env.install ~image_pages:80 k in
       throw_garbage
-        (fun ep -> ignore (Wedge_sshd.Sshd_wedge.serve_connection env ep))
+        (fun ep -> Wedge_sshd.Sshd_wedge.serve_connection env ep)
         garbage;
       let ok = ref false in
       Fiber.run (fun () ->
           let client_ep, server_ep = Chan.pair ~costs:Cost_model.free () in
-          Fiber.spawn (fun () -> ignore (Wedge_sshd.Sshd_wedge.serve_connection env server_ep));
+          Fiber.spawn (fun () -> Wedge_sshd.Sshd_wedge.serve_connection env server_ep);
           (match
              Wedge_sshd.Ssh_client.login ~rng:(Drbg.create ~seed:6)
                ~pinned_rsa:env.Wedge_sshd.Sshd_env.host_rsa.Rsa.pub
@@ -109,12 +109,12 @@ let prop_pop3_survives_garbage =
       W.boot app;
       let main = W.main_ctx app in
       throw_garbage
-        (fun ep -> ignore (Wedge_pop3.Pop3_wedge.serve_connection main ep))
+        (fun ep -> Wedge_pop3.Pop3_wedge.serve_connection main ep)
         garbage;
       let ok = ref false in
       Fiber.run (fun () ->
           let client_ep, server_ep = Chan.pair ~costs:Cost_model.free () in
-          Fiber.spawn (fun () -> ignore (Wedge_pop3.Pop3_wedge.serve_connection main server_ep));
+          Fiber.spawn (fun () -> Wedge_pop3.Pop3_wedge.serve_connection main server_ep);
           let c = Wedge_pop3.Pop3_client.connect client_ep in
           ok := Wedge_pop3.Pop3_client.login c ~user:"alice" ~password:"wonderland";
           Wedge_pop3.Pop3_client.quit c;
@@ -165,7 +165,7 @@ let prop_sshd_gates_survive_hostile_argbuf =
       Fiber.run (fun () ->
           let client_ep, server_ep = Chan.pair ~costs:Cost_model.free () in
           Fiber.spawn (fun () ->
-              ignore (Wedge_sshd.Sshd_wedge.serve_connection env server_ep));
+              Wedge_sshd.Sshd_wedge.serve_connection env server_ep);
           (match
              Wedge_sshd.Ssh_client.start ~rng:(Drbg.create ~seed:9)
                ~pinned_rsa:env.Wedge_sshd.Sshd_env.host_rsa.Rsa.pub
@@ -190,7 +190,7 @@ let prop_sshd_gates_survive_hostile_argbuf =
          Fiber.run (fun () ->
              let c2, s2 = Chan.pair ~costs:Cost_model.free () in
              Fiber.spawn (fun () ->
-                 ignore (Wedge_sshd.Sshd_wedge.serve_connection env s2));
+                 Wedge_sshd.Sshd_wedge.serve_connection env s2);
              (match
                 Wedge_sshd.Ssh_client.login ~rng:(Drbg.create ~seed:10)
                   ~pinned_rsa:env.Wedge_sshd.Sshd_env.host_rsa.Rsa.pub
@@ -254,7 +254,7 @@ let test_pop3_path_injection () =
   let logged = ref true in
   Fiber.run (fun () ->
       let client_ep, server_ep = Chan.pair ~costs:Cost_model.free () in
-      Fiber.spawn (fun () -> ignore (Wedge_pop3.Pop3_wedge.serve_connection main server_ep));
+      Fiber.spawn (fun () -> Wedge_pop3.Pop3_wedge.serve_connection main server_ep);
       let c = Wedge_pop3.Pop3_client.connect client_ep in
       logged := Wedge_pop3.Pop3_client.login c ~user:"../etc" ~password:"x";
       Wedge_pop3.Pop3_client.quit c;

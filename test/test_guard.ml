@@ -6,7 +6,6 @@
    the whole melee byte for byte. *)
 
 module Kernel = Wedge_kernel.Kernel
-module Rlimit = Wedge_kernel.Rlimit
 module Fiber = Wedge_sim.Fiber
 module Clock = Wedge_sim.Clock
 module Cost_model = Wedge_sim.Cost_model
@@ -28,7 +27,6 @@ module Pop3_wedge = Wedge_pop3.Pop3_wedge
 module Service = Wedge_net.Service
 module Reactor = Wedge_sim.Reactor
 module Fd_table = Wedge_kernel.Fd_table
-module Process = Wedge_kernel.Process
 
 let check = Alcotest.check
 
@@ -72,7 +70,7 @@ let test_backpressure_delivers_everything () =
 
 let test_backpressure_stall_is_contained () =
   (* A writer whose peer never reads must not wedge the scheduler: the
-     write raises a contained Resource_exhausted once the system stalls. *)
+     write raises a contained [Chan.Stalled] once the system stalls. *)
   let outcome = ref `Silent in
   Fiber.run (fun () ->
       let a, _b = Chan.pair ~capacity:4 () in
@@ -82,7 +80,9 @@ let test_backpressure_stall_is_contained () =
         done
       with
       | () -> outcome := `Unbounded
-      | exception Rlimit.Resource_exhausted msg -> outcome := `Stalled msg);
+      | exception Chan.Stalled msg -> outcome := `Stalled msg);
+  check Alcotest.bool "Chan.Stalled is contained" true
+    (Wedge_core.Engine.fault_reason (Chan.Stalled "x") <> None);
   match !outcome with
   | `Stalled msg -> check Alcotest.bool "names the channel" true (contains msg "chan.write")
   | `Unbounded -> Alcotest.fail "capacity 4 accepted 40 bytes with no reader"
@@ -270,7 +270,7 @@ let test_http_oversized_request_gets_413 () =
   Fiber.run (fun () ->
       let client_ep, server_ep = Chan.pair ~costs:Cost_model.free () in
       Fiber.spawn (fun () ->
-          ignore (Simple.serve_connection ~max_request_bytes:64 env server_ep));
+          Simple.serve_connection ~max_request_bytes:64 env server_ep);
       let rng = Drbg.create ~seed:5 in
       let r =
         Client.get ~rng ~pinned:env.Env.priv.Rsa.pub
@@ -337,7 +337,7 @@ let test_drain_forces_stragglers () =
 (* The stall order, enforced by rule: a server writing into a bounded
    channel whose client never reads, while the drain waits for it.  The
    stall resolves the bounded writer first — it dies contained with
-   [Resource_exhausted], releasing its slot — so the drain finishes
+   [Chan.Stalled], releasing its slot — so the drain finishes
    without forcing anyone. *)
 let test_stall_sheds_writer_before_drain_forces () =
   let guard =
@@ -354,7 +354,7 @@ let test_stall_sheds_writer_before_drain_forces () =
                 for _ = 1 to 10 do
                   Chan.write_string (Guard.ep c) "xxxx"
                 done
-              with Rlimit.Resource_exhausted msg as e ->
+              with Chan.Stalled msg as e ->
                 shed := Some msg;
                 raise e));
       let client = Chan.connect l in
@@ -364,8 +364,8 @@ let test_stall_sheds_writer_before_drain_forces () =
   (match !shed with
   | Some msg -> check Alcotest.bool "names the channel" true (contains msg "chan.write")
   | None -> Alcotest.fail "the stalled writer was not shed");
-  check Alcotest.bool "Resource_exhausted is contained" true
-    (Wedge_core.Engine.fault_reason (Rlimit.Resource_exhausted "x") <> None);
+  check Alcotest.bool "Chan.Stalled is contained" true
+    (Wedge_core.Engine.fault_reason (Chan.Stalled "x") <> None);
   check Alcotest.int "drain forced nobody" 0 (Guard.stats guard).Guard.s_forced;
   check Alcotest.int "drained" 0 (Guard.active guard)
 
@@ -464,16 +464,16 @@ let test_refused_contained_under_supervision () =
 
 (* ---------- idle fuel ---------- *)
 
-(* Satellite regression: a reactor-parked connection charges zero
-   syscall fuel while idle.  Fuel meters kernel entries (one unit per
-   trap), so the pin below proves the parked server never polls the
-   kernel during the silence — the reactor wakes it only when the
-   interest set turns ready.  The request after the silence still
-   lands, proving the connection stayed live rather than merely quiet.
-   [herd] more connections parked in [Chan.wait_rx] beside the active
-   one must change nothing: returns the stretch's simulated span.  The
-   64-byte [fd_read] that serves the request is pinned too: one trap,
-   one unit of fuel, the per-byte network charge and nothing else. *)
+(* Satellite regression: a reactor-parked connection makes no kernel
+   entry while idle.  Every kernel entry bumps one [trap.*] stat, so the
+   pin below proves the parked server never polls the kernel during the
+   silence — the reactor wakes it only when the interest set turns
+   ready.  The request after the silence still lands, proving the
+   connection stayed live rather than merely quiet.  [herd] more
+   connections parked in [Chan.wait_rx] beside the active one must
+   change nothing: returns the stretch's simulated span.  The 64-byte
+   [fd_read] that serves the request is pinned too: one trap, the
+   per-byte network charge and nothing else. *)
 let idle_stretch ~herd =
   let k = Kernel.create ~costs:Cost_model.default () in
   let clock = k.Kernel.clock in
@@ -484,32 +484,35 @@ let idle_stretch ~herd =
   let a, b = Chan.pair ~clock ~costs:Cost_model.free () in
   let idle = Array.init herd (fun _ -> Chan.pair ~clock ~costs:Cost_model.free ()) in
   let fd = W.add_endpoint ctx (Chan.to_endpoint b) Fd_table.perm_rw in
-  let limits = (W.proc ctx).Process.limits in
-  let fuel () = Rlimit.fuel_used limits in
+  let traps () =
+    List.fold_left
+      (fun n (key, v) -> if String.starts_with ~prefix:"trap." key then n + v else n)
+      0 (Stats.to_list k.Kernel.stats)
+  in
   let reads () = Stats.get k.Kernel.stats "trap.read" in
   let got = ref 0 and read = ref (0, 0, 0) in
-  let idle_fuel = ref (-1) and parked = ref 0 and span = ref 0 in
+  let idle_traps = ref (-1) and parked = ref 0 and span = ref 0 in
   Fiber.run ~on_switch:(Reactor.hook r) ~on_idle:(Reactor.idle r) (fun () ->
       Array.iter (fun (_, ep) -> Fiber.spawn (fun () -> Chan.wait_rx ~bytes:8 ep)) idle;
       Fiber.spawn (fun () ->
           let rec loop () =
             Chan.wait_rx ~bytes:64 b;
             if Chan.bytes_in_flight b >= 64 then begin
-              let t0 = Clock.now clock and f0 = fuel () and r0 = reads () in
+              let t0 = Clock.now clock and n0 = traps () and r0 = reads () in
               got := Bytes.length (W.fd_read ctx fd 64);
-              read := (Clock.now clock - t0, fuel () - f0, reads () - r0);
+              read := (Clock.now clock - t0, traps () - n0, reads () - r0);
               loop ()
             end
           in
           loop ());
       (* Let the server and the herd reach their parks before the silence starts. *)
       Fiber.yield ();
-      let t0 = Clock.now clock and fuel0 = fuel () in
+      let t0 = Clock.now clock and traps0 = traps () in
       for _ = 1 to 1_000 do
         Clock.charge clock 1_000;
         Fiber.yield ()
       done;
-      idle_fuel := fuel () - fuel0;
+      idle_traps := traps () - traps0;
       parked := List.length (Fiber.parked_ids ());
       Chan.write_string a (String.make 64 'r');
       Fiber.wait_until ~what:"request served" (fun () -> !got = 64);
@@ -517,18 +520,18 @@ let idle_stretch ~herd =
       Array.iter (fun (ep, _) -> Chan.close ep) idle;
       Chan.close a);
   let label what = Printf.sprintf "%s (%d idle beside)" what herd in
-  check Alcotest.int (label "idle stretch charged zero syscall fuel") 0 !idle_fuel;
+  check Alcotest.int (label "idle stretch made no kernel entry") 0 !idle_traps;
   check Alcotest.int (label "server and herd parked, not polling") (herd + 1) !parked;
   check Alcotest.int (label "request after the silence still served") 64 !got;
   check
     Alcotest.(triple int int int)
-    (label "64-byte fd_read: simulated ns, fuel, trap.read")
+    (label "64-byte fd_read: simulated ns, kernel entries, trap.read")
     (* 500 + 64 x 9 = 1,076 ns at the default costs *)
     (Cost_model.(default.syscall_trap + (64 * default.net_per_byte)), 1, 1)
     !read;
   !span
 
-let test_idle_reactor_conn_charges_no_fuel () =
+let test_idle_reactor_conn_enters_no_kernel () =
   let alone = idle_stretch ~herd:0 in
   check Alcotest.int "idle connections add no simulated ns" alone (idle_stretch ~herd:1_000)
 
@@ -627,7 +630,7 @@ let () =
       ( "idle fuel",
         [
           Alcotest.test_case "reactor-parked conn charges none" `Quick
-            test_idle_reactor_conn_charges_no_fuel;
+            test_idle_reactor_conn_enters_no_kernel;
           Alcotest.test_case "refused read never parks" `Quick test_refused_read_never_parks;
         ] );
     ]

@@ -7,7 +7,6 @@
 
 module Kernel = Wedge_kernel.Kernel
 module Cost_model = Wedge_sim.Cost_model
-module Process = Wedge_kernel.Process
 module Fiber = Wedge_sim.Fiber
 module Chan = Wedge_net.Chan
 module Mitm = Wedge_net.Mitm
@@ -43,8 +42,8 @@ type variant = VMono | VSimple | VMitm
 let serve ?spawn variant env ep =
   match variant with
   | VMono -> Mono.serve_connection env ep
-  | VSimple -> ignore (Simple.serve_connection ?spawn env ep)
-  | VMitm -> ignore (Mitm_httpd.serve_connection ?spawn env ep)
+  | VSimple -> Simple.serve_connection ?spawn env ep
+  | VMitm -> Mitm_httpd.serve_connection ?spawn env ep
 
 let fetch ?resume ?(seed = 7) ?(path = "/index.html") env variant ?spawn () =
   let result = ref None in
@@ -111,7 +110,7 @@ let test_recycled_members_concurrent () =
            for i = 1 to 4 do
              let client_ep, server_ep = Chan.pair ~costs:Cost_model.default () in
              Fiber.spawn (fun () ->
-                 ignore (Mitm_httpd.serve_connection ~spawn:W.Recycle env server_ep));
+                 Mitm_httpd.serve_connection ~spawn:W.Recycle env server_ep);
              Fiber.spawn (fun () ->
                  let rng = Drbg.create ~seed:i in
                  let pinned = env.Env.priv.Rsa.pub in
@@ -343,24 +342,25 @@ let test_mitm_fails_on_fine_partition () =
   check Alcotest.bool "payload ran" true (fired > 0)
 
 (* Figure 3's rule: the master starts the client handler only after a
-   clean handshake exit.  The handshake's nonzero exit is the last status
-   the connection reports, and it is the only compartment stamped. *)
+   clean handshake exit.  A handshake that exits nonzero neither faults
+   nor degrades the connection, and it is the only compartment
+   stamped. *)
 let test_handler_not_started_after_bad_handshake () =
   let env = mk_env () in
-  let served = ref None in
+  let returned = ref false in
   Fiber.run (fun () ->
       let client_ep, server_ep = Chan.pair ~costs:Cost_model.free () in
-      Fiber.spawn (fun () -> served := Some (Mitm_httpd.serve_connection env server_ep));
+      Fiber.spawn (fun () ->
+          Mitm_httpd.serve_connection env server_ep;
+          returned := true);
       (* Speak garbage instead of SSL. *)
       Chan.write_string client_ep "GET / HTTP/1.0\r\n\r\n";
       Chan.close client_ep);
-  match !served with
-  | Some s ->
-      check Alcotest.bool "handshake exited 1, undegraded" true
-        (s.Service.worker_status = Process.Exited 1 && not s.Service.degraded);
-      check Alcotest.int "handler never started" 1
-        (Stats.get (W.kernel env.Env.app).Kernel.stats "pool.stamp")
-  | None -> Alcotest.fail "serve_connection never returned"
+  let stat = Stats.get (W.kernel env.Env.app).Kernel.stats in
+  check Alcotest.bool "serve_connection returned" true !returned;
+  check Alcotest.int "handshake exited, undegraded" 0
+    (stat "httpd_mitm.degraded" + stat "fault.compartment");
+  check Alcotest.int "handler never started" 1 (stat "pool.stamp")
 
 let test_client_handler_has_no_network () =
   (* Exploit in the client handler, the connection's second child, at
@@ -401,7 +401,7 @@ let test_injection_during_data_phase_dropped () =
       let mitm_server, server_ep = Chan.pair ~costs:Cost_model.free () in
       let mitm = Mitm.create () in
       Mitm.splice mitm ~client_side:mitm_client ~server_side:mitm_server;
-      Fiber.spawn (fun () -> ignore (Mitm_httpd.serve_connection env server_ep));
+      Fiber.spawn (fun () -> Mitm_httpd.serve_connection env server_ep);
       let rng = Drbg.create ~seed:11 in
       let io =
         Wire.io_of_fns
@@ -510,7 +510,7 @@ let test_strict_selinux_still_serves () =
   let result = ref None in
   Fiber.run (fun () ->
       let client_ep, server_ep = Chan.pair ~costs:Cost_model.free () in
-      Fiber.spawn (fun () -> ignore (Mitm_httpd.serve_connection env server_ep));
+      Fiber.spawn (fun () -> Mitm_httpd.serve_connection env server_ep);
       let rng = Drbg.create ~seed:21 in
       result := Some (Client.get ~rng ~pinned:env.Env.priv.Rsa.pub ~path:"/index.html" client_ep));
   match (Option.get !result).Client.response with
@@ -541,7 +541,7 @@ let test_strict_selinux_denies_offpolicy_syscalls () =
           env.Env.app;
         Fiber.run (fun () ->
             let client_ep, server_ep = Chan.pair ~costs:Cost_model.free () in
-            Fiber.spawn (fun () -> ignore (Mitm_httpd.serve_connection env server_ep));
+            Fiber.spawn (fun () -> Mitm_httpd.serve_connection env server_ep);
             let rng = Drbg.create ~seed:22 in
             ignore (Client.get ~rng ~pinned:env.Env.priv.Rsa.pub ~path:"/index.html" client_ep));
         List.iter
@@ -634,14 +634,14 @@ let field_rows =
     ( "ClientKeyExchange",
       [ VSimple; VMitm ],
       key_exchange,
-      [ (4_091, 1, "closed"); (4_200, 1, "closed") ] );
-    ("client Finished", [ VMitm ], finished, [ (4_059, 1, "closed"); (4_100, 1, "closed") ]);
+      [ (4_091, "closed"); (4_200, "closed") ] );
+    ("client Finished", [ VMitm ], finished, [ (4_059, "closed"); (4_100, "closed") ]);
     ( "request",
       [ VMitm ],
       request,
-      [ (19_996, 0, Printf.sprintf "HTTP 200, %d bytes" (String.length Env.index_body));
-        (20_100, 1, "closed");
-        (25_000, 1, "closed") ] );
+      [ (19_996, Printf.sprintf "HTTP 200, %d bytes" (String.length Env.index_body));
+        (20_100, "closed");
+        (25_000, "closed") ] );
   ]
 
 let serve_partitioned variant env ep =
@@ -650,13 +650,18 @@ let serve_partitioned variant env ep =
   | VMitm -> Mitm_httpd.serve_connection env ep
   | VMono -> invalid_arg "serve_partitioned: monolithic"
 
+let degraded_key = function
+  | VSimple -> "httpd.degraded"
+  | VMitm -> "httpd_mitm.degraded"
+  | VMono -> invalid_arg "degraded_key: monolithic"
+
 let test_client_sized_fields () =
   List.iter
     (fun (field, variants, client, sizes) ->
       List.iter
         (fun variant ->
           List.iter
-            (fun (size, exit_code, seen) ->
+            (fun (size, seen) ->
               let what =
                 Printf.sprintf "%s, %d bytes (%s)" field size
                   (if variant = VSimple then "simple" else "mitm")
@@ -665,23 +670,23 @@ let test_client_sized_fields () =
               let oracle = Oracle.create (W.kernel env.Env.app) in
               Oracle.set_app oracle env.Env.app;
               Oracle.install_syscall_hook oracle;
-              let served = ref None and saw = ref "" in
+              let returned = ref false and saw = ref "" in
               Fun.protect
                 ~finally:(fun () -> Oracle.remove_syscall_hook oracle)
                 (fun () ->
                   Fiber.run (fun () ->
                       let client_ep, server_ep = Chan.pair ~costs:Cost_model.free () in
                       Fiber.spawn (fun () ->
-                          served := Some (serve_partitioned variant env server_ep));
+                          serve_partitioned variant env server_ep;
+                          returned := true);
                       saw := client size env client_ep;
                       Chan.close client_ep);
                   Oracle.check oracle);
               check Alcotest.string (what ^ ": client saw") seen !saw;
-              match !served with
-              | Some s ->
-                  check Alcotest.bool (what ^ ": exit status, undegraded") true
-                    (s.Service.worker_status = Process.Exited exit_code && not s.Service.degraded)
-              | None -> Alcotest.failf "%s: serve_connection never returned" what)
+              check Alcotest.bool (what ^ ": serve_connection returned") true !returned;
+              let stat = Stats.get (W.kernel env.Env.app).Kernel.stats in
+              check Alcotest.int (what ^ ": undegraded, no compartment fault") 0
+                (stat (degraded_key variant) + stat "fault.compartment"))
             sizes)
         variants)
     field_rows
@@ -698,14 +703,16 @@ let test_malformed_frame_contained variant () =
   Oracle.set_app oracle env.Env.app;
   Oracle.install_syscall_hook oracle;
   let pinned = env.Env.priv.Rsa.pub in
-  let first = ref None and saw = ref "" and second = ref None in
+  let first = ref false and saw = ref "" and second = ref None in
   Fun.protect
     ~finally:(fun () -> Oracle.remove_syscall_hook oracle)
     (fun () ->
       (match
          Fiber.run (fun () ->
              let client_ep, server_ep = Chan.pair ~costs:Cost_model.free () in
-             Fiber.spawn (fun () -> first := Some (serve_partitioned variant env server_ep));
+             Fiber.spawn (fun () ->
+                 serve_partitioned variant env server_ep;
+                 first := true);
              let io = wire client_ep in
              (saw :=
                 match Handshake.client_connect ~rng:(Drbg.create ~seed:8) ~pinned io with
@@ -715,14 +722,14 @@ let test_malformed_frame_contained variant () =
                     hung_up io);
              Chan.close client_ep;
              let client_ep, server_ep = Chan.pair ~costs:Cost_model.free () in
-             Fiber.spawn (fun () -> ignore (serve_partitioned variant env server_ep));
+             Fiber.spawn (fun () -> serve_partitioned variant env server_ep);
              second := body_of (Client.get ~rng:(Drbg.create ~seed:9) ~pinned ~path:"/index.html" client_ep))
        with
       | () -> ()
       | exception e -> Alcotest.failf "%s escaped the run" (Printexc.to_string e));
       Oracle.check oracle);
   check Alcotest.string "the malformed connection hung up" "closed" !saw;
-  check Alcotest.bool "its serve_connection returned" true (!first <> None);
+  check Alcotest.bool "its serve_connection returned" true !first;
   check (Alcotest.option Alcotest.string) "the next connection served" (Some Env.index_body) !second
 
 (* ---------- a long-lived master forgets what it served ---------- *)

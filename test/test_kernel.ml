@@ -781,12 +781,10 @@ let test_kernel_trap_charges () =
 
 (* ---------- Software TLB: fast path correctness and shootdown ---------- *)
 
-module Rlimit = Wedge_kernel.Rlimit
-
-let mk_vm_costed ?limits () =
+let mk_vm_costed () =
   let pm = Physmem.create () in
   let clock = Clock.create () in
-  (pm, clock, Vm.create ?limits ~pid:1 pm clock Cost_model.default)
+  (pm, clock, Vm.create ~pid:1 pm clock Cost_model.default)
 
 let test_tlb_counters () =
   let _, vm = mk_vm () in
@@ -888,15 +886,14 @@ let test_tlb_stale_entry_cannot_corrupt_snapshot () =
 
 let test_tlb_cow_breaks_exactly_once () =
   (* Write through a cached read entry: the first write must break COW
-     (one page_copy, one quota frame, old frame's refcount drops); the
+     (one page_copy, one fresh frame, old frame's refcount drops); the
      second write must ride the refilled entry and charge nothing close
      to a copy. *)
   let pm, _, vm1 = mk_vm_costed () in
   Vm.map_fresh vm1 ~addr:0x1000 ~pages:1 ~prot:Prot.page_rw ~tag:None;
   Vm.write_u8 vm1 0x1000 1;
-  let limits = Rlimit.create ~max_frames:4 () in
   let clock2 = Clock.create () in
-  let vm2 = Vm.create ~limits ~pid:2 pm clock2 Cost_model.default in
+  let vm2 = Vm.create ~pid:2 pm clock2 Cost_model.default in
   Vm.share_range ~src:vm1 ~dst:vm2 ~addr:0x1000 ~pages:1 ~prot:Prot.page_cow;
   let frame =
     match Pagetable.find (Vm.page_table vm1) ~vpn:1 with
@@ -906,15 +903,15 @@ let test_tlb_cow_breaks_exactly_once () =
   check Alcotest.int "frame shared" 2 (Physmem.refcount pm frame);
   ignore (Vm.read_u8 vm2 0x1000);
   (* caches a read-capable entry *)
-  check Alcotest.int "no quota before write" 0 (Rlimit.frames_used limits);
+  let frames0 = Physmem.frames_in_use pm in
   Vm.write_u8 vm2 0x1000 2;
-  check Alcotest.int "one quota frame after break" 1 (Rlimit.frames_used limits);
+  check Alcotest.int "one fresh frame after break" (frames0 + 1) (Physmem.frames_in_use pm);
   check Alcotest.int "old frame refcount dropped" 1 (Physmem.refcount pm frame);
   let t0 = Clock.now clock2 in
   Vm.write_u8 vm2 0x1001 3;
   check Alcotest.bool "second write does not copy again" true
     (Clock.now clock2 - t0 < Cost_model.default.Cost_model.page_copy);
-  check Alcotest.int "still one quota frame" 1 (Rlimit.frames_used limits);
+  check Alcotest.int "still one fresh frame" (frames0 + 1) (Physmem.frames_in_use pm);
   check Alcotest.int "parent unaffected" 1 (Vm.read_u8 vm1 0x1000)
 
 let test_protect_range_charges_per_page () =

@@ -1,7 +1,7 @@
 (* Snapshot pools: freeze a booted worker image once, stamp compartments
    out of it at flat cost.  Covers the freeze/stamp/discard lifecycle,
    the O(1) cost claim against fork-priced boot, COW preservation of the
-   frozen frames, rlimit and identity capture, fault injection on both
+   frozen frames, identity capture, fault injection on both
    pool sites (a fault mid-stamp must leave the image pristine and the
    refcounts clean — swept by the oracle), supervised restarts under
    [Stamp], and the pool counters in the metrics registry. *)
@@ -20,7 +20,6 @@ module Cost_model = Wedge_sim.Cost_model
 module Stats = Wedge_sim.Stats
 module Fiber = Wedge_sim.Fiber
 module Fault_plan = Wedge_fault.Fault_plan
-module Rlimit = Wedge_kernel.Rlimit
 module Trace = Wedge_sim.Trace
 module Metrics = Wedge_sim.Metrics
 module W = Wedge_core.Wedge
@@ -200,14 +199,13 @@ let test_duplicate_freeze_name_refused () =
         | exception Invalid_argument _ -> true
         | _ -> false))
 
-(* ---------- identity and limits ---------- *)
+(* ---------- identity ---------- *)
 
-let test_stamp_identity_and_limits () =
+let test_stamp_identity () =
   let k, app, main = mk () in
   Fiber.run (fun () ->
       let sc = W.sc_create () in
       W.sc_set_uid sc 99;
-      W.sc_set_rlimit sc (Rlimit.create ~max_frames:64 ~max_fds:4 ~max_fuel:100_000 ());
       let pool = W.Pool.freeze ~name:"w" main sc in
       (* Identity captured at freeze rides into every stamp. *)
       let h = stamp main pool (fun ctx _ -> W.getuid ctx) 0 in
@@ -222,12 +220,11 @@ let test_stamp_identity_and_limits () =
 (* ---------- stamped twins of fork-priced compartments ---------- *)
 
 (* Everything a compartment starts with, read from inside it: its page
-   table, its descriptor table, its identity and its rlimit caps. *)
+   table, its descriptor table and its identity. *)
 type capture = {
   pages : (int * int * Prot.page * int option) list;
   fds : (int * Fd_table.perm * Fd_table.target) list;
   identity : int * string * string;
-  caps : string;
 }
 
 let capture ctx =
@@ -247,8 +244,6 @@ let capture ctx =
           (fd, e.Fd_table.perm, e.Fd_table.target))
         (Fd_table.fds fds);
     identity = (p.Process.uid, p.Process.root, p.Process.sid);
-    (* caps only: a fresh-usage copy prints 0 for every counter *)
-    caps = Rlimit.to_string (Rlimit.child_of p.Process.limits);
   }
 
 (* Endpoints are shared open-file descriptions: the same one, not an
@@ -274,17 +269,15 @@ let check_twins what (fork : capture) (stamped : capture) =
     fork.fds stamped.fds;
   check
     Alcotest.(triple int string string)
-    (what ^ ": identity") fork.identity stamped.identity;
-  check Alcotest.string (what ^ ": rlimit caps") fork.caps stamped.caps
+    (what ^ ": identity") fork.identity stamped.identity
 
-(* A 60-page image, a worker identity frozen with rlimit caps, a tag the
-   worker may write, one the gate may read, and a master-held descriptor. *)
+(* A 60-page image, a worker identity, a tag the worker may write, one
+   the gate may read, and a master-held descriptor. *)
 let twin_world () =
   let k, app, main = mk ~image_pages:60 () in
   let identity = W.sc_create () in
   W.sc_set_uid identity 99;
   W.sc_set_root identity "/var/empty";
-  W.sc_set_rlimit identity (Rlimit.create ~max_frames:64 ~max_fds:8 ~max_fuel:10_000 ());
   let work = W.tag_new ~name:"twin.work" ~pages:2 main in
   let secret = W.tag_new ~name:"twin.secret" ~pages:1 main in
   let _peer, ours = Chan.pair ~costs:Cost_model.free () in
@@ -298,7 +291,6 @@ let test_stamped_sthread_twin () =
       let sc = W.sc_create () in
       W.sc_set_uid sc 99;
       W.sc_set_root sc "/var/empty";
-      W.sc_set_rlimit sc (Rlimit.create ~max_frames:32 ~max_fds:4 ~max_fuel:5_000 ());
       W.sc_mem_add sc work Prot.RW;
       W.sc_fd_add sc fd Fd_table.perm_r;
       let seen = ref None in
@@ -321,8 +313,7 @@ let test_stamped_gate_twin () =
         seen := Some (capture gctx);
         0
       in
-      (* Tag grants, a creator-held descriptor, and no limits: the gate
-         runs unlimited, like its creator, whatever the image's caps. *)
+      (* Tag grants and a creator-held descriptor. *)
       let cgsc = W.sc_create () in
       W.sc_mem_add cgsc secret Prot.R;
       W.sc_mem_add cgsc work Prot.RW;
@@ -350,8 +341,6 @@ let test_stamped_gate_twin () =
       let fork = call forked in
       let stamp = call stamped in
       check_twins "gate" fork stamp;
-      check Alcotest.bool "gate without limits stays unlimited" true
-        (stamp.caps = Rlimit.to_string (Rlimit.unlimited ()));
       check Alcotest.int "one stamped invocation" 1
         (Stats.get k.Kernel.stats "cgate.stamped"));
   sweep k app
@@ -692,7 +681,7 @@ let () =
           Alcotest.test_case "duplicate name" `Quick test_duplicate_freeze_name_refused;
         ] );
       ( "grants",
-        [ Alcotest.test_case "identity + limits" `Quick test_stamp_identity_and_limits ] );
+        [ Alcotest.test_case "identity + limits" `Quick test_stamp_identity ] );
       ( "twins",
         [
           Alcotest.test_case "stamped sthread = fork-priced" `Quick test_stamped_sthread_twin;

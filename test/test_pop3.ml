@@ -42,7 +42,7 @@ let with_session ?users ?(arm = ignore) server client_script =
       Fiber.spawn (fun () ->
           match server with
           | Mono -> Pop3_mono.serve_connection main server_ep
-          | Wedge -> ignore (Pop3_wedge.serve_connection main server_ep));
+          | Wedge -> Pop3_wedge.serve_connection main server_ep);
       let c = Pop3_client.connect client_ep in
       result := Some (client_script c);
       Pop3_client.quit c;
@@ -144,7 +144,7 @@ let raw_session ?(users = Pop3_env.default_users) server request =
           Fiber.spawn (fun () ->
               match server with
               | Mono -> Pop3_mono.serve_connection main server_ep
-              | Wedge -> ignore (Pop3_wedge.serve_connection main server_ep));
+              | Wedge -> Pop3_wedge.serve_connection main server_ep);
           Chan.write_string client_ep request;
           let rec drain () =
             let b = Chan.read client_ep 4096 in
@@ -490,13 +490,13 @@ let test_wedge_sessions_isolated () =
   let _, _, main = mk_env () in
   Fiber.run (fun () ->
       let ep1, sep1 = Chan.pair ~costs:Cost_model.free () in
-      Fiber.spawn (fun () -> ignore (Pop3_wedge.serve_connection main sep1));
+      Fiber.spawn (fun () -> Pop3_wedge.serve_connection main sep1);
       let c1 = Pop3_client.connect ep1 in
       ignore (Pop3_client.login c1 ~user:"alice" ~password:"wonderland");
       Pop3_client.quit c1;
       Chan.close ep1;
       let ep2, sep2 = Chan.pair ~costs:Cost_model.free () in
-      Fiber.spawn (fun () -> ignore (Pop3_wedge.serve_connection main sep2));
+      Fiber.spawn (fun () -> Pop3_wedge.serve_connection main sep2);
       let c2 = Pop3_client.connect ep2 in
       let mail = Pop3_client.retr c2 1 in
       check Alcotest.bool "fresh session unauthenticated" true (mail = None);

@@ -32,36 +32,52 @@ let mk_ctx () =
   W.boot app;
   (k, W.main_ctx app)
 
-(* ---------- satellite 1: overflow-safe, capped backoff ---------- *)
+(* ---------- overflow-safe, capped backoff ---------- *)
+
+(* The backoff [supervise] charges before each retry of a compartment
+   that always faults, read off the clock: under free costs nothing else
+   moves it, and [on_restart] fires right after each charge. *)
+let backoffs ~retries =
+  let k, main = mk_ctx () in
+  let clock = k.Kernel.clock in
+  let t0 = Clock.now clock in
+  let marks = ref [ t0 ] in
+  let outcome =
+    Supervisor.supervise ~policy:(Supervisor.policy ~max_restarts:retries ())
+      ~on_restart:(fun () -> marks := Clock.now clock :: !marks)
+      main
+    @@ fun () ->
+    W.sthread_create main (W.sc_create ()) (fun _ _ -> raise (Fault_plan.Injected "always")) 0
+  in
+  (match outcome with
+  | Supervisor.Gave_up { attempts; _ } ->
+      check Alcotest.int "every retry ran" (retries + 1) attempts
+  | Supervisor.Done _ -> Alcotest.fail "an always-faulting compartment exited");
+  let rec steps = function a :: (b :: _ as rest) -> (a - b) :: steps rest | _ -> [] in
+  (Array.of_list (List.rev (steps !marks)), Clock.now clock - t0)
 
 let test_backoff_no_overflow () =
-  (* The old schedule [backoff_ns * (1 lsl (attempt - 1))] overflows at
-     attempt 63 and shifts by a negative amount past 64.  The doubling
-     fold must saturate instead. *)
-  let p = Supervisor.policy ~backoff_ns:100 ~max_backoff_ns:max_int () in
-  let b100 = Supervisor.backoff_for p ~attempt:100 in
-  check Alcotest.bool "attempt 100 is non-negative" true (b100 >= 0);
-  check Alcotest.bool "attempt 100 saturates high" true (b100 > 1_000_000);
-  let big = Supervisor.policy ~backoff_ns:(max_int / 2) ~max_backoff_ns:max_int () in
-  check Alcotest.bool "huge base stays positive" true
-    (Supervisor.backoff_for big ~attempt:5 > 0)
+  (* A plain [100 * (1 lsl (attempt - 1))] overflows at attempt 63 and
+     shifts by a negative amount past 64.  The schedule must saturate
+     instead: 100 retries charge 100 x (2^24 - 1) ns for the first 24,
+     then the 1 s cap 76 times, and never a negative amount. *)
+  let b, total = backoffs ~retries:100 in
+  check Alcotest.bool "no retry charges a negative or uncapped backoff" true
+    (Array.for_all (fun ns -> ns >= 0 && ns <= 1_000_000_000) b);
+  check Alcotest.int "attempt 100 saturates at the cap" 1_000_000_000 b.(99);
+  check Alcotest.int "total charged" (100 * ((1 lsl 24) - 1) + (76 * 1_000_000_000)) total
 
 let test_backoff_cap_pins_schedule () =
-  let p = Supervisor.policy ~backoff_ns:100 ~max_backoff_ns:1_000 () in
-  check Alcotest.int "attempt 1" 100 (Supervisor.backoff_for p ~attempt:1);
-  check Alcotest.int "attempt 2" 200 (Supervisor.backoff_for p ~attempt:2);
-  check Alcotest.int "attempt 4" 800 (Supervisor.backoff_for p ~attempt:4);
-  check Alcotest.int "attempt 5 capped" 1_000 (Supervisor.backoff_for p ~attempt:5);
-  check Alcotest.int "attempt 60 capped" 1_000 (Supervisor.backoff_for p ~attempt:60);
-  (* The default cap (1 s of simulated time) leaves the historical small
-     schedules untouched: 100+200+400 = 700 ns for three retries. *)
-  let d = Supervisor.policy ~max_restarts:3 ~backoff_ns:100 () in
-  let total =
-    Supervisor.backoff_for d ~attempt:1
-    + Supervisor.backoff_for d ~attempt:2
-    + Supervisor.backoff_for d ~attempt:3
-  in
-  check Alcotest.int "pinned 700 ns schedule" 700 total
+  let b, _ = backoffs ~retries:60 in
+  check Alcotest.int "attempt 1" 100 b.(0);
+  check Alcotest.int "attempt 2" 200 b.(1);
+  check Alcotest.int "attempt 4" 800 b.(3);
+  check Alcotest.int "attempt 24, last below the cap" (100 lsl 23) b.(23);
+  check Alcotest.int "attempt 25 capped" 1_000_000_000 b.(24);
+  check Alcotest.int "attempt 60 capped" 1_000_000_000 b.(59);
+  (* The cap (1 s of simulated time) leaves the small schedules
+     untouched: 100+200+400 = 700 ns for three retries. *)
+  check Alcotest.int "pinned 700 ns schedule" 700 (b.(0) + b.(1) + b.(2))
 
 (* ---------- fiber cancellation ---------- *)
 
@@ -333,7 +349,10 @@ let test_staller_sshd () =
             false)
   in
   staller_then_clean
-    ~serve_loop:(fun () -> Service.serve_loop Wedge_sshd.Sshd_privsep.service env guard l)
+    ~serve_loop:(fun () ->
+      Guard.accept_loop guard l
+        ~reject:(fun _ _ -> ())
+        ~serve:(fun c -> Wedge_sshd.Sshd_privsep.serve_connection ~guard:c env (Guard.ep c)))
       (* truncated wire frame: claims 256 payload bytes, delivers 11 *)
     ~prefix:"D\001\000SSH-2.0-cha" ~clean k l guard r
 
@@ -355,27 +374,36 @@ let test_cgate_call_site_faults_contained () =
   let app = W.create_app ~image_pages:60 k in
   W.boot app;
   let main_ctx = W.main_ctx app in
-  let degraded = ref false in
+  let returned = ref false in
+  let got = Buffer.create 128 in
   Fiber.run (fun () ->
       let a, b = Chan.pair ~costs:Cost_model.free () in
       Fiber.spawn (fun () ->
           (* No retries: a fresh attempt would re-greet and serve the
              remaining (innocent) QUIT, masking the crash. *)
-          let r =
-            Wedge_pop3.Pop3_wedge.serve_connection
-              ~restart_policy:Supervisor.default_policy main_ctx b
-          in
-          degraded := r.Service.degraded);
+          Wedge_pop3.Pop3_wedge.serve_connection ~restart_policy:Supervisor.default_policy
+            main_ctx b;
+          returned := true);
       (* Let the handler start, then make every callgate call crash. *)
       Chan.write_string a "USER alice\r\n";
       Fault_plan.arm plan;
       Chan.write_string a "PASS wonderland\r\nQUIT\r\n";
       let rec drain_eof () =
-        if Bytes.length (Chan.read a 4096) > 0 then drain_eof ()
+        let chunk = Chan.read a 4096 in
+        if Bytes.length chunk > 0 then begin
+          Buffer.add_bytes got chunk;
+          drain_eof ()
+        end
       in
       (try drain_eof () with _ -> ());
       try Chan.close a with _ -> ());
-  check Alcotest.bool "cgate crash contained into degraded conn" true !degraded;
+  check Alcotest.bool "serve_connection returned" true !returned;
+  check Alcotest.int "cgate crash contained into degraded conn" 1
+    (Stats.get k.Kernel.stats "pop3.degraded");
+  check Alcotest.bool "the handler died of it" true
+    (Stats.get k.Kernel.stats "fault.compartment" >= 1);
+  check Alcotest.bool "the client got the degraded farewell" true
+    (contains (Buffer.contents got) "-ERR internal server error");
   check Alcotest.bool "fault site charged" true
     (Stats.get k.Kernel.stats "fault.cgate" >= 1)
 
@@ -409,7 +437,7 @@ let test_flat_retry_rearms_heart () =
   let clock = k.Kernel.clock in
   let r = Reactor.create ~clock () in
   let g = Guard.create ~reactor:r ~hang_deadline_ns:1_000 ~max_conns:2 () in
-  let attempts = ref 0 and served = ref None in
+  let attempts = ref 0 and returned = ref false and degraded = ref false in
   Fiber.run ~clock ~on_switch:(Reactor.hook r) (fun () ->
       let a, c = admit_one g in
       Guard.rearm_heart c;
@@ -426,21 +454,20 @@ let test_flat_retry_rearms_heart () =
         else Guard.established c;
         0
       in
-      served :=
-        Some
-          (Service.run_worker ~guard:c ~spawn:W.Boot
-             ~policy:(Supervisor.policy ~max_restarts:1 ())
-             ~degrade:ignore main (Guard.ep c)
-             (fun _ -> [ (W.sc_create (), body) ]));
+      Service.run_worker ~guard:c ~spawn:W.Boot
+        ~policy:(Supervisor.policy ~max_restarts:1 ())
+        ~degrade:(fun () -> degraded := true)
+        main (Guard.ep c)
+        (fun _ -> [ (W.sc_create (), body) ]);
+      returned := true;
       Guard.release c;
       Chan.close a);
   check Alcotest.int "hung attempt, then the retry" 2 !attempts;
   check Alcotest.int "one cut" 1 (Guard.stats g).Guard.s_hang_cuts;
-  match !served with
-  | Some s ->
-      check Alcotest.bool "retry served, connection not degraded" true
-        ((not s.Service.degraded) && s.Service.worker_status = Wedge_kernel.Process.Exited 0)
-  | None -> Alcotest.fail "run_worker never returned"
+  check Alcotest.bool "run_worker returned" true !returned;
+  check Alcotest.bool "retry served, connection not degraded" false !degraded;
+  check Alcotest.int "the supervisor never gave up" 0
+    (Stats.get k.Kernel.stats "supervisor.gave_up")
 
 let test_staller_pop3_pooled_restamp () =
   (* The integration shape: the production pop3 worker, stamped from the

@@ -24,7 +24,7 @@ module Pam = Wedge_sshd.Pam
 module Service = Wedge_net.Service
 module Guard = Wedge_net.Guard
 module Oracle = Wedge_check.Oracle
-module Process = Wedge_kernel.Process
+module Stats = Wedge_sim.Stats
 module Wire = Wedge_tls.Wire
 module P = Wedge_sshd.Ssh_proto
 
@@ -46,7 +46,7 @@ let with_conn env variant f =
           match variant with
           | VMono -> Mono.serve_connection env server_ep
           | VPrivsep -> Privsep.serve_connection env server_ep
-          | VWedge -> ignore (Wedge_d.serve_connection env server_ep));
+          | VWedge -> Wedge_d.serve_connection env server_ep);
       let rng = Drbg.create ~seed:0xC0 in
       match
         Client.start ~rng ~pinned_rsa:env.Env.host_rsa.Rsa.pub
@@ -158,12 +158,14 @@ let test_scp_upload () =
 let test_scp_upload_too_large () =
   let env = mk_env () in
   let data = String.make (Wedge_sshd.Sshd_session.max_upload_bytes + 1) 'x' in
-  let served = ref None in
+  let returned = ref false in
   let saved =
     let result = ref true in
     Fiber.run (fun () ->
         let client_ep, server_ep = Chan.pair ~costs:Cost_model.free () in
-        Fiber.spawn (fun () -> served := Some (Wedge_d.serve_connection env server_ep));
+        Fiber.spawn (fun () ->
+            Wedge_d.serve_connection env server_ep;
+            returned := true);
         match
           Client.login ~rng:(Drbg.create ~seed:0xC0) ~pinned_rsa:env.Env.host_rsa.Rsa.pub
             ~pinned_dsa:env.Env.host_dsa.Wedge_crypto.Dsa.pub ~user:"alice"
@@ -176,13 +178,10 @@ let test_scp_upload_too_large () =
     !result
   in
   check Alcotest.bool "upload refused" false saved;
-  (match !served with
-  | Some d -> (
-      match d.Service.worker_status with
-      | Wedge_kernel.Process.Exited _ -> ()
-      | _ -> Alcotest.fail "worker did not exit normally")
-  | None -> Alcotest.fail "serve_connection never returned");
+  check Alcotest.bool "serve_connection returned" true !returned;
   let k = W.kernel env.Env.app in
+  check Alcotest.int "worker exited normally, undegraded" 0
+    (Stats.get k.Kernel.stats "sshd.degraded" + Stats.get k.Kernel.stats "fault.compartment");
   match Wedge_kernel.Vfs.read_file k.Kernel.vfs ~root:"/" ~uid:0 "/home/alice/big.bin" with
   | Ok _ -> Alcotest.fail "oversized upload reached the filesystem"
   | Error _ -> ()
@@ -281,7 +280,7 @@ let test_wedge_exploit_cannot_selfpromote () =
           env.Env.app;
         Fiber.run (fun () ->
             let client_ep, server_ep = Chan.pair ~costs:Cost_model.free () in
-            Fiber.spawn (fun () -> ignore (Wedge_d.serve_connection env server_ep));
+            Fiber.spawn (fun () -> Wedge_d.serve_connection env server_ep);
             let rng = Drbg.create ~seed:0xC1 in
             match
               Client.start ~rng ~pinned_rsa:env.Env.host_rsa.Rsa.pub
@@ -551,22 +550,23 @@ let test_client_sized_fields () =
           let oracle = Oracle.create (W.kernel env.Env.app) in
           Oracle.set_app oracle env.Env.app;
           Oracle.install_syscall_hook oracle;
-          let served = ref None and saw = ref "" in
+          let returned = ref false and saw = ref "" in
           Fun.protect
             ~finally:(fun () -> Oracle.remove_syscall_hook oracle)
             (fun () ->
               Fiber.run (fun () ->
                   let client_ep, server_ep = Chan.pair ~costs:Cost_model.free () in
-                  Fiber.spawn (fun () -> served := Some (Wedge_d.serve_connection env server_ep));
+                  Fiber.spawn (fun () ->
+                      Wedge_d.serve_connection env server_ep;
+                      returned := true);
                   saw := client size env client_ep;
                   Chan.close client_ep);
               Oracle.check oracle);
           check Alcotest.string (what ^ ": client saw") seen !saw;
-          match !served with
-          | Some s ->
-              check Alcotest.bool (what ^ ": worker exited, undegraded") true
-                (s.Service.worker_status = Process.Exited 0 && not s.Service.degraded)
-          | None -> Alcotest.failf "%s: serve_connection never returned" what)
+          check Alcotest.bool (what ^ ": serve_connection returned") true !returned;
+          let stat = Stats.get (W.kernel env.Env.app).Kernel.stats in
+          check Alcotest.int (what ^ ": worker exited, undegraded") 0
+            (stat "sshd.degraded" + stat "fault.compartment"))
         sizes)
     field_rows
 
