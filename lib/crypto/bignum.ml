@@ -50,13 +50,14 @@ let compare (a : t) (b : t) =
 
 let equal a b = compare a b = 0
 
+(* Bits in one limb, up to its top set bit. *)
+let width v =
+  let rec go v acc = if v = 0 then acc else go (v lsr 1) (acc + 1) in
+  go v 0
+
 let num_bits (a : t) =
   let n = Array.length a in
-  if n = 0 then 0
-  else
-    let top = a.(n - 1) in
-    let rec width v acc = if v = 0 then acc else width (v lsr 1) (acc + 1) in
-    ((n - 1) * limb_bits) + width top 0
+  if n = 0 then 0 else ((n - 1) * limb_bits) + width a.(n - 1)
 
 let is_even (a : t) = Array.length a = 0 || a.(0) land 1 = 0
 let bit (a : t) i =
@@ -172,49 +173,126 @@ let get (a : t) pos w =
   let hi = if i + 1 < la then a.(i + 1) lsl (limb_bits - off) else 0 in
   (lo lor hi) land ((1 lsl w) - 1)
 
-(* Binary long division in place: one remainder, one quotient and one
-   divisor that shifts right a bit per quotient bit.  At bit [i] the
-   divisor b * 2^i spans limbs [lo..hi] and the remainder, below twice
-   that, fits in them too, so each step touches only those limbs. *)
+(* Limb [i] of [a * 2^s], for [0 <= s < limb_bits]: the low bits come
+   from limb [i - 1] (zero below limb 0). *)
+let shifted (a : int array) i s =
+  let lo = if i = 0 then 0 else a.(i - 1) lsr (limb_bits - s) in
+  ((a.(i) lsl s) lor lo) land mask
+
+(* Knuth's algorithm D, one limb of quotient per step: divide the [nu]
+   limbs of [u] by the [nv] limbs of [v] ([nu >= nv], top limb of [v]
+   non-zero) in place.  [u.(nu)] must exist and be zero.  The remainder
+   is left in [u.(0 .. nv - 1)] with zeros above it, and quotient digit
+   [j] goes to [q.(j)] unless [q] is empty.  Each digit is estimated from
+   the top limbs of [u] and [v] read as if both were shifted left until
+   [v]'s top bit is set ([shifted]), which keeps the estimate at most one
+   too high once the third limb has checked it; the arrays themselves
+   are never shifted. *)
+let div_limbs (u : int array) nu (v : int array) nv (q : int array) =
+  let store = Array.length q > 0 in
+  if nv = 1 then begin
+    let d = v.(0) and r = ref 0 in
+    for j = nu - 1 downto 0 do
+      let cur = (!r lsl limb_bits) lor u.(j) in
+      if store then q.(j) <- cur / d;
+      r := cur mod d;
+      u.(j) <- 0
+    done;
+    u.(0) <- !r
+  end
+  else begin
+    let s = limb_bits - width v.(nv - 1) in
+    let v1 = shifted v (nv - 1) s and v2 = shifted v (nv - 2) s in
+    for j = nu - nv downto 0 do
+      let num = (shifted u (j + nv) s lsl limb_bits) lor shifted u (j + nv - 1) s in
+      let u2 = shifted u (j + nv - 2) s in
+      let qhat = ref (num / v1) and rhat = ref (num mod v1) in
+      while !rhat < base && (!qhat >= base || !qhat * v2 > (!rhat lsl limb_bits) lor u2) do
+        decr qhat;
+        rhat := !rhat + v1
+      done;
+      (* u[j .. j + nv] -= qhat * v, the borrow carried signed *)
+      let c = ref 0 in
+      for i = 0 to nv - 1 do
+        let p = !qhat * v.(i) in
+        let t = u.(j + i) + !c - (p land mask) in
+        u.(j + i) <- t land mask;
+        c := (t asr limb_bits) - (p lsr limb_bits)
+      done;
+      let t = u.(j + nv) + !c in
+      u.(j + nv) <- t land mask;
+      if t < 0 then begin
+        (* qhat was one too high: add v back *)
+        decr qhat;
+        let c = ref 0 in
+        for i = 0 to nv - 1 do
+          let t = u.(j + i) + v.(i) + !c in
+          u.(j + i) <- t land mask;
+          c := t lsr limb_bits
+        done;
+        u.(j + nv) <- (u.(j + nv) + !c) land mask
+      end;
+      if store then q.(j) <- !qhat
+    done
+  end
+
+(* A working copy of [a], one limb longer, for [div_limbs]. *)
+let dividend (a : t) =
+  let u = Array.make (Array.length a + 1) 0 in
+  Array.blit a 0 u 0 (Array.length a);
+  u
+
+(* The first [n] limbs of [u], normalised, as a fresh array. *)
+let prefix (u : int array) n =
+  let n = ref n in
+  while !n > 0 && u.(!n - 1) = 0 do
+    decr n
+  done;
+  Array.sub u 0 !n
+
 let divmod (a : t) (b : t) =
   if is_zero b then raise Division_by_zero;
   if compare a b < 0 then (zero, a)
   else begin
-    let la = Array.length a and nb = num_bits b in
-    let shift = num_bits a - nb in
-    let q = Array.make ((shift / limb_bits) + 1) 0 in
-    let r = Array.copy a in
-    let d = Array.make la 0 in
-    Array.iteri (fun j l -> put d ((j * limb_bits) + shift) l) b;
-    for i = shift downto 0 do
-      let lo = i / limb_bits and hi = min (la - 1) ((i + nb) / limb_bits) in
-      if cmp_limbs r d lo hi >= 0 then begin
-        sub_in_place r d lo hi;
-        q.(lo) <- q.(lo) lor (1 lsl (i mod limb_bits))
-      end;
-      for j = max 0 (lo - 1) to hi do
-        let top = if j < hi then (d.(j + 1) land 1) lsl (limb_bits - 1) else 0 in
-        d.(j) <- (d.(j) lsr 1) lor top
-      done
-    done;
-    (normalize q, normalize r)
+    let la = Array.length a and lb = Array.length b in
+    let u = dividend a and q = Array.make (la - lb + 1) 0 in
+    div_limbs u la b lb q;
+    (normalize q, prefix u lb)
   end
 
-let rem a b = snd (divmod a b)
+let rem (a : t) (b : t) =
+  if is_zero b then raise Division_by_zero;
+  if compare a b < 0 then a
+  else begin
+    let u = dividend a in
+    div_limbs u (Array.length a) b (Array.length b) [||];
+    prefix u (Array.length b)
+  end
 
 (* Montgomery multiplication (CIOS) modulo an odd [m] of [k] limbs, with
-   R = base^k and [m' = -m^-1 mod base]: [r := a*b/R mod m] for [a], [b]
-   below [m].  [t] is a work buffer of [k + 2] limbs; [r] may alias [a] or
-   [b]. *)
-let mont_mul (m : int array) m' (t : int array) (a : int array) (b : int array) (r : int array) =
+   R = base^k and [m' = -m^-1 mod base]: the [k] limbs of [r] from [ro]
+   become [a * b / R mod m], where [a] (below R) and [b] (below [m]) are
+   the [k] limbs of their arrays from [ao] and [bo].  [t] is a work
+   buffer of at least [k + 2] limbs; [r] may overlap [a] or [b].  The one
+   check at entry bounds every index the loops touch, so they read and
+   write unchecked. *)
+let mont_mul (m : int array) m' (t : int array) (a : int array) ao (b : int array) bo
+    (r : int array) ro =
   let k = Array.length m in
+  if
+    Array.length t < k + 2
+    || ao < 0 || bo < 0 || ro < 0
+    || ao > Array.length a - k
+    || bo > Array.length b - k
+    || ro > Array.length r - k
+  then invalid_arg "Bignum.mont_mul";
   Array.fill t 0 (k + 2) 0;
   for i = 0 to k - 1 do
-    let bi = b.(i) in
+    let bi = Array.unsafe_get b (bo + i) in
     let c = ref 0 in
     for j = 0 to k - 1 do
-      let v = t.(j) + (a.(j) * bi) + !c in
-      t.(j) <- v land mask;
+      let v = Array.unsafe_get t j + (Array.unsafe_get a (ao + j) * bi) + !c in
+      Array.unsafe_set t j (v land mask);
       c := v lsr limb_bits
     done;
     let v = t.(k) + !c in
@@ -223,8 +301,8 @@ let mont_mul (m : int array) m' (t : int array) (a : int array) (b : int array) 
     let u = (t.(0) * m') land mask in
     let c = ref ((t.(0) + (u * m.(0))) lsr limb_bits) in
     for j = 1 to k - 1 do
-      let v = t.(j) + (u * m.(j)) + !c in
-      t.(j - 1) <- v land mask;
+      let v = Array.unsafe_get t j + (u * Array.unsafe_get m j) + !c in
+      Array.unsafe_set t (j - 1) (v land mask);
       c := v lsr limb_bits
     done;
     let v = t.(k) + !c in
@@ -232,13 +310,18 @@ let mont_mul (m : int array) m' (t : int array) (a : int array) (b : int array) 
     t.(k) <- t.(k + 1) + (v lsr limb_bits)
   done;
   if t.(k) <> 0 || cmp_limbs t m 0 (k - 1) >= 0 then sub_in_place t m 0 (k - 1);
-  Array.blit t 0 r 0 k
+  Array.blit t 0 r ro k
 
-(* Left-to-right square-and-multiply in Montgomery form.  The k-limb
-   buffers are allocated once per call; R^2 mod m comes from doubling
-   2^(bits m - 1) in place. *)
+(* Left-to-right sliding-window exponentiation in Montgomery form, with
+   one work buffer per call: [wl] limbs for divisions and [mont_mul]'s
+   accumulator, then the table of odd powers b, b^3, ...,
+   b^(2^window - 1), [k] limbs each.  Exponents longer than 64 bits take
+   4-bit windows; shorter ones, such as e = 65537, take 1-bit windows,
+   which is the binary ladder with a table of b alone, since a wider
+   table would cost more host words than the multiplications it saves.
+   R^2 mod m is one division of base^(2k) by [m]. *)
 let modexp_odd (a : t) ~exp (m : t) =
-  let k = Array.length m in
+  let k = Array.length m and la = Array.length a and nbits = num_bits exp in
   let m' =
     (* Newton's iteration doubles the correct low bits of m0^-1: 3, 6, ... 48. *)
     let inv = ref m.(0) in
@@ -247,31 +330,55 @@ let modexp_odd (a : t) ~exp (m : t) =
     done;
     (base - !inv) land mask
   in
-  let t = Array.make (k + 2) 0 in
-  let r2 = Array.make k 0 in
-  let top = num_bits m - 1 in
-  put r2 top 1;
-  for _ = top + 1 to 2 * k * limb_bits do
-    let c = ref 0 in
-    for j = 0 to k - 1 do
-      let v = (r2.(j) lsl 1) lor !c in
-      r2.(j) <- v land mask;
-      c := v lsr limb_bits
-    done;
-    if !c <> 0 || cmp_limbs r2 m 0 (k - 1) >= 0 then sub_in_place r2 m 0 (k - 1)
+  let window = if nbits > 64 then 4 else 1 in
+  let entries = 1 lsl (window - 1) in
+  let wl = max ((2 * k) + 2) (la + 1) in
+  let w = Array.make (wl + (entries * k)) 0 in
+  let x = Array.make k 0 in
+  w.(2 * k) <- 1;
+  div_limbs w ((2 * k) + 1) m k [||];
+  Array.blit w 0 x 0 k;
+  (* b = a mod m, then b * R mod m, at table entry 0 *)
+  if compare a m >= 0 then begin
+    Array.blit a 0 w 0 la;
+    div_limbs w la m k [||];
+    Array.blit w 0 w wl k
+  end
+  else Array.blit a 0 w wl la;
+  mont_mul m m' w w wl x 0 w wl;
+  if entries > 1 then begin
+    mont_mul m m' w w wl w wl x 0;
+    for e = 1 to entries - 1 do
+      mont_mul m m' w w (wl + ((e - 1) * k)) x 0 w (wl + (e * k))
+    done
+  end;
+  (* Each window is the longest run of at most [window] bits that starts
+     and ends with a set bit; zeros between windows square. *)
+  let i = ref (nbits - 1) in
+  while !i >= 0 do
+    if not (bit exp !i) then begin
+      mont_mul m m' w x 0 x 0 x 0;
+      decr i
+    end
+    else begin
+      let l = ref (max 0 (!i - window + 1)) in
+      while not (bit exp !l) do
+        incr l
+      done;
+      let e = get exp !l (!i - !l + 1) lsr 1 in
+      if !i = nbits - 1 then Array.blit w (wl + (e * k)) x 0 k
+      else begin
+        for _ = !l to !i do
+          mont_mul m m' w x 0 x 0 x 0
+        done;
+        mont_mul m m' w x 0 w (wl + (e * k)) x 0
+      end;
+      i := !l - 1
+    end
   done;
-  let b = Array.make k 0 in
-  let a = rem a m in
-  Array.blit a 0 b 0 (Array.length a);
-  mont_mul m m' t b r2 b;
-  let x = Array.copy b in
-  for i = num_bits exp - 2 downto 0 do
-    mont_mul m m' t x x x;
-    if bit exp i then mont_mul m m' t x b x
-  done;
-  Array.fill b 0 k 0;
-  b.(0) <- 1;
-  mont_mul m m' t x b x;
+  Array.fill w wl k 0;
+  w.(wl) <- 1;
+  mont_mul m m' w x 0 w wl x 0;
   normalize x
 
 let modexp ~base:b ~exp ~m =
@@ -289,10 +396,6 @@ let modexp ~base:b ~exp ~m =
     done;
     !result
   end
-
-let gcd a b =
-  let rec go a b = if is_zero b then a else go b (rem a b) in
-  if compare a b >= 0 then go a b else go b a
 
 (* Extended Euclid over signed pairs represented as (sign, magnitude). *)
 let modinv a ~m =
@@ -336,7 +439,8 @@ let to_bytes_be ?len (a : t) =
   done;
   b
 
-let of_hex s =
+let of_hex_sub s ~pos ~len =
+  if pos < 0 || len < 0 || pos > String.length s - len then invalid_arg "Bignum.of_hex_sub";
   let digit c =
     match c with
     | '0' .. '9' -> Char.code c - Char.code '0'
@@ -345,17 +449,22 @@ let of_hex s =
     | '_' | ' ' -> -1
     | _ -> invalid_arg "Bignum.of_hex"
   in
-  let ndigits = String.fold_left (fun n c -> if digit c >= 0 then n + 1 else n) 0 s in
-  let r = Array.make (((4 * ndigits) + limb_bits - 1) / limb_bits) 0 in
-  let pos = ref 0 in
-  for i = String.length s - 1 downto 0 do
+  let ndigits = ref 0 in
+  for i = pos to pos + len - 1 do
+    if digit s.[i] >= 0 then incr ndigits
+  done;
+  let r = Array.make (((4 * !ndigits) + limb_bits - 1) / limb_bits) 0 in
+  let bitpos = ref 0 in
+  for i = pos + len - 1 downto pos do
     let d = digit s.[i] in
     if d >= 0 then begin
-      put r !pos d;
-      pos := !pos + 4
+      put r !bitpos d;
+      bitpos := !bitpos + 4
     end
   done;
   normalize r
+
+let of_hex s = of_hex_sub s ~pos:0 ~len:(String.length s)
 
 let to_hex (a : t) =
   if is_zero a then "0"

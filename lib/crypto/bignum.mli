@@ -23,7 +23,7 @@ val sub : t -> t -> t
 
 val mul : t -> t -> t
 val divmod : t -> t -> t * t
-(** @raise Division_by_zero *)
+(** Limb by limb (Knuth's algorithm D).  @raise Division_by_zero *)
 
 val rem : t -> t -> t
 val shift_left : t -> int -> t
@@ -31,10 +31,11 @@ val shift_right : t -> int -> t
 val bit : t -> int -> bool
 
 val modexp : base:t -> exp:t -> m:t -> t
+(** Montgomery multiplication for odd [m], scanning exponents longer than
+    64 bits in 4-bit windows and shorter ones bit by bit. *)
+
 val modinv : t -> m:t -> t
 (** Modular inverse. @raise Not_found if not coprime with [m]. *)
-
-val gcd : t -> t -> t
 
 val of_bytes_be : bytes -> t
 val to_bytes_be : ?len:int -> t -> bytes
@@ -42,6 +43,12 @@ val to_bytes_be : ?len:int -> t -> bytes
     @raise Invalid_argument if the value does not fit in [len]. *)
 
 val of_hex : string -> t
+
+val of_hex_sub : string -> pos:int -> len:int -> t
+(** [of_hex] of the [len] characters of the string from [pos], without
+    copying them out.  @raise Invalid_argument on a range outside the
+    string or a character that is not a hex digit, ['_'] or [' ']. *)
+
 val to_hex : t -> string
 
 val random_bits : Drbg.t -> bits:int -> t

@@ -63,12 +63,17 @@ let is_prime rng n =
   else if B.is_even n then false
   else match trial_division n with Some r -> r | None -> miller_rabin rng n
 
+(* About one odd [bits]-bit number in [bits * ln 2 / 2] is prime, so a
+   working test finds one among [100 * bits] candidates except with
+   probability below e^-288: a search that does not has a broken test
+   (or broken arithmetic under it) and fails rather than loop forever. *)
 let gen_prime rng ~bits =
   if bits < 3 then invalid_arg "Prime.gen_prime: bits < 3";
-  let rec go () =
+  let rec go tries =
+    if tries = 100 * bits then failwith "Prime.gen_prime: no prime found";
     let c = B.random_bits rng ~bits in
     (* Force odd. *)
     let c = if B.is_even c then B.add c B.one else c in
-    if B.num_bits c = bits && is_prime rng c then c else go ()
+    if B.num_bits c = bits && is_prime rng c then c else go (tries + 1)
   in
-  go ()
+  go 0

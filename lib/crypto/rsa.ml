@@ -7,27 +7,30 @@ type pub = {
 
 type priv = {
   pub : pub;
-  d : B.t;
   p : B.t;
   q : B.t;
+  dp : B.t;
+  dq : B.t;
+  qinv : B.t;
 }
 
 let e_const = B.of_int 65537
+
+let of_primes p q =
+  if B.compare p B.two <= 0 || B.compare q B.two <= 0 || B.equal p q then None
+  else
+    match
+      (B.modinv e_const ~m:(B.sub p B.one), B.modinv e_const ~m:(B.sub q B.one), B.modinv q ~m:p)
+    with
+    | dp, dq, qinv -> Some { pub = { n = B.mul p q; e = e_const }; p; q; dp; dq; qinv }
+    | exception Not_found -> None
 
 let keygen ?(bits = 512) rng =
   let half = bits / 2 in
   let rec go () =
     let p = Prime.gen_prime rng ~bits:half in
     let q = Prime.gen_prime rng ~bits:(bits - half) in
-    if B.equal p q then go ()
-    else begin
-      let n = B.mul p q in
-      let phi = B.mul (B.sub p B.one) (B.sub q B.one) in
-      if not (B.equal (B.gcd e_const phi) B.one) then go ()
-      else
-        let d = B.modinv e_const ~m:phi in
-        { pub = { n; e = e_const }; d; p; q }
-    end
+    match of_primes p q with Some k -> k | None -> go ()
   in
   go ()
 
@@ -56,15 +59,13 @@ let encrypt rng pub msg =
   B.to_bytes_be ~len:k (B.modexp ~base:m ~exp:pub.e ~m:pub.n)
 
 (* x^d mod n by Garner's CRT over the key's own primes, as OpenSSL's
-   RSA_eay_mod_exp does: two half-width exponentiations, then
-   m = mq + q * (q^-1 * (mp - mq) mod p), with p added to keep the
-   difference non-negative.  q^-1 mod p is q^(p-2) by Fermat, since p is
-   prime. *)
+   RSA_eay_mod_exp does: two half-width exponentiations by the key's
+   [dp] and [dq], then m = mq + q * (qinv * (mp - mq) mod p), with p
+   added to keep the difference non-negative. *)
 let private_op priv x =
-  let { p; q; d; _ } = priv in
-  let mp = B.modexp ~base:x ~exp:(B.rem d (B.sub p B.one)) ~m:p in
-  let mq = B.modexp ~base:x ~exp:(B.rem d (B.sub q B.one)) ~m:q in
-  let qinv = B.modexp ~base:q ~exp:(B.sub p B.two) ~m:p in
+  let { p; q; dp; dq; qinv; _ } = priv in
+  let mp = B.modexp ~base:x ~exp:dp ~m:p in
+  let mq = B.modexp ~base:x ~exp:dq ~m:q in
   let diff = B.sub (B.add mp p) (B.rem mq p) in
   B.add mq (B.mul q (B.rem (B.mul qinv diff) p))
 
@@ -114,19 +115,48 @@ let pub_of_string s =
   | _ -> None
 
 let priv_to_string priv =
-  Printf.sprintf "rsapriv:%s:%s:%s:%s:%s" (B.to_hex priv.pub.e) (B.to_hex priv.pub.n)
-    (B.to_hex priv.d) (B.to_hex priv.p) (B.to_hex priv.q)
+  Printf.sprintf "rsapriv:%s:%s:%s:%s:%s:%s:%s" (B.to_hex priv.pub.e) (B.to_hex priv.pub.n)
+    (B.to_hex priv.p) (B.to_hex priv.q) (B.to_hex priv.dp) (B.to_hex priv.dq) (B.to_hex priv.qinv)
 
+(* [x] is the inverse of [a] mod [m], reduced: [x < m] and [x * a mod m = 1]. *)
+let inverts a x m = B.compare x m < 0 && B.equal (B.rem (B.mul x a) m) B.one
+
+(* Field by field, in place: [field] parses the hex number from [pos] to
+   the next ':' or the end of the block and moves [pos] past it, so after
+   the last field [pos] is one past the end exactly when the block has
+   as many fields as it should. *)
 let priv_of_string s =
-  match String.split_on_char ':' s with
-  | [ "rsapriv"; e; n; d; p; q ] -> (
-      match (B.of_hex e, B.of_hex n, B.of_hex d, B.of_hex p, B.of_hex q) with
-      | e, n, d, p, q when B.compare p B.two > 0 && B.compare q B.two > 0 && B.equal (B.mul p q) n
-        ->
-          Some { pub = { n; e }; d; p; q }
-      | _ -> None
-      | exception Invalid_argument _ -> None)
+  let len = String.length s and pos = ref (String.length "rsapriv:") in
+  let rec stop i = if i < len && s.[i] <> ':' then stop (i + 1) else i in
+  let field () =
+    if !pos > len then raise Exit;
+    let e = stop !pos in
+    let v = B.of_hex_sub s ~pos:!pos ~len:(e - !pos) in
+    pos := e + 1;
+    v
+  in
+  match
+    if not (String.starts_with ~prefix:"rsapriv:" s) then raise Exit;
+    let e = field () in
+    let n = field () in
+    let p = field () in
+    let q = field () in
+    let dp = field () in
+    let dq = field () in
+    let qinv = field () in
+    if !pos <> len + 1 then raise Exit;
+    { pub = { n; e }; p; q; dp; dq; qinv }
+  with
+  | { p; q; dp; dq; qinv; pub = { n; e } } as k
+    when B.compare p B.two > 0
+         && B.compare q B.two > 0
+         && B.equal (B.mul p q) n
+         && inverts e dp (B.sub p B.one)
+         && inverts e dq (B.sub q B.one)
+         && inverts q qinv p ->
+      Some k
   | _ -> None
+  | exception (Exit | Invalid_argument _) -> None
 
 let demo_key =
   let key = lazy (keygen ~bits:512 (Drbg.create ~seed:0xC0FFEE)) in

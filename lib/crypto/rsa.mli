@@ -13,15 +13,27 @@ type pub = {
   e : Bignum.t;
 }
 
-type priv = {
+(** A private key as PKCS #1's CRT fields; the whole private exponent d
+    is never needed.  The type is private: a key comes from {!keygen} or
+    {!of_primes}, which compute the CRT fields from the primes, or from
+    {!priv_of_string}, which checks them. *)
+type priv = private {
   pub : pub;
-  d : Bignum.t;
   p : Bignum.t;
   q : Bignum.t;
+  dp : Bignum.t;  (** [e{^-1} mod (p - 1)], which is [d mod (p - 1)] *)
+  dq : Bignum.t;  (** [e{^-1} mod (q - 1)] *)
+  qinv : Bignum.t;  (** [q{^-1} mod p] *)
 }
 
 val keygen : ?bits:int -> Drbg.t -> priv
 (** [bits] is the modulus size (default 512). *)
+
+val of_primes : Bignum.t -> Bignum.t -> priv option
+(** [of_primes p q] is the key with e = 65537 over the distinct primes
+    [p] and [q] (not tested for primality).  [None] if either is at most
+    2, they are equal, e has no inverse mod [p - 1] or mod [q - 1], or
+    [q] none mod [p]. *)
 
 val max_payload : pub -> int
 (** Largest plaintext [encrypt] accepts for this key. *)
@@ -31,7 +43,8 @@ val encrypt : Drbg.t -> pub -> bytes -> bytes
 
 val decrypt : priv -> bytes -> bytes option
 (** [None] on malformed padding or out-of-range ciphertext.  Like [sign],
-    computes x{^d} mod n by CRT over the key's [p] and [q]. *)
+    computes x{^d} mod n by CRT: x{^dp} mod p and x{^dq} mod q, joined by
+    Garner's step with [qinv]. *)
 
 val sign : priv -> bytes -> bytes
 (** Sign the SHA-256 hash of the message. *)
@@ -44,10 +57,13 @@ val pub_of_string : string -> pub option
 
 val priv_to_string : priv -> string
 val priv_of_string : string -> priv option
-(** Flat encoding of the whole private key, so partitioned servers can keep
-    it in tagged memory and deserialise it inside a callgate.  [None]
-    unless [p > 2], [q > 2] and [p * q = n]: the private operation runs by
-    CRT over [p] and [q]. *)
+(** Flat encoding of the whole private key, CRT fields included, so
+    partitioned servers can keep it in tagged memory and deserialise it
+    inside a callgate.  [None] unless the block has exactly its seven
+    fields, [p > 2], [q > 2], [p * q = n], [dp < p - 1],
+    [dp * e mod (p - 1) = 1], [dq < q - 1], [dq * e mod (q - 1) = 1],
+    [qinv < p] and [qinv * q mod p = 1]: the private operation runs by
+    CRT over those fields. *)
 
 val demo_key : unit -> priv
 (** A process-wide 512-bit key generated once from a fixed seed (keygen is

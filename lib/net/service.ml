@@ -92,7 +92,12 @@ let run_worker ?guard ~spawn ~policy ~degrade main ep setup =
     List.iter (fun t -> try W.tag_delete main t with _ -> ()) conn.c_tags
   in
   (match setup conn with
-  | exception e when W.fault_reason e <> None -> degrade ()
+  | exception e when W.fault_reason e <> None ->
+      (* Told apart from a compartment that exhausted its restarts, which
+         degrades the connection too. *)
+      W.stat main "fault.setup";
+      W.trace_instant main "service.setup_fault";
+      degrade ()
   | compartments ->
       (* A retry starts with a fresh heart: the cut that killed the
          previous attempt left it hung. *)

@@ -95,7 +95,9 @@ val run_worker :
     connection's tags, descriptor and callgates, and returns its
     compartments in order, each as its grants and body.  A contained
     fault during setup (injected frame exhaustion in [tag_new], a reset
-    connection) releases what was created and degrades the connection.
+    connection) releases what was created and degrades the connection;
+    it alone bumps the master's [fault.setup] counter and, when tracing
+    is armed, records a [service.setup_fault] instant.
 
     The compartments then run one at a time, each only after its
     predecessor exited 0 (Figure 3's rule: the client handler starts

@@ -205,6 +205,106 @@ let test_bignum_modexp_edges () =
   | _ -> Alcotest.fail "expected Division_by_zero"
   | exception Division_by_zero -> ()
 
+(* Little-endian base-2^26 limbs as a number. *)
+let of_limbs l = List.fold_right (fun x acc -> B.add (B.shift_left acc 26) (B.of_int x)) l B.zero
+
+let test_bignum_divmod_edges () =
+  let top = (1 lsl 26) - 1 and half = 1 lsl 25 in
+  let r = Drbg.create ~seed:0xd1d in
+  let limbs n = List.init n (fun _ -> Drbg.int_below r (1 lsl 26)) in
+  let cases =
+    [
+      (* The first estimate of a quotient digit is one too high, so
+         algorithm D adds the divisor back. *)
+      ("add-back, top limb 1", [ 0; 0; 0; 1 ], [ 1; 0; 1 ]);
+      ("add-back, top bit set", [ 0; 0; 0; 1 ], [ 1; 0; half ]);
+      ("add-back, top limb all ones", [ 0; 0; top - 1; 1 ], [ 1; 0; top ]);
+      ("add-back, two quotient digits", [ 0; 0; 0; 0; 1 ], [ 1; 0; 1 ]);
+      ("add-back, below a non-zero digit", [ 0; 1; top - 1; 0; 1 ], [ 1; 0; half + 1 ]);
+      (* Divisors whose top limb is 1: the widest shift of the estimate. *)
+      ("top limb 1, two limbs", [ top; top; top; top ], [ top; 1 ]);
+      ("top limb 1, one limb longer", [ 5; 0; 7; 2 ], [ top; 0; 1 ]);
+      ("top limb 1, random", limbs 9, limbs 4 @ [ 1 ]);
+      (* Dividends one limb longer than the divisor. *)
+      ("one limb longer, one-limb divisor", [ top; top ], [ 3 ]);
+      ("one limb longer, equal top limbs", [ 0; 0; top ], [ top; top ]);
+      ("one limb longer, random", limbs 7 @ [ top ], limbs 5 @ [ half ]);
+      ("equal length", [ top; 3 ], [ top; 2 ]);
+    ]
+  in
+  List.iter
+    (fun (name, a, b) ->
+      let a = of_limbs a and b = of_limbs b in
+      let q, rm = B.divmod a b in
+      check Alcotest.bool (name ^ ": a = q*b + r") true (B.equal a (B.add (B.mul q b) rm));
+      check Alcotest.bool (name ^ ": r < b") true (B.compare rm b < 0);
+      check Alcotest.bool (name ^ ": rem agrees") true (B.equal rm (B.rem a b)))
+    cases
+
+(* Exponents the window scan treats specially, each checked against
+   [reference_modexp]: 2^k and 2^k - 1 across the 64-bit switch from the
+   binary ladder to 4-bit windows, set bits on either side of window
+   boundaries, and zero runs longer than a window.  The moduli include
+   demo_key's primes, written out: a broken scan also breaks the
+   Miller-Rabin test keygen runs. *)
+let test_bignum_modexp_windows () =
+  let r = Drbg.create ~seed:0x3d9 in
+  let pow2 n = B.shift_left B.one n in
+  (* bits [0], [step], [2 * step], ... below [width] *)
+  let every step width =
+    List.fold_left B.add B.zero (List.init ((width + step - 1) / step) (fun i -> pow2 (i * step)))
+  in
+  let exps =
+    [ ("1", B.one); ("64 bits", B.random_bits r ~bits:64); ("65 bits", B.random_bits r ~bits:65) ]
+    @ List.concat_map
+        (fun n ->
+          [ (Printf.sprintf "2^%d" n, pow2 n); (Printf.sprintf "2^%d - 1" n, B.sub (pow2 n) B.one) ])
+        [ 1; 4; 5; 63; 64; 65; 130; 256 ]
+    @ [
+        ("every 4th bit", every 4 201);
+        ("every 5th bit", every 5 201);
+        ("pairs astride windows", B.add (every 4 200) (B.shift_left (every 4 200) 1));
+        ("zero runs of 9", every 10 251);
+        ("2^100 + 1", B.add (pow2 100) B.one);
+        ("1001 repeated", B.of_hex (String.make 40 '9'));
+        ("8421 repeated", B.of_hex (String.concat "" (List.init 10 (fun _ -> "8421"))));
+      ]
+  in
+  let moduli =
+    [
+      ("1 limb", B.of_int 0x3fffffb);
+      ("2 limbs", B.of_hex "f_ffff_fffe_0001");
+      ("demo_key p", B.of_hex "86b187f7373fcc553cc00dab5101f9bf9e8df3ac24aaa23c918d5ca9a40a8923");
+      ("demo_key q", B.of_hex "bc4e43c10dfcdc013422195e131d0e46ca9d885f01c480a0f07269546c011a5b");
+    ]
+  in
+  let wrong =
+    List.concat_map
+      (fun (mname, m) ->
+        let bases =
+          [
+            B.zero;
+            B.one;
+            B.two;
+            B.sub m B.one;
+            B.random_below r m;
+            B.random_bits r ~bits:(2 * B.num_bits m);
+            (* wider than the division area of twice the modulus *)
+            B.random_bits r ~bits:(5 * B.num_bits m);
+          ]
+        in
+        List.concat_map
+          (fun (ename, exp) ->
+            List.filter_map
+              (fun base ->
+                if B.equal (B.modexp ~base ~exp ~m) (reference_modexp ~base ~exp ~m) then None
+                else Some (Printf.sprintf "%s, %s, base %s" mname ename (B.to_hex base)))
+              bases)
+          exps)
+      moduli
+  in
+  check Alcotest.(list string) "every window shape agrees with the reference" [] wrong
+
 let test_bignum_to_int_overflow () =
   let huge = B.shift_left B.one 80 in
   match B.to_int huge with
@@ -401,15 +501,14 @@ let test_rsa_crt_matches_modexp () =
   let unbalanced =
     let r = Drbg.create ~seed:0x64 in
     let p = Prime.gen_prime r ~bits:64 and q = Prime.gen_prime r ~bits:192 in
-    let e = B.of_int 65537 in
-    let d = B.modinv e ~m:(B.mul (B.sub p B.one) (B.sub q B.one)) in
-    { Rsa.pub = { Rsa.n = B.mul p q; e }; d; p; q }
+    Option.get (Rsa.of_primes p q)
   in
   List.iter
     (fun (name, k) ->
-      let { Rsa.n; _ } = k.Rsa.pub in
+      let { Rsa.n; e } = k.Rsa.pub in
       let len = (B.num_bits n + 7) / 8 in
-      let plain x = B.to_bytes_be ~len (B.modexp ~base:x ~exp:k.Rsa.d ~m:n) in
+      let d = B.modinv e ~m:(B.mul (B.sub k.Rsa.p B.one) (B.sub k.Rsa.q B.one)) in
+      let plain x = B.to_bytes_be ~len (B.modexp ~base:x ~exp:d ~m:n) in
       for i = 1 to 8 do
         let msg = Drbg.bytes r (1 + Drbg.int_below r 64) in
         let h = B.rem (B.of_bytes_be (Sha256.digest msg)) n in
@@ -439,6 +538,14 @@ let test_rsa_sign_known_answer () =
      0ad45dfafd4af12a72c134afc1bc52d94acdd1ee9875e64123d4dd7a6d044ce0"
     (Sha256.hex (Rsa.sign (Rsa.demo_key ()) (Bytes.of_string "wedge")))
 
+(* The key block with field [i] (0 the tag, then e, n, p, q, dp, dq,
+   qinv) replaced by [v]: a corrupt block, built the way an attacker
+   with write access to the tag would build it. *)
+let edit_field block i v =
+  String.concat ":" (List.mapi (fun j f -> if j = i then v else f) (String.split_on_char ':' block))
+
+let parses block = Rsa.priv_of_string block <> None
+
 let test_rsa_priv_serialization () =
   List.iter
     (fun k ->
@@ -449,11 +556,82 @@ let test_rsa_priv_serialization () =
   (* p and q are load-bearing under CRT: a block whose primes do not
      multiply to n is corrupt. *)
   let k = Rsa.demo_key () in
-  let with_p p = Rsa.priv_to_string { k with Rsa.p } in
-  check Alcotest.bool "another key's p" true (Rsa.priv_of_string (with_p (Rsa.demo_key2 ()).Rsa.p) = None);
-  check Alcotest.bool "p = 1" true (Rsa.priv_of_string (with_p B.one) = None);
-  check Alcotest.bool "p = 1, q = n" true
-    (Rsa.priv_of_string (Rsa.priv_to_string { k with Rsa.p = B.one; q = k.Rsa.pub.Rsa.n }) = None)
+  let block = Rsa.priv_to_string k and hex = B.to_hex in
+  check Alcotest.bool "another key's p" false
+    (parses (edit_field block 3 (hex (Rsa.demo_key2 ()).Rsa.p)));
+  check Alcotest.bool "p = 1" false (parses (edit_field block 3 "1"));
+  check Alcotest.bool "p = 1, q = n" false
+    (parses (edit_field (edit_field block 3 "1") 4 (hex k.Rsa.pub.Rsa.n)))
+
+(* Each CRT field is checked on its own.  The range cases edit a field to
+   a value that still gives the right x^d (an exponent off by a multiple
+   of p - 1, an inverse off by a multiple of p), so only the field's own
+   range check can refuse it; the inverse cases edit it to a value in
+   range that no longer inverts e (or q), which would make the private
+   operation right mod one prime and wrong mod the other. *)
+let test_rsa_block_dp () =
+  let k = Rsa.demo_key () in
+  let block = Rsa.priv_to_string k and p1 = B.sub k.Rsa.p B.one in
+  let dp' = B.add k.Rsa.dp p1 and x = B.of_int 0xC0FFEE in
+  check Alcotest.bool "dp + (p - 1) gives the same x^dp" true
+    (B.equal (B.modexp ~base:x ~exp:dp' ~m:k.Rsa.p) (B.modexp ~base:x ~exp:k.Rsa.dp ~m:k.Rsa.p));
+  check Alcotest.bool "dp = p - 1 refused" false (parses (edit_field block 5 (B.to_hex p1)));
+  check Alcotest.bool "dp + (p - 1) refused" false (parses (edit_field block 5 (B.to_hex dp')))
+
+let test_rsa_block_dq () =
+  let k = Rsa.demo_key () in
+  let block = Rsa.priv_to_string k and q1 = B.sub k.Rsa.q B.one in
+  let dq' = B.add k.Rsa.dq q1 and x = B.of_int 0xC0FFEE in
+  check Alcotest.bool "dq + (q - 1) gives the same x^dq" true
+    (B.equal (B.modexp ~base:x ~exp:dq' ~m:k.Rsa.q) (B.modexp ~base:x ~exp:k.Rsa.dq ~m:k.Rsa.q));
+  check Alcotest.bool "dq = q - 1 refused" false (parses (edit_field block 6 (B.to_hex q1)));
+  check Alcotest.bool "dq + (q - 1) refused" false (parses (edit_field block 6 (B.to_hex dq')))
+
+(* Field [field] of the block, whose value [x] inverts e mod [m1], edited
+   to [x - 1] and [x + 1]: in range, but not e's inverse. *)
+let refuses_non_inverse ~field ~name x m1 =
+  let block = Rsa.priv_to_string (Rsa.demo_key ()) in
+  List.iter
+    (fun (label, v) ->
+      check Alcotest.bool (label ^ " in range") true (B.compare v m1 < 0);
+      check Alcotest.bool (label ^ " refused") false (parses (edit_field block field (B.to_hex v))))
+    [ (name ^ " - 1", B.sub x B.one); (name ^ " + 1", B.rem (B.add x B.one) m1) ]
+
+let test_rsa_block_dp_inverse () =
+  let k = Rsa.demo_key () in
+  refuses_non_inverse ~field:5 ~name:"dp" k.Rsa.dp (B.sub k.Rsa.p B.one)
+
+let test_rsa_block_dq_inverse () =
+  let k = Rsa.demo_key () in
+  refuses_non_inverse ~field:6 ~name:"dq" k.Rsa.dq (B.sub k.Rsa.q B.one)
+
+let test_rsa_block_qinv_range () =
+  let k = Rsa.demo_key () in
+  let block = Rsa.priv_to_string k and qinv' = B.add k.Rsa.qinv k.Rsa.p in
+  check Alcotest.bool "qinv + p still inverts q" true
+    (B.equal (B.rem (B.mul qinv' k.Rsa.q) k.Rsa.p) B.one);
+  check Alcotest.bool "qinv + p refused" false (parses (edit_field block 7 (B.to_hex qinv')))
+
+let test_rsa_block_qinv_inverse () =
+  let k = Rsa.demo_key () in
+  let block = Rsa.priv_to_string k in
+  let off_by_one = B.rem (B.add k.Rsa.qinv B.one) k.Rsa.p in
+  check Alcotest.bool "qinv + 1 refused" false (parses (edit_field block 7 (B.to_hex off_by_one)));
+  check Alcotest.bool "qinv = 0 refused" false (parses (edit_field block 7 "0"))
+
+let test_rsa_block_field_count () =
+  let block = Rsa.priv_to_string (Rsa.demo_key ()) in
+  let fields = String.split_on_char ':' block in
+  let first n = String.concat ":" (List.filteri (fun i _ -> i < n) fields) in
+  check Alcotest.int "tag and seven fields" 8 (List.length fields);
+  check Alcotest.bool "whole block parses" true (parses block);
+  for n = 1 to 7 do
+    check Alcotest.bool (Printf.sprintf "first %d fields refused" n) false (parses (first n))
+  done;
+  check Alcotest.bool "trailing separator refused" false (parses (block ^ ":"));
+  check Alcotest.bool "extra field refused" false (parses (block ^ ":1"));
+  check Alcotest.bool "other tag refused" false (parses (edit_field block 0 "rsakey"));
+  check Alcotest.bool "non-hex field refused" false (parses (edit_field block 3 "xyz"))
 
 (* ---------- Host allocation ---------- *)
 
@@ -481,7 +659,9 @@ let within_bounds pins =
   if over <> [] then Alcotest.fail (String.concat "; " over)
 
 (* Each bound is at least 5x below the words the same call allocated
-   before the arithmetic worked in place. *)
+   before the arithmetic worked in place; [Rsa.decrypt]'s sits just above
+   its 440 words since the CRT fields, windows and limb-wise division
+   (751 before). *)
 let test_host_words_pinned () =
   let k = Rsa.demo_key () in
   let r = rng () in
@@ -491,9 +671,19 @@ let test_host_words_pinned () =
   let kib = Bytes.make 1024 'x' and digest = Sha256.digest_string "wedge" in
   within_bounds
     [
-      ("Rsa.decrypt", 5_000., fun () -> ignore (Sys.opaque_identity (Rsa.decrypt k ct)));
+      ("Rsa.decrypt", 480., fun () -> ignore (Sys.opaque_identity (Rsa.decrypt k ct)));
       ("Rsa.encrypt", 2_000., fun () -> ignore (Sys.opaque_identity (Rsa.encrypt r k.Rsa.pub payload)));
       ("Rsa.priv_of_string", 2_000., fun () -> ignore (Sys.opaque_identity (Rsa.priv_of_string block)));
+      (* What a key gate runs per full handshake: parse the block read
+         from its tag, then decrypt.  930 words before the block carried
+         its CRT fields (187 parsing, 751 decrypting); 696 now (264
+         parsing, which checks dp, dq and qinv as inverses). *)
+      ( "Rsa.priv_of_string then Rsa.decrypt",
+        700.,
+        fun () ->
+          Option.iter
+            (fun k -> ignore (Sys.opaque_identity (Rsa.decrypt k ct)))
+            (Rsa.priv_of_string block) );
       ("Sha256.digest, 1 KiB", 300., fun () -> ignore (Sys.opaque_identity (Sha256.digest kib)));
       ("Sha256.hex, 32 bytes", 100., fun () -> ignore (Sys.opaque_identity (Sha256.hex digest)));
       (* A 16-word rolling message schedule, not 64 words: 54 words in
@@ -601,6 +791,8 @@ let () =
           Alcotest.test_case "modinv exhaustive mod 97" `Quick test_bignum_modinv;
           Alcotest.test_case "shifts" `Quick test_bignum_shift;
           Alcotest.test_case "modexp edges" `Quick test_bignum_modexp_edges;
+          Alcotest.test_case "modexp window edges" `Quick test_bignum_modexp_windows;
+          Alcotest.test_case "divmod digit edges" `Quick test_bignum_divmod_edges;
           Alcotest.test_case "to_int overflow" `Quick test_bignum_to_int_overflow;
         ] );
       ( "bignum-properties",
@@ -652,6 +844,16 @@ let () =
           Alcotest.test_case "priv serialization" `Quick test_rsa_priv_serialization;
         ]
         @ qcheck [ prop_rsa_roundtrip_random ] );
+      ( "rsa-key-block",
+        [
+          Alcotest.test_case "dp below p-1" `Quick test_rsa_block_dp;
+          Alcotest.test_case "dq below q-1" `Quick test_rsa_block_dq;
+          Alcotest.test_case "dp inverts e" `Quick test_rsa_block_dp_inverse;
+          Alcotest.test_case "dq inverts e" `Quick test_rsa_block_dq_inverse;
+          Alcotest.test_case "qinv below p" `Quick test_rsa_block_qinv_range;
+          Alcotest.test_case "qinv inverts q" `Quick test_rsa_block_qinv_inverse;
+          Alcotest.test_case "seven fields" `Quick test_rsa_block_field_count;
+        ] );
       ( "dsa",
         [
           Alcotest.test_case "sign/verify" `Quick test_dsa_sign_verify;

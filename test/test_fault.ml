@@ -389,6 +389,7 @@ let test_pop3_setup_fault_degrades () =
   let plan = Fault_plan.create ~seed:3 () in
   Fault_plan.disarm plan;
   let k = Kernel.create ~costs:Cost_model.free ~faults:plan () in
+  Wedge_sim.Trace.arm ~capacity:(1 lsl 12) k.Kernel.trace;
   Pop3_env.install k Pop3_env.default_users;
   let app = W.create_app k in
   W.boot app;
@@ -414,7 +415,10 @@ let test_pop3_setup_fault_degrades () =
   (* The fault hit the master's setup: no worker was stamped, so none
      faulted. *)
   check Alcotest.int "no worker stamped" 0 (Stats.get k.Kernel.stats "pool.stamp");
-  check Alcotest.int "no compartment fault" 0 (Stats.get k.Kernel.stats "fault.compartment")
+  check Alcotest.int "no compartment fault" 0 (Stats.get k.Kernel.stats "fault.compartment");
+  check Alcotest.int "the setup fault counted" 1 (Stats.get k.Kernel.stats "fault.setup");
+  check Alcotest.int "and traced" 1
+    (Wedge_sim.Trace.instants_named k.Kernel.trace ~name:"service.setup_fault")
 
 (* ---------- chaos soak ---------- *)
 

@@ -405,7 +405,9 @@ let test_cgate_call_site_faults_contained () =
   check Alcotest.bool "the client got the degraded farewell" true
     (contains (Buffer.contents got) "-ERR internal server error");
   check Alcotest.bool "fault site charged" true
-    (Stats.get k.Kernel.stats "fault.cgate" >= 1)
+    (Stats.get k.Kernel.stats "fault.cgate" >= 1);
+  (* Degraded by a compartment's exhausted restarts, not by setup. *)
+  check Alcotest.int "no setup fault" 0 (Stats.get k.Kernel.stats "fault.setup")
 
 (* ---------- satellite: re-armed hearts on pooled restart ---------- *)
 
