@@ -46,6 +46,23 @@ for f in $(grep -rl 'Physmem\.get_mut' lib); do
   esac
 done
 
+# Frame-reference guard: the refcount oracle (lib/check/oracle.ml)
+# re-derives every frame reference from its holders: address-space
+# entries and images (lib/kernel/vm.ml), tag frames
+# (lib/core/engine.ml) and cached tags (lib/mem/tag_cache.ml).  A
+# reference taken or dropped anywhere else in lib/ would be one the
+# oracle cannot account for.
+echo "== frame-reference guard =="
+for f in $(grep -rlE 'Physmem\.(incref|decref)' lib); do
+  case "$f" in
+    lib/kernel/vm.ml | lib/core/engine.ml | lib/mem/tag_cache.ml) ;;
+    *)
+      echo "check.sh: $f takes or drops a frame reference outside the holders the refcount oracle re-derives (lib/kernel/vm.ml, lib/core/engine.ml, lib/mem/tag_cache.ml)" >&2
+      exit 1
+      ;;
+  esac
+done
+
 # Sweep guard: a revocation lists only the processes that map what it
 # revokes (Kernel.processes_where), so tearing down a tag costs the
 # host what that tag is mapped into, not one visit per live process.

@@ -6,8 +6,10 @@
    bookkeeping the kernel maintains incrementally:
 
      - every physical frame's refcount equals the number of independent
-       holders (page-table mappings across all address spaces, the
-       pristine snapshot, live tag registries, the tag cache);
+       holders (each address space's own page-table entries, each image
+       in use, live tag registries, the tag cache), and every image's
+       holder count equals its registration plus the address spaces that
+       map through it;
      - every servable TLB entry agrees with the page table it caches;
      - the kernel's shared zero page, which backs every frame never
        written, still reads all zeros;
@@ -89,39 +91,63 @@ let vm_reader pm vm addr =
 (* ------------------------------------------------------------------ *)
 (* Frame refcounts == sum of independent holders                       *)
 
+(* An image in use, with the holders it must count: its registration (the
+   app's pristine snapshot, or a frozen image until discard) plus every
+   live address space whose table uses it as base. *)
+type image_use = { im : Vm.image; what : string; mutable want : int }
+
 let check_refcounts t =
   let expected = Hashtbl.create 512 in
   let add frame =
     Hashtbl.replace expected frame
       (1 + match Hashtbl.find_opt expected frame with Some n -> n | None -> 0)
   in
-  (* Every process still in the table holds one reference per mapping
-     (reap removes the process after releasing them). *)
-  Kernel.iter_processes t.kernel (fun p ->
-      Pagetable.iter (fun _ pte -> add pte.Pagetable.frame) (Vm.page_table p.Process.vm));
+  let images = ref [] in
+  let note ~what ~held im =
+    match List.find_opt (fun u -> u.im == im) !images with
+    | Some u -> u.want <- u.want + held
+    | None -> images := { im; what = what (); want = held } :: !images
+  in
   (match t.app with
   | None -> ()
   | Some app ->
-      let add_image im =
-        List.iter (fun (fz : Engine.frozen_page) -> add fz.Engine.fz_frame) (Vm.image_pages im)
-      in
-      add_image app.Engine.pristine;
+      note ~what:(fun () -> "pristine snapshot") ~held:1 app.Engine.pristine;
+      List.iter
+        (fun (im : Engine.image) ->
+          note ~what:(fun () -> "frozen image " ^ im.Engine.im_name) ~held:1 im.Engine.im_pages)
+        app.Engine.frozen_images;
       List.iter
         (fun (tag : Tag.t) -> Array.iter add tag.Tag.frames)
         (Tag.live_tags app.Engine.tags);
       List.iter
         (fun (e : Tag_cache.entry) -> List.iter add e.Tag_cache.frames)
-        (Tag_cache.entries app.Engine.tag_cache);
-      (* Frozen snapshot-pool images are pristine-like holders: each page
-         pins its frame with exactly one reference from freeze until
-         discard, independent of how many stamped children map it. *)
-      List.iter (fun (im : Engine.image) -> add_image im.Engine.im_pages) app.Engine.frozen_images);
+        (Tag_cache.entries app.Engine.tag_cache));
+  (* Every process still in the table holds one reference per entry of
+     its own (reap removes the process after releasing them), and one
+     hold on the image it maps through, whose pages it does not count. *)
+  Kernel.iter_processes t.kernel (fun p ->
+      let vm = p.Process.vm in
+      Pagetable.iter_own (fun _ pte -> add pte.Pagetable.frame) (Vm.page_table vm);
+      Option.iter
+        (note
+           ~what:(fun () -> Printf.sprintf "unregistered image mapped by pid %d" p.Process.pid)
+           ~held:1)
+        (Vm.mapped_image vm));
+  (* Each image in use holds one reference per page, however many
+     holders it has: pristine, frozen, or discarded but still mapped. *)
+  List.iter
+    (fun u ->
+      let holders = Vm.image_holders u.im in
+      if holders <> u.want then
+        violation "oracle: %s has %d holders but %d are registered or map it" u.what holders
+          u.want;
+      List.iter (fun (fz : Engine.frozen_page) -> add fz.Engine.fz_frame) (Vm.image_pages u.im))
+    !images;
   Physmem.iter_live t.kernel.Kernel.pm (fun frame refs ->
       let want = match Hashtbl.find_opt expected frame with Some n -> n | None -> 0 in
       if refs <> want then
         violation
-          "oracle: frame %d refcount %d but %d holders (mappings + pristine + tags + \
-           cache + frozen images)"
+          "oracle: frame %d refcount %d but %d holders (own mappings + images + tags + cache)"
           frame refs want;
       Hashtbl.remove expected frame);
   (* Anything left expected a live frame that no longer exists. *)

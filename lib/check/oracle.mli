@@ -5,16 +5,19 @@
     ({!install_syscall_hook}) — an oracle re-derives from first
     principles the bookkeeping the kernel maintains incrementally:
 
-    - frame refcounts == page-table mappings across all address spaces
-      + pristine snapshot + live tag registries + tag-cache entries;
+    - frame refcounts == each address space's own page-table entries
+      + one per page of each image in use (the pristine snapshot, every
+      frozen image, and a discarded image some live address space still
+      maps through) + live tag registries + tag-cache entries;
+    - each of those images has as many holders as it should: one for
+      its registration (pristine, or frozen until discard) plus one per
+      live address space whose table uses it as base;
     - every servable TLB entry agrees with the page table;
     - every smalloc segment (live tags, per-process heaps) has intact
       boundary tags and a sound free list;
-    - frozen snapshot-pool images stay immutable: each frozen page pins
-      its frame with exactly one reference (counted as a pristine-like
-      holder above), and no address space maps a COW-frozen frame
-      writable — a stamped child's write must break onto a private
-      frame, never onto the checkpoint;
+    - frozen snapshot-pool images stay immutable: no address space maps
+      a COW-frozen frame writable — a stamped child's write must break
+      onto a private frame, never onto the checkpoint;
     - the shared page table of the pristine snapshot and of every live
       frozen image still holds exactly the records it was built from
       (same vpns, frames, protection and tags): no compartment's write,
@@ -37,9 +40,10 @@ val create : Wedge_kernel.Kernel.t -> t
 
 val set_app : t -> Wedge_core.Engine.app -> unit
 (** Attach the engine application so the refcount oracle can account for
-    the pristine snapshot, tag registry and tag cache, and the smalloc
-    oracle can find tag segments.  Without an app only kernel-level
-    invariants (refcounts from mappings alone, TLBs) run. *)
+    the registered images (pristine snapshot, frozen images), tag
+    registry and tag cache, and the smalloc oracle can find tag
+    segments.  Without an app only kernel-level invariants (refcounts
+    from mappings and mapped images alone, TLBs) run. *)
 
 val add_guard : t -> ?name:string -> Wedge_net.Guard.t -> unit
 val add_invariant : t -> name:string -> (unit -> string option) -> unit

@@ -99,13 +99,13 @@ type frozen_page = Vm.frozen_page = {
    their shared page table, the descriptor-table and identity shape a
    stamped sthread starts from, and whether it carries a demand-mapped
    heap or stack.  The registry lives on the app — not in
-   [Pool] — so the invariant oracles can re-derive frame refcounts
-   (frozen images are pristine-like holders) without a dependency on the
-   pool module, and so a stamped callgate can be installed from one
-   here. *)
+   [Pool] — so the invariant oracles can re-derive frame refcounts and
+   image holders (the registry is one of each image's holders) without a
+   dependency on the pool module, and so a stamped callgate can be
+   installed from one here. *)
 type image = {
   im_name : string;
-  im_pages : Vm.image;  (* one frame reference each, sorted by vpn *)
+  im_pages : Vm.image;  (* sorted by vpn; the registry is one holder *)
   im_fds : (int * Fd_table.target * Fd_table.perm) list;
   im_uid : int;
   im_root : string;
@@ -136,15 +136,15 @@ type app = {
   mutable data_pages : int;  (* image pages + boundary pages *)
   image_pages : int;
   mutable booted : bool;
-  mutable pristine : Vm.image;  (* one frame reference each, sorted by vpn *)
+  mutable pristine : Vm.image;  (* sorted by vpn; the app is one holder *)
   mutable main : ctx option;
   recycled_pool : (string, member list) Hashtbl.t;
       (* idle long-lived sthreads backing recycled callgates, keyed by
          gate name so they survive per-connection gate re-instantiation;
          a member serving a call is out of its list until the call ends *)
   mutable frozen_images : image list;
-      (* frozen snapshot-pool images, newest first; each page holds one
-         Physmem reference until the image is discarded *)
+      (* frozen snapshot-pool images, newest first; the registry holds
+         each image until it is discarded *)
   mutable pool_freezes : int;
   mutable pool_stamps : int;  (* stamp attempts, including faulted ones *)
   mutable pool_hits : int;  (* stamps that produced a running compartment *)
@@ -334,7 +334,7 @@ let create_app ?(image_pages = default_image_pages) kernel =
       data_pages = image_pages;
       image_pages;
       booted = false;
-      pristine = Vm.image [];
+      pristine = Vm.image kernel.Kernel.pm [];
       main = None;
       recycled_pool = Hashtbl.create 8;
       frozen_images = [];
@@ -384,16 +384,15 @@ let find_boundary app id =
   | None -> invalid_arg (Printf.sprintf "Engine.boundary: id %d not declared" id)
 
 (* Snapshot of the program image just before main() runs (§4.1): record the
-   frames, take a snapshot reference on each, and mark the owner's pages
-   copy-on-write so later writes never alter the snapshot.  Boundary
-   sections are excluded, so sthreads do not receive them by default.
-   The snapshot's shared page table is built here, once; every sthread
-   maps through it. *)
+   frames and mark the owner's pages copy-on-write so later writes never
+   alter the snapshot.  Boundary sections are excluded, so sthreads do not
+   receive them by default.  The snapshot's shared page table and its
+   frame references are built here, once ([Vm.image]); every sthread maps
+   through it. *)
 let boot app =
   if app.booted then invalid_arg "Engine.boot: already booted";
   let main = main_ctx app in
   let vm = main.proc.Process.vm in
-  let pm = app.kernel.Kernel.pm in
   let in_boundary vpn =
     List.exists
       (fun b ->
@@ -407,7 +406,6 @@ let boot app =
     if not (in_boundary vpn) then
       match Pagetable.find (Vm.page_table vm) ~vpn with
       | Some pte ->
-          Physmem.incref pm pte.Pagetable.frame;
           snapshot :=
             { fz_vpn = vpn; fz_frame = pte.Pagetable.frame; fz_prot = Prot.page_cow; fz_tag = None }
             :: !snapshot;
@@ -417,7 +415,8 @@ let boot app =
           Vm.set_page_prot vm ~addr:(vpn * page_size) ~prot:Prot.page_cow
       | None -> ()
   done;
-  app.pristine <- Vm.image (List.rev !snapshot);
+  Vm.release_image app.pristine;
+  app.pristine <- Vm.image app.kernel.Kernel.pm (List.rev !snapshot);
   app.booted <- true
 
 (* ------------------------------------------------------------------ *)

@@ -2,28 +2,32 @@
    once, stamp new compartments out of it in O(1).
 
    [freeze] builds a template worker the expensive way — a [Boot]
-   sthread from [Engine.build], pristine snapshot mapped page by page,
-   grants resolved, optionally a [warm] body run so lazily-mapped
-   private pages (heap, stack) exist — then checkpoints the template's
-   entire address space: every frame gets one extra Physmem reference
-   held by the image, private writable pages are recorded copy-on-write
-   (the image must never change again), and the template is reaped.
-   What survives is an [Engine.image]: the frozen pages and the one
-   read-only page table built from them here, the captured descriptor
-   table and the identity — no process, no address space.
+   sthread from [Engine.build], pristine snapshot installed, grants
+   resolved, optionally a [warm] body run so lazily-mapped private pages
+   (heap, stack) exist — then checkpoints the template's entire address
+   space: private writable pages are recorded copy-on-write (the image
+   must never change again), [Vm.image] builds the one read-only page
+   table and takes one frame reference per page, held by the image for
+   all its users, and the template is reaped.  What survives is an
+   [Engine.image]: the frozen pages, their table and references, the
+   captured descriptor table and the identity — no process, no address
+   space.  The registry is the image's first holder; every stamped
+   address space is another until it is reaped.
 
    [Engine.Stamp image] is the paper's Figure 7/8 story taken further
    than recycled callgates: an sthread or callgate invocation whose
    address space maps the frozen image through that shared table,
    installed by the engine's one builder at one flat [pool_stamp]
    charge, however many pages the image holds.  The host cost is flat
-   too: a stamp allocates nothing per page.
+   too: a stamp and its reap allocate and reference nothing per image
+   page.
 
    Both paths are attackable: fault sites ["pool.freeze"] and
    ["pool.stamp"] inject mid-operation, and the unwind must leave the
-   frozen image pristine and every refcount clean — which the
-   [lib/check] refcount oracle re-derives (frozen images count as
-   pristine-like owners) across explored schedules. *)
+   frozen image pristine and every refcount and holder count clean —
+   which the [lib/check] refcount oracle re-derives (each image counts
+   its pages once; its holders are its registration plus the address
+   spaces that map it) across explored schedules. *)
 
 module Trace = Wedge_sim.Trace
 module Kernel = Wedge_kernel.Kernel
@@ -104,11 +108,9 @@ let freeze ?(name = "pool") ?warm parent (sc : Sc.t) =
       Pagetable.fold (fun vpn (pte : Pagetable.pte) acc -> (vpn, pte) :: acc) pt []
       |> List.sort (fun (a, _) (b, _) -> compare a b)
     in
-    let pm = app.Engine.kernel.Kernel.pm in
     let pages =
       List.map
         (fun (vpn, (pte : Pagetable.pte)) ->
-          Physmem.incref pm pte.Pagetable.frame;
           let prot =
             if pte.Pagetable.prot.Prot.pw && pte.Pagetable.tag = None then
               Prot.page_cow
@@ -132,7 +134,7 @@ let freeze ?(name = "pool") ?warm parent (sc : Sc.t) =
     in
     {
       Engine.im_name = name;
-      im_pages = Vm.image pages;
+      im_pages = Vm.image app.Engine.kernel.Kernel.pm pages;
       im_fds = fds;
       im_uid = uid;
       im_root = root;
@@ -143,9 +145,9 @@ let freeze ?(name = "pool") ?warm parent (sc : Sc.t) =
     }
   with
   | exception e ->
-      (* Unwind: the template's address space holds the only references
-         taken so far; reaping it releases them all and the world is as
-         if freeze was never called. *)
+      (* Unwind: no image was built, so the template's address space
+         holds the only references taken so far; reaping it releases
+         them all and the world is as if freeze was never called. *)
       Engine.unwind app template e;
       fail e
   | image ->
@@ -168,14 +170,9 @@ let discard parent (pool : t) =
     Engine.stat parent "pool.discard";
     Engine.trace_instant parent "pool.discard";
     app.Engine.frozen_images <- List.filter (fun im -> im != pool) app.Engine.frozen_images;
-    (* Dropping the image's references frees any frame no live address
-       space still maps; frames shared with running stamped children
-       survive on their references and die with their last unmap (which
-       goes through the Vm teardown/shootdown path as usual).  Those
-       children keep mapping through the image's table, which nothing
-       writes. *)
-    let pm = app.Engine.kernel.Kernel.pm in
-    List.iter
-      (fun (fz : Engine.frozen_page) -> Physmem.decref pm fz.Engine.fz_frame)
-      (Vm.image_pages pool.Engine.im_pages)
+    (* The registry leaves the image's holders.  With no stamped child
+       alive, that drops the image's references; else the last child's
+       reap does, and until then the children keep mapping through the
+       image's table, which nothing writes. *)
+    Vm.release_image pool.Engine.im_pages
   end

@@ -92,17 +92,6 @@ let decrypt priv ct =
       | _ -> None
   end
 
-let sign priv msg =
-  let h = Sha256.digest msg in
-  let m = B.of_bytes_be h in
-  let m = B.rem m priv.pub.n in
-  B.to_bytes_be ~len:(modulus_bytes priv.pub) (private_op priv m)
-
-let verify pub msg ~signature =
-  let h = B.rem (B.of_bytes_be (Sha256.digest msg)) pub.n in
-  let s = B.of_bytes_be signature in
-  B.compare s pub.n < 0 && B.equal (B.modexp ~base:s ~exp:pub.e ~m:pub.n) h
-
 let pub_to_string pub = Printf.sprintf "rsa:%s:%s" (B.to_hex pub.e) (B.to_hex pub.n)
 
 let pub_of_string s =

@@ -3,8 +3,8 @@
 
     Security note (simulation scope): key sizes default to 512 bits and
     padding is a simple random-prefix scheme; the experiments depend on the
-    {e structural} properties — only the private-key holder can decrypt or
-    sign, and ciphertexts are non-malleable enough that a simulated
+    {e structural} properties — only the private-key holder can decrypt,
+    and ciphertexts are non-malleable enough that a simulated
     attacker cannot forge them — not on real-world cryptographic
     strength. *)
 
@@ -42,14 +42,9 @@ val encrypt : Drbg.t -> pub -> bytes -> bytes
 (** Random-padded encryption; output is [modulus_bytes] long. *)
 
 val decrypt : priv -> bytes -> bytes option
-(** [None] on malformed padding or out-of-range ciphertext.  Like [sign],
-    computes x{^d} mod n by CRT: x{^dp} mod p and x{^dq} mod q, joined by
+(** [None] on malformed padding or out-of-range ciphertext.  Computes
+    x{^d} mod n by CRT: x{^dp} mod p and x{^dq} mod q, joined by
     Garner's step with [qinv]. *)
-
-val sign : priv -> bytes -> bytes
-(** Sign the SHA-256 hash of the message. *)
-
-val verify : pub -> bytes -> signature:bytes -> bool
 
 val pub_to_string : pub -> string
 val pub_of_string : string -> pub option

@@ -72,6 +72,8 @@ let find t ~vpn =
 let mem t ~vpn =
   Hashtbl.mem t.tbl vpn || (Hashtbl.mem t.shared vpn && not (Hashtbl.mem t.hidden vpn))
 
+let owns t ~vpn = Hashtbl.mem t.tbl vpn
+
 let find_private t ~vpn =
   match Hashtbl.find_opt t.tbl vpn with
   | Some _ as found -> found
@@ -113,6 +115,8 @@ let clear t =
 (* [hidden] holds base vpns only, and every base vpn the overlay holds is
    hidden, so nothing is counted twice. *)
 let count t = Hashtbl.length t.tbl + Hashtbl.length t.shared - Hashtbl.length t.hidden
+
+let iter_own f t = Hashtbl.iter f t.tbl
 
 let iter f t =
   Hashtbl.iter f t.tbl;

@@ -53,8 +53,20 @@ val find_private : t -> vpn:int -> pte option
     overlay. *)
 
 val mem : t -> vpn:int -> bool
+
+val owns : t -> vpn:int -> bool
+(** [vpn] is mapped by an entry of this table's own: mapped here, or a
+    base entry {!find_private} copied.  An entry seen through the base
+    is not. *)
+
 val count : t -> int
 val iter : (int -> pte -> unit) -> t -> unit
+
+val iter_own : (int -> pte -> unit) -> t -> unit
+(** Like {!iter}, over this table's own entries only (see {!owns}):
+    the cost of a walk is what the table holds, not what its base
+    holds. *)
+
 val fold : (int -> pte -> 'a -> 'a) -> t -> 'a -> 'a
 
 val clear : t -> unit

@@ -106,6 +106,21 @@ type tlb_entry = {
 
 let tlb_invalid = { e_vpn = -1; e_epoch = 0; e_prot = Prot.page_none; e_tag = None; e_frame = -1 }
 
+type frozen_page = {
+  fz_vpn : int;
+  fz_frame : int;
+  fz_prot : Prot.page;
+  fz_tag : int option;
+}
+
+type image = {
+  pages : frozen_page list;
+  table : Pagetable.base;
+  pm : Physmem.t;  (* where its references are held *)
+  mutable holders : int;
+  mutable registered : bool;  (* the owner has not released it *)
+}
+
 type t = {
   pid : int;
   pm : Physmem.t;
@@ -117,6 +132,7 @@ type t = {
       (* instrumented off the fast path only: misses and shootdowns, not
          hits — an armed trace never slows the hit path *)
   recorder : recorder;
+  mutable base : image option;  (* the image this table maps through *)
   tlb : tlb_entry array;
   mutable tlb_hit_n : int;
   mutable tlb_miss_n : int;
@@ -133,6 +149,7 @@ let create ?faults ?(trace = Wedge_sim.Trace.null) ?recorder ~pid pm clock costs
     faults;
     trace;
     recorder = (match recorder with Some r -> r | None -> { sink = None; raised = None });
+    base = None;
     tlb = Array.make tlb_slots tlb_invalid;
     tlb_hit_n = 0;
     tlb_miss_n = 0;
@@ -231,53 +248,57 @@ let map_frame t ~addr ~frame ~prot ~tag =
            seed = Some (Bytes.copy (Physmem.get t.pm frame));
          })
 
-type frozen_page = {
-  fz_vpn : int;
-  fz_frame : int;
-  fz_prot : Prot.page;
-  fz_tag : int option;
-}
+(* A snapshot: its page records, the read-only page table built from them
+   once, which every address space restored from it maps through (see
+   [Pagetable.base]), and the frame references behind both.  The records
+   stay as the ground truth the table is checked against.
 
-(* A snapshot: its page records, and the read-only page table built from
-   them once, which every address space restored from it maps through
-   (see [Pagetable.base]).  The records stay as the ground truth the
-   table is checked against. *)
-type image = {
-  pages : frozen_page list;
-  table : Pagetable.base;
-}
-
-let image pages =
-  {
-    pages;
-    table =
-      Pagetable.base
-        (List.map
-           (fun fz ->
-             ( fz.fz_vpn,
-               { Pagetable.frame = fz.fz_frame; prot = fz.fz_prot; tag = fz.fz_tag } ))
-           pages);
-  }
+   The image, not each address space, holds its pages' references: one
+   per page, taken when it is built.  Its holders are the owner that
+   registered it and every address space whose table uses it as base;
+   whichever leaves last drops the references.  So installing it costs
+   O(1), and a teardown costs only the entries the space owns. *)
+let image pm pages =
+  let table =
+    Pagetable.base
+      (List.map
+         (fun fz ->
+           (fz.fz_vpn, { Pagetable.frame = fz.fz_frame; prot = fz.fz_prot; tag = fz.fz_tag }))
+         pages)
+  in
+  List.iter (fun fz -> Physmem.incref pm fz.fz_frame) pages;
+  { pages; table; pm; holders = 1; registered = true }
 
 let image_pages im = im.pages
 let image_table im = im.table
 let image_size im = Pagetable.base_count im.table
+let image_holders im = im.holders
+
+let leave im =
+  im.holders <- im.holders - 1;
+  if im.holders = 0 then List.iter (fun fz -> Physmem.decref im.pm fz.fz_frame) im.pages
+
+let release_image im =
+  if not im.registered then invalid_arg "Vm.release_image: the owner already released it";
+  im.registered <- false;
+  leave im
 
 (* Install a snapshot: the address space points at the image's one shared
    table — the simulated analogue of pointing a child at a prepared
-   pagetable subtree — so nothing is copied or allocated per page, and no
-   cost is charged here (each caller charges what its spawn variant
-   costs).  Each page still takes one frame reference, so refcounts,
-   COW breaks ([refcount > 1]) and an image's discard behave exactly as
-   if the entries had been copied.  Recorder events are emitted per page:
-   a differential reference VM must see these mappings exactly like any
-   other, or COW breaks inside a stamped child would diverge. *)
+   pagetable subtree — and becomes one of its holders, so nothing is
+   copied, allocated or referenced per page, and no cost is charged here
+   (each caller charges what its spawn variant costs).  Recorder events
+   are emitted per page: a differential reference VM must see these
+   mappings exactly like any other, or COW breaks inside a stamped child
+   would diverge. *)
 let map_image t im =
+  if im.holders = 0 then invalid_arg "Vm.map_image: image released";
   Pagetable.set_base t.pt im.table;
-  List.iter
-    (fun { fz_vpn = vpn; fz_frame = frame; fz_prot = prot; _ } ->
-      Physmem.incref t.pm frame;
-      if recording t then
+  im.holders <- im.holders + 1;
+  t.base <- Some im;
+  if recording t then
+    List.iter
+      (fun { fz_vpn = vpn; fz_frame = frame; fz_prot = prot; _ } ->
         emit t
           (Ev_map
              {
@@ -287,7 +308,9 @@ let map_image t im =
                prot;
                seed = Some (Bytes.copy (Physmem.get t.pm frame));
              }))
-    im.pages
+      im.pages
+
+let mapped_image t = t.base
 
 let share_range ~src ~dst ~addr ~pages ~prot =
   check_aligned addr;
@@ -316,21 +339,34 @@ let share_range ~src ~dst ~addr ~pages ~prot =
 let unmap_range t ~addr ~pages =
   check_aligned addr;
   for i = 0 to pages - 1 do
+    let vpn = vpn_of addr + i in
     (* The epoch bump from Pagetable.unmap already invalidates every
        cached entry; the explicit shootdown keeps the counter and the
        cost model honest about what a revocation did. *)
-    tlb_invalidate t ~vpn:(vpn_of addr + i);
-    match Pagetable.unmap t.pt ~vpn:(vpn_of addr + i) with
+    tlb_invalidate t ~vpn;
+    let own = Pagetable.owns t.pt ~vpn in
+    match Pagetable.unmap t.pt ~vpn with
     | Some pte ->
-        Physmem.decref t.pm pte.Pagetable.frame;
-        if recording t then emit t (Ev_unmap { pid = t.pid; vpn = vpn_of addr + i })
+        (* A base entry is only hidden: its reference is the image's. *)
+        if own then Physmem.decref t.pm pte.Pagetable.frame;
+        if recording t then emit t (Ev_unmap { pid = t.pid; vpn })
     | None -> ()
   done
 
-(* Every in-place rewrite below takes its pte through
-   [Pagetable.find_private]: an entry seen through a shared image table
-   is copied into this address space's own table first, so the rewrite
-   never reaches the image or the siblings restored from it. *)
+(* The one copy-before-mutate step: every in-place rewrite below takes
+   its pte here.  An entry seen through a shared image table is copied
+   into this address space's own table first, so the rewrite never
+   reaches the image or the siblings restored from it, and the copy
+   takes its own frame reference, which the space drops like any other
+   of its entries'. *)
+let find_private t ~vpn =
+  if Pagetable.owns t.pt ~vpn then Pagetable.find t.pt ~vpn
+  else
+    match Pagetable.find_private t.pt ~vpn with
+    | Some pte as copy ->
+        Physmem.incref t.pm pte.Pagetable.frame;
+        copy
+    | None -> None
 
 (* Permission changes mutate ptes in place — no epoch movement — so the
    explicit per-page shootdown here is what keeps revocation sound: a TLB
@@ -341,7 +377,7 @@ let unmap_range t ~addr ~pages =
 let protect_range t ~addr ~pages ~prot =
   check_aligned addr;
   for i = 0 to pages - 1 do
-    match Pagetable.find_private t.pt ~vpn:(vpn_of addr + i) with
+    match find_private t ~vpn:(vpn_of addr + i) with
     | Some pte ->
         Clock.charge t.clock t.costs.Cost_model.pte_copy;
         pte.Pagetable.prot <- prot;
@@ -356,7 +392,7 @@ let protect_range t ~addr ~pages ~prot =
    these are exactly the "behind the VM's back" mutations that used to
    touch the page table directly. *)
 let set_page_prot t ~addr ~prot =
-  match Pagetable.find_private t.pt ~vpn:(vpn_of addr) with
+  match find_private t ~vpn:(vpn_of addr) with
   | Some pte ->
       pte.Pagetable.prot <- prot;
       tlb_invalidate t ~vpn:(vpn_of addr);
@@ -364,15 +400,19 @@ let set_page_prot t ~addr ~prot =
   | None -> invalid_arg (Printf.sprintf "Vm.set_page_prot: 0x%x unmapped" addr)
 
 let set_page_tag t ~addr ~tag =
-  match Pagetable.find_private t.pt ~vpn:(vpn_of addr) with
+  match find_private t ~vpn:(vpn_of addr) with
   | Some pte ->
       pte.Pagetable.tag <- tag;
       tlb_invalidate t ~vpn:(vpn_of addr)
   | None -> invalid_arg (Printf.sprintf "Vm.set_page_tag: 0x%x unmapped" addr)
 
+(* A teardown drops what the space owns — its own entries' references,
+   then its hold on the image — and never visits the image's pages. *)
 let destroy t =
   tlb_flush t;
-  Pagetable.iter (fun _ pte -> Physmem.decref t.pm pte.Pagetable.frame) t.pt;
+  Pagetable.iter_own (fun _ pte -> Physmem.decref t.pm pte.Pagetable.frame) t.pt;
+  Option.iter leave t.base;
+  t.base <- None;
   Pagetable.clear t.pt;
   if recording t then emit t (Ev_destroy { pid = t.pid })
 
@@ -384,7 +424,7 @@ let mapped_pages t = Pagetable.count t.pt
    frame's bytes after the break.  Returns the page's (now private)
    pte. *)
 let cow_break t ~vpn =
-  let pte = Option.get (Pagetable.find_private t.pt ~vpn) in
+  let pte = Option.get (find_private t ~vpn) in
   Clock.charge t.clock t.costs.Cost_model.page_copy;
   if Physmem.refcount t.pm pte.frame > 1 then begin
     let fresh = Physmem.alloc t.pm in
@@ -415,8 +455,11 @@ let pte_for t addr access check =
           if p.Prot.pw then pte
           else if p.Prot.pcow then cow_break t ~vpn
           else if check then fault t addr Write "no write permission"
-          else if Physmem.refcount t.pm pte.Pagetable.frame > 1 then begin
-            (* Kernel writes still must not corrupt shared frames. *)
+          else if
+            (not (Pagetable.owns t.pt ~vpn)) || Physmem.refcount t.pm pte.Pagetable.frame > 1
+          then begin
+            (* Kernel writes still must not corrupt shared frames; a
+               base entry's frame is the image's. *)
             let pte = cow_break t ~vpn in
             pte.Pagetable.prot <- p;
             if recording t then emit t (Ev_prot { pid = t.pid; vpn; prot = p });

@@ -147,13 +147,20 @@ type frozen_page = {
 }
 
 type image
-(** A snapshot of an address space: its page records, and the read-only
-    page table ({!Pagetable.base}) built from them once.  Every address
-    space restored from the snapshot maps through that one table. *)
+(** A snapshot of an address space: its page records, the read-only page
+    table ({!Pagetable.base}) built from them once, and one frame
+    reference per page.  Every address space restored from the snapshot
+    maps through that one table, and the references are the image's,
+    shared by all its {e holders}: the owner that registered it (an
+    app's pristine snapshot, a frozen pool image) and every address
+    space whose table uses it as base.  Whichever holder leaves last
+    drops the references. *)
 
-val image : frozen_page list -> image
-(** Builds the snapshot's table.  The caller holds the frame references
-    the records stand for. *)
+val image : Physmem.t -> frozen_page list -> image
+(** Builds the snapshot's table and takes one reference on each page's
+    frame, which must be live.  The caller, who registers the image, is
+    its first holder.  Raises [Invalid_argument] on a vpn listed twice,
+    before taking any reference. *)
 
 val image_pages : image -> frozen_page list
 (** The records the table was built from, in the order given. *)
@@ -165,18 +172,33 @@ val image_table : image -> Pagetable.base
 val image_size : image -> int
 (** Number of pages. *)
 
+val image_holders : image -> int
+(** The owner (until {!release_image}) plus every address space that
+    maps the image and has not been destroyed.  The image's references
+    are live exactly while this is positive. *)
+
+val release_image : image -> unit
+(** The owner leaves: it drops its holder, and the image's references
+    if no address space still maps it (else the last one's {!destroy}
+    drops them).  Raises [Invalid_argument] if the owner already
+    released it. *)
+
 val map_image : t -> image -> unit
 (** Install a snapshot under an empty address space by pointing it at the
-    image's shared table: nothing is copied and nothing is allocated per
-    page, so a spawn's host cost does not grow with the image.  Each
-    page still takes one frame reference, so refcounts, COW breaks and
-    the image's discard behave as if the entries had been copied; writes,
-    protection changes and retags copy an entry into the address space's
-    own table first, so they never reach the image or its other users.
-    No cost is charged — each caller charges its own spawn price.
-    Recorder events are emitted per page so differential reference VMs
-    track the mappings.  Raises [Invalid_argument], before taking any
-    reference, if the address space already maps a page. *)
+    image's shared table and adding the space as a holder: nothing is
+    copied, allocated or referenced per page, so a spawn's host cost does
+    not grow with the image.  A write, protection change or retag copies
+    an entry into the address space's own table first, and the copy
+    takes its own frame reference, so it never reaches the image or its
+    other users, and a COW break still finds the frame shared.  An unmap
+    of a page seen through the table only hides it.  No cost is charged —
+    each caller charges its own spawn price.  Recorder events are emitted
+    per page so differential reference VMs track the mappings.  Raises
+    [Invalid_argument], before adding the holder, if the address space
+    already maps a page or the image's last holder has left. *)
+
+val mapped_image : t -> image option
+(** The image this address space maps through, until {!destroy}. *)
 
 val share_range :
   src:t -> dst:t -> addr:int -> pages:int -> prot:Prot.page -> unit
@@ -201,8 +223,10 @@ val set_page_tag : t -> addr:int -> tag:int option -> unit
     Raises [Invalid_argument] if unmapped. *)
 
 val destroy : t -> unit
-(** Unmap everything, releasing frame references (flushes the TLB
-    first).  Allocates nothing per page. *)
+(** Unmap everything (flushes the TLB first): drops the references of
+    the address space's own entries, then its hold on the image it maps
+    through, if any.  Never visits the image's pages unless it is the
+    image's last holder, and allocates nothing per page. *)
 
 val mapped_pages : t -> int
 

@@ -13,6 +13,8 @@ module Oracle = Wedge_check.Oracle
 module Refvm = Wedge_check.Refvm
 module Scenarios = Wedge_check.Scenarios
 module Explore = Wedge_check.Explore
+module W = Wedge_core.Wedge
+module Engine = Wedge_core.Engine
 
 let check = Alcotest.check
 let ps = Physmem.page_size
@@ -46,6 +48,37 @@ let test_oracle_catches_refcount_drift () =
   | () -> Alcotest.fail "oracle missed the leaked reference"
   | exception Oracle.Violation msg ->
       check Alcotest.bool "names refcounts" true (contains msg "refcount")
+
+(* An image's holders are its registration plus the address spaces that
+   map through it.  A holder dropped behind the registry's back while a
+   stamp still maps the image kills no frame, so only the holder count
+   shows it, and the oracle must name the image. *)
+let test_oracle_catches_dropped_image_holder () =
+  let k = Kernel.create ~costs:Cost_model.free () in
+  let app = W.create_app ~image_pages:8 k in
+  W.boot app;
+  let main = W.main_ctx app in
+  let o = Oracle.create k in
+  Oracle.set_app o app;
+  let caught = ref None in
+  Fiber.run (fun () ->
+      let pool = W.Pool.freeze ~name:"w" main (W.sc_create ()) in
+      Oracle.check o;
+      let body _ _ =
+        Vm.release_image pool.Engine.im_pages;
+        (* Read inside the compartment, checked outside it. *)
+        caught := Some (match Oracle.check o with () -> "" | exception Oracle.Violation m -> m);
+        0
+      in
+      ignore
+        (W.sthread_join main
+           (W.sthread_create ~spawn:(W.Stamp pool) main (W.sc_create ()) body 0)));
+  match !caught with
+  | None -> Alcotest.fail "the stamped compartment did not run"
+  | Some "" -> Alcotest.fail "oracle missed the dropped holder"
+  | Some msg ->
+      check Alcotest.bool "names the image" true (contains msg "frozen image w");
+      check Alcotest.bool "names its holders" true (contains msg "1 holders but 2")
 
 (* Every unwritten frame reads through the kernel's one zero page, so a
    write through the read view ([Physmem.get]) to an unwritten frame
@@ -314,6 +347,8 @@ let () =
         [
           Alcotest.test_case "clean on fresh kernel" `Quick test_oracle_clean_on_fresh_kernel;
           Alcotest.test_case "catches refcount drift" `Quick test_oracle_catches_refcount_drift;
+          Alcotest.test_case "catches a dropped image holder" `Quick
+            test_oracle_catches_dropped_image_holder;
           Alcotest.test_case "catches a dirty zero page" `Quick
             test_oracle_catches_dirty_zero_page;
           Alcotest.test_case "custom invariant" `Quick test_oracle_custom_invariant;

@@ -458,16 +458,6 @@ let test_rsa_tampered_ct_fails () =
   Bytes.set ct 10 (Char.chr (Char.code (Bytes.get ct 10) lxor 0x40));
   check Alcotest.bool "padding check rejects" true (Rsa.decrypt k ct <> Some (Bytes.of_string "payload"))
 
-let test_rsa_sign_verify () =
-  let k = Rsa.demo_key () in
-  let msg = Bytes.of_string "host key proof" in
-  let signature = Rsa.sign k msg in
-  check Alcotest.bool "verifies" true (Rsa.verify k.Rsa.pub msg ~signature);
-  check Alcotest.bool "wrong message rejected" false
-    (Rsa.verify k.Rsa.pub (Bytes.of_string "other") ~signature);
-  Bytes.set signature 3 'X';
-  check Alcotest.bool "tampered signature rejected" false (Rsa.verify k.Rsa.pub msg ~signature)
-
 let test_rsa_pub_serialization () =
   let k = Rsa.demo_key () in
   match Rsa.pub_of_string (Rsa.pub_to_string k.Rsa.pub) with
@@ -510,10 +500,6 @@ let test_rsa_crt_matches_modexp () =
       let d = B.modinv e ~m:(B.mul (B.sub k.Rsa.p B.one) (B.sub k.Rsa.q B.one)) in
       let plain x = B.to_bytes_be ~len (B.modexp ~base:x ~exp:d ~m:n) in
       for i = 1 to 8 do
-        let msg = Drbg.bytes r (1 + Drbg.int_below r 64) in
-        let h = B.rem (B.of_bytes_be (Sha256.digest msg)) n in
-        check Alcotest.string (Printf.sprintf "%s: sign %d" name i)
-          (Bytes.to_string (plain h)) (Bytes.to_string (Rsa.sign k msg));
         let payload = Drbg.bytes r (1 + Drbg.int_below r (Rsa.max_payload k.Rsa.pub)) in
         let ct = Rsa.encrypt r k.Rsa.pub payload in
         let block = plain (B.of_bytes_be ct) in
@@ -531,12 +517,17 @@ let test_rsa_crt_matches_modexp () =
       ("64-bit p, 192-bit q", unbalanced);
     ]
 
-let test_rsa_sign_known_answer () =
-  (* Captured before the private operation moved to CRT. *)
-  check Alcotest.string "demo_key signs \"wedge\""
-    "295d7f3e26865cac3be7a38c75b11a9902eecd833cb14fc313f39dcd85322e9a\
-     0ad45dfafd4af12a72c134afc1bc52d94acdd1ee9875e64123d4dd7a6d044ce0"
-    (Sha256.hex (Rsa.sign (Rsa.demo_key ()) (Bytes.of_string "wedge")))
+(* Pins [demo_key] itself: a ciphertext of "wedge", encrypted under it
+   from a fixed seed and written out, must still decrypt. *)
+let test_rsa_decrypt_known_answer () =
+  let ct =
+    B.to_bytes_be ~len:64
+      (B.of_hex
+         "22dee79d4574d317c22a3e246652d3f0063ee6e4d2ff0300a9f0bc5bc648801b\
+          8a5b1f77e7d023d7eb3512b82f3818b5b6d4cc8775884d4c181f4391743cd95c")
+  in
+  check Alcotest.(option string) "demo_key decrypts \"wedge\"" (Some "wedge")
+    (Option.map Bytes.to_string (Rsa.decrypt (Rsa.demo_key ()) ct))
 
 (* The key block with field [i] (0 the tag, then e, n, p, q, dp, dq,
    qinv) replaced by [v]: a corrupt block, built the way an attacker
@@ -836,11 +827,10 @@ let () =
           Alcotest.test_case "padding randomizes" `Quick test_rsa_padding_randomizes;
           Alcotest.test_case "wrong key fails" `Quick test_rsa_wrong_key_fails;
           Alcotest.test_case "tampered ciphertext" `Quick test_rsa_tampered_ct_fails;
-          Alcotest.test_case "sign/verify" `Quick test_rsa_sign_verify;
           Alcotest.test_case "pub serialization" `Quick test_rsa_pub_serialization;
           Alcotest.test_case "max payload" `Quick test_rsa_max_payload_enforced;
           Alcotest.test_case "CRT matches x^d mod n" `Quick test_rsa_crt_matches_modexp;
-          Alcotest.test_case "sign known answer" `Quick test_rsa_sign_known_answer;
+          Alcotest.test_case "decrypt known answer" `Quick test_rsa_decrypt_known_answer;
           Alcotest.test_case "priv serialization" `Quick test_rsa_priv_serialization;
         ]
         @ qcheck [ prop_rsa_roundtrip_random ] );

@@ -489,52 +489,116 @@ let test_vm_refused_mapping_takes_nothing () =
   Vm.destroy vm2;
   check Alcotest.int "every frame released" 0 (Physmem.frames_in_use pm)
 
-(* Two address spaces restored from one image share its table: each
-   takes a reference per page, writes break onto private frames, and a
-   protection change or an unmap in one is invisible to the other. *)
+(* Two address spaces restored from one image share its table and its
+   frame references: the image holds one per page for all its users, a
+   space's private copy of an entry takes its own, writes break onto
+   private frames, and a protection change or an unmap in one is
+   invisible to the other. *)
 let test_vm_map_image_shares_one_table () =
   let pm, vm0 = mk_vm () in
-  Vm.map_fresh vm0 ~addr:0x1000 ~pages:2 ~prot:Prot.page_rw ~tag:None;
+  Vm.map_fresh vm0 ~addr:0x1000 ~pages:3 ~prot:Prot.page_rw ~tag:None;
   Vm.write_bytes vm0 0x1000 (Bytes.of_string "image");
+  Vm.write_bytes vm0 0x3000 (Bytes.of_string "const");
   let pages =
     List.map
-      (fun vpn ->
+      (fun (vpn, prot) ->
         let pte = Option.get (Pagetable.find (Vm.page_table vm0) ~vpn) in
-        Physmem.incref pm pte.Pagetable.frame;
-        { Vm.fz_vpn = vpn; fz_frame = pte.Pagetable.frame; fz_prot = Prot.page_cow; fz_tag = None })
-      [ 1; 2 ]
+        { Vm.fz_vpn = vpn; fz_frame = pte.Pagetable.frame; fz_prot = prot; fz_tag = None })
+      [ (1, Prot.page_cow); (2, Prot.page_cow); (3, Prot.page_r) ]
   in
+  let image = Vm.image pm pages in
   Vm.destroy vm0;
-  let image = Vm.image pages in
   let clock = Clock.create () in
   let a = Vm.create ~pid:2 pm clock Cost_model.free in
   let b = Vm.create ~pid:3 pm clock Cost_model.free in
   Vm.map_image a image;
   Vm.map_image b image;
-  let f1 = (List.hd pages).Vm.fz_frame in
-  check Alcotest.int "one reference per space" 3 (Physmem.refcount pm f1);
+  let frame vpn = (List.nth pages (vpn - 1)).Vm.fz_frame in
+  let refs () = List.map (fun fz -> Physmem.refcount pm fz.Vm.fz_frame) pages in
+  check Alcotest.(list int) "one reference per frame, the image's" [ 1; 1; 1 ] (refs ());
+  check Alcotest.int "the owner and two spaces hold the image" 3 (Vm.image_holders image);
+  (* A private copy of an entry takes its own reference, so the COW
+     break after it still finds the frame shared. *)
+  Vm.protect_range a ~addr:0x1000 ~pages:1 ~prot:Prot.page_cow;
+  check Alcotest.int "protect_range: the copy takes a reference" 2
+    (Physmem.refcount pm (frame 1));
   Vm.write_bytes a 0x1000 (Bytes.of_string "mine!");
-  Vm.protect_range a ~addr:0x2000 ~pages:1 ~prot:Prot.page_none;
+  check Alcotest.int "the break drops the copy's reference" 1 (Physmem.refcount pm (frame 1));
+  Vm.write_bytes a 0x2000 (Bytes.of_string "also");
+  check Alcotest.int "a break straight from the table leaves the image's" 1
+    (Physmem.refcount pm (frame 2));
   check Alcotest.string "writer sees its write" "mine!" (Bytes.to_string (Vm.read_bytes a 0x1000 5));
   check Alcotest.string "sibling reads the image" "image" (Bytes.to_string (Vm.read_bytes b 0x1000 5));
-  expect_fault (fun () -> Vm.read_u8 a 0x2000);
-  check Alcotest.bool "protect stays private" true (Vm.can_read b ~addr:0x2000 ~len:1);
+  Vm.protect_range a ~addr:0x3000 ~pages:1 ~prot:Prot.page_none;
+  check Alcotest.int "protect_range holds the frame" 2 (Physmem.refcount pm (frame 3));
+  expect_fault (fun () -> Vm.read_u8 a 0x3000);
+  check Alcotest.bool "protect stays private" true (Vm.can_read b ~addr:0x3000 ~len:1);
+  (* A kernel write to a read-only page seen through the table breaks
+     too: the frame is the image's. *)
+  Vm.write_bytes_kernel b 0x3000 (Bytes.of_string "KERNL");
+  check Alcotest.string "kernel write lands privately" "KERNL"
+    (Bytes.to_string (Vm.read_bytes b 0x3000 5));
+  check Alcotest.string "the image keeps its bytes" "const"
+    (Bytes.to_string (Bytes.sub (Physmem.get pm (frame 3)) 0 5));
+  let before = refs () in
   Vm.unmap_range b ~addr:0x2000 ~pages:1;
+  check Alcotest.(list int) "unmapping a base page moves no refcount" before (refs ());
   expect_fault (fun () -> Vm.read_u8 b 0x2000);
-  check Alcotest.int "unmap stays private" 2 (Vm.mapped_pages a);
+  check Alcotest.int "unmap stays private" 3 (Vm.mapped_pages a);
   (match Pagetable.base_find (Vm.image_table image) ~vpn:1 with
   | Some pte ->
-      check Alcotest.int "image entry keeps its frame" f1 pte.Pagetable.frame;
+      check Alcotest.int "image entry keeps its frame" (frame 1) pte.Pagetable.frame;
       check Alcotest.bool "and its protection" true (pte.Pagetable.prot = Prot.page_cow)
   | None -> Alcotest.fail "image lost a page");
   check Alcotest.bool "a second install is refused" true
     (match Vm.map_image a image with () -> false | exception Invalid_argument _ -> true);
-  check Alcotest.int "and takes no reference" 2 (Physmem.refcount pm f1);
+  check Alcotest.int "and adds no holder" 3 (Vm.image_holders image);
   Vm.destroy a;
   Vm.destroy b;
-  check Alcotest.int "image references remain" 1 (Physmem.refcount pm f1);
-  List.iter (fun fz -> Physmem.decref pm fz.Vm.fz_frame) pages;
+  check Alcotest.int "a reap drops its holder" 1 (Vm.image_holders image);
+  check Alcotest.(list int) "and its own references only" [ 1; 1; 1 ] (refs ());
+  Vm.release_image image;
+  check Alcotest.bool "a second release is refused" true
+    (match Vm.release_image image with () -> false | exception Invalid_argument _ -> true);
   check Alcotest.int "every frame released" 0 (Physmem.frames_in_use pm)
+
+(* The image's frames live as long as any holder: they die with the last,
+   whether the owner releases the image before the last space that maps
+   it is torn down or after. *)
+let test_vm_image_frames_die_with_last_holder () =
+  List.iter
+    (fun discard_first ->
+      let what = if discard_first then "discard then reap" else "reap then discard" in
+      let pm, vm0 = mk_vm () in
+      Vm.map_fresh vm0 ~addr:0x1000 ~pages:2 ~prot:Prot.page_rw ~tag:None;
+      let pages =
+        List.map
+          (fun vpn ->
+            let pte = Option.get (Pagetable.find (Vm.page_table vm0) ~vpn) in
+            { Vm.fz_vpn = vpn; fz_frame = pte.Pagetable.frame; fz_prot = Prot.page_cow; fz_tag = None })
+          [ 1; 2 ]
+      in
+      let image = Vm.image pm pages in
+      Vm.destroy vm0;
+      let a = Vm.create ~pid:2 pm (Clock.create ()) Cost_model.free in
+      Vm.map_image a image;
+      Vm.write_u8 a 0x1000 7;
+      Vm.unmap_range a ~addr:0x2000 ~pages:1;
+      check Alcotest.int (what ^ ": two image frames and a private one") 3
+        (Physmem.frames_in_use pm);
+      if discard_first then Vm.release_image image else Vm.destroy a;
+      check Alcotest.int (what ^ ": one holder left") 1 (Vm.image_holders image);
+      check Alcotest.int (what ^ ": the image's frames outlive the first") 2
+        (List.length
+           (List.filter (fun fz -> Physmem.refcount pm fz.Vm.fz_frame = 1) pages));
+      if discard_first then Vm.destroy a else Vm.release_image image;
+      check Alcotest.int (what ^ ": no holder left") 0 (Vm.image_holders image);
+      check Alcotest.int (what ^ ": every frame dies with the last") 0 (Physmem.frames_in_use pm);
+      check Alcotest.bool (what ^ ": a released image cannot be mapped") true
+        (match Vm.map_image (Vm.create ~pid:3 pm (Clock.create ()) Cost_model.free) image with
+        | () -> false
+        | exception Invalid_argument _ -> true))
+    [ true; false ]
 
 (* ---------- Prot ---------- *)
 
@@ -1061,6 +1125,8 @@ let () =
             test_vm_refused_mapping_takes_nothing;
           Alcotest.test_case "map_image shares one table" `Quick
             test_vm_map_image_shares_one_table;
+          Alcotest.test_case "image frames die with the last holder" `Quick
+            test_vm_image_frames_die_with_last_holder;
           Alcotest.test_case "kernel write preserves shared frame" `Quick
             test_vm_kernel_write_preserves_shared_frame;
           Alcotest.test_case "probes" `Quick test_vm_can_read_write_probes;

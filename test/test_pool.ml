@@ -91,7 +91,10 @@ let test_stamp_flat_vs_fresh_scaling () =
    allocation (minor words plus words allocated directly in the major
    heap, as the repository benchmark counts them) to within one word per
    page.  A fork-priced [Boot] keeps its per-page simulated price — the
-   Figure 7 shape — while its host allocation stays flat too. *)
+   Figure 7 shape — while its host allocation stays flat too.  The
+   structural witness: while a stamped compartment runs, every image frame
+   keeps the refcount it had before the spawn, since the image, not the
+   compartment, holds its pages' references. *)
 let test_spawn_flat_on_both_clocks () =
   let host_words () =
     let _, promoted, major = Gc.counters () in
@@ -103,9 +106,12 @@ let test_spawn_flat_on_both_clocks () =
     let costs = ref None in
     Fiber.run ~clock (fun () ->
         let pool = W.Pool.freeze ~name:"w" main (W.sc_create ()) in
+        let probe = ref ignore in
         let gate =
           W.sc_cgate_add ~spawn:(W.Stamp pool) main (W.sc_create ()) ~name:"g"
-            ~entry:(fun _ ~trusted:_ ~arg:_ -> 0)
+            ~entry:(fun _ ~trusted:_ ~arg:_ ->
+              !probe ();
+              0)
             ~cgsc:(W.sc_create ()) ~trusted:0
         in
         (* The second run is measured: the first grows the kernel's own
@@ -120,7 +126,29 @@ let test_spawn_flat_on_both_clocks () =
           Some
             ( cost (fun () -> ignore (stamp main pool noop 0)),
               cost (fun () -> ignore (W.cgate main gate ~perms:(W.sc_create ()) ~arg:0)),
-              cost (fun () -> ignore (W.sthread_create main (W.sc_create ()) noop 0)) ));
+              cost (fun () -> ignore (W.sthread_create main (W.sc_create ()) noop 0)) );
+        let image = pool.Engine.im_pages in
+        let refs () =
+          List.map (fun fz -> Physmem.refcount k.Kernel.pm fz.Vm.fz_frame) (Vm.image_pages image)
+        in
+        let before = refs () in
+        (* Read inside the compartment, checked outside it: a failed
+           check in a compartment body would only end the compartment. *)
+        let seen = ref [] in
+        let during what () = seen := (what, Vm.image_holders image, refs ()) :: !seen in
+        ignore (stamp main pool (fun _ _ -> during "stamp" (); 0) 0);
+        probe := during "stamped gate";
+        ignore (W.cgate main gate ~perms:(W.sc_create ()) ~arg:0);
+        check Alcotest.int "both compartments ran" 2 (List.length !seen);
+        List.iter
+          (fun (what, holders, during) ->
+            check Alcotest.int
+              (Printf.sprintf "%d pages, %s: the image gains one holder" pages what)
+              2 holders;
+            if during <> before then
+              Alcotest.failf "%d pages, %s: an image frame's refcount moved" pages what)
+          !seen;
+        check Alcotest.(list int) "image refcounts after both" before (refs ()));
     Option.get !costs
   in
   let s1, g1, b1 = measure 60 and s2, g2, _ = measure 300 and s3, g3, b3 = measure 2_000 in
