@@ -972,7 +972,7 @@ let sc_cgate_add ?(spawn = Boot) creator (sc : Sc.t) ~name ~entry ~cgsc ~trusted
   (match spawn with
   | Stamp im ->
       check_image creator.app im ~what:"sc_cgate_add";
-      if List.exists (fun fz -> fz.fz_tag <> None) (Vm.image_pages im.im_pages) then
+      if Vm.image_tagged im.im_pages then
         violation "cgate_add: image %s carries tagged pages" im.im_name
   | Boot | Recycle -> ());
   let gid = creator.app.next_gate in

@@ -269,47 +269,56 @@ let rem (a : t) (b : t) =
     prefix u (Array.length b)
   end
 
-(* Montgomery multiplication (CIOS) modulo an odd [m] of [k] limbs, with
+(* The widest modulus [mont_mul] takes: its columns stay below 2^62. *)
+let max_mont_limbs = 511
+
+(* Montgomery multiplication modulo an odd [m] of [k] limbs, with
    R = base^k and [m' = -m^-1 mod base]: the [k] limbs of [r] from [ro]
    become [a * b / R mod m], where [a] (below R) and [b] (below [m]) are
    the [k] limbs of their arrays from [ao] and [bo].  [t] is a work
-   buffer of at least [k + 2] limbs; [r] may overlap [a] or [b].  The one
-   check at entry bounds every index the loops touch, so they read and
-   write unchecked. *)
+   buffer of at least [2k] limbs; [r] may overlap [a] or [b].
+
+   Column [i + j] of [t] collects a_j * b_i + u_i * m_j unreduced: row
+   [i] picks [u_i] to clear column [i]'s low limb, then moves that
+   column's carry up, and one pass after the last row carries columns
+   k .. 2k-1 down into the result.  A column takes at most 2k products
+   below 2^52 plus a carry below 2^37, below 2^62 while k <=
+   [max_mont_limbs].  The one check at entry bounds every index the
+   loops touch, so they read and write unchecked. *)
 let mont_mul (m : int array) m' (t : int array) (a : int array) ao (b : int array) bo
     (r : int array) ro =
   let k = Array.length m in
   if
-    Array.length t < k + 2
+    k > max_mont_limbs
+    || Array.length t < 2 * k
     || ao < 0 || bo < 0 || ro < 0
     || ao > Array.length a - k
     || bo > Array.length b - k
     || ro > Array.length r - k
   then invalid_arg "Bignum.mont_mul";
-  Array.fill t 0 (k + 2) 0;
+  Array.fill t 0 (2 * k) 0;
+  let a0 = a.(ao) in
   for i = 0 to k - 1 do
     let bi = Array.unsafe_get b (bo + i) in
-    let c = ref 0 in
-    for j = 0 to k - 1 do
-      let v = Array.unsafe_get t j + (Array.unsafe_get a (ao + j) * bi) + !c in
-      Array.unsafe_set t j (v land mask);
-      c := v lsr limb_bits
+    let u = ((Array.unsafe_get t i + (a0 * bi)) * m') land mask in
+    (* column c = i + j gains a_j * b_i + u * m_j *)
+    let d = ao - i in
+    for c = i to i + k - 1 do
+      Array.unsafe_set t c
+        (Array.unsafe_get t c
+        + (Array.unsafe_get a (d + c) * bi)
+        + (u * Array.unsafe_get m (c - i)))
     done;
-    let v = t.(k) + !c in
-    t.(k) <- v land mask;
-    t.(k + 1) <- v lsr limb_bits;
-    let u = (t.(0) * m') land mask in
-    let c = ref ((t.(0) + (u * m.(0))) lsr limb_bits) in
-    for j = 1 to k - 1 do
-      let v = Array.unsafe_get t j + (u * Array.unsafe_get m j) + !c in
-      Array.unsafe_set t (j - 1) (v land mask);
-      c := v lsr limb_bits
-    done;
-    let v = t.(k) + !c in
-    t.(k - 1) <- v land mask;
-    t.(k) <- t.(k + 1) + (v lsr limb_bits)
+    let carry = Array.unsafe_get t i lsr limb_bits in
+    Array.unsafe_set t (i + 1) (Array.unsafe_get t (i + 1) + carry)
   done;
-  if t.(k) <> 0 || cmp_limbs t m 0 (k - 1) >= 0 then sub_in_place t m 0 (k - 1);
+  let c = ref 0 in
+  for j = 0 to k - 1 do
+    let v = Array.unsafe_get t (k + j) + !c in
+    Array.unsafe_set t j (v land mask);
+    c := v lsr limb_bits
+  done;
+  if !c <> 0 || cmp_limbs t m 0 (k - 1) >= 0 then sub_in_place t m 0 (k - 1);
   Array.blit t 0 r ro k
 
 (* Left-to-right sliding-window exponentiation in Montgomery form, with
@@ -385,7 +394,7 @@ let modexp ~base:b ~exp ~m =
   if is_zero m then raise Division_by_zero;
   if equal m one then zero
   else if is_zero exp then one
-  else if not (is_even m) then modexp_odd b ~exp m
+  else if not (is_even m) && Array.length m <= max_mont_limbs then modexp_odd b ~exp m
   else begin
     let result = ref one in
     let b = ref (rem b m) in

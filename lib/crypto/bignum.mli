@@ -31,8 +31,11 @@ val shift_right : t -> int -> t
 val bit : t -> int -> bool
 
 val modexp : base:t -> exp:t -> m:t -> t
-(** Montgomery multiplication for odd [m], scanning exponents longer than
-    64 bits in 4-bit windows and shorter ones bit by bit. *)
+(** For odd [m] of up to 511 limbs (13,286 bits), Montgomery
+    multiplication that carries once per product rather than once per
+    limb step, scanning exponents longer than 64 bits in 4-bit windows
+    and shorter ones bit by bit.  Even and wider moduli take the binary
+    ladder on {!mul} and {!rem}. *)
 
 val modinv : t -> m:t -> t
 (** Modular inverse. @raise Not_found if not coprime with [m]. *)

@@ -1,4 +1,4 @@
-(* Plain-int implementation; all word arithmetic is masked to 32 bits. *)
+(* Plain-int implementation; every word it stores is masked to 32 bits. *)
 
 let m32 = 0xffffffff
 
@@ -42,16 +42,17 @@ let init () =
   reset t;
   t
 
-let rotr x n = ((x lsr n) lor (x lsl (32 - n))) land m32
-
+(* Each round takes its Sigmas from a word doubled into the 63-bit int,
+   [x lor (x lsl 32)]: for 1 <= n <= 31, bits n .. n+31 of that are x
+   rotated right by n, so three rotations are three shifts.  Only the
+   words a round stores ([a], [e], the schedule word) are masked back to
+   32 bits: the low 32 bits of a sum depend only on those of its terms,
+   so the bits a Sigma carries above them never reach a stored word. *)
 let compress t (block : bytes) off =
+  if off < 0 || off > Bytes.length block - 64 then invalid_arg "Sha256.compress";
   let h = t.h and w = t.w in
   for i = 0 to 15 do
-    w.(i) <-
-      (Char.code (Bytes.get block (off + (4 * i))) lsl 24)
-      lor (Char.code (Bytes.get block (off + (4 * i) + 1)) lsl 16)
-      lor (Char.code (Bytes.get block (off + (4 * i) + 2)) lsl 8)
-      lor Char.code (Bytes.get block (off + (4 * i) + 3))
+    Array.unsafe_set w i (Int32.to_int (Bytes.get_int32_be block (off + (4 * i))) land m32)
   done;
   let a = ref h.(0) and b = ref h.(1) and c = ref h.(2) and d = ref h.(3) in
   let e = ref h.(4) and f = ref h.(5) and g = ref h.(6) and hh = ref h.(7) in
@@ -59,17 +60,20 @@ let compress t (block : bytes) off =
     (* Word i of the schedule takes the slot of word i - 16, which only
        word i still reads; every index is taken mod 16. *)
     if i >= 16 then begin
-      let w15 = w.((i - 15) land 15) and w2 = w.((i - 2) land 15) in
-      let s0 = rotr w15 7 lxor rotr w15 18 lxor (w15 lsr 3) in
-      let s1 = rotr w2 17 lxor rotr w2 19 lxor (w2 lsr 10) in
-      w.(i land 15) <- (w.(i land 15) + s0 + w.((i - 7) land 15) + s1) land m32
+      let w15 = Array.unsafe_get w ((i - 15) land 15) in
+      let w2 = Array.unsafe_get w ((i - 2) land 15) in
+      let d15 = w15 lor (w15 lsl 32) and d2 = w2 lor (w2 lsl 32) in
+      let s0 = (d15 lsr 7) lxor (d15 lsr 18) lxor (w15 lsr 3) in
+      let s1 = (d2 lsr 17) lxor (d2 lsr 19) lxor (w2 lsr 10) in
+      let w7 = Array.unsafe_get w ((i - 7) land 15) in
+      Array.unsafe_set w (i land 15) ((Array.unsafe_get w (i land 15) + s0 + w7 + s1) land m32)
     end;
-    let s1 = rotr !e 6 lxor rotr !e 11 lxor rotr !e 25 in
-    let ch = (!e land !f) lxor (lnot !e land !g) land m32 in
-    let t1 = (!hh + s1 + ch + k.(i) + w.(i land 15)) land m32 in
-    let s0 = rotr !a 2 lxor rotr !a 13 lxor rotr !a 22 in
-    let maj = (!a land !b) lxor (!a land !c) lxor (!b land !c) in
-    let t2 = (s0 + maj) land m32 in
+    let de = !e lor (!e lsl 32) and da = !a lor (!a lsl 32) in
+    let s1 = (de lsr 6) lxor (de lsr 11) lxor (de lsr 25) in
+    let ch = !g lxor (!e land (!f lxor !g)) in
+    let t1 = !hh + s1 + ch + Array.unsafe_get k i + Array.unsafe_get w (i land 15) in
+    let s0 = (da lsr 2) lxor (da lsr 13) lxor (da lsr 22) in
+    let maj = (!a land !b) lor (!c land (!a lor !b)) in
     hh := !g;
     g := !f;
     f := !e;
@@ -77,7 +81,7 @@ let compress t (block : bytes) off =
     d := !c;
     c := !b;
     b := !a;
-    a := (t1 + t2) land m32
+    a := (t1 + s0 + maj) land m32
   done;
   h.(0) <- (h.(0) + !a) land m32;
   h.(1) <- (h.(1) + !b) land m32;

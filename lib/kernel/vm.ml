@@ -117,6 +117,7 @@ type image = {
   pages : frozen_page list;
   table : Pagetable.base;
   pm : Physmem.t;  (* where its references are held *)
+  tagged : bool;  (* some page carries a tag *)
   mutable holders : int;
   mutable registered : bool;  (* the owner has not released it *)
 }
@@ -267,9 +268,11 @@ let image pm pages =
          pages)
   in
   List.iter (fun fz -> Physmem.incref pm fz.fz_frame) pages;
-  { pages; table; pm; holders = 1; registered = true }
+  let tagged = List.exists (fun fz -> fz.fz_tag <> None) pages in
+  { pages; table; pm; tagged; holders = 1; registered = true }
 
 let image_pages im = im.pages
+let image_tagged im = im.tagged
 let image_table im = im.table
 let image_size im = Pagetable.base_count im.table
 let image_holders im = im.holders
@@ -771,9 +774,61 @@ let read_into t addr buf pos len =
         (fun () -> Bytes.sub buf pos len)
         (fun () -> read_into_raw t addr buf pos len)
 
+(* [probe] is advisory, not an access: it answers "would this access be
+   allowed right now" for policy decisions (e.g. priv_for_tag).  It walks
+   the page table directly — never the TLB, which it must not pollute —
+   charges nothing, and rolls no injected faults: a spurious fault on a
+   probe would turn a question into a crash, which no real MMU does. *)
+let probe t ~addr ~len access =
+  let rec loop a remaining =
+    remaining <= 0
+    ||
+    match Pagetable.find t.pt ~vpn:(vpn_of a) with
+    | None -> false
+    | Some pte ->
+        let p = pte.Pagetable.prot in
+        let ok =
+          match access with
+          | Read -> p.Prot.pr
+          | Write -> p.Prot.pw || p.Prot.pcow
+        in
+        ok
+        &&
+        let chunk = min remaining (page_size - off_of a) in
+        loop (a + chunk) (remaining - chunk)
+  in
+  loop addr len
+
+(* The translations [blit_read_pages] makes, without the copy. *)
+let rec translate_read_pages t addr len =
+  if len > 0 then begin
+    let chunk = min len (page_size - off_of addr) in
+    ignore (page_for t addr Read true);
+    translate_read_pages t (addr + chunk) (len - chunk)
+  end
+
+(* A checked read of the range without the copy: the same roll, then the
+   same translations in the same order, so it faults where the copy
+   would, and an armed recorder sees the same [Ev_fault]. *)
+let fault_read t addr len =
+  let walk () =
+    roll_access t addr Read;
+    translate_read_pages t addr len
+  in
+  match t.recorder.sink with
+  | None -> walk ()
+  | Some r -> armed_read t r addr ~kernel:false ~u64:false (fun () -> Bytes.empty) walk
+
 (* The buffer is sized only once the length is known to be in range: a
-   bad one faults inside [read_into] with nothing allocated for it. *)
+   bad one faults inside [read_into] with nothing allocated for it.  Nor
+   is one allocated for a range of more than one page that the
+   charge-free [probe] finds unreadable: [fault_read] takes the copy's
+   own fault instead.  Only a cached translation that outlived its page
+   table entry, which the oracle reports as a missed shootdown, could
+   let that walk finish; the copy then runs as usual. *)
 let read_bytes t addr len =
+  if read_len_ok len && off_of addr + len > page_size && not (probe t ~addr ~len Read) then
+    fault_read t addr len;
   let buf = Bytes.create (if read_len_ok len then len else 0) in
   read_into t addr buf 0 len;
   buf
@@ -827,31 +882,6 @@ let tlb_check t =
             end)
     t.tlb;
   List.rev !bad
-
-(* [probe] is advisory, not an access: it answers "would this access be
-   allowed right now" for policy decisions (e.g. priv_for_tag).  It walks
-   the page table directly — never the TLB, which it must not pollute —
-   charges nothing, and rolls no injected faults: a spurious fault on a
-   probe would turn a question into a crash, which no real MMU does. *)
-let probe t ~addr ~len access =
-  let rec loop a remaining =
-    remaining <= 0
-    ||
-    match Pagetable.find t.pt ~vpn:(vpn_of a) with
-    | None -> false
-    | Some pte ->
-        let p = pte.Pagetable.prot in
-        let ok =
-          match access with
-          | Read -> p.Prot.pr
-          | Write -> p.Prot.pw || p.Prot.pcow
-        in
-        ok
-        &&
-        let chunk = min remaining (page_size - off_of a) in
-        loop (a + chunk) (remaining - chunk)
-  in
-  loop addr len
 
 let can_read t ~addr ~len = probe t ~addr ~len Read
 let can_write t ~addr ~len = probe t ~addr ~len Write

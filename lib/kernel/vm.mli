@@ -165,6 +165,10 @@ val image : Physmem.t -> frozen_page list -> image
 val image_pages : image -> frozen_page list
 (** The records the table was built from, in the order given. *)
 
+val image_tagged : image -> bool
+(** Whether any of its pages carries a tag, found once when the image is
+    built. *)
+
 val image_table : image -> Pagetable.base
 (** The shared table, for checking it against {!image_pages}.
     Read-only. *)
@@ -263,8 +267,11 @@ val read_into : t -> int -> bytes -> int -> int -> unit
 
 val read_bytes : t -> int -> int -> bytes
 (** {!read_into} a fresh buffer, allocated only once the length is in
-    range.  Nothing else holds the result ([Engine.read_string] hands it
-    out as a string). *)
+    range and, for a range of more than one page, only once {!can_read}
+    finds it readable: an unreadable one takes the fault the copy would
+    (same roll, translations and reason) with nothing allocated.  Nothing
+    else holds the result ([Engine.read_string] hands it out as a
+    string). *)
 
 val write_bytes : t -> int -> bytes -> unit
 (** Bulk write; atomic across pages: every page is translated (and any

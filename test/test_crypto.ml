@@ -305,6 +305,45 @@ let test_bignum_modexp_windows () =
   in
   check Alcotest.(list string) "every window shape agrees with the reference" [] wrong
 
+(* Montgomery multiplication lets each column of its work area collect
+   up to 2k limb products before it carries, which 2k * 2^52 plus a
+   carry bounds below 2^62 up to 511 limbs; wider odd moduli take the
+   ladder.  An all-ones modulus (every limb 2^26 - 1) with bases whose
+   limbs are all at or next to 2^26 - 1 fills the columns nearest that
+   bound: m - 1 squares to 1, and its square's products are all but
+   maximal.  Checked against [reference_modexp] at 20, 64 and 511 limbs
+   with short exponents (and an 80-bit one, which takes 4-bit windows,
+   below 511), and at 512 limbs, where the ladder must agree too. *)
+let test_mont_mul_column_bound () =
+  let top = (1 lsl 26) - 1 in
+  let r = Drbg.create ~seed:0xc01 in
+  let wrong =
+    List.concat_map
+      (fun k ->
+        let m = of_limbs (List.init k (fun _ -> top)) in
+        let bases =
+          [
+            ("m - 1", B.sub m B.one);
+            ("m - 2", B.sub m B.two);
+            ("limbs near 2^26 - 1", of_limbs (List.init k (fun _ -> top - Drbg.int_below r 64)));
+          ]
+        in
+        let exps =
+          [ ("2", B.two); ("3", B.of_int 3); ("65537", B.of_int 65537) ]
+          @ if k < 511 then [ ("80 bits", B.random_bits r ~bits:80) ] else []
+        in
+        List.concat_map
+          (fun (bname, base) ->
+            List.filter_map
+              (fun (ename, exp) ->
+                if B.equal (B.modexp ~base ~exp ~m) (reference_modexp ~base ~exp ~m) then None
+                else Some (Printf.sprintf "%d limbs, base %s, exponent %s" k bname ename))
+              exps)
+          bases)
+      [ 20; 64; 511; 512 ]
+  in
+  check Alcotest.(list string) "every width agrees with the reference" [] wrong
+
 let test_bignum_to_int_overflow () =
   let huge = B.shift_left B.one 80 in
   match B.to_int huge with
@@ -783,6 +822,7 @@ let () =
           Alcotest.test_case "shifts" `Quick test_bignum_shift;
           Alcotest.test_case "modexp edges" `Quick test_bignum_modexp_edges;
           Alcotest.test_case "modexp window edges" `Quick test_bignum_modexp_windows;
+          Alcotest.test_case "mont_mul column bound" `Quick test_mont_mul_column_bound;
           Alcotest.test_case "divmod digit edges" `Quick test_bignum_divmod_edges;
           Alcotest.test_case "to_int overflow" `Quick test_bignum_to_int_overflow;
         ] );

@@ -222,6 +222,48 @@ let test_oversized_lv_faults_not_allocates () =
          in
          has 0)
 
+(* A length below [Vm.max_read] that runs past the caller's mapping: a
+   32 MiB prefix over a one-page tag.  The read must fault at the first
+   page past the tag, as the copy would, without first allocating the
+   32 MiB it could never fill. *)
+let test_unmapped_lv_faults_not_allocates () =
+  let k = Kernel.create ~costs:Cost_model.free () in
+  let app = W.create_app k in
+  W.boot app;
+  let main = W.main_ctx app in
+  let t = W.tag_new main in
+  let a = W.smalloc main 64 t in
+  let sc = W.sc_create () in
+  W.sc_mem_add sc t Wedge_kernel.Prot.RW;
+  let outcome = ref None and words = ref 0. in
+  Fiber.run (fun () ->
+      ignore
+        (W.sthread_join main
+           (W.sthread_create main sc
+              (fun ctx _ ->
+                W.write_u32 ctx a (32 * 1024 * 1024);
+                let host_words () =
+                  let _, promoted, major = Gc.counters () in
+                  Gc.minor_words () +. (major -. promoted)
+                in
+                let w0 = host_words () in
+                (outcome :=
+                   match W.read_lv ctx a with
+                   | _ -> None
+                   | exception Wedge_kernel.Vm.Fault f -> Some f);
+                words := host_words () -. w0;
+                0)
+              0)));
+  match !outcome with
+  | None -> Alcotest.fail "expected a fault"
+  | Some f ->
+      check Alcotest.int "faults at the first page past the tag"
+        (t.Wedge_mem.Tag.base + (t.Wedge_mem.Tag.pages * Wedge_kernel.Physmem.page_size))
+        f.Wedge_kernel.Vm.addr;
+      check Alcotest.string "as an unmapped page" "unmapped page" f.Wedge_kernel.Vm.reason;
+      if !words >= 512. then
+        Alcotest.failf "read_lv allocated %.0f host words before faulting (bound 512)" !words
+
 (* ---------- vfs traversal ---------- *)
 
 let test_chroot_cannot_be_escaped () =
@@ -279,6 +321,8 @@ let () =
         @ [
             Alcotest.test_case "oversized lv faults" `Quick
               test_oversized_lv_faults_not_allocates;
+            Alcotest.test_case "unmapped lv faults unallocated" `Quick
+              test_unmapped_lv_faults_not_allocates;
           ] );
       ( "path-traversal",
         [

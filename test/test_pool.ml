@@ -44,6 +44,11 @@ let sweep k app =
 
 let noop _ _ = 0
 
+let contains haystack needle =
+  let nl = String.length needle and hl = String.length haystack in
+  let rec go i = i + nl <= hl && (String.sub haystack i nl = needle || go (i + 1)) in
+  go 0
+
 (* A compartment stamped from [pool], [sc]'s grants on top. *)
 let stamp ?(sc = W.sc_create ()) main pool fn arg =
   W.sthread_create ~spawn:(W.Stamp pool) main sc fn arg
@@ -580,6 +585,25 @@ let test_fork_of_a_stamp () =
           check Alcotest.int "fork's tag write stayed in the fork" tagged (W.read_u64 child word);
           check Alcotest.bool "the image stamps as before" true (stamped_view k main pool = image)))
 
+(* A stamped gate takes only address space from its image, so an image
+   that carries a tagged page is refused when the gate is added: a tag a
+   grant would have to justify must not ride in through the image.  An
+   untagged image of the same app is accepted. *)
+let test_stamped_gate_refuses_tagged_image () =
+  let _, _, main = mk () in
+  Fiber.run (fun () ->
+      let add pool =
+        W.sc_cgate_add ~spawn:(W.Stamp pool) main (W.sc_create ()) ~name:"g"
+          ~entry:(fun _ ~trusted:_ ~arg:_ -> 0)
+          ~cgsc:(W.sc_create ()) ~trusted:0
+      in
+      let tagged, _, _ = freeze_shared main in
+      check Alcotest.bool "image with a tagged page refused" true
+        (match add tagged with
+        | exception W.Privilege_violation msg -> contains msg "tagged pages"
+        | _ -> false);
+      ignore (add (W.Pool.freeze ~name:"plain" main (W.sc_create ()))))
+
 (* ---------- fault injection on the pool sites ---------- *)
 
 let test_fault_during_freeze_leaves_no_image () =
@@ -667,11 +691,6 @@ let test_stamp_child_restamps () =
 
 (* ---------- observability ---------- *)
 
-let contains haystack needle =
-  let nl = String.length needle and hl = String.length haystack in
-  let rec go i = i + nl <= hl && (String.sub haystack i nl = needle || go (i + 1)) in
-  go 0
-
 let test_pool_metrics_and_trace () =
   let k, app, main = mk () in
   Trace.arm k.Kernel.trace;
@@ -718,6 +737,8 @@ let () =
             test_stamped_gate_keeps_no_residue;
           Alcotest.test_case "foreign image refused" `Quick
             test_stamped_gate_refuses_foreign_image;
+          Alcotest.test_case "stamped gate refuses a tagged image" `Quick
+            test_stamped_gate_refuses_tagged_image;
         ] );
       ( "shared table",
         [
