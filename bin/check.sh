@@ -135,12 +135,17 @@ if [ -n "$entry_hits" ]; then
 fi
 
 # Export guard: every val in a lib/ interface is named, outside comments
-# and string literals, in some source file other than its own .ml and
-# .mli — an export that nothing outside its module names is dead code or
-# an internal detail.  A word in a message ("no heart left overdue") is
-# not a use.  [code_only] keeps the code of each line: nested comments,
-# "strings" (escapes included) and {|quoted strings|} are dropped, with
-# their state carried across lines, and '"' is a character, not a quote.
+# and string literals, in some source file outside test/ other than its
+# own .ml and .mli — an export that only tests name is surface no server,
+# bench or tool uses, and one nothing outside its module names is dead
+# code or an internal detail.  The one exemption is a module's
+# [For_testing] submodule, which holds observations of state no public
+# call returns: its vals need a caller in test/, and no file outside
+# test/ may name [For_testing] except to declare it.  A word in a message
+# ("no heart left overdue") is not a use.  [code_only] keeps the code of
+# each line: nested comments, "strings" (escapes included) and {|quoted
+# strings|} are dropped, with their state carried across lines, and '"'
+# is a character, not a quote.
 echo "== export guard =="
 code_only='{
   out = ""; n = length($0); i = 1
@@ -160,24 +165,37 @@ code_only='{
 }'
 export_vals="$(mktemp)"
 export_words="$(mktemp)"
+# One line per val: its .mli, its name, and 1 inside For_testing.
 for mli in $(find lib -name '*.mli' | sort); do
-  sed -n "s/^ *val \([a-z_][A-Za-z0-9_']*\) *:.*/\1/p" "$mli" | sed "s|^|$mli |"
+  awk -v mli="$mli" '
+    /^ *module For_testing *: *sig/ { ft = 1; next }
+    ft && /^ *end/ { ft = 0; next }
+    /^ *val [a-z_][A-Za-z0-9_\047]* *:/ { v = $2; sub(/:.*/, "", v); print mli, v, ft + 0 }
+  ' "$mli"
 done > "$export_vals"
 for f in $(find lib bin bench examples perfbench test -name '*.ml' -o -name '*.mli' | sort); do
   awk "$code_only" "$f" | grep -ow "[A-Za-z_][A-Za-z0-9_']*" | sort -u | sed "s|^|$f |"
 done > "$export_words"
 export_hits="$(awk '
-  NR == FNR { n[$2]++; if (n[$2] <= 3) at[$2] = at[$2] " " $1; next }
+  NR == FNR { at[$2] = at[$2] " " $1; next }
   {
     ml = $1; sub(/\.mli$/, ".ml", ml)
-    used = n[$2] > 3
+    used = 0
     k = split(at[$2], fs, " ")
-    for (i = 1; i <= k; i++) if (fs[i] != $1 && fs[i] != ml) used = 1
-    if (!used) print $1 ": val " $2
+    for (i = 1; i <= k; i++)
+      if (fs[i] != $1 && fs[i] != ml && ($3 || fs[i] !~ /^test\//)) used = 1
+    if (!used) print $1 ": val " $2 ($3 ? " (For_testing, named by no test)" : "")
   }' "$export_words" "$export_vals")"
 rm -f "$export_vals" "$export_words"
 if [ -n "$export_hits" ]; then
-  echo "$export_hits" | sed 's/^/check.sh: export named nowhere outside its module: /' >&2
+  echo "$export_hits" | sed 's/^/check.sh: export named nowhere outside its module and test\/: /' >&2
+  exit 1
+fi
+for_testing_hits="$(for f in $(find lib bin bench examples perfbench -name '*.ml' -o -name '*.mli' | sort); do
+  awk "$code_only" "$f" | grep -nw For_testing | grep -vE '^[0-9]+: *module For_testing( |$)' | sed "s|^|$f:|"
+done)"
+if [ -n "$for_testing_hits" ]; then
+  echo "$for_testing_hits" | sed 's/^/check.sh: For_testing named outside test\/: /' >&2
   exit 1
 fi
 

@@ -15,7 +15,7 @@
    - [Ev_cow] copies the old frame's model bytes to the new frame id
      (when the ids differ; an in-place claim keeps them) — exactly the
      semantics the real COW break must implement.
-   - A real read needs [pr] (or kernel), a real write [pw] (or kernel):
+   - A real read needs [pr], a real write [pw]:
      by the time [Ev_write] arrives any COW break already updated the
      protection via the preceding [Ev_cow], so a surviving [pcow] means
      the real side wrote without breaking — a genuine bug.
@@ -97,7 +97,7 @@ type outcome =
   | Ok_bytes of bytes
   | Would_fault of string  (* the model's fault reason *)
 
-let model_range t pid addr len ~(access : Vm.access) ~kernel =
+let model_range t pid addr len ~(access : Vm.access) =
   let tbl = proc_table t pid in
   let buf = Bytes.create len in
   let rec go addr dst remaining =
@@ -109,8 +109,6 @@ let model_range t pid addr len ~(access : Vm.access) ~kernel =
       | None -> Would_fault "unmapped page"
       | Some m ->
           let allowed =
-            kernel
-            ||
             match access with
             | Vm.Read -> m.m_prot.Prot.pr
             | Vm.Write -> m.m_prot.Prot.pw
@@ -180,9 +178,9 @@ let apply t (ev : Vm.mem_event) =
           m.m_frame <- frame;
           m.m_prot <- prot)
   | Vm.Ev_destroy { pid } -> Hashtbl.remove t.procs pid
-  | Vm.Ev_read { pid; addr; value; kernel; u64 } -> (
+  | Vm.Ev_read { pid; addr; value; u64 } -> (
       let len = Bytes.length value in
-      match model_range t pid addr len ~access:Vm.Read ~kernel with
+      match model_range t pid addr len ~access:Vm.Read with
       | Would_fault reason ->
           mismatch "refvm: pid %d read 0x%x/%d succeeded but model faults (%s)" pid addr
             len reason
@@ -193,14 +191,14 @@ let apply t (ev : Vm.mem_event) =
           if not (Bytes.equal b value) then
             mismatch "refvm: pid %d read 0x%x/%d saw %s but model has %s" pid addr len
               (hex value) (hex b))
-  | Vm.Ev_write { pid; addr; value; kernel } -> (
+  | Vm.Ev_write { pid; addr; value } -> (
       let len = Bytes.length value in
-      match model_range t pid addr len ~access:Vm.Write ~kernel with
+      match model_range t pid addr len ~access:Vm.Write with
       | Would_fault reason ->
           mismatch "refvm: pid %d write 0x%x/%d succeeded but model faults (%s)" pid addr
             len reason
       | Ok_bytes _ -> apply_write t pid addr value)
-  | Vm.Ev_fault { pid; addr; access; reason; kernel } -> (
+  | Vm.Ev_fault { pid; addr; access; reason } -> (
       let tbl = proc_table t pid in
       let vpn = addr / page_size in
       match reason with
@@ -211,7 +209,7 @@ let apply t (ev : Vm.mem_event) =
           match Hashtbl.find_opt tbl vpn with
           | None -> mismatch "refvm: pid %d read-perm fault at unmapped 0x%x" pid addr
           | Some m ->
-              if kernel || m.m_prot.Prot.pr then
+              if m.m_prot.Prot.pr then
                 mismatch "refvm: pid %d faulted 'no read permission' at 0x%x but model \
                           allows the read"
                   pid addr)
@@ -219,7 +217,7 @@ let apply t (ev : Vm.mem_event) =
           match Hashtbl.find_opt tbl vpn with
           | None -> mismatch "refvm: pid %d write-perm fault at unmapped 0x%x" pid addr
           | Some m ->
-              if kernel || m.m_prot.Prot.pw || m.m_prot.Prot.pcow then
+              if m.m_prot.Prot.pw || m.m_prot.Prot.pcow then
                 mismatch "refvm: pid %d faulted 'no write permission' at 0x%x but model \
                           allows the write"
                   pid addr)

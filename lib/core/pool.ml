@@ -44,8 +44,6 @@ let page_size = Physmem.page_size
 type t = Engine.image
 
 let name (t : t) = t.Engine.im_name
-let frozen_pages (t : t) = Vm.image_size t.Engine.im_pages
-let is_live (t : t) = t.Engine.im_live
 
 let find app name =
   List.find_opt (fun (im : t) -> im.Engine.im_name = name) app.Engine.frozen_images

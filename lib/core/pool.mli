@@ -63,8 +63,3 @@ val find : Engine.app -> string -> t option
 (** The app's live image called [name], if one is frozen. *)
 
 val name : t -> string
-val frozen_pages : t -> int
-(** Pages in the frozen image (what one stamp maps for its flat
-    charge). *)
-
-val is_live : t -> bool

@@ -8,11 +8,6 @@
 
 module Process = Wedge_kernel.Process
 
-type policy = { max_restarts : int (* retries after the first attempt *) }
-
-let default_policy = { max_restarts = 0 }
-let policy ?(max_restarts = 0) () = { max_restarts }
-
 (* The backoff charged after faulted attempt [attempt], in simulated ns:
    100 doubled [attempt - 1] times, saturating at 1 s.  Doubling stops
    at the cap, so no attempt count overflows it: a plain
@@ -47,12 +42,12 @@ let run_attempt ctx run =
 (* [on_restart] fires after the backoff charge, just before the new
    attempt spawns: a caller re-arms there a connection heart left hung
    by the cut that killed the previous attempt. *)
-let supervise ?(policy = default_policy) ?(on_restart = ignore) ctx run =
+let supervise ~max_restarts ?(on_restart = ignore) ctx run =
   let rec go n =
     match run_attempt ctx run with
     | Ok value -> Done { value; attempts = n }
     | Error reason ->
-        if n <= policy.max_restarts then begin
+        if n <= max_restarts then begin
           Engine.stat ctx "supervisor.restart";
           Engine.trace_instant ctx "supervisor.restart";
           Engine.charge_app ctx (backoff ~attempt:n);

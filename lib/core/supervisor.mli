@@ -8,21 +8,13 @@
     One flat policy: {!supervise} retries each faulted attempt up to
     [max_restarts] times with exponential backoff charged to the
     simulated clock (100 ns before the first retry, doubled before each
-    later one, saturating at 1 s); when the policy is exhausted the
+    later one, saturating at 1 s); when the retries are exhausted the
     caller receives {!Gave_up} and degrades the one affected connection
     (HTTP 500, POP3 [-ERR], SSH disconnect) while the listener lives
     on.
 
     Kernel stats bumped: [supervisor.restart] and [supervisor.gave_up],
     with matching trace instants. *)
-
-type policy = { max_restarts : int  (** retries after the first attempt *) }
-
-val default_policy : policy
-(** No restarts: fail straight to degraded (right for workers whose input
-    stream is consumed by the failed attempt). *)
-
-val policy : ?max_restarts:int -> unit -> policy
 
 type outcome =
   | Done of { value : int; attempts : int }
@@ -32,15 +24,17 @@ type outcome =
       (** Every attempt faulted; [last_fault] is the final reason. *)
 
 val supervise :
-  ?policy:policy ->
+  max_restarts:int ->
   ?on_restart:(unit -> unit) ->
   Engine.ctx ->
   (unit -> Engine.handle) ->
   outcome
-(** [supervise ctx run] runs attempts produced by [run] until one exits or
-    the policy gives up.  A contained fault raised by [run] itself (e.g.
-    an injected ["pool.stamp"] fault while creating the compartment)
-    counts as a faulted attempt with reason prefix ["create: "] — it
+(** [supervise ~max_restarts ctx run] runs attempts produced by [run]
+    until one exits or [max_restarts] retries after the first attempt
+    have faulted too: 0 fails straight to degraded, right for workers
+    whose input stream the failed attempt consumed.  A contained fault
+    raised by [run] itself (e.g. an injected ["pool.stamp"] fault while
+    creating the compartment) counts as a faulted attempt with reason prefix ["create: "] — it
     never propagates to the caller.  [on_restart] fires once per retry,
     after the backoff charge and before the next attempt: the hook for
     per-attempt repair work such as re-arming a connection heart the

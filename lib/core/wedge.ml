@@ -46,7 +46,6 @@ let sc_fd_add = Sc.fd_add
 let sc_sel_context = Sc.sel_context
 let sc_set_uid = Sc.set_uid
 let sc_set_root = Sc.set_root
-let sc_gate_grant = Sc.gate_grant
 let sc_cgate_add = Engine.sc_cgate_add
 let cgate = Engine.cgate
 let cgate_delete = Engine.cgate_delete

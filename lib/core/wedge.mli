@@ -161,8 +161,6 @@ val sc_fd_add : Sc.t -> int -> Wedge_kernel.Fd_table.perm -> unit
 val sc_sel_context : Sc.t -> string -> unit
 val sc_set_uid : Sc.t -> int -> unit
 val sc_set_root : Sc.t -> string -> unit
-val sc_gate_grant : Sc.t -> gate_id -> unit
-(** Pass on a capability the grantor already holds. *)
 
 (** {1 Callgate-related calls} *)
 

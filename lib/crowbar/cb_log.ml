@@ -40,17 +40,14 @@ let native = Instr.null
    workloads that re-execute the same blocks many times. *)
 type pin = {
   translated : (string, unit) Hashtbl.t;
-  mutable translations : int;
-  mutable executions : int;
   mutable sink : int;
 }
 
-let pin () = { translated = Hashtbl.create 64; translations = 0; executions = 0; sink = 0 }
+let pin () = { translated = Hashtbl.create 64; sink = 0 }
 
 let translate p fn =
   if not (Hashtbl.mem p.translated fn) then begin
     Hashtbl.add p.translated fn ();
-    p.translations <- p.translations + 1;
     (* Translation burns work proportional to code size. *)
     let acc = ref p.sink in
     for i = 1 to 2_000 do
@@ -70,12 +67,8 @@ let pin_instr p =
     on_enter =
       (fun fn _ _ ->
         translate p fn;
-        p.executions <- p.executions + 1;
         p.sink <- p.sink + 1);
     on_exit = (fun () -> ());
     on_alloc = (fun _ _ _ -> ());
     on_free = (fun _ -> ());
   }
-
-let pin_blocks_translated p = p.translations
-let pin_block_executions p = p.executions

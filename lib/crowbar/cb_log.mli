@@ -6,7 +6,7 @@
 
     - {!native}: no instrumentation at all;
     - {!pin}: Pin alone — basic blocks are instrumented once when first
-      fetched (a per-function translation cost) and executions are counted;
+      fetched (a per-function translation cost);
     - {!create}: full cb-log — every load and store is recorded with a
       complete backtrace and allocation-site attribution. *)
 
@@ -25,5 +25,3 @@ type pin
 
 val pin : unit -> pin
 val pin_instr : pin -> Wedge_sim.Instr.t
-val pin_blocks_translated : pin -> int
-val pin_block_executions : pin -> int

@@ -262,17 +262,6 @@ type grant_ref = {
   gr_name : string;
 }
 
-let class_to_string = function
-  | Tag_read -> "tag-read"
-  | Tag_write -> "tag-write"
-  | Fd_use -> "fd"
-  | Gate_call -> "gate"
-
-let grant_ref_to_string r =
-  Printf.sprintf "%s %s: %s %s"
-    (Profile.kind_to_string r.gr_kind)
-    r.gr_entry (class_to_string r.gr_class) r.gr_name
-
 let grants p =
   let p = Profile.normalize p in
   List.concat_map
@@ -287,65 +276,6 @@ let grants p =
       @ List.map (fun (r, _) -> mk Fd_use r) e.e_fds
       @ List.map (fun g -> mk Gate_call g) e.e_gates)
     p.Profile.p_entries
-
-let tighten p r =
-  let found = ref false in
-  let entries =
-    List.map
-      (fun (e : Profile.entry) ->
-        if e.e_kind <> r.gr_kind || e.e_name <> r.gr_entry then e
-        else
-          match r.gr_class with
-          | Tag_read ->
-              {
-                e with
-                e_tags =
-                  List.filter
-                    (fun (t, g) ->
-                      let hit = t = r.gr_name && g <> Prot.RW in
-                      if hit then found := true;
-                      not hit)
-                    e.e_tags;
-              }
-          | Tag_write ->
-              {
-                e with
-                e_tags =
-                  List.map
-                    (fun (t, g) ->
-                      if t = r.gr_name && g = Prot.RW then begin
-                        found := true;
-                        (t, Prot.R)
-                      end
-                      else (t, g))
-                    e.e_tags;
-              }
-          | Fd_use ->
-              {
-                e with
-                e_fds =
-                  List.filter
-                    (fun (role, _) ->
-                      let hit = role = r.gr_name in
-                      if hit then found := true;
-                      not hit)
-                    e.e_fds;
-              }
-          | Gate_call ->
-              {
-                e with
-                e_gates =
-                  List.filter
-                    (fun g ->
-                      let hit = g = r.gr_name in
-                      if hit then found := true;
-                      not hit)
-                    e.e_gates;
-              })
-      p.Profile.p_entries
-  in
-  if !found then Some (Profile.normalize { p with Profile.p_entries = entries })
-  else None
 
 (* ------------------------------------------------------------------ *)
 (* Sessions                                                            *)

@@ -107,12 +107,6 @@ type grant_ref = {
 val grants : Profile.t -> grant_ref list
 (** Every tightenable grant, in normalized order. *)
 
-val tighten : Profile.t -> grant_ref -> Profile.t option
-(** The profile with exactly that one grant removed/downgraded, or [None]
-    if the profile does not contain it. *)
-
-val grant_ref_to_string : grant_ref -> string
-
 (** {1 Sessions} *)
 
 type mode =

@@ -38,8 +38,6 @@ val add_segment :
   ?label:string -> t -> base:int -> len:int -> kind:seg_kind -> bt:Backtrace.frame list -> segment
 
 val retire_segment : t -> base:int -> unit
-val find_segment : t -> int -> segment option
-(** The live segment containing an address. *)
 
 val record : t -> addr:int -> len:int -> mode:mode -> bt:Backtrace.frame list -> unit
 val accesses : t -> access array

@@ -118,20 +118,6 @@ let mul (a : t) (b : t) : t =
     normalize r
   end
 
-let shift_left (a : t) bits : t =
-  if is_zero a || bits = 0 then if bits = 0 then a else a
-  else begin
-    let limbs = bits / limb_bits and off = bits mod limb_bits in
-    let la = Array.length a in
-    let r = Array.make (la + limbs + 1) 0 in
-    for i = 0 to la - 1 do
-      let v = a.(i) lsl off in
-      r.(i + limbs) <- r.(i + limbs) lor (v land mask);
-      r.(i + limbs + 1) <- r.(i + limbs + 1) lor (v lsr limb_bits)
-    done;
-    normalize r
-  end
-
 let shift_right (a : t) bits : t =
   if bits = 0 then a
   else begin

@@ -22,11 +22,9 @@ val sub : t -> t -> t
 (** @raise Invalid_argument if the result would be negative. *)
 
 val mul : t -> t -> t
-val divmod : t -> t -> t * t
+val rem : t -> t -> t
 (** Limb by limb (Knuth's algorithm D).  @raise Division_by_zero *)
 
-val rem : t -> t -> t
-val shift_left : t -> int -> t
 val shift_right : t -> int -> t
 val bit : t -> int -> bool
 

@@ -38,12 +38,6 @@ let crypt_into t src src_off dst dst_off len =
   t.i <- !i;
   t.j <- !j
 
-let crypt t data =
-  let n = Bytes.length data in
-  let out = Bytes.create n in
-  crypt_into t data 0 out 0 n;
-  out
-
 let copy t = { s = Bytes.copy t.s; i = t.i; j = t.j }
 
 let state_size = 258

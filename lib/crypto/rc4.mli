@@ -10,16 +10,12 @@
 type t
 
 val create : key:bytes -> t
-val crypt : t -> bytes -> bytes
-(** Encrypts or decrypts (XOR keystream) into a fresh buffer; advances
-    the state. *)
-
 val crypt_into : t -> bytes -> int -> bytes -> int -> int -> unit
 (** [crypt_into t src src_off dst dst_off len] writes the [len] bytes of
-    [src] at [src_off], encrypted, into [dst] at [dst_off] (in place when
-    [src == dst] and the offsets are equal); advances the state like
-    {!crypt}.  @raise Invalid_argument if either range is out of
-    bounds. *)
+    [src] at [src_off], encrypted or decrypted (XOR keystream), into [dst]
+    at [dst_off] (in place when [src == dst] and the offsets are equal),
+    and advances the state.
+    @raise Invalid_argument if either range is out of bounds. *)
 
 val copy : t -> t
 

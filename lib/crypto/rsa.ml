@@ -150,7 +150,3 @@ let priv_of_string s =
 let demo_key =
   let key = lazy (keygen ~bits:512 (Drbg.create ~seed:0xC0FFEE)) in
   fun () -> Lazy.force key
-
-let demo_key2 =
-  let key = lazy (keygen ~bits:512 (Drbg.create ~seed:0xBADCAB)) in
-  fun () -> Lazy.force key

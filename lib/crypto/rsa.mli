@@ -14,8 +14,8 @@ type pub = {
 }
 
 (** A private key as PKCS #1's CRT fields; the whole private exponent d
-    is never needed.  The type is private: a key comes from {!keygen} or
-    {!of_primes}, which compute the CRT fields from the primes, or from
+    is never needed.  The type is private: a key comes from {!keygen},
+    which computes the CRT fields from the primes, or from
     {!priv_of_string}, which checks them. *)
 type priv = private {
   pub : pub;
@@ -29,17 +29,10 @@ type priv = private {
 val keygen : ?bits:int -> Drbg.t -> priv
 (** [bits] is the modulus size (default 512). *)
 
-val of_primes : Bignum.t -> Bignum.t -> priv option
-(** [of_primes p q] is the key with e = 65537 over the distinct primes
-    [p] and [q] (not tested for primality).  [None] if either is at most
-    2, they are equal, e has no inverse mod [p - 1] or mod [q - 1], or
-    [q] none mod [p]. *)
-
-val max_payload : pub -> int
-(** Largest plaintext [encrypt] accepts for this key. *)
-
 val encrypt : Drbg.t -> pub -> bytes -> bytes
-(** Random-padded encryption; output is [modulus_bytes] long. *)
+(** Random-padded encryption; output is [modulus_bytes] long.  The
+    payload may be up to the modulus's bytes less 11 long.
+    @raise Invalid_argument on a longer payload. *)
 
 val decrypt : priv -> bytes -> bytes option
 (** [None] on malformed padding or out-of-range ciphertext.  Computes
@@ -63,6 +56,3 @@ val priv_of_string : string -> priv option
 val demo_key : unit -> priv
 (** A process-wide 512-bit key generated once from a fixed seed (keygen is
     the slowest operation in the suite; tests and examples share this). *)
-
-val demo_key2 : unit -> priv
-(** A second, distinct shared key (e.g. the attacker's). *)

@@ -76,7 +76,7 @@ let u01 t =
 let rule t ~site ?(prob = 0.) ?nth kinds =
   if kinds = [] then invalid_arg "Fault_plan.rule: empty kind list";
   (* Replacing a site's rule keeps its op counter: [nth] computed against
-     [site_ops] stays meaningful across re-rules. *)
+     [site_op_counts] stays meaningful across re-rules. *)
   let count =
     match Hashtbl.find_opt t.rules site with Some r -> r.count | None -> 0
   in
@@ -85,9 +85,6 @@ let rule t ~site ?(prob = 0.) ?nth kinds =
 let arm t = t.armed <- true
 let disarm t = t.armed <- false
 let armed t = t.armed
-
-let site_ops t ~site =
-  match Hashtbl.find_opt t.rules site with Some r -> r.count | None -> 0
 
 let site_op_counts t =
   Hashtbl.fold (fun site r acc -> (site, r.count) :: acc) t.rules []

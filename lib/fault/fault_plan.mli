@@ -2,8 +2,8 @@
 
     A plan is a seeded PRNG plus per-site rules.  Hook sites scattered
     through the stack ({!Wedge_kernel.Physmem.alloc}, [Vm] checked access,
-    [Chan] reads/writes/connects, the fiber scheduler) call {!roll} with a
-    site name; the plan decides — deterministically, from the seed and the
+    [Chan] reads/writes/connects, the fiber scheduler) call {!roll_opt}
+    with a site name; the plan decides — deterministically, from the seed and the
     per-site operation count — whether a fault fires and which kind.
 
     Two runs with the same seed, rules and (deterministic) operation
@@ -47,20 +47,14 @@ val disarm : t -> unit
 
 val armed : t -> bool
 
-val roll : t -> site:string -> kind option
-(** Called by hook sites on every operation: advances the site's op
-    counter and returns the fault to inject, if any.  Records fired
-    injections in the trace. *)
-
 val roll_opt : t option -> site:string -> kind option
-(** {!roll} through the [t option] that hook sites store; [None] plans
-    never fire. *)
+(** Called by hook sites on every operation, with the [t option] they
+    store ([None] never fires): advances the site's op counter and
+    returns the fault to inject, if any.  Records fired injections in
+    the trace. *)
 
 val fail : site:string -> kind -> 'a
 (** Raise {!Injected} describing the fault. *)
-
-val site_ops : t -> site:string -> int
-(** Armed operations seen at a site so far. *)
 
 val site_op_counts : t -> (string * int) list
 (** All sites with a rule and their op counts, sorted by site name — what

@@ -175,7 +175,7 @@ let image (env : Httpd_env.t) =
 let serve_connection ?spawn ?guard ?max_request_bytes ?synth (env : Httpd_env.t) ep =
   let main = env.Httpd_env.main in
   let spawn = match spawn with Some s -> s | None -> W.Stamp (image env) in
-  Service.run_worker ?guard ~spawn ~policy:Supervisor.default_policy
+  Service.run_worker ?guard ~spawn ~max_restarts:0
     ~degrade:(fun () -> Httpd_env.send_degraded ~server:"httpd" main ep)
     main ep
   @@ fun conn ->

@@ -47,8 +47,6 @@ val create :
     (see {!Wedge_net.Shard}). *)
 
 val charge : t -> int -> unit
-val trap : t -> string -> unit
-(** Charge one system-call trap and bump the named stat. *)
 
 val new_process :
   t ->

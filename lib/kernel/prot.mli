@@ -22,7 +22,6 @@ type page = {
 }
 
 val page_none : page
-val page_r : page
 val page_rw : page
 val page_cow : page
 

@@ -1,10 +1,6 @@
-type domain_policy =
-  | All
-  | Some_calls of (string, unit) Hashtbl.t
-
 type t = {
   default_allow : bool;
-  domains : (string, domain_policy) Hashtbl.t;
+  domains : (string, (string, unit) Hashtbl.t) Hashtbl.t;
   transitions : (string * string, unit) Hashtbl.t;
   sid_domains : (string, string) Hashtbl.t;
       (* [domain_of_sid] of every sid checked so far: a policy check on
@@ -34,19 +30,15 @@ let domain t sid =
 
 let allow t ~domain ~syscall =
   match Hashtbl.find_opt t.domains domain with
-  | Some All -> ()
-  | Some (Some_calls h) -> Hashtbl.replace h syscall ()
+  | Some h -> Hashtbl.replace h syscall ()
   | None ->
       let h = Hashtbl.create 8 in
       Hashtbl.replace h syscall ();
-      Hashtbl.replace t.domains domain (Some_calls h)
-
-let allow_all_syscalls t ~domain = Hashtbl.replace t.domains domain All
+      Hashtbl.replace t.domains domain h
 
 let check t ~sid ~syscall =
   match Hashtbl.find t.domains (domain t sid) with
-  | All -> true
-  | Some_calls h -> Hashtbl.mem h syscall
+  | h -> Hashtbl.mem h syscall
   | exception Not_found -> t.default_allow
 
 let allow_transition t ~from_ ~to_ =

@@ -13,7 +13,6 @@ val create : ?default_allow:bool -> unit -> t
     default mirrors that setup while tests exercise restrictive domains. *)
 
 val allow : t -> domain:string -> syscall:string -> unit
-val allow_all_syscalls : t -> domain:string -> unit
 val check : t -> sid:string -> syscall:string -> bool
 val allow_transition : t -> from_:string -> to_:string -> unit
 val may_transition : t -> from_:string -> to_:string -> bool

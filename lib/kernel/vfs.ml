@@ -13,8 +13,8 @@ let error_to_string = function
   | Eexist -> "file exists"
 
 type meta = {
-  mutable uid : int;
-  mutable mode : int;
+  uid : int;
+  mode : int;
 }
 
 type filenode = {
@@ -38,8 +38,6 @@ let create () = { root = mknode_dir ~uid:0 ~mode:0o755 }
 
 let split_path path =
   String.split_on_char '/' path |> List.filter (fun s -> s <> "" && s <> ".")
-
-let meta_of = function File f -> f.fmeta | Dir d -> d.dmeta
 
 (* Permission check against owner/other bits; uid 0 bypasses. *)
 let permits meta ~uid ~want_read ~want_write =
@@ -203,17 +201,3 @@ let readdir t ~root ~uid path =
 
 let exists t ~root path = match resolve t ~root path with Ok _ -> true | Error _ -> false
 
-let chown t path ~uid =
-  match resolve t ~root:"/" path with
-  | Ok n -> (meta_of n).uid <- uid
-  | Error _ -> invalid_arg ("Vfs.chown: " ^ path)
-
-let chmod t path ~mode =
-  match resolve t ~root:"/" path with
-  | Ok n -> (meta_of n).mode <- mode
-  | Error _ -> invalid_arg ("Vfs.chmod: " ^ path)
-
-let stat_uid t path =
-  match resolve t ~root:"/" path with
-  | Ok n -> Ok (meta_of n).uid
-  | Error e -> Error e

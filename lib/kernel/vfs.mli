@@ -44,8 +44,3 @@ val append_file :
 val unlink : t -> root:string -> uid:int -> string -> (unit, error) result
 val readdir : t -> root:string -> uid:int -> string -> (string list, error) result
 val exists : t -> root:string -> string -> bool
-val chown : t -> string -> uid:int -> unit
-(** Administrative chown (no checks). *)
-
-val chmod : t -> string -> mode:int -> unit
-val stat_uid : t -> string -> (int, error) result

@@ -49,14 +49,13 @@ type mem_event =
       prot : Prot.page;
     }
   | Ev_destroy of { pid : int }
-  | Ev_read of { pid : int; addr : int; value : bytes; kernel : bool; u64 : bool }
-  | Ev_write of { pid : int; addr : int; value : bytes; kernel : bool }
+  | Ev_read of { pid : int; addr : int; value : bytes; u64 : bool }
+  | Ev_write of { pid : int; addr : int; value : bytes }
   | Ev_fault of {
       pid : int;
       addr : int;  (* the faulting address, not the access start *)
       access : access;
       reason : string;
-      kernel : bool;
     }
 
 type recorder = {
@@ -83,7 +82,7 @@ type recorder = {
    Safety comes from two mechanisms:
      - every entry is stamped with the page table's epoch at fill time,
        so any map/unmap invalidates the whole cache with one compare;
-     - in-place pte mutations (protect_range, COW breaks, tag retags) do
+     - in-place pte mutations (set_page_prot, COW breaks, tag retags) do
        not move the epoch and MUST call [tlb_invalidate] — a stale entry
        surviving a revocation would be a default-deny bypass, so those
        call sites are load-bearing and covered by the shootdown tests.
@@ -315,30 +314,6 @@ let map_image t im =
 
 let mapped_image t = t.base
 
-let share_range ~src ~dst ~addr ~pages ~prot =
-  check_aligned addr;
-  for i = 0 to pages - 1 do
-    let vpn = vpn_of addr + i in
-    match Pagetable.find src.pt ~vpn with
-    | None ->
-        invalid_arg
-          (Printf.sprintf "Vm.share_range: source page 0x%x unmapped" (vpn * page_size))
-    | Some pte ->
-        Pagetable.map dst.pt ~vpn ~frame:pte.Pagetable.frame ~prot ~tag:pte.Pagetable.tag;
-        Clock.charge dst.clock dst.costs.Cost_model.pte_copy;
-        Physmem.incref dst.pm pte.Pagetable.frame;
-        if recording dst then
-          emit dst
-            (Ev_map
-               {
-                 pid = dst.pid;
-                 vpn;
-                 frame = pte.Pagetable.frame;
-                 prot;
-                 seed = Some (Bytes.copy (Physmem.get dst.pm pte.Pagetable.frame));
-               })
-  done
-
 let unmap_range t ~addr ~pages =
   check_aligned addr;
   for i = 0 to pages - 1 do
@@ -371,24 +346,6 @@ let find_private t ~vpn =
         copy
     | None -> None
 
-(* Permission changes mutate ptes in place — no epoch movement — so the
-   explicit per-page shootdown here is what keeps revocation sound: a TLB
-   entry surviving this loop would let a compartment keep writing through
-   a mapping that was just downgraded.  Each mapped page charges a
-   pte_copy-class cost (the kernel rewrites the entry), plus the shootdown
-   cost for any translation that was actually cached. *)
-let protect_range t ~addr ~pages ~prot =
-  check_aligned addr;
-  for i = 0 to pages - 1 do
-    match find_private t ~vpn:(vpn_of addr + i) with
-    | Some pte ->
-        Clock.charge t.clock t.costs.Cost_model.pte_copy;
-        pte.Pagetable.prot <- prot;
-        tlb_invalidate t ~vpn:(vpn_of addr + i);
-        if recording t then emit t (Ev_prot { pid = t.pid; vpn = vpn_of addr + i; prot })
-    | None -> ()
-  done
-
 (* In-place pte rewrites for kernel bookkeeping (boot's COW snapshot,
    fork's COW downgrade, boundary retags).  No cost is charged — callers
    account for their own PTE work — but the shootdown is mandatory:
@@ -419,8 +376,6 @@ let destroy t =
   Pagetable.clear t.pt;
   if recording t then emit t (Ev_destroy { pid = t.pid })
 
-let mapped_pages t = Pagetable.count t.pt
-
 (* Take a private copy of a COW page so it can be written.  The frame
    swap happens in place — no epoch movement — so the explicit shootdown
    below is what stops a cached read entry from serving the old shared
@@ -444,7 +399,7 @@ let cow_break t ~vpn =
 (* The slow path: one page-table walk.  Injected faults are rolled by the
    callers, once per access (see [roll_access]), not here — a bulk read
    is one access however many pages it crosses. *)
-let pte_for t addr access check =
+let pte_for t addr access =
   let vpn = vpn_of addr in
   match Pagetable.find t.pt ~vpn with
   | None -> fault t addr access "unmapped page"
@@ -452,30 +407,19 @@ let pte_for t addr access check =
       let p = pte.Pagetable.prot in
       match access with
       | Read ->
-          if check && not p.Prot.pr then fault t addr Read "no read permission";
+          if not p.Prot.pr then fault t addr Read "no read permission";
           pte
       | Write ->
           if p.Prot.pw then pte
           else if p.Prot.pcow then cow_break t ~vpn
-          else if check then fault t addr Write "no write permission"
-          else if
-            (not (Pagetable.owns t.pt ~vpn)) || Physmem.refcount t.pm pte.Pagetable.frame > 1
-          then begin
-            (* Kernel writes still must not corrupt shared frames; a
-               base entry's frame is the image's. *)
-            let pte = cow_break t ~vpn in
-            pte.Pagetable.prot <- p;
-            if recording t then emit t (Ev_prot { pid = t.pid; vpn; prot = p });
-            pte
-          end
-          else pte)
+          else fault t addr Write "no write permission")
 
-(* Can a cached entry serve this access?  Reads need pr (kernel reads are
-   exempt, as in the slow path); writes need pw exactly — a COW page must
-   fall through to the slow path so the break happens. *)
-let perm_hit access check (p : Prot.page) =
+(* Can a cached entry serve this access?  Reads need pr; writes need pw
+   exactly — a COW page must fall through to the slow path so the break
+   happens. *)
+let perm_hit access (p : Prot.page) =
   match access with
-  | Read -> p.Prot.pr || not check
+  | Read -> p.Prot.pr
   | Write -> p.Prot.pw
 
 (* The bytes an access of this kind sees: the write view gives an
@@ -488,10 +432,10 @@ let frame_bytes t access frame =
 (* One translation: TLB fast path, page walk + fill on miss.  Returns the
    frame's bytes for this access; offsets within the page are the
    caller's. *)
-let page_for t addr access check =
+let page_for t addr access =
   let vpn = addr lsr 12 in
   let e = Array.unsafe_get t.tlb (vpn land tlb_mask) in
-  if e.e_vpn = vpn && e.e_epoch = Pagetable.epoch t.pt && perm_hit access check e.e_prot
+  if e.e_vpn = vpn && e.e_epoch = Pagetable.epoch t.pt && perm_hit access e.e_prot
   then begin
     t.tlb_hit_n <- t.tlb_hit_n + 1;
     Clock.charge t.clock t.costs.Cost_model.tlb_hit;
@@ -501,16 +445,15 @@ let page_for t addr access check =
     t.tlb_miss_n <- t.tlb_miss_n + 1;
     Clock.charge t.clock t.costs.Cost_model.tlb_miss;
     Wedge_sim.Trace.instant t.trace ~name:"tlb.miss" ~pid:t.pid;
-    let pte = pte_for t addr access check in
+    let pte = pte_for t addr access in
     tlb_fill t vpn pte;
     frame_bytes t access pte.Pagetable.frame
   end
 
-(* Checked (compartment) accesses roll the injected-fault plan once per
-   access — a u64 or a 4 KiB blit is one roll, not eight or a thousand.
-   (Fault-trace format v2: plans recorded against the per-byte rolls of
-   the v1 accessors replay with different op counts.)  Kernel paths never
-   roll, mirroring how a real MMU cannot fault the kernel's copies. *)
+(* Every access rolls the injected-fault plan once — a u64 or a 4 KiB
+   blit is one roll, not eight or a thousand.  (Fault-trace format v2:
+   plans recorded against the per-byte rolls of the v1 accessors replay
+   with different op counts.) *)
 let roll_access t addr access =
   match Wedge_fault.Fault_plan.roll_opt t.faults ~site:"vm.access" with
   | Some _ -> fault t addr access "injected protection fault"
@@ -518,51 +461,50 @@ let roll_access t addr access =
 
 let read_u8_raw t addr =
   roll_access t addr Read;
-  let b = page_for t addr Read true in
+  let b = page_for t addr Read in
   Char.code (Bytes.unsafe_get b (addr land (page_size - 1)))
 
 let write_u8_raw t addr v =
   roll_access t addr Write;
-  let b = page_for t addr Write true in
+  let b = page_for t addr Write in
   Bytes.unsafe_set b (addr land (page_size - 1)) (Char.unsafe_chr (v land 0xff))
 
-(* Page-cursor bulk transfer: one translation per page touched, shared by
-   checked and kernel paths.  The fault roll (if any) happened at the
-   access entry point. *)
-let rec blit_read_pages t addr buf pos len check =
+(* Page-cursor bulk transfer: one translation per page touched.  The
+   fault roll happened at the access entry point. *)
+let rec blit_read_pages t addr buf pos len =
   if len > 0 then begin
     let off = off_of addr in
     let chunk = min len (page_size - off) in
-    let b = page_for t addr Read check in
+    let b = page_for t addr Read in
     Bytes.blit b off buf pos chunk;
-    blit_read_pages t (addr + chunk) buf (pos + chunk) (len - chunk) check
+    blit_read_pages t (addr + chunk) buf (pos + chunk) (len - chunk)
   end
 
-let rec blit_write_pages t addr src pos len check =
+let rec blit_write_pages t addr src pos len =
   if len > 0 then begin
     let off = off_of addr in
     let chunk = min len (page_size - off) in
-    let b = page_for t addr Write check in
+    let b = page_for t addr Write in
     Bytes.blit src pos b off chunk;
-    blit_write_pages t (addr + chunk) src (pos + chunk) (len - chunk) check
+    blit_write_pages t (addr + chunk) src (pos + chunk) (len - chunk)
   end
 
 (* Multi-page writes are atomic: every page is translated (and any COW
    break taken) before the first byte lands, so a fault on page N+1 never
    leaves a partial write on page N.  The probe pass warms the TLB, so
    the copy pass runs entirely on hits. *)
-let rec probe_write_pages t addr len check =
+let rec probe_write_pages t addr len =
   if len > 0 then begin
     let off = off_of addr in
     let chunk = min len (page_size - off) in
-    ignore (page_for t addr Write check);
-    probe_write_pages t (addr + chunk) (len - chunk) check
+    ignore (page_for t addr Write);
+    probe_write_pages t (addr + chunk) (len - chunk)
   end
 
-let blit_write_atomic t addr src pos len check =
+let blit_write_atomic t addr src pos len =
   if len > 0 then begin
-    if off_of addr + len > page_size then probe_write_pages t addr len check;
-    blit_write_pages t addr src pos len check
+    if off_of addr + len > page_size then probe_write_pages t addr len;
+    blit_write_pages t addr src pos len
   end
 
 (* Bound checked bulk reads before allocating the destination: a
@@ -583,17 +525,15 @@ let read_into_raw t addr buf pos len =
   if pos < 0 || pos > Bytes.length buf - len then invalid_arg "Vm.read_into";
   if len > 0 then begin
     roll_access t addr Read;
-    blit_read_pages t addr buf pos len true
+    blit_read_pages t addr buf pos len
   end
 
 let write_bytes_raw t addr src =
   let len = Bytes.length src in
   if len > 0 then begin
     roll_access t addr Write;
-    blit_write_atomic t addr src 0 len true
+    blit_write_atomic t addr src 0 len
   end
-
-let write_bytes_kernel_raw t addr src = blit_write_atomic t addr src 0 (Bytes.length src) false
 
 (* Multi-byte accessors: translate once when the value sits inside a page
    (the overwhelmingly common case), fall back to the page cursor across
@@ -602,31 +542,31 @@ let write_bytes_kernel_raw t addr src = blit_write_atomic t addr src 0 (Bytes.le
 let read_u16_raw t addr =
   roll_access t addr Read;
   let off = off_of addr in
-  if off <= page_size - 2 then Bytes.get_uint16_le (page_for t addr Read true) off
+  if off <= page_size - 2 then Bytes.get_uint16_le (page_for t addr Read) off
   else begin
     let buf = Bytes.create 2 in
-    blit_read_pages t addr buf 0 2 true;
+    blit_read_pages t addr buf 0 2;
     Bytes.get_uint16_le buf 0
   end
 
 let write_u16_raw t addr v =
   roll_access t addr Write;
   let off = off_of addr in
-  if off <= page_size - 2 then Bytes.set_uint16_le (page_for t addr Write true) off (v land 0xffff)
+  if off <= page_size - 2 then Bytes.set_uint16_le (page_for t addr Write) off (v land 0xffff)
   else begin
     let buf = Bytes.create 2 in
     Bytes.set_uint16_le buf 0 (v land 0xffff);
-    blit_write_atomic t addr buf 0 2 true
+    blit_write_atomic t addr buf 0 2
   end
 
 let read_u32_raw t addr =
   roll_access t addr Read;
   let off = off_of addr in
   if off <= page_size - 4 then
-    Int32.to_int (Bytes.get_int32_le (page_for t addr Read true) off) land 0xffffffff
+    Int32.to_int (Bytes.get_int32_le (page_for t addr Read) off) land 0xffffffff
   else begin
     let buf = Bytes.create 4 in
-    blit_read_pages t addr buf 0 4 true;
+    blit_read_pages t addr buf 0 4;
     Int32.to_int (Bytes.get_int32_le buf 0) land 0xffffffff
   end
 
@@ -634,11 +574,11 @@ let write_u32_raw t addr v =
   roll_access t addr Write;
   let off = off_of addr in
   if off <= page_size - 4 then
-    Bytes.set_int32_le (page_for t addr Write true) off (Int32.of_int v)
+    Bytes.set_int32_le (page_for t addr Write) off (Int32.of_int v)
   else begin
     let buf = Bytes.create 4 in
     Bytes.set_int32_le buf 0 (Int32.of_int v);
-    blit_write_atomic t addr buf 0 4 true
+    blit_write_atomic t addr buf 0 4
   end
 
 (* The u64 accessors live in OCaml's 63-bit int domain: read_u64 returns
@@ -654,10 +594,10 @@ let u64_store_mask = 0x7FFF_FFFF_FFFF_FFFFL
 let read_u64_raw t addr =
   roll_access t addr Read;
   let off = off_of addr in
-  if off <= page_size - 8 then Int64.to_int (Bytes.get_int64_le (page_for t addr Read true) off)
+  if off <= page_size - 8 then Int64.to_int (Bytes.get_int64_le (page_for t addr Read) off)
   else begin
     let buf = Bytes.create 8 in
-    blit_read_pages t addr buf 0 8 true;
+    blit_read_pages t addr buf 0 8;
     Int64.to_int (Bytes.get_int64_le buf 0)
   end
 
@@ -665,11 +605,11 @@ let write_u64_raw t addr v =
   roll_access t addr Write;
   let w = Int64.logand (Int64.of_int v) u64_store_mask in
   let off = off_of addr in
-  if off <= page_size - 8 then Bytes.set_int64_le (page_for t addr Write true) off w
+  if off <= page_size - 8 then Bytes.set_int64_le (page_for t addr Write) off w
   else begin
     let buf = Bytes.create 8 in
     Bytes.set_int64_le buf 0 w;
-    blit_write_atomic t addr buf 0 8 true
+    blit_write_atomic t addr buf 0 8
   end
 
 (* ------------------------------------------------------------------ *)
@@ -704,73 +644,73 @@ let enc8 v =
   Bytes.set_int64_le b 0 (Int64.logand (Int64.of_int v) u64_store_mask);
   b
 
-let armed_read t r addr ~kernel ~u64 enc f =
+let armed_read t r addr ~u64 enc f =
   match f () with
   | v ->
-      record t.recorder r (Ev_read { pid = t.pid; addr; value = enc v; kernel; u64 });
+      record t.recorder r (Ev_read { pid = t.pid; addr; value = enc v; u64 });
       v
   | exception Fault ft ->
       record t.recorder r
-        (Ev_fault { pid = t.pid; addr = ft.addr; access = Read; reason = ft.reason; kernel });
+        (Ev_fault { pid = t.pid; addr = ft.addr; access = Read; reason = ft.reason });
       raise (Fault ft)
 
-let armed_write t r addr ~kernel enc f =
+let armed_write t r addr enc f =
   match f () with
-  | () -> record t.recorder r (Ev_write { pid = t.pid; addr; value = enc (); kernel })
+  | () -> record t.recorder r (Ev_write { pid = t.pid; addr; value = enc () })
   | exception Fault ft ->
       record t.recorder r
-        (Ev_fault { pid = t.pid; addr = ft.addr; access = Write; reason = ft.reason; kernel });
+        (Ev_fault { pid = t.pid; addr = ft.addr; access = Write; reason = ft.reason });
       raise (Fault ft)
 
 let read_u8 t addr =
   match t.recorder.sink with
   | None -> read_u8_raw t addr
-  | Some r -> armed_read t r addr ~kernel:false ~u64:false enc1 (fun () -> read_u8_raw t addr)
+  | Some r -> armed_read t r addr ~u64:false enc1 (fun () -> read_u8_raw t addr)
 
 let write_u8 t addr v =
   match t.recorder.sink with
   | None -> write_u8_raw t addr v
   | Some r ->
-      armed_write t r addr ~kernel:false (fun () -> enc1 v) (fun () -> write_u8_raw t addr v)
+      armed_write t r addr (fun () -> enc1 v) (fun () -> write_u8_raw t addr v)
 
 let read_u16 t addr =
   match t.recorder.sink with
   | None -> read_u16_raw t addr
-  | Some r -> armed_read t r addr ~kernel:false ~u64:false enc2 (fun () -> read_u16_raw t addr)
+  | Some r -> armed_read t r addr ~u64:false enc2 (fun () -> read_u16_raw t addr)
 
 let write_u16 t addr v =
   match t.recorder.sink with
   | None -> write_u16_raw t addr v
   | Some r ->
-      armed_write t r addr ~kernel:false (fun () -> enc2 v) (fun () -> write_u16_raw t addr v)
+      armed_write t r addr (fun () -> enc2 v) (fun () -> write_u16_raw t addr v)
 
 let read_u32 t addr =
   match t.recorder.sink with
   | None -> read_u32_raw t addr
-  | Some r -> armed_read t r addr ~kernel:false ~u64:false enc4 (fun () -> read_u32_raw t addr)
+  | Some r -> armed_read t r addr ~u64:false enc4 (fun () -> read_u32_raw t addr)
 
 let write_u32 t addr v =
   match t.recorder.sink with
   | None -> write_u32_raw t addr v
   | Some r ->
-      armed_write t r addr ~kernel:false (fun () -> enc4 v) (fun () -> write_u32_raw t addr v)
+      armed_write t r addr (fun () -> enc4 v) (fun () -> write_u32_raw t addr v)
 
 let read_u64 t addr =
   match t.recorder.sink with
   | None -> read_u64_raw t addr
-  | Some r -> armed_read t r addr ~kernel:false ~u64:true enc8 (fun () -> read_u64_raw t addr)
+  | Some r -> armed_read t r addr ~u64:true enc8 (fun () -> read_u64_raw t addr)
 
 let write_u64 t addr v =
   match t.recorder.sink with
   | None -> write_u64_raw t addr v
   | Some r ->
-      armed_write t r addr ~kernel:false (fun () -> enc8 v) (fun () -> write_u64_raw t addr v)
+      armed_write t r addr (fun () -> enc8 v) (fun () -> write_u64_raw t addr v)
 
 let read_into t addr buf pos len =
   match t.recorder.sink with
   | None -> read_into_raw t addr buf pos len
   | Some r ->
-      armed_read t r addr ~kernel:false ~u64:false
+      armed_read t r addr ~u64:false
         (fun () -> Bytes.sub buf pos len)
         (fun () -> read_into_raw t addr buf pos len)
 
@@ -803,7 +743,7 @@ let probe t ~addr ~len access =
 let rec translate_read_pages t addr len =
   if len > 0 then begin
     let chunk = min len (page_size - off_of addr) in
-    ignore (page_for t addr Read true);
+    ignore (page_for t addr Read);
     translate_read_pages t (addr + chunk) (len - chunk)
   end
 
@@ -817,7 +757,7 @@ let fault_read t addr len =
   in
   match t.recorder.sink with
   | None -> walk ()
-  | Some r -> armed_read t r addr ~kernel:false ~u64:false (fun () -> Bytes.empty) walk
+  | Some r -> armed_read t r addr ~u64:false (fun () -> Bytes.empty) walk
 
 (* The buffer is sized only once the length is known to be in range: a
    bad one faults inside [read_into] with nothing allocated for it.  Nor
@@ -837,17 +777,9 @@ let write_bytes t addr src =
   match t.recorder.sink with
   | None -> write_bytes_raw t addr src
   | Some r ->
-      armed_write t r addr ~kernel:false
+      armed_write t r addr
         (fun () -> Bytes.copy src)
         (fun () -> write_bytes_raw t addr src)
-
-let write_bytes_kernel t addr src =
-  match t.recorder.sink with
-  | None -> write_bytes_kernel_raw t addr src
-  | Some r ->
-      armed_write t r addr ~kernel:true
-        (fun () -> Bytes.copy src)
-        (fun () -> write_bytes_kernel_raw t addr src)
 
 (* ------------------------------------------------------------------ *)
 (* Oracle accessors: pure reads of ground truth for invariant checking.

@@ -14,9 +14,9 @@
     reads, the write view for writes — so a frame's first write (which
     gives a demand-zero frame its own host bytes) is seen at once through
     every address space's cached entry for it.  Every path that
-    revokes or downgrades a translation — {!unmap_range},
-    {!protect_range}, COW breaks, {!set_page_prot}, {!set_page_tag},
-    {!destroy} — shoots the affected entries down, so a revocation is
+    revokes or downgrades a translation — {!unmap_range}, COW breaks,
+    {!set_page_prot}, {!set_page_tag}, {!destroy} — shoots the affected
+    entries down, so a revocation is
     visible to the very next access.  A stale entry surviving revocation
     would be a default-deny bypass; the shootdown test suite asserts there
     is none. *)
@@ -65,7 +65,6 @@ type mem_event =
       pid : int;
       addr : int;
       value : bytes;
-      kernel : bool;
       u64 : bool;
           (** the value was observed through {!read_u64}'s 63-bit codec:
               it is the stored word with bit 63 cleared, and a model must
@@ -78,14 +77,12 @@ type mem_event =
           (** byte-identical to what landed in the frame (scalar stores
               are re-encoded exactly like the store itself, including the
               u64 bit-63 mask) *)
-      kernel : bool;
     }
   | Ev_fault of {
       pid : int;
       addr : int;  (** the faulting address, not the access start *)
       access : access;
       reason : string;
-      kernel : bool;
     }
 
 type recorder = {
@@ -204,18 +201,8 @@ val map_image : t -> image -> unit
 val mapped_image : t -> image option
 (** The image this address space maps through, until {!destroy}. *)
 
-val share_range :
-  src:t -> dst:t -> addr:int -> pages:int -> prot:Prot.page -> unit
-(** Map [src]'s frames for [addr..] into [dst] with protection [prot]
-    (sharing, not copying; used to grant tagged memory to sthreads). *)
-
 val unmap_range : t -> addr:int -> pages:int -> unit
 (** Unmaps and shoots down any cached translations for the range. *)
-
-val protect_range : t -> addr:int -> pages:int -> prot:Prot.page -> unit
-(** Rewrites the protection of every mapped page in the range, charging a
-    [pte_copy]-class cost per page, and shoots down any cached
-    translations so the downgrade takes effect on the very next access. *)
 
 val set_page_prot : t -> addr:int -> prot:Prot.page -> unit
 (** Kernel bookkeeping: rewrite one page's protection in place (no cost
@@ -231,8 +218,6 @@ val destroy : t -> unit
     the address space's own entries, then its hold on the image it maps
     through, if any.  Never visits the image's pages unless it is the
     image's last holder, and allocates nothing per page. *)
-
-val mapped_pages : t -> int
 
 (** {2 Software TLB} *)
 
@@ -250,14 +235,10 @@ val tlb_shootdowns : t -> int
 val read_u8 : t -> int -> int
 val write_u8 : t -> int -> int -> unit
 
-val max_read : int
-(** 64 MiB: the longest checked bulk read, far beyond any simulated
-    address-space region. *)
-
 val read_into : t -> int -> bytes -> int -> int -> unit
 (** [read_into t addr buf pos len] is the checked bulk read: [len] bytes
     from [addr] into [buf] at [\[pos, pos + len)].  Negative or absurd
-    lengths (> [max_read], beyond any simulated region) fault, and a
+    lengths (over 64 MiB, beyond any simulated region) fault, and a
     range outside [buf] raises [Invalid_argument], both before any
     translation, fault roll or byte lands — so attacker-fabricated length
     fields hit the MMU, not the host allocator.  One fault roll per call
@@ -317,10 +298,3 @@ val tlb_check : t -> string list
     message per disagreement — any entry
     here is a revocation that failed to shoot down, i.e. a default-deny
     bypass.  Empty means consistent. *)
-
-(** {2 Unchecked access (kernel use only)} *)
-
-val write_bytes_kernel : t -> int -> bytes -> unit
-(** Bypasses protection checks but still performs COW breaks, so kernel
-    writes never corrupt shared pristine frames.  Atomic across pages,
-    like {!write_bytes}. *)

@@ -163,15 +163,19 @@ let free vm ~base ptr =
   set_chunk vm c ~size:csize ~inuse:false;
   fl_push vm ~base c
 
-let usable_size vm ~base ~ptr =
-  let _, w, _ = checked_chunk vm ~base ~op:"usable_size" ptr in
-  if not (is_inuse w) then invalid_arg "Smalloc.usable_size: free chunk";
-  size_of w - 16
+module For_testing = struct
+  let usable_size vm ~base ~ptr =
+    let _, w, _ = checked_chunk vm ~base ~op:"usable_size" ptr in
+    if not (is_inuse w) then invalid_arg "Smalloc.usable_size: free chunk";
+    size_of w - 16
 
-let free_bytes vm ~base =
-  assert_magic vm base;
-  let rec go c acc = if c = 0 then acc else go (fl_next vm c) (acc + size_of (chunk_size_word vm c)) in
-  go (Vm.read_u64 vm (hd_free base)) 0
+  let free_bytes vm ~base =
+    assert_magic vm base;
+    let rec go c acc =
+      if c = 0 then acc else go (fl_next vm c) (acc + size_of (chunk_size_word vm c))
+    in
+    go (Vm.read_u64 vm (hd_free base)) 0
+end
 
 (* Whole-segment integrity walk, parameterized over the word reader so an
    invariant oracle can run it through a raw page-table walk (no clock

@@ -13,9 +13,6 @@
 
 exception Out_of_tag_memory of { base : int; requested : int }
 
-val overhead : int
-(** Bytes of segment header. *)
-
 val init : Wedge_kernel.Vm.t -> base:int -> size:int -> unit
 (** Format a fresh segment of [size] bytes starting at [base]. *)
 
@@ -35,13 +32,6 @@ val free : Wedge_kernel.Vm.t -> base:int -> int -> unit
     header/footer agreement.
     @raise Invalid_argument on a wild/corrupt pointer or double free. *)
 
-val usable_size : Wedge_kernel.Vm.t -> base:int -> ptr:int -> int
-(** Usable bytes of a live allocation; validates [ptr] like {!free}.
-    @raise Invalid_argument on a wild/corrupt/free pointer. *)
-
-val free_bytes : Wedge_kernel.Vm.t -> base:int -> int
-(** Total bytes on the free list (for tests). *)
-
 val check : Wedge_kernel.Vm.t -> base:int -> unit
 (** Walk the whole segment validating boundary tags and the free list
     (link sanity, no cycles, prev/next symmetry, free-chunk coverage);
@@ -57,3 +47,13 @@ val check_reader : read:(int -> int) -> base:int -> unit
     clock charges, no TLB pollution, no injected-fault rolls — without
     perturbing the schedule under test.
     @raise Invalid_argument on corruption. *)
+
+(** Observation for tests only: nothing outside [test/] names it. *)
+module For_testing : sig
+  val usable_size : Wedge_kernel.Vm.t -> base:int -> ptr:int -> int
+  (** Usable bytes of a live allocation; validates [ptr] like {!free}.
+      @raise Invalid_argument on a wild/corrupt/free pointer. *)
+
+  val free_bytes : Wedge_kernel.Vm.t -> base:int -> int
+  (** Total bytes on the free list. *)
+end

@@ -10,35 +10,29 @@ type t = {
   pm : Physmem.t;
   by_pages : (int, entry list ref) Hashtbl.t;
   mutable enabled : bool;
-  scrub : bool;
   mutable hits : int;
   mutable misses : int;
-  mutable count : int;
   mutable scrubbed : int;
 }
 
-let create ?(enabled = true) ?(scrub = true) pm =
+let create pm =
   {
     pm;
     by_pages = Hashtbl.create 8;
-    enabled;
-    scrub;
+    enabled = true;
     hits = 0;
     misses = 0;
-    count = 0;
     scrubbed = 0;
   }
 
-let enabled t = t.enabled
 let set_enabled t v = t.enabled <- v
 
 let put t entry =
   if t.enabled then begin
     List.iter (fun f -> Physmem.incref t.pm f) entry.frames;
-    (match Hashtbl.find_opt t.by_pages entry.pages with
+    match Hashtbl.find_opt t.by_pages entry.pages with
     | Some l -> l := entry :: !l
-    | None -> Hashtbl.add t.by_pages entry.pages (ref [ entry ]));
-    t.count <- t.count + 1
+    | None -> Hashtbl.add t.by_pages entry.pages (ref [ entry ])
   end
 
 let take t ~pages =
@@ -50,14 +44,12 @@ let take t ~pages =
     match Hashtbl.find_opt t.by_pages pages with
     | Some ({ contents = entry :: rest } as l) ->
         l := rest;
-        t.count <- t.count - 1;
         t.hits <- t.hits + 1;
-        if t.scrub then
-          List.iter
-            (fun f ->
-              Physmem.scrub t.pm f;
-              t.scrubbed <- t.scrubbed + 1)
-            entry.frames;
+        List.iter
+          (fun f ->
+            Physmem.scrub t.pm f;
+            t.scrubbed <- t.scrubbed + 1)
+          entry.frames;
         Some entry
     | _ ->
         t.misses <- t.misses + 1;
@@ -68,5 +60,4 @@ let entries t =
 
 let hits t = t.hits
 let misses t = t.misses
-let size t = t.count
 let scrubbed_pages t = t.scrubbed

@@ -2,11 +2,11 @@
 
     [tag_new] system-call and bookkeeping-initialisation overhead is
     mitigated by caching deleted tags and reusing them when a request of
-    the same page count arrives.  For secrecy the reused memory is scrubbed
-    (the cache holds references to the old frames, so without scrubbing the
-    previous owner's data would be visible — the [scrub] knob exists so a
-    test can demonstrate that leak).  The paper reports this cache
-    improved partitioned Apache throughput by 20% (ablation E7). *)
+    the same page count arrives.  For secrecy the reused memory is always
+    scrubbed: the cache holds references to the old frames, so without
+    scrubbing the previous owner's data would be visible.  The paper
+    reports this cache improved partitioned Apache throughput by 20%
+    (ablation E7, which toggles it with {!set_enabled}). *)
 
 type entry = {
   base : int;
@@ -16,8 +16,9 @@ type entry = {
 
 type t
 
-val create : ?enabled:bool -> ?scrub:bool -> Wedge_kernel.Physmem.t -> t
-val enabled : t -> bool
+val create : Wedge_kernel.Physmem.t -> t
+(** An enabled, empty cache. *)
+
 val set_enabled : t -> bool -> unit
 
 val put : t -> entry -> unit
@@ -27,9 +28,8 @@ val put : t -> entry -> unit
 
 val take : t -> pages:int -> entry option
 (** Pop a cached range with exactly [pages] pages, scrubbing its frames
-    (unless scrubbing is off) through {!Wedge_kernel.Physmem.scrub}: a
-    written frame is zero-filled in place, an unwritten one costs
-    nothing. *)
+    through {!Wedge_kernel.Physmem.scrub}: a written frame is zero-filled
+    in place, an unwritten one costs nothing. *)
 
 val entries : t -> entry list
 (** Every cached entry, in no particular order.  The refcount invariant
@@ -38,7 +38,6 @@ val entries : t -> entry list
 
 val hits : t -> int
 val misses : t -> int
-val size : t -> int
 
 val scrubbed_pages : t -> int
 (** Total pages scrubbed on reuse.  A counter, deliberately not a clock

@@ -365,7 +365,6 @@ let shutdown l =
   (* Parked acceptors wake to the [down] flag; no new registrations. *)
   Interest.kill l.l_ready
 
-let pending l = Queue.length l.queue
 let refused l = l.refused
 
 let register_metrics ?(name = "chan.listener") m l =

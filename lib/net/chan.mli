@@ -128,8 +128,6 @@ val shutdown : listener -> unit
 (** Stop accepting; still-queued (never-to-be-accepted) connections are
     reset so their clients see EOF rather than blocking forever. *)
 
-val pending : listener -> int
-
 val refused : listener -> int
 (** Connects refused over this listener's lifetime (backlog overflow or
     down listener). *)

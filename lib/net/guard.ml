@@ -406,7 +406,6 @@ let drain ?deadline_ns t l =
   Trace.span_end t.trace ~name:"guard.drain" ~pid:guard_pid
 
 let active t = t.active_n
-let draining t = t.draining
 
 (* Internal-consistency audit for the invariant oracle: the O(1) counter
    must agree with the list it shadows, and a released connection must

@@ -59,21 +59,12 @@ val create :
     admission to {!established} (e.g. handshake + first request line);
     [hang_deadline_ns] bounds the gap between beats of an armed heart.
     Each connection holds one fire-and-re-check timer for both (O(1) per
-    read or beat), cancelled on {!release}; after a {!cut} only the
-    heart's deadline remains.  [trace] records admission decisions
+    read or beat), cancelled when the connection ends; after a {!cut}
+    only the heart's deadline remains.  [trace] records admission decisions
     (["guard.admit"/"guard.reject.busy"/"guard.reject.draining"]), cuts
     (["guard.cut"], and ["watchdog.cut"] for a heart) and drain spans.
     @raise Invalid_argument when [max_conns <= 0] or
     [hang_deadline_ns <= 0]. *)
-
-val admit : t -> Chan.ep -> decision
-(** Claim a slot.  [Draining] once {!drain} started, else [Busy] when at
-    [max_conns]; both are counted and the caller must reject + close. *)
-
-val release : conn -> unit
-(** Give the slot back, cancel the connection's deadline timer and disarm
-    its alive heart (a hung one stays hung); idempotent.  Always call
-    (e.g. [Fun.protect ~finally]) or {!drain} will wait on a ghost. *)
 
 val established : conn -> unit
 (** The connection passed its handshake/greeting: the header deadline no
@@ -124,7 +115,6 @@ val active : t -> int
 (** Connections currently holding a slot — O(1), maintained at
     admit/release (never a list walk). *)
 
-val draining : t -> bool
 val stats : t -> stats
 
 val self_check : t -> string option

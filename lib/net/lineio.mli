@@ -11,12 +11,9 @@
 
 type t
 
-val default_max_line : int
-(** 1 MiB: far beyond any legitimate line. *)
-
 val create : ?max_line:int -> recv:(int -> bytes) -> send:(bytes -> unit) -> unit -> t
 (** [recv n] returns up to [n] bytes, empty meaning EOF.  [max_line]
-    defaults to {!default_max_line}. *)
+    defaults to 1 MiB, far beyond any legitimate line. *)
 
 val of_chan : ?max_line:int -> Chan.ep -> t
 

@@ -50,12 +50,6 @@ let splice t ~client_side ~server_side =
   Fiber.spawn (fun () -> pump t Client_to_server client_side server_side t.c2s_log);
   Fiber.spawn (fun () -> pump t Server_to_client server_side client_side t.s2c_log)
 
-let inject t dir b =
-  match (dir, t.server_side, t.client_side) with
-  | Client_to_server, Some s, _ -> Chan.write s b
-  | Server_to_client, _, Some c -> Chan.write c b
-  | _ -> invalid_arg "Mitm.inject: not spliced"
-
 let captured t = function
   | Client_to_server -> Buffer.contents t.c2s_log
   | Server_to_client -> Buffer.contents t.s2c_log

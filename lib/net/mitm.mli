@@ -23,9 +23,6 @@ val create : ?handler:(direction -> bytes -> action) -> unit -> t
 val splice : t -> client_side:Chan.ep -> server_side:Chan.ep -> unit
 (** Spawn the two pump fibers.  Must be called inside [Fiber.run]. *)
 
-val inject : t -> direction -> bytes -> unit
-(** Actively inject bytes toward one side. *)
-
 val captured : t -> direction -> string
 (** Everything observed so far in one direction. *)
 

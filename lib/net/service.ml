@@ -57,23 +57,24 @@ let fd conn =
   conn.c_fd <- Some fd;
   fd
 
-(* One compartment under [policy], its address space from [spawn]. *)
-let run_compartment ~on_restart ~spawn ~policy main (sc, body) =
-  Supervisor.supervise ~policy ~on_restart main (fun () ->
+(* One compartment under the flat restart policy, its address space from
+   [spawn]. *)
+let run_compartment ~on_restart ~spawn ~max_restarts main (sc, body) =
+  Supervisor.supervise ~max_restarts ~on_restart main (fun () ->
       W.sthread_create ~spawn main sc body 0)
 
 (* The connection's compartments in order, each started only once its
    predecessor exited 0. *)
-let rec run_compartments ~on_restart ~spawn ~policy ~degrade main = function
+let rec run_compartments ~on_restart ~spawn ~max_restarts ~degrade main = function
   | [] -> ()
   | stage :: rest -> (
-      match run_compartment ~on_restart ~spawn ~policy main stage with
+      match run_compartment ~on_restart ~spawn ~max_restarts main stage with
       | Supervisor.Done { value = 0; _ } ->
-          run_compartments ~on_restart ~spawn ~policy ~degrade main rest
+          run_compartments ~on_restart ~spawn ~max_restarts ~degrade main rest
       | Supervisor.Done _ -> ()
       | Supervisor.Gave_up _ -> degrade ())
 
-let run_worker ?guard ~spawn ~policy ~degrade main ep setup =
+let run_worker ?guard ~spawn ~max_restarts ~degrade main ep setup =
   let conn =
     {
       c_main = main;
@@ -102,5 +103,5 @@ let run_worker ?guard ~spawn ~policy ~degrade main ep setup =
       (* A retry starts with a fresh heart: the cut that killed the
          previous attempt left it hung. *)
       let on_restart () = Option.iter Guard.rearm_heart guard in
-      run_compartments ~on_restart ~spawn ~policy ~degrade main compartments);
+      run_compartments ~on_restart ~spawn ~max_restarts ~degrade main compartments);
   cleanup ()

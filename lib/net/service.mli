@@ -85,7 +85,7 @@ val fd : conn -> int
 val run_worker :
   ?guard:Guard.conn ->
   spawn:Wedge_core.Wedge.spawn ->
-  policy:Wedge_core.Supervisor.policy ->
+  max_restarts:int ->
   degrade:(unit -> unit) ->
   Wedge_core.Wedge.ctx ->
   Chan.ep ->
@@ -102,7 +102,8 @@ val run_worker :
     The compartments then run one at a time, each only after its
     predecessor exited 0 (Figure 3's rule: the client handler starts
     only after a clean handshake); a nonzero exit ends the connection
-    undegraded.  Each runs under [policy], and every retry re-arms the
+    undegraded.  Each is retried up to [max_restarts] times
+    ({!Wedge_core.Supervisor.supervise}), and every retry re-arms the
     guard connection's heart, so a restarted compartment is not killed
     for its predecessor's hang.
 

@@ -105,12 +105,9 @@ val self_check : t -> string option
 
 (** {2 Front door} *)
 
-val shard_hash : string -> int
-(** FNV-1a (32-bit) of the connection key — stable across runs and
-    hosts, so a key's shard assignment never moves. *)
-
 val route : t -> key:string -> int
-(** [shard_hash key mod n]. *)
+(** The FNV-1a (32-bit) hash of the connection key, mod [n]: stable
+    across runs and hosts, so a key's shard assignment never moves. *)
 
 type front
 

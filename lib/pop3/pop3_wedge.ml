@@ -218,13 +218,11 @@ let worker_identity () =
 (* The image every handler and callgate of [main]'s app is stamped from. *)
 let image main = Service.image ~name:"pop3.worker" main (worker_identity ())
 
-(* One retry by default: POP3 is line-oriented, so a fresh handler can
-   greet the client again. *)
-let worker_policy = Supervisor.policy ~max_restarts:1 ()
-
-let serve_connection ?spawn ?(restart_policy = worker_policy) ?guard ?synth main ep =
+let serve_connection ?spawn ?guard ?synth main ep =
   let spawn = match spawn with Some s -> s | None -> W.Stamp (image main) in
-  Service.run_worker ?guard ~spawn ~policy:restart_policy
+  (* One retry: POP3 is line-oriented, so a fresh handler can greet the
+     client again. *)
+  Service.run_worker ?guard ~spawn ~max_restarts:1
     ~degrade:(fun () -> send_degraded main ep)
     main ep
   @@ fun conn ->

@@ -22,7 +22,6 @@
 
 val serve_connection :
   ?spawn:Wedge_core.Wedge.spawn ->
-  ?restart_policy:Wedge_core.Supervisor.policy ->
   ?guard:Wedge_net.Guard.conn ->
   ?synth:Wedge_crowbar.Synth.t ->
   Wedge_core.Wedge.ctx ->
@@ -38,7 +37,7 @@ val serve_connection :
     Fault containment ({!Wedge_net.Service.run_worker}): a crash anywhere
     in this connection degrades only this connection (best-effort [-ERR]
     farewell, [pop3.degraded] counter) and never reaches the caller.
-    [restart_policy] defaults to one retry — POP3 is line-oriented, so a
+    A crashed handler is retried once — POP3 is line-oriented, so a
     fresh handler can greet the client again.
 
     A mailbox reply that does not fit the 16 KiB mail buffer (a STAT,

@@ -337,7 +337,6 @@ module Interest = struct
   type t = interest
 
   let create ~name = { i_name = name; i_dead = false; i_waiters = [] }
-  let is_dead i = i.i_dead
 
   let unregister i id =
     if List.mem id i.i_waiters then begin
@@ -638,3 +637,7 @@ let run ?faults ?clock ?(policy = Round_robin) ?on_switch ?on_idle main =
      finish ();
      raise e);
   finish ()
+
+module For_testing = struct
+  let parked_ids = parked_ids
+end

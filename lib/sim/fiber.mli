@@ -122,9 +122,6 @@ val unpark : int -> unit
     Safe from any fiber and from the {!run} [on_switch]/[on_idle]
     hooks. *)
 
-val parked_ids : unit -> int list
-(** Currently parked fiber ids, ascending. *)
-
 val cancel : ?reason:string -> int -> unit
 (** Mark fiber [id] for cancellation: its next {!yield}, stall step or
     park raises {!Cancelled} [reason] inside it.  A parked victim is
@@ -174,8 +171,6 @@ module Interest : sig
 
   val kill : t -> unit
   (** Mark the set dead and wake everyone; later waits return at once. *)
-
-  val is_dead : t -> bool
 end
 
 type interest_stats = {
@@ -196,3 +191,9 @@ val audit : unit -> string option
     {!wait_until} poller is registered, and its condition may hold until
     the scheduler's next check.  [None] when consistent or outside
     {!run}. *)
+
+(** Observation for tests only: nothing outside [test/] names it. *)
+module For_testing : sig
+  val parked_ids : unit -> int list
+  (** Currently parked fiber ids, ascending. *)
+end

@@ -36,9 +36,6 @@ val after : t -> ns:int -> (unit -> unit) -> timer_id
 val cancel_timer : t -> timer_id -> unit
 (** O(1); cancelling a fired or cancelled timer is a no-op. *)
 
-val pending_timers : t -> int
-(** Timers armed and neither fired nor cancelled. *)
-
 val hook : t -> unit -> unit
 (** [Fiber.run ~on_switch:(Reactor.hook r)]: [hook r ()] fires every
     timer due at the current simulated time.  The sweep is gated on the

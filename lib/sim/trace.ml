@@ -98,17 +98,6 @@ let count t ~name ~pid ~value =
 let recorded t = min t.total (Array.length t.ev_name)
 let dropped t = max 0 (t.total - Array.length t.ev_name)
 
-(* How many instants named [name] survive in the ring.  A query, not a
-   counter: events pushed out by wrap-around are not counted — size the
-   buffer for the workload when asserting on this (tests do). *)
-let instants_named t ~name =
-  let live = recorded t in
-  let n = ref 0 in
-  for i = 0 to live - 1 do
-    if Bytes.get t.ev_ph i = 'i' && t.ev_name.(i) = name then incr n
-  done;
-  !n
-
 (* ------------------------------------------------------------------ *)
 (* Chrome trace export.
 
@@ -377,3 +366,16 @@ let validate_chrome_json s =
           match all 0 events with Ok () -> Ok () | Error _ as e -> e)
       | Some _ -> Error "\"traceEvents\" is not an array")
   | _ -> Error "top level is not an object"
+
+module For_testing = struct
+  (* How many instants named [name] survive in the ring.  A query, not a
+     counter: events pushed out by wrap-around are not counted — size the
+     buffer for the workload when asserting on this (tests do). *)
+  let instants_named t ~name =
+    let live = recorded t in
+    let n = ref 0 in
+    for i = 0 to live - 1 do
+      if Bytes.get t.ev_ph i = 'i' && t.ev_name.(i) = name then incr n
+    done;
+    !n
+end

@@ -63,11 +63,6 @@ val count : t -> name:string -> pid:int -> value:int -> unit
 
 (** {2 Inspection and export} *)
 
-val instants_named : t -> name:string -> int
-(** How many instants named [name] survive in the ring buffer — what
-    tests assert complain-mode policy violations against.  Events pushed
-    out by wrap-around are not counted. *)
-
 val recorded : t -> int
 (** Events currently held (≤ capacity). *)
 
@@ -84,3 +79,10 @@ val validate_chrome_json : string -> (unit, string) result
     the Chrome-trace shape (top-level object, "traceEvents" array, every
     event an object with string "name"/"ph" and numeric "ts"/"pid"/"tid").
     No external JSON library required. *)
+
+(** Observation for tests only: nothing outside [test/] names it. *)
+module For_testing : sig
+  val instants_named : t -> name:string -> int
+  (** How many instants named [name] survive in the ring buffer.  Events
+      pushed out by wrap-around are not counted. *)
+end

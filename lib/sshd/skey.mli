@@ -6,9 +6,6 @@
     the subject of the S/Key information-leak lesson: a server must issue
     challenges even for unknown users or it becomes a username oracle. *)
 
-val hash_hex : string -> string
-(** One chain step (hex in, hex out — initial step takes raw input). *)
-
 val chain : passphrase:string -> seed:string -> count:int -> string
 (** [H^count(passphrase ++ seed)] in hex; [count >= 1]. *)
 

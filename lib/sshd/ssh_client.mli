@@ -23,7 +23,6 @@ val skey_challenge_for : conn -> user:string -> (int * string) option
 (** Probe: request an S/Key challenge for a user (the username-oracle
     experiment, §5.2). *)
 
-val skey_answer : conn -> response:string -> bool
 val exec : conn -> string -> string option
 (** Run a command, return the first Data reply. *)
 

@@ -60,4 +60,3 @@ val send_sealed : Wedge_tls.Wire.io -> Wedge_tls.Record.keys -> msg -> unit
 val recv_sealed : Wedge_tls.Wire.io -> Wedge_tls.Record.keys -> (msg, [ `Mac_fail | `Eof ]) result
 
 val marshal : msg -> bytes
-val unmarshal : bytes -> msg option

@@ -146,7 +146,7 @@ let serve_connection ?guard (env : Sshd_env.t) ep =
         0
   in
   let outcome =
-    Supervisor.supervise
+    Supervisor.supervise ~max_restarts:0
       ~on_restart:(fun () -> Option.iter Guard.rearm_heart guard)
       main
       (fun () -> W.fork main slave_main)

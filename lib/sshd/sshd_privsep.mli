@@ -14,23 +14,6 @@
       in the monitor's heap and is inherited by every forked slave
       ([Kuhn 2003]). *)
 
-(** The monitor's IPC surface — what an exploited slave may invoke. *)
-type monitor = {
-  m_getpw : string -> string option;  (** shadow line or None: a username oracle *)
-  m_authpass : user:string -> password:string -> bool;
-  m_sign : client_nonce:bytes -> server_nonce:bytes -> string;
-  m_decrypt : bytes -> bytes option;
-  m_skey_challenge : user:string -> (int * string) option;  (** None leaks nonexistence *)
-  m_skey_verify : user:string -> response:string -> bool;
-  m_setuid : slave_pid:int -> uid:int -> unit;
-}
-
-val monitor : Sshd_env.t -> monitor
-(** The monitor's IPC surface over [env]'s privileged main process, as
-    every connection's slave gets it: each call runs in the monitor and
-    charges the IPC round trip.  A payload taken over in a slave
-    ({!Wedge_core.Wedge.takeover}) calls the monitor through this. *)
-
 val serve_connection :
   ?guard:Wedge_net.Guard.conn ->
   Sshd_env.t ->

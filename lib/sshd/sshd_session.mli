@@ -23,10 +23,6 @@ type priv_ops = {
   skey_verify : user:string -> response:string -> bool;
 }
 
-val max_upload_bytes : int
-(** 16 MiB, room for the paper's 10 MB scp: an upload that grows the scp
-    staging buffer past it answers ["upload too large"] and disconnects
-    instead of buffering attacker-sized data. *)
 
 val run :
   ctx:Wedge_core.Wedge.ctx ->
@@ -40,4 +36,6 @@ val run :
 (** Serve one session: version exchange, key exchange, one authentication
     dialogue, then Exec/Data commands until EOF.  An Exec command over
     4096 bytes answers ["command too long"] and disconnects; uploads are
-    capped at {!max_upload_bytes}. *)
+    capped at 16 MiB, room for the paper's 10 MB scp: an upload that
+    grows the staging buffer past it answers ["upload too large"] and
+    disconnects instead of buffering attacker-sized data. *)

@@ -266,7 +266,7 @@ let serve_connection ?spawn ?guard ?synth (env : Sshd_env.t) ep =
   let spawn = match spawn with Some s -> s | None -> W.Stamp (image env) in
   (* An SSH session whose worker died mid-protocol cannot be resumed in
      plaintext: the degraded answer is a disconnect, master intact. *)
-  Service.run_worker ?guard ~spawn ~policy:Supervisor.default_policy
+  Service.run_worker ?guard ~spawn ~max_restarts:0
     ~degrade:(fun () -> W.stat main "sshd.degraded")
     main ep
   @@ fun conn ->

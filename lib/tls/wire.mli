@@ -34,7 +34,6 @@ type mtype =
   | App_data
   | Alert
 
-val mtype_to_char : mtype -> char
 
 val send_msg : io -> mtype -> bytes -> unit
 val recv_msg : io -> mtype * bytes

@@ -185,8 +185,9 @@ let test_refvm_cow_sharing () =
   Vm.map_fresh v1 ~addr:0x10000 ~pages:1 ~prot:Prot.page_rw ~tag:None;
   Vm.write_u64 v1 0x10000 7;
   (* Share COW into the second space, then write in each: one break. *)
-  Vm.share_range ~src:v1 ~dst:v2 ~addr:0x10000 ~pages:1 ~prot:Prot.page_cow;
-  Vm.protect_range v1 ~addr:0x10000 ~pages:1 ~prot:Prot.page_cow;
+  let pte = Option.get (Pagetable.find (Vm.page_table v1) ~vpn:(0x10000 / ps)) in
+  Vm.map_frame v2 ~addr:0x10000 ~frame:pte.Pagetable.frame ~prot:Prot.page_cow ~tag:None;
+  Vm.set_page_prot v1 ~addr:0x10000 ~prot:Prot.page_cow;
   Vm.write_u64 v2 0x10000 8;
   Vm.write_u64 v1 0x10000 9;
   check Alcotest.int "v2 copy" 8 (Vm.read_u64 v2 0x10000);

@@ -97,7 +97,10 @@ let test_trace_attributes_accesses () =
 
 let test_trace_heap_alloc_site () =
   let tr, _, _, _, (_, _, scratch) = traced_workload () in
-  match Trace.find_segment tr scratch with
+  match
+    Array.to_list (Trace.accesses tr)
+    |> List.find_map (fun a -> if a.Trace.a_addr = scratch then a.Trace.a_seg else None)
+  with
   | Some seg ->
       check Alcotest.bool "heap kind" true (seg.Trace.kind = Trace.Heap);
       check Alcotest.bool "alloc site records parse_input" true
@@ -128,7 +131,11 @@ let test_free_retires_segment () =
   W.set_instr main Instr.null;
   let tr = Cb_log.trace log in
   (* The write to q attributes to the NEW segment, not the freed one. *)
-  match Trace.find_segment tr q with
+  match
+    Array.to_list (Trace.accesses tr)
+    |> List.find_map (fun a ->
+           if a.Trace.a_addr = q && a.Trace.a_mode = Trace.Write then a.Trace.a_seg else None)
+  with
   | Some seg -> check Alcotest.bool "live segment" true seg.Trace.live
   | None -> Alcotest.fail "no segment"
 
@@ -325,20 +332,6 @@ let test_merge_traces () =
     (Trace.access_count tr1 + Trace.access_count tr2)
     (Trace.access_count merged)
 
-(* ---------- pin ---------- *)
-
-let test_pin_translation_caching () =
-  let p = Cb_log.pin () in
-  let instr = Cb_log.pin_instr p in
-  for _ = 1 to 100 do
-    instr.Instr.on_enter "hot_fn" "f" 1;
-    instr.Instr.on_exit ()
-  done;
-  instr.Instr.on_enter "cold_fn" "f" 2;
-  instr.Instr.on_exit ();
-  check Alcotest.int "two translations" 2 (Cb_log.pin_blocks_translated p);
-  check Alcotest.int "101 executions" 101 (Cb_log.pin_block_executions p)
-
 (* ---------- emulation + workflow ---------- *)
 
 let test_emulation_logs_without_killing () =
@@ -491,7 +484,6 @@ let () =
           Alcotest.test_case "save/load escaping" `Quick test_save_load_escaping;
           Alcotest.test_case "load rejects garbage" `Quick test_load_rejects_garbage;
         ] );
-      ("pin", [ Alcotest.test_case "translation caching" `Quick test_pin_translation_caching ]);
       ( "emulation",
         [
           Alcotest.test_case "logs without killing" `Quick test_emulation_logs_without_killing;

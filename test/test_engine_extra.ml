@@ -38,7 +38,7 @@ let test_gate_cap_passing () =
       (fun mid _ ->
         (* The middle sthread holds the capability and passes it on. *)
         let inner_sc = W.sc_create () in
-        W.sc_gate_grant inner_sc gate;
+        Wedge_core.Sc.gate_grant inner_sc gate;
         let h2 =
           W.sthread_create mid inner_sc
             (fun inner _ -> W.cgate inner gate ~perms:(W.sc_create ()) ~arg:21)
@@ -61,7 +61,7 @@ let test_gate_cap_not_forgeable () =
     W.sthread_create main (W.sc_create ())
       (fun ctx _ ->
         let sc = W.sc_create () in
-        W.sc_gate_grant sc gate;
+        Wedge_core.Sc.gate_grant sc gate;
         match W.sthread_create ctx sc (fun _ _ -> 0) 0 with
         | _ -> 1
         | exception W.Privilege_violation _ -> 2)

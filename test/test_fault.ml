@@ -28,6 +28,16 @@ module Pop3_client = Wedge_pop3.Pop3_client
 
 let check = Alcotest.check
 
+(* Connections queued for accept, as the listener's metrics gauge reads. *)
+let pending l =
+  let m = Wedge_sim.Metrics.create () in
+  Chan.register_metrics m l;
+  Wedge_sim.Metrics.get m "chan.pending"
+
+(* Armed operations a site's rule has seen so far. *)
+let site_ops p ~site =
+  Option.value ~default:0 (List.assoc_opt site (Fault_plan.site_op_counts p))
+
 let contains hay needle =
   let nl = String.length needle and hl = String.length hay in
   let rec go i = i + nl <= hl && (String.sub hay i nl = needle || go (i + 1)) in
@@ -50,8 +60,8 @@ let test_same_seed_same_trace () =
   in
   let roll_seq p =
     for _ = 1 to 200 do
-      ignore (Fault_plan.roll p ~site:"chan.read");
-      ignore (Fault_plan.roll p ~site:"physmem.alloc")
+      ignore (Fault_plan.roll_opt (Some p) ~site:"chan.read");
+      ignore (Fault_plan.roll_opt (Some p) ~site:"physmem.alloc")
     done
   in
   let p1 = mk 42 and p2 = mk 42 and p3 = mk 43 in
@@ -71,12 +81,12 @@ let test_disarmed_plan_is_inert () =
   Fault_plan.disarm p;
   for _ = 1 to 50 do
     check Alcotest.bool "no fire while disarmed" true
-      (Fault_plan.roll p ~site:"chan.read" = None)
+      (Fault_plan.roll_opt (Some p) ~site:"chan.read" = None)
   done;
   check Alcotest.int "op counter frozen while disarmed" 0
-    (Fault_plan.site_ops p ~site:"chan.read");
+    (site_ops p ~site:"chan.read");
   Fault_plan.arm p;
-  check Alcotest.bool "fires once armed" true (Fault_plan.roll p ~site:"chan.read" <> None)
+  check Alcotest.bool "fires once armed" true (Fault_plan.roll_opt (Some p) ~site:"chan.read" <> None)
 
 (* Five pop3 sessions (login, RETR 1, QUIT) on paper-shaped prices,
    with [faults] attached to the kernel, the channels and the scheduler.
@@ -124,8 +134,8 @@ let test_zero_rate_plan_is_trace_neutral () =
   check Alcotest.(list (pair string int)) "same kernel stats" stats0 stats;
   check Alcotest.string "same transcript" transcript0 transcript;
   check Alcotest.int "nothing injected" 0 (Fault_plan.injections plan);
-  check Alcotest.int "chan.read rolled" 45 (Fault_plan.site_ops plan ~site:"chan.read");
-  check Alcotest.int "vm.access rolled" 461 (Fault_plan.site_ops plan ~site:"vm.access")
+  check Alcotest.int "chan.read rolled" 45 (site_ops plan ~site:"chan.read");
+  check Alcotest.int "vm.access rolled" 461 (site_ops plan ~site:"vm.access")
 
 (* ---------- frame exhaustion ---------- *)
 
@@ -151,7 +161,7 @@ let test_supervisor_recovers_from_injected_enomem () =
   let attempt = ref 0 in
   let outcome =
     Supervisor.supervise
-      ~policy:(Supervisor.policy ~max_restarts:1 ())
+      ~max_restarts:1
       main
     @@ fun () ->
     W.sthread_create main (W.sc_create ())
@@ -161,7 +171,7 @@ let test_supervisor_recovers_from_injected_enomem () =
           (* Arm only inside the first attempt: the very next frame
              allocation — this attempt's own heap growth — fails. *)
           Fault_plan.rule plan ~site:"physmem.alloc"
-            ~nth:(Fault_plan.site_ops plan ~site:"physmem.alloc" + 1)
+            ~nth:(site_ops plan ~site:"physmem.alloc" + 1)
             [ Fault_plan.Enomem ];
           Fault_plan.arm plan
         end;
@@ -220,10 +230,10 @@ let test_connect_fault_refuses_connection () =
       (match Chan.connect l with
       | _ -> Alcotest.fail "expected refused connection"
       | exception Fault_plan.Injected _ -> ());
-      check Alcotest.int "nothing queued for accept" 0 (Chan.pending l);
+      check Alcotest.int "nothing queued for accept" 0 (pending l);
       let ep = Chan.connect l in
       Chan.write_string ep "hi";
-      check Alcotest.int "second connection established" 1 (Chan.pending l);
+      check Alcotest.int "second connection established" 1 (pending l);
       Chan.shutdown l)
 
 (* ---------- supervisor backoff ---------- *)
@@ -233,7 +243,7 @@ let test_supervisor_backoff_schedule () =
   W.boot app;
   let t0 = Clock.now k.Kernel.clock in
   let outcome =
-    Supervisor.supervise ~policy:(Supervisor.policy ~max_restarts:3 ()) main @@ fun () ->
+    Supervisor.supervise ~max_restarts:3 main @@ fun () ->
     W.sthread_create main (W.sc_create ())
       (fun _ _ -> raise (Fault_plan.Injected "always crashes"))
       0
@@ -266,7 +276,7 @@ let test_creation_fault_unwinds () =
   let ran = ref false in
   Fault_plan.arm plan;
   let outcome =
-    Supervisor.supervise ~policy:(Supervisor.policy ~max_restarts:1 ()) main @@ fun () ->
+    Supervisor.supervise ~max_restarts:1 main @@ fun () ->
     W.sthread_create ~spawn:(W.Stamp pool) main (W.sc_create ())
       (fun _ _ ->
         ran := true;
@@ -350,11 +360,11 @@ let test_fiber_crash_contained_in_sthread () =
       let _, app, main = mk_app () in
       W.boot app;
       let outcome =
-        Supervisor.supervise main @@ fun () ->
+        Supervisor.supervise ~max_restarts:0 main @@ fun () ->
         W.sthread_create main (W.sc_create ())
           (fun _ _ ->
             Fault_plan.rule plan ~site:"fiber.yield"
-              ~nth:(Fault_plan.site_ops plan ~site:"fiber.yield" + 1)
+              ~nth:(site_ops plan ~site:"fiber.yield" + 1)
               [ Fault_plan.Crash ];
             Fault_plan.arm plan;
             Fiber.yield ();
@@ -402,7 +412,7 @@ let test_pop3_setup_fault_degrades () =
           (* The very first frame allocation of per-connection setup fails:
              the monitor must degrade, not die. *)
           Fault_plan.rule plan ~site:"physmem.alloc"
-            ~nth:(Fault_plan.site_ops plan ~site:"physmem.alloc" + 1)
+            ~nth:(site_ops plan ~site:"physmem.alloc" + 1)
             [ Fault_plan.Enomem ];
           Fault_plan.arm plan;
           Pop3_wedge.serve_connection main server_ep;
@@ -418,7 +428,7 @@ let test_pop3_setup_fault_degrades () =
   check Alcotest.int "no compartment fault" 0 (Stats.get k.Kernel.stats "fault.compartment");
   check Alcotest.int "the setup fault counted" 1 (Stats.get k.Kernel.stats "fault.setup");
   check Alcotest.int "and traced" 1
-    (Wedge_sim.Trace.instants_named k.Kernel.trace ~name:"service.setup_fault")
+    (Wedge_sim.Trace.For_testing.instants_named k.Kernel.trace ~name:"service.setup_fault")
 
 (* ---------- chaos soak ---------- *)
 

@@ -258,7 +258,8 @@ let test_pop3_oversized_command_rejected () =
   let t = Byzantine.tally () in
   Fiber.run (fun () ->
       Fiber.spawn (fun () -> Service.serve_loop Pop3_wedge.service main guard l);
-      Byzantine.oversized t l ~size:(Lineio.default_max_line + 1)
+      (* One byte past [Lineio]'s default 1 MiB line limit. *)
+      Byzantine.oversized t l ~size:((1 lsl 20) + 1)
         ~is_rejection:(fun s -> contains s "command line too long");
       Guard.drain guard l);
   check Alcotest.int "oversized command answered -ERR and closed" 1 t.Byzantine.rejected
@@ -307,8 +308,7 @@ let test_drain_completes_in_flight () =
       Guard.drain ~deadline_ns:1_000_000 guard l);
   check Alcotest.bool "in-flight client finished its session" true !finished;
   check Alcotest.int "nothing force-closed" 0 (Guard.stats guard).Guard.s_forced;
-  check Alcotest.int "drained" 0 (Guard.active guard);
-  check Alcotest.bool "draining flag set" true (Guard.draining guard)
+  check Alcotest.int "drained" 0 (Guard.active guard)
 
 let test_drain_forces_stragglers () =
   let k, main = mk_pop3 () in
@@ -377,55 +377,65 @@ let test_release_and_cut_cancel_deadline_timers () =
   let clock = Clock.create () in
   let r = Reactor.create ~clock () in
   let guard = Guard.create ~reactor:r ~header_deadline_ns:8_000 ~max_conns:2 () in
-  let admit () =
-    let a, b = Chan.pair () in
-    match Guard.admit guard b with
-    | Guard.Admitted c -> (a, c)
-    | _ -> Alcotest.fail "expected admission"
+  let timers () = (Reactor.stats r).Reactor.timers in
+  (* One connection admitted and served by [Guard.accept_loop], which
+     releases it when [serve] returns. *)
+  let serve_one serve =
+    let admitted = (Guard.stats guard).Guard.s_admitted in
+    let l = Chan.listener () in
+    let a = Chan.connect l in
+    Fiber.spawn (fun () -> Guard.accept_loop guard l ~reject:(fun _ _ -> ()) ~serve);
+    Fiber.wait_until ~what:"connection released" (fun () ->
+        (Guard.stats guard).Guard.s_admitted > admitted && Guard.active guard = 0);
+    Chan.shutdown l;
+    a
   in
-  let a, c = admit () in
-  Clock.charge clock 1_000;
-  Guard.established c;
-  Guard.release c;
-  check Alcotest.int "released: no timer armed" 0 (Reactor.pending_timers r);
-  check Alcotest.bool "idle has nothing to sleep to" false (Reactor.idle r ());
-  check Alcotest.int "idle step left the clock alone" 1_000 (Clock.now clock);
-  let a2, c2 = admit () in
-  Guard.cut c2;
-  Guard.release c2;
-  check Alcotest.int "cut: no timer armed" 0 (Reactor.pending_timers r);
-  let l = Chan.listener () in
-  Guard.drain ~deadline_ns:50_000 guard l;
-  check Alcotest.int "early drain: deadline cancelled" 0 (Reactor.pending_timers r);
-  List.iter Chan.close [ a; a2 ]
+  Fiber.run (fun () ->
+      let a =
+        serve_one (fun c ->
+            Clock.charge clock 1_000;
+            Guard.established c)
+      in
+      check Alcotest.int "released: no timer armed" 0 (timers ());
+      check Alcotest.bool "idle has nothing to sleep to" false (Reactor.idle r ());
+      check Alcotest.int "idle step left the clock alone" 1_000 (Clock.now clock);
+      let a2 = serve_one Guard.cut in
+      check Alcotest.int "cut: no timer armed" 0 (timers ());
+      let l = Chan.listener () in
+      Guard.drain ~deadline_ns:50_000 guard l;
+      check Alcotest.int "early drain: deadline cancelled" 0 (timers ());
+      List.iter Chan.close [ a; a2 ])
 
 let test_release_idempotent () =
   (* Regression: releasing a connection twice (worker finally + drain
      forfeit racing) must not drive the O(1) active counter negative or
      free another connection's slot. *)
+  let guard =
+    Guard.create ~reactor:(Reactor.create ~clock:(Clock.create ()) ()) ~max_conns:2 ()
+  in
+  (* Two workers park where the drain's cut cannot wake them, so the
+     drain forfeits their slots; woken afterwards, each returns and
+     accept_loop's finally releases its connection a second time. *)
+  let workers = ref [] and returned = ref 0 in
   Fiber.run (fun () ->
-      let guard =
-        Guard.create ~reactor:(Reactor.create ~clock:(Clock.create ()) ()) ~max_conns:2 ()
-      in
-      let a, b = Chan.pair () in
-      match (Guard.admit guard a, Guard.admit guard b) with
-      | Guard.Admitted ca, Guard.Admitted cb ->
-          check Alcotest.int "two active" 2 (Guard.active guard);
-          Guard.release ca;
-          Guard.release ca;
-          Guard.release ca;
-          check Alcotest.int "triple release frees one slot" 1 (Guard.active guard);
-          (* The freed slot admits exactly one newcomer, not three. *)
-          let c, d = Chan.pair () in
-          (match Guard.admit guard c with
-          | Guard.Admitted _ -> ()
-          | _ -> Alcotest.fail "slot not reusable after release");
-          (match Guard.admit guard d with
-          | Guard.Admitted _ -> Alcotest.fail "double release leaked a slot"
-          | _ -> ());
-          Guard.release cb;
-          check Alcotest.int "one left" 1 (Guard.active guard)
-      | _ -> Alcotest.fail "admissions under capacity refused")
+      let l = Chan.listener () in
+      let clients = [ Chan.connect l; Chan.connect l ] in
+      Fiber.spawn (fun () ->
+          Guard.accept_loop guard l ~reject:(fun _ _ -> ()) ~serve:(fun _ ->
+              workers := Fiber.fiber_id () :: !workers;
+              Fiber.park ~what:"worker deaf to the cut";
+              incr returned));
+      Fiber.wait_until ~what:"both admitted" (fun () -> List.length !workers = 2);
+      check Alcotest.int "two active" 2 (Guard.active guard);
+      Guard.drain guard l;
+      check Alcotest.int "forfeit frees both slots" 0 (Guard.active guard);
+      List.iter Fiber.unpark !workers;
+      Fiber.wait_until ~what:"workers returned" (fun () -> !returned = 2);
+      Fiber.yield ();
+      check Alcotest.int "late releases free nothing" 0 (Guard.active guard);
+      check (Alcotest.option Alcotest.string) "counter agrees with the list" None
+        (Guard.self_check guard);
+      List.iter Chan.close clients)
 
 let test_refused_contained_under_supervision () =
   (* Connect-after-drain from a supervised compartment: Chan.Refused is
@@ -443,7 +453,7 @@ let test_refused_contained_under_supervision () =
       outcome :=
         Some
           (Wedge_core.Supervisor.supervise
-             ~policy:(Wedge_core.Supervisor.policy ~max_restarts:1 ())
+             ~max_restarts:1
              main
              (fun () ->
                W.sthread_create main (W.sc_create ())
@@ -513,7 +523,7 @@ let idle_stretch ~herd =
         Fiber.yield ()
       done;
       idle_traps := traps () - traps0;
-      parked := List.length (Fiber.parked_ids ());
+      parked := List.length (Fiber.For_testing.parked_ids ());
       Chan.write_string a (String.make 64 'r');
       Fiber.wait_until ~what:"request served" (fun () -> !got = 64);
       span := Clock.now clock - t0;
@@ -551,27 +561,26 @@ let test_refused_read_never_parks () =
   in
   let refused = ref None and ret = ref None in
   Fiber.run (fun () ->
-      let client, server = Chan.pair () in
-      let c =
-        match Guard.admit guard server with
-        | Guard.Admitted c -> c
-        | _ -> Alcotest.fail "expected admission"
-      in
-      let fd = W.add_endpoint main (Guard.endpoint c) Fd_table.perm_rw in
-      let sc = W.sc_create () in
-      W.sc_fd_add sc fd Fd_table.perm_w;
-      let h =
-        W.sthread_create main sc
-          (fun ctx _ ->
-            match W.fd_read ctx fd 16 with
-            | _ -> 1
-            | exception W.Fd_error msg ->
-                refused := Some msg;
-                0)
-          0
-      in
-      ret := Some (W.sthread_join main h);
-      Guard.release c;
+      let l = Chan.listener () in
+      let client = Chan.connect l in
+      Fiber.spawn (fun () ->
+          Guard.accept_loop guard l ~reject:(fun _ _ -> ()) ~serve:(fun c ->
+              let fd = W.add_endpoint main (Guard.endpoint c) Fd_table.perm_rw in
+              let sc = W.sc_create () in
+              W.sc_fd_add sc fd Fd_table.perm_w;
+              let h =
+                W.sthread_create main sc
+                  (fun ctx _ ->
+                    match W.fd_read ctx fd 16 with
+                    | _ -> 1
+                    | exception W.Fd_error msg ->
+                        refused := Some msg;
+                        0)
+                  0
+              in
+              ret := Some (W.sthread_join main h)));
+      Fiber.wait_until ~what:"connection served" (fun () -> !ret <> None);
+      Chan.shutdown l;
       Chan.close client);
   check (Alcotest.option Alcotest.int) "the compartment returned" (Some 0) !ret;
   match !refused with

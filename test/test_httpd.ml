@@ -414,7 +414,7 @@ let test_injection_during_data_phase_dropped () =
       | Error e -> Alcotest.fail e
       | Ok res ->
           (* Attacker injects a forged record ahead of the real request. *)
-          Mitm.inject mitm Mitm.Client_to_server
+          Chan.write mitm_server
             (Wire.frame Wire.App_data (Bytes.make 64 'Z'));
           Fiber.yield ();
           Wedge_tls.Handshake.send_data io res.Wedge_tls.Handshake.cr_keys

@@ -59,8 +59,8 @@ let test_freeze_stamp_basic () =
   let k, app, main = mk () in
   Fiber.run (fun () ->
       let pool = W.Pool.freeze ~name:"w" main (W.sc_create ()) in
-      check Alcotest.bool "live" true (Pool.is_live pool);
-      check Alcotest.bool "pages captured" true (Pool.frozen_pages pool > 0);
+      check Alcotest.bool "live" true pool.Engine.im_live;
+      check Alcotest.bool "pages captured" true (Vm.image_size pool.Engine.im_pages > 0);
       let h = stamp main pool (fun _ x -> x + 41) 1 in
       check Alcotest.int "stamped worker ran" 42 (W.sthread_join main h);
       check Alcotest.int "freeze counted" 1 app.Engine.pool_freezes;
@@ -212,7 +212,7 @@ let test_discard_releases_image () =
       let pool = W.Pool.freeze ~name:"w" main (W.sc_create ()) in
       ignore (W.sthread_join main (stamp main pool noop 0));
       W.Pool.discard main pool;
-      check Alcotest.bool "dead after discard" false (Pool.is_live pool);
+      check Alcotest.bool "dead after discard" false pool.Engine.im_live;
       check Alcotest.bool "stamp after discard refused" true
         (match stamp main pool noop 0 with
         | exception Invalid_argument _ -> true
@@ -526,12 +526,12 @@ let test_siblings_isolated_through_shared_table () =
               check Alcotest.int "child reads its write" 111 (W.read_u64 child heap);
               check Alcotest.int "sibling reads the image" 0xBEEF (W.read_u64 sibling heap);
               unchanged "write";
-              Vm.protect_range vm ~addr:(data + ps) ~pages:1 ~prot:Prot.page_none;
+              Vm.set_page_prot vm ~addr:(data + ps) ~prot:Prot.page_none;
               check Alcotest.bool "child lost the page" false
                 (W.can_read child ~addr:(data + ps) ~len:1);
               check Alcotest.bool "sibling keeps it" true
                 (W.can_read sibling ~addr:(data + ps) ~len:1);
-              unchanged "protect_range";
+              unchanged "set_page_prot";
               Vm.set_page_tag vm ~addr:(data + (2 * ps)) ~tag:(Some 4242);
               unchanged "retag";
               (* The unmap a tag deletion performs in each address space. *)
@@ -637,7 +637,7 @@ let test_fault_during_stamp_image_pristine () =
       Fault_plan.disarm plan;
       (* The frozen image survived the failed stamp pristine: still live,
          still registered, and a clean stamp serves. *)
-      check Alcotest.bool "pool still live" true (Pool.is_live pool);
+      check Alcotest.bool "pool still live" true pool.Engine.im_live;
       check Alcotest.int "image still registered" 1 (List.length app.Engine.frozen_images);
       check Alcotest.bool "faulted attempt counted, no hit" true
         (app.Engine.pool_stamps >= 1 && app.Engine.pool_hits = 0);
@@ -661,7 +661,7 @@ let test_stamp_child_restamps () =
         let spawn = if pooled then W.Stamp pool else W.Boot in
         let attempts = ref 0 and fault_at = ref 0 in
         let outcome =
-          Supervisor.supervise ~policy:(Supervisor.policy ~max_restarts:2 ()) main @@ fun () ->
+          Supervisor.supervise ~max_restarts:2 main @@ fun () ->
           W.sthread_create ~spawn main (W.sc_create ())
             (fun _ _ ->
               incr attempts;

@@ -43,7 +43,7 @@ let backoffs ~retries =
   let t0 = Clock.now clock in
   let marks = ref [ t0 ] in
   let outcome =
-    Supervisor.supervise ~policy:(Supervisor.policy ~max_restarts:retries ())
+    Supervisor.supervise ~max_restarts:retries
       ~on_restart:(fun () -> marks := Clock.now clock :: !marks)
       main
     @@ fun () ->
@@ -101,11 +101,18 @@ let test_fiber_cancel_delivered_once () =
 
 (* ---------- connection hearts ---------- *)
 
-let admit_one g =
-  let a, b = Chan.pair () in
-  match Guard.admit g b with
-  | Guard.Admitted c -> (a, c)
-  | _ -> Alcotest.fail "expected admission"
+(* Admit one connection through [Guard.accept_loop], which serves it in
+   its own fiber with the heart armed and releases it when [serve]
+   returns; the client's endpoint comes back.  The listener shuts down
+   once the loop has taken the connection. *)
+let accept_one g serve =
+  let l = Chan.listener () in
+  let a = Chan.connect l in
+  Fiber.spawn (fun () -> Guard.accept_loop g l ~reject:(fun _ _ -> ()) ~serve);
+  Fiber.yield ();
+  Chan.shutdown l;
+  check Alcotest.int "admitted under capacity" 1 (Guard.active g);
+  a
 
 (* An armed heart that stops beating is cut once, by its connection's
    own timer at the first reactor tick past the deadline, and the fiber
@@ -116,19 +123,18 @@ let test_watchdog_cuts_hung_heart () =
   let g = Guard.create ~reactor:r ~hang_deadline_ns:1_000 ~max_conns:2 () in
   let cancelled = ref false in
   Fiber.run ~clock (fun () ->
-      let _, c = admit_one g in
-      Fiber.spawn (fun () ->
-          Guard.rearm_heart c;
-          try
-            Guard.established c;
-            Clock.charge clock 5_000;
-            (* hung: no beat while the clock runs past the deadline.  The
-               cut lands at the first yield after the tick; a bounded spin
-               lets a missing cut fail the test instead of hanging it. *)
-            for _ = 1 to 16 do
-              Fiber.yield ()
-            done
-          with Fiber.Cancelled _ -> cancelled := true);
+      ignore
+        (accept_one g (fun c ->
+             try
+               Guard.established c;
+               Clock.charge clock 5_000;
+               (* hung: no beat while the clock runs past the deadline.  The
+                  cut lands at the first yield after the tick; a bounded spin
+                  lets a missing cut fail the test instead of hanging it. *)
+               for _ = 1 to 16 do
+                 Fiber.yield ()
+               done
+             with Fiber.Cancelled _ -> cancelled := true));
       Fiber.yield ();
       Reactor.hook r ();
       Fiber.yield ());
@@ -142,12 +148,12 @@ let test_watchdog_beat_after_cut_raises_hang () =
   let g = Guard.create ~reactor:r ~hang_deadline_ns:1_000 ~max_conns:2 () in
   let raised = ref false in
   Fiber.run ~clock (fun () ->
-      let _, c = admit_one g in
-      Guard.rearm_heart c;
-      Clock.charge clock 2_000;
-      Reactor.hook r ();
-      check Alcotest.int "hung: cut once" 1 (Guard.stats g).Guard.s_hang_cuts;
-      (try Guard.established c with Guard.Hang _ -> raised := true));
+      ignore
+        (accept_one g (fun c ->
+             Clock.charge clock 2_000;
+             Reactor.hook r ();
+             check Alcotest.int "hung: cut once" 1 (Guard.stats g).Guard.s_hang_cuts;
+             try Guard.established c with Guard.Hang _ -> raised := true)));
   check Alcotest.bool "beat after cut raises Hang" true !raised;
   check Alcotest.bool "Hang is a contained engine fault" true
     (Wedge_core.Engine.fault_reason (Guard.Hang "x") <> None)
@@ -166,26 +172,20 @@ let test_reactor_reads_beat_heart () =
   let g = Guard.create ~hang_deadline_ns:1_000 ~reactor:r ~max_conns:2 () in
   let got = Buffer.create 64 in
   Fiber.run ~clock ~on_switch:(Reactor.hook r) (fun () ->
-      let a, b = Chan.pair () in
-      let c =
-        match Guard.admit g b with
-        | Guard.Admitted c -> c
-        | _ -> Alcotest.fail "expected admission"
+      let a =
+        accept_one g (fun c ->
+            (* accept_loop arms the heart in this serve fiber: a cut
+               cancels precisely this fiber. *)
+            let e = Guard.endpoint c in
+            let rec go () =
+              let b = e.Fd_table.ep_read 8 in
+              if Bytes.length b > 0 then begin
+                Buffer.add_bytes got b;
+                go ()
+              end
+            in
+            go ())
       in
-      let e = Guard.endpoint c in
-      Fiber.spawn (fun () ->
-          (* Arm the heart from inside the serve fiber, as accept_loop
-             does — a cut cancels precisely this fiber. *)
-          Guard.rearm_heart c;
-          let rec go () =
-            let b = e.Fd_table.ep_read 8 in
-            if Bytes.length b > 0 then begin
-              Buffer.add_bytes got b;
-              go ()
-            end
-          in
-          go ();
-          Guard.release c);
       (* Five bursts, each 0.6 deadlines apart: the whole session lasts
          3x the heartbeat deadline, but every delivered read beats the
          heart in passing. *)
@@ -209,19 +209,13 @@ let test_reactor_cuts_parked_worker_within_deadline () =
   let woke_at = ref (-1) in
   let eof = ref false in
   Fiber.run ~clock ~on_switch:(Reactor.hook r) (fun () ->
-      let a, b = Chan.pair () in
-      let c =
-        match Guard.admit g b with
-        | Guard.Admitted c -> c
-        | _ -> Alcotest.fail "expected admission"
+      let a =
+        accept_one g (fun c ->
+            let e = Guard.endpoint c in
+            (try eof := Bytes.length (e.Fd_table.ep_read 8) = 0
+             with Fiber.Cancelled _ -> eof := true);
+            woke_at := Clock.now clock)
       in
-      let e = Guard.endpoint c in
-      Fiber.spawn (fun () ->
-          Guard.rearm_heart c;
-          (try eof := Bytes.length (e.Fd_table.ep_read 8) = 0
-           with Fiber.Cancelled _ -> eof := true);
-          woke_at := Clock.now clock;
-          Guard.release c);
       (* Let the worker arm its heart and park before the silence. *)
       Fiber.yield ();
       (* Silence: advance the clock in tick-sized steps; every yield
@@ -379,10 +373,7 @@ let test_cgate_call_site_faults_contained () =
   Fiber.run (fun () ->
       let a, b = Chan.pair ~costs:Cost_model.free () in
       Fiber.spawn (fun () ->
-          (* No retries: a fresh attempt would re-greet and serve the
-             remaining (innocent) QUIT, masking the crash. *)
-          Wedge_pop3.Pop3_wedge.serve_connection ~restart_policy:Supervisor.default_policy
-            main_ctx b;
+          Wedge_pop3.Pop3_wedge.serve_connection main_ctx b;
           returned := true);
       (* Let the handler start, then make every callgate call crash. *)
       Chan.write_string a "USER alice\r\n";
@@ -398,15 +389,14 @@ let test_cgate_call_site_faults_contained () =
       (try drain_eof () with _ -> ());
       try Chan.close a with _ -> ());
   check Alcotest.bool "serve_connection returned" true !returned;
-  check Alcotest.int "cgate crash contained into degraded conn" 1
-    (Stats.get k.Kernel.stats "pop3.degraded");
   check Alcotest.bool "the handler died of it" true
     (Stats.get k.Kernel.stats "fault.compartment" >= 1);
-  check Alcotest.bool "the client got the degraded farewell" true
-    (contains (Buffer.contents got) "-ERR internal server error");
+  check Alcotest.int "and was retried once" 1 (Stats.get k.Kernel.stats "supervisor.restart");
+  check Alcotest.string "the retry greeted the client afresh"
+    "+OK wedge-pop3 ready\r\n+OK send PASS\r\n+OK wedge-pop3 ready\r\n" (Buffer.contents got);
   check Alcotest.bool "fault site charged" true
     (Stats.get k.Kernel.stats "fault.cgate" >= 1);
-  (* Degraded by a compartment's exhausted restarts, not by setup. *)
+  (* Contained in the compartment, not in the master's setup. *)
   check Alcotest.int "no setup fault" 0 (Stats.get k.Kernel.stats "fault.setup")
 
 (* ---------- satellite: re-armed hearts on pooled restart ---------- *)
@@ -420,13 +410,14 @@ let test_rearm_heart_clears_stale_beat () =
   let r = Reactor.create ~clock () in
   let g = Guard.create ~reactor:r ~hang_deadline_ns:1_000 ~max_conns:2 () in
   Fiber.run ~clock (fun () ->
-      let a, c = admit_one g in
-      Guard.rearm_heart c;
-      Clock.charge clock 2_000;
-      Guard.rearm_heart c;
-      Reactor.hook r ();
-      check Alcotest.int "no spurious cut after rearm" 0 (Guard.stats g).Guard.s_hang_cuts;
-      Guard.release c;
+      let a =
+        accept_one g (fun c ->
+            Clock.charge clock 2_000;
+            Guard.rearm_heart c;
+            Reactor.hook r ();
+            check Alcotest.int "no spurious cut after rearm" 0 (Guard.stats g).Guard.s_hang_cuts)
+      in
+      Fiber.wait_until ~what:"connection released" (fun () -> Guard.active g = 0);
       Chan.close a);
   check Alcotest.bool "no heart left overdue" true (Guard.heart_check g = None)
 
@@ -441,28 +432,28 @@ let test_flat_retry_rearms_heart () =
   let g = Guard.create ~reactor:r ~hang_deadline_ns:1_000 ~max_conns:2 () in
   let attempts = ref 0 and returned = ref false and degraded = ref false in
   Fiber.run ~clock ~on_switch:(Reactor.hook r) (fun () ->
-      let a, c = admit_one g in
-      Guard.rearm_heart c;
-      let body _ _ =
-        incr attempts;
-        if !attempts = 1 then begin
-          (* Hung: no beat while the clock runs past the deadline; the
-             cut lands at a yield. *)
-          Clock.charge clock 5_000;
-          for _ = 1 to 16 do
-            Fiber.yield ()
-          done
-        end
-        else Guard.established c;
-        0
+      let a =
+        accept_one g (fun c ->
+            let body _ _ =
+              incr attempts;
+              if !attempts = 1 then begin
+                (* Hung: no beat while the clock runs past the deadline;
+                   the cut lands at a yield. *)
+                Clock.charge clock 5_000;
+                for _ = 1 to 16 do
+                  Fiber.yield ()
+                done
+              end
+              else Guard.established c;
+              0
+            in
+            Service.run_worker ~guard:c ~spawn:W.Boot ~max_restarts:1
+              ~degrade:(fun () -> degraded := true)
+              main (Guard.ep c)
+              (fun _ -> [ (W.sc_create (), body) ]);
+            returned := true)
       in
-      Service.run_worker ~guard:c ~spawn:W.Boot
-        ~policy:(Supervisor.policy ~max_restarts:1 ())
-        ~degrade:(fun () -> degraded := true)
-        main (Guard.ep c)
-        (fun _ -> [ (W.sc_create (), body) ]);
-      returned := true;
-      Guard.release c;
+      Fiber.wait_until ~what:"connection released" (fun () -> Guard.active g = 0);
       Chan.close a);
   check Alcotest.int "hung attempt, then the retry" 2 !attempts;
   check Alcotest.int "one cut" 1 (Guard.stats g).Guard.s_hang_cuts;

@@ -45,8 +45,14 @@ let xshoot_stat fab sid =
    never move across runs, hosts or versions, or a rolling restart
    would re-home every connection.  Pin exact values. *)
 let test_shard_hash_pinned () =
+  let fabs = List.map (fun n -> (n, Shard.make ~n ())) [ 2; 3; 4; 5; 7 ] in
   List.iter
-    (fun (key, want) -> check Alcotest.int key want (Shard.shard_hash key))
+    (fun (key, want) ->
+      List.iter
+        (fun (n, fab) ->
+          check Alcotest.int (Printf.sprintf "%s over %d shards" key n) (want mod n)
+            (Shard.route fab ~key))
+        fabs)
     [
       ("alice", 2267157479);
       ("bob", 2261164244);
@@ -54,12 +60,18 @@ let test_shard_hash_pinned () =
       ("dave", 3496789471);
     ];
   let mod_pattern n =
-    List.init 8 (fun i -> Shard.shard_hash (Printf.sprintf "conn-%d" i) mod n)
+    List.init 8 (fun i -> Shard.route (List.assoc n fabs) ~key:(Printf.sprintf "conn-%d" i))
   in
   check (Alcotest.list Alcotest.int) "conn-0..7 over 2 shards"
     [ 0; 1; 0; 1; 0; 1; 0; 1 ] (mod_pattern 2);
   check (Alcotest.list Alcotest.int) "conn-0..7 over 4 shards"
     [ 2; 1; 0; 3; 2; 1; 0; 3 ] (mod_pattern 4)
+
+(* FNV-1a (32-bit), the hash the wire contract names. *)
+let fnv1a key =
+  let h = ref 0x811c9dc5 in
+  String.iter (fun c -> h := (!h lxor Char.code c) * 0x01000193 land 0xffffffff) key;
+  !h
 
 let test_route_deterministic_and_covering () =
   let fab = Shard.make ~n:4 () in
@@ -67,8 +79,7 @@ let test_route_deterministic_and_covering () =
   for i = 0 to 99 do
     let key = Printf.sprintf "conn-%d" i in
     let sid = Shard.route fab ~key in
-    check Alcotest.int ("route is hash mod n for " ^ key)
-      (Shard.shard_hash key mod 4) sid;
+    check Alcotest.int ("route is hash mod n for " ^ key) (fnv1a key mod 4) sid;
     check Alcotest.int ("route is stable for " ^ key) sid (Shard.route fab ~key);
     seen.(sid) <- seen.(sid) + 1
   done;

@@ -218,7 +218,7 @@ let test_parked_poller_passes_audit () =
   let flag = ref false and audited_parked = ref 0 and verdict = ref None in
   Fiber.run
     ~on_switch:(fun () ->
-      if Fiber.parked_ids () <> [] then incr audited_parked;
+      if Fiber.For_testing.parked_ids () <> [] then incr audited_parked;
       if !verdict = None then verdict := Fiber.audit ())
     (fun () ->
       Fiber.spawn (fun () -> Fiber.wait_until ~what:"flag" (fun () -> !flag));

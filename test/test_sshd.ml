@@ -101,6 +101,44 @@ let test_skey_login variant () =
   in
   check Alcotest.bool (vname variant ^ " skey login") true ok
 
+(* An S/Key login spoken straight through [Ssh_proto], as an eavesdropper
+   replaying a captured response would: a key exchange that skips host
+   verification, the server's challenge for [user] ignored, then
+   [response] sealed like any client message.  Whether the server
+   accepted it. *)
+let skey_raw env variant ~user ~response =
+  let accepted = ref false in
+  Fiber.run (fun () ->
+      let client_ep, server_ep = Chan.pair ~costs:Cost_model.free () in
+      Fiber.spawn (fun () ->
+          match variant with
+          | VMono -> Mono.serve_connection env server_ep
+          | VPrivsep -> Privsep.serve_connection env server_ep
+          | VWedge -> Wedge_d.serve_connection env server_ep);
+      let io =
+        Wire.io_of_fns
+          ~recv:(fun n ->
+            let b = Chan.read client_ep n in
+            if Bytes.length b = 0 then None else Some b)
+          ~send:(fun b -> Chan.write client_ep b)
+      in
+      ignore (P.recv_plain io);
+      P.send_plain io (P.Version "WSSH-1.0-test");
+      let client_nonce = Bytes.make 32 'n' and secret = Bytes.make 32 's' in
+      P.send_plain io (P.Kexinit client_nonce);
+      (match P.recv_plain io with
+      | P.Kexreply { server_nonce; _ } ->
+          P.send_plain io
+            (P.Kexsecret (Rsa.encrypt (Drbg.create ~seed:0xC1) env.Env.host_rsa.Rsa.pub secret));
+          let keys = P.derive_keys ~secret ~client_nonce ~server_nonce ~side:`Client in
+          P.send_sealed io keys (P.Skey_start { user });
+          ignore (P.recv_sealed io keys);
+          P.send_sealed io keys (P.Skey_response { response });
+          accepted := P.recv_sealed io keys = Ok (P.Auth_result true)
+      | _ -> Alcotest.fail "expected kexreply");
+      Chan.close client_ep);
+  !accepted
+
 let test_skey_chain_advances variant () =
   let env = mk_env () in
   (* Two consecutive S/Key logins must use decreasing sequence numbers and
@@ -108,10 +146,7 @@ let test_skey_chain_advances variant () =
   let seq1 =
     with_conn env variant (fun c ->
         let chal = Client.skey_challenge_for c ~user:"alice" in
-        (match chal with
-        | Some (seq, seed) ->
-            ignore (Client.skey_answer c ~response:(Skey.respond ~passphrase:"rabbit hole" ~seed ~seq))
-        | None -> ());
+        ignore (Client.authenticate c ~user:"alice" (Client.Skey "rabbit hole"));
         chal)
   in
   let seq2 = with_conn env variant (fun c -> Client.skey_challenge_for c ~user:"alice") in
@@ -120,12 +155,11 @@ let test_skey_chain_advances variant () =
       check Alcotest.int "sequence decreased" (s1 - 1) s2;
       (* Replaying the old response fails now. *)
       let replay_ok =
-        with_conn env variant (fun c ->
-            match Client.skey_challenge_for c ~user:"alice" with
-            | Some (_, seed) ->
-                Client.skey_answer c
-                  ~response:(Skey.respond ~passphrase:"rabbit hole" ~seed ~seq:s1)
-            | None -> false)
+        match seq1 with
+        | Some (_, seed) ->
+            skey_raw env variant ~user:"alice"
+              ~response:(Skey.respond ~passphrase:"rabbit hole" ~seed ~seq:s1)
+        | None -> false
       in
       check Alcotest.bool "replay rejected" false replay_ok
   | _ -> Alcotest.fail "no challenges"
@@ -151,13 +185,13 @@ let test_scp_upload () =
   | Ok saved -> check Alcotest.bool "content intact" true (String.equal saved data)
   | Error _ -> Alcotest.fail "upload not found under alice's home"
 
-(* The scp staging buffer is capped at Sshd_session.max_upload_bytes: an
+(* The scp staging buffer is capped at 16 MiB: an
    upload one byte over is refused ("upload too large", so scp reports no
    "saved"), nothing reaches the filesystem, and the session ends with
    the worker exiting normally — a contained refusal, not a fault. *)
 let test_scp_upload_too_large () =
   let env = mk_env () in
-  let data = String.make (Wedge_sshd.Sshd_session.max_upload_bytes + 1) 'x' in
+  let data = String.make ((16 lsl 20) + 1) 'x' in
   let returned = ref false in
   let saved =
     let result = ref true in
@@ -201,7 +235,8 @@ let test_shell_runs_as_user () =
 let test_skey_chain_math () =
   let stored = Skey.chain ~passphrase:"pp" ~seed:"sd" ~count:10 in
   let resp = Skey.respond ~passphrase:"pp" ~seed:"sd" ~seq:9 in
-  check Alcotest.string "H(resp) = stored" stored (Skey.hash_hex resp);
+  check Alcotest.string "H(resp) = stored" stored
+    Wedge_crypto.Sha256.(hex (digest_string resp));
   let e = { Skey.user = "u"; seq = 10; seed = "sd"; stored } in
   (match Skey.verify e ~response:resp with
   | Some e' ->
@@ -316,27 +351,28 @@ let test_wedge_exploit_cannot_selfpromote () =
 let privsep_slave_entry = 3
 
 let test_privsep_username_oracle () =
-  (* An exploited privsep slave asks the monitor's getpwnam at will: the
-     NULL / non-NULL distinction reveals which usernames exist (portable
-     OpenSSH 4.7 behaviour). *)
-  let env = mk_env () in
-  let verdicts = ref [] in
-  let ran = ref false in
-  Sweep.arm ~where:(W.Child 1) ~at:privsep_slave_entry ran
-    (fun _ctx ->
-      let monitor = Privsep.monitor env in
-      verdicts :=
-        List.map
-          (fun u -> (u, monitor.Privsep.m_getpw u <> None))
-          [ "alice"; "bob"; "mallory"; "eve" ])
-    env.Env.app;
-  ignore (with_conn env VPrivsep (fun c -> Client.exec c "shell"));
-  check Alcotest.bool "payload ran" true !ran;
+  (* The privsep slave's password check asks the monitor's getpwnam
+     first, and on NULL refuses without the monitor's password round
+     trip: the NULL / non-NULL distinction reveals which usernames exist
+     (portable OpenSSH 4.7 behaviour), here to a client timing its
+     refusals on the simulated clock, at the default costs. *)
+  let k = Kernel.create () in
+  let env = Env.install ~image_pages:80 k in
+  let refusal user =
+    with_conn env VPrivsep (fun c ->
+        let t0 = Wedge_sim.Clock.now k.Kernel.clock in
+        ignore (Client.authenticate c ~user (Client.Password "bad"));
+        Wedge_sim.Clock.now k.Kernel.clock - t0)
+  in
+  (* Longer than an unknown name's refusal by at least the password
+     round trip to the monitor. *)
+  let slower = refusal "zz" + (2 * k.Kernel.costs.Cost_model.context_switch) in
+  let verdicts = List.map (fun u -> (u, refusal u > slower)) [ "alice"; "bob"; "mallory"; "eve" ] in
   check
     (Alcotest.list (Alcotest.pair Alcotest.string Alcotest.bool))
     "existence leaked"
     [ ("alice", true); ("bob", true); ("mallory", false); ("eve", false) ]
-    !verdicts
+    verdicts
 
 let test_privsep_skey_leak_without_exploit () =
   (* The S/Key variant leaks over the network, no exploit needed: unknown
@@ -469,7 +505,16 @@ let prop_proto_roundtrip =
   QCheck.Test.make ~name:"wssh messages roundtrip through marshalling" ~count:200
     (QCheck.make msg_gen)
     (fun msg ->
-      Wedge_sshd.Ssh_proto.unmarshal (Wedge_sshd.Ssh_proto.marshal msg) = Some msg)
+      let sent = Buffer.create 64 and pos = ref 0 in
+      let io =
+        Wire.io_of_fns ~send:(Buffer.add_bytes sent) ~recv:(fun n ->
+            let k = min n (Buffer.length sent - !pos) in
+            let b = Buffer.sub sent !pos k in
+            pos := !pos + k;
+            if k = 0 then None else Some (Bytes.of_string b))
+      in
+      P.send_plain io msg;
+      P.recv_plain io = msg)
 
 (* ---------- client-sized fields against the argument block ---------- *)
 

@@ -270,13 +270,85 @@ let test_unit_enforce_clean () =
   check Alcotest.(option string) "oracle invariant holds" None
     (Synth.self_check synth ())
 
+let class_to_string = function
+  | Synth.Tag_read -> "tag-read"
+  | Synth.Tag_write -> "tag-write"
+  | Synth.Fd_use -> "fd"
+  | Synth.Gate_call -> "gate"
+
+let grant_ref_to_string (r : Synth.grant_ref) =
+  Printf.sprintf "%s %s: %s %s"
+    (match r.gr_kind with Profile.Sthread -> "sthread" | Profile.Gate -> "gate")
+    r.gr_entry (class_to_string r.gr_class) r.gr_name
+
+(* The profile with exactly that one grant removed or downgraded, or
+   [None] if the profile does not contain it. *)
+let tighten p (r : Synth.grant_ref) =
+  let found = ref false in
+  let entries =
+    List.map
+      (fun (e : Profile.entry) ->
+        if e.e_kind <> r.gr_kind || e.e_name <> r.gr_entry then e
+        else
+          match r.gr_class with
+          | Synth.Tag_read ->
+              {
+                e with
+                e_tags =
+                  List.filter
+                    (fun (t, g) ->
+                      let hit = t = r.gr_name && g <> Prot.RW in
+                      if hit then found := true;
+                      not hit)
+                    e.e_tags;
+              }
+          | Synth.Tag_write ->
+              {
+                e with
+                e_tags =
+                  List.map
+                    (fun (t, g) ->
+                      if t = r.gr_name && g = Prot.RW then begin
+                        found := true;
+                        (t, Prot.R)
+                      end
+                      else (t, g))
+                    e.e_tags;
+              }
+          | Synth.Fd_use ->
+              {
+                e with
+                e_fds =
+                  List.filter
+                    (fun (role, _) ->
+                      let hit = role = r.gr_name in
+                      if hit then found := true;
+                      not hit)
+                    e.e_fds;
+              }
+          | Synth.Gate_call ->
+              {
+                e with
+                e_gates =
+                  List.filter
+                    (fun g ->
+                      let hit = g = r.gr_name in
+                      if hit then found := true;
+                      not hit)
+                    e.e_gates;
+              })
+      p.Profile.p_entries
+  in
+  if !found then Some (Profile.normalize { p with Profile.p_entries = entries })
+  else None
+
 (* The tightening matrix: one case per grant class, each pinning the
    violation site (which compartment dies, what the gate returns) and the
    exact deterministic denial message. *)
 let tighten_exn p gref =
-  match Synth.tighten p gref with
+  match tighten p gref with
   | Some p' -> p'
-  | None -> Alcotest.failf "grant not found: %s" (Synth.grant_ref_to_string gref)
+  | None -> Alcotest.failf "grant not found: %s" (grant_ref_to_string gref)
 
 let test_unit_tightening_matrix () =
   let p = unit_profile () in
@@ -313,7 +385,7 @@ let test_unit_tightening_matrix () =
   in
   List.iter
     (fun (gref, expect_msg, site) ->
-      let what = Synth.grant_ref_to_string gref in
+      let what = grant_ref_to_string gref in
       let r, denials = run_tightened gref in
       (match denials with
       | [ (msg, n) ] ->
@@ -368,7 +440,7 @@ let test_unit_complain_trace_instants () =
   let total = List.fold_left (fun a (_, n) -> a + n) 0 (Synth.complaints synth) in
   check Alcotest.bool "complaints happened" true (total > 0);
   check Alcotest.int "counted as policy.complain instants" total
-    (SimTrace.instants_named k.Kernel.trace ~name:"policy.complain")
+    (SimTrace.For_testing.instants_named k.Kernel.trace ~name:"policy.complain")
 
 (* ---------- the real servers ---------- *)
 
@@ -409,7 +481,7 @@ let test_httpd_tightening_matrix () =
   check Alcotest.bool "profile has grants" true (grefs <> []);
   List.iter
     (fun gref ->
-      let what = Synth.grant_ref_to_string gref in
+      let what = grant_ref_to_string gref in
       let p' = tighten_exn p gref in
       let ok, _summary, synth = Scenarios.synth_rerun ~app:"httpd" ~seed:1 (Synth.Enforce p') in
       let denials = Synth.denials synth in

@@ -225,10 +225,13 @@ let test_metrics_subsume_scattered_counters () =
       Chan.register_metrics m l;
       Chan.shutdown l;
       (try ignore (Chan.connect l) with Chan.Refused _ -> ());
-      let a, _b = Chan.pair () in
-      (match Guard.admit guard a with
-      | Guard.Admitted c -> Guard.release c
-      | _ -> Alcotest.fail "admission refused under capacity");
+      let l2 = Chan.listener () in
+      ignore (Chan.connect l2);
+      Fiber.spawn (fun () -> Guard.accept_loop guard l2 ~reject:(fun _ _ -> ()) ~serve:ignore);
+      Fiber.yield ();
+      Chan.shutdown l2;
+      check Alcotest.int "admission refused under capacity" 1
+        (Guard.stats guard).Guard.s_admitted;
       check Alcotest.int "chan.refused subsumed" (Chan.refused l)
         (Metrics.get m "chan.refused"));
   check Alcotest.int "stat counters subsumed"
