@@ -489,3 +489,7 @@ let random_below rng n =
     if compare v n < 0 then v else try_ ()
   in
   try_ ()
+
+module For_testing = struct
+  let divmod = divmod
+end

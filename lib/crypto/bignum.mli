@@ -57,3 +57,9 @@ val random_bits : Drbg.t -> bits:int -> t
 
 val random_below : Drbg.t -> t -> t
 (** Uniform in [0, n). *)
+
+module For_testing : sig
+  val divmod : t -> t -> t * t
+  (** [(a / b, a mod b)] by the division {!rem} runs: the quotient no
+      public call returns.  @raise Division_by_zero *)
+end

@@ -32,7 +32,7 @@ val epoch : t -> int
     invalidates every cached entry with one compare.  In-place pte
     mutations (protection changes, COW frame swaps) do {e not} advance
     the epoch — those paths must shoot the affected entries down
-    explicitly (see {!Vm.protect_range}).  Nor does {!find_private}'s
+    explicitly (see {!Vm.set_page_prot}).  Nor does {!find_private}'s
     copy, which leaves the translation unchanged. *)
 
 val map : t -> vpn:int -> frame:int -> prot:Prot.page -> tag:int option -> unit

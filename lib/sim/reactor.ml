@@ -83,7 +83,6 @@ let cancel_timer r tm =
       r.armed <- r.armed - 1
   | None -> ()
 
-
 (* Fire everything due.  The sweep is gated on the clock having moved
    (or a timer having been armed) since the last one, so the hook's cost
    on a switch where nothing happened is one comparison — the off-path

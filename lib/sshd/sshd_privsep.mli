@@ -5,9 +5,10 @@
     fixed operations from the monitor over IPC.
 
     This baseline reproduces both weaknesses the paper contrasts against:
-    - the monitor's getpwnam operation returns NULL for unknown users, so
-      an exploited slave can probe for valid usernames at will
-      (portable OpenSSH 4.7 behaviour);
+    - the slave's password check asks the monitor's getpwnam, which
+      returns NULL for unknown users, and on NULL refuses without the
+      monitor's password round trip (portable OpenSSH 4.7 behaviour): a
+      client that times its refusals learns which usernames exist;
     - the old S/Key path refuses to issue challenges for unknown users
       (the [Rembrandt 2002] leak, reachable without any exploit);
     - PAM scratch memory from a previous connection's authentication sits

@@ -23,7 +23,6 @@ type priv_ops = {
   skey_verify : user:string -> response:string -> bool;
 }
 
-
 val run :
   ctx:Wedge_core.Wedge.ctx ->
   io:Wedge_tls.Wire.io ->

@@ -34,7 +34,6 @@ type mtype =
   | App_data
   | Alert
 
-
 val send_msg : io -> mtype -> bytes -> unit
 val recv_msg : io -> mtype * bytes
 (** @raise Closed on EOF, {!Malformed} on an unknown message type. *)

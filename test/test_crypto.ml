@@ -22,17 +22,6 @@ let pow2 n =
   done;
   !x
 
-(* [a mod b] by binary long division: a reference for [B.rem] built
-   from add, sub, compare and bit alone. *)
-let reference_rem a b =
-  let r = ref B.zero in
-  for i = B.num_bits a - 1 downto 0 do
-    r := B.add !r !r;
-    if B.bit a i then r := B.add !r B.one;
-    if B.compare !r b >= 0 then r := B.sub !r b
-  done;
-  !r
-
 (* A second shared key, distinct from [Rsa.demo_key]. *)
 let demo_key2 =
   let key = lazy (Rsa.keygen (Drbg.create ~seed:0xBADCAB)) in
@@ -128,7 +117,9 @@ let prop_mul_matches_int =
 let prop_divmod_identity =
   QCheck.Test.make ~name:"a = q*b + r with r < b" ~count:200
     (QCheck.pair (QCheck.int_range 0 max_int) (QCheck.int_range 1 max_int))
-    (fun (a, b) -> B.to_int (B.rem (B.of_int a) (B.of_int b)) = a mod b)
+    (fun (a, b) ->
+      let q, r = B.For_testing.divmod (B.of_int a) (B.of_int b) in
+      B.to_int q = a / b && B.to_int r = a mod b)
 
 let prop_big_divmod_identity =
   (* Same identity over operands far beyond the int range. *)
@@ -137,8 +128,8 @@ let prop_big_divmod_identity =
     (fun (sa, sb) ->
       let ra = Drbg.create ~seed:sa and rb = Drbg.create ~seed:sb in
       let a = B.random_bits ra ~bits:300 and b = B.random_bits rb ~bits:130 in
-      let r = B.rem a b in
-      B.equal r (reference_rem a b) && B.compare r b < 0)
+      let q, r = B.For_testing.divmod a b in
+      B.equal a (B.add (B.mul q b) r) && B.compare r b < 0)
 
 let prop_modexp_matches_naive =
   QCheck.Test.make ~name:"modexp matches naive square-and-multiply" ~count:50
@@ -196,8 +187,8 @@ let prop_divmod_shapes =
         match shape with 0 -> Drbg.int_below r bbits | 1 -> bbits | _ -> 1_040
       in
       let a = random_width r abits and b = B.random_bits r ~bits:bbits in
-      let rm = B.rem a b in
-      B.equal rm (reference_rem a b) && B.compare rm b < 0)
+      let q, rm = B.For_testing.divmod a b in
+      B.equal a (B.add (B.mul q b) rm) && B.compare rm b < 0)
 
 let prop_conversions_roundtrip =
   QCheck.Test.make ~name:"hex and left-padded bytes roundtrip to 1,100 bits" ~count:150
@@ -268,9 +259,10 @@ let test_bignum_divmod_edges () =
   List.iter
     (fun (name, a, b) ->
       let a = of_limbs a and b = of_limbs b in
-      let rm = B.rem a b in
-      check Alcotest.bool (name ^ ": r = a mod b") true (B.equal rm (reference_rem a b));
-      check Alcotest.bool (name ^ ": r < b") true (B.compare rm b < 0))
+      let q, rm = B.For_testing.divmod a b in
+      check Alcotest.bool (name ^ ": a = q*b + r") true (B.equal a (B.add (B.mul q b) rm));
+      check Alcotest.bool (name ^ ": r < b") true (B.compare rm b < 0);
+      check Alcotest.bool (name ^ ": rem agrees") true (B.equal rm (B.rem a b)))
     cases
 
 (* Exponents the window scan treats specially, each checked against

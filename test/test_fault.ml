@@ -28,16 +28,6 @@ module Pop3_client = Wedge_pop3.Pop3_client
 
 let check = Alcotest.check
 
-(* Connections queued for accept, as the listener's metrics gauge reads. *)
-let pending l =
-  let m = Wedge_sim.Metrics.create () in
-  Chan.register_metrics m l;
-  Wedge_sim.Metrics.get m "chan.pending"
-
-(* Armed operations a site's rule has seen so far. *)
-let site_ops p ~site =
-  Option.value ~default:0 (List.assoc_opt site (Fault_plan.site_op_counts p))
-
 let contains hay needle =
   let nl = String.length needle and hl = String.length hay in
   let rec go i = i + nl <= hl && (String.sub hay i nl = needle || go (i + 1)) in
@@ -84,7 +74,7 @@ let test_disarmed_plan_is_inert () =
       (Fault_plan.roll_opt (Some p) ~site:"chan.read" = None)
   done;
   check Alcotest.int "op counter frozen while disarmed" 0
-    (site_ops p ~site:"chan.read");
+    (Probe.site_ops p ~site:"chan.read");
   Fault_plan.arm p;
   check Alcotest.bool "fires once armed" true (Fault_plan.roll_opt (Some p) ~site:"chan.read" <> None)
 
@@ -134,8 +124,8 @@ let test_zero_rate_plan_is_trace_neutral () =
   check Alcotest.(list (pair string int)) "same kernel stats" stats0 stats;
   check Alcotest.string "same transcript" transcript0 transcript;
   check Alcotest.int "nothing injected" 0 (Fault_plan.injections plan);
-  check Alcotest.int "chan.read rolled" 45 (site_ops plan ~site:"chan.read");
-  check Alcotest.int "vm.access rolled" 461 (site_ops plan ~site:"vm.access")
+  check Alcotest.int "chan.read rolled" 45 (Probe.site_ops plan ~site:"chan.read");
+  check Alcotest.int "vm.access rolled" 461 (Probe.site_ops plan ~site:"vm.access")
 
 (* ---------- frame exhaustion ---------- *)
 
@@ -171,7 +161,7 @@ let test_supervisor_recovers_from_injected_enomem () =
           (* Arm only inside the first attempt: the very next frame
              allocation — this attempt's own heap growth — fails. *)
           Fault_plan.rule plan ~site:"physmem.alloc"
-            ~nth:(site_ops plan ~site:"physmem.alloc" + 1)
+            ~nth:(Probe.site_ops plan ~site:"physmem.alloc" + 1)
             [ Fault_plan.Enomem ];
           Fault_plan.arm plan
         end;
@@ -230,10 +220,10 @@ let test_connect_fault_refuses_connection () =
       (match Chan.connect l with
       | _ -> Alcotest.fail "expected refused connection"
       | exception Fault_plan.Injected _ -> ());
-      check Alcotest.int "nothing queued for accept" 0 (pending l);
+      check Alcotest.int "nothing queued for accept" 0 (Probe.pending l);
       let ep = Chan.connect l in
       Chan.write_string ep "hi";
-      check Alcotest.int "second connection established" 1 (pending l);
+      check Alcotest.int "second connection established" 1 (Probe.pending l);
       Chan.shutdown l)
 
 (* ---------- supervisor backoff ---------- *)
@@ -364,7 +354,7 @@ let test_fiber_crash_contained_in_sthread () =
         W.sthread_create main (W.sc_create ())
           (fun _ _ ->
             Fault_plan.rule plan ~site:"fiber.yield"
-              ~nth:(site_ops plan ~site:"fiber.yield" + 1)
+              ~nth:(Probe.site_ops plan ~site:"fiber.yield" + 1)
               [ Fault_plan.Crash ];
             Fault_plan.arm plan;
             Fiber.yield ();
@@ -412,7 +402,7 @@ let test_pop3_setup_fault_degrades () =
           (* The very first frame allocation of per-connection setup fails:
              the monitor must degrade, not die. *)
           Fault_plan.rule plan ~site:"physmem.alloc"
-            ~nth:(site_ops plan ~site:"physmem.alloc" + 1)
+            ~nth:(Probe.site_ops plan ~site:"physmem.alloc" + 1)
             [ Fault_plan.Enomem ];
           Fault_plan.arm plan;
           Pop3_wedge.serve_connection main server_ep;

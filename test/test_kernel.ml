@@ -15,10 +15,6 @@ module Fault_plan = Wedge_fault.Fault_plan
 
 let check = Alcotest.check
 
-(* Armed operations a site's rule has seen so far. *)
-let site_ops p ~site =
-  Option.value ~default:0 (List.assoc_opt site (Fault_plan.site_op_counts p))
-
 let ps = Physmem.page_size
 
 (* Map [src]'s frame at [addr] into [dst] with [prot], as the engine maps
@@ -186,7 +182,7 @@ let test_vm_read_into () =
   Vm.map_fresh vm ~addr:0x3000 ~pages:1 ~prot:Prot.page_none ~tag:None;
   Vm.write_bytes vm 0x1000 (Bytes.init (2 * ps) (fun i -> Char.chr ((i * 7) land 0xff)));
   let touched () =
-    (site_ops plan ~site:"vm.access", Vm.tlb_hits vm + Vm.tlb_misses vm)
+    (Probe.site_ops plan ~site:"vm.access", Vm.tlb_hits vm + Vm.tlb_misses vm)
   in
   List.iter
     (fun pos ->

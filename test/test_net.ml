@@ -12,16 +12,6 @@ module Fault_plan = Wedge_fault.Fault_plan
 
 let check = Alcotest.check
 
-(* Connections queued for accept, as the listener's metrics gauge reads. *)
-let pending l =
-  let m = Wedge_sim.Metrics.create () in
-  Chan.register_metrics m l;
-  Wedge_sim.Metrics.get m "chan.pending"
-
-(* Armed operations a site's rule has seen so far. *)
-let site_ops p ~site =
-  Option.value ~default:0 (List.assoc_opt site (Fault_plan.site_op_counts p))
-
 (* ---------- chan ---------- *)
 
 let test_partial_reads () =
@@ -104,7 +94,7 @@ let test_listener_queueing () =
       let l = Chan.listener () in
       let c1 = Chan.connect l in
       let c2 = Chan.connect l in
-      check Alcotest.int "two pending" 2 (pending l);
+      check Alcotest.int "two pending" 2 (Probe.pending l);
       Chan.write_string c1 "1";
       Chan.write_string c2 "2";
       let s1 = Option.get (Chan.accept l) in
@@ -271,7 +261,7 @@ let test_write_sub_range () =
       Chan.write_sub b src 2 5;
       Chan.write_sub b src 10 0;
       check Alcotest.string "exactly [2, 7)" "23456" (Bytes.to_string (Chan.read a 100));
-      let rolls = site_ops faults ~site:"chan.write" in
+      let rolls = Probe.site_ops faults ~site:"chan.write" in
       check Alcotest.int "one roll per write" 2 rolls;
       List.iter
         (fun (off, len) ->
@@ -280,7 +270,7 @@ let test_write_sub_range () =
           | exception Invalid_argument _ -> ())
         [ (-1, 1); (0, -1); (0, 11); (10, 1); (11, 0); (5, max_int) ];
       check Alcotest.int "nothing pushed" 0 (Chan.bytes_in_flight a);
-      check Alcotest.int "no fault roll" rolls (site_ops faults ~site:"chan.write"))
+      check Alcotest.int "no fault roll" rolls (Probe.site_ops faults ~site:"chan.write"))
 
 (* A truncated write delivers the first byte of its range, [b.[off]],
    then the direction dies. *)

@@ -375,28 +375,45 @@ let test_cgate_call_site_faults_contained () =
       Fiber.spawn (fun () ->
           Wedge_pop3.Pop3_wedge.serve_connection main_ctx b;
           returned := true);
+      let read_more () =
+        let chunk = Chan.read a 4096 in
+        Buffer.add_bytes got chunk;
+        Bytes.length chunk > 0
+      in
       (* Let the handler start, then make every callgate call crash. *)
       Chan.write_string a "USER alice\r\n";
       Fault_plan.arm plan;
-      Chan.write_string a "PASS wonderland\r\nQUIT\r\n";
-      let rec drain_eof () =
-        let chunk = Chan.read a 4096 in
-        if Bytes.length chunk > 0 then begin
-          Buffer.add_bytes got chunk;
-          drain_eof ()
-        end
-      in
-      (try drain_eof () with _ -> ());
+      Chan.write_string a "PASS wonderland\r\n";
+      (* The handler dies at the login's callgate call and pop3's one
+         retry greets the client afresh; the same login kills the retry
+         too, and the connection degrades. *)
+      while
+        (not (contains (Buffer.contents got) "send PASS\r\n+OK wedge-pop3 ready\r\n"))
+        && read_more ()
+      do
+        ()
+      done;
+      Chan.write_string a "USER alice\r\nPASS wonderland\r\n";
+      (try
+         while read_more () do
+           ()
+         done
+       with _ -> ());
       try Chan.close a with _ -> ());
   check Alcotest.bool "serve_connection returned" true !returned;
-  check Alcotest.bool "the handler died of it" true
-    (Stats.get k.Kernel.stats "fault.compartment" >= 1);
-  check Alcotest.int "and was retried once" 1 (Stats.get k.Kernel.stats "supervisor.restart");
-  check Alcotest.string "the retry greeted the client afresh"
-    "+OK wedge-pop3 ready\r\n+OK send PASS\r\n+OK wedge-pop3 ready\r\n" (Buffer.contents got);
+  check Alcotest.int "the handler and its retry died of it" 2
+    (Stats.get k.Kernel.stats "fault.compartment");
+  check Alcotest.int "retried once" 1 (Stats.get k.Kernel.stats "supervisor.restart");
+  check Alcotest.int "then given up" 1 (Stats.get k.Kernel.stats "supervisor.gave_up");
+  check Alcotest.int "cgate crash contained into degraded conn" 1
+    (Stats.get k.Kernel.stats "pop3.degraded");
+  check Alcotest.string "the retry greeted the client afresh, then the degraded farewell"
+    "+OK wedge-pop3 ready\r\n+OK send PASS\r\n+OK wedge-pop3 ready\r\n+OK send PASS\r\n\
+     -ERR internal server error, closing\r\n"
+    (Buffer.contents got);
   check Alcotest.bool "fault site charged" true
     (Stats.get k.Kernel.stats "fault.cgate" >= 1);
-  (* Contained in the compartment, not in the master's setup. *)
+  (* Degraded by a compartment's exhausted restarts, not by setup. *)
   check Alcotest.int "no setup fault" 0 (Stats.get k.Kernel.stats "fault.setup")
 
 (* ---------- satellite: re-armed hearts on pooled restart ---------- *)

@@ -336,9 +336,9 @@ let test_miss_changes_nothing () =
 (* A compromised compartment's code may raise anything.  Two
    [Pop3_wedge] connections in one [Fiber.run], the first one's worker
    taken over at its second kernel entry (its first read of client
-   input): each payload ends only that connection — degraded, its worker
-   faulted and counted as [fault.unexpected] — and the second
-   connection logs in. *)
+   input): each payload ends only that worker — faulted, counted as
+   [fault.unexpected] and retried once, as pop3 retries every faulted
+   handler — and the second connection logs in. *)
 let test_hostile_payloads_end_one_connection () =
   let payloads =
     [
@@ -380,6 +380,8 @@ let test_hostile_payloads_end_one_connection () =
         (Stats.get k.Kernel.stats "fault.compartment");
       check Alcotest.int (what "and was retried once") 1
         (Stats.get k.Kernel.stats "supervisor.restart");
+      check Alcotest.int (what "the retry ran the connection out, undegraded") 0
+        (Stats.get k.Kernel.stats "pop3.degraded");
       check Alcotest.int (what "one unexpected fault") 1
         (Stats.get k.Kernel.stats "fault.unexpected"))
     payloads
