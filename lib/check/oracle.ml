@@ -141,7 +141,7 @@ let check_refcounts t =
       if holders <> u.want then
         violation "oracle: %s has %d holders but %d are registered or map it" u.what holders
           u.want;
-      List.iter (fun (fz : Engine.frozen_page) -> add fz.Engine.fz_frame) (Vm.image_pages u.im))
+      Vm.image_iter u.im (fun ~vpn:_ ~frame ~prot:_ ~tag:_ -> add frame))
     !images;
   Physmem.iter_live t.kernel.Kernel.pm (fun frame refs ->
       let want = match Hashtbl.find_opt expected frame with Some n -> n | None -> 0 in
@@ -214,26 +214,20 @@ let check_smalloc t =
    a private copy — would leak into every sibling and every later
    spawn. *)
 let check_table what im =
-  let table = Vm.image_table im and pages = Vm.image_pages im in
-  if Pagetable.base_count table <> List.length pages then
+  let table = Vm.image_table im in
+  if Pagetable.base_count table <> Vm.image_size im then
     violation "oracle: %s page table holds %d entries, built from %d" what
-      (Pagetable.base_count table) (List.length pages);
-  List.iter
-    (fun (fz : Engine.frozen_page) ->
-      match Pagetable.base_find table ~vpn:fz.Engine.fz_vpn with
-      | None -> violation "oracle: %s page table lost vpn 0x%x" what fz.Engine.fz_vpn
+      (Pagetable.base_count table) (Vm.image_size im);
+  Vm.image_iter im (fun ~vpn ~frame ~prot ~tag ->
+      match Pagetable.base_find table ~vpn with
+      | None -> violation "oracle: %s page table lost vpn 0x%x" what vpn
       | Some pte ->
-          if
-            pte.Pagetable.frame <> fz.Engine.fz_frame
-            || pte.Pagetable.prot <> fz.Engine.fz_prot
-            || pte.Pagetable.tag <> fz.Engine.fz_tag
+          if pte.Pagetable.frame <> frame || pte.Pagetable.prot <> prot || pte.Pagetable.tag <> tag
           then
             violation "oracle: %s page table maps vpn 0x%x to frame %d (%s), built as %d (%s)"
-              what fz.Engine.fz_vpn pte.Pagetable.frame
+              what vpn pte.Pagetable.frame
               (Prot.page_to_string pte.Pagetable.prot)
-              fz.Engine.fz_frame
-              (Prot.page_to_string fz.Engine.fz_prot))
-    pages
+              frame (Prot.page_to_string prot))
 
 let check_tables t =
   match t.app with
@@ -263,11 +257,8 @@ let check_frozen t =
       let cow = Hashtbl.create 256 in
       List.iter
         (fun (im : Engine.image) ->
-          List.iter
-            (fun (fz : Engine.frozen_page) ->
-              if fz.Engine.fz_prot.Prot.pcow then
-                Hashtbl.replace cow fz.Engine.fz_frame im.Engine.im_name)
-            (Vm.image_pages im.Engine.im_pages))
+          Vm.image_iter im.Engine.im_pages (fun ~vpn:_ ~frame ~prot ~tag:_ ->
+              if prot.Prot.pcow then Hashtbl.replace cow frame im.Engine.im_name))
         app.Engine.frozen_images;
       Kernel.iter_processes t.kernel (fun p ->
           Pagetable.iter

@@ -86,15 +86,6 @@ type boundary_section = {
   mutable b_tag : Tag.t option;
 }
 
-(* One page of a frozen compartment snapshot (see [Pool]): the frame it
-   pins, the protection a stamped child maps it with, and its tag. *)
-type frozen_page = Vm.frozen_page = {
-  fz_vpn : int;
-  fz_frame : int;
-  fz_prot : Prot.page;
-  fz_tag : int option;
-}
-
 (* A frozen compartment image (what [Pool.freeze] builds): its pages and
    their shared page table, the descriptor-table and identity shape a
    stamped sthread starts from, and whether it carries a demand-mapped
@@ -105,7 +96,7 @@ type frozen_page = Vm.frozen_page = {
    installed from one here. *)
 type image = {
   im_name : string;
-  im_pages : Vm.image;  (* sorted by vpn; the registry is one holder *)
+  im_pages : Vm.image;  (* the registry is one holder *)
   im_fds : (int * Fd_table.target * Fd_table.perm) list;
   im_uid : int;
   im_root : string;
@@ -136,7 +127,7 @@ type app = {
   mutable data_pages : int;  (* image pages + boundary pages *)
   image_pages : int;
   mutable booted : bool;
-  mutable pristine : Vm.image;  (* sorted by vpn; the app is one holder *)
+  mutable pristine : Vm.image;  (* the app is one holder *)
   mutable main : ctx option;
   recycled_pool : (string, member list) Hashtbl.t;
       (* idle long-lived sthreads backing recycled callgates, keyed by
@@ -334,7 +325,7 @@ let create_app ?(image_pages = default_image_pages) kernel =
       data_pages = image_pages;
       image_pages;
       booted = false;
-      pristine = Vm.image kernel.Kernel.pm [];
+      pristine = Vm.image kernel.Kernel.pm [||] [||];
       main = None;
       recycled_pool = Hashtbl.create 8;
       frozen_images = [];
@@ -385,38 +376,19 @@ let find_boundary app id =
 
 (* Snapshot of the program image just before main() runs (§4.1): record the
    frames and mark the owner's pages copy-on-write so later writes never
-   alter the snapshot.  Boundary sections are excluded, so sthreads do not
-   receive them by default.  The snapshot's shared page table and its
-   frame references are built here, once ([Vm.image]); every sthread maps
-   through it. *)
+   alter the snapshot, in one walk over the image pages ([Vm.snapshot]).
+   Boundary sections lie past them, at the end of the data segment, so
+   the snapshot excludes them and sthreads do not receive them by
+   default.  The snapshot's shared page table and its frame references
+   are built here, once; every sthread maps through it. *)
 let boot app =
   if app.booted then invalid_arg "Engine.boot: already booted";
   let main = main_ctx app in
-  let vm = main.proc.Process.vm in
-  let in_boundary vpn =
-    List.exists
-      (fun b ->
-        let b0 = b.b_base / page_size in
-        vpn >= b0 && vpn < b0 + b.b_pages)
-      app.boundaries
+  let pristine =
+    Vm.snapshot main.proc.Process.vm ~addr:Layout.data_base ~pages:app.image_pages
   in
-  let first = Layout.data_base / page_size in
-  let snapshot = ref [] in
-  for vpn = first to first + app.data_pages - 1 do
-    if not (in_boundary vpn) then
-      match Pagetable.find (Vm.page_table vm) ~vpn with
-      | Some pte ->
-          snapshot :=
-            { fz_vpn = vpn; fz_frame = pte.Pagetable.frame; fz_prot = Prot.page_cow; fz_tag = None }
-            :: !snapshot;
-          (* Through Vm so the owner's cached translations are shot down:
-             a warm write entry surviving this downgrade would let post-boot
-             writes land on the snapshot's shared frames. *)
-          Vm.set_page_prot vm ~addr:(vpn * page_size) ~prot:Prot.page_cow
-      | None -> ()
-  done;
   Vm.release_image app.pristine;
-  app.pristine <- Vm.image app.kernel.Kernel.pm (List.rev !snapshot);
+  app.pristine <- pristine;
   app.booted <- true
 
 (* ------------------------------------------------------------------ *)

@@ -6,9 +6,13 @@
    resolved, optionally a [warm] body run so lazily-mapped private pages
    (heap, stack) exist — then checkpoints the template's entire address
    space: private writable pages are recorded copy-on-write (the image
-   must never change again), [Vm.image] builds the one read-only page
-   table and takes one frame reference per page, held by the image for
-   all its users, and the template is reaped.  What survives is an
+   must never change again), and [Vm.image] builds the one read-only
+   page table and takes one frame reference per page, held by the image
+   for all its users, and the template is reaped.  The table is two
+   vpn-sorted arrays made in one merge ([Pagetable.snapshot]) of the
+   template's few own entries into its pristine base, whose records the
+   image shares as they are (both are copy-on-write and untagged, and no
+   base is ever written).  What survives is an
    [Engine.image]: the frozen pages, their table and references, the
    captured descriptor table and the identity — no process, no address
    space.  The registry is the image's first holder; every stamped
@@ -94,33 +98,20 @@ let freeze ?(name = "pool") ?warm parent (sc : Sc.t) =
            pages (heap, stack) become part of the frozen image. *)
         let tctx = Engine.make_ctx app template sc parent.Engine.instr in
         body tctx);
-    (* Checkpoint: every mapped page, sorted by vpn so the image (and
+    (* Checkpoint: every mapped page, in vpn order so the image (and
        every artifact derived from it) is deterministic.  Untagged
        writable pages freeze copy-on-write — a stamped child that writes
        one breaks into a private copy, never onto the image.  Tagged
        pages keep their grant protection: tag memory is shared-mutable
        by design, and COW-ing it would silently unshare the very
-       channels compartments communicate over. *)
+       channels compartments communicate over.  The template's pristine
+       entries are already copy-on-write and untagged, so the image
+       shares their records; only its own few are copied. *)
     let pt = Vm.page_table template.Process.vm in
-    let entries =
-      Pagetable.fold (fun vpn (pte : Pagetable.pte) acc -> (vpn, pte) :: acc) pt []
-      |> List.sort (fun (a, _) (b, _) -> compare a b)
-    in
-    let pages =
-      List.map
-        (fun (vpn, (pte : Pagetable.pte)) ->
-          let prot =
-            if pte.Pagetable.prot.Prot.pw && pte.Pagetable.tag = None then
-              Prot.page_cow
-            else pte.Pagetable.prot
-          in
-          {
-            Engine.fz_vpn = vpn;
-            fz_frame = pte.Pagetable.frame;
-            fz_prot = prot;
-            fz_tag = pte.Pagetable.tag;
-          })
-        entries
+    let vpns, ptes =
+      Pagetable.snapshot pt ~prot:(fun (pte : Pagetable.pte) ->
+          if pte.Pagetable.prot.Prot.pw && pte.Pagetable.tag = None then Prot.page_cow
+          else pte.Pagetable.prot)
     in
     let fds =
       List.filter_map
@@ -132,7 +123,7 @@ let freeze ?(name = "pool") ?warm parent (sc : Sc.t) =
     in
     {
       Engine.im_name = name;
-      im_pages = Vm.image app.Engine.kernel.Kernel.pm pages;
+      im_pages = Vm.image app.Engine.kernel.Kernel.pm vpns ptes;
       im_fds = fds;
       im_uid = uid;
       im_root = root;

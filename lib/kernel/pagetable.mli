@@ -5,9 +5,12 @@
 
     A table is a private overlay on top of at most one shared {!base}: the
     entries of a snapshot, built once and then mapped by every address
-    space restored from it, in O(1) and without copying them.  Lookups,
-    {!count}, {!iter} and {!fold} see the overlay together with the part
-    of the base this table has not unmapped.
+    space restored from it, in O(1) and without copying them.  A base is
+    two flat arrays in vpn order: a lookup tries the page's offset from
+    the first vpn, which finds every page of the dense run starting there
+    at once, then bisects.  Lookups, {!count}, {!iter} and {!fold} see
+    the overlay together with the part of the base this table has not
+    unmapped.
 
     {b Copy before mutate.}  A base is shared, so nothing may write one
     after {!base} builds it.  {!find} may return a base entry, which is
@@ -59,8 +62,16 @@ val owns : t -> vpn:int -> bool
     base entry {!find_private} copied.  An entry seen through the base
     is not. *)
 
+val find_own : t -> vpn:int -> pte option
+(** The entry [vpn] maps if it is this table's own (see {!owns}), which
+    the caller may rewrite in place; [None] for an entry seen through
+    the base. *)
+
 val count : t -> int
+
 val iter : (int -> pte -> unit) -> t -> unit
+(** The table's own entries in no set order, then the base entries it
+    still sees in vpn order. *)
 
 val iter_own : (int -> pte -> unit) -> t -> unit
 (** Like {!iter}, over this table's own entries only (see {!owns}):
@@ -68,6 +79,15 @@ val iter_own : (int -> pte -> unit) -> t -> unit
     holds. *)
 
 val fold : (int -> pte -> 'a -> 'a) -> t -> 'a -> 'a
+(** In {!iter}'s order. *)
+
+val snapshot : t -> prot:(pte -> Prot.page) -> int array * pte array
+(** Every entry the table maps, in vpn order, with the protection [prot]
+    gives it: the arrays a new base is built from ({!base}).  An entry
+    seen through the base whose protection [prot] keeps is the base's own
+    record, shared (no base is ever written); every other entry is a
+    fresh copy.  The table's own entries are sorted, the base's are
+    merged in as they lie. *)
 
 val clear : t -> unit
 (** Drops every mapping and the base, allocating nothing. *)
@@ -76,11 +96,14 @@ val clear : t -> unit
 
 type base
 (** A read-only table of entries, shared by every table it is installed
-    in. *)
+    in: its vpns in one sorted [int array], its records in another array
+    beside it. *)
 
-val base : (int * pte) list -> base
-(** Builds a base that owns the given entries; the caller must not keep
-    or write them.  Raises [Invalid_argument] on a duplicate vpn. *)
+val base : int array -> pte array -> base
+(** [base vpns ptes] maps [vpns.(i)] with [ptes.(i)], keeping both
+    arrays; the caller must not write them or the records after.  Raises
+    [Invalid_argument] unless the arrays have one length and the vpns
+    strictly increase (no vpn listed twice, none out of order). *)
 
 val set_base : t -> base -> unit
 (** Installs [base] under an empty table in O(1).  Raises

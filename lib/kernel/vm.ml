@@ -105,16 +105,16 @@ type tlb_entry = {
 
 let tlb_invalid = { e_vpn = -1; e_epoch = 0; e_prot = Prot.page_none; e_tag = None; e_frame = -1 }
 
-type frozen_page = {
-  fz_vpn : int;
-  fz_frame : int;
-  fz_prot : Prot.page;
-  fz_tag : int option;
-}
-
+(* A snapshot: its read-only page table, what each page was built as —
+   the ground truth that table is checked against, kept in flat columns
+   beside it — and the frame references behind both.  [vpns] is the
+   table's own sorted array. *)
 type image = {
-  pages : frozen_page list;
   table : Pagetable.base;
+  vpns : int array;
+  frames : int array;
+  prots : Prot.page array;
+  tags : int option array;
   pm : Physmem.t;  (* where its references are held *)
   tagged : bool;  (* some page carries a tag *)
   mutable holders : int;
@@ -248,37 +248,46 @@ let map_frame t ~addr ~frame ~prot ~tag =
            seed = Some (Bytes.copy (Physmem.get t.pm frame));
          })
 
-(* A snapshot: its page records, the read-only page table built from them
-   once, which every address space restored from it maps through (see
-   [Pagetable.base]), and the frame references behind both.  The records
-   stay as the ground truth the table is checked against.
+(* A snapshot: the read-only page table built from its records once,
+   which every address space restored from it maps through (see
+   [Pagetable.base]), what each page was built as, and the frame
+   references behind both.
 
    The image, not each address space, holds its pages' references: one
    per page, taken when it is built.  Its holders are the owner that
    registered it and every address space whose table uses it as base;
    whichever leaves last drops the references.  So installing it costs
    O(1), and a teardown costs only the entries the space owns. *)
-let image pm pages =
-  let table =
-    Pagetable.base
-      (List.map
-         (fun fz ->
-           (fz.fz_vpn, { Pagetable.frame = fz.fz_frame; prot = fz.fz_prot; tag = fz.fz_tag }))
-         pages)
-  in
-  List.iter (fun fz -> Physmem.incref pm fz.fz_frame) pages;
-  let tagged = List.exists (fun fz -> fz.fz_tag <> None) pages in
-  { pages; table; pm; tagged; holders = 1; registered = true }
+let image pm vpns ptes =
+  let table = Pagetable.base vpns ptes in
+  let n = Array.length vpns in
+  let frames = Array.make n 0 and prots = Array.make n Prot.page_none in
+  let tags = Array.make n None and tagged = ref false in
+  Array.iteri
+    (fun i (pte : Pagetable.pte) ->
+      frames.(i) <- pte.Pagetable.frame;
+      prots.(i) <- pte.Pagetable.prot;
+      if pte.Pagetable.tag <> None then begin
+        tags.(i) <- pte.Pagetable.tag;
+        tagged := true
+      end;
+      Physmem.incref pm pte.Pagetable.frame)
+    ptes;
+  { table; vpns; frames; prots; tags; pm; tagged = !tagged; holders = 1; registered = true }
 
-let image_pages im = im.pages
+let image_iter im f =
+  for i = 0 to Array.length im.frames - 1 do
+    f ~vpn:im.vpns.(i) ~frame:im.frames.(i) ~prot:im.prots.(i) ~tag:im.tags.(i)
+  done
+
 let image_tagged im = im.tagged
 let image_table im = im.table
-let image_size im = Pagetable.base_count im.table
+let image_size im = Array.length im.frames
 let image_holders im = im.holders
 
 let leave im =
   im.holders <- im.holders - 1;
-  if im.holders = 0 then List.iter (fun fz -> Physmem.decref im.pm fz.fz_frame) im.pages
+  if im.holders = 0 then Array.iter (Physmem.decref im.pm) im.frames
 
 let release_image im =
   if not im.registered then invalid_arg "Vm.release_image: the owner already released it";
@@ -299,18 +308,10 @@ let map_image t im =
   im.holders <- im.holders + 1;
   t.base <- Some im;
   if recording t then
-    List.iter
-      (fun { fz_vpn = vpn; fz_frame = frame; fz_prot = prot; _ } ->
+    image_iter im (fun ~vpn ~frame ~prot ~tag:_ ->
         emit t
           (Ev_map
-             {
-               pid = t.pid;
-               vpn;
-               frame;
-               prot;
-               seed = Some (Bytes.copy (Physmem.get t.pm frame));
-             }))
-      im.pages
+             { pid = t.pid; vpn; frame; prot; seed = Some (Bytes.copy (Physmem.get t.pm frame)) }))
 
 let mapped_image t = t.base
 
@@ -338,26 +339,53 @@ let unmap_range t ~addr ~pages =
    takes its own frame reference, which the space drops like any other
    of its entries'. *)
 let find_private t ~vpn =
-  if Pagetable.owns t.pt ~vpn then Pagetable.find t.pt ~vpn
-  else
-    match Pagetable.find_private t.pt ~vpn with
-    | Some pte as copy ->
-        Physmem.incref t.pm pte.Pagetable.frame;
-        copy
-    | None -> None
+  match Pagetable.find_own t.pt ~vpn with
+  | Some _ as own -> own
+  | None -> (
+      match Pagetable.find_private t.pt ~vpn with
+      | Some pte as copy ->
+          Physmem.incref t.pm pte.Pagetable.frame;
+          copy
+      | None -> None)
 
 (* In-place pte rewrites for kernel bookkeeping (boot's COW snapshot,
    fork's COW downgrade, boundary retags).  No cost is charged — callers
    account for their own PTE work — but the shootdown is mandatory:
    these are exactly the "behind the VM's back" mutations that used to
    touch the page table directly. *)
+let protect t ~vpn (pte : Pagetable.pte) prot =
+  pte.Pagetable.prot <- prot;
+  tlb_invalidate t ~vpn;
+  if recording t then emit t (Ev_prot { pid = t.pid; vpn; prot })
+
 let set_page_prot t ~addr ~prot =
-  match find_private t ~vpn:(vpn_of addr) with
-  | Some pte ->
-      pte.Pagetable.prot <- prot;
-      tlb_invalidate t ~vpn:(vpn_of addr);
-      if recording t then emit t (Ev_prot { pid = t.pid; vpn = vpn_of addr; prot })
+  let vpn = vpn_of addr in
+  match find_private t ~vpn with
+  | Some pte -> protect t ~vpn pte prot
   | None -> invalid_arg (Printf.sprintf "Vm.set_page_prot: 0x%x unmapped" addr)
+
+(* Boot's checkpoint (§4.1) in one walk, one page-table lookup a page:
+   each mapped page of the range turns copy-on-write here, in place and
+   with the mandatory shootdown — a warm write entry surviving the
+   downgrade would let later writes land on the snapshot's shared frames
+   — and the image records it copy-on-write at its frame. *)
+let snapshot t ~addr ~pages =
+  check_aligned addr;
+  let first = vpn_of addr in
+  let vpns = Array.make pages 0 in
+  let ptes = Array.make pages { Pagetable.frame = -1; prot = Prot.page_none; tag = None } in
+  let n = ref 0 in
+  for vpn = first to first + pages - 1 do
+    match find_private t ~vpn with
+    | Some pte ->
+        protect t ~vpn pte Prot.page_cow;
+        vpns.(!n) <- vpn;
+        ptes.(!n) <- { pte with Pagetable.prot = Prot.page_cow };
+        incr n
+    | None -> ()
+  done;
+  if !n = pages then image t.pm vpns ptes
+  else image t.pm (Array.sub vpns 0 !n) (Array.sub ptes 0 !n)
 
 let set_page_tag t ~addr ~tag =
   match find_private t ~vpn:(vpn_of addr) with

@@ -134,40 +134,46 @@ val map_frame :
   t -> addr:int -> frame:int -> prot:Prot.page -> tag:int option -> unit
 (** Map an existing frame (takes a reference). *)
 
-(** One page of a frozen snapshot image: the frame it pins, the
-    protection a stamped address space maps it with, and its tag. *)
-type frozen_page = {
-  fz_vpn : int;
-  fz_frame : int;
-  fz_prot : Prot.page;
-  fz_tag : int option;
-}
-
 type image
-(** A snapshot of an address space: its page records, the read-only page
-    table ({!Pagetable.base}) built from them once, and one frame
-    reference per page.  Every address space restored from the snapshot
-    maps through that one table, and the references are the image's,
-    shared by all its {e holders}: the owner that registered it (an
-    app's pristine snapshot, a frozen pool image) and every address
+(** A snapshot of an address space: its read-only page table
+    ({!Pagetable.base}, vpn-sorted arrays searched by bisection), what
+    each page was built as (frame, protection and tag, kept in flat
+    columns beside the table as the ground truth it is checked against),
+    and one frame reference per page.  Every address space restored from
+    the snapshot maps through that one table, and the references are the
+    image's, shared by all its {e holders}: the owner that registered it
+    (an app's pristine snapshot, a frozen pool image) and every address
     space whose table uses it as base.  Whichever holder leaves last
     drops the references. *)
 
-val image : Physmem.t -> frozen_page list -> image
-(** Builds the snapshot's table and takes one reference on each page's
-    frame, which must be live.  The caller, who registers the image, is
-    its first holder.  Raises [Invalid_argument] on a vpn listed twice,
-    before taking any reference. *)
+val image : Physmem.t -> int array -> Pagetable.pte array -> image
+(** [image pm vpns ptes]: page [i] maps [vpns.(i)] with the record
+    [ptes.(i)].  Builds the snapshot's table from the two arrays, which
+    it keeps along with the records (the caller must not write them; a
+    record of another image's table may be passed, since no table is
+    ever written), and takes one reference on each page's frame, which
+    must be live.  The caller, who registers the image, is its first
+    holder.  Raises [Invalid_argument] unless the arrays have one length
+    and the vpns strictly increase, before taking any reference. *)
 
-val image_pages : image -> frozen_page list
-(** The records the table was built from, in the order given. *)
+val snapshot : t -> addr:int -> pages:int -> image
+(** Boot's checkpoint (§4.1): every page the range maps turns
+    copy-on-write in this address space — in place, with the mandatory
+    shootdown and an [Ev_prot] each — and is recorded copy-on-write at
+    its frame in the returned {!image}, in one walk with one page-table
+    lookup a page.  Unmapped pages are skipped. *)
+
+val image_iter :
+  image -> (vpn:int -> frame:int -> prot:Prot.page -> tag:int option -> unit) -> unit
+(** Each page as it was built, in vpn order: the ground truth
+    {!image_table} is checked against. *)
 
 val image_tagged : image -> bool
 (** Whether any of its pages carries a tag, found once when the image is
     built. *)
 
 val image_table : image -> Pagetable.base
-(** The shared table, for checking it against {!image_pages}.
+(** The shared table, for checking it against {!image_iter}.
     Read-only. *)
 
 val image_size : image -> int

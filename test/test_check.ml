@@ -83,6 +83,62 @@ let test_oracle_catches_dropped_image_holder () =
 (* Every unwritten frame reads through the kernel's one zero page, so a
    write through the read view ([Physmem.get]) to an unwritten frame
    lands in all of them: the oracle must flag it. *)
+(* A frozen image's shared table is never written: an entry rewritten in
+   place, behind [find_private]'s back, would reach every stamp.  Nothing
+   maps the image when the entry is written, so only the table check can
+   see it, and it must name the vpn and what the entry was built as. *)
+let test_oracle_catches_written_image_entry () =
+  let k = Kernel.create ~costs:Cost_model.free () in
+  let app = W.create_app ~image_pages:8 k in
+  W.boot app;
+  let o = Oracle.create k in
+  Oracle.set_app o app;
+  Fiber.run (fun () ->
+      let pool = W.Pool.freeze ~name:"w" (W.main_ctx app) (W.sc_create ()) in
+      Oracle.check o;
+      let vpn = Wedge_kernel.Layout.data_base / ps in
+      match Pagetable.base_find (Vm.image_table pool.Engine.im_pages) ~vpn with
+      | None -> Alcotest.fail "the image lost its first page"
+      | Some pte -> (
+          pte.Pagetable.prot <- Prot.page_rw;
+          match Oracle.check o with
+          | () -> Alcotest.fail "oracle missed the written entry"
+          | exception Oracle.Violation msg ->
+              check Alcotest.bool "names the entry" true
+                (contains msg (Printf.sprintf "page table maps vpn 0x%x" vpn));
+              check Alcotest.bool "and what it was built as" true (contains msg "built as")))
+
+(* A frozen page recorded copy-on-write must never be mapped writable: a
+   stamped child that makes one writable in place (its own copy of the
+   entry, still on the image's frame) would write onto the checkpoint
+   every later stamp restores from.  The copy takes its own reference,
+   so only the frozen-frame check sees it. *)
+let test_oracle_catches_frozen_frame_mapped_writable () =
+  let k = Kernel.create ~costs:Cost_model.free () in
+  let app = W.create_app ~image_pages:8 k in
+  W.boot app;
+  let main = W.main_ctx app in
+  let o = Oracle.create k in
+  Oracle.set_app o app;
+  let caught = ref None in
+  Fiber.run (fun () ->
+      let pool = W.Pool.freeze ~name:"w" main (W.sc_create ()) in
+      let body (ctx : Engine.ctx) _ =
+        Vm.set_page_prot ctx.Engine.proc.Wedge_kernel.Process.vm ~addr:Wedge_kernel.Layout.data_base
+          ~prot:Prot.page_rw;
+        (* Read inside the compartment, checked outside it. *)
+        caught := Some (match Oracle.check o with () -> "" | exception Oracle.Violation m -> m);
+        0
+      in
+      ignore
+        (W.sthread_join main
+           (W.sthread_create ~spawn:(W.Stamp pool) main (W.sc_create ()) body 0)));
+  match !caught with
+  | None -> Alcotest.fail "the stamped compartment did not run"
+  | Some "" -> Alcotest.fail "oracle missed the writable frozen frame"
+  | Some msg ->
+      check Alcotest.bool "names the broken COW" true (contains msg "stamp broke the image's COW")
+
 let test_oracle_catches_dirty_zero_page () =
   let k = Kernel.create ~costs:Cost_model.free () in
   let p = Kernel.new_process k ~kind:Wedge_kernel.Process.Main ~uid:0 ~root:"/" ~sid:"sys" () in
@@ -352,6 +408,10 @@ let () =
             test_oracle_catches_dropped_image_holder;
           Alcotest.test_case "catches a dirty zero page" `Quick
             test_oracle_catches_dirty_zero_page;
+          Alcotest.test_case "catches a written image entry" `Quick
+            test_oracle_catches_written_image_entry;
+          Alcotest.test_case "catches a frozen frame mapped writable" `Quick
+            test_oracle_catches_frozen_frame_mapped_writable;
           Alcotest.test_case "custom invariant" `Quick test_oracle_custom_invariant;
           Alcotest.test_case "hook stride" `Quick test_oracle_hook_stride;
         ] );

@@ -878,9 +878,11 @@ let cost f =
 (* Building and booting an image costs host memory for its page tables
    and snapshot records, not for its pages: a frame gets host bytes on
    its first write, and boot writes none of the image.  The build's
-   page-table entries and frame bookkeeping cost ~19 words a page, and
-   boot's snapshot records ~34 more; a 4 KiB buffer per frame would add
-   513. *)
+   page-table entries and frame bookkeeping cost ~13 words a page, and
+   boot's snapshot ~11 more: a record, two array slots and three columns
+   of what the page was built as; a 4 KiB buffer per frame would add
+   513.  Freezing the booted image costs 5 words a page, its two arrays
+   and three columns, since it shares the pristine table's records. *)
 let test_image_boot_demand_zero () =
   let build pages =
     let k = Kernel.create () in
@@ -889,14 +891,18 @@ let test_image_boot_demand_zero () =
     let w1 = host_words () in
     W.boot app;
     let w2 = host_words () in
-    let image = Vm.image_pages app.Engine.pristine in
     check Alcotest.int (Printf.sprintf "%d-page image snapshotted" pages) pages
-      (List.length image);
+      (Vm.image_size app.Engine.pristine);
     check Alcotest.int (Printf.sprintf "%d-page image: no frame host-backed after boot" pages)
       0 (Physmem.host_frames k.Kernel.pm);
-    (w1 -. w0, w2 -. w0)
+    let freeze = ref 0. in
+    Fiber.run ~clock:k.Kernel.clock (fun () ->
+        let w3 = host_words () in
+        ignore (W.Pool.freeze ~name:"w" (W.main_ctx app) (W.sc_create ()));
+        freeze := host_words () -. w3);
+    (w1 -. w0, w2 -. w0, !freeze)
   in
-  let (build1, total1) = build 60 and (build2, total2) = build 2_000 in
+  let (build1, total1, freeze1) = build 60 and (build2, total2, freeze2) = build 2_000 in
   let per_page what bound w1 w2 =
     let slope = (w2 -. w1) /. 1_940. in
     if slope >= bound then
@@ -904,7 +910,8 @@ let test_image_boot_demand_zero () =
         what slope w1 w2
   in
   per_page "build" 20. build1 build2;
-  per_page "build and boot" 64. total1 total2
+  per_page "build and boot" 26. total1 total2;
+  per_page "freeze" 6. freeze1 freeze2
 
 (* A compartment costs the host what it maps, plus a fixed part: its
    process record, an empty address space — a 64-slot TLB whose slots

@@ -410,7 +410,7 @@ let test_pagetable_unmap () =
    the base or the other table. *)
 let test_pagetable_shared_base () =
   let entry frame = { Pagetable.frame; prot = Prot.page_cow; tag = None } in
-  let base = Pagetable.base [ (1, entry 10); (2, entry 20); (3, entry 30) ] in
+  let base = Pagetable.base [| 1; 2; 3 |] [| entry 10; entry 20; entry 30 |] in
   let a = Pagetable.create () and b = Pagetable.create () in
   Pagetable.set_base a base;
   Pagetable.set_base b base;
@@ -447,6 +447,134 @@ let test_pagetable_shared_base () =
   Pagetable.clear a;
   check Alcotest.int "clear drops overlay and base" 0 (Pagetable.count a);
   check Alcotest.int "base still whole" 3 (Pagetable.base_count base)
+
+(* Image records for pages 1.. of [vm], each with the given protection:
+   fresh records, since an image keeps the ones it is given. *)
+let image_pages vm prots =
+  List.map
+    (fun (vpn, prot) ->
+      let pte = Option.get (Pagetable.find (Vm.page_table vm) ~vpn) in
+      { Pagetable.frame = pte.Pagetable.frame; prot; tag = None })
+    prots
+
+let image_of pm pages =
+  Vm.image pm (Array.of_list (List.mapi (fun i _ -> i + 1) pages)) (Array.of_list pages)
+
+(* A table over a base agrees with a naive model — an association list
+   from vpn to (frame, own) — after random overlay maps, unmaps and
+   private copies, probed at every vpn from below the base's first to
+   above its last, runs and the gaps between them included, and so does
+   the freeze's merge of it ([Pagetable.snapshot]).  Base vpns
+   come in runs with gaps; base entry [v] maps frame [v], and an overlay
+   map or a private rewrite gives a frame of 1,000 or more. *)
+let prop_base_matches_model =
+  let op = QCheck.(pair (int_range 0 2) (int_range 0 70)) in
+  QCheck.Test.make ~name:"base agrees with a model" ~count:200
+    QCheck.(pair (list_of_size Gen.(int_range 0 30) (int_range 0 64)) (list_of_size Gen.(int_range 0 40) op))
+    (fun (vpns, ops) ->
+      let vpns = List.sort_uniq compare vpns in
+      let entry v = { Pagetable.frame = v; prot = Prot.page_cow; tag = None } in
+      let base = Pagetable.base (Array.of_list vpns) (Array.of_list (List.map entry vpns)) in
+      let pt = Pagetable.create () in
+      Pagetable.set_base pt base;
+      let model = ref (List.map (fun v -> (v, (v, false))) vpns) in
+      let fresh = ref 1_000 in
+      let agree = ref true in
+      let expect b = if not b then agree := false in
+      List.iter
+        (fun (kind, vpn) ->
+          match kind with
+          | 0 ->
+              incr fresh;
+              let mapped = List.mem_assoc vpn !model in
+              (match Pagetable.map pt ~vpn ~frame:!fresh ~prot:Prot.page_rw ~tag:None with
+              | () -> expect (not mapped)
+              | exception Invalid_argument _ -> expect mapped);
+              if not mapped then model := (vpn, (!fresh, true)) :: !model
+          | 1 ->
+              let got = Option.map (fun pte -> pte.Pagetable.frame) (Pagetable.unmap pt ~vpn) in
+              expect (got = Option.map fst (List.assoc_opt vpn !model));
+              model := List.remove_assoc vpn !model
+          | _ -> (
+              incr fresh;
+              match (Pagetable.find_private pt ~vpn, List.assoc_opt vpn !model) with
+              | None, None -> ()
+              | Some pte, Some (frame, _) ->
+                  expect (pte.Pagetable.frame = frame);
+                  pte.Pagetable.frame <- !fresh;
+                  model := (vpn, (!fresh, true)) :: List.remove_assoc vpn !model
+              | _ -> expect false))
+        ops;
+      for vpn = -1 to 72 do
+        let m = List.assoc_opt vpn !model in
+        expect (Option.map (fun pte -> pte.Pagetable.frame) (Pagetable.find pt ~vpn) = Option.map fst m);
+        expect (Pagetable.mem pt ~vpn = (m <> None));
+        expect (Pagetable.owns pt ~vpn = (match m with Some (_, own) -> own | None -> false));
+        expect
+          (Option.map (fun pte -> pte.Pagetable.frame) (Pagetable.base_find base ~vpn)
+          = if List.mem vpn vpns then Some vpn else None)
+      done;
+      let sorted l = List.sort compare l in
+      let want = sorted (List.map (fun (v, (f, _)) -> (v, f)) !model) in
+      let seen = ref [] in
+      Pagetable.iter (fun v pte -> seen := (v, pte.Pagetable.frame) :: !seen) pt;
+      expect (sorted !seen = want);
+      expect (sorted (Pagetable.fold (fun v pte acc -> (v, pte.Pagetable.frame) :: acc) pt []) = want);
+      expect (Pagetable.count pt = List.length want);
+      expect (Pagetable.base_count base = List.length vpns);
+      (* The freeze's merge lists the same entries in vpn order, each
+         copy-on-write: a base record it still sees is shared as it is,
+         the table's own are copied. *)
+      let svpns, sptes = Pagetable.snapshot pt ~prot:(fun _ -> Prot.page_cow) in
+      expect (Array.to_list (Array.mapi (fun i v -> (v, sptes.(i).Pagetable.frame)) svpns) = want);
+      Array.iteri
+        (fun i v ->
+          let pte = sptes.(i) in
+          expect (pte.Pagetable.prot = Prot.page_cow);
+          expect
+            ((match Pagetable.base_find base ~vpn:v with Some b -> b == pte | None -> false)
+            = not (Pagetable.owns pt ~vpn:v)))
+        svpns;
+      (* Private copies leave the base as built. *)
+      List.iter
+        (fun v ->
+          expect
+            (match Pagetable.base_find base ~vpn:v with
+            | Some pte -> pte.Pagetable.frame = v
+            | None -> false))
+        vpns;
+      (* A second probe pass finds every model vpn private after it. *)
+      List.iter
+        (fun (v, (frame, _)) ->
+          expect
+            (match Pagetable.find_private pt ~vpn:v with
+            | Some pte -> pte.Pagetable.frame = frame && Pagetable.owns pt ~vpn:v
+            | None -> false))
+        !model;
+      !agree)
+
+(* A base is built from vpns that strictly increase: one listed twice or
+   out of order is refused before the image takes a single frame
+   reference. *)
+let test_image_refuses_unsorted_vpns () =
+  let pm, vm = mk_vm () in
+  Vm.map_fresh vm ~addr:0x1000 ~pages:2 ~prot:Prot.page_rw ~tag:None;
+  let pages = image_pages vm [ (1, Prot.page_cow); (2, Prot.page_cow) ] in
+  let ptes = Array.of_list pages in
+  let refs () = List.map (fun pte -> Physmem.refcount pm pte.Pagetable.frame) pages in
+  List.iter
+    (fun (what, vpns) ->
+      check Alcotest.bool (what ^ " refused") true
+        (match Vm.image pm vpns ptes with
+        | _ -> false
+        | exception Invalid_argument _ -> true);
+      check Alcotest.(list int) (what ^ ": no reference taken") [ 1; 1 ] (refs ()))
+    [ ("a vpn listed twice", [| 1; 1 |]); ("vpns out of order", [| 2; 1 |]); ("a short vpn array", [| 1 |]) ];
+  let image = Vm.image pm [| 1; 2 |] ptes in
+  check Alcotest.(list int) "in order: one reference each" [ 2; 2 ] (refs ());
+  Vm.release_image image;
+  Vm.destroy vm;
+  check Alcotest.int "every frame released" 0 (Physmem.frames_in_use pm)
 
 (* A refused mapping changes nothing: no frame reference, no frame, no
    charge. *)
@@ -489,22 +617,16 @@ let test_vm_map_image_shares_one_table () =
   Vm.map_fresh vm0 ~addr:0x1000 ~pages:3 ~prot:Prot.page_rw ~tag:None;
   Vm.write_bytes vm0 0x1000 (Bytes.of_string "image");
   Vm.write_bytes vm0 0x3000 (Bytes.of_string "const");
-  let pages =
-    List.map
-      (fun (vpn, prot) ->
-        let pte = Option.get (Pagetable.find (Vm.page_table vm0) ~vpn) in
-        { Vm.fz_vpn = vpn; fz_frame = pte.Pagetable.frame; fz_prot = prot; fz_tag = None })
-      [ (1, Prot.page_cow); (2, Prot.page_cow); (3, (Prot.page_of_grant Prot.R)) ]
-  in
-  let image = Vm.image pm pages in
+  let pages = image_pages vm0 [ (1, Prot.page_cow); (2, Prot.page_cow); (3, Prot.page_of_grant Prot.R) ] in
+  let image = image_of pm pages in
   Vm.destroy vm0;
   let clock = Clock.create () in
   let a = Vm.create ~pid:2 pm clock Cost_model.free in
   let b = Vm.create ~pid:3 pm clock Cost_model.free in
   Vm.map_image a image;
   Vm.map_image b image;
-  let frame vpn = (List.nth pages (vpn - 1)).Vm.fz_frame in
-  let refs () = List.map (fun fz -> Physmem.refcount pm fz.Vm.fz_frame) pages in
+  let frame vpn = (List.nth pages (vpn - 1)).Pagetable.frame in
+  let refs () = List.map (fun pte -> Physmem.refcount pm pte.Pagetable.frame) pages in
   check Alcotest.(list int) "one reference per frame, the image's" [ 1; 1; 1 ] (refs ());
   check Alcotest.int "the owner and two spaces hold the image" 3 (Vm.image_holders image);
   (* A private copy of an entry takes its own reference, so the COW
@@ -554,14 +676,8 @@ let test_vm_image_frames_die_with_last_holder () =
       let what = if discard_first then "discard then reap" else "reap then discard" in
       let pm, vm0 = mk_vm () in
       Vm.map_fresh vm0 ~addr:0x1000 ~pages:2 ~prot:Prot.page_rw ~tag:None;
-      let pages =
-        List.map
-          (fun vpn ->
-            let pte = Option.get (Pagetable.find (Vm.page_table vm0) ~vpn) in
-            { Vm.fz_vpn = vpn; fz_frame = pte.Pagetable.frame; fz_prot = Prot.page_cow; fz_tag = None })
-          [ 1; 2 ]
-      in
-      let image = Vm.image pm pages in
+      let pages = image_pages vm0 [ (1, Prot.page_cow); (2, Prot.page_cow) ] in
+      let image = image_of pm pages in
       Vm.destroy vm0;
       let a = Vm.create ~pid:2 pm (Clock.create ()) Cost_model.free in
       Vm.map_image a image;
@@ -573,7 +689,7 @@ let test_vm_image_frames_die_with_last_holder () =
       check Alcotest.int (what ^ ": one holder left") 1 (Vm.image_holders image);
       check Alcotest.int (what ^ ": the image's frames outlive the first") 2
         (List.length
-           (List.filter (fun fz -> Physmem.refcount pm fz.Vm.fz_frame = 1) pages));
+           (List.filter (fun pte -> Physmem.refcount pm pte.Pagetable.frame = 1) pages));
       if discard_first then Vm.destroy a else Vm.release_image image;
       check Alcotest.int (what ^ ": no holder left") 0 (Vm.image_holders image);
       check Alcotest.int (what ^ ": every frame dies with the last") 0 (Physmem.frames_in_use pm);
@@ -1100,6 +1216,8 @@ let () =
           Alcotest.test_case "double map rejected" `Quick test_pagetable_double_map_rejected;
           Alcotest.test_case "unmap" `Quick test_pagetable_unmap;
           Alcotest.test_case "shared base" `Quick test_pagetable_shared_base;
+          Alcotest.test_case "image refuses unsorted vpns" `Quick test_image_refuses_unsorted_vpns;
+          Test_rng.to_alcotest prop_base_matches_model;
           Alcotest.test_case "epoch on structural change" `Quick
             test_pagetable_epoch_moves_on_structural_change;
         ] );

@@ -134,7 +134,10 @@ let test_spawn_flat_on_both_clocks () =
               cost (fun () -> ignore (W.sthread_create main (W.sc_create ()) noop 0)) );
         let image = pool.Engine.im_pages in
         let refs () =
-          List.map (fun fz -> Physmem.refcount k.Kernel.pm fz.Vm.fz_frame) (Vm.image_pages image)
+          let l = ref [] in
+          Vm.image_iter image (fun ~vpn:_ ~frame ~prot:_ ~tag:_ ->
+              l := Physmem.refcount k.Kernel.pm frame :: !l);
+          !l
         in
         let before = refs () in
         (* Read inside the compartment, checked outside it: a failed
