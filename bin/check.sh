@@ -134,61 +134,284 @@ if [ -n "$entry_hits" ]; then
   exit 1
 fi
 
-# Export guard: every val in a lib/ interface is named, outside comments
-# and string literals, in some source file outside test/ other than its
-# own .ml and .mli — an export that only tests name is surface no server,
-# bench or tool uses, and one nothing outside its module names is dead
-# code or an internal detail.  The one exemption is a module's
-# [For_testing] submodule, which holds observations of state no public
-# call returns: its vals need a caller in test/, and no file outside
-# test/ may name [For_testing] except to declare it.  A word in a message
-# ("no heart left overdue") is not a use.  [code_only] keeps the code of
-# each line: nested comments, "strings" (escapes included) and {|quoted
-# strings|} are dropped, with their state carried across lines, and '"'
-# is a character, not a quote.
-echo "== export guard =="
-code_only='{
+# Source guards.  Two rules keep lib/'s interface default-deny: an export
+# is surface only if something outside test/ uses it, and an optional
+# argument is a setting only if some caller sets it.
+#
+# Export guard: a val in lib/**/m.mli counts as used when a source file
+# outside test/, m.ml and m.mli names it qualified: M.v, a path ending in
+# M.v, or A.v where that file binds A with [module A = ...M] or
+# [let module A = ...M in].  A val inside a nested [module S : sig] is
+# named S.v.  A bare word is not a use (a local [size] is not
+# [Wedge.size]), and neither is a word in a comment or a string.  A
+# module's [For_testing] submodule holds observations of state no public
+# call returns: its vals need a test that names them (M.For_testing.v),
+# and no file outside test/ may name [For_testing] except to declare it.
+#
+# Optional-argument guard: ?l of M.f counts as passed when a call outside
+# test/ passes ~l or ?l to it: a call of M.f (alias-resolved) in another
+# file, or any call inside m.ml outside f's own definition (the module
+# forwards it).  An optional argument no caller sets is a constant.
+#
+# Keep-list: the only exemptions besides For_testing.  Table 1's
+# smalloc_on, smalloc_off, boundary_var and boundary_tag and Crowbar's
+# frame hook stack_frame (section 4.2) are the paper's own API, which
+# DESIGN section 2 promises one to one, though no partition uses them;
+# strict_selinux is a deployment setting, the only switch for the
+# kernel's syscall policy (S15).  An entry the guards stop flagging fails
+# as stale.
+guard_keep='export: Wedge.smalloc_on
+export: Wedge.smalloc_off
+export: Wedge.boundary_var
+export: Wedge.boundary_tag
+export: Wedge.stack_frame
+optional: Httpd_env.install ?strict_selinux'
+
+# [code_only] keeps the code of each line: nested comments are dropped and
+# each "string" (escapes included), {|quoted string|} and '"' becomes 0,
+# with the state carried across lines.  With mark=1 each file's code
+# follows a line "\001 path".
+code_only='
+FNR == 1 { depth = 0; str = 0; quoted = 0; if (mark) print "\001 " FILENAME }
+{
   out = ""; n = length($0); i = 1
   while (i <= n) {
     c = substr($0, i, 1); two = substr($0, i, 2)
-    if (str) { if (c == "\\") i += 2; else { if (c == "\"") str = 0; i++ } }
-    else if (quoted) { if (two == "|}") { quoted = 0; i += 2 } else i++ }
+    if (str) { if (c == "\\") i += 2; else { if (c == "\"") { str = 0; out = out "0" } i++ } }
+    else if (quoted) { if (two == "|}") { quoted = 0; out = out "0"; i += 2 } else i++ }
     else if (two == "(*") { depth++; i += 2 }
     else if (depth > 0) { if (two == "*)") { depth--; i += 2 } else i++ }
     else if (c == "\"") { str = 1; i++ }
     else if (two == "{|") { quoted = 1; i += 2 }
-    else if (substr($0, i, 3) == "\047\"\047") i += 3
-    else if (substr($0, i, 4) == "\047\\\"\047") i += 4
+    else if (substr($0, i, 3) == "\047\"\047") { out = out "0"; i += 3 }
+    else if (substr($0, i, 4) == "\047\\\"\047") { out = out "0"; i += 4 }
     else { out = out c; i++ }
   }
   print out
 }'
-export_vals="$(mktemp)"
-export_words="$(mktemp)"
-# One line per val: its .mli, its name, and 1 inside For_testing.
-for mli in $(find lib -name '*.mli' | sort); do
-  awk -v mli="$mli" '
-    /^ *module For_testing *: *sig/ { ft = 1; next }
-    ft && /^ *end/ { ft = 0; next }
-    /^ *val [a-z_][A-Za-z0-9_\047]* *:/ { v = $2; sub(/:.*/, "", v); print mli, v, ft + 0 }
-  ' "$mli"
-done > "$export_vals"
-for f in $(find lib bin bench examples perfbench test -name '*.ml' -o -name '*.mli' | sort); do
-  awk "$code_only" "$f" | grep -ow "[A-Za-z_][A-Za-z0-9_']*" | sort -u | sed "s|^|$f |"
-done > "$export_words"
-export_hits="$(awk '
-  NR == FNR { at[$2] = at[$2] " " $1; next }
-  {
-    ml = $1; sub(/\.mli$/, ".ml", ml)
-    used = 0
-    k = split(at[$2], fs, " ")
-    for (i = 1; i <= k; i++)
-      if (fs[i] != $1 && fs[i] != ml && ($3 || fs[i] !~ /^test\//)) used = 1
-    if (!used) print $1 ": val " $2 ($3 ? " (For_testing, named by no test)" : "")
-  }' "$export_words" "$export_vals")"
-rm -f "$export_vals" "$export_words"
-if [ -n "$export_hits" ]; then
-  echo "$export_hits" | sed 's/^/check.sh: export named nowhere outside its module and test\/: /' >&2
+
+# [scan] reads the marked code twice: pass 1 collects each file's module
+# aliases, pass 2 tokenizes and prints
+#   N file M v     a qualified value name M.v,
+#   C file M f l   a label ~l or ?l passed in a call of M.f,
+#   B file g l     a label passed in a call of a bare function inside
+#                  the definition of g (- outside any named one),
+# where M is the path's last module once the file's aliases are expanded
+# (M.For_testing inside a For_testing submodule).  A call's labels are
+# those at its own bracket depth until an operator, a keyword such as
+# [in] or [then], or a closing bracket ends it; a definition's own
+# parameters pass nothing.
+scan='
+BEGIN {
+  split("let and rec fun function val external method type exception module mutable", a, " ")
+  for (i in a) def[a[i]] = 1
+  split("in then else do with when of if match try while for to downto open include assert lazy", a, " ")
+  for (i in a) term[a[i]] = 1
+  split("begin struct sig object", a, " ")
+  for (i in a) opener[a[i]] = 1
+}
+function resolve(p,   i, first, k) {
+  for (k = 0; k < 8; k++) {
+    i = index(p, ".")
+    first = i ? substr(p, 1, i - 1) : p
+    if (!((file, first) in alias) || alias[file, first] == first) break
+    p = alias[file, first] (i ? substr(p, i) : "")
+  }
+  return p
+}
+function key_of(p,   n, c) {
+  n = split(resolve(p), c, ".")
+  return (c[n] == "For_testing" && n > 1) ? c[n - 1] ".For_testing" : c[n]
+}
+function open_level(t) {
+  d++; hs[d] = 0; pend[d] = 0
+  if (t == "struct") { ns++; sd[ns] = d; td[ns] = "-"; ended = 0 }
+}
+function close_level() { if (d > 0) d--; if (ns > 0 && d < sd[ns]) ns-- }
+function head(k, f) { if (hs[d] == 0) { hs[d] = 1; hk[d] = k; hf[d] = f } }
+function alias_step(kind, t) {
+  if (kind == "module") am = 1
+  else if (am == 1 && kind == "path" && index(t, ".") == 0) { am = 2; aname = t }
+  else if (am == 2 && kind == "=") am = 3
+  else if (am == 3 && kind == "path" && s !~ /^[ \t]*[(.]/) { alias[file, aname] = t; am = 0 }
+  else am = 0
+}
+$1 == "\001" { file = $2; d = 0; hs[0] = 0; pend[0] = 0; ns = 0; sd[0] = 0; td[0] = "-"; ended = 0; am = 0; next }
+{
+  s = $0
+  while (s != "") {
+    if (match(s, /^[ \t]+/)) { s = substr(s, RLENGTH + 1); continue }
+    c = substr(s, 1, 1); kind = ""; t = ""; end_expr = 0; name_next = 0
+    if (c ~ /[A-Z]/ || (c == "." && substr(s, 2, 1) ~ /[A-Z]/)) {
+      field = c == "."
+      if (field) s = substr(s, 2)
+      match(s, /^[A-Z][A-Za-z0-9_\047]*(\.[A-Z][A-Za-z0-9_\047]*)*/)
+      t = substr(s, 1, RLENGTH); s = substr(s, RLENGTH + 1); kind = "path"; end_expr = 1
+      if (match(s, /^\.[a-z_][A-Za-z0-9_\047]*/)) {
+        v = substr(s, 2, RLENGTH - 1); s = substr(s, RLENGTH + 1); kind = "value"
+        if (pass == 2 && !field) { k = key_of(t); print "N", file, k, v; head(k, v) }
+      }
+    } else if (match(s, /^[a-z_][A-Za-z0-9_\047]*/)) {
+      t = substr(s, 1, RLENGTH); s = substr(s, RLENGTH + 1); kind = t
+      if (t == "end") { close_level(); end_expr = 1 }
+      else if (t == "done") { hs[d] = 0; end_expr = 1 }
+      else if (t in opener) open_level(t)
+      else if (t == "in") { hs[d] = 0; if (pend[d] > 0) pend[d]-- }
+      else if (t in term) hs[d] = 0
+      else if (t in def) {
+        # A let that starts a structure item follows a finished expression
+        # (or nothing); any other let is an expression awaiting its in.
+        if (d == sd[ns] && (t == "let" && (ended || !seen[file]) || t == "and" && pend[d] == 0)) {
+          pend[d] = 0; td[ns] = "-"; name_next = 1
+        } else if (t == "let") pend[d]++
+        hs[d] = 2
+      } else {
+        if (want) td[ns] = t
+        head("", t); end_expr = 1
+      }
+    } else if (match(s, /^[~?][a-z_][A-Za-z0-9_\047]*/)) {
+      l = substr(s, 2, RLENGTH - 1); s = substr(s, RLENGTH + 1); end_expr = 1
+      if (substr(s, 1, 1) == ":" && substr(s, 2, 1) !~ /[:=]/) { s = substr(s, 2); end_expr = 0 }
+      if (pass == 2 && hs[d] == 1) {
+        if (hk[d] != "") print "C", file, hk[d], hf[d], l
+        else print "B", file, td[ns], l
+      }
+    } else if (match(s, /^\047(\\[^\047]*|[^\\\047])\047/) || match(s, /^[0-9][0-9A-Za-z_.]*/) ||
+               match(s, /^\.[a-z_][A-Za-z0-9_\047]*/)) {
+      s = substr(s, RLENGTH + 1); end_expr = 1
+    } else if (match(s, /^\047[a-z_][A-Za-z0-9_]*/)) {
+      s = substr(s, RLENGTH + 1)
+    } else if (match(s, /^(\[\||\(|\[|\{)/)) {
+      s = substr(s, RLENGTH + 1); open_level("")
+    } else if (match(s, /^(\|\]|\)|\]|\})/)) {
+      s = substr(s, RLENGTH + 1); close_level(); end_expr = 1
+    } else if (match(s, /^[-+*\/^@<>=!&|:$%;,.#]+/)) {
+      t = substr(s, 1, RLENGTH); s = substr(s, RLENGTH + 1); kind = t; hs[d] = 0
+    } else s = substr(s, 2)
+    if (pass == 1) alias_step(kind, t)
+    want = name_next || (want && kind == "rec")
+    ended = end_expr; seen[file] = 1
+  }
+}'
+
+# [interface] prints, for the marked code of each lib/ .mli,
+#   V mli M v ft   a val v of module M (ft = 1 inside For_testing), and
+#   O mli M f l    an optional argument ?l of val f.
+interface='
+$1 == "\001" {
+  mli = ($2 ~ /^lib\/.*\.mli$/) ? $2 : ""
+  top = mli; sub(/.*\//, "", top); sub(/\.mli$/, "", top)
+  n = 0; m[0] = toupper(substr(top, 1, 1)) substr(top, 2); fn = ""
+  next
+}
+mli == "" { next }
+/^ *module [A-Z][A-Za-z0-9_]* *: *sig/ {
+  n++; m[n] = $2; sub(/:.*/, "", m[n])
+  if (m[n] == "For_testing") m[n] = m[n - 1] ".For_testing"
+  fn = ""; next
+}
+n > 0 && /^ *end( |$)/ { n--; fn = ""; next }
+/^ *val [a-z_][A-Za-z0-9_\047]* *:/ {
+  fn = $2; sub(/:.*/, "", fn); print "V", mli, m[n], fn, (m[n] ~ /For_testing$/)
+}
+/^ *(type|module|exception|external|class|include|open)( |$)/ { fn = "" }
+fn != "" {
+  s = $0
+  while (match(s, /\?[a-z_][A-Za-z0-9_]*:/)) {
+    print "O", mli, m[n], fn, substr(s, RSTART + 1, RLENGTH - 2)
+    s = substr(s, RSTART + RLENGTH)
+  }
+}'
+
+# [verdict] prints one line per unused export or unpassed optional
+# argument, keep-listed ones aside, then one per stale keep-list entry.
+verdict='
+$1 == "N" { named[$3, $4] = named[$3, $4] " " $2; next }
+$1 == "C" { if ($2 !~ /^test\//) passed[$3, $4, $5] = 1; next }
+$1 == "B" { inmod[$2, $4] = inmod[$2, $4] " " $3 " "; next }
+{ item[++items] = $0 }
+END {
+  nk = split(keep, kl, "\n")
+  for (i = 1; i <= nk; i++) kept[kl[i]] = 0
+  for (j = 1; j <= items; j++) {
+    split(item[j], r, " "); ml = r[2]; sub(/\.mli$/, ".ml", ml)
+    if (r[1] == "V") {
+      used = 0
+      k = split(named[r[3], r[4]], fs, " ")
+      for (i = 1; i <= k; i++)
+        if (fs[i] != r[2] && fs[i] != ml && ((fs[i] ~ /^test\//) == r[5])) used = 1
+      hit = used ? "" : "export: " r[3] "." r[4] (r[5] ? ", named by no test" : "")
+    } else {
+      own = inmod[ml, r[5]]; gsub(" " r[4] " ", "", own)
+      hit = ((r[3], r[4], r[5]) in passed || own ~ /[^ ]/) ? "" : "optional: " r[3] "." r[4] " ?" r[5]
+    }
+    if (hit in kept) kept[hit] = 1
+    else if (hit != "") print hit " (" r[2] ")"
+  }
+  for (i = 1; i <= nk; i++) if (!kept[kl[i]]) print "stale keep-list entry: " kl[i]
+}'
+
+# source_guards DIR prints both guards' findings over DIR's sources.
+source_guards() (
+  cd "$1"
+  codes="$(mktemp)"
+  awk -v mark=1 "$code_only" $(find lib bin bench examples perfbench test -name '*.ml' -o -name '*.mli' 2>/dev/null | sort) > "$codes"
+  { awk "$scan" pass=1 "$codes" pass=2 "$codes"; awk "$interface" "$codes"; } |
+    awk -v keep="$guard_keep" "$verdict"
+  rm -f "$codes"
+)
+
+# Guard self-test: the guards must still catch what they exist to catch.
+# A fixture plants an export only test/ names (flagged), one used through
+# a module alias (passes), one whose bare name is a word elsewhere
+# (flagged), a label passed only to another function (flagged) and a
+# For_testing val (passes).  The keep-list is not planted, so each of its
+# entries reads stale here.
+echo "== source guard self-test =="
+fixture="$(mktemp -d)"
+mkdir -p "$fixture/lib/fx" "$fixture/bin" "$fixture/test"
+cat > "$fixture/lib/fx/fx.mli" <<'EOF'
+val tested : int -> int
+val aliased : int -> int
+val size : int
+val call : ?depth:int -> unit -> int
+val other : depth:int -> int
+module For_testing : sig
+  val peek : unit -> int
+end
+EOF
+cat > "$fixture/lib/fx/fx.ml" <<'EOF'
+let tested x = x
+let aliased x = x
+let size = 1
+let call ?(depth = size) () = depth
+let other ~depth = call () + depth
+module For_testing = struct let peek () = size end
+EOF
+cat > "$fixture/bin/main.ml" <<'EOF'
+module A = Wedge_fx.Fx
+
+let size = A.aliased 1
+let () = ignore (A.call () + A.other ~depth:size)
+EOF
+cat > "$fixture/test/test_fx.ml" <<'EOF'
+let () = ignore (Fx.tested (Fx.For_testing.peek ()))
+EOF
+fixture_hits="$(source_guards "$fixture" | grep -v '^stale keep-list entry: ')"
+rm -rf "$fixture"
+fixture_want='export: Fx.tested (lib/fx/fx.mli)
+export: Fx.size (lib/fx/fx.mli)
+optional: Fx.call ?depth (lib/fx/fx.mli)'
+if [ "$fixture_hits" != "$fixture_want" ]; then
+  printf 'check.sh: the source guards missed their fixture; they report:\n%s\nand must report exactly:\n%s\n' \
+    "$fixture_hits" "$fixture_want" >&2
+  exit 1
+fi
+
+echo "== export and optional argument guards =="
+guard_hits="$(source_guards .)"
+if [ -n "$guard_hits" ]; then
+  echo "$guard_hits" | sed 's/^/check.sh: source guard: /' >&2
   exit 1
 fi
 for_testing_hits="$(for f in $(find lib bin bench examples perfbench -name '*.ml' -o -name '*.mli' | sort); do
@@ -196,46 +419,6 @@ for_testing_hits="$(for f in $(find lib bin bench examples perfbench -name '*.ml
 done)"
 if [ -n "$for_testing_hits" ]; then
   echo "$for_testing_hits" | sed 's/^/check.sh: For_testing named outside test\/: /' >&2
-  exit 1
-fi
-
-# Optional-argument guard: every ?label: of a val in a lib/ interface is
-# passed, as ~label or ?label outside comments and strings, in some source file
-# other than its own .ml and .mli — an optional argument no caller
-# passes is a constant.
-echo "== optional argument guard =="
-opt_labels="$(mktemp)"
-opt_passed="$(mktemp)"
-for mli in $(find lib -name '*.mli' | sort); do
-  awk "$code_only" "$mli" | awk -v mli="$mli" '
-    /^ *val / { fn = $2; sub(/:.*/, "", fn) }
-    /^ *(type|module|exception|external|class|include|open|end)( |$)/ { fn = "" }
-    fn != "" {
-      s = $0
-      while (match(s, /\?[a-z_][A-Za-z0-9_]*:/)) {
-        print mli, fn, substr(s, RSTART + 1, RLENGTH - 2)
-        s = substr(s, RSTART + RLENGTH)
-      }
-    }'
-done > "$opt_labels"
-for f in $(find lib bin bench examples perfbench test -name '*.ml' -o -name '*.mli' | sort); do
-  awk "$code_only" "$f" | grep -o "[~?][a-z_][A-Za-z0-9_']*" | cut -c2- | sort -u | sed "s|^|$f |"
-done > "$opt_passed"
-opt_hits="$(awk '
-  NR == FNR { at[$2] = at[$2] " " $1; next }
-  {
-    ml = $1; sub(/\.mli$/, ".ml", ml)
-    used = 0
-    k = split(at[$3], fs, " ")
-    for (i = 1; i <= k; i++) if (fs[i] != $1 && fs[i] != ml) used = 1
-    if (!used) {
-      m = $1; sub(/.*\//, "", m); sub(/\.mli$/, "", m)
-      print toupper(substr(m, 1, 1)) substr(m, 2) "." $2 " ?" $3 " (" $1 ")"
-    }
-  }' "$opt_passed" "$opt_labels")"
-rm -f "$opt_labels" "$opt_passed"
-if [ -n "$opt_hits" ]; then
-  echo "$opt_hits" | sed 's/^/check.sh: optional argument no other file passes: /' >&2
   exit 1
 fi
 

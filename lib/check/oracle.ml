@@ -328,12 +328,13 @@ let global_sweep ?fabric ts =
 (* Wiring                                                              *)
 
 (* Checking at literally every context switch is O(frames + mappings)
-   per step; a stride samples every [n]th switch instead.  7 by default:
-   prime, so the sample never phase-locks with periodic fiber patterns
-   (client loops, accept polling) and every interleaving class is
-   eventually observed. *)
-let hook ?(stride = 7) t =
-  if stride <= 0 then invalid_arg "Oracle.hook: stride <= 0";
+   per step; the hook samples every 7th switch instead: prime, so the
+   sample never phase-locks with periodic fiber patterns (client loops,
+   accept polling) and every interleaving class is eventually
+   observed. *)
+let stride = 7
+
+let hook t =
   let n = ref 0 in
   fun () ->
     incr n;

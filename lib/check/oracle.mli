@@ -65,11 +65,10 @@ val global_sweep : ?fabric:Wedge_net.Shard.t -> t list -> unit
 val checks_run : t -> int
 (** How many times {!check} has run (for overhead reporting). *)
 
-val hook : ?stride:int -> t -> unit -> unit
-(** [Fiber.run ~on_switch:(Oracle.hook t)] checks at context switches.
-    [stride] (default 7, prime so sampling never phase-locks with
-    periodic fiber patterns) checks every [stride]th switch; pass [1]
-    for every switch. *)
+val hook : t -> unit -> unit
+(** [Fiber.run ~on_switch:(Oracle.hook t)] checks at every 7th context
+    switch (prime, so sampling never phase-locks with periodic fiber
+    patterns). *)
 
 val install_syscall_hook : t -> unit
 (** Check on entry to every system call ({!Wedge_kernel.Kernel}'s

@@ -37,7 +37,6 @@ type t = {
     policy:Wedge_sim.Fiber.policy -> diff:bool -> faults:bool -> seed:int -> string;
 }
 
-val all : t list
 val find : string -> t option
 val names : unit -> string list
 

@@ -27,7 +27,6 @@ module Fault_plan = Wedge_fault.Fault_plan
 module Fiber = Wedge_sim.Fiber
 
 exception Privilege_violation of string
-exception Exit_sthread of int
 
 exception Heap_corruption of string
 (* What [sfree] raises when the allocator's pointer validation rejects a
@@ -97,7 +96,7 @@ type boundary_section = {
 type image = {
   im_name : string;
   im_pages : Vm.image;  (* the registry is one holder *)
-  im_fds : (int * Fd_table.target * Fd_table.perm) list;
+  im_fds : (int * Fd_table.endpoint * Fd_table.perm) list;
   im_uid : int;
   im_root : string;
   im_sid : string;
@@ -174,7 +173,7 @@ and gate = {
   g_root : string;
   g_sid : string;
   g_spawn : spawn;
-  g_fds : (int * Fd_table.target * Fd_table.perm) list;
+  g_fds : (int * Fd_table.endpoint * Fd_table.perm) list;
       (* descriptor grants resolved against the creator at creation time,
          so a caller without network access cannot influence (and need not
          hold) the gate's descriptors *)
@@ -602,9 +601,6 @@ let run_compartment ctx fn arg =
     | v ->
         ctx.proc.Process.status <- Process.Exited 0;
         Some v
-    | exception Exit_sthread code ->
-        ctx.proc.Process.status <- Process.Exited code;
-        Some code
     | exception e when escapes ctx.app e -> raise e
     | exception e ->
         (* Whatever the compartment's code raised — a protection fault,
@@ -631,14 +627,14 @@ let run_sthread app cctx fn arg =
    snapshot.  [Stamp im] restores [im] — its identity standing unless
    [sc] sets it, [sc]'s grants on top of its pages and descriptors —
    under the pool's own stat, span, fault site and counters. *)
-let sthread_create ?instr ?(spawn = Boot) parent (sc : Sc.t) fn arg =
+let sthread_create ?(spawn = Boot) parent (sc : Sc.t) fn arg =
   let app = parent.app in
   if not app.booted then invalid_arg "sthread_create: application not booted";
   (match spawn with
   | Stamp im -> check_image app im ~what:"sthread_create"
   | Boot | Recycle -> ());
   enter parent "sthread_create";
-  let instr = Option.value instr ~default:parent.instr in
+  let instr = parent.instr in
   let src = parent.proc.Process.fds in
   match spawn with
   | Boot | Recycle ->
@@ -691,8 +687,6 @@ let sthread_join parent handle =
   | None, _ -> invalid_arg "sthread_join: sthread still running"
 
 let handle_status handle = handle.h_proc.Process.status
-
-let exit_sthread code = raise (Exit_sthread code)
 
 (* ------------------------------------------------------------------ *)
 (* fork(2) and pthreads, as comparison baselines                       *)
@@ -903,7 +897,6 @@ let smalloc_on ctx tag =
   ctx.smalloc_tag <- Some tag
 
 let smalloc_off ctx = ctx.smalloc_tag <- None
-let smalloc_state ctx = ctx.smalloc_tag
 
 let boundary_tag ctx ~id =
   let b = find_boundary ctx.app id in
@@ -1017,7 +1010,7 @@ let remap app (g : gate) m =
   p.Process.sid <- g.g_sid;
   m.m_sc <- g.g_sc
 
-let cgate ?deadline_ns caller gid ~perms ~arg =
+let cgate caller gid ~perms ~arg =
   enter caller "cgate";
   stat caller "cgate";
   let g = gate_of caller gid in
@@ -1039,12 +1032,10 @@ let cgate ?deadline_ns caller gid ~perms ~arg =
     if Trace.enabled tr then Trace.span_end tr ~name:span ~pid:(pid caller);
     result
   in
-  let started_ns = Clock.now (clock caller) in
   (* Fault site "cgate.call": [Delay ns] models a livelocked gate — the
-     invocation burns [ns] of simulated time before the entry runs, so a
-     caller-supplied [deadline_ns] fires (and a recycled member is
-     discarded as hung); any other kind crashes the call contained, in
-     the caller, before any gate process is built. *)
+     invocation burns [ns] of simulated time before the entry runs; any
+     other kind crashes the call contained, in the caller, before any
+     gate process is built. *)
   (match Fault_plan.roll_opt caller.app.kernel.Kernel.faults ~site:"cgate.call" with
   | Some (Fault_plan.Delay ns) ->
       stat caller "cgate.stalled";
@@ -1054,16 +1045,6 @@ let cgate ?deadline_ns caller gid ~perms ~arg =
       if Trace.enabled tr then Trace.span_end tr ~name:span ~pid:(pid caller);
       Fault_plan.fail ~site:"cgate.call" k
   | None -> ());
-  (* A gate that overruns its deadline is treated as hung: the caller gets
-     -1 after the gate's work has been charged to the clock (the timeout
-     fires only once that much simulated time has passed). *)
-  let apply_deadline result =
-    match deadline_ns with
-    | Some d when Clock.now (clock caller) - started_ns > d ->
-        stat caller "cgate.deadline_exceeded";
-        -1
-    | _ -> result
-  in
   match g.g_spawn with
   | Recycle ->
       stat caller "cgate.recycled";
@@ -1107,42 +1088,34 @@ let cgate ?deadline_ns caller gid ~perms ~arg =
       | exception e ->
           give m;
           raise e);
-      (* One bad invocation must not poison the pool: the faulted (or
-         hung) member is reaped and a fresh one joins the idle members
-         eagerly, so the next caller finds a healthy sthread instead of
-         paying a cold start. *)
-      let discard_and_respawn reason =
-        gctx.proc.Process.status <- Process.Faulted reason;
-        if Kernel.find_process app.kernel gctx.proc.Process.pid <> None then
-          Kernel.reap app.kernel gctx.proc;
-        give (fresh ());
-        stat caller "cgate.recycled.respawn"
-      in
       let result =
         match g.g_entry gctx ~trusted:g.g_trusted ~arg with
         | v -> v
-        | exception Exit_sthread code -> code
         | exception e when escapes app e ->
             give m;
             raise e
         | exception e ->
-            (* Same containment as [run_compartment]: the member is
-               discarded, never propagated. *)
+            (* Same containment as [run_compartment]: one bad invocation
+               must not poison the pool, so the faulted member is reaped
+               and a fresh one joins the idle members eagerly — the next
+               caller finds a healthy sthread instead of paying a cold
+               start. *)
             stat caller "fault.cgate";
-            discard_and_respawn (death_reason gctx e);
+            gctx.proc.Process.status <- Process.Faulted (death_reason gctx e);
+            if Kernel.find_process app.kernel gctx.proc.Process.pid <> None then
+              Kernel.reap app.kernel gctx.proc;
+            give (fresh ());
+            stat caller "cgate.recycled.respawn";
             -1
       in
-      if Process.is_alive gctx.proc then
+      if Process.is_alive gctx.proc then begin
         List.iter
           (fun (tag : Tag.t) ->
             Vm.unmap_range gctx.proc.Process.vm ~addr:tag.Tag.base ~pages:tag.Tag.pages)
           extra;
-      let final = apply_deadline result in
-      if final = -1 && result <> -1 then
-        (* Deadline overrun with the member still alive: treat it as hung. *)
-        discard_and_respawn "callgate deadline exceeded"
-      else if Process.is_alive gctx.proc then give m;
-      finish final
+        give m
+      end;
+      finish result
   | Boot | Stamp _ ->
       let gctx = gate_compartment caller g ~kind:Process.Cgate perms in
       gctx.caller_pid <- Some (pid caller);
@@ -1154,7 +1127,7 @@ let cgate ?deadline_ns caller gid ~perms ~arg =
             -1
       in
       Kernel.reap caller.app.kernel gctx.proc;
-      finish (apply_deadline result)
+      finish result
 
 (* Retire a callgate: later invocations fail as an unknown gate, and the
    app stops holding its entry point, grants and descriptors.  Only the
@@ -1198,14 +1171,6 @@ let write_u8 ctx addr v =
   on_access ctx addr 1 Instr.Write;
   Vm.write_u8 ctx.proc.Process.vm addr v
 
-let read_u16 ctx addr =
-  on_access ctx addr 2 Instr.Read;
-  Vm.read_u16 ctx.proc.Process.vm addr
-
-let write_u16 ctx addr v =
-  on_access ctx addr 2 Instr.Write;
-  Vm.write_u16 ctx.proc.Process.vm addr v
-
 let read_u32 ctx addr =
   on_access ctx addr 4 Instr.Read;
   Vm.read_u32 ctx.proc.Process.vm addr
@@ -1241,9 +1206,6 @@ let write_bytes ctx addr b =
    armed memory-event recorder takes its own [Bytes.copy] either way. *)
 let read_string ctx addr len = Bytes.unsafe_to_string (read_bytes ctx addr len)
 let write_string ctx addr s = write_bytes ctx addr (Bytes.unsafe_of_string s)
-
-let can_read ctx ~addr ~len = Vm.can_read ctx.proc.Process.vm ~addr ~len
-let can_write ctx ~addr ~len = Vm.can_write ctx.proc.Process.vm ~addr ~len
 
 (* Live TLB counters for the calling compartment's address space.
    (Kernel.reap folds these into the global stats when the process dies;
@@ -1298,7 +1260,7 @@ let stack_frame ctx ~name ~locals f =
       raise e
 
 (* ------------------------------------------------------------------ *)
-(* File descriptors and files                                          *)
+(* File descriptors                                                    *)
 
 exception Fd_error of string
 
@@ -1307,26 +1269,7 @@ let fd_entry ctx fd =
   | Some e -> e
   | None -> raise (Fd_error (Printf.sprintf "pid %d: bad fd %d" (pid ctx) fd))
 
-let open_file ctx ?(write = false) path =
-  enter ctx "open";
-  let k = ctx.app.kernel in
-  let p = ctx.proc in
-  let check =
-    if write then
-      Vfs.append_file k.Kernel.vfs ~root:p.Process.root ~uid:p.Process.uid path ""
-    else
-      Result.map (fun (_ : string) -> ())
-        (Vfs.read_file k.Kernel.vfs ~root:p.Process.root ~uid:p.Process.uid path)
-  in
-  match check with
-  | Error e -> Error e
-  | Ok () ->
-      let eff = Filename.concat p.Process.root path in
-      let target = Fd_table.File { Fd_table.fh_path = eff; fh_pos = 0 } in
-      let perm = if write then Fd_table.perm_rw else Fd_table.perm_r in
-      Ok (Fd_table.add p.Process.fds target perm)
-
-let add_endpoint ctx ep perm = Fd_table.add ctx.proc.Process.fds (Fd_table.Endpoint ep) perm
+let add_endpoint ctx ep perm = Fd_table.add ctx.proc.Process.fds ep perm
 
 (* Block before the trap, not after: a guarded connection's [ep_wait]
    parks here until a read would progress, so an idle connection makes
@@ -1335,7 +1278,7 @@ let add_endpoint ctx ep perm = Fd_table.add ctx.proc.Process.fds (Fd_table.Endpo
    descriptor the read will refuse never waits. *)
 let fd_pre_wait ctx fd =
   match Fd_table.find ctx.proc.Process.fds fd with
-  | Some { Fd_table.target = Fd_table.Endpoint ep; perm } when perm.Fd_table.fr ->
+  | Some { Fd_table.target = ep; perm } when perm.Fd_table.fr ->
       ep.Fd_table.ep_wait ()
   | _ -> ()
 
@@ -1346,22 +1289,9 @@ let fd_read ctx fd n =
   let e = fd_entry ctx fd in
   if not e.Fd_table.perm.Fd_table.fr then
     raise (Fd_error (Printf.sprintf "pid %d: fd %d not readable" (pid ctx) fd));
-  match e.Fd_table.target with
-  | Fd_table.Null -> Bytes.create 0
-  | Fd_table.Endpoint ep ->
-      let b = ep.Fd_table.ep_read n in
-      charge ctx ((costs ctx).Cost_model.net_per_byte * Bytes.length b);
-      b
-  | Fd_table.File fh -> (
-      match Vfs.read_file ctx.app.kernel.Kernel.vfs ~root:"/" ~uid:0 fh.Fd_table.fh_path with
-      | Error err -> raise (Fd_error (Vfs.error_to_string err))
-      | Ok data ->
-          let avail = max 0 (String.length data - fh.Fd_table.fh_pos) in
-          let len = min n avail in
-          let b = Bytes.of_string (String.sub data fh.Fd_table.fh_pos len) in
-          fh.Fd_table.fh_pos <- fh.Fd_table.fh_pos + len;
-          charge ctx ((costs ctx).Cost_model.disk_per_byte * len);
-          b)
+  let b = e.Fd_table.target.Fd_table.ep_read n in
+  charge ctx ((costs ctx).Cost_model.net_per_byte * Bytes.length b);
+  b
 
 (* A range outside [b] is the caller's bug, refused before the kernel
    entry: no trap, no charge, no byte moved. *)
@@ -1372,35 +1302,8 @@ let fd_write_sub ctx fd b off len =
   let e = fd_entry ctx fd in
   if not e.Fd_table.perm.Fd_table.fw then
     raise (Fd_error (Printf.sprintf "pid %d: fd %d not writable" (pid ctx) fd));
-  match e.Fd_table.target with
-  | Fd_table.Null -> ()
-  | Fd_table.Endpoint ep ->
-      charge ctx ((costs ctx).Cost_model.net_per_byte * len);
-      ep.Fd_table.ep_write b off len
-  | Fd_table.File fh -> (
-      let vfs = ctx.app.kernel.Kernel.vfs in
-      let data =
-        match Vfs.read_file vfs ~root:"/" ~uid:0 fh.Fd_table.fh_path with
-        | Ok d -> d
-        | Error _ -> ""
-      in
-      let pos = fh.Fd_table.fh_pos in
-      let chunk = Bytes.sub_string b off len in
-      let data =
-        if pos >= String.length data then data ^ chunk
-        else
-          String.sub data 0 pos
-          ^ chunk
-          ^
-          let tail = pos + len in
-          if tail < String.length data then String.sub data tail (String.length data - tail)
-          else ""
-      in
-      charge ctx ((costs ctx).Cost_model.disk_per_byte * len);
-      fh.Fd_table.fh_pos <- pos + len;
-      match Vfs.write_file vfs ~root:"/" ~uid:0 fh.Fd_table.fh_path data with
-      | Ok () -> ()
-      | Error err -> raise (Fd_error (Vfs.error_to_string err)))
+  charge ctx ((costs ctx).Cost_model.net_per_byte * len);
+  e.Fd_table.target.Fd_table.ep_write b off len
 
 let fd_write ctx fd b = fd_write_sub ctx fd b 0 (Bytes.length b)
 

@@ -47,8 +47,6 @@ let page_size = Physmem.page_size
 
 type t = Engine.image
 
-let name (t : t) = t.Engine.im_name
-
 let find app name =
   List.find_opt (fun (im : t) -> im.Engine.im_name = name) app.Engine.frozen_images
 

@@ -61,5 +61,3 @@ val discard : Engine.ctx -> t -> unit
 
 val find : Engine.app -> string -> t option
 (** The app's live image called [name], if one is frozen. *)
-
-val name : t -> string

@@ -6,14 +6,12 @@ type spawn = Engine.spawn = Boot | Recycle | Stamp of Pool.t
 type where = Engine.where = Master | Child of int
 
 exception Privilege_violation = Engine.Privilege_violation
-exception Exit_sthread = Engine.Exit_sthread
 exception Fd_error = Engine.Fd_error
 exception Heap_corruption = Engine.Heap_corruption
 
 let create_app ?image_pages kernel = Engine.create_app ?image_pages kernel
 let main_ctx = Engine.main_ctx
 let boot = Engine.boot
-let booted = Engine.booted
 let kernel = Engine.kernel
 let live_tags = Engine.live_tags
 let set_tag_cache = Engine.set_tag_cache
@@ -26,18 +24,14 @@ let getuid = Engine.getuid
 let proc = Engine.proc
 let sthread_create = Engine.sthread_create
 let sthread_join = Engine.sthread_join
-let handle_status = Engine.handle_status
-let exit_sthread = Engine.exit_sthread
 let tag_new = Engine.tag_new
 let tag_delete = Engine.tag_delete
-let set_on_tag_delete = Engine.set_on_tag_delete
 let smalloc = Engine.smalloc
 let sfree = Engine.sfree
 let malloc = Engine.malloc
 let free = Engine.free
 let smalloc_on = Engine.smalloc_on
 let smalloc_off = Engine.smalloc_off
-let smalloc_state = Engine.smalloc_state
 let boundary_var = Engine.boundary_var
 let boundary_tag = Engine.boundary_tag
 let sc_create = Sc.create
@@ -54,8 +48,6 @@ let pthread = Engine.pthread
 let set_identity = Engine.set_identity
 let read_u8 = Engine.read_u8
 let write_u8 = Engine.write_u8
-let read_u16 = Engine.read_u16
-let write_u16 = Engine.write_u16
 let read_u32 = Engine.read_u32
 let write_u32 = Engine.write_u32
 let read_u64 = Engine.read_u64
@@ -72,9 +64,6 @@ let stat = Engine.stat
 let trace_instant = Engine.trace_instant
 let register_metrics = Engine.register_metrics
 let fault_reason = Engine.fault_reason
-let register_fault_class = Engine.register_fault_class
-let can_read = Engine.can_read
-let can_write = Engine.can_write
 
 type tlb_stats = Engine.tlb_stats = {
   tlb_hits : int;
@@ -95,7 +84,6 @@ type policy_check = Engine.policy_check = {
 let set_policy = Engine.set_policy
 let in_function = Engine.in_function
 let stack_frame = Engine.stack_frame
-let open_file = Engine.open_file
 let add_endpoint = Engine.add_endpoint
 let fd_read = Engine.fd_read
 let fd_write_sub = Engine.fd_write_sub

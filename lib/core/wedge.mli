@@ -48,8 +48,6 @@ exception Privilege_violation of string
 (** A policy asked for more privilege than its grantor holds, or a
     compartment invoked a callgate it was not granted. *)
 
-exception Exit_sthread of int
-
 exception Heap_corruption of string
 (** {!sfree}/{!free} detected a wild or corrupted chunk (the allocator's
     pointer validation failed).  Contained like SIGABRT: the compartment
@@ -71,7 +69,6 @@ val boot : app -> unit
 (** Take the pristine pre-[main] snapshot (§4.1).  Must be called before
     any sthread is created; [BOUNDARY_VAR] declarations must precede it. *)
 
-val booted : app -> bool
 val kernel : app -> Wedge_kernel.Kernel.t
 val live_tags : app -> Wedge_mem.Tag.t list
 val set_tag_cache : app -> bool -> unit
@@ -87,8 +84,7 @@ val proc : ctx -> Wedge_kernel.Process.t
 
 (** {1 Sthread-related calls} *)
 
-val sthread_create :
-  ?instr:Wedge_sim.Instr.t -> ?spawn:spawn -> ctx -> Sc.t -> (ctx -> int -> int) -> int -> handle
+val sthread_create : ?spawn:spawn -> ctx -> Sc.t -> (ctx -> int -> int) -> int -> handle
 (** [sthread_create parent sc body arg] spawns a default-deny compartment
     holding exactly the privileges in [sc] (plus the pristine snapshot,
     copy-on-write) and runs [body] to completion.  Any exception [body]
@@ -113,9 +109,6 @@ val sthread_create :
 val sthread_join : ctx -> handle -> int
 (** The sthread's return value, or -1 if it was killed by a fault. *)
 
-val handle_status : handle -> Wedge_kernel.Process.status
-val exit_sthread : int -> 'a
-
 (** {1 Memory-related calls} *)
 
 val tag_new : ?name:string -> ?pages:int -> ctx -> Wedge_mem.Tag.t
@@ -126,13 +119,7 @@ val tag_new : ?name:string -> ?pages:int -> ctx -> Wedge_mem.Tag.t
 val tag_delete : ctx -> Wedge_mem.Tag.t -> unit
 (** Delete a tag: a {e global} revocation — the range is unmapped from
     every address space of this kernel (with a TLB shootdown per remote
-    space), and with {!set_on_tag_delete} armed the revocation extends
-    across kernel shards before the call returns. *)
-
-val set_on_tag_delete : app -> (Wedge_mem.Tag.t -> unit) option -> unit
-(** Arm/disarm the post-delete hook {!tag_delete} fires once the local
-    revocation is complete — the shard fabric's cross-shard shootdown
-    broadcast.  The hook runs in the deleter's fiber and may park. *)
+    space). *)
 
 val smalloc : ctx -> int -> Wedge_mem.Tag.t -> int
 val sfree : ctx -> int -> unit
@@ -144,7 +131,6 @@ val malloc : ctx -> int -> int
 val free : ctx -> int -> unit
 val smalloc_on : ctx -> Wedge_mem.Tag.t -> unit
 val smalloc_off : ctx -> unit
-val smalloc_state : ctx -> Wedge_mem.Tag.t option
 val boundary_var : app -> id:int -> name:string -> size:int -> int
 (** [BOUNDARY_VAR]: place a global in a distinct page-aligned section,
     excluded from the pristine snapshot; returns its address.  Pre-boot
@@ -185,15 +171,12 @@ val sc_cgate_add :
     invocation builds another — and keeps its heap and stack between
     invocations. *)
 
-val cgate : ?deadline_ns:int -> ctx -> gate_id -> perms:Sc.t -> arg:int -> int
+val cgate : ctx -> gate_id -> perms:Sc.t -> arg:int -> int
 (** Invoke a callgate with additional (subset-checked) permissions [perms]
     — typically read access to the tag holding [arg].  Blocks until the
-    gate terminates; a faulting gate yields -1.  With [deadline_ns], an
-    invocation whose simulated-clock cost exceeds the deadline also yields
-    -1 (the work is still charged — the timeout only fires after that much
-    simulated time has passed); a recycled gate member that faults or
-    overruns is reaped and eagerly respawned rather than poisoning the
-    pool. *)
+    gate terminates; a faulting gate yields -1, and a recycled gate
+    member that faults is reaped and eagerly respawned rather than
+    poisoning the pool. *)
 
 val cgate_delete : ctx -> gate_id -> unit
 (** Retire a callgate the caller minted: the app drops it, and later
@@ -216,8 +199,6 @@ val set_identity : ctx -> target_pid:int -> ?uid:int -> ?root:string -> unit -> 
 
 val read_u8 : ctx -> int -> int
 val write_u8 : ctx -> int -> int -> unit
-val read_u16 : ctx -> int -> int
-val write_u16 : ctx -> int -> int -> unit
 val read_u32 : ctx -> int -> int
 val write_u32 : ctx -> int -> int -> unit
 val read_u64 : ctx -> int -> int
@@ -254,26 +235,18 @@ val register_metrics : Wedge_sim.Metrics.t -> app -> unit
     registry: kernel stats (traps, faults, supervisor, reaped TLB),
     live per-process TLB counters, the fault plan when one is attached,
     and the engine's tag-cache counters.  One
-    {!Wedge_sim.Metrics.snapshot} then reads the whole system. *)
+    {!Wedge_sim.Metrics.to_json} then reads the whole system. *)
 
 val fault_reason : exn -> string option
 (** [Some reason] iff the exception is in the named fault class
     (protection fault, SELinux denial, frame exhaustion, injected
-    fault, and the registered classes): an
+    fault, and the classes layers above register with
+    [Engine.register_fault_class]): an
     environmental condition rather than a programming error.  A
     compartment dies contained of any exception; this class names its
     reason, and outside it the death counts as ["fault.unexpected"].
     Monitors guard their own per-connection setup work with it, so there
     anything else still propagates. *)
-
-val register_fault_class : (exn -> string option) -> unit
-(** Extend the named fault class with a layer-specific exception (e.g. a
-    refused connection, a cut heart's [Hang] read in a monitor): the
-    callback returns [Some reason] for exceptions a monitor's own code
-    may die of cleanly. *)
-
-val can_read : ctx -> addr:int -> len:int -> bool
-val can_write : ctx -> addr:int -> len:int -> bool
 
 type tlb_stats = Engine.tlb_stats = {
   tlb_hits : int;
@@ -308,11 +281,10 @@ val set_policy : ctx -> policy_check option -> unit
 val in_function : ctx -> name:string -> ?file:string -> ?line:int -> (unit -> 'a) -> 'a
 val stack_frame : ctx -> name:string -> locals:int -> (int -> 'a) -> 'a
 
-(** {1 Files and descriptors} *)
+(** {1 Descriptors} *)
 
 exception Fd_error of string
 
-val open_file : ctx -> ?write:bool -> string -> (int, Wedge_kernel.Vfs.error) result
 val add_endpoint : ctx -> Wedge_kernel.Fd_table.endpoint -> Wedge_kernel.Fd_table.perm -> int
 val fd_read : ctx -> int -> int -> bytes
 (** [fd_read ctx fd n] reads up to [n] bytes from [fd]; the empty result

@@ -15,6 +15,4 @@ let pop t =
   | _ :: rest -> t.stack <- rest
 
 let current t = t.stack
-let depth t = List.length t.stack
-let in_scope t ~fn = List.exists (fun f -> f.fn = fn) t.stack
 let frame_to_string f = Printf.sprintf "%s (%s:%d)" f.fn f.file f.line

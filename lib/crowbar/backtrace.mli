@@ -17,8 +17,4 @@ val pop : t -> unit
 val current : t -> frame list
 (** Innermost first. *)
 
-val depth : t -> int
-val in_scope : t -> fn:string -> bool
-(** Whether a function of this name is anywhere on the stack. *)
-
 val frame_to_string : frame -> string

@@ -7,7 +7,6 @@ type t = {
 
 let create () = { tr = Trace.create (); bt = Backtrace.create () }
 let trace t = t.tr
-let backtrace t = t.bt
 
 let kind_of_alloc = function
   | Instr.Heap -> (Trace.Heap, None)
@@ -30,8 +29,6 @@ let instr t =
         ignore (Trace.add_segment t.tr ?label ~base ~len ~kind ~bt:(Backtrace.current t.bt)));
     on_free = (fun base -> Trace.retire_segment t.tr ~base);
   }
-
-let native = Instr.null
 
 (* Pin without tools: each basic block (here: function) pays a one-time
    translation cost when first fetched; afterwards only the cached

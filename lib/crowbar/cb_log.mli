@@ -4,7 +4,7 @@
     instrumentation hooks ({!Wedge_sim.Instr}) that all simulated memory
     accessors call.  Three modes reproduce the three bars of Figure 9:
 
-    - {!native}: no instrumentation at all;
+    - native ({!Wedge_sim.Instr.null}): no instrumentation at all;
     - {!pin}: Pin alone — basic blocks are instrumented once when first
       fetched (a per-function translation cost);
     - {!create}: full cb-log — every load and store is recorded with a
@@ -15,10 +15,6 @@ type t
 val create : unit -> t
 val instr : t -> Wedge_sim.Instr.t
 val trace : t -> Trace.t
-val backtrace : t -> Backtrace.t
-
-val native : Wedge_sim.Instr.t
-(** Alias of {!Wedge_sim.Instr.null}. *)
 
 (** Pin-without-instrumentation: models dynamic binary translation. *)
 type pin

@@ -10,7 +10,6 @@ type violation = {
   v_len : int;
   v_mode : Instr.kind;
   v_tag : Tag.t option;
-  v_bt : Backtrace.frame list;
 }
 
 (* Would the declared policy allow this access?  The pristine snapshot,
@@ -33,12 +32,10 @@ let allowed app (sc : Sc.t) addr kind =
            copy-on-write) *)
         addr >= Layout.data_base && addr < Layout.tag_base
 
-let run ?cblog parent sc body arg =
+let run parent sc body arg =
   let app = W.app_of parent in
   let violations = ref [] in
-  let base_instr =
-    match cblog with Some l -> Cb_log.instr l | None -> W.instr_of parent
-  in
+  let base_instr = W.instr_of parent in
   let checking =
     {
       Instr.on_access =
@@ -51,10 +48,6 @@ let run ?cblog parent sc body arg =
                 v_len = len;
                 v_mode = kind;
                 v_tag = W.find_tag_by_addr app addr;
-                v_bt =
-                  (match cblog with
-                  | Some l -> Backtrace.current (Cb_log.backtrace l)
-                  | None -> []);
               }
               :: !violations);
       on_enter = base_instr.Instr.on_enter;
@@ -96,9 +89,8 @@ let missing_grants _app violations =
 let pp_violations fmt l =
   List.iter
     (fun v ->
-      Format.fprintf fmt "  %s 0x%x (%d bytes) in %s from %s@."
+      Format.fprintf fmt "  %s 0x%x (%d bytes) in %s@."
         (match v.v_mode with Instr.Read -> "read" | Instr.Write -> "write")
         v.v_addr v.v_len
-        (match v.v_tag with Some t -> "tag " ^ t.Tag.name | None -> "untagged memory")
-        (match v.v_bt with [] -> "?" | f :: _ -> Backtrace.frame_to_string f))
+        (match v.v_tag with Some t -> "tag " ^ t.Tag.name | None -> "untagged memory"))
     l

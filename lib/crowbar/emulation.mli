@@ -9,11 +9,9 @@ type violation = {
   v_len : int;
   v_mode : Wedge_sim.Instr.kind;
   v_tag : Wedge_mem.Tag.t option;  (** the tag owning the address, if any *)
-  v_bt : Backtrace.frame list;     (** backtrace when cb-log is attached *)
 }
 
 val run :
-  ?cblog:Cb_log.t ->
   Wedge_core.Wedge.ctx ->
   Wedge_core.Sc.t ->
   (Wedge_core.Wedge.ctx -> int -> int) ->

@@ -657,3 +657,8 @@ let self_check t () =
           match diff ~installed ~observed:(synthesize t) with
           | [] -> None
           | excess :: _ -> Some ("observed exceeds installed profile: " ^ excess)))
+
+module For_testing = struct
+  let normalize = Profile.normalize
+  let find = Profile.find
+end

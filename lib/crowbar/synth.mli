@@ -50,13 +50,10 @@ module Profile : sig
     pe_msg : string;
   }
 
-  val normalize : t -> t
-  (** Canonical order: entries by (kind, name), grants within an entry by
-      name.  {!print} emits normalized form; two profiles describing the
-      same grants print identically. *)
-
   val print : t -> string
-  (** Deterministic text rendering.  Grammar (one directive per line,
+  (** Deterministic text rendering, in canonical order (entries by kind
+      and name, grants within an entry by name): two profiles describing
+      the same grants print identically.  Grammar (one directive per line,
       [#] comments):
       {v
       app "httpd"
@@ -75,14 +72,11 @@ module Profile : sig
       fd modes are [r]/[w]/[rw]. *)
 
   val parse : string -> (t, parse_error) result
-  (** Inverse of {!print} up to normalization:
-      [parse (print p) = Ok (normalize p)].  Rejects malformed directives
+  (** Inverse of {!print} up to that canonical order.  Rejects malformed directives
       and duplicate grants/entries with a positioned error. *)
 
   val equal : t -> t -> bool
-  (** Equality up to normalization. *)
-
-  val find : t -> entry_kind -> string -> entry option
+  (** Equality up to the canonical order. *)
 end
 
 (** {1 Grant enumeration and tightening}
@@ -195,3 +189,12 @@ val self_check : t -> unit -> string option
     denied and the installed profile subsumes everything observed;
     [Some reason] otherwise.  Always [None] in other modes — feed to
     [Oracle.add_invariant]. *)
+
+module For_testing : sig
+  val normalize : Profile.t -> Profile.t
+  (** The canonical order {!Profile.print} and {!Profile.equal} put a
+      profile in. *)
+
+  val find : Profile.t -> Profile.entry_kind -> string -> Profile.entry option
+  (** The entry of this kind and name, as the loader looks it up. *)
+end

@@ -256,21 +256,3 @@ let load path =
     close_in ic;
     match !err with Some e -> Error e | None -> Ok out
   with Sys_error e -> Error e
-
-let merge traces =
-  let out = create () in
-  List.iter
-    (fun tr ->
-      List.iter
-        (fun s ->
-          let s' = add_segment out ?label:s.label ~base:s.base ~len:s.len ~kind:s.kind ~bt:s.alloc_bt in
-          s'.live <- s.live)
-        (segments tr);
-      Array.iter
-        (fun a ->
-          if out.count = Array.length out.accs then grow out;
-          out.accs.(out.count) <- a;
-          out.count <- out.count + 1)
-        (accesses tr))
-    traces;
-  out

@@ -49,10 +49,6 @@ val seg_kind_to_string : seg_kind -> string
 val describe : segment -> string
 (** Kind plus label when present: [tag 3 "session key"]. *)
 
-val merge : t list -> t
-(** Aggregate traces from several runs/workloads (§3.4: run diverse
-    innocuous workloads and analyze the aggregation). *)
-
 (** {2 On-disk traces}
 
     cb-log in the paper produces log files that cb-analyze queries offline;

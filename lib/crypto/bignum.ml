@@ -25,17 +25,6 @@ let of_int n =
 let one = of_int 1
 let two = of_int 2
 
-let to_int (a : t) =
-  let n = Array.length a in
-  if n * limb_bits > 62 && n > 0 && a.(n - 1) lsl ((n - 1) * limb_bits) < 0 then
-    failwith "Bignum.to_int: too large";
-  let v = ref 0 in
-  for i = n - 1 downto 0 do
-    if !v > max_int lsr limb_bits then failwith "Bignum.to_int: too large";
-    v := (!v lsl limb_bits) lor a.(i)
-  done;
-  !v
-
 (* [cmp_limbs a b lo hi] compares limbs [lo..hi] of [a] and [b]. *)
 let cmp_limbs (a : int array) (b : int array) lo hi =
   let i = ref hi in
@@ -492,4 +481,5 @@ let random_below rng n =
 
 module For_testing = struct
   let divmod = divmod
+  let bit = bit
 end

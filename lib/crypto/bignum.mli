@@ -4,13 +4,9 @@
 
 type t
 
-val zero : t
 val one : t
 val two : t
 val of_int : int -> t
-val to_int : t -> int
-(** @raise Failure if the value exceeds [max_int]. *)
-
 val is_zero : t -> bool
 val equal : t -> t -> bool
 val compare : t -> t -> int
@@ -26,8 +22,6 @@ val rem : t -> t -> t
 (** Limb by limb (Knuth's algorithm D).  @raise Division_by_zero *)
 
 val shift_right : t -> int -> t
-val bit : t -> int -> bool
-
 val modexp : base:t -> exp:t -> m:t -> t
 (** For odd [m] of up to 511 limbs (13,286 bits), Montgomery
     multiplication that carries once per product rather than once per
@@ -62,4 +56,7 @@ module For_testing : sig
   val divmod : t -> t -> t * t
   (** [(a / b, a mod b)] by the division {!rem} runs: the quotient no
       public call returns.  @raise Division_by_zero *)
+
+  val bit : t -> int -> bool
+  (** Bit [i] of [a], as {!modexp} scans its exponent. *)
 end

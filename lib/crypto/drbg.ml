@@ -1,7 +1,6 @@
 type t = { mutable state : int }
 
 let create ~seed = { state = seed lxor 0x1e3779b97f4a7c15 }
-let copy t = { state = t.state }
 
 (* splitmix64, truncated to OCaml's 63-bit ints. *)
 let next64 t =

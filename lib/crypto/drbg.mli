@@ -9,7 +9,6 @@
 type t
 
 val create : seed:int -> t
-val copy : t -> t
 val next64 : t -> int
 (** 63 usable pseudo-random bits (OCaml int). *)
 

@@ -25,7 +25,7 @@ let of_primes p q =
     | dp, dq, qinv -> Some { pub = { n = B.mul p q; e = e_const }; p; q; dp; dq; qinv }
     | exception Not_found -> None
 
-let keygen ?(bits = 512) rng =
+let keygen ~bits rng =
   let half = bits / 2 in
   let rec go () =
     let p = Prime.gen_prime rng ~bits:half in
@@ -150,3 +150,7 @@ let priv_of_string s =
 let demo_key =
   let key = lazy (keygen ~bits:512 (Drbg.create ~seed:0xC0FFEE)) in
   fun () -> Lazy.force key
+
+module For_testing = struct
+  let keygen = keygen
+end

@@ -14,8 +14,8 @@ type pub = {
 }
 
 (** A private key as PKCS #1's CRT fields; the whole private exponent d
-    is never needed.  The type is private: a key comes from {!keygen},
-    which computes the CRT fields from the primes, or from
+    is never needed.  The type is private: a key comes from keygen
+    ({!demo_key}), which computes the CRT fields from the primes, or from
     {!priv_of_string}, which checks them. *)
 type priv = private {
   pub : pub;
@@ -25,9 +25,6 @@ type priv = private {
   dq : Bignum.t;  (** [e{^-1} mod (q - 1)] *)
   qinv : Bignum.t;  (** [q{^-1} mod p] *)
 }
-
-val keygen : ?bits:int -> Drbg.t -> priv
-(** [bits] is the modulus size (default 512). *)
 
 val encrypt : Drbg.t -> pub -> bytes -> bytes
 (** Random-padded encryption; output is [modulus_bytes] long.  The
@@ -56,3 +53,9 @@ val priv_of_string : string -> priv option
 val demo_key : unit -> priv
 (** A process-wide 512-bit key generated once from a fixed seed (keygen is
     the slowest operation in the suite; tests and examples share this). *)
+
+module For_testing : sig
+  val keygen : bits:int -> Drbg.t -> priv
+  (** The key generation {!demo_key} runs, for other sizes and seeds;
+      [bits] is the modulus size. *)
+end

@@ -12,7 +12,6 @@
 
 type kind =
   | Enomem          (* frame allocation fails (simulated ENOMEM) *)
-  | Prot_fault      (* spurious protection fault on a checked access *)
   | Drop            (* bytes vanish; the direction is torn down *)
   | Truncate        (* one byte gets through, then the direction dies *)
   | Delay of int    (* simulated nanoseconds charged to the clock *)
@@ -23,7 +22,6 @@ exception Injected of string
 
 let kind_to_string = function
   | Enomem -> "enomem"
-  | Prot_fault -> "prot_fault"
   | Drop -> "drop"
   | Truncate -> "truncate"
   | Delay ns -> Printf.sprintf "delay:%d" ns
@@ -34,13 +32,11 @@ let kind_to_string = function
    hot path costs exactly one hashtable lookup. *)
 type rule = {
   prob : float;
-  nth : int option;
   kinds : kind array;
   mutable count : int;
 }
 
 type t = {
-  seed : int;
   mutable state : int64;
   rules : (string, rule) Hashtbl.t;
   mutable injected : int;
@@ -50,15 +46,12 @@ type t = {
 
 let create ?(seed = 1) () =
   {
-    seed;
     state = Int64.of_int seed;
     rules = Hashtbl.create 8;
     injected = 0;
     trace_buf = Buffer.create 256;
     armed = true;
   }
-
-let seed t = t.seed
 
 (* splitmix64: tiny, well-distributed, and identical on every platform. *)
 let next64 t =
@@ -73,18 +66,17 @@ let u01 t =
   let bits = Int64.shift_right_logical (next64 t) 11 in
   Int64.to_float bits /. 9007199254740992.0
 
-let rule t ~site ?(prob = 0.) ?nth kinds =
+let rule t ~site ?(prob = 0.) kinds =
   if kinds = [] then invalid_arg "Fault_plan.rule: empty kind list";
-  (* Replacing a site's rule keeps its op counter: [nth] computed against
-     [site_op_counts] stays meaningful across re-rules. *)
+  (* Replacing a site's rule keeps its op counter, so [site_op_counts]
+     and the trace's [op=] stay cumulative across re-rules. *)
   let count =
     match Hashtbl.find_opt t.rules site with Some r -> r.count | None -> 0
   in
-  Hashtbl.replace t.rules site { prob; nth; kinds = Array.of_list kinds; count }
+  Hashtbl.replace t.rules site { prob; kinds = Array.of_list kinds; count }
 
 let arm t = t.armed <- true
 let disarm t = t.armed <- false
-let armed t = t.armed
 
 let site_op_counts t =
   Hashtbl.fold (fun site r acc -> (site, r.count) :: acc) t.rules []
@@ -107,11 +99,7 @@ let roll t ~site =
     | None -> None
     | Some r ->
         r.count <- r.count + 1;
-        let fire =
-          (match r.nth with Some n -> r.count = n | None -> false)
-          || (r.prob > 0. && u01 t < r.prob)
-        in
-        if not fire then None
+        if not (r.prob > 0. && u01 t < r.prob) then None
         else begin
           let k = pick t r.kinds in
           t.injected <- t.injected + 1;

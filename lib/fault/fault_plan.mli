@@ -1,8 +1,8 @@
 (** Deterministic fault injection plans.
 
     A plan is a seeded PRNG plus per-site rules.  Hook sites scattered
-    through the stack ({!Wedge_kernel.Physmem.alloc}, [Vm] checked access,
-    [Chan] reads/writes/connects, the fiber scheduler) call {!roll_opt}
+    through the stack ({!Wedge_kernel.Physmem.alloc}, [Chan]
+    reads/writes/connects, the fiber scheduler, the engine) call {!roll_opt}
     with a site name; the plan decides — deterministically, from the seed and the
     per-site operation count — whether a fault fires and which kind.
 
@@ -12,7 +12,6 @@
 
 type kind =
   | Enomem          (** frame allocation fails (simulated ENOMEM) *)
-  | Prot_fault      (** spurious protection fault on a checked access *)
   | Drop            (** bytes vanish; the channel direction is torn down *)
   | Truncate        (** one byte gets through, then the direction dies *)
   | Delay of int    (** simulated nanoseconds charged to the clock *)
@@ -23,29 +22,24 @@ exception Injected of string
 (** The catchable fault all channel/fiber injections surface as; the engine
     turns it into compartment termination, like a signal. *)
 
-val kind_to_string : kind -> string
-
 type t
 
 val create : ?seed:int -> unit -> t
 (** A fresh plan (armed, no rules).  Default seed 1. *)
 
-val seed : t -> int
-
-val rule : t -> site:string -> ?prob:float -> ?nth:int -> kind list -> unit
+val rule : t -> site:string -> ?prob:float -> kind list -> unit
 (** [rule t ~site ~prob kinds] makes each armed operation at [site] fail
-    with probability [prob], choosing uniformly among [kinds].  [nth]
-    additionally forces a failure on exactly the [nth] armed operation
-    (1-based) — the deterministic "fail the Nth alloc" form.  Replaces any
-    previous rule for the site. *)
+    with probability [prob], choosing uniformly among [kinds]; at
+    [~prob:1.0] every one fails, the deterministic form a test arms just
+    before the operation it targets.  Replaces any previous rule for the
+    site, keeping its op count.  An armed site with no rule neither
+    counts operations nor draws from the PRNG. *)
 
 val arm : t -> unit
 val disarm : t -> unit
 (** Disarmed plans never fire and do not advance op counters, so setup
     work (server install, tag creation) can be excluded from the plan
     deterministically. *)
-
-val armed : t -> bool
 
 val roll_opt : t option -> site:string -> kind option
 (** Called by hook sites on every operation, with the [t option] they
@@ -66,6 +60,3 @@ val injections : t -> int
 val trace : t -> string
 (** One line per injection: ["#<n> <site> op=<count> <kind>\n"].
     Byte-identical across same-seed runs. *)
-
-val next64 : t -> int64
-(** Draw from the plan's PRNG (advances deterministic state). *)

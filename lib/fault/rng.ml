@@ -16,7 +16,6 @@ let mix64 z =
   Int64.logxor z (Int64.shift_right_logical z 31)
 
 let create seed = { s = Int64.of_int seed }
-let copy t = { s = t.s }
 
 let next64 t =
   t.s <- Int64.add t.s golden;

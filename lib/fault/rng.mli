@@ -6,11 +6,6 @@
 type t
 
 val create : int -> t
-val copy : t -> t
-
-val next64 : t -> int64
-(** Advance the state and return 64 fresh bits. *)
-
 val int : t -> int -> int
 (** [int t n] draws uniformly (up to negligible modulo bias) in [0, n).
     @raise Invalid_argument when [n <= 0]. *)

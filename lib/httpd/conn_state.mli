@@ -12,8 +12,6 @@ val size : int
 val init : Wedge_core.Wedge.ctx -> int -> unit
 
 val set_randoms : Wedge_core.Wedge.ctx -> int -> cr:bytes -> sr:bytes -> sid:string -> unit
-val client_random : Wedge_core.Wedge.ctx -> int -> bytes
-val server_random : Wedge_core.Wedge.ctx -> int -> bytes
 val sid : Wedge_core.Wedge.ctx -> int -> string
 
 val set_master : Wedge_core.Wedge.ctx -> int -> bytes -> unit

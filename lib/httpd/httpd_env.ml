@@ -89,8 +89,6 @@ let read_priv ctx t =
 
 type crypto_op =
   | Rsa_priv
-  | Rsa_pub
-  | Hash of int
   | Cipher of int
   | Mac
 
@@ -99,8 +97,6 @@ let charge ctx op =
   let ns =
     match op with
     | Rsa_priv -> cm.Cost_model.rsa_private_op
-    | Rsa_pub -> cm.Cost_model.rsa_public_op
-    | Hash n -> cm.Cost_model.sha256_per_byte * n
     | Cipher n -> cm.Cost_model.cipher_per_byte * n
     | Mac -> cm.Cost_model.hmac_fixed
   in

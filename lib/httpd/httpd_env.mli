@@ -44,8 +44,6 @@ val read_priv : Wedge_core.Wedge.ctx -> t -> Wedge_crypto.Rsa.priv
 
 type crypto_op =
   | Rsa_priv
-  | Rsa_pub
-  | Hash of int
   | Cipher of int
   | Mac
 

@@ -3,7 +3,8 @@ module W = Wedge_core.Wedge
 (* Layout at [base]:
      +0  u32 live count
      +4  u32 next write slot (FIFO cursor)
-     +8  slots: cap x (u8 live ++ sid[16] ++ master[32]) *)
+     +8  slots: cap x (u8 live ++ sid[16] ++ master[32])
+   with a fixed capacity of 64 slots, Apache's own default. *)
 
 let slot_size = 1 + 16 + 32
 let sid_len = 16
@@ -11,14 +12,15 @@ let sid_len = 16
 type t = {
   tagv : Wedge_mem.Tag.t;
   base : int;
-  cap : int;
-  mutable enabled : bool;
+  enabled : bool;
 }
+
+let cap = 64
 
 let header = 8
 let slot_addr t i = t.base + header + (i * slot_size)
 
-let create ?(cap = 64) ?(enabled = true) ctx =
+let create ?(enabled = true) ctx =
   let bytes_needed = header + (cap * slot_size) + 64 in
   let pages = Wedge_kernel.Layout.pages_for ~bytes_len:(bytes_needed + 64) in
   let tagv = W.tag_new ~name:"ssl.session_cache" ~pages ctx in
@@ -28,11 +30,9 @@ let create ?(cap = 64) ?(enabled = true) ctx =
   for i = 0 to cap - 1 do
     W.write_u8 ctx (base + header + (i * slot_size)) 0
   done;
-  { tagv; base; cap; enabled }
+  { tagv; base; enabled }
 
 let tag t = t.tagv
-let enabled t = t.enabled
-let set_enabled t v = t.enabled <- v
 
 let pad_sid sid =
   if String.length sid > sid_len then String.sub sid 0 sid_len
@@ -41,7 +41,7 @@ let pad_sid sid =
 let find_slot ctx t sid =
   let padded = pad_sid sid in
   let rec go i =
-    if i >= t.cap then None
+    if i >= cap then None
     else if
       W.read_u8 ctx (slot_addr t i) = 1
       && W.read_string ctx (slot_addr t i + 1) sid_len = padded
@@ -58,7 +58,7 @@ let store ctx t ~sid ~master =
       | Some i -> i
       | None ->
           let cursor = W.read_u32 ctx (t.base + 4) in
-          W.write_u32 ctx (t.base + 4) ((cursor + 1) mod t.cap);
+          W.write_u32 ctx (t.base + 4) ((cursor + 1) mod cap);
           (* bump the live count only when claiming a fresh slot *)
           if W.read_u8 ctx (slot_addr t cursor) = 0 then
             W.write_u32 ctx t.base (W.read_u32 ctx t.base + 1);
@@ -75,12 +75,3 @@ let lookup ctx t ~sid =
     match find_slot ctx t sid with
     | Some i -> Some (W.read_bytes ctx (slot_addr t i + 1 + sid_len) 32)
     | None -> None
-
-let size ctx t = W.read_u32 ctx t.base
-
-let flush ctx t =
-  W.write_u32 ctx t.base 0;
-  W.write_u32 ctx (t.base + 4) 0;
-  for i = 0 to t.cap - 1 do
-    W.write_u8 ctx (slot_addr t i) 0
-  done

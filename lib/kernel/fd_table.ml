@@ -20,18 +20,8 @@ type endpoint = {
          inside ep_read. *)
 }
 
-type target =
-  | File of file_handle
-  | Endpoint of endpoint
-  | Null
-
-and file_handle = {
-  fh_path : string;
-  mutable fh_pos : int;
-}
-
 type entry = {
-  target : target;
+  target : endpoint;
   perm : perm;
 }
 
@@ -70,14 +60,8 @@ let dup_into ~src ~dst ~fd ~perm =
       if Hashtbl.mem dst.tbl fd then
         invalid_arg (Printf.sprintf "Fd_table.dup_into: fd %d already present" fd);
       (* Sthreads receive private descriptor copies (closing does not affect
-         the parent), but file positions and endpoints are shared state, as
-         with fork. *)
-      let target =
-        match e.target with
-        | File fh -> File { fh_path = fh.fh_path; fh_pos = fh.fh_pos }
-        | (Endpoint _ | Null) as x -> x
-      in
-      Hashtbl.add dst.tbl fd { target; perm };
+         the parent), but the endpoint is shared state, as with fork. *)
+      Hashtbl.add dst.tbl fd { target = e.target; perm };
       if fd >= dst.next then dst.next <- fd + 1
 
 let install t ~fd target perm =

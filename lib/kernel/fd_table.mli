@@ -2,9 +2,9 @@
 
     Sthreads inherit only the descriptors named in their security policy
     (§3.1), each with read/write permission bits checked on every use.
-    Descriptor targets are either VFS files or abstract byte-stream
-    endpoints (sockets from the network simulator, which plugs in via the
-    {!endpoint} record to avoid a dependency cycle). *)
+    Every descriptor is a byte-stream endpoint (a socket from the network
+    simulator, which plugs in via the {!endpoint} record to avoid a
+    dependency cycle). *)
 
 type perm = {
   fr : bool;
@@ -34,18 +34,8 @@ type endpoint = {
           returns at once. *)
 }
 
-type target =
-  | File of file_handle
-  | Endpoint of endpoint
-  | Null
-
-and file_handle = {
-  fh_path : string;
-  mutable fh_pos : int;
-}
-
 type entry = {
-  target : target;
+  target : endpoint;
   perm : perm;
 }
 
@@ -53,8 +43,8 @@ type t
 
 val create : unit -> t
 
-val add : t -> target -> perm -> int
-(** Install a target, returning the new descriptor number. *)
+val add : t -> endpoint -> perm -> int
+(** Install an endpoint, returning the new descriptor number. *)
 
 val find : t -> int -> entry option
 
@@ -73,8 +63,8 @@ val dup_into : src:t -> dst:t -> fd:int -> perm:perm -> unit
     @raise Invalid_argument if [fd] is not open in [src] or [perm] exceeds
     the source permission. *)
 
-val install : t -> fd:int -> target -> perm -> unit
-(** Install a target under a specific descriptor number (kernel use: giving
+val install : t -> fd:int -> endpoint -> perm -> unit
+(** Install an endpoint under a specific descriptor number (kernel use: giving
     a callgate the descriptors its creator granted it).
     @raise Invalid_argument if the number is taken. *)
 

@@ -31,10 +31,10 @@ type t = {
          latches its consumer's *)
 }
 
-let create ?(costs = Cost_model.default) ?faults ?max_frames ?(shard = 0) () =
+let create ?(costs = Cost_model.default) ?faults ?(shard = 0) () =
   let clock = Clock.create () in
   {
-    pm = Physmem.create ?faults ?max_frames ();
+    pm = Physmem.create ?faults ();
     clock;
     costs;
     vfs = Vfs.create ();
@@ -81,8 +81,7 @@ let new_process t ~kind ~uid ~root ~sid () =
       root;
       sid;
       vm =
-        Vm.create ?faults:t.faults ~trace:t.trace ~recorder:t.mem_rec ~pid t.pm t.clock
-          t.costs;
+        Vm.create ~trace:t.trace ~recorder:t.mem_rec ~pid t.pm t.clock t.costs;
       fds = Fd_table.create ();
       status = Process.Running;
     }

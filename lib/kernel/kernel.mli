@@ -36,17 +36,14 @@ type t = {
 val create :
   ?costs:Wedge_sim.Cost_model.t ->
   ?faults:Wedge_fault.Fault_plan.t ->
-  ?max_frames:int ->
   ?shard:int ->
   unit ->
   t
-(** [faults] threads a fault plan into physical-memory allocation and
-    every process's MMU checks; [max_frames] caps live physical frames
-    (exhaustion raises {!Physmem.Enomem}); [shard] (default 0) labels
+(** [faults] threads a fault plan into physical-memory allocation
+    (site ["physmem.alloc"] raises {!Physmem.Enomem}); [shard] (default
+    0) labels
     this kernel in a sharded multi-kernel world
     (see {!Wedge_net.Shard}). *)
-
-val charge : t -> int -> unit
 
 val new_process :
   t ->

@@ -7,7 +7,6 @@
     segments are allocated from a dedicated non-merging region (§4.1:
     [tag_new] never merges neighbouring mappings). *)
 
-val page_size : int
 val data_base : int
 val heap_base : int
 val heap_pages : int

@@ -16,11 +16,10 @@ type t = {
   mutable used : int;
   mutable host : int;
   mutable next : int;
-  max_frames : int option;
   faults : Fault_plan.t option;
 }
 
-let create ?faults ?max_frames () =
+let create ?faults () =
   let zero = Bytes.make page_size '\000' in
   {
     frames = Array.make 64 zero;
@@ -30,7 +29,6 @@ let create ?faults ?max_frames () =
     used = 0;
     host = 0;
     next = 0;
-    max_frames;
     faults;
   }
 
@@ -44,9 +42,6 @@ let grow t =
   t.refs <- refs
 
 let alloc t =
-  (match t.max_frames with
-  | Some m when t.used >= m -> raise Enomem
-  | _ -> ());
   (match Fault_plan.roll_opt t.faults ~site:"physmem.alloc" with
   | Some _ -> raise Enomem
   | None -> ());

@@ -8,29 +8,27 @@
     written is backed by its kernel's single shared zero page, and gets a
     private 4 KiB host buffer on its first write ({!get_mut}).  Which frames
     have host bytes is this module's decision alone; frame numbers,
-    refcounts, {!frames_in_use}, the [max_frames] budget and the
-    ["physmem.alloc"] fault roll do not depend on it, and nothing here
+    refcounts, {!frames_in_use} and the ["physmem.alloc"] fault roll do
+    not depend on it, and nothing here
     charges simulated time. *)
 
 val page_size : int
 (** 4096. *)
 
 exception Enomem
-(** Frame allocation failed: the configured [max_frames] budget is
-    exhausted, or an attached fault plan fired at site ["physmem.alloc"].
-    The engine turns this into compartment termination. *)
+(** Frame allocation failed: an attached fault plan fired at site
+    ["physmem.alloc"].  The engine turns this into compartment
+    termination. *)
 
 type t
 
-val create : ?faults:Wedge_fault.Fault_plan.t -> ?max_frames:int -> unit -> t
-(** [max_frames] caps live frames ({!frames_in_use}); allocation beyond it
-    raises {!Enomem}.  Unbounded by default. *)
+val create : ?faults:Wedge_fault.Fault_plan.t -> unit -> t
 
 val alloc : t -> int
 (** Allocate a frame with reference count 1; returns the frame number.  The
     frame reads as zeros and has no host bytes of its own: it is backed by
     the shared zero page until its first {!get_mut}.
-    @raise Enomem on budget exhaustion or injected allocation failure. *)
+    @raise Enomem on an injected allocation failure. *)
 
 val get : t -> int -> bytes
 (** The read view of a live frame: its private bytes once written, the

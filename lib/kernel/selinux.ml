@@ -1,5 +1,4 @@
 type t = {
-  default_allow : bool;
   domains : (string, (string, unit) Hashtbl.t) Hashtbl.t;
   transitions : (string * string, unit) Hashtbl.t;
   sid_domains : (string, string) Hashtbl.t;
@@ -7,9 +6,8 @@ type t = {
          the kernel-entry path allocates nothing *)
 }
 
-let create ?(default_allow = true) () =
+let create () =
   {
-    default_allow;
     domains = Hashtbl.create 8;
     transitions = Hashtbl.create 8;
     sid_domains = Hashtbl.create 8;
@@ -39,7 +37,7 @@ let allow t ~domain ~syscall =
 let check t ~sid ~syscall =
   match Hashtbl.find t.domains (domain t sid) with
   | h -> Hashtbl.mem h syscall
-  | exception Not_found -> t.default_allow
+  | exception Not_found -> true
 
 let allow_transition t ~from_ ~to_ =
   Hashtbl.replace t.transitions (domain_of_sid from_, domain_of_sid to_) ()

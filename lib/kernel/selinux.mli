@@ -6,11 +6,10 @@
 
 type t
 
-val create : ?default_allow:bool -> unit -> t
-(** [default_allow] (default [true]) controls whether SIDs without an
-    explicit domain entry may make any system call; the paper's
-    applications explicitly grant all system calls (§5), so the permissive
-    default mirrors that setup while tests exercise restrictive domains. *)
+val create : unit -> t
+(** A SID without an explicit domain entry may make any system call: the
+    paper's applications grant all system calls (§5), and a deployment
+    that wants a restrictive domain names it with {!allow}. *)
 
 val allow : t -> domain:string -> syscall:string -> unit
 val check : t -> sid:string -> syscall:string -> bool

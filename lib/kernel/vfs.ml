@@ -5,13 +5,6 @@ type error =
   | Eisdir
   | Eexist
 
-let error_to_string = function
-  | Enoent -> "no such file or directory"
-  | Eacces -> "permission denied"
-  | Enotdir -> "not a directory"
-  | Eisdir -> "is a directory"
-  | Eexist -> "file exists"
-
 type meta = {
   uid : int;
   mode : int;
@@ -165,18 +158,6 @@ let write_file t ~root ~uid path contents =
           else Error Eacces)
   | Error e -> Error e
 
-let append_file t ~root ~uid path contents =
-  match resolve t ~root path with
-  | Ok (File f) ->
-      if permits f.fmeta ~uid ~want_read:false ~want_write:true then begin
-        f.data <- f.data ^ contents;
-        Ok ()
-      end
-      else Error Eacces
-  | Ok (Dir _) -> Error Eisdir
-  | Error Enoent -> write_file t ~root ~uid path contents
-  | Error e -> Error e
-
 let unlink t ~root ~uid path =
   match find_parent t ~root path with
   | Error e -> Error e
@@ -198,6 +179,3 @@ let readdir t ~root ~uid path =
       if permits d.dmeta ~uid ~want_read:true ~want_write:false then
         Ok (Hashtbl.fold (fun k _ acc -> k :: acc) d.entries [] |> List.sort String.compare)
       else Error Eacces
-
-let exists t ~root path = match resolve t ~root path with Ok _ -> true | Error _ -> false
-

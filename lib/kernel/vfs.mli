@@ -11,8 +11,6 @@ type error =
   | Eisdir
   | Eexist
 
-val error_to_string : error -> string
-
 type t
 
 val create : unit -> t
@@ -38,9 +36,5 @@ val write_file :
 (** Overwrites an existing file or creates a new one in an existing,
     writable directory. *)
 
-val append_file :
-  t -> root:string -> uid:int -> string -> string -> (unit, error) result
-
 val unlink : t -> root:string -> uid:int -> string -> (unit, error) result
 val readdir : t -> root:string -> uid:int -> string -> (string list, error) result
-val exists : t -> root:string -> string -> bool

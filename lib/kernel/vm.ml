@@ -73,7 +73,7 @@ type recorder = {
 (* Direct-mapped, per-address-space translation cache: vpn -> frame
    number + effective protection + tag.  The fast path costs one array
    index, three compares, one [Physmem] lookup and a byte access — no
-   hashtable walk, no fault roll per byte.  An entry caches the frame,
+   hashtable walk.  An entry caches the frame,
    never its bytes: every access resolves the bytes through [Physmem]
    (the read view for reads, the write view for writes), so a frame's
    first write — which moves it off the shared zero page onto private
@@ -127,7 +127,6 @@ type t = {
   pt : Pagetable.t;
   clock : Clock.t;
   costs : Cost_model.t;
-  faults : Wedge_fault.Fault_plan.t option;
   trace : Wedge_sim.Trace.t;
       (* instrumented off the fast path only: misses and shootdowns, not
          hits — an armed trace never slows the hit path *)
@@ -139,14 +138,13 @@ type t = {
   mutable tlb_shootdown_n : int;
 }
 
-let create ?faults ?(trace = Wedge_sim.Trace.null) ?recorder ~pid pm clock costs =
+let create ?(trace = Wedge_sim.Trace.null) ?recorder ~pid pm clock costs =
   {
     pid;
     pm;
     pt = Pagetable.create ();
     clock;
     costs;
-    faults;
     trace;
     recorder = (match recorder with Some r -> r | None -> { sink = None; raised = None });
     base = None;
@@ -424,9 +422,7 @@ let cow_break t ~vpn =
     emit t (Ev_cow { pid = t.pid; vpn; frame = pte.frame; prot = pte.prot });
   pte
 
-(* The slow path: one page-table walk.  Injected faults are rolled by the
-   callers, once per access (see [roll_access]), not here — a bulk read
-   is one access however many pages it crosses. *)
+(* The slow path: one page-table walk. *)
 let pte_for t addr access =
   let vpn = vpn_of addr in
   match Pagetable.find t.pt ~vpn with
@@ -478,27 +474,15 @@ let page_for t addr access =
     frame_bytes t access pte.Pagetable.frame
   end
 
-(* Every access rolls the injected-fault plan once — a u64 or a 4 KiB
-   blit is one roll, not eight or a thousand.  (Fault-trace format v2:
-   plans recorded against the per-byte rolls of the v1 accessors replay
-   with different op counts.) *)
-let roll_access t addr access =
-  match Wedge_fault.Fault_plan.roll_opt t.faults ~site:"vm.access" with
-  | Some _ -> fault t addr access "injected protection fault"
-  | None -> ()
-
 let read_u8_raw t addr =
-  roll_access t addr Read;
   let b = page_for t addr Read in
   Char.code (Bytes.unsafe_get b (addr land (page_size - 1)))
 
 let write_u8_raw t addr v =
-  roll_access t addr Write;
   let b = page_for t addr Write in
   Bytes.unsafe_set b (addr land (page_size - 1)) (Char.unsafe_chr (v land 0xff))
 
-(* Page-cursor bulk transfer: one translation per page touched.  The
-   fault roll happened at the access entry point. *)
+(* Page-cursor bulk transfer: one translation per page touched. *)
 let rec blit_read_pages t addr buf pos len =
   if len > 0 then begin
     let off = off_of addr in
@@ -544,51 +528,24 @@ let max_read = 64 * 1024 * 1024
 
 let read_len_ok len = len >= 0 && len <= max_read
 
-(* Every argument is checked before the fault roll or any translation:
+(* Every argument is checked before any translation:
    a bad length faults as the MMU would, a range outside [buf] is the
    caller's bug. *)
 let read_into_raw t addr buf pos len =
   if not (read_len_ok len) then
     fault t addr Read (Printf.sprintf "oversized read of %d bytes" len);
   if pos < 0 || pos > Bytes.length buf - len then invalid_arg "Vm.read_into";
-  if len > 0 then begin
-    roll_access t addr Read;
-    blit_read_pages t addr buf pos len
-  end
+  if len > 0 then blit_read_pages t addr buf pos len
 
 let write_bytes_raw t addr src =
   let len = Bytes.length src in
-  if len > 0 then begin
-    roll_access t addr Write;
-    blit_write_atomic t addr src 0 len
-  end
+  if len > 0 then blit_write_atomic t addr src 0 len
 
 (* Multi-byte accessors: translate once when the value sits inside a page
    (the overwhelmingly common case), fall back to the page cursor across
-   a boundary.  Either way: one fault roll, not one per byte. *)
-
-let read_u16_raw t addr =
-  roll_access t addr Read;
-  let off = off_of addr in
-  if off <= page_size - 2 then Bytes.get_uint16_le (page_for t addr Read) off
-  else begin
-    let buf = Bytes.create 2 in
-    blit_read_pages t addr buf 0 2;
-    Bytes.get_uint16_le buf 0
-  end
-
-let write_u16_raw t addr v =
-  roll_access t addr Write;
-  let off = off_of addr in
-  if off <= page_size - 2 then Bytes.set_uint16_le (page_for t addr Write) off (v land 0xffff)
-  else begin
-    let buf = Bytes.create 2 in
-    Bytes.set_uint16_le buf 0 (v land 0xffff);
-    blit_write_atomic t addr buf 0 2
-  end
+   a boundary. *)
 
 let read_u32_raw t addr =
-  roll_access t addr Read;
   let off = off_of addr in
   if off <= page_size - 4 then
     Int32.to_int (Bytes.get_int32_le (page_for t addr Read) off) land 0xffffffff
@@ -599,7 +556,6 @@ let read_u32_raw t addr =
   end
 
 let write_u32_raw t addr v =
-  roll_access t addr Write;
   let off = off_of addr in
   if off <= page_size - 4 then
     Bytes.set_int32_le (page_for t addr Write) off (Int32.of_int v)
@@ -620,7 +576,6 @@ let write_u32_raw t addr v =
 let u64_store_mask = 0x7FFF_FFFF_FFFF_FFFFL
 
 let read_u64_raw t addr =
-  roll_access t addr Read;
   let off = off_of addr in
   if off <= page_size - 8 then Int64.to_int (Bytes.get_int64_le (page_for t addr Read) off)
   else begin
@@ -630,7 +585,6 @@ let read_u64_raw t addr =
   end
 
 let write_u64_raw t addr v =
-  roll_access t addr Write;
   let w = Int64.logand (Int64.of_int v) u64_store_mask in
   let off = off_of addr in
   if off <= page_size - 8 then Bytes.set_int64_le (page_for t addr Write) off w
@@ -651,11 +605,6 @@ let write_u64_raw t addr v =
 let enc1 v =
   let b = Bytes.create 1 in
   Bytes.set_uint8 b 0 (v land 0xff);
-  b
-
-let enc2 v =
-  let b = Bytes.create 2 in
-  Bytes.set_uint16_le b 0 (v land 0xffff);
   b
 
 let enc4 v =
@@ -701,17 +650,6 @@ let write_u8 t addr v =
   | Some r ->
       armed_write t r addr (fun () -> enc1 v) (fun () -> write_u8_raw t addr v)
 
-let read_u16 t addr =
-  match t.recorder.sink with
-  | None -> read_u16_raw t addr
-  | Some r -> armed_read t r addr ~u64:false enc2 (fun () -> read_u16_raw t addr)
-
-let write_u16 t addr v =
-  match t.recorder.sink with
-  | None -> write_u16_raw t addr v
-  | Some r ->
-      armed_write t r addr (fun () -> enc2 v) (fun () -> write_u16_raw t addr v)
-
 let read_u32 t addr =
   match t.recorder.sink with
   | None -> read_u32_raw t addr
@@ -745,8 +683,7 @@ let read_into t addr buf pos len =
 (* [probe] is advisory, not an access: it answers "would this access be
    allowed right now" for policy decisions (e.g. priv_for_tag).  It walks
    the page table directly — never the TLB, which it must not pollute —
-   charges nothing, and rolls no injected faults: a spurious fault on a
-   probe would turn a question into a crash, which no real MMU does. *)
+   charges nothing. *)
 let probe t ~addr ~len access =
   let rec loop a remaining =
     remaining <= 0
@@ -775,14 +712,11 @@ let rec translate_read_pages t addr len =
     translate_read_pages t (addr + chunk) (len - chunk)
   end
 
-(* A checked read of the range without the copy: the same roll, then the
-   same translations in the same order, so it faults where the copy
-   would, and an armed recorder sees the same [Ev_fault]. *)
+(* A checked read of the range without the copy: the same translations
+   in the same order, so it faults where the copy would, and an armed
+   recorder sees the same [Ev_fault]. *)
 let fault_read t addr len =
-  let walk () =
-    roll_access t addr Read;
-    translate_read_pages t addr len
-  in
+  let walk () = translate_read_pages t addr len in
   match t.recorder.sink with
   | None -> walk ()
   | Some r -> armed_read t r addr ~u64:false (fun () -> Bytes.empty) walk
@@ -811,7 +745,7 @@ let write_bytes t addr src =
 
 (* ------------------------------------------------------------------ *)
 (* Oracle accessors: pure reads of ground truth for invariant checking.
-   Nothing here charges the clock, touches the TLB, or rolls faults. *)
+   Nothing here charges the clock or touches the TLB. *)
 
 (* Validate every *servable* TLB entry (valid vpn, current epoch — stale
    epochs can never be served) against the page table: same frame,
@@ -843,5 +777,6 @@ let tlb_check t =
     t.tlb;
   List.rev !bad
 
-let can_read t ~addr ~len = probe t ~addr ~len Read
-let can_write t ~addr ~len = probe t ~addr ~len Write
+module For_testing = struct
+  let can_read t ~addr ~len = probe t ~addr ~len Read
+end

@@ -101,7 +101,6 @@ type recorder = {
 type t
 
 val create :
-  ?faults:Wedge_fault.Fault_plan.t ->
   ?trace:Wedge_sim.Trace.t ->
   ?recorder:recorder ->
   pid:int ->
@@ -109,10 +108,7 @@ val create :
   Wedge_sim.Clock.t ->
   Wedge_sim.Cost_model.t ->
   t
-(** [faults] makes checked compartment accesses roll site ["vm.access"]
-    once per access (a u64 or a bulk blit is one roll, not one per byte);
-    a fired fault raises {!Fault} as a spurious protection fault.
-    [trace] (default
+(** [trace] (default
     {!Wedge_sim.Trace.null}) records ["tlb.miss"]/["tlb.shootdown"]
     instants attributed to [pid] — off the TLB-hit fast path, which is
     never instrumented. *)
@@ -227,9 +223,6 @@ val destroy : t -> unit
 
 (** {2 Software TLB} *)
 
-val tlb_flush : t -> unit
-(** Drop every cached translation (address-space teardown / switch). *)
-
 val tlb_hits : t -> int
 val tlb_misses : t -> int
 val tlb_shootdowns : t -> int
@@ -246,17 +239,17 @@ val read_into : t -> int -> bytes -> int -> int -> unit
     from [addr] into [buf] at [\[pos, pos + len)].  Negative or absurd
     lengths (over 64 MiB, beyond any simulated region) fault, and a
     range outside [buf] raises [Invalid_argument], both before any
-    translation, fault roll or byte lands — so attacker-fabricated length
-    fields hit the MMU, not the host allocator.  One fault roll per call
-    (none for [len = 0]); translates once per page crossed, not once per
-    byte.  An armed
+    translation or byte lands — so attacker-fabricated length fields hit
+    the MMU, not the host allocator.  Translates once per page crossed,
+    not once per byte.  An armed
     recorder sees the same [Ev_read] as a {!read_bytes} of the range. *)
 
 val read_bytes : t -> int -> int -> bytes
 (** {!read_into} a fresh buffer, allocated only once the length is in
-    range and, for a range of more than one page, only once {!can_read}
-    finds it readable: an unreadable one takes the fault the copy would
-    (same roll, translations and reason) with nothing allocated.  Nothing
+    range and, for a range of more than one page, only once a probe of
+    the page table finds it readable: an unreadable one takes the fault
+    the copy would (same translations and reason) with nothing
+    allocated.  Nothing
     else holds the result ([Engine.read_string] hands it out as a
     string). *)
 
@@ -267,8 +260,6 @@ val write_bytes : t -> int -> bytes -> unit
     only read: it is neither kept nor mutated ([Engine.write_string]
     passes a string's bytes without copying them). *)
 
-val read_u16 : t -> int -> int
-val write_u16 : t -> int -> int -> unit
 val read_u32 : t -> int -> int
 val write_u32 : t -> int -> int -> unit
 
@@ -283,18 +274,10 @@ val write_u64 : t -> int -> int -> unit
 (** Stores the int's 63-bit pattern zero-extended to a 64-bit LE word
     (bit 63 of the stored word is always 0). *)
 
-val can_read : t -> addr:int -> len:int -> bool
-val can_write : t -> addr:int -> len:int -> bool
-(** Advisory probes for policy decisions ("would this access be allowed
-    right now").  They walk the page table directly — never the TLB,
-    which they must not pollute — charge nothing, and are exempt from
-    injected-fault rolls: a probe is a question, not an access, and no
-    real MMU faults on a question. *)
-
 (** {2 Oracle accessors (invariant checking)}
 
-    Pure reads of ground truth: nothing here charges the clock, touches
-    the TLB, or rolls injected faults, so an oracle running at every
+    Pure reads of ground truth: nothing here charges the clock or
+    touches the TLB, so an oracle running at every
     context switch cannot perturb the schedule it is checking. *)
 
 val tlb_check : t -> string list
@@ -304,3 +287,11 @@ val tlb_check : t -> string list
     message per disagreement — any entry
     here is a revocation that failed to shoot down, i.e. a default-deny
     bypass.  Empty means consistent. *)
+
+module For_testing : sig
+  val can_read : t -> addr:int -> len:int -> bool
+  (** The probe {!read_bytes} takes before it allocates: would a read of
+      the range be allowed right now.  It walks the page table directly —
+      never the TLB, which it must not pollute — and charges nothing: a
+      probe is a question, not an access. *)
+end

@@ -228,5 +228,3 @@ let check_reader ~read ~base =
     invalid_arg
       (Printf.sprintf "Smalloc.check: %d free chunks but %d on the free list" n_free
          (Hashtbl.length seen))
-
-let check vm ~base = check_reader ~read:(fun addr -> Vm.read_u64 vm addr) ~base

@@ -32,17 +32,14 @@ val free : Wedge_kernel.Vm.t -> base:int -> int -> unit
     header/footer agreement.
     @raise Invalid_argument on a wild/corrupt pointer or double free. *)
 
-val check : Wedge_kernel.Vm.t -> base:int -> unit
-(** Walk the whole segment validating boundary tags and the free list
-    (link sanity, no cycles, prev/next symmetry, free-chunk coverage);
-    raises [Invalid_argument] on corruption (for tests). *)
-
 val is_segment : read:(int -> int) -> base:int -> bool
 (** Whether an initialised segment lives at [base] (magic probe) — how an
     oracle decides which tags/heaps to walk. *)
 
 val check_reader : read:(int -> int) -> base:int -> unit
-(** {!check} parameterized over the u64-word reader, so an invariant
+(** Walk the whole segment validating boundary tags and the free list
+    (link sanity, no cycles, prev/next symmetry, free-chunk coverage),
+    through a u64-word reader, so an invariant
     oracle can validate a segment through a raw page-table walk — no
     clock charges, no TLB pollution, no injected-fault rolls — without
     perturbing the schedule under test.

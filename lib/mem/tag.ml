@@ -23,11 +23,6 @@ let register reg ~name ~base ~pages =
   Hashtbl.add reg.tbl id t;
   t
 
-let find reg id =
-  match Hashtbl.find_opt reg.tbl id with
-  | Some t when t.live -> Some t
-  | _ -> None
-
 let find_by_addr reg addr =
   Hashtbl.fold
     (fun _ t acc ->

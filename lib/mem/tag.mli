@@ -23,7 +23,6 @@ type registry
 
 val registry_create : unit -> registry
 val register : registry -> name:string -> base:int -> pages:int -> t
-val find : registry -> int -> t option
 val find_by_addr : registry -> int -> t option
 (** The live tag whose segment contains the given address, if any. *)
 

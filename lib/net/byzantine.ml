@@ -23,10 +23,6 @@ type tally = {
 let tally () = { completed = 0; refused = 0; rejected = 0; cut = 0; errors = 0 }
 let total t = t.completed + t.refused + t.rejected + t.cut + t.errors
 
-let to_string t =
-  Printf.sprintf "completed=%d refused=%d rejected=%d cut=%d errors=%d" t.completed
-    t.refused t.rejected t.cut t.errors
-
 let read_until_eof ep =
   let buf = Buffer.create 64 in
   let rec go () =

@@ -17,8 +17,6 @@ type tally = {
 
 val tally : unit -> tally
 val total : tally -> int
-val to_string : tally -> string
-
 val oneshot :
   tally -> Chan.listener -> request:string -> is_rejection:(string -> bool) -> unit
 (** Well-formed client: send [request], read to EOF, classify the

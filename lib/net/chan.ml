@@ -153,7 +153,7 @@ let read ep n =
   (match Fault_plan.roll_opt ep.faults ~site:"chan.read" with
   | Some Fault_plan.Reset ->
       kill ep
-  | Some (Fault_plan.Drop | Fault_plan.Enomem | Fault_plan.Prot_fault) ->
+  | Some (Fault_plan.Drop | Fault_plan.Enomem) ->
       (* incoming bytes lost; the read side sees EOF from now on *)
       dir_kill ep.rx
   | Some Fault_plan.Truncate ->
@@ -236,7 +236,7 @@ let write_sub ep b off len =
   | Some (Fault_plan.Reset | Fault_plan.Crash as k) ->
       kill ep;
       Fault_plan.fail ~site:"chan.write" k
-  | Some (Fault_plan.Drop | Fault_plan.Enomem | Fault_plan.Prot_fault) ->
+  | Some (Fault_plan.Drop | Fault_plan.Enomem) ->
       (* the bytes vanish in flight and the direction dies; the writer
          only finds out on its next write (like a TCP send after FIN) *)
       dir_kill ep.tx
@@ -266,8 +266,6 @@ let abort ep =
   kill ep
 
 let bytes_in_flight ep = dir_available ep.rx
-let capacity ep = ep.capacity
-
 let to_endpoint ep =
   {
     Fd_table.ep_read = (fun n -> read ep n);
@@ -365,10 +363,8 @@ let shutdown l =
   (* Parked acceptors wake to the [down] flag; no new registrations. *)
   Interest.kill l.l_ready
 
-let refused l = l.refused
-
-let register_metrics ?(name = "chan.listener") m l =
-  Metrics.register m ~name ~kind:Metrics.Counter (fun () ->
+let register_metrics m l =
+  Metrics.register m ~name:"chan.listener" ~kind:Metrics.Counter (fun () ->
       [ ("chan.refused", l.refused) ]);
-  Metrics.register m ~name:(name ^ ".gauges") (fun () ->
+  Metrics.register m ~name:"chan.listener.gauges" (fun () ->
       [ ("chan.pending", Queue.length l.queue) ])

@@ -83,8 +83,6 @@ val abort : ep -> unit
 val bytes_in_flight : ep -> int
 (** Bytes buffered toward this endpoint. *)
 
-val capacity : ep -> int option
-
 val to_endpoint : ep -> Wedge_kernel.Fd_table.endpoint
 (** Wrap as a descriptor target.  Its [ep_wait] returns at once: a read
     blocks inside {!read}, after the syscall trap, and a blocked read
@@ -128,11 +126,8 @@ val shutdown : listener -> unit
 (** Stop accepting; still-queued (never-to-be-accepted) connections are
     reset so their clients see EOF rather than blocking forever. *)
 
-val refused : listener -> int
-(** Connects refused over this listener's lifetime (backlog overflow or
-    down listener). *)
-
-val register_metrics : ?name:string -> Wedge_sim.Metrics.t -> listener -> unit
-(** Expose ["chan.refused"] (counter) and ["chan.pending"] (gauge) to a
-    metrics registry.  [name] (default ["chan.listener"]) keys the source
-    — pass distinct names to register several listeners. *)
+val register_metrics : Wedge_sim.Metrics.t -> listener -> unit
+(** Expose ["chan.refused"] (counter: connects refused over this
+    listener's lifetime, by backlog overflow or a down listener) and
+    ["chan.pending"] (gauge) to a metrics registry, keyed
+    ["chan.listener"]. *)

@@ -385,24 +385,20 @@ let forfeit t =
   Interest.signal t.released
 
 (* Drain state machine: accepting -> draining (listener down, in-flight
-   finishing) -> forced (deadline timer or a stall: every remaining
-   connection aborted) -> drained.  Termination is guaranteed: a stall
+   finishing) -> forced (a stall: every remaining connection aborted) ->
+   drained.  Termination is guaranteed: a stall
    while draining resolves to the force, and a stall after the force
    (workers that never ran their finally) forfeits the slots. *)
-let drain ?deadline_ns t l =
+let drain t l =
   t.draining <- true;
   Trace.span_begin t.trace ~name:"guard.drain" ~pid:guard_pid;
   Chan.shutdown l;
-  let timer =
-    Option.map (fun d -> Reactor.after t.reactor ~ns:d (fun () -> force t)) deadline_ns
-  in
   let settled () = t.conns = [] in
   let wait stall what = Interest.wait_or_stall t.released stall ~what ~ready:settled in
   if not (wait Fiber.Force_drain "guard drain") then begin
     force t;
     if not (wait Fiber.Forfeit_drain "guard drain (forced)") then forfeit t
   end;
-  Option.iter (Reactor.cancel_timer t.reactor) timer;
   Trace.span_end t.trace ~name:"guard.drain" ~pid:guard_pid
 
 let active t = t.active_n
@@ -457,8 +453,8 @@ let stats t =
     s_beats = t.beats;
   }
 
-let register_metrics ?(name = "guard") m t =
-  Metrics.register m ~name ~kind:Metrics.Counter (fun () ->
+let register_metrics m t =
+  Metrics.register m ~name:"guard" ~kind:Metrics.Counter (fun () ->
       [
         ("guard.admitted", t.admitted);
         ("guard.rejected_busy", t.rejected_busy);
@@ -466,4 +462,4 @@ let register_metrics ?(name = "guard") m t =
         ("guard.timed_out", t.timed_out);
         ("guard.forced", t.forced);
       ]);
-  Metrics.register m ~name:(name ^ ".gauges") (fun () -> [ ("guard.active", t.active_n) ])
+  Metrics.register m ~name:"guard.gauges" (fun () -> [ ("guard.active", t.active_n) ])

@@ -81,9 +81,6 @@ val rearm_heart : conn -> unit
 
 val ep : conn -> Chan.ep
 
-val cut : conn -> unit
-(** Abort the connection (counted in [s_timed_out]); idempotent. *)
-
 val endpoint : conn -> Wedge_kernel.Fd_table.endpoint
 (** Deadline-aware descriptor target for the worker compartment: reads
     park for data and return EOF once the connection is cut or overdue,
@@ -102,14 +99,13 @@ val accept_loop :
     served in their own fiber with the slot auto-released; rejected ones
     get [reject] (best-effort, exceptions swallowed) then close. *)
 
-val drain : ?deadline_ns:int -> t -> Chan.listener -> unit
+val drain : t -> Chan.listener -> unit
 (** Stop accepting (shuts the listener down, resetting queued
     connections), park until in-flight connections release, and
-    force-abort the remainder when the [deadline_ns] timer fires or the
-    system stalls ({!Wedge_sim.Fiber.Force_drain}); a stall after the
-    force forfeits the slots ({!Wedge_sim.Fiber.Forfeit_drain}).  The
-    deadline timer is cancelled when the drain finishes first.
-    Guaranteed to terminate. *)
+    force-abort the remainder when the system stalls
+    ({!Wedge_sim.Fiber.Force_drain}); a stall after the force forfeits
+    the slots ({!Wedge_sim.Fiber.Forfeit_drain}).  Guaranteed to
+    terminate. *)
 
 val active : t -> int
 (** Connections currently holding a slot — O(1), maintained at
@@ -128,8 +124,8 @@ val heart_check : ?slack_ns:int -> t -> string option
     heart is overdue by more than [slack_ns] (default 0) beyond the hang
     deadline without having been cut — i.e. its timer failed to act. *)
 
-val register_metrics : ?name:string -> Wedge_sim.Metrics.t -> t -> unit
+val register_metrics : Wedge_sim.Metrics.t -> t -> unit
 (** Expose the admission counters (["guard.admitted"],
     ["guard.rejected_busy"], ["guard.rejected_draining"],
     ["guard.timed_out"], ["guard.forced"]) and the ["guard.active"]
-    gauge.  [name] (default ["guard"]) keys the source. *)
+    gauge, keyed ["guard"]. *)

@@ -8,7 +8,8 @@
    line is copied out once; an exact read fills its own result, so a body
    is copied once on its way out and never grows the buffer.
 
-   Lines are capped at [max_line] bytes: one hostile client dribbling an
+   Lines are capped at [max_line] bytes (1 MiB, far beyond any legitimate
+   line): one hostile client dribbling an
    endless header must not balloon this buffer without bound.  Overflow
    poisons the stream — [read_line] returns [None], [overflowed] turns
    true, and the owning server decides how to reject. *)
@@ -21,14 +22,12 @@ type t = {
   mutable wpos : int;
   mutable scanned : int;  (* rpos <= scanned <= wpos; no '\n' in [rpos, scanned) *)
   mutable eof : bool;
-  max_line : int;
   mutable overflow : bool;
 }
 
-let default_max_line = 1 lsl 20  (* 1 MiB: far beyond any legitimate line *)
+let max_line = 1 lsl 20
 
-let create ?(max_line = default_max_line) ~recv ~send () =
-  if max_line <= 0 then invalid_arg "Lineio.create: max_line <= 0";
+let create ~recv ~send () =
   {
     recv;
     send;
@@ -37,12 +36,10 @@ let create ?(max_line = default_max_line) ~recv ~send () =
     wpos = 0;
     scanned = 0;
     eof = false;
-    max_line;
     overflow = false;
   }
 
-let of_chan ?max_line ep =
-  create ?max_line ~recv:(fun n -> Chan.read ep n) ~send:(fun b -> Chan.write ep b) ()
+let of_chan ep = create ~recv:(fun n -> Chan.read ep n) ~send:(fun b -> Chan.write ep b) ()
 
 let available t = t.wpos - t.rpos
 let overflowed t = t.overflow
@@ -128,13 +125,13 @@ let read_line t =
       match find_newline t with
       | Some i ->
           let len = i - t.rpos in
-          if len > t.max_line then begin
+          if len > max_line then begin
             poison t;
             None
           end
           else Some (take_line t len 1)
       | None ->
-          if available t > t.max_line then begin
+          if available t > max_line then begin
             poison t;
             None
           end
@@ -154,7 +151,7 @@ let read_line t =
    [recv] asked for exactly what is still missing, so a body never
    passes through the line buffer. *)
 let read_exact t n =
-  if t.overflow || n < 0 || n > t.max_line then None
+  if t.overflow || n < 0 || n > max_line then None
   else begin
     let out = Bytes.create n in
     let have = min n (available t) in

@@ -208,16 +208,6 @@ let create worlds =
     shards;
   t
 
-(* Convenience: [n] bare booted worlds on the default cost model. *)
-let make ~n () =
-  if n <= 0 then invalid_arg "Shard.make: n <= 0";
-  create
-    (Array.init n (fun sid ->
-         let kernel = Kernel.create ~shard:sid () in
-         let app = W.create_app kernel in
-         W.boot app;
-         (kernel, app)))
-
 (* ------------------------------------------------------------------ *)
 (* Link handlers (the receiving side)                                  *)
 

@@ -43,10 +43,6 @@ val create : (Wedge_kernel.Kernel.t * Wedge_core.Engine.app) array -> t
     that build their own apps.
     @raise Invalid_argument on an empty array. *)
 
-val make : n:int -> unit -> t
-(** Convenience: [n] bare booted worlds on the default cost model. *)
-
-val n : t -> int
 val shards : t -> shard array
 val shard : t -> int -> shard
 

@@ -35,23 +35,6 @@ let stat t =
       | _ -> None)
   | None -> None
 
-let list_mails t =
-  match cmd t "LIST" with
-  | None -> None
-  | Some _ ->
-      let rec collect acc =
-        match Lineio.read_line t.io with
-        | Some "." | None -> Some (List.rev acc)
-        | Some line -> (
-            match String.split_on_char ' ' line with
-            | [ a; b ] -> (
-                match (int_of_string_opt a, int_of_string_opt b) with
-                | Some a, Some b -> collect ((a, b) :: acc)
-                | _ -> collect acc)
-            | _ -> collect acc)
-      in
-      collect []
-
 let retr t n =
   match cmd t (Printf.sprintf "RETR %d" n) with
   | None -> None
@@ -71,7 +54,5 @@ let retr t n =
               | None -> None)
           | None -> None)
       | [] -> None)
-
-let dele t n = cmd t (Printf.sprintf "DELE %d" n) <> None
 
 let quit t = ignore (cmd t "QUIT")

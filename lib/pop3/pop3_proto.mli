@@ -16,8 +16,6 @@ type command =
   | Quit
   | Unknown of string
 
-val parse : string -> command
-
 (** Why the backend refused a mailbox command; each answers its own
     [-ERR] text. *)
 type refusal =

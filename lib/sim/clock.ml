@@ -3,9 +3,3 @@ type t = { mutable now : int }
 let create () = { now = 0 }
 let charge t ns = t.now <- t.now + ns
 let now t = t.now
-let reset t = t.now <- 0
-
-let time t f =
-  let start = t.now in
-  let v = f () in
-  (v, t.now - start)

@@ -14,10 +14,3 @@ val charge : t -> int -> unit
 
 val now : t -> int
 (** Current simulated time in nanoseconds since creation. *)
-
-val reset : t -> unit
-(** Rewind to zero. *)
-
-val time : t -> (unit -> 'a) -> 'a * int
-(** [time t f] runs [f] and returns its result together with the simulated
-    nanoseconds charged during the run. *)

@@ -170,9 +170,6 @@ let yield () =
   | None -> ()
   | Some s ->
       check_cancel s;
-      (match Fault_plan.roll_opt s.faults ~site:"fiber.yield" with
-      | Some k -> Fault_plan.fail ~site:"fiber.yield" k
-      | None -> ());
       (match Fault_plan.roll_opt s.faults ~site:"fiber.stall" with
       | Some (Fault_plan.Delay ns) -> stall s ns
       | Some k -> Fault_plan.fail ~site:"fiber.stall" k

@@ -68,14 +68,12 @@ val run :
   unit
 (** [run main] executes [main] as the first fiber and schedules every fiber
     it spawns, returning when all fibers have terminated.  When [faults] is
-    given, every {!yield} rolls the plan at site ["fiber.yield"]; a fired
-    fault raises {!Wedge_fault.Fault_plan.Injected} in the yielding fiber
-    (crashing it mid-run unless a compartment boundary catches it).
-    {!yield} additionally rolls site ["fiber.stall"]: kind [Delay ns]
-    induces a hang — the fiber burns [ns] of simulated time (charged to
-    [clock] when given) across several yields before resuming, unless a
-    watchdog cancels it mid-stall; any other kind raises like
-    ["fiber.yield"].  [on_idle] runs at a stall: it should advance the
+    given, every {!yield} rolls the plan at site ["fiber.stall"]: kind
+    [Delay ns] induces a hang — the fiber burns [ns] of simulated time
+    (charged to [clock] when given) across several yields before
+    resuming, unless a watchdog cancels it mid-stall; any other kind
+    raises {!Wedge_fault.Fault_plan.Injected} in the yielding fiber
+    (crashing it mid-run unless a compartment boundary catches it).  [on_idle] runs at a stall: it should advance the
     simulated world (fire the next reactor timer) and return [true], or
     return [false] when no timer is armed — upon which a blocked wait is
     resolved (see {!stall}).  [on_switch] runs before every scheduling

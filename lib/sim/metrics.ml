@@ -11,20 +11,12 @@ type kind = Counter | Gauge
 
 type source = { src_kind : kind; read : unit -> (string * int) list }
 
-type t = {
-  own : Stats.t;
-  mutable sources : (string * source) list; (* name -> source, insertion order *)
-}
+type t = { mutable sources : (string * source) list (* name -> source, insertion order *) }
 
-let create () = { own = Stats.create (); sources = [] }
-let bump t name = Stats.bump t.own name
-let add t name n = Stats.add t.own name n
-let counters t = t.own
-
-let unregister t ~name = t.sources <- List.remove_assoc name t.sources
+let create () = { sources = [] }
 
 let register t ~name ?(kind = Gauge) read =
-  unregister t ~name;
+  t.sources <- List.remove_assoc name t.sources;
   t.sources <- t.sources @ [ (name, { src_kind = kind; read }) ]
 
 let register_stats t ~name stats =
@@ -57,8 +49,7 @@ let read_kind t want =
     (fun (_, s) -> if s.src_kind = want then s.read () else [])
     t.sources
 
-let snapshot t =
-  merge (Stats.to_list t.own @ read_kind t Counter @ read_kind t Gauge)
+let snapshot t = merge (read_kind t Counter @ read_kind t Gauge)
 
 let get t key =
   match List.assoc_opt key (snapshot t) with Some v -> v | None -> 0
@@ -83,12 +74,7 @@ let to_json t =
          (fun (k, v) -> Printf.sprintf "\"%s\":%d" (json_escape k) v)
          pairs)
   in
-  let counters = merge (Stats.to_list t.own @ read_kind t Counter) in
+  let counters = merge (read_kind t Counter) in
   let gauges = merge (read_kind t Gauge) in
   Printf.sprintf "{\"counters\":{%s},\"gauges\":{%s}}" (section counters)
     (section gauges)
-
-let pp fmt t =
-  List.iter
-    (fun (k, v) -> Format.fprintf fmt "%-36s %d@." k v)
-    (snapshot t)

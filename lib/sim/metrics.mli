@@ -2,19 +2,17 @@
 
     {!Stats} stays the write-side primitive (a bump is one hashtable
     lookup); this module is the read side.  Components register {e
-    sources} — closures producing [(key, value)] pairs on demand — and
-    {!snapshot} merges them all with the registry's own counters into one
-    sorted list, summing duplicate keys (so e.g. live per-process TLB
-    counters and already-reaped ones under the same key add up to the true
-    total).
+    sources} — closures producing [(key, value)] pairs on demand — and a
+    read merges them all into one sorted list, summing duplicate keys (so
+    e.g. live per-process TLB counters and already-reaped ones under the
+    same key add up to the true total).
 
     Two metric kinds:
-    - {e counters}: monotonic, owned by the registry ({!bump}/{!add}) or
-      by a registered {!Stats} table;
+    - {e counters}: monotonic, e.g. a registered {!Stats} table;
     - {e gauges}: instantaneous values read from a source at snapshot
       time (queue depths, active connections, cache sizes).
 
-    Snapshots and {!to_json} are deterministic (sorted keys, integer
+    {!get} and {!to_json} are deterministic (sorted keys, integer
     values) so they can be asserted byte-for-byte in tests. *)
 
 type t
@@ -23,24 +21,14 @@ type kind = Counter | Gauge
 
 val create : unit -> t
 
-(** {2 Registry-owned counters} *)
-
-val bump : t -> string -> unit
-val add : t -> string -> int -> unit
-val counters : t -> Stats.t
-(** The registry's own counter table (for handing to code that wants a
-    plain {!Stats.t}). *)
-
 (** {2 Sources} *)
 
 val register :
   t -> name:string -> ?kind:kind -> (unit -> (string * int) list) -> unit
 (** [register t ~name read] adds a source; [read] is called at every
-    {!snapshot}.  Registering the same [name] again replaces the previous
+    read.  Registering the same [name] again replaces the previous
     source.  [kind] (default [Gauge]) controls which section of
     {!to_json} the source's keys land in. *)
-
-val unregister : t -> name:string -> unit
 
 val register_stats : t -> name:string -> Stats.t -> unit
 (** Expose an existing counter table as a [Counter] source. *)
@@ -51,15 +39,9 @@ val register_fault_plan : t -> Wedge_fault.Fault_plan.t -> unit
 
 (** {2 Reading} *)
 
-val snapshot : t -> (string * int) list
-(** All keys from all sources plus the registry's counters, sorted,
-    duplicates summed. *)
-
 val get : t -> string -> int
-(** One key from a fresh snapshot; 0 if absent. *)
+(** One key, summed over every source that has it; 0 if absent. *)
 
 val to_json : t -> string
 (** Deterministic JSON: [{"counters":{...},"gauges":{...}}], keys sorted
     within each section. *)
-
-val pp : Format.formatter -> t -> unit

@@ -20,7 +20,6 @@ type timer = {
 
 type t = {
   r_clock : Clock.t;
-  r_trace : Trace.t;
   mutable next_timer : int;
   mutable timers : timer list;  (* sorted by (tm_at, tm_id) *)
   mutable armed : int;  (* timers in the list still holding a callback *)
@@ -30,10 +29,9 @@ type t = {
   mutable c_idle_advances : int;  (* clock jumps to the next timer *)
 }
 
-let create ?(trace = Trace.null) ~clock () =
+let create ~clock () =
   {
     r_clock = clock;
-    r_trace = trace;
     next_timer = 0;
     timers = [];
     armed = 0;
@@ -44,10 +42,6 @@ let create ?(trace = Trace.null) ~clock () =
   }
 
 let clock r = r.r_clock
-
-(* Reactor events carry pid 0, like the wire: they belong to the event
-   loop, not to any compartment. *)
-let reactor_pid = 0
 
 (* ------------------------------------------------------------------ *)
 (* Timer wheel (simulated clock)                                       *)
@@ -71,8 +65,6 @@ let at r ~ns fire =
   let tm = { tm_id = id; tm_at = ns; tm_fire = Some fire } in
   insert_timer r tm;
   tm
-
-let after r ~ns fire = at r ~ns:(Clock.now r.r_clock + ns) fire
 
 (* Lazy removal: the entry stays on the wheel as a no-op until its
    instant passes, so a cancel is O(1). *)
@@ -101,8 +93,6 @@ let hook r () =
               tm.tm_fire <- None;
               r.armed <- r.armed - 1;
               r.c_timer_fires <- r.c_timer_fires + 1;
-              if Trace.enabled r.r_trace then
-                Trace.instant r.r_trace ~name:"reactor.timer" ~pid:reactor_pid;
               f ()
           | None -> ());
           fire ()
@@ -182,16 +172,6 @@ let stats r =
     timers = r.armed;
   }
 
-let register_metrics ?(name = "reactor") m r =
-  Metrics.register m ~name ~kind:Metrics.Counter (fun () ->
-      let s = stats r in
-      [
-        ("reactor.signals", s.signals);
-        ("reactor.wakeups", s.wakeups);
-        ("reactor.parks", s.parks);
-        ("reactor.timer_fires", s.timer_fires);
-        ("reactor.idle_advances", s.idle_advances);
-      ]);
-  Metrics.register m ~name:(name ^ ".gauges") (fun () ->
-      let s = stats r in
-      [ ("reactor.parked", s.parked); ("reactor.timers", s.timers) ])
+module For_testing = struct
+  let next_deadline = next_deadline
+end

@@ -13,9 +13,7 @@
 
 type t
 
-val create : ?trace:Trace.t -> clock:Clock.t -> unit -> t
-(** [trace] records ["reactor.timer"] instants (only when tracing is
-    enabled — the disarmed path stays free). *)
+val create : clock:Clock.t -> unit -> t
 
 val clock : t -> Clock.t
 
@@ -29,9 +27,6 @@ val at : t -> ns:int -> (unit -> unit) -> timer_id
     scheduler-hook context: it must not yield or park, but may signal or
     kill interest sets, [Fiber.unpark], cancel fibers, or arm further
     timers. *)
-
-val after : t -> ns:int -> (unit -> unit) -> timer_id
-(** Relative form of {!at}. *)
 
 val cancel_timer : t -> timer_id -> unit
 (** O(1); cancelling a fired or cancelled timer is a no-op. *)
@@ -49,10 +44,6 @@ val idle : t -> unit -> bool
     the clock to the earliest armed timer and fire what is due; [false]
     when no timer is armed (the scheduler then resolves a blocked
     wait). *)
-
-val next_deadline : t -> int option
-(** Earliest armed timer (absolute simulated ns on this reactor's
-    clock), if any — the deadline {!idle} would sleep to. *)
 
 val idle_multi : t list -> unit -> bool
 (** Multi-shard [on_idle]: each reactor runs on its own clock, so the
@@ -78,6 +69,8 @@ val stats : t -> stats
     scheduler it runs under ({!Fiber.interest_stats}: the running or last
     finished {!Fiber.run}, shared by every shard of a fabric). *)
 
-val register_metrics : ?name:string -> Metrics.t -> t -> unit
-(** Counters (["reactor.signals"/"wakeups"/"parks"/"timer_fires"/
-    "idle_advances"]) and gauges (["reactor.parked"/"timers"]). *)
+module For_testing : sig
+  val next_deadline : t -> int option
+  (** Earliest armed timer (absolute simulated ns on this reactor's
+      clock), if any — the deadline {!idle} sleeps to. *)
+end

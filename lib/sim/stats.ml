@@ -11,7 +11,6 @@ let add t name n =
 
 let bump t name = add t name 1
 let get t name = match Hashtbl.find_opt t name with Some r -> !r | None -> 0
-let reset t = Hashtbl.reset t
 
 let to_list t =
   Hashtbl.fold (fun k r acc -> (k, !r) :: acc) t []

@@ -17,8 +17,6 @@ val add : t -> string -> int -> unit
 val get : t -> string -> int
 (** Current value, 0 if never bumped. *)
 
-val reset : t -> unit
-
 val to_list : t -> (string * int) list
 (** All counters, sorted by name. *)
 

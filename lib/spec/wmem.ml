@@ -10,9 +10,6 @@ type t = {
 let create ~instr n =
   { data = Bytes.make n '\000'; instr; fast = Instr.is_null instr; brk = 0 }
 
-let instr t = t.instr
-let size t = Bytes.length t.data
-
 let alloc t ~name n =
   let base = (t.brk + 7) land lnot 7 in
   if base + n > Bytes.length t.data then invalid_arg "Wmem.alloc: out of memory";

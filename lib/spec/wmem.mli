@@ -10,9 +10,6 @@ type t
 val create : instr:Wedge_sim.Instr.t -> int -> t
 (** [create ~instr bytes]: zeroed memory of the given size. *)
 
-val instr : t -> Wedge_sim.Instr.t
-val size : t -> int
-
 val alloc : t -> name:string -> int -> int
 (** Carve a named region (8-byte aligned); returns its base offset. *)
 

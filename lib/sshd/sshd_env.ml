@@ -72,8 +72,8 @@ let config_text =
   "Protocol wssh-1.0\nPermitRootLogin no\nPasswordAuthentication yes\n\
    PubkeyAuthentication yes\nSkeyAuthentication yes\nPermitEmptyPasswords no\n"
 
-let install ?(image_pages = sshd_image_pages) ?(users = default_users) ?(seed = 0x55DD)
-    kernel =
+let install ?(image_pages = sshd_image_pages) ?(seed = 0x55DD) kernel =
+  let users = default_users in
   let vfs = kernel.Kernel.vfs in
   Vfs.mkdir_p vfs "/var/empty";
   Vfs.mkdir_p vfs ~mode:0o777 "/tmp";

@@ -11,8 +11,6 @@ type user = {
   key_seed : int;  (** deterministic seed for the user's DSA key pair *)
 }
 
-val default_users : user list
-
 type t = {
   app : Wedge_core.Wedge.app;
   main : Wedge_core.Wedge.ctx;
@@ -30,9 +28,10 @@ type t = {
 }
 
 val install :
-  ?image_pages:int -> ?users:user list -> ?seed:int -> Wedge_kernel.Kernel.t -> t
+  ?image_pages:int -> ?seed:int -> Wedge_kernel.Kernel.t -> t
 (** Build the VFS world (shadow, authorized_keys, S/Key db, upload dir,
-    empty chroot), boot the app, place host keys in tagged memory. *)
+    empty chroot) for the built-in users, boot the app, place host keys in
+    tagged memory. *)
 
 val user_key : user -> Wedge_crypto.Dsa.priv
 (** The user's DSA key pair (derived from [key_seed]). *)

@@ -112,27 +112,10 @@ let slave_ops (env : Sshd_env.t) monitor slave_ctx =
         ok);
   }
 
-let serve_connection ?guard (env : Sshd_env.t) ep =
+let serve_connection (env : Sshd_env.t) ep =
   let main = env.Sshd_env.main in
   let monitor = monitor env in
-  (* Authentication success always goes through m_setuid — the natural
-     place to tell the guard the session is established. *)
-  let monitor =
-    match guard with
-    | None -> monitor
-    | Some c ->
-        {
-          monitor with
-          m_setuid =
-            (fun ~slave_pid ~uid ->
-              Guard.established c;
-              monitor.m_setuid ~slave_pid ~uid);
-        }
-  in
-  let raw_ep =
-    match guard with Some c -> Guard.endpoint c | None -> Chan.to_endpoint ep
-  in
-  let fd = W.add_endpoint main raw_ep Fd_table.perm_rw in
+  let fd = W.add_endpoint main (Chan.to_endpoint ep) Fd_table.perm_rw in
   let wrng = Drbg.create ~seed:(Drbg.next64 env.Sshd_env.rng) in
   let slave_main slave =
         (* The slave drops privileges after the fork — but its address
@@ -146,9 +129,7 @@ let serve_connection ?guard (env : Sshd_env.t) ep =
         0
   in
   let outcome =
-    Supervisor.supervise ~max_restarts:0
-      ~on_restart:(fun () -> Option.iter Guard.rearm_heart guard)
-      main
+    Supervisor.supervise ~max_restarts:0 main
       (fun () -> W.fork main slave_main)
   in
   (* An SSH session whose slave died mid-protocol cannot be resumed in

@@ -15,18 +15,9 @@
       in the monitor's heap and is inherited by every forked slave
       ([Kuhn 2003]). *)
 
-val serve_connection :
-  ?guard:Wedge_net.Guard.conn ->
-  Sshd_env.t ->
-  Wedge_net.Chan.ep ->
-  unit
+val serve_connection : Sshd_env.t -> Wedge_net.Chan.ep -> unit
 (** Fork a slave for one connection.
 
     Fault containment: a slave crash (injected or real) never kills the
     monitor — the slave is not retried (the encrypted stream died with
-    it), the client is disconnected and [sshd.degraded] is counted.
-
-    Resource governance: [guard] makes the slave read through the
-    deadline-aware endpoint and marks the session established on
-    authentication success (any method — all go through the monitor's
-    setuid). *)
+    it), the client is disconnected and [sshd.degraded] is counted. *)

@@ -27,10 +27,6 @@
 type transcript
 (** Running hash of all handshake messages framed on the wire. *)
 
-val transcript_hash : transcript -> bytes
-(** Hash of everything added so far (the transcript keeps accepting
-    messages afterwards). *)
-
 val premaster_len : int
 val sid_len : int
 

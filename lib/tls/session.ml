@@ -1,12 +1,8 @@
 type t = {
   tbl : (string, bytes) Hashtbl.t;
-  mutable enabled : bool;
+  enabled : bool;
 }
 
 let create ?(enabled = true) () = { tbl = Hashtbl.create 64; enabled }
-let enabled t = t.enabled
-let set_enabled t v = t.enabled <- v
 let store t ~sid ~master = if t.enabled then Hashtbl.replace t.tbl sid master
 let lookup t ~sid = if t.enabled then Hashtbl.find_opt t.tbl sid else None
-let size t = Hashtbl.length t.tbl
-let flush t = Hashtbl.reset t.tbl

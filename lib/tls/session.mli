@@ -6,9 +6,5 @@
 type t
 
 val create : ?enabled:bool -> unit -> t
-val enabled : t -> bool
-val set_enabled : t -> bool -> unit
 val store : t -> sid:string -> master:bytes -> unit
 val lookup : t -> sid:string -> bytes option
-val size : t -> int
-val flush : t -> unit

@@ -172,11 +172,13 @@ let test_oracle_custom_invariant () =
 let test_oracle_hook_stride () =
   let k = Kernel.create ~costs:Cost_model.free () in
   let o = Oracle.create k in
-  let h = Oracle.hook ~stride:3 o in
-  for _ = 1 to 10 do
+  let h = Oracle.hook o in
+  for _ = 1 to 13 do
     h ()
   done;
-  check Alcotest.int "10 switches / stride 3" 3 (Oracle.checks_run o)
+  check Alcotest.int "13 switches / stride 7" 1 (Oracle.checks_run o);
+  h ();
+  check Alcotest.int "14 switches / stride 7" 2 (Oracle.checks_run o)
 
 (* ---------- Refvm (differential reference model) ---------- *)
 

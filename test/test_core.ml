@@ -26,8 +26,8 @@ let mk_app ?(costs = Cost_model.free) ?image_pages () =
   let app = W.create_app ?image_pages k in
   (k, app, W.main_ctx app)
 
-let faulted h =
-  match W.handle_status h with Process.Faulted _ -> true | _ -> false
+(* A faulted sthread joins as -1; no body in these tests returns it. *)
+let faulted main h = W.sthread_join main h = -1
 
 (* ---------- default deny ---------- *)
 
@@ -39,7 +39,7 @@ let test_sthread_cannot_read_untagged_parent_memory () =
   W.boot app;
   (* Empty policy: the child must not even be able to name the memory. *)
   let h = W.sthread_create main (W.sc_create ()) (fun ctx _ -> W.read_u8 ctx addr) 0 in
-  check Alcotest.bool "child faulted" true (faulted h);
+  check Alcotest.bool "child faulted" true (faulted main h);
   check Alcotest.int "join reports failure" (-1) (W.sthread_join main h)
 
 let test_sthread_granted_tag_reads () =
@@ -65,7 +65,7 @@ let test_sthread_read_grant_rejects_write () =
   let sc = W.sc_create () in
   W.sc_mem_add sc tag Prot.R;
   let h = W.sthread_create main sc (fun ctx _ -> W.write_u8 ctx addr 1; 0) 0 in
-  check Alcotest.bool "write faulted" true (faulted h)
+  check Alcotest.bool "write faulted" true (faulted main h)
 
 let test_sthread_rw_grant_shares_writes () =
   let _, app, main = mk_app () in
@@ -132,7 +132,7 @@ let test_sthreads_isolated_from_each_other () =
      sthread has it mapped. *)
   ignore (W.sthread_create main sc1 (fun ctx _ -> W.read_u8 ctx a1) 0);
   let h2 = W.sthread_create main (W.sc_create ()) (fun ctx _ -> W.read_u8 ctx a1) 0 in
-  check Alcotest.bool "peer denied" true (faulted h2)
+  check Alcotest.bool "peer denied" true (faulted main h2)
 
 let test_sthread_heap_is_private () =
   let _, app, main = mk_app () in
@@ -151,7 +151,7 @@ let test_sthread_heap_is_private () =
   ignore (W.sthread_join main h1);
   let a = !addr in
   let h2 = W.sthread_create main (W.sc_create ()) (fun ctx _ -> W.read_u8 ctx a) 0 in
-  check Alcotest.bool "sibling heap unreadable" true (faulted h2)
+  check Alcotest.bool "sibling heap unreadable" true (faulted main h2)
 
 (* ---------- privilege subset rule ---------- *)
 
@@ -235,15 +235,12 @@ let test_chroot_requires_root () =
   check Alcotest.int "chroot denied to non-root" 2 (W.sthread_join main h)
 
 let test_fd_grant_subset () =
-  let k, app, main = mk_app () in
-  Vfs.install k.Kernel.vfs "/data" "hello";
+  let _, app, main = mk_app () in
   W.boot app;
-  let fd =
-    match W.open_file main "/data" with Ok fd -> fd | Error _ -> Alcotest.fail "open"
-  in
+  let fd = W.add_endpoint main (Probe.endpoint ~data:"hello" ()) Fd_table.perm_r in
   let sc = W.sc_create () in
   W.sc_fd_add sc fd Fd_table.perm_rw;
-  (* file opened read-only: rw grant must be rejected *)
+  (* descriptor held read-only: rw grant must be rejected *)
   (match W.sthread_create main sc (fun _ _ -> 0) 0 with
   | _ -> Alcotest.fail "expected Privilege_violation"
   | exception W.Privilege_violation _ -> ());
@@ -257,10 +254,9 @@ let test_fd_grant_subset () =
   check Alcotest.int "fd read through grant" 3 (W.sthread_join main h)
 
 let test_ungranted_fd_invisible () =
-  let k, app, main = mk_app () in
-  Vfs.install k.Kernel.vfs "/data" "hello";
+  let _, app, main = mk_app () in
   W.boot app;
-  let fd = match W.open_file main "/data" with Ok fd -> fd | Error _ -> assert false in
+  let fd = W.add_endpoint main (Probe.endpoint ~data:"hello" ()) Fd_table.perm_r in
   let h =
     W.sthread_create main (W.sc_create ())
       (fun ctx _ -> match W.fd_read ctx fd 5 with _ -> 1 | exception W.Fd_error _ -> 2)
@@ -506,7 +502,7 @@ let test_recycled_callgate_state_persists () =
         (* Recycled gates keep their private heap across invocations: a
            counter stored there increments per call. *)
         let cell = 0x02000000 + 40 in
-        if not (W.can_read gctx ~addr:cell ~len:8) then ignore (W.malloc gctx 8);
+        if not (Probe.readable gctx ~addr:cell ~len:8) then ignore (W.malloc gctx 8);
         let v = W.read_u64 gctx cell + 1 in
         W.write_u64 gctx cell v;
         v)
@@ -531,7 +527,7 @@ let test_fresh_callgate_state_does_not_persist () =
     W.sc_cgate_add main sc ~name:"counter"
       ~entry:(fun gctx ~trusted:_ ~arg:_ ->
         let cell = 0x02000000 + 40 in
-        if not (W.can_read gctx ~addr:cell ~len:8) then ignore (W.malloc gctx 8);
+        if not (Probe.readable gctx ~addr:cell ~len:8) then ignore (W.malloc gctx 8);
         let v = W.read_u64 gctx cell + 1 in
         W.write_u64 gctx cell v;
         v)
@@ -580,7 +576,7 @@ let test_recycled_callgate_cheaper () =
 let test_gate_extra_descriptor_priced () =
   let k, app, main = mk_app ~costs:Cost_model.default () in
   W.boot app;
-  let fd = Fd_table.add (W.proc main).Process.fds Fd_table.Null Fd_table.perm_rw in
+  let fd = Fd_table.add (W.proc main).Process.fds (Probe.endpoint ()) Fd_table.perm_rw in
   let with_fd = W.sc_create () in
   W.sc_fd_add with_fd fd Fd_table.perm_r;
   Wedge_sim.Fiber.run (fun () ->
@@ -643,7 +639,7 @@ let remapped_member_probe () =
   let tag = W.tag_new ~name:"conn1" ~pages:1 main in
   let addr = W.smalloc main 8 tag in
   W.write_u8 main addr 7;
-  let fd = Fd_table.add (W.proc main).Process.fds Fd_table.Null Fd_table.perm_rw in
+  let fd = Fd_table.add (W.proc main).Process.fds (Probe.endpoint ()) Fd_table.perm_rw in
   let first_pid = ref None and seen = ref None in
   let instance cgsc entry =
     W.sc_cgate_add ~spawn:W.Recycle main (W.sc_create ()) ~name:"conn" ~entry ~cgsc ~trusted:0
@@ -760,10 +756,10 @@ let test_smalloc_on_save_restore () =
   let t2 = W.tag_new ~name:"t2" main in
   W.boot app;
   W.smalloc_on main t1;
-  let saved = W.smalloc_state main in
+  (* Not reentrant (§4.1): the caller restores the tag it set. *)
   W.smalloc_on main t2;
   let p2 = W.malloc main 16 in
-  (match saved with Some t -> W.smalloc_on main t | None -> W.smalloc_off main);
+  W.smalloc_on main t1;
   let p1 = W.malloc main 16 in
   W.smalloc_off main;
   check Alcotest.bool "inner in t2" true (p2 >= t2.Tag.base && p2 < t2.Tag.base + (16 * 4096));
@@ -776,7 +772,7 @@ let test_boundary_var_excluded_from_snapshot () =
   W.boot app;
   (* Default sthread: boundary section is NOT part of the pristine map. *)
   let h = W.sthread_create main (W.sc_create ()) (fun ctx _ -> W.read_u8 ctx addr) 0 in
-  check Alcotest.bool "boundary var invisible by default" true (faulted h);
+  check Alcotest.bool "boundary var invisible by default" true (faulted main h);
   (* But grantable through its BOUNDARY_TAG. *)
   let btag = W.boundary_tag main ~id:1 in
   let sc = W.sc_create () in
@@ -841,7 +837,7 @@ let test_untagged_memory_cannot_be_named () =
   W.write_string main p "untagged secret";
   let sc = W.sc_create () in
   let h = W.sthread_create main sc (fun ctx _ -> W.read_u8 ctx p) 0 in
-  check Alcotest.bool "parent heap unreachable" true (faulted h)
+  check Alcotest.bool "parent heap unreachable" true (faulted main h)
 
 (* ---------- costs (Figure 7 shape, sanity level) ---------- *)
 

@@ -193,7 +193,7 @@ let test_recycled_gate_leaks_across_principals () =
         ~entry:(fun g ~trusted:_ ~arg ->
           (* copies the argument into private heap scratch... *)
           let scratch =
-            if W.can_read g ~addr:(Layout.heap_base + 40) ~len:1 then Layout.heap_base + 40
+            if Probe.readable g ~addr:(Layout.heap_base + 40) ~len:1 then Layout.heap_base + 40
             else W.malloc g 32
           in
           let v = W.read_string g arg 16 in
@@ -250,7 +250,7 @@ let test_fork_inherits_boundary_vars_sthreads_dont () =
   check Alcotest.int "fork sees boundary var" 1 (W.sthread_join main hf);
   let hs = W.sthread_create main (W.sc_create ()) (fun ctx _ -> W.read_u8 ctx addr) 0 in
   check Alcotest.bool "sthread does not" true
-    (match W.handle_status hs with Process.Faulted _ -> true | _ -> false)
+    (W.sthread_join main hs = -1)
 
 (* ---------- allocation failure is catchable, not fatal ---------- *)
 
@@ -269,63 +269,14 @@ let test_smalloc_oom_catchable_in_compartment () =
   in
   check Alcotest.int "OOM catchable" 2 (W.sthread_join main h)
 
-(* ---------- file descriptors on VFS files ---------- *)
-
-let test_file_fd_read_write () =
-  let k, _, main = mk_app () in
-  Wedge_kernel.Vfs.install k.Kernel.vfs ~mode:0o644 "/data/log" "start:";
-  (match W.open_file main ~write:true "/data/log" with
-  | Error e -> Alcotest.failf "open: %s" (Wedge_kernel.Vfs.error_to_string e)
-  | Ok fd ->
-      (* sequential reads advance the offset *)
-      check Alcotest.string "read 1" "sta" (Bytes.to_string (W.fd_read main fd 3));
-      check Alcotest.string "read 2" "rt:" (Bytes.to_string (W.fd_read main fd 3));
-      check Alcotest.string "eof" "" (Bytes.to_string (W.fd_read main fd 3));
-      (* writes at the current offset append *)
-      W.fd_write main fd (Bytes.of_string "more");
-      W.fd_close main fd);
-  match Wedge_kernel.Vfs.read_file k.Kernel.vfs ~root:"/" ~uid:0 "/data/log" with
-  | Ok data -> check Alcotest.string "appended" "start:more" data
-  | Error _ -> Alcotest.fail "file gone"
-
-let test_file_fd_overwrite_mid_file () =
-  let k, _, main = mk_app () in
-  Wedge_kernel.Vfs.install k.Kernel.vfs ~mode:0o644 "/data/f" "AAAAAA";
-  (match W.open_file main ~write:true "/data/f" with
-  | Error _ -> Alcotest.fail "open"
-  | Ok fd ->
-      ignore (W.fd_read main fd 2);
-      W.fd_write main fd (Bytes.of_string "bb");
-      W.fd_close main fd);
-  match Wedge_kernel.Vfs.read_file k.Kernel.vfs ~root:"/" ~uid:0 "/data/f" with
-  | Ok data -> check Alcotest.string "patched in place" "AAbbAA" data
-  | Error _ -> Alcotest.fail "file gone"
-
-let test_open_file_respects_vfs_perms () =
-  let k, _, main = mk_app () in
-  Wedge_kernel.Vfs.install k.Kernel.vfs ~uid:0 ~mode:0o600 "/data/secret" "s";
-  let sc = W.sc_create () in
-  W.sc_set_uid sc 1000;
-  let h =
-    W.sthread_create main sc
-      (fun ctx _ ->
-        match W.open_file ctx "/data/secret" with
-        | Ok _ -> 1
-        | Error Wedge_kernel.Vfs.Eacces -> 2
-        | Error _ -> 3)
-      0
-  in
-  check Alcotest.int "open denied by mode bits" 2 (W.sthread_join main h)
+(* ---------- descriptor permissions ---------- *)
 
 let test_readonly_fd_write_rejected () =
-  let k, _, main = mk_app () in
-  Wedge_kernel.Vfs.install k.Kernel.vfs ~mode:0o644 "/data/ro" "x";
-  match W.open_file main "/data/ro" with
-  | Error _ -> Alcotest.fail "open"
-  | Ok fd -> (
-      match W.fd_write main fd (Bytes.of_string "y") with
-      | () -> Alcotest.fail "expected Fd_error"
-      | exception W.Fd_error _ -> ())
+  let _, _, main = mk_app () in
+  let fd = W.add_endpoint main (Probe.endpoint ~data:"x" ()) Fd_table.perm_r in
+  match W.fd_write main fd (Bytes.of_string "y") with
+  | () -> Alcotest.fail "expected Fd_error"
+  | exception W.Fd_error _ -> ()
 
 (* The mirror: a write-only descriptor refuses a read, though its
    endpoint has bytes to give. *)
@@ -394,11 +345,13 @@ let test_pthread_shares_everything () =
 
 (* ---------- exit codes ---------- *)
 
+(* An sthread's exit code is its body's value; a fault joins as -1. *)
 let test_exit_sthread_code () =
   let _, _, main = mk_app () in
-  let h = W.sthread_create main (W.sc_create ()) (fun _ _ -> W.exit_sthread 42) 0 in
+  let h = W.sthread_create main (W.sc_create ()) (fun _ _ -> 42) 0 in
   check Alcotest.int "explicit exit code" 42 (W.sthread_join main h);
-  check Alcotest.bool "status records it" true (W.handle_status h = Process.Exited 42)
+  let f = W.sthread_create main (W.sc_create ()) (fun ctx _ -> W.read_u8 ctx 0) 0 in
+  check Alcotest.int "a fault joins as -1" (-1) (W.sthread_join main f)
 
 (* ---------- per-request compartment structure (paper §6) ---------- *)
 
@@ -592,9 +545,6 @@ let () =
           Alcotest.test_case "fork vs boundary vars" `Quick
             test_fork_inherits_boundary_vars_sthreads_dont;
           Alcotest.test_case "OOM catchable" `Quick test_smalloc_oom_catchable_in_compartment;
-          Alcotest.test_case "file fd read/write" `Quick test_file_fd_read_write;
-          Alcotest.test_case "file fd overwrite" `Quick test_file_fd_overwrite_mid_file;
-          Alcotest.test_case "open respects perms" `Quick test_open_file_respects_vfs_perms;
           Alcotest.test_case "read-only fd write rejected" `Quick test_readonly_fd_write_rejected;
           Alcotest.test_case "write-only fd read rejected" `Quick test_writeonly_fd_read_rejected;
           Alcotest.test_case "bad fd_write_sub range" `Quick test_fd_write_sub_bad_range;

@@ -103,7 +103,7 @@ let pop3_sessions ?faults () =
   (Clock.now clock, Stats.to_list k.Kernel.stats, Buffer.contents transcript)
 
 (* An armed plan whose every rule has probability 0 rolls at each of the
-   ten hook sites but never fires, so the run is indistinguishable from
+   eight hook sites but never fires, so the run is indistinguishable from
    one with no plan at all. *)
 let test_zero_rate_plan_is_trace_neutral () =
   let plan = Fault_plan.create ~seed:1 () in
@@ -111,7 +111,7 @@ let test_zero_rate_plan_is_trace_neutral () =
     (fun site -> Fault_plan.rule plan ~site ~prob:0. [ Fault_plan.Reset ])
     [
       "cgate.call"; "chan.connect"; "chan.read"; "chan.write"; "fiber.stall";
-      "fiber.yield"; "physmem.alloc"; "pool.freeze"; "pool.stamp"; "vm.access";
+      "physmem.alloc"; "pool.freeze"; "pool.stamp";
     ];
   let clock0, stats0, transcript0 = pop3_sessions () in
   let clock, stats, transcript = pop3_sessions ~faults:plan () in
@@ -125,17 +125,20 @@ let test_zero_rate_plan_is_trace_neutral () =
   check Alcotest.string "same transcript" transcript0 transcript;
   check Alcotest.int "nothing injected" 0 (Fault_plan.injections plan);
   check Alcotest.int "chan.read rolled" 45 (Probe.site_ops plan ~site:"chan.read");
-  check Alcotest.int "vm.access rolled" 461 (Probe.site_ops plan ~site:"vm.access")
+  check Alcotest.int "physmem.alloc rolled" 310 (Probe.site_ops plan ~site:"physmem.alloc")
 
 (* ---------- frame exhaustion ---------- *)
 
 let test_frame_exhaustion_and_recovery () =
-  let pm = Physmem.create ~max_frames:2 () in
+  let plan = Fault_plan.create () in
+  let pm = Physmem.create ~faults:plan () in
   let f1 = Physmem.alloc pm in
   let _f2 = Physmem.alloc pm in
+  Fault_plan.rule plan ~site:"physmem.alloc" ~prob:1.0 [ Fault_plan.Enomem ];
   (match Physmem.alloc pm with
   | _ -> Alcotest.fail "expected Enomem"
   | exception Physmem.Enomem -> ());
+  Fault_plan.disarm plan;
   Physmem.decref pm f1;
   let f3 = Physmem.alloc pm in
   check Alcotest.bool "freed frame reusable" true (f3 >= 0);
@@ -157,14 +160,13 @@ let test_supervisor_recovers_from_injected_enomem () =
     W.sthread_create main (W.sc_create ())
       (fun ctx _ ->
         incr attempt;
+        (* Arm only inside the first attempt: the very next frame
+           allocation — this attempt's own heap growth — fails. *)
         if !attempt = 1 then begin
-          (* Arm only inside the first attempt: the very next frame
-             allocation — this attempt's own heap growth — fails. *)
-          Fault_plan.rule plan ~site:"physmem.alloc"
-            ~nth:(Probe.site_ops plan ~site:"physmem.alloc" + 1)
-            [ Fault_plan.Enomem ];
+          Fault_plan.rule plan ~site:"physmem.alloc" ~prob:1.0 [ Fault_plan.Enomem ];
           Fault_plan.arm plan
-        end;
+        end
+        else Fault_plan.disarm plan;
         let b = W.malloc ctx 4096 in
         W.write_u8 ctx b 7;
         W.read_u8 ctx b)
@@ -190,9 +192,16 @@ let test_channel_reset_mid_request () =
   let k = Kernel.create ~costs:Cost_model.free () in
   let env = Env.install ~image_pages:80 k in
   let plan = Fault_plan.create ~seed:5 () in
-  Fault_plan.rule plan ~site:"chan.read" ~nth:4 [ Fault_plan.Reset ];
+  Fault_plan.rule plan ~site:"chan.read" ~prob:0. [ Fault_plan.Reset ];
+  (* From the fourth read on, the next read resets the connection, once. *)
+  let target () =
+    if Fault_plan.injections plan > 0 then
+      Fault_plan.rule plan ~site:"chan.read" ~prob:0. [ Fault_plan.Reset ]
+    else if Probe.site_ops plan ~site:"chan.read" >= 3 then
+      Fault_plan.rule plan ~site:"chan.read" ~prob:1.0 [ Fault_plan.Reset ]
+  in
   let first = ref (Some "sentinel") in
-  Fiber.run (fun () ->
+  Fiber.run ~on_switch:target (fun () ->
       let client_ep, server_ep = Chan.pair ~costs:Cost_model.free ~faults:plan () in
       Fiber.spawn (fun () -> Simple.serve_connection env server_ep);
       let rng = Drbg.create ~seed:7 in
@@ -214,12 +223,13 @@ let test_channel_reset_mid_request () =
 
 let test_connect_fault_refuses_connection () =
   let plan = Fault_plan.create ~seed:2 () in
-  Fault_plan.rule plan ~site:"chan.connect" ~nth:1 [ Fault_plan.Reset ];
+  Fault_plan.rule plan ~site:"chan.connect" ~prob:1.0 [ Fault_plan.Reset ];
   Fiber.run (fun () ->
       let l = Chan.listener ~costs:Cost_model.free ~faults:plan () in
       (match Chan.connect l with
       | _ -> Alcotest.fail "expected refused connection"
       | exception Fault_plan.Injected _ -> ());
+      Fault_plan.rule plan ~site:"chan.connect" ~prob:0. [ Fault_plan.Reset ];
       check Alcotest.int "nothing queued for accept" 0 (Probe.pending l);
       let ep = Chan.connect l in
       Chan.write_string ep "hi";
@@ -284,31 +294,7 @@ let test_creation_fault_unwinds () =
   check Alcotest.int "half-built sthreads reaped" live (Kernel.live_processes k);
   check Alcotest.int "both faults counted" 2 (Stats.get k.Kernel.stats "fault.compartment")
 
-(* ---------- callgate deadlines and recycled respawn ---------- *)
-
-let test_cgate_deadline () =
-  let k, app, main = mk_app () in
-  W.boot app;
-  let sc = W.sc_create () in
-  let slow =
-    W.sc_cgate_add main sc ~name:"slow"
-      ~entry:(fun gctx ~trusted:_ ~arg ->
-        W.charge_app gctx 1000;
-        arg + 1)
-      ~cgsc:(W.sc_create ()) ~trusted:0
-  in
-  let h =
-    W.sthread_create main sc
-      (fun ctx _ ->
-        let a = W.cgate ctx slow ~deadline_ns:500 ~perms:(W.sc_create ()) ~arg:1 in
-        let b = W.cgate ctx slow ~deadline_ns:5000 ~perms:(W.sc_create ()) ~arg:1 in
-        (a * 1000) + b)
-      0
-  in
-  (* First call overruns its deadline (-1); the second fits (returns 2). *)
-  check Alcotest.int "deadline enforced" (-998) (W.sthread_join main h);
-  check Alcotest.int "overrun counted" 1
-    (Stats.get k.Kernel.stats "cgate.deadline_exceeded")
+(* ---------- recycled respawn ---------- *)
 
 let test_recycled_gate_fault_respawns () =
   let k, app, main = mk_app () in
@@ -353,9 +339,7 @@ let test_fiber_crash_contained_in_sthread () =
         Supervisor.supervise ~max_restarts:0 main @@ fun () ->
         W.sthread_create main (W.sc_create ())
           (fun _ _ ->
-            Fault_plan.rule plan ~site:"fiber.yield"
-              ~nth:(Probe.site_ops plan ~site:"fiber.yield" + 1)
-              [ Fault_plan.Crash ];
+            Fault_plan.rule plan ~site:"fiber.stall" ~prob:1.0 [ Fault_plan.Crash ];
             Fault_plan.arm plan;
             Fiber.yield ();
             99)
@@ -364,7 +348,7 @@ let test_fiber_crash_contained_in_sthread () =
       Fault_plan.disarm plan;
       (match outcome with
       | Supervisor.Gave_up { last_fault; _ } ->
-          check Alcotest.bool "names the site" true (contains last_fault "fiber.yield")
+          check Alcotest.bool "names the site" true (contains last_fault "fiber.stall")
       | Supervisor.Done _ -> Alcotest.fail "expected the worker to crash");
       (* The scheduler and this fiber are unharmed. *)
       Fiber.yield ();
@@ -401,9 +385,7 @@ let test_pop3_setup_fault_degrades () =
       Fiber.spawn (fun () ->
           (* The very first frame allocation of per-connection setup fails:
              the monitor must degrade, not die. *)
-          Fault_plan.rule plan ~site:"physmem.alloc"
-            ~nth:(Probe.site_ops plan ~site:"physmem.alloc" + 1)
-            [ Fault_plan.Enomem ];
+          Fault_plan.rule plan ~site:"physmem.alloc" ~prob:1.0 [ Fault_plan.Enomem ];
           Fault_plan.arm plan;
           Pop3_wedge.serve_connection main server_ep;
           Fault_plan.disarm plan;
@@ -550,7 +532,6 @@ let () =
         ] );
       ( "cgate",
         [
-          Alcotest.test_case "deadline" `Quick test_cgate_deadline;
           Alcotest.test_case "recycled respawn" `Quick
             test_recycled_gate_fault_respawns;
         ] );

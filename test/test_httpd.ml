@@ -444,27 +444,30 @@ let test_sess_store_semantics () =
   W.boot app;
   let main = W.main_ctx app in
   let module S = Wedge_httpd.Sess_store in
-  let s = S.create ~cap:3 main in
+  let s = S.create main in
   let m n = Bytes.make 32 (Char.chr n) in
   S.store main s ~sid:"aaaa" ~master:(m 1);
   S.store main s ~sid:"bbbb" ~master:(m 2);
   check Alcotest.bool "lookup hit" true (S.lookup main s ~sid:"aaaa" = Some (m 1));
   check Alcotest.bool "lookup miss" true (S.lookup main s ~sid:"zzzz" = None);
-  check Alcotest.int "size" 2 (S.size main s);
   (* update in place *)
   S.store main s ~sid:"aaaa" ~master:(m 9);
   check Alcotest.bool "updated" true (S.lookup main s ~sid:"aaaa" = Some (m 9));
-  check Alcotest.int "size unchanged" 2 (S.size main s);
-  (* FIFO eviction past capacity *)
-  S.store main s ~sid:"cccc" ~master:(m 3);
+  (* 62 more fill the 64 slots: the update took no slot of its own. *)
+  let sid i = Printf.sprintf "sid%03d" i in
+  for i = 1 to 62 do
+    S.store main s ~sid:(sid i) ~master:(m 3)
+  done;
+  check Alcotest.bool "64 held, update took no slot" true
+    (S.lookup main s ~sid:"aaaa" = Some (m 9) && S.lookup main s ~sid:(sid 62) <> None);
+  (* FIFO eviction past capacity: the 65th session takes the oldest slot. *)
   S.store main s ~sid:"dddd" ~master:(m 4);
-  check Alcotest.bool "evicted oldest slot" true (S.lookup main s ~sid:"dddd" <> None);
-  S.flush main s;
-  check Alcotest.int "flushed" 0 (S.size main s);
-  check Alcotest.bool "gone" true (S.lookup main s ~sid:"aaaa" = None);
-  S.set_enabled s false;
-  S.store main s ~sid:"eeee" ~master:(m 5);
-  check Alcotest.bool "disabled" true (S.lookup main s ~sid:"eeee" = None)
+  check Alcotest.bool "65th stored" true (S.lookup main s ~sid:"dddd" <> None);
+  check Alcotest.bool "evicted oldest slot" true (S.lookup main s ~sid:"aaaa" = None);
+  check Alcotest.bool "next oldest kept" true (S.lookup main s ~sid:"bbbb" = Some (m 2));
+  let off = S.create ~enabled:false main in
+  S.store main off ~sid:"eeee" ~master:(m 5);
+  check Alcotest.bool "disabled" true (S.lookup main off ~sid:"eeee" = None)
 
 let test_session_cache_tag_unreadable_by_compartments () =
   (* The cached master secrets live in tagged memory granted only to the

@@ -259,7 +259,7 @@ let test_stamp_identity () =
    table, its descriptor table and its identity. *)
 type capture = {
   pages : (int * int * Prot.page * int option) list;
-  fds : (int * Fd_table.perm * Fd_table.target) list;
+  fds : (int * Fd_table.perm * Fd_table.endpoint) list;
   identity : int * string * string;
 }
 
@@ -284,13 +284,7 @@ let capture ctx =
 
 (* Endpoints are shared open-file descriptions: the same one, not an
    equal one. *)
-let same_target a b =
-  match (a, b) with
-  | Fd_table.Endpoint x, Fd_table.Endpoint y -> x == y
-  | Fd_table.File x, Fd_table.File y ->
-      x.Fd_table.fh_path = y.Fd_table.fh_path && x.Fd_table.fh_pos = y.Fd_table.fh_pos
-  | Fd_table.Null, Fd_table.Null -> true
-  | _ -> false
+let same_target (a : Fd_table.endpoint) b = a == b
 
 let check_twins what (fork : capture) (stamped : capture) =
   check Alcotest.bool (what ^ ": page tables equal") true (fork.pages = stamped.pages);
@@ -400,7 +394,7 @@ let test_stamped_gate_keeps_no_residue () =
           W.sc_cgate_add ~spawn:(W.Stamp pool) main sc ~name:"buggy-s"
             ~entry:(fun g ~trusted:_ ~arg ->
               let scratch =
-                if W.can_read g ~addr:(Layout.heap_base + 40) ~len:1 then Layout.heap_base + 40
+                if Probe.readable g ~addr:(Layout.heap_base + 40) ~len:1 then Layout.heap_base + 40
                 else W.malloc g 32
               in
               let v = W.read_string g arg 16 in
@@ -531,16 +525,16 @@ let test_siblings_isolated_through_shared_table () =
               unchanged "write";
               Vm.set_page_prot vm ~addr:(data + ps) ~prot:Prot.page_none;
               check Alcotest.bool "child lost the page" false
-                (W.can_read child ~addr:(data + ps) ~len:1);
+                (Probe.readable child ~addr:(data + ps) ~len:1);
               check Alcotest.bool "sibling keeps it" true
-                (W.can_read sibling ~addr:(data + ps) ~len:1);
+                (Probe.readable sibling ~addr:(data + ps) ~len:1);
               unchanged "set_page_prot";
               Vm.set_page_tag vm ~addr:(data + (2 * ps)) ~tag:(Some 4242);
               unchanged "retag";
               (* The unmap a tag deletion performs in each address space. *)
               Vm.unmap_range vm ~addr:shared.Tag.base ~pages:shared.Tag.pages;
               check Alcotest.bool "child lost the tag" false
-                (W.can_read child ~addr:shared.Tag.base ~len:1);
+                (Probe.readable child ~addr:shared.Tag.base ~len:1);
               unchanged "unmap";
               (* The deletion itself reaches pages seen only through the
                  table, and nothing else. *)

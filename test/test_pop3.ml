@@ -15,6 +15,7 @@ module Pop3_env = Wedge_pop3.Pop3_env
 module Pop3_mono = Wedge_pop3.Pop3_mono
 module Pop3_wedge = Wedge_pop3.Pop3_wedge
 module Pop3_client = Wedge_pop3.Pop3_client
+module Lineio = Wedge_net.Lineio
 module Oracle = Wedge_check.Oracle
 module Guard = Wedge_net.Guard
 module Service = Wedge_net.Service
@@ -49,12 +50,78 @@ let with_session ?users ?(arm = ignore) server client_script =
       Chan.close client_ep);
   Option.get !result
 
-let functional_script c =
-  let logged = Pop3_client.login c ~user:"alice" ~password:"wonderland" in
-  let st = Pop3_client.stat c in
-  let listing = Pop3_client.list_mails c in
-  let mail = Pop3_client.retr c 1 in
+(* LIST and DELE, which no server, bench or tool sends, spoken over the
+   session's own line reader. *)
+module Raw = struct
+  let cmd io line =
+    Lineio.write_line io line;
+    match Lineio.read_line io with
+    | Some l when String.length l >= 3 && String.sub l 0 3 = "+OK" -> Some l
+    | _ -> None
+
+  let login io ~user ~password =
+    cmd io ("USER " ^ user) <> None && cmd io ("PASS " ^ password) <> None
+
+  (* A multi-line reply's lines, up to the terminating ".". *)
+  let multi io line =
+    match cmd io line with
+    | None -> None
+    | Some _ ->
+        let rec collect acc =
+          match Lineio.read_line io with
+          | Some "." | None -> Some (List.rev acc)
+          | Some line -> collect (line :: acc)
+        in
+        collect []
+
+  let list_mails io = multi io "LIST"
+
+  let dele io n = cmd io (Printf.sprintf "DELE %d" n) <> None
+
+  (* STAT's message count. *)
+  let count io =
+    match cmd io "STAT" with
+    | Some l -> ( match String.split_on_char ' ' l with _ :: n :: _ -> int_of_string_opt n | _ -> None)
+    | None -> None
+end
+
+let with_raw ?(arm = ignore) server script =
+  let _, app, main = mk_env () in
+  arm app;
+  let result = ref None in
+  Fiber.run (fun () ->
+      let client_ep, server_ep = Chan.pair ~costs:Cost_model.free () in
+      Fiber.spawn (fun () ->
+          match server with
+          | Mono -> Pop3_mono.serve_connection main server_ep
+          | Wedge -> Pop3_wedge.serve_connection main server_ep);
+      let io = Lineio.of_chan client_ep in
+      ignore (Lineio.read_line io);
+      result := Some (script io);
+      ignore (Raw.cmd io "QUIT");
+      Chan.close client_ep);
+  Option.get !result
+
+let functional server =
+  let logged, st, mail =
+    with_session server (fun c ->
+        let logged = Pop3_client.login c ~user:"alice" ~password:"wonderland" in
+        let st = Pop3_client.stat c in
+        (logged, st, Pop3_client.retr c 1))
+  in
+  let listing =
+    with_raw server (fun io ->
+        ignore (Raw.login io ~user:"alice" ~password:"wonderland");
+        Raw.list_mails io)
+  in
   (logged, st, listing, mail)
+
+(* The whole session over the line reader: what an attack sweep drives. *)
+let functional_raw io =
+  ignore (Raw.login io ~user:"alice" ~password:"wonderland");
+  ignore (Raw.count io);
+  ignore (Raw.list_mails io);
+  ignore (Raw.multi io "RETR 1")
 
 let expected_mail = List.nth (List.hd Pop3_env.default_users).Pop3_env.mails 0
 
@@ -70,8 +137,8 @@ let check_functional (logged, st, listing, mail) =
   | None -> Alcotest.fail "LIST failed");
   check (Alcotest.option Alcotest.string) "mail body" (Some expected_mail) mail
 
-let test_mono_functional () = check_functional (with_session Mono functional_script)
-let test_wedge_functional () = check_functional (with_session Wedge functional_script)
+let test_mono_functional () = check_functional (functional Mono)
+let test_wedge_functional () = check_functional (functional Wedge)
 
 let test_wrong_password_rejected () =
   List.iter
@@ -100,17 +167,16 @@ let test_retr_requires_auth () =
 
 let test_dele_works () =
   let ok =
-    with_session Wedge (fun c ->
-        ignore (Pop3_client.login c ~user:"alice" ~password:"wonderland");
-        let deleted = Pop3_client.dele c 1 in
-        let st = Pop3_client.stat c in
-        (deleted, st))
+    with_raw Wedge (fun io ->
+        ignore (Raw.login io ~user:"alice" ~password:"wonderland");
+        let deleted = Raw.dele io 1 in
+        (deleted, Raw.count io))
   in
   match ok with
-  | true, Some (1, _) -> ()
+  | true, Some 1 -> ()
   | deleted, st ->
       Alcotest.failf "dele=%b stat=%s" deleted
-        (match st with Some (n, _) -> string_of_int n | None -> "none")
+        (match st with Some n -> string_of_int n | None -> "none")
 
 let test_users_see_only_their_mail () =
   let mail =
@@ -423,9 +489,9 @@ let test_wedge_exploit_contained () =
         let loot = Attacker.loot_create () in
         let ran = ref false in
         ignore
-          (with_session Wedge
+          (with_raw Wedge
              ~arm:(Sweep.arm ~where:(W.Child 1) ~at ran (payload loot))
-             functional_script);
+             functional_raw);
         check Alcotest.int (Printf.sprintf "entry %d: nothing stolen" at) 0 (Attacker.count loot);
         !ran)
   in
@@ -440,7 +506,7 @@ let test_wedge_exploit_cannot_read_uid_or_escalate () =
         let stolen_uid = ref `Untried and target = ref None in
         let ran = ref false in
         ignore
-          (with_session Wedge
+          (with_raw Wedge
              ~arm:
                (Sweep.arm ~where:(W.Child 1) ~at ran (fun ctx ->
                     (* The worker knows tag addresses are in the tag
@@ -454,7 +520,7 @@ let test_wedge_exploit_cannot_read_uid_or_escalate () =
                     match Attacker.try_read ctx ~addr:base ~len:8 with
                     | Ok _ -> stolen_uid := `Read
                     | Error _ -> stolen_uid := `Denied))
-             functional_script);
+             functional_raw);
         if !ran then begin
           check (Alcotest.option Alcotest.string)
             (Printf.sprintf "entry %d: the probed address is the uid tag" at)

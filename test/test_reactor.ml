@@ -11,6 +11,9 @@ module Metrics = Wedge_sim.Metrics
 
 let check = Alcotest.check
 
+(* A timer [ns] from the reactor's now. *)
+let after r ~ns fire = Reactor.at r ~ns:(Clock.now (Reactor.clock r) + ns) fire
+
 let contains hay needle =
   let nl = String.length needle and hl = String.length hay in
   let rec go i = i + nl <= hl && (String.sub hay i nl = needle || go (i + 1)) in
@@ -176,7 +179,7 @@ let test_timers_fire_in_deadline_order () =
 let test_cancel_timer () =
   let clock, r = mk () in
   let fired = ref false in
-  let id = Reactor.after r ~ns:100 (fun () -> fired := true) in
+  let id = after r ~ns:100 (fun () -> fired := true) in
   Reactor.cancel_timer r id;
   Clock.charge clock 500;
   Reactor.hook r ();
@@ -189,7 +192,7 @@ let test_idle_advances_clock_to_next_timer () =
   let flag = ref false in
   let woke_at = ref (-1) in
   ignore
-    (Reactor.after r ~ns:1_000 (fun () ->
+    (after r ~ns:1_000 (fun () ->
          flag := true;
          Interest.signal h));
   Fiber.run
@@ -221,7 +224,7 @@ let test_timer_rearm_from_callback () =
   let fires = ref 0 in
   let rec arm () =
     ignore
-      (Reactor.after r ~ns:100 (fun () ->
+      (after r ~ns:100 (fun () ->
            incr fires;
            if !fires < 3 then arm ()))
   in
@@ -252,21 +255,6 @@ let test_self_check_clean_while_parked () =
       | None -> Alcotest.fail "self_check missed a lost wakeup");
       Interest.signal h)
 
-let test_register_metrics () =
-  let _, r = mk () in
-  let h = Interest.create ~name:"t" in
-  let flag = ref false in
-  Fiber.run (fun () ->
-      Fiber.spawn (fun () -> Interest.wait h ~what:"flag" ~ready:(fun () -> !flag));
-      Fiber.yield ();
-      flag := true;
-      Interest.signal h);
-  let m = Metrics.create () in
-  Reactor.register_metrics m r;
-  check Alcotest.int "parks exported" 1 (Metrics.get m "reactor.parks");
-  check Alcotest.int "wakeups exported" 1 (Metrics.get m "reactor.wakeups");
-  check Alcotest.int "nothing left parked" 0 (Metrics.get m "reactor.parked")
-
 (* ---------- multi-reactor (sharded) scheduling ---------- *)
 
 (* Each shard's reactor runs on its own clock, so the multi-idle must
@@ -278,12 +266,12 @@ let test_idle_multi_picks_smallest_relative_delay () =
   let c2, r2 = mk () in
   Clock.charge c1 1_000;
   let f1 = ref false and f2 = ref false in
-  ignore (Reactor.after r1 ~ns:500 (fun () -> f1 := true));
-  ignore (Reactor.after r2 ~ns:200 (fun () -> f2 := true));
+  ignore (after r1 ~ns:500 (fun () -> f1 := true));
+  ignore (after r2 ~ns:200 (fun () -> f2 := true));
   check (Alcotest.option Alcotest.int) "r1 deadline absolute on its clock"
-    (Some 1_500) (Reactor.next_deadline r1);
+    (Some 1_500) (Reactor.For_testing.next_deadline r1);
   check (Alcotest.option Alcotest.int) "r2 deadline absolute on its clock"
-    (Some 200) (Reactor.next_deadline r2);
+    (Some 200) (Reactor.For_testing.next_deadline r2);
   let idle = Reactor.idle_multi [ r1; r2 ] in
   check Alcotest.bool "first idle makes progress" true (idle ());
   check Alcotest.bool "nearer (relative) timer fired" true !f2;
@@ -351,7 +339,6 @@ let () =
       ( "audit",
         [
           Alcotest.test_case "self_check" `Quick test_self_check_clean_while_parked;
-          Alcotest.test_case "metrics registry" `Quick test_register_metrics;
         ] );
       ( "multi",
         [

@@ -346,7 +346,7 @@ let test_staller_sshd () =
     ~serve_loop:(fun () ->
       Guard.accept_loop guard l
         ~reject:(fun _ _ -> ())
-        ~serve:(fun c -> Wedge_sshd.Sshd_privsep.serve_connection ~guard:c env (Guard.ep c)))
+        ~serve:(fun c -> Wedge_sshd.Sshd_wedge.serve_connection ~guard:c env (Guard.ep c)))
       (* truncated wire frame: claims 256 payload bytes, delivers 11 *)
     ~prefix:"D\001\000SSH-2.0-cha" ~clean k l guard r
 

@@ -20,6 +20,15 @@ module Explore = Wedge_check.Explore
 
 let check = Alcotest.check
 
+(* [n] bare booted worlds on the default cost model, one fabric. *)
+let make ~n =
+  Shard.create
+    (Array.init n (fun sid ->
+         let kernel = Kernel.create ~shard:sid () in
+         let app = W.create_app kernel in
+         W.boot app;
+         (kernel, app)))
+
 let contains s sub =
   let n = String.length s and m = String.length sub in
   let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
@@ -29,7 +38,7 @@ let contains s sub =
    pump as the scheduler's idle handler (as every sharded scenario and
    bench does). *)
 let with_fabric n f =
-  let fab = Shard.make ~n () in
+  let fab = make ~n in
   Fiber.run ~on_switch:(Shard.hook fab) ~on_idle:(Shard.idle fab) (fun () ->
       Shard.start fab;
       f fab;
@@ -45,7 +54,7 @@ let xshoot_stat fab sid =
    never move across runs, hosts or versions, or a rolling restart
    would re-home every connection.  Pin exact values. *)
 let test_shard_hash_pinned () =
-  let fabs = List.map (fun n -> (n, Shard.make ~n ())) [ 2; 3; 4; 5; 7 ] in
+  let fabs = List.map (fun n -> (n, make ~n)) [ 2; 3; 4; 5; 7 ] in
   List.iter
     (fun (key, want) ->
       List.iter
@@ -74,7 +83,7 @@ let fnv1a key =
   !h
 
 let test_route_deterministic_and_covering () =
-  let fab = Shard.make ~n:4 () in
+  let fab = make ~n:4 in
   let seen = Array.make 4 0 in
   for i = 0 to 99 do
     let key = Printf.sprintf "conn-%d" i in

@@ -137,7 +137,7 @@ let test_fiber_wait_until_woken_by_timer () =
   let clock = Clock.create () in
   let r = Reactor.create ~clock () in
   let flag = ref false in
-  ignore (Reactor.after r ~ns:5_000 (fun () -> flag := true));
+  ignore (Reactor.at r ~ns:(Clock.now (Reactor.clock r) + 5_000) (fun () -> flag := true));
   Fiber.run ~on_switch:(Reactor.hook r) ~on_idle:(Reactor.idle r) (fun () ->
       Fiber.wait_until ~what:"timer flag" (fun () -> !flag));
   check Alcotest.bool "condition met" true !flag;
@@ -292,10 +292,11 @@ let test_fiber_last_decisions_replay () =
      Array.length (Fiber.last_decisions ()))
 
 let test_fiber_yield_fault_injection () =
-  (* An armed plan with a certain rule at "fiber.yield" kills the yielding
-     fiber; other fibers keep running and the run itself completes. *)
+  (* An armed plan with a certain crash rule at "fiber.stall" kills the
+     yielding fiber; other fibers keep running and the run itself
+     completes. *)
   let plan = Wedge_fault.Fault_plan.create ~seed:3 () in
-  Wedge_fault.Fault_plan.rule plan ~site:"fiber.yield" ~prob:1.0
+  Wedge_fault.Fault_plan.rule plan ~site:"fiber.stall" ~prob:1.0
     [ Wedge_fault.Fault_plan.Reset ];
   let survivor = ref false and victim_died = ref false in
   Fiber.run ~faults:plan (fun () ->
@@ -320,16 +321,7 @@ let test_clock_accumulates () =
   let c = Clock.create () in
   Clock.charge c 5;
   Clock.charge c 7;
-  check Alcotest.int "sum" 12 (Clock.now c);
-  Clock.reset c;
-  check Alcotest.int "reset" 0 (Clock.now c)
-
-let test_clock_time_scopes () =
-  let c = Clock.create () in
-  Clock.charge c 100;
-  let v, dt = Clock.time c (fun () -> Clock.charge c 42; "x") in
-  check Alcotest.string "value" "x" v;
-  check Alcotest.int "delta only" 42 dt
+  check Alcotest.int "sum" 12 (Clock.now c)
 
 (* ---------- stats ---------- *)
 
@@ -343,9 +335,7 @@ let test_stats () =
   check Alcotest.int "missing" 0 (Stats.get s "zzz");
   check
     (Alcotest.list (Alcotest.pair Alcotest.string Alcotest.int))
-    "sorted" [ ("a", 2); ("b", 5) ] (Stats.to_list s);
-  Stats.reset s;
-  check Alcotest.int "reset" 0 (Stats.get s "a")
+    "sorted" [ ("a", 2); ("b", 5) ] (Stats.to_list s)
 
 (* ---------- instr ---------- *)
 
@@ -409,7 +399,6 @@ let () =
       ( "clock",
         [
           Alcotest.test_case "accumulates" `Quick test_clock_accumulates;
-          Alcotest.test_case "time scopes" `Quick test_clock_time_scopes;
         ] );
       ("stats", [ Alcotest.test_case "counters" `Quick test_stats ]);
       ( "instr",

@@ -17,6 +17,7 @@ module Chan = Wedge_net.Chan
 module W = Wedge_core.Wedge
 module Synth = Wedge_crowbar.Synth
 module Profile = Wedge_crowbar.Synth.Profile
+module Supervisor = Wedge_core.Supervisor
 module Scenarios = Wedge_check.Scenarios
 
 let check = Alcotest.check
@@ -216,14 +217,19 @@ let run_unit synth =
         gate_result := W.cgate ctx gate ~perms:(W.sc_create ()) ~arg:b;
         0
       in
-      let h =
-        W.sthread_create main worker_sc
-          (Synth.wrap_sthread synth ~name:"unit.worker" ~fds:conn_fds body)
-          0
+      (* Supervised without restarts: the outcome names a fault's reason. *)
+      let status =
+        match
+          Supervisor.supervise ~max_restarts:0 main (fun () ->
+              W.sthread_create main worker_sc
+                (Synth.wrap_sthread synth ~name:"unit.worker" ~fds:conn_fds body)
+                0)
+        with
+        | Supervisor.Done _ -> Process.Exited 0
+        | Supervisor.Gave_up { last_fault; _ } -> Process.Faulted last_fault
       in
-      ignore (W.sthread_join main h);
       Chan.close peer;
-      out := Some { u_status = W.handle_status h; u_gate_result = !gate_result });
+      out := Some { u_status = status; u_gate_result = !gate_result });
   (Option.get !out, k)
 
 let unit_profile () =
@@ -339,7 +345,7 @@ let tighten p (r : Synth.grant_ref) =
               })
       p.Profile.p_entries
   in
-  if !found then Some (Profile.normalize { p with Profile.p_entries = entries })
+  if !found then Some (Synth.For_testing.normalize { p with Profile.p_entries = entries })
   else None
 
 (* The tightening matrix: one case per grant class, each pinning the
@@ -454,7 +460,7 @@ let test_httpd_profile_minimal_and_deterministic () =
   | Error e -> Alcotest.failf "parse failed: %s" e.Profile.pe_msg);
   (* The profile grants the worker neither the private key nor the
      session cache: those live only behind the callgate. *)
-  match Profile.find p1 Profile.Sthread "httpd.worker" with
+  match Synth.For_testing.find p1 Profile.Sthread "httpd.worker" with
   | None -> Alcotest.fail "no httpd.worker entry"
   | Some e ->
       check Alcotest.bool "worker has no privkey grant" false
@@ -502,12 +508,12 @@ let test_pop3_sshd_deterministic () =
   check Alcotest.string "sshd byte-identical" (Profile.print s1) (Profile.print s2);
   (* pop3: only the login gate may write the uid tag, and the worker
      cannot even read it — the paper's Figure 1 property, synthesized. *)
-  (match Profile.find p1 Profile.Sthread "pop3.worker" with
+  (match Synth.For_testing.find p1 Profile.Sthread "pop3.worker" with
   | Some e ->
       check Alcotest.bool "worker blind to uid tag" false
         (List.mem_assoc "pop3.uid" e.Profile.e_tags)
   | None -> Alcotest.fail "no pop3.worker entry");
-  match Profile.find p1 Profile.Gate "pop3.login" with
+  match Synth.For_testing.find p1 Profile.Gate "pop3.login" with
   | Some e ->
       check Alcotest.bool "login gate writes uid tag" true
         (List.assoc_opt "pop3.uid" e.Profile.e_tags = Some Prot.RW)

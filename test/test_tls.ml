@@ -291,7 +291,8 @@ let test_session_resumption () =
       (match Handshake.client_connect ~rng ~pinned:priv.Rsa.pub (io_of_ep a1) with
       | Ok res -> session := Some res.Handshake.cr_session
       | Error e -> Alcotest.fail e);
-      check Alcotest.int "cached" 1 (Session.size cache);
+      check Alcotest.bool "cached" true
+        (Session.lookup cache ~sid:(Option.get !session).Handshake.cs_sid <> None);
       (* Second connection offers the session id. *)
       let a2, b2 = Chan.pair () in
       Fiber.spawn (fun () ->
@@ -322,7 +323,8 @@ let test_resumption_disabled_cache () =
         | Ok res -> res.Handshake.cr_session
         | Error e -> Alcotest.fail e
       in
-      check Alcotest.int "nothing cached" 0 (Session.size cache);
+      check Alcotest.bool "nothing cached" true
+        (Session.lookup cache ~sid:session.Handshake.cs_sid = None);
       let a2, b2 = Chan.pair () in
       Fiber.spawn (fun () -> ignore (run_server ~cache ~priv b2));
       let rng2 = Drbg.create ~seed:2 in
@@ -333,7 +335,7 @@ let test_resumption_disabled_cache () =
 let test_wrong_pin_detected () =
   (* A MITM who substitutes his own certificate is caught by the pin. *)
   let priv = Rsa.demo_key () in
-  let attacker = Rsa.keygen (Drbg.create ~seed:0xBADCAB) in
+  let attacker = Rsa.For_testing.keygen ~bits:512 (Drbg.create ~seed:0xBADCAB) in
   Fiber.run (fun () ->
       let a, b = Chan.pair () in
       Fiber.spawn (fun () -> ignore (run_server ~priv:attacker b));
