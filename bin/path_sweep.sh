@@ -17,10 +17,19 @@
 # in the order given.  The directories live under ${TMPDIR:-/tmp} and
 # are removed on exit.
 #
-# Then one verdict over every table: each executable after the first is
-# compared with the first at each workload and L, on both metrics,
-# against the metric's "bound" in BENCHMARK.json (a fraction; both
-# metrics are lower-is-better).  Each breach prints one line
+# Then one line per executable after the first, saying whether both
+# metrics equal the first executable's, digit for digit, at every L of
+# every workload, the check a change that claims to allocate exactly
+# what its parent does passes:
+#
+#   exe <i> vs exe 1: identical
+#   exe <i> vs exe 1: differs at WORKLOAD L=<L>[, WORKLOAD L=<L>...]
+#
+# (a point where either run is not correct differs).  Then one verdict
+# over every table: each executable after the first is compared with
+# the first at each workload and L, on both metrics, against the
+# metric's "bound" in BENCHMARK.json (a fraction; both metrics are
+# lower-is-better).  Each breach prints one line
 #
 #   breach: WORKLOAD L=<L> exe <i> <metric> <value> vs <first> (+<pct>%, bound <pct>%)
 #
@@ -71,11 +80,12 @@ for _ in "$@"; do
   i=$((i + 1))
 done
 
+lengths="60 80 100 120 140 160 180 200 220 240"
 status=0
 for workload in $workloads; do
   echo "== $workload =="
   echo "$header"
-  for len in 60 80 100 120 140 160 180 200 220 240; do
+  for len in $lengths; do
     row="$len"
     i=1
     for exe in "$@"; do
@@ -115,6 +125,23 @@ print(repr(m["heap_peak_mb"]["value"]), repr(m["alloc_words_per_conn"]["value"])
     echo "$row"
   done
 done
+
+awk -v n="$#" -v workloads="$workloads" -v lengths="$lengths" '
+  { v[$3, $1 " L=" $2] = $4 " " $5 }
+  END {
+    nw = split(workloads, w, " ")
+    nl = split(lengths, l, " ")
+    for (i = 2; i <= n; i++) {
+      d = ""
+      for (a = 1; a <= nw; a++)
+        for (b = 1; b <= nl; b++) {
+          p = w[a] " L=" l[b]
+          if (!((1, p) in v) || !((i, p) in v) || v[1, p] != v[i, p])
+            d = d (d == "" ? "" : ", ") p
+        }
+      printf "exe %d vs exe 1: %s\n", i, (d == "" ? "identical" : "differs at " d)
+    }
+  }' "$runs"
 
 breaches="$(echo "$bounds" | awk '
   BEGIN { name[1] = "heap_peak_mb"; name[2] = "alloc_words_per_conn" }

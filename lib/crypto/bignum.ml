@@ -253,12 +253,16 @@ let max_mont_limbs = 511
    the [k] limbs of their arrays from [ao] and [bo].  [t] is a work
    buffer of at least [2k] limbs; [r] may overlap [a] or [b].
 
-   Column [i + j] of [t] collects a_j * b_i + u_i * m_j unreduced: row
-   [i] picks [u_i] to clear column [i]'s low limb, then moves that
-   column's carry up, and one pass after the last row carries columns
-   k .. 2k-1 down into the result.  A column takes at most 2k products
-   below 2^52 plus a carry below 2^37, below 2^62 while k <=
-   [max_mont_limbs].  The one check at entry bounds every index the
+   Column [i + j] of [t] collects a_j * b_i + u_i * m_j unreduced, where
+   row [i] picks [u_i] to clear column [i]'s low limb.  Rows go in pairs:
+   [u_i] clears column [i], whose carry moves into column [i + 1], which
+   then gives [u_(i+1)]; one pass adds both rows to columns i+2 .. i+k,
+   two columns per turn, so each load and store of [t] carries four
+   products.  Column [i + 1]'s carry rides in [cy] into the next pair's
+   low column, and an odd [k] ends with one single row.  A last pass
+   carries columns k .. 2k-1 down into the result.  A column takes at
+   most 2k products below 2^52 plus a carry below 2^37, below 2^62 while
+   k <= [max_mont_limbs].  The one check at entry bounds every index the
    loops touch, so they read and write unchecked. *)
 let mont_mul (m : int array) m' (t : int array) (a : int array) ao (b : int array) bo
     (r : int array) ro =
@@ -272,22 +276,76 @@ let mont_mul (m : int array) m' (t : int array) (a : int array) ao (b : int arra
     || ro > Array.length r - k
   then invalid_arg "Bignum.mont_mul";
   Array.fill t 0 (2 * k) 0;
-  let a0 = a.(ao) in
-  for i = 0 to k - 1 do
-    let bi = Array.unsafe_get b (bo + i) in
-    let u = ((Array.unsafe_get t i + (a0 * bi)) * m') land mask in
-    (* column c = i + j gains a_j * b_i + u * m_j *)
-    let d = ao - i in
-    for c = i to i + k - 1 do
+  let a0 = a.(ao) and m0 = m.(0) in
+  (* the carry into the lowest column not yet cleared *)
+  let cy = ref 0 in
+  let i = ref 0 in
+  while !i < k - 1 do
+    let i0 = !i in
+    let bi = Array.unsafe_get b (bo + i0) and bj = Array.unsafe_get b (bo + i0 + 1) in
+    let c0 = Array.unsafe_get t i0 + !cy + (a0 * bi) in
+    let ui = (c0 * m') land mask in
+    let c1 =
+      Array.unsafe_get t (i0 + 1)
+      + ((c0 + (ui * m0)) lsr limb_bits)
+      + (Array.unsafe_get a (ao + 1) * bi)
+      + (ui * Array.unsafe_get m 1)
+      + (a0 * bj)
+    in
+    let uj = (c1 * m') land mask in
+    cy := (c1 + (uj * m0)) lsr limb_bits;
+    (* column i0 + j gains a_j * b_i + u_i * m_j
+       + a_(j-1) * b_(i+1) + u_(i+1) * m_(j-1) *)
+    let j = ref 2 in
+    while !j < k - 1 do
+      let j0 = !j in
+      let c = i0 + j0 in
+      let a_mid = Array.unsafe_get a (ao + j0) and m_mid = Array.unsafe_get m j0 in
       Array.unsafe_set t c
         (Array.unsafe_get t c
-        + (Array.unsafe_get a (d + c) * bi)
-        + (u * Array.unsafe_get m (c - i)))
+        + (a_mid * bi)
+        + (ui * m_mid)
+        + (Array.unsafe_get a (ao + j0 - 1) * bj)
+        + (uj * Array.unsafe_get m (j0 - 1)));
+      Array.unsafe_set t (c + 1)
+        (Array.unsafe_get t (c + 1)
+        + (Array.unsafe_get a (ao + j0 + 1) * bi)
+        + (ui * Array.unsafe_get m (j0 + 1))
+        + (a_mid * bj)
+        + (uj * m_mid));
+      j := j0 + 2
     done;
-    let carry = Array.unsafe_get t i lsr limb_bits in
-    Array.unsafe_set t (i + 1) (Array.unsafe_get t (i + 1) + carry)
+    let a_top = Array.unsafe_get a (ao + k - 1) and m_top = Array.unsafe_get m (k - 1) in
+    if !j = k - 1 then begin
+      (* the column the two-column turns leave over, for odd k *)
+      let c = i0 + k - 1 in
+      Array.unsafe_set t c
+        (Array.unsafe_get t c
+        + (a_top * bi)
+        + (ui * m_top)
+        + (Array.unsafe_get a (ao + k - 2) * bj)
+        + (uj * Array.unsafe_get m (k - 2)))
+    end;
+    (* column i0 + k gains row i + 1 alone *)
+    let c = i0 + k in
+    Array.unsafe_set t c (Array.unsafe_get t c + (a_top * bj) + (uj * m_top));
+    i := i0 + 2
   done;
-  let c = ref 0 in
+  if !i < k then begin
+    (* the single last row of an odd k *)
+    let i0 = !i in
+    let bi = Array.unsafe_get b (bo + i0) in
+    let c0 = Array.unsafe_get t i0 + !cy + (a0 * bi) in
+    let u = (c0 * m') land mask in
+    cy := (c0 + (u * m0)) lsr limb_bits;
+    for j = 1 to k - 1 do
+      Array.unsafe_set t (i0 + j)
+        (Array.unsafe_get t (i0 + j)
+        + (Array.unsafe_get a (ao + j) * bi)
+        + (u * Array.unsafe_get m j))
+    done
+  end;
+  let c = ref !cy in
   for j = 0 to k - 1 do
     let v = Array.unsafe_get t (k + j) + !c in
     Array.unsafe_set t j (v land mask);

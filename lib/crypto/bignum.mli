@@ -24,8 +24,9 @@ val rem : t -> t -> t
 val shift_right : t -> int -> t
 val modexp : base:t -> exp:t -> m:t -> t
 (** For odd [m] of up to 511 limbs (13,286 bits), Montgomery
-    multiplication that carries once per product rather than once per
-    limb step, scanning exponents longer than 64 bits in 4-bit windows
+    multiplication that adds two rows per pass over its accumulator and
+    carries once per product rather than once per limb step, scanning
+    exponents longer than 64 bits in 4-bit windows
     and shorter ones bit by bit.  Even and wider moduli take the binary
     ladder on {!mul} and {!rem}. *)
 

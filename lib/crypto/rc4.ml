@@ -4,18 +4,22 @@ type t = {
   mutable j : int;
 }
 
+(* The key schedule reads key byte [i mod klen] at step [i], through a
+   counter that wraps at the key's end rather than a division per step. *)
 let create ~key =
-  if Bytes.length key = 0 then invalid_arg "Rc4.create: empty key";
+  let klen = Bytes.length key in
+  if klen = 0 then invalid_arg "Rc4.create: empty key";
   let s = Bytes.create 256 in
   for i = 0 to 255 do
     Bytes.set_uint8 s i i
   done;
-  let j = ref 0 in
+  let j = ref 0 and ki = ref 0 in
   for i = 0 to 255 do
     let si = Bytes.get_uint8 s i in
-    j := (!j + si + Bytes.get_uint8 key (i mod Bytes.length key)) land 0xff;
+    j := (!j + si + Bytes.get_uint8 key !ki) land 0xff;
     Bytes.set_uint8 s i (Bytes.get_uint8 s !j);
-    Bytes.set_uint8 s !j si
+    Bytes.set_uint8 s !j si;
+    ki := if !ki = klen - 1 then 0 else !ki + 1
   done;
   { s; i = 0; j = 0 }
 

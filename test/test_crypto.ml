@@ -377,6 +377,45 @@ let test_mont_mul_column_bound () =
   in
   check Alcotest.(list string) "every width agrees with the reference" [] wrong
 
+(* [modexp] at every limb count k from 1 to 24.  [mont_mul] adds rows in
+   pairs, two columns per turn: an odd k ends with a single row and
+   leaves one column over in each pair's turns, an even k does neither.
+   Each modulus has a full top limb (within base^(k-1) of base^k); the
+   bases are zero, m itself, values above m up to twice its width, and
+   two below it; the exponents 0, 1, 2, 65537 and one long enough for
+   4-bit windows. *)
+let prop_modexp_every_width =
+  QCheck.Test.make ~name:"modexp at every limb count" ~count:8 (QCheck.int_range 1 1_000_000)
+    (fun seed ->
+      let r = Drbg.create ~seed in
+      let top = (1 lsl 26) - 1 in
+      List.for_all
+        (fun k ->
+          (* odd, with a full top limb *)
+          let low = List.init (k - 1) (fun _ -> Drbg.int_below r (1 lsl 26)) in
+          let m = of_limbs (low @ [ top ]) in
+          let m = if B.is_even m then B.add m B.one else m in
+          let bases =
+            [
+              zero;
+              m;
+              B.add m (B.random_bits r ~bits:(1 + Drbg.int_below r (26 * k)));
+              B.random_bits r ~bits:(52 * k);
+              B.sub m B.one;
+              B.random_below r m;
+            ]
+          in
+          let exps =
+            [ zero; B.one; B.two; B.of_int 65537; B.random_bits r ~bits:(65 + Drbg.int_below r 64) ]
+          in
+          List.for_all
+            (fun base ->
+              List.for_all
+                (fun exp -> B.equal (B.modexp ~base ~exp ~m) (reference_modexp ~base ~exp ~m))
+                exps)
+            bases)
+        (List.init 24 (fun i -> i + 1)))
+
 let test_dsa_params_are_sound () =
   let p = Dsa.demo_params () in
   (* q divides p-1 and g has order q. *)
@@ -466,6 +505,29 @@ let test_rc4_roundtrip_and_state () =
   let dec2 = Rc4.deserialize (image dec) 0 in
   let ct = rc4 enc2 (Bytes.of_string "resumed") in
   check Alcotest.string "state roundtrip" "resumed" (Bytes.to_string (rc4 dec2 ct))
+
+(* The textbook key schedule: key byte [i mod length] at step [i]. *)
+let textbook_schedule key =
+  let s = Bytes.init 256 Char.chr and j = ref 0 in
+  for i = 0 to 255 do
+    let si = Bytes.get_uint8 s i in
+    j := (!j + si + Bytes.get_uint8 key (i mod Bytes.length key)) land 0xff;
+    Bytes.set_uint8 s i (Bytes.get_uint8 s !j);
+    Bytes.set_uint8 s !j si
+  done;
+  s
+
+let prop_rc4_schedule =
+  QCheck.Test.make ~name:"key schedule matches textbook" ~count:10 (QCheck.int_range 1 1_000_000)
+    (fun seed ->
+      let r = Drbg.create ~seed in
+      let image = Bytes.create Rc4.state_size in
+      List.for_all
+        (fun len ->
+          let key = Drbg.bytes r len in
+          Rc4.serialize (Rc4.create ~key) image 0;
+          Bytes.equal image (Bytes.cat (textbook_schedule key) (Bytes.make 2 '\000')))
+        (List.init 256 (fun i -> i + 1)))
 
 (* ---------- Prime ---------- *)
 
@@ -705,21 +767,25 @@ let words f =
   f ();
   host_words () -. w0
 
-(* Fails naming every call over its bound. *)
-let within_bounds pins =
-  let over =
+(* Fails naming every call whose host words [ok] refuses against its
+   pin: [within_bounds] takes a bound, [exactly] a count. *)
+let pinned ok pins =
+  let off =
     List.filter_map
-      (fun (what, bound, f) ->
+      (fun (what, pin, f) ->
         let w = words f in
-        if w > bound then Some (Printf.sprintf "%s: %.0f host words (bound %.0f)" what w bound) else None)
+        if ok w pin then None else Some (Printf.sprintf "%s: %.0f host words (pin %.0f)" what w pin))
       pins
   in
-  if over <> [] then Alcotest.fail (String.concat "; " over)
+  if off <> [] then Alcotest.fail (String.concat "; " off)
 
-(* Each bound is at least 5x below the words the same call allocated
-   before the arithmetic worked in place; [Rsa.decrypt]'s sits just above
-   its 440 words since the CRT fields, windows and limb-wise division
-   (751 before). *)
+let within_bounds = pinned ( <= )
+let exactly = pinned ( = )
+
+(* The arithmetic kernels allocate exact word counts: a faster kernel
+   must allocate word for word what the one it replaces did, so these
+   are equalities.  Each other bound is at least 5x below the words the
+   same call allocated before the arithmetic worked in place. *)
 let test_host_words_pinned () =
   let k = Rsa.demo_key () in
   let r = rng () in
@@ -727,10 +793,27 @@ let test_host_words_pinned () =
   let ct = Rsa.encrypt r k.Rsa.pub payload in
   let block = Rsa.priv_to_string k in
   let kib = Bytes.make 1024 'x' and digest = Sha256.digest_string "wedge" in
+  let odd bits =
+    let m = B.random_bits r ~bits in
+    if B.is_even m then B.add m B.one else m
+  in
+  let modexp bits =
+    let m = odd bits in
+    let base = B.random_below r m and exp = B.random_bits r ~bits in
+    fun () -> ignore (Sys.opaque_identity (B.modexp ~base ~exp ~m))
+  in
+  let key = Bytes.make 32 'k' in
+  exactly
+    [
+      ("Bignum.modexp, 256-bit odd modulus and exponent", 126., modexp 256);
+      ("Bignum.modexp, 512-bit odd modulus and exponent", 236., modexp 512);
+      (* 751 when the CRT exponents were derived per call *)
+      ("Rsa.decrypt", 440., fun () -> ignore (Sys.opaque_identity (Rsa.decrypt k ct)));
+      ("Rsa.encrypt", 190., fun () -> ignore (Sys.opaque_identity (Rsa.encrypt r k.Rsa.pub payload)));
+      ("Rc4.create, 32-byte key", 50., fun () -> ignore (Sys.opaque_identity (Rc4.create ~key)));
+    ];
   within_bounds
     [
-      ("Rsa.decrypt", 480., fun () -> ignore (Sys.opaque_identity (Rsa.decrypt k ct)));
-      ("Rsa.encrypt", 2_000., fun () -> ignore (Sys.opaque_identity (Rsa.encrypt r k.Rsa.pub payload)));
       ("Rsa.priv_of_string", 2_000., fun () -> ignore (Sys.opaque_identity (Rsa.priv_of_string block)));
       (* What a key gate runs per full handshake: parse the block read
          from its tag, then decrypt.  930 words before the block carried
@@ -865,6 +948,7 @@ let () =
             prop_modexp_matches_reference;
             prop_divmod_shapes;
             prop_conversions_roundtrip;
+            prop_modexp_every_width;
           ] );
       ( "sha256",
         [
@@ -881,7 +965,8 @@ let () =
         [
           Alcotest.test_case "classic vectors" `Quick test_rc4_vectors;
           Alcotest.test_case "roundtrip + state" `Quick test_rc4_roundtrip_and_state;
-        ] );
+        ]
+        @ qcheck [ prop_rc4_schedule ] );
       ( "prime",
         [
           Alcotest.test_case "known primes" `Quick test_prime_known;
