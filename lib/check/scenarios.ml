@@ -602,14 +602,14 @@ let run_racy ~policy ~diff ~faults:_ ~seed:_ =
    plans roll ["fiber.stall"] (a fiber freezes for 20 µs of simulated
    time — far past the hang deadline) and ["cgate.call"] (a callgate
    stalls or crashes mid-call).  The servers run their production
-   serve path — flat restart policy, every retry re-arming the
-   connection's heart — behind a guard with a hang deadline, their
+   serve path — a faulted compartment ends its connection, degraded —
+   behind a guard with a hang deadline, their
    compartments stamped from the frozen image (pooled) or booted
    (fresh); the scenario asserts the full self-healing story: every
    hung compartment is cut at its heart's deadline (oracle invariant),
    the listener survives, clean probes stop degrading once the storm
    passes (heal epilogue), and the oracle sweeps clean — no leaked frame
-   or descriptor across any restart or cut. *)
+   or descriptor across any fault or cut. *)
 
 let storm_plan ~pooled ~seed ~faults ~cgates =
   let plan = Fault_plan.create ~seed () in
@@ -1025,12 +1025,12 @@ let melee srv = scenario (name srv) srv.melee_doc (run_melee srv)
    [httpd_mitm_recycle] runs them recycled. *)
 let storm srv serve =
   scenario (name srv ^ "_storm")
-    (name srv ^ " self-healing: fault storm + induced hangs, watchdog, booted restarts")
+    (name srv ^ " self-healing: fault storm + induced hangs, watchdog, booted compartments")
     (run_storm ~pooled:false { srv with service = { srv.service with Service.serve } })
 
 let pool_storm srv =
   scenario (name srv ^ "_pool_storm")
-    (name srv ^ " storm with pooled O(1) restamps, stamp faults, frozen-frame sweep")
+    (name srv ^ " storm with pooled O(1) stamps, stamp faults, frozen-frame sweep")
     (run_storm ~pooled:true srv)
 
 (* Figures 3–5's melee with every connection's compartments and

@@ -16,14 +16,15 @@
     The [*_storm] and [*_pool_storm] scenarios drive the self-healing
     machinery: on top of channel/memory faults they induce {e hangs}
     (["fiber.stall"] and ["cgate.call"] fault sites) against a server
-    running its production serve path (the flat restart policy, booted
-    in [*_storm], stamped from its frozen image in [*_pool_storm])
+    running its production serve path (a faulted compartment ends its
+    connection; booted in [*_storm], stamped from its frozen image in
+    [*_pool_storm])
     behind a guard with a hang deadline.  They assert that every hung
     compartment is cut within its heartbeat deadline (oracle
     invariant), the listener survives, clean probes stop degrading once
     the storm passes (two in a row leave the server's
     [<server>.degraded] counter unchanged), and the oracle sweeps clean
-    — no leaked frame or descriptor across any restart or cut.
+    — no leaked frame or descriptor across any fault or cut.
 
     The ["racy"] scenario is the deliberately buggy control: a lost
     update that only manifests under schedules that interleave a

@@ -359,4 +359,4 @@ module Pool : module type of Pool
 (** Checkpoint a fully-booted worker once ({!Pool.freeze}); [Stamp image]
     then spawns sthreads and callgate invocations from the frozen image
     at a flat cost independent of address-space size — the servers'
-    default for every per-connection compartment, restarts included. *)
+    default for every per-connection compartment. *)

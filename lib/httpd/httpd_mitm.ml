@@ -3,7 +3,6 @@ module Prot = Wedge_kernel.Prot
 module Fd_table = Wedge_kernel.Fd_table
 module Guard = Wedge_net.Guard
 module Service = Wedge_net.Service
-module Supervisor = Wedge_core.Supervisor
 module Drbg = Wedge_crypto.Drbg
 module Rsa = Wedge_crypto.Rsa
 module Wire = Wedge_tls.Wire
@@ -238,7 +237,7 @@ let header_end resp =
 let serve_connection ?spawn ?guard (env : Httpd_env.t) ep =
   let main = env.Httpd_env.main in
   let spawn = match spawn with Some s -> s | None -> W.Stamp (image env) in
-  Service.run_worker ?guard ~spawn ~max_restarts:0
+  Service.run_worker ?guard ~spawn
     ~degrade:(fun () -> Httpd_env.send_degraded ~server:"httpd_mitm" main ep)
     main ep
   @@ fun conn ->

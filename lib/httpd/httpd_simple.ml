@@ -8,7 +8,6 @@ module Record = Wedge_tls.Record
 module Session = Wedge_tls.Session
 module Handshake = Wedge_tls.Handshake
 
-module Supervisor = Wedge_core.Supervisor
 module Synth = Wedge_crowbar.Synth
 module Service = Wedge_net.Service
 
@@ -175,7 +174,7 @@ let image (env : Httpd_env.t) =
 let serve_connection ?spawn ?guard ?max_request_bytes ?synth (env : Httpd_env.t) ep =
   let main = env.Httpd_env.main in
   let spawn = match spawn with Some s -> s | None -> W.Stamp (image env) in
-  Service.run_worker ?guard ~spawn ~max_restarts:0
+  Service.run_worker ?guard ~spawn
     ~degrade:(fun () -> Httpd_env.send_degraded ~server:"httpd" main ep)
     main ep
   @@ fun conn ->

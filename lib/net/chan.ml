@@ -13,7 +13,7 @@ exception Stalled of string
 (* A refused connection and a stalled bounded write are environmental
    conditions, not programming errors: a supervised compartment that
    reconnects during/after a drain, or writes to a peer that never
-   reads, must die contained (and restartable), exactly like a reset.
+   reads, must die contained, exactly like a reset.
    Register both with the engine's contained-fault class at link
    time. *)
 let () =

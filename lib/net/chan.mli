@@ -12,8 +12,8 @@ exception Refused of string
 (** A connection attempt was refused: the listener's accept queue is at
     its backlog, or the listener is down (shut down / draining).  Part of
     the engine's contained-fault class (registered at link time), so a
-    supervised compartment that reconnects after a drain dies contained —
-    and restartable — rather than as a programming error. *)
+    supervised compartment that reconnects after a drain dies contained
+    rather than as a programming error. *)
 
 exception Stalled of string
 (** A bounded write parked at the high watermark when the whole system

@@ -27,7 +27,7 @@ module Metrics = Wedge_sim.Metrics
 module Reactor = Wedge_sim.Reactor
 
 (* A connection's heart (hang detection): armed in the serve fiber
-   ([rearm_heart]), beaten by delivered bytes and [established], and cut
+   ([arm_heart]), beaten by delivered bytes and [established], and cut
    by the connection's timer once its last beat is older than the hang
    deadline. *)
 type heart = Unarmed | Alive | Hung | Disarmed
@@ -279,20 +279,15 @@ let established c =
   c.is_established <- true;
   beat c
 
-(* Arm this connection's heart afresh in the calling fiber.  A heart cut
-   leaves the heart [Hung] — deliberately, so the stalled worker's own
-   late beat dies as a contained [Hang] — but a supervisor retrying the
-   worker in the same serve fiber (a pooled restamp) must not inherit
-   that state: the new attempt's first delivered byte would beat the dead
-   heart and be killed for its predecessor's hang.  Passed as the
-   supervisor's [on_restart] hook, so every retry starts with a clean
-   beat history. *)
-let rearm_heart c =
+(* Arm this connection's heart in the calling fiber, the one a heart cut
+   cancels.  A cut leaves the heart [Hung] for good, so the stalled
+   worker's own late beat dies as a contained [Hang]. *)
+let arm_heart c =
   if c.g.hang_deadline_ns > 0 then begin
     c.heart <- Alive;
     c.serve_fiber <- Fiber.fiber_id ();
     c.last_beat_ns <- now c.g;
-    (* The fresh heart's deadline may come before the armed timer. *)
+    (* The heart's deadline may come before the armed timer. *)
     rearm c
   end
 
@@ -341,7 +336,7 @@ let accept_loop t l ~reject ~serve =
                   (fun () ->
                     (* Arm the heart from inside the serve fiber: a heart
                        cut cancels this fiber. *)
-                    rearm_heart c;
+                    arm_heart c;
                     (* A contained fault escaping the serve path (e.g. a
                        heart cut's cancellation delivered outside any
                        compartment) kills this connection, never the

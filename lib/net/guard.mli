@@ -20,7 +20,7 @@
     heart, armed in its serve fiber and beaten by delivered bytes and
     {!established}, is cut when it misses the deadline — channel aborted,
     serve fiber cancelled — so a hung worker dies as a contained fault
-    its supervisor can restart. *)
+    and its connection degrades. *)
 
 type t
 type conn
@@ -70,14 +70,6 @@ val established : conn -> unit
 (** The connection passed its handshake/greeting: the header deadline no
     longer applies, and the heart beats.
     @raise Hang when the heart was already cut. *)
-
-val rearm_heart : conn -> unit
-(** Arm the connection's heart afresh in the calling fiber, which a cut
-    cancels, with its last beat now.  A cut leaves the heart hung so the
-    stalled worker's late beat dies contained; a supervisor retrying the
-    worker in the same serve fiber passes this as its [on_restart] hook,
-    so the new attempt starts with a clean beat history instead of being
-    killed for its predecessor's hang.  No-op without a hang deadline. *)
 
 val ep : conn -> Chan.ep
 

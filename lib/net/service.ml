@@ -57,24 +57,18 @@ let fd conn =
   conn.c_fd <- Some fd;
   fd
 
-(* One compartment under the flat restart policy, its address space from
-   [spawn]. *)
-let run_compartment ~on_restart ~spawn ~max_restarts main (sc, body) =
-  Supervisor.supervise ~max_restarts ~on_restart main (fun () ->
-      W.sthread_create ~spawn main sc body 0)
-
-(* The connection's compartments in order, each started only once its
-   predecessor exited 0. *)
-let rec run_compartments ~on_restart ~spawn ~max_restarts ~degrade main = function
+(* The connection's compartments in order, each its address space from
+   [spawn] and started only once its predecessor exited 0; a fault
+   degrades the connection. *)
+let rec run_compartments ~spawn ~degrade main = function
   | [] -> ()
-  | stage :: rest -> (
-      match run_compartment ~on_restart ~spawn ~max_restarts main stage with
-      | Supervisor.Done { value = 0; _ } ->
-          run_compartments ~on_restart ~spawn ~max_restarts ~degrade main rest
-      | Supervisor.Done _ -> ()
-      | Supervisor.Gave_up _ -> degrade ())
+  | (sc, body) :: rest -> (
+      match Supervisor.supervise main (fun () -> W.sthread_create ~spawn main sc body 0) with
+      | Ok 0 -> run_compartments ~spawn ~degrade main rest
+      | Ok _ -> ()
+      | Error _ -> degrade ())
 
-let run_worker ?guard ~spawn ~max_restarts ~degrade main ep setup =
+let run_worker ?guard ~spawn ~degrade main ep setup =
   let conn =
     {
       c_main = main;
@@ -94,14 +88,10 @@ let run_worker ?guard ~spawn ~max_restarts ~degrade main ep setup =
   in
   (match setup conn with
   | exception e when W.fault_reason e <> None ->
-      (* Told apart from a compartment that exhausted its restarts, which
-         degrades the connection too. *)
+      (* Told apart from a faulted compartment, which degrades the
+         connection too. *)
       W.stat main "fault.setup";
       W.trace_instant main "service.setup_fault";
       degrade ()
-  | compartments ->
-      (* A retry starts with a fresh heart: the cut that killed the
-         previous attempt left it hung. *)
-      let on_restart () = Option.iter Guard.rearm_heart guard in
-      run_compartments ~on_restart ~spawn ~max_restarts ~degrade main compartments);
+  | compartments -> run_compartments ~spawn ~degrade main compartments);
   cleanup ()

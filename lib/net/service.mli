@@ -13,7 +13,7 @@
     {!run_worker} is the per-connection half of the same machinery, and
     the only way a partitioned server whose compartments are sthreads
     runs a connection: contained setup, the connection's compartments run
-    one after another under the flat restart policy
+    one after another, each once and supervised
     ({!Wedge_core.Supervisor.supervise}), its callgates ({!gate}) spawned
     the same way, the outcome mapped to a degraded-or-not answer, and
     everything the connection held released before it returns. *)
@@ -85,7 +85,6 @@ val fd : conn -> int
 val run_worker :
   ?guard:Guard.conn ->
   spawn:Wedge_core.Wedge.spawn ->
-  max_restarts:int ->
   degrade:(unit -> unit) ->
   Wedge_core.Wedge.ctx ->
   Chan.ep ->
@@ -102,19 +101,18 @@ val run_worker :
     The compartments then run one at a time, each only after its
     predecessor exited 0 (Figure 3's rule: the client handler starts
     only after a clean handshake); a nonzero exit ends the connection
-    undegraded.  Each is retried up to [max_restarts] times
-    ({!Wedge_core.Supervisor.supervise}), and every retry re-arms the
-    guard connection's heart, so a restarted compartment is not killed
-    for its predecessor's hang.
+    undegraded.  None is retried ({!Wedge_core.Supervisor.supervise}):
+    a fresh compartment would meet a client in the middle of the session
+    the faulted one left behind, so a fault ends the connection.
 
-    [spawn] decides how the compartments, their restarts and every
-    callgate invocation get their address space: [Stamp image] stamps each
+    [spawn] decides how the compartments and every callgate invocation
+    get their address space: [Stamp image] stamps each
     compartment from [image] with its grants on top, and each gate
     invocation too; [Boot] boots both the fork-priced way; [Recycle]
     boots the compartments and backs each gate by long-lived members of
     its name, one per invocation in flight (§3.3).
 
-    [degrade] sends the server's degraded answer when setup faulted or
-    every attempt of a compartment did.  The connection's callgates,
+    [degrade] sends the server's degraded answer when setup or a
+    compartment faulted.  The connection's callgates,
     descriptor, channel and tags are released before returning; no fault
     reaches the caller. *)

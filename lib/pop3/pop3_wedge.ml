@@ -6,7 +6,6 @@ module Kernel = Wedge_kernel.Kernel
 module Chan = Wedge_net.Chan
 module Guard = Wedge_net.Guard
 
-module Supervisor = Wedge_core.Supervisor
 module Synth = Wedge_crowbar.Synth
 module Service = Wedge_net.Service
 
@@ -220,9 +219,10 @@ let image main = Service.image ~name:"pop3.worker" main (worker_identity ())
 
 let serve_connection ?spawn ?guard ?synth main ep =
   let spawn = match spawn with Some s -> s | None -> W.Stamp (image main) in
-  (* One retry: POP3 is line-oriented, so a fresh handler can greet the
-     client again. *)
-  Service.run_worker ?guard ~spawn ~max_restarts:1
+  (* No retry: a fresh handler would greet a client that is waiting for
+     a reply, and that client would then read each later reply as the
+     answer to its next command (a refused password as accepted). *)
+  Service.run_worker ?guard ~spawn
     ~degrade:(fun () -> send_degraded main ep)
     main ep
   @@ fun conn ->

@@ -31,14 +31,15 @@ val serve_connection :
     session ends.
 
     [spawn] (default [Stamp] from the ["pop3.worker"] image) decides how
-    the handler, its restarts and both callgates are spawned; [Boot]
+    the handler and both callgates are spawned; [Boot]
     boots them fork-priced.
 
     Fault containment ({!Wedge_net.Service.run_worker}): a crash anywhere
     in this connection degrades only this connection (best-effort [-ERR]
     farewell, [pop3.degraded] counter) and never reaches the caller.
-    A crashed handler is retried once — POP3 is line-oriented, so a
-    fresh handler can greet the client again.
+    A crashed handler is not retried: a fresh one would greet a client
+    that is waiting for the reply to a command, and put the session out
+    of step.
 
     A mailbox reply that does not fit the 16 KiB mail buffer (a STAT,
     LIST or RETR result) is refused by the mailbox callgate with its own
@@ -55,7 +56,7 @@ val serve_connection :
 
 val service : Wedge_core.Wedge.ctx Wedge_net.Service.t
 (** The POP3 skeleton over the master context: name ["pop3"],
-    {!serve_connection} with its defaults (one retry) per admitted
+    {!serve_connection} with its defaults per admitted
     connection, worker image ["pop3.worker"] booted as uid 99 in an
     empty chroot, ["-ERR busy, try again later"] for rejected
     connections. *)

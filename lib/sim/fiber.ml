@@ -138,8 +138,9 @@ let interest_stats () =
   { signals = !c_signals; wakeups = !c_wakeups; parks = !c_parks; waiting = !c_waiting }
 
 (* Deliver a pending cancellation exactly once: the flag is consumed on
-   raise, so a supervisor restarting the cancelled worker does not see the
-   retry die instantly from the same stale mark. *)
+   raise, so the cancelled fiber's own clean-up after the contained fault
+   (a degraded answer, the connection's release) is not cancelled
+   again. *)
 let check_cancel s =
   match Hashtbl.find_opt s.cancelled s.cur with
   | Some reason ->

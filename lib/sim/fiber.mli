@@ -31,8 +31,9 @@ exception Cancelled of string
     {e contained} fault class, so cancelling the
     fiber running a compartment kills only that compartment — the
     mechanism a watchdog uses to tear down a hung worker.  The mark is
-    consumed on delivery: a supervisor restarting the victim does not see
-    the retry die from the same stale cancellation. *)
+    consumed on delivery: the victim's clean-up after the contained
+    fault (a degraded answer, the connection's release) is not cancelled
+    again. *)
 
 (** Which runnable fiber runs next.  {!Round_robin} (the default) is the
     FIFO order every seeded replay test depends on.  The other policies

@@ -128,14 +128,10 @@ let serve_connection (env : Sshd_env.t) ep =
           ~ops:(slave_ops env monitor slave) ();
         0
   in
-  let outcome =
-    Supervisor.supervise ~max_restarts:0 main
-      (fun () -> W.fork main slave_main)
-  in
   (* An SSH session whose slave died mid-protocol cannot be resumed in
      plaintext: the degraded answer is a disconnect, monitor intact. *)
-  (match outcome with
-  | Supervisor.Done _ -> ()
-  | Supervisor.Gave_up _ -> W.stat main "sshd.degraded");
+  (match Supervisor.supervise main (fun () -> W.fork main slave_main) with
+  | Ok _ -> ()
+  | Error _ -> W.stat main "sshd.degraded");
   W.fd_close main fd;
   Chan.close ep

@@ -5,7 +5,6 @@ module Prot = Wedge_kernel.Prot
 module Fd_table = Wedge_kernel.Fd_table
 module Guard = Wedge_net.Guard
 module Service = Wedge_net.Service
-module Supervisor = Wedge_core.Supervisor
 module Drbg = Wedge_crypto.Drbg
 module Rsa = Wedge_crypto.Rsa
 module Dsa = Wedge_crypto.Dsa
@@ -266,7 +265,7 @@ let serve_connection ?spawn ?guard ?synth (env : Sshd_env.t) ep =
   let spawn = match spawn with Some s -> s | None -> W.Stamp (image env) in
   (* An SSH session whose worker died mid-protocol cannot be resumed in
      plaintext: the degraded answer is a disconnect, master intact. *)
-  Service.run_worker ?guard ~spawn ~max_restarts:0
+  Service.run_worker ?guard ~spawn
     ~degrade:(fun () -> W.stat main "sshd.degraded")
     main ep
   @@ fun conn ->
@@ -326,7 +325,7 @@ let serve_connection ?spawn ?guard ?synth (env : Sshd_env.t) ep =
 
 (* SSH has no pre-handshake plaintext channel to apologise on: a
    rejected connection is simply disconnected, as the privsep baseline
-   does.  No retry: the SSH stream is consumed by a failed attempt. *)
+   does. *)
 let service =
   {
     Service.name = "sshd";

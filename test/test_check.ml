@@ -358,21 +358,21 @@ let test_sweep_pct_policy () =
    re-pins the whole table at once. *)
 let pinned_digests =
   [
-    ("pop3", "559ab59a9891a93331df66a5b2a5012a");
+    ("pop3", "8c24d29fc5dbb0ea875734968fb948a2");
     ("httpd", "9404dd29e816ab15acedb711fe899a66");
     ("sshd", "96d04d1499a2ed3bc857190ac6781159");
     ("httpd_mitm", "fdc59709b14c4d3630824930352b6a69");
     ("httpd_mitm_recycle", "3742f95755088fa9c425fda2e70d2fb9");
     ("httpd_storm", "d8258ae28fae1a2765277b23b6aab31e");
-    ("pop3_storm", "02c7bca2ce129878413abe7ccdfde7b1");
+    ("pop3_storm", "ea5d0c4286b4f919f89d4ed71ec6df8b");
     ("sshd_storm", "600674b1e4bddc01802fe66162624178");
     ("httpd_mitm_storm", "6094392b45f67cc6fbff68e4d1f1c442");
     ("httpd_pool_storm", "91f589e63eac0ed8b6358ee7535b6e6c");
-    ("pop3_pool_storm", "1021d67df99883b3095389dc7072f15c");
+    ("pop3_pool_storm", "541b656f12c76597a6a1c5b87cc25268");
     ("sshd_pool_storm", "1f1e41334f35606ee64951184daa5e02");
     ("httpd_mitm_pool_storm", "5f3de9befdc2f3e2b94912ecb0bda4ac");
     ("httpd_sharded", "2359f2c6842af3460ad645439e9901f7");
-    ("pop3_sharded", "ba5a738b7f5409e872bf4b72b933d21f");
+    ("pop3_sharded", "d35d5ea4ab24ca04df7b885e3b83492b");
     ("sshd_sharded", "acb8008288376169b0856ac3ca23752c");
     ("httpd_mitm_sharded", "cb6e4951ef9b6b75dc36ae3c653d26f3");
     ("httpd_synth", "68443f6502534fa9574c44224284ad76");

@@ -1,6 +1,6 @@
 (* Fault-injection and supervision tests: deterministic replay of a seeded
    fault plan, recovery from frame exhaustion, channel resets mid-request,
-   supervisor backoff schedules, callgate deadlines, recycled-gate respawn,
+   one supervised attempt per compartment, callgate deadlines, recycled-gate respawn,
    enriched deadlock diagnostics, and a chaos soak that drives the Figure 2
    httpd through hundreds of connections at a 5% fault rate — the listener
    must survive every one of them, and the same seed must reproduce the
@@ -151,37 +151,31 @@ let test_supervisor_recovers_from_injected_enomem () =
   let app = W.create_app k in
   let main = W.main_ctx app in
   W.boot app;
-  let attempt = ref 0 in
-  let outcome =
-    Supervisor.supervise
-      ~max_restarts:1
-      main
-    @@ fun () ->
+  (* [fail] arms exhaustion inside the compartment: its very next frame
+     allocation — its own heap growth — fails. *)
+  let attempt ~fail =
+    Supervisor.supervise main @@ fun () ->
     W.sthread_create main (W.sc_create ())
       (fun ctx _ ->
-        incr attempt;
-        (* Arm only inside the first attempt: the very next frame
-           allocation — this attempt's own heap growth — fails. *)
-        if !attempt = 1 then begin
+        if fail then begin
           Fault_plan.rule plan ~site:"physmem.alloc" ~prob:1.0 [ Fault_plan.Enomem ];
           Fault_plan.arm plan
-        end
-        else Fault_plan.disarm plan;
+        end;
         let b = W.malloc ctx 4096 in
         W.write_u8 ctx b 7;
         W.read_u8 ctx b)
       0
   in
+  let first = attempt ~fail:true in
   Fault_plan.disarm plan;
-  (match outcome with
-  | Supervisor.Done { value; attempts } ->
-      check Alcotest.int "retry succeeded" 7 value;
-      check Alcotest.int "took two attempts" 2 attempts
-  | Supervisor.Gave_up { last_fault; _ } ->
-      Alcotest.fail ("expected recovery, gave up: " ^ last_fault));
-  check Alcotest.int "restart counted" 1 (Stats.get k.Kernel.stats "supervisor.restart");
-  check Alcotest.bool "fault contained and counted" true
-    (Stats.get k.Kernel.stats "fault.compartment" >= 1)
+  (match first with
+  | Error reason -> check Alcotest.string "contained as exhaustion" "out of memory" reason
+  | Ok _ -> Alcotest.fail "an exhausted compartment exited");
+  check Alcotest.int "fault contained and counted" 1
+    (Stats.get k.Kernel.stats "fault.compartment");
+  (* The next compartment runs on the same kernel, once, unharmed. *)
+  check (Alcotest.result Alcotest.int Alcotest.string) "next compartment served" (Ok 7)
+    (attempt ~fail:false)
 
 (* ---------- channel faults ---------- *)
 
@@ -236,33 +230,37 @@ let test_connect_fault_refuses_connection () =
       check Alcotest.int "second connection established" 1 (Probe.pending l);
       Chan.shutdown l)
 
-(* ---------- supervisor backoff ---------- *)
+(* ---------- supervisor ---------- *)
 
-let test_supervisor_backoff_schedule () =
+(* One supervised attempt: a faulted compartment comes back as [Error]
+   with its reason, counted once, and charges the clock nothing beyond
+   the compartment itself (free costs here, so nothing at all). *)
+let test_faulted_attempt_charges_nothing () =
   let k, app, main = mk_app () in
   W.boot app;
   let t0 = Clock.now k.Kernel.clock in
+  let runs = ref 0 in
   let outcome =
-    Supervisor.supervise ~max_restarts:3 main @@ fun () ->
+    Supervisor.supervise main @@ fun () ->
     W.sthread_create main (W.sc_create ())
-      (fun _ _ -> raise (Fault_plan.Injected "always crashes"))
+      (fun _ _ ->
+        incr runs;
+        raise (Fault_plan.Injected "always crashes"))
       0
   in
   (match outcome with
-  | Supervisor.Gave_up { attempts; last_fault } ->
-      check Alcotest.int "initial try + 3 retries" 4 attempts;
-      check Alcotest.bool "reason preserved" true (contains last_fault "always crashes")
-  | Supervisor.Done _ -> Alcotest.fail "expected give-up");
-  (* Exponential backoff on the simulated clock: 100 + 200 + 400. *)
-  check Alcotest.int "backoff schedule" 700 (Clock.now k.Kernel.clock - t0);
-  check Alcotest.int "restarts counted" 3 (Stats.get k.Kernel.stats "supervisor.restart");
+  | Error reason -> check Alcotest.bool "reason preserved" true (contains reason "always crashes")
+  | Ok _ -> Alcotest.fail "expected a fault");
+  check Alcotest.int "run once" 1 !runs;
+  check Alcotest.int "no clock charged" 0 (Clock.now k.Kernel.clock - t0);
+  check Alcotest.int "fault counted" 1 (Stats.get k.Kernel.stats "fault.compartment");
   check Alcotest.int "give-up counted" 1 (Stats.get k.Kernel.stats "supervisor.gave_up")
 
 (* A fault while the compartment is being built — here an injected
    crash at the ["pool.stamp"] site, after the child process exists —
-   is an attempt that faulted: the supervisor marks it ["create: "] and
-   retries, and the engine reaps each half-built process before the
-   fault reaches it, so no process outlives its failed creation. *)
+   is an attempt that faulted: the supervisor marks it ["create: "], and
+   the engine reaps the half-built process before the fault reaches it,
+   so no process outlives its failed creation. *)
 let test_creation_fault_unwinds () =
   let plan = Fault_plan.create ~seed:5 () in
   Fault_plan.rule plan ~site:"pool.stamp" ~prob:1.0 [ Fault_plan.Crash ];
@@ -276,7 +274,7 @@ let test_creation_fault_unwinds () =
   let ran = ref false in
   Fault_plan.arm plan;
   let outcome =
-    Supervisor.supervise ~max_restarts:1 main @@ fun () ->
+    Supervisor.supervise main @@ fun () ->
     W.sthread_create ~spawn:(W.Stamp pool) main (W.sc_create ())
       (fun _ _ ->
         ran := true;
@@ -285,14 +283,13 @@ let test_creation_fault_unwinds () =
   in
   Fault_plan.disarm plan;
   (match outcome with
-  | Supervisor.Gave_up { attempts; last_fault } ->
-      check Alcotest.int "initial try + 1 retry" 2 attempts;
-      check Alcotest.bool "creation fault marked" true (contains last_fault "create:");
-      check Alcotest.bool "names the stamp site" true (contains last_fault "pool.stamp")
-  | Supervisor.Done _ -> Alcotest.fail "a crashing stamp created a compartment");
+  | Error reason ->
+      check Alcotest.bool "creation fault marked" true (contains reason "create:");
+      check Alcotest.bool "names the stamp site" true (contains reason "pool.stamp")
+  | Ok _ -> Alcotest.fail "a crashing stamp created a compartment");
   check Alcotest.bool "the body never ran" false !ran;
-  check Alcotest.int "half-built sthreads reaped" live (Kernel.live_processes k);
-  check Alcotest.int "both faults counted" 2 (Stats.get k.Kernel.stats "fault.compartment")
+  check Alcotest.int "half-built sthread reaped" live (Kernel.live_processes k);
+  check Alcotest.int "fault counted" 1 (Stats.get k.Kernel.stats "fault.compartment")
 
 (* ---------- recycled respawn ---------- *)
 
@@ -336,7 +333,7 @@ let test_fiber_crash_contained_in_sthread () =
       let _, app, main = mk_app () in
       W.boot app;
       let outcome =
-        Supervisor.supervise ~max_restarts:0 main @@ fun () ->
+        Supervisor.supervise main @@ fun () ->
         W.sthread_create main (W.sc_create ())
           (fun _ _ ->
             Fault_plan.rule plan ~site:"fiber.stall" ~prob:1.0 [ Fault_plan.Crash ];
@@ -347,9 +344,8 @@ let test_fiber_crash_contained_in_sthread () =
       in
       Fault_plan.disarm plan;
       (match outcome with
-      | Supervisor.Gave_up { last_fault; _ } ->
-          check Alcotest.bool "names the site" true (contains last_fault "fiber.stall")
-      | Supervisor.Done _ -> Alcotest.fail "expected the worker to crash");
+      | Error reason -> check Alcotest.bool "names the site" true (contains reason "fiber.stall")
+      | Ok _ -> Alcotest.fail "expected the worker to crash");
       (* The scheduler and this fiber are unharmed. *)
       Fiber.yield ();
       survived := true);
@@ -527,7 +523,8 @@ let () =
         ] );
       ( "supervisor",
         [
-          Alcotest.test_case "backoff schedule" `Quick test_supervisor_backoff_schedule;
+          Alcotest.test_case "a faulted attempt charges nothing" `Quick
+            test_faulted_attempt_charges_nothing;
           Alcotest.test_case "creation fault unwinds" `Quick test_creation_fault_unwinds;
         ] );
       ( "cgate",

@@ -3,8 +3,8 @@
    the O(1) cost claim against fork-priced boot, COW preservation of the
    frozen frames, identity capture, fault injection on both
    pool sites (a fault mid-stamp must leave the image pristine and the
-   refcounts clean — swept by the oracle), supervised restarts under
-   [Stamp], and the pool counters in the metrics registry. *)
+   refcounts clean — swept by the oracle), and the pool counters in the
+   metrics registry. *)
 
 module Kernel = Wedge_kernel.Kernel
 module Fd_table = Wedge_kernel.Fd_table
@@ -25,7 +25,6 @@ module Metrics = Wedge_sim.Metrics
 module W = Wedge_core.Wedge
 module Engine = Wedge_core.Engine
 module Pool = Wedge_core.Pool
-module Supervisor = Wedge_core.Supervisor
 module Oracle = Wedge_check.Oracle
 module Tag = Wedge_mem.Tag
 
@@ -642,50 +641,6 @@ let test_fault_during_stamp_image_pristine () =
   (* Refcounts and COW re-derive clean after the mid-stamp crash. *)
   sweep k app
 
-(* ---------- supervisor integration ---------- *)
-
-(* A faulted [Stamp] compartment restarts by restamping: on paper-shaped
-   prices at 300 pages its recovery, from the fault to the next attempt's
-   first instruction, is a stamp, where a [Boot] one pays a fork-priced
-   boot of the whole image. *)
-let test_stamp_child_restamps () =
-  let run ~pooled =
-    let k, app, main = mk ~costs:Cost_model.default ~image_pages:300 () in
-    let clock = k.Kernel.clock in
-    let gap = ref 0 in
-    Fiber.run ~clock (fun () ->
-        let pool = W.Pool.freeze ~name:"w" main (W.sc_create ()) in
-        let spawn = if pooled then W.Stamp pool else W.Boot in
-        let attempts = ref 0 and fault_at = ref 0 in
-        let outcome =
-          Supervisor.supervise ~max_restarts:2 main @@ fun () ->
-          W.sthread_create ~spawn main (W.sc_create ())
-            (fun _ _ ->
-              incr attempts;
-              if !attempts = 1 then begin
-                fault_at := Clock.now clock;
-                raise (Fault_plan.Injected "first attempt dies")
-              end;
-              gap := Clock.now clock - !fault_at;
-              7)
-            0
-        in
-        (match outcome with
-        | Supervisor.Done { value; _ } ->
-            check Alcotest.int "restarted attempt served" 7 value
-        | Supervisor.Gave_up _ -> Alcotest.fail "supervised compartment gave up");
-        check Alcotest.int "two attempts" 2 !attempts;
-        check Alcotest.int "attempts stamped from pool" (if pooled then 2 else 0)
-          app.Engine.pool_stamps);
-    sweep k app;
-    !gap
-  in
-  let pooled = run ~pooled:true in
-  check
-    Alcotest.(pair int int)
-    "fault to next attempt, pooled vs fresh (simulated ns)" (8_550, 64_600)
-    (pooled, run ~pooled:false)
-
 (* ---------- observability ---------- *)
 
 let test_pool_metrics_and_trace () =
@@ -747,10 +702,6 @@ let () =
         [
           Alcotest.test_case "freeze crash" `Quick test_fault_during_freeze_leaves_no_image;
           Alcotest.test_case "stamp crash" `Quick test_fault_during_stamp_image_pristine;
-        ] );
-      ( "supervisor",
-        [
-          Alcotest.test_case "Stamp child restamps" `Quick test_stamp_child_restamps;
         ] );
       ( "observability",
         [ Alcotest.test_case "metrics + trace" `Quick test_pool_metrics_and_trace ] );

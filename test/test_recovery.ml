@@ -1,6 +1,5 @@
-(* Self-healing tests: overflow-safe supervision backoff, hang detection
-   by the guard's connection hearts (unit and against all three servers
-   via a mid-header staller), the heart re-armed on every restart, fiber
+(* Self-healing tests: hang detection by the guard's connection hearts
+   (unit and against all three servers via a mid-header staller), fiber
    cancellation delivery, the new engine fault sites, and byte-identical
    replay of a full fault-storm scenario. *)
 
@@ -15,7 +14,6 @@ module Guard = Wedge_net.Guard
 module Reactor = Wedge_sim.Reactor
 module Byzantine = Wedge_net.Byzantine
 module W = Wedge_core.Wedge
-module Supervisor = Wedge_core.Supervisor
 module Service = Wedge_net.Service
 module Scenarios = Wedge_check.Scenarios
 
@@ -25,59 +23,6 @@ let contains hay needle =
   let nl = String.length needle and hl = String.length hay in
   let rec go i = i + nl <= hl && (String.sub hay i nl = needle || go (i + 1)) in
   go 0
-
-let mk_ctx () =
-  let k = Kernel.create ~costs:Cost_model.free () in
-  let app = W.create_app ~image_pages:40 k in
-  W.boot app;
-  (k, W.main_ctx app)
-
-(* ---------- overflow-safe, capped backoff ---------- *)
-
-(* The backoff [supervise] charges before each retry of a compartment
-   that always faults, read off the clock: under free costs nothing else
-   moves it, and [on_restart] fires right after each charge. *)
-let backoffs ~retries =
-  let k, main = mk_ctx () in
-  let clock = k.Kernel.clock in
-  let t0 = Clock.now clock in
-  let marks = ref [ t0 ] in
-  let outcome =
-    Supervisor.supervise ~max_restarts:retries
-      ~on_restart:(fun () -> marks := Clock.now clock :: !marks)
-      main
-    @@ fun () ->
-    W.sthread_create main (W.sc_create ()) (fun _ _ -> raise (Fault_plan.Injected "always")) 0
-  in
-  (match outcome with
-  | Supervisor.Gave_up { attempts; _ } ->
-      check Alcotest.int "every retry ran" (retries + 1) attempts
-  | Supervisor.Done _ -> Alcotest.fail "an always-faulting compartment exited");
-  let rec steps = function a :: (b :: _ as rest) -> (a - b) :: steps rest | _ -> [] in
-  (Array.of_list (List.rev (steps !marks)), Clock.now clock - t0)
-
-let test_backoff_no_overflow () =
-  (* A plain [100 * (1 lsl (attempt - 1))] overflows at attempt 63 and
-     shifts by a negative amount past 64.  The schedule must saturate
-     instead: 100 retries charge 100 x (2^24 - 1) ns for the first 24,
-     then the 1 s cap 76 times, and never a negative amount. *)
-  let b, total = backoffs ~retries:100 in
-  check Alcotest.bool "no retry charges a negative or uncapped backoff" true
-    (Array.for_all (fun ns -> ns >= 0 && ns <= 1_000_000_000) b);
-  check Alcotest.int "attempt 100 saturates at the cap" 1_000_000_000 b.(99);
-  check Alcotest.int "total charged" (100 * ((1 lsl 24) - 1) + (76 * 1_000_000_000)) total
-
-let test_backoff_cap_pins_schedule () =
-  let b, _ = backoffs ~retries:60 in
-  check Alcotest.int "attempt 1" 100 b.(0);
-  check Alcotest.int "attempt 2" 200 b.(1);
-  check Alcotest.int "attempt 4" 800 b.(3);
-  check Alcotest.int "attempt 24, last below the cap" (100 lsl 23) b.(23);
-  check Alcotest.int "attempt 25 capped" 1_000_000_000 b.(24);
-  check Alcotest.int "attempt 60 capped" 1_000_000_000 b.(59);
-  (* The cap (1 s of simulated time) leaves the small schedules
-     untouched: 100+200+400 = 700 ns for three retries. *)
-  check Alcotest.int "pinned 700 ns schedule" 700 (b.(0) + b.(1) + b.(2))
 
 (* ---------- fiber cancellation ---------- *)
 
@@ -384,16 +329,8 @@ let test_cgate_call_site_faults_contained () =
       Chan.write_string a "USER alice\r\n";
       Fault_plan.arm plan;
       Chan.write_string a "PASS wonderland\r\n";
-      (* The handler dies at the login's callgate call and pop3's one
-         retry greets the client afresh; the same login kills the retry
-         too, and the connection degrades. *)
-      while
-        (not (contains (Buffer.contents got) "send PASS\r\n+OK wedge-pop3 ready\r\n"))
-        && read_more ()
-      do
-        ()
-      done;
-      Chan.write_string a "USER alice\r\nPASS wonderland\r\n";
+      (* The handler dies at the login's callgate call, and the
+         connection degrades. *)
       (try
          while read_more () do
            ()
@@ -401,89 +338,22 @@ let test_cgate_call_site_faults_contained () =
        with _ -> ());
       try Chan.close a with _ -> ());
   check Alcotest.bool "serve_connection returned" true !returned;
-  check Alcotest.int "the handler and its retry died of it" 2
-    (Stats.get k.Kernel.stats "fault.compartment");
-  check Alcotest.int "retried once" 1 (Stats.get k.Kernel.stats "supervisor.restart");
-  check Alcotest.int "then given up" 1 (Stats.get k.Kernel.stats "supervisor.gave_up");
+  check Alcotest.int "the handler died of it" 1 (Stats.get k.Kernel.stats "fault.compartment");
+  check Alcotest.int "given up" 1 (Stats.get k.Kernel.stats "supervisor.gave_up");
   check Alcotest.int "cgate crash contained into degraded conn" 1
     (Stats.get k.Kernel.stats "pop3.degraded");
-  check Alcotest.string "the retry greeted the client afresh, then the degraded farewell"
-    "+OK wedge-pop3 ready\r\n+OK send PASS\r\n+OK wedge-pop3 ready\r\n+OK send PASS\r\n\
-     -ERR internal server error, closing\r\n"
+  check Alcotest.string "the replies so far, then the degraded farewell"
+    "+OK wedge-pop3 ready\r\n+OK send PASS\r\n-ERR internal server error, closing\r\n"
     (Buffer.contents got);
   check Alcotest.bool "fault site charged" true
     (Stats.get k.Kernel.stats "fault.cgate" >= 1);
-  (* Degraded by a compartment's exhausted restarts, not by setup. *)
+  (* Degraded by a faulted compartment, not by setup. *)
   check Alcotest.int "no setup fault" 0 (Stats.get k.Kernel.stats "fault.setup")
 
-(* ---------- satellite: re-armed hearts on pooled restart ---------- *)
-
-let test_rearm_heart_clears_stale_beat () =
-  (* A supervised retry resumes in the same serve fiber after a backoff
-     charge.  The heart armed at admission is then already past its
-     deadline through no fault of the fresh attempt — without a rearm the
-     next tick cuts the retry for its predecessor's silence. *)
-  let clock = Clock.create () in
-  let r = Reactor.create ~clock () in
-  let g = Guard.create ~reactor:r ~hang_deadline_ns:1_000 ~max_conns:2 () in
-  Fiber.run ~clock (fun () ->
-      let a =
-        accept_one g (fun c ->
-            Clock.charge clock 2_000;
-            Guard.rearm_heart c;
-            Reactor.hook r ();
-            check Alcotest.int "no spurious cut after rearm" 0 (Guard.stats g).Guard.s_hang_cuts)
-      in
-      Fiber.wait_until ~what:"connection released" (fun () -> Guard.active g = 0);
-      Chan.close a);
-  check Alcotest.bool "no heart left overdue" true (Guard.heart_check g = None)
-
-(* The flat path's retry re-arms the connection's heart.  A cut leaves
-   the heart hung, and the retry runs in the same serve fiber: without
-   the re-arm its first beat raises [Guard.Hang] and kills it for its
-   predecessor's silence, degrading a connection the retry could serve. *)
-let test_flat_retry_rearms_heart () =
-  let k, main = mk_ctx () in
-  let clock = k.Kernel.clock in
-  let r = Reactor.create ~clock () in
-  let g = Guard.create ~reactor:r ~hang_deadline_ns:1_000 ~max_conns:2 () in
-  let attempts = ref 0 and returned = ref false and degraded = ref false in
-  Fiber.run ~clock ~on_switch:(Reactor.hook r) (fun () ->
-      let a =
-        accept_one g (fun c ->
-            let body _ _ =
-              incr attempts;
-              if !attempts = 1 then begin
-                (* Hung: no beat while the clock runs past the deadline;
-                   the cut lands at a yield. *)
-                Clock.charge clock 5_000;
-                for _ = 1 to 16 do
-                  Fiber.yield ()
-                done
-              end
-              else Guard.established c;
-              0
-            in
-            Service.run_worker ~guard:c ~spawn:W.Boot ~max_restarts:1
-              ~degrade:(fun () -> degraded := true)
-              main (Guard.ep c)
-              (fun _ -> [ (W.sc_create (), body) ]);
-            returned := true)
-      in
-      Fiber.wait_until ~what:"connection released" (fun () -> Guard.active g = 0);
-      Chan.close a);
-  check Alcotest.int "hung attempt, then the retry" 2 !attempts;
-  check Alcotest.int "one cut" 1 (Guard.stats g).Guard.s_hang_cuts;
-  check Alcotest.bool "run_worker returned" true !returned;
-  check Alcotest.bool "retry served, connection not degraded" false !degraded;
-  check Alcotest.int "the supervisor never gave up" 0
-    (Stats.get k.Kernel.stats "supervisor.gave_up")
-
-let test_staller_pop3_pooled_restamp () =
-  (* The integration shape: the production pop3 worker, stamped from the
-     frozen image, has its heart cut mid-header; the flat retry restamps
-     it (re-arming the heart on the way) and the listener keeps
-     serving. *)
+let test_staller_pop3_pooled_cut_degrades () =
+  (* The production pop3 worker, stamped from the frozen image, has its
+     heart cut mid-header: that one connection degrades, and the
+     listener keeps serving. *)
   let k = Kernel.create ~costs:Cost_model.free () in
   Wedge_pop3.Pop3_env.install k Wedge_pop3.Pop3_env.default_users;
   let app = W.create_app ~image_pages:60 k in
@@ -501,8 +371,8 @@ let test_staller_pop3_pooled_restamp () =
     k l guard r;
   check Alcotest.bool "workers stamped from the pool" true
     (app.Wedge_core.Engine.pool_hits > 0);
-  check Alcotest.bool "the cut worker was restarted" true
-    (Stats.get k.Kernel.stats "supervisor.restart" >= 1)
+  check Alcotest.int "the cut worker's connection degraded" 1
+    (Stats.get k.Kernel.stats "pop3.degraded")
 
 (* ---------- storm determinism ---------- *)
 
@@ -521,11 +391,6 @@ let test_storm_replays_identically () =
 let () =
   Alcotest.run "recovery"
     [
-      ( "backoff",
-        [
-          Alcotest.test_case "no overflow" `Quick test_backoff_no_overflow;
-          Alcotest.test_case "cap pins schedule" `Quick test_backoff_cap_pins_schedule;
-        ] );
       ( "cancel",
         [ Alcotest.test_case "delivered once" `Quick test_fiber_cancel_delivered_once ] );
       ( "watchdog",
@@ -545,14 +410,8 @@ let () =
           Alcotest.test_case "httpd" `Quick test_staller_httpd;
           Alcotest.test_case "pop3" `Quick test_staller_pop3;
           Alcotest.test_case "sshd" `Quick test_staller_sshd;
-        ] );
-      ( "rearm",
-        [
-          Alcotest.test_case "stale heart survives rearm" `Quick
-            test_rearm_heart_clears_stale_beat;
-          Alcotest.test_case "flat retry re-arms heart" `Quick test_flat_retry_rearms_heart;
-          Alcotest.test_case "pooled staller restamp" `Quick
-            test_staller_pop3_pooled_restamp;
+          Alcotest.test_case "pop3 pooled cut degrades" `Quick
+            test_staller_pop3_pooled_cut_degrades;
         ] );
       ( "fault-sites",
         [

@@ -217,16 +217,16 @@ let run_unit synth =
         gate_result := W.cgate ctx gate ~perms:(W.sc_create ()) ~arg:b;
         0
       in
-      (* Supervised without restarts: the outcome names a fault's reason. *)
+      (* Supervised: the outcome names a fault's reason. *)
       let status =
         match
-          Supervisor.supervise ~max_restarts:0 main (fun () ->
+          Supervisor.supervise main (fun () ->
               W.sthread_create main worker_sc
                 (Synth.wrap_sthread synth ~name:"unit.worker" ~fds:conn_fds body)
                 0)
         with
-        | Supervisor.Done _ -> Process.Exited 0
-        | Supervisor.Gave_up { last_fault; _ } -> Process.Faulted last_fault
+        | Ok _ -> Process.Exited 0
+        | Error reason -> Process.Faulted reason
       in
       Chan.close peer;
       out := Some { u_status = status; u_gate_result = !gate_result });

@@ -337,8 +337,8 @@ let test_miss_changes_nothing () =
    [Pop3_wedge] connections in one [Fiber.run], the first one's worker
    taken over at its second kernel entry (its first read of client
    input): each payload ends only that worker — faulted, counted as
-   [fault.unexpected] and retried once, as pop3 retries every faulted
-   handler — and the second connection logs in. *)
+   [fault.unexpected], never restarted, its connection degraded — and
+   the second connection logs in. *)
 let test_hostile_payloads_end_one_connection () =
   let payloads =
     [
@@ -375,16 +375,120 @@ let test_hostile_payloads_end_one_connection () =
           done);
       check Alcotest.bool (what "the payload ran") true !ran;
       check Alcotest.int (what "both connections returned") 2 !returned;
-      check Alcotest.bool (what "the second logs in") true (List.hd !logged_in);
+      check (Alcotest.list Alcotest.bool) (what "the first refused, the second logs in")
+        [ false; true ] (List.rev !logged_in);
       check Alcotest.int (what "its worker faulted") 1
         (Stats.get k.Kernel.stats "fault.compartment");
-      check Alcotest.int (what "and was retried once") 1
-        (Stats.get k.Kernel.stats "supervisor.restart");
-      check Alcotest.int (what "the retry ran the connection out, undegraded") 0
+      check Alcotest.int (what "the image's freeze and one handler a connection, none restarted")
+        3
+        (Stats.get k.Kernel.stats "trap.sthread_create");
+      check Alcotest.int (what "the faulted connection degraded") 1
         (Stats.get k.Kernel.stats "pop3.degraded");
       check Alcotest.int (what "one unexpected fault") 1
         (Stats.get k.Kernel.stats "fault.unexpected"))
     payloads
+
+(* A fault ends its session without putting it out of step.  One
+   [Pop3_wedge] connection whose client sends USER, PASS, STAT and
+   RETR 1 one at a time, reading each reply whole (a line, or a RETR
+   body through its terminator) or up to EOF, then closes its side and
+   reads to EOF.  Returns every byte it read and the offsets in them at
+   which a reply ended, 0 included. *)
+let pop3_session ~password ?arm () =
+  let k = Kernel.create ~costs:Cost_model.free () in
+  Pop3_env.install k Pop3_env.default_users;
+  let app = W.create_app k in
+  W.boot app;
+  Option.iter (fun f -> f app) arm;
+  let main = W.main_ctx app in
+  let got = Buffer.create 256 and ends = ref [ 0 ] in
+  Fiber.run (fun () ->
+      let client_ep, server_ep = Chan.pair ~costs:Cost_model.free () in
+      Fiber.spawn (fun () -> Wedge_pop3.Pop3_wedge.serve_connection main server_ep);
+      (* False at EOF before the reply is whole. *)
+      let rec read_reply ~body start =
+        let reply = Buffer.sub got start (Buffer.length got - start) in
+        let octets () =
+          match String.index_opt reply '\r' with
+          | Some i -> String.ends_with ~suffix:" octets" (String.sub reply 0 i)
+          | None -> false
+        in
+        let whole =
+          if body && octets () then String.ends_with ~suffix:"\r\n.\r\n" reply
+          else String.ends_with ~suffix:"\r\n" reply
+        in
+        if whole then begin
+          ends := Buffer.length got :: !ends;
+          true
+        end
+        else
+          let b = Chan.read client_ep 65536 in
+          Bytes.length b > 0
+          && begin
+            Buffer.add_bytes got b;
+            read_reply ~body start
+          end
+      in
+      let rec send = function
+        | [] -> ()
+        | (line, body) :: rest ->
+            Chan.write_string client_ep (line ^ "\r\n");
+            if read_reply ~body (Buffer.length got) then send rest
+      in
+      if read_reply ~body:false 0 then
+        send
+          [
+            ("USER alice", false);
+            ("PASS " ^ password, false);
+            ("STAT", false);
+            ("RETR 1", true);
+          ];
+      Chan.close client_ep;
+      let rec drain () =
+        let b = Chan.read client_ep 65536 in
+        if Bytes.length b > 0 then begin
+          Buffer.add_bytes got b;
+          drain ()
+        end
+      in
+      drain ());
+  (Buffer.contents got, List.rev !ends)
+
+(* For the right and a wrong password, a [failwith] at every kernel
+   entry of the connection's handler: each session reads either the
+   whole unarmed transcript, or a prefix of it that ends where a reply
+   ended, then pop3's degraded farewell and EOF — never a reply to
+   another command, or a greeting from a second handler. *)
+let test_fault_keeps_session_in_step () =
+  let degraded = "-ERR internal server error, closing\r\n" in
+  List.iter
+    (fun (name, password, pass_reply) ->
+      let whole, ends = pop3_session ~password () in
+      let reply i = String.sub whole (List.nth ends i) (List.nth ends (i + 1) - List.nth ends i) in
+      check Alcotest.string (name ^ ": the unarmed PASS reply") pass_reply (reply 2);
+      let out_of_step = ref [] in
+      let fired =
+        Sweep.entries (fun at ->
+            let ran = ref false in
+            let armed, _ =
+              pop3_session ~password
+                ~arm:(Sweep.arm ~where:(W.Child 1) ~at ran (fun _ -> failwith "boom"))
+                ()
+            in
+            let in_step =
+              armed = whole
+              || List.exists (fun e -> armed = String.sub whole 0 e ^ degraded) ends
+            in
+            if !ran && not in_step then out_of_step := at :: !out_of_step;
+            !ran)
+      in
+      check Alcotest.int (name ^ ": the handler's kernel entries") 13 fired;
+      check (Alcotest.list Alcotest.int) (name ^ ": entries whose session went out of step") []
+        (List.rev !out_of_step))
+    [
+      ("right password", "wonderland", "+OK logged in\r\n");
+      ("wrong password", "wonderlant", "-ERR auth failed\r\n");
+    ]
 
 let () =
   Alcotest.run "wedge_takeover"
@@ -405,5 +509,7 @@ let () =
         [
           Alcotest.test_case "hostile payloads end one connection" `Quick
             test_hostile_payloads_end_one_connection;
+          Alcotest.test_case "a fault keeps its session in step" `Quick
+            test_fault_keeps_session_in_step;
         ] );
     ]
